@@ -14,6 +14,7 @@ import pytest
 
 from repro import (
     ConventionalEngine,
+    DelayAnalyzer,
     LogNormalDelay,
     LsmConfig,
     SeparationEngine,
@@ -57,6 +58,15 @@ def cold_pair():
     return cold_stream, row_engine, cold_engine
 
 
+def _best_seconds(fn, rounds=3):
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def test_perf_conventional_ingest(benchmark, stream):
     def ingest():
         engine = ConventionalEngine(LsmConfig(512, 512))
@@ -78,6 +88,67 @@ def test_perf_separation_ingest(benchmark, stream):
 
     engine = benchmark(ingest)
     assert engine.ingested_points == len(stream)
+
+
+def test_perf_separation_vs_conventional(benchmark, stream):
+    """The ingest-path budget: ``pi_s`` within reach of ``pi_c``.
+
+    Separation exists to rewrite less, so on the same stream it must
+    not cost much more to run.  The target is 1.5x (the committed
+    baseline shows it); the assertion is a loose 2.0x floor under that
+    so scheduler jitter on a shared runner cannot trip it.  The write
+    counts are the golden ones for this stream — a speed-up that moved
+    them would be a behaviour change.
+    """
+
+    def conventional():
+        engine = ConventionalEngine(LsmConfig(512, 512))
+        engine.ingest(stream.tg)
+        engine.flush_all()
+        return engine
+
+    def separation():
+        engine = SeparationEngine(LsmConfig(512, 512, seq_capacity=256))
+        engine.ingest(stream.tg)
+        engine.flush_all()
+        return engine
+
+    # Alternate the two so a slow spell hits both sides alike.
+    pi_c_s = pi_s_s = float("inf")
+    for _ in range(5):
+        pi_c_s = min(pi_c_s, _best_seconds(conventional, rounds=1))
+        pi_s_s = min(pi_s_s, _best_seconds(separation, rounds=1))
+    pi_c, pi_s = benchmark(lambda: (conventional(), separation()))
+    benchmark.extra_info["pi_c_ms"] = pi_c_s * 1e3
+    benchmark.extra_info["pi_s_ms"] = pi_s_s * 1e3
+    benchmark.extra_info["pi_s_over_pi_c"] = pi_s_s / pi_c_s
+    assert pi_c.stats.disk_writes == 486_048  # WA 4.86048
+    assert pi_s.stats.disk_writes == 290_907  # WA 2.90907
+    assert pi_s_s <= 2.0 * pi_c_s
+
+
+def test_perf_analyzer_observe(benchmark, stream):
+    """The delay analyzer watches every point at negligible cost.
+
+    One ``observe`` call per 4096-point batch, as the database issues
+    them.  20 M points/s is an order of magnitude below what the
+    vectorised window does and an order above what any per-point
+    interpreter loop can reach, so the floor only trips on the latter.
+    """
+    batch = 4096
+    calls = len(stream) // batch
+    analyzer = DelayAnalyzer(memory_budget=512, sstable_size=512)
+
+    def observe():
+        for lo in range(0, calls * batch, batch):
+            analyzer.observe(stream.tg[lo : lo + batch], stream.ta[lo : lo + batch])
+
+    seconds = _best_seconds(observe, rounds=5)
+    benchmark(observe)
+    points_per_s = calls * batch / seconds
+    benchmark.extra_info["points_per_s"] = points_per_s
+    assert analyzer.window.full
+    assert points_per_s >= 20e6
 
 
 def test_perf_zeta_evaluation(benchmark):
@@ -507,15 +578,6 @@ def federated_fleet():
     reference.flush_all()
     yield fleet, reference
     fleet.federation.close()
-
-
-def _best_seconds(fn, rounds=3):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def test_perf_federated_agg(benchmark, federated_fleet):

@@ -112,7 +112,12 @@ class DelayAnalyzer:
     # -- observation ------------------------------------------------------------
 
     def observe(self, tg: np.ndarray, ta: np.ndarray) -> None:
-        """Feed aligned generation/arrival timestamp batches."""
+        """Feed aligned generation/arrival timestamp batches.
+
+        Raises :class:`ModelError`, recording nothing, when the arrays
+        do not align or a timestamp is NaN/inf — one non-finite delay in
+        the window would poison every later profile.
+        """
         tg = np.asarray(tg, dtype=float).ravel()
         ta = np.asarray(ta, dtype=float).ravel()
         if tg.size != ta.size:
@@ -121,6 +126,8 @@ class DelayAnalyzer:
             )
         if tg.size == 0:
             return
+        if not (np.isfinite(tg).all() and np.isfinite(ta).all()):
+            raise ModelError("tg and ta must be finite; got NaN/inf in the batch")
         delays = np.clip(ta - tg, 0.0, None)
         self.window.offer_many(delays)
         if self.long_horizon is not None:

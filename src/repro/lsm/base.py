@@ -117,6 +117,19 @@ class Snapshot:
         return max(candidates, default=float("-inf"))
 
 
+def validate_generation_times(tg: np.ndarray) -> np.ndarray:
+    """``tg`` as the contiguous 1-d finite float64 batch engines ingest;
+    raises :class:`EngineError` for anything else."""
+    arr = np.ascontiguousarray(tg, dtype=np.float64)
+    if arr.ndim != 1:
+        raise EngineError(f"ingest expects a 1-d array, got shape {arr.shape}")
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise EngineError(
+            "generation times must be finite; got NaN/inf in the batch"
+        )
+    return arr
+
+
 class LsmEngine(abc.ABC):
     """Abstract LSM storage engine with write accounting."""
 
@@ -203,14 +216,7 @@ class LsmEngine(abc.ABC):
     def _validate_batch(self, tg: np.ndarray) -> np.ndarray:
         if self._closed:
             raise EngineClosedError(f"{self.policy_name}: engine is closed")
-        arr = np.ascontiguousarray(tg, dtype=np.float64)
-        if arr.ndim != 1:
-            raise EngineError(f"ingest expects a 1-d array, got shape {arr.shape}")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise EngineError(
-                "generation times must be finite; got NaN/inf in the batch"
-            )
-        return arr
+        return validate_generation_times(tg)
 
     def _ingest_validated(self, arr: np.ndarray) -> None:
         """Place a validated batch — shared by ingest and WAL replay.

@@ -20,8 +20,11 @@ def merge_tables_with_batch(
     All inputs are individually sorted by generation time; the output is
     their union, sorted.  A stable concatenate-then-sort is used: numpy's
     mergesort on mostly-sorted input is effectively a multiway merge and
-    far faster than a Python heap.
+    far faster than a Python heap.  With no tables the sorted batch is
+    already the answer and is returned as is.
     """
+    if not tables:
+        return batch_tg, batch_ids
     parts_tg = [t.tg for t in tables]
     parts_ids = [t.ids for t in tables]
     parts_tg.append(batch_tg)

@@ -21,9 +21,9 @@ import numpy as np
 from ..config import LsmConfig
 from ..core.analyzer import DelayAnalyzer
 from ..core.tuning import SEPARATION, PolicyDecision
-from ..errors import EngineError, RecoveryError
+from ..errors import EngineError, ModelError, RecoveryError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from .base import Snapshot, _engine_registry
+from .base import Snapshot, _engine_registry, validate_generation_times
 from .checkpoint import namespaced_stem
 from .conventional import ConventionalEngine
 from .separation import SeparationEngine
@@ -247,23 +247,48 @@ class TimeSeriesDatabase:
     def write(
         self, name: str, tg: np.ndarray, ta: np.ndarray | None = None
     ) -> None:
-        """Append arrival-ordered points to ``name`` (created on demand)."""
-        if name not in self._series:
-            self.create_series(name)
-        state = self._series[name]
+        """Append arrival-ordered points to ``name`` (created on demand).
+
+        A batch is checked before anything changes: non-finite ``tg``
+        (:class:`EngineError`), a misaligned or non-finite ``ta``
+        (:class:`ModelError`), a closed engine or a shed batch
+        (:class:`BackpressureError`) raise with the engine, the analyzer
+        and the disorder tracking exactly as they were, so the caller
+        can fix or retry the batch verbatim.
+        """
         tg = np.ascontiguousarray(tg, dtype=np.float64)
+        if ta is not None:
+            ta = np.ascontiguousarray(ta, dtype=np.float64)
+            if ta.size != tg.size:
+                raise ModelError(
+                    f"tg and ta must align: {tg.size} vs {ta.size}"
+                )
+            if not np.isfinite(ta).all():
+                raise ModelError("arrival times must be finite; got NaN/inf")
+        state = self._series.get(name)
+        if state is None:
+            # The engine checks tg below, but that is too late to stop a
+            # rejected first batch from registering an empty series.
+            validate_generation_times(tg)
+            state = self.create_series(name)
+        # The engine validates tg, admits and (with a WAL) logs before
+        # it places a point; what follows runs only for accepted batches.
+        state.engine.ingest(tg)
         if tg.size == 0:
             return
-        # Track whether this series has ever seen disorder.
-        prefix_max = np.maximum.accumulate(
-            np.concatenate(([self._last_tg[name]], tg))
-        )
-        if np.any(tg < prefix_max[:-1]):
+        last = self._last_tg[name]
+        if (
+            self._had_disorder[name]
+            or tg[0] < last
+            or np.any(tg[1:] < tg[:-1])
+        ):
             self._had_disorder[name] = True
-        self._last_tg[name] = float(prefix_max[-1])
+            self._last_tg[name] = max(last, float(tg.max()))
+        else:
+            # In order so far: the newest point is the running maximum.
+            self._last_tg[name] = float(tg[-1])
         if state.analyzer is not None and ta is not None:
-            state.analyzer.observe(tg, np.ascontiguousarray(ta, dtype=np.float64))
-        state.engine.ingest(tg)
+            state.analyzer.observe(tg, ta)
         if self.telemetry.enabled:
             self.telemetry.count("db.write.batches")
             self.telemetry.count("db.write.points", int(tg.size))

@@ -13,9 +13,12 @@ two questions about ``[lo, hi]``:
 
 Before this module each call site re-derived the searchsorted
 incantation independently; now :class:`~repro.lsm.sstable.SSTable`,
-:class:`~repro.lsm.level.Run`, :class:`~repro.lsm.pruning.TableIndex`
-and :class:`~repro.lsm.blocks.BlockStats` all share one implementation,
-so the subtle ``side=`` conventions live in exactly one place.
+:class:`~repro.lsm.pruning.TableIndex` and
+:class:`~repro.lsm.blocks.BlockStats` all share one implementation, so
+the subtle ``side=`` conventions live in one place.
+(:class:`~repro.lsm.level.Run` keeps its bounds in plain lists, which it
+splices on every landing, and applies the same ``overlap_span``
+convention with ``bisect``.)
 
 Conventions (all ranges are closed, ``lo <= t <= hi``):
 

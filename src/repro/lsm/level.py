@@ -10,12 +10,10 @@ range replacement.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 
-import numpy as np
-
 from ..errors import EngineError
-from .intervals import overlap_span
 from .sstable import SSTable
 
 __all__ = ["Run"]
@@ -26,13 +24,16 @@ class Run:
 
     def __init__(self) -> None:
         self._tables: list[SSTable] = []
-        # Cached min_tg per table for binary search; rebuilt on mutation.
-        self._mins = np.empty(0, dtype=np.float64)
-        self._maxs = np.empty(0, dtype=np.float64)
-        # Cached per-table point counts and their total, maintained
+        # Per-table min_tg / max_tg for binary search, spliced alongside
+        # ``_tables`` on mutation.  Plain lists: a landing touches a
+        # handful of entries, where ``bisect`` and list splicing beat a
+        # numpy call, and appends grow them in amortised O(1).
+        self._mins: list[float] = []
+        self._maxs: list[float] = []
+        # Per-table point counts and their total, maintained
         # incrementally: total_points sits on the stats/invariant hot
         # path and must not re-walk every table.
-        self._lens = np.empty(0, dtype=np.int64)
+        self._lens: list[int] = []
         self._points = 0
 
     # -- views ----------------------------------------------------------------
@@ -61,11 +62,10 @@ class Run:
     def points_in(self, region: slice) -> int:
         """Total points across the tables in ``region``.
 
-        One vectorised sum over the cached length array — this is how
-        compactions count their rewrite volume without a Python-level
-        walk over every victim table.
+        Summed from the cached lengths — compactions count their
+        rewrite volume without touching the victim tables.
         """
-        return int(self._lens[region].sum())
+        return sum(self._lens[region])
 
     @property
     def max_tg(self) -> float:
@@ -94,7 +94,10 @@ class Run:
             raise EngineError(f"inverted range: [{lo}, {hi}]")
         if not self._tables:
             return slice(0, 0)
-        start, stop = overlap_span(self._mins, self._maxs, lo, hi)
+        # Same convention as ``intervals.overlap_span``: first table
+        # whose max reaches ``lo`` up to the first whose min exceeds ``hi``.
+        start = bisect_left(self._maxs, lo)
+        stop = bisect_right(self._mins, hi)
         if start >= stop:
             # No overlap: the insertion position keeps ordering correct.
             return slice(start, start)
@@ -115,13 +118,13 @@ class Run:
         if not self._tables:
             return 0
         # Tables entirely above `value` contribute fully.
-        first_above = int(np.searchsorted(self._mins, value, side="right"))
-        count = int(self._lens[first_above:].sum())
+        first_above = bisect_right(self._mins, value)
+        count = sum(self._lens[first_above:])
         # The boundary table (if it straddles `value`) contributes a part.
         if first_above > 0:
             boundary = self._tables[first_above - 1]
             if boundary.max_tg > value:
-                inside = int(np.searchsorted(boundary.tg, value, side="right"))
+                inside = int(boundary.tg.searchsorted(value, side="right"))
                 count += len(boundary) - inside
         return count
 
@@ -145,19 +148,18 @@ class Run:
                 f"append would overlap the run: new min {new_tables[0].min_tg} "
                 f"<= run max {self.max_tg}"
             )
+        end = len(self._tables)
         self._tables.extend(new_tables)
-        self._splice_bounds(slice(len(self._tables) - len(new_tables),
-                                  len(self._tables) - len(new_tables)),
-                            new_tables)
-        self._check_local_order(len(self._tables) - len(new_tables), len(self._tables))
+        self._splice_bounds(slice(end, end), new_tables)
+        self._check_local_order(end, len(self._tables))
 
     def clear(self) -> list[SSTable]:
         """Remove every table, returning them."""
         removed = self._tables
         self._tables = []
-        self._mins = np.empty(0, dtype=np.float64)
-        self._maxs = np.empty(0, dtype=np.float64)
-        self._lens = np.empty(0, dtype=np.int64)
+        self._mins = []
+        self._maxs = []
+        self._lens = []
         self._points = 0
         return removed
 
@@ -191,25 +193,14 @@ class Run:
                 )
 
     def _splice_bounds(self, region: slice, new_tables: list[SSTable]) -> None:
-        """Update the cached min/max arrays for one contiguous mutation.
-
-        Numpy concatenation of three slices keeps mutations O(n) in C
-        rather than a Python-level walk over every table, which dominated
-        profiles for small-SSTable workloads.
-        """
-        new_mins = np.asarray([t.min_tg for t in new_tables], dtype=np.float64)
-        new_maxs = np.asarray([t.max_tg for t in new_tables], dtype=np.float64)
-        new_lens = np.asarray([len(t) for t in new_tables], dtype=np.int64)
-        self._points += int(new_lens.sum()) - int(self._lens[region].sum())
-        self._mins = np.concatenate(
-            (self._mins[: region.start], new_mins, self._mins[region.stop :])
-        )
-        self._maxs = np.concatenate(
-            (self._maxs[: region.start], new_maxs, self._maxs[region.stop :])
-        )
-        self._lens = np.concatenate(
-            (self._lens[: region.start], new_lens, self._lens[region.stop :])
-        )
+        """Update the cached min/max/length lists for one contiguous
+        mutation: the entries in ``region`` become those of
+        ``new_tables`` (an append is the empty region at the end)."""
+        new_lens = [len(t) for t in new_tables]
+        self._points += sum(new_lens) - sum(self._lens[region])
+        self._mins[region] = [t.min_tg for t in new_tables]
+        self._maxs[region] = [t.max_tg for t in new_tables]
+        self._lens[region] = new_lens
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Run(tables={len(self._tables)}, points={self.total_points})"

@@ -94,6 +94,10 @@ class MemTable:
         if not self._tg_segments:
             self._peek_tg = EMPTY_TG
             self._peek_ids = EMPTY_IDS
+        elif len(self._tg_segments) == 1:
+            # Nothing to join: freeze a view, the segment stays as it is.
+            self._peek_tg = _frozen(self._tg_segments[0].view())
+            self._peek_ids = _frozen(self._id_segments[0].view())
         else:
             self._peek_tg = _frozen(np.concatenate(self._tg_segments))
             self._peek_ids = _frozen(np.concatenate(self._id_segments))

@@ -12,7 +12,7 @@ The paper's two memory layouts (Section I / Definition 3):
 Both run the engine's hot ingest loop: slice the validated batch at
 MemTable-filling events and hand control to the flush strategy after
 every slice.  Between two flushes the watermark is constant, so a whole
-remaining chunk classifies with one vectorised comparison.
+look-ahead window classifies with one vectorised comparison.
 """
 
 from __future__ import annotations
@@ -112,6 +112,20 @@ class SinglePlacement(PlacementPolicy):
         )
 
 
+def _fill_index(mine: np.ndarray, room: int) -> int:
+    """Window index of the point that fills a table with ``room`` free
+    slots, ``mine`` marking the window's points bound for that table;
+    the window size when it gets fewer than ``room``.
+
+    An already full table (a landing failed and left it so) reports
+    index 0: one more point is placed and ``on_full`` gets to retry.
+    """
+    if room == 0:
+        return 0
+    positions = mine.nonzero()[0]
+    return int(positions[room - 1]) if positions.size >= room else mine.size
+
+
 class SplitPlacement(PlacementPolicy):
     """Seq/nonseq MemTable split keyed on ``LAST(R).t_g`` (``pi_s``)."""
 
@@ -137,30 +151,36 @@ class SplitPlacement(PlacementPolicy):
             # tables and swaps in fresh ones mid-loop.
             seq = self.seq
             nonseq = self.nonseq
-            chunk = tg[pos:]
+            # Pigeonhole: room_seq + room_nonseq - 1 points cannot all be
+            # placed without filling one table, so the next fill event
+            # lies inside that window and nothing beyond it needs
+            # classifying yet.
+            window = max(seq.room + nonseq.room - 1, 1)
+            chunk = tg[pos : pos + window]
             # The watermark is constant until the next flush/merge, so
-            # the whole remaining chunk classifies with one comparison.
+            # the whole window classifies with one comparison.
             is_seq = chunk > watermark()
+            not_seq = ~is_seq
             if chunk.size < seq.room and chunk.size < nonseq.room:
                 # Even if every point lands in one MemTable it cannot
-                # fill, so skip the cumsum/searchsorted fill-event scan.
+                # fill, so skip the fill-event scan.  (A window this
+                # short is the whole remaining batch.)
                 sub_ids = ids[pos:]
                 seq.extend(chunk[is_seq], sub_ids[is_seq])
-                nonseq.extend(chunk[~is_seq], sub_ids[~is_seq])
+                nonseq.extend(chunk[not_seq], sub_ids[not_seq])
                 kernel._arrival_cursor = int(sub_ids[-1]) + 1
                 return
-            cum_seq = np.cumsum(is_seq)
-            cum_nonseq = np.arange(1, chunk.size + 1) - cum_seq
-            fill_seq = int(np.searchsorted(cum_seq, seq.room, side="left"))
-            fill_nonseq = int(
-                np.searchsorted(cum_nonseq, nonseq.room, side="left")
+            # The fill event is the earlier of the two tables' fills.
+            event = min(
+                _fill_index(is_seq, seq.room), _fill_index(not_seq, nonseq.room)
             )
-            event = min(fill_seq, fill_nonseq)
             take = min(event + 1, chunk.size)
-            seq_mask = is_seq[:take]
+            head = chunk[:take]
             sub_ids = ids[pos : pos + take]
-            seq.extend(chunk[:take][seq_mask], sub_ids[seq_mask])
-            nonseq.extend(chunk[:take][~seq_mask], sub_ids[~seq_mask])
+            seq_mask = is_seq[:take]
+            nonseq_mask = not_seq[:take]
+            seq.extend(head[seq_mask], sub_ids[seq_mask])
+            nonseq.extend(head[nonseq_mask], sub_ids[nonseq_mask])
             pos += take
             kernel._arrival_cursor = int(sub_ids[-1]) + 1
             on_full()

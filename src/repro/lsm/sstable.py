@@ -61,8 +61,20 @@ class SSTable:
             raise EngineError(
                 f"tg and ids must align: {tg.shape} vs {ids.shape}"
             )
-        if tg.size > 1 and np.any(np.diff(tg) < 0):
-            raise EngineError("SSTable points must be sorted by generation time")
+        _check_sorted(tg)
+        self._adopt(storage)
+
+    @classmethod
+    def _of_checked(cls, storage: RowStorage | ColumnarStorage) -> "SSTable":
+        """Wrap ``storage`` whose arrays the caller has already checked
+        to be non-empty, aligned and sorted (:func:`build_sstables`
+        checks a whole landing once instead of once per table)."""
+        table = cls.__new__(cls)
+        table._adopt(storage)
+        return table
+
+    def _adopt(self, storage: RowStorage | ColumnarStorage) -> None:
+        tg = storage.tg
         self.storage = storage
         self.table_id = next(_SEQUENCE)
         # Range metadata sits on the query hot path (zone maps, pruning
@@ -140,6 +152,11 @@ class SSTable:
         )
 
 
+def _check_sorted(tg: np.ndarray) -> None:
+    if np.count_nonzero(tg[1:] < tg[:-1]):
+        raise EngineError("SSTable points must be sorted by generation time")
+
+
 def build_sstables(
     tg: np.ndarray,
     ids: np.ndarray,
@@ -159,6 +176,10 @@ def build_sstables(
     """
     if sstable_size < 1:
         raise EngineError(f"sstable_size must be >= 1, got {sstable_size}")
+    if tg.shape != ids.shape:
+        raise EngineError(f"tg and ids must align: {tg.shape} vs {ids.shape}")
+    # Sorted as a whole, so every chunk below is sorted too.
+    _check_sorted(tg)
     tables = []
     for start in range(0, tg.size, sstable_size):
         stop = start + sstable_size
@@ -166,10 +187,8 @@ def build_sstables(
         chunk_ids = ids[start:stop]
         cold = block_size > 0 and float(chunk_tg[-1]) <= cold_max_tg
         tables.append(
-            SSTable(
-                storage=make_storage(
-                    chunk_tg, chunk_ids, block_size if cold else 0
-                )
+            SSTable._of_checked(
+                make_storage(chunk_tg, chunk_ids, block_size if cold else 0)
             )
         )
     return tables

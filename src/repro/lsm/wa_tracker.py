@@ -80,12 +80,14 @@ class WriteStats:
         """Increment write counters for every id in ``ids``."""
         if ids.size == 0:
             return
-        low = int(ids.min())
+        # argmin/argmax rather than min/max: on landing-sized arrays the
+        # ufunc-reduction set-up costs several times the scan itself.
+        low = int(ids[ids.argmin()])
         if low < 0:
             # np.add.at would silently wrap negative ids to the array
             # tail and corrupt other points' counters.
             raise EngineError(f"point ids must be non-negative, got min {low}")
-        top = int(ids.max())
+        top = int(ids[ids.argmax()])
         if top >= self._counts.size:
             new_size = max(self._counts.size * 2, top + 1)
             grown = np.zeros(new_size, dtype=np.int64)

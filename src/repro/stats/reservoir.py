@@ -8,8 +8,6 @@ which is what drift detection compares against.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from ..errors import ReproError
@@ -62,13 +60,21 @@ class ReservoirSampler:
 
 
 class SlidingWindowSample:
-    """The most recent ``capacity`` observations of a stream."""
+    """The most recent ``capacity`` observations of a stream.
+
+    A fixed ring buffer: a batch of any length costs at most two slice
+    copies, because only its last ``capacity`` values can survive.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ReproError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._buffer: deque[float] = deque(maxlen=capacity)
+        self._ring = np.empty(capacity, dtype=float)
+        #: Slot the next observation lands in; once the window is full
+        #: this is also the oldest retained observation.
+        self._head = 0
+        self._size = 0
         self._seen = 0
 
     @property
@@ -77,28 +83,41 @@ class SlidingWindowSample:
         return self._seen
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return self._size
 
     @property
     def full(self) -> bool:
         """True once the window holds ``capacity`` observations."""
-        return len(self._buffer) == self.capacity
+        return self._size == self.capacity
 
     def offer(self, value: float) -> None:
         """Observe one value (oldest drops out when full)."""
-        self._buffer.append(float(value))
+        self._ring[self._head] = value
+        self._head = (self._head + 1) % self.capacity
+        if self._size < self.capacity:
+            self._size += 1
         self._seen += 1
 
     def offer_many(self, values: np.ndarray) -> None:
         """Observe a batch of values."""
-        for value in np.asarray(values, dtype=float).ravel():
-            self.offer(float(value))
+        values = np.asarray(values, dtype=float).ravel()
+        self._seen += values.size
+        survivors = values[-self.capacity :]
+        first = min(survivors.size, self.capacity - self._head)
+        self._ring[self._head : self._head + first] = survivors[:first]
+        self._ring[: survivors.size - first] = survivors[first:]
+        self._head = (self._head + survivors.size) % self.capacity
+        self._size = min(self._size + survivors.size, self.capacity)
 
     def sample(self) -> np.ndarray:
         """Copy of the window, oldest first."""
-        return np.asarray(self._buffer, dtype=float)
+        if self._size < self.capacity:
+            # Not yet wrapped: slots fill from 0 in arrival order.
+            return self._ring[: self._size].copy()
+        return np.concatenate((self._ring[self._head :], self._ring[: self._head]))
 
     def reset(self) -> None:
         """Forget everything."""
-        self._buffer.clear()
+        self._head = 0
+        self._size = 0
         self._seen = 0

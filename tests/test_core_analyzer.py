@@ -103,6 +103,76 @@ class TestDelayAnalyzer:
         with pytest.raises(ModelError):
             analyzer.observe(np.array([1.0]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "tg, ta",
+        [
+            ([1.0, 2.0, 3.0], [1.5, np.nan, 3.5]),
+            ([1.0, 2.0, 3.0], [1.5, np.inf, 3.5]),
+            ([1.0, np.nan, 3.0], [1.5, 2.5, 3.5]),
+            ([1.0, np.inf, 3.0], [1.5, np.inf, 3.5]),
+        ],
+    )
+    def test_non_finite_observe_rejected_without_trace(self, tg, ta):
+        analyzer = DelayAnalyzer(memory_budget=256)
+        analyzer.observe(np.array([0.0]), np.array([0.25]))
+        with pytest.raises(ModelError):
+            analyzer.observe(np.array(tg), np.array(ta))
+        assert analyzer.observed_points == 1
+        assert analyzer.window.sample().tolist() == [0.25]
+
+    def test_chunking_does_not_change_decisions(self):
+        """The same stream observed point by point, in odd chunks, in
+        window-sized chunks or whole yields the same window, the same
+        ``should_retune`` sequence and the same ``recommend`` decision."""
+        calm = generate_synthetic(
+            6_000, dt=50, delay=LogNormalDelay(3.0, 0.5), seed=5
+        )
+        wild = generate_synthetic(
+            6_000, dt=50, delay=LogNormalDelay(6.0, 2.0), seed=6
+        )
+        tg = np.concatenate((calm.tg, wild.tg + calm.tg[-1] + 50.0))
+        ta = np.concatenate((calm.ta, wild.ta + calm.tg[-1] + 50.0))
+        checkpoints = (500, 3_000, 6_000, 7_000, 12_000)
+
+        def drive(chunk):
+            analyzer = DelayAnalyzer(
+                memory_budget=256, window=1024, sstable_size=256
+            )
+            trace = []
+            start = 0
+            for stop in checkpoints:
+                for lo in range(start, stop, chunk):
+                    hi = min(lo + chunk, stop)
+                    analyzer.observe(tg[lo:hi], ta[lo:hi])
+                start = stop
+                trace.append(analyzer.should_retune())
+                if stop == 6_000:
+                    decision = analyzer.recommend()
+                    trace.append(
+                        (
+                            decision.policy,
+                            decision.seq_capacity,
+                            decision.r_c,
+                            decision.r_s_star,
+                            decision.sweep_n_seq.tolist(),
+                            decision.sweep_r_s.tolist(),
+                        )
+                    )
+                    trace.append(analyzer.should_retune())
+            trace.append(analyzer.estimated_dt())
+            trace.append(analyzer.observed_points)
+            trace.append(analyzer.window.sample().tolist())
+            return trace
+
+        whole = drive(len(tg))
+        # Window not yet full, full without a decision, fresh decision,
+        # and the wild tail drifting away from it.
+        retunes = [x for x in whole if isinstance(x, bool)]
+        assert retunes[:4] == [False, True, True, False]
+        assert retunes[-1] is True
+        for chunk in (1, 7, 4096):
+            assert drive(chunk) == whole
+
 
 class TestKsDriftDetector:
     def test_no_reference_never_drifts(self, rng):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import EngineError, TimeSeriesDatabase
+from repro import BackpressureError, EngineError, TimeSeriesDatabase
+from repro.errors import EngineClosedError, ModelError
 from repro.lsm import SeparationEngine
 from repro.workloads import generate_fleet, generate_synthetic
 from repro import LogNormalDelay, UniformDelay
@@ -71,6 +72,101 @@ class TestWriteAndRead:
         db.write("s", np.array([15.0]))  # out-of-order vs earlier write
         report = db.report()
         assert report.disordered_series == 1
+
+
+class TestRejectedBatchLeavesNoTrace:
+    """A batch ``write`` refuses changes nothing: the same database then
+    behaves as if the call had never been made."""
+
+    GOOD_TG = np.array([1000.0, 1010.0, 1020.0])
+    GOOD_TA = np.array([1001.0, 1012.0, 1023.0])
+
+    def _db(self, **kwargs):
+        db = TimeSeriesDatabase(memory_budget_per_series=8, sstable_size=8, **kwargs)
+        db.write("a", self.GOOD_TG, self.GOOD_TA)
+        return db
+
+    def _fingerprint(self, db):
+        state = db.series("a")
+        return (
+            db.series_names(),
+            db._last_tg["a"],
+            db._had_disorder["a"],
+            state.engine.ingested_points,
+            state.analyzer.observed_points,
+            state.analyzer.window.sample().tolist(),
+        )
+
+    @pytest.mark.parametrize(
+        "tg, ta, error",
+        [
+            ([2000.0, np.nan, 2020.0], [2001.0, 2011.0, 2021.0], EngineError),
+            ([2000.0, np.inf, 2020.0], [2001.0, 2011.0, 2021.0], EngineError),
+            ([2000.0, 2010.0, 2020.0], [2001.0, 2011.0], ModelError),
+            ([2000.0, 2010.0, 2020.0], [2001.0, np.nan, 2021.0], ModelError),
+            ([2000.0, 2010.0, 2020.0], [2001.0, np.inf, 2021.0], ModelError),
+            ([[2000.0, 2010.0]], [[2001.0, 2011.0]], EngineError),
+        ],
+        ids=["nan-tg", "inf-tg", "short-ta", "nan-ta", "inf-ta", "2d-tg"],
+    )
+    def test_invalid_batch(self, tg, ta, error):
+        db = self._db()
+        before = self._fingerprint(db)
+        with pytest.raises(error):
+            db.write("a", np.array(tg), np.array(ta))
+        assert self._fingerprint(db) == before
+        # Disorder tracking and the delay profile still work afterwards.
+        db.write("a", np.array([500.0]), np.array([2030.0]))
+        assert db._had_disorder["a"]
+        assert np.isfinite(db.series("a").analyzer.profile().distribution.mean())
+
+    def test_invalid_first_batch_registers_no_series(self):
+        db = TimeSeriesDatabase(memory_budget_per_series=8, sstable_size=8)
+        with pytest.raises(EngineError):
+            db.write("ghost", np.array([1.0, np.nan]))
+        with pytest.raises(ModelError):
+            db.write("ghost", np.array([1.0, 2.0]), np.array([1.0]))
+        assert db.series_names() == []
+
+    def test_closed_engine(self):
+        db = self._db()
+        db.series("a").engine.close()
+        before = self._fingerprint(db)
+        with pytest.raises(EngineClosedError):
+            db.write("a", np.array([900.0]), np.array([2000.0]))
+        assert self._fingerprint(db) == before
+
+    def test_shed_batch_can_be_retried_verbatim(self):
+        dataset = generate_synthetic(
+            768, dt=50, delay=LogNormalDelay(5.0, 2.0), seed=19
+        )
+        stability = dict(
+            compaction_scheduler=True,
+            compaction_work_unit=32,
+            compaction_tokens_per_point=0.01,
+            compaction_burst=1,
+            backpressure_throttle=128,
+            backpressure_shed=128,
+            backpressure_mode="error",
+        )
+        db = TimeSeriesDatabase(
+            memory_budget_per_series=64, sstable_size=32, stability=stability
+        )
+        twin = TimeSeriesDatabase(
+            memory_budget_per_series=64, sstable_size=32, stability=stability
+        )
+        for target in (db, twin):
+            target.write("a", dataset.tg[:256], dataset.ta[:256])
+        before = self._fingerprint(db)
+        with pytest.raises(BackpressureError):
+            db.write("a", dataset.tg[256:512], dataset.ta[256:512])
+        assert self._fingerprint(db) == before
+        # Once the backlog drains the same batch goes in, and the
+        # database ends where a twin that was never overloaded does.
+        for target in (db, twin):
+            target.flush_all()
+            target.write("a", dataset.tg[256:512], dataset.ta[256:512])
+        assert self._fingerprint(db) == self._fingerprint(twin)
 
 
 class TestRetune:

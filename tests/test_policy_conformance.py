@@ -28,8 +28,10 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.faults.crashtest import CRASH_TEST_ENGINES, run_crash_case
 from repro.lsm.adaptive import AdaptiveEngine
 from repro.lsm.base import LsmEngine, _engine_registry
+from repro.lsm.checkpoint import read_checkpoint
 from repro.lsm.policies import ComposedEngine, compose_engine
 from repro.lsm.recovery import recover_engine
+from repro.lsm.separation import SeparationEngine
 from repro.workloads import TABLE_II
 
 from tests.conformance_support import (
@@ -298,3 +300,95 @@ class TestLegacyCheckpoints:
         engine.ingest(np.linspace(1e9, 1e9 + 500.0, 200))
         engine.flush_all()
         engine.verify()
+
+
+_SPLIT_CONFIG = LsmConfig(512, 512, seq_capacity=256)
+
+
+class TestSplitBatchingInvariance:
+    """How a stream is cut into ``ingest`` calls must not show.
+
+    The split placement classifies a bounded look-ahead window per
+    iteration, and a call boundary cuts that window short.  A mistake
+    in either place moves a fill event — and with it flush boundaries,
+    event stamps and per-point write counts — for some batch sizes and
+    not others.  So the same 100k-point stream goes in whole, in 4096s,
+    in 255s and point by point, and everything observable must agree.
+    """
+
+    CHUNKS = (100_000, 4096, 255, 1)
+    ENGINES = {
+        "pi_s": lambda: SeparationEngine(_SPLIT_CONFIG),
+        "pi_s+scheduler": lambda: SeparationEngine(
+            _SPLIT_CONFIG.with_stability(compaction_scheduler=True)
+        ),
+        "split+independent+tiered": lambda: compose_engine(
+            "split", "independent", "tiered", config=_SPLIT_CONFIG
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return TABLE_II["M8"].build(n_points=100_000, seed=1).tg
+
+    @staticmethod
+    def _observe(engine, path, stamps):
+        """Everything a caller can see of ``engine``, as plain values.
+
+        Under the scheduler a landing commits some calls after it was
+        queued, so its ``arrival_index`` stamp (and the checkpoint that
+        stores it) follows the call boundaries by design; there the
+        stamp is masked and only the drained end state is compared.
+        """
+        engine.verify()
+        observed = {}
+        if stamps:
+            observed["mid_counts"] = engine.stats.write_counts.tobytes()
+            engine.save_checkpoint(path)
+            meta, arrays = read_checkpoint(path)
+            observed["checkpoint_meta"] = meta
+            observed["checkpoint_arrays"] = {
+                key: (str(value.dtype), value.shape, value.tobytes())
+                for key, value in arrays.items()
+            }
+        engine.flush_all()
+        engine.verify()
+        observed["events"] = [
+            (
+                event.kind,
+                event.arrival_index if stamps else None,
+                event.new_points,
+                event.rewritten_points,
+                event.tables_rewritten,
+                event.tables_written,
+            )
+            for event in engine.stats.events
+        ]
+        observed["counts"] = engine.stats.write_counts.tobytes()
+        observed["tables"] = [
+            (table.tg.tobytes(), table.ids.tobytes())
+            for table in engine.snapshot().tables
+        ]
+        return observed
+
+    @pytest.mark.parametrize("kind", list(ENGINES))
+    def test_same_state_for_every_batching(self, kind, stream, tmp_path):
+        reference = None
+        for chunk in self.CHUNKS:
+            engine = self.ENGINES[kind]()
+            for lo in range(0, stream.size, chunk):
+                engine.ingest(stream[lo : lo + chunk])
+            observed = self._observe(
+                engine,
+                str(tmp_path / f"{chunk}.ckpt"),
+                stamps=engine.scheduler is None,
+            )
+            if reference is None:
+                reference = observed
+                assert len(observed["events"]) > 300
+            else:
+                for key, value in reference.items():
+                    assert observed[key] == value, (
+                        f"{kind}: {key} differs between one "
+                        f"{self.CHUNKS[0]}-point call and {chunk}-point calls"
+                    )

@@ -1,7 +1,10 @@
 """Tests for the statistics toolkit (repro.stats)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from repro.errors import ReproError
@@ -222,6 +225,61 @@ class TestSlidingWindowSample:
         window.offer(1.0)
         assert not window.full
         assert len(window) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 9),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("offer"), st.floats(allow_nan=False)),
+                # Batch lengths around every capacity boundary: empty, one,
+                # below, equal, just above, and many times the capacity.
+                st.tuples(st.just("offer_many"), st.integers(0, 40)),
+                st.tuples(st.just("offer_2d"), st.integers(1, 6)),
+                st.tuples(st.just("reset"), st.none()),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_ring_matches_deque_reference(self, capacity, steps):
+        """The numpy ring behaves exactly like ``deque(maxlen=capacity)``
+        fed one value at a time, after every operation."""
+        window = SlidingWindowSample(capacity)
+        reference: deque[float] = deque(maxlen=capacity)
+        seen = 0
+        next_value = 0.0
+        for op, arg in steps:
+            if op == "offer":
+                window.offer(arg)
+                reference.append(float(arg))
+                seen += 1
+            elif op == "reset":
+                window.reset()
+                reference.clear()
+                seen = 0
+            else:
+                shape = (arg,) if op == "offer_many" else (arg, 3)
+                count = int(np.prod(shape))
+                batch = next_value + np.arange(count, dtype=float)
+                next_value += count
+                window.offer_many(batch.reshape(shape))
+                reference.extend(batch.tolist())
+                seen += count
+            sample = window.sample()
+            assert sample.dtype == np.float64
+            assert sample.tolist() == list(reference)
+            assert len(window) == len(reference)
+            assert window.seen == seen
+            assert window.full == (len(reference) == capacity)
+
+    def test_sample_is_a_copy(self):
+        window = SlidingWindowSample(capacity=4)
+        window.offer_many(np.arange(3.0))
+        window.sample()[:] = -1.0
+        assert list(window.sample()) == [0.0, 1.0, 2.0]
+        window.offer_many(np.arange(3.0, 9.0))
+        window.sample()[:] = -1.0
+        assert list(window.sample()) == [5.0, 6.0, 7.0, 8.0]
 
 
 class TestSummary:
