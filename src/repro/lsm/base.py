@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .pruning import TableIndex
+    from .pruning import CoveredSpan, TableIndex
 
 from ..config import LsmConfig
 from ..errors import (
@@ -78,9 +78,9 @@ class Snapshot:
 
     When the producing engine attached a :class:`~repro.lsm.pruning.TableIndex`
     (kernels do, cached per structure epoch), :meth:`overlapping_tables`
-    answers range lookups in O(log T) per sorted run instead of a linear
-    scan; without one it falls back to the full metadata walk, so
-    hand-built snapshots keep working.
+    and :meth:`read_plan` answer range lookups in O(log T) per sorted
+    run instead of a linear scan; without one they fall back to the full
+    metadata walk, so hand-built snapshots keep working.
     """
 
     tables: list[SSTable]
@@ -93,6 +93,16 @@ class Snapshot:
         if self.index is not None:
             return self.index.overlapping(lo, hi)
         return [t for t in self.tables if t.overlaps(lo, hi)]
+
+    def read_plan(self, lo: float, hi: float) -> "list[SSTable | CoveredSpan]":
+        """:meth:`overlapping_tables`, except that the index hands each
+        sorted run's fully covered tables over as one
+        :class:`~repro.lsm.pruning.CoveredSpan` (answered from the run
+        summary, not visited).  Without an index it is the plain table
+        list — the per-table reference the summaries are pinned to."""
+        if self.index is not None:
+            return self.index.read_plan(lo, hi)
+        return self.overlapping_tables(lo, hi)
 
     @property
     def disk_points(self) -> int:

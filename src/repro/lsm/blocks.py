@@ -12,8 +12,11 @@ format protocol:
     contiguous numpy arrays, so every existing consumer (merges,
     checkpoints, invariant checks, range scans) reads either format
     identically — and bit-identically.
-``stats`` / ``sum_tg`` / ``stats_nbytes``
+``stats`` / ``stats_nbytes``
     Block-granular zone-map statistics (``None``/zero for row tables).
+``sum_tg``
+    One ``np.sum`` over the whole ``tg`` column: recorded at build time
+    by columnar tables, taken on first use (and kept) by row tables.
 
 :class:`RowStorage` is exactly the pre-refactor layout: two arrays, no
 metadata beyond the table's ``[min_tg, max_tg]`` range.
@@ -152,7 +155,7 @@ class BlockStats:
 class RowStorage:
     """The original layout: two sorted arrays, no block metadata."""
 
-    __slots__ = ("tg", "ids")
+    __slots__ = ("tg", "ids", "_sum_tg")
 
     format = ROW_FORMAT
     block_size = 0
@@ -162,6 +165,18 @@ class RowStorage:
     def __init__(self, tg: np.ndarray, ids: np.ndarray) -> None:
         self.tg = tg
         self.ids = ids
+        self._sum_tg: float | None = None
+
+    @property
+    def sum_tg(self) -> float:
+        """One whole-column ``np.sum`` — the float
+        :attr:`ColumnarStorage.sum_tg` records at build time — taken on
+        first use and kept with the table, so neither a flush nor an
+        index rebuilt around this table pays for it again."""
+        total = self._sum_tg
+        if total is None:
+            total = self._sum_tg = float(self.tg.sum())
+        return total
 
 
 class ColumnarStorage:

@@ -36,7 +36,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import QueryError
+
 __all__ = [
+    "check_window",
     "interval_overlaps",
     "overlap_span",
     "covered_span",
@@ -44,6 +47,19 @@ __all__ = [
     "searchsorted_bounds",
     "count_in_sorted",
 ]
+
+
+def check_window(lo: float, hi: float) -> None:
+    """Raise :class:`QueryError` unless ``lo <= hi``.
+
+    A NaN bound fails every comparison, so ``hi < lo`` lets it through
+    and the searches below then answer for some window nobody asked
+    for; ``+-inf`` bounds are legal (open-ended windows).
+    """
+    if not lo <= hi:
+        if lo != lo or hi != hi:
+            raise QueryError(f"NaN query bound: [{lo}, {hi}]")
+        raise QueryError(f"inverted query range: [{lo}, {hi}]")
 
 
 def interval_overlaps(min_tg: float, max_tg: float, lo: float, hi: float) -> bool:
@@ -63,8 +79,8 @@ def overlap_span(
     ``hi``.  Empty overlaps return ``start >= stop`` (``start`` is the
     insertion position).
     """
-    start = int(np.searchsorted(maxs, lo, side="left"))
-    stop = int(np.searchsorted(mins, hi, side="right"))
+    start = int(maxs.searchsorted(lo, side="left"))
+    stop = int(mins.searchsorted(hi, side="right"))
     return start, stop
 
 
@@ -79,8 +95,8 @@ def covered_span(
     intersection is one span.  Returns ``start >= stop`` when nothing
     is fully covered.
     """
-    start = int(np.searchsorted(mins, lo, side="left"))
-    stop = int(np.searchsorted(maxs, hi, side="right"))
+    start = int(mins.searchsorted(lo, side="left"))
+    stop = int(maxs.searchsorted(hi, side="right"))
     return start, stop
 
 
@@ -96,8 +112,8 @@ def zone_map_hits(
 def searchsorted_bounds(values: np.ndarray, lo: float, hi: float) -> tuple[int, int]:
     """``(left, right)`` index bounds of ``lo <= values <= hi`` in a
     sorted value array (two binary searches)."""
-    left = int(np.searchsorted(values, lo, side="left"))
-    right = int(np.searchsorted(values, hi, side="right"))
+    left = int(values.searchsorted(lo, side="left"))
+    right = int(values.searchsorted(hi, side="right"))
     return left, right
 
 

@@ -7,21 +7,37 @@ consulted — but aggregates over *generation time* can exploit SSTable
 ordering: a table fully inside the window contributes its point count
 and min/max bounds without reading its interior.
 
-The cold tier goes one step further.  A columnar table fully inside the
-window is answered **entirely from block statistics**: its count,
-min/max *and* sum come from metadata recorded at build time, so the
-point arrays are never touched (``blocks_stat_answered`` counts the
+A sorted run goes one step further than the table: the tables a window
+fully covers are one contiguous span of the run, so the pruning index
+hands them over as a single :class:`~repro.lsm.pruning.CoveredSpan`
+answered from the run's summary — count and block count from integer
+prefix sums, extrema from the span's end tables, ``total`` from the
+memoised per-table sums.  The *work* per sorted run is therefore four
+binary searches, one summary lookup and at most two table reads (the
+ones straddling the window's edges), whatever the window's width.
+Loose groups and index-less snapshots have no such order to exploit
+and visit their tables one by one through the same per-table
+arithmetic.
+
+Within a table the cold tier does the same.  A columnar table fully
+inside the window is answered **entirely from block statistics**: its
+count, min/max *and* sum come from metadata recorded at build time, so
+the point arrays are never touched (``blocks_stat_answered`` counts the
 blocks so answered).  A columnar table that straddles a boundary falls
 back to the row path's binary-searched slice — its per-block zone maps
 still report how many blocks the window excludes (``blocks_skipped``).
 
-Bit-identity: the stored table-level ``sum_tg`` is the float produced
-by one ``np.sum`` over the whole column — exactly what the row path's
-``table.tg.sum()`` computes — and straddling tables reuse the row
-slice math verbatim, so every aggregate over a cold tier is bitwise
-equal to the same aggregate over row tables (numpy's pairwise
-summation forbids recombining *partial* block sums; see
-:mod:`repro.lsm.blocks`).
+Bit-identity: a table's ``sum_tg`` is the float produced by one
+``np.sum`` over the whole column — recorded at build time by columnar
+tables, memoised on first use by row tables — straddling tables share
+one slice routine, and a covered span adds its tables' ``sum_tg`` to
+``total`` one after another in run order, exactly as a walk over them
+would.  Same floats, same order of additions: every aggregate is
+bitwise equal whether its tables are row or columnar, indexed or not
+(numpy's pairwise summation forbids recombining *partial* block sums,
+and float prefix-sum differences round differently too; see
+:mod:`repro.lsm.blocks` and :meth:`CoveredSpan.fold
+<repro.lsm.pruning.CoveredSpan.fold>`).
 
 Engines in this package do not materialise values (WA does not depend on
 them), so aggregates are computed over generation timestamps themselves;
@@ -33,11 +49,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..errors import QueryError
 from ..lsm.base import Snapshot
-from ..lsm.intervals import searchsorted_bounds
+from ..lsm.intervals import check_window, searchsorted_bounds
+from ..lsm.pruning import CoveredSpan
 from ..obs.telemetry import Telemetry
 
 __all__ = ["AggregateResult", "execute_aggregate_query"]
@@ -80,15 +94,16 @@ def execute_aggregate_query(
 ) -> AggregateResult:
     """Aggregate ``lo <= t_g <= hi`` with metadata pruning.
 
-    Tables entirely inside the range contribute without a scan — from
-    block statistics alone when columnar; only boundary-straddling
-    tables (at most two per sorted run) and the MemTables are read
-    point-by-point.  With a ``telemetry`` bus attached the cold-tier
-    counters ``query.blocks_stat_answered`` / ``query.blocks_skipped``
-    and ``query.aggregate_count`` are incremented per query.
+    Tables entirely inside the range contribute without a scan — a
+    sorted run's as one summary lookup, a columnar table's from block
+    statistics alone; only boundary-straddling tables (at most two per
+    sorted run) and the MemTables are read point-by-point.  With a
+    ``telemetry`` bus attached the cold-tier counters
+    ``query.blocks_stat_answered`` / ``query.blocks_skipped`` and
+    ``query.aggregate_count`` are incremented per query.  A NaN bound
+    or ``hi < lo`` raises :class:`~repro.errors.QueryError`.
     """
-    if hi < lo:
-        raise QueryError(f"inverted query range: [{lo}, {hi}]")
+    check_window(lo, hi)
     count = 0
     minimum = math.inf
     maximum = -math.inf
@@ -100,20 +115,27 @@ def execute_aggregate_query(
     # Non-overlapping tables contribute nothing, so the indexed lookup
     # (when the engine attached one) changes only the cost of finding
     # the overlap set, never the aggregate values.
-    for table in snapshot.overlapping_tables(lo, hi):
+    for piece in snapshot.read_plan(lo, hi):
+        if type(piece) is CoveredSpan:
+            pruned += len(piece)
+            count += piece.points
+            minimum = min(minimum, piece.min_tg)
+            maximum = max(maximum, piece.max_tg)
+            total = piece.fold(total)
+            blocks_stat_answered += piece.stat_blocks
+            continue
+        table = piece
         stats = table.block_stats
         if lo <= table.min_tg and table.max_tg <= hi:
-            # Fully covered: metadata suffices.  Row tables still pay
-            # one array sum; columnar tables answer from statistics.
+            # Fully covered: metadata suffices.  A row table pays one
+            # array sum, once; columnar tables answer from statistics.
             pruned += 1
             count += len(table)
             minimum = min(minimum, table.min_tg)
             maximum = max(maximum, table.max_tg)
+            total += table.storage.sum_tg
             if stats is not None:
-                total += table.storage.sum_tg
                 blocks_stat_answered += stats.nblocks
-            else:
-                total += float(table.tg.sum())
             continue
         scanned += 1
         if stats is not None:
@@ -131,7 +153,7 @@ def execute_aggregate_query(
             total += float(inside.sum())
     for memtable in snapshot.memtables:
         mask = (memtable.tg >= lo) & (memtable.tg <= hi)
-        if np.any(mask):
+        if mask.any():
             inside = memtable.tg[mask]
             count += int(inside.size)
             minimum = min(minimum, float(inside.min()))

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import QueryError
 from ..lsm.base import Snapshot
+from ..lsm.intervals import check_window, searchsorted_bounds
+from ..lsm.pruning import CoveredSpan
 from ..obs.telemetry import Telemetry
 
 __all__ = ["QueryStats", "execute_range_query"]
@@ -84,10 +85,11 @@ def execute_range_query(
 
     Every overlapping SSTable is read in full (sequential scan of the
     file); overlapping tables come from the snapshot's pruning index
-    when the engine attached one (O(log T) per sorted run), falling
-    back to a linear zone-map walk otherwise — the tables visited, and
-    the rows collected, are identical either way.  MemTables are always
-    scanned since they are unsorted.  With
+    when the engine attached one (O(log T) per sorted run, the fully
+    covered tables of a run accounted for from its summary in one
+    step), falling back to a linear zone-map walk otherwise — the
+    tables touched, and the rows collected, are identical either way.
+    MemTables are always scanned since they are unsorted.  With
     ``collect=True`` the matching generation times are materialised,
     sorted, in :attr:`QueryStats.rows` (metrics are identical either
     way; collection just costs the copy).
@@ -96,10 +98,10 @@ def execute_range_query(
     query emits a ``{"type": "query"}`` event carrying its wall-clock
     duration and cost counters, and increments the read-amplification
     counters ``query.count`` / ``query.result_points`` /
-    ``query.disk_points_read`` / ``query.files_touched``.
+    ``query.disk_points_read`` / ``query.files_touched``.  A NaN bound
+    or ``hi < lo`` raises :class:`~repro.errors.QueryError`.
     """
-    if hi < lo:
-        raise QueryError(f"inverted query range: [{lo}, {hi}]")
+    check_window(lo, hi)
     traced = telemetry is not None and telemetry.enabled
     started = time.monotonic() if traced else 0.0
     result = 0
@@ -107,11 +109,21 @@ def execute_range_query(
     files = 0
     collected_tg: list[np.ndarray] = []
     collected_ids: list[np.ndarray] = []
-    overlapping = snapshot.overlapping_tables(lo, hi)
-    tables_total = len(snapshot.tables)
-    consulted = len(overlapping) if snapshot.index is not None else tables_total
     blocks_skipped = 0
-    for table in overlapping:
+    for piece in snapshot.read_plan(lo, hi):
+        if type(piece) is CoveredSpan:
+            # A sorted run's fully covered tables, counted from the run
+            # summary: every file is read whole (every block of a
+            # columnar one overlaps the window) and every row matches.
+            points = piece.points
+            files += len(piece)
+            disk_read += points
+            result += points
+            if collect:
+                collected_tg.extend(t.tg for t in piece.tables)
+                collected_ids.extend(t.ids for t in piece.tables)
+            continue
+        table = piece
         files += 1
         stats = table.block_stats
         if stats is None:
@@ -123,12 +135,13 @@ def execute_range_query(
             b0, b1 = stats.overlapping(lo, hi)
             disk_read += stats.points_in(b0, b1)
             blocks_skipped += stats.nblocks - (b1 - b0)
-        result += table.count_in_range(lo, hi)
+        left, right = searchsorted_bounds(table.tg, lo, hi)
+        result += right - left
         if collect:
-            left = int(np.searchsorted(table.tg, lo, side="left"))
-            right = int(np.searchsorted(table.tg, hi, side="right"))
             collected_tg.append(table.tg[left:right])
             collected_ids.append(table.ids[left:right])
+    tables_total = len(snapshot.tables)
+    consulted = files if snapshot.index is not None else tables_total
     mem_scanned = 0
     for memtable in snapshot.memtables:
         mem_scanned += len(memtable)

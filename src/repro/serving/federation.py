@@ -41,6 +41,7 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING
 
+from ..lsm.intervals import check_window
 from ..obs.telemetry import Telemetry
 from ..query.aggregation import AggregateResult, execute_aggregate_query
 from ..query.executor import QueryStats, execute_range_query
@@ -232,33 +233,26 @@ class FederatedExecutor:
 
     # -- versions --------------------------------------------------------------
 
-    def _series_version(self, db, name: str) -> tuple | None:
-        engine = db.series(name).engine
-        read_version = getattr(engine, "read_version", None)
-        if read_version is None:
-            return None
-        return read_version()
-
-    def _shard_version(self, index: int, names: list[str]) -> tuple | None:
-        """Version vector of the engines a query on ``names`` reads."""
-        db = self.fleet.shards[index]
+    @staticmethod
+    def _version_of(engines: list) -> tuple | None:
+        """Read-version vector of ``engines`` (``None`` if any has none)."""
         versions = []
-        for name in names:
-            version = self._series_version(db, name)
-            if version is None:
+        for engine in engines:
+            read_version = getattr(engine, "read_version", None)
+            if read_version is None:
                 return None
-            versions.append(version)
+            versions.append(read_version())
         return tuple(versions)
 
     def _fleet_version(self) -> tuple | None:
         """Version vector over every series in the fleet (pool key)."""
         parts = []
         for index, db in enumerate(self.fleet.shards):
-            for name in db.series_names():
-                version = self._series_version(db, name)
-                if version is None:
-                    return None
-                parts.append((index, name, version))
+            names = db.series_names()
+            versions = self._version_of([db.series(name).engine for name in names])
+            if versions is None:
+                return None
+            parts.extend((index, name, v) for name, v in zip(names, versions))
         return tuple(parts)
 
     # -- execution -------------------------------------------------------------
@@ -273,11 +267,19 @@ class FederatedExecutor:
         workers: int | None,
         use_cache: bool,
     ):
+        # Before the cache key is formed: a NaN bound equals nothing,
+        # itself included, so each such call would take a fresh slot.
+        check_window(lo, hi)
         fleet = self.fleet
         ordered = canonical_series_order(fleet, names)
-        for name in ordered:
-            fleet.database_for(name).series(name)  # unknown series raise here
         parts = fleet.router.split(ordered)
+        # The one lookup per series: its engine gives the version here
+        # and the snapshot in _run_inline.  Unknown series raise here,
+        # before anything is counted or run.
+        engines = {
+            index: [fleet.shards[index].series(name).engine for name in shard_series]
+            for index, shard_series in parts.items()
+        }
         traced = self.telemetry.enabled
         if traced:
             self.telemetry.count("federation.queries")
@@ -292,7 +294,7 @@ class FederatedExecutor:
         stale: list[tuple[int, list[str], tuple, tuple | None]] = []
         for index in sorted(parts):
             shard_series = parts[index]
-            version = self._shard_version(index, shard_series)
+            version = self._version_of(engines[index])
             key = (kind, index, tuple(shard_series), lo, hi, collect)
             cached = None
             if use_cache and version is not None:
@@ -315,8 +317,8 @@ class FederatedExecutor:
                 computed = self._scatter(stale, kind, lo, hi, collect, width)
             else:
                 computed = [
-                    self._run_inline(index, shard_series, kind, lo, hi, collect)
-                    for index, shard_series, _, _ in stale
+                    self._run_inline(index, engines[index], kind, lo, hi, collect)
+                    for index, _, _, _ in stale
                 ]
             for (index, shard_series, key, version), partials in zip(
                 stale, computed
@@ -341,26 +343,26 @@ class FederatedExecutor:
     def _run_inline(
         self,
         index: int,
-        names: list[str],
+        engines: list,
         kind: str,
         lo: float,
         hi: float,
         collect: bool,
     ) -> list:
         """One shard's slice, in-process (the serial reference path)."""
-        db = self.fleet.shards[index]
+        telemetry = self.fleet.shards[index].telemetry
         started = time.perf_counter()
         partials: list = []
-        for name in names:
-            snapshot = db.snapshot(name)
+        for engine in engines:
+            snapshot = engine.snapshot()
             if kind == "aggregate":
                 partials.append(
-                    execute_aggregate_query(snapshot, lo, hi, telemetry=db.telemetry)
+                    execute_aggregate_query(snapshot, lo, hi, telemetry=telemetry)
                 )
             else:
                 partials.append(
                     execute_range_query(
-                        snapshot, lo, hi, collect=collect, telemetry=db.telemetry
+                        snapshot, lo, hi, collect=collect, telemetry=telemetry
                     )
                 )
         duration_ms = (time.perf_counter() - started) * 1_000.0

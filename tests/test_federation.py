@@ -302,6 +302,29 @@ class TestFederationCache:
         assert again == baseline
         assert telemetry.registry.shard_values("federation.cache_hits") == {}
 
+    def test_nan_bounds_rejected_before_the_cache(self):
+        # NaN != NaN: every NaN-bounded key used to be a fresh cache
+        # slot (evicting a live entry), holding a silently wrong answer.
+        fleet, _, names, _ = self._loaded_fleet(n_shards=2)
+        nan = math.nan
+        good = fleet.query_aggregate(None, 0.0, 100.0)
+        fleet.query_range(names[0], 0.0, 100.0)
+        cached = len(fleet.federation.cache)
+        assert cached > 0
+        for lo, hi in ((0.0, nan), (nan, 0.0), (nan, nan)):
+            with pytest.raises(QueryError, match="NaN"):
+                fleet.query_aggregate(None, lo, hi)
+            with pytest.raises(QueryError, match="NaN"):
+                fleet.query_aggregate(names[:3], lo, hi, use_cache=False)
+            for collect in (False, True):
+                with pytest.raises(QueryError, match="NaN"):
+                    fleet.query_range(names[0], lo, hi, collect=collect)
+        assert len(fleet.federation.cache) == cached
+        assert fleet.query_aggregate(None, 0.0, 100.0) == good
+        # Open-ended windows are still fine, and cached like any other.
+        assert fleet.query_aggregate(None, -math.inf, math.inf).count == 300 * len(names)
+        assert len(fleet.federation.cache) > cached
+
     def test_cache_is_bounded_lru(self):
         cache = FederationCache(max_entries=2)
         for index in range(4):

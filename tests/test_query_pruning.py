@@ -6,21 +6,36 @@ and every ingest stage, the pruned path must visit exactly the tables a
 full metadata scan would visit and return bit-identical results.  The
 structure-epoch snapshot cache must serve identical snapshots while the
 engine is quiescent and invalidate on any mutation or restore.
+
+The same holds one level up: a sorted run answers for the tables a
+window fully covers from its run summary (:class:`~repro.lsm.pruning.
+CoveredSpan`) instead of visiting them.  The property suite pins that
+path, field for field and bit for bit, to the per-table walk an
+index-less snapshot does, and the work-bound test pins what it is for:
+a wide aggregate reads two tables, and a flush re-sums only what it
+wrote.
 """
+
+import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tests.conformance_support import (
     CHUNK,
     PRUNING_ENGINE_FACTORIES,
     WORKLOADS,
 )
+from repro.config import LsmConfig
 from repro.errors import QueryError
 from repro.lsm.adaptive import AdaptiveEngine
 from repro.lsm.base import Snapshot
+from repro.lsm.conventional import ConventionalEngine
 from repro.lsm.memtable import EMPTY_IDS, EMPTY_TG, MemTable
-from repro.lsm.pruning import TableIndex
+from repro.lsm.pruning import CoveredSpan, TableIndex
 from repro.query.aggregation import execute_aggregate_query
 from repro.query.executor import execute_range_query
 from repro.workloads import TABLE_II
@@ -156,3 +171,267 @@ def test_memtable_views_are_read_only_and_shared_when_empty():
     assert np.array_equal(tg, stale)           # old view untouched
     table.clear()
     assert table.peek_tg() is EMPTY_TG
+
+
+# -- run summaries vs the per-table walk ---------------------------------------
+
+LAYOUTS = ("row", "columnar", "half")
+STAGES = ("mid_ingest", "pre_flush", "post_flush")
+BLOCK = 8
+
+
+def _duplicate_heavy_stream(n_points=3000, seed=5):
+    """Every timestamp five times over, arriving out of order.  Five
+    does not divide the 32-point tables, so runs of equal timestamps
+    straddle table boundaries (``max_tg`` of one table == ``min_tg`` of
+    the next) — the ties the span searches must get right.  The
+    timestamps are thirds, so table sums are inexact and any change in
+    the order ``total`` is added up in shows in its last bits."""
+    rng = np.random.default_rng(seed)
+    tg = np.repeat(np.arange(n_points // 5, dtype=np.float64) * (10.0 / 3.0), 5)
+    ta = tg + rng.exponential(50.0, size=tg.size)
+    order = np.argsort(ta, kind="stable")
+    return tg[order], ta[order]
+
+
+@functools.lru_cache(maxsize=None)
+def _summary_state(engine_key, layout, stage):
+    """Snapshot of ``engine_key`` at ``stage`` with its tables in ``layout``."""
+    engine = PRUNING_ENGINE_FACTORIES[engine_key](None)
+    tg, ta = _duplicate_heavy_stream()
+    stop = tg.size // 3 if stage == "mid_ingest" else tg.size
+    for pos in range(0, stop, CHUNK):
+        if isinstance(engine, AdaptiveEngine):
+            engine.ingest(tg[pos : min(pos + CHUNK, stop)], ta[pos : min(pos + CHUNK, stop)])
+        else:
+            engine.ingest(tg[pos : min(pos + CHUNK, stop)])
+    if stage == "post_flush":
+        engine.flush_all()
+    if layout == "columnar":
+        engine.convert_cold(block_size=BLOCK)
+    elif layout == "half":
+        cutoff = float(np.median([t.max_tg for t in engine.snapshot().tables]))
+        engine.convert_cold(max_tg=cutoff, block_size=BLOCK)
+    snapshot = engine.snapshot()
+    assert snapshot.index is not None and snapshot.tables
+    # One read of everything covers every table of every sorted run, so
+    # each has its summary from here on: that is the path under test.
+    execute_aggregate_query(snapshot, -math.inf, math.inf)
+    assert any(type(p) is CoveredSpan for p in snapshot.read_plan(-math.inf, math.inf))
+    columnar = sum(t.is_columnar for t in snapshot.tables)
+    assert {
+        "row": columnar == 0,
+        "columnar": columnar == len(snapshot.tables),
+        "half": 0 < columnar < len(snapshot.tables),
+    }[layout]
+    return snapshot
+
+
+def _edges(snapshot):
+    edges = {t for table in snapshot.tables for t in (table.min_tg, table.max_tg)}
+    for view in snapshot.memtables:
+        edges.update((float(view.tg.min()), float(view.tg.max())))
+    return sorted(edges)
+
+
+@st.composite
+def _windows_on(draw, snapshot):
+    """Windows whose ends sit on, just inside and just outside table
+    edges; plus single-table, empty, everything and open-ended ones."""
+    edges = _edges(snapshot)
+    shape = draw(st.sampled_from(("edges", "table", "empty", "everything", "open")))
+    if shape == "table":
+        table = draw(st.sampled_from(snapshot.tables))
+        return table.min_tg, table.max_tg
+    if shape == "empty":
+        return draw(
+            st.sampled_from(
+                [(edges[-1] + 1.0, edges[-1] + 2.0), (edges[0] - 2.0, edges[0] - 1.0),
+                 (edges[0] + 1.0, edges[0] + 2.0), (math.inf, math.inf), (-math.inf, -math.inf)]
+            )
+        )
+    if shape == "everything":
+        return edges[0], edges[-1]
+    nudge = st.sampled_from((0.0, -math.inf, math.inf))
+    ends = [
+        float(np.nextafter(draw(st.sampled_from(edges)), draw(nudge))) for _ in range(2)
+    ]
+    if shape == "open":
+        ends[draw(st.integers(0, 1))] = draw(st.sampled_from((-math.inf, math.inf)))
+    return min(ends), max(ends)
+
+
+def _assert_same_fields(got, want):
+    """Every dataclass field equal under ``==`` (and of the same type);
+    extrema of an empty aggregate are NaN on both sides; row arrays
+    equal element for element."""
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b) and a.dtype == b.dtype, field.name
+        elif field.name in ("minimum", "maximum") and want.count == 0:
+            assert math.isnan(a) and math.isnan(b), field.name
+        elif field.name == "tables_consulted":
+            continue  # defined by the access path; checked by the caller
+        else:
+            assert type(a) is type(b) and a == b, (field.name, a, b)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("engine_key", sorted(PRUNING_ENGINE_FACTORIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_run_summaries_match_per_table_walk(engine_key, layout, data):
+    snapshot = _summary_state(engine_key, layout, data.draw(st.sampled_from(STAGES)))
+    walk = Snapshot(tables=snapshot.tables, memtables=snapshot.memtables)
+    lo, hi = data.draw(_windows_on(snapshot))
+    _assert_same_fields(
+        execute_aggregate_query(snapshot, lo, hi), execute_aggregate_query(walk, lo, hi)
+    )
+    for collect in (False, True):
+        got = execute_range_query(snapshot, lo, hi, collect=collect)
+        want = execute_range_query(walk, lo, hi, collect=collect)
+        _assert_same_fields(got, want)
+        assert got.tables_consulted == got.files_touched
+        assert want.tables_consulted == len(snapshot.tables)
+    # The plan is the overlap list with covered stretches folded up.
+    flat = []
+    for piece in snapshot.read_plan(lo, hi):
+        if type(piece) is CoveredSpan:
+            assert len(piece) == len(piece.tables) > 0
+            assert all(lo <= t.min_tg and t.max_tg <= hi for t in piece.tables)
+            assert piece.points == sum(len(t) for t in piece.tables)
+            flat.extend(piece.tables)
+        else:
+            flat.append(piece)
+    assert flat == snapshot.overlapping_tables(lo, hi) == walk.overlapping_tables(lo, hi)
+
+
+def test_duplicate_timestamps_straddle_table_boundaries():
+    """The fixture does what its docstring says (else the ``edges``
+    windows above never meet a boundary tie)."""
+    tables = _summary_state("conventional", "row", "post_flush").tables
+    ties = sum(a.max_tg == b.min_tg for a, b in zip(tables, tables[1:]))
+    assert ties > len(tables) // 4
+
+
+class _SpyColumn(np.ndarray):
+    """A ``tg`` column that logs each read of its data — whole-array or
+    slice sums, binary searches, element reads — as ``(kind, owner's
+    table_id, elements)``.  ``.size``/``len`` are metadata, not reads."""
+
+    reads: list = []
+    owner = None
+
+    def __array_finalize__(self, obj):
+        self.owner = getattr(obj, "owner", None)
+
+    def sum(self, *args, **kwargs):
+        self.reads.append(("sum", self.owner, self.size))
+        return self.view(np.ndarray).sum(*args, **kwargs)
+
+    def searchsorted(self, *args, **kwargs):
+        self.reads.append(("search", self.owner, self.size))
+        return self.view(np.ndarray).searchsorted(*args, **kwargs)
+
+    def __getitem__(self, item):
+        out = super().__getitem__(item)
+        if not isinstance(out, np.ndarray):
+            self.reads.append(("item", self.owner, 1))
+        return out
+
+
+def _spy_on(tables):
+    for table in tables:
+        if not isinstance(table.storage.tg, _SpyColumn):
+            column = table.storage.tg.view(_SpyColumn)
+            column.owner = table.table_id
+            table.storage.tg = column
+
+
+def test_wide_aggregate_reads_two_tables_and_a_flush_resums_only_new_ones():
+    size, n_tables = 32, 400
+    engine = ConventionalEngine(LsmConfig(memory_budget=2 * size, sstable_size=size))
+    engine.ingest(np.arange(n_tables * size, dtype=np.float64))
+    engine.flush_all()
+    engine.convert_cold(max_tg=n_tables * size / 2.0, block_size=BLOCK)  # half columnar
+    snapshot = engine.snapshot()
+    assert len(snapshot.tables) == n_tables and not snapshot.memtables
+    _spy_on(snapshot.tables)
+    reads = _SpyColumn.reads
+    lo, hi = 0.25 * n_tables * size + 3.5, 0.75 * n_tables * size + 3.5  # mid-table ends
+    walk = Snapshot(tables=snapshot.tables, memtables=[])
+
+    del reads[:]
+    want = execute_aggregate_query(walk, lo, hi)
+    assert want.tables_pruned == n_tables // 2 - 1 and want.tables_scanned == 2
+    # The walk visits every table in between: here, a sum per row table.
+    assert len({owner for _, owner, _ in reads}) > n_tables // 4
+
+    everything = execute_aggregate_query(snapshot, -math.inf, math.inf)  # builds the summary
+    assert everything.count == n_tables * size
+    plan = snapshot.read_plan(lo, hi)
+    assert [type(piece) for piece in plan] == [type(plan[0]), CoveredSpan, type(plan[0])]
+    assert len(plan[1]) == n_tables // 2 - 1
+    del reads[:]
+    assert execute_aggregate_query(snapshot, lo, hi) == want
+    touched = {owner for _, owner, _ in reads}
+    assert len(touched) == 2, touched  # the two straddling the window's ends
+    assert all(n < size for kind, _, n in reads if kind == "sum")  # slices only
+    del reads[:]
+    stats = execute_range_query(snapshot, lo, hi)
+    assert stats.files_touched == n_tables // 2 + 1
+    assert {owner for _, owner, _ in reads} == touched
+
+    # A flush rebuilds the index, and with it (once reads warrant one)
+    # the summary — from the sums the old tables still carry.
+    old = {table.table_id for table in snapshot.tables}
+    engine.ingest(np.arange(n_tables * size, (n_tables + 8) * size, dtype=np.float64))
+    engine.flush_all()
+    after = engine.snapshot()
+    assert after.index is not snapshot.index
+    new = {table.table_id for table in after.tables} - old
+    assert len(new) == 8 and len(after.tables) == n_tables + 8
+    _spy_on(after.tables)
+    del reads[:]
+    assert execute_aggregate_query(after, lo, hi) == want  # walked: no span yet
+    assert not any(type(piece) is CoveredSpan for piece in after.read_plan(lo, hi))
+    assert {owner for _, owner, _ in reads} == touched
+    assert execute_aggregate_query(after, -math.inf, math.inf).count == (n_tables + 8) * size
+    assert execute_aggregate_query(after, lo, hi) == want
+    assert any(type(piece) is CoveredSpan for piece in after.read_plan(lo, hi))
+    whole = {owner for kind, owner, n in reads if kind == "sum" and n == size}
+    assert whole == {t.table_id for t in after.tables if t.table_id in new and not t.is_columnar}
+    assert whole, "the flush wrote row tables; the summary had to sum them"
+    assert {owner for _, owner, _ in reads} - new == touched
+
+
+def test_summary_is_bought_once_walking_has_cost_as_much():
+    """A run hands covered tables out one by one until as many have
+    gone out as it holds, then as spans — with the same answers on
+    either side of the switch, and a fresh start after every flush."""
+    size, n_tables = 16, 64
+    engine = ConventionalEngine(LsmConfig(memory_budget=2 * size, sstable_size=size))
+    engine.ingest(np.arange(n_tables * size, dtype=np.float64) / 3.0)
+    engine.flush_all()
+    snapshot = engine.snapshot()
+    walk = Snapshot(tables=snapshot.tables, memtables=[])
+    lo, hi = snapshot.tables[8].min_tg, snapshot.tables[24].min_tg  # 16 covered, 1 cut
+
+    def spans(snap):
+        return [len(p) for p in snap.read_plan(lo, hi) if type(p) is CoveredSpan]
+
+    want = execute_aggregate_query(walk, lo, hi)
+    assert want.tables_pruned == 16 and want.tables_scanned == 1
+    for _ in range(2):  # 16, then 32 of 64 handed out by the asserts below
+        assert execute_aggregate_query(snapshot, lo, hi) == want
+    assert spans(snapshot) == []  # the third 16: 48 of 64
+    assert spans(snapshot) == [16]  # the fourth: bought
+    assert execute_aggregate_query(snapshot, lo, hi) == want
+    assert execute_range_query(snapshot, lo, hi).result_points == want.count
+    assert spans(snapshot) == [16]
+    engine.ingest(np.arange(n_tables * size, (n_tables + 2) * size, dtype=np.float64) / 3.0)
+    engine.flush_all()
+    assert spans(engine.snapshot()) == []
+    assert execute_aggregate_query(engine.snapshot(), lo, hi) == want

@@ -17,9 +17,13 @@ from repro import (
     Telemetry,
     TieredEngine,
 )
-from repro.errors import EngineClosedError, ModelError
+from repro.errors import EngineClosedError, ModelError, QueryError
 from repro.faults.crashtest import run_crash_case
 from repro.lsm import CompactionEvent, WriteStats
+from repro.lsm.base import Snapshot
+from repro.lsm.pruning import TableIndex
+from repro.query.aggregation import execute_aggregate_query
+from repro.query.executor import execute_range_query
 from repro.workloads import generate_synthetic
 
 
@@ -54,6 +58,46 @@ class TestNonFiniteInputsRejected:
         engine.ingest(np.arange(16, dtype=np.float64))
         engine.flush_all()
         assert engine.snapshot().total_points == 16
+
+
+class TestNanQueryBoundsRejected:
+    """``hi < lo`` is false for NaN, so a NaN bound used to slip past
+    the inverted-range check and get a count of *something* back (the
+    tables' points but not the MemTables')."""
+
+    BAD = [(0.0, np.nan), (np.nan, 0.0), (np.nan, np.nan), (-np.inf, np.nan)]
+
+    def _snapshot(self):
+        engine = ConventionalEngine(LsmConfig(8, 8))
+        engine.ingest(np.arange(100, dtype=np.float64))
+        snapshot = engine.snapshot()
+        assert snapshot.tables and snapshot.memtables and snapshot.index is not None
+        return snapshot
+
+    @pytest.mark.parametrize("lo,hi", BAD)
+    def test_executors_and_index_raise(self, lo, hi):
+        snapshot = self._snapshot()
+        bare = Snapshot(tables=snapshot.tables, memtables=snapshot.memtables)
+        for snap in (snapshot, bare):
+            with pytest.raises(QueryError, match="NaN"):
+                execute_aggregate_query(snap, lo, hi)
+            for collect in (False, True):
+                with pytest.raises(QueryError, match="NaN"):
+                    execute_range_query(snap, lo, hi, collect=collect)
+        with pytest.raises(QueryError, match="NaN"):
+            snapshot.index.overlapping(lo, hi)
+        with pytest.raises(QueryError, match="NaN"):
+            TableIndex([]).read_plan(lo, hi)
+
+    def test_infinite_bounds_stay_legal(self):
+        snapshot = self._snapshot()
+        everything = execute_aggregate_query(snapshot, -np.inf, np.inf)
+        assert everything.count == 100
+        assert execute_aggregate_query(snapshot, np.inf, np.inf).count == 0
+        assert execute_range_query(snapshot, -np.inf, -np.inf).result_points == 0
+        assert execute_range_query(snapshot, 10.0, np.inf).result_points == 90
+        with pytest.raises(QueryError, match="inverted"):
+            execute_range_query(snapshot, np.inf, -np.inf)
 
 
 class TestEngineMisuse:
