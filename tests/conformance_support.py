@@ -15,9 +15,17 @@ per workload, every observable the refactor must preserve bit-for-bit:
 public API (constructor, ``ingest``, ``flush_all``, ``snapshot``), so
 the same code produced the fixture and verifies the refactor.
 
+``tests/data/conformance_scheduled_golden.json`` pins the *paced* path
+the same way: the six kernel engines over the same workloads with the
+compaction scheduler on (``SCHEDULED_CONFIG``), recording the event log
+*including* its ``arrival_index`` stamps, the snapshot, the per-point
+write counters and the scheduler's lifetime counters — so a change to
+the unit structure of a scheduled landing (which moves token-bucket
+pacing, and with it the stamps) fails here.
+
 Regenerate (only when behaviour is *meant* to change) with::
 
-    PYTHONPATH=src:tests python tests/conformance_support.py
+    PYTHONPATH=src:tests python tests/conformance_support.py [--scheduled]
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -40,12 +49,25 @@ from repro.obs.telemetry import Telemetry
 from repro.workloads import TABLE_II
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "data", "conformance_golden.json")
+SCHEDULED_FIXTURE_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "conformance_scheduled_golden.json"
+)
 
 #: Small enough to run in seconds, large enough to trigger cascades,
 #: tier merges and adaptive retunes for every engine configuration.
 N_POINTS = 6000
 CHUNK = 937
 CONFIG = LsmConfig(memory_budget=64, sstable_size=32)
+
+#: The paced twin of ``CONFIG``: a work unit smaller than one SSTable
+#: pair and a bucket that runs dry, so merges really are chunked and
+#: landings really are deferred across batches.
+SCHEDULED_CONFIG = CONFIG.with_stability(
+    compaction_scheduler=True,
+    compaction_work_unit=32,
+    compaction_tokens_per_point=1.0,
+    compaction_burst=128,
+)
 
 #: Table II rows exercised: one mild-disorder row (dt=50) and one
 #: heavy-disorder row (dt=10).
@@ -54,22 +76,28 @@ WORKLOADS = ("M1", "M8")
 #: Engine key -> zero-state factory.  Constructor signatures are part of
 #: the conformance surface and must not change across the refactor.
 ENGINE_FACTORIES = {
-    "conventional": lambda t: ConventionalEngine(CONFIG, telemetry=t),
-    "separation": lambda t: SeparationEngine(CONFIG, telemetry=t),
-    "iotdb_conventional": lambda t: IoTDBStyleEngine(
-        CONFIG, policy="conventional", l1_file_limit=4, telemetry=t
+    "conventional": lambda t, c=CONFIG: ConventionalEngine(c, telemetry=t),
+    "separation": lambda t, c=CONFIG: SeparationEngine(c, telemetry=t),
+    "iotdb_conventional": lambda t, c=CONFIG: IoTDBStyleEngine(
+        c, policy="conventional", l1_file_limit=4, telemetry=t
     ),
-    "iotdb_separation": lambda t: IoTDBStyleEngine(
-        CONFIG, policy="separation", l1_file_limit=4, telemetry=t
+    "iotdb_separation": lambda t, c=CONFIG: IoTDBStyleEngine(
+        c, policy="separation", l1_file_limit=4, telemetry=t
     ),
-    "multilevel": lambda t: MultiLevelEngine(
-        CONFIG, size_ratio=4, max_levels=4, telemetry=t
+    "multilevel": lambda t, c=CONFIG: MultiLevelEngine(
+        c, size_ratio=4, max_levels=4, telemetry=t
     ),
-    "tiered": lambda t: TieredEngine(
-        CONFIG, tier_fanout=3, max_levels=4, telemetry=t
+    "tiered": lambda t, c=CONFIG: TieredEngine(
+        c, tier_fanout=3, max_levels=4, telemetry=t
     ),
-    "adaptive": lambda t: AdaptiveEngine(CONFIG, check_interval=512, telemetry=t),
+    "adaptive": lambda t, c=CONFIG: AdaptiveEngine(
+        c, check_interval=512, telemetry=t
+    ),
 }
+
+#: The kernel engines (everything but the adaptive wrapper) — the set
+#: the scheduled fixture covers.
+SCHEDULED_ENGINES = tuple(key for key in ENGINE_FACTORIES if key != "adaptive")
 
 #: Read-path conformance set: every first-class engine above plus two
 #: composed triples no monolithic engine implements (separation-style
@@ -108,7 +136,7 @@ def _event_stream_digest(events: list[dict]) -> str:
     return _digest(stripped)
 
 
-def _snapshot_digest(snapshot) -> dict:
+def snapshot_digest(snapshot) -> dict:
     hasher = hashlib.sha256()
     for table in snapshot.tables:
         hasher.update(np.ascontiguousarray(table.tg).tobytes())
@@ -126,11 +154,8 @@ def _snapshot_digest(snapshot) -> dict:
     }
 
 
-def profile_engine(engine_key: str, workload: str) -> dict:
-    """Run ``engine_key`` over ``workload`` and capture every observable."""
-    sink = RingBufferSink(capacity=200_000)
-    telemetry = Telemetry(sinks=[sink])
-    engine = ENGINE_FACTORIES[engine_key](telemetry)
+def _drive(engine, workload: str) -> None:
+    """Feed ``workload`` in ``CHUNK``-point batches, then drain."""
     dataset = TABLE_II[workload].build(n_points=N_POINTS, seed=3)
     adaptive = isinstance(engine, AdaptiveEngine)
     for pos in range(0, len(dataset), CHUNK):
@@ -140,10 +165,12 @@ def profile_engine(engine_key: str, workload: str) -> dict:
         else:
             engine.ingest(chunk_tg)
     engine.flush_all()
+
+
+def _accounting_profile(engine) -> dict:
+    """WA accounting, event log, write counters and snapshot, digested."""
     stats = engine.stats
-    counts = stats.write_counts
-    registry = telemetry.registry.as_dict()
-    profile = {
+    return {
         "user_points": int(stats.user_points),
         "disk_writes": int(stats.disk_writes),
         "write_amplification": float(stats.write_amplification),
@@ -163,8 +190,21 @@ def profile_engine(engine_key: str, workload: str) -> dict:
             ]
         ),
         "write_counts_digest": hashlib.sha256(
-            np.ascontiguousarray(counts).tobytes()
+            np.ascontiguousarray(stats.write_counts).tobytes()
         ).hexdigest(),
+        "snapshot": snapshot_digest(engine.snapshot()),
+    }
+
+
+def profile_engine(engine_key: str, workload: str) -> dict:
+    """Run ``engine_key`` over ``workload`` and capture every observable."""
+    sink = RingBufferSink(capacity=200_000)
+    telemetry = Telemetry(sinks=[sink])
+    engine = ENGINE_FACTORIES[engine_key](telemetry)
+    _drive(engine, workload)
+    registry = telemetry.registry.as_dict()
+    profile = {
+        **_accounting_profile(engine),
         "telemetry_counters": {
             name: value for name, value in sorted(registry.get("counters", {}).items())
         },
@@ -172,19 +212,35 @@ def profile_engine(engine_key: str, workload: str) -> dict:
             name: value for name, value in sorted(registry.get("gauges", {}).items())
         },
         "telemetry_stream_digest": _event_stream_digest(list(sink.events)),
-        "snapshot": _snapshot_digest(engine.snapshot()),
     }
     if isinstance(engine, IoTDBStyleEngine):
         profile["foreground_ms"] = round(engine.foreground_ms, 9)
         profile["background_ms"] = round(engine.background_ms, 9)
-    if adaptive:
+    if isinstance(engine, AdaptiveEngine):
         profile["switches"] = [[int(i), label] for i, label in engine.switch_log]
         profile["decisions"] = len(engine.decision_log)
         profile["current_policy"] = engine.current_policy
     return profile
 
 
-def build_fixture() -> dict:
+def profile_scheduled(engine_key: str, workload: str) -> dict:
+    """``engine_key`` over ``workload`` with the scheduler pacing its
+    landings: what landed, *when* (event stamps), and the unit counts."""
+    engine = ENGINE_FACTORIES[engine_key](None, SCHEDULED_CONFIG)
+    _drive(engine, workload)
+    scheduler = engine.scheduler
+    return {
+        **_accounting_profile(engine),
+        "scheduler": {
+            "submitted": scheduler.submitted,
+            "completed": scheduler.completed,
+            "total_work_points": scheduler.total_work_points,
+            "max_batch_work_points": scheduler.max_batch_work_points,
+        },
+    }
+
+
+def _build(profile, engine_keys) -> dict:
     return {
         "n_points": N_POINTS,
         "chunk": CHUNK,
@@ -194,26 +250,35 @@ def build_fixture() -> dict:
         },
         "profiles": {
             engine_key: {
-                workload: profile_engine(engine_key, workload)
-                for workload in WORKLOADS
+                workload: profile(engine_key, workload) for workload in WORKLOADS
             }
-            for engine_key in ENGINE_FACTORIES
+            for engine_key in engine_keys
         },
     }
 
 
-def load_fixture() -> dict:
-    with open(FIXTURE_PATH, encoding="utf-8") as handle:
+def build_fixture() -> dict:
+    return _build(profile_engine, ENGINE_FACTORIES)
+
+
+def build_scheduled_fixture() -> dict:
+    return _build(profile_scheduled, SCHEDULED_ENGINES)
+
+
+def load_fixture(path: str = FIXTURE_PATH) -> dict:
+    with open(path, encoding="utf-8") as handle:
         return json.load(handle)
 
 
 def main() -> None:
-    os.makedirs(os.path.dirname(FIXTURE_PATH), exist_ok=True)
-    fixture = build_fixture()
-    with open(FIXTURE_PATH, "w", encoding="utf-8") as handle:
+    scheduled = "--scheduled" in sys.argv[1:]
+    path = SCHEDULED_FIXTURE_PATH if scheduled else FIXTURE_PATH
+    fixture = build_scheduled_fixture() if scheduled else build_fixture()
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(fixture, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {FIXTURE_PATH}")
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

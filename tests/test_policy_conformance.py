@@ -1,12 +1,16 @@
 """Engine conformance suite for the policy kernel.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * **Golden fixture** — every first-class engine, driven over two Table II
   workloads, reproduces bit-for-bit the write-amplification accounting,
   event logs, telemetry totals and snapshot content recorded from the
   pre-refactor monolithic implementations
   (``tests/data/conformance_golden.json``).
+* **Scheduled fixture** — the six kernel engines with the compaction
+  scheduler pacing their landings reproduce the recorded event log
+  (``arrival_index`` stamps included), snapshot, write counters and
+  scheduler unit counts (``tests/data/conformance_scheduled_golden.json``).
 * **Roundtrip + crash recovery** — every registered engine *and* novel
   ``compose_engine`` combinations survive checkpoint/restore with equal
   WA and snapshots, and recover losslessly from an injected crash.
@@ -36,9 +40,12 @@ from repro.workloads import TABLE_II
 
 from tests.conformance_support import (
     ENGINE_FACTORIES,
+    SCHEDULED_ENGINES,
+    SCHEDULED_FIXTURE_PATH,
     WORKLOADS,
     load_fixture,
     profile_engine,
+    profile_scheduled,
 )
 
 LEGACY_DIR = os.path.join(
@@ -128,6 +135,17 @@ class TestGoldenFixture:
                 f"{engine_key}/{workload}: {field} diverged from the "
                 f"pre-refactor recording"
             )
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("engine_key", sorted(SCHEDULED_ENGINES))
+def test_scheduled_profile_is_bit_identical(engine_key, workload):
+    """The paced path lands the same things at the same arrival stamps
+    in the same number of work units as when the fixture was recorded."""
+    fixture = load_fixture(SCHEDULED_FIXTURE_PATH)
+    assert profile_scheduled(engine_key, workload) == (
+        fixture["profiles"][engine_key][workload]
+    )
 
 
 def _roundtrip_factories():

@@ -11,6 +11,7 @@ Covers the robustness machinery end to end:
 * the injectable fault clock and the stability report renderer.
 """
 
+import dataclasses
 import json
 import os
 
@@ -42,6 +43,8 @@ from repro.faults import OVERLOAD_FAULT_KINDS, run_crash_case
 from repro.lsm import HEALTHY, SHEDDING, THROTTLED
 from repro.obs import render_stability_report, summarize_stability
 from repro.workloads import generate_synthetic
+
+from tests.conformance_support import snapshot_digest
 
 #: Small buffers so a few thousand points exercise many landings.
 _SMALL = dict(memory_budget=64, sstable_size=32)
@@ -265,6 +268,17 @@ def test_scheduler_matches_stop_the_world(key, tmp_path):
     assert baseline.ingested_points == paced.ingested_points
     assert baseline.write_amplification == paced.write_amplification
     assert np.array_equal(baseline.stats.write_counts, paced.stats.write_counts)
+    # Same landings in the same order with the same rewrite volumes —
+    # pacing may only move their ``arrival_index`` stamps — and the
+    # same tables on disk afterwards.
+    assert [
+        dataclasses.replace(event, arrival_index=0)
+        for event in paced.stats.events
+    ] == [
+        dataclasses.replace(event, arrival_index=0)
+        for event in baseline.stats.events
+    ]
+    assert snapshot_digest(paced.snapshot()) == snapshot_digest(baseline.snapshot())
     baseline.verify()
     paced.verify()
 
