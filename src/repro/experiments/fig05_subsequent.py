@@ -50,13 +50,13 @@ class _CountingLeveled(LeveledSingleRun):
         super().__init__()
         self.subsequent_counts: list[int] = []
 
-    def compact_memtable(self, memtable) -> None:
+    def land(self, op, memtable, unit_points):
         buffered = memtable.peek_tg()
         if buffered.size and not self.run.empty:
             self.subsequent_counts.append(
                 self.run.count_points_above(float(buffered.min()))
             )
-        super().compact_memtable(memtable)
+        yield from super().land(op, memtable, unit_points)
 
 
 class _InstrumentedConventional(StorageKernel):

@@ -32,12 +32,12 @@ import numpy as np
 from ..config import LsmConfig
 from ..core.analyzer import DelayAnalyzer
 from ..core.tuning import SEPARATION, PolicyDecision
-from ..errors import EngineError
+from ..errors import EngineError, ModelError
 from ..faults.injector import FaultInjector
 from ..obs.telemetry import Telemetry
 from .base import LsmEngine, Snapshot
 from .conventional import ConventionalEngine
-from .separation import SeparationEngine
+from .separation import SeparationEngine, leveled_engine
 from .wa_tracker import WriteStats
 
 __all__ = ["AdaptiveEngine"]
@@ -85,12 +85,7 @@ class AdaptiveEngine(LsmEngine):
         self._inner_config = dataclasses.replace(
             self.config, wal_path=None, fault_plan=None
         )
-        self._engine: ConventionalEngine | SeparationEngine = ConventionalEngine(
-            self._inner_config,
-            stats=self.stats,
-            telemetry=self.telemetry,
-            faults=self.faults,
-        )
+        self._engine: ConventionalEngine | SeparationEngine = self._build_inner(None)
         self._since_check = 0
         #: ``(arrival_index, PolicyDecision)`` for every retune performed.
         self.decision_log: list[tuple[int, PolicyDecision]] = []
@@ -107,19 +102,25 @@ class AdaptiveEngine(LsmEngine):
             raise EngineError(f"tg and ta must align: {tg.shape} vs {ta.shape}")
         if tg.size == 0:
             return
+        if not np.isfinite(ta).all():
+            raise ModelError("arrival times must be finite; got NaN/inf")
+        # Everything that can reject the batch has run before it becomes
+        # durable: a logged batch the analyzer or admission then refused
+        # would fail again on every replay of the WAL.
+        self._engine._admit_batch(tg.size)
         if self._wal is not None:
             self._wal.append(tg, start_id=self.ingested_points, ta=ta)
         self._ingest_pairs(tg, ta)
 
     def _ingest_pairs(self, tg: np.ndarray, ta: np.ndarray) -> None:
-        """Feed validated pairs — shared by ingest and WAL replay."""
+        """Feed validated, admitted pairs — shared by ingest and WAL replay."""
         pos = 0
         while pos < tg.size:
             take = min(self.check_interval - self._since_check, tg.size - pos)
             chunk_tg = tg[pos : pos + take]
             chunk_ta = ta[pos : pos + take]
             self.analyzer.observe(chunk_tg, chunk_ta)
-            self._engine.ingest(chunk_tg)
+            self._engine._ingest_validated(chunk_tg)
             self._since_check += take
             pos += take
             if self._since_check >= self.check_interval:
@@ -176,12 +177,8 @@ class AdaptiveEngine(LsmEngine):
 
     def _switch(self, decision: PolicyDecision) -> None:
         old = self._engine
-        old.flush_all()
         self._engine = self._build_inner(
-            "separation" if decision.policy == SEPARATION else "conventional",
-            seq_capacity=decision.seq_capacity,
-            run=old.run,
-            start_id=old.ingested_points,
+            decision.seq_capacity if decision.policy == SEPARATION else None, old
         )
         logger.info(
             "pi_adaptive switch at arrival %d: -> %s",
@@ -200,28 +197,15 @@ class AdaptiveEngine(LsmEngine):
             self.telemetry.count("adaptive.switches")
 
     def _build_inner(
-        self,
-        policy: str,
-        seq_capacity: int | None = None,
-        run=None,
-        start_id: int = 0,
+        self, seq_capacity: int | None, old=None
     ) -> ConventionalEngine | SeparationEngine:
-        """One construction path for every inner-engine (re)build."""
-        if policy == "separation":
-            config = self._inner_config.with_seq_capacity(seq_capacity)
-            return SeparationEngine(
-                config,
-                stats=self.stats,
-                run=run,
-                start_id=start_id,
-                telemetry=self.telemetry,
-                faults=self.faults,
-            )
-        return ConventionalEngine(
-            self._inner_config,
+        """``pi_s(seq_capacity)`` (``pi_c`` for ``None``) sharing the
+        wrapper's stats, telemetry and injector — fresh, or draining
+        and continuing from the inner engine ``old``."""
+        return leveled_engine(
+            self._inner_config.with_seq_capacity(seq_capacity),
+            old,
             stats=self.stats,
-            run=run,
-            start_id=start_id,
             telemetry=self.telemetry,
             faults=self.faults,
         )
@@ -306,9 +290,7 @@ class AdaptiveEngine(LsmEngine):
 
     def _restore_state(self, state: dict, arrays) -> None:
         inner_meta = state["inner"]
-        inner = self._build_inner(
-            inner_meta["policy"], seq_capacity=inner_meta["seq_capacity"]
-        )
+        inner = self._build_inner(inner_meta["seq_capacity"])
         inner._next_id = int(inner_meta["next_id"])
         inner._arrival_cursor = int(inner_meta["arrival_cursor"])
         inner._restore_state(inner_meta["state"], arrays)

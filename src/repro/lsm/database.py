@@ -26,7 +26,7 @@ from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .base import Snapshot, _engine_registry, validate_generation_times
 from .checkpoint import namespaced_stem
 from .conventional import ConventionalEngine
-from .separation import SeparationEngine
+from .separation import SeparationEngine, leveled_engine
 
 __all__ = ["SeriesState", "FleetReport", "TimeSeriesDatabase", "manifest_filename"]
 
@@ -202,15 +202,10 @@ class TimeSeriesDatabase:
             if self.auto_tune
             else None
         )
-        engine: ConventionalEngine | SeparationEngine
-        if seq_capacity is not None:
-            engine = SeparationEngine(config, telemetry=self.telemetry)
-        else:
-            engine = ConventionalEngine(config, telemetry=self.telemetry)
         state = SeriesState(
             name=name,
             config=config,
-            engine=engine,
+            engine=leveled_engine(config, telemetry=self.telemetry),
             analyzer=analyzer,
         )
         self._series[name] = state
@@ -355,33 +350,13 @@ class TimeSeriesDatabase:
             or state.engine.seq_capacity == decision.seq_capacity
         ):
             return False
-        old = state.engine
-        old.flush_all()
-        if wants_separation:
-            config = state.config.with_seq_capacity(decision.seq_capacity)
-            state.engine = SeparationEngine(
-                config,
-                stats=old.stats,
-                run=old.run,
-                start_id=old.ingested_points,
-                telemetry=self.telemetry,
-                faults=old.faults,
-            )
-        else:
-            state.engine = ConventionalEngine(
-                state.config.with_seq_capacity(None)
-                if state.config.seq_capacity is not None
-                else state.config,
-                stats=old.stats,
-                run=old.run,
-                start_id=old.ingested_points,
-                telemetry=self.telemetry,
-                faults=old.faults,
-            )
-        # The replacement engine appends to the same WAL file; release
-        # the superseded engine's handle so only one writer holds it.
-        if old.wal is not None:
-            old.wal.close()
+        state.engine = leveled_engine(
+            state.config.with_seq_capacity(
+                decision.seq_capacity if wants_separation else None
+            ),
+            state.engine,
+            telemetry=self.telemetry,
+        )
         return True
 
     def resize_series(
@@ -429,18 +404,7 @@ class TimeSeriesDatabase:
         config = replace(
             state.config, memory_budget=memory_budget, seq_capacity=seq_capacity
         )
-        old.flush_all()
-        engine_cls = SeparationEngine if seq_capacity is not None else ConventionalEngine
-        state.engine = engine_cls(
-            config,
-            stats=old.stats,
-            run=old.run,
-            start_id=old.ingested_points,
-            telemetry=self.telemetry,
-            faults=old.faults,
-        )
-        if old.wal is not None:
-            old.wal.close()
+        state.engine = leveled_engine(config, old, telemetry=self.telemetry)
         state.config = config
         if state.analyzer is not None:
             state.analyzer.memory_budget = memory_budget

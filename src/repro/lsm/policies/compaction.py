@@ -2,28 +2,31 @@
 
 Each policy owns the persistent state (runs, levels, files), exposes the
 ``LAST(R).t_g`` watermark that drives seq/nonseq classification, and
-implements three landing operations invoked by the flush strategy:
+implements **one** landing path: the generator
+:meth:`CompactionPolicy.land`.  ``land(op, memtable, unit_points)``
+stages ``op`` (``compact`` — ``pi_c``'s overlap merge; ``flush`` —
+``pi_s``'s rewrite-free ``C_seq`` append, tiered/IoTDB level-0 landings;
+``merge`` — the separation protocol's phase-closing ``C_nonseq`` merge)
+against the current disk state, yields the cost of each bounded work
+unit, and commits.  Stop-the-world is that generator drained on the spot
+with an unbounded unit; the scheduler steps the very same generator
+under its token bucket — pacing changes *when* work happens, never
+*what* lands.
 
-* ``compact_memtable`` — overlap-merge a MemTable into the structure
-  (``pi_c``'s leveled compaction);
-* ``flush_memtable`` — append a MemTable without rewriting anything
-  (``pi_s``'s ``C_seq`` flush, tiered/IoTDB level-0 landings);
-* ``merge_memtable`` — the separation protocol's phase-closing merge of
-  ``C_nonseq`` (defaults to ``compact_memtable``).
-
-Every operation is staged-then-committed: the batch is computed from
-MemTable *views*, the kernel's fault boundary fires, and only then does
-state mutate — an injected crash leaves the engine exactly as it was.
-All disk writes are accounted through the kernel's :class:`WriteStats`
-and timed with telemetry spans.
+Every landing — and every background reorganisation it triggers — is
+staged-then-committed through :meth:`CompactionPolicy._commit`, the one
+place the fault boundary fires, the structure epoch bumps, and the
+kernel's :class:`WriteStats` and telemetry span are written: nothing
+mutates before the boundary, so an injected crash leaves the engine
+exactly as it was.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-import logging
 import math
+from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import StorageKernel
 
 __all__ = [
+    "LANDING_OPS",
     "CompactionPolicy",
     "LeveledSingleRun",
     "MultiLevelCascade",
@@ -58,7 +62,8 @@ __all__ = [
     "IoTDBTwoSpace",
 ]
 
-logger = logging.getLogger(__name__)
+#: The landing operations a flush strategy may request.
+LANDING_OPS = ("compact", "flush", "merge")
 
 #: Fixed cost charged to the foreground for initiating one flush (fsync,
 #: file creation) — identical for both IoTDB policies.
@@ -84,51 +89,57 @@ class CompactionPolicy(abc.ABC):
     def watermark(self) -> float:
         """``LAST(R).t_g``: newest generation time persisted anywhere."""
 
-    # -- landing operations ----------------------------------------------------
+    # -- landing ---------------------------------------------------------------
 
     @abc.abstractmethod
-    def compact_memtable(self, memtable: MemTable) -> None:
-        """Overlap-merge ``memtable`` into the structure (leveled)."""
-
-    def flush_memtable(self, memtable: MemTable) -> None:
-        """Append ``memtable`` without rewrites where the structure
-        supports it; defaults to a compaction."""
-        self.compact_memtable(memtable)
-
-    def merge_memtable(self, memtable: MemTable) -> None:
-        """Land the separation protocol's phase-closing ``C_nonseq``
-        merge; defaults to a compaction."""
-        self.compact_memtable(memtable)
-
-    def land(self, op: str, memtable: MemTable) -> None:
-        """Dispatch one landing operation by name (``compact`` /
-        ``flush`` / ``merge``) — the synchronous path the kernel uses
-        when no scheduler is configured."""
-        if op == "compact":
-            self.compact_memtable(memtable)
-        elif op == "flush":
-            self.flush_memtable(memtable)
-        elif op == "merge":
-            self.merge_memtable(memtable)
-        else:
-            raise EngineError(f"unknown landing op {op!r}")
-
-    def incremental_steps(self, op, memtable, unit_points):
-        """Generator landing ``memtable`` via ``op`` in bounded work units.
+    def land(self, op: str, memtable: MemTable, unit_points: float) -> Iterator[int]:
+        """Generator landing ``memtable`` via ``op`` (one of
+        :data:`LANDING_OPS`) in work units of about ``unit_points``.
 
         Yields the cost (points processed) of each unit; the landing is
-        fully committed when the generator is exhausted.  Nothing may
-        mutate until the kernel's fault boundary has fired — the
-        staged-then-committed contract carries over unit by unit.
-
-        This default treats the whole operation as a single unit, which
-        is always correct (the scheduler still defers and paces *between*
-        operations); policies with genuinely divisible merges override
-        it.  ``unit_points`` is the target cost per unit.
+        committed — through :meth:`_commit`, MemTable cleared — by the
+        time the last unit is yielded.  Nothing runs until the first
+        ``next()``, so staging always sees the disk state at *execution*
+        time.  This is the only landing path and therefore the one place
+        to observe or instrument landings: the kernel drains it on the
+        spot (``unit_points = inf``) or hands it to the scheduler.
         """
-        cost = max(len(memtable), 1)
-        self.land(op, memtable)
-        yield cost
+
+    def _commit(
+        self,
+        kind: str,
+        written_ids: np.ndarray,
+        apply: Callable[[], int],
+        **fields,
+    ) -> int:
+        """Commit one staged disk write; return the tables it wrote.
+
+        ``kind`` (``"flush"`` or ``"merge"``) names the fault site, the
+        telemetry span and the logged event alike.  ``apply`` performs
+        the staged mutation and returns how many tables it wrote; it
+        runs only once the fault boundary has fired.  ``fields`` go on
+        the span as given; the event log takes ``new_points`` /
+        ``rewritten_points`` / ``tables_rewritten`` from them, zero
+        where a caller does not report one.
+        """
+        kernel = self.kernel
+        kernel._fault_boundary(kind)
+        with kernel.telemetry.span(kind, engine=kernel.policy_name) as span:
+            written = apply()
+            kernel.mark_structure_change()
+            span.set(tables_written=written, **fields)
+            kernel.stats.record_written(written_ids)
+        kernel.stats.record_event(
+            CompactionEvent(
+                kind=kind,
+                arrival_index=kernel.processed_points,
+                new_points=fields.get("new_points", 0),
+                rewritten_points=fields.get("rewritten_points", 0),
+                tables_rewritten=fields.get("tables_rewritten", 0),
+                tables_written=written,
+            )
+        )
+        return written
 
     # -- table emission --------------------------------------------------------
 
@@ -238,199 +249,80 @@ class LeveledSingleRun(CompactionPolicy):
     def watermark(self) -> float:
         return self.run.max_tg
 
-    def compact_memtable(self, memtable: MemTable) -> None:
-        """Merge a MemTable into the run (``pi_c``'s compaction).
+    def land(self, op, memtable, unit_points):
+        """``flush`` appends; ``compact`` / ``merge`` rewrite the tables
+        the batch overlaps, ``unit_points`` of victims at a time.
 
-        The span starts as ``compaction`` and is renamed once the real
-        kind (flush vs merge) is known from the staged overlap.
+        A landing with victims runs as: one staging unit (MemTable sort
+        + overlap scan), one unit per chunk of victim tables merged with
+        the batch slice in its key range (a single chunk whenever the
+        overlap is smaller than the unit — always, when it is
+        unbounded), and the commit — the rewritten segments spliced into
+        the run behind the fault boundary.  A pure append, or a batch
+        that overlaps nothing, is one unit.  A victimless ``compact`` is
+        logged as a flush; ``merge`` always closes a phase, whatever it
+        overlaps (all ``C_nonseq`` points sit below ``LAST(R).t_g``, so
+        the freshly appended seq tables are never among its victims).
+        The span carries ``incremental=True`` when the landing was paced
+        (a bounded unit) and had victims to chunk.
         """
-        kernel = self.kernel
-        mem_tg, mem_ids = memtable.sorted_view()
-        region, victims, rewritten = stage_overlap_merge(self.run, mem_tg)
-        kernel._fault_boundary("merge" if victims else "flush")
-        with kernel.telemetry.span("compaction", engine=kernel.policy_name) as span:
-            merged_tg, merged_ids = merge_tables_with_batch(victims, mem_tg, mem_ids)
-            new_tables = self.emit_tables(merged_tg, merged_ids, level=0)
-            self.run.replace(region, new_tables)
-            memtable.clear()
-            kernel.mark_structure_change()
-            span.rename("merge" if victims else "flush")
-            span.set(
-                new_points=int(mem_tg.size),
-                rewritten_points=rewritten,
-                tables_rewritten=len(victims),
-                tables_written=len(new_tables),
-            )
-            kernel.stats.record_written(merged_ids)
-        logger.debug(
-            "pi_c merge: %d new + %d rewritten points across %d tables "
-            "(arrival %d)",
-            mem_tg.size,
-            rewritten,
-            len(victims),
-            kernel.processed_points,
-        )
-        kernel.stats.record_event(
-            CompactionEvent(
-                kind="merge" if victims else "flush",
-                arrival_index=kernel.processed_points,
-                new_points=int(mem_tg.size),
-                rewritten_points=rewritten,
-                tables_rewritten=len(victims),
-                tables_written=len(new_tables),
-            )
-        )
-
-    def flush_memtable(self, memtable: MemTable) -> None:
-        """Append a seq MemTable to the run: pure flush, no rewrite."""
-        kernel = self.kernel
         tg, ids = memtable.sorted_view()
-        kernel._fault_boundary("flush")
-        with kernel.telemetry.span(
-            "flush", engine=kernel.policy_name, memtable=memtable.name
-        ) as span:
-            tables = self.emit_tables(tg, ids, level=0)
-            self.run.append(tables)
-            memtable.clear()
-            kernel.mark_structure_change()
-            span.set(new_points=int(tg.size), tables_written=len(tables))
-            kernel.stats.record_written(ids)
-        kernel.stats.record_event(
-            CompactionEvent(
-                kind="flush",
-                arrival_index=kernel.processed_points,
-                new_points=int(tg.size),
-                rewritten_points=0,
-                tables_rewritten=0,
-                tables_written=len(tables),
-            )
-        )
-
-    def merge_memtable(self, memtable: MemTable) -> None:
-        """Close the phase: merge ``C_nonseq`` into its overlap region.
-
-        All its points satisfy ``t_g < LAST(R).t_g`` (they were
-        out-of-order at insertion and the disk maximum only grows), so
-        the freshly flushed seq tables sit strictly above the merge
-        range and are never rewritten here.
-        """
-        kernel = self.kernel
-        tg, ids = memtable.sorted_view()
-        region, victims, rewritten = stage_overlap_merge(self.run, tg)
-        kernel._fault_boundary("merge")
-        with kernel.telemetry.span(
-            "merge", engine=kernel.policy_name, memtable=memtable.name
-        ) as span:
-            merged_tg, merged_ids = merge_tables_with_batch(victims, tg, ids)
-            new_tables = self.emit_tables(merged_tg, merged_ids, level=0)
-            self.run.replace(region, new_tables)
-            memtable.clear()
-            kernel.mark_structure_change()
-            span.set(
-                new_points=int(tg.size),
-                rewritten_points=rewritten,
-                tables_rewritten=len(victims),
-                tables_written=len(new_tables),
-            )
-            kernel.stats.record_written(merged_ids)
-        kernel.stats.record_event(
-            CompactionEvent(
-                kind="merge",
-                arrival_index=kernel.processed_points,
-                new_points=int(tg.size),
-                rewritten_points=rewritten,
-                tables_rewritten=len(victims),
-                tables_written=len(new_tables),
-            )
-        )
-
-    def incremental_steps(self, op, memtable, unit_points):
-        """Chunked leveled merge: victims are rewritten ``unit_points``
-        at a time, so no single work unit exceeds roughly one unit of
-        merge cost regardless of how much of the run the batch overlaps.
-
-        Unit 1 stages (sorts the MemTable, scans the overlap region);
-        the middle units each merge one chunk of victim tables with the
-        batch slice belonging to its key range; the final unit splices
-        the rewritten segments into the run and commits behind the fault
-        boundary.  Until that commit the run and the MemTable are
-        untouched, so a crash at any unit loses no committed state.
-        """
-        kernel = self.kernel
-        if op == "flush":
-            # Pure appends already cost O(memtable): one unit.
-            cost = max(len(memtable), 1)
-            self.flush_memtable(memtable)
-            yield cost
-            return
-        mem_tg, mem_ids = memtable.sorted_view()
-        region, victims, rewritten = stage_overlap_merge(self.run, mem_tg)
-        if not victims:
-            # No overlap: the landing degenerates to an append-shaped
-            # compaction; one unit, same commit body as the sync path.
-            cost = max(int(mem_tg.size), 1)
-            self.compact_memtable(memtable)
-            yield cost
-            return
-        yield max(int(mem_tg.size), 1)  # staging: sort + overlap scan
-        segment_tg: list[np.ndarray] = []
-        segment_ids: list[np.ndarray] = []
-        batch_pos = 0
-        chunk: list[SSTable] = []
-        chunk_points = 0
-        last_index = len(victims) - 1
-        for index, victim in enumerate(victims):
-            chunk.append(victim)
-            chunk_points += len(victim)
-            if chunk_points < unit_points and index != last_index:
-                continue
-            # Batch points at or below the chunk's upper bound merge
-            # with this chunk; the final chunk takes the whole tail.
-            if index == last_index:
-                cut = int(mem_tg.size)
+        new = int(tg.size)
+        fields = {"new_points": new}
+        if op != "compact":
+            fields["memtable"] = memtable.name
+        region, victims = None, []
+        if op != "flush":
+            region, victims, rewritten = stage_overlap_merge(self.run, tg)
+            fields.update(rewritten_points=rewritten, tables_rewritten=len(victims))
+        merged_tg, merged_ids = tg, ids
+        if victims:
+            if unit_points < math.inf:
+                fields["incremental"] = True
+            yield max(new, 1)
+            if rewritten < unit_points:
+                # The whole overlap fits one unit: a single chunk.
+                merged_tg, merged_ids = merge_tables_with_batch(victims, tg, ids)
+                yield rewritten + new
             else:
-                cut = int(
-                    np.searchsorted(mem_tg, chunk[-1].max_tg, side="right")
-                )
-            part_tg, part_ids = merge_tables_with_batch(
-                chunk, mem_tg[batch_pos:cut], mem_ids[batch_pos:cut]
-            )
-            segment_tg.append(part_tg)
-            segment_ids.append(part_ids)
-            cost = chunk_points + (cut - batch_pos)
-            batch_pos = cut
-            chunk = []
-            chunk_points = 0
-            yield max(cost, 1)
-        kernel._fault_boundary("merge")
-        with kernel.telemetry.span(
-            "merge", engine=kernel.policy_name, memtable=memtable.name
-        ) as span:
-            merged_tg = np.concatenate(segment_tg)
-            merged_ids = np.concatenate(segment_ids)
-            new_tables = self.emit_tables(merged_tg, merged_ids, level=0)
-            self.run.replace(region, new_tables)
+                segments = []
+                first = pos = points = 0
+                last = len(victims) - 1
+                for index, victim in enumerate(victims):
+                    points += len(victim)
+                    if points < unit_points and index != last:
+                        continue
+                    # Batch points at or below the chunk's upper bound
+                    # merge with it; the final chunk takes the whole tail.
+                    cut = new if index == last else int(
+                        np.searchsorted(tg, victim.max_tg, side="right")
+                    )
+                    segments.append(
+                        merge_tables_with_batch(
+                            victims[first : index + 1], tg[pos:cut], ids[pos:cut]
+                        )
+                    )
+                    yield points + cut - pos
+                    first, pos, points = index + 1, cut, 0
+                merged_tg = np.concatenate([part[0] for part in segments])
+                merged_ids = np.concatenate([part[1] for part in segments])
+
+        def apply() -> int:
+            tables = self.emit_tables(merged_tg, merged_ids, level=0)
+            if region is None:
+                self.run.append(tables)
+            else:
+                self.run.replace(region, tables)
             memtable.clear()
-            kernel.mark_structure_change()
-            span.set(
-                new_points=int(mem_tg.size),
-                rewritten_points=rewritten,
-                tables_rewritten=len(victims),
-                tables_written=len(new_tables),
-                incremental=True,
-            )
-            kernel.stats.record_written(merged_ids)
-        kernel.stats.record_event(
-            CompactionEvent(
-                kind="merge",
-                arrival_index=kernel.processed_points,
-                new_points=int(mem_tg.size),
-                rewritten_points=rewritten,
-                tables_rewritten=len(victims),
-                tables_written=len(new_tables),
-            )
+            return len(tables)
+
+        written = self._commit(
+            "merge" if victims or op == "merge" else "flush",
+            merged_ids,
+            apply,
+            **fields,
         )
-        yield max(len(new_tables), 1)
+        yield max(written, 1) if victims else max(new, 1)
 
     def visible_tables(self) -> list[SSTable]:
         return list(self.run.tables)
@@ -470,69 +362,46 @@ class MultiLevelCascade(CompactionPolicy):
     def watermark(self) -> float:
         return max((run.max_tg for run in self.levels), default=-math.inf)
 
-    def compact_memtable(self, memtable: MemTable) -> None:
-        mem_tg, mem_ids = memtable.sorted_view()
-        self._merge_batch_into_level(
-            0, mem_tg, mem_ids, new_points=mem_tg.size, source_memtable=memtable
-        )
-        self._cascade()
+    def land(self, op, memtable, unit_points):
+        """Every op is a compaction into level 0 plus the cascade it
+        triggers, as one work unit."""
+        tg, ids = memtable.sorted_view()
+        new = int(tg.size)
+        self._merge_into_level(0, tg, ids, new, memtable)
+        # Spill each over-capacity level into the next.
+        for level, run in enumerate(self.levels[:-1]):
+            if run.tables and run.total_points > self.level_capacity(level):
+                spill_tg, spill_ids = concat_sorted_tables(run.tables)
+                self._merge_into_level(level + 1, spill_tg, spill_ids, 0, run)
+        yield max(new, 1)
 
-    def _cascade(self) -> None:
-        """Spill each over-capacity level into the next."""
-        for level in range(self.max_levels - 1):
-            run = self.levels[level]
-            if run.total_points <= self.level_capacity(level):
-                continue
-            if not run.tables:
-                continue
-            tg, ids = concat_sorted_tables(run.tables)
-            self._merge_batch_into_level(
-                level + 1, tg, ids, new_points=0, source_run=run
-            )
-
-    def _merge_batch_into_level(
+    def _merge_into_level(
         self,
         level: int,
         tg: np.ndarray,
         ids: np.ndarray,
         new_points: int,
-        source_memtable: MemTable | None = None,
-        source_run: Run | None = None,
+        source: MemTable | Run,
     ) -> None:
-        """Merge a sorted batch into ``level``; clear the source on commit."""
-        kernel = self.kernel
+        """Merge a sorted batch into ``level``; clear ``source`` on commit."""
         run = self.levels[level]
         region, victims, _ = stage_overlap_merge(run, tg)
-        kind = "merge" if victims or new_points == 0 else "flush"
-        kernel._fault_boundary(kind)
-        with kernel.telemetry.span(
-            "compaction", engine=kernel.policy_name, level=level
-        ) as span:
-            merged_tg, merged_ids = merge_tables_with_batch(victims, tg, ids)
-            new_tables = self.emit_tables(merged_tg, merged_ids, level=level)
-            run.replace(region, new_tables)
-            if source_memtable is not None:
-                source_memtable.clear()
-            if source_run is not None:
-                source_run.clear()
-            kernel.mark_structure_change()
-            span.rename(kind)
-            span.set(
-                new_points=int(new_points),
-                rewritten_points=int(merged_ids.size - new_points),
-                tables_rewritten=len(victims),
-                tables_written=len(new_tables),
-            )
-            kernel.stats.record_written(merged_ids)
-        kernel.stats.record_event(
-            CompactionEvent(
-                kind=kind,
-                arrival_index=kernel.processed_points,
-                new_points=int(new_points),
-                rewritten_points=int(merged_ids.size - new_points),
-                tables_rewritten=len(victims),
-                tables_written=len(new_tables),
-            )
+        merged_tg, merged_ids = merge_tables_with_batch(victims, tg, ids)
+
+        def apply() -> int:
+            tables = self.emit_tables(merged_tg, merged_ids, level=level)
+            run.replace(region, tables)
+            source.clear()
+            return len(tables)
+
+        self._commit(
+            "merge" if victims or not new_points else "flush",
+            merged_ids,
+            apply,
+            level=level,
+            new_points=new_points,
+            rewritten_points=merged_ids.size - new_points,
+            tables_rewritten=len(victims),
         )
 
     def visible_tables(self) -> list[SSTable]:
@@ -579,70 +448,46 @@ class SizeTiered(CompactionPolicy):
     def watermark(self) -> float:
         return self._max_disk_tg
 
-    def compact_memtable(self, memtable: MemTable) -> None:
-        self.flush_memtable(memtable)
-
-    def flush_memtable(self, memtable: MemTable) -> None:
-        """Sort the MemTable into a new level-0 run (never a merge)."""
-        kernel = self.kernel
+    def land(self, op, memtable, unit_points):
+        """Every op sorts the MemTable into a new level-0 run (never a
+        merge), then merges each full tier of runs into one run on the
+        next level — all one work unit."""
         tg, ids = memtable.sorted_view()
-        kernel._fault_boundary("flush")
-        with kernel.telemetry.span("flush", engine=kernel.policy_name) as span:
+        new = int(tg.size)
+
+        def append_run() -> int:
             run = self.emit_tables(tg, ids, level=0)
             self.levels[0].append(run)
             memtable.clear()
-            kernel.mark_structure_change()
             if run:
                 self._max_disk_tg = max(self._max_disk_tg, run[-1].max_tg)
-            span.set(new_points=int(tg.size), tables_written=len(run))
-            kernel.stats.record_written(ids)
-        kernel.stats.record_event(
-            CompactionEvent(
-                kind="flush",
-                arrival_index=kernel.processed_points,
-                new_points=int(tg.size),
-                rewritten_points=0,
-                tables_rewritten=0,
-                tables_written=len(run),
-            )
-        )
-        self._maybe_merge_tier(0)
+            return len(run)
 
-    def _maybe_merge_tier(self, level: int) -> None:
-        """Merge a full tier of runs into one run on the next level."""
-        kernel = self.kernel
+        self._commit("flush", ids, append_run, new_points=new)
+        level = 0
         while (
             level < self.max_levels - 1
             and len(self.levels[level]) >= self.tier_fanout
         ):
-            runs = self.levels[level]
-            tables = [table for run in runs for table in run]
-            tg, ids = concat_sorted_tables(tables)
-            kernel._fault_boundary("merge")
-            with kernel.telemetry.span(
-                "merge", engine=kernel.policy_name, level=level
-            ) as span:
-                merged = self.emit_tables(tg, ids, level=level + 1)
+            tables = [table for run in self.levels[level] for table in run]
+            tier_tg, tier_ids = concat_sorted_tables(tables)
+
+            def merge_tier() -> int:
+                merged = self.emit_tables(tier_tg, tier_ids, level=level + 1)
                 self.levels[level] = []
                 self.levels[level + 1].append(merged)
-                kernel.mark_structure_change()
-                span.set(
-                    rewritten_points=int(ids.size),
-                    tables_rewritten=len(tables),
-                    tables_written=len(merged),
-                )
-                kernel.stats.record_written(ids)
-            kernel.stats.record_event(
-                CompactionEvent(
-                    kind="merge",
-                    arrival_index=kernel.processed_points,
-                    new_points=0,
-                    rewritten_points=int(ids.size),
-                    tables_rewritten=len(tables),
-                    tables_written=len(merged),
-                )
+                return len(merged)
+
+            self._commit(
+                "merge",
+                tier_ids,
+                merge_tier,
+                level=level,
+                rewritten_points=int(tier_ids.size),
+                tables_rewritten=len(tables),
             )
             level += 1
+        yield max(new, 1)
 
     @property
     def run_count(self) -> int:
@@ -726,71 +571,50 @@ class IoTDBTwoSpace(CompactionPolicy):
     def watermark(self) -> float:
         return self._max_disk_tg
 
-    def compact_memtable(self, memtable: MemTable) -> None:
-        self.flush_memtable(memtable)
-
-    def flush_memtable(self, memtable: MemTable) -> None:
-        """Write one MemTable as a level-1 file (no merge, may overlap)."""
-        kernel = self.kernel
+    def land(self, op, memtable, unit_points):
+        """Every op writes the MemTable as one level-1 file (no merge,
+        may overlap); the background L1 -> L2 compaction it may trigger
+        rides in the same work unit."""
         tg, ids = memtable.sorted_view()
-        kernel._fault_boundary("flush")
-        with kernel.telemetry.span(
-            "flush", engine=kernel.policy_name, memtable=memtable.name
-        ) as span:
+        new = int(tg.size)
+
+        def apply() -> int:
             table = SSTable(storage=self.cold_flush_storage(tg, ids))
             self.l1_files.append(table)
             memtable.clear()
-            kernel.mark_structure_change()
             self._max_disk_tg = max(self._max_disk_tg, table.max_tg)
             self.foreground_ms += _FLUSH_SYNC_MS + self.disk.write_cost_ms(len(table))
-            span.set(new_points=int(tg.size), tables_written=1)
-            kernel.stats.record_written(ids)
-        kernel.stats.record_event(
-            CompactionEvent(
-                kind="flush",
-                arrival_index=kernel.processed_points,
-                new_points=int(tg.size),
-                rewritten_points=0,
-                tables_rewritten=0,
-                tables_written=1,
-            )
-        )
+            return 1
+
+        self._commit("flush", ids, apply, memtable=memtable.name, new_points=new)
         if len(self.l1_files) >= self.l1_file_limit:
             self._compact_l1()
+        yield max(new, 1)
 
     def _compact_l1(self) -> None:
         """Background thread: merge every L1 file into the L2 run."""
-        kernel = self.kernel
         files = self.l1_files
         tg, ids = concat_sorted_tables(files)
         region, victims, _ = stage_overlap_merge(self.l2, tg)
-        kernel._fault_boundary("merge")
-        with kernel.telemetry.span(
-            "merge", engine=kernel.policy_name, level="L1->L2"
-        ) as span:
-            merged_tg, merged_ids = merge_tables_with_batch(victims, tg, ids)
-            new_tables = self.emit_tables(merged_tg, merged_ids, level=1)
-            self.l2.replace(region, new_tables)
+        merged_tg, merged_ids = merge_tables_with_batch(victims, tg, ids)
+        consumed = len(files) + len(victims)
+
+        def apply() -> int:
+            tables = self.emit_tables(merged_tg, merged_ids, level=1)
+            self.l2.replace(region, tables)
             self.l1_files = []
-            kernel.mark_structure_change()
             self.background_ms += self.disk.write_cost_ms(
                 merged_ids.size
-            ) + self.disk.read_cost_ms(len(files) + len(victims), merged_ids.size)
-            span.set(
-                rewritten_points=int(merged_ids.size),
-                tables_rewritten=len(files) + len(victims),
-                tables_written=len(new_tables),
-            )
-            kernel.stats.record_written(merged_ids)
-        kernel.stats.record_event(
-            CompactionEvent(
-                kind="merge",
-                arrival_index=kernel.processed_points,
-                new_points=0,
-                rewritten_points=int(merged_ids.size),
-                tables_rewritten=len(files) + len(victims),
-                tables_written=len(new_tables),
-            )
+            ) + self.disk.read_cost_ms(consumed, merged_ids.size)
+            return len(tables)
+
+        self._commit(
+            "merge",
+            merged_ids,
+            apply,
+            level="L1->L2",
+            rewritten_points=int(merged_ids.size),
+            tables_rewritten=consumed,
         )
 
     def visible_tables(self) -> list[SSTable]:

@@ -2,8 +2,9 @@
 
 The placement policy calls :meth:`FlushStrategy.on_memtable_full` after
 every batch slice; ``flush_all`` calls :meth:`FlushStrategy.drain`.  The
-strategy inspects MemTable fullness and invokes the compaction policy's
-landing operations:
+strategy inspects MemTable fullness and asks the kernel to land a
+MemTable — ``kernel.land(op, memtable)``, which drains the compaction
+policy's ``land`` generator now or queues it on the scheduler:
 
 * :class:`MergeFlush` — a full ``C0`` overlap-merges into the disk
   structure (``pi_c``'s "merge the data in C0 and those in SSTables

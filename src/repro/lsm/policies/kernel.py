@@ -8,7 +8,8 @@ boundaries, checkpoint metadata — and delegates the three policy axes:
 
 * ``placement`` buffers batches into MemTables,
 * ``flush`` decides when/how MemTables move to disk,
-* ``compaction`` owns the disk structure and the landing operations.
+* ``compaction`` owns the disk structure and the one landing generator
+  (:meth:`StorageKernel.land` drains it, or queues it on the scheduler).
 
 Checkpoint state is assembled component-wise: the compaction policy and
 the placement policy each pack their own arrays under their established
@@ -24,6 +25,7 @@ import math
 import numpy as np
 
 from ...config import LsmConfig
+from ...errors import EngineError
 from ...faults.injector import FaultInjector
 from ...obs.telemetry import Telemetry
 from ..backpressure import AdmissionController
@@ -33,7 +35,7 @@ from ..pruning import TableIndex
 from ..scheduler import CompactionScheduler
 from ..sstable import SSTable
 from ..wa_tracker import WriteStats
-from .compaction import CompactionPolicy
+from .compaction import LANDING_OPS, CompactionPolicy
 from .flush import FlushStrategy
 from .placement import PlacementPolicy
 
@@ -134,18 +136,28 @@ class StorageKernel(LsmEngine):
     def land(self, op: str, memtable: MemTable) -> None:
         """Land one MemTable through ``op`` — now, or via the scheduler.
 
-        Without a scheduler this is the synchronous (stop-the-world)
-        landing path.  With one, the MemTable is *detached* — the
-        placement policy swaps in a fresh empty buffer so ingest
-        continues immediately — and queued; the scheduler lands it in
-        bounded work units paced by the token bucket.
+        Either way the work is the compaction policy's one ``land``
+        generator.  Without a scheduler it is drained on the spot with
+        an unbounded work unit (stop-the-world: the whole overlap is one
+        chunk, the MemTable stays where it is).  With one, the MemTable
+        is *detached* — the placement policy swaps in a fresh empty
+        buffer so ingest continues immediately — and the generator is
+        queued; the scheduler steps it in bounded work units paced by
+        the token bucket.
         """
+        if op not in LANDING_OPS:
+            raise EngineError(
+                f"unknown landing op {op!r}; expected one of {LANDING_OPS}"
+            )
         scheduler = self.scheduler
         if scheduler is None:
-            self.compaction.land(op, memtable)
+            for _ in self.compaction.land(op, memtable, math.inf):
+                pass
             return
         self.placement.replace_memtable(memtable)
-        scheduler.submit(op, memtable)
+        scheduler.submit(
+            memtable, self.compaction.land(op, memtable, scheduler.unit_points)
+        )
 
     def watermark(self) -> float:
         """Effective ``LAST(R).t_g``: disk watermark or any pending flush.

@@ -5,9 +5,11 @@ that filled it, so one large overlap merge stalls every writer — the
 write-stall pathology of leveled LSM-trees.  With
 ``LsmConfig.compaction_scheduler`` enabled the kernel instead *detaches*
 a full MemTable (the placement policy swaps in a fresh empty one) and
-queues a :class:`LandingTask`; the scheduler executes queued tasks as
-resumable work units of at most ``compaction_work_unit`` points, paced
-by a :class:`TokenBucket` refilled per ingested point.
+queues a :class:`LandingTask` around the compaction policy's ``land``
+generator — the same generator the stop-the-world path drains on the
+spot, created here with a work unit of ``compaction_work_unit`` points.
+The scheduler steps queued generators one work unit at a time, paced by
+a :class:`TokenBucket` refilled per ingested point.
 
 Determinism and equivalence
 ---------------------------
@@ -31,20 +33,16 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Iterator
+from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 from ..errors import EngineError
 from .memtable import MemTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .policies.compaction import CompactionPolicy
     from .policies.kernel import StorageKernel
 
 __all__ = ["TokenBucket", "LandingTask", "CompactionScheduler"]
-
-#: Landing operations a task may carry (dispatched to the compaction
-#: policy's ``compact_memtable`` / ``flush_memtable`` / ``merge_memtable``).
-LANDING_OPS = ("compact", "flush", "merge")
 
 
 class TokenBucket:
@@ -80,28 +78,17 @@ class TokenBucket:
 
 
 class LandingTask:
-    """One detached MemTable waiting to land through ``op``.
+    """One detached MemTable and the landing generator that will commit it.
 
-    The underlying generator from
-    :meth:`~repro.lsm.policies.compaction.CompactionPolicy.incremental_steps`
-    is created eagerly but runs lazily: nothing is staged until the
+    ``steps`` is
+    :meth:`~repro.lsm.policies.compaction.CompactionPolicy.land` already
+    called — a generator runs lazily, so nothing is staged until the
     first :meth:`step`.
     """
 
-    __slots__ = ("op", "memtable", "points", "max_tg", "done", "_steps")
+    __slots__ = ("memtable", "points", "max_tg", "done", "_steps")
 
-    def __init__(
-        self,
-        op: str,
-        memtable: MemTable,
-        policy: "CompactionPolicy",
-        unit_points: int,
-    ) -> None:
-        if op not in LANDING_OPS:
-            raise EngineError(
-                f"unknown landing op {op!r}; expected one of {LANDING_OPS}"
-            )
-        self.op = op
+    def __init__(self, memtable: MemTable, steps: Iterator[int]) -> None:
         self.memtable = memtable
         self.points = len(memtable)
         tg = memtable.peek_tg()
@@ -109,9 +96,7 @@ class LandingTask:
         #: to the kernel's effective watermark while it is pending.
         self.max_tg = float(tg.max()) if tg.size else -math.inf
         self.done = False
-        self._steps: Iterator[int] = policy.incremental_steps(
-            op, memtable, unit_points
-        )
+        self._steps = steps
 
     def step(self) -> int:
         """Run one work unit; return its cost in points (0 when done)."""
@@ -178,9 +163,9 @@ class CompactionScheduler:
 
     # -- submitting ------------------------------------------------------------
 
-    def submit(self, op: str, memtable: MemTable) -> None:
-        """Queue a detached MemTable for incremental landing."""
-        task = LandingTask(op, memtable, self.kernel.compaction, self.unit_points)
+    def submit(self, memtable: MemTable, steps: Iterator[int]) -> None:
+        """Queue a detached MemTable and its landing generator."""
+        task = LandingTask(memtable, steps)
         self._queue.append(task)
         self._backlog_points += task.points
         self.submitted += 1

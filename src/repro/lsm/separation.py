@@ -16,6 +16,7 @@ classification), ``separation`` flush (append ``C_seq``, phase-closing
 from __future__ import annotations
 
 from ..config import LsmConfig
+from .conventional import ConventionalEngine
 from .level import Run
 from .policies.compaction import LeveledSingleRun
 from .policies.flush import SeparationFlush
@@ -23,7 +24,7 @@ from .policies.kernel import StorageKernel
 from .policies.placement import SplitPlacement
 from .wa_tracker import WriteStats
 
-__all__ = ["SeparationEngine"]
+__all__ = ["SeparationEngine", "leveled_engine"]
 
 
 class SeparationEngine(StorageKernel):
@@ -77,3 +78,36 @@ class SeparationEngine(StorageKernel):
         # run's maximum, but stored for the recovery report / debugging.
         state["last_disk_tg"] = self.last_disk_tg
         return state
+
+
+def leveled_engine(
+    config: LsmConfig,
+    old: "ConventionalEngine | SeparationEngine | None" = None,
+    *,
+    stats: WriteStats | None = None,
+    telemetry=None,
+    faults=None,
+) -> "ConventionalEngine | SeparationEngine":
+    """``pi_s(config.seq_capacity)``, or ``pi_c`` when the config has no split.
+
+    With ``old`` — an engine being retuned or resized — the new engine
+    is its successor: ``old`` is drained (``flush_all``, the flush
+    boundary), its write statistics, on-disk run, arrival cursor and
+    fault injector carry over, and the successor takes over the WAL file
+    (the superseded handle is closed so only one writer holds it).
+    """
+    cls = SeparationEngine if config.seq_capacity is not None else ConventionalEngine
+    if old is None:
+        return cls(config, stats=stats, telemetry=telemetry, faults=faults)
+    old.flush_all()
+    engine = cls(
+        config,
+        stats=old.stats,
+        run=old.run,
+        start_id=old.ingested_points,
+        telemetry=telemetry,
+        faults=old.faults,
+    )
+    if old.wal is not None:
+        old.wal.close()
+    return engine

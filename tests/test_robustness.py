@@ -5,6 +5,7 @@ import pytest
 
 from repro import (
     AdaptiveEngine,
+    BackpressureError,
     ConventionalEngine,
     DelayAnalyzer,
     EngineError,
@@ -16,6 +17,8 @@ from repro import (
     SeparationEngine,
     Telemetry,
     TieredEngine,
+    read_wal,
+    recover_adaptive,
 )
 from repro.errors import EngineClosedError, ModelError, QueryError
 from repro.faults.crashtest import run_crash_case
@@ -58,6 +61,59 @@ class TestNonFiniteInputsRejected:
         engine.ingest(np.arange(16, dtype=np.float64))
         engine.flush_all()
         assert engine.snapshot().total_points == 16
+
+
+class TestAdaptiveRejectsBeforeLogging:
+    """A batch the adaptive engine refuses must leave no durable trace."""
+
+    def _engine(self, tmp_path, **stability):
+        config = LsmConfig(64, 64, wal_path=str(tmp_path / "adaptive.wal"))
+        return AdaptiveEngine(config.with_stability(**stability), check_interval=64)
+
+    def test_nan_arrival_time_does_not_poison_the_wal(self, tmp_path):
+        engine = self._engine(tmp_path)
+        dataset = generate_synthetic(200, 10.0, LogNormalDelay(4.0, 1.5), seed=2)
+        engine.ingest(dataset.tg[:100], dataset.ta[:100])
+        bad_ta = dataset.ta[100:].copy()
+        bad_ta[7] = np.nan
+        with pytest.raises(ModelError):
+            engine.ingest(dataset.tg[100:], bad_ta)
+        assert engine.ingested_points == 100
+        engine.wal.sync()
+        assert len(read_wal(engine.config.wal_path).records) == 1
+        report = recover_adaptive(
+            engine.config.wal_path, engine_kwargs={"check_interval": 64}
+        )
+        assert report.engine.ingested_points == 100
+        # The corrected batch is accepted verbatim.
+        engine.ingest(dataset.tg[100:], dataset.ta[100:])
+        assert engine.ingested_points == 200
+        engine.wal.sync()
+        assert len(read_wal(engine.config.wal_path).records) == 2
+        engine.flush_all()
+        engine.verify()
+
+    def test_shed_batch_is_not_logged(self, tmp_path):
+        engine = self._engine(
+            tmp_path,
+            compaction_scheduler=True,
+            compaction_tokens_per_point=0.01,
+            compaction_burst=1,
+            backpressure_throttle=128,
+            backpressure_shed=128,
+            backpressure_mode="error",
+        )
+        tg = np.arange(512, dtype=np.float64)
+        engine.ingest(tg[:256], tg[:256])  # builds up far more debt than 128
+        with pytest.raises(BackpressureError):
+            engine.ingest(tg[256:], tg[256:])
+        assert engine.ingested_points == 256
+        engine.wal.sync()
+        assert len(read_wal(engine.config.wal_path).records) == 1
+        # After the backlog drains the same batch is admitted verbatim.
+        engine.flush_all()
+        engine.ingest(tg[256:], tg[256:])
+        assert engine.ingested_points == 512
 
 
 class TestNanQueryBoundsRejected:

@@ -41,6 +41,14 @@ from repro.distributions import ExponentialDelay
 from repro.errors import EngineError, InjectedCrash
 from repro.faults import OVERLOAD_FAULT_KINDS, run_crash_case
 from repro.lsm import HEALTHY, SHEDDING, THROTTLED
+from repro.lsm.policies import (
+    LeveledSingleRun,
+    MergeFlush,
+    SeparationFlush,
+    SinglePlacement,
+    SplitPlacement,
+    StorageKernel,
+)
 from repro.obs import render_stability_report, summarize_stability
 from repro.workloads import generate_synthetic
 
@@ -281,6 +289,45 @@ def test_scheduler_matches_stop_the_world(key, tmp_path):
     assert snapshot_digest(paced.snapshot()) == snapshot_digest(baseline.snapshot())
     baseline.verify()
     paced.verify()
+
+
+class _ObservingLeveled(LeveledSingleRun):
+    """Records every landing at the moment it starts executing."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def land(self, op, memtable, unit_points):
+        self.seen.append((op, len(memtable)))
+        yield from super().land(op, memtable, unit_points)
+
+
+@pytest.mark.parametrize(
+    "placement, flush",
+    [(SinglePlacement, MergeFlush), (SplitPlacement, SeparationFlush)],
+    ids=["pi_c", "pi_s"],
+)
+def test_landing_hook_sees_every_landing_in_both_modes(placement, flush):
+    """There is one landing path: a policy subclass observing ``land``
+    sees the same ``(op, len(memtable))`` sequence paced or not."""
+    dataset = _stream(20_000, seed=23)
+    seen = {}
+    for label, config in (
+        ("stop_the_world", LsmConfig(**_SMALL)),
+        ("paced", LsmConfig(**_SMALL).with_stability(**_PACED)),
+    ):
+        compaction = _ObservingLeveled()
+        engine = StorageKernel(
+            config, placement=placement(), flush=flush(), compaction=compaction
+        )
+        for start in range(0, len(dataset), 137):
+            engine.ingest(dataset.tg[start : start + 137])
+        engine.flush_all()
+        assert len(compaction.seen) == len(engine.stats.events)
+        seen[label] = compaction.seen
+    assert len(seen["paced"]) > 300
+    assert seen["paced"] == seen["stop_the_world"]
 
 
 def test_scheduler_bounds_per_append_work():
