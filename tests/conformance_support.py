@@ -16,10 +16,11 @@ public API (constructor, ``ingest``, ``flush_all``, ``snapshot``), so
 the same code produced the fixture and verifies the refactor.
 
 ``tests/data/conformance_scheduled_golden.json`` pins the *paced* path
-the same way: the six kernel engines over the same workloads with the
-compaction scheduler on (``SCHEDULED_CONFIG``), recording the event log
-*including* its ``arrival_index`` stamps, the snapshot, the per-point
-write counters and the scheduler's lifetime counters — so a change to
+the same way: every engine over the same workloads with the compaction
+scheduler on (``SCHEDULED_CONFIG``), recording the event log *including*
+its ``arrival_index`` stamps, the snapshot, the per-point write counters
+and the scheduler's lifetime counters (the adaptive engine: its switch
+log instead — a policy switch starts a fresh scheduler) — so a change to
 the unit structure of a scheduled landing (which moves token-bucket
 pacing, and with it the stamps) fails here.
 
@@ -95,9 +96,8 @@ ENGINE_FACTORIES = {
     ),
 }
 
-#: The kernel engines (everything but the adaptive wrapper) — the set
-#: the scheduled fixture covers.
-SCHEDULED_ENGINES = tuple(key for key in ENGINE_FACTORIES if key != "adaptive")
+#: The set the scheduled fixture covers.
+SCHEDULED_ENGINES = tuple(ENGINE_FACTORIES)
 
 #: Read-path conformance set: every first-class engine above plus two
 #: composed triples no monolithic engine implements (separation-style
@@ -228,16 +228,20 @@ def profile_scheduled(engine_key: str, workload: str) -> dict:
     landings: what landed, *when* (event stamps), and the unit counts."""
     engine = ENGINE_FACTORIES[engine_key](None, SCHEDULED_CONFIG)
     _drive(engine, workload)
+    profile = _accounting_profile(engine)
+    if isinstance(engine, AdaptiveEngine):
+        # A switch starts a fresh scheduler, so lifetime counters would
+        # describe only the last policy; where it switched is pinned.
+        profile["switches"] = [[int(i), label] for i, label in engine.switch_log]
+        return profile
     scheduler = engine.scheduler
-    return {
-        **_accounting_profile(engine),
-        "scheduler": {
-            "submitted": scheduler.submitted,
-            "completed": scheduler.completed,
-            "total_work_points": scheduler.total_work_points,
-            "max_batch_work_points": scheduler.max_batch_work_points,
-        },
+    profile["scheduler"] = {
+        "submitted": scheduler.submitted,
+        "completed": scheduler.completed,
+        "total_work_points": scheduler.total_work_points,
+        "max_batch_work_points": scheduler.max_batch_work_points,
     }
+    return profile
 
 
 def _build(profile, engine_keys) -> dict:

@@ -148,3 +148,75 @@ class TestZetaNumerics:
         tight = zeta(dist, 10.0, 256, ModelConfig(term_tolerance=1e-5))
         assert tight >= loose
         assert tight == pytest.approx(loose, rel=0.05)
+
+
+#: ``float.hex()`` of the scalar ``zeta(n)`` for ``n`` in ``_PINNED_NS``,
+#: recorded before the scalar and batch evaluators were merged.  Exact
+#: bits, not a tolerance: ``zeta_batch`` promises results bit-identical
+#: to a sequence of ``zeta`` calls, and Algorithm 1's argmin moves if
+#: the sums drift.
+_PINNED_NS = (1, 64, 512, 4096, 333_333)
+_PINNED_ZETA = {
+    ("lognormal(5,2)", 1.0): (
+        "0x1.c3412afef7842p+9",
+        "0x1.9339d927f9915p+14",
+        "0x1.61947a8efb0afp+16",
+        "0x1.041a19482c5d6p+18",
+        "0x1.a1fb27ecb39d9p+20",
+    ),
+    ("lognormal(5,2)", 50.0): (
+        "0x1.1d0aeceb49afdp+4",
+        "0x1.e6d1aae69816ep+8",
+        "0x1.8c3e5044019ecp+10",
+        "0x1.dc89a1166b1d1p+11",
+        "0x1.cbe80805482bcp+12",
+    ),
+    ("lognormal(4,1.5)", 1.0): (
+        "0x1.da68d14c5aa5cp+6",
+        "0x1.156ab6699484ap+11",
+        "0x1.6f1faa7095235p+12",
+        "0x1.825dac90662a0p+13",
+        "0x1.45cd60a675530p+14",
+    ),
+    ("lognormal(4,1.5)", 50.0): (
+        "0x1.138233bc61fa4p+1",
+        "0x1.8fbde552c9de5p+4",
+        "0x1.1c2af150d9aa1p+5",
+        "0x1.2a442ede2d076p+5",
+        "0x1.2b0fcb98e4637p+5",
+    ),
+    ("exponential(200)", 1.0): (
+        "0x1.8ef7a70991d80p+6",
+        "0x1.68ad323cad767p+9",
+        "0x1.e05f224c54a47p+9",
+        "0x1.e85e4ed6a6666p+9",
+        "0x1.e85e8eff95e73p+9",
+    ),
+    ("exponential(200)", 50.0): (
+        "0x1.c2a33b2d412dep+0",
+        "0x1.3ee299617043fp+2",
+        "0x1.3ee2b2b811ef8p+2",
+        "0x1.3ee2b6145d0fcp+2",
+        "0x1.3ee2b67846674p+2",
+    ),
+}
+_PINNED_LAWS = {
+    "lognormal(5,2)": LogNormalDelay(5.0, 2.0),
+    "lognormal(4,1.5)": LogNormalDelay(4.0, 1.5),
+    "exponential(200)": ExponentialDelay(200.0),
+}
+
+
+@pytest.mark.parametrize("law,dt", sorted(_PINNED_ZETA))
+class TestZetaPinnedBits:
+    def test_scalar_sequence(self, law, dt):
+        model = ZetaModel(_PINNED_LAWS[law], dt)
+        got = tuple(model.zeta(n).hex() for n in _PINNED_NS)
+        assert got == _PINNED_ZETA[law, dt]
+
+    def test_batch(self, law, dt):
+        model = ZetaModel(_PINNED_LAWS[law], dt)
+        got = tuple(float(v).hex() for v in model.zeta_batch(_PINNED_NS))
+        assert got == _PINNED_ZETA[law, dt]
+        # ...and the batch left every value cached for scalar callers.
+        assert tuple(model.zeta(n).hex() for n in _PINNED_NS) == got

@@ -7,15 +7,17 @@ Four layers of guarantees:
   event logs, telemetry totals and snapshot content recorded from the
   pre-refactor monolithic implementations
   (``tests/data/conformance_golden.json``).
-* **Scheduled fixture** — the six kernel engines with the compaction
-  scheduler pacing their landings reproduce the recorded event log
+* **Scheduled fixture** — every engine with the compaction scheduler
+  pacing its landings reproduces the recorded event log
   (``arrival_index`` stamps included), snapshot, write counters and
-  scheduler unit counts (``tests/data/conformance_scheduled_golden.json``).
+  scheduler unit counts — the adaptive engine: its switch log
+  (``tests/data/conformance_scheduled_golden.json``).
 * **Roundtrip + crash recovery** — every registered engine *and* novel
   ``compose_engine`` combinations survive checkpoint/restore with equal
   WA and snapshots, and recover losslessly from an injected crash.
 * **Legacy checkpoints** — checkpoint files written by the pre-refactor
-  engines (``tests/data/legacy_checkpoints/``) still restore.
+  engines, and by the adaptive engine while it still wrapped an inner
+  engine (``tests/data/legacy_checkpoints/``), still restore.
 """
 
 from __future__ import annotations
@@ -299,6 +301,7 @@ class TestLegacyCheckpoints:
             "iotdb_separation",
             "multilevel",
             "tiered",
+            "adaptive",
         ],
     )
     def test_legacy_checkpoint_restores(self, key, manifest):
@@ -315,7 +318,15 @@ class TestLegacyCheckpoints:
         assert snap.memory_points == expected["memory_points"]
         engine.verify()
         # The restored engine keeps working under the policy kernel.
-        engine.ingest(np.linspace(1e9, 1e9 + 500.0, 200))
+        tail = np.linspace(1e9, 1e9 + 500.0, 200)
+        if key == "adaptive":
+            # Recorded mid-stream: after a switch, points still buffered.
+            assert engine.current_policy == expected["current_policy"]
+            assert [list(s) for s in engine.switch_log] == expected["switch_log"]
+            assert len(engine.decision_log) == expected["decisions"]
+            engine.ingest(tail, tail + 1.0)
+        else:
+            engine.ingest(tail)
         engine.flush_all()
         engine.verify()
 
