@@ -78,30 +78,24 @@ class ZetaModel:
         rounded to the nearest integer; ``zeta`` varies smoothly on the
         scales where that matters.
         """
-        if not math.isfinite(n):
-            raise ModelError(f"n must be finite, got {n}")
-        if n < 1:
-            return 0.0
-        key = int(round(n))
-        if key not in self._cache:
-            self._cache[key] = self._compute(key)
-        return self._cache[key]
+        return float(self.zeta_batch((n,))[0])
 
     def __call__(self, n: float) -> float:
         return self.zeta(n)
 
     def zeta_batch(self, ns) -> np.ndarray:
-        """Evaluate ``zeta`` for many buffer sizes in one shared pass.
+        """Evaluate ``zeta`` for many buffer sizes in one shared pass —
+        the one evaluator; :meth:`zeta` is a batch of one.
 
         Uncached sizes that share an ``i_dense`` are streamed together:
-        the log-CDF blocks — the dominant cost of :meth:`zeta` — are
-        computed once up to the largest cap instead of once per size.
-        Block boundaries, prefix rows and the saturation fill replicate
-        the sequential :meth:`zeta` arithmetic exactly, and the tail
-        integrals run in first-seen order so the integrated-log-CDF
-        table evolves identically — every returned value is
-        bit-identical to what a sequence of :meth:`zeta` calls yields,
-        and every value is cached for later scalar calls.
+        the log-CDF blocks — the dominant cost — are computed once up to
+        the largest cap instead of once per size.  The prefix row at any
+        ``m`` does not depend on how far the stream runs past it, and
+        the tail integrals run in first-seen order so the
+        integrated-log-CDF table grows the same way — every returned
+        value is bit-identical to what a sequence of :meth:`zeta` calls
+        yields (``tests/test_core_zeta.py`` pins the bits), and every
+        value is cached for later calls.
         """
         keys: list[int] = []
         for n in ns:
@@ -157,14 +151,6 @@ class ZetaModel:
         self._radius_cache[n] = radius
         return radius
 
-    def _compute(self, n: int) -> float:
-        i_bound = self._term_bound_radius(n)
-        i_dense = min(self.config.dense_terms, i_bound)
-        total = self._dense_sum(n, i_dense)
-        if i_bound > i_dense:
-            total += self._tail_integral(n, i_dense, i_bound)
-        return float(total)
-
     def _saturation_index(self) -> int:
         """Smallest ``m`` beyond which ``log F(m*dt + x) ~ 0`` for every node.
 
@@ -180,51 +166,20 @@ class ZetaModel:
             self._m_sat = max(int(math.ceil(horizon / self.dt)) + 2, 2)
         return self._m_sat
 
-    def _dense_sum(self, n: int, i_dense: int) -> float:
-        """Exact sum of terms ``i = 0 .. i_dense`` via streamed prefix sums."""
-        nodes = self._x_nodes
-        k = nodes.size
-        total_m = n + i_dense
-        cap = min(total_m, self._saturation_index() + i_dense)
-        # prefix rows C[m] for m in [0, i_dense] and [n, n + i_dense];
-        # rows beyond the saturation cap equal the last computed prefix.
-        lo_rows = np.zeros((i_dense + 1, k))
-        hi_rows = np.zeros((i_dense + 1, k))
-        hi_filled = np.zeros(i_dense + 1, dtype=bool)
-        running = np.zeros(k)
-        block = 8192
-        for start in range(1, cap + 1, block):
-            ms = np.arange(start, min(start + block, cap + 1), dtype=np.float64)
-            log_f = self._log_cdf(ms[:, None] * self.dt + nodes[None, :])
-            cumulative = running[None, :] + np.cumsum(log_f, axis=0)
-            m_int = ms.astype(np.int64)
-            lo_mask = m_int <= i_dense
-            if np.any(lo_mask):
-                lo_rows[m_int[lo_mask]] = cumulative[lo_mask]
-            hi_mask = (m_int >= n) & (m_int <= n + i_dense)
-            if np.any(hi_mask):
-                hi_rows[m_int[hi_mask] - n] = cumulative[hi_mask]
-                hi_filled[m_int[hi_mask] - n] = True
-            running = cumulative[-1]
-        if cap < total_m:
-            # Saturated region: C[m] == C[cap] for every m in (cap, total_m].
-            hi_rows[~hi_filled] = running
-        diffs = hi_rows - lo_rows
-        terms = 1.0 - np.exp(diffs).mean(axis=1)
-        return float(np.clip(terms, 0.0, None).sum())
-
     def _dense_sum_batch(
         self, group: list[int], i_dense: int
     ) -> dict[int, float]:
         """Dense sums for many ``n`` sharing ``i_dense``, one log-CDF stream.
 
-        The stream runs once to the largest per-``n`` cap; each ``n``
-        harvests its own prefix rows from the shared cumulative blocks.
-        Because every sequential :meth:`_dense_sum` uses the same block
-        partition (start 1, width 8192), the prefix row at any ``m`` is
-        bit-identical however far the stream continues past it, and
-        saturated rows are filled with the shared prefix at the
-        saturation cap — exactly the row the sequential path stops on.
+        Exact sum of terms ``i = 0 .. i_dense`` via streamed prefix
+        sums.  The stream runs once to the largest per-``n`` cap; each
+        ``n`` harvests its own prefix rows ``C[m]``, ``m`` in
+        ``[n, n + i_dense]``, from the shared cumulative blocks.  The
+        block partition is fixed (start 1, width 8192), so the prefix
+        row at any ``m`` is bit-identical however far the stream
+        continues past it — a size evaluated alone and in a group gets
+        the same bits — and rows past the saturation cap are filled
+        with the prefix at the cap.
         """
         nodes = self._x_nodes
         k = nodes.size

@@ -29,7 +29,7 @@ from ..lsm.adaptive import AdaptiveEngine
 from ..lsm.conventional import ConventionalEngine
 from ..lsm.iotdb_style import IoTDBStyleEngine
 from ..lsm.multilevel import MultiLevelEngine
-from ..lsm.recovery import RecoveryReport, recover_adaptive, recover_engine
+from ..lsm.recovery import RecoveryReport, recover_engine
 from ..lsm.separation import SeparationEngine
 from ..lsm.tiered import TieredEngine
 from ..workloads.synthetic import generate_synthetic
@@ -318,24 +318,18 @@ def run_crash_case(
 
     # -- recover ---------------------------------------------------------------
     try:
-        if adaptive:
-            report = recover_adaptive(
-                wal_path,
-                config=config,
-                engine_kwargs=_ENGINE_KWARGS[engine],
-                telemetry=telemetry,
-            )
-        else:
-            report = recover_engine(
-                _ENGINE_CLASSES[engine],
-                wal_path,
-                checkpoint_path=(
-                    checkpoint_path if os.path.exists(checkpoint_path) else None
-                ),
-                config=config,
-                engine_kwargs=_ENGINE_KWARGS[engine],
-                telemetry=telemetry,
-            )
+        # The adaptive engine never took a checkpoint above (its analyzer
+        # is not durable), so for it this is a whole-WAL replay.
+        report = recover_engine(
+            _ENGINE_CLASSES[engine],
+            wal_path,
+            checkpoint_path=(
+                checkpoint_path if os.path.exists(checkpoint_path) else None
+            ),
+            config=config,
+            engine_kwargs=_ENGINE_KWARGS[engine],
+            telemetry=telemetry,
+        )
     except Exception as exc:  # recovery must never fail a case silently
         result.error = f"recovery failed: {exc!r}"
         return result

@@ -149,8 +149,8 @@ class FaultInjector:
 
     One injector instance is shared by everything belonging to one
     logical engine (the engine itself, its WAL, its checkpoints, and —
-    for :class:`~repro.lsm.AdaptiveEngine` — every inner engine across
-    policy switches), so trigger counts survive internal reconstruction.
+    when a database retunes a series — every successor engine), so
+    trigger counts survive an engine replacement.
     """
 
     plan: FaultPlan = field(default_factory=FaultPlan)

@@ -6,25 +6,31 @@ writing.  If it finds that the distribution of delays changes, it would
 trigger the Separation Policy Tuning Algorithm (Algorithm 1) to update
 the policy."
 
-The engine is a first-class :class:`~repro.lsm.base.LsmEngine` wrapping
-a live :class:`ConventionalEngine` or :class:`SeparationEngine`; on a
-switch the current buffers are flushed, the on-disk run and the write
-statistics carry over, and ingestion continues under the new policy.
-Because the analyzer needs delays, this engine ingests *(generation,
-arrival)* pairs rather than bare generation times — its WAL records
-carry both so recovery can replay through the analyzer.
+That is *one* storage system changing its ``C_seq``/``C_nonseq`` split,
+and so is this engine: a :class:`~repro.lsm.policies.kernel.StorageKernel`
+over one leveled run that, on a switch, drains its buffers
+(``flush_all``) and re-binds its MemTable layout in place
+(:meth:`StorageKernel.rebind`) — ``single`` placement + ``merge`` flush
+for ``pi_c``, ``split`` + ``separation`` for ``pi_s(n_seq)``.  The run,
+write statistics, cursors, WAL and fault injector are the engine's own
+and simply stay.  Because the analyzer needs delays, this engine ingests
+*(generation, arrival)* pairs rather than bare generation times — its
+WAL records carry both so recovery can replay through the analyzer.
 
-Checkpoints serialise the wrapper (decision/switch logs, retune cursor)
-plus the inner engine component-wise, so by-name restore through
-``LsmEngine.restore`` revives the exact storage state.  The analyzer's
-reservoir is deliberately *not* durable: a restored engine re-learns the
-delay distribution, which only affects future retune timing, never the
-recovered data or accounting.
+The instance's ``policy_name`` follows the policy in force (``pi_c`` /
+``pi_s``), which is what its telemetry spans are labelled with; the
+class attribute stays ``pi_adaptive``.
+
+Checkpoints add the decision/switch logs and the retune cursor to the
+kernel's component-wise state.  The analyzer's reservoir is deliberately
+*not* durable: a restored engine re-learns the delay distribution, which
+only affects future retune timing, never the recovered data or
+accounting — and is why crash recovery replays the whole WAL instead of
+starting from a checkpoint (:func:`repro.lsm.recovery.recover_adaptive`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 
 import numpy as np
@@ -32,20 +38,22 @@ import numpy as np
 from ..config import LsmConfig
 from ..core.analyzer import DelayAnalyzer
 from ..core.tuning import SEPARATION, PolicyDecision
-from ..errors import EngineError, ModelError
+from ..errors import EngineError, ModelError, RecoveryError
 from ..faults.injector import FaultInjector
 from ..obs.telemetry import Telemetry
-from .base import LsmEngine, Snapshot
-from .conventional import ConventionalEngine
-from .separation import SeparationEngine, leveled_engine
+from .policies.compaction import LeveledSingleRun
+from .policies.flush import MergeFlush, SeparationFlush
+from .policies.kernel import StorageKernel
+from .policies.placement import SinglePlacement, SplitPlacement
 from .wa_tracker import WriteStats
+from .wal import WalRecord
 
 __all__ = ["AdaptiveEngine"]
 
 logger = logging.getLogger(__name__)
 
 
-class AdaptiveEngine(LsmEngine):
+class AdaptiveEngine(StorageKernel):
     """LSM engine that re-tunes its buffering policy as delays drift."""
 
     policy_name = "pi_adaptive"
@@ -62,12 +70,17 @@ class AdaptiveEngine(LsmEngine):
     ) -> None:
         if check_interval < 1:
             raise EngineError(f"check_interval must be >= 1, got {check_interval}")
+        # Section V-B initialises with pi_c, whatever split was handed in.
         super().__init__(
-            config if config is not None else LsmConfig(),
-            stats,
+            (config if config is not None else LsmConfig()).with_seq_capacity(None),
+            placement=SinglePlacement(),
+            flush=MergeFlush(),
+            compaction=LeveledSingleRun(),
+            stats=stats,
             telemetry=telemetry,
             faults=faults,
         )
+        self.policy_name = "pi_c"
         self.analyzer = (
             analyzer
             if analyzer is not None
@@ -78,14 +91,6 @@ class AdaptiveEngine(LsmEngine):
         )
         self.check_interval = check_interval
         self.min_seq_change = min_seq_change
-        #: Inner engines get a durability-stripped config: the WAL and
-        #: fault injector live on the wrapper (the kernel base) — WAL
-        #: records must carry (tg, ta) pairs, and the shared injector's
-        #: trigger counts must survive policy switches.
-        self._inner_config = dataclasses.replace(
-            self.config, wal_path=None, fault_plan=None
-        )
-        self._engine: ConventionalEngine | SeparationEngine = self._build_inner(None)
         self._since_check = 0
         #: ``(arrival_index, PolicyDecision)`` for every retune performed.
         self.decision_log: list[tuple[int, PolicyDecision]] = []
@@ -107,9 +112,9 @@ class AdaptiveEngine(LsmEngine):
         # Everything that can reject the batch has run before it becomes
         # durable: a logged batch the analyzer or admission then refused
         # would fail again on every replay of the WAL.
-        self._engine._admit_batch(tg.size)
+        self._admit_batch(tg.size)
         if self._wal is not None:
-            self._wal.append(tg, start_id=self.ingested_points, ta=ta)
+            self._wal.append(tg, start_id=self._next_id, ta=ta)
         self._ingest_pairs(tg, ta)
 
     def _ingest_pairs(self, tg: np.ndarray, ta: np.ndarray) -> None:
@@ -118,30 +123,21 @@ class AdaptiveEngine(LsmEngine):
         while pos < tg.size:
             take = min(self.check_interval - self._since_check, tg.size - pos)
             chunk_tg = tg[pos : pos + take]
-            chunk_ta = ta[pos : pos + take]
-            self.analyzer.observe(chunk_tg, chunk_ta)
-            self._engine._ingest_validated(chunk_tg)
+            self.analyzer.observe(chunk_tg, ta[pos : pos + take])
+            self._ingest_validated(chunk_tg)
             self._since_check += take
             pos += take
             if self._since_check >= self.check_interval:
                 self._since_check = 0
                 self._maybe_retune()
-        # Keep the wrapper's cursors in lockstep with the inner engine so
-        # checkpoint metadata and WAL framing stay consistent.
-        self._next_id = self._engine.ingested_points
-        self._arrival_cursor = self._engine.processed_points
 
-    def _ingest_batch(self, tg: np.ndarray, ids: np.ndarray) -> None:
-        raise EngineError(
-            "pi_adaptive ingests (tg, ta) pairs; call ingest(tg, ta)"
-        )
-
-    def _flush_buffers(self) -> None:
-        self._engine.flush_all()
-
-    def verify(self) -> None:
-        """Run the crash-consistency invariants over the active engine."""
-        self._engine.verify()
+    def _replay(self, record: WalRecord) -> None:
+        if record.ta is None:
+            raise RecoveryError(
+                f"WAL record at id {record.start_id} lacks arrival times; "
+                "an adaptive WAL must carry (tg, ta) pairs"
+            )
+        self._ingest_pairs(record.tg, record.ta)
 
     # -- retuning ---------------------------------------------------------------
 
@@ -166,102 +162,53 @@ class AdaptiveEngine(LsmEngine):
             self._switch(decision)
 
     def _needs_switch(self, decision: PolicyDecision) -> bool:
-        current_is_separation = isinstance(self._engine, SeparationEngine)
-        if (decision.policy == SEPARATION) != current_is_separation:
+        current = self.config.seq_capacity
+        if (decision.policy == SEPARATION) != (current is not None):
             return True
-        if not current_is_separation:
+        if current is None:
             return False
-        current = self._engine.seq_capacity
         target = decision.seq_capacity
         return abs(target - current) > self.min_seq_change * self.config.memory_budget
 
     def _switch(self, decision: PolicyDecision) -> None:
-        old = self._engine
-        self._engine = self._build_inner(
-            decision.seq_capacity if decision.policy == SEPARATION else None, old
+        self.flush_all()
+        self._bind_split(
+            decision.seq_capacity if decision.policy == SEPARATION else None
         )
         logger.info(
             "pi_adaptive switch at arrival %d: -> %s",
-            old.ingested_points,
+            self.ingested_points,
             self.current_policy,
         )
-        self.switch_log.append((old.ingested_points, self.current_policy))
+        self.switch_log.append((self.ingested_points, self.current_policy))
         if self.telemetry.enabled:
             self.telemetry.emit(
                 {
                     "type": "adaptive.switch",
-                    "arrival_index": old.ingested_points,
+                    "arrival_index": self.ingested_points,
                     "policy": self.current_policy,
                 }
             )
             self.telemetry.count("adaptive.switches")
 
-    def _build_inner(
-        self, seq_capacity: int | None, old=None
-    ) -> ConventionalEngine | SeparationEngine:
-        """``pi_s(seq_capacity)`` (``pi_c`` for ``None``) sharing the
-        wrapper's stats, telemetry and injector — fresh, or draining
-        and continuing from the inner engine ``old``."""
-        return leveled_engine(
-            self._inner_config.with_seq_capacity(seq_capacity),
-            old,
-            stats=self.stats,
-            telemetry=self.telemetry,
-            faults=self.faults,
+    def _bind_split(self, seq_capacity: int | None) -> None:
+        """Re-bind the drained kernel as ``pi_s(seq_capacity)`` (``pi_c``
+        for ``None``); ``config.seq_capacity`` is the live split."""
+        split = seq_capacity is not None
+        self.rebind(
+            self.config.with_seq_capacity(seq_capacity),
+            SplitPlacement() if split else SinglePlacement(),
+            SeparationFlush() if split else MergeFlush(),
         )
-
-    # -- views ---------------------------------------------------------------------
+        self.policy_name = "pi_s" if split else "pi_c"
 
     @property
     def current_policy(self) -> str:
         """Label of the policy currently in force."""
-        if isinstance(self._engine, SeparationEngine):
-            return f"pi_s(n_seq={self._engine.seq_capacity})"
-        return "pi_c"
-
-    @property
-    def ingested_points(self) -> int:
-        """Total points ingested across all policies."""
-        return self._engine.ingested_points
-
-    @property
-    def processed_points(self) -> int:
-        """Points actually placed in MemTables by the active engine."""
-        return self._engine.processed_points
-
-    def snapshot(self) -> Snapshot:
-        """Read view of the active engine."""
-        return self._engine.snapshot()
-
-    # -- cold tier (delegated to the active engine) ----------------------------
-
-    def convert_cold(
-        self, max_tg: float | None = None, block_size: int | None = None
-    ) -> int:
-        """Convert the active engine's settled tables to columnar."""
-        return self._engine.convert_cold(max_tg=max_tg, block_size=block_size)
-
-    def cold_tier_bytes(self) -> int:
-        """Resident block-statistics bytes of the active engine."""
-        return self._engine.cold_tier_bytes()
-
-    @property
-    def cold_tables_converted(self) -> int:
-        """Tables the active engine has converted to the cold format."""
-        return self._engine.cold_tables_converted
-
-    def _sorted_table_groups(self):
-        return self._engine._sorted_table_groups()
-
-    def _loose_tables(self):
-        return self._engine._loose_tables()
+        n_seq = self.config.seq_capacity
+        return "pi_c" if n_seq is None else f"pi_s(n_seq={n_seq})"
 
     # -- durability hooks ------------------------------------------------------
-
-    def _prepare_checkpoint(self) -> None:
-        # The wrapper packs the inner kernel component-wise, so the
-        # inner scheduler must quiesce before anything is serialised.
-        self._engine._prepare_checkpoint()
 
     def _checkpoint_kwargs(self) -> dict:
         return {
@@ -270,15 +217,16 @@ class AdaptiveEngine(LsmEngine):
         }
 
     def _checkpoint_state(self, arrays) -> dict:
-        inner = self._engine
-        separation = isinstance(inner, SeparationEngine)
+        n_seq = self.config.seq_capacity
         return {
+            # Nested because checkpoints taken while this engine wrapped
+            # an inner engine are laid out so, and must keep restoring.
             "inner": {
-                "policy": "separation" if separation else "conventional",
-                "seq_capacity": inner.seq_capacity if separation else None,
-                "next_id": inner._next_id,
-                "arrival_cursor": inner._arrival_cursor,
-                "state": inner._checkpoint_state(arrays),
+                "policy": "conventional" if n_seq is None else "separation",
+                "seq_capacity": n_seq,
+                "next_id": self._next_id,
+                "arrival_cursor": self._arrival_cursor,
+                "state": super()._checkpoint_state(arrays),
             },
             "since_check": self._since_check,
             "decision_log": [
@@ -289,12 +237,8 @@ class AdaptiveEngine(LsmEngine):
         }
 
     def _restore_state(self, state: dict, arrays) -> None:
-        inner_meta = state["inner"]
-        inner = self._build_inner(inner_meta["seq_capacity"])
-        inner._next_id = int(inner_meta["next_id"])
-        inner._arrival_cursor = int(inner_meta["arrival_cursor"])
-        inner._restore_state(inner_meta["state"], arrays)
-        self._engine = inner
+        self._bind_split(state["inner"]["seq_capacity"])
+        super()._restore_state(state["inner"]["state"], arrays)
         self._since_check = int(state["since_check"])
         self.decision_log = [
             (int(index), _decode_decision(encoded))

@@ -1,4 +1,11 @@
-"""Engine interface, read snapshots, and the durability contract.
+"""The engine's durable-ingest half, read snapshots, and the durability contract.
+
+:class:`LsmEngine` is one half of the single engine implementation;
+:class:`~repro.lsm.policies.kernel.StorageKernel` (policies, landing,
+read path) is the other and its only subclass.  They stay two classes in
+two modules because they are two layers — what happens to a batch before
+it may touch a MemTable, and what happens after — not because anything
+else implements either.
 
 An engine consumes a stream of generation times *in arrival order* and
 maintains simulated disk state (a :class:`~repro.lsm.level.Run` per level)
@@ -27,7 +34,6 @@ Durability (all opt-in, one branch on the hot path when off):
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -49,7 +55,7 @@ from ..obs.telemetry import Telemetry, build_telemetry
 from .memtable import EMPTY_IDS
 from .sstable import SSTable
 from .wa_tracker import WriteStats
-from .wal import WriteAheadLog
+from .wal import WalRecord, WriteAheadLog
 
 __all__ = ["LsmEngine", "Snapshot", "MemTableView"]
 
@@ -140,8 +146,18 @@ def validate_generation_times(tg: np.ndarray) -> np.ndarray:
     return arr
 
 
-class LsmEngine(abc.ABC):
-    """Abstract LSM storage engine with write accounting."""
+class LsmEngine:
+    """The durable-ingest half of the one engine implementation.
+
+    Owns what every engine does the same way: validation, admission and
+    WAL framing before placement, id assignment and write accounting,
+    fault boundaries, checkpoint metadata, by-name restore, ``verify``.
+    :class:`~repro.lsm.policies.kernel.StorageKernel` is the other half
+    — policies, landing, read path — and the only subclass; the hooks
+    called here (``_admit_batch``, ``_ingest_batch``, ``_flush_buffers``,
+    ``_prepare_checkpoint``, ``_checkpoint_state``, ``_restore_state``,
+    ``snapshot``) are its methods, not an extension point.
+    """
 
     #: Short policy label used in reports (``pi_c``, ``pi_s``...).
     policy_name: str = "abstract"
@@ -167,8 +183,8 @@ class LsmEngine(abc.ABC):
             self.stats.bind_telemetry(self.telemetry)
         #: Fault injector for this engine's write path; ``None`` (the
         #: default without a ``fault_plan``) keeps injection absent.
-        #: Passed explicitly by wrappers (``AdaptiveEngine``) so trigger
-        #: counts survive inner-engine reconstruction.
+        #: Passed explicitly to a successor engine (``leveled_engine``)
+        #: so trigger counts survive the replacement.
         if faults is not None:
             self.faults = faults
         elif config.fault_plan is not None:
@@ -214,15 +230,6 @@ class LsmEngine(abc.ABC):
             self._wal.append(arr, start_id=self._next_id)
         self._ingest_validated(arr)
 
-    def _admit_batch(self, count: int) -> None:
-        """Admission hook fired before the batch becomes durable.
-
-        The base engine admits everything; kernels with backpressure
-        enabled override this to throttle or shed *before* the WAL
-        append, so a rejected batch leaves no durable trace and can be
-        retried verbatim.
-        """
-
     def _validate_batch(self, tg: np.ndarray) -> np.ndarray:
         if self._closed:
             raise EngineClosedError(f"{self.policy_name}: engine is closed")
@@ -248,9 +255,9 @@ class LsmEngine(abc.ABC):
         else:
             self._ingest_batch(arr, ids)
 
-    @abc.abstractmethod
-    def _ingest_batch(self, tg: np.ndarray, ids: np.ndarray) -> None:
-        """Policy-specific ingestion of an id-assigned batch."""
+    def _replay(self, record: WalRecord) -> None:
+        """Re-ingest one durable WAL record (recovery's only entry)."""
+        self._ingest_validated(record.tg)
 
     def flush_all(self) -> None:
         """Persist any buffered points (end-of-workload drain).
@@ -260,10 +267,6 @@ class LsmEngine(abc.ABC):
         """
         self._ensure_open()
         self._flush_buffers()
-
-    @abc.abstractmethod
-    def _flush_buffers(self) -> None:
-        """Policy-specific drain of every MemTable."""
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -433,14 +436,6 @@ class LsmEngine(abc.ABC):
         engine._restore_state(meta["state"], arrays)
         return engine
 
-    def _prepare_checkpoint(self) -> None:
-        """Bring the engine to a checkpointable quiescent state.
-
-        Runs *before* any state is packed.  Kernels with an incremental
-        scheduler drain their queue here — a checkpoint is a sync point,
-        so packed MemTables/runs always describe settled state.
-        """
-
     def _checkpoint_kwargs(self) -> dict:
         """Extra JSON-able constructor kwargs (size ratios, fanouts...)."""
         return {}
@@ -449,14 +444,6 @@ class LsmEngine(abc.ABC):
     def _decode_kwargs(cls, kwargs: dict) -> dict:
         """Turn stored constructor kwargs back into live arguments."""
         return dict(kwargs)
-
-    @abc.abstractmethod
-    def _checkpoint_state(self, arrays: dict[str, np.ndarray]) -> dict:
-        """Pack policy-specific state into ``arrays``; return its meta."""
-
-    @abc.abstractmethod
-    def _restore_state(self, state: dict, arrays: dict[str, np.ndarray]) -> None:
-        """Rebuild policy-specific state packed by :meth:`_checkpoint_state`."""
 
     # -- invariants --------------------------------------------------------------
 
@@ -471,19 +458,7 @@ class LsmEngine(abc.ABC):
 
         InvariantChecker(self).verify()
 
-    def _sorted_table_groups(self) -> list[tuple[str, list[SSTable]]]:
-        """Named table groups that must be sorted *and* non-overlapping."""
-        return []
-
-    def _loose_tables(self) -> list[SSTable]:
-        """Tables that may overlap each other (internal sort still holds)."""
-        return []
-
-    # -- reading ---------------------------------------------------------------
-
-    @abc.abstractmethod
-    def snapshot(self) -> Snapshot:
-        """Frozen view of the current state for the query layer."""
+    # -- cursors and views -----------------------------------------------------
 
     @property
     def ingested_points(self) -> int:

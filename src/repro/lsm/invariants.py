@@ -52,7 +52,8 @@ class InvariantChecker:
 
     def check_structure(self) -> None:
         """Sorted non-overlapping runs; internally sorted loose tables."""
-        for name, tables in self.engine._sorted_table_groups():
+        compaction = self.engine.compaction
+        for name, tables in compaction.sorted_table_groups():
             for table in tables:
                 self._check_table_sorted(name, table)
             for left, right in zip(tables, tables[1:]):
@@ -61,7 +62,7 @@ class InvariantChecker:
                         f"{self._tag()}: group {name!r} overlaps: "
                         f"{left!r} vs {right!r}"
                     )
-        for table in self.engine._loose_tables():
+        for table in compaction.loose_tables():
             self._check_table_sorted("loose", table)
 
     def check_conservation(self) -> None:

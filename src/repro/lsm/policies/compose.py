@@ -194,11 +194,9 @@ def compose_engine(
     )
 
 
-def describe_composition(engine) -> dict[str, str]:
+def describe_composition(engine: StorageKernel) -> dict[str, str]:
     """Policy-triple labels for any engine instance."""
-    if isinstance(engine, StorageKernel):
-        return engine.describe_policies()
-    return {"placement": "-", "flush": "-", "compaction": "-"}
+    return engine.describe_policies()
 
 
 def engine_compositions() -> list[dict[str, str]]:

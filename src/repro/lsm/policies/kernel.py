@@ -11,6 +11,15 @@ boundaries, checkpoint metadata — and delegates the three policy axes:
 * ``compaction`` owns the disk structure and the one landing generator
   (:meth:`StorageKernel.land` drains it, or queues it on the scheduler).
 
+The compaction policy — the disk structure — is bound for the kernel's
+life.  The MemTable layout (placement + flush, and the scheduler and
+admission controller sized from the same config) is bound through
+:meth:`StorageKernel.rebind`: once by the constructor, and again by an
+engine that re-divides its write memory while running
+(:class:`~repro.lsm.adaptive.AdaptiveEngine`), on a drained kernel.
+Every registered engine class is a :class:`StorageKernel`; there is no
+other implementor of :class:`~repro.lsm.base.LsmEngine`.
+
 Checkpoint state is assembled component-wise: the compaction policy and
 the placement policy each pack their own arrays under their established
 prefixes, so a composed engine's checkpoint is the union of its parts —
@@ -33,7 +42,6 @@ from ..base import LsmEngine, MemTableView, Snapshot
 from ..memtable import MemTable
 from ..pruning import TableIndex
 from ..scheduler import CompactionScheduler
-from ..sstable import SSTable
 from ..wa_tracker import WriteStats
 from .compaction import LANDING_OPS, CompactionPolicy
 from .flush import FlushStrategy
@@ -43,13 +51,18 @@ __all__ = ["StorageKernel"]
 
 #: Process-wide engine instance counter.  ``read_version`` folds it in
 #: so two *different* engine instances can never alias the same version
-#: vector — a retune/resize swaps the engine object, and any cache keyed
-#: on the old instance's version must miss, not collide.
+#: vector — a database retune/resize swaps the engine object (there the
+#: engine class is the policy), the successor's epoch and MemTable
+#: versions restart from zero, and any cache keyed on the old
+#: instance's version must miss, not collide.
 _ENGINE_NONCE = itertools.count()
 
 
 class StorageKernel(LsmEngine):
     """Concrete LSM engine composed from three policies."""
+
+    #: ``None`` only until the constructor's first :meth:`rebind`.
+    placement: PlacementPolicy | None = None
 
     def __init__(
         self,
@@ -70,13 +83,12 @@ class StorageKernel(LsmEngine):
             telemetry=telemetry,
             faults=faults,
         )
-        self.placement = placement
-        self.flush = flush
         self.compaction = compaction
         self._engine_nonce = next(_ENGINE_NONCE)
         #: Structure epoch: bumped whenever the disk structure changes
-        #: (flush/merge landing, checkpoint restore).  Snapshot and
-        #: pruning-index caches key on it.
+        #: (flush/merge landing, checkpoint restore) or the MemTable
+        #: layout is re-bound.  Snapshot and pruning-index caches key
+        #: on it.
         self._structure_epoch = 0
         self._index_cache: tuple[int, TableIndex] | None = None
         self._snapshot_cache: tuple[tuple[int, ...], Snapshot] | None = None
@@ -86,27 +98,56 @@ class StorageKernel(LsmEngine):
         # epoch: the admission controller asks on every batch.
         self._cold_bytes_cache: tuple[int, int] | None = None
         # Policies see the kernel (config, stats, telemetry, fault
-        # boundary) through one back-reference each; binding order lets
-        # placement/flush read compaction state (the watermark) safely.
+        # boundary) through one back-reference each; compaction binds
+        # first so placement/flush can read its state (the watermark).
         compaction.bind(self)
+        self.rebind(self.config, placement, flush)
+
+    def rebind(
+        self, config: LsmConfig, placement: PlacementPolicy, flush: FlushStrategy
+    ) -> None:
+        """Bind a MemTable layout and everything sized from ``config``.
+
+        Construction is the first bind.  Binding again re-divides write
+        memory in place — the disk structure, write statistics, cursors,
+        WAL and fault injector are the kernel's own and stay — but only
+        on a *drained* kernel (``flush_all`` first): fresh MemTables
+        replace the bound ones and a fresh scheduler replaces the queue,
+        so a point still held by either would be lost.  Raises
+        :class:`EngineError` in that case and changes nothing.
+        """
+        if self.placement is not None and (
+            any(not memtable.empty for memtable in self.placement.memtables())
+            or (self.scheduler is not None and len(self.scheduler))
+        ):
+            raise EngineError(
+                f"{self.policy_name}: rebind needs a drained kernel "
+                "(flush_all first); MemTables or the landing queue "
+                "still hold points"
+            )
+        self.config = config
+        self.placement = placement
+        self.flush = flush
         placement.bind(self)
         flush.bind(self)
         #: Incremental landing scheduler (``None`` = stop-the-world: a
         #: full MemTable lands synchronously inside the ingest call).
         self.scheduler: CompactionScheduler | None = (
-            CompactionScheduler(self) if self.config.compaction_scheduler else None
+            CompactionScheduler(self) if config.compaction_scheduler else None
         )
         #: Admission controller; active whenever the scheduler is on or
         #: backpressure thresholds are set explicitly.
         self.admission: AdmissionController | None = (
             AdmissionController(self)
             if (
-                self.config.compaction_scheduler
-                or self.config.backpressure_throttle is not None
-                or self.config.backpressure_shed is not None
+                config.compaction_scheduler
+                or config.backpressure_throttle is not None
+                or config.backpressure_shed is not None
             )
             else None
         )
+        # The visible MemTables changed identity: every read cache misses.
+        self.mark_structure_change()
 
     # -- hot path --------------------------------------------------------------
 
@@ -338,11 +379,3 @@ class StorageKernel(LsmEngine):
         self.compaction.unpack(state, arrays)
         self.placement.unpack(arrays)
         self.mark_structure_change()
-
-    # -- invariants ------------------------------------------------------------
-
-    def _sorted_table_groups(self) -> list[tuple[str, list[SSTable]]]:
-        return self.compaction.sorted_table_groups()
-
-    def _loose_tables(self) -> list[SSTable]:
-        return self.compaction.loose_tables()

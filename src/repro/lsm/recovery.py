@@ -11,14 +11,20 @@ The recovery protocol, in order:
    and recovery falls back to replaying the whole WAL into a fresh
    engine — slower, never wrong.
 3. **Replay the WAL tail**: every record whose points the checkpoint does
-   not already cover is re-ingested (bypassing the WAL append, so the log
-   is not re-written).  Ids regenerate identically because they are
-   sequential from each record's ``start_id``.
+   not already cover is re-ingested through :meth:`LsmEngine._replay`
+   (bypassing the WAL append, so the log is not re-written).  Ids
+   regenerate identically because they are sequential from each record's
+   ``start_id``.
 4. **Verify** the recovered engine's crash-consistency invariants
    (:mod:`repro.lsm.invariants`).
 
 The result lands in a state bit-identical to a crash-free run over the
 durable prefix (modulo cosmetic SSTable sequence numbers).
+
+There is one loop, :func:`recover_engine`, for every engine class.
+:func:`recover_adaptive` is that loop without step 2: the adaptive
+engine's analyzer is not durable and its retune timing must replay, so
+it always starts from an empty engine.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import LsmConfig
     from ..faults.injector import FaultInjector
     from ..obs.telemetry import Telemetry
-    from .adaptive import AdaptiveEngine
 
 __all__ = ["RecoveryReport", "recover_engine", "recover_adaptive"]
 
@@ -132,51 +137,28 @@ def recover_adaptive(
     faults: "FaultInjector | None" = None,
     verify: bool = True,
 ) -> RecoveryReport:
-    """Recover an :class:`~repro.lsm.adaptive.AdaptiveEngine`.
+    """Recover an :class:`~repro.lsm.adaptive.AdaptiveEngine`:
+    :func:`recover_engine` that never starts from a checkpoint.
 
-    The adaptive engine's analyzer state (sliding delay sample, quantile
-    sketch, drift detector) is not checkpointed — it is rebuilt by
-    replaying the *entire* durable WAL through a fresh engine.  Replay is
+    The analyzer's state (sliding delay sample, quantile sketch, drift
+    detector) is not durable, and when the engine retunes depends on it
+    — so the *entire* WAL is replayed through a fresh engine.  Replay is
     deterministic: records carry the original ``(tg, ta)`` pairs and the
     analyzer/retune cadence depends only on the point stream, not on the
     original batch boundaries.
     """
     from .adaptive import AdaptiveEngine
 
-    wal = read_wal(wal_path)
-    report = RecoveryReport(engine=None, wal_records=len(wal.records))
-    if wal.torn:
-        report.wal_torn = True
-        report.truncated_bytes = wal.torn_bytes
-        wal.truncate()
-        report.notes.append(
-            f"truncated {wal.torn_bytes} torn bytes from {wal_path}"
-        )
-    engine = AdaptiveEngine(
-        config=config, telemetry=telemetry, faults=faults,
-        **(engine_kwargs or {}),
+    return recover_engine(
+        AdaptiveEngine,
+        wal_path,
+        checkpoint_path=None,
+        config=config,
+        engine_kwargs=engine_kwargs,
+        telemetry=telemetry,
+        faults=faults,
+        verify=verify,
     )
-    report.engine = engine
-    for record in wal.records:
-        if record.ta is None:
-            raise RecoveryError(
-                f"{wal_path}: record at id {record.start_id} lacks arrival "
-                "times; an adaptive WAL must carry (tg, ta) pairs"
-            )
-        if record.start_id != engine.ingested_points:
-            raise RecoveryError(
-                f"{wal_path}: record starts at id {record.start_id} but "
-                f"engine is at {engine.ingested_points} (gap or overlap)"
-            )
-        engine._ingest_pairs(record.tg, record.ta)
-        report.replayed_records += 1
-        report.replayed_points += record.count
-    report.durable_points = engine.ingested_points
-    _publish(engine.telemetry, engine.policy_name, report)
-    if verify:
-        engine.verify()
-        report.verified = True
-    return report
 
 
 def _replay_record(
@@ -192,7 +174,7 @@ def _replay_record(
             "taken at batch boundaries, so a straddling record means the "
             "log and checkpoint disagree"
         )
-    engine._ingest_validated(record.tg)
+    engine._replay(record)
     report.replayed_records += 1
     report.replayed_points += record.count
 

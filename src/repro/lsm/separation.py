@@ -84,9 +84,7 @@ def leveled_engine(
     config: LsmConfig,
     old: "ConventionalEngine | SeparationEngine | None" = None,
     *,
-    stats: WriteStats | None = None,
     telemetry=None,
-    faults=None,
 ) -> "ConventionalEngine | SeparationEngine":
     """``pi_s(config.seq_capacity)``, or ``pi_c`` when the config has no split.
 
@@ -98,7 +96,7 @@ def leveled_engine(
     """
     cls = SeparationEngine if config.seq_capacity is not None else ConventionalEngine
     if old is None:
-        return cls(config, stats=stats, telemetry=telemetry, faults=faults)
+        return cls(config, telemetry=telemetry)
     old.flush_all()
     engine = cls(
         config,

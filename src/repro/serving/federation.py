@@ -233,27 +233,13 @@ class FederatedExecutor:
 
     # -- versions --------------------------------------------------------------
 
-    @staticmethod
-    def _version_of(engines: list) -> tuple | None:
-        """Read-version vector of ``engines`` (``None`` if any has none)."""
-        versions = []
-        for engine in engines:
-            read_version = getattr(engine, "read_version", None)
-            if read_version is None:
-                return None
-            versions.append(read_version())
-        return tuple(versions)
-
-    def _fleet_version(self) -> tuple | None:
+    def _fleet_version(self) -> tuple:
         """Version vector over every series in the fleet (pool key)."""
-        parts = []
-        for index, db in enumerate(self.fleet.shards):
-            names = db.series_names()
-            versions = self._version_of([db.series(name).engine for name in names])
-            if versions is None:
-                return None
-            parts.extend((index, name, v) for name, v in zip(names, versions))
-        return tuple(parts)
+        return tuple(
+            (index, name, db.series(name).engine.read_version())
+            for index, db in enumerate(self.fleet.shards)
+            for name in db.series_names()
+        )
 
     # -- execution -------------------------------------------------------------
 
@@ -291,14 +277,12 @@ class FederatedExecutor:
                 self.telemetry.count("federation.single_shard")
         # Resolve each shard against the cache; collect the stale ones.
         by_series: dict[str, object] = {}
-        stale: list[tuple[int, list[str], tuple, tuple | None]] = []
+        stale: list[tuple[int, list[str], tuple, tuple]] = []
         for index in sorted(parts):
             shard_series = parts[index]
-            version = self._version_of(engines[index])
+            version = tuple(engine.read_version() for engine in engines[index])
             key = (kind, index, tuple(shard_series), lo, hi, collect)
-            cached = None
-            if use_cache and version is not None:
-                cached = self.cache.lookup(key, version)
+            cached = self.cache.lookup(key, version) if use_cache else None
             if cached is not None:
                 if traced:
                     self.telemetry.for_shard(shard_name(index)).count(
@@ -323,7 +307,7 @@ class FederatedExecutor:
             for (index, shard_series, key, version), partials in zip(
                 stale, computed
             ):
-                if use_cache and version is not None:
+                if use_cache:
                     self.cache.store(key, version, partials)
                 by_series.update(zip(shard_series, partials))
         # The fold runs in canonical order regardless of which shard —
@@ -374,7 +358,7 @@ class FederatedExecutor:
 
     def _scatter(
         self,
-        stale: list[tuple[int, list[str], tuple, tuple | None]],
+        stale: list[tuple[int, list[str], tuple, tuple]],
         kind: str,
         lo: float,
         hi: float,
@@ -408,16 +392,11 @@ class FederatedExecutor:
         written, scatters reuse the forked workers (whose inherited
         state stays valid — reads don't mutate engines, and worker-side
         snapshot caches warm up per worker).  Any state change re-forks.
-        An unversionable fleet (no ``read_version``) re-forks per call.
         """
         global _SCATTER_FLEET
         width = min(width, self.fleet.n_shards)
         key = (self._fleet_version(), width)
-        if (
-            self._pool is not None
-            and key[0] is not None
-            and self._pool_key == key
-        ):
+        if self._pool is not None and self._pool_key == key:
             return self._pool
         self.close()
         _SCATTER_FLEET = self.fleet

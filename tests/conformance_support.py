@@ -167,7 +167,7 @@ def _drive(engine, workload: str) -> None:
     engine.flush_all()
 
 
-def _accounting_profile(engine) -> dict:
+def accounting_profile(engine) -> dict:
     """WA accounting, event log, write counters and snapshot, digested."""
     stats = engine.stats
     return {
@@ -204,7 +204,7 @@ def profile_engine(engine_key: str, workload: str) -> dict:
     _drive(engine, workload)
     registry = telemetry.registry.as_dict()
     profile = {
-        **_accounting_profile(engine),
+        **accounting_profile(engine),
         "telemetry_counters": {
             name: value for name, value in sorted(registry.get("counters", {}).items())
         },
@@ -228,7 +228,7 @@ def profile_scheduled(engine_key: str, workload: str) -> dict:
     landings: what landed, *when* (event stamps), and the unit counts."""
     engine = ENGINE_FACTORIES[engine_key](None, SCHEDULED_CONFIG)
     _drive(engine, workload)
-    profile = _accounting_profile(engine)
+    profile = accounting_profile(engine)
     if isinstance(engine, AdaptiveEngine):
         # A switch starts a fresh scheduler, so lifetime counters would
         # describe only the last policy; where it switched is pinned.

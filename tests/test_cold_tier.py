@@ -26,12 +26,14 @@ from repro import (
     AdaptiveEngine,
     ConventionalEngine,
     IoTDBStyleEngine,
+    LogNormalDelay,
     LsmConfig,
     MultiLevelEngine,
     SeparationEngine,
     TieredEngine,
     execute_aggregate_query,
     execute_range_query,
+    generate_synthetic,
     recover_engine,
 )
 from repro.errors import ConfigError, EngineError
@@ -404,6 +406,23 @@ class TestColdCostModel:
         assert registry.counter("query.blocks_skipped").value >= (
             stats.blocks_skipped
         )
+
+    def test_conversion_count_survives_an_adaptive_switch(self):
+        """``cold_tables_converted`` is the engine's lifetime count: a
+        policy switch must not reset it under the bus counter's feet."""
+        dataset = generate_synthetic(8000, 50.0, LogNormalDelay(5.0, 2.0), seed=1)
+        engine = AdaptiveEngine(
+            LsmConfig(memory_budget=128, sstable_size=64).with_telemetry(),
+            check_interval=512,
+        )
+        engine.ingest(dataset.tg[:3000], dataset.ta[:3000])
+        assert not engine.switch_log
+        converted = engine.convert_cold()
+        assert converted > 0
+        engine.ingest(dataset.tg[3000:], dataset.ta[3000:])
+        assert engine.switch_log, "the stream must switch policy after converting"
+        counter = engine.telemetry.registry.counter("cold_tier.tables_converted")
+        assert engine.cold_tables_converted == counter.value == converted
 
     def test_executor_reads_blocks_not_files(self):
         """Columnar tables charge only the overlapping block span."""

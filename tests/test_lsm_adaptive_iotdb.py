@@ -10,6 +10,7 @@ from repro import (
     LogNormalDelay,
     LsmConfig,
 )
+from repro.lsm.policies import SeparationFlush, SplitPlacement, StorageKernel
 from repro.workloads import generate_synthetic
 
 
@@ -69,6 +70,62 @@ class TestAdaptiveEngine:
         index, decision = engine.decision_log[0]
         assert index > 0
         assert decision.r_c > 0
+
+    def test_config_seq_capacity_is_the_live_split(self):
+        """Whatever split the constructor was handed, ``config`` reports
+        the one in force: none under ``pi_c``, ``n_seq`` under ``pi_s``."""
+        dataset = generate_synthetic(
+            8000, dt=50, delay=LogNormalDelay(5.0, 2.0), seed=1
+        )
+        engine = AdaptiveEngine(
+            LsmConfig(memory_budget=128, sstable_size=64, seq_capacity=10),
+            check_interval=512,
+        )
+        assert engine.current_policy == "pi_c"
+        assert engine.config.seq_capacity is None
+        engine.ingest(dataset.tg, dataset.ta)
+        assert engine.switch_log
+        n_seq = engine.placement.seq.capacity
+        assert engine.config.seq_capacity == n_seq
+        assert engine.current_policy == f"pi_s(n_seq={n_seq})"
+        assert engine.policy_name == "pi_s"
+        assert AdaptiveEngine.policy_name == "pi_adaptive"
+        # It is a kernel like any other, so federation can version it.
+        assert isinstance(engine, StorageKernel)
+        before = engine.read_version()
+        engine.ingest(dataset.tg[:1] + 1e9, dataset.ta[:1] + 1e9)
+        assert engine.read_version() != before
+
+    @pytest.mark.parametrize("scheduled", [False, True])
+    def test_rebind_refuses_an_undrained_kernel(self, scheduled):
+        """``rebind`` swaps in fresh MemTables and a fresh landing queue,
+        so it must refuse — and touch nothing — while either holds a point."""
+        config = LsmConfig(memory_budget=64, sstable_size=32).with_stability(
+            compaction_scheduler=scheduled,
+            compaction_tokens_per_point=0.01,
+            compaction_burst=1,
+        )
+        engine = AdaptiveEngine(config, check_interval=512)
+        tg = np.arange(200, dtype=np.float64)
+        engine.ingest(tg, tg)
+        before = engine.snapshot()
+        assert before.memory_points > 0
+        if scheduled:
+            assert len(engine.scheduler) > 0
+        placement, flush, version = engine.placement, engine.flush, engine.read_version()
+        with pytest.raises(EngineError, match="drained"):
+            engine.rebind(config.with_seq_capacity(16), SplitPlacement(), SeparationFlush())
+        assert engine.placement is placement and engine.flush is flush
+        assert engine.config.seq_capacity is None
+        assert engine.read_version() == version
+        assert engine.snapshot().total_points == 200
+        engine.flush_all()
+        engine.rebind(config.with_seq_capacity(16), SplitPlacement(), SeparationFlush())
+        assert engine.read_version() != version
+        engine.ingest(tg + 200.0, tg + 200.0)
+        engine.flush_all()
+        engine.verify()
+        assert engine.snapshot().total_points == 400
 
     def test_misaligned_inputs_rejected(self):
         engine = AdaptiveEngine(LsmConfig(memory_budget=64, sstable_size=64))

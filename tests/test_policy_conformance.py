@@ -1,6 +1,6 @@
 """Engine conformance suite for the policy kernel.
 
-Four layers of guarantees:
+Five layers of guarantees:
 
 * **Golden fixture** — every first-class engine, driven over two Table II
   workloads, reproduces bit-for-bit the write-amplification accounting,
@@ -12,6 +12,9 @@ Four layers of guarantees:
   (``arrival_index`` stamps included), snapshot, write counters and
   scheduler unit counts — the adaptive engine: its switch log
   (``tests/data/conformance_scheduled_golden.json``).
+* **In place == successor** — an adaptive switch (``rebind`` on the live
+  kernel) and the database's engine replacement (``leveled_engine``)
+  produce the same event log, write counters and snapshot.
 * **Roundtrip + crash recovery** — every registered engine *and* novel
   ``compose_engine`` combinations survive checkpoint/restore with equal
   WA and snapshots, and recover losslessly from an injected crash.
@@ -29,6 +32,8 @@ import numpy as np
 import pytest
 
 from repro.config import LsmConfig
+from repro.core.tuning import SEPARATION
+from repro.distributions import LogNormalDelay
 from repro.errors import InjectedCrash
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.crashtest import CRASH_TEST_ENGINES, run_crash_case
@@ -37,14 +42,17 @@ from repro.lsm.base import LsmEngine, _engine_registry
 from repro.lsm.checkpoint import read_checkpoint
 from repro.lsm.policies import ComposedEngine, compose_engine
 from repro.lsm.recovery import recover_engine
-from repro.lsm.separation import SeparationEngine
-from repro.workloads import TABLE_II
+from repro.lsm.separation import SeparationEngine, leveled_engine
+from repro.workloads import TABLE_II, DelaySegment, generate_dynamic
 
 from tests.conformance_support import (
+    CONFIG,
     ENGINE_FACTORIES,
+    SCHEDULED_CONFIG,
     SCHEDULED_ENGINES,
     SCHEDULED_FIXTURE_PATH,
     WORKLOADS,
+    accounting_profile,
     load_fixture,
     profile_engine,
     profile_scheduled,
@@ -282,6 +290,59 @@ class TestAdaptiveRestore:
         restored.flush_all()
         _assert_same_state(engine, restored)
         restored.verify()
+
+
+_DIFF_STREAMS = {
+    "M8": lambda: TABLE_II["M8"].build(n_points=6000, seed=3),
+    # pi_c -> pi_s(n) -> pi_s(n'): both kinds of switch.
+    "sigma_step": lambda: generate_dynamic(
+        [DelaySegment(6000, LogNormalDelay(5.0, sigma)) for sigma in (0.5, 2.0)],
+        dt=50.0,
+        seed=5,
+    ),
+}
+
+
+@pytest.mark.parametrize("scheduled", [False, True], ids=["sync", "scheduled"])
+@pytest.mark.parametrize("stream", sorted(_DIFF_STREAMS))
+def test_rebind_in_place_equals_successor_engines(stream, scheduled):
+    """An adaptive switch (``rebind`` on the live kernel) and the
+    database's engine replacement (``leveled_engine(config, old)``) are
+    one behaviour: the same stream, switched at the same arrivals to the
+    same splits, lands the same things at the same stamps."""
+    dataset = _DIFF_STREAMS[stream]()
+    config = SCHEDULED_CONFIG if scheduled else CONFIG
+    step = 512  # == check_interval, so both sides see the same calls
+    adaptive = AdaptiveEngine(config, check_interval=step)
+    for pos in range(0, len(dataset), step):
+        adaptive.ingest(dataset.tg[pos : pos + step], dataset.ta[pos : pos + step])
+    adaptive.flush_all()
+    decided = dict(adaptive.decision_log)
+    splits = {
+        index: decided[index].seq_capacity
+        if decided[index].policy == SEPARATION
+        else None
+        for index, _ in adaptive.switch_log
+    }
+    assert splits, "the stream must switch policy at least once"
+
+    engine = leveled_engine(config)
+    for pos in range(0, len(dataset), step):
+        engine.ingest(dataset.tg[pos : pos + step])
+        if engine.ingested_points in splits:
+            engine = leveled_engine(
+                config.with_seq_capacity(splits[engine.ingested_points]), engine
+            )
+    engine.flush_all()
+
+    assert accounting_profile(adaptive) == accounting_profile(engine)
+    assert adaptive.current_policy == (
+        "pi_c"
+        if engine.config.seq_capacity is None
+        else f"pi_s(n_seq={engine.seq_capacity})"
+    )
+    adaptive.verify()
+    engine.verify()
 
 
 class TestLegacyCheckpoints:

@@ -146,7 +146,7 @@ def test_restore_bumps_epoch_and_queries_match(tmp_path):
     restored = type(engine).restore(path)
     # _restore_state marks a structure change, so nothing stale (from a
     # subclass populating caches pre-restore) can survive it.
-    assert restored.structure_epoch > 0
+    assert restored.structure_epoch > type(engine)().structure_epoch
     stats = execute_range_query(
         restored.snapshot(), -np.inf, np.inf, collect=True
     )

@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.lsm.checkpoint import read_checkpoint
-from repro.workloads import generate_synthetic
+from repro.workloads import TABLE_II, generate_synthetic
 
 
 def _dataset(n=4000, seed=0):
@@ -246,6 +246,40 @@ class TestRecoverEngine:
         wal.close()
         with pytest.raises(RecoveryError):
             recover_adaptive(wal_path, config=LsmConfig(64, 32))
+
+    def test_recover_engine_rejects_adaptive_wal_without_ta(self, tmp_path):
+        """The generic entry refuses it too — bare generation times are
+        never replayed as if the engine were a fixed ``pi_c``."""
+        wal_path = str(tmp_path / "plain.wal")
+        wal = WriteAheadLog(wal_path)
+        wal.append(np.array([1.0, 2.0]), start_id=0)
+        wal.close()
+        with pytest.raises(RecoveryError):
+            recover_engine(AdaptiveEngine, wal_path, config=LsmConfig(64, 32))
+
+    def test_recover_engine_recovers_an_adaptive_engine(self, tmp_path):
+        """``recover_engine`` is the one loop: handed the adaptive class
+        it replays ``(tg, ta)`` records through the analyzer, switches
+        included, exactly as ``recover_adaptive`` does."""
+        wal_path = str(tmp_path / "a.wal")
+        dataset = TABLE_II["M8"].build(n_points=6000, seed=3)
+        engine = AdaptiveEngine(
+            LsmConfig(64, 32, wal_path=wal_path), check_interval=64
+        )
+        for lo in range(0, 6000, 400):
+            engine.ingest(dataset.tg[lo : lo + 400], dataset.ta[lo : lo + 400])
+        engine.wal.close()
+        assert engine.switch_log, "the stream must switch policy at least once"
+        kwargs = dict(config=LsmConfig(64, 32), engine_kwargs={"check_interval": 64})
+        generic = recover_engine(AdaptiveEngine, wal_path, **kwargs)
+        dedicated = recover_adaptive(wal_path, **kwargs)
+        assert generic.verified and generic.durable_points == 6000
+        assert not generic.checkpoint_used
+        assert generic.engine.switch_log == dedicated.engine.switch_log
+        np.testing.assert_array_equal(
+            generic.engine.stats.write_counts, dedicated.engine.stats.write_counts
+        )
+        _assert_same_state(engine, generic.engine)
 
 
 class TestDatabaseDurability:
