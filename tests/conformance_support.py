@@ -24,9 +24,19 @@ log instead — a policy switch starts a fresh scheduler) — so a change to
 the unit structure of a scheduled landing (which moves token-bucket
 pacing, and with it the stamps) fails here.
 
+``tests/data/database_retune_golden.json`` pins the layer above: three
+series through ``TimeSeriesDatabase`` with the tuner and the arbiter's
+``resize_series`` changing each series' split mid-stream, checkpoints
+taken, the directory recovered (``profile_database``).  It was recorded
+while a retune *replaced* the series' engine object; what it holds —
+accounting, label sequence, manifest, checkpoint bytes, telemetry — is
+what re-splitting one engine in place must reproduce.
+``tests/data/legacy_checkpoints/database_retuned/`` is a durability
+directory written by that same code, with the profile it recovers to.
+
 Regenerate (only when behaviour is *meant* to change) with::
 
-    PYTHONPATH=src:tests python tests/conformance_support.py [--scheduled]
+    PYTHONPATH=src:tests python tests/conformance_support.py [--scheduled|--database]
 """
 
 from __future__ import annotations
@@ -35,23 +45,33 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 from repro.config import LsmConfig
+from repro.distributions import LogNormalDelay
 from repro.lsm.adaptive import AdaptiveEngine
+from repro.lsm.checkpoint import read_checkpoint
 from repro.lsm.conventional import ConventionalEngine
+from repro.lsm.database import TimeSeriesDatabase
 from repro.lsm.iotdb_style import IoTDBStyleEngine
 from repro.lsm.multilevel import MultiLevelEngine
 from repro.lsm.separation import SeparationEngine
 from repro.lsm.tiered import TieredEngine
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
-from repro.workloads import TABLE_II
+from repro.workloads import TABLE_II, DelaySegment, generate_dynamic
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "data", "conformance_golden.json")
 SCHEDULED_FIXTURE_PATH = os.path.join(
     os.path.dirname(__file__), "data", "conformance_scheduled_golden.json"
+)
+DATABASE_FIXTURE_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "database_retune_golden.json"
+)
+LEGACY_DATABASE_DIR = os.path.join(
+    os.path.dirname(__file__), "data", "legacy_checkpoints", "database_retuned"
 )
 
 #: Small enough to run in seconds, large enough to trigger cascades,
@@ -244,6 +264,222 @@ def profile_scheduled(engine_key: str, workload: str) -> dict:
     return profile
 
 
+# -- database retune/resize profile ---------------------------------------------
+
+#: The three series: mild disorder (the tuner leaves it on ``pi_c``),
+#: heavy disorder (``pi_s`` from the first retune), and a delay law that
+#: widens half-way (``pi_c`` -> ``pi_s(n)`` -> ``pi_s(n')``).
+DATABASE_STREAMS = {
+    "M1": lambda: TABLE_II["M1"].build(n_points=N_POINTS, seed=3),
+    "M8": lambda: TABLE_II["M8"].build(n_points=N_POINTS, seed=3),
+    "sigma_step": lambda: generate_dynamic(
+        [
+            DelaySegment(N_POINTS // 2, LogNormalDelay(5.0, sigma))
+            for sigma in (0.5, 2.0)
+        ],
+        dt=50.0,
+        seed=5,
+    ),
+}
+
+#: ``TimeSeriesDatabase(stability=...)`` per mode: ``CONFIG`` as is, and
+#: ``SCHEDULED_CONFIG`` with an 8-record group-commit WAL.
+DATABASE_STABILITY = {
+    "sync": {},
+    "scheduled": dict(
+        compaction_scheduler=True,
+        compaction_work_unit=32,
+        compaction_tokens_per_point=1.0,
+        compaction_burst=128,
+        wal_group_records=8,
+    ),
+}
+
+DATABASE_ROUND = 500
+
+#: What happens after round ``r`` (``DATABASE_ROUND`` points written to
+#: every series; twelve rounds).  Between them the four retunes and five
+#: resizes cross every edge: pi_c -> pi_s (tuner and by hand), pi_s ->
+#: pi_s', pi_s -> pi_c (the tuner undoing the hand-made split), and
+#: budget changes under either policy.  The last retune, resize and
+#: round come after the last checkpoint, so recovery replays a WAL tail.
+DATABASE_SCRIPT = {
+    1: [("retune",)],
+    2: [("resize", "M1", 96, 24)],
+    3: [("checkpoint",)],
+    4: [("retune",), ("resize", "M8", 64, 20)],
+    6: [("resize", "sigma_step", 48, None)],
+    7: [("retune",)],
+    8: [("resize", "M8", 96, None)],
+    9: [("checkpoint",)],
+    10: [("retune",), ("resize", "M1", 64, None)],
+}
+
+#: The one thing re-splitting in place is meant to move: a retune no
+#: longer closes a WAL handle, so it no longer forces a partial group
+#: out.  Group-commit events and counters stay out of the pinned part.
+_GROUP_COMMIT_COUNTERS = ("wal.group_commits", "wal.group_records")
+
+
+def _telemetry_profile(telemetry, sink) -> dict:
+    counters = telemetry.registry.as_dict().get("counters", {})
+    return {
+        "telemetry_counters": {
+            name: value
+            for name, value in sorted(counters.items())
+            if name not in _GROUP_COMMIT_COUNTERS
+        },
+        "telemetry_stream_digest": _event_stream_digest(
+            [e for e in sink.events if e.get("type") != "wal.group_commit"]
+        ),
+    }
+
+
+def _checkpoint_profile(path: str) -> dict:
+    """A checkpoint file as its metadata (the write statistics live in
+    the arrays and the accounting profile) and a digest of its arrays."""
+    meta, arrays = read_checkpoint(path)
+    del meta["stats"]
+    hasher = hashlib.sha256()
+    for key in sorted(arrays):
+        value = np.ascontiguousarray(arrays[key])
+        hasher.update(f"{key}:{value.dtype}:{value.shape}|".encode())
+        hasher.update(value.tobytes())
+    return {"meta": meta, "arrays_sha256": hasher.hexdigest()}
+
+
+def _durable_profile(directory: str) -> dict:
+    """The manifest (its paths are already relative to ``directory``)
+    and every checkpoint it names."""
+    with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    return {
+        "manifest": manifest,
+        "checkpoints": {
+            name: _checkpoint_profile(os.path.join(directory, entry["checkpoint"]))
+            for name, entry in sorted(manifest["series"].items())
+        },
+    }
+
+
+def _series_profiles(db) -> dict:
+    return {
+        name: accounting_profile(db.series(name).engine)
+        for name in sorted(db.series_names())
+    }
+
+
+def _labels(db) -> dict:
+    return {name: db.series(name).policy_label for name in sorted(db.series_names())}
+
+
+def drive_database(db, rounds=range(12), script=DATABASE_SCRIPT) -> list:
+    """Run ``script`` against ``db``; returns, per operation,
+    ``[round, op, result, {series: policy_label}]``."""
+    streams = {name: build() for name, build in DATABASE_STREAMS.items()}
+    log = []
+    for index in rounds:
+        lo = index * DATABASE_ROUND
+        for name, dataset in streams.items():
+            db.write(
+                name,
+                dataset.tg[lo : lo + DATABASE_ROUND],
+                dataset.ta[lo : lo + DATABASE_ROUND],
+            )
+        for op, *args in script.get(index, ()):
+            if op == "retune":
+                result = db.retune(min_observations=256)
+            elif op == "resize":
+                name, budget, seq_capacity = args
+                result = db.resize_series(name, budget, seq_capacity=seq_capacity)
+            else:
+                result = os.path.basename(db.checkpoint_all())
+            log.append([index, [op, *args], result, _labels(db)])
+    return log
+
+
+def recovered_profile(directory: str) -> dict:
+    """What ``TimeSeriesDatabase.recover`` makes of ``directory``: per
+    series the label, budget and accounting as recovered (checkpoint +
+    WAL tail, points still buffered) and after a drain, plus the
+    recovery counters."""
+    sink = RingBufferSink(capacity=200_000)
+    telemetry = Telemetry(sinks=[sink])
+    db = TimeSeriesDatabase.recover(directory, telemetry=telemetry)
+    profile = {
+        "labels": _labels(db),
+        "memory_budgets": {
+            name: db.series(name).engine.config.memory_budget
+            for name in sorted(db.series_names())
+        },
+        "recovered": _series_profiles(db),
+    }
+    db.flush_all()
+    profile["drained"] = _series_profiles(db)
+    profile.update(_telemetry_profile(telemetry, sink))
+    return profile
+
+
+def profile_database(mode: str, directory: str | None = None) -> dict:
+    """The database-level profile for ``mode`` (a ``DATABASE_STABILITY``
+    key), run in ``directory`` (a temporary one by default)."""
+    if directory is None:
+        with tempfile.TemporaryDirectory() as scratch:
+            return profile_database(mode, scratch)
+    sink = RingBufferSink(capacity=200_000)
+    telemetry = Telemetry(sinks=[sink])
+    db = TimeSeriesDatabase(
+        CONFIG.memory_budget,
+        CONFIG.sstable_size,
+        telemetry=telemetry,
+        durability_dir=directory,
+        stability=DATABASE_STABILITY[mode],
+    )
+    profile = {"operations": drive_database(db), "mid_stream": _series_profiles(db)}
+    # The barrier before reading the directory back: group commit may
+    # still hold acknowledged frames in memory.
+    db.sync()
+    profile["durable"] = _durable_profile(directory)
+    profile["recovery"] = recovered_profile(directory)
+    db.flush_all()
+    profile["drained"] = _series_profiles(db)
+    profile.update(_telemetry_profile(telemetry, sink))
+    return profile
+
+
+def build_database_fixture() -> dict:
+    return {
+        "n_points": N_POINTS,
+        "round": DATABASE_ROUND,
+        "profiles": {mode: profile_database(mode) for mode in DATABASE_STABILITY},
+    }
+
+
+#: The legacy directory stops at the first checkpoint (M8 retuned to
+#: pi_s, M1 split by hand, sigma_step left on pi_c) plus one more round,
+#: so every WAL has a tail past its checkpoint.
+LEGACY_DATABASE_SCRIPT = {index: DATABASE_SCRIPT[index] for index in (1, 2, 3)}
+
+
+def write_legacy_database(directory: str = LEGACY_DATABASE_DIR) -> None:
+    """Write the legacy durability directory and what it recovers to."""
+    os.makedirs(directory, exist_ok=True)
+    for stale in os.listdir(directory):
+        os.remove(os.path.join(directory, stale))
+    db = TimeSeriesDatabase(
+        CONFIG.memory_budget, CONFIG.sstable_size, durability_dir=directory
+    )
+    drive_database(db, range(5), LEGACY_DATABASE_SCRIPT)
+    db.sync()
+    for name in db.series_names():
+        db.series(name).engine.wal.close()
+    with open(
+        os.path.join(directory, "expected.json"), "w", encoding="utf-8"
+    ) as handle:
+        json.dump(recovered_profile(directory), handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def _build(profile, engine_keys) -> dict:
     return {
         "n_points": N_POINTS,
@@ -275,9 +511,14 @@ def load_fixture(path: str = FIXTURE_PATH) -> dict:
 
 
 def main() -> None:
-    scheduled = "--scheduled" in sys.argv[1:]
-    path = SCHEDULED_FIXTURE_PATH if scheduled else FIXTURE_PATH
-    fixture = build_scheduled_fixture() if scheduled else build_fixture()
+    if "--database" in sys.argv[1:]:
+        path, fixture = DATABASE_FIXTURE_PATH, build_database_fixture()
+        write_legacy_database()
+        print(f"wrote {LEGACY_DATABASE_DIR}")
+    elif "--scheduled" in sys.argv[1:]:
+        path, fixture = SCHEDULED_FIXTURE_PATH, build_scheduled_fixture()
+    else:
+        path, fixture = FIXTURE_PATH, build_fixture()
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(fixture, handle, indent=2, sort_keys=True)

@@ -12,6 +12,10 @@ Five layers of guarantees:
   (``arrival_index`` stamps included), snapshot, write counters and
   scheduler unit counts — the adaptive engine: its switch log
   (``tests/data/conformance_scheduled_golden.json``).
+* **Database fixture** — three series through ``TimeSeriesDatabase``
+  with retunes, resizes, checkpoints and a recovery reproduce what was
+  recorded while a retune still replaced the engine object
+  (``tests/data/database_retune_golden.json``).
 * **In place == successor** — an adaptive switch (``rebind`` on the live
   kernel) and the database's engine replacement (``leveled_engine``)
   produce the same event log, write counters and snapshot.
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -47,15 +52,20 @@ from repro.workloads import TABLE_II, DelaySegment, generate_dynamic
 
 from tests.conformance_support import (
     CONFIG,
+    DATABASE_FIXTURE_PATH,
+    DATABASE_STABILITY,
     ENGINE_FACTORIES,
+    LEGACY_DATABASE_DIR,
     SCHEDULED_CONFIG,
     SCHEDULED_ENGINES,
     SCHEDULED_FIXTURE_PATH,
     WORKLOADS,
     accounting_profile,
     load_fixture,
+    profile_database,
     profile_engine,
     profile_scheduled,
+    recovered_profile,
 )
 
 LEGACY_DIR = os.path.join(
@@ -156,6 +166,20 @@ def test_scheduled_profile_is_bit_identical(engine_key, workload):
     assert profile_scheduled(engine_key, workload) == (
         fixture["profiles"][engine_key][workload]
     )
+
+
+@pytest.mark.parametrize("mode", sorted(DATABASE_STABILITY))
+def test_database_profile_is_bit_identical(mode):
+    """Retunes, resizes, checkpoints and recovery through the database
+    leave the accounting, labels, files and telemetry that were recorded
+    (group-commit counts aside: see ``conformance_support``)."""
+    expected = load_fixture(DATABASE_FIXTURE_PATH)["profiles"][mode]
+    actual = json.loads(json.dumps(profile_database(mode)))
+    assert set(actual) == set(expected)
+    for field in sorted(expected):
+        assert actual[field] == expected[field], (
+            f"{mode}: {field} diverged from the recording"
+        )
 
 
 def _roundtrip_factories():
@@ -390,6 +414,23 @@ class TestLegacyCheckpoints:
             engine.ingest(tail)
         engine.flush_all()
         engine.verify()
+
+
+def test_legacy_database_directory_recovers(tmp_path):
+    """A durability directory written when a retune replaced the engine
+    object — one series retuned to pi_s, one split by hand, one left on
+    pi_c, each WAL running past its checkpoint — recovers to the
+    profile recorded beside it."""
+    directory = str(tmp_path / "db")
+    shutil.copytree(LEGACY_DATABASE_DIR, directory)
+    with open(os.path.join(directory, "expected.json"), encoding="utf-8") as handle:
+        expected = json.load(handle)
+    assert sorted(expected["labels"].values()) == [
+        "pi_c",
+        "pi_s(n_seq=17)",
+        "pi_s(n_seq=24)",
+    ]
+    assert json.loads(json.dumps(recovered_profile(directory))) == expected
 
 
 _SPLIT_CONFIG = LsmConfig(512, 512, seq_capacity=256)
