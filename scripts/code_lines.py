@@ -8,6 +8,7 @@ One ``<count>  <path>`` row per argument (directories are walked for
 ``*.py``), then their sum.
 """
 import ast
+import os
 import pathlib
 import sys
 import tokenize
@@ -29,12 +30,22 @@ def code_lines(path: pathlib.Path) -> int:
     return len(lines)
 
 
-if __name__ == "__main__":
+def main(paths: list[str]) -> None:
     total = 0
-    for arg in sys.argv[1:] or ["src/repro"]:
+    for arg in paths or ["src/repro"]:
         root = pathlib.Path(arg)
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         count = sum(map(code_lines, files))
         total += count
         print(f"{count:6d}  {arg}")
     print(f"{total:6d}  total")
+
+
+if __name__ == "__main__":
+    try:
+        main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader (``| head -1``) has what it wanted.  Point stdout at
+        # /dev/null so the interpreter's exit-time flush stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

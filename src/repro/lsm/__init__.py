@@ -7,12 +7,15 @@ point", Section III).  Every engine is a placement × flush × compaction
 composition over the single :class:`~repro.lsm.policies.StorageKernel`
 (see :doc:`docs/architecture`).  Engines:
 
+* :class:`LeveledEngine` — the paper's system: one leveled run whose
+  ``n_seq : n_nonseq`` split is live state (``resplit``); the next three
+  are it, constructed under a given policy.
 * :class:`ConventionalEngine` — ``pi_c``: one MemTable, leveled merges
   (``single + merge + leveled``).
 * :class:`SeparationEngine` — ``pi_s(n_seq)``: in-order/out-of-order
   MemTables; flush-only for ``C_seq``, merge on full ``C_nonseq``
   (``split + separation + leveled``).
-* :class:`AdaptiveEngine` — ``pi_adaptive``: analyzer-driven switching
+* :class:`AdaptiveEngine` — ``pi_adaptive``: analyzer-driven re-splitting
   between the two compositions above.
 * :class:`IoTDBStyleEngine` — the deployed two-level variant with
   overlapping L1 flush files and background compaction (throughput and
@@ -41,7 +44,7 @@ from .backpressure import (
 from .base import LsmEngine, MemTableView, Snapshot
 from .checkpoint import read_checkpoint, write_checkpoint
 from .compaction import merge_tables_with_batch
-from .conventional import ConventionalEngine
+from .conventional import ConventionalEngine, LeveledEngine
 from .database import FleetReport, SeriesState, TimeSeriesDatabase
 from .invariants import InvariantChecker
 from .iotdb_style import IoTDBStyleEngine
@@ -62,6 +65,7 @@ __all__ = [
     "LsmEngine",
     "Snapshot",
     "MemTableView",
+    "LeveledEngine",
     "ConventionalEngine",
     "SeparationEngine",
     "AdaptiveEngine",

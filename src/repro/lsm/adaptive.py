@@ -7,13 +7,10 @@ trigger the Separation Policy Tuning Algorithm (Algorithm 1) to update
 the policy."
 
 That is *one* storage system changing its ``C_seq``/``C_nonseq`` split,
-and so is this engine: a :class:`~repro.lsm.policies.kernel.StorageKernel`
-over one leveled run that, on a switch, drains its buffers
-(``flush_all``) and re-binds its MemTable layout in place
-(:meth:`StorageKernel.rebind`) — ``single`` placement + ``merge`` flush
-for ``pi_c``, ``split`` + ``separation`` for ``pi_s(n_seq)``.  The run,
-write statistics, cursors, WAL and fault injector are the engine's own
-and simply stay.  Because the analyzer needs delays, this engine ingests
+and so is this engine: a :class:`~repro.lsm.conventional.LeveledEngine`
+that carries its own analyzer and calls its own
+:meth:`~repro.lsm.conventional.LeveledEngine.resplit` when Algorithm 1
+says so.  Because the analyzer needs delays, this engine ingests
 *(generation, arrival)* pairs rather than bare generation times — its
 WAL records carry both so recovery can replay through the analyzer.
 
@@ -41,11 +38,7 @@ from ..core.tuning import SEPARATION, PolicyDecision
 from ..errors import EngineError, ModelError, RecoveryError
 from ..faults.injector import FaultInjector
 from ..obs.telemetry import Telemetry
-from .policies.compaction import LeveledSingleRun
-from .policies.flush import MergeFlush, SeparationFlush
-from .policies.kernel import StorageKernel
-from .policies.placement import SinglePlacement, SplitPlacement
-from .wa_tracker import WriteStats
+from .conventional import LeveledEngine
 from .wal import WalRecord
 
 __all__ = ["AdaptiveEngine"]
@@ -53,10 +46,11 @@ __all__ = ["AdaptiveEngine"]
 logger = logging.getLogger(__name__)
 
 
-class AdaptiveEngine(StorageKernel):
+class AdaptiveEngine(LeveledEngine):
     """LSM engine that re-tunes its buffering policy as delays drift."""
 
     policy_name = "pi_adaptive"
+    checkpoint_label = "AdaptiveEngine"
 
     def __init__(
         self,
@@ -64,7 +58,6 @@ class AdaptiveEngine(StorageKernel):
         analyzer: DelayAnalyzer | None = None,
         check_interval: int = 8192,
         min_seq_change: float = 0.05,
-        stats: WriteStats | None = None,
         telemetry: Telemetry | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
@@ -73,14 +66,9 @@ class AdaptiveEngine(StorageKernel):
         # Section V-B initialises with pi_c, whatever split was handed in.
         super().__init__(
             (config if config is not None else LsmConfig()).with_seq_capacity(None),
-            placement=SinglePlacement(),
-            flush=MergeFlush(),
-            compaction=LeveledSingleRun(),
-            stats=stats,
             telemetry=telemetry,
             faults=faults,
         )
-        self.policy_name = "pi_c"
         self.analyzer = (
             analyzer
             if analyzer is not None
@@ -171,8 +159,7 @@ class AdaptiveEngine(StorageKernel):
         return abs(target - current) > self.min_seq_change * self.config.memory_budget
 
     def _switch(self, decision: PolicyDecision) -> None:
-        self.flush_all()
-        self._bind_split(
+        self.resplit(
             decision.seq_capacity if decision.policy == SEPARATION else None
         )
         logger.info(
@@ -190,23 +177,6 @@ class AdaptiveEngine(StorageKernel):
                 }
             )
             self.telemetry.count("adaptive.switches")
-
-    def _bind_split(self, seq_capacity: int | None) -> None:
-        """Re-bind the drained kernel as ``pi_s(seq_capacity)`` (``pi_c``
-        for ``None``); ``config.seq_capacity`` is the live split."""
-        split = seq_capacity is not None
-        self.rebind(
-            self.config.with_seq_capacity(seq_capacity),
-            SplitPlacement() if split else SinglePlacement(),
-            SeparationFlush() if split else MergeFlush(),
-        )
-        self.policy_name = "pi_s" if split else "pi_c"
-
-    @property
-    def current_policy(self) -> str:
-        """Label of the policy currently in force."""
-        n_seq = self.config.seq_capacity
-        return "pi_c" if n_seq is None else f"pi_s(n_seq={n_seq})"
 
     # -- durability hooks ------------------------------------------------------
 
@@ -237,7 +207,7 @@ class AdaptiveEngine(StorageKernel):
         }
 
     def _restore_state(self, state: dict, arrays) -> None:
-        self._bind_split(state["inner"]["seq_capacity"])
+        self.resplit(state["inner"]["seq_capacity"])
         super()._restore_state(state["inner"]["state"], arrays)
         self._since_check = int(state["since_check"])
         self.decision_log = [

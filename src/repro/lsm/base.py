@@ -11,7 +11,10 @@ An engine consumes a stream of generation times *in arrival order* and
 maintains simulated disk state (a :class:`~repro.lsm.level.Run` per level)
 plus exact write accounting.  Ingestion is batch-oriented: callers hand
 over numpy arrays and the engine slices them at flush/merge boundaries
-internally, so driving millions of points stays cheap.
+internally, so driving millions of points stays cheap.  An engine starts
+empty — arrival id 0, fresh :class:`WriteStats` — and its statistics,
+cursors, WAL handle and fault injector are its own for life: a policy
+change re-splits the engine in place, it never hands them to another.
 
 A :class:`Snapshot` freezes the visible state (SSTables + MemTable
 contents) for the query layer.
@@ -165,15 +168,11 @@ class LsmEngine:
     def __init__(
         self,
         config: LsmConfig,
-        stats: WriteStats | None = None,
-        start_id: int = 0,
         telemetry: Telemetry | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
-        if start_id < 0:
-            raise EngineError(f"start_id must be non-negative, got {start_id}")
         self.config = config
-        self.stats = stats if stats is not None else WriteStats()
+        self.stats = WriteStats()
         #: Event bus for this engine; the no-op bus unless the config (or
         #: an explicit ``telemetry=``) enables it.
         self.telemetry = (
@@ -183,8 +182,6 @@ class LsmEngine:
             self.stats.bind_telemetry(self.telemetry)
         #: Fault injector for this engine's write path; ``None`` (the
         #: default without a ``fault_plan``) keeps injection absent.
-        #: Passed explicitly to a successor engine (``leveled_engine``)
-        #: so trigger counts survive the replacement.
         if faults is not None:
             self.faults = faults
         elif config.fault_plan is not None:
@@ -204,11 +201,11 @@ class LsmEngine:
             if config.wal_path
             else None
         )
-        self._next_id = start_id
+        self._next_id = 0
         # Arrival index of the last point actually placed in a MemTable;
         # flush/merge events stamp this so WA timelines line up with the
         # arrival stream even when ingest() receives one huge batch.
-        self._arrival_cursor = start_id
+        self._arrival_cursor = 0
         self._closed = False
 
     # -- ingestion ------------------------------------------------------------
@@ -355,7 +352,7 @@ class LsmEngine:
         state_meta = self._checkpoint_state(arrays)
         meta = {
             "format": 1,
-            "engine": type(self).__name__,
+            "engine": self.checkpoint_label,
             "policy": self.policy_name,
             "config": {
                 "memory_budget": self.config.memory_budget,
@@ -435,6 +432,12 @@ class LsmEngine:
         engine._arrival_cursor = int(meta["arrival_cursor"])
         engine._restore_state(meta["state"], arrays)
         return engine
+
+    @property
+    def checkpoint_label(self) -> str:
+        """Registered class name checkpoints and manifests record for
+        this engine — the class that restores it."""
+        return type(self).__name__
 
     def _checkpoint_kwargs(self) -> dict:
         """Extra JSON-able constructor kwargs (size ratios, fanouts...)."""

@@ -8,13 +8,20 @@ data points", Section VI), and the analyzer decides the buffering policy
 series route to their own engine (and optionally their own analyzer),
 a global memory budget is divided across active series, and fleet-wide
 statistics aggregate per-series WA and policy choices.
+
+A series has one :class:`~repro.lsm.conventional.LeveledEngine` from
+creation (or recovery) on.  Its policy is that engine's live split:
+:meth:`TimeSeriesDatabase.retune` and :meth:`~TimeSeriesDatabase.resize_series`
+re-split it in place (:meth:`~repro.lsm.conventional.LeveledEngine.resplit`),
+and the manifest records the split as ``seq_capacity`` plus the engine
+name derived from it (``ConventionalEngine`` / ``SeparationEngine``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +32,7 @@ from ..errors import EngineError, ModelError, RecoveryError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .base import Snapshot, _engine_registry, validate_generation_times
 from .checkpoint import namespaced_stem
-from .conventional import ConventionalEngine
-from .separation import SeparationEngine, leveled_engine
+from .conventional import LeveledEngine
 
 __all__ = ["SeriesState", "FleetReport", "TimeSeriesDatabase", "manifest_filename"]
 
@@ -49,17 +55,19 @@ class SeriesState:
     """One registered series: its engine and (optional) analyzer."""
 
     name: str
-    config: LsmConfig
-    engine: ConventionalEngine | SeparationEngine
+    engine: LeveledEngine
     analyzer: DelayAnalyzer | None
     decision: PolicyDecision | None = None
 
     @property
+    def config(self) -> LsmConfig:
+        """The engine's live configuration (budget and split included)."""
+        return self.engine.config
+
+    @property
     def policy_label(self) -> str:
         """Human-readable current policy (``pi_c`` / ``pi_s(n_seq=...)``)."""
-        if isinstance(self.engine, SeparationEngine):
-            return f"pi_s(n_seq={self.engine.seq_capacity})"
-        return "pi_c"
+        return self.engine.current_policy
 
 
 @dataclass(frozen=True)
@@ -204,8 +212,7 @@ class TimeSeriesDatabase:
         )
         state = SeriesState(
             name=name,
-            config=config,
-            engine=leveled_engine(config, telemetry=self.telemetry),
+            engine=LeveledEngine(config, telemetry=self.telemetry),
             analyzer=analyzer,
         )
         self._series[name] = state
@@ -317,7 +324,7 @@ class TimeSeriesDatabase:
         """Re-decide every auto-tuned series' policy from its profile.
 
         Series with fewer than ``min_observations`` observed points keep
-        their current engine.  Returns ``{series: policy_label}`` for the
+        their current policy.  Returns ``{series: policy_label}`` for the
         series that switched.
         """
         switched: dict[str, str] = {}
@@ -327,7 +334,9 @@ class TimeSeriesDatabase:
                 continue
             decision = analyzer.recommend()
             state.decision = decision
-            if self._apply_decision(state, decision):
+            if state.engine.resplit(
+                decision.seq_capacity if decision.policy == SEPARATION else None
+            ):
                 switched[state.name] = state.policy_label
                 if self.telemetry.enabled:
                     self.telemetry.emit(
@@ -340,25 +349,6 @@ class TimeSeriesDatabase:
                     self.telemetry.count("db.retunes")
         return switched
 
-    def _apply_decision(
-        self, state: SeriesState, decision: PolicyDecision
-    ) -> bool:
-        wants_separation = decision.policy == SEPARATION
-        is_separation = isinstance(state.engine, SeparationEngine)
-        if wants_separation == is_separation and (
-            not is_separation
-            or state.engine.seq_capacity == decision.seq_capacity
-        ):
-            return False
-        state.engine = leveled_engine(
-            state.config.with_seq_capacity(
-                decision.seq_capacity if wants_separation else None
-            ),
-            state.engine,
-            telemetry=self.telemetry,
-        )
-        return True
-
     def resize_series(
         self,
         name: str,
@@ -367,45 +357,35 @@ class TimeSeriesDatabase:
     ) -> bool:
         """Re-budget one series' MemTables at a flush boundary.
 
-        The live engine is drained (``flush_all`` — the flush boundary)
-        and rebuilt with the new budget, carrying its :class:`WriteStats`,
-        on-disk run and arrival cursor over unchanged, so WA accounting
-        and ``verify()`` stay exact across the resize.  ``seq_capacity``
-        switches the series to ``pi_s(seq_capacity)`` (or re-splits an
-        already separated series); omitted it keeps the current policy,
-        scaling an existing ``C_seq`` to preserve its budget share.
-        Returns False (and touches nothing) when the budget and split are
-        already in place.
+        The series' engine is re-split in place
+        (:meth:`~repro.lsm.conventional.LeveledEngine.resplit`): drained
+        (``flush_all`` — the flush boundary) and given fresh MemTables
+        of the new sizes, so WA accounting and ``verify()`` stay exact
+        across the resize.  ``seq_capacity`` switches the series to
+        ``pi_s(seq_capacity)`` (or re-splits an already separated
+        series); omitted it keeps the current policy, scaling an
+        existing ``C_seq`` to preserve its budget share.  Returns False
+        (and touches nothing) when the budget and split are already in
+        place.
         """
         if memory_budget < 2:
             raise EngineError("memory_budget must be >= 2")
         state = self.series(name)
-        old = state.engine
-        if seq_capacity is None and isinstance(old, SeparationEngine):
+        current = state.config
+        if seq_capacity is None and current.seq_capacity is not None:
             seq_capacity = max(
                 1,
                 min(
                     memory_budget - 1,
                     round(
                         memory_budget
-                        * old.seq_capacity
-                        / state.config.memory_budget
+                        * current.seq_capacity
+                        / current.memory_budget
                     ),
                 ),
             )
-        if memory_budget == state.config.memory_budget and (
-            (seq_capacity is None and not isinstance(old, SeparationEngine))
-            or (
-                isinstance(old, SeparationEngine)
-                and old.seq_capacity == seq_capacity
-            )
-        ):
+        if not state.engine.resplit(seq_capacity, memory_budget):
             return False
-        config = replace(
-            state.config, memory_budget=memory_budget, seq_capacity=seq_capacity
-        )
-        state.engine = leveled_engine(config, old, telemetry=self.telemetry)
-        state.config = config
         if state.analyzer is not None:
             state.analyzer.memory_budget = memory_budget
         if self.telemetry.enabled:
@@ -460,15 +440,11 @@ class TimeSeriesDatabase:
             checkpoint = self._checkpoint_path(state.name)
             state.engine.save_checkpoint(checkpoint)
             manifest["series"][state.name] = {
-                "engine": type(state.engine).__name__,
+                "engine": state.engine.checkpoint_label,
                 "wal": os.path.basename(self._wal_path(state.name)),
                 "checkpoint": os.path.basename(checkpoint),
                 "memory_budget": state.config.memory_budget,
-                "seq_capacity": (
-                    state.engine.seq_capacity
-                    if isinstance(state.engine, SeparationEngine)
-                    else None
-                ),
+                "seq_capacity": state.config.seq_capacity,
                 "had_disorder": self._had_disorder[state.name],
                 "last_tg": self._last_tg[state.name],
             }
@@ -548,7 +524,6 @@ class TimeSeriesDatabase:
             )
             db._series[name] = SeriesState(
                 name=name,
-                config=config,
                 engine=report.engine,
                 analyzer=analyzer,
             )
@@ -575,7 +550,7 @@ class TimeSeriesDatabase:
             stats = state.engine.stats
             total_points += stats.user_points
             total_writes += stats.disk_writes
-            if isinstance(state.engine, SeparationEngine):
+            if state.config.seq_capacity is not None:
                 separated += 1
             if self._had_disorder[state.name]:
                 disordered += 1

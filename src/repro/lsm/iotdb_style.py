@@ -26,7 +26,6 @@ from .policies.flush import AppendFlush, IndependentFlush
 from .policies.kernel import StorageKernel
 from .policies.placement import SinglePlacement, SplitPlacement
 from .sstable import SSTable
-from .wa_tracker import WriteStats
 
 __all__ = ["IoTDBStyleEngine"]
 
@@ -40,7 +39,6 @@ class IoTDBStyleEngine(StorageKernel):
         policy: str = "conventional",
         l1_file_limit: int = 10,
         disk: DiskModel = DEFAULT_DISK_MODEL,
-        stats: WriteStats | None = None,
         telemetry=None,
         faults=None,
     ) -> None:
@@ -59,7 +57,6 @@ class IoTDBStyleEngine(StorageKernel):
             placement=placement,
             flush=flush,
             compaction=IoTDBTwoSpace(l1_file_limit=l1_file_limit, disk=disk),
-            stats=stats,
             telemetry=telemetry,
             faults=faults,
         )

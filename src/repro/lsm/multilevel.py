@@ -19,7 +19,6 @@ from .policies.compaction import MultiLevelCascade
 from .policies.flush import MergeFlush
 from .policies.kernel import StorageKernel
 from .policies.placement import SinglePlacement
-from .wa_tracker import WriteStats
 
 __all__ = ["MultiLevelEngine"]
 
@@ -34,7 +33,6 @@ class MultiLevelEngine(StorageKernel):
         config: LsmConfig | None = None,
         size_ratio: int = 10,
         max_levels: int = 6,
-        stats: WriteStats | None = None,
         telemetry=None,
         faults=None,
     ) -> None:
@@ -45,7 +43,6 @@ class MultiLevelEngine(StorageKernel):
             compaction=MultiLevelCascade(
                 size_ratio=size_ratio, max_levels=max_levels
             ),
-            stats=stats,
             telemetry=telemetry,
             faults=faults,
         )

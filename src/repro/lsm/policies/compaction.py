@@ -243,8 +243,8 @@ class LeveledSingleRun(CompactionPolicy):
 
     name = "leveled"
 
-    def __init__(self, run: Run | None = None) -> None:
-        self.run = run if run is not None else Run()
+    def __init__(self) -> None:
+        self.run = Run()
 
     def watermark(self) -> float:
         return self.run.max_tg

@@ -18,7 +18,6 @@ from ...config import DiskModel, LsmConfig
 from ...errors import EngineError
 from ...faults.injector import FaultInjector
 from ...obs.telemetry import Telemetry
-from ..wa_tracker import WriteStats
 from .compaction import (
     IoTDBTwoSpace,
     LeveledSingleRun,
@@ -118,8 +117,6 @@ class ComposedEngine(StorageKernel):
         flush: str | None = None,
         compaction: str = "leveled",
         compaction_kwargs: dict | None = None,
-        stats: WriteStats | None = None,
-        start_id: int = 0,
         telemetry: Telemetry | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
@@ -136,8 +133,6 @@ class ComposedEngine(StorageKernel):
             placement=PLACEMENTS[placement](),
             flush=flush_cls(),
             compaction=COMPACTIONS[compaction](**self._spec["compaction_kwargs"]),
-            stats=stats,
-            start_id=start_id,
             telemetry=telemetry,
             faults=faults,
         )
@@ -181,8 +176,8 @@ def compose_engine(
     ``flush`` defaults to the natural strategy for the pair (see
     ``_DEFAULT_FLUSH``); ``compaction_kwargs`` parameterise the
     compaction policy (``size_ratio``, ``tier_fanout``,
-    ``l1_file_limit``...).  Remaining ``kernel_kwargs`` (``stats``,
-    ``telemetry``, ``faults``, ``start_id``) pass to the kernel.
+    ``l1_file_limit``...).  Remaining ``kernel_kwargs`` (``telemetry``,
+    ``faults``) pass to the kernel.
     """
     return ComposedEngine(
         config,

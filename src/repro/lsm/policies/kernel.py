@@ -14,9 +14,11 @@ boundaries, checkpoint metadata — and delegates the three policy axes:
 The compaction policy — the disk structure — is bound for the kernel's
 life.  The MemTable layout (placement + flush, and the scheduler and
 admission controller sized from the same config) is bound through
-:meth:`StorageKernel.rebind`: once by the constructor, and again by an
-engine that re-divides its write memory while running
-(:class:`~repro.lsm.adaptive.AdaptiveEngine`), on a drained kernel.
+:meth:`StorageKernel.rebind`: once by the constructor, and again when an
+engine re-splits its write memory while running
+(:meth:`~repro.lsm.conventional.LeveledEngine.resplit` — the database's
+retune and resize, and the adaptive engine's switch), on a drained
+kernel.
 Every registered engine class is a :class:`StorageKernel`; there is no
 other implementor of :class:`~repro.lsm.base.LsmEngine`.
 
@@ -28,7 +30,6 @@ and byte-layout-compatible with the monolithic engines it replaced.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -42,20 +43,11 @@ from ..base import LsmEngine, MemTableView, Snapshot
 from ..memtable import MemTable
 from ..pruning import TableIndex
 from ..scheduler import CompactionScheduler
-from ..wa_tracker import WriteStats
 from .compaction import LANDING_OPS, CompactionPolicy
 from .flush import FlushStrategy
 from .placement import PlacementPolicy
 
 __all__ = ["StorageKernel"]
-
-#: Process-wide engine instance counter.  ``read_version`` folds it in
-#: so two *different* engine instances can never alias the same version
-#: vector — a database retune/resize swaps the engine object (there the
-#: engine class is the policy), the successor's epoch and MemTable
-#: versions restart from zero, and any cache keyed on the old
-#: instance's version must miss, not collide.
-_ENGINE_NONCE = itertools.count()
 
 
 class StorageKernel(LsmEngine):
@@ -71,20 +63,15 @@ class StorageKernel(LsmEngine):
         placement: PlacementPolicy,
         flush: FlushStrategy,
         compaction: CompactionPolicy,
-        stats: WriteStats | None = None,
-        start_id: int = 0,
         telemetry: Telemetry | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
         super().__init__(
             config if config is not None else LsmConfig(),
-            stats,
-            start_id,
             telemetry=telemetry,
             faults=faults,
         )
         self.compaction = compaction
-        self._engine_nonce = next(_ENGINE_NONCE)
         #: Structure epoch: bumped whenever the disk structure changes
         #: (flush/merge landing, checkpoint restore) or the MemTable
         #: layout is re-bound.  Snapshot and pruning-index caches key
@@ -305,17 +292,19 @@ class StorageKernel(LsmEngine):
     def read_version(self) -> tuple[int, ...]:
         """The engine's read-state version vector.
 
-        Combines the engine nonce, the structure epoch, the scheduler's
-        change sequence, and every MemTable's content version: any
-        flush/merge/restore, buffered write, scheduler transition, or
-        engine replacement yields a distinct vector.  Equal vectors
-        therefore guarantee identical visible read state — the contract
-        the snapshot cache and the federation cache both key on.
+        Combines the structure epoch, the scheduler's change sequence,
+        and every MemTable's content version: any flush/merge/restore,
+        buffered write, scheduler transition or re-split yields a
+        distinct vector.  A re-split swaps in fresh MemTables and a
+        fresh scheduler whose counters restart, but it also bumps the
+        epoch, which only ever grows on this one object — so a vector
+        from before can never recur.  Equal vectors therefore guarantee
+        identical visible read state — the contract the snapshot cache
+        and the federation cache both key on.
         """
         scheduler = self.scheduler
         pending = scheduler.pending_memtables() if scheduler is not None else []
         return (
-            self._engine_nonce,
             self._structure_epoch,
             scheduler.change_seq if scheduler is not None else -1,
             *(memtable.version for memtable in pending),

@@ -10,52 +10,28 @@ and only a full ``C_nonseq`` triggers a leveled merge, which closes a
 
 As a composition: ``split`` placement (vectorised watermark
 classification), ``separation`` flush (append ``C_seq``, phase-closing
-``C_nonseq`` merge), ``leveled`` compaction.
+``C_nonseq`` merge), ``leveled`` compaction — the
+:class:`~repro.lsm.conventional.LeveledEngine` with a ``seq_capacity``.
+:class:`SeparationEngine` is the named constructor for it.
 """
 
 from __future__ import annotations
 
 from ..config import LsmConfig
-from .conventional import ConventionalEngine
-from .level import Run
-from .policies.compaction import LeveledSingleRun
-from .policies.flush import SeparationFlush
-from .policies.kernel import StorageKernel
-from .policies.placement import SplitPlacement
-from .wa_tracker import WriteStats
+from .conventional import LeveledEngine
 
-__all__ = ["SeparationEngine", "leveled_engine"]
+__all__ = ["SeparationEngine"]
 
 
-class SeparationEngine(StorageKernel):
+class SeparationEngine(LeveledEngine):
     """Leveled LSM engine under the separation policy ``pi_s(n_seq)``."""
 
     policy_name = "pi_s"
 
-    def __init__(
-        self,
-        config: LsmConfig | None = None,
-        stats: WriteStats | None = None,
-        run: Run | None = None,
-        start_id: int = 0,
-        telemetry=None,
-        faults=None,
-    ) -> None:
-        super().__init__(
-            config,
-            placement=SplitPlacement(),
-            flush=SeparationFlush(),
-            compaction=LeveledSingleRun(run),
-            stats=stats,
-            start_id=start_id,
-            telemetry=telemetry,
-            faults=faults,
-        )
-
-    @property
-    def run(self) -> Run:
-        """The single on-disk leveled run."""
-        return self.compaction.run
+    @staticmethod
+    def _initial_config(config: LsmConfig) -> LsmConfig:
+        # Without an explicit n_seq: the IoTDB 1:1 split.
+        return config.with_seq_capacity(config.effective_seq_capacity)
 
     @property
     def seq_capacity(self) -> int:
@@ -66,46 +42,3 @@ class SeparationEngine(StorageKernel):
     def nonseq_capacity(self) -> int:
         """``n_nonseq``, the out-of-order MemTable capacity."""
         return self.placement.nonseq.capacity
-
-    @property
-    def last_disk_tg(self) -> float:
-        """``LAST(R).t_g`` (``-inf`` until the first flush)."""
-        return self.run.max_tg
-
-    def _checkpoint_state(self, arrays) -> dict:
-        state = super()._checkpoint_state(arrays)
-        # The separation watermark LAST(R).t_g is implied by the restored
-        # run's maximum, but stored for the recovery report / debugging.
-        state["last_disk_tg"] = self.last_disk_tg
-        return state
-
-
-def leveled_engine(
-    config: LsmConfig,
-    old: "ConventionalEngine | SeparationEngine | None" = None,
-    *,
-    telemetry=None,
-) -> "ConventionalEngine | SeparationEngine":
-    """``pi_s(config.seq_capacity)``, or ``pi_c`` when the config has no split.
-
-    With ``old`` — an engine being retuned or resized — the new engine
-    is its successor: ``old`` is drained (``flush_all``, the flush
-    boundary), its write statistics, on-disk run, arrival cursor and
-    fault injector carry over, and the successor takes over the WAL file
-    (the superseded handle is closed so only one writer holds it).
-    """
-    cls = SeparationEngine if config.seq_capacity is not None else ConventionalEngine
-    if old is None:
-        return cls(config, telemetry=telemetry)
-    old.flush_all()
-    engine = cls(
-        config,
-        stats=old.stats,
-        run=old.run,
-        start_id=old.ingested_points,
-        telemetry=telemetry,
-        faults=old.faults,
-    )
-    if old.wal is not None:
-        old.wal.close()
-    return engine

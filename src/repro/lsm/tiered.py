@@ -20,7 +20,6 @@ from .policies.flush import AppendFlush
 from .policies.kernel import StorageKernel
 from .policies.placement import SinglePlacement
 from .sstable import SSTable
-from .wa_tracker import WriteStats
 
 __all__ = ["TieredEngine"]
 
@@ -35,7 +34,6 @@ class TieredEngine(StorageKernel):
         config: LsmConfig | None = None,
         tier_fanout: int = 4,
         max_levels: int = 8,
-        stats: WriteStats | None = None,
         telemetry=None,
         faults=None,
     ) -> None:
@@ -44,7 +42,6 @@ class TieredEngine(StorageKernel):
             placement=SinglePlacement(),
             flush=AppendFlush(),
             compaction=SizeTiered(tier_fanout=tier_fanout, max_levels=max_levels),
-            stats=stats,
             telemetry=telemetry,
             faults=faults,
         )

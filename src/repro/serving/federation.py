@@ -18,7 +18,7 @@ Three mechanisms carry the cost model:
   parent, so they inherit the live shard state (tables, MemTables,
   snapshot caches) with no serialisation.  The pool is keyed by the
   fleet-wide read-version vector (:meth:`StorageKernel.read_version`):
-  any write, flush, merge or engine swap produces a new vector and the
+  any write, flush, merge or re-split produces a new vector and the
   next scatter re-forks against fresh state.  Workers return per-series
   partials plus a telemetry payload; the parent absorbs it, so shard-
   labelled ``query.*`` counters match the serial path exactly.
@@ -60,7 +60,7 @@ class FederationCache:
     One entry per ``(kind, shard, series tuple, window, collect)``
     holds the per-series partials computed against a specific shard
     read-version vector.  A lookup hits only when the vector is
-    unchanged — any write, flush, merge, restore or engine swap on that
+    unchanged — any write, flush, merge, restore or re-split on that
     shard bumps a component, so stale partials can never be served.
     Entries for *other* shards key on *their* vectors and survive.
     """

@@ -83,12 +83,13 @@ CONFIG = LsmConfig(memory_budget=64, sstable_size=32)
 #: The paced twin of ``CONFIG``: a work unit smaller than one SSTable
 #: pair and a bucket that runs dry, so merges really are chunked and
 #: landings really are deferred across batches.
-SCHEDULED_CONFIG = CONFIG.with_stability(
+SCHEDULED_STABILITY = dict(
     compaction_scheduler=True,
     compaction_work_unit=32,
     compaction_tokens_per_point=1.0,
     compaction_burst=128,
 )
+SCHEDULED_CONFIG = CONFIG.with_stability(**SCHEDULED_STABILITY)
 
 #: Table II rows exercised: one mild-disorder row (dt=50) and one
 #: heavy-disorder row (dt=10).
@@ -216,22 +217,37 @@ def accounting_profile(engine) -> dict:
     }
 
 
+#: The one thing re-splitting in place is meant to move: a retune no
+#: longer closes a WAL handle, so it no longer forces a partial group
+#: out.  Group-commit events and counters stay out of the pinned part.
+_GROUP_COMMIT_COUNTERS = ("wal.group_commits", "wal.group_records")
+
+
+def _telemetry_profile(telemetry, sink) -> dict:
+    counters = telemetry.registry.as_dict().get("counters", {})
+    return {
+        "telemetry_counters": {
+            name: value
+            for name, value in sorted(counters.items())
+            if name not in _GROUP_COMMIT_COUNTERS
+        },
+        "telemetry_stream_digest": _event_stream_digest(
+            [e for e in sink.events if e.get("type") != "wal.group_commit"]
+        ),
+    }
+
+
 def profile_engine(engine_key: str, workload: str) -> dict:
     """Run ``engine_key`` over ``workload`` and capture every observable."""
     sink = RingBufferSink(capacity=200_000)
     telemetry = Telemetry(sinks=[sink])
     engine = ENGINE_FACTORIES[engine_key](telemetry)
     _drive(engine, workload)
-    registry = telemetry.registry.as_dict()
+    gauges = telemetry.registry.as_dict().get("gauges", {})
     profile = {
         **accounting_profile(engine),
-        "telemetry_counters": {
-            name: value for name, value in sorted(registry.get("counters", {}).items())
-        },
-        "telemetry_gauges": {
-            name: value for name, value in sorted(registry.get("gauges", {}).items())
-        },
-        "telemetry_stream_digest": _event_stream_digest(list(sink.events)),
+        **_telemetry_profile(telemetry, sink),
+        "telemetry_gauges": dict(sorted(gauges.items())),
     }
     if isinstance(engine, IoTDBStyleEngine):
         profile["foreground_ms"] = round(engine.foreground_ms, 9)
@@ -286,13 +302,7 @@ DATABASE_STREAMS = {
 #: ``SCHEDULED_CONFIG`` with an 8-record group-commit WAL.
 DATABASE_STABILITY = {
     "sync": {},
-    "scheduled": dict(
-        compaction_scheduler=True,
-        compaction_work_unit=32,
-        compaction_tokens_per_point=1.0,
-        compaction_burst=128,
-        wal_group_records=8,
-    ),
+    "scheduled": {**SCHEDULED_STABILITY, "wal_group_records": 8},
 }
 
 DATABASE_ROUND = 500
@@ -314,26 +324,6 @@ DATABASE_SCRIPT = {
     9: [("checkpoint",)],
     10: [("retune",), ("resize", "M1", 64, None)],
 }
-
-#: The one thing re-splitting in place is meant to move: a retune no
-#: longer closes a WAL handle, so it no longer forces a partial group
-#: out.  Group-commit events and counters stay out of the pinned part.
-_GROUP_COMMIT_COUNTERS = ("wal.group_commits", "wal.group_records")
-
-
-def _telemetry_profile(telemetry, sink) -> dict:
-    counters = telemetry.registry.as_dict().get("counters", {})
-    return {
-        "telemetry_counters": {
-            name: value
-            for name, value in sorted(counters.items())
-            if name not in _GROUP_COMMIT_COUNTERS
-        },
-        "telemetry_stream_digest": _event_stream_digest(
-            [e for e in sink.events if e.get("type") != "wal.group_commit"]
-        ),
-    }
-
 
 def _checkpoint_profile(path: str) -> dict:
     """A checkpoint file as its metadata (the write statistics live in

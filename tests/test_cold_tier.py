@@ -31,6 +31,7 @@ from repro import (
     MultiLevelEngine,
     SeparationEngine,
     TieredEngine,
+    TimeSeriesDatabase,
     execute_aggregate_query,
     execute_range_query,
     generate_synthetic,
@@ -50,6 +51,7 @@ from repro.lsm.blocks import (
 from repro.lsm.checkpoint import pack_tables, unpack_tables
 from repro.lsm.policies.compose import compose_engine
 from repro.lsm.sstable import SSTable, build_sstables
+from repro.obs.telemetry import Telemetry
 from repro.workloads import TABLE_II
 
 #: Mirrors the conformance harness geometry (small tables, real
@@ -423,6 +425,19 @@ class TestColdCostModel:
         assert engine.switch_log, "the stream must switch policy after converting"
         counter = engine.telemetry.registry.counter("cold_tier.tables_converted")
         assert engine.cold_tables_converted == counter.value == converted
+
+    def test_conversion_count_survives_a_database_retune(self):
+        """The same lifetime count through the database: a retune
+        re-splits the series' engine, which keeps counting."""
+        dataset = generate_synthetic(6000, 50.0, LogNormalDelay(5.0, 2.0), seed=3)
+        telemetry = Telemetry(sinks=[])
+        db = TimeSeriesDatabase(512, 128, telemetry=telemetry)
+        db.write("s", dataset.tg, dataset.ta)
+        converted = db.series("s").engine.convert_cold()
+        assert converted > 0
+        assert db.retune(), "the stream must switch policy after converting"
+        counter = telemetry.registry.counter("cold_tier.tables_converted")
+        assert db.series("s").engine.cold_tables_converted == counter.value == converted
 
     def test_executor_reads_blocks_not_files(self):
         """Columnar tables charge only the overlapping block span."""

@@ -336,10 +336,11 @@ class TestFederationCache:
         with pytest.raises(ValueError):
             FederationCache(max_entries=0)
 
-    def test_retune_engine_swap_invalidates(self):
-        # A retune replaces the engine object; a fresh engine's epoch
-        # and MemTable versions restart at zero, so only the nonce in
-        # read_version keeps the old entry from aliasing the new state.
+    def test_retune_resplit_invalidates(self):
+        # A retune re-splits the series' one engine: its fresh MemTables
+        # start again at version zero, but ``rebind`` bumps the structure
+        # epoch, which never goes back on that object — so the entry
+        # cached before the retune cannot alias the state after it.
         telemetry = Telemetry(sinks=[])
         fleet = ShardedDatabase(
             n_shards=2, auto_tune=True, telemetry=telemetry, **_DB_KWARGS

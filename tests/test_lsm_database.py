@@ -5,7 +5,6 @@ import pytest
 
 from repro import BackpressureError, EngineError, TimeSeriesDatabase
 from repro.errors import EngineClosedError, ModelError
-from repro.lsm import SeparationEngine
 from repro.workloads import generate_fleet, generate_synthetic
 from repro import LogNormalDelay, UniformDelay
 
@@ -180,7 +179,10 @@ class TestRetune:
         db.write("noisy", stream.tg, stream.ta)
         switched = db.retune()
         assert "noisy" in switched
-        assert isinstance(db.series("noisy").engine, SeparationEngine)
+        state = db.series("noisy")
+        assert state.policy_label == switched["noisy"]
+        assert state.policy_label.startswith("pi_s(n_seq=")
+        assert state.config.seq_capacity == state.engine.placement.seq.capacity
         # Points survive the switch.
         db.write("noisy", stream.tg + stream.tg.max() + 50.0)
         db.flush_all()
@@ -211,6 +213,101 @@ class TestRetune:
         db.write("s", np.arange(10, dtype=np.float64))
         assert db.series("s").analyzer is None
         assert db.retune() == {}
+
+
+def _noisy(n=6000, seed=3):
+    return generate_synthetic(n, dt=50, delay=LogNormalDelay(5.0, 2.0), seed=seed)
+
+
+class TestOneEnginePerSeries:
+    """A series keeps the engine it was created with; retune, resize and
+    rebalance change that engine's split, never the object."""
+
+    def test_retune_and_resize_keep_the_engine_object(self):
+        db = TimeSeriesDatabase(memory_budget_per_series=512, sstable_size=128)
+        stream = _noisy()
+        db.write("s", stream.tg, stream.ta)
+        engine = db.series("s").engine
+        assert db.retune()
+        assert db.series("s").engine is engine
+        assert db.resize_series("s", 256)
+        assert db.resize_series("s", 256, seq_capacity=40)
+        assert db.series("s").engine is engine
+        assert engine.config.memory_budget == 256
+        engine.verify()
+
+    def test_rebalance_keeps_the_engine_objects(self):
+        from repro.core.allocation import MemoryArbiter
+        from repro.serving import ShardedDatabase
+
+        fleet = ShardedDatabase(
+            n_shards=2,
+            memory_budget_per_series=64,
+            sstable_size=32,
+            arbiter=MemoryArbiter(
+                total_budget=2 * 64,
+                candidate_budgets=(32, 64, 96),
+                decision_interval=10**9,
+                min_observations=512,
+            ),
+        )
+        streams = {
+            "noisy": _noisy(3000),
+            "clean": generate_synthetic(
+                3000, dt=50, delay=UniformDelay(0.0, 20.0), seed=4
+            ),
+        }
+        for name, stream in streams.items():
+            fleet.write(name, stream.tg, stream.ta)
+        engines = {
+            name: fleet.database_for(name).series(name).engine for name in streams
+        }
+        decision = fleet.maybe_rebalance(force=True)
+        assert decision.changed, "the arbiter must move budget between the series"
+        for name, engine in engines.items():
+            state = fleet.database_for(name).series(name)
+            assert state.engine is engine
+            assert state.config.memory_budget == fleet.last_rebalance["budgets"][name]
+            engine.verify()
+
+    def test_state_config_is_the_live_split(self):
+        db = TimeSeriesDatabase(memory_budget_per_series=512, sstable_size=128)
+        stream = _noisy()
+        db.write("s", stream.tg, stream.ta)
+        state = db.series("s")
+        assert state.config.seq_capacity is None
+        db.retune()
+        n_seq = state.engine.placement.seq.capacity
+        assert state.config.seq_capacity == n_seq
+        assert state.policy_label == f"pi_s(n_seq={n_seq})"
+        with pytest.raises(AttributeError):
+            state.config = state.config.with_seq_capacity(None)
+
+    def test_reference_taken_before_a_retune_stays_the_writer(self, tmp_path):
+        """``engine = db.series(name).engine`` held across a retune is
+        still the series' engine: writing through it continues the one
+        WAL, and the directory recovers."""
+        from repro.lsm import read_wal
+
+        directory = str(tmp_path / "db")
+        db = TimeSeriesDatabase(
+            memory_budget_per_series=512, sstable_size=128, durability_dir=directory
+        )
+        stream = _noisy()
+        for pos in range(0, 6000, 100):
+            db.write("s", stream.tg[pos : pos + 100], stream.ta[pos : pos + 100])
+        engine = db.series("s").engine
+        assert db.retune()
+        engine.ingest(stream.tg[:2] + 1e9)
+        db.write("s", stream.tg[2:4] + 1e9)
+        db.checkpoint_all()
+        db.sync()
+        starts = [r.start_id for r in read_wal(engine.config.wal_path).records]
+        assert starts[-2:] == [6000, 6002]
+        assert all(a < b for a, b in zip(starts, starts[1:]))
+        revived = TimeSeriesDatabase.recover(directory)
+        assert revived.series("s").engine.ingested_points == 6004
+        revived.series("s").engine.verify()
 
 
 class TestFleetReport:

@@ -89,8 +89,6 @@ class TestConventionalEngine:
         engine = ConventionalEngine()
         with pytest.raises(EngineError):
             engine.ingest(np.zeros((2, 2)))
-        with pytest.raises(EngineError):
-            ConventionalEngine(start_id=-1)
 
     def test_empty_ingest_noop(self):
         engine = ConventionalEngine()

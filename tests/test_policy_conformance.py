@@ -16,9 +16,10 @@ Five layers of guarantees:
   with retunes, resizes, checkpoints and a recovery reproduce what was
   recorded while a retune still replaced the engine object
   (``tests/data/database_retune_golden.json``).
-* **In place == successor** — an adaptive switch (``rebind`` on the live
-  kernel) and the database's engine replacement (``leveled_engine``)
-  produce the same event log, write counters and snapshot.
+* **Adaptive switch == database re-split** — the adaptive engine's own
+  switch and ``resize_series`` on a database series, both
+  ``LeveledEngine.resplit``, produce the same event log, write counters
+  and snapshot.
 * **Roundtrip + crash recovery** — every registered engine *and* novel
   ``compose_engine`` combinations survive checkpoint/restore with equal
   WA and snapshots, and recover losslessly from an injected crash.
@@ -45,9 +46,10 @@ from repro.faults.crashtest import CRASH_TEST_ENGINES, run_crash_case
 from repro.lsm.adaptive import AdaptiveEngine
 from repro.lsm.base import LsmEngine, _engine_registry
 from repro.lsm.checkpoint import read_checkpoint
+from repro.lsm.database import TimeSeriesDatabase
 from repro.lsm.policies import ComposedEngine, compose_engine
 from repro.lsm.recovery import recover_engine
-from repro.lsm.separation import SeparationEngine, leveled_engine
+from repro.lsm.separation import SeparationEngine
 from repro.workloads import TABLE_II, DelaySegment, generate_dynamic
 
 from tests.conformance_support import (
@@ -59,6 +61,7 @@ from tests.conformance_support import (
     SCHEDULED_CONFIG,
     SCHEDULED_ENGINES,
     SCHEDULED_FIXTURE_PATH,
+    SCHEDULED_STABILITY,
     WORKLOADS,
     accounting_profile,
     load_fixture,
@@ -330,10 +333,13 @@ _DIFF_STREAMS = {
 @pytest.mark.parametrize("scheduled", [False, True], ids=["sync", "scheduled"])
 @pytest.mark.parametrize("stream", sorted(_DIFF_STREAMS))
 def test_rebind_in_place_equals_successor_engines(stream, scheduled):
-    """An adaptive switch (``rebind`` on the live kernel) and the
-    database's engine replacement (``leveled_engine(config, old)``) are
-    one behaviour: the same stream, switched at the same arrivals to the
-    same splits, lands the same things at the same stamps."""
+    """An adaptive switch and a database re-split are one behaviour: the
+    same stream, re-split at the same arrivals to the same splits — by
+    the engine's own tuner on one side, by ``resize_series`` on a series
+    of an untuned database on the other — lands the same things at the
+    same stamps.  (The name is from when the database side replaced its
+    engine with a successor; ``database_retune_golden.json``, recorded
+    then, is the reference for that equivalence now.)"""
     dataset = _DIFF_STREAMS[stream]()
     config = SCHEDULED_CONFIG if scheduled else CONFIG
     step = 512  # == check_interval, so both sides see the same calls
@@ -350,21 +356,24 @@ def test_rebind_in_place_equals_successor_engines(stream, scheduled):
     }
     assert splits, "the stream must switch policy at least once"
 
-    engine = leveled_engine(config)
-    for pos in range(0, len(dataset), step):
-        engine.ingest(dataset.tg[pos : pos + step])
-        if engine.ingested_points in splits:
-            engine = leveled_engine(
-                config.with_seq_capacity(splits[engine.ingested_points]), engine
-            )
-    engine.flush_all()
-
-    assert accounting_profile(adaptive) == accounting_profile(engine)
-    assert adaptive.current_policy == (
-        "pi_c"
-        if engine.config.seq_capacity is None
-        else f"pi_s(n_seq={engine.seq_capacity})"
+    db = TimeSeriesDatabase(
+        config.memory_budget,
+        config.sstable_size,
+        auto_tune=False,
+        stability=SCHEDULED_STABILITY if scheduled else None,
     )
+    engine = db.create_series("s").engine
+    for pos in range(0, len(dataset), step):
+        db.write("s", dataset.tg[pos : pos + step])
+        if engine.ingested_points in splits:
+            assert db.resize_series(
+                "s", config.memory_budget, seq_capacity=splits[engine.ingested_points]
+            )
+    db.flush_all()
+
+    assert db.series("s").engine is engine
+    assert accounting_profile(adaptive) == accounting_profile(engine)
+    assert adaptive.current_policy == db.series("s").policy_label
     adaptive.verify()
     engine.verify()
 

@@ -8,6 +8,7 @@ from repro import (
     ConventionalEngine,
     ExponentialDelay,
     IoTDBStyleEngine,
+    LogNormalDelay,
     LsmConfig,
     MultiLevelEngine,
     SeparationEngine,
@@ -309,6 +310,38 @@ class TestDatabaseDurability:
             recovered = revived.series(name).engine
             recovered.verify()
             _assert_same_state(original, recovered)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a retune or resize after the last checkpoint_all is not "
+        "durable: the manifest still names the old split, so the WAL tail "
+        "replays under it (docs/durability.md, 'What a crash forgets')",
+    )
+    def test_retune_after_the_last_checkpoint_survives_recovery(self, tmp_path):
+        """The contract recovery should meet: after ``sync()``, what
+        ``recover`` rebuilds has the live engine's per-point write counts
+        — same points *and* same accounting, whatever was retuned when."""
+        state_dir = str(tmp_path / "state")
+        db = TimeSeriesDatabase(
+            memory_budget_per_series=512, sstable_size=128, durability_dir=state_dir
+        )
+        dataset = generate_synthetic(
+            8000, dt=50, delay=LogNormalDelay(5.0, 2.0), seed=3
+        )
+        db.write("s", dataset.tg[:6000], dataset.ta[:6000])
+        db.checkpoint_all()
+        assert db.retune()  # pi_c -> pi_s, recorded nowhere durable
+        db.write("s", dataset.tg[6000:], dataset.ta[6000:])
+        db.sync()
+
+        live = db.series("s").engine
+        recovered = TimeSeriesDatabase.recover(state_dir).series("s").engine
+        assert recovered.ingested_points == live.ingested_points
+        for engine in (live, recovered):
+            engine.flush_all()
+        np.testing.assert_array_equal(
+            recovered.stats.write_counts, live.stats.write_counts
+        )
 
     def test_recover_without_manifest_fails(self, tmp_path):
         with pytest.raises(RecoveryError):

@@ -6,9 +6,11 @@ import pytest
 from repro import (
     AdaptiveEngine,
     BackpressureError,
+    ConfigError,
     ConventionalEngine,
     DelayAnalyzer,
     EngineError,
+    FaultPlan,
     IoTDBStyleEngine,
     JsonlFileSink,
     LogNormalDelay,
@@ -17,12 +19,14 @@ from repro import (
     SeparationEngine,
     Telemetry,
     TieredEngine,
+    TimeSeriesDatabase,
     read_wal,
     recover_adaptive,
+    recover_engine,
 )
-from repro.errors import EngineClosedError, ModelError, QueryError
+from repro.errors import EngineClosedError, InjectedCrash, ModelError, QueryError
 from repro.faults.crashtest import run_crash_case
-from repro.lsm import CompactionEvent, WriteStats
+from repro.lsm import CompactionEvent, LeveledEngine, WriteStats
 from repro.lsm.base import Snapshot
 from repro.lsm.pruning import TableIndex
 from repro.query.aggregation import execute_aggregate_query
@@ -268,6 +272,113 @@ class TestClosedEngine:
                 engine.ingest(np.array([9.0]), np.array([10.0]))
             else:
                 engine.ingest(np.array([9.0]))
+
+
+class TestResplitValidatesBeforeDraining:
+    """The one re-split path — ``LeveledEngine.resplit``, reached through
+    ``resize_series`` and ``create_series`` — checks the new split, the
+    new budget and that the engine is open *before* it drains anything:
+    a refused call leaves epoch, event log and buffered points alone."""
+
+    BUDGET = 64
+
+    def _db(self):
+        db = TimeSeriesDatabase(self.BUDGET, 32, auto_tune=False)
+        db.write("s", np.arange(100, dtype=np.float64))  # 64 landed, 36 buffered
+        return db
+
+    @staticmethod
+    def _fingerprint(engine):
+        return (
+            engine.structure_epoch,
+            len(engine.stats.events),
+            engine.snapshot().memory_points,
+            engine.current_policy,
+            engine.config.memory_budget,
+        )
+
+    @pytest.mark.parametrize(
+        "seq_capacity",
+        [0, BUDGET, BUDGET + 6, -1],
+        ids=["zero", "whole-budget", "over-budget", "negative"],
+    )
+    def test_bad_split(self, seq_capacity):
+        db = self._db()
+        engine = db.series("s").engine
+        before = self._fingerprint(engine)
+        assert before[2] == 36
+        with pytest.raises(ConfigError):
+            engine.resplit(seq_capacity)
+        with pytest.raises(ConfigError):
+            db.resize_series("s", self.BUDGET, seq_capacity=seq_capacity)
+        with pytest.raises(ConfigError):
+            db.create_series("t", seq_capacity=seq_capacity)
+        assert self._fingerprint(engine) == before
+        assert db.series_names() == ["s"]
+
+    def test_bad_budget(self):
+        db = self._db()
+        engine = db.series("s").engine
+        before = self._fingerprint(engine)
+        with pytest.raises(ConfigError):
+            engine.resplit(None, memory_budget=1)
+        with pytest.raises(EngineError):
+            db.resize_series("s", 1)
+        with pytest.raises(ConfigError):
+            db.create_series("t", memory_budget=1)
+        assert self._fingerprint(engine) == before
+        assert db.series_names() == ["s"]
+
+    def test_closed_engine(self):
+        db = self._db()
+        engine = db.series("s").engine
+        engine.close()
+        before = self._fingerprint(engine)
+        with pytest.raises(EngineClosedError):
+            engine.resplit(16)
+        with pytest.raises(EngineClosedError):
+            db.resize_series("s", 32)
+        with pytest.raises(ConfigError):
+            engine.resplit(0)  # validation still comes first
+        assert self._fingerprint(engine) == before
+
+    def test_crash_inside_the_drain_keeps_the_old_split(self, tmp_path):
+        """``resplit``'s ``flush_all`` crosses the same fault boundaries
+        as any other landing.  A crash there escapes before anything
+        moved: the old split is still bound, the points are still
+        buffered, the WAL recovers all of them — and the engine's one
+        injector has counted the crash, so a retry goes through."""
+        wal_path = str(tmp_path / "s.wal")
+        engine = LeveledEngine(
+            LsmConfig(
+                self.BUDGET,
+                32,
+                wal_path=wal_path,
+                fault_plan=FaultPlan(seed=1, crash_at_merge=1),
+            )
+        )
+        engine.ingest(np.arange(64, dtype=np.float64))  # lands; nothing to merge
+        engine.ingest(np.arange(10, dtype=np.float64) + 0.5)  # overlaps the run
+        injector = engine.faults
+        before = self._fingerprint(engine)
+        with pytest.raises(InjectedCrash):
+            engine.resplit(16)
+        assert self._fingerprint(engine) == before
+        assert engine.describe_policies()["placement"] == "single"
+        engine.verify()
+
+        engine.wal.sync()
+        report = recover_engine(
+            ConventionalEngine, wal_path, config=LsmConfig(self.BUDGET, 32)
+        )
+        assert report.verified and report.durable_points == 74
+
+        assert engine.resplit(16)
+        assert engine.faults is injector
+        assert injector.injected == [("merge", "crash")]
+        assert engine.current_policy == "pi_s(n_seq=16)"
+        assert engine.snapshot().disk_points == 74
+        engine.verify()
 
 
 class TestEventValidation:

@@ -37,7 +37,7 @@ from repro import (
     recover_adaptive,
     recover_engine,
 )
-from repro.distributions import ExponentialDelay
+from repro.distributions import ExponentialDelay, LogNormalDelay
 from repro.errors import EngineError, InjectedCrash
 from repro.faults import OVERLOAD_FAULT_KINDS, run_crash_case
 from repro.lsm import HEALTHY, SHEDDING, THROTTLED
@@ -496,6 +496,34 @@ def test_database_surfaces_backpressure_and_sync(tmp_path):
     assert series.config.wal_group_records == 4
     assert series.config.compaction_scheduler is True
     assert series.engine.ingested_points == len(dataset)
+
+
+def test_wal_handle_and_its_pending_group_survive_a_retune(tmp_path):
+    """A retune re-splits the engine in place: the WAL handle, its
+    lifetime counters and the group it is still filling stay as they
+    were — a policy change is not a durability barrier."""
+    db = TimeSeriesDatabase(
+        memory_budget_per_series=512,
+        sstable_size=128,
+        durability_dir=str(tmp_path / "db"),
+        stability=dict(wal_group_records=8),
+    )
+    dataset = generate_synthetic(6000, 50.0, LogNormalDelay(5.0, 2.0), seed=3)
+    for pos in range(0, 6000, 100):
+        db.write("s", dataset.tg[pos : pos + 100], dataset.ta[pos : pos + 100])
+    def counters():
+        wal = db.series("s").engine.wal
+        return (
+            wal.appended,
+            wal.groups_committed,
+            wal.coalescing_ratio,
+            wal.pending_records,
+        )
+
+    before = counters()
+    assert before == (60, 7, 8.0, 4)
+    assert db.retune()
+    assert counters() == before
 
 
 # -- injectable fault clock ----------------------------------------------------
