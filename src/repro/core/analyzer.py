@@ -27,9 +27,34 @@ from ..stats import GKQuantileSketch, SlidingWindowSample, summarize
 from .drift import KsDriftDetector
 from .tuning import PolicyDecision, tune_separation_policy
 
-__all__ = ["DelayProfile", "DelayAnalyzer"]
+__all__ = ["DelayProfile", "DelayAnalyzer", "finite_delays"]
 
 logger = logging.getLogger(__name__)
+
+#: Points :meth:`DelayAnalyzer.observe` stages before folding them into
+#: the window in one pass.  Small batches (a fleet write is ~128 points)
+#: then cost a validation and two slice copies; the window, which nothing
+#: reads between retunes, is brought up to date on the first read.
+_STAGE_POINTS = 1024
+
+
+def finite_delays(tg: np.ndarray, ta: np.ndarray) -> np.ndarray | None:
+    """``ta - tg`` for same-shape float arrays, or ``None`` unless every
+    difference is finite.
+
+    One pass answers three questions: a finite difference has finite
+    operands, so ``None`` means a NaN/inf timestamp on either side or
+    two finite ones too far apart for a float.  The caller raises the
+    typed error.  numpy may add its own ``RuntimeWarning`` for an
+    overflow or ``inf - inf`` — never for a batch that is accepted — and
+    where warnings are errors that is ``None`` as well; silencing it
+    (``np.errstate``) would cost every accepted batch ~2 us.
+    """
+    try:
+        delays = ta - tg
+    except RuntimeWarning:
+        return None
+    return delays if np.isfinite(delays).all() else None
 
 
 @dataclass(frozen=True)
@@ -90,7 +115,7 @@ class DelayAnalyzer:
             raise ModelError(f"dt must be positive, got {dt}")
         self.memory_budget = memory_budget
         self._fixed_dt = dt
-        self.window = SlidingWindowSample(window)
+        self._window = SlidingWindowSample(window)
         self.use_empirical = use_empirical
         self.model_config = model_config
         self.drift = (
@@ -98,15 +123,18 @@ class DelayAnalyzer:
         )
         self.variant = variant
         self.sstable_size = sstable_size
-        #: Optional GK sketch over *all* delays ever observed — unlike the
-        #: sliding window, this summarises the full horizon in bounded
-        #: memory with deterministic rank guarantees.
-        self.long_horizon = (
+        self._long_horizon = (
             GKQuantileSketch(epsilon=0.005) if track_long_horizon else None
         )
         self._max_tg = -np.inf
         self._min_tg = np.inf
         self._tg_count = 0
+        # Validated observations not yet folded into the above: clipped
+        # delays and generation times, in arrival order.  The buffers are
+        # the analyzer's own, so a caller may reuse its arrays.
+        self._stage_delays = np.empty(_STAGE_POINTS)
+        self._stage_tg = np.empty(_STAGE_POINTS)
+        self._staged = 0
         self.last_decision: PolicyDecision | None = None
 
     # -- observation ------------------------------------------------------------
@@ -115,8 +143,11 @@ class DelayAnalyzer:
         """Feed aligned generation/arrival timestamp batches.
 
         Raises :class:`ModelError`, recording nothing, when the arrays
-        do not align or a timestamp is NaN/inf — one non-finite delay in
-        the window would poison every later profile.
+        do not align, a timestamp is NaN/inf or a delay ``ta - tg``
+        overflows — one non-finite delay in the window would poison
+        every later profile.  An accepted batch is staged; every read
+        (:attr:`window`, :attr:`observed_points`, :meth:`profile`, ...)
+        folds the stage first, so readers always see every observation.
         """
         tg = np.asarray(tg, dtype=float).ravel()
         ta = np.asarray(ta, dtype=float).ravel()
@@ -126,15 +157,60 @@ class DelayAnalyzer:
             )
         if tg.size == 0:
             return
-        if not (np.isfinite(tg).all() and np.isfinite(ta).all()):
-            raise ModelError("tg and ta must be finite; got NaN/inf in the batch")
-        delays = np.clip(ta - tg, 0.0, None)
-        self.window.offer_many(delays)
-        if self.long_horizon is not None:
-            self.long_horizon.insert_many(delays)
+        delays = finite_delays(tg, ta)
+        if delays is None:
+            raise ModelError(
+                "tg, ta and the delays ta - tg must be finite; got "
+                "NaN/inf (or an overflowing difference) in the batch"
+            )
+        if tg.size >= _STAGE_POINTS:
+            # Too large to stage: recorded now, after what came before
+            # it (``delays`` is a fresh array, clipped in place).
+            self._fold()
+            self._record(np.maximum(delays, 0.0, out=delays), tg)
+            return
+        if self._staged + tg.size > _STAGE_POINTS:
+            self._fold()
+        start = self._staged
+        stop = start + tg.size
+        np.maximum(delays, 0.0, out=self._stage_delays[start:stop])
+        self._stage_tg[start:stop] = tg
+        self._staged = stop
+
+    def _record(self, delays: np.ndarray, tg: np.ndarray) -> None:
+        """Fold clipped ``delays`` and their ``tg`` into the statistics."""
+        self._window.offer_many(delays)
+        if self._long_horizon is not None:
+            self._long_horizon.insert_many(delays)
         self._max_tg = max(self._max_tg, float(tg.max()))
         self._min_tg = min(self._min_tg, float(tg.min()))
         self._tg_count += tg.size
+
+    def _fold(self) -> None:
+        """Record whatever is staged (every read starts here)."""
+        staged = self._staged
+        if staged:
+            self._staged = 0
+            self._record(self._stage_delays[:staged], self._stage_tg[:staged])
+
+    @property
+    def window(self) -> SlidingWindowSample:
+        """The recent-delay window, every observation folded in.
+
+        Read it afresh after each :meth:`observe`: a reference kept
+        across one misses what that call staged until the next read.
+        """
+        self._fold()
+        return self._window
+
+    @property
+    def long_horizon(self) -> GKQuantileSketch | None:
+        """GK sketch over *all* delays ever observed (``None`` unless
+        ``track_long_horizon``) — unlike the sliding window, it
+        summarises the full horizon in bounded memory with deterministic
+        rank guarantees."""
+        self._fold()
+        return self._long_horizon
 
     @property
     def observed_points(self) -> int:
@@ -147,6 +223,7 @@ class DelayAnalyzer:
         """The fixed ``dt`` if given, else the mean generation interval."""
         if self._fixed_dt is not None:
             return self._fixed_dt
+        self._fold()
         if self._tg_count < 2 or not np.isfinite(self._max_tg):
             raise ModelError(
                 "cannot estimate dt: need at least two observed points"
@@ -187,12 +264,13 @@ class DelayAnalyzer:
         sketch and carry its epsilon-rank guarantee over every delay
         ever observed.
         """
-        if self.long_horizon is None:
+        sketch = self.long_horizon
+        if sketch is None:
             raise ModelError(
                 "long-horizon tracking disabled; construct the analyzer "
                 "with track_long_horizon=True"
             )
-        return self.long_horizon.quantiles(np.asarray(levels, dtype=float))
+        return sketch.quantiles(np.asarray(levels, dtype=float))
 
     # -- recommendation ------------------------------------------------------------
 

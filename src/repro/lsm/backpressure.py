@@ -112,8 +112,10 @@ class AdmissionController:
         Columnar tables pin their block statistics in memory, so that
         footprint competes with MemTables for the same budget; it is
         charged here at :data:`~repro.lsm.blocks.POINT_BYTES` per
-        point-equivalent (the kernel caches the byte total per
-        structure epoch, so the per-batch cost is one comparison).
+        point-equivalent.  No term walks the tables: the kernel keeps
+        the byte total as a running sum adjusted by each landing,
+        conversion and restore, so admission costs the same however
+        many tables the series holds.
         """
         kernel = self.kernel
         debt = sum(len(m) for m in kernel.placement.memtables())

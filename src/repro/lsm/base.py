@@ -142,7 +142,7 @@ def validate_generation_times(tg: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(tg, dtype=np.float64)
     if arr.ndim != 1:
         raise EngineError(f"ingest expects a 1-d array, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise EngineError(
             "generation times must be finite; got NaN/inf in the batch"
         )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import LsmConfig
-from ..core.analyzer import DelayAnalyzer
+from ..core.analyzer import DelayAnalyzer, finite_delays
 from ..core.tuning import SEPARATION, PolicyDecision
 from ..errors import EngineError, ModelError, RecoveryError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -248,11 +248,13 @@ class TimeSeriesDatabase:
 
     def write(
         self, name: str, tg: np.ndarray, ta: np.ndarray | None = None
-    ) -> None:
-        """Append arrival-ordered points to ``name`` (created on demand).
+    ) -> int:
+        """Append arrival-ordered points to ``name`` (created on demand);
+        returns how many.
 
         A batch is checked before anything changes: non-finite ``tg``
-        (:class:`EngineError`), a misaligned or non-finite ``ta``
+        (:class:`EngineError`), a ``ta`` that is misaligned, non-finite
+        or so far from ``tg`` that the delay overflows
         (:class:`ModelError`), a closed engine or a shed batch
         (:class:`BackpressureError`) raise with the engine, the analyzer
         and the disorder tracking exactly as they were, so the caller
@@ -265,8 +267,17 @@ class TimeSeriesDatabase:
                 raise ModelError(
                     f"tg and ta must align: {tg.size} vs {ta.size}"
                 )
-            if not np.isfinite(ta).all():
-                raise ModelError("arrival times must be finite; got NaN/inf")
+            if ta.shape != tg.shape or finite_delays(tg, ta) is None:
+                # The pair is bad; say how, ``ta`` first.  A bad ``tg``
+                # is the engine's to reject below, as it is without ta.
+                if not np.isfinite(ta).all():
+                    raise ModelError("arrival times must be finite; got NaN/inf")
+                if tg.ndim == 1 and np.isfinite(tg).all():
+                    raise ModelError(
+                        "ta must pair with tg point by point at a finite "
+                        f"delay: shapes {tg.shape} vs {ta.shape}, or "
+                        "ta - tg overflows"
+                    )
         state = self._series.get(name)
         if state is None:
             # The engine checks tg below, but that is too late to stop a
@@ -277,12 +288,12 @@ class TimeSeriesDatabase:
         # it places a point; what follows runs only for accepted batches.
         state.engine.ingest(tg)
         if tg.size == 0:
-            return
+            return 0
         last = self._last_tg[name]
         if (
             self._had_disorder[name]
             or tg[0] < last
-            or np.any(tg[1:] < tg[:-1])
+            or np.count_nonzero(tg[1:] < tg[:-1])
         ):
             self._had_disorder[name] = True
             self._last_tg[name] = max(last, float(tg.max()))
@@ -294,6 +305,7 @@ class TimeSeriesDatabase:
         if self.telemetry.enabled:
             self.telemetry.count("db.write.batches")
             self.telemetry.count("db.write.points", int(tg.size))
+        return int(tg.size)
 
     def flush_all(self) -> None:
         """Drain every series' MemTables."""

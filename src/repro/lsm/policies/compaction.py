@@ -156,6 +156,11 @@ class CompactionPolicy(abc.ABC):
         identical to the row path, so write amplification and event
         accounting never change; only the layout (and the metadata
         queries can exploit) does.
+
+        Call it from a commit's ``apply`` only: the tables are counted
+        as entering the visible structure here (columnar ones add their
+        block statistics to the kernel's resident total), and the
+        tables they replace are handed to ``kernel.retire_tables``.
         """
         kernel = self.kernel
         config = kernel.config
@@ -177,9 +182,11 @@ class CompactionPolicy(abc.ABC):
             cold_max_tg=cold_max,
         )
         if block_size:
-            converted = sum(1 for table in tables if table.is_columnar)
-            if converted:
-                kernel.note_cold_conversion(converted)
+            cold = [table for table in tables if table.is_columnar]
+            if cold:
+                kernel.note_cold_conversion(
+                    len(cold), sum(table.stats_nbytes for table in cold)
+                )
         return tables
 
     def cold_flush_storage(self, tg: np.ndarray, ids: np.ndarray):
@@ -193,7 +200,7 @@ class CompactionPolicy(abc.ABC):
         cold = config.cold_tier and config.cold_level == 0
         storage = make_storage(tg, ids, config.cold_block_size if cold else 0)
         if cold:
-            self.kernel.note_cold_conversion(1)
+            self.kernel.note_cold_conversion(1, storage.stats_nbytes)
         return storage
 
     # -- read views ------------------------------------------------------------
@@ -312,7 +319,7 @@ class LeveledSingleRun(CompactionPolicy):
             if region is None:
                 self.run.append(tables)
             else:
-                self.run.replace(region, tables)
+                self.kernel.retire_tables(self.run.replace(region, tables))
             memtable.clear()
             return len(tables)
 
@@ -390,8 +397,9 @@ class MultiLevelCascade(CompactionPolicy):
 
         def apply() -> int:
             tables = self.emit_tables(merged_tg, merged_ids, level=level)
-            run.replace(region, tables)
-            source.clear()
+            self.kernel.retire_tables(run.replace(region, tables))
+            # A spilled level's tables leave with it; a MemTable has none.
+            self.kernel.retire_tables(source.clear() or [])
             return len(tables)
 
         self._commit(
@@ -474,6 +482,7 @@ class SizeTiered(CompactionPolicy):
 
             def merge_tier() -> int:
                 merged = self.emit_tables(tier_tg, tier_ids, level=level + 1)
+                self.kernel.retire_tables(tables)
                 self.levels[level] = []
                 self.levels[level + 1].append(merged)
                 return len(merged)
@@ -601,7 +610,7 @@ class IoTDBTwoSpace(CompactionPolicy):
 
         def apply() -> int:
             tables = self.emit_tables(merged_tg, merged_ids, level=1)
-            self.l2.replace(region, tables)
+            self.kernel.retire_tables(self.l2.replace(region, tables) + files)
             self.l1_files = []
             self.background_ms += self.disk.write_cost_ms(
                 merged_ids.size

@@ -43,6 +43,7 @@ from ..base import LsmEngine, MemTableView, Snapshot
 from ..memtable import MemTable
 from ..pruning import TableIndex
 from ..scheduler import CompactionScheduler
+from ..sstable import SSTable
 from .compaction import LANDING_OPS, CompactionPolicy
 from .flush import FlushStrategy
 from .placement import PlacementPolicy
@@ -81,9 +82,10 @@ class StorageKernel(LsmEngine):
         self._snapshot_cache: tuple[tuple[int, ...], Snapshot] | None = None
         #: Columnar tables emitted or converted over this kernel's life.
         self.cold_tables_converted = 0
-        # Resident cold-tier statistics bytes, cached per structure
-        # epoch: the admission controller asks on every batch.
-        self._cold_bytes_cache: tuple[int, int] | None = None
+        # Resident block-statistics bytes of the visible tables: a
+        # running total kept where tables enter, convert and leave,
+        # because the admission controller reads it on every batch.
+        self._cold_bytes = 0
         # Policies see the kernel (config, stats, telemetry, fault
         # boundary) through one back-reference each; compaction binds
         # first so placement/flush can read its state (the watermark).
@@ -205,31 +207,40 @@ class StorageKernel(LsmEngine):
 
     # -- cold tier -------------------------------------------------------------
 
-    def note_cold_conversion(self, tables: int) -> None:
-        """Account ``tables`` newly columnar tables (emitted or converted)."""
+    def note_cold_conversion(self, tables: int, stats_bytes: int) -> None:
+        """Account ``tables`` newly columnar visible tables (emitted or
+        converted) and the ``stats_bytes`` of block statistics they pin."""
         self.cold_tables_converted += tables
         if self.telemetry.enabled:
             self.telemetry.count("cold_tier.tables_converted", tables)
+        self._set_cold_bytes(self._cold_bytes + stats_bytes)
+
+    def retire_tables(self, tables: list[SSTable]) -> None:
+        """``tables`` left the visible structure: release the block
+        statistics they pinned (compaction commits call this)."""
+        self._set_cold_bytes(
+            self._cold_bytes - sum(table.stats_nbytes for table in tables)
+        )
+
+    def _set_cold_bytes(self, total: int) -> None:
+        if total != self._cold_bytes:
+            self._cold_bytes = total
+            if self.telemetry.enabled:
+                self.telemetry.gauge("cold_tier.resident_bytes", float(total))
 
     def cold_tier_bytes(self) -> int:
         """Resident bytes of columnar block statistics across all
-        visible tables (cached per structure epoch).
+        visible tables.
 
         This is the cold tier's in-memory footprint: the point arrays
         model disk, but block statistics are pinned in RAM for pruning,
-        so the backpressure debt model charges for them.  Publishes the
-        ``cold_tier.resident_bytes`` gauge on each recomputation.
+        so the backpressure debt model charges for them.  O(1): the
+        total is adjusted by every commit, conversion and restore (and
+        the ``cold_tier.resident_bytes`` gauge published) as it changes,
+        and always equals the sum of ``stats_nbytes`` over
+        ``compaction.visible_tables()``.
         """
-        cached = self._cold_bytes_cache
-        if cached is not None and cached[0] == self._structure_epoch:
-            return cached[1]
-        total = sum(
-            table.stats_nbytes for table in self.compaction.visible_tables()
-        )
-        self._cold_bytes_cache = (self._structure_epoch, total)
-        if self.telemetry.enabled:
-            self.telemetry.gauge("cold_tier.resident_bytes", float(total))
-        return total
+        return self._cold_bytes
 
     def convert_cold(
         self,
@@ -256,18 +267,18 @@ class StorageKernel(LsmEngine):
                 max_tg = mark - config.cold_age if mark > -math.inf else -math.inf
             else:
                 max_tg = math.inf
-        converted = 0
+        converted = stats_bytes = 0
         for table in self.compaction.visible_tables():
             if not table.is_columnar and table.max_tg <= max_tg:
                 table.convert_to_columnar(block_size)
                 converted += 1
+                stats_bytes += table.stats_nbytes
         if converted:
-            self.note_cold_conversion(converted)
+            self.note_cold_conversion(converted, stats_bytes)
             # The layout changed even though the logical structure did
-            # not: bump the epoch so the cold-bytes cache (and any
-            # index that may later carry block metadata) refreshes.
+            # not: bump the epoch so any index that carries block
+            # metadata refreshes.
             self.mark_structure_change()
-            self.cold_tier_bytes()
         return converted
 
     # -- reading ---------------------------------------------------------------
@@ -367,4 +378,8 @@ class StorageKernel(LsmEngine):
     def _restore_state(self, state: dict, arrays: dict[str, np.ndarray]) -> None:
         self.compaction.unpack(state, arrays)
         self.placement.unpack(arrays)
+        # The whole structure was replaced: recount, this once, by a walk.
+        self._set_cold_bytes(
+            sum(table.stats_nbytes for table in self.compaction.visible_tables())
+        )
         self.mark_structure_change()

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.allocation import MemoryArbiter, RebalanceDecision, SeriesWorkload
 from ..core.tuning import SEPARATION
-from ..errors import EngineError, ModelError, RecoveryError
+from ..errors import EngineError, InjectedCrash, ModelError, RecoveryError
 from ..lsm.backpressure import rollup_states
 from ..lsm.database import TimeSeriesDatabase
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -198,34 +198,47 @@ class ShardedDatabase:
 
     def write(
         self, name: str, tg: np.ndarray, ta: np.ndarray | None = None
-    ) -> None:
-        """Route one series' arrival-ordered batch to its shard."""
-        self.database_for(name).write(name, tg, ta)
+    ) -> int:
+        """Route one series' arrival-ordered batch to its shard; returns
+        the number of points written."""
+        return self.database_for(name).write(name, tg, ta)
 
     def ingest_batch(self, batch: list[tuple], sync: bool = True) -> int:
         """Split, route and group-commit one multi-series batch.
 
         ``batch`` is a list of ``(name, tg)`` or ``(name, tg, ta)``
-        entries.  Entries are routed to their shards (per-shard order =
-        batch order) and, with ``sync`` (the default), every touched
-        shard gets one durability barrier after its slice — the fleet
-        analogue of the group-commit ``sync()``.  Returns the number of
-        points ingested.  When an arbiter is installed, the batch counts
-        toward its decision interval and a due decision is applied
-        before returning.
+        entries; a malformed entry raises :class:`EngineError` before
+        anything is written.  Entries are routed to their shards
+        (per-shard order = batch order) and, with ``sync`` (the
+        default), every touched shard gets one durability barrier after
+        its slice — the fleet analogue of the group-commit ``sync()``.
+        Returns the number of points ingested.  When an arbiter is
+        installed, the batch counts toward its decision interval and a
+        due decision is applied before returning.
+
+        The batch is applied entry by entry, not all or nothing: when
+        :meth:`TimeSeriesDatabase.write` rejects an entry, the entries
+        before it are applied — and, with ``sync``, durable: the barrier
+        still runs for every shard written to — the rejected one left no
+        trace, and later ones were not attempted.
         """
         total = 0
         parts = self.router.split_batch(list(batch))
         for index in sorted(parts):
             db = self.shards[index]
-            for entry in parts[index]:
-                name, tg = entry[0], entry[1]
-                ta = entry[2] if len(entry) > 2 else None
-                tg = np.ascontiguousarray(tg, dtype=np.float64)
-                db.write(name, tg, ta)
-                total += int(tg.size)
-            if sync:
-                db.sync()
+            barrier = sync
+            try:
+                for entry in parts[index]:
+                    total += db.write(*entry)
+            except InjectedCrash:
+                # A simulated process death: pending frames die with it.
+                barrier = False
+                raise
+            finally:
+                # Also when an entry is rejected: what the call did place
+                # is durable before the error leaves.
+                if barrier:
+                    db.sync()
         if self.telemetry.enabled:
             self.telemetry.count("fleet.ingest.batches")
             self.telemetry.count("fleet.ingest.points", total)

@@ -77,6 +77,8 @@ class ShardRouter:
 
     def shard_of(self, name: str) -> int:
         """The shard index owning series ``name``."""
+        if not isinstance(name, str):
+            raise EngineError(f"series names are strings, got {name!r:.80}")
         if self.mode == "hash":
             return (crc32(name.encode("utf-8")) & 0xFFFFFFFF) % self.n_shards
         return bisect_right(self.boundaries, name)
@@ -93,10 +95,17 @@ class ShardRouter:
 
         Per-shard order equals input order, so replaying one shard's
         slice through a standalone database reproduces exactly what the
-        sharded run fed that shard — the conformance invariant.
+        sharded run fed that shard — the conformance invariant.  Raises
+        :class:`EngineError` for an entry of any other shape.
         """
         parts: dict[int, list[tuple]] = {}
         for entry in batch:
+            fields = len(entry) if isinstance(entry, (tuple, list)) else None
+            if fields not in (2, 3):
+                raise EngineError(
+                    "a batch entry is a (name, tg) or (name, tg, ta) tuple, got "
+                    + (type(entry).__name__ if fields is None else f"{fields} fields")
+                )
             parts.setdefault(self.shard_of(entry[0]), []).append(entry)
         return parts
 

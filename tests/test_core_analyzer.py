@@ -1,9 +1,13 @@
 """Tests for the delay analyzer and drift detection."""
 
+import warnings
+from collections import deque
+
 import numpy as np
 import pytest
 
-from repro import DelayAnalyzer, KsDriftDetector, LogNormalDelay
+from repro import DelayAnalyzer, KsDriftDetector, LogNormalDelay, TimeSeriesDatabase
+from repro.core.analyzer import _STAGE_POINTS
 from repro.errors import ModelError
 from repro.workloads import generate_synthetic
 
@@ -103,6 +107,8 @@ class TestDelayAnalyzer:
         with pytest.raises(ModelError):
             analyzer.observe(np.array([1.0]), np.array([1.0, 2.0]))
 
+    # inf - inf is rejected like any non-finite pair; numpy also warns.
+    @pytest.mark.filterwarnings("ignore:.* encountered in subtract:RuntimeWarning")
     @pytest.mark.parametrize(
         "tg, ta",
         [
@@ -172,6 +178,161 @@ class TestDelayAnalyzer:
         assert retunes[-1] is True
         for chunk in (1, 7, 4096):
             assert drive(chunk) == whole
+
+
+class _EagerReference:
+    """What the analyzer's statistics are by definition: every batch
+    folded on arrival, one point at a time."""
+
+    def __init__(self, window):
+        self.window = deque(maxlen=window)
+        self.count = 0
+        self.min_tg = np.inf
+        self.max_tg = -np.inf
+
+    def observe(self, tg, ta):
+        for generated, arrived in zip(tg.tolist(), ta.tolist()):
+            self.window.append(max(arrived - generated, 0.0))
+            self.min_tg = min(self.min_tg, generated)
+            self.max_tg = max(self.max_tg, generated)
+            self.count += 1
+
+
+class TestStagedObservations:
+    """``observe`` stages small batches and folds them on the first read;
+    no reader may be able to tell."""
+
+    WINDOW = 1500
+    SIZES = (1, 7, 128, _STAGE_POINTS - 1, _STAGE_POINTS, _STAGE_POINTS + 1, 4096)
+
+    def _stream(self):
+        calm = generate_synthetic(
+            30_000, dt=50, delay=LogNormalDelay(3.0, 0.5), seed=5
+        )
+        wild = generate_synthetic(
+            30_000, dt=50, delay=LogNormalDelay(6.0, 2.0), seed=6
+        )
+        shift = calm.tg[-1] + 50.0
+        return (
+            np.concatenate((calm.tg, wild.tg + shift)),
+            np.concatenate((calm.ta, wild.ta + shift)),
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_staged_equals_eager(self, seed):
+        """Random batch sizes around the stage size, a randomly chosen
+        read (or none) after every ``observe``: the staged analyzer, an
+        eager twin that is read after every batch, and the by-definition
+        reference agree bit for bit at every read."""
+        tg, ta = self._stream()
+        rng = np.random.default_rng(seed)
+        staged = DelayAnalyzer(256, window=self.WINDOW, sstable_size=256)
+        eager = DelayAnalyzer(256, window=self.WINDOW, sstable_size=256)
+        reference = _EagerReference(self.WINDOW)
+        reads = ("none", "window", "observed_points", "estimated_dt",
+                 "should_retune", "recommend")
+        seen = set()
+        pos = 0
+        while pos < tg.size:
+            size = int(rng.choice(self.SIZES, p=(.2, .2, .3, .075, .075, .075, .075)))
+            batch = slice(pos, pos + size)
+            pos += size
+            for sink in (staged, eager, reference):
+                sink.observe(tg[batch], ta[batch])
+            # A read folds: the twin never defers more than one batch.
+            assert eager.observed_points == reference.count
+            read = reads[rng.integers(len(reads))]
+            if read in ("should_retune", "recommend") and reference.count < 4:
+                read = "observed_points"
+            seen.add(read)
+            if read == "window":
+                assert staged.window.sample().tolist() == list(reference.window)
+                assert staged.window.full == (reference.count >= self.WINDOW)
+            elif read == "observed_points":
+                assert staged.observed_points == reference.count
+            elif read == "estimated_dt":
+                if reference.count >= 2:
+                    span = reference.max_tg - reference.min_tg
+                    assert staged.estimated_dt() == span / (reference.count - 1)
+            elif read == "should_retune":
+                assert staged.should_retune() == eager.should_retune()
+            elif read == "recommend":
+                ours, theirs = staged.recommend(), eager.recommend()
+                assert (ours.policy, ours.seq_capacity, ours.r_c, ours.r_s_star) == (
+                    theirs.policy, theirs.seq_capacity, theirs.r_c, theirs.r_s_star
+                )
+                assert ours.sweep_r_s.tolist() == theirs.sweep_r_s.tolist()
+        assert seen == set(reads)
+        assert staged.window.sample().tolist() == list(reference.window)
+        assert eager.window.sample().tolist() == list(reference.window)
+        assert staged.delay_summary() == eager.delay_summary()
+
+    def test_long_horizon_sketch_sees_staged_points(self):
+        tg, ta = self._stream()
+        staged = DelayAnalyzer(256, window=64, track_long_horizon=True)
+        whole = DelayAnalyzer(256, window=64, track_long_horizon=True)
+        for pos in range(0, 3000, 100):
+            staged.observe(tg[pos : pos + 100], ta[pos : pos + 100])
+        whole.observe(tg[:3000], ta[:3000])
+        assert staged.long_horizon.count == 3000
+        levels = [0.1, 0.5, 0.9, 0.99]
+        assert (
+            staged.long_horizon_quantiles(levels).tolist()
+            == whole.long_horizon_quantiles(levels).tolist()
+        )
+
+    def test_the_stage_owns_its_memory(self):
+        """A caller that reuses its arrays after ``observe`` returns
+        changes nothing the analyzer recorded."""
+        analyzer = DelayAnalyzer(256, window=64)
+        tg = np.array([100.0, 150.0, 200.0])
+        ta = np.array([101.0, 152.0, 204.0])
+        analyzer.observe(tg, ta)
+        tg[:] = -1e9
+        ta[:] = 1e9
+        analyzer.observe(np.array([250.0]), np.array([258.0]))
+        assert analyzer.window.sample().tolist() == [1.0, 2.0, 4.0, 8.0]
+        assert analyzer.estimated_dt() == 50.0
+
+    @pytest.mark.filterwarnings("ignore:.* encountered in subtract:RuntimeWarning")
+    def test_rejected_batch_keeps_earlier_staged_points(self):
+        analyzer = DelayAnalyzer(256, window=64)
+        analyzer.observe(np.array([0.0, 50.0]), np.array([0.25, 50.5]))
+        for tg, ta in (
+            ([100.0, np.nan], [100.0, 150.0]),
+            ([100.0], [100.0, 150.0]),
+            ([-1.7e308], [1.7e308]),
+        ):
+            with pytest.raises(ModelError):
+                analyzer.observe(np.array(tg), np.array(ta))
+        analyzer.observe(np.array([100.0]), np.array([101.0]))
+        assert analyzer.observed_points == 3
+        assert analyzer.window.sample().tolist() == [0.25, 0.5, 1.0]
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_overflowing_delay_is_a_typed_error(self, action):
+        """Finite timestamps too far apart for a float (and ``inf -
+        inf``): ``ModelError`` and nothing recorded, whether numpy's own
+        warning about the subtraction is an error or not."""
+        analyzer = DelayAnalyzer(256, window=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ModelError):
+                analyzer.observe(np.array([-1.7e308]), np.array([1.7e308]))
+            with pytest.raises(ModelError):
+                analyzer.observe(np.array([np.inf]), np.array([np.inf]))
+        assert analyzer.observed_points == 0
+
+    def test_database_retune_sees_staged_points(self):
+        """``retune(min_observations=N)`` counts points still staged."""
+        stream = generate_synthetic(
+            4_000, dt=50, delay=LogNormalDelay(5.0, 2.0), seed=3
+        )
+        db = TimeSeriesDatabase(memory_budget_per_series=256, sstable_size=256)
+        for pos in range(0, 4_000, 100):
+            db.write("s", stream.tg[pos : pos + 100], stream.ta[pos : pos + 100])
+        assert db.retune(min_observations=4_001) == {}
+        assert "s" in db.retune(min_observations=4_000)
 
 
 class TestKsDriftDetector:

@@ -1,5 +1,7 @@
 """Failure-injection and robustness tests across the stack."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from repro.lsm.base import Snapshot
 from repro.lsm.pruning import TableIndex
 from repro.query.aggregation import execute_aggregate_query
 from repro.query.executor import execute_range_query
+from repro.serving import ShardedDatabase
 from repro.workloads import generate_synthetic
 
 
@@ -158,6 +161,112 @@ class TestNanQueryBoundsRejected:
         assert execute_range_query(snapshot, 10.0, np.inf).result_points == 90
         with pytest.raises(QueryError, match="inverted"):
             execute_range_query(snapshot, np.inf, -np.inf)
+
+
+class TestFleetFrontDoor:
+    """Hostile input to ``ShardedDatabase.ingest_batch``: a typed error
+    with nothing mutated, or a correct answer."""
+
+    GOOD = np.array([1000.0, 1010.0, 1020.0, 1030.0])
+
+    def _fleet(self, tmp_path):
+        fleet = ShardedDatabase(
+            n_shards=2,
+            memory_budget_per_series=8,
+            sstable_size=8,
+            durability_dir=str(tmp_path / "fleet"),
+        )
+        fleet.ingest_batch([("a", self.GOOD, self.GOOD + 1.0)])
+        return fleet
+
+    def _fingerprint(self, fleet):
+        state = fleet.database_for("a").series("a")
+        return (
+            fleet.series_names(),
+            state.engine.ingested_points,
+            state.engine.wal.appended,
+            state.analyzer.observed_points,
+            state.analyzer.window.sample().tolist(),
+        )
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [
+            (("b",), EngineError),
+            (("b", GOOD, GOOD, GOOD), EngineError),
+            ("b", EngineError),
+            ((7, GOOD), EngineError),
+            ((None, GOOD, GOOD), EngineError),
+            ((b"b", GOOD), EngineError),
+            (("b", GOOD, (GOOD + 1.0).reshape(2, 2)), ModelError),
+            (("a", GOOD + 100.0, (GOOD + 101.0).reshape(2, 2)), ModelError),
+            (("a", np.full(4, -1.7e308), np.full(4, 1.7e308)), ModelError),
+            (("b", np.array([-1.7e308]), np.array([1.7e308])), ModelError),
+        ],
+        ids=[
+            "no-tg", "four-fields", "bare-string", "int-name", "none-name",
+            "bytes-name", "2d-ta-new-series", "2d-ta", "overflow",
+            "overflow-new-series",
+        ],
+    )
+    def test_malformed_entry_is_a_typed_error_and_changes_nothing(
+        self, tmp_path, entry, error
+    ):
+        fleet = self._fleet(tmp_path)
+        before = self._fingerprint(fleet)
+        # The bad entry comes last, behind good ones bound for both
+        # shards: a malformed batch must be refused before any of them
+        # is written, a bad pair before its engine or WAL sees it.
+        malformed = error is EngineError
+        batch = [("a", self.GOOD + 50.0, self.GOOD + 51.0), entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                fleet.ingest_batch(batch if malformed else [entry])
+        assert self._fingerprint(fleet) == before
+        # ...and the fleet still works.
+        assert fleet.ingest_batch(batch[:1]) == 4
+
+    @pytest.mark.filterwarnings("ignore:.* encountered in subtract:RuntimeWarning")
+    def test_overflowing_delay_never_reaches_the_window(self):
+        db = TimeSeriesDatabase(memory_budget_per_series=8, sstable_size=8)
+        db.write("a", self.GOOD, self.GOOD + 1.0)
+        with pytest.raises(ModelError):
+            db.write("a", np.array([-1.7e308]), np.array([1.7e308]))
+        state = db.series("a")
+        assert state.engine.ingested_points == 4
+        assert np.isfinite(state.analyzer.window.sample()).all()
+
+    def test_degenerate_but_legal_entries(self, tmp_path):
+        """Empty and single-point entries, the same series twice in one
+        batch, negative timestamps and arrivals before generation are
+        all answers, not errors."""
+        fleet = self._fleet(tmp_path)
+        empty = np.empty(0)
+        written = fleet.ingest_batch(
+            [
+                ("e", empty, empty),
+                ("e", [], []),
+                ("one", [5.0], [6.0]),
+                ("twice", self.GOOD, self.GOOD + 1.0),
+                ("twice", self.GOOD + 40.0, self.GOOD + 41.0),
+                ("neg", -self.GOOD, -self.GOOD + 2.0),
+                ("early", self.GOOD, self.GOOD - 5.0),
+            ]
+        )
+        assert written == 0 + 0 + 1 + 4 + 4 + 4 + 4
+        fleet.flush_all()
+        assert fleet.snapshot("e").total_points == 0
+        assert fleet.snapshot("one").total_points == 1
+        assert fleet.snapshot("twice").total_points == 8
+        assert fleet.snapshot("neg").max_tg == -1000.0
+        assert fleet.database_for("neg").report().disordered_series >= 1
+        early = fleet.database_for("early").series("early").analyzer
+        assert early.window.sample().tolist() == [0.0] * 4  # clipped, not negative
+        result = fleet.query_aggregate(["twice", "neg"])
+        assert result.count == 12
+        for name in fleet.series_names():
+            fleet.database_for(name).series(name).engine.verify()
 
 
 class TestEngineMisuse:

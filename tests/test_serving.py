@@ -17,9 +17,10 @@ import pytest
 
 from repro.core.allocation import MemoryArbiter
 from repro.distributions import ExponentialDelay, LogNormalDelay, UniformDelay
-from repro.errors import EngineError, RecoveryError, TelemetryError
+from repro.errors import EngineError, ModelError, RecoveryError, TelemetryError
 from repro.faults.crashtest import FLEET_FAULT_KINDS, run_fleet_crash_case
 from repro.lsm.database import TimeSeriesDatabase, manifest_filename
+from repro.lsm.wal import read_wal
 from repro.obs.sharding import render_shard_report
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
@@ -458,3 +459,66 @@ class TestMemoryArbiter:
         fleet, _ = self._skewed_fleet()
         fleet.write("s", np.arange(64.0))
         assert fleet.backpressure_state() == "healthy"
+
+
+class TestRejectedEntryBarrier:
+    """``ingest_batch(sync=True)`` is per entry, not all or nothing —
+    but whatever it did place is durable when the error leaves."""
+
+    def _fleet(self, tmp_path, n_shards):
+        return ShardedDatabase(
+            n_shards=n_shards,
+            durability_dir=str(tmp_path / "fleet"),
+            stability=dict(wal_group_records=8),
+            **_DB_KWARGS,
+        )
+
+    def test_barrier_runs_for_the_shard_that_rejected(self, tmp_path):
+        fleet = self._fleet(tmp_path, n_shards=1)
+        good = np.arange(10.0)
+        with pytest.raises(ModelError):
+            fleet.ingest_batch(
+                [
+                    ("a", good, good + 1.0),
+                    ("b", np.array([1.0, 2.0]), np.array([1.0, np.nan])),
+                    ("c", good, good + 1.0),
+                ],
+                sync=True,
+            )
+        wal = fleet.shards[0].series("a").engine.wal
+        # The entry before the rejected one: applied and on disk.
+        assert fleet.snapshot("a").total_points == 10
+        assert (wal.pending_records, wal.records_committed) == (0, 1)
+        assert read_wal(wal.path).total_points == 10
+        # The rejected one left no trace; the one after was not attempted.
+        assert fleet.series_names() == ["a"]
+
+    def test_unsynced_batch_still_defers_its_group(self, tmp_path):
+        fleet = self._fleet(tmp_path, n_shards=1)
+        good = np.arange(10.0)
+        with pytest.raises(ModelError):
+            fleet.ingest_batch(
+                [("a", good, good + 1.0), ("b", good, good[:3])], sync=False
+            )
+        wal = fleet.shards[0].series("a").engine.wal
+        assert (wal.pending_records, wal.records_committed) == (1, 0)
+
+    def test_later_shards_are_not_attempted(self, tmp_path):
+        fleet = self._fleet(tmp_path, n_shards=4)
+        names = [f"series-{index:02d}" for index in range(12)]
+        owners = {name: fleet.shard_of(name) for name in names}
+        first, last = min(owners.values()), max(owners.values())
+        assert first != last
+        in_first = [name for name in names if owners[name] == first]
+        assert len(in_first) > 1
+        bad = in_first[-1]
+        good = np.arange(10.0)
+        batch = [
+            (name, good, good + (np.nan if name == bad else 1.0)) for name in names
+        ]
+        with pytest.raises(ModelError):
+            fleet.ingest_batch(batch, sync=True)
+        assert fleet.series_names() == in_first[:-1]
+        for name in fleet.series_names():
+            wal = fleet.database_for(name).series(name).engine.wal
+            assert (wal.pending_records, wal.records_committed) == (0, 1)

@@ -40,7 +40,8 @@ from repro import (
 from repro.distributions import ExponentialDelay, LogNormalDelay
 from repro.errors import EngineError, InjectedCrash
 from repro.faults import OVERLOAD_FAULT_KINDS, run_crash_case
-from repro.lsm import HEALTHY, SHEDDING, THROTTLED
+from repro.lsm import HEALTHY, SHEDDING, THROTTLED, LeveledEngine, LsmEngine, SSTable
+from repro.lsm.blocks import POINT_BYTES
 from repro.lsm.policies import (
     LeveledSingleRun,
     MergeFlush,
@@ -524,6 +525,135 @@ def test_wal_handle_and_its_pending_group_survive_a_retune(tmp_path):
     assert before == (60, 7, 8.0, 4)
     assert db.retune()
     assert counters() == before
+
+
+# -- admission debt is a running total -----------------------------------------
+
+_COLD_MODES = {
+    "row": None,
+    "cold-all": dict(block_size=8, level=0),
+    "cold-deep": dict(block_size=8, level=1),
+    "cold-aged": dict(block_size=8, level=10**6, age=200.0),
+}
+
+_DEBT_ENGINES = {
+    "leveled": (ConventionalEngine, {}),
+    "multilevel": (MultiLevelEngine, {"size_ratio": 3, "max_levels": 4}),
+    "tiered": (TieredEngine, {"tier_fanout": 3, "max_levels": 4}),
+    "iotdb": (IoTDBStyleEngine, {"policy": "separation", "l1_file_limit": 3}),
+}
+
+
+def _assert_debt_is_its_definition(engine):
+    """The O(1) totals against the from-scratch walks they replaced."""
+    tables = engine.compaction.visible_tables()
+    resident = sum(table.stats_nbytes for table in tables)
+    assert engine.cold_tier_bytes() == resident
+    scheduler = engine.scheduler
+    assert engine.admission.debt_points() == (
+        sum(len(memtable) for memtable in engine.placement.memtables())
+        + (scheduler.backlog_points if scheduler is not None else 0)
+        + resident // POINT_BYTES
+    )
+
+
+@pytest.mark.parametrize("scheduled", [False, True], ids=["sync", "scheduled"])
+@pytest.mark.parametrize("engine_key", sorted(_DEBT_ENGINES))
+@pytest.mark.parametrize("cold", sorted(_COLD_MODES))
+def test_admission_debt_equals_its_definition_after_every_step(
+    cold, engine_key, scheduled, tmp_path
+):
+    """A seeded walk over everything that adds, converts, removes or
+    replaces tables: after each step the kernel's running total of
+    resident block statistics, and the admission debt built on it, equal
+    the sums over ``visible_tables()`` they used to be computed from."""
+    config = LsmConfig(**_SMALL).with_stability(
+        backpressure_throttle=10**9, backpressure_shed=10**9
+    )
+    if scheduled:
+        config = config.with_stability(**_PACED)
+    if _COLD_MODES[cold] is not None:
+        config = config.with_cold_tier(**_COLD_MODES[cold])
+    cls, kwargs = _DEBT_ENGINES[engine_key]
+    engine = cls(config=config, **kwargs)
+    dataset = _stream(6000, seed=23)
+    rng = np.random.default_rng(sorted(_COLD_MODES).index(cold) * 8 + scheduled)
+    pos = 0
+    steps = []
+    for _ in range(60):
+        step = rng.choice(
+            ["ingest"] * 6 + ["flush_all", "convert_cold", "resplit", "restore"]
+        )
+        if step == "ingest":
+            take = int(rng.choice([1, 17, 64, 150, 400]))
+            engine.ingest(dataset.tg[pos : pos + take])
+            pos += take
+        elif step == "flush_all":
+            engine.flush_all()
+        elif step == "convert_cold":
+            # Half of what is on disk, so row and columnar tables mix.
+            mark = engine.compaction.watermark()
+            engine.convert_cold(max_tg=mark / 2 if mark > 0 else None, block_size=4)
+        elif step == "resplit":
+            if not isinstance(engine, LeveledEngine):
+                continue
+            n_seq = engine.config.seq_capacity
+            engine.resplit(None if n_seq is not None else int(rng.integers(8, 56)))
+        else:
+            path = str(tmp_path / "walk.ckpt")
+            engine.save_checkpoint(path)
+            engine = LsmEngine.restore(path, config=engine.config)
+        steps.append(step)
+        _assert_debt_is_its_definition(engine)
+    assert {"ingest", "flush_all", "convert_cold", "restore"} <= set(steps)
+    assert pos > 2000 and len(engine.compaction.visible_tables()) > 10
+    engine.flush_all()
+    engine.verify()
+    _assert_debt_is_its_definition(engine)
+
+
+@pytest.mark.parametrize("cold", ["row", "cold-all"])
+def test_admission_reads_statistics_only_of_tables_a_landing_touched(
+    cold, monkeypatch
+):
+    """No table walk on the admit path: on a series holding 500+ tables,
+    1000 admitted 128-point batches read ``stats_nbytes`` only of tables
+    their own landings wrote or removed — not of the run."""
+    config = LsmConfig(memory_budget=128, sstable_size=32).with_stability(
+        compaction_scheduler=True
+    )
+    if _COLD_MODES[cold] is not None:
+        config = config.with_cold_tier(**_COLD_MODES[cold])
+    engine = ConventionalEngine(config)
+    dataset = generate_synthetic(
+        150_000, dt=1.0, delay=ExponentialDelay(mean=40.0), seed=29
+    )
+    loaded = 22_000
+    engine.ingest(dataset.tg[:loaded])
+    resident_before = {table.table_id for table in engine.run.tables}
+    assert len(resident_before) >= 500
+    first_new_id = SSTable(np.zeros(1), np.zeros(1, dtype=np.int64)).table_id
+
+    reads = []
+    plain = SSTable.stats_nbytes
+    monkeypatch.setattr(
+        SSTable,
+        "stats_nbytes",
+        property(lambda table: reads.append(table.table_id) or plain.fget(table)),
+    )
+    admitted_before = engine.stats.user_points
+    for start in range(loaded, loaded + 1000 * 128, 128):
+        engine.ingest(dataset.tg[start : start + 128])
+    monkeypatch.undo()
+
+    assert engine.stats.user_points == admitted_before + 128_000
+    removed = resident_before - {table.table_id for table in engine.run.tables}
+    assert removed, "the stream must rewrite some of the loaded tables"
+    assert all(read in removed or read >= first_new_id for read in reads)
+    # Each table is read at most once entering and once leaving.
+    written = SSTable(np.zeros(1), np.zeros(1, dtype=np.int64)).table_id - first_new_id
+    assert len(reads) <= 2 * written + len(removed)
+    _assert_debt_is_its_definition(engine)
 
 
 # -- injectable fault clock ----------------------------------------------------
