@@ -315,14 +315,14 @@ def test_perf_agg_cold(benchmark, cold_pair):
     Wide windows (80% of the stream span) cover most tables.  A row
     table's whole-column sum is taken on first use and kept with the
     table (the cold tier records it at build time), and a sorted run
-    answers for its covered tables from the run summary — so in steady
-    state, the timed pair, both layouts cost the same few binary
+    answers for its covered tables from its per-table columns — so in
+    steady state, the timed pair, both layouts cost the same few binary
     searches per query.  What the cold tier still saves is that first
-    sum: the first aggregate over freshly written row tables pays one
-    ``np.sum`` per table it covers, over cold tables none.  That first
-    touch must be at least 5x cheaper cold, the aggregates must be
-    bitwise identical, and the statistics fast path must actually be
-    exercised (``query.blocks_stat_answered`` advances).
+    sum: the first read of freshly written row tables — taking the run's
+    view, then the aggregate — pays one ``np.sum`` per table, of cold
+    tables none.  That first touch must be at least 5x cheaper cold, the
+    aggregates must be bitwise identical, and the statistics fast path
+    must actually be exercised (``query.blocks_stat_answered`` advances).
     """
     from repro.lsm.base import Snapshot
     from repro.lsm.pruning import TableIndex
@@ -356,18 +356,19 @@ def test_perf_agg_cold(benchmark, cold_pair):
         return row_results, cold_results, row_s, cold_s
 
     def first_touch(snapshot, columnar):
-        """Seconds of one aggregate over tables nothing has read yet."""
+        """Seconds of the first read — index, then one aggregate — of
+        tables nothing has read yet."""
         tables = [SSTable(t.tg, t.ids) for t in snapshot.tables]
         if columnar:
             for table in tables:
                 table.convert_to_columnar(256)
+        lo, hi = windows[0]
+        began = time.perf_counter()
         fresh = Snapshot(
             tables=tables,
             memtables=snapshot.memtables,
             index=TableIndex([("sorted", tables)]),
         )
-        lo, hi = windows[0]
-        began = time.perf_counter()
         result = execute_aggregate_query(fresh, lo, hi)
         return time.perf_counter() - began, result
 
@@ -674,42 +675,72 @@ def test_perf_federated_scatter(benchmark, federated_fleet):
     assert np.array_equal(stats.row_ids, expected.row_ids)
 
 
-def test_perf_fleet_agg_wide(benchmark):
-    """Fleet-wide 10%-span aggregates: run summaries vs the table walk.
+_AGG_POINTS = 104_000
 
-    16 series of ~800 tables each, every other series columnar — the
-    ``q_fleet_agg`` class of the system benchmark's ``read_storm``.  A
-    window covers ~80 tables per series; the indexed path answers for
-    them from each run's summary (four binary searches, two boundary
-    tables read), the ``index=None`` walk tests every table's range and
-    visits each covered one.  Through the serial ``FederatedExecutor``
-    (cache off) the fleet must answer every window bit for bit like the
-    walk folded in canonical order, at least 3x faster.
-    """
+
+def _fleet_agg_fleet(tail_points=0):
+    """The ``q_fleet_agg`` fleet: 16 series of ~800 tables each, every
+    other series columnar, and 64 windows of a tenth of the span.
+    ``tail_points`` more arrivals per series are generated and held
+    back, returned as ``{name: tg}`` for a test to land later."""
     from repro.distributions import UniformDelay
-    from repro.lsm.base import Snapshot
-    from repro.query.merge import merge_aggregates
     from repro.serving import ShardedDatabase
 
     fleet = ShardedDatabase(
         n_shards=4, memory_budget_per_series=512, sstable_size=128
     )
     names = [f"sensor-{index:02d}" for index in range(16)]
+    tails = {}
     for index, name in enumerate(names):
         data = generate_synthetic(
-            104_000, dt=_DT, delay=UniformDelay(0.0, 20 * _DT), seed=70 + index
+            _AGG_POINTS + tail_points,
+            dt=_DT,
+            delay=UniformDelay(0.0, 20 * _DT),
+            seed=70 + index,
         )
-        fleet.write(name, data.tg)
+        fleet.write(name, data.tg[:_AGG_POINTS])
+        tails[name] = data.tg[_AGG_POINTS:]
         if index % 2:
             fleet.database_for(name).series(name).engine.convert_cold(block_size=32)
-    snapshots = [fleet.snapshot(name) for name in sorted(names)]
-    assert all(len(snap.tables) >= 800 for snap in snapshots)
-    walks = [
-        Snapshot(tables=snap.tables, memtables=snap.memtables) for snap in snapshots
-    ]
-    span = 104_000 * _DT
+    span = _AGG_POINTS * _DT
     rng = np.random.default_rng(3)
     windows = [(lo, lo + 0.1 * span) for lo in rng.uniform(0.0, 0.9 * span, 64)]
+    return fleet, sorted(names), windows, tails
+
+
+def _walk_answers(fleet, names, windows):
+    """Every window answered by the index-less per-table walk, folded
+    in canonical order — the reference the fleet must equal bit for bit."""
+    from repro.lsm.base import Snapshot
+    from repro.query.merge import merge_aggregates
+
+    walks = [
+        Snapshot(tables=snap.tables, memtables=snap.memtables)
+        for snap in (fleet.snapshot(name) for name in names)
+    ]
+    return [
+        merge_aggregates(
+            [execute_aggregate_query(snap, lo, hi) for snap in walks], lo, hi
+        )
+        for lo, hi in windows
+    ]
+
+
+def test_perf_fleet_agg_wide(benchmark):
+    """Fleet-wide 10%-span aggregates: run columns vs the table walk.
+
+    16 series of ~800 tables each, every other series columnar — the
+    ``q_fleet_agg`` class of the system benchmark's ``read_storm``.  A
+    window covers ~80 tables per series; the indexed path answers for
+    them from slices of each run's per-table columns (one binary search
+    per edge, two boundary tables read), the ``index=None`` walk tests
+    every table's range and visits each covered one.  Through the serial
+    ``FederatedExecutor`` (cache off) the fleet must answer every window
+    bit for bit like the walk folded in canonical order, at least 3x
+    faster.
+    """
+    fleet, names, windows, _ = _fleet_agg_fleet()
+    assert all(len(fleet.snapshot(name).tables) >= 800 for name in names)
 
     def summaries():
         return [
@@ -718,14 +749,9 @@ def test_perf_fleet_agg_wide(benchmark):
         ]
 
     def walk():
-        return [
-            merge_aggregates(
-                [execute_aggregate_query(snap, lo, hi) for snap in walks], lo, hi
-            )
-            for lo, hi in windows
-        ]
+        return _walk_answers(fleet, names, windows)
 
-    expected = walk()  # also takes every row table's sum: both sides warm
+    expected = walk()
     summaries()
     # Alternate the two so a slow spell hits both sides alike.
     walk_s = fast_s = float("inf")
@@ -743,3 +769,49 @@ def test_perf_fleet_agg_wide(benchmark):
         f"index-less walk {walk_s * 1e3:.2f}ms"
     )
 
+
+def test_perf_fleet_agg_live(benchmark):
+    """The same aggregates on a fleet that is written between reads.
+
+    Before every round of 16 fleet-wide aggregates each series lands one
+    MemTable (512 points: a flush, often an overlap merge near the
+    tail), as on the system benchmark's ``mixed_live``.  A landing
+    invalidates every read cache of its series; what the next read pays
+    for that must be what the landing changed — a snapshot, the run's
+    lists handed over as they are, sums of the four new tables — not a
+    rebuilt index, so a live round may cost at most twice a round on the
+    quiescent fleet (the round run again right after, nothing landed in
+    between).  Answers equal the index-less walk bit for bit.
+    """
+    rounds, landing = 6, 512
+    fleet, names, windows, tails = _fleet_agg_fleet(tail_points=2 * rounds * landing)
+    windows = windows[:16]
+    landed = iter(range(0, 2 * rounds * landing, landing))
+
+    def land():
+        pos = next(landed)
+        for name in names:
+            fleet.write(name, tails[name][pos : pos + landing])
+
+    def aggregates():
+        return [
+            fleet.query_aggregate(None, lo, hi, workers=1, use_cache=False)
+            for lo, hi in windows
+        ]
+
+    aggregates()
+    live_s = static_s = float("inf")
+    for _ in range(rounds):
+        land()
+        live_s = min(live_s, _best_seconds(aggregates, rounds=1))
+        static_s = min(static_s, _best_seconds(aggregates, rounds=1))
+    results = benchmark.pedantic(aggregates, setup=land, rounds=rounds, iterations=1)
+    assert results == _walk_answers(fleet, names, windows)
+    assert all(r.tables_pruned >= 16 * 70 for r in results)
+    benchmark.extra_info["live_ms"] = round(live_s * 1e3, 3)
+    benchmark.extra_info["static_ms"] = round(static_s * 1e3, 3)
+    benchmark.extra_info["live_over_static"] = round(live_s / static_s, 2)
+    assert live_s <= 2 * static_s, (
+        f"aggregates after a landing {live_s * 1e3:.2f}ms more than 2x "
+        f"the quiescent fleet's {static_s * 1e3:.2f}ms"
+    )

@@ -2,7 +2,8 @@
 """Alternating parent/change pairs of the system benchmark, tabulated.
 
     python scripts/bench_pairs.py --parent <clone> --workload W \\
-        --seeds 81-90 [--seconds 20] [--out bench_pairs.jsonl]
+        --seeds 81-90 [--seconds 20] [--out bench_pairs.jsonl] \\
+        [--trace METRIC [METRIC ...]]
 
 For every seed it runs the ``BENCHMARK.json`` command (``--workload W
 --seed S --seconds N --trace 0``) once in the parent clone and once in
@@ -23,6 +24,12 @@ verdict by the rules of the choosing-metrics guide (section 8):
 ``EXACT-DIFF``  ``write_amplification`` or ``read_amplification``
                 differs for some seed (they are counts: same work, or
                 the two sides are not doing the same thing)
+
+With ``--trace`` the pair runs traced (``--trace 1``, whose last line
+carries the per-layer metrics instead) and the table is of the
+``per_layer`` metrics named after the flag, each with the ``better``
+direction ``BENCHMARK.json`` gives it.  Per-layer metrics have no bound:
+they say where a change shows, they are ``reported`` and never judged.
 
 The bounds are read from ``BENCHMARK.json``; nothing under
 ``benchmarks/system/`` is edited.  Exit status 1 when a run printed no
@@ -52,10 +59,11 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(command: list[str], cwd: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(command: list[str], cwd: Path, workload: str, seed: int,
+             seconds: float, trace: bool = False) -> dict:
     """One benchmark run in ``cwd``; its last-line JSON, or a failed stub."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
+            "--seconds", f"{seconds:g}", "--trace", str(int(trace))]
     done = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
@@ -74,19 +82,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def judge(metric: dict, parent: list[float], change: list[float]) -> tuple[str, str]:
-    """``(table row, verdict)`` for one metric over paired runs."""
+def judge(metric: dict, parent: list[float], change: list[float],
+          width: int = 22) -> tuple[str, str]:
+    """``(table row, verdict)`` for one metric over paired runs; a
+    metric without a ``bound`` (per-layer) is ``reported``, not judged."""
     sign = 1.0 if metric["better"] == "higher" else -1.0
     won = sum(sign * c > sign * p for p, c in zip(parent, change))
     lost = sum(sign * c < sign * p for p, c in zip(parent, change))
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
-    bound = metric["bound"]
+    bound = metric.get("bound")
     spread = 0.0
     if p_med and c_med:
         spread = max((p_q3 - p_q1) / abs(p_med), (c_q3 - c_q1) / abs(c_med))
     clear = min(sign * c for c in change) > max(sign * p for p in parent)
-    if metric["name"] in EXACT and parent != change:
+    if bound is None:
+        verdict = "reported"
+    elif metric["name"] in EXACT and parent != change:
         verdict = "EXACT-DIFF"
     elif spread > bound and not clear:
         verdict = "unresolved"
@@ -99,9 +111,9 @@ def judge(metric: dict, parent: list[float], change: list[float]) -> tuple[str, 
         verdict = "within bound"
     ratio = c_med / p_med if p_med else float("nan")
     was = f"{p_med:.6g} [{p_q1:.6g}, {p_q3:.6g}]"
-    row = (f"{metric['name']:<22}{was:>36}{c_med:>14.6g}  x{ratio:<7.4f}"
-           f"{won:>3}/{lost}/{len(parent) - won - lost}"
-           f"  bound {bound:.0%} spread {spread:.1%}")
+    limits = f"spread {spread:.1%}" if bound is None else f"bound {bound:.0%} spread {spread:.1%}"
+    row = (f"{metric['name']:<{width}}{was:>36}{c_med:>14.6g}  x{ratio:<7.4f}"
+           f"{won:>3}/{lost}/{len(parent) - won - lost}  {limits}")
     return row, verdict
 
 
@@ -115,7 +127,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--seconds", type=float, default=contract["run_seconds"])
     parser.add_argument("--out", type=Path, default=Path("bench_pairs.jsonl"))
+    parser.add_argument("--trace", nargs="+", metavar="METRIC", default=[],
+                        choices=[m["name"] for m in contract["per_layer"]],
+                        help="run the pair traced and tabulate these per_layer metrics")
     args = parser.parse_args(argv)
+    traced = bool(args.trace)
+    if traced:
+        table = [m for m in contract["per_layer"] if m["name"] in args.trace]
+    else:
+        table = contract["end_to_end"]
 
     sides = {"parent": args.parent.resolve(), "change": REPO_ROOT}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -124,31 +144,35 @@ def main(argv: list[str] | None = None) -> int:
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
             for side in order:
                 result = run_once(contract["command"], sides[side],
-                                  args.workload, seed, args.seconds)
+                                  args.workload, seed, args.seconds, traced)
                 runs[side].append(result)
                 log.write(json.dumps({"side": side, "dir": str(sides[side]),
                                       "workload": args.workload, "seed": seed,
-                                      "seconds": args.seconds, **result}) + "\n")
+                                      "seconds": args.seconds, "trace": int(traced),
+                                      **result}) + "\n")
                 log.flush()
                 print(f"seed {seed} {side:<6} " + " ".join(
                     f"{name}={entry['value']:.6g}"
-                    for name, entry in result["metrics"].items()), flush=True)
+                    for name, entry in result["metrics"].items()
+                    if not traced or name in args.trace), flush=True)
 
     bad = [r for side in runs.values() for r in side
            if not r["correct"] or r["failed"] or not r["metrics"]]
-    print(f"\n{args.workload}: {len(args.seeds)} pairs, --seconds {args.seconds:g}; "
+    print(f"\n{args.workload}: {len(args.seeds)} pairs, --seconds {args.seconds:g}"
+          f"{', traced' if traced else ''}; "
           f"failed operations parent {sum(r['failed'] for r in runs['parent'])} / "
           f"change {sum(r['failed'] for r in runs['change'])}; "
           f"{len(bad)} unusable runs")
     if bad:
         return 1
-    print(f"{'metric':<22}{'parent median [q1, q3]':>36}{'change':>14}  "
+    width = max(22, *(len(m["name"]) + 2 for m in table))
+    print(f"{'metric':<{width}}{'parent median [q1, q3]':>36}{'change':>14}  "
           f"ratio   won/lost/tied")
     exact_diff = False
-    for metric in contract["end_to_end"]:
+    for metric in table:
         values = {side: [r["metrics"][metric["name"]]["value"] for r in results]
                   for side, results in runs.items()}
-        row, verdict = judge(metric, values["parent"], values["change"])
+        row, verdict = judge(metric, values["parent"], values["change"], width)
         exact_diff |= verdict == "EXACT-DIFF"
         print(f"{row}  {verdict}")
     return 1 if exact_diff else 0

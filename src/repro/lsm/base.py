@@ -37,7 +37,9 @@ Durability (all opt-in, one branch on the hot path when off):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -73,6 +75,15 @@ class MemTableView:
     #: not expose them (queries then report id -1 for buffered rows).
     ids: np.ndarray = field(default_factory=lambda: EMPTY_IDS)
 
+    @cached_property
+    def bounds(self) -> tuple[float, float]:
+        """``(min, max)`` of the buffered generation times, taken once
+        per view (``(inf, -inf)`` when empty): a query whose window
+        misses them skips the MemTable without building a mask."""
+        if self.tg.size == 0:
+            return math.inf, -math.inf
+        return float(self.tg.min()), float(self.tg.max())
+
     def count_in_range(self, lo: float, hi: float) -> int:
         """Points with ``lo <= tg <= hi`` (linear scan; memtables are small)."""
         return int(np.count_nonzero((self.tg >= lo) & (self.tg <= hi)))
@@ -96,6 +107,11 @@ class Snapshot:
     memtables: list[MemTableView]
     #: Optional pruning index over :attr:`tables` (``None`` = linear scan).
     index: "TableIndex | None" = None
+    #: The engine's ``read_version()`` this snapshot was taken (and is
+    #: cached) under; ``None`` for hand-built snapshots.  Equal versions
+    #: of one engine mean identical visible state, so caches above the
+    #: engine key on it instead of asking the engine again.
+    version: tuple[int, ...] | None = None
 
     def overlapping_tables(self, lo: float, hi: float) -> list[SSTable]:
         """Tables intersecting ``[lo, hi]``, in snapshot order."""
@@ -106,9 +122,10 @@ class Snapshot:
     def read_plan(self, lo: float, hi: float) -> "list[SSTable | CoveredSpan]":
         """:meth:`overlapping_tables`, except that the index hands each
         sorted run's fully covered tables over as one
-        :class:`~repro.lsm.pruning.CoveredSpan` (answered from the run
-        summary, not visited).  Without an index it is the plain table
-        list — the per-table reference the summaries are pinned to."""
+        :class:`~repro.lsm.pruning.CoveredSpan` (answered from the run's
+        per-table columns, not visited).  Without an index it is the
+        plain table list — the per-table reference the spans are pinned
+        to."""
         if self.index is not None:
             return self.index.read_plan(lo, hi)
         return self.overlapping_tables(lo, hi)

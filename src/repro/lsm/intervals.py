@@ -18,7 +18,9 @@ incantation independently; now :class:`~repro.lsm.sstable.SSTable`,
 the subtle ``side=`` conventions live in one place.
 (:class:`~repro.lsm.level.Run` keeps its bounds in plain lists, which it
 splices on every landing, and applies the same ``overlap_span``
-convention with ``bisect``.)
+convention with ``bisect``; the index's sorted groups search those very
+lists through the run's view, and an :class:`~repro.lsm.sstable.SSTable`
+searches its own column only on the edge of a window that cuts it.)
 
 Conventions (all ranges are closed, ``lo <= t <= hi``):
 
@@ -34,6 +36,8 @@ Conventions (all ranges are closed, ``lo <= t <= hi``):
 
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 
 from ..errors import QueryError
@@ -44,22 +48,40 @@ __all__ = [
     "overlap_span",
     "covered_span",
     "zone_map_hits",
-    "searchsorted_bounds",
-    "count_in_sorted",
 ]
 
 
-def check_window(lo: float, hi: float) -> None:
-    """Raise :class:`QueryError` unless ``lo <= hi``.
+def check_window(lo: float, hi: float) -> tuple[float, float]:
+    """``(lo, hi)`` as Python floats; raises :class:`QueryError` unless
+    they are real scalars with ``lo <= hi``.
 
     A NaN bound fails every comparison, so ``hi < lo`` lets it through
     and the searches below then answer for some window nobody asked
-    for; ``+-inf`` bounds are legal (open-ended windows).
+    for; ``+-inf`` bounds are legal (open-ended windows).  Anything that
+    is not a real number (``None``, a string — which *does* compare —,
+    an array) would otherwise surface as a raw ``TypeError`` from
+    wherever it is first compared or hashed.  Every entry point takes
+    its bounds from here: one spelling per window (``1``, ``1.0`` and
+    ``np.float32(1)`` are the same cache key and the same reported
+    bounds), and list searches compare plain floats — a numpy scalar
+    key makes each ``bisect`` step several times dearer.
     """
+    if type(lo) is not float or type(hi) is not float:
+        for bound in (lo, hi):
+            if not isinstance(bound, Real):
+                raise QueryError(
+                    f"query bounds must be real numbers, got {bound!r} "
+                    f"({type(bound).__name__})"
+                )
+        try:
+            lo, hi = float(lo), float(hi)
+        except OverflowError:
+            raise QueryError("query bound beyond the float range") from None
     if not lo <= hi:
         if lo != lo or hi != hi:
             raise QueryError(f"NaN query bound: [{lo}, {hi}]")
         raise QueryError(f"inverted query range: [{lo}, {hi}]")
+    return lo, hi
 
 
 def interval_overlaps(min_tg: float, max_tg: float, lo: float, hi: float) -> bool:
@@ -107,17 +129,3 @@ def zone_map_hits(
     intersect ``[lo, hi]`` — :func:`interval_overlaps` vectorised over
     a whole zone map at once."""
     return np.flatnonzero((mins <= hi) & (maxs >= lo))
-
-
-def searchsorted_bounds(values: np.ndarray, lo: float, hi: float) -> tuple[int, int]:
-    """``(left, right)`` index bounds of ``lo <= values <= hi`` in a
-    sorted value array (two binary searches)."""
-    left = int(values.searchsorted(lo, side="left"))
-    right = int(values.searchsorted(hi, side="right"))
-    return left, right
-
-
-def count_in_sorted(values: np.ndarray, lo: float, hi: float) -> int:
-    """Number of entries of a sorted array inside ``[lo, hi]``."""
-    left, right = searchsorted_bounds(values, lo, hi)
-    return max(right - left, 0)

@@ -5,6 +5,14 @@ with each other.  As a whole, data points on L1 are considered as a run"
 (Section II).  :class:`Run` maintains that invariant and supports the two
 operations leveled compaction needs: binary-search overlap lookup and
 range replacement.
+
+The run is also its own read index.  The per-table lists it keeps for
+the write path are exactly what a range lookup searches, so
+:meth:`Run.view` hands them to readers as they are — a
+:class:`RunView`, no copy — and the run copies them only when it next
+mutates while a view is out.  A held view therefore never changes, a
+run nobody reads never copies, and a flush between two reads costs the
+reader nothing beyond what the flush wrote.
 """
 
 from __future__ import annotations
@@ -12,11 +20,56 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
+from dataclasses import dataclass
 
 from ..errors import EngineError
 from .sstable import SSTable
 
-__all__ = ["Run"]
+__all__ = ["Run", "RunView"]
+
+
+def _block_counts(tables: list[SSTable]) -> list[int]:
+    return [
+        0 if table.storage.stats is None else table.storage.stats.nblocks
+        for table in tables
+    ]
+
+
+@dataclass(frozen=True, slots=True)
+class RunView:
+    """The per-table columns of one sorted, non-overlapping table
+    sequence, frozen: parallel lists in run order, never mutated once
+    handed out.
+
+    ``blocks`` holds columnar block counts (0 for a row table) and
+    ``sums`` each table's ``sum_tg`` — the float its storage memoises —
+    so a reader answers for any contiguous stretch of tables from list
+    slices without visiting one.
+    """
+
+    tables: list[SSTable]
+    mins: list[float]
+    maxs: list[float]
+    lens: list[int]
+    blocks: list[int]
+    sums: list[float]
+
+    @classmethod
+    def of(cls, tables: list[SSTable]) -> "RunView":
+        """View over a plain sorted table list, built in O(T) (runs
+        kept as lists, hand-built indexes); the list must not change
+        afterwards."""
+        return cls(
+            tables,
+            [table.min_tg for table in tables],
+            [table.max_tg for table in tables],
+            [len(table) for table in tables],
+            _block_counts(tables),
+            [table.storage.sum_tg for table in tables],
+        )
+
+    def __len__(self) -> int:
+        return len(self.tables)
 
 
 class Run:
@@ -35,6 +88,15 @@ class Run:
         # path and must not re-walk every table.
         self._lens: list[int] = []
         self._points = 0
+        # Read-side columns (see RunView).  Not spliced per landing:
+        # entries from ``_dirty`` on are stale and are brought up to
+        # date when a view is next taken.
+        self._blocks: list[int] = []
+        self._sums: list[float] = []
+        self._dirty = 0
+        #: The view handed out since the last mutation, if any.  While
+        #: set, a reader may hold the lists above: mutate copies.
+        self._view: RunView | None = None
 
     # -- views ----------------------------------------------------------------
 
@@ -81,6 +143,26 @@ class Run:
         if not self._tables:
             return math.inf
         return self._tables[0].min_tg
+
+    def view(self) -> RunView:
+        """The run's per-table lists as a frozen :class:`RunView`.
+
+        O(1) while the run is unchanged; after landings, O(tables from
+        the earliest one touched to the tail) to re-read block counts
+        and sums there — a sum the table's storage already holds is not
+        taken again.
+        """
+        view = self._view
+        if view is None:
+            fresh = self._tables[self._dirty :]
+            self._blocks[self._dirty :] = _block_counts(fresh)
+            self._sums[self._dirty :] = [table.storage.sum_tg for table in fresh]
+            self._dirty = len(self._tables)
+            view = self._view = RunView(
+                self._tables, self._mins, self._maxs, self._lens,
+                self._blocks, self._sums,
+            )
+        return view
 
     # -- lookup -----------------------------------------------------------------
 
@@ -133,6 +215,7 @@ class Run:
     def replace(self, region: slice, new_tables: list[SSTable]) -> list[SSTable]:
         """Swap the tables in ``region`` for ``new_tables``; returns the
         removed tables.  Validates the non-overlap invariant locally."""
+        self._touch(region.start)
         removed = self._tables[region]
         self._tables[region] = new_tables
         self._splice_bounds(region, new_tables)
@@ -149,6 +232,7 @@ class Run:
                 f"<= run max {self.max_tg}"
             )
         end = len(self._tables)
+        self._touch(end)
         self._tables.extend(new_tables)
         self._splice_bounds(slice(end, end), new_tables)
         self._check_local_order(end, len(self._tables))
@@ -156,12 +240,22 @@ class Run:
     def clear(self) -> list[SSTable]:
         """Remove every table, returning them."""
         removed = self._tables
+        # Fresh lists: a view that is out keeps the old ones.
         self._tables = []
         self._mins = []
         self._maxs = []
         self._lens = []
         self._points = 0
+        self._blocks = []
+        self._sums = []
+        self._dirty = 0
+        self._view = None
         return removed
+
+    def relayout(self) -> None:
+        """Tables changed block format in place (``convert_cold`` swaps
+        storage on the shared handles): re-read every block count."""
+        self._touch(0)
 
     # -- invariants -----------------------------------------------------------------
 
@@ -191,6 +285,21 @@ class Run:
                     f"run overlap after mutation: {self._tables[i]!r} vs "
                     f"{self._tables[i + 1]!r}"
                 )
+
+    def _touch(self, start: int) -> None:
+        """Entries from ``start`` on are about to change."""
+        if self._view is not None:
+            # Copy on write: the lists now belong to whoever holds the
+            # view; the run goes on with its own.
+            self._tables = self._tables.copy()
+            self._mins = self._mins.copy()
+            self._maxs = self._maxs.copy()
+            self._lens = self._lens.copy()
+            self._blocks = self._blocks.copy()
+            self._sums = self._sums.copy()
+            self._view = None
+        if start < self._dirty:
+            self._dirty = start
 
     def _splice_bounds(self, region: slice, new_tables: list[SSTable]) -> None:
         """Update the cached min/max/length lists for one contiguous

@@ -45,7 +45,7 @@ from ..compaction import (
     stage_overlap_merge,
 )
 from ..blocks import make_storage
-from ..level import Run
+from ..level import Run, RunView
 from ..memtable import MemTable
 from ..sstable import SSTable, build_sstables
 from ..wa_tracker import CompactionEvent
@@ -209,17 +209,24 @@ class CompactionPolicy(abc.ABC):
     def visible_tables(self) -> list[SSTable]:
         """Every persisted table, in snapshot order."""
 
-    def pruning_groups(self) -> list[tuple[str, list[SSTable]]]:
+    def pruning_groups(self) -> list[tuple[str, list[SSTable] | RunView]]:
         """Structure groups for the time-range pruning index.
 
         Each ``(kind, tables)`` entry is either ``"sorted"`` (ordered,
-        non-overlapping — binary-searchable) or ``"loose"`` (zone-map
-        filtered).  The concatenation of the groups must equal
-        :meth:`visible_tables` so pruned scans visit the same tables in
-        the same order as full scans.  The default treats everything as
-        one loose group, which is always correct.
+        non-overlapping — binary-searchable; a :class:`~repro.lsm.
+        level.Run` gives its :meth:`~repro.lsm.level.Run.view`, which
+        costs nothing to take) or ``"loose"`` (zone-map filtered).  The
+        concatenation of the groups must equal :meth:`visible_tables`
+        so pruned scans visit the same tables in the same order as full
+        scans.  The default treats everything as one loose group, which
+        is always correct.
         """
         return [("loose", self.visible_tables())]
+
+    def relayout(self) -> None:
+        """Visible tables changed block format in place
+        (``convert_cold``); policies that keep :class:`~repro.lsm.
+        level.Run` s pass it on so their views re-read block counts."""
 
     def sorted_table_groups(self) -> list[tuple[str, list[SSTable]]]:
         """Named table groups that must be sorted *and* non-overlapping."""
@@ -334,8 +341,11 @@ class LeveledSingleRun(CompactionPolicy):
     def visible_tables(self) -> list[SSTable]:
         return list(self.run.tables)
 
-    def pruning_groups(self) -> list[tuple[str, list[SSTable]]]:
-        return [("sorted", list(self.run.tables))]
+    def pruning_groups(self) -> list[tuple[str, RunView]]:
+        return [("sorted", self.run.view())]
+
+    def relayout(self) -> None:
+        self.run.relayout()
 
     def sorted_table_groups(self) -> list[tuple[str, list[SSTable]]]:
         return [("run", list(self.run.tables))]
@@ -415,8 +425,12 @@ class MultiLevelCascade(CompactionPolicy):
     def visible_tables(self) -> list[SSTable]:
         return [t for run in self.levels for t in run.tables]
 
-    def pruning_groups(self) -> list[tuple[str, list[SSTable]]]:
-        return [("sorted", list(run.tables)) for run in self.levels]
+    def pruning_groups(self) -> list[tuple[str, RunView]]:
+        return [("sorted", run.view()) for run in self.levels]
+
+    def relayout(self) -> None:
+        for run in self.levels:
+            run.relayout()
 
     def sorted_table_groups(self) -> list[tuple[str, list[SSTable]]]:
         return [
@@ -629,14 +643,17 @@ class IoTDBTwoSpace(CompactionPolicy):
     def visible_tables(self) -> list[SSTable]:
         return list(self.l1_files) + list(self.l2.tables)
 
-    def pruning_groups(self) -> list[tuple[str, list[SSTable]]]:
+    def pruning_groups(self) -> list[tuple[str, list[SSTable] | RunView]]:
         # L1 flush files may overlap each other (zone-map filter); the
         # L2 run is sorted and non-overlapping (binary search).  Order
         # matches visible_tables: L1 first, then L2.
         return [
             ("loose", list(self.l1_files)),
-            ("sorted", list(self.l2.tables)),
+            ("sorted", self.l2.view()),
         ]
+
+    def relayout(self) -> None:
+        self.l2.relayout()
 
     def sorted_table_groups(self) -> list[tuple[str, list[SSTable]]]:
         return [("l2", list(self.l2.tables))]

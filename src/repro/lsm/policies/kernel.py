@@ -79,7 +79,9 @@ class StorageKernel(LsmEngine):
         #: on it.
         self._structure_epoch = 0
         self._index_cache: tuple[int, TableIndex] | None = None
-        self._snapshot_cache: tuple[tuple[int, ...], Snapshot] | None = None
+        #: The last snapshot built; served again while its ``version``
+        #: is still the read version.
+        self._snapshot_cache: Snapshot | None = None
         #: Columnar tables emitted or converted over this kernel's life.
         self.cold_tables_converted = 0
         # Resident block-statistics bytes of the visible tables: a
@@ -276,8 +278,9 @@ class StorageKernel(LsmEngine):
         if converted:
             self.note_cold_conversion(converted, stats_bytes)
             # The layout changed even though the logical structure did
-            # not: bump the epoch so any index that carries block
-            # metadata refreshes.
+            # not: runs re-read their block counts, and the epoch bump
+            # makes the next read take the refreshed view.
+            self.compaction.relayout()
             self.mark_structure_change()
         return converted
 
@@ -318,8 +321,8 @@ class StorageKernel(LsmEngine):
         return (
             self._structure_epoch,
             scheduler.change_seq if scheduler is not None else -1,
-            *(memtable.version for memtable in pending),
-            *(memtable.version for memtable in self.placement.memtables()),
+            *[memtable.version for memtable in pending],
+            *[memtable.version for memtable in self.placement.memtables()],
         )
 
     def snapshot(self) -> Snapshot:
@@ -330,12 +333,12 @@ class StorageKernel(LsmEngine):
         # detached-but-uncommitted MemTables are part of the visible
         # state (their points are nowhere else yet), and the queue's
         # change_seq keys the cache so submits/completions invalidate it.
+        version = self.read_version()
+        cached = self._snapshot_cache
+        if cached is not None and cached.version == version:
+            return cached
         scheduler = self.scheduler
         pending = scheduler.pending_memtables() if scheduler is not None else []
-        key = self.read_version()
-        cached = self._snapshot_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
         views = [
             MemTableView(
                 name=memtable.name,
@@ -349,8 +352,9 @@ class StorageKernel(LsmEngine):
             tables=self.compaction.visible_tables(),
             memtables=views,
             index=self._pruning_index(),
+            version=version,
         )
-        self._snapshot_cache = (key, snapshot)
+        self._snapshot_cache = snapshot
         return snapshot
 
     def describe_policies(self) -> dict[str, str]:

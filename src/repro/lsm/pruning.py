@@ -22,18 +22,21 @@ which reuse the identical interval math (:mod:`repro.lsm.intervals`)
 to prune block spans inside a touched table.
 
 A sorted group also answers for the tables a window *fully covers*.
-Those are a contiguous sub-span of the overlap span (two more binary
-searches), so the group hands them to the executors as one
+Those are the overlap span less the end tables that straddle an edge
+(two comparisons), so the group hands them to the executors as one
 :class:`CoveredSpan` whose point count, block count, extrema and
-per-table sums come from a lazily built **run summary** — two integer
-prefix sums and the list of per-table ``sum_tg`` floats, three words
-per table — instead of as tables to be visited one by one.  Only the at
-most two tables straddling the window's edges are read.  The summary is
-built once reads of the run have covered as many tables as it holds
-(until then covered tables are handed out one by one: a run that is
-flushed between reads never pays for a summary it would not reuse);
-the per-table sums are memoised on the tables' storage, so an index
-rebuilt after a flush re-sums only the tables the flush wrote.
+per-table sums are list slices of the run's own per-table columns
+instead of as tables to be visited one by one.  Only the at most two
+tables straddling the window's edges are read.
+
+The group owns no copy of any of it.  It searches a
+:class:`~repro.lsm.level.RunView` — the lists the :class:`~repro.lsm.
+level.Run` keeps current for the write path, handed out as they are and
+copied by the run only if it mutates while a reader holds them — so
+rebuilding the index after a flush is O(1) per run and a read after k
+landings re-sums only the tables those landings wrote.  Runs kept as
+plain lists (tiered) and hand-built indexes get the same view built in
+O(T).
 
 Groups are recorded in snapshot order and lookups preserve that order,
 so a pruned scan visits exactly the tables a full scan would have
@@ -46,116 +49,72 @@ when the disk structure actually changes (see the structure epoch on
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from functools import reduce
 
 import numpy as np
 
 from ..errors import QueryError
-from .intervals import check_window, covered_span, overlap_span, zone_map_hits
+from .intervals import check_window, zone_map_hits
+from .level import RunView
 from .sstable import SSTable
 
 __all__ = ["TableIndex", "CoveredSpan"]
 
 
-def _prefix_sums(values: list[int]) -> np.ndarray:
-    """``out[i] = sum(values[:i])`` as int64 (``len(values) + 1`` long)."""
-    out = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(values, out=out[1:])
-    return out
-
-
 class _SortedGroup:
     """Contiguous-slice lookup over one sorted, non-overlapping run."""
 
-    __slots__ = (
-        "tables", "_mins", "_maxs", "_walked", "_cum_points", "_cum_blocks", "_sums"
-    )
+    __slots__ = ("view",)
 
-    def __init__(self, tables: list[SSTable]) -> None:
-        self.tables = tables
-        self._mins = np.asarray([t.min_tg for t in tables], dtype=np.float64)
-        self._maxs = np.asarray([t.max_tg for t in tables], dtype=np.float64)
-        #: Covered tables handed out one by one so far (see _summarise).
-        self._walked = 0
-        # The run summary, built on first use (see the module docstring).
-        self._cum_points: np.ndarray | None = None
-        self._cum_blocks: np.ndarray | None = None
-        self._sums: list[float] | None = None
+    def __init__(self, view: RunView) -> None:
+        self.view = view
 
     def overlapping(self, lo: float, hi: float) -> list[SSTable]:
-        # One contiguous span — identical to Run.overlap_slice (both
-        # delegate to intervals.overlap_span), hence to a linear scan.
-        start, stop = overlap_span(self._mins, self._maxs, lo, hi)
+        # One contiguous span — the convention of Run.overlap_slice and
+        # intervals.overlap_span, hence identical to a linear scan.
+        view = self.view
+        start = bisect_left(view.maxs, lo)
+        stop = bisect_right(view.mins, hi)
         if start >= stop:
             return []
-        return self.tables[start:stop]
+        return view.tables[start:stop]
 
     def plan(self, lo: float, hi: float, out: list) -> None:
-        start, stop = overlap_span(self._mins, self._maxs, lo, hi)
+        view = self.view
+        start = bisect_left(view.maxs, lo)
+        stop = bisect_right(view.mins, hi)
         if start >= stop:
             return
-        first, last = covered_span(self._mins, self._maxs, lo, hi)
-        if first < last and self._summarise(last - first):
-            # Covered tables overlap, so start <= first < last <= stop;
-            # what is left on either side is the one table straddling
-            # that edge.
-            out.extend(self.tables[start:first])
-            out.append(CoveredSpan(self, first, last))
-            out.extend(self.tables[last:stop])
+        # One search per edge.  Every table after ``start`` begins at or
+        # after its predecessor's end, which reaches ``lo``; every table
+        # before ``stop - 1`` ends at or before its successor's start,
+        # which is within ``hi``.  So only the two end tables can
+        # straddle, and the covered span is the overlap span less those.
+        first = start + (view.mins[start] < lo)
+        last = stop - (hi < view.maxs[stop - 1])
+        tables = view.tables
+        if first < last:
+            out.extend(tables[start:first])
+            out.append(CoveredSpan(view, first, last))
+            out.extend(tables[last:stop])
         else:
-            out.extend(self.tables[start:stop])
-
-    def _summarise(self, covered: int) -> bool:
-        """Whether ``covered`` tables go out as one :class:`CoveredSpan`.
-
-        A summary costs about one visit to every table of the run and
-        dies with the index at the next flush, so on a run that is
-        written between reads it would cost more than the few visits it
-        saves.  Rent, then buy: covered tables go out one by one (their
-        sums are memoised, a visit is cheap) until as many have as the
-        run holds — by then a summary would have paid for itself — and
-        as spans from there on.  Never more than twice the work of the
-        better choice, whatever the mix of reads and writes; answers
-        are the same either way.
-        """
-        size = len(self.tables)
-        if self._walked < size:
-            self._walked += covered
-        return self._walked >= size
-
-    def cum_points(self) -> np.ndarray:
-        """Prefix sums of the tables' point counts."""
-        cum = self._cum_points
-        if cum is None:
-            cum = self._cum_points = _prefix_sums(
-                [t.storage.tg.size for t in self.tables]
-            )
-        return cum
-
-    def aggregate_summary(self) -> tuple[np.ndarray, list[float]]:
-        """``(prefix sums of block counts, per-table sum_tg)``."""
-        sums = self._sums
-        if sums is None:
-            storages = [t.storage for t in self.tables]
-            self._cum_blocks = _prefix_sums(
-                [0 if s.stats is None else s.stats.nblocks for s in storages]
-            )
-            sums = self._sums = [s.sum_tg for s in storages]
-        return self._cum_blocks, sums
+            out.extend(tables[start:stop])
 
 
 class CoveredSpan:
-    """Tables ``[start, stop)`` of one sorted group, ``stop > start``,
+    """Tables ``[start, stop)`` of one sorted run, ``stop > start``,
     every one of them fully inside the query window.
 
     Stands in a read plan where those tables would have stood, and
-    answers for all of them at once from the group's run summary.
+    answers for all of them at once from slices of the run's per-table
+    columns.
     """
 
-    __slots__ = ("_group", "start", "stop")
+    __slots__ = ("_view", "start", "stop")
 
-    def __init__(self, group: _SortedGroup, start: int, stop: int) -> None:
-        self._group = group
+    def __init__(self, view: RunView, start: int, stop: int) -> None:
+        self._view = view
         self.start = start
         self.stop = stop
 
@@ -165,30 +124,28 @@ class CoveredSpan:
     @property
     def tables(self) -> list[SSTable]:
         """The covered tables themselves, in run order."""
-        return self._group.tables[self.start : self.stop]
+        return self._view.tables[self.start : self.stop]
 
     @property
     def points(self) -> int:
         """Total points across the span."""
-        cum = self._group.cum_points()
-        return cum.item(self.stop) - cum.item(self.start)
+        return sum(self._view.lens[self.start : self.stop])
 
     @property
     def min_tg(self) -> float:
         """Earliest generation time: the run is sorted, so the first
         table's."""
-        return self._group.tables[self.start].min_tg
+        return self._view.mins[self.start]
 
     @property
     def max_tg(self) -> float:
         """Latest generation time: the last table's."""
-        return self._group.tables[self.stop - 1].max_tg
+        return self._view.maxs[self.stop - 1]
 
     @property
     def stat_blocks(self) -> int:
         """Columnar blocks across the span (row tables have none)."""
-        cum = self._group.aggregate_summary()[0]
-        return cum.item(self.stop) - cum.item(self.start)
+        return sum(self._view.blocks[self.start : self.stop])
 
     def fold(self, total: float) -> float:
         """``total`` plus every table's ``sum_tg``, added one by one.
@@ -199,8 +156,7 @@ class CoveredSpan:
         and the compensated built-in ``sum()`` of Python >= 3.12 all
         round differently.
         """
-        sums = self._group.aggregate_summary()[1]
-        return reduce(operator.add, sums[self.start : self.stop], total)
+        return reduce(operator.add, self._view.sums[self.start : self.stop], total)
 
 
 class _LooseGroup:
@@ -229,14 +185,16 @@ class TableIndex:
     """Immutable interval index over the tables of one snapshot.
 
     Built from ``(kind, tables)`` groups in snapshot order, where
-    ``kind`` is ``"sorted"`` (ordered, non-overlapping — binary search)
-    or ``"loose"`` (zone-map filter).  The concatenation of the group
-    table lists must equal the snapshot's table list.
+    ``kind`` is ``"sorted"`` (ordered, non-overlapping — binary search;
+    a table list, or the :class:`~repro.lsm.level.RunView` a
+    :class:`~repro.lsm.level.Run` hands out) or ``"loose"`` (zone-map
+    filter).  The concatenation of the group table lists must equal the
+    snapshot's table list.
     """
 
     __slots__ = ("_groups", "total_tables")
 
-    def __init__(self, groups: list[tuple[str, list[SSTable]]]) -> None:
+    def __init__(self, groups: list[tuple[str, list[SSTable] | RunView]]) -> None:
         self._groups: list[_SortedGroup | _LooseGroup] = []
         total = 0
         for kind, tables in groups:
@@ -244,7 +202,9 @@ class TableIndex:
                 continue
             total += len(tables)
             if kind == "sorted":
-                self._groups.append(_SortedGroup(list(tables)))
+                if not isinstance(tables, RunView):
+                    tables = RunView.of(list(tables))
+                self._groups.append(_SortedGroup(tables))
             elif kind == "loose":
                 self._groups.append(_LooseGroup(list(tables)))
             else:  # pragma: no cover - programming error
@@ -254,7 +214,7 @@ class TableIndex:
 
     def overlapping(self, lo: float, hi: float) -> list[SSTable]:
         """Tables intersecting ``[lo, hi]``, in snapshot order."""
-        check_window(lo, hi)
+        lo, hi = check_window(lo, hi)
         out: list[SSTable] = []
         for group in self._groups:
             out.extend(group.overlapping(lo, hi))
@@ -264,7 +224,7 @@ class TableIndex:
         """:meth:`overlapping`, with each sorted group's fully covered
         tables replaced — in place, so order is kept — by one
         :class:`CoveredSpan`."""
-        check_window(lo, hi)
+        lo, hi = check_window(lo, hi)
         out: list[SSTable | CoveredSpan] = []
         for group in self._groups:
             group.plan(lo, hi, out)

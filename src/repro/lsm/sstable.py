@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import EngineError
 from .blocks import BlockStats, ColumnarStorage, RowStorage, make_storage
-from .intervals import count_in_sorted, interval_overlaps
+from .intervals import interval_overlaps
 from .points import PointBatch
 
 __all__ = ["SSTable", "build_sstables"]
@@ -136,9 +136,36 @@ class SSTable:
         """True when the table's range intersects ``[lo, hi]``."""
         return interval_overlaps(self.min_tg, self.max_tg, lo, hi)
 
+    def row_span(self, lo: float, hi: float) -> tuple[int, int]:
+        """``(left, right)`` index bounds of ``lo <= tg <= hi``.
+
+        One binary search per edge of the window that cuts the table:
+        an edge at or beyond the table's own range needs none.
+        """
+        tg = self.storage.tg
+        left = 0 if lo <= self.min_tg else int(tg.searchsorted(lo, side="left"))
+        right = (
+            tg.size if self.max_tg <= hi else int(tg.searchsorted(hi, side="right"))
+        )
+        return left, right
+
+    def block_span(self, lo: float, hi: float) -> tuple[int, int]:
+        """:meth:`BlockStats.overlapping` for this (columnar) table,
+        searching — as :meth:`row_span` does — only the zone-map column
+        of an edge that cuts the table."""
+        stats = self.storage.stats
+        b0 = 0 if lo <= self.min_tg else int(stats.maxs.searchsorted(lo, side="left"))
+        b1 = (
+            stats.nblocks
+            if self.max_tg <= hi
+            else int(stats.mins.searchsorted(hi, side="right"))
+        )
+        return b0, max(b0, b1)
+
     def count_in_range(self, lo: float, hi: float) -> int:
         """Number of points with ``lo <= tg <= hi`` (binary search)."""
-        return count_in_sorted(self.storage.tg, lo, hi)
+        left, right = self.row_span(lo, hi)
+        return max(right - left, 0)
 
     def as_batch(self) -> PointBatch:
         """View the table contents as a batch."""

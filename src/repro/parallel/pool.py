@@ -24,6 +24,7 @@ import os
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from ..errors import ParallelError
 from ..obs.telemetry import (
@@ -60,8 +61,13 @@ def resolve_workers(workers: int | None) -> int:
     """Normalise a worker-count request to an explicit positive count.
 
     ``None`` and ``0`` mean serial (1); ``-1`` means one worker per CPU.
+    Anything that is not an integer is a :class:`ParallelError`.
     """
-    if workers is None or workers == 0:
+    if workers is None:
+        return 1
+    if not isinstance(workers, Integral):
+        raise ParallelError(f"workers must be an integer or None, got {workers!r}")
+    if workers == 0:
         return 1
     if workers == -1:
         return max(os.cpu_count() or 1, 1)

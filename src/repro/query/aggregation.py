@@ -10,14 +10,15 @@ and min/max bounds without reading its interior.
 A sorted run goes one step further than the table: the tables a window
 fully covers are one contiguous span of the run, so the pruning index
 hands them over as a single :class:`~repro.lsm.pruning.CoveredSpan`
-answered from the run's summary — count and block count from integer
-prefix sums, extrema from the span's end tables, ``total`` from the
-memoised per-table sums.  The *work* per sorted run is therefore four
-binary searches, one summary lookup and at most two table reads (the
-ones straddling the window's edges), whatever the window's width.
-Loose groups and index-less snapshots have no such order to exploit
-and visit their tables one by one through the same per-table
-arithmetic.
+answered from slices of the run's own per-table columns — count and
+block count from integer lists, extrema from the span's end entries,
+``total`` from the memoised per-table sums.  The *work* per sorted run
+is therefore one binary search per window edge over the run, one more
+inside each table an edge cuts (at most two, the only ones read), and
+four list slices, whatever the window's width.  A MemTable whose own
+``[min, max]`` misses the window is not looked at.  Loose groups and
+index-less snapshots have no such order to exploit and visit their
+tables one by one through the same per-table arithmetic.
 
 Within a table the cold tier does the same.  A columnar table fully
 inside the window is answered **entirely from block statistics**: its
@@ -50,7 +51,7 @@ import math
 from dataclasses import dataclass
 
 from ..lsm.base import Snapshot
-from ..lsm.intervals import check_window, searchsorted_bounds
+from ..lsm.intervals import check_window
 from ..lsm.pruning import CoveredSpan
 from ..obs.telemetry import Telemetry
 
@@ -95,15 +96,18 @@ def execute_aggregate_query(
     """Aggregate ``lo <= t_g <= hi`` with metadata pruning.
 
     Tables entirely inside the range contribute without a scan — a
-    sorted run's as one summary lookup, a columnar table's from block
-    statistics alone; only boundary-straddling tables (at most two per
-    sorted run) and the MemTables are read point-by-point.  With a
+    sorted run's as one span of its per-table columns, a columnar
+    table's from block statistics alone; only boundary-straddling
+    tables (at most two per sorted run) and the MemTables the window
+    reaches are read point-by-point.  With a
     ``telemetry`` bus attached the cold-tier counters
     ``query.blocks_stat_answered`` / ``query.blocks_skipped`` and
-    ``query.aggregate_count`` are incremented per query.  A NaN bound
-    or ``hi < lo`` raises :class:`~repro.errors.QueryError`.
+    ``query.aggregate_count`` are incremented per query.  A NaN or
+    non-real bound, or ``hi < lo``, raises
+    :class:`~repro.errors.QueryError`; the result reports the bounds as
+    Python floats.
     """
-    check_window(lo, hi)
+    lo, hi = check_window(lo, hi)
     count = 0
     minimum = math.inf
     maximum = -math.inf
@@ -142,9 +146,9 @@ def execute_aggregate_query(
             # Per-block zone maps: account for the blocks the window
             # excludes; the contribution itself reuses the row slice
             # math below so the result stays bitwise identical.
-            b0, b1 = stats.overlapping(lo, hi)
+            b0, b1 = table.block_span(lo, hi)
             blocks_skipped += stats.nblocks - (b1 - b0)
-        left, right = searchsorted_bounds(table.tg, lo, hi)
+        left, right = table.row_span(lo, hi)
         if right > left:
             inside = table.tg[left:right]
             count += inside.size
@@ -152,6 +156,9 @@ def execute_aggregate_query(
             maximum = max(maximum, float(inside[-1]))
             total += float(inside.sum())
     for memtable in snapshot.memtables:
+        low, high = memtable.bounds
+        if high < lo or hi < low:
+            continue
         mask = (memtable.tg >= lo) & (memtable.tg <= hi)
         if mask.any():
             inside = memtable.tg[mask]

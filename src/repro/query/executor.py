@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..lsm.base import Snapshot
-from ..lsm.intervals import check_window, searchsorted_bounds
+from ..lsm.intervals import check_window
 from ..lsm.pruning import CoveredSpan
 from ..obs.telemetry import Telemetry
 
@@ -86,10 +86,12 @@ def execute_range_query(
     Every overlapping SSTable is read in full (sequential scan of the
     file); overlapping tables come from the snapshot's pruning index
     when the engine attached one (O(log T) per sorted run, the fully
-    covered tables of a run accounted for from its summary in one
-    step), falling back to a linear zone-map walk otherwise — the
+    covered tables of a run accounted for from its per-table columns in
+    one step), falling back to a linear zone-map walk otherwise — the
     tables touched, and the rows collected, are identical either way.
-    MemTables are always scanned since they are unsorted.  With
+    MemTables are unsorted, so each one counts as scanned whole — but
+    one whose own ``[min, max]`` misses the window is passed over
+    without building a mask.  With
     ``collect=True`` the matching generation times are materialised,
     sorted, in :attr:`QueryStats.rows` (metrics are identical either
     way; collection just costs the copy).
@@ -98,10 +100,12 @@ def execute_range_query(
     query emits a ``{"type": "query"}`` event carrying its wall-clock
     duration and cost counters, and increments the read-amplification
     counters ``query.count`` / ``query.result_points`` /
-    ``query.disk_points_read`` / ``query.files_touched``.  A NaN bound
-    or ``hi < lo`` raises :class:`~repro.errors.QueryError`.
+    ``query.disk_points_read`` / ``query.files_touched``.  A NaN or
+    non-real bound, or ``hi < lo``, raises
+    :class:`~repro.errors.QueryError`; the result reports the bounds as
+    Python floats.
     """
-    check_window(lo, hi)
+    lo, hi = check_window(lo, hi)
     traced = telemetry is not None and telemetry.enabled
     started = time.monotonic() if traced else 0.0
     result = 0
@@ -112,8 +116,8 @@ def execute_range_query(
     blocks_skipped = 0
     for piece in snapshot.read_plan(lo, hi):
         if type(piece) is CoveredSpan:
-            # A sorted run's fully covered tables, counted from the run
-            # summary: every file is read whole (every block of a
+            # A sorted run's fully covered tables, counted from the run's
+            # per-table lengths: every file is read whole (every block of a
             # columnar one overlaps the window) and every row matches.
             points = piece.points
             files += len(piece)
@@ -132,10 +136,10 @@ def execute_range_query(
         else:
             # Columnar table: per-block zone maps bound the read to the
             # contiguous block span overlapping the window.
-            b0, b1 = stats.overlapping(lo, hi)
+            b0, b1 = table.block_span(lo, hi)
             disk_read += stats.points_in(b0, b1)
             blocks_skipped += stats.nblocks - (b1 - b0)
-        left, right = searchsorted_bounds(table.tg, lo, hi)
+        left, right = table.row_span(lo, hi)
         result += right - left
         if collect:
             collected_tg.append(table.tg[left:right])
@@ -145,6 +149,10 @@ def execute_range_query(
     mem_scanned = 0
     for memtable in snapshot.memtables:
         mem_scanned += len(memtable)
+        low, high = memtable.bounds
+        if high < lo or hi < low:
+            # Nothing buffered falls in the window: no mask, no rows.
+            continue
         mask = (memtable.tg >= lo) & (memtable.tg <= hi)
         result += int(np.count_nonzero(mask))
         if collect:

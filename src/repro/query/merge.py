@@ -143,7 +143,8 @@ def merge_range_stats(
     Cost counters sum; collected rows are concatenated in fold order
     and stably sorted on ``t_g``, so ties between series resolve by
     canonical order — a k-way merge whose output is independent of how
-    series were grouped into shards.
+    series were grouped into shards.  Each partial's rows are sorted
+    already (the executors return them so); a single one is copied.
     """
     result = 0
     disk_read = 0
@@ -171,7 +172,13 @@ def merge_range_stats(
     rows = None
     row_ids = None
     if collecting:
-        if collected_tg:
+        if len(collected_tg) == 1:
+            # One partial is already in order (its executor sorted it
+            # stably); copies, so the caller's arrays are its own and
+            # not the cached partial's.
+            rows = collected_tg[0].copy()
+            row_ids = collected_ids[0].copy()
+        elif collected_tg:
             tg_all = np.concatenate(collected_tg)
             ids_all = np.concatenate(collected_ids)
             order = np.argsort(tg_all, kind="stable")

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING
 
 from ..lsm.intervals import check_window
 from ..obs.telemetry import Telemetry
+from ..parallel.pool import resolve_workers
 from ..query.aggregation import AggregateResult, execute_aggregate_query
 from ..query.executor import QueryStats, execute_range_query
 from ..query.merge import canonical_series_order, merge_aggregates, merge_range_stats
@@ -253,17 +254,25 @@ class FederatedExecutor:
         workers: int | None,
         use_cache: bool,
     ):
-        # Before the cache key is formed: a NaN bound equals nothing,
-        # itself included, so each such call would take a fresh slot.
-        check_window(lo, hi)
+        # Everything a caller can get wrong is rejected here, before
+        # anything is counted, looked up or run — so a bad argument
+        # fails the same way whether or not the window is cached.  A NaN
+        # bound equals nothing, itself included: each such call would
+        # take a fresh cache slot; the bounds come back as plain floats,
+        # so 1, 1.0 and np.float32(1) share one.
+        lo, hi = check_window(lo, hi)
+        width = resolve_workers(self.default_workers if workers is None else workers)
         fleet = self.fleet
         ordered = canonical_series_order(fleet, names)
         parts = fleet.router.split(ordered)
-        # The one lookup per series: its engine gives the version here
-        # and the snapshot in _run_inline.  Unknown series raise here,
-        # before anything is counted or run.
-        engines = {
-            index: [fleet.shards[index].series(name).engine for name in shard_series]
+        # The one read of each series' state: its snapshot carries the
+        # read version it was taken under, which keys the cache here,
+        # and is what _run_inline queries.  Unknown series raise here.
+        snapshots = {
+            index: [
+                fleet.shards[index].series(name).engine.snapshot()
+                for name in shard_series
+            ]
             for index, shard_series in parts.items()
         }
         traced = self.telemetry.enabled
@@ -280,7 +289,7 @@ class FederatedExecutor:
         stale: list[tuple[int, list[str], tuple, tuple]] = []
         for index in sorted(parts):
             shard_series = parts[index]
-            version = tuple(engine.read_version() for engine in engines[index])
+            version = tuple(snapshot.version for snapshot in snapshots[index])
             key = (kind, index, tuple(shard_series), lo, hi, collect)
             cached = self.cache.lookup(key, version) if use_cache else None
             if cached is not None:
@@ -296,12 +305,11 @@ class FederatedExecutor:
                     )
                 stale.append((index, shard_series, key, version))
         if stale:
-            width = self._resolve_workers(workers)
             if len(stale) > 1 and width > 1 and _fork_context() is not None:
                 computed = self._scatter(stale, kind, lo, hi, collect, width)
             else:
                 computed = [
-                    self._run_inline(index, engines[index], kind, lo, hi, collect)
+                    self._run_inline(index, snapshots[index], kind, lo, hi, collect)
                     for index, _, _, _ in stale
                 ]
             for (index, shard_series, key, version), partials in zip(
@@ -317,17 +325,10 @@ class FederatedExecutor:
             return merge_aggregates(merged, lo, hi)
         return merge_range_stats(merged, lo, hi)
 
-    def _resolve_workers(self, workers: int | None) -> int:
-        if workers is None:
-            workers = self.default_workers
-        from ..parallel.pool import resolve_workers
-
-        return resolve_workers(workers)
-
     def _run_inline(
         self,
         index: int,
-        engines: list,
+        snapshots: list,
         kind: str,
         lo: float,
         hi: float,
@@ -337,8 +338,7 @@ class FederatedExecutor:
         telemetry = self.fleet.shards[index].telemetry
         started = time.perf_counter()
         partials: list = []
-        for engine in engines:
-            snapshot = engine.snapshot()
+        for snapshot in snapshots:
             if kind == "aggregate":
                 partials.append(
                     execute_aggregate_query(snapshot, lo, hi, telemetry=telemetry)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.distributions import ExponentialDelay, UniformDelay
-from repro.errors import EngineError, QueryError
+from repro.errors import EngineError, ParallelError, QueryError
 from repro.lsm.database import TimeSeriesDatabase
 from repro.obs.sharding import render_federation_report
 from repro.obs.telemetry import Telemetry
@@ -324,6 +324,71 @@ class TestFederationCache:
         # Open-ended windows are still fine, and cached like any other.
         assert fleet.query_aggregate(None, -math.inf, math.inf).count == 300 * len(names)
         assert len(fleet.federation.cache) > cached
+
+    def test_bad_workers_rejected_whether_or_not_the_window_is_cached(self):
+        # workers used to be resolved only when some shard missed the
+        # cache: the same bad call raised cold and answered warm.
+        fleet, telemetry, names, _ = self._loaded_fleet(n_shards=2)
+        queries = telemetry.registry.counter("federation.queries").value
+        for bad in (-5, "x", 1.5):
+            for _ in range(2):
+                with pytest.raises(ParallelError, match="workers"):
+                    fleet.query_aggregate(None, 1, 5, workers=bad)
+        assert len(fleet.federation.cache) == 0
+        good = fleet.query_aggregate(None, 1, 5)
+        assert len(fleet.federation.cache) == 2
+        for bad in (-5, "x", 1.5):
+            with pytest.raises(ParallelError, match="workers"):
+                fleet.query_aggregate(None, 1, 5, workers=bad)
+            with pytest.raises(ParallelError, match="workers"):
+                fleet.query_range(names[0], 1, 5, workers=bad)
+        # Rejected before anything is counted; good widths still answer.
+        assert telemetry.registry.counter("federation.queries").value == queries + 1
+        assert fleet.query_aggregate(None, 1, 5, workers=0) == good
+        assert fleet.query_aggregate(None, 1, 5, workers=np.int64(1)) == good
+
+    def test_non_real_bounds_are_query_errors(self):
+        # They used to escape as raw TypeErrors from the first comparison
+        # ('<=' not supported) or from hashing the cache key (an array).
+        fleet, _, names, _ = self._loaded_fleet(n_shards=2)
+        snapshot = fleet.snapshot(names[0])
+        for bad in (None, "1", [1.0], np.asarray([1.0, 2.0]), np.asarray(1.0), 1j):
+            for lo, hi in ((bad, 5.0), (1.0, bad), (bad, bad)):
+                with pytest.raises(QueryError, match="real"):
+                    fleet.query_aggregate(None, lo, hi)
+                with pytest.raises(QueryError, match="real"):
+                    fleet.query_range(names[0], lo, hi, collect=True, use_cache=False)
+                with pytest.raises(QueryError, match="real"):
+                    execute_aggregate_query(snapshot, lo, hi)
+                with pytest.raises(QueryError, match="real"):
+                    execute_range_query(snapshot, lo, hi)
+                with pytest.raises(QueryError, match="real"):
+                    snapshot.index.overlapping(lo, hi)
+        assert len(fleet.federation.cache) == 0
+
+    def test_every_spelling_of_a_window_shares_one_cache_slot(self):
+        fleet, telemetry, names, _ = self._loaded_fleet(n_shards=2)
+        first = fleet.query_aggregate(None, 1, 50)
+        slots = len(fleet.federation.cache)
+        for lo, hi in ((1.0, 50.0), (np.float32(1), np.int64(50)), (True, np.float64(50))):
+            again = fleet.query_aggregate(None, lo, hi)
+            assert again == first
+            assert type(again.lo) is float and type(again.hi) is float
+        assert len(fleet.federation.cache) == slots
+        hits = telemetry.registry.shard_values("federation.cache_hits")
+        assert hits == {shard_name(i): 3 for i in range(fleet.n_shards)}
+        zero = fleet.query_range(names[0], 0.0, 10.0)
+        assert fleet.query_range(names[0], -0.0, 10).result_points == zero.result_points
+        assert len(fleet.federation.cache) == slots + 1
+        assert type(fleet.query_range(names[0], 0, 10, collect=True).lo) is float
+        # The executors normalise for their direct callers too: numpy
+        # scalars (windows drawn from an array) search as plain floats.
+        snapshot = fleet.snapshot(names[0])
+        direct = execute_aggregate_query(snapshot, np.float64(1), np.int32(50))
+        assert (type(direct.lo), type(direct.hi)) == (float, float)
+        assert direct == execute_aggregate_query(snapshot, 1.0, 50.0)
+        with pytest.raises(QueryError, match="float range"):
+            execute_range_query(snapshot, 0, 10**400)
 
     def test_cache_is_bounded_lru(self):
         cache = FederationCache(max_entries=2)

@@ -151,6 +151,76 @@ class TestRun:
         with pytest.raises(EngineError):
             run.overlap_slice(5.0, 1.0)
 
+    @staticmethod
+    def _columns(run):
+        return (run._tables, run._mins, run._maxs, run._lens, run._blocks, run._sums)
+
+    def _expected_view(self, run):
+        tables = list(run.tables)
+        return (
+            tables,
+            [t.min_tg for t in tables],
+            [t.max_tg for t in tables],
+            [len(t) for t in tables],
+            [t.block_stats.nblocks if t.is_columnar else 0 for t in tables],
+            [float(t.tg.sum()) for t in tables],
+        )
+
+    def _view_columns(self, view):
+        return (view.tables, view.mins, view.maxs, view.lens, view.blocks, view.sums)
+
+    def test_a_run_nobody_reads_never_copies_its_lists(self):
+        run = Run()
+        columns = self._columns(run)
+        for k in range(40):  # appends at the tail, rewrites in the middle
+            run.append([_table([10.0 * k, 10.0 * k + 4.0]), _table([10.0 * k + 5.0, 10.0 * k + 9.0])])
+            if k % 3 == 2:
+                region = run.overlap_slice(10.0 * (k - 1), 10.0 * (k - 1) + 9.0)
+                run.replace(region, [_table([10.0 * (k - 1) + 1.0, 10.0 * (k - 1) + 8.0])])
+        assert all(a is b for a, b in zip(self._columns(run), columns))
+        assert len(run) == 40 * 2 - 13
+
+    def test_view_is_the_lists_themselves_until_the_run_mutates(self):
+        run = Run()
+        run.append([_table([0.0, 9.0]), _table([10.0, 19.0]), _table([20.0, 29.0])])
+        run.tables[1].convert_to_columnar(1)
+        view = run.view()
+        assert run.view() is view  # O(1): nothing changed
+        assert view.tables is run.tables  # handed out, not copied
+        assert list(self._view_columns(view)) == list(self._expected_view(run))
+        frozen = [list(column) for column in self._view_columns(view)]
+
+        run.append([_table([30.0, 39.0])])  # first mutation with a view out: copies
+        after_first = self._columns(run)
+        assert all(a is not b for a, b in zip(after_first, self._view_columns(view)))
+        run.replace(run.overlap_slice(10.0, 19.0), [_table([11.0, 12.0]), _table([13.0, 18.0])])
+        run.append([_table([40.0, 49.0])])  # later ones splice the run's own lists
+        assert all(a is b for a, b in zip(self._columns(run), after_first))
+        # The held view is untouched, and the next one is current:
+        # block counts and sums re-read from the earliest entry touched.
+        assert [list(column) for column in self._view_columns(view)] == frozen
+        fresh = run.view()
+        assert fresh is not view and len(fresh) == 6
+        assert list(self._view_columns(fresh)) == list(self._expected_view(run))
+
+    def test_relayout_rereads_block_counts_for_the_next_view_only(self):
+        run = Run()
+        run.append([_table([0.0, 1.0, 2.0]), _table([3.0, 4.0])])
+        view = run.view()
+        assert view.blocks == [0, 0]
+        run.tables[0].convert_to_columnar(2)  # storage swapped on the shared handle
+        run.relayout()
+        assert view.blocks == [0, 0]
+        assert run.view().blocks == [2, 0] and run.view().sums == view.sums
+
+    def test_clear_leaves_a_held_view_alone(self):
+        run = Run()
+        run.append([_table([1.0, 2.0])])
+        view = run.view()
+        run.clear()
+        assert len(view) == 1 and view.lens == [2]
+        assert len(run.view()) == 0
+
 
 class TestWriteStats:
     def test_wa_counting(self):

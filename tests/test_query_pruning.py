@@ -8,12 +8,15 @@ structure-epoch snapshot cache must serve identical snapshots while the
 engine is quiescent and invalidate on any mutation or restore.
 
 The same holds one level up: a sorted run answers for the tables a
-window fully covers from its run summary (:class:`~repro.lsm.pruning.
-CoveredSpan`) instead of visiting them.  The property suite pins that
-path, field for field and bit for bit, to the per-table walk an
-index-less snapshot does, and the work-bound test pins what it is for:
-a wide aggregate reads two tables, and a flush re-sums only what it
-wrote.
+window fully covers from slices of its own per-table columns
+(:class:`~repro.lsm.pruning.CoveredSpan` over the
+:class:`~repro.lsm.level.RunView` the run hands out) instead of visiting
+them.  The property suite pins that path, field for field and bit for
+bit, to the per-table walk an index-less snapshot does; the work-bound
+test pins what it is for — a wide aggregate reads two tables, and a read
+after k landings re-sums only what they wrote — and the lifetime tests
+pin the copy-on-write contract: a held snapshot answers what it
+answered when taken, and a run nobody reads never copies its lists.
 """
 
 import dataclasses
@@ -214,9 +217,7 @@ def _summary_state(engine_key, layout, stage):
         engine.convert_cold(max_tg=cutoff, block_size=BLOCK)
     snapshot = engine.snapshot()
     assert snapshot.index is not None and snapshot.tables
-    # One read of everything covers every table of every sorted run, so
-    # each has its summary from here on: that is the path under test.
-    execute_aggregate_query(snapshot, -math.inf, math.inf)
+    # Covered stretches go out as spans: that is the path under test.
     assert any(type(p) is CoveredSpan for p in snapshot.read_plan(-math.inf, math.inf))
     columnar = sum(t.is_columnar for t in snapshot.tables)
     assert {
@@ -237,12 +238,50 @@ def _edges(snapshot):
 @st.composite
 def _windows_on(draw, snapshot):
     """Windows whose ends sit on, just inside and just outside table
-    edges; plus single-table, empty, everything and open-ended ones."""
+    edges; plus single-table, empty, everything and open-ended ones, and
+    the cases a one-search-per-edge plan can get wrong: a window that
+    only touches its end tables (``lo == max_tg`` of one, ``hi ==
+    min_tg`` of a later one — with duplicates, often the next), a window
+    strictly inside one table, one in the gap between two, and one that
+    only MemTables hold."""
     edges = _edges(snapshot)
-    shape = draw(st.sampled_from(("edges", "table", "empty", "everything", "open")))
+    shape = draw(
+        st.sampled_from(
+            ("edges", "table", "empty", "everything", "open",
+             "touch", "inside", "between", "memtable")
+        )
+    )
     if shape == "table":
         table = draw(st.sampled_from(snapshot.tables))
         return table.min_tg, table.max_tg
+    if shape == "touch":
+        ends = sorted(
+            draw(st.lists(st.sampled_from(snapshot.tables), min_size=2, max_size=2)),
+            key=lambda t: (t.max_tg, t.min_tg),
+        )
+        return ends[0].max_tg, max(ends[0].max_tg, ends[1].min_tg)
+    if shape == "inside":
+        table = draw(st.sampled_from(snapshot.tables))
+        inner = np.unique(table.tg)
+        if inner.size < 3:
+            return table.min_tg, table.max_tg
+        a, b = sorted(draw(st.lists(st.integers(1, inner.size - 2), min_size=2, max_size=2)))
+        return float(inner[a]), float(inner[b])
+    if shape == "between":
+        k = draw(st.integers(0, len(edges) - 2))
+        lo = float(np.nextafter(edges[k], math.inf))
+        hi = float(np.nextafter(edges[k + 1], -math.inf))
+        return (lo, hi) if lo <= hi else (edges[k], edges[k])
+    if shape == "memtable":
+        top = max(table.max_tg for table in snapshot.tables)
+        newest = max((float(view.tg.max()) for view in snapshot.memtables), default=top)
+        if newest > top:  # buffered points no table reaches
+            return float(np.nextafter(top, math.inf)), newest
+        if not snapshot.memtables:
+            return top, math.inf
+        view = draw(st.sampled_from(snapshot.memtables))
+        value = float(view.tg[draw(st.integers(0, view.tg.size - 1))])
+        return value, value
     if shape == "empty":
         return draw(
             st.sampled_from(
@@ -356,12 +395,12 @@ def test_wide_aggregate_reads_two_tables_and_a_flush_resums_only_new_ones():
     engine.ingest(np.arange(n_tables * size, dtype=np.float64))
     engine.flush_all()
     engine.convert_cold(max_tg=n_tables * size / 2.0, block_size=BLOCK)  # half columnar
-    snapshot = engine.snapshot()
-    assert len(snapshot.tables) == n_tables and not snapshot.memtables
-    _spy_on(snapshot.tables)
+    tables = engine.compaction.visible_tables()
+    assert len(tables) == n_tables
+    _spy_on(tables)
     reads = _SpyColumn.reads
     lo, hi = 0.25 * n_tables * size + 3.5, 0.75 * n_tables * size + 3.5  # mid-table ends
-    walk = Snapshot(tables=snapshot.tables, memtables=[])
+    walk = Snapshot(tables=tables, memtables=[])
 
     del reads[:]
     want = execute_aggregate_query(walk, lo, hi)
@@ -369,8 +408,13 @@ def test_wide_aggregate_reads_two_tables_and_a_flush_resums_only_new_ones():
     # The walk visits every table in between: here, a sum per row table.
     assert len({owner for _, owner, _ in reads}) > n_tables // 4
 
-    everything = execute_aggregate_query(snapshot, -math.inf, math.inf)  # builds the summary
-    assert everything.count == n_tables * size
+    # Taking the run's view sums, once, the row tables nothing has
+    # summed yet; columnar ones recorded theirs when they were built.
+    del reads[:]
+    snapshot = engine.snapshot()
+    assert snapshot.tables == tables and not snapshot.memtables
+    assert all(kind == "sum" and n == size for kind, _, n in reads)
+    assert 0 < len(reads) < n_tables // 2
     plan = snapshot.read_plan(lo, hi)
     assert [type(piece) for piece in plan] == [type(plan[0]), CoveredSpan, type(plan[0])]
     assert len(plan[1]) == n_tables // 2 - 1
@@ -379,59 +423,102 @@ def test_wide_aggregate_reads_two_tables_and_a_flush_resums_only_new_ones():
     touched = {owner for _, owner, _ in reads}
     assert len(touched) == 2, touched  # the two straddling the window's ends
     assert all(n < size for kind, _, n in reads if kind == "sum")  # slices only
+    assert sum(kind == "search" for kind, _, _ in reads) == 2  # one per edge, in the table it cuts
     del reads[:]
     stats = execute_range_query(snapshot, lo, hi)
     assert stats.files_touched == n_tables // 2 + 1
     assert {owner for _, owner, _ in reads} == touched
+    del reads[:]
+    assert execute_aggregate_query(snapshot, -math.inf, math.inf).count == n_tables * size
+    assert not reads  # every table covered: nothing is read at all
 
-    # A flush rebuilds the index, and with it (once reads warrant one)
-    # the summary — from the sums the old tables still carry.
-    old = {table.table_id for table in snapshot.tables}
+    # Four landings later the index is new, the lists behind it are the
+    # run's own again, and the first read sums what the landings wrote
+    # — nothing else: old tables keep their sums, and no read after the
+    # first sums anything whole.
+    old = {table.table_id for table in tables}
     engine.ingest(np.arange(n_tables * size, (n_tables + 8) * size, dtype=np.float64))
     engine.flush_all()
+    _spy_on(engine.compaction.visible_tables())
+    del reads[:]
     after = engine.snapshot()
     assert after.index is not snapshot.index
     new = {table.table_id for table in after.tables} - old
     assert len(new) == 8 and len(after.tables) == n_tables + 8
-    _spy_on(after.tables)
+    assert sorted(reads) == sorted(("sum", owner, size) for owner in new)
     del reads[:]
-    assert execute_aggregate_query(after, lo, hi) == want  # walked: no span yet
-    assert not any(type(piece) is CoveredSpan for piece in after.read_plan(lo, hi))
-    assert {owner for _, owner, _ in reads} == touched
-    assert execute_aggregate_query(after, -math.inf, math.inf).count == (n_tables + 8) * size
     assert execute_aggregate_query(after, lo, hi) == want
     assert any(type(piece) is CoveredSpan for piece in after.read_plan(lo, hi))
-    whole = {owner for kind, owner, n in reads if kind == "sum" and n == size}
-    assert whole == {t.table_id for t in after.tables if t.table_id in new and not t.is_columnar}
-    assert whole, "the flush wrote row tables; the summary had to sum them"
-    assert {owner for _, owner, _ in reads} - new == touched
+    assert {owner for _, owner, _ in reads} == touched
+    assert execute_aggregate_query(after, -math.inf, math.inf).count == (n_tables + 8) * size
+    assert all(n < size for kind, _, n in reads if kind == "sum")
 
 
-def test_summary_is_bought_once_walking_has_cost_as_much():
-    """A run hands covered tables out one by one until as many have
-    gone out as it holds, then as spans — with the same answers on
-    either side of the switch, and a fresh start after every flush."""
-    size, n_tables = 16, 64
+def test_held_snapshot_answers_what_it_answered_when_taken():
+    """Copy on write: appends, overlap merges in the middle of the run
+    and a re-split all happen to the run's *own* lists; the ones a held
+    snapshot searches are left as they were, so it goes on answering —
+    every field of every query — exactly what it answered when taken.
+    ``convert_cold`` swaps storage on the table handles both share, so
+    across it the values hold (count, extrema, total, rows), not the
+    block accounting."""
+    size = 16
+    tg, _ = _duplicate_heavy_stream(n_points=2400, seed=9)
     engine = ConventionalEngine(LsmConfig(memory_budget=2 * size, sstable_size=size))
-    engine.ingest(np.arange(n_tables * size, dtype=np.float64) / 3.0)
-    engine.flush_all()
-    snapshot = engine.snapshot()
-    walk = Snapshot(tables=snapshot.tables, memtables=[])
-    lo, hi = snapshot.tables[8].min_tg, snapshot.tables[24].min_tg  # 16 covered, 1 cut
+    engine.ingest(tg[:1610])
+    engine.convert_cold(max_tg=float(np.median(tg[:1610])), block_size=BLOCK)
+    held = engine.snapshot()
+    assert held.memtables and any(t.is_columnar for t in held.tables)
+    edges = _edges(held)
+    windows = [
+        (-math.inf, math.inf),
+        (edges[3], edges[-4]),
+        (held.tables[5].max_tg, held.tables[9].min_tg),
+        (edges[len(edges) // 2] + 0.5, edges[len(edges) // 2] + 400.0),
+        (float(held.memtables[0].tg.min()), math.inf),
+    ]
 
-    def spans(snap):
-        return [len(p) for p in snap.read_plan(lo, hi) if type(p) is CoveredSpan]
+    def answers(snapshot):
+        return [
+            (
+                execute_aggregate_query(snapshot, lo, hi),
+                execute_range_query(snapshot, lo, hi),
+                execute_range_query(snapshot, lo, hi, collect=True),
+            )
+            for lo, hi in windows
+        ]
 
-    want = execute_aggregate_query(walk, lo, hi)
-    assert want.tables_pruned == 16 and want.tables_scanned == 1
-    for _ in range(2):  # 16, then 32 of 64 handed out by the asserts below
-        assert execute_aggregate_query(snapshot, lo, hi) == want
-    assert spans(snapshot) == []  # the third 16: 48 of 64
-    assert spans(snapshot) == [16]  # the fourth: bought
-    assert execute_aggregate_query(snapshot, lo, hi) == want
-    assert execute_range_query(snapshot, lo, hi).result_points == want.count
-    assert spans(snapshot) == [16]
-    engine.ingest(np.arange(n_tables * size, (n_tables + 2) * size, dtype=np.float64) / 3.0)
+    def assert_held_unchanged():
+        for got, want in zip(answers(held), taken):
+            for g, w in zip(got, want):
+                _assert_same_fields(g, w)
+                assert getattr(g, "tables_consulted", 0) == getattr(w, "tables_consulted", 0)
+
+    taken = answers(held)
+    count = taken[0][0].count
+    lists = held.index._groups[0].view
+    shape = [len(column) for column in (lists.tables, lists.mins, lists.maxs, lists.lens,
+                                        lists.blocks, lists.sums)]
+    assert shape == [len(held.tables)] * 6
+
+    merges = sum(e.kind == "merge" for e in engine.stats.events)
+    engine.ingest(tg[1610:])  # late points: overlap merges deep in the run, and appends
+    assert sum(e.kind == "merge" for e in engine.stats.events) > merges + 10
+    assert execute_aggregate_query(engine.snapshot(), -math.inf, math.inf).count > count
+    assert_held_unchanged()
+    assert engine.resplit(size)  # pi_c -> pi_s: drains, re-binds, bumps the epoch
+    engine.ingest(tg[:200] + tg.max() + 1.0)
     engine.flush_all()
-    assert spans(engine.snapshot()) == []
-    assert execute_aggregate_query(engine.snapshot(), lo, hi) == want
+    assert engine.snapshot().index._groups[0].view is not lists
+    assert_held_unchanged()
+    assert [len(column) for column in (lists.tables, lists.mins, lists.maxs, lists.lens,
+                                       lists.blocks, lists.sums)] == shape
+
+    assert engine.convert_cold(block_size=BLOCK) > 0
+    for got, want in zip(answers(held), taken):
+        agg, _, rows = got
+        assert (agg.count, agg.minimum, agg.maximum, agg.total) == (
+            want[0].count, want[0].minimum, want[0].maximum, want[0].total
+        )
+        assert np.array_equal(rows.rows, want[2].rows)
+        assert np.array_equal(rows.row_ids, want[2].row_ids)
