@@ -501,6 +501,66 @@ def test_perf_sharded_ingest(benchmark):
     assert len(fleet) == len(fleet_data)
 
 
+#: ``(sigma, mu - log dt)`` of the system benchmark's eight disordered
+#: series (``benchmarks/system/workloads.py::DISORDERED_CELLS``) and what
+#: Algorithm 1 decides for each at a 512-point budget; the other eight
+#: series of its fleet have sub-interval uniform jitter and stay pi_c.
+_FLEET_CELLS = (
+    (2.2, -0.5, "s"), (2.2, 0.5, "s"), (1.2, 0.0, "c"), (1.95, 0.0, "s"),
+    (1.95, 1.0, "s"), (1.45, -0.5, "c"), (1.7, -1.0, "c"), (1.7, 1.0, "s"),
+)
+
+
+def test_perf_fleet_retune(benchmark):
+    """``fleet.retune()`` over the system benchmark's sixteen series —
+    what ``core.tuning.retune_s`` times inside every ``setup_s``.
+
+    Asserted in counts, not seconds: the regime (five series separate,
+    three disordered ones and the eight in-order ones do not) and the
+    tuner's budget — one tune computes each log-CDF row at most once, so
+    no more rows than the highest one a candidate reads, plus a block.
+    """
+    from repro import InOrderCurve, ModelConfig, UniformDelay
+    from repro.core.subsequent import _BLOCK_ROWS
+    from repro.serving import ShardedDatabase
+
+    dt, budget, points = 1000.0, 512, 16_384
+    rng = np.random.default_rng(51)
+    data, expected = {}, {}
+    for index in range(16):
+        name = f"series-{index:04d}"
+        if index < len(_FLEET_CELLS):
+            sigma, offset, policy = _FLEET_CELLS[index]
+            delay = LogNormalDelay(mu=np.log(dt) + offset, sigma=sigma)
+        else:
+            delay, policy = UniformDelay(low=0.0, high=0.5 * dt), "c"
+        data[name] = generate_synthetic(
+            points, dt=dt, delay=delay, seed=int(rng.integers(0, 2**31)), name=name
+        )
+        expected[name] = policy
+    fleet = ShardedDatabase(
+        n_shards=4, memory_budget_per_series=budget, sstable_size=512
+    )
+    for batch in _fleet_rounds(data, chunk=2048):
+        fleet.ingest_batch(batch, sync=False)
+
+    benchmark(fleet.retune)
+
+    for name, policy in expected.items():
+        state = fleet.database_for(name).series(name)
+        decision = state.decision
+        assert state.policy_label.startswith("pi_s" if policy == "s" else "pi_c"), name
+        profile = state.analyzer.profile()
+        curve = InOrderCurve(profile.distribution, profile.dt)
+        phases = [  # Eq. 4: the buffer sizes zeta was asked for
+            k * (budget - k) / g + (budget - k)
+            for k in decision.sweep_n_seq.tolist()
+            if (g := curve.g(k)) >= 1e-9
+        ]
+        highest = round(max(phases, default=budget)) + ModelConfig().dense_terms
+        assert 0 < decision.rows_computed <= highest + _BLOCK_ROWS, name
+
+
 def test_perf_arbiter_rebalance(benchmark):
     """Online arbitration: decision latency, and it must beat equal split.
 

@@ -23,7 +23,9 @@ verdict by the rules of the choosing-metrics guide (section 8):
                 change is better than every run of the parent
 ``EXACT-DIFF``  ``write_amplification`` or ``read_amplification``
                 differs for some seed (they are counts: same work, or
-                the two sides are not doing the same thing)
+                the two sides are not doing the same thing), or the two
+                sides tuned a seed's fleet to different policies
+                (``info.policies`` of the run's ``detail:`` line)
 
 With ``--trace`` the pair runs traced (``--trace 1``, whose last line
 carries the per-layer metrics instead) and the table is of the
@@ -67,7 +69,12 @@ def run_once(command: list[str], cwd: Path, workload: str, seed: int,
     done = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
+        # The tuned policies ride on the "detail:" line above the result.
+        for line in lines[:-1]:
+            if line.startswith("detail: "):
+                result["policies"] = json.loads(line[8:])["info"].get("policies")
+        return result
     except (IndexError, ValueError):
         sys.stderr.write(done.stderr[-2000:])
         return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
@@ -165,10 +172,14 @@ def main(argv: list[str] | None = None) -> int:
           f"{len(bad)} unusable runs")
     if bad:
         return 1
+    retuned = [seed for seed, p, c in zip(args.seeds, runs["parent"], runs["change"])
+               if p.get("policies") != c.get("policies")]
+    print("tuned policies (info.policies): " + (
+        f"DIFFER for seeds {retuned}  EXACT-DIFF" if retuned else "identical per seed"))
     width = max(22, *(len(m["name"]) + 2 for m in table))
     print(f"{'metric':<{width}}{'parent median [q1, q3]':>36}{'change':>14}  "
           f"ratio   won/lost/tied")
-    exact_diff = False
+    exact_diff = bool(retuned)
     for metric in table:
         values = {side: [r["metrics"][metric["name"]]["value"] for r in results]
                   for side, results in runs.items()}

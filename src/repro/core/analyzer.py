@@ -235,7 +235,9 @@ class DelayAnalyzer:
 
     def profile(self) -> DelayProfile:
         """Build the statistical profile of the current delay window."""
-        delays = self.window.sample()
+        return self._profile_of(self.window.sample())
+
+    def _profile_of(self, delays: np.ndarray) -> DelayProfile:
         if delays.size < 2:
             raise ModelError("not enough delays observed to build a profile")
         if self.use_empirical:
@@ -281,7 +283,8 @@ class DelayAnalyzer:
         reference, so subsequent :meth:`should_retune` calls compare
         against the data that justified this decision.
         """
-        profile = self.profile()
+        delays = self.window.sample()
+        profile = self._profile_of(delays)
         decision = tune_separation_policy(
             profile.distribution,
             profile.dt,
@@ -297,7 +300,6 @@ class DelayAnalyzer:
             decision.describe(),
         )
         self.last_decision = decision
-        delays = self.window.sample()
         if delays.size >= self.drift.min_samples:
             self.drift.set_reference(delays)
         return decision

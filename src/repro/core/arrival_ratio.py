@@ -20,6 +20,8 @@ Two directions are provided:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..distributions import DelayDistribution
@@ -31,6 +33,13 @@ __all__ = ["InOrderCurve", "expected_in_order", "g_out_of_order"]
 #: prevents runaway loops for distributions whose CDF never leaves 0.
 _MAX_ARRIVALS = 200_000_000
 _CHUNK = 65_536
+#: Entries an inversion starts the table with; it doubles from there.
+#: A 512-point budget is usually inverted inside the first few thousand
+#: arrivals, and every entry is a CDF evaluation.
+_FIRST = 4096
+#: Entries that are one running sum (see :meth:`InOrderCurve._grow`):
+#: the size the table's first step had when it was taken in one.
+_HEAD = 2 * _CHUNK
 
 
 class InOrderCurve:
@@ -41,8 +50,10 @@ class InOrderCurve:
     """
 
     def __init__(self, dist: DelayDistribution, dt: float) -> None:
-        if dt <= 0:
-            raise ModelError(f"generation interval dt must be positive, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ModelError(
+                f"generation interval dt must be positive and finite, got {dt}"
+            )
         self.dist = dist
         self.dt = float(dt)
         self._cumulative = np.empty(0, dtype=np.float64)
@@ -51,17 +62,29 @@ class InOrderCurve:
         # objective), and each miss costs a searchsorted over the table.
         self._alpha_cache: dict[float, float] = {}
 
-    def _extend_to(self, alpha: int) -> None:
+    def _grow(self, size: int) -> None:
+        """Extend the table to ``size`` entries.
+
+        The first ``_HEAD`` entries are one running sum, however many
+        steps computed it: a step there continues from the last entry
+        (a seeded ``np.cumsum``).  Past ``_HEAD`` a step sums its own
+        probabilities and adds the last entry, so there the step
+        boundaries are part of the bits, and :meth:`arrivals_batch`
+        keeps them on the doubling schedule they have always been on.
+        """
         current = self._cumulative.size
-        while current < alpha:
-            grow = max(_CHUNK, alpha - current)
-            i = np.arange(current + 1, current + grow + 1, dtype=np.float64)
-            probs = np.asarray(self.dist.cdf(i * self.dt), dtype=np.float64)
-            base = self._cumulative[-1] if current else 0.0
-            self._cumulative = np.concatenate(
-                [self._cumulative, base + np.cumsum(probs)]
-            )
-            current = self._cumulative.size
+        if current < _HEAD < size:
+            self._grow(_HEAD)
+            current = _HEAD
+        i = np.arange(current + 1, size + 1, dtype=np.float64)
+        probs = np.asarray(self.dist.cdf(i * self.dt), dtype=np.float64)
+        if current == 0:
+            grown = np.cumsum(probs)
+        elif current < _HEAD:
+            grown = np.cumsum(np.concatenate((self._cumulative[-1:], probs)))[1:]
+        else:
+            grown = self._cumulative[-1] + np.cumsum(probs)
+        self._cumulative = np.concatenate((self._cumulative, grown))
 
     def expected_in_order(self, alpha: int) -> float:
         """``X(alpha)``: expected in-order points among ``alpha`` arrivals."""
@@ -69,7 +92,9 @@ class InOrderCurve:
             raise ModelError(f"alpha must be non-negative, got {alpha}")
         if alpha == 0:
             return 0.0
-        self._extend_to(alpha)
+        current = self._cumulative.size
+        if current < alpha:
+            self._grow(current + max(_CHUNK, alpha - current))
         return float(self._cumulative[alpha - 1])
 
     def arrivals_for_in_order(self, n_seq: float) -> float:
@@ -79,32 +104,47 @@ class InOrderCurve:
         consecutive arrivals so that downstream formulas vary smoothly
         with ``n_seq``.
         """
-        if n_seq < 0:
-            raise ModelError(f"n_seq must be non-negative, got {n_seq}")
-        if n_seq == 0:
-            return 0.0
-        key = float(n_seq)
-        cached = self._alpha_cache.get(key)
+        cached = self._alpha_cache.get(float(n_seq))
         if cached is not None:
             return cached
-        size = max(self._cumulative.size, _CHUNK)
-        while self._cumulative.size == 0 or self._cumulative[-1] < n_seq:
-            if size >= _MAX_ARRIVALS:
-                raise ModelError(
-                    f"could not accumulate {n_seq} expected in-order points "
-                    f"within {_MAX_ARRIVALS} arrivals; the delay CDF "
-                    f"({self.dist.name}) stays ~0 on this time scale"
-                )
-            size = min(size * 2, _MAX_ARRIVALS)
-            self._extend_to(size)
-        idx = int(np.searchsorted(self._cumulative, n_seq, side="left"))
-        upper = self._cumulative[idx]
-        lower = self._cumulative[idx - 1] if idx else 0.0
-        step = upper - lower
-        fraction = 1.0 if step <= 0 else (n_seq - lower) / step
-        alpha = idx + float(fraction)
-        self._alpha_cache[key] = alpha
-        return alpha
+        return float(self.arrivals_batch((n_seq,))[0])
+
+    def arrivals_batch(self, n_seqs) -> np.ndarray:
+        """:meth:`arrivals_for_in_order` for many ``n_seq``, one table
+        search for all that are not memoised — the one inversion; the
+        scalar method is a batch of one (the tuner asks a whole sweep
+        round at once).
+        """
+        targets = [float(n_seq) for n_seq in n_seqs]
+        for target in targets:
+            if not target >= 0:
+                raise ModelError(f"n_seq must be non-negative, got {target}")
+        fresh = sorted(
+            {t for t in targets if t > 0 and t not in self._alpha_cache}
+        )
+        if fresh:
+            size = self._cumulative.size
+            while size == 0 or self._cumulative[-1] < fresh[-1]:
+                if size >= _MAX_ARRIVALS:
+                    raise ModelError(
+                        f"could not accumulate {fresh[-1]:g} expected in-order "
+                        f"points within {_MAX_ARRIVALS} arrivals; the delay CDF "
+                        f"({self.dist.name}) stays ~0 on this time scale"
+                    )
+                size = min(max(size * 2, _FIRST), _MAX_ARRIVALS)
+                self._grow(size)
+            wanted = np.asarray(fresh)
+            idx = np.searchsorted(self._cumulative, wanted, side="left")
+            upper = self._cumulative[idx]
+            lower = np.where(idx > 0, self._cumulative[idx - 1], 0.0)
+            step = upper - lower
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fraction = np.where(step > 0, (wanted - lower) / step, 1.0)
+            self._alpha_cache.update(zip(fresh, (idx + fraction).tolist()))
+        return np.asarray(
+            [self._alpha_cache[t] if t > 0 else 0.0 for t in targets],
+            dtype=np.float64,
+        )
 
     def g(self, n_seq: float) -> float:
         """Eq. 1's ``g``: expected out-of-order arrivals per ``n_seq``

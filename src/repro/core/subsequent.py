@@ -17,7 +17,9 @@ Numerical strategy
   any :class:`~repro.distributions.DelayDistribution` (including
   empirical and degenerate ones) integrates correctly.
 * ``log F`` values are prefix-summed over ``m = i + j`` so the inner
-  product for every ``i`` is one subtraction of prefix rows.
+  product for every ``i`` is one subtraction of prefix rows.  The
+  prefix rows are a *stream* the model keeps (see :class:`ZetaModel`):
+  an evaluation computes only the rows no earlier one left behind.
 * Terms ``i <= dense_terms`` are summed exactly; the remaining tail is
   integrated on a geometric ``i``-grid using an integrated-log-CDF table
   ``H(t) = int log F(u) du`` (the inner sum over ``j`` becomes
@@ -40,6 +42,40 @@ from ..errors import ModelError
 
 __all__ = ["ZetaModel", "zeta"]
 
+#: Rows per block of the log-CDF stream.  Block ``b`` is rows
+#: ``b * _BLOCK_ROWS + 1 .. (b + 1) * _BLOCK_ROWS`` and its cumulative
+#: sum restarts at its first row, so where the blocks fall is part of
+#: every ``zeta`` bit: the partition never moves.
+_BLOCK_ROWS = 8192
+#: Rows per ``log F`` evaluation: a block is filled in steps whose
+#: temporaries stay in cache (1.5-2.5x faster than one 8192-row call), each
+#: continuing the block's cumulative sum where the last one stopped.
+_STEP_ROWS = 512
+#: Blocks whose cumulative rows a model keeps (least recently used
+#: dropped first): 32 768 rows, 25 MB at the default 96 nodes.
+_HELD_BLOCKS = 4
+
+
+class _Block:
+    """Cumulative rows of one stream block, filled front to back."""
+
+    __slots__ = ("rows", "filled", "tip")
+
+    def __init__(self, nodes: int) -> None:
+        # Untouched pages cost nothing: a short block is as cheap as a
+        # short array, and growing it later moves no row.
+        self.rows = np.empty((_BLOCK_ROWS, nodes))
+        self.restart()
+
+    def restart(self) -> None:
+        """Forget the rows (the array stays, for the next block)."""
+        self.filled = 0
+        #: The *in-block* cumulative sum at row ``filled - 1`` (``rows``
+        #: has the total of the earlier blocks added).  Before the first
+        #: row it is -0.0, the one value ``x + tip == x`` holds for to
+        #: the bit, signed zeros included.
+        self.tip = np.full(self.rows.shape[1], -0.0)
+
 
 class ZetaModel:
     """Evaluator for ``zeta(n)`` under a fixed delay law and interval.
@@ -47,6 +83,24 @@ class ZetaModel:
     Instances cache the quadrature nodes, the integrated-log-CDF table
     and previously computed ``zeta`` values, so sweeping many buffer
     sizes (Algorithm 1 does) amortises the setup cost.
+
+    They also keep the stream every dense sum reads — the cumulative
+    rows ``C[m] = sum_{m' <= m} log F(m'*dt + x_k)`` — so that a later
+    evaluation pays only for rows no earlier one computed:
+
+    * the boundary row of every block the stream has passed (one row
+      per ``_BLOCK_ROWS``), from which any block can be rebuilt without
+      its predecessors;
+    * the cumulative rows of the ``_HELD_BLOCKS`` most recently used
+      blocks — never more, whatever the law: ``LogNormalDelay(5, 2)`` at
+      ``dt = 50`` saturates after 3.8 M rows, 2.9 GB if kept whole;
+    * the first ``i_dense + 1 <= dense_terms + 1`` rows, which every
+      term subtracts.
+
+    A partly filled block grows by continuing its in-block cumulative
+    sum from its last row, so the additions associate exactly as in one
+    uninterrupted pass.  :attr:`rows_computed` and
+    :attr:`tail_tables_built` count the work actually done.
     """
 
     def __init__(
@@ -55,8 +109,10 @@ class ZetaModel:
         dt: float,
         config: ModelConfig = DEFAULT_MODEL_CONFIG,
     ) -> None:
-        if dt <= 0:
-            raise ModelError(f"generation interval dt must be positive, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ModelError(
+                f"generation interval dt must be positive and finite, got {dt}"
+            )
         self.dist = dist
         self.dt = float(dt)
         self.config = config
@@ -68,8 +124,28 @@ class ZetaModel:
         self._h_grid: np.ndarray | None = None
         self._h_values: np.ndarray | None = None
         self._m_sat: int | None = None
+        #: ``_boundaries[b]`` is the cumulative row just before block
+        #: ``b``; its length is one more than the blocks passed.
+        self._boundaries = [np.zeros(self._x_nodes.size)]
+        #: Held blocks by index, least recently used first.
+        self._held: dict[int, _Block] = {}
+        #: Cumulative rows ``0 .. i_dense`` (row 0 is all zeros).
+        self._head = np.zeros((1, self._x_nodes.size))
+        #: ``(i_dense, i_bound) -> (grid, H(a))``: the half of a tail
+        #: integral no buffer size enters, valid for the current H table.
+        self._tail_tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        #: Log-CDF rows (one ``log F`` per quadrature node) computed so far.
+        self.rows_computed = 0
+        #: Shared tail halves (``grid``, ``H(a)``) built so far.
+        self.tail_tables_built = 0
 
     # -- public API ---------------------------------------------------------------
+
+    @property
+    def rows_held(self) -> int:
+        """Cumulative stream rows in memory; at most
+        ``_HELD_BLOCKS * _BLOCK_ROWS``."""
+        return sum(block.filled for block in self._held.values())
 
     def zeta(self, n: float) -> float:
         """Expected subsequent points for a buffer of ``n`` points.
@@ -87,11 +163,11 @@ class ZetaModel:
         """Evaluate ``zeta`` for many buffer sizes in one shared pass —
         the one evaluator; :meth:`zeta` is a batch of one.
 
-        Uncached sizes that share an ``i_dense`` are streamed together:
-        the log-CDF blocks — the dominant cost — are computed once up to
-        the largest cap instead of once per size.  The prefix row at any
-        ``m`` does not depend on how far the stream runs past it, and
-        the tail integrals run in first-seen order so the
+        Uncached sizes harvest their dense sums from the kept stream in
+        ascending order, so each missing row is computed once however
+        many sizes read it.  The prefix row at any ``m`` does not depend
+        on how far the stream runs past it or in how many steps it got
+        there, and the tail integrals run in first-seen order so the
         integrated-log-CDF table grows the same way — every returned
         value is bit-identical to what a sequence of :meth:`zeta` calls
         yields (``tests/test_core_zeta.py`` pins the bits), and every
@@ -102,17 +178,14 @@ class ZetaModel:
             if not math.isfinite(n):
                 raise ModelError(f"n must be finite, got {n}")
             keys.append(int(round(n)) if n >= 1 else 0)
-        order: list[int] = []
-        seen: set[int] = set()
-        for key in keys:
-            if key < 1 or key in self._cache or key in seen:
-                continue
-            seen.add(key)
-            order.append(key)
+        order = list(
+            dict.fromkeys(k for k in keys if k >= 1 and k not in self._cache)
+        )
+        self._bound_radii(order)
         plans = {
             key: (
-                self._term_bound_radius(key),
-                min(self.config.dense_terms, self._term_bound_radius(key)),
+                self._radius_cache[key],
+                min(self.config.dense_terms, self._radius_cache[key]),
             )
             for key in order
         }
@@ -121,7 +194,7 @@ class ZetaModel:
             groups.setdefault(plans[key][1], []).append(key)
         dense: dict[int, float] = {}
         for i_dense, group in groups.items():
-            dense.update(self._dense_sum_batch(group, i_dense))
+            dense.update(self._dense_sums(group, i_dense))
         for key in order:
             i_bound, i_dense = plans[key]
             total = dense[key]
@@ -139,17 +212,19 @@ class ZetaModel:
         out = np.asarray(self.dist.log_cdf(values), dtype=np.float64)
         return np.maximum(out, self.config.log_cdf_floor)
 
-    def _term_bound_radius(self, n: int) -> int:
-        """``I_bound``: first ``i`` where ``n * (1 - F(i*dt)) < tol``."""
-        cached = self._radius_cache.get(n)
-        if cached is not None:
-            return cached
-        level = 1.0 - min(self.config.term_tolerance / n, 0.5)
-        level = min(level, 1.0 - 1e-12)
-        horizon = float(self.dist.quantile(level))
-        radius = max(int(math.ceil(horizon / self.dt)) + 1, 1)
-        self._radius_cache[n] = radius
-        return radius
+    def _bound_radii(self, sizes: list[int]) -> None:
+        """``I_bound`` of every size: first ``i`` where
+        ``n * (1 - F(i*dt)) < tol`` — one quantile call for all of them."""
+        fresh = [n for n in sizes if n not in self._radius_cache]
+        if not fresh:
+            return
+        levels = [
+            min(1.0 - min(self.config.term_tolerance / n, 0.5), 1.0 - 1e-12)
+            for n in fresh
+        ]
+        horizons = np.asarray(self.dist.quantile(np.asarray(levels)), dtype=float)
+        for n, horizon in zip(fresh, horizons.tolist()):
+            self._radius_cache[n] = max(int(math.ceil(horizon / self.dt)) + 1, 1)
 
     def _saturation_index(self) -> int:
         """Smallest ``m`` beyond which ``log F(m*dt + x) ~ 0`` for every node.
@@ -166,69 +241,119 @@ class ZetaModel:
             self._m_sat = max(int(math.ceil(horizon / self.dt)) + 2, 2)
         return self._m_sat
 
-    def _dense_sum_batch(
-        self, group: list[int], i_dense: int
-    ) -> dict[int, float]:
-        """Dense sums for many ``n`` sharing ``i_dense``, one log-CDF stream.
+    def _block(self, index: int, upto: int) -> np.ndarray:
+        """Rows of block ``index``, at least its first ``upto`` filled.
 
-        Exact sum of terms ``i = 0 .. i_dense`` via streamed prefix
-        sums.  The stream runs once to the largest per-``n`` cap; each
-        ``n`` harvests its own prefix rows ``C[m]``, ``m`` in
-        ``[n, n + i_dense]``, from the shared cumulative blocks.  The
-        block partition is fixed (start 1, width 8192), so the prefix
-        row at any ``m`` is bit-identical however far the stream
-        continues past it — a size evaluated alone and in a group gets
-        the same bits — and rows past the saturation cap are filled
-        with the prefix at the cap.
+        The array is the model's own: read it before the next call,
+        which may hand it to another block.
         """
-        nodes = self._x_nodes
-        k = nodes.size
+        for passed in range(len(self._boundaries) - 1, index):
+            self._block(passed, _BLOCK_ROWS)
+        block = self._held.pop(index, None)
+        if block is None:
+            if len(self._held) >= _HELD_BLOCKS:
+                # The least recently used block gives up its array.
+                block = self._held.pop(next(iter(self._held)))
+                block.restart()
+            else:
+                block = _Block(self._x_nodes.size)
+        self._held[index] = block
+        first = index * _BLOCK_ROWS + 1
+        while block.filled < upto:
+            lo = block.filled
+            hi = min(lo + _STEP_ROWS, upto)
+            ms = np.arange(first + lo, first + hi, dtype=np.float64)
+            log_f = self._log_cdf(ms[:, None] * self.dt + self._x_nodes[None, :])
+            # Seeded with the in-block sum so far: row r is
+            # (tip + l_lo) + ... + l_r, the order one pass adds in.
+            within = np.cumsum(np.concatenate((block.tip[None, :], log_f)), axis=0)[1:]
+            np.add(self._boundaries[index][None, :], within, out=block.rows[lo:hi])
+            block.tip = within[-1].copy()
+            block.filled = hi
+            self.rows_computed += hi - lo
+        if upto == _BLOCK_ROWS and len(self._boundaries) == index + 1:
+            self._boundaries.append(block.rows[-1].copy())
+        return block.rows
+
+    def _stream(self, first: int, last: int):
+        """Cumulative rows ``first..last`` as ``(row, slice)`` per block.
+
+        Each slice is a view (see :meth:`_block`): consume it before
+        taking the next.  Nothing when ``last < first``.
+        """
+        if last < first:
+            return
+        for index in range((first - 1) // _BLOCK_ROWS, (last - 1) // _BLOCK_ROWS + 1):
+            start = index * _BLOCK_ROWS + 1
+            lo = max(first, start) - start
+            hi = min(last, start + _BLOCK_ROWS - 1) - start + 1
+            yield start + lo, self._block(index, hi)[lo:hi]
+
+    def _head_rows(self, i_dense: int) -> np.ndarray:
+        """Cumulative rows ``0 .. i_dense`` (what every term subtracts)."""
+        have = self._head.shape[0]
+        if have <= i_dense:
+            head = np.empty((i_dense + 1, self._x_nodes.size))
+            head[:have] = self._head
+            for row, rows in self._stream(have, i_dense):
+                head[row : row + rows.shape[0]] = rows
+            self._head = head
+        return self._head[: i_dense + 1]
+
+    def _dense_sums(self, group: list[int], i_dense: int) -> dict[int, float]:
+        """Dense sums for many ``n`` sharing ``i_dense``, off the kept stream.
+
+        Exact sum of terms ``i = 0 .. i_dense``: term ``i`` of size
+        ``n`` is ``1 - mean_k exp(C[n + i] - C[i])``.  Each ``n`` reads
+        its rows ``C[n .. n + i_dense]`` as slices of the held blocks,
+        smallest ``n`` first so a block is visited once.  The block
+        partition is fixed, so the prefix row at any ``m`` is the same
+        bits whoever computed it, and rows past the saturation cap read
+        the prefix at the cap.
+        """
+        lo_rows = self._head_rows(i_dense)
         sat_cap = self._saturation_index() + i_dense
-        caps = {n: min(n + i_dense, sat_cap) for n in group}
-        cap_max = max(caps.values())
-        lo_rows = np.zeros((i_dense + 1, k))
-        hi_rows = {n: np.zeros((i_dense + 1, k)) for n in group}
-        hi_filled = {n: np.zeros(i_dense + 1, dtype=bool) for n in group}
-        sat_row = np.zeros(k)
-        running = np.zeros(k)
-        block = 8192
-        for start in range(1, cap_max + 1, block):
-            stop = min(start + block, cap_max + 1)
-            ms = np.arange(start, stop, dtype=np.float64)
-            log_f = self._log_cdf(ms[:, None] * self.dt + nodes[None, :])
-            cumulative = running[None, :] + np.cumsum(log_f, axis=0)
-            if start <= i_dense:
-                upto = min(i_dense + 1, stop)
-                lo_rows[start:upto] = cumulative[: upto - start]
-            for n in group:
-                first = max(n, start)
-                last = min(n + i_dense, caps[n], stop - 1)
-                if first <= last:
-                    hi_rows[n][first - n : last - n + 1] = cumulative[
-                        first - start : last - start + 1
-                    ]
-                    hi_filled[n][first - n : last - n + 1] = True
-            if start <= sat_cap < stop:
-                sat_row = cumulative[sat_cap - start]
-            running = cumulative[-1]
         results: dict[int, float] = {}
-        for n in group:
-            rows = hi_rows[n]
-            if caps[n] < n + i_dense:
-                rows[~hi_filled[n]] = sat_row
-            terms = 1.0 - np.exp(rows - lo_rows).mean(axis=1)
+        for n in sorted(group):
+            terms = np.empty(i_dense + 1)
+            last = min(n + i_dense, sat_cap)
+            for row, rows in self._stream(n, last):
+                at = row - n
+                terms[at : at + rows.shape[0]] = self._terms(
+                    rows, lo_rows[at : at + rows.shape[0]]
+                )
+            if last < n + i_dense:
+                at = max(last + 1 - n, 0)
+                ((_, sat_row),) = self._stream(sat_cap, sat_cap)
+                terms[at:] = self._terms(sat_row, lo_rows[at:])
             results[n] = float(np.clip(terms, 0.0, None).sum())
         return results
 
+    @staticmethod
+    def _terms(hi_rows: np.ndarray, lo_rows: np.ndarray) -> np.ndarray:
+        products = hi_rows - lo_rows
+        np.exp(products, out=products)
+        return 1.0 - products.mean(axis=1)
+
     def _tail_integral(self, n: int, i_dense: int, i_bound: int) -> float:
-        """Geometric-grid trapezoid over ``i in (i_dense, i_bound]``."""
+        """Geometric-grid trapezoid over ``i in (i_dense, i_bound]``.
+
+        The grid and ``H(a)`` do not depend on ``n``: sizes with the
+        same ``(i_dense, i_bound)`` share them for as long as the H
+        table they were read from stands.
+        """
         self._ensure_h_table((i_bound + n + 1.0) * self.dt + self._x_nodes[-1])
-        lo = i_dense + 0.5
-        hi = max(float(i_bound) + 0.5, lo * 1.001)
-        grid = np.geomspace(lo, hi, self.config.tail_grid_points)
-        a = (grid[:, None] + 0.0) * self.dt + self._x_nodes[None, :]
+        shared = self._tail_tables.get((i_dense, i_bound))
+        if shared is None:
+            lo = i_dense + 0.5
+            hi = max(float(i_bound) + 0.5, lo * 1.001)
+            grid = np.geomspace(lo, hi, self.config.tail_grid_points)
+            a = grid[:, None] * self.dt + self._x_nodes[None, :]
+            shared = self._tail_tables[i_dense, i_bound] = grid, self._h_interp(a)
+            self.tail_tables_built += 1
+        grid, h_a = shared
         b = (grid[:, None] + n) * self.dt + self._x_nodes[None, :]
-        diffs = (self._h_interp(b) - self._h_interp(a)) / self.dt
+        diffs = (self._h_interp(b) - h_a) / self.dt
         terms = 1.0 - np.exp(diffs).mean(axis=1)
         terms = np.clip(terms, 0.0, None)
         return float(np.trapezoid(terms, grid))
@@ -246,6 +371,8 @@ class ZetaModel:
         values = np.concatenate(([0.0], np.cumsum(increments)))
         self._h_grid = grid
         self._h_values = values
+        # H(a) read from the old table is not H(a) of the new one.
+        self._tail_tables.clear()
 
     def _h_interp(self, u: np.ndarray) -> np.ndarray:
         # Below the grid, H extrapolates with the (clipped) floor slope;

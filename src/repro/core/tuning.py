@@ -14,6 +14,8 @@ literal sweep.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +23,6 @@ import numpy as np
 from ..config import DEFAULT_MODEL_CONFIG, ModelConfig
 from ..distributions import DelayDistribution
 from ..errors import ModelError
-import math
-
 from .arrival_ratio import InOrderCurve
 from .subsequent import ZetaModel
 from .wa_conventional import GRANULARITY_KAPPA, predict_wa_conventional
@@ -51,6 +51,10 @@ class PolicyDecision:
     sweep_n_seq: np.ndarray
     #: Predicted ``r_s`` per evaluated ``n_seq``.
     sweep_r_s: np.ndarray
+    #: What the decision cost in work: log-CDF rows the sweep's
+    #: :class:`ZetaModel` computed (0 on a decision restored from a
+    #: checkpoint, which keeps the evidence and not the bill).
+    rows_computed: int = 0
 
     @property
     def predicted_wa(self) -> float:
@@ -99,8 +103,19 @@ def tune_separation_policy(
     :mod:`repro.core.wa_conventional`).
     """
     n = memory_budget
-    if n < 2:
-        raise ModelError(f"memory_budget must be >= 2, got {n}")
+    if (
+        isinstance(n, bool)
+        or not isinstance(n, numbers.Real)
+        or not math.isfinite(n)
+        or n != math.floor(n)
+        or n < 2
+    ):
+        raise ModelError(f"memory_budget must be an integer >= 2, got {n!r}")
+    n = int(n)
+    if coarse_points < 1:
+        raise ModelError(f"coarse_points must be >= 1, got {coarse_points}")
+    if refine_rounds < 0:
+        raise ModelError(f"refine_rounds must be >= 0, got {refine_rounds}")
     zeta_model = ZetaModel(dist, dt, config)
     curve = InOrderCurve(dist, dt)
 
@@ -139,12 +154,14 @@ def tune_separation_policy(
             for n_seq in candidates
             if (key := int(n_seq)) not in evaluated
         ]
-        # Warm the zeta cache for every fresh candidate in one shared
-        # log-CDF stream; `g` comes from the shared curve, so each
-        # candidate's phase size N_arrive (Eq. 4) is exactly what
+        # Invert Eq. 1 for the whole round in one search, then warm the
+        # zeta cache for every fresh candidate off one shared log-CDF
+        # stream; `g` comes from the shared curve, so each candidate's
+        # phase size N_arrive (Eq. 4) is exactly what
         # separation_breakdown recomputes below — the per-candidate
-        # r_s calls then hit the cache and the sweep's decisions are
+        # r_s calls then hit both caches and the sweep's decisions are
         # bit-identical to the unbatched evaluation order.
+        curve.arrivals_batch(fresh)
         n_arrives = []
         for key in fresh:
             g = curve.g(key)
@@ -175,20 +192,13 @@ def tune_separation_policy(
     r_s_star = float(values[best])
     best_n_seq = int(keys[best])
 
-    if r_s_star < r_c:
-        return PolicyDecision(
-            policy=SEPARATION,
-            seq_capacity=best_n_seq,
-            r_c=r_c,
-            r_s_star=r_s_star,
-            sweep_n_seq=keys,
-            sweep_r_s=values,
-        )
+    separate = r_s_star < r_c
     return PolicyDecision(
-        policy=CONVENTIONAL,
-        seq_capacity=None,
+        policy=SEPARATION if separate else CONVENTIONAL,
+        seq_capacity=best_n_seq if separate else None,
         r_c=r_c,
         r_s_star=r_s_star,
         sweep_n_seq=keys,
         sweep_r_s=values,
+        rows_computed=zeta_model.rows_computed,
     )

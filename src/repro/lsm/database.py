@@ -20,7 +20,9 @@ name derived from it (``ConventionalEngine`` / ``SeparationEngine``).
 from __future__ import annotations
 
 import json
+import logging
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,8 @@ from .checkpoint import namespaced_stem
 from .conventional import LeveledEngine
 
 __all__ = ["SeriesState", "FleetReport", "TimeSeriesDatabase", "manifest_filename"]
+
+logger = logging.getLogger(__name__)
 
 
 def manifest_filename(namespace: str = "") -> str:
@@ -336,29 +340,74 @@ class TimeSeriesDatabase:
         """Re-decide every auto-tuned series' policy from its profile.
 
         Series with fewer than ``min_observations`` observed points keep
-        their current policy.  Returns ``{series: policy_label}`` for the
-        series that switched.
+        their current policy, and so does one whose window cannot be
+        profiled (a :class:`ModelError` from the analyzer — e.g. every
+        point generated at the same instant, so no interval can be
+        estimated): it is skipped with a warning and a
+        ``db.retune_skipped`` event, and the rest are still retuned.
+        Every series that is decided leaves a ``db.retune_decision``
+        event: what Algorithm 1 was given, what it answered and what
+        that cost.  Returns ``{series: policy_label}`` for the series
+        that switched.
         """
         switched: dict[str, str] = {}
+        telemetry = self.telemetry
         for state in self._series.values():
             analyzer = state.analyzer
             if analyzer is None or analyzer.observed_points < min_observations:
                 continue
-            decision = analyzer.recommend()
+            started = time.perf_counter()
+            try:
+                decision = analyzer.recommend()
+            except ModelError as error:
+                logger.warning(
+                    "retune skipped series %r, which keeps %s: %s",
+                    state.name,
+                    state.policy_label,
+                    error,
+                )
+                telemetry.emit(
+                    {
+                        "type": "db.retune_skipped",
+                        "series": state.name,
+                        "policy": state.policy_label,
+                        "reason": str(error),
+                    }
+                )
+                continue
             state.decision = decision
+            if telemetry.enabled:
+                telemetry.emit(
+                    {
+                        "type": "db.retune_decision",
+                        "series": state.name,
+                        "observed_points": analyzer.observed_points,
+                        "sample_count": len(analyzer.window),
+                        "dt": analyzer.estimated_dt(),
+                        "memory_budget": analyzer.memory_budget,
+                        "sstable_size": analyzer.sstable_size,
+                        "policy": decision.policy,
+                        "seq_capacity": decision.seq_capacity,
+                        "r_c": decision.r_c,
+                        "r_s_star": decision.r_s_star,
+                        "candidates": int(decision.sweep_n_seq.size),
+                        "duration_ms": (time.perf_counter() - started) * 1e3,
+                        "rows_computed": decision.rows_computed,
+                    }
+                )
             if state.engine.resplit(
                 decision.seq_capacity if decision.policy == SEPARATION else None
             ):
                 switched[state.name] = state.policy_label
-                if self.telemetry.enabled:
-                    self.telemetry.emit(
+                if telemetry.enabled:
+                    telemetry.emit(
                         {
                             "type": "db.series_retuned",
                             "series": state.name,
                             "policy": state.policy_label,
                         }
                     )
-                    self.telemetry.count("db.retunes")
+                    telemetry.count("db.retunes")
         return switched
 
     def resize_series(

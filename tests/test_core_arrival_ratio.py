@@ -65,6 +65,43 @@ class TestG:
         in_order = curve.expected_in_order(500)
         assert curve.arrivals_for_in_order(in_order) == pytest.approx(500, abs=1.01)
 
+    def test_a_round_inverted_at_once_equals_one_at_a_time(self):
+        """The tuner inverts Eq. 1 for a whole sweep round in one table
+        search; ``alpha`` is the bits of the scalar walk that read the
+        table entry by entry."""
+        dist = LogNormalDelay(5.0, 2.0)
+        targets = [1, 23, 45.5, 256, 511, 0, 511, 300_000]
+        batch = InOrderCurve(dist, 50.0).arrivals_batch(targets)
+        single = InOrderCurve(dist, 50.0)
+        assert batch.tolist() == [single.arrivals_for_in_order(t) for t in targets]
+        table = np.cumsum(dist.cdf(50.0 * np.arange(1, 131_073)))  # the first chunk
+        for target, alpha in zip(targets[:5], batch.tolist()):
+            idx = int(np.searchsorted(table, target, side="left"))
+            lower = table[idx - 1] if idx else 0.0
+            assert alpha == idx + float((target - lower) / (table[idx] - lower))
+        with pytest.raises(ModelError):
+            single.arrivals_batch([4, float("nan")])
+        with pytest.raises(ModelError):
+            single.arrivals_batch([4, -1])
+
+    def test_table_bits_do_not_depend_on_how_lazily_it_grew(self):
+        """An inversion starts the table at 4096 entries and doubles.
+        Its first 131 072 entries are one running sum however many
+        steps computed them; past them every doubling adds its own sum
+        to the last entry.  Here 511 in-order points take ~200 000
+        arrivals, so both kinds of step are read."""
+        dist, dt = LogNormalDelay(5.0, 2.0), 5e-6
+        probs = dist.cdf(dt * np.arange(1, 262_145))
+        head = np.cumsum(probs[:131_072])
+        table = np.concatenate((head, head[-1] + np.cumsum(probs[131_072:])))
+        curve = InOrderCurve(dist, dt)
+        for target in (1, 64, 300, 511):  # 4096, ..., 131 072, 262 144 entries
+            idx = int(np.searchsorted(table, target, side="left"))
+            expected = idx + float((target - table[idx - 1]) / (table[idx] - table[idx - 1]))
+            assert curve.arrivals_for_in_order(target) == expected
+        assert idx > 131_072
+        assert curve.expected_in_order(200_000) == table[199_999]
+
     def test_matches_monte_carlo(self):
         """g(n_seq) tracks a direct simulation of the defining process."""
         dist = LogNormalDelay(4.0, 1.5)

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from repro import (
+    InOrderCurve,
     LogNormalDelay,
+    ModelConfig,
     UniformDelay,
+    ZetaModel,
     tune_separation_policy,
 )
 from repro.core import CONVENTIONAL, SEPARATION
+from repro.core.subsequent import _BLOCK_ROWS
+from repro.core.wa_separation import separation_breakdown
+from repro.distributions import EmpiricalDelay
 from repro.errors import ModelError
 
 
@@ -69,3 +75,78 @@ class TestPolicyDecision:
     def test_rejects_tiny_budget(self):
         with pytest.raises(ModelError):
             tune_separation_policy(LogNormalDelay(4, 1.5), 50.0, 1)
+
+
+class TestHostileInput:
+    """Anything that cannot be a tuning problem is a ``ModelError`` at
+    the front door, before any CDF is evaluated."""
+
+    class _Untouchable(LogNormalDelay):
+        def cdf(self, x):
+            raise AssertionError("the CDF was evaluated")
+
+        def log_cdf(self, x):
+            raise AssertionError("the log-CDF was evaluated")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dt": float("nan")},
+            {"dt": float("inf")},
+            {"dt": -float("inf")},
+            {"dt": 0.0},
+            {"memory_budget": 512.5},
+            {"memory_budget": True},
+            {"memory_budget": "512"},
+            {"memory_budget": float("nan")},
+            {"memory_budget": float("inf")},
+            {"memory_budget": None},
+            {"coarse_points": 0},
+            {"refine_rounds": -1},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_tuner_rejects(self, kwargs):
+        arguments = {"dt": 50.0, "memory_budget": 512, **kwargs}
+        with pytest.raises(ModelError):
+            tune_separation_policy(self._Untouchable(4.0, 1.5), **arguments)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_models_reject_a_non_finite_interval(self, dt):
+        law = self._Untouchable(4.0, 1.5)
+        with pytest.raises(ModelError):
+            ZetaModel(law, dt)
+        with pytest.raises(ModelError):
+            InOrderCurve(law, dt)
+
+    def test_integral_budgets_of_any_numeric_type_are_the_same_problem(self):
+        law = LogNormalDelay(4.0, 1.5)
+        plain = tune_separation_policy(law, 50.0, 64)
+        for budget in (np.int64(64), 64.0, np.float64(64.0)):
+            same = tune_separation_policy(law, 50.0, budget)
+            assert same.r_c == plain.r_c
+            assert same.sweep_n_seq.tolist() == plain.sweep_n_seq.tolist()
+            assert same.sweep_r_s.tolist() == plain.sweep_r_s.tolist()
+
+
+class TestTunerBudget:
+    def test_a_tune_computes_each_log_cdf_row_at_most_once(self):
+        """Rows computed <= the highest row any candidate reads, plus a
+        block: r_c, the coarse grid and every refine round share one
+        stream (the parent streamed the prefix again for each)."""
+        rng = np.random.default_rng(11)
+        law = EmpiricalDelay(rng.lognormal(np.log(1000.0) - 0.5, 2.2, 4096))
+        config = ModelConfig()
+        decision = tune_separation_policy(law, 1000.0, 512, sstable_size=512)
+        assert decision.policy == SEPARATION
+        assert decision.sweep_n_seq.size > 24  # refine rounds ran
+        models = {
+            "zeta_model": ZetaModel(law, 1000.0),
+            "in_order_curve": InOrderCurve(law, 1000.0),
+        }
+        n_arrive = max(
+            separation_breakdown(law, 1000.0, 512, int(n_seq), **models).n_arrive
+            for n_seq in decision.sweep_n_seq
+        )
+        highest = round(n_arrive) + config.dense_terms
+        assert 0 < decision.rows_computed <= highest + _BLOCK_ROWS

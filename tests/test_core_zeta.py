@@ -12,6 +12,8 @@ from repro import (
     ZetaModel,
     zeta,
 )
+from repro.core.subsequent import _BLOCK_ROWS, _HELD_BLOCKS
+from repro.distributions import EmpiricalDelay
 from repro.errors import ModelError
 
 
@@ -220,3 +222,222 @@ class TestZetaPinnedBits:
         assert got == _PINNED_ZETA[law, dt]
         # ...and the batch left every value cached for scalar callers.
         assert tuple(model.zeta(n).hex() for n in _PINNED_NS) == got
+
+
+class _StreamingReference:
+    """Eq. 2 the way ``ZetaModel`` evaluated it before it kept its stream.
+
+    Every size streams ``log F`` from row 1 in 8192-row blocks and every
+    tail integral builds its own grid and ``H(a)``: the same arithmetic
+    in the same order, none of the reuse.  Sizes are evaluated one at a
+    time, in call order (the H table grows in that order).
+    """
+
+    def __init__(self, dist, dt, config=ModelConfig()):
+        self.dist, self.dt, self.config = dist, float(dt), config
+        levels = (np.arange(config.quadrature_nodes) + 0.5) / config.quadrature_nodes
+        levels = np.clip(levels, config.tail_mass, 1.0 - config.tail_mass)
+        self.nodes = np.asarray(dist.quantile(levels), dtype=np.float64)
+        horizon = float(dist.quantile(1.0 - 1e-12))
+        self.m_sat = max(int(np.ceil(horizon / self.dt)) + 2, 2)
+        self.h_grid = self.h_values = None
+
+    def _log_cdf(self, values):
+        out = np.asarray(self.dist.log_cdf(values), dtype=np.float64)
+        return np.maximum(out, self.config.log_cdf_floor)
+
+    def zeta(self, n):
+        level = min(1.0 - min(self.config.term_tolerance / n, 0.5), 1.0 - 1e-12)
+        horizon = float(self.dist.quantile(level))
+        i_bound = max(int(np.ceil(horizon / self.dt)) + 1, 1)
+        i_dense = min(self.config.dense_terms, i_bound)
+        total = self._dense(n, i_dense)
+        if i_bound > i_dense:
+            total += self._tail(n, i_dense, i_bound)
+        return float(total)
+
+    def _dense(self, n, i_dense):
+        k = self.nodes.size
+        sat_cap = self.m_sat + i_dense
+        cap = min(n + i_dense, sat_cap)
+        lo_rows = np.zeros((i_dense + 1, k))
+        hi_rows = np.zeros((i_dense + 1, k))
+        filled = np.zeros(i_dense + 1, dtype=bool)
+        sat_row = running = np.zeros(k)
+        for start in range(1, cap + 1, 8192):
+            stop = min(start + 8192, cap + 1)
+            ms = np.arange(start, stop, dtype=np.float64)
+            log_f = self._log_cdf(ms[:, None] * self.dt + self.nodes[None, :])
+            cumulative = running[None, :] + np.cumsum(log_f, axis=0)
+            if start <= i_dense:
+                upto = min(i_dense + 1, stop)
+                lo_rows[start:upto] = cumulative[: upto - start]
+            first, last = max(n, start), min(cap, stop - 1)
+            if first <= last:
+                hi_rows[first - n : last - n + 1] = cumulative[
+                    first - start : last - start + 1
+                ]
+                filled[first - n : last - n + 1] = True
+            if start <= sat_cap < stop:
+                sat_row = cumulative[sat_cap - start]
+            running = cumulative[-1]
+        if cap < n + i_dense:
+            hi_rows[~filled] = sat_row
+        terms = 1.0 - np.exp(hi_rows - lo_rows).mean(axis=1)
+        return float(np.clip(terms, 0.0, None).sum())
+
+    def _tail(self, n, i_dense, i_bound):
+        u_max = (i_bound + n + 1.0) * self.dt + self.nodes[-1]
+        if self.h_grid is None or self.h_grid[-1] < u_max:
+            u_min = max(min(0.5 * self.dt, max(self.nodes[0], 1e-9)), 1e-9)
+            grid = np.geomspace(u_min, max(u_max, u_min * 10.0), self.config.h_grid_points)
+            log_f = self._log_cdf(grid)
+            increments = 0.5 * (log_f[:-1] + log_f[1:]) * np.diff(grid)
+            self.h_grid = grid
+            self.h_values = np.concatenate(([0.0], np.cumsum(increments)))
+        lo = i_dense + 0.5
+        hi = max(float(i_bound) + 0.5, lo * 1.001)
+        grid = np.geomspace(lo, hi, self.config.tail_grid_points)
+        a = (grid[:, None] + 0.0) * self.dt + self.nodes[None, :]
+        b = (grid[:, None] + n) * self.dt + self.nodes[None, :]
+        diffs = (self._h(b) - self._h(a)) / self.dt
+        terms = np.clip(1.0 - np.exp(diffs).mean(axis=1), 0.0, None)
+        return float(np.trapezoid(terms, grid))
+
+    def _h(self, u):
+        flat = np.interp(u, self.h_grid, self.h_values)
+        below = u < self.h_grid[0]
+        return np.where(
+            below,
+            self.h_values[0] + (u - self.h_grid[0]) * self.config.log_cdf_floor,
+            flat,
+        )
+
+
+def _window_law(sigma=2.2, offset=0.5, seed=1):
+    """A 4096-delay empirical profile like the ones a fleet retunes on."""
+    rng = np.random.default_rng(seed)
+    return EmpiricalDelay(rng.lognormal(np.log(1000.0) + offset, sigma, 4096))
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+#: Sizes on both sides of the first two block edges (8192, 16384), the
+#: shape of a sweep round: many sizes, a narrow band of rows.
+_SWEEP_SIZES = (512, 700, 3000, 7100, 7600, 8192, 8193, 9000, 12_000, 15_500, 16_384, 17_000)
+
+
+class TestKeptStream:
+    """The stream ``ZetaModel`` keeps must be invisible in the values and
+    visible in the counts."""
+
+    @pytest.mark.parametrize(
+        "law,dt,config",
+        [
+            # 18 040 dense terms for every size: the rows every term
+            # subtracts span three blocks, one size's own rows four, the
+            # sweep five — one more than a model holds.
+            (
+                _window_law(sigma=1.2, offset=0.0),
+                5.0,
+                ModelConfig(dense_terms=25_000, quadrature_nodes=16),
+            ),
+            # 2206 to 5670 dense terms: every size is its own group.
+            (
+                LogNormalDelay(4.0, 1.5),
+                50.0,
+                ModelConfig(dense_terms=10_000, quadrature_nodes=16),
+            ),
+        ],
+        ids=["empirical", "lognormal"],
+    )
+    def test_dense_sums_do_not_depend_on_evaluation_order(self, law, dt, config):
+        """One at a time, grouped, ascending, descending, shuffled: the
+        same bits.  ``dense_terms`` is raised past both laws' truncation
+        radius, so no tail integral — whose H table does remember the
+        order it grew in — takes part."""
+        sizes = list(_SWEEP_SIZES)
+        shuffled = list(np.random.default_rng(5).permutation(sizes))
+        expected = dict(zip(sizes, _hexes(ZetaModel(law, dt, config).zeta_batch(sizes))))
+        one_by_one = ZetaModel(law, dt, config)
+        assert {n: one_by_one.zeta(n).hex() for n in sizes} == expected
+        for order in (sizes[::-1], shuffled):
+            model = ZetaModel(law, dt, config)
+            assert dict(zip(order, _hexes(model.zeta_batch(order)))) == expected
+            model = ZetaModel(law, dt, config)
+            assert {n: model.zeta(n).hex() for n in order} == expected
+        halves = ZetaModel(law, dt, config)
+        got = _hexes(halves.zeta_batch(shuffled[6:])) + _hexes(halves.zeta_batch(shuffled[:6]))
+        assert dict(zip(shuffled[6:] + shuffled[:6], got)) == expected
+
+    @pytest.mark.parametrize(
+        "law,dt",
+        [(_window_law(), 50.0), (LogNormalDelay(5.0, 2.0), 50.0)],
+        ids=["empirical", "lognormal"],
+    )
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_any_order_matches_the_streaming_reference(self, law, dt, order):
+        """Heavy tails, tail integrals included: whatever the order and
+        the grouping, the bits are those of streaming every size from
+        row 1, one at a time in the same first-seen order."""
+        sizes = {
+            "ascending": list(_SWEEP_SIZES),
+            "descending": list(_SWEEP_SIZES[::-1]),
+            "shuffled": list(np.random.default_rng(9).permutation(_SWEEP_SIZES)),
+        }[order]
+        reference = _StreamingReference(law, dt)
+        expected = [reference.zeta(int(n)).hex() for n in sizes]
+        model = ZetaModel(law, dt)
+        got = [model.zeta(sizes[0]).hex()]
+        got += _hexes(model.zeta_batch(sizes[1:8]))
+        got += [model.zeta(n).hex() for n in sizes[8:]]
+        assert got == expected
+
+    def test_a_sweep_computes_each_row_once_and_a_round_inside_held_rows_none(self):
+        """The r_c -> coarse -> refine hand-over of one tune, in rows:
+        the count is the highest row any size has read so far."""
+        model = ZetaModel(_window_law(), 200.0)
+        dense = model.config.dense_terms  # the tail is heavy: every size uses them all
+        model.zeta(512)  # r_c
+        assert model.rows_computed == 512 + dense
+        model.zeta_batch([600.0, 2500.4, 5200.0, 9100.7, 11_800.0, 12_100.0])
+        assert model.rows_computed == model.rows_held == 12_100 + dense
+        model.zeta_batch([7000.0, 8190.0, 11_000.0])  # a refine round, below
+        assert model.rows_computed == 12_100 + dense
+        model.zeta(12_105.0)  # five rows past the last one held
+        assert model.rows_computed == 12_105 + dense
+
+    def test_rows_held_are_bounded_on_a_multi_million_row_saturation_index(self):
+        law, dt = LogNormalDelay(5.0, 2.0), 50.0
+        assert law.quantile(1.0 - 1e-12) / dt > 3e6
+        bound = _HELD_BLOCKS * _BLOCK_ROWS
+        model = ZetaModel(law, dt)
+        for sizes in ([90_000], [512, 30_000, 61_000], [75_000.0, 1000.0]):
+            values = model.zeta_batch(sizes)
+            assert np.all(values > 0)
+            assert model.rows_held <= bound
+        # Eleven blocks went by; a block that dropped out is rebuilt from
+        # its boundary row alone, not from row 1.
+        assert model.rows_computed > 2 * bound
+        before = model.rows_computed
+        model.zeta(20_000)
+        assert model.rows_computed - before <= 2 * _BLOCK_ROWS
+        assert model.rows_held <= bound
+
+    def test_shared_tail_half_is_dropped_when_the_h_table_grows(self):
+        """An empirical law's truncation radius is its largest delay for
+        every size here, so all sizes share one ``(i_dense, i_bound)``.
+        Largest first, the H table never grows again and one shared
+        ``H(a)`` serves them all; smallest first, each size grows the
+        table and must not read the ``H(a)`` of the one before."""
+        law, dt = _window_law(), 50.0
+        sizes = [40_000, 30_000, 20_000, 10_000]
+        for order, builds in ((sizes, 1), (sizes[::-1], len(sizes))):
+            reference = _StreamingReference(law, dt)
+            model = ZetaModel(law, dt)
+            assert _hexes(model.zeta_batch(order)) == [
+                reference.zeta(n).hex() for n in order
+            ]
+            assert model.tail_tables_built == builds

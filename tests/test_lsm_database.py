@@ -5,6 +5,8 @@ import pytest
 
 from repro import BackpressureError, EngineError, TimeSeriesDatabase
 from repro.errors import EngineClosedError, ModelError
+from repro.obs.sinks import RingBufferSink
+from repro.obs.telemetry import Telemetry
 from repro.workloads import generate_fleet, generate_synthetic
 from repro import LogNormalDelay, UniformDelay
 
@@ -217,6 +219,98 @@ class TestRetune:
 
 def _noisy(n=6000, seed=3):
     return generate_synthetic(n, dt=50, delay=LogNormalDelay(5.0, 2.0), seed=seed)
+
+
+class TestRetuneSkipsWhatItCannotProfile:
+    """One series whose window cannot be profiled keeps its policy, as
+    one under ``min_observations`` does; it does not abort the retune of
+    the series around it."""
+
+    GOOD = [f"noisy-{k}" for k in range(5)]
+    REASON = "cannot estimate dt: zero generation-time span"
+
+    @staticmethod
+    def _fill(db, names):
+        for k, name in enumerate(names):
+            if name == "stuck":
+                # 4096 points, one generation time: no interval to estimate.
+                tg = np.full(4096, 1000.0)
+                db.write(name, tg, tg + np.arange(4096.0))
+            else:
+                stream = _noisy(seed=20 + k)
+                db.write(name, stream.tg, stream.ta)
+
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_database(self, position, caplog):
+        names = ["stuck", *self.GOOD] if position == "first" else [*self.GOOD, "stuck"]
+        sink = RingBufferSink()
+        db = TimeSeriesDatabase(256, 256, telemetry=Telemetry(sinks=[sink]))
+        self._fill(db, names)
+        with caplog.at_level("WARNING", logger="repro.lsm.database"):
+            switched = db.retune()
+        assert sorted(switched) == self.GOOD
+        for name in self.GOOD:
+            assert switched[name] == db.series(name).policy_label
+            assert switched[name].startswith("pi_s(n_seq=")
+        assert db.series("stuck").policy_label == "pi_c"
+        assert db.series("stuck").decision is None
+        skipped = [e for e in sink.events if e["type"] == "db.retune_skipped"]
+        assert [(e["series"], e["policy"], e["reason"]) for e in skipped] == [
+            ("stuck", "pi_c", self.REASON)
+        ]
+        assert [r.message for r in caplog.records if "stuck" in r.message] == [
+            f"retune skipped series 'stuck', which keeps pi_c: {self.REASON}"
+        ]
+
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_four_shard_fleet(self, position):
+        from repro.serving import ShardedDatabase
+
+        names = ["stuck", *self.GOOD] if position == "first" else [*self.GOOD, "stuck"]
+        fleet = ShardedDatabase(
+            n_shards=4, memory_budget_per_series=256, sstable_size=256
+        )
+        self._fill(fleet, names)
+        # The series share shards with the stuck one and sit on later ones.
+        stuck_shard = fleet.router.shard_of("stuck")
+        shards = {fleet.router.shard_of(name) for name in self.GOOD}
+        assert stuck_shard in shards and max(shards) > stuck_shard
+        assert sorted(fleet.retune()) == self.GOOD
+        assert fleet.database_for("stuck").series("stuck").policy_label == "pi_c"
+
+
+class TestDecisionRecords:
+    def test_one_event_per_series_considered_inputs_output_and_cost(self):
+        sink = RingBufferSink()
+        db = TimeSeriesDatabase(256, 256, telemetry=Telemetry(sinks=[sink]))
+        noisy = _noisy()
+        clean = generate_synthetic(5000, dt=50, delay=UniformDelay(0.0, 20.0), seed=4)
+        db.write("noisy", noisy.tg, noisy.ta)
+        db.write("clean", clean.tg, clean.ta)
+        db.write("tiny", noisy.tg[:100], noisy.ta[:100])
+        db.retune()
+        records = {
+            e["series"]: e for e in sink.events if e["type"] == "db.retune_decision"
+        }
+        assert sorted(records) == ["clean", "noisy"]  # "tiny" was not considered
+        for name, observed in (("noisy", 6000), ("clean", 5000)):
+            record, decision = records[name], db.series(name).decision
+            assert record["observed_points"] == observed
+            assert record["sample_count"] == 4096
+            assert record["dt"] == pytest.approx(50.0, rel=1e-3)
+            assert (record["memory_budget"], record["sstable_size"]) == (256, 256)
+            assert record["policy"] == decision.policy
+            assert record["seq_capacity"] == decision.seq_capacity
+            assert (record["r_c"], record["r_s_star"]) == (decision.r_c, decision.r_s_star)
+            assert record["candidates"] == decision.sweep_n_seq.size >= 24
+            assert record["rows_computed"] == decision.rows_computed > 0
+            assert record["duration_ms"] > 0
+        assert records["noisy"]["policy"] == "separation"
+        assert records["clean"]["policy"] == "conventional"
+        # The heavy tail is what costs: the clean series' stream ends
+        # inside its first block.
+        assert records["clean"]["rows_computed"] < 2048
+        assert records["noisy"]["rows_computed"] > 4 * records["clean"]["rows_computed"]
 
 
 class TestOneEnginePerSeries:
