@@ -650,9 +650,8 @@ def test_perf_arbiter_rebalance(benchmark):
 def federated_fleet():
     """A 4-shard fleet and its unsharded twin, loaded and flushed.
 
-    Small SSTables (256 points) over 8x100k points make the per-shard
-    aggregate scan genuinely CPU-bound (hundreds of per-table partials),
-    which is the regime where scatter-gather across workers pays.
+    Small SSTables (256 points) over 8x100k points: hundreds of tables
+    per series, answered from each run's per-table columns.
     """
     from repro.lsm.database import TimeSeriesDatabase
     from repro.serving import ShardedDatabase
@@ -672,64 +671,67 @@ def federated_fleet():
         reference.write(name, data.tg)
     fleet.flush_all()
     reference.flush_all()
-    yield fleet, reference
-    fleet.federation.close()
+    return fleet, reference
+
+
+def _federated_vs_reference(benchmark, federated, reference):
+    """Time the in-process federated call beside the unsharded fold it
+    must equal, alternating so a slow spell hits both alike, and gate
+    the ratio: routing, per-shard caching keys and the canonical fold
+    may cost at most half again what one database costs."""
+    federated()
+    federated_s = reference_s = float("inf")
+    for _ in range(15):
+        reference_s = min(reference_s, _best_seconds(reference, rounds=1))
+        federated_s = min(federated_s, _best_seconds(federated, rounds=1))
+    result = benchmark(federated)
+    benchmark.extra_info["federated_ms"] = round(federated_s * 1e3, 3)
+    benchmark.extra_info["reference_ms"] = round(reference_s * 1e3, 3)
+    benchmark.extra_info["federated_over_reference"] = round(
+        federated_s / reference_s, 3
+    )
+    assert federated_s <= 1.5 * reference_s, (
+        f"federated {federated_s * 1e3:.3f}ms is more than 1.5x the "
+        f"unsharded fold {reference_s * 1e3:.3f}ms"
+    )
+    return result
 
 
 def test_perf_federated_agg(benchmark, federated_fleet):
-    """Fleet-wide federated aggregate: scatter-gather vs sequential.
+    """Fleet-wide federated aggregate, in process, cache off.
 
     The exactness contract is asserted unconditionally: the federated
     answer — float ``total`` included — equals the serial single-
-    database fold bit for bit.  The >=2x speedup over sequential
-    per-shard querying is asserted only where >=4 CPUs are actually
-    schedulable (the CI runners); on smaller hosts the timings are
-    still recorded in ``extra_info`` for the trajectory.
+    database fold bit for bit, and costs at most 1.5x that fold.
     """
-    import os
-
     from repro.query import aggregate_over_series
 
     fleet, reference = federated_fleet
-    expected = aggregate_over_series(reference)
-
-    def sequential():
-        return fleet.query_aggregate(workers=1, use_cache=False)
-
-    def federated():
-        return fleet.query_aggregate(workers=4, use_cache=False)
-
-    federated()  # build and warm the fork pool outside the timings
-    serial_s = _best_seconds(sequential)
-    parallel_s = _best_seconds(federated)
-    speedup = serial_s / parallel_s
-    result = benchmark(federated)
-    assert result == expected  # bitwise, float sum included
-    benchmark.extra_info["serial_ms"] = serial_s * 1e3
-    benchmark.extra_info["parallel_ms"] = parallel_s * 1e3
-    benchmark.extra_info["speedup"] = speedup
-    if len(os.sched_getaffinity(0)) >= 4:
-        assert speedup >= 2.0
+    result = _federated_vs_reference(
+        benchmark,
+        lambda: fleet.query_aggregate(use_cache=False),
+        lambda: aggregate_over_series(reference),
+    )
+    assert result == aggregate_over_series(reference)  # bitwise, float sum included
 
 
-def test_perf_federated_scatter(benchmark, federated_fleet):
-    """Fleet-wide collected range scan through the scatter path.
+def test_perf_federated_collect(benchmark, federated_fleet):
+    """Fleet-wide collected range scan, in process, cache off.
 
-    Exercises the heavy half of federation: per-shard row collection,
-    cross-process row transfer, and the stable k-way merge in ``t_g``
-    order.  The merged rows must be identical to the serial
-    single-database scan.
+    The heavy half of federation: per-series row collection and the
+    stable k-way merge in ``t_g`` order over 800k rows.  The merged
+    rows must be identical to the serial single-database scan, at no
+    more than 1.5x its cost.
     """
     from repro.query import scan_over_series
 
     fleet, reference = federated_fleet
+    stats = _federated_vs_reference(
+        benchmark,
+        lambda: fleet.query_range(collect=True, use_cache=False),
+        lambda: scan_over_series(reference, collect=True),
+    )
     expected = scan_over_series(reference, collect=True)
-
-    def scatter():
-        return fleet.query_range(collect=True, workers=4, use_cache=False)
-
-    scatter()  # warm the pool
-    stats = benchmark(scatter)
     assert stats.result_points == expected.result_points
     assert np.array_equal(stats.rows, expected.rows)
     assert np.array_equal(stats.row_ids, expected.row_ids)
@@ -794,7 +796,7 @@ def test_perf_fleet_agg_wide(benchmark):
     window covers ~80 tables per series; the indexed path answers for
     them from slices of each run's per-table columns (one binary search
     per edge, two boundary tables read), the ``index=None`` walk tests
-    every table's range and visits each covered one.  Through the serial
+    every table's range and visits each covered one.  Through the
     ``FederatedExecutor`` (cache off) the fleet must answer every window
     bit for bit like the walk folded in canonical order, at least 3x
     faster.
@@ -804,7 +806,7 @@ def test_perf_fleet_agg_wide(benchmark):
 
     def summaries():
         return [
-            fleet.query_aggregate(None, lo, hi, workers=1, use_cache=False)
+            fleet.query_aggregate(None, lo, hi, use_cache=False)
             for lo, hi in windows
         ]
 
@@ -855,7 +857,7 @@ def test_perf_fleet_agg_live(benchmark):
 
     def aggregates():
         return [
-            fleet.query_aggregate(None, lo, hi, workers=1, use_cache=False)
+            fleet.query_aggregate(None, lo, hi, use_cache=False)
             for lo, hi in windows
         ]
 

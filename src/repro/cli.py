@@ -17,7 +17,7 @@ Usage::
     python -m repro checkpoint --dir state/
     python -m repro recover --dir state/
     python -m repro shard-report --dir fleet/
-    python -m repro federated-report --shards 4 --workers 4
+    python -m repro federated-report --shards 4
     python -m repro engines
     python -m repro cold-report --points 200000 --block-size 256
 """
@@ -588,7 +588,7 @@ def _build_federated_report_parser() -> argparse.ArgumentParser:
             "Demonstrate cross-shard query federation: ingest a "
             "synthetic multi-series workload into a sharded fleet, run "
             "fleet-wide aggregate and range queries through the "
-            "scatter-gather executor, verify every answer bitwise "
+            "federated executor, verify every answer bitwise "
             "against a single unsharded database, and print per-shard "
             "latency/cache attribution"
         ),
@@ -607,10 +607,6 @@ def _build_federated_report_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--windows", type=int, default=16,
         help="query windows per pass (default 16)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="scatter width; 1 = serial inline (default 1)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="workload RNG seed (default 0)"
@@ -663,8 +659,8 @@ def _federated_report(argv: list[str]) -> int:
     started = time.perf_counter()
     federated = [
         (
-            fleet.query_aggregate(lo=lo, hi=hi, workers=args.workers),
-            fleet.query_range(lo=lo, hi=hi, collect=True, workers=args.workers),
+            fleet.query_aggregate(lo=lo, hi=hi),
+            fleet.query_range(lo=lo, hi=hi, collect=True),
         )
         for lo, hi in windows
     ]
@@ -684,11 +680,9 @@ def _federated_report(argv: list[str]) -> int:
         and np.array_equal(fr.row_ids, sr.row_ids)
         for (fa, fr), (sa, sr) in zip(federated, serial)
     )
-    fleet.federation.close()
     print(render_federation_report(fleet, source=f"{args.series} series"))
     print()
-    print(f"federated pass: {federated_s * 1e3:8.2f} ms "
-          f"({args.windows} windows, workers={args.workers})")
+    print(f"federated pass: {federated_s * 1e3:8.2f} ms ({args.windows} windows)")
     print(f"unsharded pass: {serial_s * 1e3:8.2f} ms")
     print(f"bit-identical to single database: {'yes' if identical else 'NO'}")
     return 0 if identical else 1

@@ -135,29 +135,8 @@ def sweep_wa_vs_nseq(
     sstable_size: int,
     n_seq_values: list[int],
     model_config: ModelConfig = DEFAULT_MODEL_CONFIG,
-    workers: int | None = None,
 ) -> WaSweep:
-    """Measure and model WA at each ``n_seq`` plus the pi_c reference.
-
-    ``workers`` > 1 fans the measured engine runs out over a process
-    pool, one worker per ``n_seq`` candidate, with bit-identical
-    results (see :mod:`repro.parallel`).
-    """
-    from ..parallel.pool import resolve_workers
-
-    if resolve_workers(workers) > 1:
-        from ..parallel.sweep import sweep_wa_vs_nseq_parallel
-
-        return sweep_wa_vs_nseq_parallel(
-            dataset,
-            dist,
-            dt,
-            memory_budget,
-            sstable_size,
-            n_seq_values,
-            model_config=model_config,
-            workers=workers,
-        )
+    """Measure and model WA at each ``n_seq`` plus the pi_c reference."""
     zeta_model = ZetaModel(dist, dt, model_config)
     curve = InOrderCurve(dist, dt)
     measured = []

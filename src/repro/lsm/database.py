@@ -36,7 +36,10 @@ from .base import Snapshot, _engine_registry, validate_generation_times
 from .checkpoint import namespaced_stem
 from .conventional import LeveledEngine
 
-__all__ = ["SeriesState", "FleetReport", "TimeSeriesDatabase", "manifest_filename"]
+__all__ = [
+    "SeriesState", "FleetReport", "TimeSeriesDatabase",
+    "manifest_filename", "load_manifest", "check_manifest",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -52,6 +55,55 @@ def manifest_filename(namespace: str = "") -> str:
     if not namespace:
         return "manifest.json"
     return f"{namespaced_stem('manifest', namespace)}.json"
+
+
+def load_manifest(path: str):
+    """The JSON value stored at ``path``.
+
+    A manifest is read back from disk, so it is outside input: damage
+    is a :class:`RecoveryError` naming the file, here and in
+    :func:`check_manifest`, raised before any engine is built from it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise RecoveryError(f"manifest {path} is not JSON: {exc}") from exc
+
+
+def check_manifest(path: str, record, fields: dict, members: tuple = ()) -> None:
+    """Check one object of the manifest at ``path`` before it is used.
+
+    ``fields`` maps each key to the type(s) its value must have (a
+    missing key reads ``None``).  ``members`` are keys naming a file or
+    directory beside the manifest: only a bare name passes, so a
+    manifest cannot point recovery outside its own directory.
+    """
+    if not isinstance(record, dict):
+        raise RecoveryError(f"manifest {path}: {record!r:.80} is not an object")
+    for key, kind in {**fields, **dict.fromkeys(members, str)}.items():
+        if not isinstance(record.get(key), kind):
+            raise RecoveryError(f"manifest {path}: {key!r} is {record.get(key)!r:.80}")
+    for key in members:
+        name = record[key]
+        if name in ("", ".", "..") or name != os.path.basename(name):
+            raise RecoveryError(f"manifest {path}: {key!r} names a path: {name!r:.80}")
+
+
+_DATABASE_FIELDS = {
+    "stability": (dict, type(None)),
+    "memory_budget_per_series": int,
+    "sstable_size": int,
+    "auto_tune": bool,
+    "series": dict,
+}
+_SERIES_FIELDS = {
+    "engine": str,
+    "memory_budget": int,
+    "seq_capacity": (int, type(None)),
+    "had_disorder": bool,
+    "last_tg": (int, float),
+}
 
 
 @dataclass
@@ -540,8 +592,12 @@ class TimeSeriesDatabase:
         )
         if not os.path.exists(manifest_path):
             raise RecoveryError(f"no manifest at {manifest_path}")
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = load_manifest(manifest_path)
+        check_manifest(manifest_path, manifest, _DATABASE_FIELDS)
+        for entry in manifest["series"].values():
+            check_manifest(
+                manifest_path, entry, _SERIES_FIELDS, members=("wal", "checkpoint")
+            )
         stored_namespace = manifest.get("namespace", "")
         if stored_namespace != namespace:
             raise RecoveryError(

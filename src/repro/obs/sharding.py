@@ -111,8 +111,8 @@ def render_federation_report(fleet, source: str = "") -> str:
     ``query.*`` reads served, federation cache hits/misses, and the
     ``federation.shard_latency_ms`` histogram summary (scatters, mean
     and max milliseconds).  The header rolls up the fleet-level
-    counters — federated queries, single-shard fast-path hits, shards
-    pruned by routing, and scatter-pool (re)builds.
+    counters — federated queries, single-shard fast-path hits and
+    shards pruned by routing.
     """
     registry = fleet.telemetry.registry
     title = "== federation report"
@@ -121,7 +121,6 @@ def render_federation_report(fleet, source: str = "") -> str:
     queries = registry.counter("federation.queries").value
     single = registry.counter("federation.single_shard").value
     pruned = registry.counter("federation.shards_pruned").value
-    pools = registry.counter("federation.pool_builds").value
     hits = registry.shard_values("federation.cache_hits")
     misses = registry.shard_values("federation.cache_misses")
     reads = registry.shard_values("query.count")
@@ -149,8 +148,7 @@ def render_federation_report(fleet, source: str = "") -> str:
             f"{fleet.n_shards} shards ({fleet.router.mode} routing), "
             f"{int(queries)} federated queries "
             f"({int(single)} single-shard fast path), "
-            f"{int(pruned)} shard fan-outs pruned, "
-            f"{int(pools)} scatter pool builds",
+            f"{int(pruned)} shard fan-outs pruned",
             "",
             _table(
                 [

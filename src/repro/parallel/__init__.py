@@ -1,6 +1,7 @@
-"""Parallel execution: task pool, result cache, fan-out drivers.
+"""Parallel execution: task pool, result cache, experiment driver.
 
-The scale-out layer every batch entry point routes through:
+The one home of process parallelism — coarse offline jobs a command can
+reach (seconds per task), never the serving tier's read or write path:
 
 * :func:`run_tasks` / :class:`Task` — a deterministic process pool with
   per-task seeding and telemetry round-trip (worker metrics/events are
@@ -10,12 +11,9 @@ The scale-out layer every batch entry point routes through:
   skipped on re-runs;
 * :func:`run_experiments` — the registry driver behind
   ``python -m repro run-all --workers N``;
-* :func:`sweep_wa_vs_nseq_parallel` — one worker per ``n_seq``
-  candidate (also reachable via ``sweep_wa_vs_nseq(..., workers=N)``);
-* :func:`ingest_fleet_parallel` — one worker per serving-tier shard;
-  the loaded fleet is re-attached through the recovery protocol;
 * the crash-test matrix accepts ``workers=`` directly
-  (:func:`repro.faults.crashtest.run_crash_test`).
+  (:func:`repro.faults.crashtest.run_crash_test`,
+  ``python -m repro crash-test --workers N``).
 
 Every parallel path is guaranteed bit-identical to its serial
 counterpart: tasks are pure functions of explicit inputs, results are
@@ -28,15 +26,11 @@ from .cache import (
     code_fingerprint,
     dataset_fingerprint,
     experiment_key,
-    fleet_fingerprint,
 )
 from .experiments import ExperimentRun, run_experiments
 from .pool import Task, resolve_workers, run_tasks, task_seed
-from .shards import ingest_fleet_parallel
-from .sweep import sweep_wa_vs_nseq_parallel
 
 __all__ = [
-    "ingest_fleet_parallel",
     "Task",
     "run_tasks",
     "resolve_workers",
@@ -45,9 +39,7 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "code_fingerprint",
     "dataset_fingerprint",
-    "fleet_fingerprint",
     "experiment_key",
     "ExperimentRun",
     "run_experiments",
-    "sweep_wa_vs_nseq_parallel",
 ]

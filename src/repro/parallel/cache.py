@@ -31,7 +31,6 @@ __all__ = [
     "ResultCache",
     "code_fingerprint",
     "dataset_fingerprint",
-    "fleet_fingerprint",
     "experiment_key",
 ]
 
@@ -80,30 +79,6 @@ def dataset_fingerprint() -> str:
     ).hexdigest()
 
 
-#: The fleet shape of a plain single-database run.  The default for
-#: ``experiment_key(fleet=...)``, so pre-existing single-database cache
-#: keys are what a 1-shard hash fleet would produce going forward.
-_SINGLE_DATABASE_FLEET = {"n_shards": 1, "mode": "hash", "boundaries": []}
-
-
-def fleet_fingerprint(router) -> dict:
-    """The sharding layout as cache-key material.
-
-    Digests everything that changes how a federated sweep partitions
-    and folds work: shard count, router mode and (for range routing)
-    the boundary strings.  ``None`` means "no fleet" — a single
-    unsharded database, canonicalised to a 1-shard hash layout so the
-    two spellings of the same computation share keys.
-    """
-    if router is None:
-        return dict(_SINGLE_DATABASE_FLEET)
-    return {
-        "n_shards": int(router.n_shards),
-        "mode": str(router.mode),
-        "boundaries": [str(b) for b in router.boundaries],
-    }
-
-
 def experiment_key(
     experiment_id: str,
     scale: float = 1.0,
@@ -111,21 +86,13 @@ def experiment_key(
     extra: dict | None = None,
     code: str | None = None,
     datasets: str | None = None,
-    fleet: dict | None = None,
 ) -> str:
-    """The content hash identifying one experiment invocation.
-
-    ``fleet`` (see :func:`fleet_fingerprint`) names the sharding layout
-    the experiment ran under; federated sweeps over different shard
-    counts or router modes therefore never collide with each other or
-    with single-database entries.
-    """
+    """The content hash identifying one experiment invocation."""
     material = {
         "experiment": experiment_id,
         "config": {"scale": float(scale), "seed": seed, **(extra or {})},
         "datasets": datasets if datasets is not None else dataset_fingerprint(),
         "code": code if code is not None else code_fingerprint(),
-        "fleet": fleet if fleet is not None else dict(_SINGLE_DATABASE_FLEET),
     }
     return hashlib.sha256(
         json.dumps(material, sort_keys=True, default=str).encode()

@@ -53,10 +53,10 @@ __all__ = [
 class SnapshotProvider(Protocol):
     """Anything that can list series and snapshot one of them.
 
-    Both :class:`~repro.lsm.database.TimeSeriesDatabase` and the
-    per-shard worker views satisfy this; the serial helpers below are
-    therefore usable as the unsharded *reference* implementation the
-    federation layer is pinned against.
+    Both :class:`~repro.lsm.database.TimeSeriesDatabase` and
+    :class:`~repro.serving.ShardedDatabase` satisfy this; the serial
+    helpers below are therefore usable as the unsharded *reference*
+    implementation the federation layer is pinned against.
     """
 
     def series_names(self) -> list[str]: ...
@@ -137,6 +137,7 @@ def merge_range_stats(
     partials: Sequence[QueryStats],
     lo: float,
     hi: float,
+    collect: bool = False,
 ) -> QueryStats:
     """Merge per-series range-query partials (in the given order).
 
@@ -145,6 +146,8 @@ def merge_range_stats(
     canonical order — a k-way merge whose output is independent of how
     series were grouped into shards.  Each partial's rows are sorted
     already (the executors return them so); a single one is copied.
+    ``collect`` says rows were asked for, which zero partials cannot:
+    the answer over no series is then empty arrays, not ``None``.
     """
     result = 0
     disk_read = 0
@@ -155,7 +158,7 @@ def merge_range_stats(
     blocks_skipped = 0
     collected_tg: list[np.ndarray] = []
     collected_ids: list[np.ndarray] = []
-    collecting = any(part.rows is not None for part in partials)
+    collecting = collect or any(part.rows is not None for part in partials)
     for part in partials:
         result += part.result_points
         disk_read += part.disk_points_read
@@ -238,4 +241,4 @@ def scan_over_series(
         )
         for name in ordered
     ]
-    return merge_range_stats(partials, lo, hi)
+    return merge_range_stats(partials, lo, hi, collect)

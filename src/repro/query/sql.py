@@ -138,7 +138,7 @@ def _aggregate_scalar(result, select: str):
     return result.mean
 
 
-def execute_sql(target, sql: str, collect: bool = False, workers: int | None = None):
+def execute_sql(target, sql: str, collect: bool = False):
     """Parse and run ``sql`` against ``target``.
 
     ``target`` is a bare engine :class:`~repro.lsm.base.Snapshot`
@@ -147,7 +147,7 @@ def execute_sql(target, sql: str, collect: bool = False, workers: int | None = N
     :class:`~repro.lsm.database.TimeSeriesDatabase` (multi-series
     statements fold serially in canonical order), or a
     :class:`~repro.serving.ShardedDatabase` (statements run through the
-    federation layer; ``workers`` sets the scatter width).
+    federation layer).
 
     ``SELECT *`` returns :class:`~repro.query.QueryStats` (pass
     ``collect=True`` for the rows); aggregates return the scalar value.
@@ -172,9 +172,9 @@ def execute_sql(target, sql: str, collect: bool = False, workers: int | None = N
 
     if isinstance(target, ShardedDatabase):
         if parsed.select == "*":
-            return target.query_range(names, lo, hi, collect=collect, workers=workers)
+            return target.query_range(names, lo, hi, collect=collect)
         return _aggregate_scalar(
-            target.query_aggregate(names, lo, hi, workers=workers), parsed.select
+            target.query_aggregate(names, lo, hi), parsed.select
         )
     from .merge import aggregate_over_series, scan_over_series
 

@@ -12,8 +12,8 @@ re-solves the fleet's MemTable budgets from observed per-series delay
 profiles and per-shard arrival counters, applying resizes at flush
 boundaries only.
 
-The structural invariant — relied on by the conformance tests and the
-parallel ingest fan-out — is that shards are *independent*: an N-shard
+The structural invariant — relied on by the conformance tests — is
+that shards are *independent*: an N-shard
 run is bit-identical, shard by shard (WA, per-point write counters,
 checkpoint bytes, ``verify()``), to N standalone single-shard runs over
 the same routed partitions.  The serving tier adds routing, arbitration
@@ -32,44 +32,21 @@ from ..core.allocation import MemoryArbiter, RebalanceDecision, SeriesWorkload
 from ..core.tuning import SEPARATION
 from ..errors import EngineError, InjectedCrash, ModelError, RecoveryError
 from ..lsm.backpressure import rollup_states
-from ..lsm.database import TimeSeriesDatabase
+from ..lsm.database import TimeSeriesDatabase, check_manifest, load_manifest
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .router import ShardRouter, shard_name
 
-__all__ = ["ShardedDatabase", "FLEET_MANIFEST", "write_fleet_manifest"]
+__all__ = ["ShardedDatabase", "FLEET_MANIFEST"]
 
 #: Fleet manifest file name, at the root of the fleet durability dir.
 FLEET_MANIFEST = "fleet.json"
 
-
-def write_fleet_manifest(
-    durability_dir: str,
-    router: ShardRouter,
-    stability: dict | None = None,
-    last_rebalance: dict | None = None,
-) -> str:
-    """Atomically write the fleet manifest; returns its path.
-
-    Shared by :meth:`ShardedDatabase.checkpoint_all` and the parallel
-    ingest fan-out (whose workers checkpoint their shards themselves and
-    leave only the fleet-level record to the parent).
-    """
-    manifest = {
-        "format": 1,
-        "router": router.as_dict(),
-        "stability": stability or {},
-        "shards": [
-            {"namespace": shard_name(index), "dir": shard_name(index)}
-            for index in range(router.n_shards)
-        ],
-        "last_rebalance": last_rebalance,
-    }
-    path = os.path.join(durability_dir, FLEET_MANIFEST)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=2)
-    os.replace(tmp, path)
-    return path
+_FLEET_FIELDS = {
+    "router": dict,
+    "shards": list,
+    "stability": (dict, type(None)),
+    "last_rebalance": (dict, type(None)),
+}
 
 
 class ShardedDatabase:
@@ -389,10 +366,6 @@ class ShardedDatabase:
 
     # -- durability ------------------------------------------------------------
 
-    @property
-    def _fleet_manifest_path(self) -> str:
-        return os.path.join(self.durability_dir, FLEET_MANIFEST)
-
     def checkpoint_all(self) -> str:
         """Checkpoint every shard, then write the fleet manifest.
 
@@ -402,12 +375,21 @@ class ShardedDatabase:
             raise EngineError("checkpoint_all requires a durability_dir")
         for db in self.shards:
             db.checkpoint_all()
-        path = write_fleet_manifest(
-            self.durability_dir,
-            self.router,
-            stability=self.stability,
-            last_rebalance=self.last_rebalance,
-        )
+        manifest = {
+            "format": 1,
+            "router": self.router.as_dict(),
+            "stability": self.stability,
+            "shards": [
+                {"namespace": shard_name(index), "dir": shard_name(index)}
+                for index in range(self.n_shards)
+            ],
+            "last_rebalance": self.last_rebalance,
+        }
+        path = os.path.join(self.durability_dir, FLEET_MANIFEST)
+        tmp = f"{path}.tmp"
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, sort_keys=True, indent=2)
+        os.replace(tmp, path)
         if self.telemetry.enabled:
             self.telemetry.count("fleet.checkpoints")
         return path
@@ -430,9 +412,14 @@ class ShardedDatabase:
         manifest_path = os.path.join(durability_dir, FLEET_MANIFEST)
         if not os.path.exists(manifest_path):
             raise RecoveryError(f"no fleet manifest at {manifest_path}")
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = load_manifest(manifest_path)
+        check_manifest(manifest_path, manifest, _FLEET_FIELDS)
+        check_manifest(manifest_path, manifest["router"], {"n_shards": int})
+        for entry in manifest["shards"]:
+            check_manifest(manifest_path, entry, {"namespace": str}, members=("dir",))
         router = ShardRouter.from_dict(manifest["router"])
+        if len(manifest["shards"]) != router.n_shards:
+            raise RecoveryError(f"manifest {manifest_path}: shards do not match router")
         fleet = cls.__new__(cls)
         fleet.router = router
         fleet.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -465,8 +452,8 @@ class ShardedDatabase:
         """The fleet's :class:`~repro.serving.federation.FederatedExecutor`.
 
         Built lazily (and after :meth:`recover`, which bypasses
-        ``__init__``); holds the federation cache and the warm scatter
-        pool for every :meth:`query_range`/:meth:`query_aggregate` call.
+        ``__init__``); holds the federation cache for every
+        :meth:`query_range`/:meth:`query_aggregate` call.
         """
         executor = self.__dict__.get("_federation")
         if executor is None:
@@ -482,17 +469,16 @@ class ShardedDatabase:
         lo: float = -math.inf,
         hi: float = math.inf,
         collect: bool = False,
-        workers: int | None = None,
         use_cache: bool = True,
     ):
         """Federated range scan over ``names`` (all series when None).
 
-        Single-series requests run inline on the owning shard only; the
-        rest scatter-gather (``workers > 1``) or run serially inline.
-        Bitwise equal to the same scan on one unsharded database.
+        A single-series request touches its owning shard only; the rest
+        visit each involved shard in turn, in process.  Bitwise equal to
+        the same scan on one unsharded database.
         """
         return self.federation.query_range(
-            names, lo, hi, collect=collect, workers=workers, use_cache=use_cache
+            names, lo, hi, collect=collect, use_cache=use_cache
         )
 
     def query_aggregate(
@@ -500,7 +486,6 @@ class ShardedDatabase:
         names=None,
         lo: float = -math.inf,
         hi: float = math.inf,
-        workers: int | None = None,
         use_cache: bool = True,
     ):
         """Federated aggregate over ``names`` (all series when None).
@@ -508,9 +493,7 @@ class ShardedDatabase:
         Fleet-wide COUNT/MIN/MAX/SUM/AVG, bitwise equal — float ``sum``
         included — to one unsharded database over the same points.
         """
-        return self.federation.query_aggregate(
-            names, lo, hi, workers=workers, use_cache=use_cache
-        )
+        return self.federation.query_aggregate(names, lo, hi, use_cache=use_cache)
 
     def shard_reports(self):
         """Per-shard :class:`~repro.lsm.database.FleetReport` list."""

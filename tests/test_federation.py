@@ -8,22 +8,19 @@ points.  The matrix below pins it across three engine policy triples,
 both router modes, row and columnar tiers, and three ingest stages.
 On top of exactness: the single-series fast path (zero reads on other
 shards), the epoch-keyed federation cache (per-shard invalidation),
-the warm scatter pool, the multi-series SQL front-end, and the
-fleet-aware experiment cache keys.
+per-shard telemetry attribution, and the multi-series SQL front-end.
 """
 
 import math
-import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.distributions import ExponentialDelay, UniformDelay
-from repro.errors import EngineError, ParallelError, QueryError
+from repro.errors import EngineError, QueryError
 from repro.lsm.database import TimeSeriesDatabase
 from repro.obs.sharding import render_federation_report
 from repro.obs.telemetry import Telemetry
-from repro.parallel.cache import experiment_key, fleet_fingerprint
 from repro.query.aggregation import AggregateResult, execute_aggregate_query
 from repro.query.executor import execute_range_query
 from repro.query.merge import (
@@ -38,8 +35,6 @@ from repro.serving import FederationCache, ShardRouter, ShardedDatabase, shard_n
 from repro.workloads import generate_synthetic
 
 _DB_KWARGS = dict(memory_budget_per_series=64, sstable_size=32)
-
-_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def _datasets(names, n_points=900, disordered=True, base_seed=23):
@@ -325,28 +320,6 @@ class TestFederationCache:
         assert fleet.query_aggregate(None, -math.inf, math.inf).count == 300 * len(names)
         assert len(fleet.federation.cache) > cached
 
-    def test_bad_workers_rejected_whether_or_not_the_window_is_cached(self):
-        # workers used to be resolved only when some shard missed the
-        # cache: the same bad call raised cold and answered warm.
-        fleet, telemetry, names, _ = self._loaded_fleet(n_shards=2)
-        queries = telemetry.registry.counter("federation.queries").value
-        for bad in (-5, "x", 1.5):
-            for _ in range(2):
-                with pytest.raises(ParallelError, match="workers"):
-                    fleet.query_aggregate(None, 1, 5, workers=bad)
-        assert len(fleet.federation.cache) == 0
-        good = fleet.query_aggregate(None, 1, 5)
-        assert len(fleet.federation.cache) == 2
-        for bad in (-5, "x", 1.5):
-            with pytest.raises(ParallelError, match="workers"):
-                fleet.query_aggregate(None, 1, 5, workers=bad)
-            with pytest.raises(ParallelError, match="workers"):
-                fleet.query_range(names[0], 1, 5, workers=bad)
-        # Rejected before anything is counted; good widths still answer.
-        assert telemetry.registry.counter("federation.queries").value == queries + 1
-        assert fleet.query_aggregate(None, 1, 5, workers=0) == good
-        assert fleet.query_aggregate(None, 1, 5, workers=np.int64(1)) == good
-
     def test_non_real_bounds_are_query_errors(self):
         # They used to escape as raw TypeErrors from the first comparison
         # ('<=' not supported) or from hashing the cache key (an array).
@@ -425,67 +398,42 @@ class TestFederationCache:
         assert hits == {}  # every shard retuned => no entry survived
 
 
-@pytest.mark.skipif(not _FORK, reason="scatter pool needs fork")
-class TestScatterPool:
-    def _loaded(self, telemetry):
-        fleet = ShardedDatabase(n_shards=4, telemetry=telemetry, **_DB_KWARGS)
+class TestShardAttribution:
+    def test_shard_counters_sum_to_the_unsharded_twin(self):
+        fleet_bus = Telemetry(sinks=[])
+        twin_bus = Telemetry(sinks=[])
+        fleet = ShardedDatabase(n_shards=4, telemetry=fleet_bus, **_DB_KWARGS)
+        twin = TimeSeriesDatabase(**_DB_KWARGS)
         names = [f"s{i:02d}" for i in range(8)]
-        datasets = _datasets(names, n_points=400)
-        for name in names:
-            fleet.write(name, datasets[name].tg)
-        return fleet, names, datasets
+        for name, dataset in _datasets(names, n_points=400).items():
+            fleet.write(name, dataset.tg)
+            twin.write(name, dataset.tg)
+        for lo, hi in [(-math.inf, math.inf), (100.0, 500.0)]:
+            assert fleet.query_aggregate(
+                lo=lo, hi=hi, use_cache=False
+            ) == aggregate_over_series(twin, lo=lo, hi=hi, telemetry=twin_bus)
+            _assert_range_equal(
+                fleet.query_range(lo=lo, hi=hi, collect=True, use_cache=False),
+                scan_over_series(
+                    twin, lo=lo, hi=hi, collect=True, telemetry=twin_bus
+                ),
+            )
+        # Every read is recorded under its shard's label, once: the
+        # labelled counters add up to what one database counts.
+        for counter in ("query.count", "query.result_points"):
+            by_shard = fleet_bus.registry.shard_values(counter)
+            assert set(by_shard) == {shard_name(index) for index in range(4)}
+            assert sum(by_shard.values()) == twin_bus.registry.counter(counter).value
+        # One latency observation per involved shard per uncached query.
+        for index in range(4):
+            latency = fleet_bus.registry.histogram(
+                f'federation.shard_latency_ms{{shard="{shard_name(index)}"}}'
+            )
+            assert latency.count == 4
 
-    def test_scatter_equals_serial_inline(self):
-        serial_bus = Telemetry(sinks=[])
-        scatter_bus = Telemetry(sinks=[])
-        serial_fleet, names, datasets = self._loaded(serial_bus)
-        scatter_fleet, _, _ = self._loaded(scatter_bus)
-        try:
-            for lo, hi in [(-math.inf, math.inf), (100.0, 500.0)]:
-                assert scatter_fleet.query_aggregate(
-                    lo=lo, hi=hi, workers=4, use_cache=False
-                ) == serial_fleet.query_aggregate(
-                    lo=lo, hi=hi, workers=1, use_cache=False
-                )
-                _assert_range_equal(
-                    scatter_fleet.query_range(
-                        lo=lo, hi=hi, collect=True, workers=4, use_cache=False
-                    ),
-                    serial_fleet.query_range(
-                        lo=lo, hi=hi, collect=True, workers=1, use_cache=False
-                    ),
-                )
-            # Worker telemetry is absorbed: per-shard read counters are
-            # indistinguishable from the serial path's.
-            assert scatter_bus.registry.shard_values(
-                "query.count"
-            ) == serial_bus.registry.shard_values("query.count")
-            assert scatter_bus.registry.shard_values(
-                "query.result_points"
-            ) == serial_bus.registry.shard_values("query.result_points")
-            for index in range(4):
-                latency = scatter_bus.registry.histogram(
-                    f'federation.shard_latency_ms{{shard="{shard_name(index)}"}}'
-                )
-                assert latency.count == 4
-        finally:
-            serial_fleet.federation.close()
-            scatter_fleet.federation.close()
 
-    def test_pool_reused_until_state_changes(self):
-        telemetry = Telemetry(sinks=[])
-        fleet, names, datasets = self._loaded(telemetry)
-        registry = telemetry.registry
-        try:
-            fleet.query_aggregate(workers=4, use_cache=False)
-            fleet.query_range(workers=4, use_cache=False)
-            assert registry.counter("federation.pool_builds").value == 1
-            fleet.write(names[0], datasets[names[0]].tg[:10] + 10_000.0)
-            fleet.query_aggregate(workers=4, use_cache=False)
-            assert registry.counter("federation.pool_builds").value == 2
-        finally:
-            fleet.federation.close()
-
+class TestScatterPool:
+    # Named for the pool it once also drove; kept so the test keeps its id.
     def test_recovered_fleet_federates(self, tmp_path):
         fleet = ShardedDatabase(
             n_shards=3, durability_dir=str(tmp_path), **_DB_KWARGS
@@ -497,10 +445,7 @@ class TestScatterPool:
         expected = fleet.query_aggregate(use_cache=False)
         fleet.checkpoint_all()
         revived = ShardedDatabase.recover(str(tmp_path))
-        try:
-            assert revived.query_aggregate(workers=3) == expected
-        finally:
-            revived.federation.close()
+        assert revived.query_aggregate() == expected
 
 
 class TestSqlFederation:
@@ -594,6 +539,28 @@ class TestMergeUnits:
         with pytest.raises(QueryError):
             merge_range_stats([collected, metrics], 0.0, 9.0)
 
+    def test_collect_over_zero_series_is_empty_arrays(self, tmp_path):
+        # A fresh or freshly recovered empty fleet used to answer
+        # rows=None here, and an empty window over a loaded one arrays.
+        fleet = ShardedDatabase(n_shards=2, durability_dir=str(tmp_path))
+        fleet.checkpoint_all()
+        revived = ShardedDatabase.recover(str(tmp_path))
+        reference = TimeSeriesDatabase()
+        answers = [
+            fleet.query_range(collect=True),
+            revived.query_range(collect=True, use_cache=False),
+            scan_over_series(reference, collect=True),
+            execute_sql(fleet, "SELECT * FROM *", collect=True),
+            execute_sql(reference, "SELECT * FROM *", collect=True),
+        ]
+        for stats in answers:
+            assert stats.result_points == 0 and len(stats.rows) == 0
+            assert stats.rows.dtype == np.float64
+            assert stats.row_ids.dtype == np.int64 and len(stats.row_ids) == 0
+        for target in (fleet, reference):
+            metrics_only = execute_sql(target, "SELECT * FROM *")
+            assert metrics_only.rows is None and metrics_only.row_ids is None
+
     def test_canonical_order(self):
         db = TimeSeriesDatabase(**_DB_KWARGS)
         for name in ("c", "a", "b"):
@@ -603,43 +570,6 @@ class TestMergeUnits:
         assert canonical_series_order(db, ["c", "a"]) == ["c", "a"]
         with pytest.raises(QueryError):
             canonical_series_order(db, [])
-
-
-class TestFleetCacheKeys:
-    def test_fleet_changes_experiment_key(self):
-        base = experiment_key("exp", code="c", datasets="d")
-        sharded = experiment_key(
-            "exp", code="c", datasets="d",
-            fleet=fleet_fingerprint(ShardRouter(4)),
-        )
-        assert base != sharded
-        other_mode = experiment_key(
-            "exp", code="c", datasets="d",
-            fleet=fleet_fingerprint(
-                ShardRouter(4, mode="range", boundaries=["b", "g", "p"])
-            ),
-        )
-        assert other_mode != sharded
-
-    def test_single_database_is_canonical_one_shard_fleet(self):
-        implicit = experiment_key("exp", code="c", datasets="d")
-        explicit = experiment_key(
-            "exp", code="c", datasets="d", fleet=fleet_fingerprint(None)
-        )
-        one_shard = experiment_key(
-            "exp", code="c", datasets="d",
-            fleet=fleet_fingerprint(ShardRouter(1)),
-        )
-        assert implicit == explicit == one_shard
-
-    def test_range_boundaries_distinguish_keys(self):
-        a = fleet_fingerprint(
-            ShardRouter(3, mode="range", boundaries=["g", "p"])
-        )
-        b = fleet_fingerprint(
-            ShardRouter(3, mode="range", boundaries=["h", "p"])
-        )
-        assert a != b
 
 
 class TestFederationReport:
@@ -670,7 +600,6 @@ class TestFederationReport:
                 "--series", "4",
                 "--points", "400",
                 "--windows", "3",
-                "--workers", "1",
                 "--seed", "5",
             ]
         )

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import LogNormalDelay, TelemetryError
 from repro.errors import CacheError, ExperimentError, ParallelError
 from repro.experiments.registry import run_experiment
-from repro.experiments.runner import sweep_wa_vs_nseq
 from repro.faults.crashtest import run_crash_test
 from repro.obs import MetricsRegistry
 from repro.obs.telemetry import (
@@ -34,7 +32,6 @@ from repro.parallel import (
     resolve_workers,
     run_experiments,
     run_tasks,
-    sweep_wa_vs_nseq_parallel,
     task_seed,
 )
 from repro.workloads import generate_synthetic
@@ -261,29 +258,6 @@ class TestRunExperiments:
         # Different scale is a different key: both experiments miss.
         third = run_experiments(self.IDS, scale=0.04, cache=cache)
         assert all(not r.cached for r in third)
-
-
-class TestSweepEquivalence:
-    def test_parallel_sweep_equals_serial(self):
-        dataset = generate_synthetic(4_000, dt=_DT, delay=_DELAY, seed=3)
-        kwargs = dict(
-            memory_budget=256,
-            sstable_size=256,
-            n_seq_values=[64, 128],
-        )
-        serial = sweep_wa_vs_nseq(dataset, _DELAY, _DT, **kwargs)
-        via_runner = sweep_wa_vs_nseq(
-            dataset, _DELAY, _DT, workers=2, **kwargs
-        )
-        direct = sweep_wa_vs_nseq_parallel(
-            dataset, _DELAY, _DT, workers=2, **kwargs
-        )
-        for other in (via_runner, direct):
-            np.testing.assert_array_equal(other.n_seq, serial.n_seq)
-            np.testing.assert_array_equal(other.measured, serial.measured)
-            np.testing.assert_array_equal(other.modelled, serial.modelled)
-            assert other.measured_conventional == serial.measured_conventional
-            assert other.modelled_conventional == serial.modelled_conventional
 
 
 class TestCrashMatrixEquivalence:

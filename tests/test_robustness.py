@@ -1,5 +1,6 @@
 """Failure-injection and robustness tests across the stack."""
 
+import json
 import warnings
 
 import numpy as np
@@ -26,7 +27,14 @@ from repro import (
     recover_adaptive,
     recover_engine,
 )
-from repro.errors import EngineClosedError, InjectedCrash, ModelError, QueryError
+from repro.cli import main as cli_main
+from repro.errors import (
+    EngineClosedError,
+    InjectedCrash,
+    ModelError,
+    QueryError,
+    RecoveryError,
+)
 from repro.faults.crashtest import run_crash_case
 from repro.lsm import CompactionEvent, LeveledEngine, WriteStats
 from repro.lsm.base import Snapshot
@@ -267,6 +275,103 @@ class TestFleetFrontDoor:
         assert result.count == 12
         for name in fleet.series_names():
             fleet.database_for(name).series(name).engine.verify()
+
+
+def _truncate(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+
+
+def _edit(change):
+    def damage(path):
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+
+    return damage
+
+
+def _last_series(manifest):
+    return manifest["series"][sorted(manifest["series"])[-1]]
+
+
+class TestDamagedManifests:
+    """A damaged ``fleet.json`` or shard manifest is a ``RecoveryError``
+    naming the file, raised before any engine is built from it — and
+    ``error: ...`` with exit status 1 from the commands that recover."""
+
+    DAMAGE = {
+        "truncated": _truncate,
+        "not-an-object": lambda path: path.write_text("[]"),
+        "not-utf8": lambda path: path.write_bytes(b"\xff\xfe{"),
+        "no-router": _edit(lambda m: m.pop("router")),
+        "n-shards-not-a-number": _edit(lambda m: m["router"].update(n_shards="x")),
+        "shard-entry-missing": _edit(lambda m: m["shards"].pop()),
+        "dir-outside": _edit(lambda m: m["shards"][0].update(dir="../elsewhere")),
+        "no-budget": _edit(lambda m: m.pop("memory_budget_per_series")),
+        "budget-not-a-number": _edit(lambda m: _last_series(m).update(memory_budget="x")),
+        "series-without-wal": _edit(lambda m: _last_series(m).pop("wal")),
+        "wal-outside": _edit(lambda m: _last_series(m).update(wal="../a.wal")),
+        "checkpoint-absolute": _edit(
+            lambda m: _last_series(m).update(checkpoint="/tmp/a.ckpt")
+        ),
+    }
+
+    FLEET = (
+        "truncated", "not-an-object", "not-utf8", "no-router",
+        "n-shards-not-a-number", "shard-entry-missing", "dir-outside",
+    )
+    DATABASE = (
+        "truncated", "not-an-object", "not-utf8", "no-budget",
+        "budget-not-a-number", "series-without-wal", "wal-outside",
+        "checkpoint-absolute",
+    )
+
+    @pytest.mark.parametrize(
+        "target, damage",
+        [
+            pytest.param(target, damage, id=f"{target}-{damage}")
+            for target, cases in (
+                ("fleet", FLEET),
+                ("shard", DATABASE),
+                ("database", ("truncated", "series-without-wal")),
+            )
+            for damage in cases
+        ],
+    )
+    def test_recovery_error_before_any_engine_is_built(
+        self, tmp_path, monkeypatch, capsys, target, damage
+    ):
+        root, plain = tmp_path / "fleet", tmp_path / "plain"
+        sizes = dict(memory_budget_per_series=8, sstable_size=8)
+        fleet = ShardedDatabase(n_shards=2, durability_dir=str(root), **sizes)
+        db = TimeSeriesDatabase(durability_dir=str(plain), **sizes)
+        for name in [f"s{i}" for i in range(6)]:
+            fleet.write(name, np.arange(20.0))
+            db.write(name, np.arange(20.0))
+        fleet.checkpoint_all()
+        db.checkpoint_all()
+        # The damaged series entry is the last of several, in the shard
+        # recovered first: nothing may be built on the way to it.
+        assert len(fleet.shards[0]) >= 2
+        (shard_manifest,) = (root / "shard-00").glob("*manifest*.json")
+        path, recover, command = {
+            "fleet": (root / "fleet.json", ShardedDatabase.recover, "shard-report"),
+            "shard": (shard_manifest, ShardedDatabase.recover, "shard-report"),
+            "database": (plain / "manifest.json", TimeSeriesDatabase.recover, "recover"),
+        }[target]
+        directory = str(plain if target == "database" else root)
+        self.DAMAGE[damage](path)
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built from a damaged manifest")
+
+        monkeypatch.setattr("repro.lsm.recovery.recover_engine", no_engine)
+        with pytest.raises(RecoveryError, match=path.name):
+            recover(directory)
+        assert cli_main([command, "--dir", directory]) == 1
+        error = capsys.readouterr().err
+        assert error.startswith("error: manifest ") and path.name in error
 
 
 class TestEngineMisuse:

@@ -5,8 +5,8 @@ The load-bearing property is *shard independence*: an N-shard
 by shard (write amplification, per-point write counters, checkpoint
 bytes, ``verify()``), to N standalone single-shard databases run over
 the same routed partitions.  Everything the serving tier adds — routing,
-fleet manifests, the online arbiter, parallel ingest, the fleet crash
-matrix — is checked against that invariant here.
+fleet manifests, the online arbiter, the fleet crash matrix — is checked
+against that invariant here.
 """
 
 import json
@@ -24,7 +24,6 @@ from repro.lsm.wal import read_wal
 from repro.obs.sharding import render_shard_report
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
-from repro.parallel import ingest_fleet_parallel
 from repro.serving import (
     FLEET_MANIFEST,
     ShardRouter,
@@ -322,42 +321,6 @@ class TestFleetRecovery:
     def test_recover_without_manifest_fails(self, tmp_path):
         with pytest.raises(RecoveryError):
             ShardedDatabase.recover(str(tmp_path))
-
-
-class TestParallelIngest:
-    def test_parallel_fleet_matches_serial(self, tmp_path):
-        names = [f"series-{i:02d}" for i in range(6)]
-        datasets = _datasets(names, n_points=900)
-        batch = [(name, datasets[name].tg) for name in names]
-
-        serial = ShardedDatabase(
-            n_shards=3,
-            auto_tune=False,
-            durability_dir=str(tmp_path / "serial"),
-            **_DB_KWARGS,
-        )
-        serial.ingest_batch(batch)
-        serial.checkpoint_all()
-
-        parallel = ingest_fleet_parallel(
-            str(tmp_path / "parallel"),
-            batch,
-            n_shards=3,
-            workers=2,
-            auto_tune=False,
-            memory_budget_per_series=_DB_KWARGS["memory_budget_per_series"],
-            sstable_size=_DB_KWARGS["sstable_size"],
-        )
-        assert sorted(parallel.series_names()) == sorted(names)
-        for name in names:
-            fanned = parallel.database_for(name).series(name).engine
-            reference = serial.database_for(name).series(name).engine
-            fanned.verify()
-            assert fanned.ingested_points == reference.ingested_points
-            assert fanned.stats.disk_writes == reference.stats.disk_writes
-            assert np.array_equal(
-                fanned.stats.write_counts, reference.stats.write_counts
-            )
 
 
 class TestMemoryArbiter:
