@@ -40,12 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .pruning import CoveredSpan, TableIndex
 
 from ..config import LsmConfig
 from ..errors import (
@@ -57,7 +53,9 @@ from ..errors import (
 )
 from ..faults.injector import FaultInjector
 from ..obs.telemetry import Telemetry, build_telemetry
+from .level import RunView
 from .memtable import EMPTY_IDS
+from .pruning import TableIndex
 from .sstable import SSTable
 from .wa_tracker import WriteStats
 from .wal import WalRecord, WriteAheadLog
@@ -106,7 +104,7 @@ class Snapshot:
     tables: list[SSTable]
     memtables: list[MemTableView]
     #: Optional pruning index over :attr:`tables` (``None`` = linear scan).
-    index: "TableIndex | None" = None
+    index: TableIndex | None = None
     #: The engine's ``read_version()`` this snapshot was taken (and is
     #: cached) under; ``None`` for hand-built snapshots.  Equal versions
     #: of one engine mean identical visible state, so caches above the
@@ -119,16 +117,19 @@ class Snapshot:
             return self.index.overlapping(lo, hi)
         return [t for t in self.tables if t.overlaps(lo, hi)]
 
-    def read_plan(self, lo: float, hi: float) -> "list[SSTable | CoveredSpan]":
-        """:meth:`overlapping_tables`, except that the index hands each
-        sorted run's fully covered tables over as one
-        :class:`~repro.lsm.pruning.CoveredSpan` (answered from the run's
-        per-table columns, not visited).  Without an index it is the
-        plain table list — the per-table reference the spans are pinned
-        to."""
-        if self.index is not None:
-            return self.index.read_plan(lo, hi)
-        return self.overlapping_tables(lo, hi)
+    def read_plan(self, lo: float, hi: float) -> list[tuple[RunView, int, int, bool]]:
+        """:meth:`overlapping_tables` as the stretches of
+        :meth:`TableIndex.read_plan <repro.lsm.pruning.TableIndex.read_plan>`:
+        the index hands each sorted run's fully covered tables over as
+        one stretch (answered from the run's per-table columns, not
+        visited).  Without an index every table is judged on its own,
+        as it is now, and the hits are planned as one loose group built
+        for the call — stretches of one: the per-table reference the
+        covered stretches are pinned to."""
+        index = self.index
+        if index is None:
+            index = TableIndex([("loose", self.overlapping_tables(lo, hi))])
+        return index.read_plan(lo, hi)
 
     @property
     def disk_points(self) -> int:

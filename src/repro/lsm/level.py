@@ -28,7 +28,8 @@ from .sstable import SSTable
 __all__ = ["Run", "RunView"]
 
 
-def _block_counts(tables: list[SSTable]) -> list[int]:
+def block_counts(tables: list[SSTable]) -> list[int]:
+    """Columnar block count of each table (0 for a row table)."""
     return [
         0 if table.storage.stats is None else table.storage.stats.nblocks
         for table in tables
@@ -64,7 +65,7 @@ class RunView:
             [table.min_tg for table in tables],
             [table.max_tg for table in tables],
             [len(table) for table in tables],
-            _block_counts(tables),
+            block_counts(tables),
             [table.storage.sum_tg for table in tables],
         )
 
@@ -155,7 +156,7 @@ class Run:
         view = self._view
         if view is None:
             fresh = self._tables[self._dirty :]
-            self._blocks[self._dirty :] = _block_counts(fresh)
+            self._blocks[self._dirty :] = block_counts(fresh)
             self._sums[self._dirty :] = [table.storage.sum_tg for table in fresh]
             self._dirty = len(self._tables)
             view = self._view = RunView(

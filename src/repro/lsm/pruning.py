@@ -23,11 +23,14 @@ to prune block spans inside a touched table.
 
 A sorted group also answers for the tables a window *fully covers*.
 Those are the overlap span less the end tables that straddle an edge
-(two comparisons), so the group hands them to the executors as one
-:class:`CoveredSpan` whose point count, block count, extrema and
-per-table sums are list slices of the run's own per-table columns
-instead of as tables to be visited one by one.  Only the at most two
-tables straddling the window's edges are read.
+(two comparisons), so :meth:`TableIndex.read_plan` hands the executors
+*stretches* — ``(view, start, stop, covered)``: tables ``[start, stop)``
+of one :class:`~repro.lsm.level.RunView`, every one of them fully inside
+the window or every one of them cut by it — and a covered stretch is
+answered from list slices of the view's per-table columns (point count,
+block count, extrema, per-table sums) instead of table by table.  Only
+the at most two tables straddling the window's edges are read, each
+through :func:`cut`.
 
 The group owns no copy of any of it.  It searches a
 :class:`~repro.lsm.level.RunView` — the lists the :class:`~repro.lsm.
@@ -48,18 +51,45 @@ when the disk structure actually changes (see the structure epoch on
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left, bisect_right
-from functools import reduce
 
 import numpy as np
 
 from ..errors import QueryError
+from .blocks import ColumnarStorage, RowStorage
 from .intervals import check_window, zone_map_hits
-from .level import RunView
+from .level import RunView, block_counts
 from .sstable import SSTable
 
-__all__ = ["TableIndex", "CoveredSpan"]
+__all__ = ["TableIndex", "cut"]
+
+
+def cut(
+    table: SSTable, lo: float, hi: float
+) -> tuple[RowStorage | ColumnarStorage, int, int, int, int]:
+    """``(storage, left, right, b0, b1)``: the rows ``[left, right)``
+    and columnar blocks ``[b0, b1)`` of ``table`` inside ``[lo, hi]``.
+
+    One binary search per column per edge of the window that cuts the
+    table; an edge at or beyond the table's own range needs none.  A
+    row table has no blocks (``b0 == b1 == 0``); an empty block overlap
+    comes back as ``b0 == b1``.
+    """
+    storage = table.storage
+    tg = storage.tg
+    stats = storage.stats
+    if lo <= table.min_tg:
+        left = b0 = 0
+    else:
+        left = int(tg.searchsorted(lo, side="left"))
+        b0 = 0 if stats is None else int(stats.maxs.searchsorted(lo, side="left"))
+    if table.max_tg <= hi:
+        right = tg.size
+        b1 = 0 if stats is None else stats.nblocks
+    else:
+        right = int(tg.searchsorted(hi, side="right"))
+        b1 = 0 if stats is None else int(stats.mins.searchsorted(hi, side="right"))
+    return storage, left, right, b0, max(b0, b1)
 
 
 class _SortedGroup:
@@ -93,92 +123,48 @@ class _SortedGroup:
         # straddle, and the covered span is the overlap span less those.
         first = start + (view.mins[start] < lo)
         last = stop - (hi < view.maxs[stop - 1])
-        tables = view.tables
         if first < last:
-            out.extend(tables[start:first])
-            out.append(CoveredSpan(view, first, last))
-            out.extend(tables[last:stop])
+            if start < first:
+                out.append((view, start, first, False))
+            out.append((view, first, last, True))
+            if last < stop:
+                out.append((view, last, stop, False))
         else:
-            out.extend(tables[start:stop])
-
-
-class CoveredSpan:
-    """Tables ``[start, stop)`` of one sorted run, ``stop > start``,
-    every one of them fully inside the query window.
-
-    Stands in a read plan where those tables would have stood, and
-    answers for all of them at once from slices of the run's per-table
-    columns.
-    """
-
-    __slots__ = ("_view", "start", "stop")
-
-    def __init__(self, view: RunView, start: int, stop: int) -> None:
-        self._view = view
-        self.start = start
-        self.stop = stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def tables(self) -> list[SSTable]:
-        """The covered tables themselves, in run order."""
-        return self._view.tables[self.start : self.stop]
-
-    @property
-    def points(self) -> int:
-        """Total points across the span."""
-        return sum(self._view.lens[self.start : self.stop])
-
-    @property
-    def min_tg(self) -> float:
-        """Earliest generation time: the run is sorted, so the first
-        table's."""
-        return self._view.mins[self.start]
-
-    @property
-    def max_tg(self) -> float:
-        """Latest generation time: the last table's."""
-        return self._view.maxs[self.stop - 1]
-
-    @property
-    def stat_blocks(self) -> int:
-        """Columnar blocks across the span (row tables have none)."""
-        return sum(self._view.blocks[self.start : self.stop])
-
-    def fold(self, total: float) -> float:
-        """``total`` plus every table's ``sum_tg``, added one by one.
-
-        The strict left-to-right fold a per-table walk does — the same
-        floats, added in the same order — so it is bitwise that walk's
-        answer.  Differences of float prefix sums, pairwise ``np.sum``
-        and the compensated built-in ``sum()`` of Python >= 3.12 all
-        round differently.
-        """
-        return reduce(operator.add, self._view.sums[self.start : self.stop], total)
+            out.append((view, start, stop, False))
 
 
 class _LooseGroup:
     """Vectorised zone-map filter over mutually-overlapping tables."""
 
-    __slots__ = ("tables", "_mins", "_maxs")
+    __slots__ = ("view", "_mins", "_maxs")
 
     def __init__(self, tables: list[SSTable]) -> None:
-        self.tables = tables
-        self._mins = np.asarray([t.min_tg for t in tables], dtype=np.float64)
-        self._maxs = np.asarray([t.max_tg for t in tables], dtype=np.float64)
+        mins = [t.min_tg for t in tables]
+        maxs = [t.max_tg for t in tables]
+        #: The group's tables in the shape a plan hands out.  ``sums``
+        #: fills in as tables are first covered (see :meth:`plan`): a
+        #: table no window has covered yet is never summed.
+        self.view = RunView(
+            tables, mins, maxs, [len(t) for t in tables], block_counts(tables),
+            [0.0] * len(tables),
+        )
+        self._mins = np.asarray(mins, dtype=np.float64)
+        self._maxs = np.asarray(maxs, dtype=np.float64)
 
     def overlapping(self, lo: float, hi: float) -> list[SSTable]:
         # Exactly SSTable.overlaps, evaluated for the whole group at once.
-        hits = zone_map_hits(self._mins, self._maxs, lo, hi)
-        if hits.size == 0:
-            return []
-        tables = self.tables
-        return [tables[i] for i in hits]
+        tables = self.view.tables
+        return [tables[i] for i in zone_map_hits(self._mins, self._maxs, lo, hi)]
 
     def plan(self, lo: float, hi: float, out: list) -> None:
-        out.extend(self.overlapping(lo, hi))
+        # No order to exploit: every hit is its own stretch of one.
+        view = self.view
+        for i in zone_map_hits(self._mins, self._maxs, lo, hi).tolist():
+            covered = lo <= view.mins[i] and view.maxs[i] <= hi
+            if covered:
+                # Memoised on the storage; taken when first needed.
+                view.sums[i] = view.tables[i].storage.sum_tg
+            out.append((view, i, i + 1, covered))
 
 
 class TableIndex:
@@ -220,12 +206,16 @@ class TableIndex:
             out.extend(group.overlapping(lo, hi))
         return out
 
-    def read_plan(self, lo: float, hi: float) -> list[SSTable | CoveredSpan]:
-        """:meth:`overlapping`, with each sorted group's fully covered
-        tables replaced — in place, so order is kept — by one
-        :class:`CoveredSpan`."""
+    def read_plan(self, lo: float, hi: float) -> list[tuple[RunView, int, int, bool]]:
+        """:meth:`overlapping` as stretches ``(view, start, stop,
+        covered)`` in snapshot order: tables ``[start, stop)`` of
+        ``view``, all fully inside ``[lo, hi]`` (``covered`` — answer
+        them from slices of the view's columns) or all cut by it (read
+        each through :func:`cut`).  A sorted run yields at most one
+        covered stretch with at most one cut table on either side; a
+        loose group yields its hits one by one."""
         lo, hi = check_window(lo, hi)
-        out: list[SSTable | CoveredSpan] = []
+        out: list[tuple[RunView, int, int, bool]] = []
         for group in self._groups:
             group.plan(lo, hi, out)
         return out

@@ -136,36 +136,11 @@ class SSTable:
         """True when the table's range intersects ``[lo, hi]``."""
         return interval_overlaps(self.min_tg, self.max_tg, lo, hi)
 
-    def row_span(self, lo: float, hi: float) -> tuple[int, int]:
-        """``(left, right)`` index bounds of ``lo <= tg <= hi``.
-
-        One binary search per edge of the window that cuts the table:
-        an edge at or beyond the table's own range needs none.
-        """
-        tg = self.storage.tg
-        left = 0 if lo <= self.min_tg else int(tg.searchsorted(lo, side="left"))
-        right = (
-            tg.size if self.max_tg <= hi else int(tg.searchsorted(hi, side="right"))
-        )
-        return left, right
-
-    def block_span(self, lo: float, hi: float) -> tuple[int, int]:
-        """:meth:`BlockStats.overlapping` for this (columnar) table,
-        searching — as :meth:`row_span` does — only the zone-map column
-        of an edge that cuts the table."""
-        stats = self.storage.stats
-        b0 = 0 if lo <= self.min_tg else int(stats.maxs.searchsorted(lo, side="left"))
-        b1 = (
-            stats.nblocks
-            if self.max_tg <= hi
-            else int(stats.mins.searchsorted(hi, side="right"))
-        )
-        return b0, max(b0, b1)
-
     def count_in_range(self, lo: float, hi: float) -> int:
         """Number of points with ``lo <= tg <= hi`` (binary search)."""
-        left, right = self.row_span(lo, hi)
-        return max(right - left, 0)
+        tg = self.storage.tg
+        left = int(tg.searchsorted(lo, side="left"))
+        return max(int(tg.searchsorted(hi, side="right")) - left, 0)
 
     def as_batch(self) -> PointBatch:
         """View the table contents as a batch."""

@@ -9,16 +9,17 @@ and min/max bounds without reading its interior.
 
 A sorted run goes one step further than the table: the tables a window
 fully covers are one contiguous span of the run, so the pruning index
-hands them over as a single :class:`~repro.lsm.pruning.CoveredSpan`
-answered from slices of the run's own per-table columns — count and
-block count from integer lists, extrema from the span's end entries,
-``total`` from the memoised per-table sums.  The *work* per sorted run
-is therefore one binary search per window edge over the run, one more
-inside each table an edge cuts (at most two, the only ones read), and
-four list slices, whatever the window's width.  A MemTable whose own
+hands them over as a single covered stretch (:meth:`TableIndex.read_plan
+<repro.lsm.pruning.TableIndex.read_plan>`) answered here from slices of
+the run's own per-table columns — count and block count from integer
+lists, extrema from the stretch's end entries, ``total`` from the
+memoised per-table sums.  The *work* per sorted run is therefore one
+binary search per window edge over the run, one more inside each table
+an edge cuts (at most two, the only ones read), and four list slices,
+whatever the window's width.  A MemTable whose own
 ``[min, max]`` misses the window is not looked at.  Loose groups and
-index-less snapshots have no such order to exploit and visit their
-tables one by one through the same per-table arithmetic.
+index-less snapshots have no such order to exploit and hand their
+tables over one by one, through the same two branches.
 
 Within a table the cold tier does the same.  A columnar table fully
 inside the window is answered **entirely from block statistics**: its
@@ -31,14 +32,13 @@ still report how many blocks the window excludes (``blocks_skipped``).
 Bit-identity: a table's ``sum_tg`` is the float produced by one
 ``np.sum`` over the whole column — recorded at build time by columnar
 tables, memoised on first use by row tables — straddling tables share
-one slice routine, and a covered span adds its tables' ``sum_tg`` to
-``total`` one after another in run order, exactly as a walk over them
-would.  Same floats, same order of additions: every aggregate is
-bitwise equal whether its tables are row or columnar, indexed or not
-(numpy's pairwise summation forbids recombining *partial* block sums,
-and float prefix-sum differences round differently too; see
-:mod:`repro.lsm.blocks` and :meth:`CoveredSpan.fold
-<repro.lsm.pruning.CoveredSpan.fold>`).
+one slice routine (:func:`repro.lsm.pruning.cut`), and a covered stretch
+adds its tables' ``sum_tg`` to ``total`` one after another in run order,
+exactly as a walk over them would.  Same floats, same order of
+additions: every aggregate is bitwise equal whether its tables are row
+or columnar, indexed or not (numpy's pairwise summation forbids
+recombining *partial* block sums, and float prefix-sum differences round
+differently too; see :mod:`repro.lsm.blocks`).
 
 Engines in this package do not materialise values (WA does not depend on
 them), so aggregates are computed over generation timestamps themselves;
@@ -48,11 +48,13 @@ the pruning logic is identical for any per-table summarised value.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from ..lsm.base import Snapshot
 from ..lsm.intervals import check_window
-from ..lsm.pruning import CoveredSpan
+from ..lsm.pruning import cut
 from ..obs.telemetry import Telemetry
 
 __all__ = ["AggregateResult", "execute_aggregate_query"]
@@ -119,42 +121,35 @@ def execute_aggregate_query(
     # Non-overlapping tables contribute nothing, so the indexed lookup
     # (when the engine attached one) changes only the cost of finding
     # the overlap set, never the aggregate values.
-    for piece in snapshot.read_plan(lo, hi):
-        if type(piece) is CoveredSpan:
-            pruned += len(piece)
-            count += piece.points
-            minimum = min(minimum, piece.min_tg)
-            maximum = max(maximum, piece.max_tg)
-            total = piece.fold(total)
-            blocks_stat_answered += piece.stat_blocks
+    for view, start, stop, covered in snapshot.read_plan(lo, hi):
+        if covered:
+            # Fully covered: metadata suffices.  Extrema are the end
+            # entries (the stretch is sorted, or one table); ``total``
+            # takes each table's ``sum_tg`` one by one, the strict
+            # left-to-right fold a walk over them does — prefix-sum
+            # differences, pairwise ``np.sum`` and the compensated
+            # built-in ``sum()`` of Python >= 3.12 all round differently.
+            pruned += stop - start
+            count += sum(view.lens[start:stop])
+            minimum = min(minimum, view.mins[start])
+            maximum = max(maximum, view.maxs[stop - 1])
+            total = reduce(operator.add, view.sums[start:stop], total)
+            blocks_stat_answered += sum(view.blocks[start:stop])
             continue
-        table = piece
-        stats = table.block_stats
-        if lo <= table.min_tg and table.max_tg <= hi:
-            # Fully covered: metadata suffices.  A row table pays one
-            # array sum, once; columnar tables answer from statistics.
-            pruned += 1
-            count += len(table)
-            minimum = min(minimum, table.min_tg)
-            maximum = max(maximum, table.max_tg)
-            total += table.storage.sum_tg
-            if stats is not None:
-                blocks_stat_answered += stats.nblocks
-            continue
-        scanned += 1
-        if stats is not None:
-            # Per-block zone maps: account for the blocks the window
-            # excludes; the contribution itself reuses the row slice
-            # math below so the result stays bitwise identical.
-            b0, b1 = table.block_span(lo, hi)
-            blocks_skipped += stats.nblocks - (b1 - b0)
-        left, right = table.row_span(lo, hi)
-        if right > left:
-            inside = table.tg[left:right]
-            count += inside.size
-            minimum = min(minimum, float(inside[0]))
-            maximum = max(maximum, float(inside[-1]))
-            total += float(inside.sum())
+        scanned += stop - start
+        for i in range(start, stop):
+            # Per-block zone maps account for the blocks the window
+            # excludes; the contribution itself is the row slice, so
+            # the result stays bitwise identical across formats.
+            storage, left, right, b0, b1 = cut(view.tables[i], lo, hi)
+            if storage.stats is not None:
+                blocks_skipped += storage.stats.nblocks - (b1 - b0)
+            if right > left:
+                inside = storage.tg[left:right]
+                count += right - left
+                minimum = min(minimum, float(inside[0]))
+                maximum = max(maximum, float(inside[-1]))
+                total += float(inside.sum())
     for memtable in snapshot.memtables:
         low, high = memtable.bounds
         if high < lo or hi < low:
@@ -173,15 +168,9 @@ def execute_aggregate_query(
         telemetry.count("query.aggregate_count")
         telemetry.count("query.blocks_stat_answered", blocks_stat_answered)
         telemetry.count("query.blocks_skipped", blocks_skipped)
+    # In field order: built once per series of every query, and a
+    # keyword call of a ten-field frozen dataclass costs half as much again.
     return AggregateResult(
-        lo=lo,
-        hi=hi,
-        count=count,
-        minimum=minimum,
-        maximum=maximum,
-        total=total,
-        tables_scanned=scanned,
-        tables_pruned=pruned,
-        blocks_stat_answered=blocks_stat_answered,
-        blocks_skipped=blocks_skipped,
+        lo, hi, count, minimum, maximum, total,
+        scanned, pruned, blocks_stat_answered, blocks_skipped,
     )

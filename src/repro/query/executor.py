@@ -20,7 +20,7 @@ import numpy as np
 
 from ..lsm.base import Snapshot
 from ..lsm.intervals import check_window
-from ..lsm.pruning import CoveredSpan
+from ..lsm.pruning import cut
 from ..obs.telemetry import Telemetry
 
 __all__ = ["QueryStats", "execute_range_query"]
@@ -114,36 +114,35 @@ def execute_range_query(
     collected_tg: list[np.ndarray] = []
     collected_ids: list[np.ndarray] = []
     blocks_skipped = 0
-    for piece in snapshot.read_plan(lo, hi):
-        if type(piece) is CoveredSpan:
-            # A sorted run's fully covered tables, counted from the run's
-            # per-table lengths: every file is read whole (every block of a
-            # columnar one overlaps the window) and every row matches.
-            points = piece.points
-            files += len(piece)
+    for view, start, stop, covered in snapshot.read_plan(lo, hi):
+        files += stop - start
+        if covered:
+            # Fully covered tables, counted from the per-table lengths:
+            # every file is read whole (every block of a columnar one
+            # overlaps the window) and every row matches.
+            points = sum(view.lens[start:stop])
             disk_read += points
             result += points
             if collect:
-                collected_tg.extend(t.tg for t in piece.tables)
-                collected_ids.extend(t.ids for t in piece.tables)
+                tables = view.tables[start:stop]
+                collected_tg.extend(t.tg for t in tables)
+                collected_ids.extend(t.ids for t in tables)
             continue
-        table = piece
-        files += 1
-        stats = table.block_stats
-        if stats is None:
-            # Row table: the whole file is read sequentially.
-            disk_read += len(table)
-        else:
-            # Columnar table: per-block zone maps bound the read to the
-            # contiguous block span overlapping the window.
-            b0, b1 = table.block_span(lo, hi)
-            disk_read += stats.points_in(b0, b1)
-            blocks_skipped += stats.nblocks - (b1 - b0)
-        left, right = table.row_span(lo, hi)
-        result += right - left
-        if collect:
-            collected_tg.append(table.tg[left:right])
-            collected_ids.append(table.ids[left:right])
+        for i in range(start, stop):
+            storage, left, right, b0, b1 = cut(view.tables[i], lo, hi)
+            stats = storage.stats
+            if stats is None:
+                # Row table: the whole file is read sequentially.
+                disk_read += storage.tg.size
+            else:
+                # Columnar table: per-block zone maps bound the read to the
+                # contiguous block span overlapping the window.
+                disk_read += stats.points_in(b0, b1)
+                blocks_skipped += stats.nblocks - (b1 - b0)
+            result += right - left
+            if collect:
+                collected_tg.append(storage.tg[left:right])
+                collected_ids.append(storage.ids[left:right])
     tables_total = len(snapshot.tables)
     consulted = files if snapshot.index is not None else tables_total
     mem_scanned = 0
@@ -176,18 +175,10 @@ def execute_range_query(
         else:
             rows = np.empty(0, dtype=np.float64)
             row_ids = np.empty(0, dtype=np.int64)
+    # In field order (see execute_aggregate_query).
     stats = QueryStats(
-        lo=lo,
-        hi=hi,
-        result_points=result,
-        disk_points_read=disk_read,
-        files_touched=files,
-        memtable_points_scanned=mem_scanned,
-        tables_pruned=tables_total - files,
-        tables_consulted=consulted,
-        blocks_skipped=blocks_skipped,
-        rows=rows,
-        row_ids=row_ids,
+        lo, hi, result, disk_read, files, mem_scanned,
+        tables_total - files, consulted, blocks_skipped, rows, row_ids,
     )
     if traced:
         duration_ms = (time.monotonic() - started) * 1_000.0

@@ -9,7 +9,7 @@ to never let the shard layout pick the fold order:
 * Partials are kept **per series**, never pre-combined per shard.
 * Both the federated path and the serial reference fold partials in the
   same **canonical order** — sorted series names for fleet-wide
-  queries, the caller's order for an explicit list.
+  queries and for a ``set``, the caller's order for an explicit list.
 * Each per-series partial comes from the existing single-series
   executors (:func:`~repro.query.execute_range_query` /
   :func:`~repro.query.execute_aggregate_query`), whose results depend
@@ -29,7 +29,7 @@ both paths because the inputs and the order are.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import Protocol
 
 import numpy as np
@@ -66,24 +66,42 @@ class SnapshotProvider(Protocol):
 
 def canonical_series_order(
     provider: SnapshotProvider,
-    names: str | Sequence[str] | None,
+    names: str | Iterable[str] | None,
 ) -> list[str]:
     """The canonical fold order for a multi-series query.
 
     ``None`` means fleet-wide: every series, sorted by name — a total
     order no routing layout can perturb.  An explicit list keeps the
     caller's order (duplicates rejected: folding a series twice would
-    double-count it).  A bare string is a single-series request.
+    double-count it); a ``set`` has no order to keep — what iterating
+    one yields depends on the interpreter's hash seed — and is folded
+    sorted, as ``None`` is.  A bare string is a single-series request.
+    Anything else — a number, ``bytes``, a collection holding something
+    that is not a ``str`` — raises :class:`~repro.errors.QueryError`
+    here, before any series is looked up.
     """
     if names is None:
         return sorted(provider.series_names())
     if isinstance(names, str):
-        names = [names]
+        return [names]
+    if isinstance(names, (bytes, bytearray)) or not isinstance(names, Iterable):
+        raise QueryError(
+            "names must be a series name, a collection of series names or "
+            f"None, got {names!r:.80} ({type(names).__name__})"
+        )
     ordered = list(names)
+    for name in ordered:
+        if not isinstance(name, str):
+            raise QueryError(
+                f"names must hold series names (str), got {name!r:.80} "
+                f"({type(name).__name__})"
+            )
     if not ordered:
         raise QueryError("empty series list")
     if len(set(ordered)) != len(ordered):
         raise QueryError(f"duplicate series in query: {ordered}")
+    if isinstance(names, (set, frozenset)):
+        ordered.sort()
     return ordered
 
 
@@ -158,6 +176,14 @@ def merge_range_stats(
     blocks_skipped = 0
     collected_tg: list[np.ndarray] = []
     collected_ids: list[np.ndarray] = []
+    if len(partials) == 1 and not collect:
+        # Folding one metrics-only partial from zero rebuilds it field
+        # for field; hand it back as it is (frozen).  Not across a zero
+        # bound: 0.0 == -0.0 — one window, one cache slot — but the
+        # answer reports the spelling it was asked with.
+        part = partials[0]
+        if part.rows is None and part.lo == lo != 0.0 and part.hi == hi != 0.0:
+            return part
     collecting = collect or any(part.rows is not None for part in partials)
     for part in partials:
         result += part.result_points

@@ -8,11 +8,17 @@ fold of :mod:`repro.query.merge` guarantees the federated answer equals
 one unsharded database run over the same points, float ``sum``
 included.
 
-The module is one pipeline: canonical order → route → one snapshot per
-series → per-shard cache → in-process partials → canonical fold.  Two
+The module is one pipeline: route plan → one snapshot per series →
+per-shard cache → in-process partials → canonical fold.  Three
 mechanisms carry the cost model:
 
-* **Routing prunes shards.**  The router proves which shards hold no
+* **A routing plan, not a routing step.**  Which shard owns a name,
+  the canonical order of every name and the fleet-wide split are
+  properties of the fleet's *shape*, which only a new series changes:
+  the executor works them out through the router once per shape and a
+  query looks its names up in the result — no sort, no CRC-32, no
+  per-shard lookup on the way to a series' engine.
+* **Routing prunes shards.**  The plan proves which shards hold no
   requested series; those do zero work (``federation.shards_pruned``).
   A single-series query degenerates to one call on its owning shard.
 * **An epoch-keyed federation cache.**  Per-shard partials are cached
@@ -38,13 +44,14 @@ from collections import OrderedDict
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from ..errors import EngineError
 from ..lsm.intervals import check_window
 from ..query.aggregation import AggregateResult, execute_aggregate_query
 from ..query.executor import QueryStats, execute_range_query
 from ..query.merge import canonical_series_order, merge_aggregates, merge_range_stats
-from .router import shard_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..lsm.database import SeriesState
     from .database import ShardedDatabase
 
 __all__ = ["FederatedExecutor", "FederationCache"]
@@ -101,6 +108,17 @@ class FederatedExecutor:
         self.fleet = fleet
         self.telemetry = fleet.telemetry
         self.cache = FederationCache()
+        # The routing plan: what a query needs to know about the
+        # fleet's shape, worked out when the shape changes instead of
+        # per query.  Series are never removed or moved and keep one
+        # SeriesState for life, so what the plan knows stays true and
+        # the series count says whether it knows everything.  A route
+        # is ``(fold order, parts)``, one part ``(shard index, names,
+        # states)`` per involved shard.
+        self._routed = -1
+        self._homes: dict[str, tuple[int, SeriesState]] = {}
+        self._names: list[str] = []
+        self._fleet_wide: tuple | None = None
 
     # -- public API ------------------------------------------------------------
 
@@ -135,6 +153,71 @@ class FederatedExecutor:
         """
         return self._execute("range", names, lo, hi, collect, use_cache)
 
+    # -- routing ---------------------------------------------------------------
+
+    def _reroute(self) -> bool:
+        """Bring the routing plan up to the fleet's shape; False when
+        it already was."""
+        fleet = self.fleet
+        count = sum(map(len, fleet.shards))
+        if count == self._routed:
+            return False
+        shard_of = fleet.router.shard_of
+        homes: dict[str, tuple[int, SeriesState]] = {}
+        names: list[str] = []
+        for index, db in enumerate(fleet.shards):
+            for name in db.series_names():
+                names.append(name)
+                # A series registered on a shard the router does not
+                # send its name to cannot be reached by name: unknown.
+                if shard_of(name) == index:
+                    homes[name] = (index, db.series(name))
+        names.sort()
+        self._homes = homes
+        self._names = names
+        self._fleet_wide = None
+        self._routed = count
+        return True
+
+    def _home(self, name: str) -> tuple[int, SeriesState]:
+        # A name the plan knows is where it was; one it does not may
+        # have been created since the plan was built.
+        home = self._homes.get(name)
+        if home is None and self._reroute():
+            home = self._homes.get(name)
+        if home is None:
+            raise EngineError(f"unknown series {name!r}")
+        return home
+
+    def _split(self, ordered: Sequence[str]) -> tuple:
+        """The route of ``ordered``: its series grouped by shard
+        (ascending; per-shard order is ``ordered``'s)."""
+        parts: dict[int, tuple[list, list]] = {}
+        for name in ordered:
+            index, state = self._home(name)
+            names, states = parts.setdefault(index, ([], []))
+            names.append(name)
+            states.append(state)
+        return ordered, [
+            (index, tuple(names), states)
+            for index, (names, states) in sorted(parts.items())
+        ]
+
+    def _route(self, names: str | Sequence[str] | None) -> tuple:
+        if type(names) is str:
+            index, state = self._home(names)
+            return (names,), ((index, (names,), (state,)),)
+        if names is not None:
+            return self._split(canonical_series_order(self.fleet, names))
+        # Every series: the one route a new series always changes.  It
+        # is built on first use, and again each time that fails — a
+        # fleet holding a misplaced series has no fleet-wide answer.
+        self._reroute()
+        route = self._fleet_wide
+        if route is None:
+            route = self._fleet_wide = self._split(self._names)
+        return route
+
     # -- execution -------------------------------------------------------------
 
     def _execute(
@@ -151,86 +234,84 @@ class FederatedExecutor:
         # fails the same way whether or not the window is cached.  A NaN
         # bound equals nothing, itself included: each such call would
         # take a fresh cache slot; the bounds come back as plain floats,
-        # so 1, 1.0 and np.float32(1) share one.
+        # so 1, 1.0 and np.float32(1) share one.  Unknown series raise
+        # in the routing.
         lo, hi = check_window(lo, hi)
-        fleet = self.fleet
-        ordered = canonical_series_order(fleet, names)
-        parts = fleet.router.split(ordered)
-        # The one read of each series' state: its snapshot carries the
-        # read version it was taken under, which keys the cache here,
-        # and is what _run_inline queries.  Unknown series raise here.
-        snapshots = {
-            index: [
-                fleet.shards[index].series(name).engine.snapshot()
-                for name in shard_series
-            ]
-            for index, shard_series in parts.items()
-        }
+        ordered, parts = self._route(names)
         traced = self.telemetry.enabled
         if traced:
             self.telemetry.count("federation.queries")
             self.telemetry.count(
-                "federation.shards_pruned", fleet.n_shards - len(parts)
+                "federation.shards_pruned", self.fleet.n_shards - len(parts)
             )
             self.telemetry.observe("federation.fanout", float(len(parts)))
             if len(parts) == 1:
                 self.telemetry.count("federation.single_shard")
-        by_series: dict[str, object] = {}
-        for index in sorted(parts):
-            shard_series = parts[index]
-            version = tuple(snapshot.version for snapshot in snapshots[index])
-            key = (kind, index, tuple(shard_series), lo, hi, collect)
-            partials = self.cache.lookup(key, version) if use_cache else None
-            if partials is not None:
-                if traced:
-                    self.telemetry.for_shard(shard_name(index)).count(
-                        "federation.cache_hits"
-                    )
-            else:
-                if use_cache and traced:
-                    self.telemetry.for_shard(shard_name(index)).count(
-                        "federation.cache_misses"
-                    )
-                partials = self._run_inline(
-                    index, snapshots[index], kind, lo, hi, collect
+        if len(parts) == 1:
+            # One shard holds every series asked for, in fold order.
+            merged = self._shard_partials(
+                parts[0], kind, lo, hi, collect, use_cache, traced
+            )
+        else:
+            by_series: dict[str, object] = {}
+            for part in parts:
+                partials = self._shard_partials(
+                    part, kind, lo, hi, collect, use_cache, traced
                 )
-                if use_cache:
-                    self.cache.store(key, version, partials)
-            by_series.update(zip(shard_series, partials))
-        # The fold runs in canonical order regardless of which shard —
-        # or which cache generation — produced each partial.
-        merged = [by_series[name] for name in ordered]
+                by_series.update(zip(part[1], partials))
+            # The fold runs in canonical order regardless of which shard
+            # — or which cache generation — produced each partial.
+            merged = [by_series[name] for name in ordered]
         if kind == "aggregate":
             return merge_aggregates(merged, lo, hi)
         return merge_range_stats(merged, lo, hi, collect)
 
-    def _run_inline(
+    def _shard_partials(
         self,
-        index: int,
-        snapshots: list,
+        part: tuple,
         kind: str,
         lo: float,
         hi: float,
         collect: bool,
+        use_cache: bool,
+        traced: bool,
     ) -> list:
-        """One shard's slice of a query: its per-series partials."""
+        """One shard's slice of a query: its per-series partials, from
+        the cache when every series' read version is the cached one."""
+        index, names, states = part
+        # The one read of each series' state: its snapshot carries the
+        # read version it was taken under, which keys the cache here.
+        snapshots = [state.engine.snapshot() for state in states]
+        # The shard's own bus is the fleet's, labelled with the shard.
         telemetry = self.fleet.shards[index].telemetry
-        started = time.perf_counter()
-        partials: list = []
-        for snapshot in snapshots:
-            if kind == "aggregate":
-                partials.append(
-                    execute_aggregate_query(snapshot, lo, hi, telemetry=telemetry)
+        if use_cache:
+            version = tuple([snapshot.version for snapshot in snapshots])
+            key = (kind, index, names, lo, hi, collect)
+            partials = self.cache.lookup(key, version)
+            if partials is not None:
+                if traced:
+                    telemetry.count("federation.cache_hits")
+                return partials
+            if traced:
+                telemetry.count("federation.cache_misses")
+        started = time.perf_counter() if traced else 0.0
+        if kind == "aggregate":
+            partials = [
+                execute_aggregate_query(snapshot, lo, hi, telemetry=telemetry)
+                for snapshot in snapshots
+            ]
+        else:
+            partials = [
+                execute_range_query(
+                    snapshot, lo, hi, collect=collect, telemetry=telemetry
                 )
-            else:
-                partials.append(
-                    execute_range_query(
-                        snapshot, lo, hi, collect=collect, telemetry=telemetry
-                    )
-                )
-        duration_ms = (time.perf_counter() - started) * 1_000.0
-        if self.telemetry.enabled:
-            self.telemetry.for_shard(shard_name(index)).observe(
-                "federation.shard_latency_ms", duration_ms
+                for snapshot in snapshots
+            ]
+        if traced:
+            telemetry.observe(
+                "federation.shard_latency_ms",
+                (time.perf_counter() - started) * 1_000.0,
             )
+        if use_cache:
+            self.cache.store(key, version, partials)
         return partials

@@ -120,11 +120,13 @@ class ShardRouter:
     @classmethod
     def from_dict(cls, data: dict) -> "ShardRouter":
         """Rebuild the router recorded by :meth:`as_dict`."""
-        boundaries = tuple(data.get("boundaries") or ())
+        mode = data.get("mode", "hash")
         return cls(
             int(data["n_shards"]),
-            mode=data.get("mode", "hash"),
-            boundaries=boundaries if boundaries else None,
+            mode=mode,
+            # A one-shard range router has no boundary, and still takes
+            # the empty tuple; a hash router takes none at all.
+            boundaries=tuple(data.get("boundaries") or ()) if mode == "range" else None,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro import LogNormalDelay, LsmConfig
 from repro.workloads import generate_synthetic
+
+# The search profile of the differential suites, run by hand:
+# ``pytest tests/test_read_lattice.py --hypothesis-profile deep``.
+settings.register_profile("deep", max_examples=500, stateful_step_count=40, deadline=None)
 
 
 @pytest.fixture()

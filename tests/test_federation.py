@@ -606,3 +606,175 @@ class TestFederationReport:
         out = capsys.readouterr().out
         assert code == 0
         assert "bit-identical to single database: yes" in out
+
+
+class _PinnedSet(frozenset):
+    """A set that iterates in a pinned order — what some hash seed would
+    have picked; the interpreter's own order is not a test input."""
+
+    def __new__(cls, order):
+        self = super().__new__(cls, order)
+        self._order = tuple(order)
+        return self
+
+    def __iter__(self):
+        return iter(self._order)
+
+
+class TestNamesArgument:
+    """What ``names`` may be, and what it costs to get it wrong."""
+
+    #: Four iteration orders of one twelve-name set.
+    ORDERS = (
+        (7, 2, 11, 0, 5, 9, 3, 8, 1, 10, 6, 4),
+        (4, 6, 10, 1, 8, 3, 9, 5, 0, 11, 2, 7),
+        (11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+        (0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9),  # = sorted by name
+    )
+
+    def _pair(self, n_shards=3):
+        """A fleet and its unsharded twin whose per-series sums are
+        inexact and of different magnitudes: the order they are added
+        up in shows in the last bits of ``total``."""
+        fleet = ShardedDatabase(n_shards=n_shards, auto_tune=False, **_DB_KWARGS)
+        twin = TimeSeriesDatabase(auto_tune=False, **_DB_KWARGS)
+        rng = np.random.default_rng(12)
+        for i in range(12):
+            tg = rng.uniform(0.0, 10.0 ** (i % 5), size=90)
+            for db in (fleet, twin):
+                db.write(f"s{i}", tg)
+        return fleet, twin
+
+    def test_a_set_is_folded_in_sorted_order(self):
+        fleet, twin = self._pair()
+        want = fleet.query_aggregate(sorted(f"s{i}" for i in range(12)))
+        assert want == fleet.query_aggregate()
+        orders = [[f"s{i}" for i in order] for order in self.ORDERS]
+        # The premise: a list keeps its order, and the order matters.
+        totals = {fleet.query_aggregate(order).total.hex() for order in orders}
+        assert len(totals) > 1 and want.total.hex() in totals
+        for order in orders:
+            for names in (_PinnedSet(order), set(order), frozenset(order)):
+                for got in (
+                    fleet.query_aggregate(names),
+                    fleet.query_aggregate(names, use_cache=False),
+                    aggregate_over_series(twin, names),
+                ):
+                    assert got == want and got.total.hex() == want.total.hex()
+                rows = fleet.query_range(names, collect=True)
+                _assert_range_equal(rows, scan_over_series(twin, sorted(order), collect=True))
+            assert canonical_series_order(twin, _PinnedSet(order)) == sorted(order)
+            assert canonical_series_order(twin, order) == order
+
+    HOSTILE = (5, 5.0, b"s0", bytearray(b"s0"), [["s0"]], [b"s0"], ["s0", 5], [None], {"s0", 5},
+               ("s0", ("s1",)), object())
+
+    def test_hostile_names_are_query_errors_before_anything_is_counted(self):
+        telemetry = Telemetry(sinks=[])
+        fleet = ShardedDatabase(n_shards=2, telemetry=telemetry, **_DB_KWARGS)
+        twin = TimeSeriesDatabase(**_DB_KWARGS)
+        for name in ("s0", "s1", "s2"):
+            fleet.write(name, np.arange(40.0))
+            twin.write(name, np.arange(40.0))
+        good = fleet.query_aggregate(["s0", "s1"])
+        counters = dict(telemetry.registry.as_dict()["counters"])
+        cached = len(fleet.federation.cache)
+        for bad in self.HOSTILE:
+            calls = (
+                lambda: fleet.query_aggregate(bad),
+                lambda: fleet.query_aggregate(bad, 0.0, 5.0, use_cache=False),
+                lambda: fleet.query_range(bad, collect=True),
+                lambda: fleet.federation.query_range(bad),
+                lambda: fleet.federation.query_aggregate(bad),
+                lambda: aggregate_over_series(twin, bad),
+                lambda: scan_over_series(twin, bad, collect=True),
+                lambda: aggregate_over_series(fleet, bad),
+                lambda: canonical_series_order(twin, bad),
+            )
+            for call in calls:
+                with pytest.raises(QueryError, match="names"):
+                    call()
+        assert telemetry.registry.as_dict()["counters"] == counters
+        assert len(fleet.federation.cache) == cached
+        assert fleet.query_aggregate(["s0", "s1"]) == good
+        # Still legal: any iterable of names, in the order it yields them.
+        assert fleet.query_aggregate(n for n in ("s0", "s1")) == good
+        assert fleet.query_aggregate(("s0", "s1")) == good
+        assert fleet.query_aggregate({"s0": 1, "s1": 2}) == good
+
+    def test_unknown_series_stay_engine_errors(self):
+        fleet = ShardedDatabase(n_shards=4, **_DB_KWARGS)
+        for name in ("s0", "s1", "s2"):
+            fleet.write(name, np.arange(40.0))
+        for names in ("ghost", ["s0", "ghost"], {"ghost"}, ("ghost",)):
+            with pytest.raises(EngineError, match="unknown series 'ghost'"):
+                fleet.query_aggregate(names)
+            with pytest.raises(EngineError, match="unknown series 'ghost'"):
+                fleet.query_range(names, collect=True)
+        # Registered on a shard the router does not send the name to:
+        # no write and no read by that name can reach it.
+        stray = next(
+            index for index in range(4) if index != fleet.shard_of("stray")
+        )
+        before = fleet.query_aggregate()
+        fleet.shards[stray].create_series("stray")
+        for names in ("stray", ["s0", "stray"], None):
+            with pytest.raises(EngineError, match="unknown series 'stray'"):
+                fleet.query_aggregate(names)
+        assert fleet.query_aggregate(["s0", "s1", "s2"]) == before
+        assert execute_sql(fleet, "SELECT COUNT(*) FROM s0, s2") == 80
+
+
+class _Spy:
+    """Counts calls of ``owner.attr`` (a plain function on a class)."""
+
+    def __init__(self, monkeypatch, owner, attr):
+        self.calls = 0
+        original = owner.__dict__[attr]
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+
+class TestRoutedOncePerFleetShape:
+    def test_a_quiescent_fleet_is_routed_once(self, monkeypatch):
+        fleet = ShardedDatabase(n_shards=4, auto_tune=False, **_DB_KWARGS)
+        names = [f"s{i:02d}" for i in range(16)]
+        for i, name in enumerate(names):
+            fleet.write(name, np.arange(100.0) + i)
+        spies = {
+            (owner.__name__, attr): _Spy(monkeypatch, owner, attr)
+            for owner, attr in (
+                (ShardRouter, "shard_of"),
+                (ShardRouter, "split"),
+                (TimeSeriesDatabase, "series"),
+                (TimeSeriesDatabase, "series_names"),
+            )
+        }
+        first = fleet.query_aggregate(None, 10.0, 60.0)
+        assert first.count == sum(len(range(max(i, 10), 61)) for i in range(16))
+        # Routing it cost one shard_of and one series() per name.
+        routed = {key: spy.calls for key, spy in spies.items()}
+        assert routed == {
+            ("ShardRouter", "shard_of"): 16,
+            ("ShardRouter", "split"): 0,
+            ("TimeSeriesDatabase", "series"): 16,
+            ("TimeSeriesDatabase", "series_names"): 4,
+        }
+        for k in range(99):
+            lo = 10.0 + k % 40
+            assert fleet.query_aggregate(None, lo, lo + 50.0, use_cache=k % 2 == 0).count
+            assert fleet.query_range(names[k % 16], lo, lo + 5.0).result_points
+            assert fleet.query_aggregate([names[3], names[k % 3]], lo, lo + 5.0).count
+        assert {key: spy.calls for key, spy in spies.items()} == routed
+        # A new series changes the fleet's shape: the next query sees it.
+        everything = fleet.query_aggregate().count
+        assert fleet.write("zz-new", np.arange(7.0)) == 7
+        assert fleet.query_aggregate().count == everything + 7
+        assert fleet.query_range("zz-new").result_points == 7
+        # One shard_of to place the write, one per name to route the new shape.
+        shard_of = ("ShardRouter", "shard_of")
+        assert spies[shard_of].calls == routed[shard_of] + 1 + 17

@@ -8,10 +8,10 @@ structure-epoch snapshot cache must serve identical snapshots while the
 engine is quiescent and invalidate on any mutation or restore.
 
 The same holds one level up: a sorted run answers for the tables a
-window fully covers from slices of its own per-table columns
-(:class:`~repro.lsm.pruning.CoveredSpan` over the
-:class:`~repro.lsm.level.RunView` the run hands out) instead of visiting
-them.  The property suite pins that path, field for field and bit for
+window fully covers from slices of its own per-table columns (one
+covered stretch of :meth:`~repro.lsm.pruning.TableIndex.read_plan` over
+the :class:`~repro.lsm.level.RunView` the run hands out) instead of
+visiting them.  The property suite pins that path, field for field and bit for
 bit, to the per-table walk an index-less snapshot does; the work-bound
 test pins what it is for — a wide aggregate reads two tables, and a read
 after k landings re-sums only what they wrote — and the lifetime tests
@@ -38,7 +38,7 @@ from repro.lsm.adaptive import AdaptiveEngine
 from repro.lsm.base import Snapshot
 from repro.lsm.conventional import ConventionalEngine
 from repro.lsm.memtable import EMPTY_IDS, EMPTY_TG, MemTable
-from repro.lsm.pruning import CoveredSpan, TableIndex
+from repro.lsm.pruning import TableIndex
 from repro.query.aggregation import execute_aggregate_query
 from repro.query.executor import execute_range_query
 from repro.workloads import TABLE_II
@@ -217,8 +217,11 @@ def _summary_state(engine_key, layout, stage):
         engine.convert_cold(max_tg=cutoff, block_size=BLOCK)
     snapshot = engine.snapshot()
     assert snapshot.index is not None and snapshot.tables
-    # Covered stretches go out as spans: that is the path under test.
-    assert any(type(p) is CoveredSpan for p in snapshot.read_plan(-math.inf, math.inf))
+    # Covered tables go out as stretches of several: the path under test.
+    assert any(
+        covered and stop - start > 1
+        for _, start, stop, covered in snapshot.read_plan(-math.inf, math.inf)
+    )
     columnar = sum(t.is_columnar for t in snapshot.tables)
     assert {
         "row": columnar == 0,
@@ -334,17 +337,17 @@ def test_run_summaries_match_per_table_walk(engine_key, layout, data):
         _assert_same_fields(got, want)
         assert got.tables_consulted == got.files_touched
         assert want.tables_consulted == len(snapshot.tables)
-    # The plan is the overlap list with covered stretches folded up.
-    flat = []
-    for piece in snapshot.read_plan(lo, hi):
-        if type(piece) is CoveredSpan:
-            assert len(piece) == len(piece.tables) > 0
-            assert all(lo <= t.min_tg and t.max_tg <= hi for t in piece.tables)
-            assert piece.points == sum(len(t) for t in piece.tables)
-            flat.extend(piece.tables)
-        else:
-            flat.append(piece)
-    assert flat == snapshot.overlapping_tables(lo, hi) == walk.overlapping_tables(lo, hi)
+    # The plan is the overlap list, cut into covered and straddling
+    # stretches; the walk's is the same list, one table at a time.
+    for plan, whole_runs in ((snapshot.read_plan(lo, hi), True), (walk.read_plan(lo, hi), False)):
+        flat = []
+        for view, start, stop, covered in plan:
+            stretch = view.tables[start:stop]
+            assert stretch and (whole_runs or len(stretch) == 1)
+            assert all((lo <= t.min_tg and t.max_tg <= hi) == covered for t in stretch)
+            assert view.lens[start:stop] == [len(t) for t in stretch]
+            flat.extend(stretch)
+        assert flat == snapshot.overlapping_tables(lo, hi) == walk.overlapping_tables(lo, hi)
 
 
 def test_duplicate_timestamps_straddle_table_boundaries():
@@ -415,9 +418,12 @@ def test_wide_aggregate_reads_two_tables_and_a_flush_resums_only_new_ones():
     assert snapshot.tables == tables and not snapshot.memtables
     assert all(kind == "sum" and n == size for kind, _, n in reads)
     assert 0 < len(reads) < n_tables // 2
+    # One sorted run: one covered stretch, one cut table on either side.
     plan = snapshot.read_plan(lo, hi)
-    assert [type(piece) for piece in plan] == [type(plan[0]), CoveredSpan, type(plan[0])]
-    assert len(plan[1]) == n_tables // 2 - 1
+    assert [(stop - start, covered) for _, start, stop, covered in plan] == [
+        (1, False), (n_tables // 2 - 1, True), (1, False)
+    ]
+    assert len({id(view) for view, _, _, _ in plan}) == 1
     del reads[:]
     assert execute_aggregate_query(snapshot, lo, hi) == want
     touched = {owner for _, owner, _ in reads}
@@ -448,7 +454,7 @@ def test_wide_aggregate_reads_two_tables_and_a_flush_resums_only_new_ones():
     assert sorted(reads) == sorted(("sum", owner, size) for owner in new)
     del reads[:]
     assert execute_aggregate_query(after, lo, hi) == want
-    assert any(type(piece) is CoveredSpan for piece in after.read_plan(lo, hi))
+    assert [covered for _, _, _, covered in after.read_plan(lo, hi)] == [False, True, False]
     assert {owner for _, owner, _ in reads} == touched
     assert execute_aggregate_query(after, -math.inf, math.inf).count == (n_tables + 8) * size
     assert all(n < size for kind, _, n in reads if kind == "sum")

@@ -1,0 +1,401 @@
+"""Differential read lattice: every way to configure and drive the read
+path against :class:`tests.reference_store.ReferenceStore`.
+
+Each feature's own test file pins that feature in one configuration;
+this file draws the configuration.  Two levels:
+
+* **The fleet** (:class:`ReadLattice`, hypothesis stateful): {1, 3, 4}
+  shards x hash / range routing x a per-series split (``pi_c``, or
+  ``pi_s`` at a drawn ``seq_capacity``) x scheduler on / off x WAL group
+  commit on / off, driven by ingest (disordered, duplicate generation
+  times, single-point and empty batches, several series in one call) /
+  ``flush_all`` / ``convert_cold`` / ``retune`` / ``resplit`` / a series
+  created after queries have run / checkpoint + ``recover``.  After
+  every step a single series, an explicit list (caller order), a set and
+  the whole fleet are queried — ``query_aggregate``, ``query_range``
+  metrics-only and ``collect=True``, cache cold, warm and bypassed —
+  over windows that touch a table edge, fall between tables, hit only
+  MemTables, are empty, and are ``(-inf, inf)``.  Counts, extrema, rows
+  and ids must be the reference's; every field must be bitwise what
+  ``aggregate_over_series`` / ``scan_over_series`` answer on an
+  unsharded twin fed the same stream.
+* **The engine** (:func:`test_every_engine_answers_the_reference`): the
+  fleet builds ``LeveledEngine`` only, so the seven registry rows (and
+  two composed triples) are drawn one level down — the same reference
+  checks both executors on each ``PRUNING_ENGINE_FACTORIES`` engine's
+  snapshot, indexed and hand-built, row / columnar / half converted.
+
+Tier-1 runs a small derandomised profile (about 20 s); ``pytest
+tests/test_read_lattice.py --hypothesis-profile deep`` (registered in
+``tests/conftest.py``) is the search run by hand.  Counter-examples it
+shrinks are committed below as plain tests.
+"""
+
+import dataclasses
+import functools
+import math
+import os
+import shutil
+import tempfile
+
+import numpy as np
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from repro.lsm.adaptive import AdaptiveEngine
+from repro.lsm.base import Snapshot
+from repro.lsm.database import TimeSeriesDatabase
+from repro.query.aggregation import execute_aggregate_query
+from repro.query.executor import QueryStats, execute_range_query
+from repro.query.merge import aggregate_over_series, scan_over_series
+from repro.serving import ShardedDatabase, ShardRouter
+from tests.conformance_support import PRUNING_ENGINE_FACTORIES
+from tests.reference_store import ReferenceStore, canonical_rows
+
+NAMES = tuple(f"s{i}" for i in range(6))
+BUDGET, TABLE = 16, 8
+#: Range routing: boundaries that spread NAMES over 1, 3 and 4 shards.
+BOUNDARIES = {1: (), 3: ("s2", "s4"), 4: ("s1", "s3", "s5")}
+DEEP = settings.get_current_profile_name() == "deep"
+
+
+def same_answer(got, want) -> None:
+    """Every field the same bits: floats by ``hex`` (NaN and signed
+    zeros included), arrays by dtype and content."""
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and a.dtype == b.dtype, field.name
+            assert np.array_equal(a, b), field.name
+        elif isinstance(b, float):
+            assert type(a) is float and a.hex() == b.hex(), (field.name, a, b)
+        else:
+            assert type(a) is type(b) and a == b, (field.name, a, b)
+
+
+def answers_the_reference(reference, names, lo, hi, aggregate, stats, collected) -> None:
+    count, minimum, maximum, total = reference.aggregate(names, lo, hi)
+    assert aggregate.count == stats.result_points == collected.result_points == count
+    if count:
+        assert (aggregate.minimum, aggregate.maximum) == (minimum, maximum)
+    else:
+        assert math.isnan(aggregate.minimum) and math.isnan(aggregate.maximum)
+    assert math.isclose(aggregate.total, total, rel_tol=1e-12, abs_tol=1e-9)
+    assert stats.rows is None and stats.row_ids is None
+    assert np.all(np.diff(collected.rows) >= 0)
+    want_tg, want_ids = reference.rows(names, lo, hi)
+    got_tg, got_ids = canonical_rows(collected.rows, collected.row_ids)
+    assert np.array_equal(got_tg, want_tg) and np.array_equal(got_ids, want_ids)
+
+
+def windows_of(snapshot) -> list[tuple[float, float]]:
+    """Windows cut to ``snapshot``'s own layout (see the module doc)."""
+    tables = sorted(snapshot.tables, key=lambda t: (t.min_tg, t.max_tg))
+    tops = [t.max_tg for t in tables] + [float(m.tg.max()) for m in snapshot.memtables]
+    top = max(tops, default=0.0)
+    windows = [(-math.inf, math.inf), (top + 1.0, top + 2.0)]
+    if tables:
+        k = len(tables) // 2
+        mid = tables[k]
+        disk_top = max(t.max_tg for t in tables)
+        windows += [
+            (mid.min_tg, mid.max_tg),                        # one table, edge to edge
+            (tables[0].min_tg, disk_top),                    # every table covered
+            (tables[0].min_tg + 0.25, disk_top - 0.25),      # ... less the two it cuts
+            (float(np.nextafter(disk_top, math.inf)), math.inf),  # only MemTables
+        ]
+        if mid.tg.size >= 3:
+            windows.append((float(mid.tg[1]), float(mid.tg[-2])))  # inside one table
+        if k:
+            left = tables[k - 1]
+            windows.append((left.max_tg, max(left.max_tg, mid.min_tg)))  # touches two
+            gap = (
+                float(np.nextafter(left.max_tg, math.inf)),
+                float(np.nextafter(mid.min_tg, -math.inf)),
+            )
+            if gap[0] <= gap[1]:
+                windows.append(gap)                          # between two tables
+    for view in snapshot.memtables[:1]:
+        windows.append((float(view.tg.min()), float(view.tg.max())))
+    return [(lo, hi) for lo, hi in windows if lo <= hi]
+
+
+def close_wals(databases) -> None:
+    for db in databases:
+        for name in db.series_names():
+            wal = db.series(name).engine.wal
+            if wal is not None:
+                wal.close()
+
+
+class ReadLattice(RuleBasedStateMachine):
+    @initialize(
+        shards=st.sampled_from((1, 3, 4)),
+        routing=st.sampled_from(("hash", "range")),
+        scheduler=st.booleans(),
+        group_commit=st.booleans(),
+    )
+    def build(self, shards, routing, scheduler, group_commit):
+        self.root = tempfile.mkdtemp(prefix="read-lattice-")
+        stability = {}
+        if scheduler:
+            stability.update(
+                compaction_scheduler=True, compaction_work_unit=4,
+                compaction_tokens_per_point=1.0, compaction_burst=16,
+            )
+        if group_commit:
+            stability["wal_group_records"] = 4
+        router = (
+            ShardRouter(shards)
+            if routing == "hash"
+            else ShardRouter(shards, mode="range", boundaries=BOUNDARIES[shards])
+        )
+        shared = dict(
+            memory_budget_per_series=BUDGET, sstable_size=TABLE, auto_tune=True,
+            stability=stability,
+        )
+        self.fleet = ShardedDatabase(
+            router=router, durability_dir=os.path.join(self.root, "fleet"), **shared
+        )
+        self.twin = TimeSeriesDatabase(
+            durability_dir=os.path.join(self.root, "twin"), **shared
+        )
+        self.reference = ReferenceStore()
+        self.frontier: dict[str, float] = {}
+        self.clock = 0.0
+        self.steps = 0
+
+    def teardown(self):
+        if hasattr(self, "root"):
+            close_wals([self.twin, *self.fleet.shards])
+            shutil.rmtree(self.root, ignore_errors=True)
+
+    def engines(self, name):
+        return (
+            self.fleet.database_for(name).series(name).engine,
+            self.twin.series(name).engine,
+        )
+
+    # -- steps -----------------------------------------------------------------
+
+    @rule(
+        series=st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
+        offsets=st.lists(st.integers(-24, 24), max_size=24),
+        sync=st.booleans(),
+    )
+    def ingest(self, series, offsets, sync):
+        """One ``ingest_batch`` call: half-unit steps around each series'
+        frontier, so generation times repeat, run backwards and — an
+        empty list — may be none at all."""
+        batch = []
+        for index in series:
+            name = NAMES[index]
+            base = self.frontier.get(name, 100.0 * (index + 1))
+            tg = base + 0.5 * np.asarray(offsets, dtype=np.float64)
+            self.clock = max(self.clock, float(tg.max(initial=0.0))) + 1.0
+            ta = self.clock + np.arange(tg.size, dtype=np.float64)
+            self.clock += tg.size
+            batch.append((name, tg, ta))
+            self.frontier[name] = max(base, float(tg.max(initial=base)))
+        self.fleet.ingest_batch(batch, sync=sync)
+        for name, tg, ta in batch:
+            self.twin.write(name, tg, ta)
+            self.reference.write(name, tg)
+
+    @rule(
+        index=st.integers(0, 5),
+        count=st.integers(20, 60),
+        late=st.integers(0, 12),
+        sync=st.booleans(),
+    )
+    def burst(self, index, count, late, sync):
+        """A longer mostly-in-order batch, every fourth point ``late``
+        steps behind (0: none): what grows a run to many tables."""
+        offsets = np.arange(1, count + 1)
+        offsets[::4] -= late
+        self.ingest([index], offsets.tolist(), sync)
+
+    @rule()
+    def flush_all(self):
+        self.fleet.flush_all()
+        self.twin.flush_all()
+
+    @rule(
+        index=st.integers(0, 5),
+        seq_capacity=st.none() | st.integers(1, BUDGET - 1),
+    )
+    def split(self, index, seq_capacity):
+        """A new series is created under the drawn split (after whatever
+        queries have run: the routing plan must see it); an existing one
+        is re-split to it in place."""
+        name = NAMES[index]
+        if name in self.reference.series_names():
+            for engine in self.engines(name):
+                engine.resplit(seq_capacity)
+        else:
+            self.fleet.database_for(name).create_series(name, seq_capacity=seq_capacity)
+            self.twin.create_series(name, seq_capacity=seq_capacity)
+            self.reference.write(name, [])
+
+    @rule()
+    def retune(self):
+        assert self.fleet.retune(min_observations=32) == self.twin.retune(min_observations=32)
+
+    @rule(
+        index=st.integers(0, 5),
+        block_size=st.sampled_from((1, 3, 64)),
+        half=st.booleans(),
+    )
+    def convert_cold(self, index, block_size, half):
+        name = NAMES[index]
+        if name not in self.reference.series_names():
+            return
+        cutoff = self.frontier.get(name, 0.0) - 6.0 if half else None
+        fleet_engine, twin_engine = self.engines(name)
+        assert fleet_engine.convert_cold(max_tg=cutoff, block_size=block_size) == (
+            twin_engine.convert_cold(max_tg=cutoff, block_size=block_size)
+        )
+
+    @rule()
+    def checkpoint_and_recover(self):
+        self.fleet.sync()
+        self.twin.sync()
+        self.fleet.checkpoint_all()
+        self.twin.checkpoint_all()
+        close_wals([self.twin, *self.fleet.shards])
+        self.fleet = ShardedDatabase.recover(self.fleet.durability_dir)
+        self.twin = TimeSeriesDatabase.recover(self.twin.durability_dir)
+
+    # -- the check -------------------------------------------------------------
+
+    @invariant()
+    def every_read_is_the_reference_and_the_twin(self):
+        self.steps += 1
+        names = sorted(self.reference.series_names())
+        assert sorted(self.fleet.series_names()) == sorted(self.twin.series_names()) == names
+        if not names:
+            forms, windows = [None], [(-math.inf, math.inf), (0.0, 1.0)]
+        else:
+            turn = self.steps % len(names)
+            focus = names[turn]
+            listed = (names[turn:] + names[:turn])[::-1][:3]  # caller order, not sorted
+            forms = [focus, listed, set(listed), None]
+            snapshot = self.twin.snapshot(focus)
+            windows = windows_of(snapshot)
+            # What the checks met (--hypothesis-show-statistics).
+            event(f"tables: {min(len(snapshot.tables), 16) // 4 * 4}+")
+            event(f"columnar: {sum(t.is_columnar for t in snapshot.tables) > 0}")
+            event(f"memtables: {len(snapshot.memtables)}")
+        for lo, hi in windows:
+            for form in forms:
+                # What the twin is asked: a set has no order of its own.
+                asked = sorted(form) if isinstance(form, set) else form
+                want = (
+                    aggregate_over_series(self.twin, asked, lo, hi),
+                    scan_over_series(self.twin, asked, lo, hi),
+                    scan_over_series(self.twin, asked, lo, hi, collect=True),
+                )
+                for use_cache in (True, True, False):  # cold, warm, bypassed
+                    got = (
+                        self.fleet.query_aggregate(form, lo, hi, use_cache=use_cache),
+                        self.fleet.query_range(form, lo, hi, use_cache=use_cache),
+                        self.fleet.query_range(form, lo, hi, collect=True, use_cache=use_cache),
+                    )
+                    for mine, twins in zip(got, want):
+                        same_answer(mine, twins)
+                listed_names = [asked] if isinstance(asked, str) else asked
+                answers_the_reference(self.reference, listed_names, lo, hi, *want)
+
+
+TestReadLattice = ReadLattice.TestCase
+TestReadLattice.settings = (
+    settings()
+    if DEEP
+    else settings(derandomize=True, max_examples=50, stateful_step_count=20, deadline=None)
+)
+
+
+# -- one level down: every engine's snapshot ------------------------------------
+
+LAYOUTS = ("row", "columnar", "half")
+
+
+@functools.lru_cache(maxsize=None)
+def _engine_state(engine_key, layout, flushed, seed):
+    """``(snapshot, reference)`` of ``engine_key`` after a disordered,
+    duplicate-heavy stream, its tables in ``layout``."""
+    rng = np.random.default_rng(seed)
+    tg = np.floor(np.arange(1500) / 3.0) * 2.5 + rng.integers(-40, 1, size=1500) * 2.5
+    engine = PRUNING_ENGINE_FACTORIES[engine_key](None)
+    reference = ReferenceStore()
+    for pos in range(0, tg.size, 211):
+        chunk = tg[pos : pos + 211]
+        if isinstance(engine, AdaptiveEngine):
+            engine.ingest(chunk, np.arange(pos, pos + chunk.size, dtype=np.float64) * 3.0 + 200.0)
+        else:
+            engine.ingest(chunk)
+        reference.write("s", chunk)
+    if flushed:
+        engine.flush_all()
+    if layout == "columnar":
+        engine.convert_cold(block_size=4)
+    elif layout == "half":
+        engine.convert_cold(max_tg=float(np.median(tg)), block_size=4)
+    return engine.snapshot(), reference
+
+
+@settings(
+    settings() if DEEP else settings(derandomize=True, max_examples=150), deadline=None
+)
+@given(
+    engine_key=st.sampled_from(sorted(PRUNING_ENGINE_FACTORIES)),
+    layout=st.sampled_from(LAYOUTS),
+    flushed=st.booleans(),
+    seed=st.integers(0, 2),
+    data=st.data(),
+)
+def test_every_engine_answers_the_reference(engine_key, layout, flushed, seed, data):
+    snapshot, reference = _engine_state(engine_key, layout, flushed, seed)
+    assert snapshot.index is not None and snapshot.tables
+    hand_built = Snapshot(tables=snapshot.tables, memtables=snapshot.memtables)
+    lo, hi = data.draw(st.sampled_from(windows_of(snapshot)))
+    answers = []
+    for target in (snapshot, hand_built):
+        answer = (
+            execute_aggregate_query(target, lo, hi),
+            execute_range_query(target, lo, hi),
+            execute_range_query(target, lo, hi, collect=True),
+        )
+        answers_the_reference(reference, ["s"], lo, hi, *answer)
+        answers.append(answer)
+    for indexed, walked in zip(*answers):
+        same_answer(_less_access_path(indexed), _less_access_path(walked))
+
+
+def _less_access_path(answer):
+    """``tables_consulted`` is what the access path costs, not an answer."""
+    if isinstance(answer, QueryStats):
+        return dataclasses.replace(answer, tables_consulted=0)
+    return answer
+
+
+# -- counter-examples the lattice shrank, kept as plain tests ---------------------
+
+
+def test_a_one_shard_range_fleet_recovers(tmp_path):
+    """``build(shards=1, routing='range')`` then ``checkpoint_and_recover()``:
+    the manifest's empty boundary list came back as "no boundaries
+    given", which a range router refuses — the fleet could not be
+    revived ("needs exactly 0 boundaries, got 0")."""
+    router = ShardRouter(1, mode="range", boundaries=())
+    assert ShardRouter.from_dict(router.as_dict()).as_dict() == router.as_dict()
+    fleet = ShardedDatabase(router=router, durability_dir=str(tmp_path))
+    fleet.write("a", np.arange(5.0))
+    fleet.checkpoint_all()
+    revived = ShardedDatabase.recover(str(tmp_path))
+    assert revived.router.as_dict() == router.as_dict()
+    same_answer(revived.query_aggregate(), fleet.query_aggregate())
+    for other in (ShardRouter(3), ShardRouter(3, mode="range", boundaries=("b", "d"))):
+        assert ShardRouter.from_dict(other.as_dict()).as_dict() == other.as_dict()
