@@ -1,0 +1,237 @@
+"""The front door, pinned: what every command prints, at its smallest size.
+
+``tests/data/front_door_golden.json`` holds stdout, stderr and the exit
+code of a fixed list of command lines, each run in-process through the
+program's ``main`` in its own scratch directory, with wall-clock figures
+and the scratch path masked.  ``tests/test_front_door.py`` replays it.
+
+Recorded on purpose only::
+
+    PYTHONPATH=src:. python tests/front_door_support.py --record
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "front_door_golden.json"
+
+
+# -- state a command line needs before it runs -----------------------------------
+
+
+def engine_trace(tmp: Path) -> None:
+    """``trace.jsonl``: the traced separation run of ``tests/test_cli.py``,
+    its clock readings replaced by figures that depend on ``seq`` alone."""
+    from repro import LogNormalDelay, LsmConfig, SeparationEngine, execute_range_query
+    from repro.workloads import generate_synthetic
+
+    raw = tmp / "raw.jsonl"
+    dataset = generate_synthetic(10_000, dt=50, delay=LogNormalDelay(5.0, 2.0), seed=2)
+    engine = SeparationEngine(
+        LsmConfig(128, 128, seq_capacity=64).with_telemetry(f"jsonl:{raw}")
+    )
+    engine.ingest(dataset.tg)
+    engine.flush_all()
+    execute_range_query(engine.snapshot(), 0.0, 1e9, telemetry=engine.telemetry)
+    engine.telemetry.close()
+    events = [json.loads(line) for line in raw.read_text().splitlines()]
+    for event in events:
+        event["ts_ms"] = float(event["seq"])
+        if "duration_ms" in event:
+            event["duration_ms"] = 0.25 * (event["seq"] % 8 + 1)
+    raw.unlink()
+    write_trace(tmp, events)
+
+
+def stability_trace(tmp: Path) -> None:
+    """``trace.jsonl``: the hand-written events of ``tests/test_stability.py``."""
+    from tests.test_stability import _trace_events
+
+    write_trace(tmp, _trace_events())
+
+
+def write_trace(tmp: Path, events: list[dict]) -> None:
+    (tmp / "trace.jsonl").write_text("".join(json.dumps(e) + "\n" for e in events))
+
+
+def arbiter_fleet(tmp: Path) -> None:
+    """``fleet/``: a checkpointed two-shard fleet whose memory arbiter has
+    rebalanced (the skewed fleet of ``tests/test_serving.py``)."""
+    from repro import ExponentialDelay, MemoryArbiter, UniformDelay
+    from repro.serving import ShardedDatabase
+    from repro.workloads import generate_synthetic
+
+    arbiter = MemoryArbiter(
+        total_budget=4 * 64,
+        candidate_budgets=(32, 64, 128),
+        decision_interval=4000,
+        min_observations=512,
+    )
+    fleet = ShardedDatabase(
+        n_shards=2,
+        memory_budget_per_series=64,
+        sstable_size=32,
+        auto_tune=True,
+        durability_dir=str(tmp / "fleet"),
+        arbiter=arbiter,
+    )
+    laws = {
+        "noisy-0": ExponentialDelay(mean=40.0),
+        "noisy-1": ExponentialDelay(mean=40.0),
+        "clean-0": UniformDelay(0.0, 0.5),
+        "clean-1": UniformDelay(0.0, 0.5),
+    }
+    datasets = {
+        name: generate_synthetic(2000, dt=1.0, delay=law, seed=3 + index, name=name)
+        for index, (name, law) in enumerate(laws.items())
+    }
+    for pos in range(0, 2000, 500):
+        region = slice(pos, pos + 500)
+        fleet.ingest_batch(
+            [(name, ds.tg[region], ds.ta[region]) for name, ds in datasets.items()]
+        )
+    assert fleet.last_rebalance is not None
+    fleet.checkpoint_all()
+
+
+# -- the list ----------------------------------------------------------------------
+
+#: ``id -> (prepare, [(program, argv), ...])``; ``{tmp}`` in an argument
+#: is the case's scratch directory.  The steps of one case share it.
+CASES = {
+    "list": (None, [("repro", ["list"])]),
+    "fig11": (None, [("repro", ["fig11", "--scale", "0.05"])]),
+    "engines": (None, [("repro", ["engines"])]),
+    "telemetry-report-engine": (
+        engine_trace, [("repro", ["telemetry-report", "{tmp}/trace.jsonl"])]
+    ),
+    "stability-report-engine": (
+        engine_trace, [("repro", ["stability-report", "{tmp}/trace.jsonl"])]
+    ),
+    "telemetry-report-stability": (
+        stability_trace, [("repro", ["telemetry-report", "{tmp}/trace.jsonl"])]
+    ),
+    "stability-report-stability": (
+        stability_trace, [("repro", ["stability-report", "{tmp}/trace.jsonl"])]
+    ),
+    "checkpoint-recover": (
+        None,
+        [
+            ("repro", ["checkpoint", "--dir", "{tmp}/state", "--series", "2",
+                       "--points", "2000"]),
+            ("repro", ["recover", "--dir", "{tmp}/state"]),
+        ],
+    ),
+    "shard-report": (
+        arbiter_fleet, [("repro", ["shard-report", "--dir", "{tmp}/fleet"])]
+    ),
+    "crash-test-engines": (
+        None,
+        [("repro", ["crash-test", "--engines", "pi_c,tiered", "--seeds", "1",
+                    "--points", "1500"])],
+    ),
+    "crash-test-fleet": (
+        None,
+        [("repro", ["crash-test", "--fleet", "--shards", "2", "--seeds", "1"])],
+    ),
+    "federated-report": (
+        None,
+        [("repro", ["federated-report", "--shards", "3", "--series", "4",
+                    "--points", "400", "--windows", "3", "--seed", "5"])],
+    ),
+    "cold-report": (
+        None, [("repro", ["cold-report", "--points", "20000", "--windows", "4"])]
+    ),
+    "decide-json": (
+        None,
+        [("repro.tools", ["decide", "--mu", "5", "--sigma", "2", "--dt", "50",
+                          "--json"])],
+    ),
+    "generate-analyze": (
+        None,
+        [
+            ("repro.tools", ["generate", "{tmp}/stream.csv", "--points", "20000",
+                             "--seed", "3"]),
+            ("repro.tools", ["analyze", "{tmp}/stream.csv", "--budget", "128"]),
+        ],
+    ),
+}
+
+
+# -- running and masking -----------------------------------------------------------
+
+_MASKS = (
+    (re.compile(r"\d+\.\d+s\b"), "<S>s"),  # "[fig11 completed in 0.3s]"
+    (re.compile(r" *\d+\.\d+ ms"), " <MS> ms"),  # "row-scan aggregation:  1.93 ms"
+    (re.compile(r"speedup: \S+x"), "speedup: <X>x"),
+    # The two latency cells that end a federation-report row.
+    (
+        re.compile(r"^(\s*shard-\d\d(?:\s+\d+){5})\s+\S+\s+\S+$", re.MULTILINE),
+        r"\1  <MS>  <MS>",
+    ),
+)
+
+
+def mask(text: str, tmp: Path) -> str:
+    text = text.replace(str(tmp), "<TMP>")
+    for pattern, replacement in _MASKS:
+        text = pattern.sub(replacement, text)
+    return text
+
+
+def entry_point(program: str):
+    if program == "repro":
+        from repro.cli import main
+    else:
+        from repro.tools import main
+    return main
+
+
+def run_step(program: str, argv: list[str], tmp: Path) -> dict:
+    """One command line through ``main``: masked stdout, stderr, exit code."""
+    from repro import reset_global_telemetry
+
+    main = entry_point(program)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([arg.replace("{tmp}", str(tmp)) for arg in argv])
+        except SystemExit as exit_:
+            code = exit_.code
+        finally:
+            reset_global_telemetry()
+    return {
+        "program": program,
+        "argv": argv,
+        "exit": code,
+        "stdout": mask(out.getvalue(), tmp),
+        "stderr": mask(err.getvalue(), tmp),
+    }
+
+
+def run_case(case_id: str) -> list[dict]:
+    prepare, steps = CASES[case_id]
+    with tempfile.TemporaryDirectory(prefix="front-door-") as scratch:
+        tmp = Path(scratch)
+        if prepare is not None:
+            prepare(tmp)
+        return [run_step(program, argv, tmp) for program, argv in steps]
+
+
+def load_golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    golden = {case_id: run_case(case_id) for case_id in CASES}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
+    print(f"[front-door golden written to {GOLDEN_PATH}]")
