@@ -111,7 +111,6 @@ from .obs import (
     configure_telemetry,
     global_telemetry,
     load_trace,
-    render_stability_report,
     render_trace_report,
     reset_global_telemetry,
 )
@@ -271,7 +270,6 @@ __all__ = [
     "reset_global_telemetry",
     "load_trace",
     "render_trace_report",
-    "render_stability_report",
     # errors
     "ReproError",
     "ConfigError",

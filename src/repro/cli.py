@@ -1,6 +1,7 @@
-"""Command-line entry point: regenerate any paper figure or table.
+"""Command-line entry point: one program, one command tree.
 
-Usage::
+Regenerate any paper figure or table, ask the paper's question for a
+stream of your own, and operate the storage system around it::
 
     python -m repro list
     python -m repro fig07
@@ -9,525 +10,244 @@ Usage::
     python -m repro run-all --workers 4
     python -m repro run-all --workers 4 --no-cache --scale 0.5
     python -m repro fig07 --trace trace.jsonl
-    python -m repro telemetry-report trace.jsonl
-    python -m repro stability-report trace.jsonl
+    python -m repro report trace.jsonl
+    python -m repro decide --mu 5 --sigma 2 --dt 50 --budget 512
+    python -m repro analyze mystream.csv --budget 512
+    python -m repro generate out.csv --points 100000 --mu 4 --sigma 1.5
     python -m repro crash-test --engines all --seeds 3 --workers 4
     python -m repro crash-test --faults fsync_delay,slow_merge --seeds 2
     python -m repro crash-test --fleet --shards 4 --seeds 2
     python -m repro checkpoint --dir state/
     python -m repro recover --dir state/
-    python -m repro shard-report --dir fleet/
+    python -m repro report fleet/
     python -m repro federated-report --shards 4
     python -m repro engines
     python -m repro cold-report --points 200000 --block-size 256
+
+Every command is a subparser of one :mod:`argparse` tree (a leading
+word that is no command is an experiment id); every handler takes the
+parsed arguments and returns an exit code; :func:`main` is the one place
+a :class:`~repro.errors.ReproError` or an :class:`OSError` becomes
+``error: ...`` and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import os
 import sys
 import time
 
+from .config import DEFAULT_MEMORY_BUDGET, DEFAULT_SSTABLE_SIZE
 from .errors import ReproError
-from .experiments import experiment_ids, run_experiment
+from .experiments import experiment_ids
 from .obs import configure_telemetry, load_trace, render_trace_report
+from .tables import format_table
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description=(
-            "Reproduce the figures/tables of 'Separation or Not' (ICDE 2022)"
-        ),
-    )
-    parser.add_argument(
-        "experiment",
-        help=(
-            "experiment id (see 'list'), 'all', 'list', or a subcommand: "
-            "'run-all', 'telemetry-report <trace.jsonl>', "
-            "'stability-report <trace.jsonl>', 'crash-test', "
-            "'checkpoint', 'recover', 'shard-report', "
-            "'federated-report', 'engines'"
-        ),
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="dataset-size multiplier (default 1.0; paper scale is ~100x)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the default RNG seed"
-    )
-    parser.add_argument(
-        "--csv-dir",
-        default=None,
-        help="also write each result table as CSV into this directory",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help=(
-            "capture telemetry (experiment wall-times, engine flush/merge "
-            "events) as JSON lines into PATH; inspect it later with "
-            "'telemetry-report PATH'"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "fan experiments out over N worker processes (default: serial; "
-            "-1 = one per CPU); results are bit-identical to the serial run"
-        ),
-    )
-    return parser
-
-
-def _build_report_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments telemetry-report",
-        description=(
-            "Summarise a JSONL telemetry trace: span timings, compaction "
-            "volumes, query costs"
-        ),
-    )
-    parser.add_argument("trace", help="path to a JSONL trace file")
-    return parser
-
-
-def _telemetry_report(argv: list[str]) -> int:
-    """The ``telemetry-report`` subcommand; returns an exit code."""
-    args = _build_report_parser().parse_args(argv)
+def _finite_float(text: str) -> float:
+    """``argparse`` type of ``--scale``: NaN and infinities have no
+    dataset size, so they are usage errors like any other non-number."""
     try:
-        events = load_trace(args.trace)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    print(render_trace_report(events, source=args.trace))
+        value = float(text)
+    except ValueError:
+        value = math.nan  # reported below, in argparse's own words
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return value
+
+
+# -- experiments: <id>, all, run-all, list -------------------------------------------
+
+
+def _list(args: argparse.Namespace) -> int:
+    for experiment_id in experiment_ids():
+        print(experiment_id)
     return 0
 
 
-def _build_stability_report_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments stability-report",
-        description=(
-            "Summarise the robustness signals in a JSONL telemetry trace: "
-            "group-commit coalescing ratios, backpressure state "
-            "transitions, and writer stall counts/durations"
-        ),
-    )
-    parser.add_argument("trace", help="path to a JSONL trace file")
-    return parser
+def _experiments(args: argparse.Namespace) -> int:
+    """``<id>``, ``all`` and ``run-all``: one driver call, one print loop.
 
-
-def _stability_report(argv: list[str]) -> int:
-    """The ``stability-report`` subcommand; returns an exit code."""
-    from .obs import render_stability_report
-
-    args = _build_stability_report_parser().parse_args(argv)
-    try:
-        events = load_trace(args.trace)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    print(render_stability_report(events, source=args.trace))
-    return 0
-
-
-def _build_crash_test_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments crash-test",
-        description=(
-            "Fault-injection crash matrix: for every engine x fault kind x "
-            "seed, ingest under an armed fault, crash, recover from WAL "
-            "(+checkpoint), verify invariants, and check the recovered "
-            "write amplification equals a crash-free rerun"
-        ),
-    )
-    parser.add_argument(
-        "--engines",
-        default="all",
-        help=(
-            "comma-separated engine keys "
-            "(pi_c,pi_s,adaptive,iotdb,multilevel,tiered) or 'all'"
-        ),
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=3, help="seeds per (engine, fault) cell"
-    )
-    parser.add_argument(
-        "--faults",
-        default=None,
-        help=(
-            "comma-separated fault kinds to sweep (default: the four "
-            "crash/corruption kinds); overload kinds 'fsync_delay' and "
-            "'slow_merge' run the engines degraded under group-commit + "
-            "the incremental compaction scheduler"
-        ),
-    )
-    parser.add_argument(
-        "--points", type=int, default=6000, help="points ingested per case"
-    )
-    parser.add_argument(
-        "--workdir",
-        default=None,
-        help="keep WAL/checkpoint files here instead of a temp directory",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "run matrix cells on N worker processes (default: serial; "
-            "-1 = one per CPU)"
-        ),
-    )
-    parser.add_argument(
-        "--fleet",
-        action="store_true",
-        help=(
-            "run the fleet crash matrix instead: kill one shard of a "
-            "sharded serving tier mid-group-commit, recover only that "
-            "shard, and check the survivors are byte-for-byte untouched "
-            "(--engines/--points/--workers do not apply)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="fleet width for --fleet cases (default 4)",
-    )
-    return parser
-
-
-def _crash_test(argv: list[str]) -> int:
-    """The ``crash-test`` subcommand; returns an exit code."""
-    from .faults.crashtest import run_crash_test, run_fleet_crash_test
-
-    args = _build_crash_test_parser().parse_args(argv)
-    engines = (
-        None
-        if args.engines == "all"
-        else [key.strip() for key in args.engines.split(",") if key.strip()]
-    )
-    faults = (
-        None
-        if args.faults is None
-        else [kind.strip() for kind in args.faults.split(",") if kind.strip()]
-    )
-    try:
-        if args.fleet:
-            report = run_fleet_crash_test(
-                seeds=args.seeds,
-                workdir=args.workdir,
-                faults=faults,
-                n_shards=args.shards,
-            )
-        else:
-            report = run_crash_test(
-                engines=engines,
-                seeds=args.seeds,
-                n_points=args.points,
-                workdir=args.workdir,
-                workers=args.workers,
-                faults=faults,
-            )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
-def _build_checkpoint_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments checkpoint",
-        description=(
-            "Ingest a seeded synthetic fleet into a WAL-backed database "
-            "and checkpoint every series; 'recover --dir' revives it"
-        ),
-    )
-    parser.add_argument(
-        "--dir", required=True, dest="durability_dir",
-        help="durability directory for WALs, checkpoints and the manifest",
-    )
-    parser.add_argument(
-        "--series", type=int, default=3, help="number of series to ingest"
-    )
-    parser.add_argument(
-        "--points", type=int, default=20_000, help="points per series"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    return parser
-
-
-def _checkpoint(argv: list[str]) -> int:
-    """The ``checkpoint`` subcommand; returns an exit code."""
-    from .distributions import ExponentialDelay
-    from .lsm import TimeSeriesDatabase
-    from .workloads import generate_synthetic
-
-    args = _build_checkpoint_parser().parse_args(argv)
-    try:
-        db = TimeSeriesDatabase(durability_dir=args.durability_dir)
-        for index in range(args.series):
-            dataset = generate_synthetic(
-                args.points,
-                dt=1.0,
-                delay=ExponentialDelay(mean=40.0),
-                seed=args.seed + index,
-            )
-            db.write(f"series-{index}", dataset.tg, dataset.ta)
-        manifest = db.checkpoint_all()
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    for name in db.series_names():
-        engine = db.series(name).engine
-        print(
-            f"{name}: {engine.ingested_points} points, "
-            f"wa={engine.write_amplification:.3f}"
-        )
-    print(f"[checkpoint manifest written to {manifest}]")
-    return 0
-
-
-def _build_recover_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments recover",
-        description=(
-            "Recover a database from a durability directory: restore each "
-            "series' checkpoint (falling back to full WAL replay when "
-            "corrupt), replay the WAL tail, and verify invariants"
-        ),
-    )
-    parser.add_argument(
-        "--dir", required=True, dest="durability_dir",
-        help="durability directory written by 'checkpoint'",
-    )
-    return parser
-
-
-def _recover(argv: list[str]) -> int:
-    """The ``recover`` subcommand; returns an exit code."""
-    from .lsm import TimeSeriesDatabase
-
-    args = _build_recover_parser().parse_args(argv)
-    try:
-        db = TimeSeriesDatabase.recover(args.durability_dir)
-        for name in db.series_names():
-            engine = db.series(name).engine
-            engine.verify()
-            print(
-                f"{name}: recovered {engine.ingested_points} points, "
-                f"wa={engine.write_amplification:.3f}, invariants ok"
-            )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    print(f"[recovered {len(db)} series from {args.durability_dir}]")
-    return 0
-
-
-def _build_shard_report_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments shard-report",
-        description=(
-            "Recover a sharded serving tier from its fleet durability "
-            "directory and print the operator view: per-shard series, "
-            "points, disk writes, WA, MemTable budget, WAL bytes and "
-            "backpressure state, plus the last memory-arbiter rebalance"
-        ),
-    )
-    parser.add_argument(
-        "--dir", required=True, dest="durability_dir",
-        help="fleet durability directory (contains fleet.json)",
-    )
-    return parser
-
-
-def _shard_report(argv: list[str]) -> int:
-    """The ``shard-report`` subcommand; returns an exit code."""
-    from .obs.sharding import render_shard_report
-    from .serving import ShardedDatabase
-
-    args = _build_shard_report_parser().parse_args(argv)
-    try:
-        fleet = ShardedDatabase.recover(args.durability_dir)
-        print(render_shard_report(fleet, source=args.durability_dir))
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _build_run_all_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments run-all",
-        description=(
-            "Run every registered experiment through the parallel driver: "
-            "unchanged experiments are served from the result cache, the "
-            "rest fan out over a worker pool; results are bit-identical "
-            "to a serial run"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: serial; -1 = one per CPU)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="always re-run; do not read or write the result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="result cache directory (default: .repro-cache)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=1.0, help="dataset-size multiplier"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the default RNG seed"
-    )
-    parser.add_argument(
-        "--csv-dir",
-        default=None,
-        help="also write each result table as CSV into this directory",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="capture merged telemetry (workers included) as JSONL into PATH",
-    )
-    return parser
-
-
-def _run_all(argv: list[str]) -> int:
-    """The ``run-all`` subcommand; returns an exit code."""
+    Results are bit-identical across worker counts and cache states;
+    only the status lines say which command ran them.
+    """
     from .parallel import ResultCache, run_experiments
 
-    args = _build_run_all_parser().parse_args(argv)
+    run_all = args.command == "run-all"
     if args.trace is not None:
         configure_telemetry(sink=f"jsonl:{args.trace}")
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    cache = ResultCache(args.cache_dir) if run_all and not args.no_cache else None
     started = time.perf_counter()
-    try:
-        runs = run_experiments(
-            scale=args.scale,
-            seed=args.seed,
-            workers=args.workers,
-            cache=cache,
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    runs = run_experiments(
+        None if args.command in ("all", "run-all") else [args.command],
+        scale=args.scale,
+        seed=args.seed,
+        workers=args.workers,
+        cache=cache,
+    )
     for run in runs:
         print(run.result.render())
         if args.csv_dir is not None:
             for path in run.result.save_csv(args.csv_dir):
                 print(f"[wrote {path}]")
-        status = "cached" if run.cached else f"ran in {run.duration_s:.1f}s"
-        print(f"\n[{run.experiment_id}: {status}]\n")
-    elapsed = time.perf_counter() - started
-    cached = sum(1 for run in runs if run.cached)
-    print(
-        f"[run-all: {len(runs)} experiments ({cached} cached) in "
-        f"{elapsed:.1f}s, workers={args.workers or 1}]"
-    )
+        if run_all:
+            status = "cached" if run.cached else f"ran in {run.duration_s:.1f}s"
+            print(f"\n[{run.experiment_id}: {status}]\n")
+        else:
+            print(f"\n[{run.experiment_id} completed in "
+                  f"{run.duration_s:.1f}s]\n")
+    if run_all:
+        elapsed = time.perf_counter() - started
+        cached = sum(1 for run in runs if run.cached)
+        print(
+            f"[run-all: {len(runs)} experiments ({cached} cached) in "
+            f"{elapsed:.1f}s, workers={args.workers or 1}]"
+        )
     if args.trace is not None:
         print(f"[telemetry trace written to {args.trace}]")
     return 0
 
 
-def _build_engines_parser() -> argparse.ArgumentParser:
-    return argparse.ArgumentParser(
-        prog="repro-experiments engines",
-        description=(
-            "List every registered engine as its policy triple (placement "
-            "x flush x compaction); novel combinations are available via "
-            "repro.lsm.policies.compose_engine"
-        ),
+# -- the operator's question: decide, analyze, generate ------------------------------
+
+
+def _decision_report(decision, header: str) -> str:
+    lines = [header, f"  {decision.describe()}"]
+    lines.append(
+        f"  predicted WA: pi_c={decision.r_c:.3f}, "
+        f"best pi_s={decision.r_s_star:.3f}"
     )
+    if decision.policy == "separation":
+        lines.append(
+            f"  provision C_seq={decision.seq_capacity}, "
+            f"C_nonseq={decision.sweep_n_seq.max() + 1 - decision.seq_capacity}"
+        )
+    return "\n".join(lines)
 
 
-def _engines(argv: list[str]) -> int:
-    """The ``engines`` subcommand; returns an exit code."""
+def _decide(args: argparse.Namespace) -> int:
+    from .core import tune_separation_policy
+    from .distributions import LogNormalDelay
+
+    decision = tune_separation_policy(
+        LogNormalDelay(mu=args.mu, sigma=args.sigma),
+        args.dt,
+        args.budget,
+        sstable_size=args.sstable,
+        exhaustive=args.exhaustive,
+    )
+    if args.json:
+        print(
+            json.dumps(
+                {
+                    "policy": decision.policy,
+                    "seq_capacity": decision.seq_capacity,
+                    "r_c": decision.r_c,
+                    "r_s_star": decision.r_s_star,
+                    "predicted_wa": decision.predicted_wa,
+                }
+            )
+        )
+        return 0
+    print(
+        _decision_report(
+            decision,
+            f"workload: lognormal(mu={args.mu:g}, sigma={args.sigma:g}) "
+            f"delays, dt={args.dt:g}, budget={args.budget}",
+        )
+    )
+    return 0
+
+
+def _analyze(args: argparse.Namespace) -> int:
+    from .core import DelayAnalyzer
+    from .workloads import load_csv
+
+    dataset = load_csv(args.csv)
+    print(dataset.describe())
+    analyzer = DelayAnalyzer(
+        memory_budget=args.budget,
+        window=args.window,
+        sstable_size=args.sstable,
+    )
+    for chunk in dataset.chunks(10_000):
+        analyzer.observe(chunk.tg, chunk.ta)
+    profile = analyzer.profile()
+    print(f"profile: {profile.describe()}")
+    print(f"delays:  {analyzer.delay_summary().format()}")
+    decision = analyzer.recommend(exhaustive=args.exhaustive)
+    print(_decision_report(decision, f"analyzed {len(dataset)} points"))
+    return 0
+
+
+def _generate(args: argparse.Namespace) -> int:
+    from .distributions import LogNormalDelay
+    from .workloads import generate_synthetic, save_csv
+
+    dataset = generate_synthetic(
+        args.points,
+        dt=args.dt,
+        delay=LogNormalDelay(mu=args.mu, sigma=args.sigma),
+        seed=args.seed,
+    )
+    save_csv(dataset, args.csv)
+    print(f"wrote {len(dataset)} points to {args.csv}")
+    print(dataset.describe())
+    return 0
+
+
+# -- reports ---------------------------------------------------------------------------
+
+
+def _report(args: argparse.Namespace) -> int:
+    """``report PATH``: what ``PATH`` is decides what is printed."""
+    from .obs import render_shard_report
+    from .serving import FLEET_MANIFEST, ShardedDatabase
+
+    if os.path.exists(os.path.join(args.path, FLEET_MANIFEST)):
+        fleet = ShardedDatabase.recover(args.path)
+        print(render_shard_report(fleet, source=args.path))
+    else:
+        print(render_trace_report(load_trace(args.path), source=args.path))
+    return 0
+
+
+def _engines(args: argparse.Namespace) -> int:
     from .lsm.policies import engine_compositions
 
-    _build_engines_parser().parse_args(argv)
     rows = engine_compositions()
-    headers = ("engine", "policy_name", "placement", "flush", "compaction")
-    widths = [
-        max(len(header), max(len(row[header]) for row in rows))
-        for header in headers
-    ]
-    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    print(line)
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
-        print("  ".join(row[h].ljust(w) for h, w in zip(headers, widths)))
+    headers = ["engine", "policy_name", "placement", "flush", "compaction"]
+    print(
+        format_table(
+            headers, [[row[h] for h in headers] for row in rows], justify=str.ljust
+        )
+    )
     print(f"[{len(rows)} engine configurations registered]")
     return 0
 
 
-def _build_cold_report_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments cold-report",
-        description=(
-            "Demonstrate the columnar cold tier: ingest a synthetic "
-            "out-of-order stream, convert the settled tables to the "
-            "columnar block format, and compare aggregation served from "
-            "block statistics against the row-scan path (results are "
-            "verified bit-identical)"
-        ),
-    )
-    parser.add_argument(
-        "--points", type=int, default=120_000,
-        help="stream length (default 120000)",
-    )
-    parser.add_argument(
-        "--sstable-size", type=int, default=8192,
-        help="points per SSTable (default 8192)",
-    )
-    parser.add_argument(
-        "--block-size", type=int, default=256,
-        help="points per columnar statistics block (default 256)",
-    )
-    parser.add_argument(
-        "--windows", type=int, default=32,
-        help="aggregation windows per timing pass (default 32)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="workload RNG seed (default 0)"
-    )
-    return parser
-
-
-def _cold_report(argv: list[str]) -> int:
-    """The ``cold-report`` subcommand; returns an exit code."""
+def _random_windows(lo_all: float, hi_all: float, count: int, seed: int):
+    """``count`` seeded query windows, each 40% of ``[lo_all, hi_all]``."""
     import numpy as np
 
+    span = hi_all - lo_all
+    rng = np.random.default_rng(seed)
+    return [
+        (lo, lo + 0.4 * span)
+        for lo in rng.uniform(lo_all, hi_all - 0.4 * span, size=count)
+    ]
+
+
+def _cold_report(args: argparse.Namespace) -> int:
     from .config import LsmConfig
     from .lsm.conventional import ConventionalEngine
     from .query.aggregation import execute_aggregate_query
     from .distributions import LogNormalDelay
     from .workloads import generate_synthetic
 
-    args = _build_cold_report_parser().parse_args(argv)
     config = LsmConfig(
         memory_budget=args.sstable_size,
         sstable_size=args.sstable_size,
@@ -540,13 +260,9 @@ def _cold_report(argv: list[str]) -> int:
     engine.ingest(stream.tg)
     engine.flush_all()
     snapshot = engine.snapshot()
-    lo_all, hi_all = float(stream.tg.min()), float(stream.tg.max())
-    span = hi_all - lo_all
-    rng = np.random.default_rng(args.seed)
-    windows = [
-        (lo, lo + 0.4 * span)
-        for lo in rng.uniform(lo_all, hi_all - 0.4 * span, size=args.windows)
-    ]
+    windows = _random_windows(
+        float(stream.tg.min()), float(stream.tg.max()), args.windows, args.seed
+    )
 
     def timed_pass():
         start = time.perf_counter()
@@ -581,52 +297,17 @@ def _cold_report(argv: list[str]) -> int:
     return 0 if identical else 1
 
 
-def _build_federated_report_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments federated-report",
-        description=(
-            "Demonstrate cross-shard query federation: ingest a "
-            "synthetic multi-series workload into a sharded fleet, run "
-            "fleet-wide aggregate and range queries through the "
-            "federated executor, verify every answer bitwise "
-            "against a single unsharded database, and print per-shard "
-            "latency/cache attribution"
-        ),
-    )
-    parser.add_argument(
-        "--shards", type=int, default=4, help="fleet width (default 4)"
-    )
-    parser.add_argument(
-        "--series", type=int, default=8,
-        help="series count (default 8)",
-    )
-    parser.add_argument(
-        "--points", type=int, default=4000,
-        help="points per series (default 4000)",
-    )
-    parser.add_argument(
-        "--windows", type=int, default=16,
-        help="query windows per pass (default 16)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="workload RNG seed (default 0)"
-    )
-    return parser
-
-
-def _federated_report(argv: list[str]) -> int:
-    """The ``federated-report`` subcommand; returns an exit code."""
+def _federated_report(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .distributions import ExponentialDelay
     from .lsm.database import TimeSeriesDatabase
-    from .obs.sharding import render_federation_report
+    from .obs import render_federation_report
     from .obs.telemetry import Telemetry
     from .query.merge import aggregate_over_series, scan_over_series
     from .serving import ShardedDatabase
     from .workloads import generate_synthetic
 
-    args = _build_federated_report_parser().parse_args(argv)
     fleet = ShardedDatabase(
         n_shards=args.shards,
         memory_budget_per_series=256,
@@ -649,12 +330,7 @@ def _federated_report(argv: list[str]) -> int:
         reference.write(name, stream.tg)
         lo_all = min(lo_all, float(stream.tg.min()))
         hi_all = max(hi_all, float(stream.tg.max()))
-    span = hi_all - lo_all
-    rng = np.random.default_rng(args.seed)
-    windows = [
-        (lo, lo + 0.4 * span)
-        for lo in rng.uniform(lo_all, hi_all - 0.4 * span, size=args.windows)
-    ]
+    windows = _random_windows(lo_all, hi_all, args.windows, args.seed)
 
     started = time.perf_counter()
     federated = [
@@ -688,74 +364,427 @@ def _federated_report(argv: list[str]) -> int:
     return 0 if identical else 1
 
 
-_SUBCOMMANDS = {
-    "run-all": _run_all,
-    "engines": _engines,
-    "cold-report": _cold_report,
-    "telemetry-report": _telemetry_report,
-    "stability-report": _stability_report,
-    "crash-test": _crash_test,
-    "checkpoint": _checkpoint,
-    "recover": _recover,
-    "shard-report": _shard_report,
-    "federated-report": _federated_report,
-}
+# -- durability: crash-test, checkpoint, recover -------------------------------------
+
+
+def _selection(text: str | None) -> list[str] | None:
+    """A comma-separated selector as a list; ``None`` (the flag was not
+    given) and ``"all"`` mean the default set, which an empty list never
+    does."""
+    if text is None or text == "all":
+        return None
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _crash_test(args: argparse.Namespace) -> int:
+    from .faults.crashtest import run_crash_test
+
+    if args.fleet:
+        for flag in ("engines", "points"):
+            if getattr(args, flag) is not None:
+                args.usage_error(
+                    f"--{flag} does not apply to the fleet matrix (--fleet)"
+                )
+    report = run_crash_test(
+        engines=_selection(args.engines),
+        seeds=args.seeds,
+        n_points=6000 if args.points is None else args.points,
+        workdir=args.workdir,
+        workers=args.workers,
+        faults=_selection(args.faults),
+        fleet_shards=args.shards if args.fleet else None,
+    )
+    print(report.summary())
+    return 0 if report.ok else 1
+
+
+def _checkpoint(args: argparse.Namespace) -> int:
+    from .distributions import ExponentialDelay
+    from .lsm import TimeSeriesDatabase
+    from .workloads import generate_synthetic
+
+    db = TimeSeriesDatabase(durability_dir=args.durability_dir)
+    for index in range(args.series):
+        dataset = generate_synthetic(
+            args.points,
+            dt=1.0,
+            delay=ExponentialDelay(mean=40.0),
+            seed=args.seed + index,
+        )
+        db.write(f"series-{index}", dataset.tg, dataset.ta)
+    manifest = db.checkpoint_all()
+    for name in db.series_names():
+        engine = db.series(name).engine
+        print(
+            f"{name}: {engine.ingested_points} points, "
+            f"wa={engine.write_amplification:.3f}"
+        )
+    print(f"[checkpoint manifest written to {manifest}]")
+    return 0
+
+
+def _recover(args: argparse.Namespace) -> int:
+    from .lsm import TimeSeriesDatabase
+
+    db = TimeSeriesDatabase.recover(args.durability_dir)
+    for name in db.series_names():
+        engine = db.series(name).engine
+        engine.verify()
+        print(
+            f"{name}: recovered {engine.ingested_points} points, "
+            f"wa={engine.write_amplification:.3f}, invariants ok"
+        )
+    print(f"[recovered {len(db)} series from {args.durability_dir}]")
+    return 0
+
+
+# -- the tree --------------------------------------------------------------------------
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The command tree, and its subparser table."""
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments",
+        description=(
+            "Reproduce the figures/tables of 'Separation or Not' (ICDE 2022)"
+        ),
+        epilog=(
+            "An experiment id (see 'list') in place of COMMAND runs that "
+            "experiment with the flags of 'all'."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    # The flags '<id>', 'all' and 'run-all' share.
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument(
+        "--scale",
+        type=_finite_float,
+        default=1.0,
+        help="dataset-size multiplier (default 1.0; paper scale is ~100x)",
+    )
+    options.add_argument(
+        "--seed", type=int, default=None, help="override the default RNG seed"
+    )
+    options.add_argument(
+        "--csv-dir",
+        default=None,
+        help="also write each result table as CSV into this directory",
+    )
+    options.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help=(
+            "capture telemetry (experiment wall-times, engine flush/merge "
+            "events) as JSON lines into PATH; inspect it later with "
+            "'report PATH'"
+        ),
+    )
+    options.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help=(
+            "fan experiments out over N worker processes (default: serial; "
+            "-1 = one per CPU); results are bit-identical to the serial run"
+        ),
+    )
+
+    def command(name, handler, help, description=None, **kwargs):
+        child = sub.add_parser(
+            name, help=help, description=description or help, **kwargs
+        )
+        child.set_defaults(handler=handler)
+        return child
+
+    command("list", _list, "print every experiment id")
+    command(
+        "all",
+        _experiments,
+        "run every registered experiment (or one: give its id instead)",
+        parents=[options],
+    )
+    run_all = command(
+        "run-all",
+        _experiments,
+        "run every experiment through the result cache",
+        description=(
+            "Run every registered experiment through the parallel driver: "
+            "unchanged experiments are served from the result cache, the "
+            "rest fan out over a worker pool; results are bit-identical "
+            "to a serial run"
+        ),
+        parents=[options],
+    )
+    run_all.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="always re-run; do not read or write the result cache",
+    )
+    run_all.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="result cache directory (default: .repro-cache)",
+    )
+
+    decide = command(
+        "decide", _decide, "run Algorithm 1 for a parametric workload"
+    )
+    decide.add_argument("--mu", type=float, required=True,
+                        help="lognormal mu of the delays")
+    decide.add_argument("--sigma", type=float, required=True,
+                        help="lognormal sigma of the delays")
+    decide.add_argument("--dt", type=float, required=True,
+                        help="generation interval")
+    decide.add_argument("--budget", type=int, default=DEFAULT_MEMORY_BUDGET,
+                        help="MemTable budget in points")
+    decide.add_argument("--sstable", type=int, default=DEFAULT_SSTABLE_SIZE,
+                        help="SSTable size in points")
+    decide.add_argument("--exhaustive", action="store_true",
+                        help="sweep every n_seq (slow, literal Algorithm 1)")
+    decide.add_argument("--json", action="store_true",
+                        help="emit the decision as one JSON object")
+
+    analyze = command(
+        "analyze", _analyze, "profile a CSV of generation,arrival timestamps"
+    )
+    analyze.add_argument("csv", help="input CSV (generation,arrival header)")
+    analyze.add_argument("--budget", type=int, default=DEFAULT_MEMORY_BUDGET)
+    analyze.add_argument("--sstable", type=int, default=DEFAULT_SSTABLE_SIZE)
+    analyze.add_argument("--window", type=int, default=8192,
+                         help="analyzer delay-window size")
+    analyze.add_argument("--exhaustive", action="store_true")
+
+    generate = command(
+        "generate", _generate, "write a synthetic workload CSV"
+    )
+    generate.add_argument("csv", help="output CSV path")
+    generate.add_argument("--points", type=int, default=100_000)
+    generate.add_argument("--dt", type=float, default=50.0)
+    generate.add_argument("--mu", type=float, default=5.0)
+    generate.add_argument("--sigma", type=float, default=2.0)
+    generate.add_argument("--seed", type=int, default=0)
+
+    report = command(
+        "report",
+        _report,
+        "summarise a JSONL trace, or a fleet durability directory",
+        description=(
+            "Print the report PATH calls for. A JSONL telemetry trace: span "
+            "timings, compaction volumes, query costs, then the robustness "
+            "signals — group-commit coalescing ratios, backpressure state "
+            "transitions, and writer stall counts/durations. A fleet "
+            "durability directory (contains fleet.json): recover the "
+            "sharded serving tier and print the operator view — per-shard "
+            "series, points, disk writes, WA, MemTable budget, WAL bytes "
+            "and backpressure state, plus the last memory-arbiter rebalance"
+        ),
+    )
+    report.add_argument(
+        "path", metavar="PATH",
+        help="a JSONL trace file, or a fleet durability directory",
+    )
+
+    command(
+        "engines",
+        _engines,
+        "list every registered engine as its policy triple",
+        description=(
+            "List every registered engine as its policy triple (placement "
+            "x flush x compaction); novel combinations are available via "
+            "repro.lsm.policies.compose_engine"
+        ),
+    )
+
+    cold = command(
+        "cold-report",
+        _cold_report,
+        "columnar cold tier: block statistics against the row scan",
+        description=(
+            "Demonstrate the columnar cold tier: ingest a synthetic "
+            "out-of-order stream, convert the settled tables to the "
+            "columnar block format, and compare aggregation served from "
+            "block statistics against the row-scan path (results are "
+            "verified bit-identical)"
+        ),
+    )
+    cold.add_argument(
+        "--points", type=int, default=120_000,
+        help="stream length (default 120000)",
+    )
+    cold.add_argument(
+        "--sstable-size", type=int, default=8192,
+        help="points per SSTable (default 8192)",
+    )
+    cold.add_argument(
+        "--block-size", type=int, default=256,
+        help="points per columnar statistics block (default 256)",
+    )
+    cold.add_argument(
+        "--windows", type=int, default=32,
+        help="aggregation windows per timing pass (default 32)",
+    )
+    cold.add_argument(
+        "--seed", type=int, default=0, help="workload RNG seed (default 0)"
+    )
+
+    federated = command(
+        "federated-report",
+        _federated_report,
+        "query federation: a fleet's answers against one database's",
+        description=(
+            "Demonstrate cross-shard query federation: ingest a "
+            "synthetic multi-series workload into a sharded fleet, run "
+            "fleet-wide aggregate and range queries through the "
+            "federated executor, verify every answer bitwise "
+            "against a single unsharded database, and print per-shard "
+            "latency/cache attribution"
+        ),
+    )
+    federated.add_argument(
+        "--shards", type=int, default=4, help="fleet width (default 4)"
+    )
+    federated.add_argument(
+        "--series", type=int, default=8,
+        help="series count (default 8)",
+    )
+    federated.add_argument(
+        "--points", type=int, default=4000,
+        help="points per series (default 4000)",
+    )
+    federated.add_argument(
+        "--windows", type=int, default=16,
+        help="query windows per pass (default 16)",
+    )
+    federated.add_argument(
+        "--seed", type=int, default=0, help="workload RNG seed (default 0)"
+    )
+
+    crash = command(
+        "crash-test",
+        _crash_test,
+        "fault-injection crash matrix (exits non-zero on any failure)",
+        description=(
+            "Fault-injection crash matrix: for every engine x fault kind x "
+            "seed, ingest under an armed fault, crash, recover from WAL "
+            "(+checkpoint), verify invariants, and check the recovered "
+            "write amplification equals a crash-free rerun"
+        ),
+    )
+    crash.set_defaults(usage_error=crash.error)
+    crash.add_argument(
+        "--engines",
+        default=None,
+        help=(
+            "comma-separated engine keys "
+            "(pi_c,pi_s,adaptive,iotdb,multilevel,tiered) or 'all'"
+        ),
+    )
+    crash.add_argument(
+        "--seeds", type=int, default=3, help="seeds per (engine, fault) cell"
+    )
+    crash.add_argument(
+        "--faults",
+        default=None,
+        help=(
+            "comma-separated fault kinds to sweep (default: the four "
+            "crash/corruption kinds); overload kinds 'fsync_delay' and "
+            "'slow_merge' run the engines degraded under group-commit + "
+            "the incremental compaction scheduler"
+        ),
+    )
+    crash.add_argument(
+        "--points", type=int, default=None, help="points ingested per case"
+    )
+    crash.add_argument(
+        "--workdir",
+        default=None,
+        help="keep WAL/checkpoint files here instead of a temp directory",
+    )
+    crash.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help=(
+            "run matrix cells on N worker processes (default: serial; "
+            "-1 = one per CPU)"
+        ),
+    )
+    crash.add_argument(
+        "--fleet",
+        action="store_true",
+        help=(
+            "run the fleet crash matrix instead: kill one shard of a "
+            "sharded serving tier mid-group-commit, recover only that "
+            "shard, and check the survivors are byte-for-byte untouched "
+            "(--engines/--points do not apply)"
+        ),
+    )
+    crash.add_argument(
+        "--shards",
+        type=int,
+        default=4,
+        help="fleet width for --fleet cases (default 4)",
+    )
+
+    checkpoint = command(
+        "checkpoint",
+        _checkpoint,
+        "ingest a seeded fleet into a WAL-backed database and checkpoint it",
+        description=(
+            "Ingest a seeded synthetic fleet into a WAL-backed database "
+            "and checkpoint every series; 'recover --dir' revives it"
+        ),
+    )
+    checkpoint.add_argument(
+        "--dir", required=True, dest="durability_dir",
+        help="durability directory for WALs, checkpoints and the manifest",
+    )
+    checkpoint.add_argument(
+        "--series", type=int, default=3, help="number of series to ingest"
+    )
+    checkpoint.add_argument(
+        "--points", type=int, default=20_000, help="points per series"
+    )
+    checkpoint.add_argument("--seed", type=int, default=0, help="base RNG seed")
+
+    recover = command(
+        "recover",
+        _recover,
+        "recover a database from its durability directory and verify it",
+        description=(
+            "Recover a database from a durability directory: restore each "
+            "series' checkpoint (falling back to full WAL replay when "
+            "corrupt), replay the WAL tail, and verify invariants"
+        ),
+    )
+    recover.add_argument(
+        "--dir", required=True, dest="durability_dir",
+        help="durability directory written by 'checkpoint'",
+    )
+    return parser, sub
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _SUBCOMMANDS[argv[0]](argv[1:])
-    args = _build_parser().parse_args(argv)
-    if args.experiment == "list":
-        for experiment_id in experiment_ids():
-            print(experiment_id)
-        return 0
-    if args.trace is not None:
-        configure_telemetry(sink=f"jsonl:{args.trace}")
-    targets = (
-        experiment_ids() if args.experiment == "all" else [args.experiment]
-    )
-    if args.workers is not None and len(targets) > 1:
-        # Fan the whole target list out at once; per-experiment output
-        # below is unchanged (results are bit-identical to the serial
-        # path, only wall-clock differs).
-        from .parallel import run_experiments
-
-        try:
-            runs = run_experiments(
-                targets, scale=args.scale, seed=args.seed, workers=args.workers
-            )
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        for run in runs:
-            print(run.result.render())
-            if args.csv_dir is not None:
-                for path in run.result.save_csv(args.csv_dir):
-                    print(f"[wrote {path}]")
-            print(f"\n[{run.experiment_id} completed in "
-                  f"{run.duration_s:.1f}s]\n")
-        if args.trace is not None:
-            print(f"[telemetry trace written to {args.trace}]")
-        return 0
-    for experiment_id in targets:
-        started = time.perf_counter()
-        try:
-            result = run_experiment(experiment_id, scale=args.scale, seed=args.seed)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        print(result.render())
-        if args.csv_dir is not None:
-            for path in result.save_csv(args.csv_dir):
-                print(f"[wrote {path}]")
-        print(f"\n[{experiment_id} completed in "
-              f"{time.perf_counter() - started:.1f}s]\n")
-    if args.trace is not None:
-        print(f"[telemetry trace written to {args.trace}]")
-    return 0
+    parser, sub = _build_parser()
+    if argv and not argv[0].startswith("-") and argv[0] not in sub.choices:
+        # Not a command, so an experiment id: 'fig07 --scale 0.5' takes the
+        # flags of 'all' and runs that one (an unknown id is the
+        # registry's error, like any other).
+        args = sub.choices["all"].parse_args(argv[1:])
+        args.command = argv[0]
+    else:
+        args = parser.parse_args(argv)
+    try:
+        return args.handler(args)
+    except (ReproError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -47,7 +47,7 @@ class LsmConfig:
         Sink spec for the engine's event bus: ``"memory[:capacity]"``
         (ring buffer, the default), ``"console"`` (JSON lines to
         stderr) or ``"jsonl:<path>"`` (append-mode trace file readable
-        by ``repro telemetry-report``).
+        by ``repro report``).
     wal_path:
         When set, the engine appends every ingested batch to a
         binary-framed, checksummed write-ahead log at this path *before*

@@ -1,8 +1,9 @@
-"""Experiment result containers and plain-text rendering.
+"""Experiment result container.
 
 Every experiment module produces an :class:`ExperimentResult`: the
 tables/series the corresponding paper figure or table reports, rendered
-as aligned text so benchmark runs print the reproduced rows directly.
+as aligned text — a :class:`repro.tables.Document` — so benchmark runs
+print the reproduced rows directly.
 """
 
 from __future__ import annotations
@@ -13,105 +14,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ExperimentError
+from ..tables import Document, ResultTable, format_table, format_value
 
 __all__ = ["ResultTable", "ExperimentResult", "format_table", "format_value"]
-
-
-def _jsonable(value):
-    """One table cell as a JSON-native value that renders identically.
-
-    Numpy scalars become their Python equivalents (``np.float64`` is
-    already a ``float`` subclass; ``np.int64``/``np.bool_`` convert via
-    ``.item()``); anything else falls back to ``str``, which is exactly
-    how :func:`format_value` renders it anyway — so a cached result's
-    ``render()`` is byte-identical to the live run's.
-    """
-    if value is None or isinstance(value, (str, bool)):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, int):
-        return int(value)
-    item = getattr(value, "item", None)
-    if item is not None:
-        return _jsonable(item())
-    return str(value)
-
-
-def format_value(value) -> str:
-    """Render one cell: floats get 4 significant digits, rest ``str``."""
-    if isinstance(value, bool) or value is None:
-        return str(value)
-    if isinstance(value, float):
-        if value != value:  # NaN
-            return "nan"
-        if value == 0:
-            return "0"
-        magnitude = abs(value)
-        if magnitude >= 1e6 or magnitude < 1e-3:
-            return f"{value:.3e}"
-        return f"{value:.4g}"
-    return str(value)
-
-
-def format_table(headers: list[str], rows: list[list]) -> str:
-    """Align ``rows`` under ``headers`` with a separator line."""
-    rendered = [[format_value(cell) for cell in row] for row in rows]
-    for row in rendered:
-        if len(row) != len(headers):
-            raise ExperimentError(
-                f"row width {len(row)} != header width {len(headers)}"
-            )
-    widths = [
-        max(len(headers[col]), *(len(r[col]) for r in rendered)) if rendered
-        else len(headers[col])
-        for col in range(len(headers))
-    ]
-    def line(cells):
-        return "  ".join(cell.rjust(width) for cell, width in zip(cells, widths))
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in rendered)
-    return "\n".join(out)
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    """One captioned table of an experiment's output."""
-
-    caption: str
-    headers: list[str]
-    rows: list[list]
-
-    def render(self) -> str:
-        """Caption plus the aligned table body."""
-        return f"{self.caption}\n{format_table(self.headers, self.rows)}"
-
-    def column(self, name: str) -> list:
-        """Extract one column by header name."""
-        try:
-            index = self.headers.index(name)
-        except ValueError as exc:
-            raise ExperimentError(
-                f"no column {name!r} in {self.headers}"
-            ) from exc
-        return [row[index] for row in self.rows]
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (see :meth:`ExperimentResult.to_dict`)."""
-        return {
-            "caption": self.caption,
-            "headers": list(self.headers),
-            "rows": [[_jsonable(cell) for cell in row] for row in self.rows],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResultTable":
-        """Rebuild a table stored by :meth:`to_dict`."""
-        return cls(
-            caption=data["caption"],
-            headers=list(data["headers"]),
-            rows=[list(row) for row in data["rows"]],
-        )
 
 
 @dataclass
@@ -144,17 +49,12 @@ class ExperimentResult:
 
     def render(self) -> str:
         """Full plain-text report: header, tables, charts, notes."""
-        parts = [f"== {self.experiment_id}: {self.title}", self.paper_reference]
-        for table in self.tables:
-            parts.append("")
-            parts.append(table.render())
-        for chart in self.charts:
-            parts.append("")
-            parts.append(chart)
-        if self.notes:
-            parts.append("")
-            parts.extend(f"note: {note}" for note in self.notes)
-        return "\n".join(parts)
+        return Document(
+            title=f"{self.experiment_id}: {self.title}",
+            subtitle=self.paper_reference,
+            blocks=[*self.tables, *self.charts],
+            notes=self.notes,
+        ).render()
 
     def to_dict(self) -> dict:
         """JSON-serialisable form, for the result cache and tooling.

@@ -11,7 +11,9 @@ recovery reproduced not just the data but the exact write-amplification
 history.
 
 ``python -m repro crash-test`` runs the full matrix (six engines × fault
-kinds × seeds) and exits non-zero on any failure.
+kinds × seeds) and exits non-zero on any failure; ``--fleet`` runs the
+fleet cells (one shard of a sharded tier killed mid-group-commit)
+through the same matrix runner.
 """
 
 from __future__ import annotations
@@ -46,18 +48,7 @@ __all__ = [
     "run_crash_case",
     "run_crash_test",
     "run_fleet_crash_case",
-    "run_fleet_crash_test",
 ]
-
-#: Engine keys the harness knows how to build and recover.
-CRASH_TEST_ENGINES = (
-    "pi_c",
-    "pi_s",
-    "adaptive",
-    "iotdb",
-    "multilevel",
-    "tiered",
-)
 
 #: Fault kinds a case can arm.
 FAULT_KINDS = ("crash_flush", "crash_merge", "torn_wal", "corrupt_checkpoint")
@@ -90,24 +81,19 @@ _OVERLOAD_STABILITY = dict(
     compaction_work_unit=256,
 )
 
-#: Constructor kwargs per engine key (beyond config/telemetry/faults).
-_ENGINE_KWARGS: dict[str, dict] = {
-    "pi_c": {},
-    "pi_s": {},
-    "adaptive": {"check_interval": 512},
-    "iotdb": {"policy": "conventional", "l1_file_limit": 4},
-    "multilevel": {"size_ratio": 4, "max_levels": 4},
-    "tiered": {"tier_fanout": 3, "max_levels": 4},
+#: Per engine key: the class, and its constructor kwargs beyond
+#: config/telemetry/faults.
+_ENGINES: dict[str, tuple[type, dict]] = {
+    "pi_c": (ConventionalEngine, {}),
+    "pi_s": (SeparationEngine, {}),
+    "adaptive": (AdaptiveEngine, {"check_interval": 512}),
+    "iotdb": (IoTDBStyleEngine, {"policy": "conventional", "l1_file_limit": 4}),
+    "multilevel": (MultiLevelEngine, {"size_ratio": 4, "max_levels": 4}),
+    "tiered": (TieredEngine, {"tier_fanout": 3, "max_levels": 4}),
 }
 
-_ENGINE_CLASSES = {
-    "pi_c": ConventionalEngine,
-    "pi_s": SeparationEngine,
-    "adaptive": AdaptiveEngine,
-    "iotdb": IoTDBStyleEngine,
-    "multilevel": MultiLevelEngine,
-    "tiered": TieredEngine,
-}
+#: Engine keys the harness knows how to build and recover.
+CRASH_TEST_ENGINES = tuple(_ENGINES)
 
 
 @dataclass
@@ -169,8 +155,8 @@ class CrashTestReport:
 
     @property
     def ok(self) -> bool:
-        """True when every case proved durability."""
-        return all(r.ok for r in self.results)
+        """True when every case proved durability (and there was one)."""
+        return bool(self.results) and all(r.ok for r in self.results)
 
     @property
     def failures(self) -> list[CrashCaseResult]:
@@ -239,8 +225,8 @@ def _build_plan(fault: str, seed: int, engine: str, n_appends: int) -> FaultPlan
 
 
 def _build_engine(key: str, config: LsmConfig, faults: FaultInjector | None):
-    cls = _ENGINE_CLASSES[key]
-    return cls(config=config, faults=faults, **_ENGINE_KWARGS[key])
+    cls, kwargs = _ENGINES[key]
+    return cls(config=config, faults=faults, **kwargs)
 
 
 def _batches(n_points: int, seed: int) -> list[slice]:
@@ -264,7 +250,7 @@ def run_crash_case(
     telemetry=None,
 ) -> CrashCaseResult:
     """Run one ingest → crash → recover → verify case."""
-    if engine not in _ENGINE_CLASSES:
+    if engine not in _ENGINES:
         raise FaultError(
             f"unknown engine {engine!r}; expected one of {CRASH_TEST_ENGINES}"
         )
@@ -320,14 +306,15 @@ def run_crash_case(
     try:
         # The adaptive engine never took a checkpoint above (its analyzer
         # is not durable), so for it this is a whole-WAL replay.
+        cls, kwargs = _ENGINES[engine]
         report = recover_engine(
-            _ENGINE_CLASSES[engine],
+            cls,
             wal_path,
             checkpoint_path=(
                 checkpoint_path if os.path.exists(checkpoint_path) else None
             ),
             config=config,
-            engine_kwargs=_ENGINE_KWARGS[engine],
+            engine_kwargs=kwargs,
             telemetry=telemetry,
         )
     except Exception as exc:  # recovery must never fail a case silently
@@ -376,48 +363,22 @@ def _fill_result(result: CrashCaseResult, report: RecoveryReport) -> None:
     result.verified = report.verified
 
 
-def _crash_case_task(
-    engine: str, fault: str, seed: int, workdir: str, n_points: int
-) -> CrashCaseResult:
+def _run_cell(cell, workdir: str, telemetry=None, **size):
+    """One matrix cell ``(engine, fault, seed)``; the engine key
+    ``"fleet"`` is a fleet case.  ``size`` is the case's own size
+    argument (``n_points``, or ``n_shards``)."""
+    key, fault, seed = cell
+    if key == "fleet":
+        return run_fleet_crash_case(fault, seed, workdir, **size)
+    return run_crash_case(key, fault, seed, workdir, telemetry=telemetry, **size)
+
+
+def _cell_task(cell, workdir: str, size: dict):
     """Worker task: one matrix cell, reporting on the worker's bus."""
     from ..obs.telemetry import global_telemetry
 
     bus = global_telemetry()
-    return run_crash_case(
-        engine,
-        fault,
-        seed,
-        workdir,
-        n_points=n_points,
-        telemetry=bus if bus.enabled else None,
-    )
-
-
-def _matrix_cells(
-    keys: list[str], seeds: int, faults: list[str] | None = None
-) -> list[tuple[str, str, int]]:
-    """Every (engine, fault, seed) cell, in the serial sweep's order.
-
-    The ``corrupt_checkpoint`` kind is skipped for the adaptive engine,
-    which never checkpoints (its recovery is always a full WAL replay).
-    ``faults`` narrows (or, with overload kinds, extends) the default
-    :data:`FAULT_KINDS` sweep.
-    """
-    kinds = list(faults) if faults else list(FAULT_KINDS)
-    for kind in kinds:
-        if kind not in FAULT_KINDS + OVERLOAD_FAULT_KINDS:
-            raise FaultError(
-                f"unknown fault kind {kind!r}; expected one of "
-                f"{FAULT_KINDS + OVERLOAD_FAULT_KINDS}"
-            )
-    cells = []
-    for key in keys:
-        for fault in kinds:
-            if fault == "corrupt_checkpoint" and key == "adaptive":
-                continue
-            for seed in range(seeds):
-                cells.append((key, fault, seed))
-    return cells
+    return _run_cell(cell, workdir, bus if bus.enabled else None, **size)
 
 
 def run_crash_test(
@@ -428,6 +389,7 @@ def run_crash_test(
     telemetry=None,
     workers: int | None = None,
     faults: list[str] | None = None,
+    fleet_shards: int | None = None,
 ) -> CrashTestReport:
     """Run the full crash-test matrix: engines × fault kinds × seeds.
 
@@ -437,45 +399,65 @@ def run_crash_test(
     telemetry is merged into ``telemetry`` (or the process-global bus).
     ``faults`` selects the fault kinds to sweep — pass overload kinds
     (:data:`OVERLOAD_FAULT_KINDS`) to crash-test the degraded engine.
+    ``fleet_shards`` runs the fleet matrix instead — every
+    :data:`FLEET_FAULT_KINDS` kind × seed against a fleet that wide
+    (``engines`` and ``n_points`` do not apply to it).
+
+    The ``corrupt_checkpoint`` kind is skipped for the adaptive engine,
+    which never checkpoints (its recovery is always a full WAL replay).
+    A selection that leaves no cell is a :class:`FaultError`: a matrix
+    that tested nothing must not pass.
     """
     from ..parallel.pool import Task, resolve_workers, run_tasks
 
-    keys = list(engines) if engines else list(CRASH_TEST_ENGINES)
-    for key in keys:
-        if key not in _ENGINE_CLASSES:
+    fleet = fleet_shards is not None
+    if fleet:
+        keys = ["fleet"]
+    else:
+        keys = list(CRASH_TEST_ENGINES if engines is None else engines)
+        for key in keys:
+            if key not in _ENGINES:
+                raise FaultError(
+                    f"unknown engine {key!r}; expected one of {CRASH_TEST_ENGINES}"
+                )
+    allowed = FLEET_FAULT_KINDS if fleet else FAULT_KINDS + OVERLOAD_FAULT_KINDS
+    default = FLEET_FAULT_KINDS if fleet else FAULT_KINDS
+    kinds = list(default if faults is None else faults)
+    for kind in kinds:
+        if kind not in allowed:
             raise FaultError(
-                f"unknown engine {key!r}; expected one of {CRASH_TEST_ENGINES}"
+                f"unknown {'fleet ' if fleet else ''}fault kind {kind!r}; "
+                f"expected one of {allowed}"
             )
-    cells = _matrix_cells(keys, seeds, faults)
-    report = CrashTestReport()
+    size = dict(n_shards=fleet_shards) if fleet else dict(n_points=n_points)
+    cells = [
+        (key, fault, seed)
+        for key in keys
+        for fault in kinds
+        if not (fault == "corrupt_checkpoint" and key == "adaptive")
+        for seed in range(seeds)
+    ]
+    if not cells:
+        raise FaultError(
+            f"empty crash matrix: engines {keys} x fault kinds {kinds} x "
+            f"{seeds} seeds selects no case"
+        )
     with tempfile.TemporaryDirectory() as tmp:
         base = workdir if workdir is not None else tmp
         os.makedirs(base, exist_ok=True)
         if resolve_workers(workers) > 1:
             tasks = [
                 Task(
-                    fn=_crash_case_task,
-                    args=(key, fault, seed, base, n_points),
-                    label=f"crash:{key}-{fault}-{seed}",
+                    fn=_cell_task,
+                    args=(cell, base, size),
+                    label="crash:{}-{}-{}".format(*cell),
                 )
-                for key, fault, seed in cells
+                for cell in cells
             ]
-            report.results.extend(
-                run_tasks(tasks, workers=workers, telemetry=telemetry)
-            )
+            results = run_tasks(tasks, workers=workers, telemetry=telemetry)
         else:
-            for key, fault, seed in cells:
-                report.results.append(
-                    run_crash_case(
-                        key,
-                        fault,
-                        seed,
-                        base,
-                        n_points=n_points,
-                        telemetry=telemetry,
-                    )
-                )
-    return report
+            results = [_run_cell(cell, base, telemetry, **size) for cell in cells]
+    return CrashTestReport(results)
 
 
 # -- fleet crash matrix --------------------------------------------------------
@@ -729,29 +711,3 @@ def run_fleet_crash_case(
             )
             return result
     return result
-
-
-def run_fleet_crash_test(
-    seeds: int = 2,
-    workdir: str | None = None,
-    faults: list[str] | None = None,
-    n_shards: int = 4,
-) -> CrashTestReport:
-    """The fleet crash matrix: every fleet fault kind × seed."""
-    kinds = list(faults) if faults else list(FLEET_FAULT_KINDS)
-    for kind in kinds:
-        if kind not in FLEET_FAULT_KINDS:
-            raise FaultError(
-                f"unknown fleet fault kind {kind!r}; expected one of "
-                f"{FLEET_FAULT_KINDS}"
-            )
-    report = CrashTestReport()
-    with tempfile.TemporaryDirectory() as tmp:
-        base = workdir if workdir is not None else tmp
-        os.makedirs(base, exist_ok=True)
-        for fault in kinds:
-            for seed in range(seeds):
-                report.results.append(
-                    run_fleet_crash_case(fault, seed, base, n_shards=n_shards)
-                )
-    return report

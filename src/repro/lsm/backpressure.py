@@ -22,7 +22,7 @@ State is evaluated per batch at the admission hook (before WAL append),
 and every transition and stall is published on the telemetry bus:
 ``backpressure.state`` / ``scheduler.queue_depth`` gauges, a
 ``backpressure.stall_ms`` histogram, and ``{"type": "backpressure"}`` /
-``{"type": "stall"}`` events that ``repro stability-report`` summarises.
+``{"type": "stall"}`` events that ``repro report`` summarises.
 """
 
 from __future__ import annotations

@@ -9,11 +9,10 @@ simulator observable without changing its semantics:
   pluggable sinks (ring buffer, JSONL file, console) and time phases
   with nested ``span()`` contexts (:mod:`repro.obs.telemetry`);
 * :func:`render_trace_report` — turn a captured JSONL trace back into
-  aligned summary tables, the backend of the ``repro telemetry-report``
-  CLI subcommand (:mod:`repro.obs.report`);
-* :func:`render_stability_report` — the robustness view of a trace:
-  group-commit coalescing, backpressure transitions and writer stalls,
-  the backend of ``repro stability-report`` (:mod:`repro.obs.stability`).
+  aligned summary tables — span, compaction and query sections, then the
+  robustness view: group-commit coalescing, backpressure transitions and
+  writer stalls — the backend of the ``repro report`` CLI subcommand,
+  beside the fleet dashboards (:mod:`repro.obs.report`).
 
 Telemetry is off by default and the disabled bus is a constant-time
 no-op; enable it per engine via
@@ -32,14 +31,10 @@ from .metrics import (
 from .report import (
     TraceSummary,
     load_trace,
+    render_federation_report,
+    render_shard_report,
     render_trace_report,
     summarize_trace,
-)
-from .sharding import render_federation_report, render_shard_report
-from .stability import (
-    StabilitySummary,
-    render_stability_report,
-    summarize_stability,
 )
 from .sinks import (
     ConsoleSink,
@@ -81,9 +76,6 @@ __all__ = [
     "load_trace",
     "summarize_trace",
     "render_trace_report",
-    "StabilitySummary",
-    "summarize_stability",
-    "render_stability_report",
     "labelled_name",
     "split_labelled",
     "render_shard_report",

@@ -7,7 +7,7 @@ Every sink consumes plain-dict events (already stamped with ``seq`` and
   and interactive sessions inspect ``sink.events``.
 * :class:`JsonlFileSink` — one JSON object per line, append mode, so
   several engines (or several runs) can share one trace file.  This is
-  the format ``repro telemetry-report`` consumes.
+  the format ``repro report`` consumes.
 * :class:`ConsoleSink` — JSON lines to a stream (stderr by default) for
   live tailing.
 

@@ -38,8 +38,13 @@ def load_csv(path: str | Path, name: str | None = None) -> TimeSeriesDataset:
         for row in reader:
             if len(row) < 2:
                 raise WorkloadError(f"{path}: malformed row {row!r}")
-            tg_list.append(float(row[0]))
-            ta_list.append(float(row[1]))
+            try:
+                tg_list.append(float(row[0]))
+                ta_list.append(float(row[1]))
+            except ValueError:
+                raise WorkloadError(
+                    f"{path}:{reader.line_num}: row {row!r} is not two numbers"
+                ) from None
     tg = np.asarray(tg_list, dtype=np.float64)
     ta = np.asarray(ta_list, dtype=np.float64)
     order = np.lexsort((tg, ta))

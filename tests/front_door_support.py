@@ -1,11 +1,17 @@
 """The front door, pinned: what every command prints, at its smallest size.
 
 ``tests/data/front_door_golden.json`` holds stdout, stderr and the exit
-code of a fixed list of command lines, each run in-process through the
-program's ``main`` in its own scratch directory, with wall-clock figures
+code of a fixed list of command lines, each run in-process through
+``repro.cli.main`` in its own scratch directory, with wall-clock figures
 and the scratch path masked.  ``tests/test_front_door.py`` replays it.
 
-Recorded on purpose only::
+The file was recorded on the tree *before* the commands were gathered
+into one tree, under the names they had then: ``telemetry-report`` and
+``stability-report`` on a trace, ``shard-report --dir`` on a fleet,
+``python -m repro.tools`` for ``decide`` / ``analyze`` / ``generate``.
+:data:`RECORDED_AS` maps today's ``report`` cases onto those entries.
+Recorded on purpose only (it rewrites every entry under today's names,
+after which :data:`RECORDED_AS` has nothing left to map)::
 
     PYTHONPATH=src:. python tests/front_door_support.py --record
 """
@@ -103,65 +109,56 @@ def arbiter_fleet(tmp: Path) -> None:
 
 # -- the list ----------------------------------------------------------------------
 
-#: ``id -> (prepare, [(program, argv), ...])``; ``{tmp}`` in an argument
-#: is the case's scratch directory.  The steps of one case share it.
+#: ``id -> (prepare, [argv, ...])``; ``{tmp}`` in an argument is the
+#: case's scratch directory.  The steps of one case share it.
 CASES = {
-    "list": (None, [("repro", ["list"])]),
-    "fig11": (None, [("repro", ["fig11", "--scale", "0.05"])]),
-    "engines": (None, [("repro", ["engines"])]),
-    "telemetry-report-engine": (
-        engine_trace, [("repro", ["telemetry-report", "{tmp}/trace.jsonl"])]
-    ),
-    "stability-report-engine": (
-        engine_trace, [("repro", ["stability-report", "{tmp}/trace.jsonl"])]
-    ),
-    "telemetry-report-stability": (
-        stability_trace, [("repro", ["telemetry-report", "{tmp}/trace.jsonl"])]
-    ),
-    "stability-report-stability": (
-        stability_trace, [("repro", ["stability-report", "{tmp}/trace.jsonl"])]
-    ),
+    "list": (None, [["list"]]),
+    "fig11": (None, [["fig11", "--scale", "0.05"]]),
+    "engines": (None, [["engines"]]),
+    "report-engine-trace": (engine_trace, [["report", "{tmp}/trace.jsonl"]]),
+    "report-stability-trace": (stability_trace, [["report", "{tmp}/trace.jsonl"]]),
     "checkpoint-recover": (
         None,
         [
-            ("repro", ["checkpoint", "--dir", "{tmp}/state", "--series", "2",
-                       "--points", "2000"]),
-            ("repro", ["recover", "--dir", "{tmp}/state"]),
+            ["checkpoint", "--dir", "{tmp}/state", "--series", "2", "--points", "2000"],
+            ["recover", "--dir", "{tmp}/state"],
         ],
     ),
-    "shard-report": (
-        arbiter_fleet, [("repro", ["shard-report", "--dir", "{tmp}/fleet"])]
-    ),
+    "report-fleet": (arbiter_fleet, [["report", "{tmp}/fleet"]]),
     "crash-test-engines": (
         None,
-        [("repro", ["crash-test", "--engines", "pi_c,tiered", "--seeds", "1",
-                    "--points", "1500"])],
+        [["crash-test", "--engines", "pi_c,tiered", "--seeds", "1", "--points", "1500"]],
     ),
     "crash-test-fleet": (
-        None,
-        [("repro", ["crash-test", "--fleet", "--shards", "2", "--seeds", "1"])],
+        None, [["crash-test", "--fleet", "--shards", "2", "--seeds", "1"]]
     ),
     "federated-report": (
         None,
-        [("repro", ["federated-report", "--shards", "3", "--series", "4",
-                    "--points", "400", "--windows", "3", "--seed", "5"])],
+        [["federated-report", "--shards", "3", "--series", "4", "--points", "400",
+          "--windows", "3", "--seed", "5"]],
     ),
-    "cold-report": (
-        None, [("repro", ["cold-report", "--points", "20000", "--windows", "4"])]
-    ),
+    "cold-report": (None, [["cold-report", "--points", "20000", "--windows", "4"]]),
     "decide-json": (
-        None,
-        [("repro.tools", ["decide", "--mu", "5", "--sigma", "2", "--dt", "50",
-                          "--json"])],
+        None, [["decide", "--mu", "5", "--sigma", "2", "--dt", "50", "--json"]]
     ),
     "generate-analyze": (
         None,
         [
-            ("repro.tools", ["generate", "{tmp}/stream.csv", "--points", "20000",
-                             "--seed", "3"]),
-            ("repro.tools", ["analyze", "{tmp}/stream.csv", "--budget", "128"]),
+            ["generate", "{tmp}/stream.csv", "--points", "20000", "--seed", "3"],
+            ["analyze", "{tmp}/stream.csv", "--budget", "128"],
         ],
     ),
+}
+
+#: Today's ``report`` cases -> the golden entries recorded under the old
+#: names: the report prints each recorded text as one contiguous block,
+#: in this order (a single entry is the whole output).
+RECORDED_AS = {
+    "report-engine-trace": ("telemetry-report-engine", "stability-report-engine"),
+    "report-stability-trace": (
+        "telemetry-report-stability", "stability-report-stability"
+    ),
+    "report-fleet": ("shard-report",),
 }
 
 
@@ -186,19 +183,11 @@ def mask(text: str, tmp: Path) -> str:
     return text
 
 
-def entry_point(program: str):
-    if program == "repro":
-        from repro.cli import main
-    else:
-        from repro.tools import main
-    return main
-
-
-def run_step(program: str, argv: list[str], tmp: Path) -> dict:
+def run_step(argv: list[str], tmp: Path) -> dict:
     """One command line through ``main``: masked stdout, stderr, exit code."""
     from repro import reset_global_telemetry
+    from repro.cli import main
 
-    main = entry_point(program)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -208,7 +197,6 @@ def run_step(program: str, argv: list[str], tmp: Path) -> dict:
         finally:
             reset_global_telemetry()
     return {
-        "program": program,
         "argv": argv,
         "exit": code,
         "stdout": mask(out.getvalue(), tmp),
@@ -222,7 +210,7 @@ def run_case(case_id: str) -> list[dict]:
         tmp = Path(scratch)
         if prepare is not None:
             prepare(tmp)
-        return [run_step(program, argv, tmp) for program, argv in steps]
+        return [run_step(argv, tmp) for argv in steps]
 
 
 def load_golden() -> dict:

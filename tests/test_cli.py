@@ -1,4 +1,4 @@
-"""CLI smoke tests: telemetry-report subcommand, --trace, exit codes."""
+"""CLI smoke tests: report subcommand, --trace, exit codes."""
 
 import json
 
@@ -42,7 +42,7 @@ def trace_path(tmp_path):
 
 class TestTelemetryReport:
     def test_renders_summary(self, capsys, trace_path):
-        assert main(["telemetry-report", str(trace_path)]) == 0
+        assert main(["report", str(trace_path)]) == 0
         out = capsys.readouterr().out
         assert "telemetry report" in out
         assert "flush" in out
@@ -50,18 +50,18 @@ class TestTelemetryReport:
         assert "queries" in out
 
     def test_missing_file_fails(self, capsys, tmp_path):
-        assert main(["telemetry-report", str(tmp_path / "nope.jsonl")]) == 1
+        assert main(["report", str(tmp_path / "nope.jsonl")]) == 1
         assert "error" in capsys.readouterr().err
 
     def test_corrupt_trace_fails(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type": "span"}\nnot json\n')
-        assert main(["telemetry-report", str(path)]) == 1
+        assert main(["report", str(path)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
     def test_missing_argument_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
-            main(["telemetry-report"])
+            main(["report"])
         assert excinfo.value.code == 2
 
 
@@ -114,6 +114,15 @@ class TestExitCodes:
         assert excinfo.value.code == 2
 
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["table02", "all", "run-all"])
+    def test_non_finite_scale_exits_2(self, command, scale, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--scale", scale])
+        assert excinfo.value.code == 2
+        assert f"argument --scale: invalid float value: '{scale}'" in capsys.readouterr().err
+
+
 class TestTraceOption:
     def test_experiment_run_writes_trace(self, capsys, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -131,5 +140,5 @@ class TestTraceOption:
         assert experiment_spans[0]["experiment_id"] == "table02"
         assert experiment_spans[0]["duration_ms"] > 0
         # And the captured trace feeds back into the report subcommand.
-        assert main(["telemetry-report", str(path)]) == 0
+        assert main(["report", str(path)]) == 0
         assert "experiment" in capsys.readouterr().out

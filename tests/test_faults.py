@@ -10,6 +10,7 @@ from repro import (
     SeparationEngine,
     Telemetry,
 )
+from repro.cli import main
 from repro.errors import (
     ConfigError,
     FaultError,
@@ -17,7 +18,12 @@ from repro.errors import (
     TransientIOFault,
 )
 from repro.faults import FaultInjector, FaultPlan
-from repro.faults.crashtest import CRASH_TEST_ENGINES, run_crash_case
+from repro.faults.crashtest import (
+    CRASH_TEST_ENGINES,
+    CrashTestReport,
+    run_crash_case,
+    run_crash_test,
+)
 from repro.workloads import generate_synthetic
 
 
@@ -199,3 +205,48 @@ class TestCrashCases:
         assert registry.counter("recovery.runs").value == 1
         recoveries = [e for e in sink.events if e.get("type") == "recovery"]
         assert recoveries[-1]["durable_points"] == result.durable_points
+
+
+class TestCrashMatrixSelection:
+    """A selector that parses to nothing must not mean everything, and a
+    matrix that tested nothing must not pass."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seeds", "0"],
+            ["--engines", ""],
+            ["--engines", " , "],
+            ["--faults", ","],
+            ["--fleet", "--seeds", "0"],
+            ["--fleet", "--faults", ","],
+            ["--engines", "adaptive", "--faults", "corrupt_checkpoint"],
+        ],
+        ids=" ".join,
+    )
+    def test_an_empty_matrix_is_an_error(self, argv, capsys):
+        assert main(["crash-test", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: empty crash matrix")
+        assert captured.out == ""
+
+    def test_an_empty_report_is_not_ok(self):
+        report = CrashTestReport()
+        assert not report.ok and report.summary() == "0 cases, 0 ok, 0 failed"
+        with pytest.raises(FaultError, match="empty crash matrix"):
+            run_crash_test(engines=[], seeds=1)
+        with pytest.raises(FaultError, match="empty crash matrix"):
+            run_crash_test(faults=[], seeds=1)
+
+    @pytest.mark.parametrize("flag", [["--engines", "pi_c"], ["--points", "1500"]])
+    def test_an_engine_selector_beside_fleet_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["crash-test", "--fleet", "--seeds", "1", *flag])
+        assert excinfo.value.code == 2
+        assert f"{flag[0]} does not apply to the fleet matrix" in capsys.readouterr().err
+
+    def test_fleet_kinds_are_validated_by_the_one_runner(self):
+        with pytest.raises(FaultError, match="unknown fleet fault kind 'crash_flush'"):
+            run_crash_test(fleet_shards=2, faults=["crash_flush"])
+        with pytest.raises(FaultError, match="unknown fault kind 'nope'"):
+            run_crash_test(faults=["nope"])

@@ -19,7 +19,7 @@ import pytest
 from repro.distributions import ExponentialDelay, UniformDelay
 from repro.errors import EngineError, QueryError
 from repro.lsm.database import TimeSeriesDatabase
-from repro.obs.sharding import render_federation_report
+from repro.obs import render_federation_report
 from repro.obs.telemetry import Telemetry
 from repro.query.aggregation import AggregateResult, execute_aggregate_query
 from repro.query.executor import execute_range_query

@@ -269,3 +269,12 @@ class TestCrashMatrixEquivalence:
         assert [r.describe() for r in parallel.results] == [
             r.describe() for r in serial.results
         ]
+
+    def test_fleet_cells_fan_out_through_the_same_runner(self):
+        kwargs = dict(fleet_shards=2, seeds=1)
+        serial = run_crash_test(**kwargs)
+        parallel = run_crash_test(workers=2, **kwargs)
+        assert serial.ok and parallel.ok and len(serial.results) == 2
+        assert [r.describe() for r in parallel.results] == [
+            r.describe() for r in serial.results
+        ]

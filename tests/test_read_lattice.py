@@ -18,14 +18,21 @@ this file draws the configuration.  Two levels:
   MemTables, are empty, and are ``(-inf, inf)``.  Counts, extrema, rows
   and ids must be the reference's; every field must be bitwise what
   ``aggregate_over_series`` / ``scan_over_series`` answer on an
-  unsharded twin fed the same stream.
+  unsharded twin fed the same stream.  The write half rides the same
+  steps: a third store, ``plain`` — unsharded, no scheduler, no group
+  commit, no durability directory — is fed the same stream and the same
+  ``split`` / ``retune`` / ``convert_cold`` steps, and after every step
+  each series' ``WriteStats`` (user points, disk writes, the per-point
+  write-count array) must be equal across fleet, twin and plain,
+  ``verify()`` must pass on all three and the visible points must be
+  the reference's.
 * **The engine** (:func:`test_every_engine_answers_the_reference`): the
   fleet builds ``LeveledEngine`` only, so the seven registry rows (and
   two composed triples) are drawn one level down — the same reference
   checks both executors on each ``PRUNING_ENGINE_FACTORIES`` engine's
   snapshot, indexed and hand-built, row / columnar / half converted.
 
-Tier-1 runs a small derandomised profile (about 20 s); ``pytest
+Tier-1 runs a small derandomised profile (about 15 s); ``pytest
 tests/test_read_lattice.py --hypothesis-profile deep`` (registered in
 ``tests/conftest.py``) is the search run by hand.  Counter-examples it
 shrinks are committed below as plain tests.
@@ -39,6 +46,7 @@ import shutil
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -162,10 +170,16 @@ class ReadLattice(RuleBasedStateMachine):
         self.twin = TimeSeriesDatabase(
             durability_dir=os.path.join(self.root, "twin"), **shared
         )
+        # The plainest configuration of the same stream: the write side
+        # of every knob above must count what this counts.
+        self.plain = TimeSeriesDatabase(
+            memory_budget_per_series=BUDGET, sstable_size=TABLE, auto_tune=True
+        )
         self.reference = ReferenceStore()
         self.frontier: dict[str, float] = {}
         self.clock = 0.0
         self.steps = 0
+        self.recovered = False
 
     def teardown(self):
         if hasattr(self, "root"):
@@ -176,7 +190,13 @@ class ReadLattice(RuleBasedStateMachine):
         return (
             self.fleet.database_for(name).series(name).engine,
             self.twin.series(name).engine,
+            self.plain.series(name).engine,
         )
+
+    @staticmethod
+    def settled(engine) -> bool:
+        """No landing is queued: the engine is where stop-the-world is."""
+        return engine.scheduler is None or not len(engine.scheduler)
 
     # -- steps -----------------------------------------------------------------
 
@@ -202,6 +222,7 @@ class ReadLattice(RuleBasedStateMachine):
         self.fleet.ingest_batch(batch, sync=sync)
         for name, tg, ta in batch:
             self.twin.write(name, tg, ta)
+            self.plain.write(name, tg, ta)
             self.reference.write(name, tg)
 
     @rule(
@@ -221,6 +242,7 @@ class ReadLattice(RuleBasedStateMachine):
     def flush_all(self):
         self.fleet.flush_all()
         self.twin.flush_all()
+        self.plain.flush_all()
 
     @rule(
         index=st.integers(0, 5),
@@ -237,11 +259,21 @@ class ReadLattice(RuleBasedStateMachine):
         else:
             self.fleet.database_for(name).create_series(name, seq_capacity=seq_capacity)
             self.twin.create_series(name, seq_capacity=seq_capacity)
+            self.plain.create_series(name, seq_capacity=seq_capacity)
             self.reference.write(name, [])
 
     @rule()
     def retune(self):
-        assert self.fleet.retune(min_observations=32) == self.twin.retune(min_observations=32)
+        decided = self.fleet.retune(min_observations=32)
+        assert decided == self.twin.retune(min_observations=32)
+        if not self.recovered:
+            assert decided == self.plain.retune(min_observations=32)
+        # A recovered analyzer starts empty (docs/durability.md, "What a
+        # crash forgets") and decides later or not at all; the plain
+        # store, which forgot nothing, follows what was decided.
+        for name in decided:
+            fleet_engine, _, plain_engine = self.engines(name)
+            plain_engine.resplit(fleet_engine.config.seq_capacity)
 
     @rule(
         index=st.integers(0, 5),
@@ -253,10 +285,13 @@ class ReadLattice(RuleBasedStateMachine):
         if name not in self.reference.series_names():
             return
         cutoff = self.frontier.get(name, 0.0) - 6.0 if half else None
-        fleet_engine, twin_engine = self.engines(name)
-        assert fleet_engine.convert_cold(max_tg=cutoff, block_size=block_size) == (
-            twin_engine.convert_cold(max_tg=cutoff, block_size=block_size)
+        fleet, twin, _ = (
+            engine.convert_cold(max_tg=cutoff, block_size=block_size)
+            for engine in self.engines(name)
         )
+        # (Not the plain store's count: a queued landing's tables are not
+        # there to convert yet, and a conversion writes nothing.)
+        assert fleet == twin
 
     @rule()
     def checkpoint_and_recover(self):
@@ -267,8 +302,41 @@ class ReadLattice(RuleBasedStateMachine):
         close_wals([self.twin, *self.fleet.shards])
         self.fleet = ShardedDatabase.recover(self.fleet.durability_dir)
         self.twin = TimeSeriesDatabase.recover(self.twin.durability_dir)
+        self.recovered = True
 
-    # -- the check -------------------------------------------------------------
+    # -- the checks ------------------------------------------------------------
+
+    @invariant()
+    def every_write_is_counted_as_the_plainest_store_counts_it(self):
+        """Shards, routing, scheduler, group commit, a WAL and a recovery
+        change where and when a point lands, never how often it is
+        written: per series, the fleet, its twin and the plain database
+        hold the same ``WriteStats`` — user points, disk writes and the
+        whole per-point write-count array — every engine verifies, and
+        what is visible (tables + MemTables) is what was written.
+
+        The scheduler moves landings in time: while one is queued its
+        engine is the plain one of a moment ago, so the disk-side counts
+        are compared whenever the queue is empty (``flush_all`` and a
+        checkpoint empty it; half the configurations have no queue)."""
+        for name in self.reference.series_names():
+            fleet_engine, twin_engine, plain_engine = self.engines(name)
+            want = plain_engine.stats
+            for engine in (fleet_engine, twin_engine):
+                got = engine.stats
+                assert got.user_points == want.user_points, name
+                event(f"write counts compared: {self.settled(engine)}")
+                if self.settled(engine):
+                    assert got.disk_writes == want.disk_writes, name
+                    assert np.array_equal(got.write_counts, want.write_counts), name
+            written, _ = self.reference.rows([name], -math.inf, math.inf)
+            assert want.user_points == written.size
+            for engine in (fleet_engine, twin_engine, plain_engine):
+                engine.verify()
+                snapshot = engine.snapshot()
+                parts = [t.tg for t in snapshot.tables] + [m.tg for m in snapshot.memtables]
+                visible = np.sort(np.concatenate([np.empty(0), *parts]))
+                assert np.array_equal(visible, written), name
 
     @invariant()
     def every_read_is_the_reference_and_the_twin(self):
@@ -399,3 +467,29 @@ def test_a_one_shard_range_fleet_recovers(tmp_path):
     same_answer(revived.query_aggregate(), fleet.query_aggregate())
     for other in (ShardRouter(3), ShardRouter(3, mode="range", boundaries=("b", "d"))):
         assert ShardRouter.from_dict(other.as_dict()).as_dict() == other.as_dict()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the delay analyzer is not durable: docs/durability.md, 'What a crash forgets'",
+)
+def test_a_recovered_database_retunes_as_the_one_that_never_crashed(tmp_path):
+    """``burst`` / ``checkpoint_and_recover`` / ``split`` / ``retune``, as
+    the write half shrank it: the recovered analyzer's window is empty,
+    so the retune the plain store answers is skipped — and from there the
+    two run under different splits and count different writes."""
+    sizes = dict(memory_budget_per_series=BUDGET, sstable_size=TABLE, auto_tune=True)
+    durable = TimeSeriesDatabase(durability_dir=str(tmp_path), **sizes)
+    plain = TimeSeriesDatabase(**sizes)
+    tg = 300.0 + 0.5 * np.arange(1, 33)
+    for db in (durable, plain):
+        db.create_series("s", seq_capacity=1)
+        db.write("s", tg, tg + 1.0)
+    durable.checkpoint_all()
+    close_wals([durable])
+    recovered = TimeSeriesDatabase.recover(str(tmp_path))
+    try:
+        assert plain.retune(min_observations=32) == {"s": "pi_c"}
+        assert recovered.retune(min_observations=32) == {"s": "pi_c"}
+    finally:
+        close_wals([recovered])

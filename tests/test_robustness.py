@@ -1,6 +1,7 @@
 """Failure-injection and robustness tests across the stack."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -34,11 +35,13 @@ from repro.errors import (
     ModelError,
     QueryError,
     RecoveryError,
+    TelemetryError,
 )
 from repro.faults.crashtest import run_crash_case
 from repro.lsm import CompactionEvent, LeveledEngine, WriteStats
 from repro.lsm.base import Snapshot
 from repro.lsm.pruning import TableIndex
+from repro.obs import load_trace, render_trace_report, summarize_trace
 from repro.query.aggregation import execute_aggregate_query
 from repro.query.executor import execute_range_query
 from repro.serving import ShardedDatabase
@@ -356,9 +359,9 @@ class TestDamagedManifests:
         assert len(fleet.shards[0]) >= 2
         (shard_manifest,) = (root / "shard-00").glob("*manifest*.json")
         path, recover, command = {
-            "fleet": (root / "fleet.json", ShardedDatabase.recover, "shard-report"),
-            "shard": (shard_manifest, ShardedDatabase.recover, "shard-report"),
-            "database": (plain / "manifest.json", TimeSeriesDatabase.recover, "recover"),
+            "fleet": (root / "fleet.json", ShardedDatabase.recover, ["report"]),
+            "shard": (shard_manifest, ShardedDatabase.recover, ["report"]),
+            "database": (plain / "manifest.json", TimeSeriesDatabase.recover, ["recover", "--dir"]),
         }[target]
         directory = str(plain if target == "database" else root)
         self.DAMAGE[damage](path)
@@ -369,9 +372,59 @@ class TestDamagedManifests:
         monkeypatch.setattr("repro.lsm.recovery.recover_engine", no_engine)
         with pytest.raises(RecoveryError, match=path.name):
             recover(directory)
-        assert cli_main([command, "--dir", directory]) == 1
+        assert cli_main([*command, directory]) == 1
         error = capsys.readouterr().err
         assert error.startswith("error: manifest ") and path.name in error
+
+
+class TestTraceIsOutsideInput:
+    """A trace nobody here wrote: what cannot be read or summed is a
+    ``TelemetryError`` naming the file and the line — where the file is
+    read, so the summaries can trust what ``load_trace`` hands them — and
+    ``error: ...`` with exit status 1 from ``report``."""
+
+    SPAN = '{"type": "span", "name": "merge", "duration_ms": %s}'
+    CASES = {
+        "a-directory": (None, ""),
+        "not-utf8": (b'{"type": "x"}\n\xff\xfe\n', ":2: "),
+        "type-not-a-string": (b'{"type": "x"}\n{"type": 1}\n', ":2: "),
+        "duration-text": ((SPAN % '"abc"').encode(), ":1: "),
+        "duration-null": (b"\n" + (SPAN % "null").encode(), ":2: "),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_typed_error_naming_file_and_line(self, tmp_path, capsys, case):
+        content, line = self.CASES[case]
+        path = tmp_path / "trace.jsonl"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(TelemetryError, match=re.escape(f"{path}{line}")):
+            load_trace(path)
+        assert cli_main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}{line}")
+        assert captured.out == "" and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"type": 1},
+            {"type": "stall", "work_points": "abc"},
+            {"type": "query", "duration_ms": None},
+            {"type": "compaction", "new_points": float("nan")},
+        ],
+    )
+    def test_a_hand_built_list_names_the_event(self, bad):
+        with pytest.raises(TelemetryError, match="^event 1: "):
+            summarize_trace([{"type": "x"}, bad])
+        with pytest.raises(TelemetryError, match="^event 1: "):
+            render_trace_report([{"type": "x"}, bad])
+
+    def test_fields_of_other_event_types_are_not_read(self):
+        events = [{"type": "x", "duration_ms": "abc"}, {"type": "y", "records": None}]
+        assert summarize_trace(events).other_types == {"x": 1, "y": 1}
 
 
 class TestEngineMisuse:

@@ -21,7 +21,7 @@ from repro.errors import EngineError, ModelError, RecoveryError, TelemetryError
 from repro.faults.crashtest import FLEET_FAULT_KINDS, run_fleet_crash_case
 from repro.lsm.database import TimeSeriesDatabase, manifest_filename
 from repro.lsm.wal import read_wal
-from repro.obs.sharding import render_shard_report
+from repro.obs import render_shard_report
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
 from repro.serving import (

@@ -38,7 +38,7 @@ from repro import (
     recover_engine,
 )
 from repro.distributions import ExponentialDelay, LogNormalDelay
-from repro.errors import EngineError, InjectedCrash
+from repro.errors import InjectedCrash
 from repro.faults import OVERLOAD_FAULT_KINDS, run_crash_case
 from repro.lsm import HEALTHY, SHEDDING, THROTTLED, LeveledEngine, LsmEngine, SSTable
 from repro.lsm.blocks import POINT_BYTES
@@ -50,7 +50,7 @@ from repro.lsm.policies import (
     SplitPlacement,
     StorageKernel,
 )
-from repro.obs import render_stability_report, summarize_stability
+from repro.obs import render_trace_report, summarize_trace
 from repro.workloads import generate_synthetic
 
 from tests.conformance_support import snapshot_digest
@@ -701,7 +701,7 @@ def _trace_events():
 
 
 def test_summarize_stability_folds_events():
-    summary = summarize_stability(_trace_events())
+    summary = summarize_trace(_trace_events())
     assert summary.group_commits == 2
     assert summary.group_records == 6
     assert summary.coalescing_ratio == 3.0
@@ -711,13 +711,13 @@ def test_summarize_stability_folds_events():
         ("throttled", "healthy", 40),
     ]
     assert summary.entered == {"throttled": 1, "healthy": 1}
-    assert summary.stall_count == 1
-    assert summary.stall_max_ms == 1.5
+    assert summary.stalls.count == 1
+    assert summary.stalls.max_ms == 1.5
     assert summary.incremental_merges == 1
 
 
 def test_render_stability_report_sections():
-    text = render_stability_report(_trace_events(), source="unit")
+    text = render_trace_report(_trace_events(), source="unit")
     assert "stability report: unit" in text
     assert "group-commit WAL" in text
     assert "healthy -> throttled" in text
@@ -730,7 +730,7 @@ def test_stability_report_cli_subcommand(tmp_path, capsys):
 
     trace = tmp_path / "trace.jsonl"
     trace.write_text("\n".join(json.dumps(e) for e in _trace_events()) + "\n")
-    assert main(["stability-report", str(trace)]) == 0
+    assert main(["report", str(trace)]) == 0
     out = capsys.readouterr().out
     assert "group-commit WAL" in out
     assert "backpressure transitions" in out

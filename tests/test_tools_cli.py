@@ -1,7 +1,7 @@
-"""Tests for the operator tools CLI (repro.tools)."""
+"""Tests for the operator commands: decide, analyze, generate."""
 
 
-from repro.tools import main
+from repro.cli import main
 
 
 class TestDecide:
@@ -68,3 +68,11 @@ class TestGenerateAndAnalyze:
         code = main(["analyze", "/nonexistent/stream.csv"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_non_numeric_row_names_file_and_row(self, tmp_path, capsys):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text("generation,arrival\n1,2\nabc,3\n")
+        assert main(["analyze", str(csv_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {csv_path}:3: row ['abc', '3']")
+        assert captured.out == ""
