@@ -34,9 +34,16 @@ what re-splitting one engine in place must reproduce.
 ``tests/data/legacy_checkpoints/database_retuned/`` is a durability
 directory written by that same code, with the profile it recovers to.
 
+``tests/data/engine_checkpoint_golden.json`` pins what an engine writes
+down about *itself*: for every engine above and the two novel triples,
+mid-way through the ``M8`` stream (MemTables still hold points), the
+checkpoint's ``engine`` / ``policy`` / ``config`` / ``kwargs`` / ``state``
+meta and a digest per array name (``checkpoint_profile``) — the names
+and layout older directories were written under.
+
 Regenerate (only when behaviour is *meant* to change) with::
 
-    PYTHONPATH=src:tests python tests/conformance_support.py [--scheduled|--database]
+    PYTHONPATH=src:. python tests/conformance_support.py [--scheduled|--database|--checkpoints]
 """
 
 from __future__ import annotations
@@ -69,6 +76,9 @@ SCHEDULED_FIXTURE_PATH = os.path.join(
 )
 DATABASE_FIXTURE_PATH = os.path.join(
     os.path.dirname(__file__), "data", "database_retune_golden.json"
+)
+CHECKPOINT_FIXTURE_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "engine_checkpoint_golden.json"
 )
 LEGACY_DATABASE_DIR = os.path.join(
     os.path.dirname(__file__), "data", "legacy_checkpoints", "database_retuned"
@@ -139,6 +149,22 @@ PRUNING_ENGINE_FACTORIES = {
     "composed_split_multilevel": _composed_factory("split", "multilevel"),
 }
 
+#: Policy combinations no monolithic engine implements — the open end of
+#: the composition space, held to the same roundtrip/crash bar as the
+#: first-class engines (``compose_engine(config=..., **spec)``).
+NOVEL_COMPOSITIONS = {
+    "tiered+separation": dict(
+        placement="split",
+        compaction="tiered",
+        compaction_kwargs={"tier_fanout": 3, "max_levels": 4},
+    ),
+    "multilevel+separation": dict(
+        placement="split",
+        compaction="multilevel",
+        compaction_kwargs={"size_ratio": 4, "max_levels": 4},
+    ),
+}
+
 #: Stamp fields on telemetry events that carry wall-clock timing and are
 #: legitimately non-deterministic.
 _TIMING_FIELDS = ("seq", "ts_ms", "duration_ms")
@@ -175,8 +201,8 @@ def snapshot_digest(snapshot) -> dict:
     }
 
 
-def _drive(engine, workload: str) -> None:
-    """Feed ``workload`` in ``CHUNK``-point batches, then drain."""
+def _feed(engine, workload: str) -> None:
+    """Feed ``workload`` in ``CHUNK``-point batches."""
     dataset = TABLE_II[workload].build(n_points=N_POINTS, seed=3)
     adaptive = isinstance(engine, AdaptiveEngine)
     for pos in range(0, len(dataset), CHUNK):
@@ -185,6 +211,11 @@ def _drive(engine, workload: str) -> None:
             engine.ingest(chunk_tg, dataset.ta[pos : pos + CHUNK])
         else:
             engine.ingest(chunk_tg)
+
+
+def _drive(engine, workload: str) -> None:
+    """Feed ``workload`` in ``CHUNK``-point batches, then drain."""
+    _feed(engine, workload)
     engine.flush_all()
 
 
@@ -474,6 +505,44 @@ def write_legacy_database(directory: str = LEGACY_DATABASE_DIR) -> None:
         handle.write("\n")
 
 
+# -- what an engine's checkpoint says about it ------------------------------------
+
+_CHECKPOINT_META = ("engine", "policy", "config", "kwargs", "state")
+
+
+def _checkpoint_engines() -> dict:
+    """Key -> zero-state engine: every fixture engine, the novel triples."""
+    from repro.lsm.policies.compose import compose_engine
+
+    engines = {key: factory(None) for key, factory in ENGINE_FACTORIES.items()}
+    for name, spec in NOVEL_COMPOSITIONS.items():
+        engines[name] = compose_engine(config=CONFIG, **spec)
+    return engines
+
+
+def checkpoint_profile(engine) -> dict:
+    """The checkpoint ``engine`` writes now: the meta that names and
+    rebuilds it, and a digest (dtype, shape, bytes) per array name."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "engine.ckpt")
+        engine.save_checkpoint(path)
+        meta, arrays = read_checkpoint(path)
+    digests = {}
+    for key in sorted(arrays):
+        value = np.ascontiguousarray(arrays[key])
+        header = f"{value.dtype}:{value.shape}|".encode()
+        digests[key] = hashlib.sha256(header + value.tobytes()).hexdigest()
+    return {"meta": {key: meta[key] for key in _CHECKPOINT_META}, "arrays": digests}
+
+
+def build_checkpoint_fixture() -> dict:
+    profiles = {}
+    for key, engine in _checkpoint_engines().items():
+        _feed(engine, "M8")
+        profiles[key] = checkpoint_profile(engine)
+    return {"n_points": N_POINTS, "chunk": CHUNK, "workload": "M8", "profiles": profiles}
+
+
 def _build(profile, engine_keys) -> dict:
     return {
         "n_points": N_POINTS,
@@ -511,6 +580,8 @@ def main() -> None:
         print(f"wrote {LEGACY_DATABASE_DIR}")
     elif "--scheduled" in sys.argv[1:]:
         path, fixture = SCHEDULED_FIXTURE_PATH, build_scheduled_fixture()
+    elif "--checkpoints" in sys.argv[1:]:
+        path, fixture = CHECKPOINT_FIXTURE_PATH, build_checkpoint_fixture()
     else:
         path, fixture = FIXTURE_PATH, build_fixture()
     os.makedirs(os.path.dirname(path), exist_ok=True)

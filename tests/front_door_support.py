@@ -14,6 +14,8 @@ Recorded on purpose only (it rewrites every entry under today's names,
 after which :data:`RECORDED_AS` has nothing left to map)::
 
     PYTHONPATH=src:. python tests/front_door_support.py --record
+
+``--record CASE [CASE ...]`` adds or replaces just those entries.
 """
 
 from __future__ import annotations
@@ -114,6 +116,15 @@ def arbiter_fleet(tmp: Path) -> None:
 CASES = {
     "list": (None, [["list"]]),
     "fig11": (None, [["fig11", "--scale", "0.05"]]),
+    # The experiments that build the multilevel, tiered and IoTDB-style
+    # engines (and the composed triples beside them).
+    **{
+        name: (None, [[name, "--scale", "0.05"]])
+        for name in (
+            "table03", "fig12", "fig14", "fig20",
+            "ablation_tiering", "ablation_composed", "ablation_multilevel",
+        )
+    },
     "engines": (None, [["engines"]]),
     "report-engine-trace": (engine_trace, [["report", "{tmp}/trace.jsonl"]]),
     "report-stability-trace": (stability_trace, [["report", "{tmp}/trace.jsonl"]]),
@@ -218,8 +229,9 @@ def load_golden() -> dict:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:2] != ["--record"] or set(sys.argv[2:]) - set(CASES):
         sys.exit(__doc__)
-    golden = {case_id: run_case(case_id) for case_id in CASES}
+    golden = load_golden() if sys.argv[2:] else {}
+    golden.update({case_id: run_case(case_id) for case_id in sys.argv[2:] or CASES})
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"[front-door golden written to {GOLDEN_PATH}]")

@@ -53,17 +53,20 @@ from repro.lsm.separation import SeparationEngine
 from repro.workloads import TABLE_II, DelaySegment, generate_dynamic
 
 from tests.conformance_support import (
+    CHECKPOINT_FIXTURE_PATH,
     CONFIG,
     DATABASE_FIXTURE_PATH,
     DATABASE_STABILITY,
     ENGINE_FACTORIES,
     LEGACY_DATABASE_DIR,
+    NOVEL_COMPOSITIONS,
     SCHEDULED_CONFIG,
     SCHEDULED_ENGINES,
     SCHEDULED_FIXTURE_PATH,
     SCHEDULED_STABILITY,
     WORKLOADS,
     accounting_profile,
+    build_checkpoint_fixture,
     load_fixture,
     profile_database,
     profile_engine,
@@ -74,23 +77,6 @@ from tests.conformance_support import (
 LEGACY_DIR = os.path.join(
     os.path.dirname(__file__), "data", "legacy_checkpoints"
 )
-
-#: Policy combinations no monolithic engine implements — the open end of
-#: the composition space, held to the same roundtrip/crash bar as the
-#: first-class engines.
-NOVEL_COMPOSITIONS = {
-    "tiered+separation": dict(
-        placement="split",
-        compaction="tiered",
-        compaction_kwargs={"tier_fanout": 3, "max_levels": 4},
-    ),
-    "multilevel+separation": dict(
-        placement="split",
-        compaction="multilevel",
-        compaction_kwargs={"size_ratio": 4, "max_levels": 4},
-    ),
-}
-
 
 def _dataset(n=3000, seed=9):
     return TABLE_II["M8"].build(n_points=n, seed=seed)
@@ -183,6 +169,18 @@ def test_database_profile_is_bit_identical(mode):
         assert actual[field] == expected[field], (
             f"{mode}: {field} diverged from the recording"
         )
+
+
+def test_engine_checkpoints_are_byte_identical():
+    """Every engine and the two novel triples write the checkpoint meta
+    (recorded name, policy label, constructor kwargs, state) and the
+    arrays, name by name, that were recorded — what directories written
+    earlier are read back by."""
+    expected = load_fixture(CHECKPOINT_FIXTURE_PATH)["profiles"]
+    actual = json.loads(json.dumps(build_checkpoint_fixture()))["profiles"]
+    assert sorted(actual) == sorted(expected)
+    for key, profile in sorted(expected.items()):
+        assert actual[key] == profile, f"{key}: checkpoint diverged"
 
 
 def _roundtrip_factories():
