@@ -47,8 +47,6 @@ from .core import (
     SeriesWorkload,
     allocate_budgets,
     fleet_objective,
-    ReadEstimate,
-    estimate_recent_query,
     DelayProfile,
     InOrderCurve,
     KsDriftDetector,
@@ -186,8 +184,6 @@ __all__ = [
     "DelayAnalyzer",
     "DelayProfile",
     "KsDriftDetector",
-    "ReadEstimate",
-    "estimate_recent_query",
     "SeriesWorkload",
     "SeriesAllocation",
     "allocate_budgets",

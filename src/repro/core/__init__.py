@@ -20,7 +20,6 @@ from .allocation import (
 from .analyzer import DelayAnalyzer, DelayProfile
 from .arrival_ratio import InOrderCurve, expected_in_order, g_out_of_order
 from .drift import KsDriftDetector
-from .read_model import ReadEstimate, estimate_recent_query
 from .subsequent import ZetaModel, zeta
 from .tuning import CONVENTIONAL, SEPARATION, PolicyDecision, tune_separation_policy
 from .wa_conventional import predict_wa_conventional
@@ -47,8 +46,6 @@ __all__ = [
     "DelayAnalyzer",
     "DelayProfile",
     "KsDriftDetector",
-    "ReadEstimate",
-    "estimate_recent_query",
     "SeriesWorkload",
     "SeriesAllocation",
     "allocate_budgets",

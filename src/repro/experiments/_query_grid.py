@@ -12,11 +12,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from ..config import DEFAULT_MEMORY_BUDGET, LsmConfig
+from ..config import DEFAULT_MEMORY_BUDGET
 from ..core import tune_separation_policy
-from ..lsm import IoTDBStyleEngine
 from ..query import QueryWorkloadResult, run_query_workload
 from ..workloads import TABLE_II
+from .runner import iotdb_pair
 
 __all__ = ["QUERY_WINDOWS_MS", "GridCell", "query_grid", "recommended_seq_capacity"]
 
@@ -73,25 +73,7 @@ def query_grid(
         dataset = spec.build(n_points=n_points, seed=seed)
         n_seq = recommended_seq_capacity(name)
         for window in QUERY_WINDOWS_MS:
-            for policy, engine in (
-                (
-                    "pi_c",
-                    IoTDBStyleEngine(
-                        LsmConfig(memory_budget=DEFAULT_MEMORY_BUDGET),
-                        policy="conventional",
-                    ),
-                ),
-                (
-                    "pi_s",
-                    IoTDBStyleEngine(
-                        LsmConfig(
-                            memory_budget=DEFAULT_MEMORY_BUDGET,
-                            seq_capacity=n_seq,
-                        ),
-                        policy="separation",
-                    ),
-                ),
-            ):
+            for policy, engine in iotdb_pair(n_seq).items():
                 outcome = run_query_workload(
                     engine, dataset, window=window, mode=mode, seed=seed
                 )

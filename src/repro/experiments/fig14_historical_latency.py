@@ -14,12 +14,11 @@ high-disorder dataset.
 
 from __future__ import annotations
 
-from ..config import DEFAULT_MEMORY_BUDGET, LsmConfig
-from ..lsm import IoTDBStyleEngine
 from ..workloads import TABLE_II
 from ._query_grid import QUERY_WINDOWS_MS, query_grid, recommended_seq_capacity
 from .asciiplot import sstable_ranges
 from .report import ExperimentResult
+from .runner import iotdb_pair
 
 EXPERIMENT_ID = "fig14"
 TITLE = "Query latency, historical workload (pi_c vs pi_s) + Fig.15 view"
@@ -39,25 +38,8 @@ def _figure15_chart(seed: int) -> str:
     window = 5_000.0
     lo = dataset.tg.max() * 0.5
     parts = []
-    for policy, engine in (
-        (
-            "pi_c",
-            IoTDBStyleEngine(
-                LsmConfig(memory_budget=DEFAULT_MEMORY_BUDGET),
-                policy="conventional",
-            ),
-        ),
-        (
-            "pi_s",
-            IoTDBStyleEngine(
-                LsmConfig(
-                    memory_budget=DEFAULT_MEMORY_BUDGET,
-                    seq_capacity=recommended_seq_capacity(_FIG15_DATASET),
-                ),
-                policy="separation",
-            ),
-        ),
-    ):
+    pair = iotdb_pair(recommended_seq_capacity(_FIG15_DATASET))
+    for policy, engine in pair.items():
         engine.ingest(dataset.tg)
         snapshot = engine.snapshot()
         ranges = [(t.min_tg, t.max_tg) for t in snapshot.tables]

@@ -8,13 +8,12 @@ generation interval).
 
 from __future__ import annotations
 
-from ..config import DEFAULT_MEMORY_BUDGET, LsmConfig
+from ..config import DEFAULT_MEMORY_BUDGET
 from ..core import tune_separation_policy
-from ..lsm import IoTDBStyleEngine
 from ..query import run_query_workload
 from ..workloads import generate_vehicle_h
 from .report import ExperimentResult
-from .runner import dataset_delay_model
+from .runner import dataset_delay_model, iotdb_pair
 
 EXPERIMENT_ID = "fig20"
 TITLE = "Query latency on dataset H: recent and historical workloads"
@@ -25,17 +24,6 @@ PAPER_REF = (
 
 _WINDOWS_MS = (5_000.0, 10_000.0, 20_000.0)
 _BASE_POINTS = 80_000
-
-
-def _engine(policy: str, n_seq: int) -> IoTDBStyleEngine:
-    if policy == "pi_c":
-        return IoTDBStyleEngine(
-            LsmConfig(memory_budget=DEFAULT_MEMORY_BUDGET), policy="conventional"
-        )
-    return IoTDBStyleEngine(
-        LsmConfig(memory_budget=DEFAULT_MEMORY_BUDGET, seq_capacity=n_seq),
-        policy="separation",
-    )
 
 
 def run(scale: float = 1.0, seed: int = 6) -> ExperimentResult:
@@ -61,8 +49,7 @@ def run(scale: float = 1.0, seed: int = 6) -> ExperimentResult:
         rows = []
         for window in _WINDOWS_MS:
             latencies = {}
-            for policy in ("pi_c", "pi_s"):
-                engine = _engine(policy, n_seq)
+            for policy, engine in iotdb_pair(n_seq).items():
                 outcome = run_query_workload(
                     engine, dataset, window=window, mode=mode, seed=seed
                 )

@@ -34,7 +34,6 @@ EXPERIMENTS: dict[str, str] = {
     "ablation_multilevel": "ablation_multilevel",
     "ablation_drift": "ablation_drift",
     "ablation_tiering": "ablation_tiering",
-    "ablation_read_model": "ablation_read_model",
     "ablation_crossover": "ablation_crossover",
     "ablation_composed": "ablation_composed",
     "fleet": "fleet_casestudy",

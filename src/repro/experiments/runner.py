@@ -10,17 +10,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import DEFAULT_MODEL_CONFIG, LsmConfig, ModelConfig
+from ..config import DEFAULT_MEMORY_BUDGET, DEFAULT_MODEL_CONFIG, LsmConfig, ModelConfig
 from ..core import InOrderCurve, ZetaModel, predict_wa_conventional, separation_breakdown
 from ..distributions import DelayDistribution, EmpiricalDelay
 from ..errors import ExperimentError
-from ..lsm import AdaptiveEngine, ConventionalEngine, SeparationEngine
+from ..lsm import (
+    AdaptiveEngine,
+    ConventionalEngine,
+    IoTDBStyleEngine,
+    SeparationEngine,
+)
 from ..obs.telemetry import global_telemetry
 from ..workloads import TimeSeriesDataset
 
 __all__ = [
     "measure_wa",
     "measure_wa_adaptive",
+    "iotdb_pair",
     "WaSweep",
     "sweep_wa_vs_nseq",
     "dataset_delay_model",
@@ -60,6 +66,20 @@ def measure_wa(
         engine.flush_all()
         span.set(points=engine.ingested_points, wa=engine.write_amplification)
     return engine
+
+
+def iotdb_pair(seq_capacity: int) -> dict[str, IoTDBStyleEngine]:
+    """Fresh IoTDB-style engines ``{"pi_c": ..., "pi_s": ...}`` at the
+    default budget, ``pi_s`` split at ``seq_capacity`` — the two subjects
+    of the throughput and query experiments (Table III, Figures 12-15, 20)."""
+    budget = DEFAULT_MEMORY_BUDGET
+    return {
+        "pi_c": IoTDBStyleEngine(LsmConfig(memory_budget=budget), policy="conventional"),
+        "pi_s": IoTDBStyleEngine(
+            LsmConfig(memory_budget=budget, seq_capacity=seq_capacity),
+            policy="separation",
+        ),
+    }
 
 
 def measure_wa_adaptive(

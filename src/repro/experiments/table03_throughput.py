@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import DEFAULT_MEMORY_BUDGET, LsmConfig
-from ..lsm import IoTDBStyleEngine
+from ..config import DEFAULT_MEMORY_BUDGET
 from ..workloads import TABLE_II
 from .report import ExperimentResult
+from .runner import iotdb_pair
 
 EXPERIMENT_ID = "table03"
 TITLE = "Write throughput (points/ms) under pi_c and pi_s(n/2)"
@@ -29,26 +29,15 @@ _BASE_POINTS = 60_000
 def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     """Regenerate Table III at ``scale`` times the default dataset size."""
     n_points = max(int(_BASE_POINTS * scale), 5_000)
-    budget = DEFAULT_MEMORY_BUDGET
     rows = []
     ratios = []
     for name, spec in TABLE_II.items():
         dataset = spec.build(n_points=n_points, seed=seed)
         throughputs = {}
-        for policy, config in (
-            ("pi_c", LsmConfig(memory_budget=budget)),
-            (
-                "pi_s",
-                LsmConfig(memory_budget=budget, seq_capacity=budget // 2),
-            ),
-        ):
-            engine = IoTDBStyleEngine(
-                config,
-                policy="conventional" if policy == "pi_c" else "separation",
-            )
+        for policy, engine in iotdb_pair(DEFAULT_MEMORY_BUDGET // 2).items():
             engine.ingest(dataset.tg)
             engine.flush_all()
-            throughputs[policy] = engine.throughput_points_per_ms
+            throughputs[policy] = engine.compaction.throughput_points_per_ms
         rows.append([name, throughputs["pi_c"], throughputs["pi_s"]])
         ratios.append(throughputs["pi_s"] / throughputs["pi_c"])
     result = ExperimentResult(

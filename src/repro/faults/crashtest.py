@@ -27,13 +27,8 @@ import numpy as np
 from ..config import LsmConfig
 from ..distributions import ExponentialDelay
 from ..errors import FaultError, InjectedCrash
-from ..lsm.adaptive import AdaptiveEngine
-from ..lsm.conventional import ConventionalEngine
-from ..lsm.iotdb_style import IoTDBStyleEngine
-from ..lsm.multilevel import MultiLevelEngine
+from ..lsm.policies.compose import ENGINES, engine_class
 from ..lsm.recovery import RecoveryReport, recover_engine
-from ..lsm.separation import SeparationEngine
-from ..lsm.tiered import TieredEngine
 from ..workloads.synthetic import generate_synthetic
 from .injector import FaultInjector, FaultPlan
 
@@ -81,16 +76,8 @@ _OVERLOAD_STABILITY = dict(
     compaction_work_unit=256,
 )
 
-#: Per engine key: the class, and its constructor kwargs beyond
-#: config/telemetry/faults.
-_ENGINES: dict[str, tuple[type, dict]] = {
-    "pi_c": (ConventionalEngine, {}),
-    "pi_s": (SeparationEngine, {}),
-    "adaptive": (AdaptiveEngine, {"check_interval": 512}),
-    "iotdb": (IoTDBStyleEngine, {"policy": "conventional", "l1_file_limit": 4}),
-    "multilevel": (MultiLevelEngine, {"size_ratio": 4, "max_levels": 4}),
-    "tiered": (TieredEngine, {"tier_fanout": 3, "max_levels": 4}),
-}
+#: Per engine key: its row of the engine table, run in its small shape.
+_ENGINES = {row.crash_key: row for row in ENGINES if row.crash_key is not None}
 
 #: Engine keys the harness knows how to build and recover.
 CRASH_TEST_ENGINES = tuple(_ENGINES)
@@ -224,11 +211,6 @@ def _build_plan(fault: str, seed: int, engine: str, n_appends: int) -> FaultPlan
     )
 
 
-def _build_engine(key: str, config: LsmConfig, faults: FaultInjector | None):
-    cls, kwargs = _ENGINES[key]
-    return cls(config=config, faults=faults, **kwargs)
-
-
 def _batches(n_points: int, seed: int) -> list[slice]:
     """Seeded irregular batch boundaries over ``n_points`` points."""
     rng = np.random.default_rng(seed + 0x5EED)
@@ -269,9 +251,8 @@ def run_crash_case(
     if overload:
         config = config.with_stability(**_OVERLOAD_STABILITY)
     plan = _build_plan(fault, seed, engine, n_appends=len(batches))
-    live = _build_engine(
-        engine, config, FaultInjector(plan)
-    )
+    row = _ENGINES[engine]
+    live = row.build(config, faults=FaultInjector(plan))
 
     # -- ingest until the armed fault kills the "process" ---------------------
     checkpoint_after = len(batches) // 2
@@ -306,15 +287,14 @@ def run_crash_case(
     try:
         # The adaptive engine never took a checkpoint above (its analyzer
         # is not durable), so for it this is a whole-WAL replay.
-        cls, kwargs = _ENGINES[engine]
         report = recover_engine(
-            cls,
+            engine_class(row.engine),
             wal_path,
             checkpoint_path=(
                 checkpoint_path if os.path.exists(checkpoint_path) else None
             ),
             config=config,
-            engine_kwargs=kwargs,
+            engine_kwargs={**row.selector, **row.small},
             telemetry=telemetry,
         )
     except Exception as exc:  # recovery must never fail a case silently
@@ -334,7 +314,7 @@ def run_crash_case(
     clean_config = LsmConfig(**_CASE_CONFIG)
     if overload:
         clean_config = clean_config.with_stability(**_OVERLOAD_STABILITY)
-    clean = _build_engine(engine, clean_config, None)
+    clean = row.build(clean_config)
     if adaptive:
         clean.ingest(dataset.tg[:durable], dataset.ta[:durable])
     else:

@@ -5,7 +5,9 @@ for time-series points keyed by generation time, with per-point write
 counters ("a prototype system that records the writing times of each
 point", Section III).  Every engine is a placement × flush × compaction
 composition over the single :class:`~repro.lsm.policies.StorageKernel`
-(see :doc:`docs/architecture`).  Engines:
+(see :doc:`docs/architecture`), and every named one is a row of
+:data:`repro.lsm.policies.ENGINES` — the table checkpoint dispatch, the
+crash matrix and ``python -m repro engines`` read.  Engines:
 
 * :class:`LeveledEngine` — the paper's system: one leveled run whose
   ``n_seq : n_nonseq`` split is live state (``resplit``); the next three
@@ -26,6 +28,10 @@ composition over the single :class:`~repro.lsm.policies.StorageKernel`
 * :func:`~repro.lsm.policies.compose_engine` — any other triple, by
   name (:class:`~repro.lsm.policies.ComposedEngine`).
 
+The last three names are :class:`~repro.lsm.policies.ComposedEngine`
+subclasses generated from their rows; their structure and cost clocks
+are read through ``engine.compaction``.
+
 Durability (see :doc:`docs/durability`): every engine can write a
 checksummed WAL before MemTable placement (:mod:`repro.lsm.wal`),
 checkpoint/restore its full state (:mod:`repro.lsm.checkpoint`), recover
@@ -43,21 +49,19 @@ from .backpressure import (
 )
 from .base import LsmEngine, MemTableView, Snapshot
 from .checkpoint import read_checkpoint, write_checkpoint
-from .compaction import merge_tables_with_batch
 from .conventional import ConventionalEngine, LeveledEngine
 from .database import FleetReport, SeriesState, TimeSeriesDatabase
 from .invariants import InvariantChecker
-from .iotdb_style import IoTDBStyleEngine
 from .level import Run
 from .memtable import MemTable
-from .multilevel import MultiLevelEngine
 from .points import PointBatch, sort_by_generation
 from .policies import ComposedEngine, StorageKernel, compose_engine
+from .policies.compaction import merge_tables_with_batch
+from .policies.compose import IoTDBStyleEngine, MultiLevelEngine, TieredEngine
 from .recovery import RecoveryReport, recover_adaptive, recover_engine
 from .scheduler import CompactionScheduler, LandingTask, TokenBucket
 from .separation import SeparationEngine
 from .sstable import SSTable, build_sstables
-from .tiered import TieredEngine
 from .wa_tracker import CompactionEvent, WriteStats
 from .wal import WalReadResult, WalRecord, WriteAheadLog, read_wal
 

@@ -50,6 +50,7 @@ class AdaptiveEngine(LeveledEngine):
     """LSM engine that re-tunes its buffering policy as delays drift."""
 
     policy_name = "pi_adaptive"
+    checkpoint_labels = ("AdaptiveEngine",)
     checkpoint_label = "AdaptiveEngine"
 
     def __init__(

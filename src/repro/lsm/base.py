@@ -403,27 +403,26 @@ class LsmEngine:
     ) -> "LsmEngine":
         """Revive the engine serialised at ``path``.
 
-        Called on a concrete class, the checkpoint must have been taken
-        by that class; called on :class:`LsmEngine` itself, the stored
-        engine name picks the class.  ``config`` overrides the restored
+        The recorded engine name picks the class that rebuilds it (a row
+        of :data:`repro.lsm.policies.compose.ENGINES`).  Called on
+        :class:`LsmEngine` any registered name will do; called on a
+        concrete class, the name must be one that class's engines record
+        (:attr:`checkpoint_labels`).  ``config`` overrides the restored
         static configuration (e.g. to re-attach a ``wal_path``); the
         core knobs (budgets, sstable size) always come from the
         checkpoint so the restored behaviour matches the saved engine.
         """
         from .checkpoint import read_checkpoint
+        from .policies.compose import engine_class
 
         meta, arrays = read_checkpoint(path)
-        target = cls
-        if cls is LsmEngine:
-            target = _engine_registry().get(meta.get("engine"))
-            if target is None:
-                raise CheckpointError(
-                    f"{path}: unknown engine class {meta.get('engine')!r}"
-                )
-        elif meta.get("engine") != cls.__name__:
+        name = meta.get("engine")
+        target = engine_class(name)
+        if target is None:
+            raise CheckpointError(f"{path}: unknown engine class {name!r}")
+        if cls is not LsmEngine and name not in cls.checkpoint_labels:
             raise CheckpointError(
-                f"{path}: checkpoint was taken by {meta.get('engine')!r}, "
-                f"not {cls.__name__}"
+                f"{path}: checkpoint was taken by {name!r}, not {cls.__name__}"
             )
         core = meta["config"]
         if config is None:
@@ -441,7 +440,7 @@ class LsmEngine:
             config=config,
             telemetry=telemetry,
             faults=faults,
-            **target._decode_kwargs(meta.get("kwargs", {})),
+            **meta.get("kwargs", {}),
         )
         engine.stats = WriteStats.from_checkpoint(meta["stats"], arrays)
         if engine.telemetry.enabled:
@@ -450,6 +449,10 @@ class LsmEngine:
         engine._arrival_cursor = int(meta["arrival_cursor"])
         engine._restore_state(meta["state"], arrays)
         return engine
+
+    #: The names :attr:`checkpoint_label` takes on this class's engines
+    #: — what ``cls.restore`` accepts.
+    checkpoint_labels: tuple[str, ...] = ()
 
     @property
     def checkpoint_label(self) -> str:
@@ -460,11 +463,6 @@ class LsmEngine:
     def _checkpoint_kwargs(self) -> dict:
         """Extra JSON-able constructor kwargs (size ratios, fanouts...)."""
         return {}
-
-    @classmethod
-    def _decode_kwargs(cls, kwargs: dict) -> dict:
-        """Turn stored constructor kwargs back into live arguments."""
-        return dict(kwargs)
 
     # -- invariants --------------------------------------------------------------
 
@@ -506,27 +504,3 @@ class LsmEngine:
             f"{type(self).__name__}(policy={self.policy_name}, "
             f"ingested={self.ingested_points}, wa={self.write_amplification:.3f})"
         )
-
-
-def _engine_registry() -> dict[str, type["LsmEngine"]]:
-    """Concrete engine classes by name, for checkpoint dispatch."""
-    from .adaptive import AdaptiveEngine
-    from .conventional import ConventionalEngine
-    from .iotdb_style import IoTDBStyleEngine
-    from .multilevel import MultiLevelEngine
-    from .policies.compose import ComposedEngine
-    from .separation import SeparationEngine
-    from .tiered import TieredEngine
-
-    return {
-        cls.__name__: cls
-        for cls in (
-            ConventionalEngine,
-            SeparationEngine,
-            IoTDBStyleEngine,
-            MultiLevelEngine,
-            TieredEngine,
-            AdaptiveEngine,
-            ComposedEngine,
-        )
-    }

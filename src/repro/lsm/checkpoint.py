@@ -45,7 +45,6 @@ __all__ = [
     "read_checkpoint",
     "pack_tables",
     "unpack_tables",
-    "pack_run",
     "unpack_run",
     "pack_memtable",
     "unpack_memtable",
@@ -213,11 +212,6 @@ def unpack_tables(arrays: dict[str, np.ndarray], prefix: str) -> list[SSTable]:
         )
         start = stop
     return tables
-
-
-def pack_run(arrays: dict[str, np.ndarray], prefix: str, run: Run) -> None:
-    """Store one sorted run under ``prefix``."""
-    pack_tables(arrays, prefix, run.tables)
 
 
 def unpack_run(arrays: dict[str, np.ndarray], prefix: str) -> Run:

@@ -46,6 +46,9 @@ class LeveledEngine(StorageKernel):
     """One leveled run under ``pi_c`` or ``pi_s(config.seq_capacity)``."""
 
     policy_name = "pi_c"
+    # The split is live state, so either named constructor's engine may
+    # come to record the other's name.
+    checkpoint_labels = ("ConventionalEngine", "SeparationEngine")
 
     def __init__(
         self,
@@ -121,11 +124,9 @@ class LeveledEngine(StorageKernel):
 
     @property
     def checkpoint_label(self) -> str:
-        # The split is live state, so the recorded name is derived from
-        # it: whichever of the two named constructors builds this split.
-        if self.config.seq_capacity is None:
-            return "ConventionalEngine"
-        return "SeparationEngine"
+        # Derived from the split: whichever of the two named
+        # constructors builds it.
+        return self.checkpoint_labels[self.config.seq_capacity is not None]
 
     def _checkpoint_state(self, arrays) -> dict:
         state = super()._checkpoint_state(arrays)

@@ -32,9 +32,10 @@ from ..core.analyzer import DelayAnalyzer, finite_delays
 from ..core.tuning import SEPARATION, PolicyDecision
 from ..errors import EngineError, ModelError, RecoveryError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from .base import Snapshot, _engine_registry, validate_generation_times
+from .base import Snapshot, validate_generation_times
 from .checkpoint import namespaced_stem
 from .conventional import LeveledEngine
+from .policies.compose import engine_class
 
 __all__ = [
     "SeriesState", "FleetReport", "TimeSeriesDatabase",
@@ -614,7 +615,7 @@ class TimeSeriesDatabase:
             namespace=namespace,
         )
         for name, entry in manifest["series"].items():
-            engine_cls = _engine_registry().get(entry["engine"])
+            engine_cls = engine_class(entry["engine"])
             if engine_cls is None:
                 raise RecoveryError(
                     f"series {name!r}: unknown engine {entry['engine']!r}"

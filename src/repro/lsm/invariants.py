@@ -4,11 +4,12 @@ Recovery is only trustworthy if the recovered state *provably* looks like
 a state the engine could have reached without crashing.  The checker
 verifies three families of invariants over a live engine:
 
-1. **Structure** — every sorted table group (a leveled run) is internally
-   sorted and non-overlapping (boundary ties tolerated, matching
-   :meth:`repro.lsm.level.Run.check_invariants`); loose tables (e.g.
-   IoTDB-style L1 files, which may overlap each other) are at least
-   internally sorted.
+1. **Structure** — every ``"sorted"`` group of the compaction policy's
+   :meth:`~repro.lsm.policies.compaction.CompactionPolicy.groups` (a
+   leveled run) is internally sorted and non-overlapping (boundary ties
+   tolerated, matching :meth:`repro.lsm.level.Run.check_invariants`);
+   the tables of a ``"loose"`` group (e.g. IoTDB-style L1 files, which
+   may overlap each other) are at least internally sorted.
 2. **Conservation** — every ingested point is visible exactly once:
    ``stats.user_points == snapshot.disk_points + snapshot.memory_points``
    and no point id ever exceeded the id cursor.
@@ -52,18 +53,18 @@ class InvariantChecker:
 
     def check_structure(self) -> None:
         """Sorted non-overlapping runs; internally sorted loose tables."""
-        compaction = self.engine.compaction
-        for name, tables in compaction.sorted_table_groups():
+        for name, kind, group in self.engine.compaction.groups():
+            tables = list(group)
             for table in tables:
                 self._check_table_sorted(name, table)
+            if kind != "sorted":
+                continue
             for left, right in zip(tables, tables[1:]):
                 if left.max_tg > right.min_tg:
                     raise InvariantViolation(
                         f"{self._tag()}: group {name!r} overlaps: "
                         f"{left!r} vs {right!r}"
                     )
-        for table in compaction.loose_tables():
-            self._check_table_sorted("loose", table)
 
     def check_conservation(self) -> None:
         """Every ingested point is visible exactly once."""

@@ -18,9 +18,10 @@ cross-cutting machinery every composition shares: WAL framing, the hot
 ingest loop's id assignment and accounting, fault boundaries, telemetry
 spans, and component-wise checkpoint assembly.
 
-:func:`~repro.lsm.policies.compose.compose_engine` builds novel
-combinations by name; the six first-class engines are thin declarative
-compositions of the same parts.
+:data:`~repro.lsm.policies.compose.ENGINES` is the table of named
+engines — one row per name a checkpoint may record, each a triple of the
+parts above; :func:`~repro.lsm.policies.compose.compose_engine` builds
+any other combination by name.
 """
 
 from .compaction import (
@@ -32,11 +33,13 @@ from .compaction import (
 )
 from .compose import (
     COMPACTIONS,
+    ENGINES,
     FLUSHES,
     PLACEMENTS,
     ComposedEngine,
     compose_engine,
     describe_composition,
+    engine_class,
     engine_compositions,
 )
 from .flush import AppendFlush, FlushStrategy, IndependentFlush, MergeFlush, SeparationFlush
@@ -58,6 +61,8 @@ __all__ = [
     "MultiLevelCascade",
     "SizeTiered",
     "IoTDBTwoSpace",
+    "ENGINES",
+    "engine_class",
     "ComposedEngine",
     "compose_engine",
     "engine_compositions",

@@ -24,7 +24,6 @@ exactly as it was.
 from __future__ import annotations
 
 import abc
-import dataclasses
 import math
 from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING
@@ -33,20 +32,11 @@ import numpy as np
 
 from ...config import DEFAULT_DISK_MODEL, DiskModel
 from ...errors import EngineError
-from ..checkpoint import (
-    pack_run,
-    pack_tables,
-    unpack_run,
-    unpack_tables,
-)
-from ..compaction import (
-    concat_sorted_tables,
-    merge_tables_with_batch,
-    stage_overlap_merge,
-)
 from ..blocks import make_storage
+from ..checkpoint import pack_tables, unpack_run, unpack_tables
 from ..level import Run, RunView
 from ..memtable import MemTable
+from ..points import sort_by_generation
 from ..sstable import SSTable, build_sstables
 from ..wa_tracker import CompactionEvent
 
@@ -55,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "LANDING_OPS",
+    "merge_tables_with_batch",
     "CompactionPolicy",
     "LeveledSingleRun",
     "MultiLevelCascade",
@@ -70,8 +61,71 @@ LANDING_OPS = ("compact", "flush", "merge")
 _FLUSH_SYNC_MS = 0.2
 
 
+# -- leveled-compaction merge primitives -----------------------------------------
+
+
+def merge_tables_with_batch(
+    tables: list[SSTable],
+    batch_tg: np.ndarray,
+    batch_ids: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge on-disk tables with an in-memory batch into sorted arrays.
+
+    All inputs are individually sorted by generation time; the output is
+    their union, sorted.  A stable concatenate-then-sort is used: numpy's
+    mergesort on mostly-sorted input is effectively a multiway merge and
+    far faster than a Python heap.  With no tables the sorted batch is
+    already the answer and is returned as is.
+    """
+    if not tables:
+        return batch_tg, batch_ids
+    parts_tg = [t.tg for t in tables]
+    parts_ids = [t.ids for t in tables]
+    parts_tg.append(batch_tg)
+    parts_ids.append(batch_ids)
+    tg = np.concatenate(parts_tg)
+    ids = np.concatenate(parts_ids)
+    return sort_by_generation(tg, ids)
+
+
+def concat_sorted_tables(
+    tables: list[SSTable],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate tables (possibly overlapping) into one sorted batch.
+
+    This is the staging step shared by every whole-group reorganisation:
+    a tiered level spilling its runs, a multilevel cascade moving a full
+    level down, and the IoTDB L1 -> L2 background compaction.
+    """
+    tg = np.concatenate([t.tg for t in tables])
+    ids = np.concatenate([t.ids for t in tables])
+    return sort_by_generation(tg, ids)
+
+
+def stage_overlap_merge(run: Run, tg: np.ndarray):
+    """Stage a leveled merge of a sorted batch into ``run``.
+
+    Returns ``(region, victims, rewritten)``: the contiguous slice of
+    tables overlapping the batch's generation-time range, those tables,
+    and their total point count.  Pure staging — nothing mutates, so a
+    fault boundary may still abort the compaction afterwards.
+    """
+    lo, hi = float(tg[0]), float(tg[-1])
+    region = run.overlap_slice(lo, hi)
+    victims = run.tables[region]
+    rewritten = run.points_in(region)
+    return region, victims, rewritten
+
+
 class CompactionPolicy(abc.ABC):
-    """Owns the simulated disk state of one engine."""
+    """Owns the simulated disk state of one engine.
+
+    A policy implements :meth:`land` (how a MemTable reaches disk),
+    :meth:`groups` (what the structure is), :meth:`watermark` and
+    :meth:`unpack`; every view of the structure — the snapshot's table
+    list, the pruning index, the invariant checker, relayout, the
+    checkpoint arrays — is derived here from :meth:`groups`.
+    """
 
     #: Short label used by ``repro engines`` and composition tables.
     name: str = "abstract"
@@ -203,44 +257,58 @@ class CompactionPolicy(abc.ABC):
             self.kernel.note_cold_conversion(1, storage.stats_nbytes)
         return storage
 
-    # -- read views ------------------------------------------------------------
+    # -- the structure, stated once ---------------------------------------------
 
     @abc.abstractmethod
+    def groups(self) -> list[tuple[str, str, Run | list[SSTable]]]:
+        """The on-disk structure as ``(name, kind, tables)`` groups, in
+        snapshot order.
+
+        ``kind`` is ``"sorted"`` (ordered and non-overlapping: a
+        :class:`~repro.lsm.level.Run`, or a plain list kept that way) or
+        ``"loose"`` (tables may overlap each other; each is still sorted
+        inside).  ``name`` is the group's checkpoint array prefix and
+        what an invariant violation reports.
+        """
+
     def visible_tables(self) -> list[SSTable]:
-        """Every persisted table, in snapshot order."""
+        """Every persisted table, in snapshot order (a fresh list)."""
+        tables: list[SSTable] = []
+        for _, _, group in self.groups():
+            tables.extend(group)
+        return tables
 
     def pruning_groups(self) -> list[tuple[str, list[SSTable] | RunView]]:
-        """Structure groups for the time-range pruning index.
+        """``(kind, tables)`` per group for the time-range pruning index.
 
-        Each ``(kind, tables)`` entry is either ``"sorted"`` (ordered,
-        non-overlapping — binary-searchable; a :class:`~repro.lsm.
-        level.Run` gives its :meth:`~repro.lsm.level.Run.view`, which
-        costs nothing to take) or ``"loose"`` (zone-map filtered).  The
-        concatenation of the groups must equal :meth:`visible_tables`
-        so pruned scans visit the same tables in the same order as full
-        scans.  The default treats everything as one loose group, which
-        is always correct.
+        A sorted group is binary-searchable, a loose one zone-map
+        filtered.  A :class:`~repro.lsm.level.Run` gives its
+        :meth:`~repro.lsm.level.Run.view`, which costs nothing to take;
+        a list is copied, because the index outlives the next landing.
+        The concatenation equals :meth:`visible_tables`, so pruned scans
+        visit the same tables in the same order as full scans.
         """
-        return [("loose", self.visible_tables())]
+        return [
+            (kind, group.view() if isinstance(group, Run) else list(group))
+            for _, kind, group in self.groups()
+        ]
 
     def relayout(self) -> None:
         """Visible tables changed block format in place
-        (``convert_cold``); policies that keep :class:`~repro.lsm.
-        level.Run` s pass it on so their views re-read block counts."""
-
-    def sorted_table_groups(self) -> list[tuple[str, list[SSTable]]]:
-        """Named table groups that must be sorted *and* non-overlapping."""
-        return []
-
-    def loose_tables(self) -> list[SSTable]:
-        """Tables that may overlap each other (internal sort still holds)."""
-        return []
+        (``convert_cold``): every :class:`~repro.lsm.level.Run` re-reads
+        its block counts."""
+        for _, _, group in self.groups():
+            if isinstance(group, Run):
+                group.relayout()
 
     # -- durability ------------------------------------------------------------
 
-    @abc.abstractmethod
     def pack(self, arrays: dict) -> dict:
-        """Serialise disk state into ``arrays``; return JSON-able meta."""
+        """Serialise every group into ``arrays`` under its name; return
+        the JSON-able meta :meth:`unpack` needs beside them."""
+        for name, _, group in self.groups():
+            pack_tables(arrays, name, list(group))
+        return {}
 
     @abc.abstractmethod
     def unpack(self, state: dict, arrays: dict) -> None:
@@ -338,21 +406,8 @@ class LeveledSingleRun(CompactionPolicy):
         )
         yield max(written, 1) if victims else max(new, 1)
 
-    def visible_tables(self) -> list[SSTable]:
-        return list(self.run.tables)
-
-    def pruning_groups(self) -> list[tuple[str, RunView]]:
-        return [("sorted", self.run.view())]
-
-    def relayout(self) -> None:
-        self.run.relayout()
-
-    def sorted_table_groups(self) -> list[tuple[str, list[SSTable]]]:
-        return [("run", list(self.run.tables))]
-
-    def pack(self, arrays: dict) -> dict:
-        pack_run(arrays, "run", self.run)
-        return {}
+    def groups(self):
+        return [("run", "sorted", self.run)]
 
     def unpack(self, state: dict, arrays: dict) -> None:
         self.run = unpack_run(arrays, "run")
@@ -422,26 +477,11 @@ class MultiLevelCascade(CompactionPolicy):
             tables_rewritten=len(victims),
         )
 
-    def visible_tables(self) -> list[SSTable]:
-        return [t for run in self.levels for t in run.tables]
-
-    def pruning_groups(self) -> list[tuple[str, RunView]]:
-        return [("sorted", run.view()) for run in self.levels]
-
-    def relayout(self) -> None:
-        for run in self.levels:
-            run.relayout()
-
-    def sorted_table_groups(self) -> list[tuple[str, list[SSTable]]]:
+    def groups(self):
         return [
-            (f"level{index}", list(run.tables))
+            (f"level{index}", "sorted", run)
             for index, run in enumerate(self.levels)
         ]
-
-    def pack(self, arrays: dict) -> dict:
-        for index, run in enumerate(self.levels):
-            pack_run(arrays, f"level{index}", run)
-        return {}
 
     def unpack(self, state: dict, arrays: dict) -> None:
         self.levels = [
@@ -517,32 +557,17 @@ class SizeTiered(CompactionPolicy):
         """Total number of (mutually overlapping) runs across all levels."""
         return sum(len(level) for level in self.levels)
 
-    def visible_tables(self) -> list[SSTable]:
-        return [
-            table
-            for level in self.levels
-            for run in level
-            for table in run
-        ]
-
-    def pruning_groups(self) -> list[tuple[str, list[SSTable]]]:
+    def groups(self):
         # Runs overlap each other freely, but each run is internally
         # sorted and non-overlapping — binary-searchable on its own.
         return [
-            ("sorted", list(run)) for level in self.levels for run in level
-        ]
-
-    def sorted_table_groups(self) -> list[tuple[str, list[SSTable]]]:
-        return [
-            (f"level{li}.run{ri}", list(run))
+            (f"level{li}.run{ri}", "sorted", run)
             for li, level in enumerate(self.levels)
             for ri, run in enumerate(level)
         ]
 
     def pack(self, arrays: dict) -> dict:
-        for li, level in enumerate(self.levels):
-            for ri, run in enumerate(level):
-                pack_tables(arrays, f"level{li}.run{ri}", run)
+        super().pack(arrays)
         return {"runs_per_level": [len(level) for level in self.levels]}
 
     def unpack(self, state: dict, arrays: dict) -> None:
@@ -590,6 +615,18 @@ class IoTDBTwoSpace(CompactionPolicy):
 
     def before_ingest(self, count: int) -> None:
         self.foreground_ms += count * self.disk.insert_point_ms
+
+    @property
+    def throughput_points_per_ms(self) -> float:
+        """User-visible write throughput (Table III's metric).
+
+        "From the user's view, the throughput is calculated once the data
+        are written to the database, while the compaction may not have
+        happened yet" — so only foreground time counts.
+        """
+        if self.foreground_ms == 0.0:
+            return float("nan")
+        return self.kernel.ingested_points / self.foreground_ms
 
     def watermark(self) -> float:
         return self._max_disk_tg
@@ -640,30 +677,13 @@ class IoTDBTwoSpace(CompactionPolicy):
             tables_rewritten=consumed,
         )
 
-    def visible_tables(self) -> list[SSTable]:
-        return list(self.l1_files) + list(self.l2.tables)
-
-    def pruning_groups(self) -> list[tuple[str, list[SSTable] | RunView]]:
+    def groups(self):
         # L1 flush files may overlap each other (zone-map filter); the
-        # L2 run is sorted and non-overlapping (binary search).  Order
-        # matches visible_tables: L1 first, then L2.
-        return [
-            ("loose", list(self.l1_files)),
-            ("sorted", self.l2.view()),
-        ]
-
-    def relayout(self) -> None:
-        self.l2.relayout()
-
-    def sorted_table_groups(self) -> list[tuple[str, list[SSTable]]]:
-        return [("l2", list(self.l2.tables))]
-
-    def loose_tables(self) -> list[SSTable]:
-        return list(self.l1_files)
+        # L2 run is sorted and non-overlapping (binary search).
+        return [("l1", "loose", self.l1_files), ("l2", "sorted", self.l2)]
 
     def pack(self, arrays: dict) -> dict:
-        pack_tables(arrays, "l1", self.l1_files)
-        pack_run(arrays, "l2", self.l2)
+        super().pack(arrays)
         return {
             "max_disk_tg": self._max_disk_tg,
             "foreground_ms": self.foreground_ms,
@@ -676,11 +696,3 @@ class IoTDBTwoSpace(CompactionPolicy):
         self._max_disk_tg = float(state["max_disk_tg"])
         self.foreground_ms = float(state["foreground_ms"])
         self.background_ms = float(state["background_ms"])
-
-    def checkpoint_kwargs(self) -> dict:
-        """Constructor kwargs for checkpoint meta (engine classes add
-        their own placement selector)."""
-        return {
-            "l1_file_limit": self.l1_file_limit,
-            "disk": dataclasses.asdict(self.disk),
-        }

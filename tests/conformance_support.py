@@ -60,12 +60,8 @@ from repro.config import LsmConfig
 from repro.distributions import LogNormalDelay
 from repro.lsm.adaptive import AdaptiveEngine
 from repro.lsm.checkpoint import read_checkpoint
-from repro.lsm.conventional import ConventionalEngine
 from repro.lsm.database import TimeSeriesDatabase
-from repro.lsm.iotdb_style import IoTDBStyleEngine
-from repro.lsm.multilevel import MultiLevelEngine
-from repro.lsm.separation import SeparationEngine
-from repro.lsm.tiered import TieredEngine
+from repro.lsm.policies.compose import ENGINES, compose_engine
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
 from repro.workloads import TABLE_II, DelaySegment, generate_dynamic
@@ -105,26 +101,14 @@ SCHEDULED_CONFIG = CONFIG.with_stability(**SCHEDULED_STABILITY)
 #: heavy-disorder row (dt=10).
 WORKLOADS = ("M1", "M8")
 
-#: Engine key -> zero-state factory.  Constructor signatures are part of
-#: the conformance surface and must not change across the refactor.
+#: Engine key -> zero-state factory: every named row of the engine table
+#: (``repro.lsm.policies.compose.ENGINES``) in its small shape, so a new
+#: row is covered without editing a test.  The fixtures are keyed by
+#: these row keys.
 ENGINE_FACTORIES = {
-    "conventional": lambda t, c=CONFIG: ConventionalEngine(c, telemetry=t),
-    "separation": lambda t, c=CONFIG: SeparationEngine(c, telemetry=t),
-    "iotdb_conventional": lambda t, c=CONFIG: IoTDBStyleEngine(
-        c, policy="conventional", l1_file_limit=4, telemetry=t
-    ),
-    "iotdb_separation": lambda t, c=CONFIG: IoTDBStyleEngine(
-        c, policy="separation", l1_file_limit=4, telemetry=t
-    ),
-    "multilevel": lambda t, c=CONFIG: MultiLevelEngine(
-        c, size_ratio=4, max_levels=4, telemetry=t
-    ),
-    "tiered": lambda t, c=CONFIG: TieredEngine(
-        c, tier_fanout=3, max_levels=4, telemetry=t
-    ),
-    "adaptive": lambda t, c=CONFIG: AdaptiveEngine(
-        c, check_interval=512, telemetry=t
-    ),
+    row.key: (lambda t, c=CONFIG, row=row: row.build(c, telemetry=t))
+    for row in ENGINES
+    if row.key is not None
 }
 
 #: The set the scheduled fixture covers.
@@ -136,8 +120,6 @@ SCHEDULED_ENGINES = tuple(ENGINE_FACTORIES)
 #: pruned query path must be bit-identical to a full scan on all of
 #: them (``tests/test_query_pruning.py``).
 def _composed_factory(placement, compaction):
-    from repro.lsm.policies.compose import compose_engine
-
     return lambda t: compose_engine(
         placement, compaction=compaction, config=CONFIG, telemetry=t
     )
@@ -284,9 +266,9 @@ def profile_engine(engine_key: str, workload: str) -> dict:
         **_telemetry_profile(telemetry, sink),
         "telemetry_gauges": dict(sorted(gauges.items())),
     }
-    if isinstance(engine, IoTDBStyleEngine):
-        profile["foreground_ms"] = round(engine.foreground_ms, 9)
-        profile["background_ms"] = round(engine.background_ms, 9)
+    if engine.compaction.name == "iotdb":
+        profile["foreground_ms"] = round(engine.compaction.foreground_ms, 9)
+        profile["background_ms"] = round(engine.compaction.background_ms, 9)
     if isinstance(engine, AdaptiveEngine):
         profile["switches"] = [[int(i), label] for i, label in engine.switch_log]
         profile["decisions"] = len(engine.decision_log)
@@ -512,8 +494,6 @@ _CHECKPOINT_META = ("engine", "policy", "config", "kwargs", "state")
 
 def _checkpoint_engines() -> dict:
     """Key -> zero-state engine: every fixture engine, the novel triples."""
-    from repro.lsm.policies.compose import compose_engine
-
     engines = {key: factory(None) for key, factory in ENGINE_FACTORIES.items()}
     for name, spec in NOVEL_COMPOSITIONS.items():
         engines[name] = compose_engine(config=CONFIG, **spec)

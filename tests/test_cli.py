@@ -12,6 +12,7 @@ from repro import (
     reset_global_telemetry,
 )
 from repro.cli import main
+from repro.lsm.policies import ENGINES
 from repro.workloads import generate_synthetic
 
 
@@ -69,17 +70,18 @@ class TestEnginesSubcommand:
     def test_lists_every_registered_engine(self, capsys):
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
-        for name in (
-            "ConventionalEngine",
-            "SeparationEngine",
-            "IoTDBStyleEngine(policy=conventional)",
-            "IoTDBStyleEngine(policy=separation)",
-            "MultiLevelEngine",
-            "TieredEngine",
-            "AdaptiveEngine",
-            "ComposedEngine",
-        ):
-            assert name in out
+        lines = out.splitlines()
+        for row in ENGINES:
+            # One line per row of the engine table: its recorded name
+            # (with the selector when rows share it) and its label.
+            assert any(
+                line.startswith(row.engine)
+                and all(str(value) in line for value in row.selector.values())
+                and row.policy_name in line
+                for line in lines
+            ), row
+        assert "IoTDBStyleEngine(policy=separation)" in out
+        assert f"[{len(ENGINES)} engine configurations registered]" in out
         # Policy-triple columns are present and populated.
         for column in ("placement", "flush", "compaction"):
             assert column in out

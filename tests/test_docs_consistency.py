@@ -88,3 +88,17 @@ class TestExamplesAndDocs:
     def test_design_confirms_paper_match(self, design_text):
         # The task requires an explicit paper-match statement up top.
         assert "Paper match confirmation" in design_text
+
+    def test_engine_table_of_engines_md_is_the_engine_table(self):
+        """docs/engines.md prints the table ``python -m repro engines``
+        prints: same rows, same cells, same order."""
+        from repro.lsm.policies import engine_compositions
+
+        text = (REPO / "docs" / "engines.md").read_text()
+        section = text.split("## The engine table")[1].split("\n## ")[0]
+        header, _, *body = [
+            [cell.strip().replace("\\|", "|") for cell in line.strip("|").split(" | ")]
+            for line in section.splitlines()
+            if line.startswith("|")
+        ]
+        assert [dict(zip(header, row)) for row in body] == engine_compositions()

@@ -145,8 +145,8 @@ class TestIoTDBStyleEngine:
             l1_file_limit=100,
         )
         engine.ingest(np.arange(24, dtype=np.float64))
-        assert len(engine.l1_files) == 3
-        assert engine.l2.empty
+        assert len(engine.compaction.l1_files) == 3
+        assert engine.compaction.l2.empty
 
     def test_background_compaction_moves_l1_to_l2(self):
         engine = IoTDBStyleEngine(
@@ -155,9 +155,9 @@ class TestIoTDBStyleEngine:
             l1_file_limit=2,
         )
         engine.ingest(np.arange(16, dtype=np.float64))
-        assert len(engine.l1_files) == 0
-        assert engine.l2.total_points == 16
-        engine.l2.check_invariants()
+        assert len(engine.compaction.l1_files) == 0
+        assert engine.compaction.l2.total_points == 16
+        engine.compaction.l2.check_invariants()
 
     def test_l1_files_may_overlap_under_conventional(self):
         engine = IoTDBStyleEngine(
@@ -167,7 +167,7 @@ class TestIoTDBStyleEngine:
         )
         # Interleave old/new so consecutive flushes overlap in range.
         engine.ingest(np.array([0.0, 100.0, 1.0, 101.0, 2.0, 102.0, 3.0, 103.0]))
-        (a, b) = engine.l1_files
+        (a, b) = engine.compaction.l1_files
         assert a.overlaps(b.min_tg, b.max_tg)
 
     def test_separation_splits_memtables(self):
@@ -193,7 +193,7 @@ class TestIoTDBStyleEngine:
             )
             engine.ingest(dataset.tg)
             engine.flush_all()
-            results[policy] = engine.throughput_points_per_ms
+            results[policy] = engine.compaction.throughput_points_per_ms
         assert results["conventional"] > 0
         ratio = results["separation"] / results["conventional"]
         assert 0.9 < ratio < 1.1
@@ -205,7 +205,7 @@ class TestIoTDBStyleEngine:
             l1_file_limit=2,
         )
         engine.ingest(np.arange(64, dtype=np.float64))
-        assert engine.background_ms > 0
+        assert engine.compaction.background_ms > 0
 
     def test_no_data_loss(self):
         rng = np.random.default_rng(9)
@@ -225,4 +225,4 @@ class TestIoTDBStyleEngine:
 
     def test_throughput_nan_before_writes(self):
         engine = IoTDBStyleEngine()
-        assert np.isnan(engine.throughput_points_per_ms)
+        assert np.isnan(engine.compaction.throughput_points_per_ms)

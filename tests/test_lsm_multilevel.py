@@ -11,8 +11,8 @@ class TestMultiLevelEngine:
         engine = MultiLevelEngine(
             LsmConfig(memory_budget=10, sstable_size=10), size_ratio=4
         )
-        assert engine.level_capacity(0) == 40
-        assert engine.level_capacity(1) == 160
+        assert engine.compaction.level_capacity(0) == 40
+        assert engine.compaction.level_capacity(1) == 160
 
     def test_spill_cascades(self):
         engine = MultiLevelEngine(
@@ -23,7 +23,7 @@ class TestMultiLevelEngine:
         engine.ingest(np.arange(64, dtype=np.float64))
         engine.flush_all()
         # Level 0 holds at most 8 points; the rest must have spilled.
-        assert engine.levels[0].total_points <= engine.level_capacity(0)
+        assert engine.compaction.levels[0].total_points <= engine.compaction.level_capacity(0)
         assert engine.snapshot().disk_points == 64
 
     def test_sorted_invariant_per_level(self):
@@ -35,7 +35,7 @@ class TestMultiLevelEngine:
         )
         engine.ingest(rng.permutation(300).astype(np.float64))
         engine.flush_all()
-        for level in engine.levels:
+        for level in engine.compaction.levels:
             level.check_invariants()
 
     def test_wa_greater_than_one_even_for_sorted_input(self):

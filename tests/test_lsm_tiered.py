@@ -12,17 +12,17 @@ class TestTieredEngine:
             LsmConfig(memory_budget=8, sstable_size=8), tier_fanout=4
         )
         engine.ingest(np.arange(24, dtype=np.float64))
-        assert len(engine.levels[0]) == 3
-        assert engine.run_count == 3
+        assert len(engine.compaction.levels[0]) == 3
+        assert engine.compaction.run_count == 3
 
     def test_full_tier_merges_down(self):
         engine = TieredEngine(
             LsmConfig(memory_budget=8, sstable_size=8), tier_fanout=4
         )
         engine.ingest(np.arange(32, dtype=np.float64))
-        assert len(engine.levels[0]) == 0
-        assert len(engine.levels[1]) == 1
-        assert engine.run_count == 1
+        assert len(engine.compaction.levels[0]) == 0
+        assert len(engine.compaction.levels[1]) == 1
+        assert engine.compaction.run_count == 1
 
     def test_merge_cascades_through_levels(self):
         engine = TieredEngine(
@@ -33,7 +33,7 @@ class TestTieredEngine:
         engine.ingest(np.arange(32, dtype=np.float64))
         engine.flush_all()
         # 32 points through fanout-2 tiers: data reaches level 4.
-        assert any(engine.levels[level] for level in range(2, 5))
+        assert any(engine.compaction.levels[level] for level in range(2, 5))
 
     def test_runs_internally_sorted_non_overlapping(self):
         rng = np.random.default_rng(7)
@@ -42,7 +42,7 @@ class TestTieredEngine:
         )
         engine.ingest(rng.permutation(200).astype(np.float64))
         engine.flush_all()
-        for level in engine.levels:
+        for level in engine.compaction.levels:
             for run in level:
                 all_tg = np.concatenate([t.tg for t in run])
                 assert np.all(np.diff(all_tg) > 0)

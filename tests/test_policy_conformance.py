@@ -44,10 +44,10 @@ from repro.errors import InjectedCrash
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.crashtest import CRASH_TEST_ENGINES, run_crash_case
 from repro.lsm.adaptive import AdaptiveEngine
-from repro.lsm.base import LsmEngine, _engine_registry
+from repro.lsm.base import LsmEngine
 from repro.lsm.checkpoint import read_checkpoint
 from repro.lsm.database import TimeSeriesDatabase
-from repro.lsm.policies import ComposedEngine, compose_engine
+from repro.lsm.policies import ENGINES, ComposedEngine, compose_engine, engine_class
 from repro.lsm.recovery import recover_engine
 from repro.lsm.separation import SeparationEngine
 from repro.workloads import TABLE_II, DelaySegment, generate_dynamic
@@ -111,25 +111,39 @@ def _assert_same_state(left, right):
 
 class TestRegistry:
     def test_every_engine_class_is_registered(self):
-        names = set(_engine_registry())
-        assert names == {
-            "ConventionalEngine",
-            "SeparationEngine",
-            "IoTDBStyleEngine",
-            "MultiLevelEngine",
-            "TieredEngine",
-            "AdaptiveEngine",
-            "ComposedEngine",
-        }
+        """Every row's recorded name resolves to the class that builds
+        engines recording that name; nothing else does."""
+        for row in ENGINES:
+            cls = engine_class(row.engine)
+            assert cls.__name__ == row.engine and issubclass(cls, LsmEngine)
+            assert row.engine in cls.checkpoint_labels
+        assert engine_class("ComposedEngine") is ComposedEngine
+        assert engine_class("LeveledEngine") is None
 
     def test_conformance_suite_covers_the_registry(self):
         """No registered engine can dodge the golden fixture."""
         covered = {
-            type(factory(None)).__name__
+            factory(None).checkpoint_label
             for factory in ENGINE_FACTORIES.values()
         }
-        uncovered = set(_engine_registry()) - covered - {"ComposedEngine"}
+        uncovered = {row.engine for row in ENGINES} - covered - {"ComposedEngine"}
         assert not uncovered, f"engines missing a fixture profile: {uncovered}"
+        assert set(load_fixture()["profiles"]) == set(ENGINE_FACTORIES)
+
+    @pytest.mark.parametrize("key", sorted(ENGINE_FACTORIES))
+    def test_a_built_engine_is_its_row(self, key):
+        """The labels the table prints are the policies the engine runs."""
+        (row,) = (row for row in ENGINES if row.key == key)
+        engine = ENGINE_FACTORIES[key](None)
+        assert engine.checkpoint_label == row.engine
+        assert engine.compaction.name == row.compaction
+        if key != "adaptive":  # its row describes the re-splitting, not one split
+            assert engine.policy_name == row.policy_name
+            assert engine.describe_policies() == {
+                "placement": row.placement,
+                "flush": row.flush,
+                "compaction": row.compaction,
+            }
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -287,7 +301,7 @@ class TestAdaptiveRestore:
     """The satellite bugfix: pi_adaptive is a first-class LsmEngine."""
 
     def test_registered_and_restorable_by_name(self, tmp_path):
-        assert _engine_registry()["AdaptiveEngine"] is AdaptiveEngine
+        assert engine_class("AdaptiveEngine") is AdaptiveEngine
         dataset = TABLE_II["M8"].build(n_points=6000, seed=3)
         engine = AdaptiveEngine(
             LsmConfig(memory_budget=64, sstable_size=32), check_interval=512

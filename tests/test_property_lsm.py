@@ -95,7 +95,7 @@ def test_multilevel_engine_invariants(tg, config):
     engine = MultiLevelEngine(config, size_ratio=2, max_levels=4)
     engine.ingest(np.asarray(tg, dtype=np.float64))
     engine.flush_all()
-    for level in engine.levels:
+    for level in engine.compaction.levels:
         level.check_invariants()
     _check_common_invariants(engine, tg)
 
@@ -114,7 +114,7 @@ def test_iotdb_engine_invariants(tg, policy, limit):
     )
     engine.ingest(np.asarray(tg, dtype=np.float64))
     engine.flush_all()
-    engine.l2.check_invariants()
+    engine.compaction.l2.check_invariants()
     _check_common_invariants(engine, tg)
 
 

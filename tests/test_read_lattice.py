@@ -9,8 +9,9 @@ this file draws the configuration.  Two levels:
   ``pi_s`` at a drawn ``seq_capacity``) x scheduler on / off x WAL group
   commit on / off, driven by ingest (disordered, duplicate generation
   times, single-point and empty batches, several series in one call) /
-  ``flush_all`` / ``convert_cold`` / ``retune`` / ``resplit`` / a series
-  created after queries have run / checkpoint + ``recover``.  After
+  ``flush_all`` / ``convert_cold`` / ``retune`` / ``resplit`` /
+  ``resize_series`` (a drawn budget) / a series created after queries
+  have run / checkpoint + ``recover``.  After
   every step a single series, an explicit list (caller order), a set and
   the whole fleet are queried — ``query_aggregate``, ``query_range``
   metrics-only and ``collect=True``, cache cold, warm and bypassed —
@@ -21,18 +22,24 @@ this file draws the configuration.  Two levels:
   unsharded twin fed the same stream.  The write half rides the same
   steps: a third store, ``plain`` — unsharded, no scheduler, no group
   commit, no durability directory — is fed the same stream and the same
-  ``split`` / ``retune`` / ``convert_cold`` steps, and after every step
+  ``split`` / ``resize_series`` / ``retune`` / ``convert_cold`` steps,
+  and after every step
   each series' ``WriteStats`` (user points, disk writes, the per-point
   write-count array) must be equal across fleet, twin and plain,
   ``verify()`` must pass on all three and the visible points must be
   the reference's.
 * **The engine** (:func:`test_every_engine_answers_the_reference`): the
-  fleet builds ``LeveledEngine`` only, so the seven registry rows (and
-  two composed triples) are drawn one level down — the same reference
-  checks both executors on each ``PRUNING_ENGINE_FACTORIES`` engine's
-  snapshot, indexed and hand-built, row / columnar / half converted.
+  fleet builds ``LeveledEngine`` only, so the named rows of the engine
+  table (and two composed triples) are drawn one level down — the same
+  reference checks both executors on each ``PRUNING_ENGINE_FACTORIES``
+  engine's snapshot, indexed and hand-built, row / columnar / half
+  converted.  Its write half, :func:`test_a_row_writes_what_its_triple_writes`:
+  each row that names a triple against ``compose_engine`` of that triple
+  and the row's parameters — ``WriteStats``, event log and checkpoint
+  arrays equal after the same stream.  Both enumerate the table, so a
+  new row is covered without an edit here.
 
-Tier-1 runs a small derandomised profile (about 15 s); ``pytest
+Tier-1 runs a small derandomised profile (about 20 s); ``pytest
 tests/test_read_lattice.py --hypothesis-profile deep`` (registered in
 ``tests/conftest.py``) is the search run by hand.  Counter-examples it
 shrinks are committed below as plain tests.
@@ -54,11 +61,16 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.lsm.adaptive import AdaptiveEngine
 from repro.lsm.base import Snapshot
 from repro.lsm.database import TimeSeriesDatabase
+from repro.lsm.policies.compose import ENGINES, PLACEMENTS, compose_engine
 from repro.query.aggregation import execute_aggregate_query
 from repro.query.executor import QueryStats, execute_range_query
 from repro.query.merge import aggregate_over_series, scan_over_series
 from repro.serving import ShardedDatabase, ShardRouter
-from tests.conformance_support import PRUNING_ENGINE_FACTORIES
+from tests.conformance_support import (
+    CONFIG,
+    PRUNING_ENGINE_FACTORIES,
+    checkpoint_profile,
+)
 from tests.reference_store import ReferenceStore, canonical_rows
 
 NAMES = tuple(f"s{i}" for i in range(6))
@@ -255,12 +267,41 @@ class ReadLattice(RuleBasedStateMachine):
         name = NAMES[index]
         if name in self.reference.series_names():
             for engine in self.engines(name):
-                engine.resplit(seq_capacity)
+                engine.resplit(self.within(engine.config.memory_budget, seq_capacity))
         else:
             self.fleet.database_for(name).create_series(name, seq_capacity=seq_capacity)
             self.twin.create_series(name, seq_capacity=seq_capacity)
             self.plain.create_series(name, seq_capacity=seq_capacity)
             self.reference.write(name, [])
+
+    @staticmethod
+    def within(budget, seq_capacity):
+        """``seq_capacity`` as a legal split of ``budget`` (a resize may
+        have shrunk it below a split drawn against ``BUDGET``)."""
+        return None if seq_capacity is None else min(seq_capacity, budget - 1)
+
+    @rule(
+        index=st.integers(0, 5),
+        budget=st.sampled_from((4, 8, BUDGET, 24)),
+        seq_capacity=st.none() | st.integers(1, BUDGET - 1),
+    )
+    def resize_series(self, index, budget, seq_capacity):
+        """The arbiter's step: the same series re-budgeted to the same
+        drawn budget (and split, or its current share when none is
+        drawn) on all three stores."""
+        name = NAMES[index]
+        if name not in self.reference.series_names():
+            return
+        seq_capacity = self.within(budget, seq_capacity)
+        stores = (self.fleet.database_for(name), self.twin, self.plain)
+        resized = {db.resize_series(name, budget, seq_capacity) for db in stores}
+        assert len(resized) == 1, resized
+        event(f"resized: {resized.pop()}, recovered: {self.recovered}")
+        configs = {
+            (engine.config.memory_budget, engine.config.seq_capacity)
+            for engine in self.engines(name)
+        }
+        assert len(configs) == 1 and budget in configs.pop()
 
     @rule()
     def retune(self):
@@ -390,12 +431,17 @@ TestReadLattice.settings = (
 LAYOUTS = ("row", "columnar", "half")
 
 
+def _stream(seed):
+    """1500 generation times, disordered and duplicate-heavy."""
+    rng = np.random.default_rng(seed)
+    return np.floor(np.arange(1500) / 3.0) * 2.5 + rng.integers(-40, 1, size=1500) * 2.5
+
+
 @functools.lru_cache(maxsize=None)
 def _engine_state(engine_key, layout, flushed, seed):
     """``(snapshot, reference)`` of ``engine_key`` after a disordered,
     duplicate-heavy stream, its tables in ``layout``."""
-    rng = np.random.default_rng(seed)
-    tg = np.floor(np.arange(1500) / 3.0) * 2.5 + rng.integers(-40, 1, size=1500) * 2.5
+    tg = _stream(seed)
     engine = PRUNING_ENGINE_FACTORIES[engine_key](None)
     reference = ReferenceStore()
     for pos in range(0, tg.size, 211):
@@ -440,6 +486,36 @@ def test_every_engine_answers_the_reference(engine_key, layout, flushed, seed, d
         answers.append(answer)
     for indexed, walked in zip(*answers):
         same_answer(_less_access_path(indexed), _less_access_path(walked))
+
+
+#: The rows whose triple can be built by name (the adaptive row and the
+#: open row describe, in those columns, more than one).
+TRIPLE_ROWS = {row.key: row for row in ENGINES if row.placement in PLACEMENTS}
+
+
+@pytest.mark.parametrize("key", sorted(TRIPLE_ROWS))
+def test_a_row_writes_what_its_triple_writes(key):
+    """A named engine is its row: ``compose_engine`` of the row's triple
+    and parameters counts every write the same, logs the same events and
+    checkpoints the same arrays (the meta differs: it names who wrote it)."""
+    row = TRIPLE_ROWS[key]
+    named = row.build(CONFIG)
+    composed = compose_engine(
+        row.placement, row.flush, row.compaction,
+        config=named.config, compaction_kwargs=row.small,
+    )
+    tg = _stream(seed=1)
+    for engine in (named, composed):
+        for pos in range(0, tg.size, 211):
+            engine.ingest(tg[pos : pos + 211])
+    assert named.describe_policies() == composed.describe_policies()
+    got, want = composed.stats, named.stats
+    assert (got.user_points, got.disk_writes) == (want.user_points, want.disk_writes)
+    assert want.disk_writes > want.user_points == tg.size
+    assert np.array_equal(got.write_counts, want.write_counts)
+    assert got.events == want.events
+    assert checkpoint_profile(composed)["arrays"] == checkpoint_profile(named)["arrays"]
+    composed.verify()
 
 
 def _less_access_path(answer):

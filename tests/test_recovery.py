@@ -21,12 +21,14 @@ from repro import (
 )
 from repro.errors import (
     CheckpointCorruptError,
+    CheckpointError,
     InjectedCrash,
     RecoveryError,
     WalError,
 )
 from repro.faults import FaultInjector, FaultPlan
-from repro.lsm.checkpoint import read_checkpoint
+from repro.lsm import ComposedEngine, LeveledEngine, LsmEngine
+from repro.lsm.checkpoint import read_checkpoint, write_checkpoint
 from repro.workloads import TABLE_II, generate_synthetic
 
 
@@ -154,6 +156,74 @@ class TestCheckpointRoundTrip:
             read_checkpoint(ckpt)
         with pytest.raises(CheckpointCorruptError):
             type(engine).restore(ckpt)
+
+
+class TestAClassRestoresWhatItBuilds:
+    """``cls.restore`` takes every name ``cls``'s own engines record
+    (``cls.checkpoint_labels``), and no other."""
+
+    @pytest.fixture()
+    def leveled(self, tmp_path):
+        """``[(engine, its checkpoint)]``, one per leveled split."""
+        pairs = []
+        for engine in (
+            ConventionalEngine(LsmConfig(64, 32)),
+            SeparationEngine(LsmConfig(64, 32, seq_capacity=48)),
+        ):
+            engine.ingest(_dataset(1500, seed=7).tg)
+            path = str(tmp_path / f"{engine.checkpoint_label}.ckpt")
+            engine.save_checkpoint(path)
+            pairs.append((engine, path))
+        return pairs
+
+    def test_leveled_engine_restores_both_named_constructors(self, leveled):
+        """``LeveledEngine`` is what ``create_series`` builds; it used to
+        refuse every checkpoint ever written."""
+        for engine, path in leveled:
+            restored = LeveledEngine.restore(path)
+            assert restored.current_policy == engine.current_policy
+            _assert_same_state(engine, restored)
+            restored.verify()
+
+    def test_conventional_engine_restores_its_own_engine_after_a_resplit(
+        self, tmp_path
+    ):
+        dataset = _dataset(2400, seed=8)
+        engine = ConventionalEngine(LsmConfig(64, 32))
+        engine.ingest(dataset.tg[:800])
+        assert engine.resplit(24)
+        engine.ingest(dataset.tg[800:1600])
+        path = str(tmp_path / "resplit.ckpt")
+        engine.save_checkpoint(path)
+        assert read_checkpoint(path)[0]["engine"] == "SeparationEngine"
+        restored = ConventionalEngine.restore(path)
+        assert restored.current_policy == engine.current_policy == "pi_s(n_seq=24)"
+        _assert_same_state(engine, restored)
+        engine.ingest(dataset.tg[1600:])
+        restored.ingest(dataset.tg[1600:])
+        _assert_same_state(engine, restored)
+        restored.verify()
+
+    def test_a_name_the_class_cannot_build_is_still_refused(self, leveled, tmp_path):
+        (_, conventional), (_, separation) = leveled
+        tiered = str(tmp_path / "tiered.ckpt")
+        TieredEngine(LsmConfig(64, 32)).save_checkpoint(tiered)
+        for cls, path in (
+            (LeveledEngine, tiered),
+            (ConventionalEngine, tiered),
+            (AdaptiveEngine, conventional),
+            (MultiLevelEngine, tiered),
+            (TieredEngine, separation),
+        ):
+            with pytest.raises(CheckpointError, match=f"not {cls.__name__}"):
+                cls.restore(path)
+        assert isinstance(ComposedEngine.restore(tiered), TieredEngine)
+        meta, arrays = read_checkpoint(tiered)
+        meta["engine"] = "LeveledEngine"  # a class, but no row records it
+        write_checkpoint(tiered, meta, arrays)
+        for cls in (LsmEngine, LeveledEngine, TieredEngine):
+            with pytest.raises(CheckpointError, match="unknown engine class"):
+                cls.restore(tiered)
 
 
 class TestRecoverEngine:

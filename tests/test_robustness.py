@@ -24,6 +24,7 @@ from repro import (
     Telemetry,
     TieredEngine,
     TimeSeriesDatabase,
+    compose_engine,
     read_wal,
     recover_adaptive,
     recover_engine,
@@ -447,6 +448,48 @@ class TestEngineMisuse:
         engine.ingest(np.array([5.0, 5.0, 5.0, 5.0, 5.0]))
         engine.flush_all()
         assert engine.snapshot().total_points == 5
+
+
+class TestRowParametersAreOutsideInput:
+    """The compaction parameters of an engine row — a caller's, or a
+    checkpoint's — are checked for name and kind once, where the row is
+    built: an ``EngineError`` at construction through a named
+    constructor and ``compose_engine`` alike, never a bare ``TypeError``
+    or an ``AttributeError`` at the first ingest."""
+
+    @pytest.mark.parametrize(
+        "build, names",
+        [
+            (lambda: compose_engine(compaction_kwargs={"bogus": 1}), ["bogus"]),
+            (
+                lambda: compose_engine(
+                    compaction="multilevel", compaction_kwargs={"bogus": 1}
+                ),
+                ["bogus", "size_ratio", "max_levels"],
+            ),
+            (lambda: MultiLevelEngine(max_levels="3"), ["max_levels", "'3'"]),
+            (lambda: MultiLevelEngine(size_ratio=2.5), ["size_ratio", "2.5"]),
+            (lambda: TieredEngine(tier_fanout=2.5), ["tier_fanout", "2.5"]),
+            (lambda: TieredEngine(max_levels=True), ["max_levels", "True"]),
+            (lambda: IoTDBStyleEngine(l1_file_limit=2.0), ["l1_file_limit", "2.0"]),
+            (lambda: IoTDBStyleEngine(disk=None), ["disk", "DiskModel"]),
+            (
+                lambda: compose_engine(
+                    compaction="tiered", compaction_kwargs={"tier_fanout": 2.5}
+                ),
+                ["tier_fanout", "2.5"],
+            ),
+        ],
+        ids=[
+            "unknown", "unknown-names-the-ones-taken", "str", "float-ratio",
+            "float-fanout", "bool", "float-limit", "disk-none", "composed-float",
+        ],
+    )
+    def test_engine_error_at_construction(self, build, names):
+        with pytest.raises(EngineError) as excinfo:
+            build()
+        for name in names:
+            assert name in str(excinfo.value)
 
 
 class TestAnalyzerLongHorizon:
