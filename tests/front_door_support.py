@@ -143,6 +143,18 @@ CASES = {
     "crash-test-fleet": (
         None, [["crash-test", "--fleet", "--shards", "2", "--seeds", "1"]]
     ),
+    # The three crash matrices CI runs, at CI's size.
+    "crash-test-ci-engines": (
+        None, [["crash-test", "--engines", "all", "--seeds", "3"]]
+    ),
+    "crash-test-ci-overload": (
+        None,
+        [["crash-test", "--engines", "all", "--seeds", "2",
+          "--faults", "fsync_delay,slow_merge"]],
+    ),
+    "crash-test-ci-fleet": (
+        None, [["crash-test", "--fleet", "--shards", "4", "--seeds", "2"]]
+    ),
     "federated-report": (
         None,
         [["federated-report", "--shards", "3", "--series", "4", "--points", "400",
