@@ -133,7 +133,6 @@ from .lsm import (
     WriteAheadLog,
     WriteStats,
     read_wal,
-    recover_adaptive,
     recover_engine,
 )
 from .query import (
@@ -212,7 +211,6 @@ __all__ = [
     "WriteAheadLog",
     "read_wal",
     "recover_engine",
-    "recover_adaptive",
     "RecoveryReport",
     "InvariantChecker",
     "FaultPlan",

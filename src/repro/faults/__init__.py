@@ -4,7 +4,10 @@
   fault delivery at the write path's fault sites (flush/merge boundary,
   WAL append, checkpoint write).
 * :func:`run_crash_test` / :class:`CrashTestReport` — the ingest →
-  crash → recover → verify harness behind ``python -m repro crash-test``.
+  crash → recover → verify harness behind ``python -m repro crash-test``;
+  :func:`run_crash_case` runs every cell of it, an engine's or a
+  fleet's, into one :class:`CrashCaseResult` through one durable-prefix
+  proof.
 
 The harness names are loaded lazily: the injector must stay importable
 from :mod:`repro.lsm.base` (engines build their injector from

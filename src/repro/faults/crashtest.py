@@ -1,23 +1,24 @@
 """Crash-test harness: inject a fault, recover, prove nothing was lost.
 
-Each *case* drives one engine through a seeded out-of-order workload in
-batches, with one fault armed (a crash at a flush/merge boundary, a torn
-WAL append, or a corrupted checkpoint page).  When the simulated process
-"dies", the harness recovers from the surviving WAL (+ checkpoint),
-verifies every crash-consistency invariant, and then proves the strong
-durability property: the recovered engine's *per-point write counters*
-equal those of a crash-free engine run over the same durable prefix — so
-recovery reproduced not just the data but the exact write-amplification
-history.
+Each *case* drives one engine — or one shard of a sharded fleet —
+through a seeded out-of-order workload in batches, with one fault armed
+(a crash at a flush/merge boundary, a torn WAL append, or a corrupted
+checkpoint page).  When the simulated process "dies", the harness
+recovers from the surviving WAL (+ checkpoint), verifies every
+crash-consistency invariant, and then proves the strong durability
+property: each recovered engine's *per-point write counters* equal those
+of a crash-free engine run over the same durable prefix — so recovery
+reproduced not just the data but the exact write-amplification history.
 
 ``python -m repro crash-test`` runs the full matrix (six engines × fault
 kinds × seeds) and exits non-zero on any failure; ``--fleet`` runs the
 fleet cells (one shard of a sharded tier killed mid-group-commit)
-through the same matrix runner.
+through the same case function.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -27,8 +28,9 @@ import numpy as np
 from ..config import LsmConfig
 from ..distributions import ExponentialDelay
 from ..errors import FaultError, InjectedCrash
+from ..lsm.adaptive import AdaptiveEngine
 from ..lsm.policies.compose import ENGINES, engine_class
-from ..lsm.recovery import RecoveryReport, recover_engine
+from ..lsm.recovery import recover_engine
 from ..workloads.synthetic import generate_synthetic
 from .injector import FaultInjector, FaultPlan
 
@@ -39,10 +41,8 @@ __all__ = [
     "FLEET_FAULT_KINDS",
     "CrashCaseResult",
     "CrashTestReport",
-    "FleetCrashCaseResult",
     "run_crash_case",
     "run_crash_test",
-    "run_fleet_crash_case",
 ]
 
 #: Fault kinds a case can arm.
@@ -76,6 +76,14 @@ _OVERLOAD_STABILITY = dict(
     compaction_work_unit=256,
 )
 
+#: Stability overrides every fleet case runs under: group commit, so a
+#: crash can lose acknowledged frames.
+_FLEET_STABILITY = dict(wal_group_records=4)
+
+#: A fleet case's series, and the points each one ingests.
+_FLEET_SERIES = 6
+_FLEET_POINTS = 3000
+
 #: Per engine key: its row of the engine table, run in its small shape.
 _ENGINES = {row.crash_key: row for row in ENGINES if row.crash_key is not None}
 
@@ -85,14 +93,16 @@ CRASH_TEST_ENGINES = tuple(_ENGINES)
 
 @dataclass
 class CrashCaseResult:
-    """Outcome of one engine × fault × seed case."""
+    """Outcome of one engine × fault × seed case (engine ``"fleet"``:
+    one shard of a fleet killed and recovered)."""
 
     engine: str
     fault: str
     seed: int
     #: The armed fault actually fired and killed the run.
     crashed: bool = False
-    #: Points proven durable (WAL records surviving the crash).
+    #: Points proven durable (WAL records surviving the crash; a fleet
+    #: case sums them over the victim's series).
     durable_points: int = 0
     #: Points replayed from the WAL during recovery.
     replayed_points: int = 0
@@ -102,10 +112,18 @@ class CrashCaseResult:
     checkpoint_corrupt: bool = False
     #: The WAL had a torn tail that was truncated.
     wal_torn: bool = False
-    #: Invariant verification passed on the recovered engine.
+    #: Invariant verification passed on every recovered engine.
     verified: bool = False
     #: Recovered per-point write counters match a crash-free rerun.
     wa_match: bool = False
+    #: Fleet case: shard index the fault was armed on.
+    victim: int = -1
+    #: Fleet case: series living on the victim shard.
+    victim_series: int = 0
+    #: Fleet case: surviving shards' on-disk files were byte-identical
+    #: before and after the victim's recovery, their engines' write
+    #: accounting unchanged, and their live engines verify.
+    survivors_untouched: bool = True
     error: str | None = None
 
     @property
@@ -116,22 +134,28 @@ class CrashCaseResult:
             and self.crashed
             and self.verified
             and self.wa_match
+            and self.survivors_untouched
         )
 
     def describe(self) -> str:
         status = "ok" if self.ok else "FAIL"
-        detail = (
-            f"durable={self.durable_points} replayed={self.replayed_points}"
-            f"{' ckpt' if self.checkpoint_used else ''}"
-            f"{' ckpt-corrupt' if self.checkpoint_corrupt else ''}"
-            f"{' torn' if self.wal_torn else ''}"
-        )
+        if self.engine == "fleet":
+            detail = (
+                f"victim=shard-{self.victim:02d} series={self.victim_series} "
+                f"durable={self.durable_points}"
+            )
+            head = f"fleet {self.fault:<12}"
+        else:
+            detail = (
+                f"durable={self.durable_points} replayed={self.replayed_points}"
+                f"{' ckpt' if self.checkpoint_used else ''}"
+                f"{' ckpt-corrupt' if self.checkpoint_corrupt else ''}"
+                f"{' torn' if self.wal_torn else ''}"
+            )
+            head = f"{self.engine:<10} {self.fault:<18}"
         if self.error:
             detail += f" error={self.error}"
-        return (
-            f"[{status}] {self.engine:<10} {self.fault:<18} "
-            f"seed={self.seed} {detail}"
-        )
+        return f"[{status}] {head} seed={self.seed} {detail}"
 
 
 @dataclass
@@ -160,6 +184,25 @@ class CrashTestReport:
         return "\n".join(lines)
 
 
+def _check(keys: list[str], kinds: list[str]) -> None:
+    """Raise :class:`FaultError` for an engine key (a
+    :data:`CRASH_TEST_ENGINES` key or ``"fleet"``) or a fault kind no
+    case of that key arms."""
+    for key in keys:
+        fleet = key == "fleet"
+        if not fleet and key not in _ENGINES:
+            raise FaultError(
+                f"unknown engine {key!r}; expected one of {CRASH_TEST_ENGINES}"
+            )
+        allowed = FLEET_FAULT_KINDS if fleet else FAULT_KINDS + OVERLOAD_FAULT_KINDS
+        for kind in kinds:
+            if kind not in allowed:
+                raise FaultError(
+                    f"unknown {'fleet ' if fleet else ''}fault kind {kind!r}; "
+                    f"expected one of {allowed}"
+                )
+
+
 def _build_plan(fault: str, seed: int, engine: str, n_appends: int) -> FaultPlan:
     """Arm exactly one fault, with a seeded trigger occurrence.
 
@@ -168,46 +211,49 @@ def _build_plan(fault: str, seed: int, engine: str, n_appends: int) -> FaultPlan
     ``multilevel``, ``adaptive`` pre-switch), so only the engines with a
     recurring pure-flush path get a varied flush trigger.  The
     ``corrupt_checkpoint`` kind arms no crash: the harness itself "cuts
-    the power" a few batches after the (corrupted) checkpoint.
+    the power" a few batches after the (corrupted) checkpoint.  A fleet
+    case (``engine == "fleet"``) arms its plan on the victim shard.
     """
     rng = np.random.default_rng(seed)
+    fleet = engine == "fleet"
     if fault == "crash_flush":
         recurring_flushes = engine in ("pi_s", "iotdb", "tiered")
         occurrence = int(rng.integers(1, 6)) if recurring_flushes else 1
         return FaultPlan(seed=seed, crash_at_flush=occurrence)
     if fault == "crash_merge":
-        return FaultPlan(seed=seed, crash_at_merge=int(rng.integers(1, 4)))
+        # A fleet crash comes late enough that at least one synced round
+        # precedes it (per-engine merges run ~2-3 per round at these
+        # buffer sizes), so the lost tail sits on top of a non-trivial
+        # durable prefix.
+        low, high = (6, 18) if fleet else (1, 4)
+        return FaultPlan(seed=seed, crash_at_merge=int(rng.integers(low, high)))
     if fault == "torn_wal":
-        # Anywhere in the run, so roughly half the cases tear *after*
-        # the mid-run checkpoint and exercise checkpoint + tail replay.
+        # Anywhere in the run (a fleet's before its last round), so
+        # roughly half the cases tear *after* the mid-run checkpoint and
+        # exercise checkpoint + tail replay.
+        last = n_appends - 1 if fleet else n_appends
         return FaultPlan(
-            seed=seed,
-            torn_wal_append_at=int(rng.integers(2, max(n_appends, 3))),
+            seed=seed, torn_wal_append_at=int(rng.integers(2, max(last, 3)))
         )
     if fault == "corrupt_checkpoint":
         return FaultPlan(seed=seed, corrupt_checkpoint=True)
-    if fault in OVERLOAD_FAULT_KINDS:
-        # A latency fault runs throughout, plus a crash late enough to
-        # leave a meaningful durable prefix.  IoTDB-style engines merge
-        # only during background reorganisation, so their merge site
-        # fires far less often than the leveled engines'.
-        occurrence = int(rng.integers(2, 6) if engine == "iotdb" else rng.integers(8, 24))
-        if fault == "fsync_delay":
-            return FaultPlan(
-                seed=seed,
-                fsync_delay_ms=0.5,
-                fsync_delay_every=2,
-                crash_at_merge=occurrence,
-            )
+    # An overload kind: a latency fault runs throughout, plus a crash
+    # late enough to leave a meaningful durable prefix.  IoTDB-style
+    # engines merge only during background reorganisation, so their
+    # merge site fires far less often than the leveled engines'.
+    occurrence = int(rng.integers(2, 6) if engine == "iotdb" else rng.integers(8, 24))
+    if fault == "fsync_delay":
         return FaultPlan(
             seed=seed,
-            merge_delay_ms=0.5,
-            merge_delay_every=2,
+            fsync_delay_ms=0.5,
+            fsync_delay_every=2,
             crash_at_merge=occurrence,
         )
-    raise FaultError(
-        f"unknown fault kind {fault!r}; expected one of "
-        f"{FAULT_KINDS + OVERLOAD_FAULT_KINDS}"
+    return FaultPlan(
+        seed=seed,
+        merge_delay_ms=0.5,
+        merge_delay_every=2,
+        crash_at_merge=occurrence,
     )
 
 
@@ -223,6 +269,56 @@ def _batches(n_points: int, seed: int) -> list[slice]:
     return slices
 
 
+def _feed(engine, dataset, region: slice) -> None:
+    """Ingest ``region`` of ``dataset``; the adaptive engine takes the
+    arrival times beside the generation times."""
+    if isinstance(engine, AdaptiveEngine):
+        engine.ingest(dataset.tg[region], dataset.ta[region])
+    else:
+        engine.ingest(dataset.tg[region])
+
+
+def _prefix_mismatch(row, config: LsmConfig, dataset, recovered) -> str | None:
+    """The durable-prefix proof: ``None`` when ``recovered`` has exactly
+    the disk writes and per-point write counters of a crash-free
+    ``row`` engine under ``config`` fed the first
+    ``recovered.ingested_points`` points of ``dataset``; else why not."""
+    durable = recovered.ingested_points
+    clean = row.build(config)
+    _feed(clean, dataset, slice(0, durable))
+    if recovered.stats.disk_writes == clean.stats.disk_writes and np.array_equal(
+        recovered.stats.write_counts, clean.stats.write_counts
+    ):
+        return None
+    return (
+        f"WA mismatch: recovered {recovered.stats.disk_writes} disk writes "
+        f"vs crash-free {clean.stats.disk_writes} over {durable} durable points"
+    )
+
+
+def _survivors(fleet, victim: int) -> dict:
+    """What the victim's recovery must leave alone: a content digest of
+    every file under each surviving shard's directory, and each surviving
+    engine's write accounting (every live survivor must also verify)."""
+    from ..serving import shard_name
+
+    state: dict = {}
+    for index, db in enumerate(fleet.shards):
+        if index == victim:
+            continue
+        root = os.path.join(fleet.durability_dir, shard_name(index))
+        for base, _, files in os.walk(root):
+            for name in files:
+                path = os.path.join(base, name)
+                with open(path, "rb") as handle:
+                    state[path] = hashlib.sha256(handle.read()).digest()
+        for name in db.series_names():
+            engine = db.series(name).engine
+            engine.verify()
+            state[name] = (engine.stats.disk_writes, tuple(engine.stats.write_counts))
+    return state
+
+
 def run_crash_case(
     engine: str,
     fault: str,
@@ -230,31 +326,82 @@ def run_crash_case(
     workdir: str,
     n_points: int = 6000,
     telemetry=None,
+    n_shards: int = 4,
 ) -> CrashCaseResult:
-    """Run one ingest → crash → recover → verify case."""
-    if engine not in _ENGINES:
-        raise FaultError(
-            f"unknown engine {engine!r}; expected one of {CRASH_TEST_ENGINES}"
-        )
+    """Run one ingest → crash → recover → prove case.
+
+    ``engine`` is a :data:`CRASH_TEST_ENGINES` key — that row, in its
+    small shape, ingests ``n_points`` points — or ``"fleet"``: an
+    ``n_shards`` fleet of ``pi_c`` series at the same shape under
+    group-commit WAL, with ``fault`` armed on the shard owning the most
+    series and only every other round synced, so the crash lands with
+    acknowledged frames still pending in the victim's group buffers.
+    The fleet's survivors sync and keep their live engines; only the
+    victim shard is recovered from disk, and its recovery must leave
+    their files and write accounting untouched.  Either way, every
+    recovered engine must verify and reproduce a crash-free run over its
+    durable prefix exactly.
+    """
+    from ..lsm.database import TimeSeriesDatabase
+    from ..serving import ShardedDatabase, ShardRouter, shard_name
+
+    _check([engine], [fault])
     result = CrashCaseResult(engine=engine, fault=fault, seed=seed)
+    fleet = engine == "fleet"
     adaptive = engine == "adaptive"
-
-    dataset = generate_synthetic(
-        n_points, dt=1.0, delay=ExponentialDelay(mean=40.0), seed=seed
-    )
+    row = _ENGINES["pi_c" if fleet else engine]
+    stem = os.path.join(workdir, f"{engine}-{fault}-{seed}")
+    if fleet:
+        stability = _FLEET_STABILITY
+        names = [f"series-{index:02d}" for index in range(_FLEET_SERIES)]
+        seeds = [seed * 131 + index for index in range(_FLEET_SERIES)]
+        n_points = _FLEET_POINTS
+    else:
+        stability = _OVERLOAD_STABILITY if fault in OVERLOAD_FAULT_KINDS else {}
+        names, seeds = [engine], [seed]
+    datasets = {
+        name: generate_synthetic(
+            n_points, dt=1.0, delay=ExponentialDelay(mean=40.0), seed=series_seed,
+            name=name,
+        )
+        for name, series_seed in zip(names, seeds)
+    }
     batches = _batches(n_points, seed)
-    stem = f"{engine}-{fault}-{seed}"
-    wal_path = os.path.join(workdir, f"{stem}.wal")
-    checkpoint_path = os.path.join(workdir, f"{stem}.ckpt")
-    config = LsmConfig(**_CASE_CONFIG, wal_path=wal_path)
-    overload = fault in OVERLOAD_FAULT_KINDS
-    if overload:
-        config = config.with_stability(**_OVERLOAD_STABILITY)
-    plan = _build_plan(fault, seed, engine, n_appends=len(batches))
-    row = _ENGINES[engine]
-    live = row.build(config, faults=FaultInjector(plan))
 
-    # -- ingest until the armed fault kills the "process" ---------------------
+    # -- 1. arm one fault ------------------------------------------------------
+    plan = _build_plan(fault, seed, engine, n_appends=len(batches))
+    if fleet:
+        router = ShardRouter(n_shards)
+        owners = {name: router.shard_of(name) for name in names}
+        shards = list(owners.values())
+        counts = [shards.count(index) for index in range(n_shards)]
+        # The victim is the busiest shard (ties to the lowest index), so
+        # the crash interrupts as many per-series engines as possible.
+        result.victim = counts.index(max(counts))
+        result.victim_series = counts[result.victim]
+        live = ShardedDatabase(
+            router=router,
+            memory_budget_per_series=_CASE_CONFIG["memory_budget"],
+            sstable_size=_CASE_CONFIG["sstable_size"],
+            auto_tune=False,
+            durability_dir=stem,
+            stability=stability,
+            shard_fault_plans={result.victim: plan},
+        )
+        # Register every series, then checkpoint: the shard manifests
+        # must exist before the crash for recovery to know the fleet's
+        # shape.
+        for name in names:
+            live.database_for(name).create_series(name)
+        live.checkpoint_all()
+    else:
+        wal_path, checkpoint_path = f"{stem}.wal", f"{stem}.ckpt"
+        config = LsmConfig(**_CASE_CONFIG, wal_path=wal_path).with_stability(
+            **stability
+        )
+        live = row.build(config, faults=FaultInjector(plan))
+
+    # -- 2. ingest until the armed fault kills the "process" -------------------
     checkpoint_after = len(batches) // 2
     power_cut_after = None
     if fault == "corrupt_checkpoint":
@@ -267,12 +414,20 @@ def run_crash_case(
         )
     try:
         for index, region in enumerate(batches):
-            if adaptive:
-                live.ingest(dataset.tg[region], dataset.ta[region])
+            if fleet:
+                live.ingest_batch(
+                    [(name, datasets[name].tg[region]) for name in names],
+                    sync=(index % 2 == 1),
+                )
             else:
-                live.ingest(dataset.tg[region])
+                _feed(live, datasets[engine], region)
+            # The adaptive engine never checkpoints: its analyzer is not
+            # durable, so its recovery is always a whole-WAL replay.
             if index + 1 == checkpoint_after and not adaptive:
-                live.save_checkpoint(checkpoint_path)
+                if fleet:
+                    live.checkpoint_all()
+                else:
+                    live.save_checkpoint(checkpoint_path)
             if power_cut_after is not None and index + 1 == power_cut_after:
                 result.crashed = True
                 break
@@ -281,76 +436,74 @@ def run_crash_case(
     if not result.crashed:
         result.error = "armed fault never fired"
         return result
-    del live  # the process is dead; only the files survive
 
-    # -- recover ---------------------------------------------------------------
+    # -- 3. die: only the files survive ----------------------------------------
+    if fleet:
+        # The victim process is dead: its pending group frames are lost
+        # with it (never close its WAL handles — close would commit
+        # them).  The survivors are still alive; they sync and carry on.
+        for index, db in enumerate(live.shards):
+            if index != result.victim:
+                db.sync()
+        before = _survivors(live, result.victim)
+    else:
+        del live
+
+    # -- 4. recover from the directory -----------------------------------------
     try:
-        # The adaptive engine never took a checkpoint above (its analyzer
-        # is not durable), so for it this is a whole-WAL replay.
-        report = recover_engine(
-            engine_class(row.engine),
-            wal_path,
-            checkpoint_path=(
-                checkpoint_path if os.path.exists(checkpoint_path) else None
-            ),
-            config=config,
-            engine_kwargs={**row.selector, **row.small},
-            telemetry=telemetry,
-        )
+        if fleet:
+            victim = TimeSeriesDatabase.recover(
+                os.path.join(stem, shard_name(result.victim)),
+                telemetry=telemetry,
+                namespace=shard_name(result.victim),
+            )
+            recovered = {name: victim.series(name).engine for name in victim.series_names()}
+            result.verified = True  # ``recover`` verifies every engine
+        else:
+            report = recover_engine(
+                engine_class(row.engine),
+                wal_path,
+                checkpoint_path=(
+                    checkpoint_path if os.path.exists(checkpoint_path) else None
+                ),
+                config=config,
+                engine_kwargs={**row.selector, **row.small},
+                telemetry=telemetry,
+            )
+            recovered = {engine: report.engine}
+            result.replayed_points = report.replayed_points
+            result.checkpoint_used = report.checkpoint_used
+            result.checkpoint_corrupt = report.checkpoint_corrupt
+            result.wal_torn = report.wal_torn
+            result.verified = report.verified
     except Exception as exc:  # recovery must never fail a case silently
         result.error = f"recovery failed: {exc!r}"
         return result
-    _fill_result(result, report)
-    if fault == "torn_wal" and not result.wal_torn:
+    result.durable_points = sum(e.ingested_points for e in recovered.values())
+    if fleet:
+        result.survivors_untouched = _survivors(live, result.victim) == before
+        routed = sorted(name for name in names if owners[name] == result.victim)
+        if not result.survivors_untouched:
+            result.error = "victim recovery touched a surviving shard"
+        elif sorted(recovered) != routed:
+            result.error = f"victim recovered series {sorted(recovered)} != routed {routed}"
+    elif fault == "torn_wal" and not result.wal_torn:
         result.error = "torn WAL tail was not detected"
-        return result
-    if fault == "corrupt_checkpoint" and not result.checkpoint_corrupt:
+    elif fault == "corrupt_checkpoint" and not result.checkpoint_corrupt:
         result.error = "checkpoint corruption was not detected"
+    if result.error is not None:
         return result
 
-    # -- the durable prefix must reproduce a crash-free run exactly ------------
-    recovered = report.engine
-    durable = result.durable_points
-    clean_config = LsmConfig(**_CASE_CONFIG)
-    if overload:
-        clean_config = clean_config.with_stability(**_OVERLOAD_STABILITY)
-    clean = row.build(clean_config)
-    if adaptive:
-        clean.ingest(dataset.tg[:durable], dataset.ta[:durable])
-    else:
-        clean.ingest(dataset.tg[:durable])
-    result.wa_match = bool(
-        recovered.stats.disk_writes == clean.stats.disk_writes
-        and np.array_equal(
-            recovered.stats.write_counts, clean.stats.write_counts
-        )
-    )
-    if not result.wa_match and result.error is None:
-        result.error = (
-            f"WA mismatch: recovered {recovered.stats.disk_writes} disk "
-            f"writes vs crash-free {clean.stats.disk_writes} over "
-            f"{durable} durable points"
-        )
+    # -- 5. every durable prefix must reproduce a crash-free run exactly ------
+    clean_config = LsmConfig(**_CASE_CONFIG).with_stability(**stability)
+    result.wa_match = True
+    for name, revived in recovered.items():
+        mismatch = _prefix_mismatch(row, clean_config, datasets[name], revived)
+        if mismatch is not None:
+            result.wa_match = False
+            result.error = f"{name}: {mismatch}" if fleet else mismatch
+            break
     return result
-
-
-def _fill_result(result: CrashCaseResult, report: RecoveryReport) -> None:
-    result.durable_points = report.durable_points
-    result.replayed_points = report.replayed_points
-    result.checkpoint_used = report.checkpoint_used
-    result.checkpoint_corrupt = report.checkpoint_corrupt
-    result.wal_torn = report.wal_torn
-    result.verified = report.verified
-
-
-def _run_cell(cell, workdir: str, telemetry=None, **size):
-    """One matrix cell ``(engine, fault, seed)``; the engine key
-    ``"fleet"`` is a fleet case.  ``size`` is the case's own size
-    argument (``n_points``, or ``n_shards``)."""
-    key, fault, seed = cell
-    if key == "fleet":
-        return run_fleet_crash_case(fault, seed, workdir, **size)
-    return run_crash_case(key, fault, seed, workdir, telemetry=telemetry, **size)
 
 
 def _cell_task(cell, workdir: str, size: dict):
@@ -358,7 +511,9 @@ def _cell_task(cell, workdir: str, size: dict):
     from ..obs.telemetry import global_telemetry
 
     bus = global_telemetry()
-    return _run_cell(cell, workdir, bus if bus.enabled else None, **size)
+    return run_crash_case(
+        *cell, workdir, telemetry=bus if bus.enabled else None, **size
+    )
 
 
 def run_crash_test(
@@ -391,24 +546,10 @@ def run_crash_test(
     from ..parallel.pool import Task, resolve_workers, run_tasks
 
     fleet = fleet_shards is not None
-    if fleet:
-        keys = ["fleet"]
-    else:
-        keys = list(CRASH_TEST_ENGINES if engines is None else engines)
-        for key in keys:
-            if key not in _ENGINES:
-                raise FaultError(
-                    f"unknown engine {key!r}; expected one of {CRASH_TEST_ENGINES}"
-                )
-    allowed = FLEET_FAULT_KINDS if fleet else FAULT_KINDS + OVERLOAD_FAULT_KINDS
+    keys = ["fleet"] if fleet else list(CRASH_TEST_ENGINES if engines is None else engines)
     default = FLEET_FAULT_KINDS if fleet else FAULT_KINDS
     kinds = list(default if faults is None else faults)
-    for kind in kinds:
-        if kind not in allowed:
-            raise FaultError(
-                f"unknown {'fleet ' if fleet else ''}fault kind {kind!r}; "
-                f"expected one of {allowed}"
-            )
+    _check(keys, kinds)
     size = dict(n_shards=fleet_shards) if fleet else dict(n_points=n_points)
     cells = [
         (key, fault, seed)
@@ -436,258 +577,8 @@ def run_crash_test(
             ]
             results = run_tasks(tasks, workers=workers, telemetry=telemetry)
         else:
-            results = [_run_cell(cell, base, telemetry, **size) for cell in cells]
+            results = [
+                run_crash_case(*cell, base, telemetry=telemetry, **size)
+                for cell in cells
+            ]
     return CrashTestReport(results)
-
-
-# -- fleet crash matrix --------------------------------------------------------
-
-
-@dataclass
-class FleetCrashCaseResult:
-    """Outcome of one fleet-wide fault × seed case."""
-
-    fault: str
-    seed: int
-    #: Shard index the fault was armed on.
-    victim: int = -1
-    #: The armed fault actually fired and killed the victim shard.
-    crashed: bool = False
-    #: Series living on the victim shard.
-    victim_series: int = 0
-    #: Durable points recovered across the victim's series.
-    victim_durable_points: int = 0
-    #: Every recovered victim engine verified and matched a crash-free
-    #: rerun of its durable prefix (disk writes + per-point counters).
-    victim_wa_match: bool = False
-    #: Surviving shards' on-disk files were byte-identical before and
-    #: after the victim's recovery, and their live engines verify.
-    survivors_untouched: bool = False
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        """The case proved shard-independent recovery end to end."""
-        return (
-            self.error is None
-            and self.crashed
-            and self.victim_wa_match
-            and self.survivors_untouched
-        )
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        detail = (
-            f"victim=shard-{self.victim:02d} series={self.victim_series} "
-            f"durable={self.victim_durable_points}"
-        )
-        if self.error:
-            detail += f" error={self.error}"
-        return f"[{status}] fleet {self.fault:<12} seed={self.seed} {detail}"
-
-
-def _dir_fingerprint(root: str) -> dict[str, bytes]:
-    """Content digest per file under ``root`` (survivor-untouched check)."""
-    import hashlib
-
-    digests: dict[str, bytes] = {}
-    for base, _, files in os.walk(root):
-        for name in files:
-            path = os.path.join(base, name)
-            with open(path, "rb") as handle:
-                digests[os.path.relpath(path, root)] = hashlib.sha256(
-                    handle.read()
-                ).digest()
-    return digests
-
-
-def run_fleet_crash_case(
-    fault: str,
-    seed: int,
-    workdir: str,
-    n_shards: int = 4,
-    n_series: int = 6,
-    points_per_series: int = 3000,
-) -> FleetCrashCaseResult:
-    """Kill one shard mid-group-commit; recover it; prove isolation.
-
-    Builds an ``n_shards`` fleet under group-commit WAL
-    (``wal_group_records=4``), arms ``fault`` on the shard owning the
-    most series, and ingests multi-series rounds with only every other
-    round synced — so the injected crash lands with acknowledged frames
-    still pending in the victim's group buffers.  After the crash the
-    surviving shards sync and keep their live engines; only the victim
-    is recovered from disk.  The case passes when (a) every recovered
-    victim engine verifies and reproduces a crash-free run over its
-    durable prefix exactly, and (b) the survivors' on-disk files are
-    byte-identical before and after that recovery.
-    """
-    from ..lsm.database import TimeSeriesDatabase
-    from ..serving import ShardedDatabase, ShardRouter, shard_name
-
-    if fault not in FLEET_FAULT_KINDS:
-        raise FaultError(
-            f"unknown fleet fault kind {fault!r}; expected one of "
-            f"{FLEET_FAULT_KINDS}"
-        )
-    result = FleetCrashCaseResult(fault=fault, seed=seed)
-    rng = np.random.default_rng(seed)
-    names = [f"series-{index:02d}" for index in range(n_series)]
-    router = ShardRouter(n_shards)
-    owners = {name: router.shard_of(name) for name in names}
-    counts = {index: 0 for index in range(n_shards)}
-    for shard in owners.values():
-        counts[shard] += 1
-    # The victim is the busiest shard (ties to the lowest index), so the
-    # crash interrupts as many per-series engines as possible.
-    victim = max(counts, key=lambda index: (counts[index], -index))
-    result.victim = victim
-    result.victim_series = counts[victim]
-    if counts[victim] == 0:
-        result.error = "no series routed to any shard"
-        return result
-
-    datasets = {
-        name: generate_synthetic(
-            points_per_series,
-            dt=1.0,
-            delay=ExponentialDelay(mean=40.0),
-            seed=seed * 131 + index,
-            name=name,
-        )
-        for index, name in enumerate(names)
-    }
-    batches = _batches(points_per_series, seed)
-    if fault == "crash_merge":
-        # Late enough that at least one synced round precedes the crash
-        # (per-engine merges run ~2-3 per round at these buffer sizes),
-        # so the lost tail sits on top of a non-trivial durable prefix.
-        plan = FaultPlan(seed=seed, crash_at_merge=int(rng.integers(6, 18)))
-    else:
-        plan = FaultPlan(
-            seed=seed,
-            torn_wal_append_at=int(rng.integers(2, max(len(batches) - 1, 3))),
-        )
-    fleet_dir = os.path.join(workdir, f"fleet-{fault}-{seed}")
-    stability = dict(wal_group_records=4)
-    fleet = ShardedDatabase(
-        n_shards=n_shards,
-        router=router,
-        memory_budget_per_series=64,
-        sstable_size=32,
-        auto_tune=False,
-        durability_dir=fleet_dir,
-        stability=stability,
-        shard_fault_plans={victim: plan},
-    )
-    # Register every series, then checkpoint: the shard manifests must
-    # exist before the crash for recovery to know the fleet's shape.
-    for name in names:
-        fleet.database_for(name).create_series(name)
-    fleet.checkpoint_all()
-
-    checkpoint_after = len(batches) // 2
-    try:
-        for index, region in enumerate(batches):
-            fleet.ingest_batch(
-                [(name, datasets[name].tg[region]) for name in names],
-                sync=(index % 2 == 1),
-            )
-            if index + 1 == checkpoint_after:
-                fleet.checkpoint_all()
-    except InjectedCrash:
-        result.crashed = True
-    if not result.crashed:
-        result.error = "armed fault never fired on the victim shard"
-        return result
-
-    # The victim process is dead: its pending group frames are lost with
-    # it (never close its WAL handles — close would commit them).  The
-    # survivors are still alive; they sync and carry on.
-    survivor_stats: dict[str, tuple[int, tuple]] = {}
-    for index, db in enumerate(fleet.shards):
-        if index == victim:
-            continue
-        db.sync()
-        for name in db.series_names():
-            engine = db.series(name).engine
-            engine.verify()
-            survivor_stats[name] = (
-                engine.stats.disk_writes,
-                tuple(engine.stats.write_counts),
-            )
-    survivor_dirs = {
-        index: os.path.join(fleet_dir, shard_name(index))
-        for index in range(n_shards)
-        if index != victim
-    }
-    before = {
-        index: _dir_fingerprint(path) for index, path in survivor_dirs.items()
-    }
-
-    # -- recover the victim shard only -----------------------------------------
-    try:
-        recovered = TimeSeriesDatabase.recover(
-            os.path.join(fleet_dir, shard_name(victim)),
-            namespace=shard_name(victim),
-        )
-    except Exception as exc:
-        result.error = f"victim recovery failed: {exc!r}"
-        return result
-
-    after = {
-        index: _dir_fingerprint(path) for index, path in survivor_dirs.items()
-    }
-    result.survivors_untouched = before == after
-    if not result.survivors_untouched:
-        result.error = "victim recovery modified a surviving shard's files"
-        return result
-    for index, db in enumerate(fleet.shards):
-        if index == victim:
-            continue
-        for name in db.series_names():
-            engine = db.series(name).engine
-            if (
-                engine.stats.disk_writes,
-                tuple(engine.stats.write_counts),
-            ) != survivor_stats[name]:
-                result.survivors_untouched = False
-                result.error = f"survivor series {name!r} state drifted"
-                return result
-
-    # -- the victim's durable prefixes must reproduce crash-free runs ----------
-    victim_names = [name for name in names if owners[name] == victim]
-    if sorted(recovered.series_names()) != sorted(victim_names):
-        result.error = (
-            f"victim recovered series {sorted(recovered.series_names())} != "
-            f"routed {sorted(victim_names)}"
-        )
-        return result
-    clean = TimeSeriesDatabase(
-        memory_budget_per_series=64,
-        sstable_size=32,
-        auto_tune=False,
-        stability=stability,
-    )
-    result.victim_wa_match = True
-    for name in victim_names:
-        engine = recovered.series(name).engine
-        engine.verify()
-        durable = engine.ingested_points
-        result.victim_durable_points += durable
-        clean.write(name, datasets[name].tg[:durable])
-        reference = clean.series(name).engine
-        if not (
-            engine.stats.disk_writes == reference.stats.disk_writes
-            and np.array_equal(
-                engine.stats.write_counts, reference.stats.write_counts
-            )
-        ):
-            result.victim_wa_match = False
-            result.error = (
-                f"victim series {name!r}: recovered "
-                f"{engine.stats.disk_writes} disk writes vs crash-free "
-                f"{reference.stats.disk_writes} over {durable} points"
-            )
-            return result
-    return result

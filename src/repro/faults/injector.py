@@ -148,9 +148,9 @@ class FaultInjector:
     """Executes one :class:`FaultPlan`; counts every site occurrence.
 
     One injector instance is shared by everything belonging to one
-    logical engine (the engine itself, its WAL, its checkpoints, and —
-    when a database retunes a series — every successor engine), so
-    trigger counts survive an engine replacement.
+    engine (the engine itself, its WAL and its checkpoints); a database
+    retunes a series by re-splitting that engine in place, so trigger
+    counts run on across a retune.
     """
 
     plan: FaultPlan = field(default_factory=FaultPlan)

@@ -58,7 +58,7 @@ from .points import PointBatch, sort_by_generation
 from .policies import ComposedEngine, StorageKernel, compose_engine
 from .policies.compaction import merge_tables_with_batch
 from .policies.compose import IoTDBStyleEngine, MultiLevelEngine, TieredEngine
-from .recovery import RecoveryReport, recover_adaptive, recover_engine
+from .recovery import RecoveryReport, recover_engine
 from .scheduler import CompactionScheduler, LandingTask, TokenBucket
 from .separation import SeparationEngine
 from .sstable import SSTable, build_sstables
@@ -98,7 +98,6 @@ __all__ = [
     "write_checkpoint",
     "read_checkpoint",
     "recover_engine",
-    "recover_adaptive",
     "RecoveryReport",
     "InvariantChecker",
     "CompactionScheduler",

@@ -23,7 +23,8 @@ kernel's component-wise state.  The analyzer's reservoir is deliberately
 *not* durable: a restored engine re-learns the delay distribution, which
 only affects future retune timing, never the recovered data or
 accounting — and is why crash recovery replays the whole WAL instead of
-starting from a checkpoint (:func:`repro.lsm.recovery.recover_adaptive`).
+starting from a checkpoint (:func:`repro.lsm.recovery.recover_engine`
+with no ``checkpoint_path``).
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CHECKPOINT_MAGIC",
     "write_checkpoint",
+    "write_atomically",
     "read_checkpoint",
     "pack_tables",
     "unpack_tables",
@@ -100,15 +101,26 @@ def write_checkpoint(
         + meta_bytes
         + buffer.getvalue()
     )
+    write_atomically(path, body, _U32.pack(crc32(body)))
+    if faults is not None:
+        faults.after_checkpoint_write(path, spare_prefix=len(CHECKPOINT_MAGIC))
+
+
+def write_atomically(path: str, *chunks: bytes) -> None:
+    """Land ``chunks`` at ``path`` all or nothing.
+
+    They go to a same-directory temp file, which is flushed and fsynced
+    before ``os.replace`` moves it over ``path`` — so a crash or power
+    cut leaves the old file or the new one, never a torn or empty one.
+    Checkpoints and both manifests (a database's, a fleet's) land here.
+    """
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as handle:
-        handle.write(body)
-        handle.write(_U32.pack(crc32(body)))
+        for chunk in chunks:
+            handle.write(chunk)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-    if faults is not None:
-        faults.after_checkpoint_write(path, spare_prefix=len(CHECKPOINT_MAGIC))
 
 
 def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:

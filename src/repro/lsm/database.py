@@ -33,7 +33,7 @@ from ..core.tuning import SEPARATION, PolicyDecision
 from ..errors import EngineError, ModelError, RecoveryError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .base import Snapshot, validate_generation_times
-from .checkpoint import namespaced_stem
+from .checkpoint import namespaced_stem, write_atomically
 from .conventional import LeveledEngine
 from .policies.compose import engine_class
 
@@ -562,10 +562,10 @@ class TimeSeriesDatabase:
                 "had_disorder": self._had_disorder[state.name],
                 "last_tg": self._last_tg[state.name],
             }
-        tmp = f"{self._manifest_path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, sort_keys=True, indent=2)
-        os.replace(tmp, self._manifest_path)
+        write_atomically(
+            self._manifest_path,
+            json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8"),
+        )
         if self.telemetry.enabled:
             self.telemetry.count("db.checkpoints")
         return self._manifest_path

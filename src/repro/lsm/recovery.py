@@ -5,7 +5,9 @@ The recovery protocol, in order:
 1. **Scan the WAL** (:func:`repro.lsm.wal.read_wal`).  A torn tail — a
    partially written record left by a crash mid-append — is truncated
    away; the durable prefix is exactly the fully-framed, checksum-clean
-   records.
+   records.  A damaged record with intact bytes after it is no torn
+   tail: recovery stops with :class:`~repro.errors.WalError` and leaves
+   the file as it is.
 2. **Restore the newest checkpoint**, if one exists and its trailing CRC
    validates.  A corrupt checkpoint (torn page, bit flip) is *discarded*
    and recovery falls back to replaying the whole WAL into a fresh
@@ -21,10 +23,12 @@ The recovery protocol, in order:
 The result lands in a state bit-identical to a crash-free run over the
 durable prefix (modulo cosmetic SSTable sequence numbers).
 
-There is one loop, :func:`recover_engine`, for every engine class.
-:func:`recover_adaptive` is that loop without step 2: the adaptive
-engine's analyzer is not durable and its retune timing must replay, so
-it always starts from an empty engine.
+There is one loop, :func:`recover_engine`, for every engine class.  The
+adaptive engine is recovered without step 2 (``checkpoint_path=None``):
+its analyzer is not durable and its retune timing must replay, so it
+always starts from an empty engine.  Replay is deterministic: records
+carry the original ``(tg, ta)`` pairs and the analyzer/retune cadence
+depends only on the point stream, not on the original batch boundaries.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
     from ..obs.telemetry import Telemetry
 
-__all__ = ["RecoveryReport", "recover_engine", "recover_adaptive"]
+__all__ = ["RecoveryReport", "recover_engine"]
 
 
 @dataclass
@@ -127,38 +131,6 @@ def recover_engine(
         engine.verify()
         report.verified = True
     return report
-
-
-def recover_adaptive(
-    wal_path: str,
-    config: "LsmConfig | None" = None,
-    engine_kwargs: dict | None = None,
-    telemetry: "Telemetry | None" = None,
-    faults: "FaultInjector | None" = None,
-    verify: bool = True,
-) -> RecoveryReport:
-    """Recover an :class:`~repro.lsm.adaptive.AdaptiveEngine`:
-    :func:`recover_engine` that never starts from a checkpoint.
-
-    The analyzer's state (sliding delay sample, quantile sketch, drift
-    detector) is not durable, and when the engine retunes depends on it
-    — so the *entire* WAL is replayed through a fresh engine.  Replay is
-    deterministic: records carry the original ``(tg, ta)`` pairs and the
-    analyzer/retune cadence depends only on the point stream, not on the
-    original batch boundaries.
-    """
-    from .adaptive import AdaptiveEngine
-
-    return recover_engine(
-        AdaptiveEngine,
-        wal_path,
-        checkpoint_path=None,
-        config=config,
-        engine_kwargs=engine_kwargs,
-        telemetry=telemetry,
-        faults=faults,
-        verify=verify,
-    )
 
 
 def _replay_record(

@@ -15,9 +15,12 @@ index of the first point, so recovery after a checkpoint can skip every
 record the checkpoint already covers.
 
 Torn tails — a crash mid-append leaving a partial record — are detected
-by :func:`read_wal` (short frame or checksum mismatch) and removed by
-truncating recovery (:meth:`WalReadResult.truncate`): the durable prefix
-is exactly the records that were fully written and checksum clean.
+by :func:`read_wal` (a short frame, or a checksum mismatch in the last
+frame) and removed by truncating recovery
+(:meth:`WalReadResult.truncate`): the durable prefix is exactly the
+records that were fully written and checksum clean.  A damaged frame
+with intact bytes after it is not a torn tail; it is a :class:`WalError`
+and nothing is truncated.
 
 Group commit (``group_records > 1``) changes *when* frames reach the
 file, never *how* they are framed: encoded records accumulate in memory
@@ -335,8 +338,12 @@ def read_wal(path: str) -> WalReadResult:
 
     A missing file reads as an empty, clean WAL (the engine never
     ingested).  A present file must start with the magic header.  The
-    scan stops at the first short or checksum-failing frame; everything
-    before it is the durable prefix.
+    scan stops at a torn tail — a short frame, or a checksum-failing or
+    malformed last frame ending exactly at end of file; everything
+    before it is the durable prefix.  A damaged frame with more bytes
+    after it is no crash mid-append but damage inside the log: it raises
+    :class:`WalError` naming the byte offset, so recovery never truncates
+    the intact records behind it.
     """
     if not os.path.exists(path):
         return WalReadResult(path=path, records=[], valid_bytes=0, torn_bytes=0)
@@ -366,12 +373,19 @@ def read_wal(path: str) -> WalReadResult:
         if end > size:
             break  # torn: partial payload
         payload = blob[start:end]
-        if crc32(payload) != checksum:
-            break  # corrupt record
         try:
+            if crc32(payload) != checksum:
+                raise WalError(f"{path}@{offset}: checksum mismatch")
             records.append(_decode_payload(payload, path, offset))
-        except WalError:
-            break  # structurally invalid payload: treat as corruption
+        except WalError as exc:
+            if end == size:
+                break  # torn: the last frame is damaged
+            raise WalError(
+                f"{path}: damaged record at byte {offset} after "
+                f"{sum(r.count for r in records)} points, with {size - end} "
+                "bytes behind it — damage inside the log, not a torn tail, "
+                f"so nothing was truncated ({exc})"
+            ) from None
         offset = end
         valid = end
     return WalReadResult(

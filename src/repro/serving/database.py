@@ -32,6 +32,7 @@ from ..core.allocation import MemoryArbiter, RebalanceDecision, SeriesWorkload
 from ..core.tuning import SEPARATION
 from ..errors import EngineError, InjectedCrash, ModelError, RecoveryError
 from ..lsm.backpressure import rollup_states
+from ..lsm.checkpoint import write_atomically
 from ..lsm.database import TimeSeriesDatabase, check_manifest, load_manifest
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .router import ShardRouter, shard_name
@@ -386,10 +387,9 @@ class ShardedDatabase:
             "last_rebalance": self.last_rebalance,
         }
         path = os.path.join(self.durability_dir, FLEET_MANIFEST)
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, sort_keys=True, indent=2)
-        os.replace(tmp, path)
+        write_atomically(
+            path, json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8")
+        )
         if self.telemetry.enabled:
             self.telemetry.count("fleet.checkpoints")
         return path

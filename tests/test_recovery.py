@@ -1,5 +1,10 @@
 """Durability tests: WAL framing, checkpoints, crash recovery."""
 
+import os
+import re
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +21,6 @@ from repro import (
     TimeSeriesDatabase,
     WriteAheadLog,
     read_wal,
-    recover_adaptive,
     recover_engine,
 )
 from repro.errors import (
@@ -27,9 +31,15 @@ from repro.errors import (
     WalError,
 )
 from repro.faults import FaultInjector, FaultPlan
+from repro.faults.crashtest import _prefix_mismatch
 from repro.lsm import ComposedEngine, LeveledEngine, LsmEngine
 from repro.lsm.checkpoint import read_checkpoint, write_checkpoint
+from repro.lsm.policies.compose import ENGINES
+from repro.lsm.wal import WAL_MAGIC
+from repro.serving import FLEET_MANIFEST, ShardedDatabase
 from repro.workloads import TABLE_II, generate_synthetic
+
+LEGACY_DIR = Path(__file__).parent / "data" / "legacy_checkpoints"
 
 
 def _dataset(n=4000, seed=0):
@@ -128,6 +138,44 @@ class TestWal:
         result = read_wal(path)
         assert result.torn and len(result.records) == 1
         assert ("wal.append", "torn") in faults.injected
+
+    @staticmethod
+    def _fifteen_records(path):
+        """A WAL of 15 records x 200 points; returns its bytes and the
+        byte offset of each frame."""
+        wal = WriteAheadLog(str(path))
+        for start in range(0, 3000, 200):
+            wal.append(np.arange(start, start + 200, dtype=np.float64), start_id=start)
+        wal.close()
+        blob = path.read_bytes()
+        frame = (len(blob) - len(WAL_MAGIC)) // 15
+        return blob, [len(WAL_MAGIC) + k * frame for k in range(15)]
+
+    def test_damage_mid_log_is_an_error_not_a_torn_tail(self, tmp_path):
+        """A bad frame with intact frames behind it is no crash
+        mid-append: truncating there would throw away 2 600 acknowledged
+        points, so the scan refuses and nothing is truncated."""
+        path = tmp_path / "mid.wal"
+        blob, starts = self._fifteen_records(path)
+        damaged = bytearray(blob)
+        damaged[starts[2] + 100] ^= 0x01  # inside record 3's payload
+        path.write_bytes(damaged)
+        message = rf"{re.escape(str(path))}: damaged record at byte {starts[2]} after 400 points"
+        with pytest.raises(WalError, match=message):
+            read_wal(str(path))
+        with pytest.raises(WalError, match=message):
+            recover_engine(ConventionalEngine, str(path), config=LsmConfig(64, 32))
+        assert path.read_bytes() == damaged
+
+    def test_a_bad_last_frame_is_still_a_torn_tail(self, tmp_path):
+        path = tmp_path / "last.wal"
+        blob, starts = self._fifteen_records(path)
+        damaged = bytearray(blob)
+        damaged[starts[14] + 100] ^= 0x01
+        path.write_bytes(damaged)
+        report = recover_engine(ConventionalEngine, str(path), config=LsmConfig(64, 32))
+        assert report.wal_torn and report.durable_points == 2800
+        assert path.read_bytes() == blob[: starts[14]]
 
 
 @pytest.mark.parametrize("key", sorted(ENGINE_FACTORIES))
@@ -295,7 +343,8 @@ class TestRecoverEngine:
                 dataset.tg[lo : lo + 400], dataset.ta[lo : lo + 400]
             )
         engine.wal.close()
-        report = recover_adaptive(
+        report = recover_engine(
+            AdaptiveEngine,
             wal_path,
             config=LsmConfig(64, 32),
             engine_kwargs={"check_interval": 512},
@@ -316,7 +365,9 @@ class TestRecoverEngine:
         wal.append(np.array([1.0, 2.0]), start_id=0)
         wal.close()
         with pytest.raises(RecoveryError):
-            recover_adaptive(wal_path, config=LsmConfig(64, 32))
+            recover_engine(
+                AdaptiveEngine, wal_path, checkpoint_path=None, config=LsmConfig(64, 32)
+            )
 
     def test_recover_engine_rejects_adaptive_wal_without_ta(self, tmp_path):
         """The generic entry refuses it too — bare generation times are
@@ -331,7 +382,8 @@ class TestRecoverEngine:
     def test_recover_engine_recovers_an_adaptive_engine(self, tmp_path):
         """``recover_engine`` is the one loop: handed the adaptive class
         it replays ``(tg, ta)`` records through the analyzer, switches
-        included, exactly as ``recover_adaptive`` does."""
+        included, and a second recovery of the same log lands on the
+        same switches and write counters."""
         wal_path = str(tmp_path / "a.wal")
         dataset = TABLE_II["M8"].build(n_points=6000, seed=3)
         engine = AdaptiveEngine(
@@ -343,14 +395,169 @@ class TestRecoverEngine:
         assert engine.switch_log, "the stream must switch policy at least once"
         kwargs = dict(config=LsmConfig(64, 32), engine_kwargs={"check_interval": 64})
         generic = recover_engine(AdaptiveEngine, wal_path, **kwargs)
-        dedicated = recover_adaptive(wal_path, **kwargs)
+        again = recover_engine(AdaptiveEngine, wal_path, checkpoint_path=None, **kwargs)
         assert generic.verified and generic.durable_points == 6000
         assert not generic.checkpoint_used
-        assert generic.engine.switch_log == dedicated.engine.switch_log
+        assert generic.engine.switch_log == again.engine.switch_log
         np.testing.assert_array_equal(
-            generic.engine.stats.write_counts, dedicated.engine.stats.write_counts
+            generic.engine.stats.write_counts, again.engine.stats.write_counts
         )
         _assert_same_state(engine, generic.engine)
+
+
+class TestByteDamage:
+    """Seeded truncations and one-byte flips of a ``pi_c`` run's WAL, of
+    its mid-run checkpoint and of the legacy checkpoints.
+
+    Each ends one of two ways: a typed error naming the damaged file, or
+    a recovery of a prefix that ends on a record boundary and passes the
+    crash case's durable-prefix proof.  Which way is fixed by where the
+    first damaged WAL frame says it ends: inside the file, with bytes
+    after it, is damage inside the log (:class:`WalError`, the file left
+    as it was); at or past the end of file is a torn tail (truncated to
+    the records before it).  A damaged checkpoint is a
+    :class:`CheckpointCorruptError`, after which recovery replays the
+    whole WAL.
+    """
+
+    ROW = next(row for row in ENGINES if row.crash_key == "pi_c")
+    RECORDS, POINTS, CHECKPOINT_AFTER = 15, 200, 8
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """``(dataset, WAL bytes, checkpoint bytes)`` of one intact run."""
+        tmp = tmp_path_factory.mktemp("intact")
+        dataset = _dataset(self.RECORDS * self.POINTS, seed=13)
+        engine = self.ROW.build(LsmConfig(64, 32, wal_path=str(tmp / "run.wal")))
+        for index in range(self.RECORDS):
+            engine.ingest(dataset.tg[index * self.POINTS : (index + 1) * self.POINTS])
+            if index + 1 == self.CHECKPOINT_AFTER:
+                engine.save_checkpoint(str(tmp / "run.ckpt"))
+        engine.wal.close()
+        return dataset, (tmp / "run.wal").read_bytes(), (tmp / "run.ckpt").read_bytes()
+
+    @staticmethod
+    def _damage(blob: bytes, rng) -> bytes:
+        """One seeded truncation or one-byte flip of ``blob``."""
+        if rng.random() < 0.5:
+            return blob[: int(rng.integers(0, len(blob)))]
+        damaged = bytearray(blob)
+        damaged[int(rng.integers(0, len(blob)))] ^= int(rng.integers(1, 256))
+        return bytes(damaged)
+
+    def _torn_at(self, intact: bytes, damaged: bytes) -> int | None:
+        """The record index the scan must stop at as a torn tail, or
+        ``None`` when the damage must be a :class:`WalError`."""
+        first = next(
+            (i for i, (a, b) in enumerate(zip(intact, damaged)) if a != b),
+            len(damaged),
+        )
+        if first < len(WAL_MAGIC):
+            # A file that is a prefix of the magic never got a record.
+            return 0 if damaged == WAL_MAGIC[: len(damaged)] else None
+        frame = (len(intact) - len(WAL_MAGIC)) // self.RECORDS
+        record = (first - len(WAL_MAGIC)) // frame
+        start = len(WAL_MAGIC) + record * frame
+        if len(damaged) - start < 8:
+            return record  # a partial frame header
+        (payload_len,) = struct.unpack_from("<I", damaged, start)
+        return record if start + 8 + payload_len >= len(damaged) else None
+
+    def _recover(self, wal: Path, checkpoint: Path):
+        return recover_engine(
+            ConventionalEngine,
+            str(wal),
+            checkpoint_path=str(checkpoint),
+            config=LsmConfig(64, 32),
+        )
+
+    def test_damaged_wal(self, run, tmp_path):
+        dataset, wal_bytes, checkpoint_bytes = run
+        rng = np.random.default_rng(2024)
+        errors = torn = 0
+        for copy in range(100):
+            wal, checkpoint = tmp_path / f"{copy}.wal", tmp_path / f"{copy}.ckpt"
+            damaged = self._damage(wal_bytes, rng)
+            wal.write_bytes(damaged)
+            checkpoint.write_bytes(checkpoint_bytes)
+            record = self._torn_at(wal_bytes, damaged)
+            if record is None:
+                with pytest.raises(WalError, match=re.escape(str(wal))):
+                    self._recover(wal, checkpoint)
+                assert wal.read_bytes() == damaged
+                errors += 1
+                continue
+            report = self._recover(wal, checkpoint)
+            durable = max(record, self.CHECKPOINT_AFTER) * self.POINTS
+            assert report.checkpoint_used and report.durable_points == durable
+            assert _prefix_mismatch(self.ROW, LsmConfig(64, 32), dataset, report.engine) is None
+            torn += 1
+        assert errors > 10 and torn > 10  # both ways are exercised
+
+    def test_damaged_checkpoint(self, run, tmp_path):
+        dataset, wal_bytes, checkpoint_bytes = run
+        rng = np.random.default_rng(2025)
+        for copy in range(40):
+            wal, checkpoint = tmp_path / f"{copy}.wal", tmp_path / f"{copy}.ckpt"
+            wal.write_bytes(wal_bytes)
+            checkpoint.write_bytes(self._damage(checkpoint_bytes, rng))
+            with pytest.raises(CheckpointCorruptError, match=re.escape(str(checkpoint))):
+                read_checkpoint(str(checkpoint))
+            report = self._recover(wal, checkpoint)
+            assert report.checkpoint_corrupt and not report.checkpoint_used
+            assert report.replayed_points == report.durable_points == len(dataset)
+            assert _prefix_mismatch(self.ROW, LsmConfig(64, 32), dataset, report.engine) is None
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in LEGACY_DIR.glob("*.ckpt")))
+    def test_damaged_legacy_checkpoint(self, name, tmp_path):
+        intact = (LEGACY_DIR / name).read_bytes()
+        rng = np.random.default_rng(sum(name.encode()))
+        for copy in range(9):
+            path = tmp_path / f"{copy}-{name}"
+            path.write_bytes(self._damage(intact, rng))
+            with pytest.raises(CheckpointCorruptError, match=re.escape(str(path))):
+                LsmEngine.restore(str(path))
+
+
+class TestManifestsLandAtomically:
+    """A manifest is fsynced before it replaces the old one, as a
+    checkpoint is: a power cut must not leave an empty manifest naming
+    fsynced checkpoints."""
+
+    @pytest.fixture()
+    def landed(self, monkeypatch):
+        """``[(file name, was it fsynced)]`` per ``os.replace``."""
+        fsync, replace = os.fsync, os.replace
+        synced, landed = set(), []
+
+        def spy_fsync(fd):
+            synced.add(os.fstat(fd).st_ino)
+            fsync(fd)
+
+        def spy_replace(src, dst):
+            landed.append((os.path.basename(dst), os.stat(src).st_ino in synced))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        return landed
+
+    def test_database_manifest(self, tmp_path, landed):
+        db = TimeSeriesDatabase(64, 32, auto_tune=False, durability_dir=str(tmp_path))
+        db.write("s", _dataset(500).tg)
+        db.checkpoint_all()
+        assert landed[-1][0] == "manifest.json"
+        assert all(synced for _, synced in landed), landed
+
+    def test_fleet_manifest(self, tmp_path, landed):
+        fleet = ShardedDatabase(
+            n_shards=2, memory_budget_per_series=64, sstable_size=32,
+            auto_tune=False, durability_dir=str(tmp_path),
+        )
+        fleet.ingest_batch([(f"s{i}", _dataset(500, seed=i).tg) for i in range(3)])
+        fleet.checkpoint_all()
+        assert landed[-1][0] == FLEET_MANIFEST
+        assert all(synced for _, synced in landed), landed
 
 
 class TestDatabaseDurability:

@@ -26,7 +26,6 @@ from repro import (
     TimeSeriesDatabase,
     compose_engine,
     read_wal,
-    recover_adaptive,
     recover_engine,
 )
 from repro.cli import main as cli_main
@@ -100,8 +99,10 @@ class TestAdaptiveRejectsBeforeLogging:
         assert engine.ingested_points == 100
         engine.wal.sync()
         assert len(read_wal(engine.config.wal_path).records) == 1
-        report = recover_adaptive(
-            engine.config.wal_path, engine_kwargs={"check_interval": 64}
+        report = recover_engine(
+            AdaptiveEngine,
+            engine.config.wal_path,
+            engine_kwargs={"check_interval": 64},
         )
         assert report.engine.ingested_points == 100
         # The corrected batch is accepted verbatim.

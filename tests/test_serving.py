@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from repro.core.allocation import MemoryArbiter
-from repro.distributions import ExponentialDelay, LogNormalDelay, UniformDelay
+from repro.distributions import ExponentialDelay, UniformDelay
 from repro.errors import EngineError, ModelError, RecoveryError, TelemetryError
-from repro.faults.crashtest import FLEET_FAULT_KINDS, run_fleet_crash_case
+from repro.faults.crashtest import FLEET_FAULT_KINDS, run_crash_case
 from repro.lsm.database import TimeSeriesDatabase, manifest_filename
 from repro.lsm.wal import read_wal
 from repro.obs import render_shard_report
@@ -288,11 +288,11 @@ class TestFleetCrash:
     def test_victim_recovers_exactly_survivors_untouched(
         self, tmp_path, fault
     ):
-        result = run_fleet_crash_case(fault, seed=0, workdir=str(tmp_path))
+        result = run_crash_case("fleet", fault, seed=0, workdir=str(tmp_path))
         assert result.crashed, result.describe()
         assert result.victim_series > 0
         assert result.survivors_untouched, result.describe()
-        assert result.victim_wa_match, result.describe()
+        assert result.wa_match, result.describe()
         assert result.ok, result.describe()
 
 

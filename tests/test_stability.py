@@ -34,7 +34,6 @@ from repro import (
     TimeSeriesDatabase,
     WriteAheadLog,
     read_wal,
-    recover_adaptive,
     recover_engine,
 )
 from repro.distributions import ExponentialDelay, LogNormalDelay
@@ -236,10 +235,7 @@ def test_torn_group_crash_recovers_last_complete_record(key, tmp_path):
     # before tearing frame 11, so the durable prefix is 10 full records.
     assert len(scan.records) == 10
 
-    if key == "adaptive":
-        report = recover_adaptive(wal_path, config=config, engine_kwargs=kwargs)
-    else:
-        report = recover_engine(cls, wal_path, config=config, engine_kwargs=kwargs)
+    report = recover_engine(cls, wal_path, config=config, engine_kwargs=kwargs)
     assert report.wal_torn
     assert report.verified
     durable = report.durable_points
