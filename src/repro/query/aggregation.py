@@ -49,8 +49,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
+
+import numpy as np
 
 from ..lsm.base import Snapshot
 from ..lsm.intervals import check_window
@@ -59,10 +61,16 @@ from ..obs.telemetry import Telemetry
 
 __all__ = ["AggregateResult", "execute_aggregate_query"]
 
+_sum = np.add.reduce
 
-@dataclass(frozen=True)
-class AggregateResult:
-    """COUNT/MIN/MAX/SUM/AVG of generation times in ``[lo, hi]``."""
+
+class AggregateResult(NamedTuple):
+    """COUNT/MIN/MAX/SUM/AVG of generation times in ``[lo, hi]``.
+
+    An immutable value, built once per series of every aggregate and
+    once more per fold: a tuple is a quarter of the cost of a frozen
+    dataclass to construct.  Derive a changed copy with ``_replace``.
+    """
 
     lo: float
     hi: float
@@ -131,8 +139,14 @@ def execute_aggregate_query(
             # built-in ``sum()`` of Python >= 3.12 all round differently.
             pruned += stop - start
             count += sum(view.lens[start:stop])
-            minimum = min(minimum, view.mins[start])
-            maximum = max(maximum, view.maxs[stop - 1])
+            # Comparisons, not ``min()`` / ``max()``: the same answer
+            # (the incumbent wins a tie) without a builtin call.
+            low = view.mins[start]
+            if low < minimum:
+                minimum = low
+            high = view.maxs[stop - 1]
+            if high > maximum:
+                maximum = high
             total = reduce(operator.add, view.sums[start:stop], total)
             blocks_stat_answered += sum(view.blocks[start:stop])
             continue
@@ -145,21 +159,31 @@ def execute_aggregate_query(
             if storage.stats is not None:
                 blocks_skipped += storage.stats.nblocks - (b1 - b0)
             if right > left:
-                inside = storage.tg[left:right]
+                tg = storage.tg
                 count += right - left
-                minimum = min(minimum, float(inside[0]))
-                maximum = max(maximum, float(inside[-1]))
-                total += float(inside.sum())
+                low = tg.item(left)
+                if low < minimum:
+                    minimum = low
+                high = tg.item(right - 1)
+                if high > maximum:
+                    maximum = high
+                # ``ndarray.sum`` is this reduction behind a Python
+                # wrapper: the same pairwise sum, the same bits.
+                total += float(_sum(tg[left:right]))
     for memtable in snapshot.memtables:
-        low, high = memtable.bounds
-        if high < lo or hi < low:
+        bottom, top = memtable.bounds
+        if top < lo or hi < bottom:
             continue
         mask = (memtable.tg >= lo) & (memtable.tg <= hi)
         if mask.any():
             inside = memtable.tg[mask]
             count += int(inside.size)
-            minimum = min(minimum, float(inside.min()))
-            maximum = max(maximum, float(inside.max()))
+            low = float(inside.min())
+            if low < minimum:
+                minimum = low
+            high = float(inside.max())
+            if high > maximum:
+                maximum = high
             total += float(inside.sum())
     if count == 0:
         minimum = math.nan
@@ -168,8 +192,7 @@ def execute_aggregate_query(
         telemetry.count("query.aggregate_count")
         telemetry.count("query.blocks_stat_answered", blocks_stat_answered)
         telemetry.count("query.blocks_skipped", blocks_skipped)
-    # In field order: built once per series of every query, and a
-    # keyword call of a ten-field frozen dataclass costs half as much again.
+    # In field order: built once per series of every query.
     return AggregateResult(
         lo, hi, count, minimum, maximum, total,
         scanned, pruned, blocks_stat_answered, blocks_skipped,

@@ -124,30 +124,26 @@ def merge_aggregates(
     pruned = 0
     blocks_stat_answered = 0
     blocks_skipped = 0
-    for part in partials:
-        count += part.count
-        if part.count:
-            minimum = min(minimum, part.minimum)
-            maximum = max(maximum, part.maximum)
-        total += part.total
-        scanned += part.tables_scanned
-        pruned += part.tables_pruned
-        blocks_stat_answered += part.blocks_stat_answered
-        blocks_skipped += part.blocks_skipped
+    # A partial is a tuple in field order: unpacked once, not read
+    # field by field.
+    for _, _, n, low, high, part_total, part_scanned, part_pruned, stat, skipped in partials:
+        count += n
+        if n:
+            if low < minimum:
+                minimum = low
+            if high > maximum:
+                maximum = high
+        total += part_total
+        scanned += part_scanned
+        pruned += part_pruned
+        blocks_stat_answered += stat
+        blocks_skipped += skipped
     if count == 0:
         minimum = math.nan
         maximum = math.nan
     return AggregateResult(
-        lo=lo,
-        hi=hi,
-        count=count,
-        minimum=minimum,
-        maximum=maximum,
-        total=total,
-        tables_scanned=scanned,
-        tables_pruned=pruned,
-        blocks_stat_answered=blocks_stat_answered,
-        blocks_skipped=blocks_skipped,
+        lo, hi, count, minimum, maximum, total,
+        scanned, pruned, blocks_stat_answered, blocks_skipped,
     )
 
 

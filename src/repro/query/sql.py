@@ -54,11 +54,6 @@ _CONDITION_RE = re.compile(
     re.IGNORECASE,
 )
 
-#: Half-width used to turn strict bounds into closed ones; generation
-#: times in this library are reals, so an epsilon nudge implements the
-#: strict comparison exactly for any realistically spaced data.
-_STRICT_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class ParsedQuery:
@@ -103,12 +98,14 @@ def parse_query(sql: str) -> ParsedQuery:
                 raise QueryError(
                     f"bad number in condition: {condition!r}"
                 ) from exc
+            # A strict bound is the closed bound at the next float
+            # beyond the value: exact at every magnitude.
             if op == ">":
-                lo = max(lo, value + _STRICT_EPS)
+                lo = max(lo, math.nextafter(value, math.inf))
             elif op == ">=":
                 lo = max(lo, value)
             elif op == "<":
-                hi = min(hi, value - _STRICT_EPS)
+                hi = min(hi, math.nextafter(value, -math.inf))
             else:
                 hi = min(hi, value)
     if hi < lo:

@@ -25,7 +25,9 @@ mechanisms carry the cost model:
   under each involved engine's read version.  A flush on shard *k*
   changes only shard *k*'s versions, so only its entry goes stale —
   the other shards' partials are reused (``federation.cache_hits``),
-  and the merge re-folds cached and fresh partials identically.
+  and the merge re-folds cached and fresh partials identically.  Once
+  full, the cache admits a window on its second miss, so one-off
+  windows do not evict the ones that are read again.
 
 There is no worker pool here: a series costs ~30 µs to query and one
 empty round trip through a warm process pool costs five times that
@@ -58,7 +60,8 @@ __all__ = ["FederatedExecutor", "FederationCache"]
 
 
 class FederationCache:
-    """LRU cache of per-shard query partials, keyed by read version.
+    """LRU cache of per-shard query partials, keyed by read version,
+    that admits a new key on its second miss once it is full.
 
     One entry per ``(kind, shard, series tuple, window, collect)``
     holds the per-series partials computed against a specific shard
@@ -66,6 +69,12 @@ class FederationCache:
     unchanged — any write, flush, merge, restore or re-split on that
     shard bumps a component, so stale partials can never be served.
     Entries for *other* shards key on *their* vectors and survive.
+
+    While there is room every store is kept.  Once the cache is full, a
+    key that is not cached is stored only if it already missed among
+    the last ``4 * max_entries`` first sightings; otherwise only the
+    key is remembered.  So a window asked for once cannot evict one that
+    is asked for again.  A cached key is updated in place.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
@@ -73,6 +82,10 @@ class FederationCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self._entries: OrderedDict[tuple, tuple[tuple, list]] = OrderedDict()
+        # Keys seen once while the cache was full, oldest first.  Four
+        # times the entries: a re-read window must still be here when it
+        # comes back after a long run of one-off windows.
+        self._seen: OrderedDict[tuple, None] = OrderedDict()
 
     def lookup(self, key: tuple, version: tuple) -> list | None:
         """The cached partials for ``key`` at ``version``, else ``None``."""
@@ -83,15 +96,26 @@ class FederationCache:
         return entry[1]
 
     def store(self, key: tuple, version: tuple, partials: list) -> None:
-        """Record ``partials`` for ``key`` at ``version`` (LRU-evicting)."""
-        self._entries[key] = (version, partials)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        """Record ``partials`` for ``key`` at ``version`` (LRU-evicting;
+        when full, a key not cached needs a second miss to enter)."""
+        entries = self._entries
+        if key not in entries and len(entries) >= self.max_entries:
+            seen = self._seen
+            if key not in seen:
+                # A first sighting: remember the key, keep the entries.
+                seen[key] = None
+                if len(seen) > 4 * self.max_entries:
+                    seen.popitem(last=False)
+                return
+            del seen[key]
+            entries.popitem(last=False)
+        entries[key] = (version, partials)
+        entries.move_to_end(key)
 
     def clear(self) -> None:
-        """Drop every entry."""
+        """Drop every entry and every remembered key."""
         self._entries.clear()
+        self._seen.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

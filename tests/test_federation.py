@@ -12,6 +12,7 @@ per-shard telemetry attribution, and the multi-series SQL front-end.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -364,15 +365,104 @@ class TestFederationCache:
             execute_range_query(snapshot, 0, 10**400)
 
     def test_cache_is_bounded_lru(self):
+        # While there is room every store is kept; once full, the least
+        # recently used entry makes way for a key on its second miss.
         cache = FederationCache(max_entries=2)
-        for index in range(4):
-            cache.store(("k", index), (0,), [index])
+        cache.store(("k", 0), (0,), [0])
+        cache.store(("k", 1), (0,), [1])
         assert len(cache) == 2
-        assert cache.lookup(("k", 3), (0,)) == [3]
-        assert cache.lookup(("k", 0), (0,)) is None
-        assert cache.lookup(("k", 3), (1,)) is None  # stale version
+        assert cache.lookup(("k", 0), (0,)) == [0]  # ("k", 1) is now the LRU
+        cache.store(("k", 2), (0,), [2])
+        assert len(cache) == 2 and cache.lookup(("k", 2), (0,)) is None
+        cache.store(("k", 2), (0,), [2])
+        assert len(cache) == 2
+        assert cache.lookup(("k", 2), (0,)) == [2]
+        assert cache.lookup(("k", 1), (0,)) is None
+        assert cache.lookup(("k", 0), (0,)) == [0]
+        assert cache.lookup(("k", 2), (1,)) is None  # stale version
         with pytest.raises(ValueError):
             FederationCache(max_entries=0)
+
+    @staticmethod
+    def _full_cache(max_entries=4):
+        cache = FederationCache(max_entries=max_entries)
+        for index in range(max_entries):
+            cache.store(("full", index), (0,), [index])
+        assert len(cache) == max_entries
+        return cache
+
+    def test_a_re_read_key_survives_one_off_keys(self):
+        cache = self._full_cache()
+        for index in range(4 * cache.max_entries + 4):
+            cache.store(("once", index), (0,), [index])
+            if index % 5 == 0:
+                assert cache.lookup(("full", 0), (0,)) == [0]
+        assert cache.lookup(("full", 0), (0,)) == [0]
+        assert len(cache) == cache.max_entries
+        assert all(cache.lookup(("once", index), (0,)) is None for index in range(20))
+
+    def test_a_key_first_seen_when_full_enters_on_its_second_miss(self):
+        cache = self._full_cache()
+        key = ("panel", 7)
+        cache.store(key, (0,), ["first"])
+        assert cache.lookup(key, (0,)) is None
+        for index in range(4 * cache.max_entries - 1):  # still remembered
+            cache.store(("once", index), (0,), [index])
+        cache.store(key, (0,), ["second"])
+        assert cache.lookup(key, (0,)) == ["second"]
+        assert cache.lookup(("full", 0), (0,)) is None  # the LRU made way
+        assert len(cache) == cache.max_entries
+
+    def test_a_stale_cached_key_is_replaced_when_full(self):
+        cache = self._full_cache()
+        cache.store(("full", 2), (1,), ["fresh"])
+        assert cache.lookup(("full", 2), (1,)) == ["fresh"]
+        assert cache.lookup(("full", 2), (0,)) is None
+        assert len(cache) == cache.max_entries
+        assert all(cache.lookup(("full", i), (0,)) == [i] for i in (0, 1, 3))
+
+    def test_remembered_keys_are_bounded(self):
+        cache = self._full_cache(max_entries=2)
+        bound = 4 * cache.max_entries
+        for index in range(5 * bound):
+            cache.store(("once", index), (0,), [index])
+            assert len(cache._seen) <= bound
+        assert len(cache._seen) == bound
+        # The oldest first sightings are forgotten: a second miss of one
+        # is a first sighting again; a recent one's enters.
+        cache.store(("once", 0), (0,), [0])
+        assert cache.lookup(("once", 0), (0,)) is None
+        cache.store(("once", 5 * bound - 1), (0,), ["again"])
+        assert cache.lookup(("once", 5 * bound - 1), (0,)) == ["again"]
+        cache.clear()
+        assert len(cache) == 0 and len(cache._seen) == 0
+
+    def test_use_cache_false_leaves_entries_and_remembered_keys_alone(self):
+        fleet, _, names, _ = self._loaded_fleet(n_shards=2)
+        fleet.federation.cache = cache = FederationCache(max_entries=2)
+        for lo in (0.0, 10.0, 20.0):
+            fleet.query_aggregate(None, lo, lo + 5.0)
+        entries, seen = list(cache._entries), list(cache._seen)
+        assert len(entries) == 2 and seen
+        for lo in (30.0, 30.0, 40.0, 0.0):
+            fleet.query_aggregate(None, lo, lo + 5.0, use_cache=False)
+            fleet.query_range(names[0], lo, lo + 5.0, use_cache=False)
+        assert (list(cache._entries), list(cache._seen)) == (entries, seen)
+
+    def test_a_re_read_window_hits_among_one_off_windows(self):
+        # The read_storm pattern in small: one panel asked for again and
+        # again among many windows asked for once, through a cache a
+        # fraction of their number.  An LRU keeps evicting the panel.
+        fleet, telemetry, names, _ = self._loaded_fleet(n_shards=2)
+        fleet.federation.cache = FederationCache(max_entries=4)
+        registry = telemetry.registry
+        panel = [names[0], names[1]]
+        for k in range(60):
+            fleet.query_aggregate(None, float(k), k + 0.5)
+            if k % 6 == 5:
+                fleet.query_aggregate(panel, 100.0, 200.0)
+        hits = sum(registry.shard_values("federation.cache_hits").values())
+        assert hits >= 8  # ten panel reads: all but the first two hit
 
     def test_retune_resplit_invalidates(self):
         # A retune re-splits the series' one engine: its fresh MemTables
@@ -529,6 +619,35 @@ class TestMergeUnits:
         assert merged.count == 3
         assert merged.minimum == 0.25 and merged.maximum == 0.75
         assert merged.tables_pruned == 2
+
+    def test_aggregate_result_is_an_immutable_value(self):
+        assert AggregateResult._fields == (
+            "lo", "hi", "count", "minimum", "maximum", "total",
+            "tables_scanned", "tables_pruned", "blocks_stat_answered", "blocks_skipped",
+        )
+        assert AggregateResult._field_defaults == {
+            "blocks_stat_answered": 0, "blocks_skipped": 0,
+        }
+        full = AggregateResult(0.0, 1.0, 3, 0.25, 0.75, 1.5, 1, 2)
+        for field in AggregateResult._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(full, field, 5)
+        assert full.mean == 0.5
+        assert (full.blocks_stat_answered, full.blocks_skipped) == (0, 0)
+        empty = AggregateResult(0.0, 1.0, 0, math.nan, math.nan, 0.0, 0, 0)
+        assert math.isnan(empty.mean)
+        same = AggregateResult(
+            lo=0.0, hi=1.0, count=3, minimum=0.25, maximum=0.75,
+            total=1.5, tables_scanned=1, tables_pruned=2,
+        )
+        assert same == full and hash(same) == hash(full) and len({same, full}) == 1
+        assert full._replace(total=1.25) != full
+        assert full._replace(total=1.25).total == 1.25 and full.total == 1.5
+        for value in (full, empty):
+            back = pickle.loads(pickle.dumps(value))
+            assert type(back) is AggregateResult
+            assert [repr(x) for x in back] == [repr(x) for x in value]
+        assert back.count == 0 and math.isnan(back.minimum)
 
     def test_merge_range_rejects_mixed_collection(self):
         db = TimeSeriesDatabase(**_DB_KWARGS)

@@ -304,20 +304,27 @@ def _windows_on(draw, snapshot):
 
 
 def _assert_same_fields(got, want):
-    """Every dataclass field equal under ``==`` (and of the same type);
-    extrema of an empty aggregate are NaN on both sides; row arrays
-    equal element for element."""
+    """Every field — of the ``AggregateResult`` NamedTuple or the
+    ``QueryStats`` dataclass — equal under ``==`` (and of the same
+    type), floats bit for bit; extrema of an empty aggregate are NaN on
+    both sides; row arrays equal element for element."""
     assert type(got) is type(want)
-    for field in dataclasses.fields(want):
-        a, b = getattr(got, field.name), getattr(want, field.name)
+    if isinstance(want, tuple):
+        names = want._fields
+    else:
+        names = [field.name for field in dataclasses.fields(want)]
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, np.ndarray):
-            assert np.array_equal(a, b) and a.dtype == b.dtype, field.name
-        elif field.name in ("minimum", "maximum") and want.count == 0:
-            assert math.isnan(a) and math.isnan(b), field.name
-        elif field.name == "tables_consulted":
+            assert np.array_equal(a, b) and a.dtype == b.dtype, name
+        elif name in ("minimum", "maximum") and want.count == 0:
+            assert math.isnan(a) and math.isnan(b), name
+        elif name == "tables_consulted":
             continue  # defined by the access path; checked by the caller
+        elif isinstance(b, float):
+            assert type(a) is float and a.hex() == b.hex(), (name, a, b)
         else:
-            assert type(a) is type(b) and a == b, (field.name, a, b)
+            assert type(a) is type(b) and a == b, (name, a, b)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)

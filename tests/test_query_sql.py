@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro import ConventionalEngine, LsmConfig, QueryError
+from repro.lsm.database import TimeSeriesDatabase
 from repro.query.sql import execute_sql, parse_query
+from repro.serving import ShardedDatabase
 
 
 @pytest.fixture()
@@ -94,3 +96,26 @@ class TestExecution:
 
     def test_unbounded_query_covers_everything(self, snapshot):
         assert execute_sql(snapshot, "SELECT COUNT(*) FROM ts") == 100
+
+    @pytest.mark.parametrize("base", [1e8, 1.7e12])
+    def test_strict_bounds_hold_at_real_time_scales(self, base):
+        # A fixed 1e-9 nudge vanished in rounding from |t| ~ 1.7e7 on,
+        # so ``>`` and ``<`` kept the endpoint at real timestamp scales.
+        tg = np.array([base, base + 1000.0, base + 2000.0])
+        engine = ConventionalEngine(LsmConfig(memory_budget=16, sstable_size=16))
+        engine.ingest(tg)
+        db = TimeSeriesDatabase(memory_budget_per_series=16, sstable_size=16)
+        db.write("s", tg)
+        fleet = ShardedDatabase(n_shards=2, memory_budget_per_series=16, sstable_size=16)
+        fleet.write("s", tg)
+        mid = f"{base + 1000.0!r}"
+        assert parse_query(f"SELECT * FROM s WHERE time > {mid}").lo > base + 1000.0
+        assert parse_query(f"SELECT * FROM s WHERE time < {mid}").hi < base + 1000.0
+        for target in (engine.snapshot(), db, fleet):
+            for op, count in ((">", 1), ("<", 1), (">=", 2), ("<=", 2)):
+                where = f"WHERE time {op} {mid}"
+                assert execute_sql(target, f"SELECT COUNT(*) FROM s {where}") == count, op
+                stats = execute_sql(target, f"SELECT * FROM s {where}", collect=True)
+                assert stats.result_points == count, op
+            both = f"WHERE time > {base!r} AND time < {base + 2000.0!r}"
+            assert execute_sql(target, f"SELECT MIN(time) FROM s {both}") == base + 1000.0

@@ -84,15 +84,20 @@ def same_answer(got, want) -> None:
     """Every field the same bits: floats by ``hex`` (NaN and signed
     zeros included), arrays by dtype and content."""
     assert type(got) is type(want)
-    for field in dataclasses.fields(want):
-        a, b = getattr(got, field.name), getattr(want, field.name)
+    # ``AggregateResult`` is a NamedTuple, ``QueryStats`` a dataclass.
+    if isinstance(want, tuple):
+        names = want._fields
+    else:
+        names = [field.name for field in dataclasses.fields(want)]
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, np.ndarray):
-            assert isinstance(a, np.ndarray) and a.dtype == b.dtype, field.name
-            assert np.array_equal(a, b), field.name
+            assert isinstance(a, np.ndarray) and a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
         elif isinstance(b, float):
-            assert type(a) is float and a.hex() == b.hex(), (field.name, a, b)
+            assert type(a) is float and a.hex() == b.hex(), (name, a, b)
         else:
-            assert type(a) is type(b) and a == b, (field.name, a, b)
+            assert type(a) is type(b) and a == b, (name, a, b)
 
 
 def answers_the_reference(reference, names, lo, hi, aggregate, stats, collected) -> None:
