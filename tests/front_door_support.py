@@ -161,6 +161,10 @@ CASES = {
           "--windows", "3", "--seed", "5"]],
     ),
     "cold-report": (None, [["cold-report", "--points", "20000", "--windows", "4"]]),
+    "cold-report-block-size": (
+        None,
+        [["cold-report", "--points", "20000", "--windows", "4", "--block-size", "16"]],
+    ),
     "decide-json": (
         None, [["decide", "--mu", "5", "--sigma", "2", "--dt", "50", "--json"]]
     ),
