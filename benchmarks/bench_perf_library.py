@@ -48,12 +48,10 @@ def cold_pair():
     row_engine = ConventionalEngine(LsmConfig(32768, 32768))
     row_engine.ingest(cold_stream.tg)
     row_engine.flush_all()
-    cold_engine = ConventionalEngine(
-        LsmConfig(32768, 32768, cold_block_size=256).with_telemetry()
-    )
+    cold_engine = ConventionalEngine(LsmConfig(32768, 32768).with_telemetry())
     cold_engine.ingest(cold_stream.tg)
     cold_engine.flush_all()
-    converted = cold_engine.convert_cold()
+    converted = cold_engine.convert_cold(block_size=256)
     assert converted == len(cold_engine.snapshot().tables)
     return cold_stream, row_engine, cold_engine
 

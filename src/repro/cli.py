@@ -248,12 +248,10 @@ def _cold_report(args: argparse.Namespace) -> int:
     from .distributions import LogNormalDelay
     from .workloads import generate_synthetic
 
-    config = LsmConfig(
-        memory_budget=args.sstable_size,
-        sstable_size=args.sstable_size,
-        cold_block_size=args.block_size,
-    ).with_telemetry()
-    engine = ConventionalEngine(config)
+    engine = ConventionalEngine(
+        LsmConfig(memory_budget=args.sstable_size, sstable_size=args.sstable_size)
+        .with_telemetry()
+    )
     stream = generate_synthetic(
         args.points, dt=50.0, delay=LogNormalDelay(5.0, 2.0), seed=args.seed
     )
@@ -273,7 +271,7 @@ def _cold_report(args: argparse.Namespace) -> int:
         return results, time.perf_counter() - start
 
     row_results, row_s = timed_pass()
-    converted = engine.convert_cold()
+    converted = engine.convert_cold(block_size=args.block_size)
     snapshot = engine.snapshot()
     cold_results, cold_s = timed_pass()
     identical = all(

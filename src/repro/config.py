@@ -26,6 +26,11 @@ DEFAULT_SSTABLE_SIZE = 512
 class LsmConfig:
     """Static configuration of an LSM storage engine.
 
+    Every landing writes row tables; the columnar cold tier is a layout
+    an operator applies afterwards through
+    :meth:`~repro.lsm.policies.kernel.StorageKernel.convert_cold`, so it
+    has no knob here.
+
     Parameters
     ----------
     memory_budget:
@@ -54,18 +59,14 @@ class LsmConfig:
         MemTable placement, enabling crash recovery
         (:mod:`repro.lsm.recovery`).  ``None`` (the default) keeps the
         ingest path WAL-free: durability off costs one branch.
-    wal_fsync:
-        When True every WAL append is fsync'd; when False (default) the
-        record is flushed to the OS only, which is what the simulated
-        crash model needs and keeps tests fast.
     wal_group_records:
         Group-commit record trigger: WAL records are buffered in memory
-        and committed (one write + flush + optional fsync) once this
-        many are pending.  ``1`` (the default) is per-record commit —
+        and committed (one write + flush, no fsync) once this many are
+        pending.  ``1`` (the default) is per-record commit —
         byte-identical to the pre-group-commit WAL.  Values ``> 1``
         trade a bounded durability window (at most ``wal_group_records
         - 1`` acknowledged-but-uncommitted batches) for coalesced
-        fsyncs; ``WriteAheadLog.sync()`` is the explicit barrier.
+        writes; ``WriteAheadLog.sync()`` is the fsync barrier.
     wal_group_bytes:
         Group-commit size trigger: a pending group also commits once its
         encoded frames reach this many bytes, so huge batches never sit
@@ -106,30 +107,6 @@ class LsmConfig:
         A :class:`repro.faults.FaultPlan` describing deterministic
         faults to inject at the write path's fault sites.  ``None`` (the
         default) disables injection entirely.
-    cold_tier:
-        When True, compaction emits SSTables in the columnar cold-tier
-        format (:mod:`repro.lsm.blocks`) once they cross the cold
-        threshold: per-block min/max/count/sum statistics let
-        aggregation queries answer from metadata and range scans skip
-        non-overlapping blocks.  Off by default — every table stays in
-        the row format, bit-identical to the pre-cold-tier engines.
-    cold_block_size:
-        Points per statistics block in a columnar table.  Smaller
-        blocks prune finer at proportionally more resident metadata
-        (the backpressure debt model charges for it).
-    cold_level:
-        Structure depth at which landings become cold: tables written
-        to level ``>= cold_level`` are emitted columnar.  Level 0 is
-        the flush target, so ``cold_level=0`` makes *every* table
-        columnar; single-run engines treat their one run as level 0.
-        Engines whose structure has no levels beyond 0 only go cold via
-        ``cold_age`` or an explicit ``convert_cold()``.
-    cold_age:
-        Age-based threshold (generation-time units): during a landing,
-        chunks whose maximum generation time trails the watermark
-        ``LAST(R).t_g`` by at least this much are emitted columnar even
-        below ``cold_level``.  ``None`` (default) disables age-based
-        emission.
     """
 
     memory_budget: int = DEFAULT_MEMORY_BUDGET
@@ -138,7 +115,6 @@ class LsmConfig:
     telemetry_enabled: bool = False
     telemetry_sink: str = "memory"
     wal_path: str | None = None
-    wal_fsync: bool = False
     wal_group_records: int = 1
     wal_group_bytes: int = 1 << 20
     compaction_scheduler: bool = False
@@ -149,10 +125,6 @@ class LsmConfig:
     backpressure_shed: int | None = None
     backpressure_mode: str = "wait"
     fault_plan: object | None = None
-    cold_tier: bool = False
-    cold_block_size: int = 64
-    cold_level: int = 1
-    cold_age: float | None = None
 
     def __post_init__(self) -> None:
         # Validate the sink spec eagerly so a typo fails at config time,
@@ -234,19 +206,6 @@ class LsmConfig:
                 "backpressure_mode must be 'wait' or 'error', "
                 f"got {self.backpressure_mode!r}"
             )
-        if self.cold_block_size < 1:
-            raise ConfigError(
-                f"cold_block_size must be >= 1, got {self.cold_block_size}"
-            )
-        if self.cold_level < 0:
-            raise ConfigError(
-                f"cold_level must be >= 0, got {self.cold_level}"
-            )
-        if self.cold_age is not None and not self.cold_age > 0:
-            raise ConfigError(
-                "cold_age must be a positive generation-time delta or "
-                f"None, got {self.cold_age}"
-            )
 
     @property
     def effective_seq_capacity(self) -> int:
@@ -267,28 +226,6 @@ class LsmConfig:
     def with_telemetry(self, sink: str = "memory") -> "LsmConfig":
         """Return a copy with telemetry enabled and ``sink`` selected."""
         return replace(self, telemetry_enabled=True, telemetry_sink=sink)
-
-    def with_cold_tier(
-        self,
-        block_size: int | None = None,
-        level: int | None = None,
-        age: float | None = None,
-    ) -> "LsmConfig":
-        """Return a copy with the columnar cold tier enabled.
-
-        ``block_size``/``level``/``age`` override ``cold_block_size`` /
-        ``cold_level`` / ``cold_age``; omitted knobs keep their current
-        values, so ``config.with_cold_tier()`` simply switches the tier
-        on with the defaults.
-        """
-        overrides: dict = {"cold_tier": True}
-        if block_size is not None:
-            overrides["cold_block_size"] = block_size
-        if level is not None:
-            overrides["cold_level"] = level
-        if age is not None:
-            overrides["cold_age"] = age
-        return replace(self, **overrides)
 
     #: Knobs :meth:`with_stability` may override.
     _STABILITY_FIELDS = frozenset(

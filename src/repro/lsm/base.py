@@ -38,7 +38,7 @@ Durability (all opt-in, one branch on the hot path when off):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -210,7 +210,6 @@ class LsmEngine:
         self._wal: WriteAheadLog | None = (
             WriteAheadLog(
                 config.wal_path,
-                fsync=config.wal_fsync,
                 faults=self.faults,
                 group_records=config.wal_group_records,
                 group_bytes=config.wal_group_bytes,
@@ -376,14 +375,6 @@ class LsmEngine:
                 "memory_budget": self.config.memory_budget,
                 "sstable_size": self.config.sstable_size,
                 "seq_capacity": self.config.seq_capacity,
-                # Cold-tier emission knobs ride along so a bare restore
-                # keeps writing the same layout; an explicit ``config``
-                # override wins (like wal_path), and checkpoints written
-                # before the cold tier simply fall back to the defaults.
-                "cold_tier": self.config.cold_tier,
-                "cold_block_size": self.config.cold_block_size,
-                "cold_level": self.config.cold_level,
-                "cold_age": self.config.cold_age,
             },
             "kwargs": self._checkpoint_kwargs(),
             "next_id": self._next_id,
@@ -424,18 +415,16 @@ class LsmEngine:
             raise CheckpointError(
                 f"{path}: checkpoint was taken by {name!r}, not {cls.__name__}"
             )
+        # Checkpoints written before the cold tier lost its config knobs
+        # still record ``cold_*`` keys here; they are ignored, and every
+        # table keeps the block format its arrays record.
         core = meta["config"]
-        if config is None:
-            config = LsmConfig(**core)
-        else:
-            from dataclasses import replace
-
-            config = replace(
-                config,
-                memory_budget=core["memory_budget"],
-                sstable_size=core["sstable_size"],
-                seq_capacity=core["seq_capacity"],
-            )
+        config = replace(
+            config or LsmConfig(),
+            memory_budget=core["memory_budget"],
+            sstable_size=core["sstable_size"],
+            seq_capacity=core["seq_capacity"],
+        )
         engine = target(
             config=config,
             telemetry=telemetry,

@@ -32,7 +32,6 @@ import numpy as np
 
 from ...config import DEFAULT_DISK_MODEL, DiskModel
 from ...errors import EngineError
-from ..blocks import make_storage
 from ..checkpoint import pack_tables, unpack_run, unpack_tables
 from ..level import Run, RunView
 from ..memtable import MemTable
@@ -195,68 +194,6 @@ class CompactionPolicy(abc.ABC):
         )
         return written
 
-    # -- table emission --------------------------------------------------------
-
-    def emit_tables(
-        self, tg: np.ndarray, ids: np.ndarray, level: int
-    ) -> list[SSTable]:
-        """Build the SSTables of one landing at structure depth ``level``.
-
-        This is the cold tier's write-time hook: with ``cold_tier``
-        enabled, chunks landing at ``level >= cold_level`` — or, under
-        ``cold_age``, chunks whose maximum generation time trails the
-        pre-commit watermark by at least that age — are emitted in the
-        columnar block format.  Chunk boundaries and contents are
-        identical to the row path, so write amplification and event
-        accounting never change; only the layout (and the metadata
-        queries can exploit) does.
-
-        Call it from a commit's ``apply`` only: the tables are counted
-        as entering the visible structure here (columnar ones add their
-        block statistics to the kernel's resident total), and the
-        tables they replace are handed to ``kernel.retire_tables``.
-        """
-        kernel = self.kernel
-        config = kernel.config
-        block_size = 0
-        cold_max = math.inf
-        if config.cold_tier:
-            if level >= config.cold_level:
-                block_size = config.cold_block_size
-            elif config.cold_age is not None:
-                mark = self.watermark()
-                if mark > -math.inf:
-                    block_size = config.cold_block_size
-                    cold_max = mark - config.cold_age
-        tables = build_sstables(
-            tg,
-            ids,
-            config.sstable_size,
-            block_size=block_size,
-            cold_max_tg=cold_max,
-        )
-        if block_size:
-            cold = [table for table in tables if table.is_columnar]
-            if cold:
-                kernel.note_cold_conversion(
-                    len(cold), sum(table.stats_nbytes for table in cold)
-                )
-        return tables
-
-    def cold_flush_storage(self, tg: np.ndarray, ids: np.ndarray):
-        """Storage for a single level-0 flush file (IoTDB-style L1).
-
-        Honours ``cold_level == 0`` (everything columnar) but never
-        applies the age cutoff — a flush file is by definition the
-        newest data.
-        """
-        config = self.kernel.config
-        cold = config.cold_tier and config.cold_level == 0
-        storage = make_storage(tg, ids, config.cold_block_size if cold else 0)
-        if cold:
-            self.kernel.note_cold_conversion(1, storage.stats_nbytes)
-        return storage
-
     # -- the structure, stated once ---------------------------------------------
 
     @abc.abstractmethod
@@ -390,7 +327,7 @@ class LeveledSingleRun(CompactionPolicy):
                 merged_ids = np.concatenate([part[1] for part in segments])
 
         def apply() -> int:
-            tables = self.emit_tables(merged_tg, merged_ids, level=0)
+            tables = build_sstables(merged_tg, merged_ids, self.kernel.config.sstable_size)
             if region is None:
                 self.run.append(tables)
             else:
@@ -461,7 +398,7 @@ class MultiLevelCascade(CompactionPolicy):
         merged_tg, merged_ids = merge_tables_with_batch(victims, tg, ids)
 
         def apply() -> int:
-            tables = self.emit_tables(merged_tg, merged_ids, level=level)
+            tables = build_sstables(merged_tg, merged_ids, self.kernel.config.sstable_size)
             self.kernel.retire_tables(run.replace(region, tables))
             # A spilled level's tables leave with it; a MemTable has none.
             self.kernel.retire_tables(source.clear() or [])
@@ -518,7 +455,7 @@ class SizeTiered(CompactionPolicy):
         new = int(tg.size)
 
         def append_run() -> int:
-            run = self.emit_tables(tg, ids, level=0)
+            run = build_sstables(tg, ids, self.kernel.config.sstable_size)
             self.levels[0].append(run)
             memtable.clear()
             if run:
@@ -535,7 +472,7 @@ class SizeTiered(CompactionPolicy):
             tier_tg, tier_ids = concat_sorted_tables(tables)
 
             def merge_tier() -> int:
-                merged = self.emit_tables(tier_tg, tier_ids, level=level + 1)
+                merged = build_sstables(tier_tg, tier_ids, self.kernel.config.sstable_size)
                 self.kernel.retire_tables(tables)
                 self.levels[level] = []
                 self.levels[level + 1].append(merged)
@@ -639,7 +576,7 @@ class IoTDBTwoSpace(CompactionPolicy):
         new = int(tg.size)
 
         def apply() -> int:
-            table = SSTable(storage=self.cold_flush_storage(tg, ids))
+            table = SSTable(tg, ids)
             self.l1_files.append(table)
             memtable.clear()
             self._max_disk_tg = max(self._max_disk_tg, table.max_tg)
@@ -660,7 +597,7 @@ class IoTDBTwoSpace(CompactionPolicy):
         consumed = len(files) + len(victims)
 
         def apply() -> int:
-            tables = self.emit_tables(merged_tg, merged_ids, level=1)
+            tables = build_sstables(merged_tg, merged_ids, self.kernel.config.sstable_size)
             self.kernel.retire_tables(self.l2.replace(region, tables) + files)
             self.l1_files = []
             self.background_ms += self.disk.write_cost_ms(

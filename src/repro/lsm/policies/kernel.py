@@ -31,6 +31,7 @@ and byte-layout-compatible with the monolithic engines it replaced.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -75,18 +76,18 @@ class StorageKernel(LsmEngine):
         self.compaction = compaction
         #: Structure epoch: bumped whenever the disk structure changes
         #: (flush/merge landing, checkpoint restore) or the MemTable
-        #: layout is re-bound.  Snapshot and pruning-index caches key
-        #: on it.
+        #: layout is re-bound.  The snapshot cache keys on it.
         self._structure_epoch = 0
-        self._index_cache: tuple[int, TableIndex] | None = None
         #: The last snapshot built; served again while its ``version``
-        #: is still the read version.
+        #: is still the read version, and its pruning index reused while
+        #: its epoch (``version[0]``) is still the structure epoch.
         self._snapshot_cache: Snapshot | None = None
-        #: Columnar tables emitted or converted over this kernel's life.
+        #: Tables :meth:`convert_cold` turned columnar over this kernel's life.
         self.cold_tables_converted = 0
         # Resident block-statistics bytes of the visible tables: a
-        # running total kept where tables enter, convert and leave,
-        # because the admission controller reads it on every batch.
+        # running total kept where tables convert and leave (landings
+        # write row tables, which pin none), because the admission
+        # controller reads it on every batch.
         self._cold_bytes = 0
         # Policies see the kernel (config, stats, telemetry, fault
         # boundary) through one back-reference each; compaction binds
@@ -209,14 +210,6 @@ class StorageKernel(LsmEngine):
 
     # -- cold tier -------------------------------------------------------------
 
-    def note_cold_conversion(self, tables: int, stats_bytes: int) -> None:
-        """Account ``tables`` newly columnar visible tables (emitted or
-        converted) and the ``stats_bytes`` of block statistics they pin."""
-        self.cold_tables_converted += tables
-        if self.telemetry.enabled:
-            self.telemetry.count("cold_tier.tables_converted", tables)
-        self._set_cold_bytes(self._cold_bytes + stats_bytes)
-
     def retire_tables(self, tables: list[SSTable]) -> None:
         """``tables`` left the visible structure: release the block
         statistics they pinned (compaction commits call this)."""
@@ -244,31 +237,34 @@ class StorageKernel(LsmEngine):
         """
         return self._cold_bytes
 
-    def convert_cold(
-        self,
-        max_tg: float | None = None,
-        block_size: int | None = None,
-    ) -> int:
-        """Convert visible row tables at/below the cold cutoff to the
-        columnar format in place; returns how many were converted.
+    def convert_cold(self, max_tg: float | None = None, block_size: int = 64) -> int:
+        """Convert the visible row tables whose newest point is at or
+        below ``max_tg`` (``None``: every one) to the columnar format
+        with ``block_size``-point statistics blocks, in place; returns
+        how many were converted.
 
-        This is the explicit (operator/maintenance) conversion path —
-        write-time emission via :meth:`CompactionPolicy.emit_tables`
-        needs no call here.  The conversion is layout-only: contents,
+        This is the only way a table turns columnar: every landing
+        writes row tables.  The conversion is layout-only: contents,
         write amplification and the event log are untouched; only block
-        statistics are added.  ``max_tg`` defaults to the ``cold_age``
-        cutoff below the watermark when configured, else everything;
-        ``block_size`` defaults to ``config.cold_block_size``.
+        statistics are added.  Both arguments are checked before any
+        table changes — ``max_tg`` is ``None`` or a real number that is
+        not NaN, ``block_size`` an integer ``>= 1`` — else
+        :class:`EngineError`.
         """
-        config = self.config
-        if block_size is None:
-            block_size = config.cold_block_size
         if max_tg is None:
-            if config.cold_age is not None:
-                mark = self.compaction.watermark()
-                max_tg = mark - config.cold_age if mark > -math.inf else -math.inf
-            else:
-                max_tg = math.inf
+            max_tg = math.inf
+        elif (
+            not isinstance(max_tg, numbers.Real)
+            or isinstance(max_tg, bool)
+            or math.isnan(max_tg)
+        ):
+            raise EngineError(f"max_tg must be a real number or None, got {max_tg!r}")
+        if (
+            not isinstance(block_size, numbers.Integral)
+            or isinstance(block_size, bool)
+            or block_size < 1
+        ):
+            raise EngineError(f"block_size must be an integer >= 1, got {block_size!r}")
         converted = stats_bytes = 0
         for table in self.compaction.visible_tables():
             if not table.is_columnar and table.max_tg <= max_tg:
@@ -276,7 +272,10 @@ class StorageKernel(LsmEngine):
                 converted += 1
                 stats_bytes += table.stats_nbytes
         if converted:
-            self.note_cold_conversion(converted, stats_bytes)
+            self.cold_tables_converted += converted
+            if self.telemetry.enabled:
+                self.telemetry.count("cold_tier.tables_converted", converted)
+            self._set_cold_bytes(self._cold_bytes + stats_bytes)
             # The layout changed even though the logical structure did
             # not: runs re-read their block counts, and the epoch bump
             # makes the next read take the refreshed view.
@@ -294,14 +293,6 @@ class StorageKernel(LsmEngine):
     def mark_structure_change(self) -> None:
         """Invalidate read-path caches; called by landing-op commit points."""
         self._structure_epoch += 1
-
-    def _pruning_index(self) -> TableIndex:
-        cached = self._index_cache
-        if cached is not None and cached[0] == self._structure_epoch:
-            return cached[1]
-        index = TableIndex(self.compaction.pruning_groups())
-        self._index_cache = (self._structure_epoch, index)
-        return index
 
     def read_version(self) -> tuple[int, ...]:
         """The engine's read-state version vector.
@@ -337,6 +328,13 @@ class StorageKernel(LsmEngine):
         cached = self._snapshot_cache
         if cached is not None and cached.version == version:
             return cached
+        # Only buffered points changed since the cached snapshot when its
+        # epoch is still current: the disk structure, and so its pruning
+        # index, are the same.
+        if cached is not None and cached.version[0] == version[0]:
+            index = cached.index
+        else:
+            index = TableIndex(self.compaction.pruning_groups())
         scheduler = self.scheduler
         pending = scheduler.pending_memtables() if scheduler is not None else []
         views = [
@@ -351,7 +349,7 @@ class StorageKernel(LsmEngine):
         snapshot = Snapshot(
             tables=self.compaction.visible_tables(),
             memtables=views,
-            index=self._pruning_index(),
+            index=index,
             version=version,
         )
         self._snapshot_cache = snapshot

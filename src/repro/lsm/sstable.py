@@ -12,12 +12,11 @@ through either format; only metadata (and what queries can skip) differ.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from ..errors import EngineError
-from .blocks import BlockStats, ColumnarStorage, RowStorage, make_storage
+from .blocks import BlockStats, ColumnarStorage, RowStorage
 from .intervals import interval_overlaps
 from .points import PointBatch
 
@@ -160,21 +159,13 @@ def _check_sorted(tg: np.ndarray) -> None:
 
 
 def build_sstables(
-    tg: np.ndarray,
-    ids: np.ndarray,
-    sstable_size: int,
-    block_size: int = 0,
-    cold_max_tg: float = math.inf,
+    tg: np.ndarray, ids: np.ndarray, sstable_size: int
 ) -> list[SSTable]:
-    """Split sorted ``(tg, ids)`` arrays into SSTables of at most
-    ``sstable_size`` points each (the last one may be smaller).
+    """Split sorted ``(tg, ids)`` arrays into row-format SSTables of at
+    most ``sstable_size`` points each (the last one may be smaller).
 
-    With ``block_size > 0`` the cold-tier format kicks in: every chunk
-    whose maximum generation time is at or below ``cold_max_tg`` is
-    built columnar with ``block_size`` statistics blocks (the default
-    cutoff of ``+inf`` makes every chunk columnar).  Chunk boundaries —
-    and therefore contents, write amplification and event accounting —
-    are identical either way; only the layout differs.
+    Every landing writes its tables here; a table turns columnar only
+    later, through ``StorageKernel.convert_cold``.
     """
     if sstable_size < 1:
         raise EngineError(f"sstable_size must be >= 1, got {sstable_size}")
@@ -185,12 +176,5 @@ def build_sstables(
     tables = []
     for start in range(0, tg.size, sstable_size):
         stop = start + sstable_size
-        chunk_tg = tg[start:stop]
-        chunk_ids = ids[start:stop]
-        cold = block_size > 0 and float(chunk_tg[-1]) <= cold_max_tg
-        tables.append(
-            SSTable._of_checked(
-                make_storage(chunk_tg, chunk_ids, block_size if cold else 0)
-            )
-        )
+        tables.append(SSTable._of_checked(RowStorage(tg[start:stop], ids[start:stop])))
     return tables

@@ -24,9 +24,10 @@ and nothing is truncated.
 
 Group commit (``group_records > 1``) changes *when* frames reach the
 file, never *how* they are framed: encoded records accumulate in memory
-and one coalesced write + flush (+ optional fsync) lands the whole group
-once the record-count or byte trigger fires, or on an explicit
-:meth:`WriteAheadLog.sync` barrier.  Because the on-disk byte stream is
+and one coalesced write + flush lands the whole group once the
+record-count or byte trigger fires, or on an explicit
+:meth:`WriteAheadLog.sync` barrier (the one place the log fsyncs a
+group).  Because the on-disk byte stream is
 identical to per-record commit, the recovery protocol is unchanged — a
 crash mid-group tears at a record boundary (buffered frames are simply
 lost) or inside the frame being written, and truncating recovery handles
@@ -158,8 +159,8 @@ class WriteAheadLog:
 
     With ``group_records > 1`` the log runs in group-commit mode:
     :meth:`append` buffers the encoded frame and a whole group lands
-    with one write + flush (+ fsync when enabled) once ``group_records``
-    records or ``group_bytes`` bytes are pending.  Acknowledged but
+    with one write + flush once ``group_records`` records or
+    ``group_bytes`` bytes are pending.  Acknowledged but
     uncommitted records are lost on a crash — the bounded durability
     window callers opt into; :meth:`sync` is the explicit barrier.
     """
@@ -167,7 +168,6 @@ class WriteAheadLog:
     def __init__(
         self,
         path: str,
-        fsync: bool = False,
         faults: "FaultInjector | None" = None,
         group_records: int = 1,
         group_bytes: int = 1 << 20,
@@ -180,7 +180,6 @@ class WriteAheadLog:
         if group_bytes < 1:
             raise WalError(f"group_bytes must be >= 1, got {group_bytes}")
         self.path = path
-        self.fsync = fsync
         self.faults = faults
         self.group_records = group_records
         self.group_bytes = group_bytes
@@ -262,7 +261,8 @@ class WriteAheadLog:
             self._commit_group()
 
     def _commit_group(self) -> None:
-        """Land every pending frame with one write + flush (+ fsync)."""
+        """Land every pending frame with one write + flush (no fsync:
+        :meth:`sync` is the barrier)."""
         if not self._pending:
             return
         handle = self._open()
@@ -274,8 +274,6 @@ class WriteAheadLog:
         group_bytes = self._pending_bytes
         handle.write(b"".join(self._pending))
         handle.flush()
-        if self.fsync:
-            os.fsync(handle.fileno())
         self._pending.clear()
         self._pending_bytes = 0
         self.groups_committed += 1

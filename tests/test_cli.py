@@ -110,6 +110,11 @@ class TestExitCodes:
         assert main(["fig99"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_cold_report_zero_block_size_returns_1(self, capsys):
+        argv = ["cold-report", "--points", "2000", "--windows", "1", "--block-size", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: block_size must be")
+
     def test_bad_scale_value_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["table02", "--scale", "not-a-number"])

@@ -8,16 +8,22 @@ pins that contract across every first-class engine and the two composed
 policy triples:
 
 * range queries and aggregates are bitwise identical between a row
-  engine and a cold-configured twin at every lifecycle stage
-  (mid-ingest, pre-flush, post-flush, post-conversion),
+  engine and a twin converted with ``convert_cold`` after every
+  lifecycle stage (mid-ingest, pre-flush, post-flush), and once the
+  row engine is converted too,
 * write amplification, per-point write counts and the compaction event
-  log are unchanged by cold emission,
+  log are unchanged by conversion,
 * columnar tables survive checkpoint/restore (and crash recovery with
   an injected-fault corrupted checkpoint) with their format intact,
+  including checkpoints that still record the retired ``cold_*``
+  config keys,
+* ``convert_cold`` checks its arguments before it touches a table,
 * cold statistics memory is visible to the backpressure debt model.
 """
 
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +34,7 @@ from repro import (
     IoTDBStyleEngine,
     LogNormalDelay,
     LsmConfig,
+    LsmEngine,
     MultiLevelEngine,
     SeparationEngine,
     TieredEngine,
@@ -37,7 +44,7 @@ from repro import (
     generate_synthetic,
     recover_engine,
 )
-from repro.errors import ConfigError, EngineError
+from repro.errors import EngineError
 from repro.faults import FaultInjector, FaultPlan
 from repro.lsm.backpressure import AdmissionController
 from repro.lsm.blocks import (
@@ -48,18 +55,22 @@ from repro.lsm.blocks import (
     RowStorage,
     make_storage,
 )
-from repro.lsm.checkpoint import pack_tables, unpack_tables
+from repro.lsm.checkpoint import (
+    pack_tables,
+    read_checkpoint,
+    unpack_tables,
+    write_checkpoint,
+)
 from repro.lsm.policies.compose import compose_engine
 from repro.lsm.sstable import SSTable, build_sstables
 from repro.obs.telemetry import Telemetry
 from repro.workloads import TABLE_II
 
 #: Mirrors the conformance harness geometry (small tables, real
-#: cascades) with the cold twin differing *only* in layout knobs.
+#: cascades); a cold twin is built on it too and differs only in layout.
 CONFIG_ROW = LsmConfig(memory_budget=64, sstable_size=32)
-#: ``level=0`` makes every landing columnar, so cold emission is
-#: exercised on engines whose structure never leaves level 0.
-CONFIG_COLD = CONFIG_ROW.with_cold_tier(block_size=8, level=0)
+#: Points per statistics block of every conversion below.
+BLOCK = 8
 
 N_POINTS = 4000
 CHUNK = 937
@@ -97,6 +108,12 @@ def _dataset(workload):
     return TABLE_II[workload].build(n_points=N_POINTS, seed=3)
 
 
+def _ingest_cold(engine, dataset, lo, hi):
+    """:func:`_ingest`, then every visible row table turned columnar."""
+    _ingest(engine, dataset, lo, hi)
+    engine.convert_cold(block_size=BLOCK)
+
+
 def _ingest(engine, dataset, lo, hi):
     adaptive = isinstance(engine, AdaptiveEngine)
     for pos in range(lo, hi, CHUNK):
@@ -117,6 +134,11 @@ def _windows(dataset):
         (lo + 0.45 * span, lo + 0.55 * span),
         (hi + span, hi + 2 * span),
     ]
+
+
+def _formats(engine):
+    """Columnar or not, per visible table, in snapshot order."""
+    return [table.is_columnar for table in engine.snapshot().tables]
 
 
 def _assert_reads_identical(row_engine, cold_engine, dataset):
@@ -145,7 +167,7 @@ def _assert_reads_identical(row_engine, cold_engine, dataset):
 
 
 def _assert_write_accounting_identical(row_engine, cold_engine):
-    """Cold emission changes layout only — never what or when we write."""
+    """Conversion changes layout only — never what or when we write."""
     rs, cs = row_engine.stats, cold_engine.stats
     assert rs.user_points == cs.user_points
     assert rs.disk_writes == cs.disk_writes
@@ -169,23 +191,25 @@ class TestColdEngineConformance:
     def test_row_and_cold_twins_agree_at_every_stage(self, key, workload):
         dataset = _dataset(workload)
         row_engine = _factories(CONFIG_ROW)[key]()
-        cold_engine = _factories(CONFIG_COLD)[key]()
+        cold_engine = _factories(CONFIG_ROW)[key]()
 
         # Stage 1: mid-ingest (buffered + partially compacted state).
         _ingest(row_engine, dataset, 0, N_POINTS // 2)
-        _ingest(cold_engine, dataset, 0, N_POINTS // 2)
+        _ingest_cold(cold_engine, dataset, 0, N_POINTS // 2)
         _assert_reads_identical(row_engine, cold_engine, dataset)
         _assert_write_accounting_identical(row_engine, cold_engine)
 
-        # Stage 2: pre-flush (full stream ingested, buffers still warm).
+        # Stage 2: pre-flush (full stream ingested, buffers still warm;
+        # the landings since stage 1 merged columnar victims).
         _ingest(row_engine, dataset, N_POINTS // 2, N_POINTS)
-        _ingest(cold_engine, dataset, N_POINTS // 2, N_POINTS)
+        _ingest_cold(cold_engine, dataset, N_POINTS // 2, N_POINTS)
         _assert_reads_identical(row_engine, cold_engine, dataset)
         _assert_write_accounting_identical(row_engine, cold_engine)
 
         # Stage 3: post-flush (everything on disk).
         row_engine.flush_all()
         cold_engine.flush_all()
+        cold_engine.convert_cold(block_size=BLOCK)
         _assert_reads_identical(row_engine, cold_engine, dataset)
         _assert_write_accounting_identical(row_engine, cold_engine)
         cold_tables = cold_engine.snapshot().tables
@@ -194,7 +218,7 @@ class TestColdEngineConformance:
 
         # Stage 4: post-conversion (row twin converted in place catches
         # up to the cold twin; layout-only, so accounting still agrees).
-        converted = row_engine.convert_cold(block_size=8)
+        converted = row_engine.convert_cold(block_size=BLOCK)
         assert converted == len(row_engine.snapshot().tables)
         assert all(t.is_columnar for t in row_engine.snapshot().tables)
         _assert_reads_identical(row_engine, cold_engine, dataset)
@@ -203,38 +227,10 @@ class TestColdEngineConformance:
         cold_engine.verify()
 
 
-class TestColdEmissionModes:
-    def test_age_gated_emission_matches_row_results(self):
-        """``cold_age`` emits columnar only behind the watermark."""
-        dataset = _dataset("M1")
-        span = float(dataset.tg.max()) - float(dataset.tg.min())
-        # The age must sit inside the delay spread: landings only
-        # re-emit chunks within the out-of-order reach of the watermark,
-        # so a larger cutoff would never see a qualifying chunk.
-        config = CONFIG_ROW.with_cold_tier(
-            block_size=8, level=10**6, age=0.01 * span
-        )
-        row_engine = ConventionalEngine(CONFIG_ROW)
-        cold_engine = ConventionalEngine(config)
-        _ingest(row_engine, dataset, 0, N_POINTS)
-        _ingest(cold_engine, dataset, 0, N_POINTS)
-        row_engine.flush_all()
-        cold_engine.flush_all()
-        tables = cold_engine.snapshot().tables
-        formats = {t.is_columnar for t in tables}
-        # The settled prefix went cold, the recent tail stayed row.
-        assert formats == {True, False}
-        threshold = max(t.max_tg for t in tables) - config.cold_age
-        assert all(
-            t.max_tg <= threshold for t in tables if t.is_columnar
-        )
-        _assert_reads_identical(row_engine, cold_engine, dataset)
-        _assert_write_accounting_identical(row_engine, cold_engine)
-
+class TestColdConversion:
     def test_convert_cold_respects_age_and_counts_tables(self):
         dataset = _dataset("M1")
-        config = CONFIG_ROW.with_cold_tier(block_size=8, level=10**6)
-        engine = ConventionalEngine(config)
+        engine = ConventionalEngine(CONFIG_ROW)
         _ingest(engine, dataset, 0, N_POINTS)
         engine.flush_all()
         tables = engine.snapshot().tables
@@ -244,6 +240,7 @@ class TestColdEmissionModes:
         assert 0 < converted < len(tables)
         for table in engine.snapshot().tables:
             assert table.is_columnar == (table.max_tg <= cutoff)
+            assert table.storage.block_size == (64 if table.is_columnar else 0)
         # Converting again is a no-op on already-cold tables.
         assert engine.convert_cold(max_tg=cutoff) == 0
         assert engine.cold_tables_converted == converted
@@ -254,8 +251,52 @@ class TestColdEmissionModes:
         _ingest(engine, dataset, 0, N_POINTS)
         engine.flush_all()
         before = (engine.stats.disk_writes, len(engine.stats.events))
-        assert engine.convert_cold(block_size=8) > 0
+        assert engine.convert_cold(block_size=BLOCK) > 0
         assert (engine.stats.disk_writes, len(engine.stats.events)) == before
+
+    @pytest.mark.parametrize(
+        "named, kwargs",
+        [
+            pytest.param("max_tg", {"max_tg": math.nan}, id="max_tg-nan"),
+            pytest.param("max_tg", {"max_tg": "1"}, id="max_tg-str"),
+            pytest.param("max_tg", {"max_tg": True}, id="max_tg-bool"),
+            pytest.param("block_size", {"block_size": 2.5}, id="block_size-2.5"),
+            pytest.param("block_size", {"block_size": 0}, id="block_size-0"),
+            pytest.param("block_size", {"block_size": True}, id="block_size-bool"),
+            pytest.param("block_size", {"block_size": None}, id="block_size-none"),
+            # Nothing qualifies, and the block size is checked all the same.
+            pytest.param(
+                "block_size", {"max_tg": -math.inf, "block_size": 0}, id="none-qualify-0"
+            ),
+            pytest.param(
+                "block_size",
+                {"max_tg": -math.inf, "block_size": True},
+                id="none-qualify-bool",
+            ),
+        ],
+    )
+    def test_bad_arguments_raise_before_any_table_changes(self, named, kwargs):
+        """A NaN cutoff, a fractional or boolean block size, and a block
+        size below 1 are each an error naming the argument — also when
+        no row table qualifies — and leave every table as it was."""
+        engine = ConventionalEngine(CONFIG_ROW)
+        _ingest(engine, _dataset("M1"), 0, N_POINTS)
+        engine.flush_all()
+        tables = engine.snapshot().tables
+        engine.convert_cold(max_tg=tables[len(tables) // 2].max_tg, block_size=BLOCK)
+
+        def state():
+            return (
+                [table.storage.block_size for table in engine.snapshot().tables],
+                engine.cold_tier_bytes(),
+                engine.cold_tables_converted,
+                engine.read_version(),
+            )
+
+        before = state()
+        with pytest.raises(EngineError, match=f"^{named} must be"):
+            engine.convert_cold(**kwargs)
+        assert state() == before
 
 
 # -- durability ----------------------------------------------------------------
@@ -264,9 +305,10 @@ class TestColdEmissionModes:
 class TestColdDurability:
     def test_checkpoint_preserves_columnar_format(self, tmp_path):
         dataset = _dataset("M1")
-        engine = ConventionalEngine(CONFIG_COLD)
+        engine = ConventionalEngine(CONFIG_ROW)
         _ingest(engine, dataset, 0, N_POINTS)
         engine.flush_all()
+        engine.convert_cold(block_size=BLOCK)
         ckpt = str(tmp_path / "cold.ckpt")
         engine.save_checkpoint(ckpt)
         restored = ConventionalEngine.restore(ckpt)
@@ -281,11 +323,13 @@ class TestColdDurability:
 
     def test_restore_continues_bit_identically(self, tmp_path):
         dataset = _dataset("M8")
-        engine = SeparationEngine(CONFIG_COLD)
-        _ingest(engine, dataset, 0, N_POINTS // 2)
+        engine = SeparationEngine(CONFIG_ROW)
+        _ingest_cold(engine, dataset, 0, N_POINTS // 2)
         ckpt = str(tmp_path / "mid.ckpt")
         engine.save_checkpoint(ckpt)
         restored = SeparationEngine.restore(ckpt)
+        assert _formats(restored) == _formats(engine)
+        assert restored.cold_tier_bytes() == engine.cold_tier_bytes() > 0
         _ingest(engine, dataset, N_POINTS // 2, N_POINTS)
         _ingest(restored, dataset, N_POINTS // 2, N_POINTS)
         engine.flush_all()
@@ -295,7 +339,9 @@ class TestColdDurability:
 
     def test_legacy_checkpoint_without_blocks_restores_row(self):
         tg = np.sort(np.random.default_rng(0).uniform(0, 100, 96))
-        tables = build_sstables(tg, np.arange(96), 32, block_size=8)
+        tables = build_sstables(tg, np.arange(96), 32)
+        for table in tables:
+            table.convert_to_columnar(BLOCK)
         arrays = {}
         pack_tables(arrays, "lvl", tables)
         del arrays["lvl.blocks"]  # what a pre-cold-tier checkpoint holds
@@ -310,20 +356,14 @@ class TestColdDurability:
         wal_path = str(tmp_path / "cold.wal")
         ckpt_path = str(tmp_path / "cold.ckpt")
         dataset = _dataset("M1")
-        config = LsmConfig(
-            64, 32, wal_path=wal_path
-        ).with_cold_tier(block_size=8, level=0)
-        engine = ConventionalEngine(config)
-        _ingest(engine, dataset, 0, N_POINTS // 2)
+        engine = ConventionalEngine(LsmConfig(64, 32, wal_path=wal_path))
+        _ingest_cold(engine, dataset, 0, N_POINTS // 2)
         engine.save_checkpoint(ckpt_path)
-        _ingest(engine, dataset, N_POINTS // 2, N_POINTS)
+        _ingest_cold(engine, dataset, N_POINTS // 2, N_POINTS)
         engine.wal.close()
         FaultInjector(FaultPlan(seed=9)).corrupt_file(ckpt_path, spare_prefix=8)
         report = recover_engine(
-            ConventionalEngine,
-            wal_path,
-            checkpoint_path=ckpt_path,
-            config=LsmConfig(64, 32).with_cold_tier(block_size=8, level=0),
+            ConventionalEngine, wal_path, checkpoint_path=ckpt_path, config=CONFIG_ROW
         )
         assert report.checkpoint_corrupt and not report.checkpoint_used
         assert report.replayed_points == N_POINTS
@@ -335,26 +375,137 @@ class TestColdDurability:
         wal_path = str(tmp_path / "cold.wal")
         ckpt_path = str(tmp_path / "cold.ckpt")
         dataset = _dataset("M1")
-        config = LsmConfig(
-            64, 32, wal_path=wal_path
-        ).with_cold_tier(block_size=8, level=0)
-        engine = ConventionalEngine(config)
-        _ingest(engine, dataset, 0, N_POINTS // 2)
+        engine = ConventionalEngine(LsmConfig(64, 32, wal_path=wal_path))
+        _ingest_cold(engine, dataset, 0, N_POINTS // 2)
         engine.save_checkpoint(ckpt_path)
         _ingest(engine, dataset, N_POINTS // 2, N_POINTS)
         engine.wal.close()
         report = recover_engine(
-            ConventionalEngine,
-            wal_path,
-            checkpoint_path=ckpt_path,
-            config=LsmConfig(64, 32).with_cold_tier(block_size=8, level=0),
+            ConventionalEngine, wal_path, checkpoint_path=ckpt_path, config=CONFIG_ROW
         )
         assert report.checkpoint_used and report.verified
-        recovered = report.engine.snapshot()
-        assert recovered.tables and all(
-            t.is_columnar for t in recovered.tables
-        )
+        # The checkpointed tables come back columnar; the replayed tail
+        # lands row tables, exactly as it did on the live engine.
+        assert set(_formats(report.engine)) == {True, False}
+        assert _formats(report.engine) == _formats(engine)
+        assert report.engine.cold_tier_bytes() == engine.cold_tier_bytes()
         _assert_reads_identical(engine, report.engine, dataset)
+
+
+# -- checkpoints that still record the retired cold-tier config keys -----------
+
+LEGACY_DIR = Path(__file__).parent / "data" / "legacy_checkpoints"
+#: The keys every checkpoint's ``config`` recorded while the cold tier
+#: was configured on ``LsmConfig``.
+COLD_KEYS = ("cold_tier", "cold_block_size", "cold_level", "cold_age")
+
+
+def _rewrite_cold_keys(path, **cold):
+    """Rewrite the checkpoint at ``path`` with its recorded ``cold_*``
+    keys replaced by ``cold`` (none: stripped); arrays untouched."""
+    meta, arrays = read_checkpoint(str(path))
+    for key in COLD_KEYS:
+        meta["config"].pop(key, None)
+    meta["config"].update(cold)
+    write_checkpoint(str(path), meta, arrays)
+
+
+def _assert_formats_as_recorded(engine, path):
+    """Every table of a just-restored ``engine`` has the block size the
+    checkpoint's arrays record for it, and the resident total agrees."""
+    _, arrays = read_checkpoint(str(path))
+    for name, _, group in engine.compaction.groups():
+        recorded = arrays[f"{name}.blocks"].tolist()
+        assert [table.storage.block_size for table in group] == recorded
+    assert engine.cold_tier_bytes() == sum(
+        table.stats_nbytes for table in engine.compaction.visible_tables()
+    )
+
+
+def _tail(after, seed=5):
+    """An out-of-order stream that starts past generation time ``after``."""
+    stream = generate_synthetic(2000, 50.0, LogNormalDelay(5.0, 2.0), seed=seed)
+    return stream.tg + after + 1.0, stream.ta + after + 1.0
+
+
+class TestCheckpointsRecordingColdKeys:
+    """Checkpoints written while ``LsmConfig`` carried the cold tier still
+    record ``cold_*`` keys; they restore with the keys ignored, every table
+    keeps its recorded block format, and what lands afterwards is row."""
+
+    def test_adaptive_fixture_restores_without_a_config(self, tmp_path):
+        path = LEGACY_DIR / "adaptive.ckpt"
+        assert set(COLD_KEYS) <= set(read_checkpoint(str(path))[0]["config"])
+        twin_path = tmp_path / "adaptive.ckpt"
+        shutil.copyfile(path, twin_path)
+        _rewrite_cold_keys(twin_path)
+        engine, twin = LsmEngine.restore(str(path)), LsmEngine.restore(str(twin_path))
+        _assert_formats_as_recorded(engine, path)
+        assert engine.cold_tier_bytes() == 0
+        tg, ta = _tail(engine.watermark())
+        for restored in (engine, twin):
+            restored.ingest(tg, ta)
+            restored.flush_all()
+        assert _formats(engine) == [False] * len(_formats(twin))
+        _assert_write_accounting_identical(twin, engine)
+        engine.verify()
+
+    def test_database_fixture_recovers(self, tmp_path):
+        directory, twin_directory = tmp_path / "db", tmp_path / "twin"
+        shutil.copytree(LEGACY_DIR / "database_retuned", directory)
+        shutil.copytree(LEGACY_DIR / "database_retuned", twin_directory)
+        for path in twin_directory.glob("*.ckpt"):
+            _rewrite_cold_keys(path)
+        for path in directory.glob("*.ckpt"):
+            meta, arrays = read_checkpoint(str(path))
+            assert set(COLD_KEYS) <= set(meta["config"])
+            assert not any(arrays[key].any() for key in arrays if key.endswith(".blocks"))
+        db = TimeSeriesDatabase.recover(str(directory))
+        twin = TimeSeriesDatabase.recover(str(twin_directory))
+        names = sorted(db.series_names())
+        assert names == sorted(twin.series_names()) and len(names) == 3
+        for name in names:
+            engine = db.series(name).engine
+            assert engine.cold_tier_bytes() == 0
+            assert not any(_formats(engine))
+            tg, ta = _tail(engine.watermark(), seed=len(name))
+            db.write(name, tg, ta)
+            twin.write(name, tg, ta)
+        db.flush_all()
+        twin.flush_all()
+        for name in names:
+            engine, twin_engine = db.series(name).engine, twin.series(name).engine
+            assert not any(_formats(engine))
+            _assert_write_accounting_identical(twin_engine, engine)
+            engine.verify()
+
+    def test_hand_written_cold_keys_do_not_turn_landings_columnar(self, tmp_path):
+        """A checkpoint whose metadata asks for every landing columnar
+        (``cold_tier: true, cold_level: 0``) over columnar tables."""
+        dataset = _dataset("M8")
+        engine = SeparationEngine(CONFIG_ROW)
+        _ingest_cold(engine, dataset, 0, N_POINTS // 2)
+        path = tmp_path / "cold.ckpt"
+        engine.save_checkpoint(str(path))
+        _rewrite_cold_keys(
+            path, cold_tier=True, cold_block_size=BLOCK, cold_level=0, cold_age=None
+        )
+        restored = LsmEngine.restore(str(path))
+        _assert_formats_as_recorded(restored, path)
+        assert _formats(restored) == _formats(engine) and any(_formats(restored))
+        assert restored.cold_tier_bytes() == engine.cold_tier_bytes() > 0
+        kept = {table.table_id for table in restored.snapshot().tables}
+
+        row_twin = SeparationEngine(CONFIG_ROW)
+        _ingest(row_twin, dataset, 0, N_POINTS)
+        _ingest(restored, dataset, N_POINTS // 2, N_POINTS)
+        row_twin.flush_all()
+        restored.flush_all()
+        landed = [t for t in restored.snapshot().tables if t.table_id not in kept]
+        assert landed and not any(table.is_columnar for table in landed)
+        _assert_write_accounting_identical(row_twin, restored)
+        _assert_reads_identical(row_twin, restored, dataset)
+        restored.verify()
 
 
 # -- cost model & telemetry ----------------------------------------------------
@@ -369,7 +520,7 @@ class TestColdCostModel:
         admission = AdmissionController(engine)
         before = admission.debt_points()
         assert engine.cold_tier_bytes() == 0
-        assert engine.convert_cold(block_size=8) > 0
+        assert engine.convert_cold(block_size=BLOCK) > 0
         resident = engine.cold_tier_bytes()
         assert resident > 0
         assert admission.debt_points() == before + resident // POINT_BYTES
@@ -384,9 +535,10 @@ class TestColdCostModel:
 
     def test_telemetry_counters(self):
         dataset = _dataset("M1")
-        engine = ConventionalEngine(CONFIG_COLD.with_telemetry())
+        engine = ConventionalEngine(CONFIG_ROW.with_telemetry())
         _ingest(engine, dataset, 0, N_POINTS)
         engine.flush_all()
+        engine.convert_cold(block_size=BLOCK)
         registry = engine.telemetry.registry
         assert registry.counter("cold_tier.tables_converted").value > 0
         engine.cold_tier_bytes()
@@ -503,36 +655,3 @@ class TestBlockStats:
         tg = np.array([1.0, 2.0])
         with pytest.raises(EngineError):
             SSTable(tg, np.arange(2), storage=RowStorage(tg, np.arange(2)))
-
-    def test_build_sstables_age_cutoff(self):
-        tg = np.arange(100, dtype=np.float64)
-        tables = build_sstables(
-            tg, np.arange(100), 25, block_size=8, cold_max_tg=49.0
-        )
-        assert [t.is_columnar for t in tables] == [True, True, False, False]
-
-
-class TestColdConfig:
-    def test_with_cold_tier_round_trip(self):
-        config = LsmConfig(64, 32).with_cold_tier(
-            block_size=16, level=2, age=5.0
-        )
-        assert config.cold_tier
-        assert config.cold_block_size == 16
-        assert config.cold_level == 2
-        assert config.cold_age == 5.0
-        # Omitted knobs keep defaults.
-        assert not LsmConfig(64, 32).cold_tier
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"cold_block_size": 0},
-            {"cold_level": -1},
-            {"cold_age": 0.0},
-            {"cold_age": -1.0},
-        ],
-    )
-    def test_invalid_cold_knobs_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
-            LsmConfig(64, 32, cold_tier=True, **kwargs)

@@ -525,12 +525,20 @@ def test_wal_handle_and_its_pending_group_survive_a_retune(tmp_path):
 
 # -- admission debt is a running total -----------------------------------------
 
+#: The cold layout a walk keeps: after every step, the tables whose newest
+#: point trails the watermark by at least this age go columnar (``0.0``:
+#: every table); ``None`` leaves conversion to the walk's own steps.
 _COLD_MODES = {
     "row": None,
-    "cold-all": dict(block_size=8, level=0),
-    "cold-deep": dict(block_size=8, level=1),
-    "cold-aged": dict(block_size=8, level=10**6, age=200.0),
+    "cold-all": 0.0,
+    "cold-deep": 1000.0,
+    "cold-aged": 200.0,
 }
+
+
+def _convert_aged(engine, age):
+    engine.convert_cold(max_tg=engine.compaction.watermark() - age, block_size=8)
+
 
 _DEBT_ENGINES = {
     "leveled": (ConventionalEngine, {}),
@@ -568,8 +576,6 @@ def test_admission_debt_equals_its_definition_after_every_step(
     )
     if scheduled:
         config = config.with_stability(**_PACED)
-    if _COLD_MODES[cold] is not None:
-        config = config.with_cold_tier(**_COLD_MODES[cold])
     cls, kwargs = _DEBT_ENGINES[engine_key]
     engine = cls(config=config, **kwargs)
     dataset = _stream(6000, seed=23)
@@ -601,6 +607,9 @@ def test_admission_debt_equals_its_definition_after_every_step(
             engine = LsmEngine.restore(path, config=engine.config)
         steps.append(step)
         _assert_debt_is_its_definition(engine)
+        if _COLD_MODES[cold] is not None:
+            _convert_aged(engine, _COLD_MODES[cold])
+            _assert_debt_is_its_definition(engine)
     assert {"ingest", "flush_all", "convert_cold", "restore"} <= set(steps)
     assert pos > 2000 and len(engine.compaction.visible_tables()) > 10
     engine.flush_all()
@@ -618,14 +627,14 @@ def test_admission_reads_statistics_only_of_tables_a_landing_touched(
     config = LsmConfig(memory_budget=128, sstable_size=32).with_stability(
         compaction_scheduler=True
     )
-    if _COLD_MODES[cold] is not None:
-        config = config.with_cold_tier(**_COLD_MODES[cold])
     engine = ConventionalEngine(config)
     dataset = generate_synthetic(
         150_000, dt=1.0, delay=ExponentialDelay(mean=40.0), seed=29
     )
     loaded = 22_000
     engine.ingest(dataset.tg[:loaded])
+    if _COLD_MODES[cold] is not None:
+        _convert_aged(engine, _COLD_MODES[cold])
     resident_before = {table.table_id for table in engine.run.tables}
     assert len(resident_before) >= 500
     first_new_id = SSTable(np.zeros(1), np.zeros(1, dtype=np.int64)).table_id
