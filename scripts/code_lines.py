@@ -5,8 +5,10 @@ part of a module/class/function docstring.  Blank lines do not count.
     python scripts/code_lines.py [PATH ...]     (default: src/repro)
 
 One ``<count>  <path>`` row per argument (directories are walked for
-``*.py``), then their sum.
+``*.py``), then their sum.  A path that does not exist is a usage error
+(exit 2).
 """
+import argparse
 import ast
 import os
 import pathlib
@@ -30,9 +32,15 @@ def code_lines(path: pathlib.Path) -> int:
     return len(lines)
 
 
-def main(paths: list[str]) -> None:
+def main(argv: list[str]) -> None:
+    parser = argparse.ArgumentParser(description="Count code lines per PATH.")
+    parser.add_argument("paths", nargs="*", default=["src/repro"], metavar="PATH")
+    paths = parser.parse_args(argv).paths
+    for arg in paths:
+        if not pathlib.Path(arg).exists():
+            parser.error(f"no such path: {arg}")
     total = 0
-    for arg in paths or ["src/repro"]:
+    for arg in paths:
         root = pathlib.Path(arg)
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         count = sum(map(code_lines, files))

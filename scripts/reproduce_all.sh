@@ -1,32 +1,28 @@
 #!/usr/bin/env bash
-# Reproduce everything: tests, every paper figure/table, ablations,
-# examples.  Outputs land in test_output.txt, bench_output.txt and
-# benchmarks/results/.
+# Reproduce everything: tests, every paper figure/table and ablation with
+# its findings asserted, examples.  Outputs land in test_output.txt,
+# bench_output.txt and benchmarks/results/.
 #
 # Usage:  scripts/reproduce_all.sh [BENCH_SCALE]
-#   BENCH_SCALE  dataset-size multiplier for the benchmarks
+#   BENCH_SCALE  dataset-size multiplier for the paper checks
 #                (default 0.25; the paper's own scale is ~100)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export REPRO_BENCH_SCALE="${1:-0.25}"
 
-echo "== 1/4 unit/integration/property tests"
+echo "== 1/3 unit/integration/property tests"
 pytest tests/ 2>&1 | tee test_output.txt
 
-echo "== 2/4 figure/table benchmarks (scale=${REPRO_BENCH_SCALE})"
-pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+echo "== 2/3 paper checks (scale=${REPRO_BENCH_SCALE})"
+pytest benchmarks/bench_paper.py 2>&1 | tee bench_output.txt
 
-echo "== 3/4 examples"
+echo "== 3/3 examples"
 for example in examples/*.py; do
     echo "--- ${example}"
     python "${example}" > /dev/null
 done
 
-echo "== 4/4 perf-regression check"
-python scripts/bench_perf.py --quick
-
 echo "All reproduction artifacts regenerated."
 echo "  - test_output.txt / bench_output.txt"
 echo "  - benchmarks/results/<experiment>.txt"
-echo "  - BENCH_perf.json"

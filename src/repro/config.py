@@ -10,6 +10,7 @@ by the throughput and query-latency experiments.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -126,6 +127,20 @@ class LsmConfig:
     backpressure_mode: str = "wait"
     fault_plan: object | None = None
 
+    #: Sizes and counts, checked before any bound: an integer (NumPy's
+    #: included), never a ``bool``; ``True`` marks those that may be ``None``.
+    _INTEGER_FIELDS = {
+        "memory_budget": False,
+        "sstable_size": False,
+        "seq_capacity": True,
+        "wal_group_records": False,
+        "wal_group_bytes": False,
+        "compaction_work_unit": False,
+        "compaction_burst": False,
+        "backpressure_throttle": True,
+        "backpressure_shed": True,
+    }
+
     def __post_init__(self) -> None:
         # Validate the sink spec eagerly so a typo fails at config time,
         # not at the first flush.  Imported here to keep repro.obs free
@@ -147,6 +162,12 @@ class LsmConfig:
                     "fault_plan must be a repro.faults.FaultPlan or None, "
                     f"got {type(self.fault_plan).__name__}"
                 )
+        for name, nullable in self._INTEGER_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and nullable:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.memory_budget < 2:
             raise ConfigError(
                 f"memory_budget must be >= 2, got {self.memory_budget}"

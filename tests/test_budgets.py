@@ -1,0 +1,418 @@
+"""Cost budgets that do not depend on the machine's speed.
+
+Each test states a budget as a count, an equality, or a ratio of two
+timings taken in the same test: the two sides alternate, best of k
+rounds each, so a slow spell hits both alike.  Absolute speed is the
+system benchmark's to judge (``benchmarks/system/``, paired against a
+parent with ``scripts/bench_pairs.py``).  Every ratio is recorded with
+``record_property``, so a ``--junitxml`` run reports its margin.
+"""
+
+import math
+import time
+
+import numpy as np
+import pytest
+
+from repro import ConventionalEngine, InOrderCurve, LogNormalDelay, LsmConfig, ModelConfig
+from repro import SeparationEngine, UniformDelay, execute_aggregate_query, execute_range_query
+from repro.core.allocation import MemoryArbiter
+from repro.core.subsequent import _BLOCK_ROWS
+from repro.lsm.base import Snapshot
+from repro.lsm.database import TimeSeriesDatabase
+from repro.lsm.pruning import TableIndex
+from repro.lsm.sstable import SSTable
+from repro.query import aggregate_over_series, scan_over_series
+from repro.query.merge import merge_aggregates
+from repro.serving import ShardedDatabase
+from repro.workloads import generate_fleet, generate_synthetic
+from tests.fleet_support import lockstep_rounds
+
+_DELAY = LogNormalDelay(5.0, 2.0)
+_DT = 50.0
+
+
+def _alternating_best(rounds, *fns, setup=None):
+    """Best seconds of each of ``fns`` over ``rounds`` rounds that call
+    them in turn (after ``setup``, untimed, when given)."""
+    best = [math.inf] * len(fns)
+    for _ in range(rounds):
+        if setup is not None:
+            setup()
+        for i, fn in enumerate(fns):
+            began = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - began)
+    return best
+
+
+@pytest.fixture(scope="module")
+def stream():
+    return generate_synthetic(100_000, dt=_DT, delay=_DELAY, seed=1)
+
+
+def test_separation_costs_at_most_twice_conventional(stream, record_property):
+    """Separation exists to rewrite less, so on the same stream it must
+    not cost much more to run.  The write counts are the golden ones for
+    this stream: a speed-up that moved them would be a behaviour change."""
+    engines = {}
+
+    def ingest(engine_class, config):
+        engine = engines[engine_class] = engine_class(config)
+        engine.ingest(stream.tg)
+        engine.flush_all()
+
+    pi_c_s, pi_s_s = _alternating_best(
+        5,
+        lambda: ingest(ConventionalEngine, LsmConfig(512, 512)),
+        lambda: ingest(SeparationEngine, LsmConfig(512, 512, seq_capacity=256)),
+    )
+    record_property("pi_s_over_pi_c", pi_s_s / pi_c_s)
+    assert engines[ConventionalEngine].stats.disk_writes == 486_048  # WA 4.86048
+    assert engines[SeparationEngine].stats.disk_writes == 290_907  # WA 2.90907
+    assert pi_s_s <= 2.0 * pi_c_s
+
+
+def test_the_scheduler_cuts_the_worst_append_stall_fivefold(stream):
+    """The same 512-point appends through a stop-the-world engine and a
+    scheduler-paced one: the worst landing work inside any one append
+    (``disk_writes`` per append against the scheduler's
+    ``max_batch_work_points``) is at least 5x lower paced, and pacing
+    does not change what lands."""
+    batches = [stream.tg[start : start + 512] for start in range(0, len(stream), 512)]
+    baseline = ConventionalEngine(LsmConfig(512, 512))
+    baseline_stall = seen = 0
+    for batch in batches:
+        baseline.ingest(batch)
+        events = baseline.stats.events
+        baseline_stall = max(baseline_stall, sum(e.disk_writes for e in events[seen:]))
+        seen = len(events)
+    paced = ConventionalEngine(
+        LsmConfig(512, 512).with_stability(
+            compaction_scheduler=True, compaction_work_unit=128,
+            compaction_tokens_per_point=2.0, compaction_burst=1024,
+            # Keep admission healthy: this budget isolates pacing, so the
+            # backlog is allowed to grow and drains in the final flush.
+            backpressure_throttle=10**9, backpressure_shed=10**9,
+        )
+    )
+    for batch in batches:
+        paced.ingest(batch)
+    paced_stall = paced.scheduler.max_batch_work_points
+    baseline.flush_all()
+    paced.flush_all()
+    assert paced_stall > 0
+    assert baseline_stall >= 5 * paced_stall
+    assert baseline.ingested_points == paced.ingested_points == len(stream)
+    assert baseline.write_amplification == paced.write_amplification
+    assert np.array_equal(baseline.stats.write_counts, paced.stats.write_counts)
+    baseline.verify()
+    paced.verify()
+
+
+def test_narrow_windows_prune_an_indexed_snapshot(stream):
+    engine = ConventionalEngine(LsmConfig(512, 512))
+    engine.ingest(stream.tg)
+    engine.flush_all()
+    snapshot = engine.snapshot()
+    assert snapshot.index is not None
+    assert len(snapshot.tables) >= 150
+    windows = np.random.default_rng(1).uniform(0.1, 0.9, 256) * float(stream.tg.max())
+    stats = [execute_range_query(snapshot, lo, lo + 500.0) for lo in windows]
+    assert sum(s.tables_pruned for s in stats) > 0
+    assert sum(s.result_points for s in stats) > 0
+
+
+@pytest.fixture(scope="module")
+def cold_pair():
+    """A row engine and a cold-converted twin over the same 2M-point
+    stream.  Large SSTables (32768 points) make the row path's per-table
+    ``np.sum`` the dominant aggregation cost — the work the cold tier's
+    block statistics eliminate."""
+    cold_stream = generate_synthetic(2_000_000, dt=_DT, delay=_DELAY, seed=1)
+    row_engine = ConventionalEngine(LsmConfig(32768, 32768))
+    cold_engine = ConventionalEngine(LsmConfig(32768, 32768).with_telemetry())
+    for engine in (row_engine, cold_engine):
+        engine.ingest(cold_stream.tg)
+        engine.flush_all()
+    assert cold_engine.convert_cold(block_size=256) == len(cold_engine.snapshot().tables)
+    return cold_stream, row_engine.snapshot(), cold_engine
+
+
+def test_a_cold_first_aggregate_is_fivefold_cheaper(cold_pair, record_property):
+    """Wide aggregates (80% of the span) over a row run and its cold twin.
+
+    In steady state both layouts answer covered tables from the run's
+    per-table columns.  What the cold tier saves is the first read of
+    freshly written tables: taking the run's view, then one aggregate,
+    pays one ``np.sum`` per row table and none per cold one.  That first
+    read must be at least 5x cheaper cold, every answer bitwise equal,
+    and the block-statistics path must actually answer.
+    """
+    cold_stream, row_snap, cold_engine = cold_pair
+    lo_all, hi_all = float(cold_stream.tg.min()), float(cold_stream.tg.max())
+    span = hi_all - lo_all
+    rng = np.random.default_rng(0)
+    windows = [(lo, lo + 0.8 * span) for lo in rng.uniform(lo_all, hi_all - 0.8 * span, 32)]
+    first = {}
+
+    def first_touch(columnar):
+        """Time the first read — index, then one aggregate — of tables
+        nothing has read yet; copying and converting them is not timed."""
+        tables = [SSTable(t.tg, t.ids) for t in row_snap.tables]
+        if columnar:
+            for table in tables:
+                table.convert_to_columnar(256)
+        began = time.perf_counter()
+        fresh = Snapshot(
+            tables=tables, memtables=row_snap.memtables, index=TableIndex([("sorted", tables)])
+        )
+        first[columnar] = execute_aggregate_query(fresh, *windows[0])
+        return time.perf_counter() - began
+
+    row_first_s = cold_first_s = math.inf
+    for _ in range(3):
+        row_first_s = min(row_first_s, first_touch(False))
+        cold_first_s = min(cold_first_s, first_touch(True))
+    record_property("row_over_cold_first_touch", row_first_s / cold_first_s)
+    assert row_first_s >= 5 * cold_first_s
+    cold_snap, telemetry = cold_engine.snapshot(), cold_engine.telemetry
+    row = [execute_aggregate_query(row_snap, lo, hi) for lo, hi in windows]
+    cold = [execute_aggregate_query(cold_snap, lo, hi, telemetry=telemetry) for lo, hi in windows]
+    assert (first[False].count, first[False].total) == (first[True].count, first[True].total)
+    assert first[False].total == row[0].total
+    for r, c in zip(row, cold):
+        assert (r.count, r.total, r.minimum, r.maximum) == (c.count, c.total, c.minimum, c.maximum)
+        assert c.blocks_stat_answered > 0
+    assert telemetry.registry.counter("query.blocks_stat_answered").value > 0
+
+
+def test_cold_scans_read_tenfold_fewer_points(cold_pair):
+    """Narrow range queries over the cold tier: results equal the row
+    twin's, but per-block zone maps bound each read to the overlapping
+    block span, so disk points read drop at least tenfold."""
+    cold_stream, row_snap, cold_engine = cold_pair
+    cold_snap = cold_engine.snapshot()
+    windows = np.random.default_rng(2).uniform(0.1, 0.9, 64) * float(cold_stream.tg.max())
+    cold = [execute_range_query(cold_snap, lo, lo + 5000.0) for lo in windows]
+    row = [execute_range_query(row_snap, lo, lo + 5000.0) for lo in windows]
+    assert sum(s.result_points for s in cold) == sum(s.result_points for s in row) > 0
+    assert sum(s.blocks_skipped for s in cold) > 0
+    assert sum(s.disk_points_read for s in cold) * 10 <= sum(s.disk_points_read for s in row)
+
+
+def test_the_arbiter_beats_an_equal_split():
+    """The same skewed fleet (hot disordered cohort at 4x the arrival
+    rate) through a static equal split and through the arbiter: following
+    the workload with the memory gives strictly lower total WA."""
+    fleet_data = generate_fleet(
+        8, 4000, disordered_fraction=0.5, hot_fraction=0.25, hot_rate_multiplier=4, seed=11
+    )
+
+    def run_fleet(arbiter):
+        fleet = ShardedDatabase(4, memory_budget_per_series=64, sstable_size=32, arbiter=arbiter)
+        for batch in lockstep_rounds(fleet_data, 1000, with_ta=True):
+            fleet.ingest_batch(batch)
+        fleet.flush_all()
+        stats = [fleet.database_for(n).series(n).engine.stats for n in fleet.series_names()]
+        return fleet, sum(s.disk_writes for s in stats) / sum(s.user_points for s in stats)
+
+    _, static_wa = run_fleet(None)
+    arbiter = MemoryArbiter(
+        64 * len(fleet_data), (32, 64, 128, 256), decision_interval=4000, min_observations=512
+    )
+    arbitrated, arbitrated_wa = run_fleet(arbiter)
+    assert arbitrated.last_rebalance is not None
+    assert arbitrated_wa < static_wa
+
+
+#: ``(sigma, mu - log dt)`` of the system benchmark's eight disordered
+#: series (``benchmarks/system/workloads.py::DISORDERED_CELLS``) and what
+#: Algorithm 1 decides for each at a 512-point budget; the other eight
+#: series of its fleet have sub-interval uniform jitter and stay pi_c.
+_FLEET_CELLS = (
+    (2.2, -0.5, "s"), (2.2, 0.5, "s"), (1.2, 0.0, "c"), (1.95, 0.0, "s"),
+    (1.95, 1.0, "s"), (1.45, -0.5, "c"), (1.7, -1.0, "c"), (1.7, 1.0, "s"),
+)
+
+
+def test_a_fleet_retune_keeps_its_regime_and_row_budget():
+    """``fleet.retune()`` over the system benchmark's sixteen series:
+    five series separate, three disordered ones and the eight in-order
+    ones do not, and one tune computes each log-CDF row at most once — no
+    more rows than the highest one a candidate reads, plus a block."""
+    dt, budget = 1000.0, 512
+    rng = np.random.default_rng(51)
+    data, expected = {}, {}
+    for index in range(16):
+        name = f"series-{index:04d}"
+        if index < len(_FLEET_CELLS):
+            sigma, offset, policy = _FLEET_CELLS[index]
+            delay = LogNormalDelay(mu=np.log(dt) + offset, sigma=sigma)
+        else:
+            delay, policy = UniformDelay(low=0.0, high=0.5 * dt), "c"
+        seed = int(rng.integers(0, 2**31))
+        data[name] = generate_synthetic(16_384, dt=dt, delay=delay, seed=seed, name=name)
+        expected[name] = policy
+    fleet = ShardedDatabase(n_shards=4, memory_budget_per_series=budget, sstable_size=512)
+    for batch in lockstep_rounds(data, 2048, with_ta=True):
+        fleet.ingest_batch(batch, sync=False)
+
+    fleet.retune()
+
+    for name, policy in expected.items():
+        state = fleet.database_for(name).series(name)
+        decision = state.decision
+        assert state.policy_label.startswith("pi_s" if policy == "s" else "pi_c"), name
+        profile = state.analyzer.profile()
+        curve = InOrderCurve(profile.distribution, profile.dt)
+        phases = [  # Eq. 4: the buffer sizes zeta was asked for
+            k * (budget - k) / g + (budget - k)
+            for k in decision.sweep_n_seq.tolist()
+            if (g := curve.g(k)) >= 1e-9
+        ]
+        highest = round(max(phases, default=budget)) + ModelConfig().dense_terms
+        assert 0 < decision.rows_computed <= highest + _BLOCK_ROWS, name
+
+
+@pytest.fixture(scope="module")
+def federated_fleet():
+    """A 4-shard fleet and its unsharded twin, loaded and flushed.
+    Small SSTables (256 points) over 8x100k points: hundreds of tables
+    per series, answered from each run's per-table columns."""
+    fleet = ShardedDatabase(n_shards=4, memory_budget_per_series=2048, sstable_size=256)
+    reference = TimeSeriesDatabase(memory_budget_per_series=2048, sstable_size=256)
+    datasets = [generate_synthetic(100_000, dt=_DT, delay=_DELAY, seed=40 + i) for i in range(8)]
+    for db in (fleet, reference):
+        for index, data in enumerate(datasets):
+            db.write(f"sensor-{index:02d}", data.tg)
+        db.flush_all()
+    return fleet, reference
+
+
+def _federated_within_half_again(federated, reference, record_property):
+    """Routing, per-shard cache keys and the canonical fold may cost at
+    most half again what the one-database fold costs; returns the
+    federated answer."""
+    federated()
+    reference_s, federated_s = _alternating_best(15, reference, federated)
+    record_property("federated_over_reference", federated_s / reference_s)
+    assert federated_s <= 1.5 * reference_s
+    return federated()
+
+
+def test_federated_aggregate_is_the_fold_at_half_again_its_cost(federated_fleet, record_property):
+    """Fleet-wide, in process, cache off: the answer — float ``total``
+    included — equals the serial one-database fold bit for bit."""
+    fleet, reference = federated_fleet
+    result = _federated_within_half_again(
+        lambda: fleet.query_aggregate(use_cache=False),
+        lambda: aggregate_over_series(reference),
+        record_property,
+    )
+    assert result == aggregate_over_series(reference)
+
+
+def test_federated_scan_is_the_fold_at_half_again_its_cost(federated_fleet, record_property):
+    """The heavy half of federation: per-series row collection and the
+    stable k-way merge in ``t_g`` order over 800k rows, identical to the
+    serial one-database scan."""
+    fleet, reference = federated_fleet
+    stats = _federated_within_half_again(
+        lambda: fleet.query_range(collect=True, use_cache=False),
+        lambda: scan_over_series(reference, collect=True),
+        record_property,
+    )
+    expected = scan_over_series(reference, collect=True)
+    assert stats.result_points == expected.result_points
+    assert np.array_equal(stats.rows, expected.rows)
+    assert np.array_equal(stats.row_ids, expected.row_ids)
+
+
+_AGG_POINTS = 104_000
+
+
+def _fleet_agg_fleet(tail_points=0):
+    """The ``q_fleet_agg`` fleet: 16 series of ~800 tables each, every
+    other series columnar, and 64 windows of a tenth of the span.
+    ``tail_points`` more arrivals per series are generated and held
+    back, returned as ``{name: tg}`` for a test to land later."""
+    fleet = ShardedDatabase(n_shards=4, memory_budget_per_series=512, sstable_size=128)
+    tails = {}
+    for index in range(16):
+        name = f"sensor-{index:02d}"
+        delay = UniformDelay(0.0, 20 * _DT)
+        data = generate_synthetic(_AGG_POINTS + tail_points, dt=_DT, delay=delay, seed=70 + index)
+        fleet.write(name, data.tg[:_AGG_POINTS])
+        tails[name] = data.tg[_AGG_POINTS:]
+        if index % 2:
+            fleet.database_for(name).series(name).engine.convert_cold(block_size=32)
+    span = _AGG_POINTS * _DT
+    rng = np.random.default_rng(3)
+    windows = [(lo, lo + 0.1 * span) for lo in rng.uniform(0.0, 0.9 * span, 64)]
+    return fleet, sorted(tails), windows, tails
+
+
+def _walk_answers(fleet, names, windows):
+    """Every window answered by the index-less per-table walk, folded
+    in canonical order — the reference the fleet must equal bit for bit."""
+    walks = [Snapshot(tables=s.tables, memtables=s.memtables) for s in map(fleet.snapshot, names)]
+    return [
+        merge_aggregates([execute_aggregate_query(snap, lo, hi) for snap in walks], lo, hi)
+        for lo, hi in windows
+    ]
+
+
+def _fleet_aggregates(fleet, windows):
+    return [fleet.query_aggregate(None, lo, hi, use_cache=False) for lo, hi in windows]
+
+
+def test_fleet_aggregates_are_threefold_cheaper_than_the_table_walk(record_property):
+    """Fleet-wide 10%-span aggregates, the ``q_fleet_agg`` class of the
+    system benchmark's ``read_storm``.  A window covers ~80 tables per
+    series; the indexed path answers for them from slices of each run's
+    per-table columns, the ``index=None`` walk tests every table's range.
+    Through the ``FederatedExecutor`` (cache off) the fleet answers every
+    window bit for bit like the walk, at least 3x faster."""
+    fleet, names, windows, _ = _fleet_agg_fleet()
+    assert all(len(fleet.snapshot(name).tables) >= 800 for name in names)
+    results = _fleet_aggregates(fleet, windows)
+    assert results == _walk_answers(fleet, names, windows)  # float totals included
+    assert all(r.tables_pruned >= 16 * 70 for r in results)
+    walk_s, fast_s = _alternating_best(
+        5, lambda: _walk_answers(fleet, names, windows), lambda: _fleet_aggregates(fleet, windows)
+    )
+    record_property("walk_over_indexed", walk_s / fast_s)
+    assert walk_s >= 3 * fast_s
+
+
+def test_a_landing_at_most_doubles_the_next_fleet_aggregates(record_property):
+    """Before every round each series lands one MemTable (512 points: a
+    flush, often an overlap merge near the tail), as on ``mixed_live``.
+    What the next read pays for that must be what the landing changed —
+    a snapshot, the run's lists handed over as they are, sums of the new
+    tables — not a rebuilt index: a live round costs at most twice the
+    same round run again right after, nothing landed in between.  The
+    answers, after as many landings again, equal the table walk's."""
+    rounds, landing = 6, 512
+    fleet, names, windows, tails = _fleet_agg_fleet(tail_points=2 * rounds * landing)
+    windows = windows[:16]
+    landed = iter(range(0, 2 * rounds * landing, landing))
+
+    def land():
+        pos = next(landed)
+        for name in names:
+            fleet.write(name, tails[name][pos : pos + landing])
+
+    def aggregates():
+        return _fleet_aggregates(fleet, windows)
+
+    aggregates()
+    live_s, static_s = _alternating_best(rounds, aggregates, aggregates, setup=land)
+    record_property("live_over_quiescent", live_s / static_s)
+    assert live_s <= 2 * static_s
+    for _ in range(rounds):
+        land()
+    results = aggregates()
+    assert results == _walk_answers(fleet, names, windows)
+    assert all(r.tables_pruned >= 16 * 70 for r in results)

@@ -1,5 +1,6 @@
 """Tests for repro.config."""
 
+import numpy as np
 import pytest
 
 from repro import ConfigError, DiskModel, LsmConfig, ModelConfig
@@ -46,6 +47,26 @@ class TestLsmConfig:
     def test_rejects_out_of_range_seq_capacity(self, seq):
         with pytest.raises(ConfigError):
             LsmConfig(memory_budget=512, seq_capacity=seq)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("memory_budget", 6.5), ("memory_budget", None), ("sstable_size", 2.5),
+            ("sstable_size", True), ("seq_capacity", 3.5), ("seq_capacity", False),
+            ("wal_group_records", 2.5), ("wal_group_bytes", "4096"),
+            ("compaction_work_unit", 128.0), ("compaction_burst", True),
+            ("backpressure_throttle", 2048.0), ("backpressure_shed", np.float64(8192)),
+        ],
+    )
+    def test_rejects_sizes_that_are_not_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            LsmConfig(**{field: value})
+
+    def test_numpy_integers_are_sizes(self):
+        config = LsmConfig(np.int64(512), np.int32(64), np.uint16(100)).with_stability(
+            wal_group_records=np.int64(8), backpressure_shed=np.int64(8192)
+        )
+        assert (config.nonseq_capacity, config.wal_group_records) == (412, 8)
 
     def test_frozen(self):
         config = LsmConfig()

@@ -34,6 +34,7 @@ from repro.query.merge import (
 from repro.query.sql import execute_sql, parse_query
 from repro.serving import FederationCache, ShardRouter, ShardedDatabase, shard_name
 from repro.workloads import generate_synthetic
+from tests.fleet_support import lockstep_rounds
 
 _DB_KWARGS = dict(memory_budget_per_series=64, sstable_size=32)
 
@@ -48,22 +49,6 @@ def _datasets(names, n_points=900, disordered=True, base_seed=23):
         )
         for index, name in enumerate(names)
     }
-
-
-def _rounds(datasets, chunk=300, with_ta=False):
-    n_points = len(next(iter(datasets.values())).tg)
-    rounds = []
-    for pos in range(0, n_points, chunk):
-        region = slice(pos, pos + chunk)
-        rounds.append(
-            [
-                (name, ds.tg[region], ds.ta[region])
-                if with_ta
-                else (name, ds.tg[region])
-                for name, ds in datasets.items()
-            ]
-        )
-    return rounds
 
 
 def _build_pair(mode, router, names, datasets, telemetry=None):
@@ -142,7 +127,7 @@ class TestFederatedEquality:
     def test_matches_unsharded_database(self, mode, routing, tier):
         names = [f"series-{i:02d}" for i in range(6)]
         datasets = _datasets(names)
-        rounds = _rounds(datasets, with_ta=(mode == "tuned"))
+        rounds = lockstep_rounds(datasets, 300, with_ta=(mode == "tuned"))
         router = self._router(routing)
         fleet, reference = _build_pair(mode, router, names, datasets)
         windows = _windows(datasets)

@@ -1,6 +1,7 @@
 """Failure-injection and robustness tests across the stack."""
 
 import json
+import os
 import re
 import warnings
 
@@ -690,6 +691,42 @@ class TestResplitValidatesBeforeDraining:
         assert engine.current_policy == "pi_s(n_seq=16)"
         assert engine.snapshot().disk_points == 74
         engine.verify()
+
+
+def _durable_db(directory, budget=8, sstable_size=4, **kwargs):
+    return TimeSeriesDatabase(budget, sstable_size, durability_dir=directory, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("memory_budget", lambda d: _durable_db(d, budget=6.5)),
+        ("sstable_size", lambda d: _durable_db(d, sstable_size=True)),
+        ("sstable_size", lambda d: ShardedDatabase(2, None, 8, 2.5, durability_dir=d)),
+        ("memory_budget", lambda d: _durable_db(d).create_series("s", 6.5)),
+        ("seq_capacity", lambda d: _durable_db(d).create_series("s", 8, 3.5)),
+        ("wal_group_records", lambda d: _durable_db(d, stability={"wal_group_records": 2.5})),
+    ],
+    ids=["db", "db-bool", "fleet", "create", "create-split", "stability"],
+)
+def test_a_database_rejects_a_fractional_size_before_its_wal(tmp_path, field, build):
+    """A size that is no integer is a ``ConfigError`` naming the field,
+    raised where the database builds its config — before a WAL exists
+    to hold a batch no replay could place."""
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+        build(str(tmp_path))
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def test_a_fractional_resize_leaves_the_series_alone(tmp_path):
+    db = _durable_db(str(tmp_path))
+    db.write("s", np.arange(50.0))
+    engine = db.series("s").engine
+    wal_bytes = os.path.getsize(engine.config.wal_path)
+    with pytest.raises(ConfigError, match="^memory_budget must be an integer"):
+        db.resize_series("s", 6.5)
+    assert engine.config.memory_budget == 8
+    assert os.path.getsize(engine.config.wal_path) == wal_bytes
 
 
 class TestEventValidation:

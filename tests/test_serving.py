@@ -31,6 +31,7 @@ from repro.serving import (
     shard_name,
 )
 from repro.workloads import generate_synthetic
+from tests.fleet_support import lockstep_rounds
 
 #: Small buffers: a few thousand points exercise many flushes/merges.
 _DB_KWARGS = dict(memory_budget_per_series=64, sstable_size=32)
@@ -46,23 +47,6 @@ def _datasets(names, n_points=1500, disordered=True, base_seed=11):
         )
         for index, name in enumerate(names)
     }
-
-
-def _rounds(datasets, chunk=400, with_ta=False):
-    """Multi-series ingest rounds, every series advancing in lock-step."""
-    n_points = len(next(iter(datasets.values())).tg)
-    rounds = []
-    for pos in range(0, n_points, chunk):
-        region = slice(pos, pos + chunk)
-        rounds.append(
-            [
-                (name, ds.tg[region], ds.ta[region])
-                if with_ta
-                else (name, ds.tg[region])
-                for name, ds in datasets.items()
-            ]
-        )
-    return rounds
 
 
 class TestShardRouter:
@@ -124,7 +108,7 @@ class TestShardConformance:
     def _run_pair(self, tmp_path, mode):
         names = [f"series-{i:02d}" for i in range(5)]
         datasets = _datasets(names)
-        rounds = _rounds(datasets, with_ta=(mode == "tuned"))
+        rounds = lockstep_rounds(datasets, 400, with_ta=(mode == "tuned"))
         router = ShardRouter(3)
         auto_tune = mode == "tuned"
 
@@ -303,7 +287,7 @@ class TestFleetRecovery:
         fleet = ShardedDatabase(
             n_shards=3, durability_dir=str(tmp_path), **_DB_KWARGS
         )
-        for batch in _rounds(datasets, chunk=300):
+        for batch in lockstep_rounds(datasets, 300):
             fleet.ingest_batch(batch)
         fleet.checkpoint_all()
         expected = {
@@ -367,7 +351,7 @@ class TestMemoryArbiter:
             min_observations=512,
         )
         fleet, datasets = self._skewed_fleet(tmp_path, arbiter)
-        for batch in _rounds(datasets, chunk=500, with_ta=True):
+        for batch in lockstep_rounds(datasets, 500, with_ta=True):
             fleet.ingest_batch(batch)
         assert fleet.last_rebalance is not None
         budgets = {
@@ -394,7 +378,7 @@ class TestMemoryArbiter:
             min_observations=512,
         )
         fleet, datasets = self._skewed_fleet(tmp_path, arbiter)
-        for batch in _rounds(datasets, chunk=500, with_ta=True):
+        for batch in lockstep_rounds(datasets, 500, with_ta=True):
             fleet.ingest_batch(batch)
         fleet.checkpoint_all()
         with open(tmp_path / FLEET_MANIFEST, encoding="utf-8") as handle:
@@ -411,7 +395,7 @@ class TestMemoryArbiter:
             min_observations=512,
         )
         fleet, datasets = self._skewed_fleet(tmp_path, arbiter)
-        for batch in _rounds(datasets, chunk=500, with_ta=True):
+        for batch in lockstep_rounds(datasets, 500, with_ta=True):
             fleet.ingest_batch(batch)
         report = render_shard_report(fleet, source="test-fleet")
         assert "shard-00" in report and "shard-01" in report
