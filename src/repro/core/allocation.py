@@ -15,18 +15,22 @@ marginal memory to the series where it saves the most disk writes.
 with a greedy marginal-gain ascent (optimal when the per-series curves
 are concave in the "gain per point" sense, which the WA curves are to a
 good approximation).  Each series' ``WA_i(n)`` is
-``min(r_c(n), min_seq r_s(n, n_seq))`` evaluated with shared per-series
-model caches, so a fleet-scale allocation runs in seconds.
+``min(r_c(n), min_seq r_s(n, n_seq))``, one independent tune per
+``(series, n)`` cell, the cells run concurrently, so a fleet-scale
+allocation runs in seconds.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass
 
 from ..config import DEFAULT_MODEL_CONFIG, ModelConfig
 from ..distributions import DelayDistribution
 from ..errors import ModelError
-from .tuning import tune_separation_policy
+from .tuning import map_concurrently, tune_separation_policy
 
 __all__ = [
     "SeriesWorkload",
@@ -61,6 +65,10 @@ class SeriesAllocation:
     predicted_wa: float
 
 
+def _finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def _wa_at_budget(
     workload: SeriesWorkload,
     budget: int,
@@ -92,9 +100,30 @@ def allocate_budgets(
     total must cover that); leftovers are assigned greedily to the
     series with the largest weighted WA reduction per extra point.
     Returns one :class:`SeriesAllocation` per series, in input order.
+
+    Series names must be unique, ``total_budget`` finite and every
+    ``rate`` finite and ``>= 0``; anything else is a :class:`ModelError`
+    before any series is tuned.  The table of ``WA_i(n)`` over every
+    series and candidate budget is tuned concurrently
+    (:func:`~repro.core.tuning.map_concurrently`).
     """
     if not workloads:
         raise ModelError("allocate_budgets needs at least one workload")
+    repeated = [
+        name
+        for name, count in Counter(w.name for w in workloads).items()
+        if count > 1
+    ]
+    if repeated:
+        raise ModelError(f"workload names must be unique; repeated: {repeated}")
+    if not _finite(total_budget):
+        raise ModelError(f"total_budget must be a finite number, got {total_budget!r}")
+    for workload in workloads:
+        if not _finite(workload.rate) or workload.rate < 0:
+            raise ModelError(
+                f"workload {workload.name!r}: rate must be finite and >= 0, "
+                f"got {workload.rate!r}"
+            )
     candidates = tuple(sorted(set(candidate_budgets)))
     if len(candidates) < 2:
         raise ModelError("need at least two candidate budgets")
@@ -104,14 +133,15 @@ def allocate_budgets(
             f"total_budget {total_budget} cannot give every series the "
             f"minimum candidate budget {floor}"
         )
-    # Evaluate WA_i(n) on the candidate grid (lazily, highest first
-    # skipped if unaffordable anyway).
-    table: dict[tuple[str, int], tuple[float, str, int | None]] = {}
-    for workload in workloads:
-        for budget in candidates:
-            table[(workload.name, budget)] = _wa_at_budget(
-                workload, budget, sstable_size, config
-            )
+    # WA_i(n) on the whole candidate grid: one independent tune per cell.
+    cells = [(workload, budget) for workload in workloads for budget in candidates]
+    answers = map_concurrently(
+        lambda cell: _wa_at_budget(*cell, sstable_size, config), cells
+    )
+    table = {
+        (workload.name, budget): answer
+        for (workload, budget), answer in zip(cells, answers)
+    }
 
     # Greedy marginal-gain: all series start at the floor; repeatedly
     # upgrade the series with the best (weighted WA drop) / (extra points).

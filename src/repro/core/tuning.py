@@ -10,13 +10,21 @@ U-shaped in ``n_seq`` (Section V-B), the default here evaluates a coarse
 grid and refines around the minimum, which is orders of magnitude faster
 and lands on the same (sub)optimum.  ``exhaustive=True`` restores the
 literal sweep.
+
+Tunes of different series (or budgets) share nothing, and their numpy
+kernels release the GIL: :func:`map_concurrently` runs a list of them
+on every usable CPU, results in list order.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -28,7 +36,10 @@ from .subsequent import ZetaModel
 from .wa_conventional import GRANULARITY_KAPPA, predict_wa_conventional
 from .wa_separation import _G_FLOOR, separation_breakdown
 
-__all__ = ["PolicyDecision", "tune_separation_policy"]
+__all__ = ["PolicyDecision", "tune_separation_policy", "map_concurrently"]
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
 
 #: Policy labels used throughout the library.
 CONVENTIONAL = "conventional"
@@ -202,3 +213,60 @@ def tune_separation_policy(
         sweep_r_s=values,
         rows_computed=zeta_model.rows_computed,
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_concurrently(
+    fn: Callable[[_Item], _Result], items: Sequence[_Item]
+) -> list[_Result]:
+    """``[fn(item) for item in items]``, the calls spread over threads.
+
+    The calling thread works through ``items`` beside ``usable CPUs - 1``
+    helper threads (no more than ``len(items) - 1``), each taking the
+    next unstarted item in list order; with one CPU the caller runs the
+    same loop alone.  ``fn`` must not share mutable state between
+    items.  Results come back in item order.  When calls raise, every
+    item is still run, and then the exception of the earliest failing
+    item is raised.  An interrupt in the calling thread stops the
+    hand-out instead: it propagates once the helpers have finished the
+    items in hand.
+    """
+    results: list = [None] * len(items)
+    failures: dict[int, Exception] = {}
+    order = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                index = next(order, None)
+            if index is None:
+                return
+            try:
+                results[index] = fn(items[index])
+            except Exception as error:  # raised once every item ran
+                failures[index] = error
+
+    helpers = [
+        threading.Thread(target=work, daemon=True)
+        for _ in range(min(_usable_cpus(), len(items)) - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        with lock:  # empty unless the caller was interrupted
+            for _ in order:
+                pass
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results

@@ -21,15 +21,17 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import LsmConfig
 from ..core.analyzer import DelayAnalyzer, finite_delays
-from ..core.tuning import SEPARATION, PolicyDecision
+from ..core.tuning import SEPARATION, PolicyDecision, map_concurrently
 from ..errors import EngineError, ModelError, RecoveryError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .base import Snapshot, validate_generation_times
@@ -38,7 +40,7 @@ from .conventional import LeveledEngine
 from .policies.compose import engine_class
 
 __all__ = [
-    "SeriesState", "FleetReport", "TimeSeriesDatabase",
+    "SeriesState", "FleetReport", "TimeSeriesDatabase", "decide_series",
     "manifest_filename", "load_manifest", "check_manifest",
 ]
 
@@ -154,6 +156,29 @@ class FleetReport:
         if self.series_count == 0:
             return 0.0
         return self.disordered_series / self.series_count
+
+
+#: What Algorithm 1 answered for one series (or why it could not), and
+#: how long that took in milliseconds.
+RetuneOutcome = tuple[PolicyDecision | ModelError, float]
+
+
+def _decide(analyzer: DelayAnalyzer) -> RetuneOutcome:
+    started = time.perf_counter()
+    try:
+        outcome = analyzer.recommend()
+    except ModelError as error:
+        outcome = error
+    return outcome, (time.perf_counter() - started) * 1e3
+
+
+def decide_series(states: list[SeriesState]) -> list[RetuneOutcome]:
+    """The decide half of a retune: every series' outcome, concurrently.
+
+    Each analyzer is used by one thread only, and nothing else changes:
+    the caller applies the outcomes, in order.
+    """
+    return map_concurrently(_decide, [state.analyzer for state in states])
 
 
 class TimeSeriesDatabase:
@@ -401,30 +426,59 @@ class TimeSeriesDatabase:
         Every series that is decided leaves a ``db.retune_decision``
         event: what Algorithm 1 was given, what it answered and what
         that cost.  Returns ``{series: policy_label}`` for the series
-        that switched.
+        that switched.  A ``min_observations`` that is not an integer
+        ``>= 0`` (``bool`` included) is an :class:`EngineError` before
+        any series is decided.
+
+        The series are decided concurrently (:func:`decide_series`),
+        then applied one by one in series order, so every decision and
+        event equals a serial retune's; ``duration_ms`` is each
+        decision's own time.
         """
+        candidates = self._retune_candidates(min_observations)
+        return self._apply_retune(candidates, decide_series(candidates))
+
+    def _retune_candidates(self, min_observations: int) -> list[SeriesState]:
+        """The series :meth:`retune` decides, in series order."""
+        if (
+            isinstance(min_observations, bool)
+            or not isinstance(min_observations, numbers.Integral)
+            or min_observations < 0
+        ):
+            raise EngineError(
+                f"min_observations must be an integer >= 0, got {min_observations!r}"
+            )
+        return [
+            state
+            for state in self._series.values()
+            if state.analyzer is not None
+            and state.analyzer.observed_points >= min_observations
+        ]
+
+    def _apply_retune(
+        self,
+        candidates: list[SeriesState],
+        outcomes: Iterable[RetuneOutcome],
+    ) -> dict[str, str]:
+        """Apply the :func:`decide_series` outcomes of ``candidates`` in
+        series order; draws one outcome per candidate from ``outcomes``."""
         switched: dict[str, str] = {}
         telemetry = self.telemetry
-        for state in self._series.values():
+        for state, (decision, duration_ms) in zip(candidates, outcomes):
             analyzer = state.analyzer
-            if analyzer is None or analyzer.observed_points < min_observations:
-                continue
-            started = time.perf_counter()
-            try:
-                decision = analyzer.recommend()
-            except ModelError as error:
+            if isinstance(decision, ModelError):
                 logger.warning(
                     "retune skipped series %r, which keeps %s: %s",
                     state.name,
                     state.policy_label,
-                    error,
+                    decision,
                 )
                 telemetry.emit(
                     {
                         "type": "db.retune_skipped",
                         "series": state.name,
                         "policy": state.policy_label,
-                        "reason": str(error),
+                        "reason": str(decision),
                     }
                 )
                 continue
@@ -444,7 +498,7 @@ class TimeSeriesDatabase:
                         "r_c": decision.r_c,
                         "r_s_star": decision.r_s_star,
                         "candidates": int(decision.sweep_n_seq.size),
-                        "duration_ms": (time.perf_counter() - started) * 1e3,
+                        "duration_ms": duration_ms,
                         "rows_computed": decision.rows_computed,
                     }
                 )

@@ -177,10 +177,16 @@ class CompactionPolicy(abc.ABC):
         """
         kernel = self.kernel
         kernel._fault_boundary(kind)
-        with kernel.telemetry.span(kind, engine=kernel.policy_name) as span:
+        telemetry = kernel.telemetry
+        if telemetry.enabled:
+            with telemetry.span(kind, engine=kernel.policy_name) as span:
+                written = apply()
+                kernel.mark_structure_change()
+                span.set(tables_written=written, **fields)
+                kernel.stats.record_written(written_ids)
+        else:
             written = apply()
             kernel.mark_structure_change()
-            span.set(tables_written=written, **fields)
             kernel.stats.record_written(written_ids)
         kernel.stats.record_event(
             CompactionEvent(

@@ -13,7 +13,7 @@ per-compaction rewrite volumes (Figure 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,9 +23,12 @@ from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 __all__ = ["CompactionEvent", "WriteStats"]
 
 
-@dataclass(frozen=True)
-class CompactionEvent:
-    """One disk-writing event (a flush or a merge)."""
+class CompactionEvent(NamedTuple):
+    """One disk-writing event (a flush or a merge).
+
+    A ``NamedTuple``, built once per landing: read fields by name, copy
+    with ``._replace``.
+    """
 
     #: ``"flush"`` (append, no rewrite) or ``"merge"`` (compaction).
     kind: str
@@ -113,17 +116,12 @@ class WriteStats:
             raise EngineError(
                 f"event kind must be 'flush' or 'merge': {event!r}"
             )
-        for field_name in (
-            "arrival_index",
-            "new_points",
-            "rewritten_points",
-            "tables_rewritten",
-            "tables_written",
-        ):
-            if getattr(event, field_name) < 0:
-                raise EngineError(
-                    f"event field {field_name} must be non-negative: {event!r}"
-                )
+        if min(event[1:]) < 0:  # every field after ``kind`` is a count
+            for field_name in event._fields[1:]:
+                if getattr(event, field_name) < 0:
+                    raise EngineError(
+                        f"event field {field_name} must be non-negative: {event!r}"
+                    )
         if self.events and event.arrival_index < self.events[-1].arrival_index:
             raise EngineError(
                 "event arrival_index must be monotone: got "

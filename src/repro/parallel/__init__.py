@@ -1,7 +1,17 @@
 """Parallel execution: task pool, result cache, experiment driver.
 
-The one home of process parallelism — coarse offline jobs a command can
-reach (seconds per task), never the serving tier's read or write path:
+Three kinds of work, three answers:
+
+* process pools (this package) serve coarse offline jobs a command can
+  reach, seconds per task;
+* threads serve Algorithm-1 fan-outs — a fleet retune's series, the
+  arbiter's ``(series, budget)`` table — through
+  :func:`repro.core.tuning.map_concurrently`, whose numpy kernels
+  release the GIL;
+* nothing runs in parallel on the request path: reads and writes are
+  served in process, one call at a time.
+
+This package is the one home of process parallelism:
 
 * :func:`run_tasks` / :class:`Task` — a deterministic process pool with
   per-task seeding and telemetry round-trip (worker metrics/events are

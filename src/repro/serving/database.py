@@ -33,7 +33,12 @@ from ..core.tuning import SEPARATION
 from ..errors import EngineError, InjectedCrash, ModelError, RecoveryError
 from ..lsm.backpressure import rollup_states
 from ..lsm.checkpoint import write_atomically
-from ..lsm.database import TimeSeriesDatabase, check_manifest, load_manifest
+from ..lsm.database import (
+    TimeSeriesDatabase,
+    check_manifest,
+    decide_series,
+    load_manifest,
+)
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .router import ShardRouter, shard_name
 
@@ -236,10 +241,13 @@ class ShardedDatabase:
 
     def retune(self, min_observations: int = 2048) -> dict[str, str]:
         """Re-decide every shard's policies (see
-        :meth:`TimeSeriesDatabase.retune`)."""
+        :meth:`TimeSeriesDatabase.retune`): every shard's series are
+        decided in one concurrent pass, then applied shard by shard."""
+        candidates = [db._retune_candidates(min_observations) for db in self.shards]
+        outcomes = iter(decide_series([s for states in candidates for s in states]))
         switched: dict[str, str] = {}
-        for db in self.shards:
-            switched.update(db.retune(min_observations))
+        for db, states in zip(self.shards, candidates):
+            switched.update(db._apply_retune(states, outcomes))
         return switched
 
     # -- backpressure ----------------------------------------------------------

@@ -16,6 +16,8 @@ import pytest
 
 from repro import ConventionalEngine, InOrderCurve, LogNormalDelay, LsmConfig, ModelConfig
 from repro import SeparationEngine, UniformDelay, execute_aggregate_query, execute_range_query
+from repro import tune_separation_policy
+from repro.core import analyzer as analyzer_module
 from repro.core.allocation import MemoryArbiter
 from repro.core.subsequent import _BLOCK_ROWS
 from repro.lsm.base import Snapshot
@@ -26,7 +28,7 @@ from repro.query import aggregate_over_series, scan_over_series
 from repro.query.merge import merge_aggregates
 from repro.serving import ShardedDatabase
 from repro.workloads import generate_fleet, generate_synthetic
-from tests.fleet_support import lockstep_rounds
+from tests.fleet_support import benchmark_fleet, lockstep_rounds
 
 _DELAY = LogNormalDelay(5.0, 2.0)
 _DT = 50.0
@@ -226,40 +228,30 @@ def test_the_arbiter_beats_an_equal_split():
     assert arbitrated_wa < static_wa
 
 
-#: ``(sigma, mu - log dt)`` of the system benchmark's eight disordered
-#: series (``benchmarks/system/workloads.py::DISORDERED_CELLS``) and what
-#: Algorithm 1 decides for each at a 512-point budget; the other eight
-#: series of its fleet have sub-interval uniform jitter and stay pi_c.
-_FLEET_CELLS = (
-    (2.2, -0.5, "s"), (2.2, 0.5, "s"), (1.2, 0.0, "c"), (1.95, 0.0, "s"),
-    (1.95, 1.0, "s"), (1.45, -0.5, "c"), (1.7, -1.0, "c"), (1.7, 1.0, "s"),
-)
-
-
-def test_a_fleet_retune_keeps_its_regime_and_row_budget():
+def test_a_fleet_retune_keeps_its_regime_and_row_budget(monkeypatch):
     """``fleet.retune()`` over the system benchmark's sixteen series:
     five series separate, three disordered ones and the eight in-order
     ones do not, and one tune computes each log-CDF row at most once — no
-    more rows than the highest one a candidate reads, plus a block."""
-    dt, budget = 1000.0, 512
-    rng = np.random.default_rng(51)
-    data, expected = {}, {}
-    for index in range(16):
-        name = f"series-{index:04d}"
-        if index < len(_FLEET_CELLS):
-            sigma, offset, policy = _FLEET_CELLS[index]
-            delay = LogNormalDelay(mu=np.log(dt) + offset, sigma=sigma)
-        else:
-            delay, policy = UniformDelay(low=0.0, high=0.5 * dt), "c"
-        seed = int(rng.integers(0, 2**31))
-        data[name] = generate_synthetic(16_384, dt=dt, delay=delay, seed=seed, name=name)
-        expected[name] = policy
+    more rows than the highest one a candidate reads, plus a block.
+    Decided concurrently, Algorithm 1 still runs once per series, and
+    the rows add up to what serial tunes of the same windows compute."""
+    budget = 512
+    data, expected = benchmark_fleet(16_384, seed=51)
     fleet = ShardedDatabase(n_shards=4, memory_budget_per_series=budget, sstable_size=512)
     for batch in lockstep_rounds(data, 2048, with_ta=True):
         fleet.ingest_batch(batch, sync=False)
+    tunes = []
 
+    def counted(*args, **kwargs):
+        tunes.append(args)
+        return tune_separation_policy(*args, **kwargs)
+
+    monkeypatch.setattr(analyzer_module, "tune_separation_policy", counted)
     fleet.retune()
+    monkeypatch.undo()
 
+    assert len(tunes) == len(expected)
+    rows, serial_rows = 0, 0
     for name, policy in expected.items():
         state = fleet.database_for(name).series(name)
         decision = state.decision
@@ -273,6 +265,11 @@ def test_a_fleet_retune_keeps_its_regime_and_row_budget():
         ]
         highest = round(max(phases, default=budget)) + ModelConfig().dense_terms
         assert 0 < decision.rows_computed <= highest + _BLOCK_ROWS, name
+        rows += decision.rows_computed
+        serial_rows += tune_separation_policy(
+            profile.distribution, profile.dt, budget, sstable_size=512
+        ).rows_computed
+    assert rows == serial_rows
 
 
 @pytest.fixture(scope="module")

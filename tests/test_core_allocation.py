@@ -1,8 +1,12 @@
 """Tests for the fleet memory allocator and the online arbiter."""
 
+import os
+
 import pytest
 
-from repro import LogNormalDelay, UniformDelay
+from repro import LogNormalDelay, UniformDelay, tune_separation_policy
+from repro.core import allocation
+from repro.core.tuning import map_concurrently
 from repro.core.allocation import (
     MemoryArbiter,
     RebalanceDecision,
@@ -71,8 +75,6 @@ class TestAllocateBudgets:
             candidate_budgets=(32, 64, 128, 256, 320),
         )
         # Uniform 128-per-series baseline computed directly.
-        from repro import tune_separation_policy
-
         uniform_objective = 0.0
         total_rate = sum(w.rate for w in workloads)
         for workload in workloads:
@@ -158,6 +160,84 @@ class TestAllocateBudgetsEdgeCases:
         first = allocate_budgets(workloads, total_budget=700)
         second = allocate_budgets(workloads, total_budget=700)
         assert first == second
+
+
+class TestAllocateBudgetsRejectsBeforeTuning:
+    """A question the table cannot answer is a ``ModelError`` before any
+    series is tuned.  Before, the table was keyed by name, so two
+    workloads named ``"a"`` both got the last one's WA, and NaN compared
+    its way through: a NaN total bought every series the largest
+    budget, a NaN rate pinned its series to the floor."""
+
+    @pytest.fixture
+    def tunes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            allocation, "tune_separation_policy", lambda *a, **k: calls.append(a)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "workloads, total_budget, message",
+        [
+            (
+                [SeriesWorkload("a", LogNormalDelay(5.0, 2.0), 50.0),
+                 SeriesWorkload("a", LogNormalDelay(5.0, 0.5), 50.0)],
+                1024, "names must be unique",
+            ),
+            ([_severe("a"), _mild("b")], float("nan"), "total_budget"),
+            ([_severe("a"), _mild("b")], float("inf"), "total_budget"),
+            ([_severe("a"), _mild("b", rate=float("nan"))], 1024, "'b': rate"),
+            ([_severe("a", rate=float("inf")), _mild("b")], 1024, "'a': rate"),
+            ([_severe("a"), _mild("b", rate=-1.0)], 1024, "'b': rate"),
+        ],
+        ids=["duplicate-name", "nan-total", "inf-total", "nan-rate", "inf-rate",
+             "negative-rate"],
+    )
+    def test_rejected(self, tunes, workloads, total_budget, message):
+        with pytest.raises(ModelError, match=message):
+            allocate_budgets(workloads, total_budget)
+        assert tunes == []
+
+    def test_a_zero_rate_is_a_series_that_does_not_write(self):
+        allocations = allocate_budgets(
+            [_severe("idle", rate=0.0), _severe("busy")], 96, (32, 64)
+        )
+        assert [a.budget for a in allocations] == [32, 64]
+
+
+def test_the_table_is_the_serial_loop(monkeypatch):
+    """Tuned concurrently, every ``(series, budget)`` cell equals a plain
+    loop of ``tune_separation_policy`` calls, bit for bit."""
+    seen = []
+
+    def spy(fn, items):
+        results = map_concurrently(fn, items)
+        seen.append((items, results))
+        return results
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(allocation, "map_concurrently", spy)
+    workloads = [_severe("a", rate=2.0), _mild("b"),
+                 SeriesWorkload("c", LogNormalDelay(4.0, 1.5), 50.0)]
+    allocate_budgets(workloads, 700, (32, 64, 128, 256), sstable_size=64)
+    [(cells, table)] = seen
+    serial = []
+    for workload in workloads:
+        for budget in (32, 64, 128, 256):
+            decision = tune_separation_policy(
+                workload.delay, workload.dt, budget, sstable_size=64,
+                coarse_points=12, refine_rounds=2,
+            )
+            serial.append(
+                (decision.predicted_wa, decision.policy, decision.seq_capacity)
+            )
+    assert [(w.name, b) for w, b in cells] == [
+        (w.name, b) for w in workloads for b in (32, 64, 128, 256)
+    ]
+    assert [(wa.hex(), p, n) for wa, p, n in table] == [
+        (wa.hex(), p, n) for wa, p, n in serial
+    ]
 
 
 class TestMemoryArbiter:

@@ -1,4 +1,9 @@
-"""Tests for Algorithm 1 (tune_separation_policy)."""
+"""Tests for Algorithm 1 (tune_separation_policy) and its fan-out."""
+
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from repro import (
 )
 from repro.core import CONVENTIONAL, SEPARATION
 from repro.core.subsequent import _BLOCK_ROWS
+from repro.core.tuning import map_concurrently
 from repro.core.wa_separation import separation_breakdown
 from repro.distributions import EmpiricalDelay
 from repro.errors import ModelError
@@ -150,3 +156,111 @@ class TestTunerBudget:
         )
         highest = round(n_arrive) + config.dense_terms
         assert 0 < decision.rows_computed <= highest + _BLOCK_ROWS
+
+
+def _pin_cpus(monkeypatch, count):
+    """Make the process look as if it may run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestMapConcurrently:
+    """The decide half's fan-out: caller plus ``usable CPUs - 1`` helper
+    threads, results in item order, failures raised after every item."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Threads the function under test starts."""
+        threads = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        return threads
+
+    def test_results_come_back_in_item_order(self, monkeypatch):
+        _pin_cpus(monkeypatch, 4)
+        items = list(range(40))
+        assert map_concurrently(lambda x: x * x, items) == [x * x for x in items]
+        assert map_concurrently(lambda x: x, []) == []
+
+    def test_every_usable_cpu_works_at_once(self, monkeypatch, started):
+        """Four CPUs, four items that each wait for the other three: only
+        the caller and three helpers running together get past."""
+        _pin_cpus(monkeypatch, 4)
+        barrier = threading.Barrier(4, timeout=30)
+
+        def meet(item):
+            barrier.wait()
+            return item, threading.get_ident()
+
+        results = map_concurrently(meet, ["a", "b", "c", "d"])
+        assert [item for item, _ in results] == ["a", "b", "c", "d"]
+        assert len({ident for _, ident in results}) == 4
+        assert threading.get_ident() in {ident for _, ident in results}
+        assert len(started) == 3
+
+    def test_helpers_are_capped_by_the_items(self, monkeypatch, started):
+        _pin_cpus(monkeypatch, 16)
+        assert map_concurrently(str, [1, 2, 3]) == ["1", "2", "3"]
+        assert len(started) == 2
+        assert map_concurrently(str, [7]) == ["7"]
+        assert len(started) == 2
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_one_cpu_runs_the_loop_on_the_caller(self, monkeypatch, started, affinity):
+        if affinity:
+            _pin_cpus(monkeypatch, 1)
+        else:  # a platform without affinity masks
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        idents = map_concurrently(lambda _: threading.get_ident(), range(6))
+        assert idents == [threading.get_ident()] * 6
+        assert started == []
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_a_failure_is_raised_after_every_item_ran(self, monkeypatch, cpus):
+        _pin_cpus(monkeypatch, cpus)
+        ran = []
+
+        def fn(item):
+            ran.append(item)
+            if item % 3 == 1:
+                raise ValueError(f"item {item}")
+            return item
+
+        with pytest.raises(ValueError, match="^item 1$"):
+            map_concurrently(fn, range(9))
+        assert sorted(ran) == list(range(9))
+
+    def test_every_item_is_handed_out_once_under_contention(self, monkeypatch):
+        """Sixteen threads on whatever cores there are, switching every
+        microsecond: an item handed out twice, or lost, shows here."""
+        _pin_cpus(monkeypatch, 16)
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = map_concurrently(lambda i: ran.append(i) or -i, range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(3000))
+        assert results == [-i for i in range(3000)]
+
+    def test_an_interrupt_in_the_caller_stops_the_helpers(self, monkeypatch, started):
+        _pin_cpus(monkeypatch, 4)
+        caller = threading.get_ident()
+        ran = []
+
+        def fn(item):
+            ran.append(item)
+            if threading.get_ident() == caller:
+                raise KeyboardInterrupt
+            time.sleep(0.01)
+
+        with pytest.raises(KeyboardInterrupt):
+            map_concurrently(fn, range(200))
+        assert len(ran) < 200
+        assert not any(helper.is_alive() for helper in started)

@@ -1,5 +1,7 @@
 """Tests for the multi-series TimeSeriesDatabase."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,29 @@ class TestRetune:
         assert db.series("s").analyzer is None
         assert db.retune() == {}
 
+    @pytest.mark.parametrize("facade", ["database", "fleet"])
+    @pytest.mark.parametrize(
+        "min_observations", [float("nan"), "x", None, True, -1, 2.5], ids=repr
+    )
+    def test_min_observations_must_be_a_count(self, facade, min_observations):
+        """Before, NaN failed the "too few" comparison and so retuned
+        everything (this 100-point window became pi_s(n_seq=28)), "x" and
+        None were a bare TypeError, and True was taken for 1."""
+        from repro.serving import ShardedDatabase
+
+        target = (
+            TimeSeriesDatabase(64, 64)
+            if facade == "database"
+            else ShardedDatabase(n_shards=2, memory_budget_per_series=64, sstable_size=64)
+        )
+        stream = _noisy(n=100)
+        target.write("tiny", stream.tg, stream.ta)
+        with pytest.raises(EngineError, match="^min_observations must be an integer >= 0"):
+            target.retune(min_observations)
+        state = (target if facade == "database" else target.database_for("tiny")).series("tiny")
+        assert (state.decision, state.analyzer.last_decision) == (None, None)
+        assert state.policy_label == "pi_c"
+
 
 def _noisy(n=6000, seed=3):
     return generate_synthetic(n, dt=50, delay=LogNormalDelay(5.0, 2.0), seed=seed)
@@ -240,14 +265,25 @@ class TestRetuneSkipsWhatItCannotProfile:
                 stream = _noisy(seed=20 + k)
                 db.write(name, stream.tg, stream.ta)
 
-    @pytest.mark.parametrize("position", ["first", "last"])
-    def test_database(self, position, caplog):
-        names = ["stuck", *self.GOOD] if position == "first" else [*self.GOOD, "stuck"]
+    @classmethod
+    def _names(cls, position):
+        """The good series with the stuck one at ``position``; decided
+        concurrently, it must still be skipped in its place."""
+        at = {"first": 0, "middle": len(cls.GOOD) // 2, "last": len(cls.GOOD)}[position]
+        return [*cls.GOOD[:at], "stuck", *cls.GOOD[at:]]
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_database(self, position, caplog, monkeypatch):
+        names = self._names(position)
         sink = RingBufferSink()
         db = TimeSeriesDatabase(256, 256, telemetry=Telemetry(sinks=[sink]))
         self._fill(db, names)
+        # Four threads decide the six series, whatever the machine has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         with caplog.at_level("WARNING", logger="repro.lsm.database"):
             switched = db.retune()
+        records = ("db.retune_decision", "db.retune_skipped")
+        assert [e["series"] for e in sink.events if e["type"] in records] == names
         assert sorted(switched) == self.GOOD
         for name in self.GOOD:
             assert switched[name] == db.series(name).policy_label
@@ -262,11 +298,11 @@ class TestRetuneSkipsWhatItCannotProfile:
             f"retune skipped series 'stuck', which keeps pi_c: {self.REASON}"
         ]
 
-    @pytest.mark.parametrize("position", ["first", "last"])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
     def test_four_shard_fleet(self, position):
         from repro.serving import ShardedDatabase
 
-        names = ["stuck", *self.GOOD] if position == "first" else [*self.GOOD, "stuck"]
+        names = self._names(position)
         fleet = ShardedDatabase(
             n_shards=4, memory_budget_per_series=256, sstable_size=256
         )

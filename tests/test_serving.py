@@ -9,12 +9,14 @@ fleet manifests, the online arbiter, the fleet crash matrix — is checked
 against that invariant here.
 """
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from repro import tune_separation_policy
 from repro.core.allocation import MemoryArbiter
 from repro.distributions import ExponentialDelay, UniformDelay
 from repro.errors import EngineError, ModelError, RecoveryError, TelemetryError
@@ -31,7 +33,7 @@ from repro.serving import (
     shard_name,
 )
 from repro.workloads import generate_synthetic
-from tests.fleet_support import lockstep_rounds
+from tests.fleet_support import benchmark_fleet, lockstep_rounds
 
 #: Small buffers: a few thousand points exercise many flushes/merges.
 _DB_KWARGS = dict(memory_budget_per_series=64, sstable_size=32)
@@ -469,3 +471,77 @@ class TestRejectedEntryBarrier:
         for name in fleet.series_names():
             wal = fleet.database_for(name).series(name).engine.wal
             assert (wal.pending_records, wal.records_committed) == (0, 1)
+
+
+def _bits(decision):
+    """Every field of a ``PolicyDecision``, floats by ``float.hex``."""
+    bits = {}
+    for field in dataclasses.fields(decision):
+        value = getattr(decision, field.name)
+        if isinstance(value, np.ndarray):
+            value = (str(value.dtype), [float(v).hex() for v in value.tolist()])
+        elif isinstance(value, float):
+            value = value.hex()
+        bits[field.name] = value
+    return bits
+
+
+class TestConcurrentRetune:
+    """A fleet retune decides every shard's series in one concurrent
+    pass and applies them shard by shard, series by series: decisions
+    and events equal a serial retune's, whatever the CPU count."""
+
+    @pytest.fixture(scope="class")
+    def retuned(self):
+        """The benchmark-shaped fleet retuned as if on four CPUs and on
+        one: ``{cpus: (fleet, switched, events)}``."""
+        data, _ = benchmark_fleet(8192, seed=7)
+        runs = {}
+        for cpus in (4, 1):
+            sink = RingBufferSink(capacity=100_000)
+            fleet = ShardedDatabase(
+                n_shards=4, memory_budget_per_series=512, sstable_size=512,
+                telemetry=Telemetry(sinks=[sink]),
+            )
+            for batch in lockstep_rounds(data, 2048, with_ta=True):
+                fleet.ingest_batch(batch, sync=False)
+            mark = len(sink.events)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False
+                )
+                switched = fleet.retune()
+            runs[cpus] = (fleet, switched, list(sink.events)[mark:])
+        return runs
+
+    def test_decisions_are_serial_tunes_of_the_same_windows(self, retuned):
+        fleet, switched, events = retuned[4]
+        assert len(switched) >= 3  # the heavy pi_s tunes are among them
+        for name in fleet.series_names():
+            state = fleet.database_for(name).series(name)
+            profile = state.analyzer.profile()
+            serial = tune_separation_policy(
+                profile.distribution, profile.dt, 512, sstable_size=512
+            )
+            assert _bits(state.decision) == _bits(serial), name
+        decided = [e for e in events if e["type"] == "db.retune_decision"]
+        assert [e["series"] for e in decided] == fleet.series_names()
+        assert all(e["duration_ms"] > 0 for e in decided)
+
+    def test_one_cpu_gives_the_same_retune(self, retuned):
+        (fleet, switched, events), (alone, switched_alone, events_alone) = (
+            retuned[4], retuned[1]
+        )
+        assert switched == switched_alone
+        for name in fleet.series_names():
+            assert _bits(fleet.database_for(name).series(name).decision) == _bits(
+                alone.database_for(name).series(name).decision
+            ), name
+
+        def untimed(stream):
+            return [
+                {k: v for k, v in e.items() if k not in ("ts_ms", "duration_ms")}
+                for e in stream
+            ]
+
+        assert untimed(events) == untimed(events_alone)

@@ -11,7 +11,6 @@ Covers the robustness machinery end to end:
 * the injectable fault clock and the stability report renderer.
 """
 
-import dataclasses
 import json
 import os
 
@@ -277,11 +276,9 @@ def test_scheduler_matches_stop_the_world(key, tmp_path):
     # pacing may only move their ``arrival_index`` stamps — and the
     # same tables on disk afterwards.
     assert [
-        dataclasses.replace(event, arrival_index=0)
-        for event in paced.stats.events
+        event._replace(arrival_index=0) for event in paced.stats.events
     ] == [
-        dataclasses.replace(event, arrival_index=0)
-        for event in baseline.stats.events
+        event._replace(arrival_index=0) for event in baseline.stats.events
     ]
     assert snapshot_digest(paced.snapshot()) == snapshot_digest(baseline.snapshot())
     baseline.verify()
