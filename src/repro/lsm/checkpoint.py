@@ -137,8 +137,10 @@ def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointCorruptError(f"{path}: truncated checkpoint")
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointCorruptError(f"{path}: bad checkpoint magic")
-    body, trailer = blob[: -_U32.size], blob[-_U32.size :]
-    if crc32(body) != _U32.unpack(trailer)[0]:
+    # Slices of a memoryview: the CRC and the meta block read the file's
+    # bytes in place; only the array block is copied, once, for np.load.
+    body = memoryview(blob)[: -_U32.size]
+    if crc32(body) != _U32.unpack_from(blob, len(body))[0]:
         raise CheckpointCorruptError(
             f"{path}: checksum mismatch (torn or corrupted page)"
         )
@@ -148,7 +150,7 @@ def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     if offset + meta_len > len(body):
         raise CheckpointCorruptError(f"{path}: meta block overruns the file")
     try:
-        meta = json.loads(body[offset : offset + meta_len].decode("utf-8"))
+        meta = json.loads(bytes(body[offset : offset + meta_len]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointCorruptError(f"{path}: malformed meta block: {exc}") from None
     offset += meta_len

@@ -2,21 +2,22 @@
 
 The recovery protocol, in order:
 
-1. **Scan the WAL** (:func:`repro.lsm.wal.read_wal`).  A torn tail — a
+1. **Restore the newest checkpoint**, if one exists and its trailing CRC
+   validates.  A corrupt checkpoint (torn page, bit flip, a counter array
+   that cannot be right) is *discarded* and recovery falls back to
+   replaying the whole WAL into a fresh engine — slower, never wrong.
+2. **Scan the WAL** (:func:`repro.lsm.wal.read_wal`).  Every frame is
+   checked for length, checksum and kind, but only records past the
+   restored engine's arrival cursor are decoded.  A torn tail — a
    partially written record left by a crash mid-append — is truncated
    away; the durable prefix is exactly the fully-framed, checksum-clean
-   records.  A damaged record with intact bytes after it is no torn
-   tail: recovery stops with :class:`~repro.errors.WalError` and leaves
-   the file as it is.
-2. **Restore the newest checkpoint**, if one exists and its trailing CRC
-   validates.  A corrupt checkpoint (torn page, bit flip) is *discarded*
-   and recovery falls back to replaying the whole WAL into a fresh
-   engine — slower, never wrong.
-3. **Replay the WAL tail**: every record whose points the checkpoint does
-   not already cover is re-ingested through :meth:`LsmEngine._replay`
-   (bypassing the WAL append, so the log is not re-written).  Ids
-   regenerate identically because they are sequential from each record's
-   ``start_id``.
+   records.  A damaged record with intact bytes after it, covered or
+   not, is no torn tail: recovery stops with
+   :class:`~repro.errors.WalError` and leaves the file as it is.
+3. **Replay the WAL tail**: every decoded record is re-ingested through
+   :meth:`LsmEngine._replay` (bypassing the WAL append, so the log is not
+   re-written).  Ids regenerate identically because they are sequential
+   from each record's ``start_id``.
 4. **Verify** the recovered engine's crash-consistency invariants
    (:mod:`repro.lsm.invariants`).
 
@@ -24,7 +25,7 @@ The result lands in a state bit-identical to a crash-free run over the
 durable prefix (modulo cosmetic SSTable sequence numbers).
 
 There is one loop, :func:`recover_engine`, for every engine class.  The
-adaptive engine is recovered without step 2 (``checkpoint_path=None``):
+adaptive engine is recovered without step 1 (``checkpoint_path=None``):
 its analyzer is not durable and its retune timing must replay, so it
 always starts from an empty engine.  Replay is deterministic: records
 carry the original ``(tg, ta)`` pairs and the analyzer/retune cadence
@@ -93,16 +94,7 @@ def recover_engine(
     usable checkpoint exists and the engine is rebuilt from scratch
     (checkpoints remember their own constructor kwargs).
     """
-    wal = read_wal(wal_path)
-    report = RecoveryReport(engine=None, wal_records=len(wal.records))
-    if wal.torn:
-        report.wal_torn = True
-        report.truncated_bytes = wal.torn_bytes
-        wal.truncate()
-        report.notes.append(
-            f"truncated {wal.torn_bytes} torn bytes from {wal_path}"
-        )
-
+    report = RecoveryReport(engine=None)
     engine: LsmEngine | None = None
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         try:
@@ -123,6 +115,15 @@ def recover_engine(
         )
     report.engine = engine
 
+    wal = read_wal(wal_path, covered=engine.ingested_points)
+    report.wal_records = wal.covered_records + len(wal.records)
+    if wal.torn:
+        report.wal_torn = True
+        report.truncated_bytes = wal.torn_bytes
+        wal.truncate()
+        report.notes.append(
+            f"truncated {wal.torn_bytes} torn bytes from {wal_path}"
+        )
     for record in wal.records:
         _replay_record(engine, record, report)
     report.durable_points = engine.ingested_points
@@ -136,9 +137,7 @@ def recover_engine(
 def _replay_record(
     engine: LsmEngine, record: WalRecord, report: RecoveryReport
 ) -> None:
-    """Feed one durable record into the engine, skipping covered points."""
-    if record.end_id <= engine.ingested_points:
-        return  # fully covered by the checkpoint
+    """Feed one durable record past the checkpoint into the engine."""
     if record.start_id != engine.ingested_points:
         raise RecoveryError(
             f"WAL record spans ids [{record.start_id}, {record.end_id}) but "

@@ -9,6 +9,11 @@ compaction rewrite — its counter increments, and
 :class:`WriteStats` keeps the per-point counters plus an event log, so
 experiments can compute overall WA, WA over time (Figure 10), and
 per-compaction rewrite volumes (Figure 5).
+
+The counters are one per point ever ingested, so they are stored as
+``uint16`` — two bytes a point — and widened to ``int64`` only when an
+exact guard cannot rule out an overflow (see :meth:`WriteStats.
+record_written`).  Everything read out of the class is ``int64``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import EngineError
+from ..errors import CheckpointCorruptError, EngineError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["CompactionEvent", "WriteStats"]
@@ -55,12 +60,27 @@ class WriteStats:
     def __init__(self, initial_capacity: int = 1024) -> None:
         if initial_capacity < 1:
             raise EngineError("initial_capacity must be >= 1")
-        self._counts = np.zeros(initial_capacity, dtype=np.int64)
+        self._set_counts(np.zeros(initial_capacity, dtype=np.uint16))
+        #: No counter exceeds this: the largest counter at the last exact
+        #: scan plus every id recorded since (each adds one to one counter).
+        self._ceiling = 0
         self._max_id = -1
         self.user_points = 0
         self.disk_writes = 0
         self.events: list[CompactionEvent] = []
         self._telemetry: Telemetry = NULL_TELEMETRY
+
+    def _set_counts(self, counts: np.ndarray) -> None:
+        """Adopt ``counts`` with the overflow limit and the increment of
+        its dtype — typed, because ``np.add.at`` on ``uint16`` with a
+        Python ``1`` takes numpy's casting path, over ten times slower."""
+        self._counts = counts
+        self._limit = int(np.iinfo(counts.dtype).max)
+        self._one = counts.dtype.type(1)
+
+    def _widen(self) -> None:
+        """Move the counters to ``int64`` (no overflow in any real run)."""
+        self._set_counts(self._counts.astype(np.int64))
 
     def bind_telemetry(self, telemetry: Telemetry) -> None:
         """Mirror every recorded event onto ``telemetry``'s bus.
@@ -80,7 +100,13 @@ class WriteStats:
         self.user_points += count
 
     def record_written(self, ids: np.ndarray) -> None:
-        """Increment write counters for every id in ``ids``."""
+        """Increment write counters for every id in ``ids``.
+
+        Each occurrence adds one (duplicates count per occurrence).  The
+        counters stay ``uint16`` while ``_ceiling`` proves this call
+        cannot overflow them; only when it cannot is the maximum rescanned
+        (O(capacity)), and the counters widened if that does not suffice.
+        """
         if ids.size == 0:
             return
         # argmin/argmax rather than min/max: on landing-sized arrays the
@@ -91,12 +117,20 @@ class WriteStats:
             # tail and corrupt other points' counters.
             raise EngineError(f"point ids must be non-negative, got min {low}")
         top = int(ids[ids.argmax()])
-        if top >= self._counts.size:
-            new_size = max(self._counts.size * 2, top + 1)
-            grown = np.zeros(new_size, dtype=np.int64)
-            grown[: self._counts.size] = self._counts
-            self._counts = grown
-        np.add.at(self._counts, ids, 1)
+        counts = self._counts
+        if top >= counts.size:
+            grown = np.zeros(max(counts.size * 2, top + 1), dtype=counts.dtype)
+            grown[: counts.size] = counts
+            self._counts = counts = grown
+        if self._ceiling + ids.size > self._limit:
+            # About once per 65 k recorded writes: rescan, and widen if
+            # even the exact maximum leaves too little headroom.
+            self._ceiling = int(counts.max())
+            if self._ceiling + ids.size > self._limit:
+                self._widen()
+                counts = self._counts
+        np.add.at(counts, ids, self._one)
+        self._ceiling += int(ids.size)
         self._max_id = max(self._max_id, top)
         self.disk_writes += int(ids.size)
         if self._telemetry.enabled:
@@ -158,7 +192,7 @@ class WriteStats:
             "max_id": self._max_id,
         }
         arrays = {
-            "stats.counts": self._counts[: self._max_id + 1].copy(),
+            "stats.counts": self.write_counts,
             "stats.ev_kind": np.asarray(
                 [self._EVENT_KINDS.index(e.kind) for e in events], dtype=np.int8
             ),
@@ -184,11 +218,31 @@ class WriteStats:
     def from_checkpoint(
         cls, meta: dict, arrays: dict[str, np.ndarray]
     ) -> "WriteStats":
-        """Rebuild the instance stored by :meth:`to_checkpoint`."""
-        counts = np.ascontiguousarray(arrays["stats.counts"], dtype=np.int64)
+        """Rebuild the instance stored by :meth:`to_checkpoint`.
+
+        A counter array that is not one integer per id up to ``max_id``
+        (what this method has always written), or holds a negative
+        counter, is :class:`CheckpointCorruptError` — recovery then
+        replays the WAL.  The counters restore as ``uint16`` when the
+        largest fits.
+        """
+        counts = np.asarray(arrays["stats.counts"])
+        max_id = int(meta["max_id"])
+        if counts.ndim != 1 or counts.size != max_id + 1 or counts.dtype.kind not in "iu":
+            raise CheckpointCorruptError(
+                f"stats.counts holds {counts.size} counters of {counts.dtype}, "
+                f"expected {max_id + 1} integers (max_id {max_id})"
+            )
         stats = cls(initial_capacity=max(int(counts.size), 1))
-        stats._counts[: counts.size] = counts
-        stats._max_id = int(meta["max_id"])
+        if counts.size:
+            low, high = int(counts.min()), int(counts.max())
+            if low < 0:
+                raise CheckpointCorruptError(f"stats.counts holds a negative counter ({low})")
+            if high > stats._limit:
+                stats._widen()
+            stats._counts[: counts.size] = counts
+            stats._ceiling = high
+        stats._max_id = max_id
         stats.user_points = int(meta["user_points"])
         stats.disk_writes = int(meta["disk_writes"])
         kinds = arrays["stats.ev_kind"]
@@ -209,8 +263,9 @@ class WriteStats:
 
     @property
     def write_counts(self) -> np.ndarray:
-        """Write counter per point id (ids never written count 0)."""
-        return self._counts[: self._max_id + 1].copy()
+        """Write counter per point id (ids never written count 0), as
+        ``int64`` whatever the stored width."""
+        return self._counts[: self._max_id + 1].astype(np.int64)
 
     @property
     def write_amplification(self) -> float:

@@ -27,7 +27,8 @@ file, never *how* they are framed: encoded records accumulate in memory
 and one coalesced write + flush lands the whole group once the
 record-count or byte trigger fires, or on an explicit
 :meth:`WriteAheadLog.sync` barrier (the one place the log fsyncs a
-group).  Because the on-disk byte stream is
+group, and only when bytes reached the file since its last fsync).
+Because the on-disk byte stream is
 identical to per-record commit, the recovery protocol is unchanged — a
 crash mid-group tears at a record boundary (buffered frames are simply
 lost) or inside the frame being written, and truncating recovery handles
@@ -97,6 +98,9 @@ class WalReadResult:
     valid_bytes: int
     #: Bytes past ``valid_bytes`` (a torn tail or trailing corruption).
     torn_bytes: int
+    #: Valid records skipped undecoded because a checkpoint covers them
+    #: (``read_wal(path, covered=...)``); not in :attr:`records`.
+    covered_records: int = 0
 
     @property
     def torn(self) -> bool:
@@ -105,7 +109,7 @@ class WalReadResult:
 
     @property
     def total_points(self) -> int:
-        """Points across every valid record."""
+        """Points across every decoded record."""
         return sum(r.count for r in self.records)
 
     def truncate(self) -> None:
@@ -129,7 +133,9 @@ def _encode_payload(
     return b"".join(parts)
 
 
-def _decode_payload(payload: bytes, path: str, offset: int) -> WalRecord:
+def _check_payload(payload: memoryview, path: str, offset: int) -> tuple[int, int, int]:
+    """``(kind, start_id, count)`` of a checksum-clean payload, once its
+    kind is known and its length matches its point count."""
     if len(payload) < _PREFIX.size:
         raise WalError(f"{path}@{offset}: payload shorter than its prefix")
     kind, start_id, count = _PREFIX.unpack_from(payload)
@@ -142,11 +148,17 @@ def _decode_payload(payload: bytes, path: str, offset: int) -> WalRecord:
             f"{path}@{offset}: payload is {len(payload)} bytes, "
             f"expected {expected} for {count} points"
         )
-    body = payload[_PREFIX.size :]
-    tg = np.frombuffer(body[: count * 8], dtype=np.float64).copy()
+    return kind, start_id, count
+
+
+def _decode_payload(
+    payload: memoryview, kind: int, start_id: int, count: int
+) -> WalRecord:
+    """Materialise a checked payload: one copy per array."""
+    tg = np.frombuffer(payload, np.float64, count, _PREFIX.size).copy()
     ta = None
     if kind == _KIND_TG_TA:
-        ta = np.frombuffer(body[count * 8 :], dtype=np.float64).copy()
+        ta = np.frombuffer(payload, np.float64, count, _PREFIX.size + count * 8).copy()
     return WalRecord(start_id=int(start_id), tg=tg, ta=ta)
 
 
@@ -187,6 +199,9 @@ class WriteAheadLog:
         self._handle: BinaryIO | None = None
         self._pending: list[bytes] = []
         self._pending_bytes = 0
+        #: Bytes reached the file since its last fsync (what :meth:`sync`
+        #: must make durable; a log with none skips the fsync).
+        self._unsynced = False
         #: Records appended through this handle (acknowledged, possibly
         #: still pending in the current group).
         self.appended = 0
@@ -207,6 +222,7 @@ class WriteAheadLog:
                 # window must leave a *valid empty* WAL, not a 0-byte file.
                 self._handle.write(WAL_MAGIC)
                 self._handle.flush()
+                self._unsynced = True
             else:
                 with open(self.path, "rb") as probe:
                     header = probe.read(len(WAL_MAGIC))
@@ -250,6 +266,7 @@ class WriteAheadLog:
                 handle.write(frame[:cut])
                 handle.flush()
                 os.fsync(handle.fileno())
+                self._unsynced = False
                 raise
         self._pending.append(frame)
         self._pending_bytes += len(frame)
@@ -274,6 +291,7 @@ class WriteAheadLog:
         group_bytes = self._pending_bytes
         handle.write(b"".join(self._pending))
         handle.flush()
+        self._unsynced = True
         self._pending.clear()
         self._pending_bytes = 0
         self.groups_committed += 1
@@ -317,11 +335,14 @@ class WriteAheadLog:
         return self.records_committed / self.groups_committed
 
     def sync(self) -> None:
-        """Explicit durability barrier: commit pending frames and fsync."""
+        """Explicit durability barrier: commit pending frames, and fsync
+        if any bytes reached the file since the last fsync — a log with
+        nothing unsynced costs no fsync."""
         self._commit_group()
-        if self._handle is not None:
+        if self._unsynced and self._handle is not None:
             self._handle.flush()
             os.fsync(self._handle.fileno())
+            self._unsynced = False
 
     def close(self) -> None:
         """Commit pending frames and close the file (idempotent)."""
@@ -331,7 +352,7 @@ class WriteAheadLog:
             self._handle = None
 
 
-def read_wal(path: str) -> WalReadResult:
+def read_wal(path: str, covered: int = 0) -> WalReadResult:
     """Scan ``path``, returning every valid record plus torn-tail info.
 
     A missing file reads as an empty, clean WAL (the engine never
@@ -342,6 +363,11 @@ def read_wal(path: str) -> WalReadResult:
     after it is no crash mid-append but damage inside the log: it raises
     :class:`WalError` naming the byte offset, so recovery never truncates
     the intact records behind it.
+
+    Records ending at or before arrival index ``covered`` — what a
+    restored checkpoint already holds — are checked (length, checksum,
+    kind) like every other frame, counted in ``covered_records``, and
+    never decoded.
     """
     if not os.path.exists(path):
         return WalReadResult(path=path, records=[], valid_bytes=0, torn_bytes=0)
@@ -356,7 +382,9 @@ def read_wal(path: str) -> WalReadResult:
         )
     if len(blob) < len(WAL_MAGIC) or blob[: len(WAL_MAGIC)] != WAL_MAGIC:
         raise WalError(f"{path}: not a repro WAL (bad or missing magic)")
+    view = memoryview(blob)
     records: list[WalRecord] = []
+    skipped = points = 0
     offset = len(WAL_MAGIC)
     valid = offset
     size = len(blob)
@@ -370,22 +398,28 @@ def read_wal(path: str) -> WalReadResult:
         end = start + payload_len
         if end > size:
             break  # torn: partial payload
-        payload = blob[start:end]
+        payload = view[start:end]
         try:
             if crc32(payload) != checksum:
                 raise WalError(f"{path}@{offset}: checksum mismatch")
-            records.append(_decode_payload(payload, path, offset))
+            kind, start_id, count = _check_payload(payload, path, offset)
         except WalError as exc:
             if end == size:
                 break  # torn: the last frame is damaged
             raise WalError(
                 f"{path}: damaged record at byte {offset} after "
-                f"{sum(r.count for r in records)} points, with {size - end} "
+                f"{points} points, with {size - end} "
                 "bytes behind it — damage inside the log, not a torn tail, "
                 f"so nothing was truncated ({exc})"
             ) from None
+        if start_id + count <= covered:
+            skipped += 1
+        else:
+            records.append(_decode_payload(payload, kind, start_id, count))
+        points += count
         offset = end
         valid = end
     return WalReadResult(
-        path=path, records=records, valid_bytes=valid, torn_bytes=size - valid
+        path=path, records=records, valid_bytes=valid, torn_bytes=size - valid,
+        covered_records=skipped,
     )

@@ -33,6 +33,7 @@ from repro.errors import (
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.crashtest import _prefix_mismatch
 from repro.lsm import ComposedEngine, LeveledEngine, LsmEngine
+from repro.lsm import wal as wal_module
 from repro.lsm.checkpoint import read_checkpoint, write_checkpoint
 from repro.lsm.policies.compose import ENGINES
 from repro.lsm.wal import WAL_MAGIC
@@ -403,6 +404,94 @@ class TestRecoverEngine:
             generic.engine.stats.write_counts, again.engine.stats.write_counts
         )
         _assert_same_state(engine, generic.engine)
+
+
+class TestTailOnlyRecovery:
+    """Recovery restores the checkpoint first and decodes only the WAL
+    records it does not cover; every covered frame is still checked."""
+
+    BATCH, BATCHES, CHECKPOINT_AFTER = 250, 10, 4
+
+    @pytest.fixture
+    def crashed(self, tmp_path):
+        """A ``pi_s`` engine checkpointed after four of ten batches, then
+        abandoned: ``(live engine, WAL path, checkpoint path)``."""
+        wal_path, ckpt_path = str(tmp_path / "e.wal"), str(tmp_path / "e.ckpt")
+        dataset = _dataset(self.BATCH * self.BATCHES, seed=21)
+        engine = SeparationEngine(LsmConfig(64, 32, seq_capacity=48, wal_path=wal_path))
+        for index in range(self.BATCHES):
+            engine.ingest(dataset.tg[index * self.BATCH : (index + 1) * self.BATCH])
+            if index + 1 == self.CHECKPOINT_AFTER:
+                engine.save_checkpoint(ckpt_path)
+        engine.wal.close()
+        return engine, wal_path, ckpt_path
+
+    def _recover(self, wal_path, ckpt_path):
+        return recover_engine(
+            SeparationEngine, wal_path, checkpoint_path=ckpt_path,
+            config=LsmConfig(64, 32, seq_capacity=48),
+        )
+
+    def test_only_records_past_the_checkpoint_are_decoded(self, crashed, monkeypatch):
+        engine, wal_path, ckpt_path = crashed
+        decoded = []
+        real = wal_module._decode_payload
+
+        def spy(payload, kind, start_id, count):
+            decoded.append(start_id)
+            return real(payload, kind, start_id, count)
+
+        monkeypatch.setattr(wal_module, "_decode_payload", spy)
+        report = self._recover(wal_path, ckpt_path)
+        covered = self.CHECKPOINT_AFTER * self.BATCH
+        assert decoded == list(range(covered, self.BATCH * self.BATCHES, self.BATCH))
+        assert report.wal_records == self.BATCHES
+        assert report.replayed_records == self.BATCHES - self.CHECKPOINT_AFTER
+        # Recovered accounting equals the engine that never crashed.
+        np.testing.assert_array_equal(
+            report.engine.stats.write_counts, engine.stats.write_counts
+        )
+        assert report.engine.stats.disk_writes == engine.stats.disk_writes
+        _assert_same_state(engine, report.engine)
+        # Without a covering checkpoint every record is decoded, as before.
+        assert len(read_wal(wal_path).records) == self.BATCHES
+
+    def test_a_damaged_covered_frame_is_still_an_error(self, crashed):
+        _, wal_path, ckpt_path = crashed
+        blob = Path(wal_path).read_bytes()
+        frame = (len(blob) - len(WAL_MAGIC)) // self.BATCHES
+        second = len(WAL_MAGIC) + frame  # covered by the checkpoint
+        damaged = bytearray(blob)
+        damaged[second + 100] ^= 0x01
+        Path(wal_path).write_bytes(damaged)
+        with pytest.raises(WalError, match=f"damaged record at byte {second} "):
+            self._recover(wal_path, ckpt_path)
+        assert Path(wal_path).read_bytes() == damaged
+
+    @pytest.mark.parametrize("damage", ["negative", "too_long", "too_short"])
+    def test_an_impossible_counter_array_is_discarded(self, crashed, damage):
+        """A CRC-valid checkpoint whose counters cannot be right — a
+        negative counter (the sum still reconciling), or not one counter
+        per id up to ``max_id`` — is corrupt: recovery replays the WAL."""
+        engine, wal_path, ckpt_path = crashed
+        meta, arrays = read_checkpoint(ckpt_path)
+        counts = arrays["stats.counts"].copy()
+        if damage == "negative":
+            counts[6] += counts[5] + 1
+            counts[5] = -1
+        elif damage == "too_long":
+            counts = np.append(counts, 0)
+        else:
+            counts = counts[:-1]
+        arrays["stats.counts"] = counts
+        write_checkpoint(ckpt_path, meta, arrays)
+        report = self._recover(wal_path, ckpt_path)
+        assert report.checkpoint_corrupt and not report.checkpoint_used
+        assert "stats.counts" in report.notes[0]
+        assert report.replayed_points == self.BATCH * self.BATCHES
+        np.testing.assert_array_equal(
+            report.engine.stats.write_counts, engine.stats.write_counts
+        )
 
 
 class TestByteDamage:

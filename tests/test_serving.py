@@ -22,7 +22,7 @@ from repro.distributions import ExponentialDelay, UniformDelay
 from repro.errors import EngineError, ModelError, RecoveryError, TelemetryError
 from repro.faults.crashtest import FLEET_FAULT_KINDS, run_crash_case
 from repro.lsm.database import TimeSeriesDatabase, manifest_filename
-from repro.lsm.wal import read_wal
+from repro.lsm.wal import WriteAheadLog, read_wal
 from repro.obs import render_shard_report
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
@@ -471,6 +471,57 @@ class TestRejectedEntryBarrier:
         for name in fleet.series_names():
             wal = fleet.database_for(name).series(name).engine.wal
             assert (wal.pending_records, wal.records_committed) == (0, 1)
+
+
+class TestBarriersFsyncOnlyWhatWasWritten:
+    """A barrier fsyncs a WAL only when bytes reached it since its last
+    fsync: a synced batch pays for the series it wrote, not for every
+    series on the shards it touched."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real = os.fsync
+
+        def counted(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counted)
+        return calls
+
+    def test_a_log_with_nothing_unsynced_is_not_fsynced(self, tmp_path, fsyncs):
+        wal = WriteAheadLog(str(tmp_path / "a.wal"), group_records=8)
+        wal.sync()
+        assert fsyncs == []  # never opened
+        wal.append(np.arange(3.0), start_id=0)
+        wal.sync()
+        wal.sync()
+        assert len(fsyncs) == 1
+        wal.append(np.arange(3.0), start_id=3)
+        wal.close()
+        wal.sync()  # closed: nothing to fsync through
+        assert len(fsyncs) == 1
+
+    def test_a_one_series_batch_fsyncs_one_log(self, tmp_path, fsyncs):
+        names = [f"s{index}" for index in range(8)]
+        fleet = ShardedDatabase(
+            n_shards=2, durability_dir=str(tmp_path / "fleet"),
+            stability=dict(wal_group_records=8), **_DB_KWARGS,
+        )
+        batch = np.arange(16.0)
+        fleet.ingest_batch([(name, batch) for name in names], sync=True)
+        assert sum(fleet.shard_of(n) == fleet.shard_of("s0") for n in names) > 1
+        fleet.checkpoint_all()
+        fsyncs.clear()
+        fleet.ingest_batch([("s0", batch + 16.0)], sync=True)
+        assert len(fsyncs) == 1
+        fleet.sync()
+        assert len(fsyncs) == 1
+        # A crash right after the skipped barriers loses nothing acknowledged.
+        revived = ShardedDatabase.recover(str(tmp_path / "fleet"))
+        for name in names:
+            assert revived.snapshot(name).total_points == (32 if name == "s0" else 16), name
 
 
 def _bits(decision):

@@ -1,9 +1,11 @@
-"""WriteStats hardening: id validation and wa_timeline edge cases."""
+"""WriteStats hardening: id validation, narrow counters and wa_timeline
+edge cases."""
 
 import numpy as np
 import pytest
 
 from repro import ConstantDelay, EngineError, LsmConfig, SeparationEngine
+from repro.errors import CheckpointCorruptError
 from repro.lsm.wa_tracker import CompactionEvent, WriteStats
 from repro.workloads import generate_synthetic
 
@@ -40,6 +42,61 @@ class TestRecordWrittenValidation:
         stats = WriteStats()
         stats.record_written(np.array([0, 0, 2], dtype=np.int64))
         np.testing.assert_array_equal(stats.write_counts, [2, 0, 1])
+
+
+class TestNarrowCounters:
+    """Counters are stored as ``uint16`` and widen to ``int64`` only when
+    the overflow guard cannot rule an overflow out; every reading is
+    exact and ``int64`` either way."""
+
+    def test_one_id_recorded_70_000_times_counts_exactly_and_widens(self):
+        stats = WriteStats()
+        stats.record_written(np.arange(10, dtype=np.int64))
+        assert stats._counts.dtype == np.uint16
+        for _ in range(10_000):
+            stats.record_written(np.full(7, 3, dtype=np.int64))
+        assert stats._counts.dtype == np.int64
+        counts = stats.write_counts
+        assert counts.dtype == np.int64
+        assert counts[3] == 70_001
+        assert counts.sum() == stats.disk_writes == 70_010
+
+    def test_duplicates_count_per_occurrence_across_the_widening(self):
+        stats = WriteStats()
+        stats.record_written(np.full(65_530, 2, dtype=np.int64))
+        assert stats._counts.dtype == np.uint16
+        stats.record_written(np.array([2, 2, 2, 2, 2, 2, 0, 2], dtype=np.int64))
+        assert stats._counts.dtype == np.int64
+        np.testing.assert_array_equal(stats.write_counts, [1, 0, 65_537])
+
+    def test_distinct_ids_stay_narrow(self):
+        stats = WriteStats()
+        for _ in range(100):
+            stats.record_written(np.arange(5_000, dtype=np.int64))
+        assert stats._counts.dtype == np.uint16
+        assert stats.write_counts.dtype == np.int64
+        assert (stats.write_counts == 100).all()
+
+    def test_checkpoint_arrays_are_int64_and_restore_narrow_when_they_fit(self):
+        for top in (9, 70_000):
+            stats = WriteStats()
+            stats.record_written(np.arange(4, dtype=np.int64))
+            stats.record_written(np.full(top, 1, dtype=np.int64))
+            meta, arrays = stats.to_checkpoint()
+            assert arrays["stats.counts"].dtype == np.int64
+            restored = WriteStats.from_checkpoint(meta, arrays)
+            assert restored._counts.dtype == (np.uint16 if top < 65_535 else np.int64)
+            assert restored._ceiling == top + 1
+            np.testing.assert_array_equal(restored.write_counts, stats.write_counts)
+
+    @pytest.mark.parametrize("counts", [[1, -1, 2], [1, 1], [1, 1, 1, 0]])
+    def test_an_impossible_counter_array_is_a_corrupt_checkpoint(self, counts):
+        stats = WriteStats()
+        stats.record_written(np.arange(3, dtype=np.int64))
+        meta, arrays = stats.to_checkpoint()
+        arrays["stats.counts"] = np.asarray(counts, dtype=np.int64)
+        with pytest.raises(CheckpointCorruptError, match="stats.counts"):
+            WriteStats.from_checkpoint(meta, arrays)
 
 
 class TestWaTimelineEdgeCases:
