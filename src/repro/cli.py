@@ -6,15 +6,13 @@ stream of your own, and operate the storage system around it::
     python -m repro list
     python -m repro fig07
     python -m repro fig09 --scale 0.5 --seed 1
-    python -m repro all --scale 0.2 --workers 4
-    python -m repro run-all --workers 4
-    python -m repro run-all --workers 4 --no-cache --scale 0.5
+    python -m repro all --scale 0.2
     python -m repro fig07 --trace trace.jsonl
     python -m repro report trace.jsonl
     python -m repro decide --mu 5 --sigma 2 --dt 50 --budget 512
     python -m repro analyze mystream.csv --budget 512
     python -m repro generate out.csv --points 100000 --mu 4 --sigma 1.5
-    python -m repro crash-test --engines all --seeds 3 --workers 4
+    python -m repro crash-test --engines all --seeds 3
     python -m repro crash-test --faults fsync_delay,slow_merge --seeds 2
     python -m repro crash-test --fleet --shards 4 --seeds 2
     python -m repro checkpoint --dir state/
@@ -42,7 +40,7 @@ import time
 
 from .config import DEFAULT_MEMORY_BUDGET, DEFAULT_SSTABLE_SIZE
 from .errors import ReproError
-from .experiments import experiment_ids
+from .experiments import experiment_ids, registry
 from .obs import configure_telemetry, load_trace, render_trace_report
 from .tables import format_table
 
@@ -59,7 +57,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# -- experiments: <id>, all, run-all, list -------------------------------------------
+# -- experiments: <id>, all, list ----------------------------------------------------
 
 
 def _list(args: argparse.Namespace) -> int:
@@ -69,43 +67,22 @@ def _list(args: argparse.Namespace) -> int:
 
 
 def _experiments(args: argparse.Namespace) -> int:
-    """``<id>``, ``all`` and ``run-all``: one driver call, one print loop.
-
-    Results are bit-identical across worker counts and cache states;
-    only the status lines say which command ran them.
-    """
-    from .parallel import ResultCache, run_experiments
-
-    run_all = args.command == "run-all"
+    """``<id>`` and ``all``: run each experiment in turn and print its
+    result as soon as it finishes."""
     if args.trace is not None:
         configure_telemetry(sink=f"jsonl:{args.trace}")
-    cache = ResultCache(args.cache_dir) if run_all and not args.no_cache else None
-    started = time.perf_counter()
-    runs = run_experiments(
-        None if args.command in ("all", "run-all") else [args.command],
-        scale=args.scale,
-        seed=args.seed,
-        workers=args.workers,
-        cache=cache,
-    )
-    for run in runs:
-        print(run.result.render())
-        if args.csv_dir is not None:
-            for path in run.result.save_csv(args.csv_dir):
-                print(f"[wrote {path}]")
-        if run_all:
-            status = "cached" if run.cached else f"ran in {run.duration_s:.1f}s"
-            print(f"\n[{run.experiment_id}: {status}]\n")
-        else:
-            print(f"\n[{run.experiment_id} completed in "
-                  f"{run.duration_s:.1f}s]\n")
-    if run_all:
-        elapsed = time.perf_counter() - started
-        cached = sum(1 for run in runs if run.cached)
-        print(
-            f"[run-all: {len(runs)} experiments ({cached} cached) in "
-            f"{elapsed:.1f}s, workers={args.workers or 1}]"
+    ids = experiment_ids() if args.command == "all" else [args.command]
+    for experiment_id in ids:
+        started = time.perf_counter()
+        result = registry.run_experiment(
+            experiment_id, scale=args.scale, seed=args.seed
         )
+        duration_s = time.perf_counter() - started
+        print(result.render())
+        if args.csv_dir is not None:
+            for path in result.save_csv(args.csv_dir):
+                print(f"[wrote {path}]")
+        print(f"\n[{experiment_id} completed in {duration_s:.1f}s]\n", flush=True)
     if args.trace is not None:
         print(f"[telemetry trace written to {args.trace}]")
     return 0
@@ -388,7 +365,6 @@ def _crash_test(args: argparse.Namespace) -> int:
         seeds=args.seeds,
         n_points=6000 if args.points is None else args.points,
         workdir=args.workdir,
-        workers=args.workers,
         faults=_selection(args.faults),
         fleet_shards=args.shards if args.fleet else None,
     )
@@ -452,7 +428,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    # The flags '<id>', 'all' and 'run-all' share.
+    # The flags '<id>' and 'all' share.
     options = argparse.ArgumentParser(add_help=False)
     options.add_argument(
         "--scale",
@@ -478,16 +454,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
             "'report PATH'"
         ),
     )
-    options.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "fan experiments out over N worker processes (default: serial; "
-            "-1 = one per CPU); results are bit-identical to the serial run"
-        ),
-    )
 
     def command(name, handler, help, description=None, **kwargs):
         child = sub.add_parser(
@@ -502,29 +468,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         _experiments,
         "run every registered experiment (or one: give its id instead)",
         parents=[options],
-    )
-    run_all = command(
-        "run-all",
-        _experiments,
-        "run every experiment through the result cache",
-        description=(
-            "Run every registered experiment through the parallel driver: "
-            "unchanged experiments are served from the result cache, the "
-            "rest fan out over a worker pool; results are bit-identical "
-            "to a serial run"
-        ),
-        parents=[options],
-    )
-    run_all.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="always re-run; do not read or write the result cache",
-    )
-    run_all.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="result cache directory (default: .repro-cache)",
     )
 
     decide = command(
@@ -700,16 +643,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         "--workdir",
         default=None,
         help="keep WAL/checkpoint files here instead of a temp directory",
-    )
-    crash.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "run matrix cells on N worker processes (default: serial; "
-            "-1 = one per CPU)"
-        ),
     )
     crash.add_argument(
         "--fleet",

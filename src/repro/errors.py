@@ -99,11 +99,3 @@ class TelemetryError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment harness failure (unknown experiment id, bad scale...)."""
-
-
-class ParallelError(ReproError):
-    """The parallel execution subsystem was misused or a task failed."""
-
-
-class CacheError(ParallelError):
-    """The result cache was misused (unwritable directory, bad key...)."""

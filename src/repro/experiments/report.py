@@ -56,34 +56,6 @@ class ExperimentResult:
             notes=self.notes,
         ).render()
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable form, for the result cache and tooling.
-
-        The round-trip through :meth:`from_dict` preserves ``render()``
-        byte-for-byte: cells are stored as JSON-native values that
-        :func:`format_value` renders identically.
-        """
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "paper_reference": self.paper_reference,
-            "tables": [table.to_dict() for table in self.tables],
-            "notes": list(self.notes),
-            "charts": list(self.charts),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentResult":
-        """Rebuild a result stored by :meth:`to_dict`."""
-        return cls(
-            experiment_id=data["experiment_id"],
-            title=data["title"],
-            paper_reference=data["paper_reference"],
-            tables=[ResultTable.from_dict(t) for t in data.get("tables", [])],
-            notes=list(data.get("notes", [])),
-            charts=list(data.get("charts", [])),
-        )
-
     def save_csv(self, directory: str | Path) -> list[Path]:
         """Write one CSV per table into ``directory`` for external analysis.
 

@@ -506,33 +506,19 @@ def run_crash_case(
     return result
 
 
-def _cell_task(cell, workdir: str, size: dict):
-    """Worker task: one matrix cell, reporting on the worker's bus."""
-    from ..obs.telemetry import global_telemetry
-
-    bus = global_telemetry()
-    return run_crash_case(
-        *cell, workdir, telemetry=bus if bus.enabled else None, **size
-    )
-
-
 def run_crash_test(
     engines: list[str] | None = None,
     seeds: int = 3,
     n_points: int = 6000,
     workdir: str | None = None,
     telemetry=None,
-    workers: int | None = None,
     faults: list[str] | None = None,
     fleet_shards: int | None = None,
 ) -> CrashTestReport:
     """Run the full crash-test matrix: engines × fault kinds × seeds.
 
-    Every cell is independent (its WAL/checkpoint files are keyed by
-    ``engine-fault-seed``), so ``workers`` > 1 fans the matrix out over
-    a process pool with results identical to the serial sweep; worker
-    telemetry is merged into ``telemetry`` (or the process-global bus).
-    ``faults`` selects the fault kinds to sweep — pass overload kinds
+    Cells run one after another; each keys its WAL/checkpoint files by
+    ``engine-fault-seed``, so none sees another's files.  ``faults`` selects the fault kinds to sweep — pass overload kinds
     (:data:`OVERLOAD_FAULT_KINDS`) to crash-test the degraded engine.
     ``fleet_shards`` runs the fleet matrix instead — every
     :data:`FLEET_FAULT_KINDS` kind × seed against a fleet that wide
@@ -543,8 +529,6 @@ def run_crash_test(
     A selection that leaves no cell is a :class:`FaultError`: a matrix
     that tested nothing must not pass.
     """
-    from ..parallel.pool import Task, resolve_workers, run_tasks
-
     fleet = fleet_shards is not None
     keys = ["fleet"] if fleet else list(CRASH_TEST_ENGINES if engines is None else engines)
     default = FLEET_FAULT_KINDS if fleet else FAULT_KINDS
@@ -566,19 +550,8 @@ def run_crash_test(
     with tempfile.TemporaryDirectory() as tmp:
         base = workdir if workdir is not None else tmp
         os.makedirs(base, exist_ok=True)
-        if resolve_workers(workers) > 1:
-            tasks = [
-                Task(
-                    fn=_cell_task,
-                    args=(cell, base, size),
-                    label="crash:{}-{}-{}".format(*cell),
-                )
-                for cell in cells
-            ]
-            results = run_tasks(tasks, workers=workers, telemetry=telemetry)
-        else:
-            results = [
-                run_crash_case(*cell, base, telemetry=telemetry, **size)
-                for cell in cells
-            ]
+        results = [
+            run_crash_case(*cell, base, telemetry=telemetry, **size)
+            for cell in cells
+        ]
     return CrashTestReport(results)

@@ -32,9 +32,10 @@ def labelled_name(name: str, shard: str = "") -> str:
     The empty label (the default everywhere) keys the metric by its bare
     name, so single-database code and every existing trace consumer see
     exactly the names they always did.  A non-empty label yields
-    ``name{shard="..."}`` — a *distinct* key per shard, which is what
-    keeps :meth:`MetricsRegistry.merge_snapshot` from silently summing
-    two shards' counters into one row.
+    ``name{shard="..."}`` — a *distinct* key per shard, so the shards of
+    a fleet that share one registry keep one row each rather than
+    summing into one (:meth:`MetricsRegistry.shard_values` reads them
+    back apart).
     """
     if not shard:
         return name
@@ -126,34 +127,6 @@ class Histogram:
             return float("nan")
         return self.total / self.count
 
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold another histogram's :meth:`as_dict` snapshot into this one.
-
-        Both histograms must share the same bucket bounds; cross-process
-        merging (worker registries folded into the parent) always does,
-        because the instruments are created by the same code.
-        """
-        bounds = tuple(float(b) for b in snapshot["bounds"])
-        if bounds != self.bounds:
-            raise TelemetryError(
-                f"histogram {self.name!r}: cannot merge mismatched buckets "
-                f"{bounds} into {self.bounds}"
-            )
-        counts = snapshot["bucket_counts"]
-        if len(counts) != len(self.bucket_counts):
-            raise TelemetryError(
-                f"histogram {self.name!r}: malformed snapshot bucket counts"
-            )
-        if not snapshot["count"]:
-            return
-        for index, amount in enumerate(counts):
-            self.bucket_counts[index] += int(amount)
-        self.count += int(snapshot["count"])
-        self.total += float(snapshot["total"])
-        other_max = float(snapshot["max"])
-        if other_max > self.max:
-            self.max = other_max
-
     def as_dict(self) -> dict:
         """Snapshot: bounds, per-bucket counts and the summary stats."""
         return {
@@ -244,28 +217,6 @@ class MetricsRegistry:
                 n: h.as_dict() for n, h in sorted(self._histograms.items())
             },
         }
-
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold an :meth:`as_dict` snapshot into this registry.
-
-        Counters add, gauges take the snapshot's (later) value, histograms
-        combine bucket-wise.  This is how worker-process registries are
-        folded back into the parent after a parallel fan-out: merging every
-        worker snapshot yields exactly the totals a serial run would have
-        accumulated on one bus.
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, data in snapshot.get("histograms", {}).items():
-            self.histogram(name, buckets=tuple(data["bounds"])).merge_snapshot(
-                data
-            )
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another live registry into this one (see :meth:`merge_snapshot`)."""
-        self.merge_snapshot(other.as_dict())
 
     def render(self) -> str:
         """Aligned plain-text dump of the registry (debug/report helper)."""

@@ -181,8 +181,8 @@ class Telemetry:
         numbers — it *is* the same bus — but every metric it records is
         keyed per shard (:func:`~repro.obs.metrics.labelled_name`) and
         every event it emits carries a ``shard`` field, so a fleet of
-        engines reporting through per-shard views stays distinguishable
-        after any :meth:`~repro.obs.MetricsRegistry.merge_snapshot`.
+        engines reporting through per-shard views into one registry and
+        one trace stays distinguishable shard by shard.
         The disabled bus returns itself (still a no-op).
         """
         if not self.enabled or not shard:
@@ -195,50 +195,6 @@ class Telemetry:
         """Close every sink (flushes file sinks)."""
         for sink in self.sinks:
             sink.close()
-
-    def ring_events(self) -> list[dict]:
-        """Events buffered by the first in-memory sink (``[]`` if none)."""
-        from .sinks import RingBufferSink
-
-        for sink in self.sinks:
-            if isinstance(sink, RingBufferSink):
-                return sink.events
-        return []
-
-    # -- cross-process merge ----------------------------------------------------
-
-    def snapshot_payload(self) -> dict:
-        """JSON-serialisable snapshot for cross-process hand-off.
-
-        A worker process captures its bus with this after finishing a
-        task; the parent folds it back in with :meth:`absorb`.
-        """
-        return {
-            "metrics": self.registry.as_dict(),
-            "events": [dict(event) for event in self.ring_events()],
-        }
-
-    def absorb(self, payload: dict, worker: str | None = None) -> None:
-        """Fold a child bus snapshot into this bus.
-
-        Metrics merge exactly (counters add, histograms combine), so
-        totals equal what a serial run would have recorded.  Events are
-        re-emitted here tagged with ``worker``; they are re-stamped with
-        this bus's ``seq``/``ts_ms``, so within-worker order is preserved
-        but cross-worker interleaving follows absorption order.
-        """
-        if not self.enabled:
-            return
-        self.registry.merge_snapshot(payload.get("metrics", {}))
-        for event in payload.get("events", []):
-            forwarded = {
-                key: value
-                for key, value in event.items()
-                if key not in ("seq", "ts_ms")
-            }
-            if worker is not None:
-                forwarded.setdefault("worker", worker)
-            self.emit(forwarded)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "on" if self.enabled else "off"

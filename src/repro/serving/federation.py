@@ -31,8 +31,8 @@ mechanisms carry the cost model:
 
 There is no worker pool here: a series costs ~30 µs to query and one
 empty round trip through a warm process pool costs five times that
-(docs/performance.md "Federated reads" has the measurement).  Process
-parallelism lives in :mod:`repro.parallel.pool` for offline jobs only.
+(docs/performance.md "Federated reads" has the measurement).  The
+package starts no processes.
 
 Per-shard latency lands in the obs registry as
 ``federation.shard_latency_ms{shard=…}`` histograms.

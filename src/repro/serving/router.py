@@ -7,8 +7,7 @@ classic schemes:
 
 * ``hash`` — CRC-32 of the name modulo the shard count.  CRC-32 (not
   Python's salted ``hash``) keeps the mapping identical across
-  processes and interpreter runs, which the parallel ingest fan-out and
-  the fleet recovery protocol both rely on.
+  interpreter runs, which the fleet recovery protocol relies on.
 * ``range`` — lexicographic ranges split by ``n_shards - 1`` boundary
   strings; shard ``i`` owns names in ``[boundaries[i-1], boundaries[i])``.
   Range routing keeps related series (e.g. one vehicle's metrics, named

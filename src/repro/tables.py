@@ -17,27 +17,6 @@ from .errors import ExperimentError
 __all__ = ["Document", "ResultTable", "format_table", "format_value"]
 
 
-def _jsonable(value):
-    """One table cell as a JSON-native value that renders identically.
-
-    Numpy scalars become their Python equivalents (``np.float64`` is
-    already a ``float`` subclass; ``np.int64``/``np.bool_`` convert via
-    ``.item()``); anything else falls back to ``str``, which is exactly
-    how :func:`format_value` renders it anyway — so a cached result's
-    ``render()`` is byte-identical to the live run's.
-    """
-    if value is None or isinstance(value, (str, bool)):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, int):
-        return int(value)
-    item = getattr(value, "item", None)
-    if item is not None:
-        return _jsonable(item())
-    return str(value)
-
-
 def format_value(value) -> str:
     """Render one cell: floats get 4 significant digits, rest ``str``."""
     if isinstance(value, bool) or value is None:
@@ -100,23 +79,6 @@ class ResultTable:
                 f"no column {name!r} in {self.headers}"
             ) from exc
         return [row[index] for row in self.rows]
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (see :meth:`ExperimentResult.to_dict`)."""
-        return {
-            "caption": self.caption,
-            "headers": list(self.headers),
-            "rows": [[_jsonable(cell) for cell in row] for row in self.rows],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResultTable":
-        """Rebuild a table stored by :meth:`to_dict`."""
-        return cls(
-            caption=data["caption"],
-            headers=list(data["headers"]),
-            rows=[list(row) for row in data["rows"]],
-        )
 
 
 @dataclass

@@ -120,9 +120,15 @@ class TestExitCodes:
             main(["table02", "--scale", "not-a-number"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", ["all", "crash-test"])
+    def test_workers_is_a_deleted_flag_and_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", ["nan", "inf"])
-    @pytest.mark.parametrize("command", ["table02", "all", "run-all"])
+    @pytest.mark.parametrize("command", ["table02", "all"])
     def test_non_finite_scale_exits_2(self, command, scale, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--scale", scale])

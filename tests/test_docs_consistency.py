@@ -6,6 +6,7 @@ reproduction claims stay navigable as the library evolves.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,21 @@ class TestExamplesAndDocs:
             if line.startswith("|")
         ]
         assert [dict(zip(header, row)) for row in body] == engine_compositions()
+
+    def test_command_tables_are_one_table_of_the_command_tree(self, readme_text):
+        """README.md and docs/api.md print the same command table, and its
+        rows name exactly the commands of the tree, ``<id>`` beside
+        ``all``: a deleted command cannot stay documented."""
+        from repro.cli import _build_parser
+
+        def command_rows(text):
+            section = text.split("| command | what it does |\n|---|---|\n")[1]
+            return section.split("\n\n")[0].splitlines()
+
+        rows = command_rows(readme_text)
+        assert rows == command_rows((REPO / "docs" / "api.md").read_text())
+        named = [re.findall(r"`([^`\s]+)[^`]*`", row.split(" | ")[0]) for row in rows]
+        assert ["<id>", "all"] in named
+        assert sorted(name for row in named for name in row) == sorted(
+            [*_build_parser()[1].choices, "<id>"]
+        )

@@ -1,7 +1,7 @@
 """The front door: every command of the tree runs here, at its smallest
 size.  Most are replayed against ``tests/data/front_door_golden.json``
-(see :mod:`tests.front_door_support`); the two that run the whole
-registry pin a key line instead."""
+(see :mod:`tests.front_door_support`); ``all``, which runs the whole
+registry, is checked for order and streaming instead."""
 
 import re
 
@@ -9,7 +9,7 @@ import pytest
 
 from repro import reset_global_telemetry
 from repro.cli import _build_parser, main
-from repro.experiments import experiment_ids
+from repro.experiments import experiment_ids, registry
 from tests.front_door_support import CASES, RECORDED_AS, load_golden, run_case
 
 COMMANDS = sorted(_build_parser()[1].choices)
@@ -48,7 +48,7 @@ def test_command_prints_what_was_recorded(case_id):
 def test_every_command_of_the_tree_runs_in_this_file():
     replayed = {argv[0] for _, steps in CASES.values() for argv in steps}
     assert replayed - set(COMMANDS) <= set(experiment_ids())  # ids, not commands
-    assert set(COMMANDS) - replayed == {"all", "run-all"}  # run below
+    assert set(COMMANDS) - replayed == {"all"}  # run below
 
 
 @pytest.mark.parametrize("argv", [[], *([command] for command in COMMANDS), ["fig07"]])
@@ -59,7 +59,9 @@ def test_help_exits_0(argv, capsys):
     assert capsys.readouterr().out.startswith("usage: repro-experiments")
 
 
-@pytest.mark.parametrize("old", ["telemetry-report", "stability-report", "shard-report"])
+@pytest.mark.parametrize(
+    "old", ["telemetry-report", "stability-report", "shard-report", "run-all"]
+)
 def test_a_deleted_name_is_rejected_like_any_unknown_name(old, capsys):
     assert main([old]) == main(["no-such-command"]) == 1
     first, second = capsys.readouterr().err.splitlines()
@@ -67,24 +69,31 @@ def test_a_deleted_name_is_rejected_like_any_unknown_name(old, capsys):
     assert first.replace(old, "no-such-command") == second
 
 
-def test_run_all_twice_the_second_run_is_all_cached(tmp_path, capsys):
-    argv = ["run-all", "--cache-dir", str(tmp_path), "--scale", "0.05"]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    ran = re.findall(r"^\[(\w+): ran in [\d.]+s\]$", first, re.MULTILINE)
-    assert ran == experiment_ids() and "(0 cached)" in first
-    assert main(argv) == 0
-    second = capsys.readouterr().out
-    assert re.findall(r"^\[(\w+): cached\]$", second, re.MULTILINE) == ran
-    assert f"[run-all: {len(ran)} experiments ({len(ran)} cached)" in second
-    # The tables are the first run's, byte for byte.
-    strip = re.compile(r"^\[.*\]$", re.MULTILINE)
-    assert strip.sub("", first) == strip.sub("", second)
-
-
-def test_all_on_a_worker_pool(capsys):
-    assert main(["all", "--scale", "0.05", "--workers", "2"]) == 0
+def test_all_runs_every_experiment_in_registry_order(capsys):
+    assert main(["all", "--scale", "0.05"]) == 0
     out = capsys.readouterr().out
     done = re.findall(r"^\[(\w+) completed in [\d.]+s\]$", out, re.MULTILINE)
     assert done == experiment_ids()
+    titles = re.findall(r"^== (\w+): ", out, re.MULTILINE)
+    assert titles == experiment_ids()
+
+
+def test_all_prints_each_result_before_the_next_experiment_starts(
+    monkeypatch, capsys
+):
+    ids = ["table02", "fig05"]
+    monkeypatch.setattr("repro.cli.experiment_ids", lambda: ids)
+    printed_before = []
+    run = registry.run_experiment
+
+    def recording_run(experiment_id, **kwargs):
+        printed_before.append(capsys.readouterr().out)
+        return run(experiment_id, **kwargs)
+
+    monkeypatch.setattr(registry, "run_experiment", recording_run)
+    assert main(["all", "--scale", "0.05"]) == 0
+    first, second = printed_before
+    assert first == ""
+    assert second.startswith(f"== {ids[0]}: ")
+    assert f"[{ids[0]} completed in " in second
 

@@ -195,7 +195,10 @@ class TestTelemetryBus:
         with NULL_TELEMETRY.span("nothing") as span:
             span.set(a=1)
             span.rename("still-nothing")
-        assert NULL_TELEMETRY.ring_events() == []
+        assert NULL_TELEMETRY.sinks == []
+        assert NULL_TELEMETRY.registry.as_dict() == {
+            "counters": {}, "gauges": {}, "histograms": {}
+        }
 
     def test_build_telemetry_from_config(self):
         assert build_telemetry(LsmConfig()) is NULL_TELEMETRY

@@ -250,17 +250,6 @@ class TestShardLabels:
         assert sum(values.values()) == 150
         assert telemetry.registry.counter("fleet.ingest.points").value == 150
 
-    def test_labels_survive_a_registry_merge(self):
-        telemetry = Telemetry(sinks=[RingBufferSink()])
-        for shard, amount in ((shard_name(0), 7), (shard_name(1), 5)):
-            telemetry.registry.counter("db.write.points", shard=shard).inc(
-                amount
-            )
-        parent = Telemetry(sinks=[RingBufferSink()])
-        parent.registry.merge_snapshot(telemetry.registry.as_dict())
-        merged = parent.registry.shard_values("db.write.points")
-        assert merged == {shard_name(0): 7, shard_name(1): 5}
-
     def test_label_rejects_metachars(self):
         telemetry = Telemetry(sinks=[RingBufferSink()])
         with pytest.raises(TelemetryError):
