@@ -46,7 +46,7 @@ print(f"WA pi_s(n/2) (static) : {static_half.write_amplification:.3f}")
 print(f"WA pi_adaptive        : {adaptive.write_amplification:.3f}")
 
 print("\npolicy switches (arrival index -> policy):")
-for index, policy in adaptive.switch_log:
+for index, policy in adaptive.switches:
     print(f"  {index:>8} -> {policy}")
 
 # -- 3. WA over time ------------------------------------------------------------

@@ -9,14 +9,16 @@ C_seq and C_nonseq." (Section I-D.)
 :class:`DelayAnalyzer` is that component: feed it generation/arrival
 timestamp pairs as they stream in; it maintains a bounded delay sample,
 estimates the generation interval, fits a delay profile, runs Algorithm 1
-on demand, and flags distribution drift so callers (e.g.
-:class:`repro.lsm.AdaptiveEngine`) know when to re-tune.
+on demand, and flags distribution drift so its engine
+(:class:`repro.lsm.LeveledEngine`, which feeds it every ingested pair
+and checkpoints it — :meth:`DelayAnalyzer.to_checkpoint`) knows when to
+re-tune.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -126,9 +128,9 @@ class DelayAnalyzer:
         self._long_horizon = (
             GKQuantileSketch(epsilon=0.005) if track_long_horizon else None
         )
+        # The generation-time span observed (its count is the window's).
         self._max_tg = -np.inf
         self._min_tg = np.inf
-        self._tg_count = 0
         # Validated observations not yet folded into the above: clipped
         # delays and generation times, in arrival order.  The buffers are
         # the analyzer's own, so a caller may reuse its arrays.
@@ -184,7 +186,6 @@ class DelayAnalyzer:
             self._long_horizon.insert_many(delays)
         self._max_tg = max(self._max_tg, float(tg.max()))
         self._min_tg = min(self._min_tg, float(tg.min()))
-        self._tg_count += tg.size
 
     def _fold(self) -> None:
         """Record whatever is staged (every read starts here)."""
@@ -223,15 +224,15 @@ class DelayAnalyzer:
         """The fixed ``dt`` if given, else the mean generation interval."""
         if self._fixed_dt is not None:
             return self._fixed_dt
-        self._fold()
-        if self._tg_count < 2 or not np.isfinite(self._max_tg):
+        count = self.window.seen
+        if count < 2 or not np.isfinite(self._max_tg):
             raise ModelError(
                 "cannot estimate dt: need at least two observed points"
             )
         span = self._max_tg - self._min_tg
         if span <= 0:
             raise ModelError("cannot estimate dt: zero generation-time span")
-        return span / (self._tg_count - 1)
+        return span / (count - 1)
 
     def profile(self) -> DelayProfile:
         """Build the statistical profile of the current delay window."""
@@ -309,3 +310,50 @@ class DelayAnalyzer:
         if self.last_decision is None:
             return self.window.full
         return self.drift.drifted(self.window.sample())
+
+    # -- durability ------------------------------------------------------------
+
+    def to_checkpoint(self, arrays: dict) -> dict:
+        """The analyzer as checkpoint meta: its settings, window ring,
+        ``dt`` statistics and drift reference (the last two arrays into
+        ``arrays``).  The long-horizon sketch is not carried: a restored
+        analyzer's starts empty."""
+        window, drift = self.window, self.drift
+        arrays["analyzer.window"] = window.sample()
+        arrays["analyzer.tg_span"] = np.array([self._min_tg, self._max_tg])
+        if drift.has_reference:
+            arrays["analyzer.reference"] = drift._reference
+        return {
+            "memory_budget": self.memory_budget,
+            "dt": self._fixed_dt,
+            "window": window.capacity,
+            "use_empirical": self.use_empirical,
+            "model_config": asdict(self.model_config),
+            "drift": [drift.alpha, drift.min_samples, drift.statistic_floor],
+            "variant": self.variant,
+            "sstable_size": self.sstable_size,
+            "track_long_horizon": self._long_horizon is not None,
+            "seen": window.seen,
+        }
+
+    @classmethod
+    def from_checkpoint(cls, meta: dict, arrays: dict) -> "DelayAnalyzer":
+        """The analyzer :meth:`to_checkpoint` wrote (its last decision is
+        the engine's to restore)."""
+        analyzer = cls(
+            meta["memory_budget"],
+            dt=meta["dt"],
+            window=meta["window"],
+            use_empirical=meta["use_empirical"],
+            model_config=ModelConfig(**meta["model_config"]),
+            drift_detector=KsDriftDetector(*meta["drift"]),
+            variant=meta["variant"],
+            sstable_size=meta["sstable_size"],
+            track_long_horizon=meta["track_long_horizon"],
+        )
+        analyzer._window.offer_many(arrays["analyzer.window"])
+        analyzer._window._seen = meta["seen"]  # what the ring dropped counts too
+        analyzer._min_tg, analyzer._max_tg = arrays["analyzer.tg_span"].tolist()
+        if "analyzer.reference" in arrays:
+            analyzer.drift.set_reference(arrays["analyzer.reference"])
+        return analyzer

@@ -55,8 +55,8 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
             [
                 label,
                 engine.write_amplification,
-                len(engine.decision_log),
-                len(engine.switch_log),
+                len(engine.decisions),
+                len(engine.switches),
             ]
         )
     result = ExperimentResult(

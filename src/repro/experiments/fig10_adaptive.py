@@ -93,7 +93,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     result.add_table(
         "pi_adaptive policy switches",
         ["arrival index", "policy adopted"],
-        [[index, policy] for index, policy in adaptive.switch_log]
+        [[index, policy] for index, policy in adaptive.switches]
         or [["-", "no switch (stayed pi_c)"]],
     )
 

@@ -79,7 +79,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     result.add_table(
         "pi_adaptive switches",
         ["arrival index", "policy adopted"],
-        [[index, policy] for index, policy in adaptive.switch_log]
+        [[index, policy] for index, policy in adaptive.switches]
         or [["-", "no switch (stayed pi_c)"]],
     )
     best_static = min(
@@ -88,6 +88,6 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     result.notes.append(
         f"pi_adaptive WA {adaptive.write_amplification:.3f} vs best static "
         f"{best_static:.3f}; the tuner re-fit the delay profile "
-        f"{len(adaptive.decision_log)} times."
+        f"{len(adaptive.decisions)} times."
     )
     return result

@@ -105,7 +105,7 @@ def measure_wa_adaptive(
         span.set(
             points=engine.ingested_points,
             wa=engine.write_amplification,
-            switches=len(engine.switch_log),
+            switches=len(engine.switches),
         )
     return engine
 

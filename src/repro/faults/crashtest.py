@@ -28,7 +28,6 @@ import numpy as np
 from ..config import LsmConfig
 from ..distributions import ExponentialDelay
 from ..errors import FaultError, InjectedCrash
-from ..lsm.adaptive import AdaptiveEngine
 from ..lsm.policies.compose import ENGINES, engine_class
 from ..lsm.recovery import recover_engine
 from ..workloads.synthetic import generate_synthetic
@@ -269,15 +268,6 @@ def _batches(n_points: int, seed: int) -> list[slice]:
     return slices
 
 
-def _feed(engine, dataset, region: slice) -> None:
-    """Ingest ``region`` of ``dataset``; the adaptive engine takes the
-    arrival times beside the generation times."""
-    if isinstance(engine, AdaptiveEngine):
-        engine.ingest(dataset.tg[region], dataset.ta[region])
-    else:
-        engine.ingest(dataset.tg[region])
-
-
 def _prefix_mismatch(row, config: LsmConfig, dataset, recovered) -> str | None:
     """The durable-prefix proof: ``None`` when ``recovered`` has exactly
     the disk writes and per-point write counters of a crash-free
@@ -285,7 +275,7 @@ def _prefix_mismatch(row, config: LsmConfig, dataset, recovered) -> str | None:
     ``recovered.ingested_points`` points of ``dataset``; else why not."""
     durable = recovered.ingested_points
     clean = row.build(config)
-    _feed(clean, dataset, slice(0, durable))
+    clean.ingest(dataset.tg[:durable], dataset.ta[:durable])
     if recovered.stats.disk_writes == clean.stats.disk_writes and np.array_equal(
         recovered.stats.write_counts, clean.stats.write_counts
     ):
@@ -348,7 +338,6 @@ def run_crash_case(
     _check([engine], [fault])
     result = CrashCaseResult(engine=engine, fault=fault, seed=seed)
     fleet = engine == "fleet"
-    adaptive = engine == "adaptive"
     row = _ENGINES["pi_c" if fleet else engine]
     stem = os.path.join(workdir, f"{engine}-{fault}-{seed}")
     if fleet:
@@ -420,10 +409,8 @@ def run_crash_case(
                     sync=(index % 2 == 1),
                 )
             else:
-                _feed(live, datasets[engine], region)
-            # The adaptive engine never checkpoints: its analyzer is not
-            # durable, so its recovery is always a whole-WAL replay.
-            if index + 1 == checkpoint_after and not adaptive:
+                live.ingest(datasets[engine].tg[region], datasets[engine].ta[region])
+            if index + 1 == checkpoint_after:
                 if fleet:
                     live.checkpoint_all()
                 else:
@@ -524,8 +511,6 @@ def run_crash_test(
     :data:`FLEET_FAULT_KINDS` kind × seed against a fleet that wide
     (``engines`` and ``n_points`` do not apply to it).
 
-    The ``corrupt_checkpoint`` kind is skipped for the adaptive engine,
-    which never checkpoints (its recovery is always a full WAL replay).
     A selection that leaves no cell is a :class:`FaultError`: a matrix
     that tested nothing must not pass.
     """
@@ -539,7 +524,6 @@ def run_crash_test(
         (key, fault, seed)
         for key in keys
         for fault in kinds
-        if not (fault == "corrupt_checkpoint" and key == "adaptive")
         for seed in range(seeds)
     ]
     if not cells:

@@ -10,15 +10,16 @@ composition over the single :class:`~repro.lsm.policies.StorageKernel`
 crash matrix and ``python -m repro engines`` read.  Engines:
 
 * :class:`LeveledEngine` — the paper's system: one leveled run whose
-  ``n_seq : n_nonseq`` split is live state (``resplit``); the next three
+  ``n_seq : n_nonseq`` split is live state (``resplit``), optionally
+  with a delay analyzer it retunes from (``retune``); the next three
   are it, constructed under a given policy.
 * :class:`ConventionalEngine` — ``pi_c``: one MemTable, leveled merges
   (``single + merge + leveled``).
 * :class:`SeparationEngine` — ``pi_s(n_seq)``: in-order/out-of-order
   MemTables; flush-only for ``C_seq``, merge on full ``C_nonseq``
   (``split + separation + leveled``).
-* :class:`AdaptiveEngine` — ``pi_adaptive``: analyzer-driven re-splitting
-  between the two compositions above.
+* :class:`AdaptiveEngine` — ``pi_adaptive``: starts under ``pi_c`` and
+  retunes whenever its analyzer sees the delays drift.
 * :class:`IoTDBStyleEngine` — the deployed two-level variant with
   overlapping L1 flush files and background compaction (throughput and
   query experiments).

@@ -5,9 +5,10 @@ instance ("for each vehicle, more than two thousand time-series are
 recorded ... more than one-third of the time-series contain out-of-order
 data points", Section VI), and the analyzer decides the buffering policy
 *per workload*.  :class:`TimeSeriesDatabase` provides that layer: named
-series route to their own engine (and optionally their own analyzer),
-a global memory budget is divided across active series, and fleet-wide
-statistics aggregate per-series WA and policy choices.
+series route to their own engine (under ``auto_tune``, one carrying its
+own delay analyzer), a global memory budget is divided across active
+series, and fleet-wide statistics aggregate per-series WA and policy
+choices.
 
 A series has one :class:`~repro.lsm.conventional.LeveledEngine` from
 creation (or recovery) on.  Its policy is that engine's live split:
@@ -20,32 +21,27 @@ name derived from it (``ConventionalEngine`` / ``SeparationEngine``).
 from __future__ import annotations
 
 import json
-import logging
 import numbers
 import os
-import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import LsmConfig
-from ..core.analyzer import DelayAnalyzer, finite_delays
-from ..core.tuning import SEPARATION, PolicyDecision, map_concurrently
-from ..errors import EngineError, ModelError, RecoveryError
+from ..core.analyzer import DelayAnalyzer
+from ..core.tuning import map_concurrently
+from ..errors import EngineError, RecoveryError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from .base import Snapshot, validate_generation_times
+from .base import Snapshot, validate_points
 from .checkpoint import namespaced_stem, write_atomically
-from .conventional import LeveledEngine
+from .conventional import LeveledEngine, RetuneOutcome, decide
 from .policies.compose import engine_class
 
 __all__ = [
     "SeriesState", "FleetReport", "TimeSeriesDatabase", "decide_series",
     "manifest_filename", "load_manifest", "check_manifest",
 ]
-
-logger = logging.getLogger(__name__)
-
 
 def manifest_filename(namespace: str = "") -> str:
     """Manifest file name for one database under ``namespace``.
@@ -111,12 +107,11 @@ _SERIES_FIELDS = {
 
 @dataclass
 class SeriesState:
-    """One registered series: its engine and (optional) analyzer."""
+    """One registered series: its engine (its analyzer, decisions and
+    split are the engine's)."""
 
     name: str
     engine: LeveledEngine
-    analyzer: DelayAnalyzer | None
-    decision: PolicyDecision | None = None
 
     @property
     def config(self) -> LsmConfig:
@@ -158,27 +153,13 @@ class FleetReport:
         return self.disordered_series / self.series_count
 
 
-#: What Algorithm 1 answered for one series (or why it could not), and
-#: how long that took in milliseconds.
-RetuneOutcome = tuple[PolicyDecision | ModelError, float]
-
-
-def _decide(analyzer: DelayAnalyzer) -> RetuneOutcome:
-    started = time.perf_counter()
-    try:
-        outcome = analyzer.recommend()
-    except ModelError as error:
-        outcome = error
-    return outcome, (time.perf_counter() - started) * 1e3
-
-
 def decide_series(states: list[SeriesState]) -> list[RetuneOutcome]:
     """The decide half of a retune: every series' outcome, concurrently.
 
     Each analyzer is used by one thread only, and nothing else changes:
     the caller applies the outcomes, in order.
     """
-    return map_concurrently(_decide, [state.analyzer for state in states])
+    return map_concurrently(decide, [state.engine.analyzer for state in states])
 
 
 class TimeSeriesDatabase:
@@ -191,9 +172,10 @@ class TimeSeriesDatabase:
     sstable_size:
         SSTable size shared by all series.
     auto_tune:
-        When True every series gets its own :class:`DelayAnalyzer`; call
-        :meth:`retune` to (re-)decide each series' policy from its own
-        delay profile.  When False all series use ``pi_c``.
+        When True every series' engine carries its own
+        :class:`DelayAnalyzer`, fed the arrival times written with its
+        points; call :meth:`retune` to (re-)decide each series' policy
+        from its own delay profile.  When False all series use ``pi_c``.
     telemetry:
         Shared event bus for the whole database: per-series engines
         publish their flush/merge events to it and the router counts
@@ -201,10 +183,9 @@ class TimeSeriesDatabase:
     durability_dir:
         When set, every series keeps a write-ahead log under this
         directory, :meth:`checkpoint_all` persists per-series engine
-        checkpoints plus a manifest, and :meth:`recover` revives the
-        whole database from them.  Analyzer state is *not* durable: a
-        recovered database restarts its delay profiles and re-tunes once
-        enough new observations accumulate.
+        checkpoints (analyzers included) plus a manifest, and
+        :meth:`recover` revives the whole database from them; every
+        re-split is in the series' WAL.
     stability:
         Optional :meth:`LsmConfig.with_stability` overrides applied to
         every series engine — group-commit WAL knobs
@@ -284,18 +265,11 @@ class TimeSeriesDatabase:
             wal_path=self._wal_path(name),
             fault_plan=self.fault_plan,
         ).with_stability(**self.stability)
-        analyzer = (
-            DelayAnalyzer(
-                config.memory_budget,
-                sstable_size=config.sstable_size,
-            )
-            if self.auto_tune
-            else None
-        )
         state = SeriesState(
             name=name,
-            engine=LeveledEngine(config, telemetry=self.telemetry),
-            analyzer=analyzer,
+            engine=LeveledEngine(
+                config, telemetry=self.telemetry, analyzer=self._analyzer(config)
+            ),
         )
         self._series[name] = state
         self._had_disorder[name] = False
@@ -311,6 +285,12 @@ class TimeSeriesDatabase:
             )
             self.telemetry.count("db.series")
         return state
+
+    def _analyzer(self, config: LsmConfig) -> DelayAnalyzer | None:
+        """A new series' analyzer (``None`` unless ``auto_tune``)."""
+        if not self.auto_tune:
+            return None
+        return DelayAnalyzer(config.memory_budget, sstable_size=config.sstable_size)
 
     def series(self, name: str) -> SeriesState:
         """Look up a registered series."""
@@ -334,41 +314,26 @@ class TimeSeriesDatabase:
         """Append arrival-ordered points to ``name`` (created on demand);
         returns how many.
 
-        A batch is checked before anything changes: non-finite ``tg``
+        A batch is checked before anything changes (by the engine,
+        :func:`~repro.lsm.base.validate_points`): non-finite ``tg``
         (:class:`EngineError`), a ``ta`` that is misaligned, non-finite
         or so far from ``tg`` that the delay overflows
         (:class:`ModelError`), a closed engine or a shed batch
-        (:class:`BackpressureError`) raise with the engine, the analyzer
+        (:class:`BackpressureError`) raise with the engine, its analyzer
         and the disorder tracking exactly as they were, so the caller
         can fix or retry the batch verbatim.
         """
         tg = np.ascontiguousarray(tg, dtype=np.float64)
-        if ta is not None:
-            ta = np.ascontiguousarray(ta, dtype=np.float64)
-            if ta.size != tg.size:
-                raise ModelError(
-                    f"tg and ta must align: {tg.size} vs {ta.size}"
-                )
-            if ta.shape != tg.shape or finite_delays(tg, ta) is None:
-                # The pair is bad; say how, ``ta`` first.  A bad ``tg``
-                # is the engine's to reject below, as it is without ta.
-                if not np.isfinite(ta).all():
-                    raise ModelError("arrival times must be finite; got NaN/inf")
-                if tg.ndim == 1 and np.isfinite(tg).all():
-                    raise ModelError(
-                        "ta must pair with tg point by point at a finite "
-                        f"delay: shapes {tg.shape} vs {ta.shape}, or "
-                        "ta - tg overflows"
-                    )
         state = self._series.get(name)
         if state is None:
-            # The engine checks tg below, but that is too late to stop a
-            # rejected first batch from registering an empty series.
-            validate_generation_times(tg)
+            # The engine checks the batch below, but that is too late to
+            # stop a rejected first batch from registering an empty series.
+            validate_points(tg, ta)
             state = self.create_series(name)
-        # The engine validates tg, admits and (with a WAL) logs before
-        # it places a point; what follows runs only for accepted batches.
-        state.engine.ingest(tg)
+        # The engine validates, admits, logs (with a WAL) and observes
+        # (with an analyzer) before it places a point; what follows runs
+        # only for accepted batches.
+        state.engine.ingest(tg, ta)
         if tg.size == 0:
             return 0
         last = self._last_tg[name]
@@ -382,8 +347,6 @@ class TimeSeriesDatabase:
         else:
             # In order so far: the newest point is the running maximum.
             self._last_tg[name] = float(tg[-1])
-        if state.analyzer is not None and ta is not None:
-            state.analyzer.observe(tg, ta)
         if self.telemetry.enabled:
             self.telemetry.count("db.write.batches")
             self.telemetry.count("db.write.points", int(tg.size))
@@ -431,9 +394,10 @@ class TimeSeriesDatabase:
         any series is decided.
 
         The series are decided concurrently (:func:`decide_series`),
-        then applied one by one in series order, so every decision and
-        event equals a serial retune's; ``duration_ms`` is each
-        decision's own time.
+        then applied one by one in series order through each engine's
+        :meth:`~repro.lsm.conventional.LeveledEngine.retune`, so every
+        decision and event equals a serial retune's; ``duration_ms`` is
+        each decision's own time.
         """
         candidates = self._retune_candidates(min_observations)
         return self._apply_retune(candidates, decide_series(candidates))
@@ -451,8 +415,8 @@ class TimeSeriesDatabase:
         return [
             state
             for state in self._series.values()
-            if state.analyzer is not None
-            and state.analyzer.observed_points >= min_observations
+            if state.engine.analyzer is not None
+            and state.engine.analyzer.observed_points >= min_observations
         ]
 
     def _apply_retune(
@@ -463,58 +427,9 @@ class TimeSeriesDatabase:
         """Apply the :func:`decide_series` outcomes of ``candidates`` in
         series order; draws one outcome per candidate from ``outcomes``."""
         switched: dict[str, str] = {}
-        telemetry = self.telemetry
-        for state, (decision, duration_ms) in zip(candidates, outcomes):
-            analyzer = state.analyzer
-            if isinstance(decision, ModelError):
-                logger.warning(
-                    "retune skipped series %r, which keeps %s: %s",
-                    state.name,
-                    state.policy_label,
-                    decision,
-                )
-                telemetry.emit(
-                    {
-                        "type": "db.retune_skipped",
-                        "series": state.name,
-                        "policy": state.policy_label,
-                        "reason": str(decision),
-                    }
-                )
-                continue
-            state.decision = decision
-            if telemetry.enabled:
-                telemetry.emit(
-                    {
-                        "type": "db.retune_decision",
-                        "series": state.name,
-                        "observed_points": analyzer.observed_points,
-                        "sample_count": len(analyzer.window),
-                        "dt": analyzer.estimated_dt(),
-                        "memory_budget": analyzer.memory_budget,
-                        "sstable_size": analyzer.sstable_size,
-                        "policy": decision.policy,
-                        "seq_capacity": decision.seq_capacity,
-                        "r_c": decision.r_c,
-                        "r_s_star": decision.r_s_star,
-                        "candidates": int(decision.sweep_n_seq.size),
-                        "duration_ms": duration_ms,
-                        "rows_computed": decision.rows_computed,
-                    }
-                )
-            if state.engine.resplit(
-                decision.seq_capacity if decision.policy == SEPARATION else None
-            ):
+        for state, outcome in zip(candidates, outcomes):
+            if state.engine.retune(outcome, series=state.name):
                 switched[state.name] = state.policy_label
-                if telemetry.enabled:
-                    telemetry.emit(
-                        {
-                            "type": "db.series_retuned",
-                            "series": state.name,
-                            "policy": state.policy_label,
-                        }
-                    )
-                    telemetry.count("db.retunes")
         return switched
 
     def resize_series(
@@ -554,8 +469,6 @@ class TimeSeriesDatabase:
             )
         if not state.engine.resplit(seq_capacity, memory_budget):
             return False
-        if state.analyzer is not None:
-            state.analyzer.memory_budget = memory_budget
         if self.telemetry.enabled:
             self.telemetry.emit(
                 {
@@ -634,8 +547,9 @@ class TimeSeriesDatabase:
         """Revive a database from ``durability_dir``.
 
         Each series is recovered independently: checkpoint restore (when
-        the checkpoint validates) plus truncating WAL tail replay; a
-        corrupt or missing checkpoint falls back to a full WAL replay.
+        the checkpoint validates; its analyzer included) plus truncating
+        WAL tail replay, re-splits and observations included; a corrupt
+        or missing checkpoint falls back to a full WAL replay.
         Every recovered engine is verified before the database is handed
         back.  ``namespace`` selects which database's manifest to read
         when several share the directory.
@@ -685,20 +599,14 @@ class TimeSeriesDatabase:
                 wal_path=config.wal_path,
                 checkpoint_path=os.path.join(durability_dir, entry["checkpoint"]),
                 config=config,
+                engine_kwargs={"analyzer": db._analyzer(config)},
                 telemetry=db.telemetry if db.telemetry.enabled else None,
             )
-            analyzer = (
-                DelayAnalyzer(
-                    config.memory_budget, sstable_size=manifest["sstable_size"]
-                )
-                if db.auto_tune
-                else None
-            )
-            db._series[name] = SeriesState(
-                name=name,
-                engine=report.engine,
-                analyzer=analyzer,
-            )
+            engine = report.engine
+            if engine.analyzer is None:
+                # A checkpoint written before analyzers were durable.
+                engine.analyzer = db._analyzer(engine.config)
+            db._series[name] = SeriesState(name=name, engine=engine)
             db._had_disorder[name] = bool(entry["had_disorder"])
             db._last_tg[name] = float(entry["last_tg"])
         if db.telemetry.enabled:

@@ -16,9 +16,8 @@ life.  The MemTable layout (placement + flush, and the scheduler and
 admission controller sized from the same config) is bound through
 :meth:`StorageKernel.rebind`: once by the constructor, and again when an
 engine re-splits its write memory while running
-(:meth:`~repro.lsm.conventional.LeveledEngine.resplit` — the database's
-retune and resize, and the adaptive engine's switch), on a drained
-kernel.
+(:meth:`~repro.lsm.conventional.LeveledEngine.resplit` — every retune
+and resize), on a drained kernel.
 Every registered engine class is a :class:`StorageKernel`; there is no
 other implementor of :class:`~repro.lsm.base.LsmEngine`.
 

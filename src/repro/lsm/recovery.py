@@ -16,20 +16,17 @@ The recovery protocol, in order:
    :class:`~repro.errors.WalError` and leaves the file as it is.
 3. **Replay the WAL tail**: every decoded record is re-ingested through
    :meth:`LsmEngine._replay` (bypassing the WAL append, so the log is not
-   re-written).  Ids regenerate identically because they are sequential
-   from each record's ``start_id``.
+   re-written) — its ``(tg, ta)`` pairs through the engine's analyzer
+   when it has one, and a control frame as the re-split it logged.  Ids
+   regenerate identically because they are sequential from each
+   record's ``start_id``.
 4. **Verify** the recovered engine's crash-consistency invariants
    (:mod:`repro.lsm.invariants`).
 
 The result lands in a state bit-identical to a crash-free run over the
 durable prefix (modulo cosmetic SSTable sequence numbers).
 
-There is one loop, :func:`recover_engine`, for every engine class.  The
-adaptive engine is recovered without step 1 (``checkpoint_path=None``):
-its analyzer is not durable and its retune timing must replay, so it
-always starts from an empty engine.  Replay is deterministic: records
-carry the original ``(tg, ta)`` pairs and the analyzer/retune cadence
-depends only on the point stream, not on the original batch boundaries.
+There is one loop, :func:`recover_engine`, for every engine class.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..errors import CheckpointCorruptError, RecoveryError
+from ..errors import CheckpointCorruptError, ConfigError, RecoveryError
 from .base import LsmEngine
 from .wal import WalRecord, read_wal
 
@@ -124,8 +121,12 @@ def recover_engine(
         report.notes.append(
             f"truncated {wal.torn_bytes} torn bytes from {wal_path}"
         )
+    # Replay logs nothing, the re-splits a trigger re-derives included
+    # (an engine whose replay fails is not handed back).
+    handle, engine._wal = engine._wal, None
     for record in wal.records:
-        _replay_record(engine, record, report)
+        _replay_record(engine, record, report, wal_path)
+    engine._wal = handle
     report.durable_points = engine.ingested_points
     _publish(engine.telemetry, engine.policy_name, report)
     if verify:
@@ -135,17 +136,32 @@ def recover_engine(
 
 
 def _replay_record(
-    engine: LsmEngine, record: WalRecord, report: RecoveryReport
+    engine: LsmEngine, record: WalRecord, report: RecoveryReport, wal_path: str
 ) -> None:
-    """Feed one durable record past the checkpoint into the engine."""
-    if record.start_id != engine.ingested_points:
+    """Feed one durable record past the checkpoint into the engine.
+
+    A control frame re-splits the engine at its arrival index.  One
+    behind the cursor is a re-split the engine's trigger made inside the
+    batch logged before it, which that batch's replay re-derived."""
+    at = engine.ingested_points
+    if record.start_id > at or (record.start_id < at and record.split is None):
         raise RecoveryError(
             f"WAL record spans ids [{record.start_id}, {record.end_id}) but "
-            f"the engine is at id {engine.ingested_points}: checkpoints are "
+            f"the engine is at id {at}: checkpoints are "
             "taken at batch boundaries, so a straddling record means the "
             "log and checkpoint disagree"
         )
-    engine._replay(record)
+    if record.split is None:
+        engine._replay(record)
+    elif record.start_id == at:
+        try:
+            if not hasattr(engine, "resplit"):
+                raise ConfigError(f"{engine.policy_name} cannot re-split its write memory")
+            engine.resplit(*record.split)
+        except ConfigError as exc:
+            raise RecoveryError(
+                f"{wal_path}@{record.offset}: control frame re-splits to {record.split}: {exc}"
+            ) from None
     report.replayed_records += 1
     report.replayed_points += record.count
 

@@ -55,6 +55,14 @@ _FLEET_FIELDS = {
 }
 
 
+def _check_arbiter(arbiter: MemoryArbiter | None, auto_tune: bool) -> None:
+    if arbiter is not None and not auto_tune:
+        raise EngineError(
+            "the memory arbiter needs per-series delay profiles; "
+            "construct the fleet with auto_tune=True"
+        )
+
+
 class ShardedDatabase:
     """N routed :class:`TimeSeriesDatabase` shards behind one front-end.
 
@@ -102,11 +110,7 @@ class ShardedDatabase:
         shard_fault_plans: dict[int, object] | None = None,
     ) -> None:
         self.router = router if router is not None else ShardRouter(n_shards)
-        if arbiter is not None and not auto_tune:
-            raise EngineError(
-                "the memory arbiter needs per-series delay profiles; "
-                "construct the fleet with auto_tune=True"
-            )
+        _check_arbiter(arbiter, auto_tune)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.durability_dir = durability_dir
         self.stability = dict(stability) if stability else {}
@@ -303,7 +307,7 @@ class ShardedDatabase:
         for db in self.shards:
             for name in db.series_names():
                 state = db.series(name)
-                analyzer = state.analyzer
+                analyzer = state.engine.analyzer
                 if (
                     analyzer is None
                     or analyzer.observed_points < arbiter.min_observations
@@ -445,6 +449,7 @@ class ShardedDatabase:
                     namespace=namespace,
                 )
             )
+        _check_arbiter(arbiter, all(db.auto_tune for db in fleet.shards))
         if fleet.telemetry.enabled:
             fleet.telemetry.count("fleet.recoveries")
         return fleet

@@ -186,13 +186,9 @@ def snapshot_digest(snapshot) -> dict:
 def _feed(engine, workload: str) -> None:
     """Feed ``workload`` in ``CHUNK``-point batches."""
     dataset = TABLE_II[workload].build(n_points=N_POINTS, seed=3)
-    adaptive = isinstance(engine, AdaptiveEngine)
     for pos in range(0, len(dataset), CHUNK):
-        chunk_tg = dataset.tg[pos : pos + CHUNK]
-        if adaptive:
-            engine.ingest(chunk_tg, dataset.ta[pos : pos + CHUNK])
-        else:
-            engine.ingest(chunk_tg)
+        # Arrival times too: only an engine with an analyzer keeps them.
+        engine.ingest(dataset.tg[pos : pos + CHUNK], dataset.ta[pos : pos + CHUNK])
 
 
 def _drive(engine, workload: str) -> None:
@@ -270,8 +266,8 @@ def profile_engine(engine_key: str, workload: str) -> dict:
         profile["foreground_ms"] = round(engine.compaction.foreground_ms, 9)
         profile["background_ms"] = round(engine.compaction.background_ms, 9)
     if isinstance(engine, AdaptiveEngine):
-        profile["switches"] = [[int(i), label] for i, label in engine.switch_log]
-        profile["decisions"] = len(engine.decision_log)
+        profile["switches"] = [[int(i), label] for i, label in engine.switches]
+        profile["decisions"] = len(engine.decisions)
         profile["current_policy"] = engine.current_policy
     return profile
 
@@ -285,7 +281,7 @@ def profile_scheduled(engine_key: str, workload: str) -> dict:
     if isinstance(engine, AdaptiveEngine):
         # A switch starts a fresh scheduler, so lifetime counters would
         # describe only the last policy; where it switched is pinned.
-        profile["switches"] = [[int(i), label] for i, label in engine.switch_log]
+        profile["switches"] = [[int(i), label] for i, label in engine.switches]
         return profile
     scheduler = engine.scheduler
     profile["scheduler"] = {

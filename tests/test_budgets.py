@@ -289,9 +289,9 @@ def test_a_fleet_retune_keeps_its_regime_and_row_budget(monkeypatch):
     rows, serial_rows = 0, 0
     for name, policy in expected.items():
         state = fleet.database_for(name).series(name)
-        decision = state.decision
+        decision = state.engine.analyzer.last_decision
         assert state.policy_label.startswith("pi_s" if policy == "s" else "pi_c"), name
-        profile = state.analyzer.profile()
+        profile = state.engine.analyzer.profile()
         curve = InOrderCurve(profile.distribution, profile.dt)
         phases = [  # Eq. 4: the buffer sizes zeta was asked for
             k * (budget - k) / g + (budget - k)

@@ -570,11 +570,11 @@ class TestColdCostModel:
             check_interval=512,
         )
         engine.ingest(dataset.tg[:3000], dataset.ta[:3000])
-        assert not engine.switch_log
+        assert not engine.switches
         converted = engine.convert_cold()
         assert converted > 0
         engine.ingest(dataset.tg[3000:], dataset.ta[3000:])
-        assert engine.switch_log, "the stream must switch policy after converting"
+        assert engine.switches, "the stream must switch policy after converting"
         counter = engine.telemetry.registry.counter("cold_tier.tables_converted")
         assert engine.cold_tables_converted == counter.value == converted
 

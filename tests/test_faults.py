@@ -220,7 +220,6 @@ class TestCrashMatrixSelection:
             ["--faults", ","],
             ["--fleet", "--seeds", "0"],
             ["--fleet", "--faults", ","],
-            ["--engines", "adaptive", "--faults", "corrupt_checkpoint"],
         ],
         ids=" ".join,
     )
@@ -229,6 +228,12 @@ class TestCrashMatrixSelection:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: empty crash matrix")
         assert captured.out == ""
+
+    def test_adaptive_corrupt_checkpoint_is_a_cell(self, capsys):
+        """The adaptive engine checkpoints like every other engine, so
+        this selection is no longer empty."""
+        assert main(["crash-test", "--engines", "adaptive", "--faults", "corrupt_checkpoint"]) == 0
+        assert capsys.readouterr().out.endswith("3 cases, 3 ok, 0 failed\n")
 
     def test_an_empty_report_is_not_ok(self):
         report = CrashTestReport()

@@ -9,6 +9,7 @@ from repro import (
     IoTDBStyleEngine,
     LogNormalDelay,
     LsmConfig,
+    ModelError,
 )
 from repro.lsm.policies import SeparationFlush, SplitPlacement, StorageKernel
 from repro.workloads import generate_synthetic
@@ -29,7 +30,7 @@ class TestAdaptiveEngine:
         engine.ingest(dataset.tg, dataset.ta)
         engine.flush_all()
         assert engine.current_policy.startswith("pi_s")
-        assert engine.switch_log
+        assert engine.switches
         assert engine.write_amplification >= 1.0
 
     def test_stays_conventional_on_ordered_stream(self):
@@ -66,8 +67,8 @@ class TestAdaptiveEngine:
             LsmConfig(memory_budget=512, sstable_size=512), check_interval=4096
         )
         engine.ingest(dataset.tg, dataset.ta)
-        assert engine.decision_log
-        index, decision = engine.decision_log[0]
+        assert engine.decisions
+        index, decision, _ = engine.decisions[0]
         assert index > 0
         assert decision.r_c > 0
 
@@ -84,7 +85,7 @@ class TestAdaptiveEngine:
         assert engine.current_policy == "pi_c"
         assert engine.config.seq_capacity is None
         engine.ingest(dataset.tg, dataset.ta)
-        assert engine.switch_log
+        assert engine.switches
         n_seq = engine.placement.seq.capacity
         assert engine.config.seq_capacity == n_seq
         assert engine.current_policy == f"pi_s(n_seq={n_seq})"
@@ -129,7 +130,7 @@ class TestAdaptiveEngine:
 
     def test_misaligned_inputs_rejected(self):
         engine = AdaptiveEngine(LsmConfig(memory_budget=64, sstable_size=64))
-        with pytest.raises(EngineError):
+        with pytest.raises(ModelError, match="must align"):
             engine.ingest(np.array([1.0, 2.0]), np.array([1.0]))
 
     def test_bad_check_interval_rejected(self):

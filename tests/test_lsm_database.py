@@ -96,8 +96,8 @@ class TestRejectedBatchLeavesNoTrace:
             db._last_tg["a"],
             db._had_disorder["a"],
             state.engine.ingested_points,
-            state.analyzer.observed_points,
-            state.analyzer.window.sample().tolist(),
+            state.engine.analyzer.observed_points,
+            state.engine.analyzer.window.sample().tolist(),
         )
 
     @pytest.mark.parametrize(
@@ -121,7 +121,7 @@ class TestRejectedBatchLeavesNoTrace:
         # Disorder tracking and the delay profile still work afterwards.
         db.write("a", np.array([500.0]), np.array([2030.0]))
         assert db._had_disorder["a"]
-        assert np.isfinite(db.series("a").analyzer.profile().distribution.mean())
+        assert np.isfinite(db.series("a").engine.analyzer.profile().distribution.mean())
 
     def test_invalid_first_batch_registers_no_series(self):
         db = TimeSeriesDatabase(memory_budget_per_series=8, sstable_size=8)
@@ -215,7 +215,7 @@ class TestRetune:
     def test_no_analyzers_without_auto_tune(self):
         db = TimeSeriesDatabase(auto_tune=False)
         db.write("s", np.arange(10, dtype=np.float64))
-        assert db.series("s").analyzer is None
+        assert db.series("s").engine.analyzer is None
         assert db.retune() == {}
 
     @pytest.mark.parametrize("facade", ["database", "fleet"])
@@ -238,7 +238,7 @@ class TestRetune:
         with pytest.raises(EngineError, match="^min_observations must be an integer >= 0"):
             target.retune(min_observations)
         state = (target if facade == "database" else target.database_for("tiny")).series("tiny")
-        assert (state.decision, state.analyzer.last_decision) == (None, None)
+        assert (state.engine.decisions, state.engine.analyzer.last_decision) == ([], None)
         assert state.policy_label == "pi_c"
 
 
@@ -289,7 +289,7 @@ class TestRetuneSkipsWhatItCannotProfile:
             assert switched[name] == db.series(name).policy_label
             assert switched[name].startswith("pi_s(n_seq=")
         assert db.series("stuck").policy_label == "pi_c"
-        assert db.series("stuck").decision is None
+        assert db.series("stuck").engine.decisions == []
         skipped = [e for e in sink.events if e["type"] == "db.retune_skipped"]
         assert [(e["series"], e["policy"], e["reason"]) for e in skipped] == [
             ("stuck", "pi_c", self.REASON)
@@ -330,7 +330,7 @@ class TestDecisionRecords:
         }
         assert sorted(records) == ["clean", "noisy"]  # "tiny" was not considered
         for name, observed in (("noisy", 6000), ("clean", 5000)):
-            record, decision = records[name], db.series(name).decision
+            record, decision = records[name], db.series(name).engine.analyzer.last_decision
             assert record["observed_points"] == observed
             assert record["sample_count"] == 4096
             assert record["dt"] == pytest.approx(50.0, rel=1e-3)
@@ -432,7 +432,12 @@ class TestOneEnginePerSeries:
         db.write("s", stream.tg[2:4] + 1e9)
         db.checkpoint_all()
         db.sync()
-        starts = [r.start_id for r in read_wal(engine.config.wal_path).records]
+        records = read_wal(engine.config.wal_path).records
+        # The retune is a control frame at the arrival it was made at.
+        assert [(r.start_id, r.split) for r in records if r.split is not None] == [
+            (6000, (engine.config.seq_capacity, 512))
+        ]
+        starts = [r.start_id for r in records if r.split is None]
         assert starts[-2:] == [6000, 6002]
         assert all(a < b for a, b in zip(starts, starts[1:]))
         revived = TimeSeriesDatabase.recover(directory)

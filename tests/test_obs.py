@@ -357,8 +357,8 @@ class TestAdaptiveAndDatabase:
             e for e in sink.events if e["type"] == "adaptive.decision"
         ]
         switches = [e for e in sink.events if e["type"] == "adaptive.switch"]
-        assert len(decisions) == len(engine.decision_log)
-        assert len(switches) == len(engine.switch_log)
+        assert len(decisions) == len(engine.decisions)
+        assert len(switches) == len(engine.switches)
 
     def test_database_counts_routed_writes(self):
         sink = RingBufferSink(capacity=100_000)

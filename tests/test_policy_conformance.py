@@ -310,7 +310,7 @@ class TestAdaptiveRestore:
             engine.ingest(
                 dataset.tg[pos : pos + 937], dataset.ta[pos : pos + 937]
             )
-        assert engine.switch_log, "workload M8 must trigger a policy switch"
+        assert engine.switches, "workload M8 must trigger a policy switch"
         assert engine.current_policy.startswith("pi_s")
 
         ckpt = str(tmp_path / "adaptive.ckpt")
@@ -318,8 +318,8 @@ class TestAdaptiveRestore:
         restored = LsmEngine.restore(ckpt)
         assert isinstance(restored, AdaptiveEngine)
         assert restored.current_policy == engine.current_policy
-        assert restored.switch_log == engine.switch_log
-        assert len(restored.decision_log) == len(engine.decision_log)
+        assert restored.switches == engine.switches
+        assert len(restored.decisions) == len(engine.decisions)
         _assert_same_state(engine, restored)
 
         tail = TABLE_II["M8"].build(n_points=6000, seed=3)
@@ -329,6 +329,23 @@ class TestAdaptiveRestore:
         restored.flush_all()
         _assert_same_state(engine, restored)
         restored.verify()
+
+        # The delays collapse: a tail that crosses checks and drifts.  The
+        # restored analyzer holds the checkpointed window and drift
+        # reference, so it retunes where the live one does.
+        calm = generate_dynamic(
+            [DelaySegment(3000, LogNormalDelay(0.0, 0.25))], dt=10.0, seed=4
+        )
+        decided = len(engine.decisions)
+        for side in (engine, restored):
+            side.ingest(calm.tg + 2e6, calm.ta + 2e6)
+            side.flush_all()
+        assert len(engine.decisions) > decided, "the tail must drift"
+        assert restored.switches == engine.switches
+        assert [d.arrival_index for d in restored.decisions] == [
+            d.arrival_index for d in engine.decisions
+        ]
+        _assert_same_state(engine, restored)
 
 
 _DIFF_STREAMS = {
@@ -359,12 +376,12 @@ def test_rebind_in_place_equals_successor_engines(stream, scheduled):
     for pos in range(0, len(dataset), step):
         adaptive.ingest(dataset.tg[pos : pos + step], dataset.ta[pos : pos + step])
     adaptive.flush_all()
-    decided = dict(adaptive.decision_log)
+    decided = {index: decision for index, decision, _ in adaptive.decisions}
     splits = {
         index: decided[index].seq_capacity
         if decided[index].policy == SEPARATION
         else None
-        for index, _ in adaptive.switch_log
+        for index, _ in adaptive.switches
     }
     assert splits, "the stream must switch policy at least once"
 
@@ -428,8 +445,8 @@ class TestLegacyCheckpoints:
         if key == "adaptive":
             # Recorded mid-stream: after a switch, points still buffered.
             assert engine.current_policy == expected["current_policy"]
-            assert [list(s) for s in engine.switch_log] == expected["switch_log"]
-            assert len(engine.decision_log) == expected["decisions"]
+            assert [list(s) for s in engine.switches] == expected["switch_log"]
+            assert len(engine.decisions) == expected["decisions"]
             engine.ingest(tail, tail + 1.0)
         else:
             engine.ingest(tail)

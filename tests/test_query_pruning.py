@@ -34,7 +34,6 @@ from tests.conformance_support import (
 )
 from repro.config import LsmConfig
 from repro.errors import QueryError
-from repro.lsm.adaptive import AdaptiveEngine
 from repro.lsm.base import Snapshot
 from repro.lsm.conventional import ConventionalEngine
 from repro.lsm.memtable import EMPTY_IDS, EMPTY_TG, MemTable
@@ -49,14 +48,9 @@ N_POINTS = 4000
 def _build_engine(engine_key, workload, stop=None):
     engine = PRUNING_ENGINE_FACTORIES[engine_key](None)
     dataset = TABLE_II[workload].build(n_points=N_POINTS, seed=11)
-    adaptive = isinstance(engine, AdaptiveEngine)
     stop = len(dataset) if stop is None else stop
     for pos in range(0, stop, CHUNK):
-        chunk_tg = dataset.tg[pos : pos + CHUNK]
-        if adaptive:
-            engine.ingest(chunk_tg, dataset.ta[pos : pos + CHUNK])
-        else:
-            engine.ingest(chunk_tg)
+        engine.ingest(dataset.tg[pos : pos + CHUNK], dataset.ta[pos : pos + CHUNK])
     return engine, dataset
 
 
@@ -204,10 +198,7 @@ def _summary_state(engine_key, layout, stage):
     tg, ta = _duplicate_heavy_stream()
     stop = tg.size // 3 if stage == "mid_ingest" else tg.size
     for pos in range(0, stop, CHUNK):
-        if isinstance(engine, AdaptiveEngine):
-            engine.ingest(tg[pos : min(pos + CHUNK, stop)], ta[pos : min(pos + CHUNK, stop)])
-        else:
-            engine.ingest(tg[pos : min(pos + CHUNK, stop)])
+        engine.ingest(tg[pos : min(pos + CHUNK, stop)], ta[pos : min(pos + CHUNK, stop)])
     if stage == "post_flush":
         engine.flush_all()
     if layout == "columnar":

@@ -58,7 +58,6 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.lsm.adaptive import AdaptiveEngine
 from repro.lsm.base import Snapshot
 from repro.lsm.database import TimeSeriesDatabase
 from repro.lsm.policies.compose import ENGINES, PLACEMENTS, compose_engine
@@ -312,14 +311,9 @@ class ReadLattice(RuleBasedStateMachine):
     def retune(self):
         decided = self.fleet.retune(min_observations=32)
         assert decided == self.twin.retune(min_observations=32)
-        if not self.recovered:
-            assert decided == self.plain.retune(min_observations=32)
-        # A recovered analyzer starts empty (docs/durability.md, "What a
-        # crash forgets") and decides later or not at all; the plain
-        # store, which forgot nothing, follows what was decided.
-        for name in decided:
-            fleet_engine, _, plain_engine = self.engines(name)
-            plain_engine.resplit(fleet_engine.config.seq_capacity)
+        # A recovered analyzer is the checkpointed one plus the logged
+        # tail: it decides as the store that never crashed does.
+        assert decided == self.plain.retune(min_observations=32)
 
     @rule(
         index=st.integers(0, 5),
@@ -451,10 +445,7 @@ def _engine_state(engine_key, layout, flushed, seed):
     reference = ReferenceStore()
     for pos in range(0, tg.size, 211):
         chunk = tg[pos : pos + 211]
-        if isinstance(engine, AdaptiveEngine):
-            engine.ingest(chunk, np.arange(pos, pos + chunk.size, dtype=np.float64) * 3.0 + 200.0)
-        else:
-            engine.ingest(chunk)
+        engine.ingest(chunk, np.arange(pos, pos + chunk.size, dtype=np.float64) * 3.0 + 200.0)
         reference.write("s", chunk)
     if flushed:
         engine.flush_all()
@@ -550,15 +541,12 @@ def test_a_one_shard_range_fleet_recovers(tmp_path):
         assert ShardRouter.from_dict(other.as_dict()).as_dict() == other.as_dict()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the delay analyzer is not durable: docs/durability.md, 'What a crash forgets'",
-)
 def test_a_recovered_database_retunes_as_the_one_that_never_crashed(tmp_path):
     """``burst`` / ``checkpoint_and_recover`` / ``split`` / ``retune``, as
-    the write half shrank it: the recovered analyzer's window is empty,
-    so the retune the plain store answers is skipped — and from there the
-    two run under different splits and count different writes."""
+    the write half shrank it: while the analyzer was not durable the
+    recovered window was empty, so the retune the plain store answers
+    was skipped — and from there the two ran under different splits and
+    counted different writes.  The checkpoint now carries the window."""
     sizes = dict(memory_budget_per_series=BUDGET, sstable_size=TABLE, auto_tune=True)
     durable = TimeSeriesDatabase(durability_dir=str(tmp_path), **sizes)
     plain = TimeSeriesDatabase(**sizes)

@@ -199,8 +199,8 @@ class TestFleetFrontDoor:
             fleet.series_names(),
             state.engine.ingested_points,
             state.engine.wal.appended,
-            state.analyzer.observed_points,
-            state.analyzer.window.sample().tolist(),
+            state.engine.analyzer.observed_points,
+            state.engine.analyzer.window.sample().tolist(),
         )
 
     @pytest.mark.parametrize(
@@ -249,7 +249,7 @@ class TestFleetFrontDoor:
             db.write("a", np.array([-1.7e308]), np.array([1.7e308]))
         state = db.series("a")
         assert state.engine.ingested_points == 4
-        assert np.isfinite(state.analyzer.window.sample()).all()
+        assert np.isfinite(state.engine.analyzer.window.sample()).all()
 
     def test_degenerate_but_legal_entries(self, tmp_path):
         """Empty and single-point entries, the same series twice in one
@@ -275,7 +275,7 @@ class TestFleetFrontDoor:
         assert fleet.snapshot("twice").total_points == 8
         assert fleet.snapshot("neg").max_tg == -1000.0
         assert fleet.database_for("neg").report().disordered_series >= 1
-        early = fleet.database_for("early").series("early").analyzer
+        early = fleet.database_for("early").series("early").engine.analyzer
         assert early.window.sample().tolist() == [0.0] * 4  # clipped, not negative
         result = fleet.query_aggregate(["twice", "neg"])
         assert result.count == 12
@@ -572,18 +572,12 @@ class TestClosedEngine:
     def test_flush_all_after_close_raises(self, factory):
         engine = factory()
         tg = np.arange(4, dtype=np.float64)
-        if isinstance(engine, AdaptiveEngine):
-            engine.ingest(tg, tg + 1.0)
-        else:
-            engine.ingest(tg)
+        engine.ingest(tg, tg + 1.0)
         engine.close()
         with pytest.raises(EngineClosedError):
             engine.flush_all()
         with pytest.raises(EngineClosedError):
-            if isinstance(engine, AdaptiveEngine):
-                engine.ingest(np.array([9.0]), np.array([10.0]))
-            else:
-                engine.ingest(np.array([9.0]))
+            engine.ingest(np.array([9.0]), np.array([10.0]))
 
 
 class TestResplitValidatesBeforeDraining:

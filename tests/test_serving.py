@@ -330,6 +330,16 @@ class TestMemoryArbiter:
                 arbiter=MemoryArbiter(total_budget=256),
             )
 
+    def test_recover_requires_auto_tune(self, tmp_path):
+        """``recover`` holds the constructor's rule: an arbiter over a
+        fleet without delay profiles would never rebalance."""
+        fleet = ShardedDatabase(n_shards=2, auto_tune=False, durability_dir=str(tmp_path))
+        fleet.write("s", np.arange(100.0))
+        fleet.checkpoint_all()
+        with pytest.raises(EngineError, match="auto_tune=True"):
+            ShardedDatabase.recover(str(tmp_path), arbiter=MemoryArbiter(total_budget=256))
+        assert ShardedDatabase.recover(str(tmp_path)).arbiter is None
+
     def test_rejects_fault_plans_outside_fleet(self):
         with pytest.raises(EngineError):
             ShardedDatabase(n_shards=2, shard_fault_plans={5: object()})
@@ -559,11 +569,11 @@ class TestConcurrentRetune:
         assert len(switched) >= 3  # the heavy pi_s tunes are among them
         for name in fleet.series_names():
             state = fleet.database_for(name).series(name)
-            profile = state.analyzer.profile()
+            profile = state.engine.analyzer.profile()
             serial = tune_separation_policy(
                 profile.distribution, profile.dt, 512, sstable_size=512
             )
-            assert _bits(state.decision) == _bits(serial), name
+            assert _bits(state.engine.analyzer.last_decision) == _bits(serial), name
         decided = [e for e in events if e["type"] == "db.retune_decision"]
         assert [e["series"] for e in decided] == fleet.series_names()
         assert all(e["duration_ms"] > 0 for e in decided)
@@ -574,9 +584,11 @@ class TestConcurrentRetune:
         )
         assert switched == switched_alone
         for name in fleet.series_names():
-            assert _bits(fleet.database_for(name).series(name).decision) == _bits(
-                alone.database_for(name).series(name).decision
-            ), name
+            decided = [
+                side.database_for(name).series(name).engine.analyzer.last_decision
+                for side in (fleet, alone)
+            ]
+            assert _bits(decided[0]) == _bits(decided[1]), name
 
         def untimed(stream):
             return [

@@ -493,9 +493,9 @@ def test_database_surfaces_backpressure_and_sync(tmp_path):
 
 
 def test_wal_handle_and_its_pending_group_survive_a_retune(tmp_path):
-    """A retune re-splits the engine in place: the WAL handle, its
-    lifetime counters and the group it is still filling stay as they
-    were — a policy change is not a durability barrier."""
+    """A retune re-splits the engine in place: the WAL handle and the
+    group it is still filling stay — a policy change is not a durability
+    barrier.  Its control frame joins that group like any other frame."""
     db = TimeSeriesDatabase(
         memory_budget_per_series=512,
         sstable_size=128,
@@ -517,7 +517,7 @@ def test_wal_handle_and_its_pending_group_survive_a_retune(tmp_path):
     before = counters()
     assert before == (60, 7, 8.0, 4)
     assert db.retune()
-    assert counters() == before
+    assert counters() == (61, 7, 8.0, 5)
 
 
 # -- admission debt is a running total -----------------------------------------
