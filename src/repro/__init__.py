@@ -73,7 +73,6 @@ from .distributions import (
     ShiftedDelay,
     UniformDelay,
     WeibullDelay,
-    fit_best,
 )
 from .errors import (
     BackpressureError,
@@ -85,7 +84,6 @@ from .errors import (
     EngineError,
     ExperimentError,
     FaultError,
-    FittingError,
     InjectedCrash,
     InjectedFault,
     InvariantViolation,
@@ -251,7 +249,6 @@ __all__ = [
     "EmpiricalDelay",
     "MixtureDelay",
     "ShiftedDelay",
-    "fit_best",
     # observability
     "Telemetry",
     "MetricsRegistry",
@@ -268,7 +265,6 @@ __all__ = [
     "ReproError",
     "ConfigError",
     "DistributionError",
-    "FittingError",
     "EngineError",
     "EngineClosedError",
     "ModelError",

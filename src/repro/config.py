@@ -23,6 +23,12 @@ DEFAULT_MEMORY_BUDGET = 512
 DEFAULT_SSTABLE_SIZE = 512
 
 
+def is_integer(value) -> bool:
+    """True for an integer setting: any integral number (NumPy's
+    included) but a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LsmConfig:
     """Static configuration of an LSM storage engine.
@@ -166,7 +172,7 @@ class LsmConfig:
             value = getattr(self, name)
             if value is None and nullable:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.memory_budget < 2:
             raise ConfigError(

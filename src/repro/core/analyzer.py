@@ -7,12 +7,12 @@ the minimum WA under pi_s, as well as the (sub)optimal capacities of
 C_seq and C_nonseq." (Section I-D.)
 
 :class:`DelayAnalyzer` is that component: feed it generation/arrival
-timestamp pairs as they stream in; it maintains a bounded delay sample,
-estimates the generation interval, fits a delay profile, runs Algorithm 1
-on demand, and flags distribution drift so its engine
-(:class:`repro.lsm.LeveledEngine`, which feeds it every ingested pair
-and checkpoints it — :meth:`DelayAnalyzer.to_checkpoint`) knows when to
-re-tune.
+timestamp pairs as they stream in; it keeps a sliding window of recent
+delays, estimates the generation interval, profiles the window as its
+empirical distribution, runs Algorithm 1 on it on demand, and flags
+distribution drift so its engine (:class:`repro.lsm.LeveledEngine`,
+which feeds it every ingested pair and checkpoints it —
+:meth:`DelayAnalyzer.to_checkpoint`) knows when to re-tune.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..config import DEFAULT_MODEL_CONFIG, ModelConfig
-from ..distributions import DelayDistribution, EmpiricalDelay, fit_best
-from ..errors import ModelError
-from ..stats import GKQuantileSketch, SlidingWindowSample, summarize
+from ..config import DEFAULT_MODEL_CONFIG, is_integer
+from ..distributions import DelayDistribution, EmpiricalDelay
+from ..errors import CheckpointCorruptError, ModelError
+from ..stats import SlidingWindowSample, summarize
 from .drift import KsDriftDetector
 from .tuning import PolicyDecision, tune_separation_policy
 
@@ -38,6 +38,17 @@ logger = logging.getLogger(__name__)
 #: then cost a validation and two slice copies; the window, which nothing
 #: reads between retunes, is brought up to date on the first read.
 _STAGE_POINTS = 1024
+
+#: Settings the analyzer had before it profiled its window one way, at
+#: the one value each restores from: a checkpoint that records one at
+#: any other value chose a profile no analyzer makes any more.
+_RETIRED_SETTINGS = {
+    "dt": None,
+    "use_empirical": True,
+    "model_config": asdict(DEFAULT_MODEL_CONFIG),
+    "variant": "consistent",
+    "track_long_horizon": False,
+}
 
 
 def finite_delays(tg: np.ndarray, ta: np.ndarray) -> np.ndarray | None:
@@ -65,7 +76,7 @@ class DelayProfile:
 
     #: The distribution handed to the WA models.
     distribution: DelayDistribution
-    #: Parametric family name, or ``"empirical"``.
+    #: ``"empirical"``: the profile is the window's own distribution.
     family: str
     #: Estimated generation interval ``dt``.
     dt: float
@@ -83,51 +94,48 @@ class DelayProfile:
 class DelayAnalyzer:
     """Streaming delay collector + policy recommender.
 
+    One sliding window of recent delays is the whole profile: its
+    empirical distribution is what Algorithm 1 runs on (with the
+    generation interval ``dt`` estimated from the observed generation
+    times) and what drift is judged against.
+
     Parameters
     ----------
     memory_budget:
         The MemTable budget ``n`` the recommendation is for.
-    dt:
-        Generation interval; ``None`` (default) estimates it online from
-        the observed generation timestamps.
     window:
         Size of the recent-delay window used for profiling and drift
         detection.
-    use_empirical:
-        When True (default) the WA models run directly on the empirical
-        delay distribution; otherwise the best-fitting parametric family
-        is used.
+    drift_detector:
+        Judges drift against the window of the last decision (a default
+        :class:`KsDriftDetector` when omitted).
+    sstable_size:
+        Passed to Algorithm 1 so ``r_c`` counts SSTable padding.
+
+    The three sizes must be integers (NumPy's too, never a ``bool``),
+    else :class:`ModelError` naming the argument.
     """
 
     def __init__(
         self,
         memory_budget: int,
-        dt: float | None = None,
         window: int = 4096,
-        use_empirical: bool = True,
-        model_config: ModelConfig = DEFAULT_MODEL_CONFIG,
         drift_detector: KsDriftDetector | None = None,
-        variant: str = "consistent",
         sstable_size: int | None = None,
-        track_long_horizon: bool = False,
     ) -> None:
-        if memory_budget < 2:
-            raise ModelError(f"memory_budget must be >= 2, got {memory_budget}")
-        if dt is not None and dt <= 0:
-            raise ModelError(f"dt must be positive, got {dt}")
+        for name, value, low in (
+            ("memory_budget", memory_budget, 2),
+            ("window", window, 1),
+            ("sstable_size", 1 if sstable_size is None else sstable_size, 1),
+        ):
+            if not is_integer(value) or value < low:
+                raise ModelError(f"{name} must be an integer >= {low}, got {value!r}")
         self.memory_budget = memory_budget
-        self._fixed_dt = dt
         self._window = SlidingWindowSample(window)
-        self.use_empirical = use_empirical
-        self.model_config = model_config
         self.drift = (
             drift_detector if drift_detector is not None else KsDriftDetector()
         )
-        self.variant = variant
         self.sstable_size = sstable_size
-        self._long_horizon = (
-            GKQuantileSketch(epsilon=0.005) if track_long_horizon else None
-        )
         # The generation-time span observed (its count is the window's).
         self._max_tg = -np.inf
         self._min_tg = np.inf
@@ -182,8 +190,6 @@ class DelayAnalyzer:
     def _record(self, delays: np.ndarray, tg: np.ndarray) -> None:
         """Fold clipped ``delays`` and their ``tg`` into the statistics."""
         self._window.offer_many(delays)
-        if self._long_horizon is not None:
-            self._long_horizon.insert_many(delays)
         self._max_tg = max(self._max_tg, float(tg.max()))
         self._min_tg = min(self._min_tg, float(tg.min()))
 
@@ -205,15 +211,6 @@ class DelayAnalyzer:
         return self._window
 
     @property
-    def long_horizon(self) -> GKQuantileSketch | None:
-        """GK sketch over *all* delays ever observed (``None`` unless
-        ``track_long_horizon``) — unlike the sliding window, it
-        summarises the full horizon in bounded memory with deterministic
-        rank guarantees."""
-        self._fold()
-        return self._long_horizon
-
-    @property
     def observed_points(self) -> int:
         """Total points observed so far."""
         return self.window.seen
@@ -221,9 +218,7 @@ class DelayAnalyzer:
     # -- profile ---------------------------------------------------------------
 
     def estimated_dt(self) -> float:
-        """The fixed ``dt`` if given, else the mean generation interval."""
-        if self._fixed_dt is not None:
-            return self._fixed_dt
+        """The mean generation interval of the observed points."""
         count = self.window.seen
         if count < 2 or not np.isfinite(self._max_tg):
             raise ModelError(
@@ -241,16 +236,9 @@ class DelayAnalyzer:
     def _profile_of(self, delays: np.ndarray) -> DelayProfile:
         if delays.size < 2:
             raise ModelError("not enough delays observed to build a profile")
-        if self.use_empirical:
-            distribution: DelayDistribution = EmpiricalDelay(delays)
-            family = "empirical"
-        else:
-            fit = fit_best(delays)
-            distribution = fit.distribution
-            family = fit.family
         return DelayProfile(
-            distribution=distribution,
-            family=family,
+            distribution=EmpiricalDelay(delays),
+            family="empirical",
             dt=self.estimated_dt(),
             sample_count=int(delays.size),
         )
@@ -258,22 +246,6 @@ class DelayAnalyzer:
     def delay_summary(self):
         """Descriptive statistics of the delay window (for reports)."""
         return summarize(self.window.sample())
-
-    def long_horizon_quantiles(self, levels) -> np.ndarray:
-        """Approximate delay quantiles over the *entire* observed history.
-
-        Requires ``track_long_horizon=True``; unlike :meth:`profile`
-        (which sees only the recent window), these come from the GK
-        sketch and carry its epsilon-rank guarantee over every delay
-        ever observed.
-        """
-        sketch = self.long_horizon
-        if sketch is None:
-            raise ModelError(
-                "long-horizon tracking disabled; construct the analyzer "
-                "with track_long_horizon=True"
-            )
-        return sketch.quantiles(np.asarray(levels, dtype=float))
 
     # -- recommendation ------------------------------------------------------------
 
@@ -290,9 +262,7 @@ class DelayAnalyzer:
             profile.distribution,
             profile.dt,
             self.memory_budget,
-            config=self.model_config,
             exhaustive=exhaustive,
-            variant=self.variant,
             sstable_size=self.sstable_size,
         )
         logger.info(
@@ -316,8 +286,7 @@ class DelayAnalyzer:
     def to_checkpoint(self, arrays: dict) -> dict:
         """The analyzer as checkpoint meta: its settings, window ring,
         ``dt`` statistics and drift reference (the last two arrays into
-        ``arrays``).  The long-horizon sketch is not carried: a restored
-        analyzer's starts empty."""
+        ``arrays``)."""
         window, drift = self.window, self.drift
         arrays["analyzer.window"] = window.sample()
         arrays["analyzer.tg_span"] = np.array([self._min_tg, self._max_tg])
@@ -325,35 +294,53 @@ class DelayAnalyzer:
             arrays["analyzer.reference"] = drift._reference
         return {
             "memory_budget": self.memory_budget,
-            "dt": self._fixed_dt,
             "window": window.capacity,
-            "use_empirical": self.use_empirical,
-            "model_config": asdict(self.model_config),
             "drift": [drift.alpha, drift.min_samples, drift.statistic_floor],
-            "variant": self.variant,
             "sstable_size": self.sstable_size,
-            "track_long_horizon": self._long_horizon is not None,
             "seen": window.seen,
         }
 
     @classmethod
     def from_checkpoint(cls, meta: dict, arrays: dict) -> "DelayAnalyzer":
         """The analyzer :meth:`to_checkpoint` wrote (its last decision is
-        the engine's to restore)."""
-        analyzer = cls(
-            meta["memory_budget"],
-            dt=meta["dt"],
-            window=meta["window"],
-            use_empirical=meta["use_empirical"],
-            model_config=ModelConfig(**meta["model_config"]),
-            drift_detector=KsDriftDetector(*meta["drift"]),
-            variant=meta["variant"],
-            sstable_size=meta["sstable_size"],
-            track_long_horizon=meta["track_long_horizon"],
-        )
-        analyzer._window.offer_many(arrays["analyzer.window"])
-        analyzer._window._seen = meta["seen"]  # what the ring dropped counts too
-        analyzer._min_tg, analyzer._max_tg = arrays["analyzer.tg_span"].tolist()
-        if "analyzer.reference" in arrays:
-            analyzer.drift.set_reference(arrays["analyzer.reference"])
+        the engine's to restore).
+
+        A block it cannot have written is :class:`CheckpointCorruptError`:
+        a setting missing or out of range, a window that is not the last
+        ``min(seen, window)`` delays, a non-finite or negative delay, a
+        ``dt`` span that is not two ordered finite times, or one of
+        :data:`_RETIRED_SETTINGS` held at another value.
+        """
+        try:
+            for key, value in _RETIRED_SETTINGS.items():
+                if meta.get(key, value) != value:
+                    raise CheckpointCorruptError(
+                        f"analyzer.{key} is {meta[key]!r}; only {value!r} restores"
+                    )
+            analyzer = cls(
+                meta["memory_budget"],
+                meta["window"],
+                KsDriftDetector(*meta["drift"]),
+                meta["sstable_size"],
+            )
+            window, span = arrays["analyzer.window"], arrays["analyzer.tg_span"]
+            seen = meta["seen"]
+            if (
+                not is_integer(seen)
+                or window.shape != (min(seen, analyzer._window.capacity),)
+                or not (np.isfinite(window).all() and window.min(initial=0.0) >= 0)
+                or span.shape != (2,)
+                or seen and not (np.isfinite(span).all() and span[0] <= span[1])
+            ):
+                raise CheckpointCorruptError(
+                    f"analyzer window of {window.size} delays, dt span {span.tolist()} "
+                    f"and seen {seen!r} do not agree"
+                )
+            analyzer._window.offer_many(window)
+            analyzer._window._seen = seen  # what the ring dropped counts too
+            analyzer._min_tg, analyzer._max_tg = span.tolist()
+            if "analyzer.reference" in arrays:
+                analyzer.drift.set_reference(arrays["analyzer.reference"])
+        except (AttributeError, KeyError, TypeError, ValueError, ModelError) as exc:
+            raise CheckpointCorruptError(f"analyzer block: {exc!r}") from None
         return analyzer

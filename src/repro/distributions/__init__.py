@@ -9,24 +9,13 @@ with PDF ``f`` and CDF ``F`` (Section II).  This package provides:
   M1–M12, plus several alternatives for robustness studies);
 * :class:`EmpiricalDelay` — the analyzer's data-driven profile;
 * composition helpers (:class:`MixtureDelay`, :class:`ShiftedDelay`)
-  used to synthesise the real-world datasets' delay structure;
-* maximum-likelihood fitting with KS-based model selection.
+  used to synthesise the real-world datasets' delay structure.
 """
 
 from .base import DelayDistribution
 from .composite import MixtureDelay, ScaledDelay, ShiftedDelay
 from .discrete import DiscreteDelay, periodic_batch_delay
 from .empirical import EmpiricalDelay
-from .fitting import (
-    FitResult,
-    fit_best,
-    fit_exponential,
-    fit_gamma,
-    fit_halfnormal,
-    fit_lognormal,
-    fit_uniform,
-    ks_distance,
-)
 from .parametric import (
     ConstantDelay,
     ExponentialDelay,
@@ -54,12 +43,4 @@ __all__ = [
     "periodic_batch_delay",
     "ShiftedDelay",
     "ScaledDelay",
-    "FitResult",
-    "fit_best",
-    "fit_lognormal",
-    "fit_exponential",
-    "fit_uniform",
-    "fit_halfnormal",
-    "fit_gamma",
-    "ks_distance",
 ]

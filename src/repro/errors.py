@@ -20,10 +20,6 @@ class DistributionError(ReproError):
     """A delay distribution was constructed or used with invalid arguments."""
 
 
-class FittingError(DistributionError):
-    """Distribution fitting failed (e.g. not enough samples, degenerate data)."""
-
-
 class EngineError(ReproError):
     """An LSM engine was driven into an invalid state or misused."""
 

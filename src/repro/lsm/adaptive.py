@@ -23,7 +23,7 @@ class attribute stays ``pi_adaptive``.
 
 from __future__ import annotations
 
-from ..config import LsmConfig
+from ..config import LsmConfig, is_integer
 from ..core.analyzer import DelayAnalyzer
 from ..errors import EngineError
 from ..faults.injector import FaultInjector
@@ -48,8 +48,8 @@ class AdaptiveEngine(LeveledEngine):
         telemetry: Telemetry | None = None,
         faults: FaultInjector | None = None,
     ) -> None:
-        if check_interval < 1:
-            raise EngineError(f"check_interval must be >= 1, got {check_interval}")
+        if not is_integer(check_interval) or check_interval < 1:
+            raise EngineError(f"check_interval must be an integer >= 1, got {check_interval!r}")
         super().__init__(config, telemetry=telemetry, faults=faults, analyzer=analyzer)
         if analyzer is None:
             budget, sstable_size = self.config.memory_budget, self.config.sstable_size

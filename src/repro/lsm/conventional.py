@@ -43,10 +43,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..config import LsmConfig
+from ..config import LsmConfig, is_integer
 from ..core.analyzer import DelayAnalyzer
 from ..core.tuning import SEPARATION, PolicyDecision
-from ..errors import ModelError
+from ..errors import CheckpointCorruptError, ConfigError, ModelError
 from .level import Run
 from .policies.compaction import LeveledSingleRun
 from .policies.flush import MergeFlush, SeparationFlush
@@ -317,17 +317,39 @@ class LeveledEngine(StorageKernel):
     def _restore_state(self, state: dict, arrays) -> None:
         tuner = state.get("tuner")
         if tuner is not None:
-            # A named constructor may have started under another split.
-            if tuner["seq_capacity"] != self.config.seq_capacity:
-                self._bind_split(replace(self.config, seq_capacity=tuner["seq_capacity"]))
-            self.analyzer = DelayAnalyzer.from_checkpoint(tuner["analyzer"], arrays)
-            self.check_interval = tuner["check_interval"]
-            self.decisions = [
+            self._restore_tuner(tuner, arrays)
+        super()._restore_state(state, arrays)
+
+    def _restore_tuner(self, tuner: dict, arrays) -> None:
+        """Re-bind the recorded split and revive the analyzer, its check
+        interval and its decisions — each checked, because what the
+        engine does next is decided from them: a block that cannot be
+        the engine's own is :class:`CheckpointCorruptError`, and
+        recovery replays the WAL instead."""
+        try:
+            interval, seq_capacity = tuner["check_interval"], tuner["seq_capacity"]
+            if interval is not None and not (is_integer(interval) and interval >= 1):
+                raise CheckpointCorruptError(f"tuner check_interval is {interval!r}")
+            if seq_capacity != self.config.seq_capacity:
+                # A named constructor may have started under another split.
+                self._bind_split(replace(self.config, seq_capacity=seq_capacity))
+            analyzer = DelayAnalyzer.from_checkpoint(tuner["analyzer"], arrays)
+            if analyzer.memory_budget != self.config.memory_budget:
+                raise CheckpointCorruptError(
+                    f"analyzer budget {analyzer.memory_budget} is not the "
+                    f"engine's {self.config.memory_budget}"
+                )
+            decisions = [
                 RetuneRecord(index, decision_from_json(encoded), switched_to)
                 for index, switched_to, encoded in tuner["decisions"]
             ]
-            self.analyzer.last_decision = self.decisions[-1].decision if self.decisions else None
-        super()._restore_state(state, arrays)
+            for index, _, switched_to in decisions:
+                if not is_integer(index) or not isinstance(switched_to, (str, type(None))):
+                    raise CheckpointCorruptError(f"tuner decision at {index!r} to {switched_to!r}")
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise CheckpointCorruptError(f"tuner block: {exc!r}") from None
+        self.analyzer, self.check_interval, self.decisions = analyzer, interval, decisions
+        analyzer.last_decision = decisions[-1].decision if decisions else None
 
 
 class ConventionalEngine(LeveledEngine):

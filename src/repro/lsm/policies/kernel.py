@@ -34,7 +34,7 @@ import numbers
 
 import numpy as np
 
-from ...config import LsmConfig
+from ...config import LsmConfig, is_integer
 from ...errors import EngineError
 from ...faults.injector import FaultInjector
 from ...obs.telemetry import Telemetry
@@ -258,11 +258,7 @@ class StorageKernel(LsmEngine):
             or math.isnan(max_tg)
         ):
             raise EngineError(f"max_tg must be a real number or None, got {max_tg!r}")
-        if (
-            not isinstance(block_size, numbers.Integral)
-            or isinstance(block_size, bool)
-            or block_size < 1
-        ):
+        if not is_integer(block_size) or block_size < 1:
             raise EngineError(f"block_size must be an integer >= 1, got {block_size!r}")
         converted = stats_bytes = 0
         for table in self.compaction.visible_tables():

@@ -1,4 +1,4 @@
-"""Statistics toolkit: ECDFs, histograms, ACF, KS tests, streaming samples.
+"""Statistics toolkit: ECDFs, histograms, ACF, KS tests, a sliding window.
 
 These are the measurement primitives behind the delay analyzer
 (:mod:`repro.core.analyzer`) and the experiment reports — everything the
@@ -10,8 +10,7 @@ from .autocorrelation import AcfResult, autocorrelation
 from .ecdf import Ecdf
 from .histogram import Histogram, build_histogram
 from .ks import KsResult, kolmogorov_sf, ks_two_sample
-from .quantile_sketch import GKQuantileSketch
-from .reservoir import ReservoirSampler, SlidingWindowSample
+from .reservoir import SlidingWindowSample
 from .smoothing import ExponentialAverage, sliding_mean, sliding_sum
 from .summary import SeriesSummary, summarize
 
@@ -24,8 +23,6 @@ __all__ = [
     "KsResult",
     "kolmogorov_sf",
     "ks_two_sample",
-    "GKQuantileSketch",
-    "ReservoirSampler",
     "SlidingWindowSample",
     "ExponentialAverage",
     "sliding_mean",

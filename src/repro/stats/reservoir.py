@@ -1,9 +1,8 @@
-"""Reservoir sampling for streaming delay collection.
+"""The sliding window of recent delays the analyzer profiles.
 
-The analyzer watches every ingested point but must keep memory bounded;
-Vitter's Algorithm R gives a uniform sample of everything seen so far with
-O(1) work per observation.  A windowed variant keeps only recent history,
-which is what drift detection compares against.
+The analyzer watches every ingested point but must keep memory bounded:
+it keeps only the most recent history, which is both what Algorithm 1
+runs on and what drift detection compares against.
 """
 
 from __future__ import annotations
@@ -12,51 +11,7 @@ import numpy as np
 
 from ..errors import ReproError
 
-__all__ = ["ReservoirSampler", "SlidingWindowSample"]
-
-
-class ReservoirSampler:
-    """Uniform random sample of a stream (Vitter's Algorithm R)."""
-
-    def __init__(self, capacity: int, rng: np.random.Generator | None = None) -> None:
-        if capacity < 1:
-            raise ReproError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._buffer: list[float] = []
-        self._seen = 0
-
-    @property
-    def seen(self) -> int:
-        """Total number of observations offered to the sampler."""
-        return self._seen
-
-    def __len__(self) -> int:
-        return len(self._buffer)
-
-    def offer(self, value: float) -> None:
-        """Observe one value."""
-        self._seen += 1
-        if len(self._buffer) < self.capacity:
-            self._buffer.append(float(value))
-            return
-        slot = int(self._rng.integers(0, self._seen))
-        if slot < self.capacity:
-            self._buffer[slot] = float(value)
-
-    def offer_many(self, values: np.ndarray) -> None:
-        """Observe a batch of values."""
-        for value in np.asarray(values, dtype=float).ravel():
-            self.offer(float(value))
-
-    def sample(self) -> np.ndarray:
-        """Copy of the current reservoir contents."""
-        return np.asarray(self._buffer, dtype=float)
-
-    def reset(self) -> None:
-        """Forget everything."""
-        self._buffer.clear()
-        self._seen = 0
+__all__ = ["SlidingWindowSample"]
 
 
 class SlidingWindowSample:

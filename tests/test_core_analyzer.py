@@ -26,14 +26,6 @@ class TestDelayAnalyzer:
         _feed(analyzer, dataset)
         assert analyzer.estimated_dt() == pytest.approx(50.0, rel=0.01)
 
-    def test_fixed_dt_wins(self):
-        dataset = generate_synthetic(
-            1_000, dt=50, delay=LogNormalDelay(4.0, 1.0), seed=1
-        )
-        analyzer = DelayAnalyzer(memory_budget=512, dt=10.0)
-        _feed(analyzer, dataset)
-        assert analyzer.estimated_dt() == 10.0
-
     def test_profile_empirical_by_default(self):
         dataset = generate_synthetic(
             5_000, dt=50, delay=LogNormalDelay(4.0, 1.0), seed=1
@@ -44,14 +36,6 @@ class TestDelayAnalyzer:
         assert profile.family == "empirical"
         assert profile.sample_count > 0
         assert "empirical" in profile.describe()
-
-    def test_profile_parametric_mode_recovers_family(self):
-        dataset = generate_synthetic(
-            8_000, dt=50, delay=LogNormalDelay(4.0, 1.5), seed=2
-        )
-        analyzer = DelayAnalyzer(memory_budget=512, use_empirical=False)
-        _feed(analyzer, dataset)
-        assert analyzer.profile().family == "lognormal"
 
     def test_recommend_sets_drift_reference(self):
         dataset = generate_synthetic(
@@ -101,6 +85,28 @@ class TestDelayAnalyzer:
             analyzer.estimated_dt()
         with pytest.raises(ModelError):
             analyzer.profile()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("memory_budget", 1),
+            ("memory_budget", 512.0),
+            ("memory_budget", True),
+            ("window", 2.5),
+            ("window", True),
+            ("window", 0),
+            ("sstable_size", 2.5),
+            ("sstable_size", False),
+        ],
+    )
+    def test_sizes_must_be_integers(self, name, value):
+        settings = {"memory_budget": 256, "window": 64, "sstable_size": 32, name: value}
+        with pytest.raises(ModelError, match=f"^{name} must be an integer"):
+            DelayAnalyzer(**settings)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        analyzer = DelayAnalyzer(np.int64(256), window=np.int32(64), sstable_size=np.int64(32))
+        assert analyzer.window.capacity == 64
 
     def test_misaligned_observe_rejected(self):
         analyzer = DelayAnalyzer(memory_budget=256)
@@ -266,20 +272,6 @@ class TestStagedObservations:
         assert staged.window.sample().tolist() == list(reference.window)
         assert eager.window.sample().tolist() == list(reference.window)
         assert staged.delay_summary() == eager.delay_summary()
-
-    def test_long_horizon_sketch_sees_staged_points(self):
-        tg, ta = self._stream()
-        staged = DelayAnalyzer(256, window=64, track_long_horizon=True)
-        whole = DelayAnalyzer(256, window=64, track_long_horizon=True)
-        for pos in range(0, 3000, 100):
-            staged.observe(tg[pos : pos + 100], ta[pos : pos + 100])
-        whole.observe(tg[:3000], ta[:3000])
-        assert staged.long_horizon.count == 3000
-        levels = [0.1, 0.5, 0.9, 0.99]
-        assert (
-            staged.long_horizon_quantiles(levels).tolist()
-            == whole.long_horizon_quantiles(levels).tolist()
-        )
 
     def test_the_stage_owns_its_memory(self):
         """A caller that reuses its arrays after ``observe`` returns

@@ -137,6 +137,17 @@ class TestAdaptiveEngine:
         with pytest.raises(EngineError):
             AdaptiveEngine(check_interval=0)
 
+    @pytest.mark.parametrize("check_interval", [512.0, True, np.float64(512)])
+    def test_check_interval_must_be_an_integer(
+        self, tmp_path, check_interval
+    ):
+        wal_path = tmp_path / "a.wal"
+        with pytest.raises(EngineError, match="^check_interval must be an integer"):
+            AdaptiveEngine(LsmConfig(64, 32, wal_path=str(wal_path)), check_interval=check_interval)
+        assert not wal_path.exists()
+        engine = AdaptiveEngine(check_interval=np.int64(512))
+        assert engine.check_interval == 512
+
 
 class TestIoTDBStyleEngine:
     def test_flushes_land_in_l1(self):

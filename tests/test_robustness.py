@@ -13,7 +13,6 @@ from repro import (
     BackpressureError,
     ConfigError,
     ConventionalEngine,
-    DelayAnalyzer,
     EngineError,
     FaultPlan,
     IoTDBStyleEngine,
@@ -492,27 +491,6 @@ class TestRowParametersAreOutsideInput:
             build()
         for name in names:
             assert name in str(excinfo.value)
-
-
-class TestAnalyzerLongHorizon:
-    def test_sketch_tracks_full_history(self):
-        dataset = generate_synthetic(
-            20_000, dt=50, delay=LogNormalDelay(4.0, 1.0), seed=1
-        )
-        analyzer = DelayAnalyzer(
-            memory_budget=256, window=1024, track_long_horizon=True
-        )
-        analyzer.observe(dataset.tg, dataset.ta)
-        assert analyzer.long_horizon.count == 20_000
-        quantiles = analyzer.long_horizon_quantiles([0.5, 0.9])
-        reference = np.quantile(dataset.delays, [0.5, 0.9])
-        assert np.allclose(quantiles, reference, rtol=0.1)
-
-    def test_disabled_by_default(self):
-        analyzer = DelayAnalyzer(memory_budget=256)
-        assert analyzer.long_horizon is None
-        with pytest.raises(ModelError):
-            analyzer.long_horizon_quantiles([0.5])
 
 
 class TestSeedRobustness:

@@ -11,7 +11,6 @@ from repro.errors import ReproError
 from repro.stats import (
     Ecdf,
     ExponentialAverage,
-    ReservoirSampler,
     SlidingWindowSample,
     autocorrelation,
     build_histogram,
@@ -180,36 +179,6 @@ class TestSmoothing:
     def test_exponential_average_rejects_bad_alpha(self):
         with pytest.raises(ReproError):
             ExponentialAverage(alpha=0.0)
-
-
-class TestReservoir:
-    def test_keeps_everything_under_capacity(self):
-        sampler = ReservoirSampler(capacity=10)
-        sampler.offer_many(np.arange(5))
-        assert len(sampler) == 5
-        assert sampler.seen == 5
-
-    def test_uniformity(self):
-        counts = np.zeros(100)
-        for trial in range(400):
-            sampler = ReservoirSampler(
-                capacity=10, rng=np.random.default_rng(trial)
-            )
-            sampler.offer_many(np.arange(100))
-            counts[sampler.sample().astype(int)] += 1
-        # Each element kept ~10% of the time.
-        assert counts.mean() == pytest.approx(40.0)
-        assert counts.std() < 12.0
-
-    def test_reset(self):
-        sampler = ReservoirSampler(capacity=4)
-        sampler.offer_many(np.arange(10))
-        sampler.reset()
-        assert len(sampler) == 0 and sampler.seen == 0
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ReproError):
-            ReservoirSampler(capacity=0)
 
 
 class TestSlidingWindowSample:
