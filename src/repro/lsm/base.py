@@ -164,8 +164,12 @@ def validate_points(
     through :func:`validate_generation_times`.  A ``ta`` that is
     misaligned, non-finite or so far from ``tg`` that the delay
     overflows is a :class:`ModelError`, checked first; a bad ``tg`` is
-    an :class:`EngineError`."""
-    tg = np.ascontiguousarray(tg, dtype=np.float64)
+    an :class:`EngineError`.
+
+    ``tg`` is always a copy: MemTables buffer slices of it, so the
+    engine owns what it buffers and the caller may reuse its array as
+    soon as the call returns."""
+    tg = np.array(tg, dtype=np.float64, order="C")
     if ta is not None:
         ta = np.ascontiguousarray(ta, dtype=np.float64)
         if ta.size != tg.size:

@@ -227,16 +227,16 @@ class Run:
         """Add tables strictly after the current maximum generation time."""
         if not new_tables:
             return
-        if new_tables[0].min_tg <= self.max_tg:
+        end = len(self._tables)
+        if new_tables[0].min_tg <= (self._maxs[-1] if end else -math.inf):
             raise EngineError(
                 f"append would overlap the run: new min {new_tables[0].min_tg} "
                 f"<= run max {self.max_tg}"
             )
-        end = len(self._tables)
         self._touch(end)
-        self._tables.extend(new_tables)
+        self._tables += new_tables
         self._splice_bounds(slice(end, end), new_tables)
-        self._check_local_order(end, len(self._tables))
+        self._check_local_order(end, end + len(new_tables))
 
     def clear(self) -> list[SSTable]:
         """Remove every table, returning them."""
@@ -278,10 +278,10 @@ class Run:
                 )
 
     def _check_local_order(self, start: int, stop: int) -> None:
-        lo = max(start - 1, 0)
-        hi = min(stop + 1, len(self._tables))
-        for i in range(lo, hi - 1):
-            if self._tables[i].max_tg > self._tables[i + 1].min_tg:
+        # From the spliced bound lists: no table attribute per pair.
+        mins, maxs = self._mins, self._maxs
+        for i in range(max(start - 1, 0), min(stop, len(maxs) - 1)):
+            if maxs[i] > mins[i + 1]:
                 raise EngineError(
                     f"run overlap after mutation: {self._tables[i]!r} vs "
                     f"{self._tables[i + 1]!r}"
@@ -306,11 +306,17 @@ class Run:
         """Update the cached min/max/length lists for one contiguous
         mutation: the entries in ``region`` become those of
         ``new_tables`` (an append is the empty region at the end)."""
-        new_lens = [len(t) for t in new_tables]
-        self._points += sum(new_lens) - sum(self._lens[region])
-        self._mins[region] = [t.min_tg for t in new_tables]
-        self._maxs[region] = [t.max_tg for t in new_tables]
-        self._lens[region] = new_lens
+        # One pass, sizes read off the arrays: a landing writes one or
+        # two tables, where per-column comprehensions cost more.
+        mins, maxs, lens = [], [], []
+        for table in new_tables:
+            mins.append(table.min_tg)
+            maxs.append(table.max_tg)
+            lens.append(table.storage.tg.size)
+        self._points += sum(lens) - sum(self._lens[region])
+        self._mins[region] = mins
+        self._maxs[region] = maxs
+        self._lens[region] = lens
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Run(tables={len(self._tables)}, points={self.total_points})"

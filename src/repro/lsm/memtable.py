@@ -125,11 +125,16 @@ class MemTable:
         exception (or injected fault) between staging and commit leaves
         the engine state untouched.
         """
-        tg = self.peek_tg()
-        ids = self.peek_ids()
-        if tg.size == 0:
-            return tg, ids
-        return sort_by_generation(tg, ids)
+        # Straight from the segments: the peek cache would freeze a
+        # join this landing reads once.
+        segments = self._tg_segments
+        if len(segments) == 1:
+            return sort_by_generation(segments[0], self._id_segments[0])
+        if not segments:
+            return EMPTY_TG, EMPTY_IDS
+        return sort_by_generation(
+            np.concatenate(segments), np.concatenate(self._id_segments)
+        )
 
     def clear(self) -> None:
         """Drop every buffered point (the commit half of a compaction)."""

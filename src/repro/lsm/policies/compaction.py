@@ -188,14 +188,15 @@ class CompactionPolicy(abc.ABC):
             written = apply()
             kernel.mark_structure_change()
             kernel.stats.record_written(written_ids)
+        # Positional: keywords cost a NamedTuple more than its fields.
         kernel.stats.record_event(
             CompactionEvent(
-                kind=kind,
-                arrival_index=kernel.processed_points,
-                new_points=fields.get("new_points", 0),
-                rewritten_points=fields.get("rewritten_points", 0),
-                tables_rewritten=fields.get("tables_rewritten", 0),
-                tables_written=written,
+                kind,
+                kernel.processed_points,
+                fields.get("new_points", 0),
+                fields.get("rewritten_points", 0),
+                fields.get("tables_rewritten", 0),
+                written,
             )
         )
         return written
@@ -337,7 +338,9 @@ class LeveledSingleRun(CompactionPolicy):
             if region is None:
                 self.run.append(tables)
             else:
-                self.kernel.retire_tables(self.run.replace(region, tables))
+                removed = self.run.replace(region, tables)
+                if removed:
+                    self.kernel.retire_tables(removed)
             memtable.clear()
             return len(tables)
 

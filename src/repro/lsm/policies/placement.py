@@ -112,18 +112,17 @@ class SinglePlacement(PlacementPolicy):
         )
 
 
-def _fill_index(mine: np.ndarray, room: int) -> int:
+def _fill_index(positions: np.ndarray, room: int, size: int) -> int:
     """Window index of the point that fills a table with ``room`` free
-    slots, ``mine`` marking the window's points bound for that table;
-    the window size when it gets fewer than ``room``.
+    slots, ``positions`` being the window indices of the points bound
+    for that table; the window ``size`` when it gets fewer than ``room``.
 
     An already full table (a landing failed and left it so) reports
     index 0: one more point is placed and ``on_full`` gets to retry.
     """
     if room == 0:
         return 0
-    positions = mine.nonzero()[0]
-    return int(positions[room - 1]) if positions.size >= room else mine.size
+    return int(positions[room - 1]) if positions.size >= room else size
 
 
 class SplitPlacement(PlacementPolicy):
@@ -151,38 +150,44 @@ class SplitPlacement(PlacementPolicy):
             # tables and swaps in fresh ones mid-loop.
             seq = self.seq
             nonseq = self.nonseq
+            seq_room = seq.room
+            nonseq_room = nonseq.room
             # Pigeonhole: room_seq + room_nonseq - 1 points cannot all be
             # placed without filling one table, so the next fill event
             # lies inside that window and nothing beyond it needs
             # classifying yet.
-            window = max(seq.room + nonseq.room - 1, 1)
-            chunk = tg[pos : pos + window]
+            stop = pos + max(seq_room + nonseq_room - 1, 1)
+            chunk = tg[pos:stop]
+            chunk_ids = ids[pos:stop]
+            size = chunk.size
             # The watermark is constant until the next flush/merge, so
             # the whole window classifies with one comparison.
             is_seq = chunk > watermark()
-            not_seq = ~is_seq
-            if chunk.size < seq.room and chunk.size < nonseq.room:
+            if size < seq_room and size < nonseq_room:
                 # Even if every point lands in one MemTable it cannot
                 # fill, so skip the fill-event scan.  (A window this
                 # short is the whole remaining batch.)
-                sub_ids = ids[pos:]
-                seq.extend(chunk[is_seq], sub_ids[is_seq])
-                nonseq.extend(chunk[not_seq], sub_ids[not_seq])
-                kernel._arrival_cursor = int(sub_ids[-1]) + 1
+                seq.extend(chunk[is_seq], chunk_ids[is_seq])
+                not_seq = ~is_seq
+                nonseq.extend(chunk[not_seq], chunk_ids[not_seq])
+                kernel._arrival_cursor = int(chunk_ids[-1]) + 1
                 return
-            # The fill event is the earlier of the two tables' fills.
-            event = min(
-                _fill_index(is_seq, seq.room), _fill_index(not_seq, nonseq.room)
-            )
-            take = min(event + 1, chunk.size)
-            head = chunk[:take]
-            sub_ids = ids[pos : pos + take]
-            seq_mask = is_seq[:take]
-            nonseq_mask = not_seq[:take]
-            seq.extend(head[seq_mask], sub_ids[seq_mask])
-            nonseq.extend(head[nonseq_mask], sub_ids[nonseq_mask])
+            seq_at = is_seq.nonzero()[0]
+            nonseq_at = (~is_seq).nonzero()[0]
+            # The fill event is the earlier of the two tables' fills;
+            # the points up to it go out by position, each table's in
+            # arrival order.
+            take = min(
+                _fill_index(seq_at, seq_room, size),
+                _fill_index(nonseq_at, nonseq_room, size),
+                size - 1,
+            ) + 1
+            seq_at = seq_at[: int(seq_at.searchsorted(take))]
+            nonseq_at = nonseq_at[: take - seq_at.size]
+            seq.extend(chunk[seq_at], chunk_ids[seq_at])
+            nonseq.extend(chunk[nonseq_at], chunk_ids[nonseq_at])
             pos += take
-            kernel._arrival_cursor = int(sub_ids[-1]) + 1
+            kernel._arrival_cursor = int(chunk_ids[take - 1]) + 1
             on_full()
 
     def memtables(self) -> list[MemTable]:

@@ -173,6 +173,9 @@ def build_sstables(
         raise EngineError(f"tg and ids must align: {tg.shape} vs {ids.shape}")
     # Sorted as a whole, so every chunk below is sorted too.
     _check_sorted(tg)
+    if tg.size <= sstable_size:
+        # The common landing: one table (none for no points), no loop.
+        return [SSTable._of_checked(RowStorage(tg, ids))] if tg.size else []
     tables = []
     for start in range(0, tg.size, sstable_size):
         stop = start + sstable_size

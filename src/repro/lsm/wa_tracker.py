@@ -107,7 +107,8 @@ class WriteStats:
         cannot overflow them; only when it cannot is the maximum rescanned
         (O(capacity)), and the counters widened if that does not suffice.
         """
-        if ids.size == 0:
+        size = ids.size
+        if size == 0:
             return
         # argmin/argmax rather than min/max: on landing-sized arrays the
         # ufunc-reduction set-up costs several times the scan itself.
@@ -122,19 +123,20 @@ class WriteStats:
             grown = np.zeros(max(counts.size * 2, top + 1), dtype=counts.dtype)
             grown[: counts.size] = counts
             self._counts = counts = grown
-        if self._ceiling + ids.size > self._limit:
+        if self._ceiling + size > self._limit:
             # About once per 65 k recorded writes: rescan, and widen if
             # even the exact maximum leaves too little headroom.
             self._ceiling = int(counts.max())
-            if self._ceiling + ids.size > self._limit:
+            if self._ceiling + size > self._limit:
                 self._widen()
                 counts = self._counts
         np.add.at(counts, ids, self._one)
-        self._ceiling += int(ids.size)
-        self._max_id = max(self._max_id, top)
-        self.disk_writes += int(ids.size)
+        self._ceiling += size
+        if top > self._max_id:
+            self._max_id = top
+        self.disk_writes += size
         if self._telemetry.enabled:
-            self._telemetry.count("engine.disk_points_written", int(ids.size))
+            self._telemetry.count("engine.disk_points_written", size)
 
     def record_event(self, event: CompactionEvent) -> None:
         """Append one flush/merge event to the log.

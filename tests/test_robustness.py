@@ -46,6 +46,7 @@ from repro.query.aggregation import execute_aggregate_query
 from repro.query.executor import execute_range_query
 from repro.serving import ShardedDatabase
 from repro.workloads import generate_synthetic
+from tests.conformance_support import ENGINE_FACTORIES
 
 
 @pytest.mark.parametrize(
@@ -427,6 +428,89 @@ class TestTraceIsOutsideInput:
     def test_fields_of_other_event_types_are_not_read(self):
         events = [{"type": "x", "duration_ms": "abc"}, {"type": "y", "records": None}]
         assert summarize_trace(events).other_types == {"x": 1, "y": 1}
+
+
+def _held_arrays(engine):
+    """Every point array the engine holds: MemTable segments, and the
+    snapshot's MemTable views and tables."""
+    snapshot = engine.snapshot()
+    arrays = [view.tg for view in snapshot.memtables]
+    arrays += [array for table in snapshot.tables for array in (table.tg, table.ids)]
+    for memtable in engine.placement.memtables():
+        arrays += memtable._tg_segments
+    return arrays
+
+
+def _contents(engine):
+    snapshot = engine.snapshot()
+    parts = [view.tg for view in snapshot.memtables] + [t.tg for t in snapshot.tables]
+    return np.sort(np.concatenate(parts)), engine.stats.write_counts
+
+
+class TestTheEngineOwnsWhatItBuffers:
+    """A caller may reuse (or scribble on) its batch array once a write
+    returns: nothing the engine keeps shares memory with it."""
+
+    @staticmethod
+    def _batches(n, size=16):
+        return [np.arange(size) * 10.0 + k * size * 10.0 for k in range(n)]
+
+    @pytest.mark.parametrize("key", sorted(ENGINE_FACTORIES))
+    def test_no_engine_array_shares_the_callers_buffer(self, key):
+        engine, twin = ENGINE_FACTORIES[key](None), ENGINE_FACTORIES[key](None)
+        buf, ta = np.empty(16), np.empty(16)
+        for batch in self._batches(9):
+            buf[:] = batch
+            ta[:] = batch + 1.0
+            engine.ingest(buf, ta)
+            twin.ingest(batch.copy(), batch + 1.0)
+            assert not any(np.shares_memory(buf, array) for array in _held_arrays(engine))
+        buf[:] = np.nan  # past validation: must reach nothing
+        for held in (engine, twin):
+            held.flush_all()
+            held.verify()
+        mine, theirs = _contents(engine), _contents(twin)
+        np.testing.assert_array_equal(mine[0], theirs[0])
+        np.testing.assert_array_equal(mine[1], theirs[1])
+
+    def test_a_database_recovers_what_it_holds_after_buffer_reuse(self, tmp_path):
+        state_dir = str(tmp_path / "db")
+        db = TimeSeriesDatabase(durability_dir=state_dir, auto_tune=False)
+        db.write("s", np.arange(16.0) - 1000.0)
+        db.checkpoint_all()
+        buf = np.empty(16)
+        for batch in self._batches(3):
+            buf[:] = batch
+            db.write("s", buf)
+            assert not any(np.shares_memory(buf, a) for a in _held_arrays(db.series("s").engine))
+        db.sync()
+        live = _contents(db.series("s").engine)
+        assert np.unique(live[0]).size == live[0].size == 64
+        recovered = _contents(TimeSeriesDatabase.recover(state_dir).series("s").engine)
+        np.testing.assert_array_equal(recovered[0], live[0])
+        np.testing.assert_array_equal(recovered[1], live[1])
+
+    def test_a_fleet_recovers_what_it_holds_after_buffer_reuse(self, tmp_path):
+        state_dir = str(tmp_path / "fleet")
+        names = ["a", "b", "c"]
+        fleet = ShardedDatabase(n_shards=2, durability_dir=state_dir)
+        fleet.ingest_batch([(name, np.arange(16.0) - 1000.0) for name in names])
+        fleet.checkpoint_all()
+        buf, ta = np.empty(16), np.empty(16)
+        for batch in self._batches(4):
+            buf[:] = batch
+            ta[:] = batch + 1.0
+            fleet.ingest_batch([(name, buf, ta) for name in names])
+        for name in names:
+            engine = fleet.database_for(name).series(name).engine
+            assert not any(np.shares_memory(buf, array) for array in _held_arrays(engine))
+        recovered = ShardedDatabase.recover(state_dir)
+        for name in names:
+            live = _contents(fleet.database_for(name).series(name).engine)
+            again = _contents(recovered.database_for(name).series(name).engine)
+            assert np.unique(live[0]).size == live[0].size == 80
+            np.testing.assert_array_equal(again[0], live[0])
+            np.testing.assert_array_equal(again[1], live[1])
 
 
 class TestEngineMisuse:
