@@ -61,7 +61,6 @@ from .core import (
     zeta,
 )
 from .distributions import (
-    ConstantDelay,
     DelayDistribution,
     EmpiricalDelay,
     ExponentialDelay,
@@ -72,7 +71,6 @@ from .distributions import (
     ParetoDelay,
     ShiftedDelay,
     UniformDelay,
-    WeibullDelay,
 )
 from .errors import (
     BackpressureError,
@@ -243,9 +241,7 @@ __all__ = [
     "UniformDelay",
     "HalfNormalDelay",
     "GammaDelay",
-    "WeibullDelay",
     "ParetoDelay",
-    "ConstantDelay",
     "EmpiricalDelay",
     "MixtureDelay",
     "ShiftedDelay",

@@ -101,7 +101,6 @@ def tune_separation_policy(
     exhaustive: bool = False,
     coarse_points: int = 24,
     refine_rounds: int = 3,
-    variant: str = "consistent",
     sstable_size: int | None = None,
 ) -> PolicyDecision:
     """Run Algorithm 1 and return a :class:`PolicyDecision`.
@@ -139,7 +138,6 @@ def tune_separation_policy(
             config=config,
             zeta_model=zeta_model,
             in_order_curve=curve,
-            variant=variant,
         )
         wa = breakdown.wa
         # Symmetric SSTable-granularity padding: the phase-closing merge

@@ -17,11 +17,11 @@ A note on Eq. 5's two printed lines: with the paper's own
 ``zeta(N)/N + 2 - (n - n_seq + n'_seq)/N``, but the paper's final line
 reads ``zeta(N)/N + 1 + (n - n_seq + n'_seq)/N`` — the two disagree (a
 sign slip in the simplification).  The first ("full-phase-rewrite")
-variant assumes every non-final in-order flush of the phase is rewritten
-by the merge.  Both are implemented; calibration against the simulator
-across the Table II grid shows ``"consistent"`` tracks measured WA within
-~0.1--0.2 while the printed form under-estimates by ~0.7, so
-``variant="consistent"`` is the default.
+form assumes every non-final in-order flush of the phase is rewritten
+by the merge.  Calibration against the simulator across the Table II
+grid shows it tracks measured WA within ~0.1--0.2 while the printed form
+under-estimates by ~0.7, so the model is the consistent form; the
+breakdown also carries the printed line, which ``validation`` reports.
 """
 
 from __future__ import annotations
@@ -60,9 +60,8 @@ class SeparationWaBreakdown:
     n_bef: float
     #: WA per the paper's printed Eq. 5 final line.
     wa_eq5: float
-    #: WA per the algebraically consistent full-phase-rewrite variant.
-    wa_consistent: float
-    #: The variant selected by the caller (``wa_consistent`` by default).
+    #: WA per the algebraically consistent full-phase-rewrite form: the
+    #: model's ``r_s``.
     wa: float
 
 
@@ -86,15 +85,11 @@ def separation_breakdown(
     config: ModelConfig = DEFAULT_MODEL_CONFIG,
     zeta_model: ZetaModel | None = None,
     in_order_curve: InOrderCurve | None = None,
-    variant: str = "consistent",
 ) -> SeparationWaBreakdown:
     """Evaluate Eq. 5 and return every intermediate term.
 
     Pass shared ``zeta_model`` / ``in_order_curve`` instances when
     sweeping ``n_seq`` so CDF evaluations are reused (Algorithm 1 does).
-    ``variant`` selects which formula populates ``wa``: the calibrated
-    ``"consistent"`` form (default) or the paper's printed ``"eq5"``
-    final line (see module docstring).
     """
     if memory_budget < 2:
         raise ModelError(f"memory_budget must be >= 2, got {memory_budget}")
@@ -102,8 +97,6 @@ def separation_breakdown(
         raise ModelError(
             f"n_seq must be in [1, {memory_budget - 1}], got {n_seq}"
         )
-    if variant not in ("eq5", "consistent"):
-        raise ModelError(f"variant must be 'eq5' or 'consistent', got {variant!r}")
     curve = (
         in_order_curve if in_order_curve is not None else InOrderCurve(dist, dt)
     )
@@ -122,15 +115,12 @@ def separation_breakdown(
             n_cur=math.inf,
             n_bef=0.0,
             wa_eq5=1.0,
-            wa_consistent=1.0,
             wa=1.0,
         )
     n_arrive = n_seq * n_nonseq / g + n_nonseq
     n_seq_last = _last_flush_size(n_nonseq, g, n_seq)
     n_cur = max(n_arrive - n_nonseq - n_seq_last, 0.0)
     n_bef = model.zeta(n_arrive)
-    wa_eq5 = n_bef / n_arrive + 1.0 + (n_nonseq + n_seq_last) / n_arrive
-    wa_consistent = (n_cur + n_bef + n_arrive) / n_arrive
     return SeparationWaBreakdown(
         n_seq=n_seq,
         n_nonseq=n_nonseq,
@@ -139,9 +129,8 @@ def separation_breakdown(
         n_seq_last=n_seq_last,
         n_cur=n_cur,
         n_bef=n_bef,
-        wa_eq5=wa_eq5,
-        wa_consistent=wa_consistent,
-        wa=wa_eq5 if variant == "eq5" else wa_consistent,
+        wa_eq5=n_bef / n_arrive + 1.0 + (n_nonseq + n_seq_last) / n_arrive,
+        wa=(n_cur + n_bef + n_arrive) / n_arrive,
     )
 
 
@@ -153,7 +142,6 @@ def predict_wa_separation(
     config: ModelConfig = DEFAULT_MODEL_CONFIG,
     zeta_model: ZetaModel | None = None,
     in_order_curve: InOrderCurve | None = None,
-    variant: str = "consistent",
 ) -> float:
     """Estimate ``r_s(n_seq)`` (Eq. 5)."""
     return separation_breakdown(
@@ -164,5 +152,4 @@ def predict_wa_separation(
         config=config,
         zeta_model=zeta_model,
         in_order_curve=in_order_curve,
-        variant=variant,
     ).wa

@@ -5,26 +5,29 @@ with PDF ``f`` and CDF ``F`` (Section II).  This package provides:
 
 * :class:`DelayDistribution` — the abstract interface consumed by
   :mod:`repro.core` (models) and :mod:`repro.workloads` (generators);
-* the parametric families used in the evaluation (lognormal for
-  M1–M12, plus several alternatives for robustness studies);
+* the parametric families: lognormal for M1–M12, the families of
+  Figure 17's dynamic workload, and a Pareto tail;
 * :class:`EmpiricalDelay` — the analyzer's data-driven profile;
-* composition helpers (:class:`MixtureDelay`, :class:`ShiftedDelay`)
-  used to synthesise the real-world datasets' delay structure.
+* :class:`MixtureDelay`, :class:`ShiftedDelay` and
+  :func:`periodic_batch_delay`, which with the exponential and Pareto
+  laws are the fidelity gate's non-lognormal rows
+  (``tests/test_fidelity_gate.py``).
+
+Every constructor rejects a NaN or infinite parameter with
+:class:`~repro.errors.DistributionError`.
 """
 
 from .base import DelayDistribution
-from .composite import MixtureDelay, ScaledDelay, ShiftedDelay
+from .composite import MixtureDelay, ShiftedDelay
 from .discrete import DiscreteDelay, periodic_batch_delay
 from .empirical import EmpiricalDelay
 from .parametric import (
-    ConstantDelay,
     ExponentialDelay,
     GammaDelay,
     HalfNormalDelay,
     LogNormalDelay,
     ParetoDelay,
     UniformDelay,
-    WeibullDelay,
 )
 
 __all__ = [
@@ -34,13 +37,10 @@ __all__ = [
     "UniformDelay",
     "HalfNormalDelay",
     "GammaDelay",
-    "WeibullDelay",
     "ParetoDelay",
-    "ConstantDelay",
     "EmpiricalDelay",
     "MixtureDelay",
     "DiscreteDelay",
     "periodic_batch_delay",
     "ShiftedDelay",
-    "ScaledDelay",
 ]

@@ -19,7 +19,15 @@ import numpy as np
 
 from ..errors import DistributionError
 
-__all__ = ["DelayDistribution"]
+__all__ = ["DelayDistribution", "check_finite"]
+
+
+def check_finite(**params) -> None:
+    """Raise :class:`DistributionError` naming the first parameter (a
+    number or a sequence of numbers) that holds a NaN or an infinity."""
+    for name, value in params.items():
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise DistributionError(f"{name} must be finite, got {value!r}")
 
 
 class DelayDistribution(abc.ABC):

@@ -1,9 +1,9 @@
-"""Composite delay distributions: mixtures and shifted components.
+"""Composite delay distributions: mixtures and shifted laws.
 
-Real transmission delays are rarely a single clean family.  Dataset H
-(Section VI) shows a bimodal pattern — a fast path plus a systematic
-re-send mode near 5e4 ms — which a :class:`MixtureDelay` of a fast
-component and a :class:`ShiftedDelay` batch component captures exactly.
+Both are rows of the fidelity gate (``tests/test_fidelity_gate.py``):
+a :class:`MixtureDelay` of a lognormal fast path and a rare uniform
+outage mode gives a bimodal law, and a :class:`ShiftedDelay` of an
+exponential gives a constant delay plus jitter.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..errors import DistributionError
-from .base import DelayDistribution
+from .base import DelayDistribution, check_finite
 
-__all__ = ["MixtureDelay", "ShiftedDelay", "ScaledDelay"]
+__all__ = ["MixtureDelay", "ShiftedDelay"]
 
 
 class MixtureDelay(DelayDistribution):
@@ -32,6 +32,7 @@ class MixtureDelay(DelayDistribution):
             raise DistributionError(
                 f"{len(components)} components but {len(weights)} weights"
             )
+        check_finite(weights=weights)
         w = np.asarray(weights, dtype=float)
         if np.any(w < 0) or w.sum() <= 0:
             raise DistributionError(f"weights must be non-negative and sum > 0: {weights}")
@@ -83,6 +84,7 @@ class ShiftedDelay(DelayDistribution):
     """``base + offset``: a distribution translated right by ``offset``."""
 
     def __init__(self, base: DelayDistribution, offset: float) -> None:
+        check_finite(offset=offset)
         if offset < 0:
             raise DistributionError(f"offset must be non-negative, got {offset}")
         self.base = base
@@ -117,47 +119,3 @@ class ShiftedDelay(DelayDistribution):
 
     def __repr__(self):
         return f"ShiftedDelay(base={self.base!r}, offset={self.offset!r})"
-
-
-class ScaledDelay(DelayDistribution):
-    """``base * factor``: a distribution stretched by a positive factor.
-
-    Handy for changing time units (seconds vs milliseconds) without
-    re-deriving distribution parameters.
-    """
-
-    def __init__(self, base: DelayDistribution, factor: float) -> None:
-        if factor <= 0:
-            raise DistributionError(f"factor must be positive, got {factor}")
-        self.base = base
-        self.factor = float(factor)
-        self.name = f"{base.name}*{factor:g}"
-
-    def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.asarray(self.base.pdf(arr / self.factor), dtype=float) / self.factor
-        return float(out) if np.isscalar(x) else out
-
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.asarray(self.base.cdf(arr / self.factor), dtype=float)
-        return float(out) if np.isscalar(x) else out
-
-    def quantile(self, q):
-        out = np.asarray(self.base.quantile(q), dtype=float) * self.factor
-        return float(out) if np.isscalar(q) else out
-
-    def sample(self, size, rng):
-        return self.base.sample(size, rng) * self.factor
-
-    def mean(self):
-        return self.base.mean() * self.factor
-
-    def variance(self):
-        return self.base.variance() * self.factor**2
-
-    def support_upper(self):
-        return self.base.support_upper() * self.factor
-
-    def __repr__(self):
-        return f"ScaledDelay(base={self.base!r}, factor={self.factor!r})"

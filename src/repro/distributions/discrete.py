@@ -1,13 +1,11 @@
-"""Discrete delay distributions.
+"""Discrete delay distributions: a finite set of atoms.
 
-Dataset H's transmission channel produces delays with *atoms*: a point
-either ships immediately (small jitter) or waits for the next re-send
-tick, so the delay law mixes a continuous fast path with near-discrete
-mass at multiples of the re-send period (Figure 19b).
-:class:`DiscreteDelay` provides the atomic building block; combined with
-:class:`~repro.distributions.MixtureDelay` it expresses that law in
-closed form — and the WA models consume it like any other distribution,
-because their quadrature works on quantiles, never on densities.
+:func:`periodic_batch_delay` is a row of the fidelity gate
+(``tests/test_fidelity_gate.py``): most points ship at once and the rest
+wait for one of a few re-send ticks.  A one-atom :class:`DiscreteDelay`
+is the constant delay the model-identity tests use.  The WA models
+consume atoms like any other law, because their quadrature works on
+quantiles, never on densities.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..errors import DistributionError
-from .base import DelayDistribution
+from .base import DelayDistribution, check_finite
 
 __all__ = ["DiscreteDelay", "periodic_batch_delay"]
 
@@ -32,6 +30,7 @@ class DiscreteDelay(DelayDistribution):
         wts = np.asarray(weights, dtype=float).ravel()
         if vals.size == 0:
             raise DistributionError("DiscreteDelay needs at least one value")
+        check_finite(values=vals, weights=wts)
         if vals.size != wts.size:
             raise DistributionError(
                 f"{vals.size} values but {wts.size} weights"
@@ -106,11 +105,11 @@ def periodic_batch_delay(
 ) -> DiscreteDelay:
     """Atoms at 0 and at re-send ticks ``period, 2*period, ...``.
 
-    Models dataset H's channel in closed form: mass ``1 - batch_weight``
-    ships immediately; the rest waits for the next tick, with
-    geometrically decaying probability of needing further ticks
-    (``tick_decay`` per extra period).
+    Mass ``1 - batch_weight`` ships immediately; the rest waits for the
+    next tick, with geometrically decaying probability of needing
+    further ticks (``tick_decay`` per extra period).
     """
+    check_finite(period=period)
     if period <= 0:
         raise DistributionError(f"period must be positive, got {period}")
     if not 0 <= batch_weight < 1:

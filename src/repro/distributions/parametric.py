@@ -2,9 +2,11 @@
 
 The paper's synthetic datasets use lognormal delays ("we add a random
 variable, which obeys the lognormal distribution, to simulate real-world
-delays", Section III); the remaining families here are provided so the
-models can be validated across qualitatively different shapes (bounded,
-light-tailed, heavy-tailed), which Section V's robustness study calls for.
+delays", Section III).  The others each have a caller: exponential,
+uniform, gamma and half-normal segments make Figure 17's dynamic
+workload, and exponential and Pareto laws are rows of the fidelity gate
+(``tests/test_fidelity_gate.py``), which checks the models on shapes the
+lognormal grid does not cover.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from ..errors import DistributionError
-from .base import DelayDistribution
+from .base import DelayDistribution, check_finite
 
 __all__ = [
     "LogNormalDelay",
@@ -23,9 +25,7 @@ __all__ = [
     "UniformDelay",
     "HalfNormalDelay",
     "GammaDelay",
-    "WeibullDelay",
     "ParetoDelay",
-    "ConstantDelay",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -45,6 +45,7 @@ class LogNormalDelay(DelayDistribution):
     """
 
     def __init__(self, mu: float, sigma: float) -> None:
+        check_finite(mu=mu, sigma=sigma)
         if sigma <= 0:
             raise DistributionError(f"sigma must be positive, got {sigma}")
         self.mu = float(mu)
@@ -104,6 +105,7 @@ class ExponentialDelay(DelayDistribution):
     """Exponential delays with the given ``mean`` (light tail, memoryless)."""
 
     def __init__(self, mean: float) -> None:
+        check_finite(mean=mean)
         if mean <= 0:
             raise DistributionError(f"mean must be positive, got {mean}")
         self._mean = float(mean)
@@ -144,6 +146,7 @@ class UniformDelay(DelayDistribution):
     """Uniform delays on ``[low, high]`` (bounded support)."""
 
     def __init__(self, low: float, high: float) -> None:
+        check_finite(low=low, high=high)
         if low < 0 or high <= low:
             raise DistributionError(
                 f"require 0 <= low < high, got low={low}, high={high}"
@@ -190,6 +193,7 @@ class HalfNormalDelay(DelayDistribution):
     """|Normal(0, sigma^2)| delays: mass concentrated near zero."""
 
     def __init__(self, sigma: float) -> None:
+        check_finite(sigma=sigma)
         if sigma <= 0:
             raise DistributionError(f"sigma must be positive, got {sigma}")
         self.sigma = float(sigma)
@@ -234,6 +238,7 @@ class GammaDelay(DelayDistribution):
     """Gamma delays with the given ``shape`` and ``scale``."""
 
     def __init__(self, shape: float, scale: float) -> None:
+        check_finite(shape=shape, scale=scale)
         if shape <= 0 or scale <= 0:
             raise DistributionError(
                 f"shape and scale must be positive, got {shape}, {scale}"
@@ -281,57 +286,6 @@ class GammaDelay(DelayDistribution):
         return f"GammaDelay(shape={self.shape!r}, scale={self.scale!r})"
 
 
-class WeibullDelay(DelayDistribution):
-    """Weibull delays; ``shape < 1`` gives a heavy-ish tail."""
-
-    def __init__(self, shape: float, scale: float) -> None:
-        if shape <= 0 or scale <= 0:
-            raise DistributionError(
-                f"shape and scale must be positive, got {shape}, {scale}"
-            )
-        self.shape = float(shape)
-        self.scale = float(scale)
-        self.name = f"weibull(shape={shape:g}, scale={scale:g})"
-
-    def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros_like(arr)
-        positive = arr > 0
-        z = arr[positive] / self.scale
-        out[positive] = (
-            self.shape / self.scale * z ** (self.shape - 1.0) * np.exp(-(z**self.shape))
-        )
-        return float(out) if np.isscalar(x) else out
-
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        z = np.maximum(arr, 0.0) / self.scale
-        out = np.where(arr > 0, -np.expm1(-(z**self.shape)), 0.0)
-        return float(out) if np.isscalar(x) else out
-
-    def quantile(self, q):
-        qs = np.asarray(q, dtype=float)
-        if np.any((qs < 0) | (qs > 1)):
-            raise DistributionError(f"quantile levels must be in [0, 1]: {q}")
-        with np.errstate(divide="ignore"):
-            out = self.scale * (-np.log1p(-qs)) ** (1.0 / self.shape)
-        return float(out) if np.isscalar(q) else out
-
-    def sample(self, size, rng):
-        return self.scale * rng.weibull(self.shape, size)
-
-    def mean(self):
-        return self.scale * math.gamma(1.0 + 1.0 / self.shape)
-
-    def variance(self):
-        g1 = math.gamma(1.0 + 1.0 / self.shape)
-        g2 = math.gamma(1.0 + 2.0 / self.shape)
-        return self.scale**2 * (g2 - g1 * g1)
-
-    def __repr__(self):
-        return f"WeibullDelay(shape={self.shape!r}, scale={self.scale!r})"
-
-
 class ParetoDelay(DelayDistribution):
     """Lomax (Pareto-II) delays starting at 0: a genuinely heavy tail.
 
@@ -339,6 +293,7 @@ class ParetoDelay(DelayDistribution):
     """
 
     def __init__(self, alpha: float, scale: float) -> None:
+        check_finite(alpha=alpha, scale=scale)
         if alpha <= 0 or scale <= 0:
             raise DistributionError(
                 f"alpha and scale must be positive, got {alpha}, {scale}"
@@ -384,51 +339,3 @@ class ParetoDelay(DelayDistribution):
 
     def __repr__(self):
         return f"ParetoDelay(alpha={self.alpha!r}, scale={self.scale!r})"
-
-
-class ConstantDelay(DelayDistribution):
-    """A degenerate distribution: every point is delayed by exactly ``value``.
-
-    With a constant delay the arrival order equals the generation order,
-    so an engine fed through this distribution must exhibit WA == 1 under
-    the conventional policy — a useful sanity anchor for tests.
-    """
-
-    def __init__(self, value: float = 0.0) -> None:
-        if value < 0:
-            raise DistributionError(f"value must be non-negative, got {value}")
-        self.value = float(value)
-        self.name = f"constant({value:g})"
-
-    def pdf(self, x):
-        # Dirac mass; report density 0 everywhere (pdf is not meaningful).
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros_like(arr)
-        return float(out) if np.isscalar(x) else out
-
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.where(arr >= self.value, 1.0, 0.0)
-        return float(out) if np.isscalar(x) else out
-
-    def quantile(self, q):
-        qs = np.asarray(q, dtype=float)
-        if np.any((qs < 0) | (qs > 1)):
-            raise DistributionError(f"quantile levels must be in [0, 1]: {q}")
-        out = np.full_like(qs, self.value)
-        return float(out) if np.isscalar(q) else out
-
-    def sample(self, size, rng):
-        return np.full(size, self.value)
-
-    def mean(self):
-        return self.value
-
-    def variance(self):
-        return 0.0
-
-    def support_upper(self):
-        return self.value
-
-    def __repr__(self):
-        return f"ConstantDelay(value={self.value!r})"

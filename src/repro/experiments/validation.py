@@ -59,7 +59,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
                 in_order_curve=curve,
             )
             errors_eq5.append(breakdown.wa_eq5 - measured)
-            errors_consistent.append(breakdown.wa_consistent - measured)
+            errors_consistent.append(breakdown.wa - measured)
         measured_rc = measure_wa(
             dataset, "conventional", budget, sstable
         ).write_amplification

@@ -1,8 +1,7 @@
 """Sliding-window smoothing for time-ordered measurements.
 
 Figure 10 plots write amplification over time "smoothed with a sliding
-window"; these helpers provide that smoothing plus simple exponential
-smoothing for streaming statistics inside the analyzer.
+window"; :func:`sliding_mean` is that smoothing.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import numpy as np
 
 from ..errors import ReproError
 
-__all__ = ["sliding_mean", "sliding_sum", "ExponentialAverage"]
+__all__ = ["sliding_mean"]
 
 
 def sliding_mean(values: np.ndarray, window: int) -> np.ndarray:
@@ -31,49 +30,3 @@ def sliding_mean(values: np.ndarray, window: int) -> np.ndarray:
         out[:head] = csum[1 : head + 1] / np.arange(1, head + 1)
     out[window - 1 :] = (csum[window:] - csum[:-window]) / window
     return out
-
-
-def sliding_sum(values: np.ndarray, window: int) -> np.ndarray:
-    """Trailing sum over ``window`` entries (partial prefix at the start)."""
-    data = np.asarray(values, dtype=float).ravel()
-    if window < 1:
-        raise ReproError(f"window must be >= 1, got {window}")
-    if data.size == 0:
-        return data.copy()
-    window = min(window, data.size)
-    csum = np.concatenate(([0.0], np.cumsum(data)))
-    out = np.empty_like(data)
-    head = min(window - 1, data.size)
-    if head:
-        out[:head] = csum[1 : head + 1]
-    out[window - 1 :] = csum[window:] - csum[:-window]
-    return out
-
-
-class ExponentialAverage:
-    """Streaming exponentially weighted mean with bias correction."""
-
-    def __init__(self, alpha: float = 0.05) -> None:
-        if not 0 < alpha <= 1:
-            raise ReproError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = float(alpha)
-        self._value = 0.0
-        self._weight = 0.0
-
-    def update(self, x: float) -> float:
-        """Fold in one observation and return the corrected mean."""
-        self._value = (1.0 - self.alpha) * self._value + self.alpha * float(x)
-        self._weight = (1.0 - self.alpha) * self._weight + self.alpha
-        return self.value
-
-    @property
-    def value(self) -> float:
-        """Bias-corrected current mean (0.0 before any update)."""
-        if self._weight == 0.0:
-            return 0.0
-        return self._value / self._weight
-
-    @property
-    def initialized(self) -> bool:
-        """True once at least one observation has been folded in."""
-        return self._weight > 0.0

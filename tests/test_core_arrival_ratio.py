@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import ConstantDelay, ExponentialDelay, LogNormalDelay, UniformDelay
+from repro import ExponentialDelay, LogNormalDelay, UniformDelay
 from repro.core import InOrderCurve, expected_in_order, g_out_of_order
+from repro.distributions import DiscreteDelay
 from repro.errors import ModelError
 
 
@@ -29,7 +30,7 @@ class TestExpectedInOrder:
     def test_tiny_delays_make_everything_in_order(self):
         # Delays far below dt: every arrival is in order.
         assert expected_in_order(
-            ConstantDelay(0.0), 50.0, 100
+            DiscreteDelay([0.0], [1.0]), 50.0, 100
         ) == pytest.approx(100.0)
 
     def test_rejects_bad_inputs(self):
@@ -41,7 +42,7 @@ class TestExpectedInOrder:
 
 class TestG:
     def test_zero_for_ordered_workload(self):
-        assert g_out_of_order(ConstantDelay(0.0), 50.0, 100) == 0.0
+        assert g_out_of_order(DiscreteDelay([0.0], [1.0]), 50.0, 100) == 0.0
 
     def test_positive_under_disorder(self):
         g = g_out_of_order(LogNormalDelay(5.0, 2.0), 50.0, 256)
@@ -128,7 +129,7 @@ class TestG:
     def test_constant_delay_threshold(self):
         # Constant delay of 3.5*dt: the first 3 arrivals after a flush
         # are out-of-order, the rest in order.
-        curve = InOrderCurve(ConstantDelay(175.0), 50.0)
+        curve = InOrderCurve(DiscreteDelay([175.0], [1.0]), 50.0)
         assert curve.expected_in_order(3) == 0.0
         assert curve.expected_in_order(10) == pytest.approx(7.0)
 

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro import (
-    ConstantDelay,
     LogNormalDelay,
     UniformDelay,
     ZetaModel,
@@ -15,6 +14,7 @@ from repro import (
 )
 from repro.core import InOrderCurve
 from repro.core.wa_conventional import GRANULARITY_KAPPA
+from repro.distributions import DiscreteDelay
 from repro.errors import ModelError
 
 
@@ -43,7 +43,7 @@ class TestConventionalModel:
 
     def test_no_correction_without_rewrites(self):
         # Ordered workload: zeta ~ 0, correction must not apply.
-        dist = ConstantDelay(1.0)
+        dist = DiscreteDelay([1.0], [1.0])
         corrected = predict_wa_conventional(dist, 50.0, 512, sstable_size=512)
         assert corrected == pytest.approx(1.0)
 
@@ -66,8 +66,8 @@ class TestSeparationModel:
         assert breakdown.n_cur == pytest.approx(
             breakdown.n_arrive - breakdown.n_nonseq - breakdown.n_seq_last
         )
-        # Consistent variant = (N_cur + N_bef + N_arrive) / N_arrive.
-        assert breakdown.wa_consistent == pytest.approx(
+        # r_s = (N_cur + N_bef + N_arrive) / N_arrive, the consistent form.
+        assert breakdown.wa == pytest.approx(
             (breakdown.n_cur + breakdown.n_bef + breakdown.n_arrive)
             / breakdown.n_arrive
         )
@@ -83,16 +83,6 @@ class TestSeparationModel:
         for n_seq in (32, 128, 256, 400):
             breakdown = separation_breakdown(dist, 50.0, 512, n_seq)
             assert 0.0 < breakdown.n_seq_last <= n_seq + 1e-9
-
-    def test_variant_selection(self):
-        dist = LogNormalDelay(5.0, 2.0)
-        eq5 = predict_wa_separation(dist, 50.0, 512, 256, variant="eq5")
-        consistent = predict_wa_separation(
-            dist, 50.0, 512, 256, variant="consistent"
-        )
-        breakdown = separation_breakdown(dist, 50.0, 512, 256)
-        assert eq5 == pytest.approx(breakdown.wa_eq5)
-        assert consistent == pytest.approx(breakdown.wa_consistent)
 
     def test_ordered_workload_tends_to_one(self):
         # No out-of-order data: phases never end, WA -> 1.
@@ -122,12 +112,6 @@ class TestSeparationModel:
     def test_rejects_out_of_range_n_seq(self, n_seq):
         with pytest.raises(ModelError):
             predict_wa_separation(LogNormalDelay(4, 1.5), 50.0, 512, n_seq)
-
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ModelError):
-            predict_wa_separation(
-                LogNormalDelay(4, 1.5), 50.0, 512, 256, variant="other"
-            )
 
     def test_shared_models_give_identical_results(self):
         dist = LogNormalDelay(5.0, 2.0)

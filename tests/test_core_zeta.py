@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    ConstantDelay,
     ExponentialDelay,
     LogNormalDelay,
     ModelConfig,
@@ -13,7 +12,7 @@ from repro import (
     zeta,
 )
 from repro.core.subsequent import _BLOCK_ROWS, _HELD_BLOCKS
-from repro.distributions import EmpiricalDelay
+from repro.distributions import DiscreteDelay, EmpiricalDelay
 from repro.errors import ModelError
 
 
@@ -56,7 +55,7 @@ class TestZetaBasics:
         )
 
     def test_constant_delay_zero(self):
-        assert zeta(ConstantDelay(500.0), 50.0, 128) == pytest.approx(
+        assert zeta(DiscreteDelay([500.0], [1.0]), 50.0, 128) == pytest.approx(
             0.0, abs=1e-6
         )
 

@@ -1,17 +1,16 @@
-"""Tests for mixture/shifted/scaled delay distributions."""
+"""Tests for mixture and shifted delay distributions."""
 
 import numpy as np
 import pytest
 
 from repro import (
-    ConstantDelay,
     DistributionError,
     ExponentialDelay,
     MixtureDelay,
     ShiftedDelay,
     UniformDelay,
 )
-from repro.distributions import ScaledDelay
+from repro.distributions import DiscreteDelay
 
 
 class TestMixtureDelay:
@@ -29,13 +28,15 @@ class TestMixtureDelay:
 
     def test_mean_is_weighted(self):
         mixture = MixtureDelay(
-            [ConstantDelay(10.0), ConstantDelay(30.0)], [0.25, 0.75]
+            [DiscreteDelay([10.0], [1.0]), DiscreteDelay([30.0], [1.0])],
+            [0.25, 0.75],
         )
         assert mixture.mean() == pytest.approx(25.0)
 
     def test_sampling_respects_weights(self, rng):
         mixture = MixtureDelay(
-            [ConstantDelay(1.0), ConstantDelay(2.0)], [0.9, 0.1]
+            [DiscreteDelay([1.0], [1.0]), DiscreteDelay([2.0], [1.0])],
+            [0.9, 0.1],
         )
         draws = mixture.sample(10_000, rng)
         assert np.mean(draws == 1.0) == pytest.approx(0.9, abs=0.02)
@@ -91,25 +92,3 @@ class TestShiftedDelay:
     def test_rejects_negative_offset(self):
         with pytest.raises(DistributionError):
             ShiftedDelay(ExponentialDelay(1.0), offset=-1.0)
-
-
-class TestScaledDelay:
-    def test_unit_conversion(self):
-        seconds = ExponentialDelay(2.0)
-        millis = ScaledDelay(seconds, 1000.0)
-        assert millis.mean() == pytest.approx(2000.0)
-        assert float(millis.cdf(2000.0)) == pytest.approx(float(seconds.cdf(2.0)))
-
-    def test_pdf_rescaled_density(self):
-        base = UniformDelay(0, 10)
-        scaled = ScaledDelay(base, 2.0)
-        assert scaled.pdf(5.0) == pytest.approx(0.05)
-
-    def test_variance_scales_quadratically(self):
-        base = ExponentialDelay(3.0)
-        scaled = ScaledDelay(base, 10.0)
-        assert scaled.variance() == pytest.approx(100.0 * base.variance())
-
-    def test_rejects_nonpositive_factor(self):
-        with pytest.raises(DistributionError):
-            ScaledDelay(ExponentialDelay(1.0), 0.0)

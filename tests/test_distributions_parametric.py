@@ -1,20 +1,24 @@
-"""Tests for the parametric delay distributions."""
+"""Tests for the parametric delay distributions, and the contract every
+continuous law the models consume is held to."""
+
+import math
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from repro import (
-    ConstantDelay,
     DistributionError,
     ExponentialDelay,
     GammaDelay,
     HalfNormalDelay,
     LogNormalDelay,
+    MixtureDelay,
     ParetoDelay,
+    ShiftedDelay,
     UniformDelay,
-    WeibullDelay,
 )
+from repro.distributions import DiscreteDelay, periodic_batch_delay
 
 ALL_DISTRIBUTIONS = [
     LogNormalDelay(mu=4.0, sigma=1.5),
@@ -23,8 +27,13 @@ ALL_DISTRIBUTIONS = [
     UniformDelay(low=0.0, high=200.0),
     HalfNormalDelay(sigma=80.0),
     GammaDelay(shape=2.0, scale=50.0),
-    WeibullDelay(shape=0.8, scale=100.0),
     ParetoDelay(alpha=2.5, scale=60.0),
+    # The fidelity gate's bimodal outage law and constant-plus-jitter law.
+    MixtureDelay(
+        [LogNormalDelay(mu=4.0, sigma=1.0), UniformDelay(low=5000.0, high=5500.0)],
+        [0.95, 0.05],
+    ),
+    ShiftedDelay(ExponentialDelay(mean=100.0), offset=500.0),
 ]
 
 IDS = [d.name for d in ALL_DISTRIBUTIONS]
@@ -151,25 +160,59 @@ class TestPareto:
 
 
 class TestConstant:
+    """The constant law is a one-atom :class:`DiscreteDelay`; the
+    model-identity tests use it as such."""
+
     def test_step_cdf(self):
-        dist = ConstantDelay(5.0)
+        dist = DiscreteDelay([5.0], [1.0])
         assert dist.cdf(4.999) == 0.0
         assert dist.cdf(5.0) == 1.0
 
     def test_samples_are_constant(self, rng):
-        dist = ConstantDelay(7.0)
+        dist = DiscreteDelay([7.0], [1.0])
         assert np.all(dist.sample(10, rng) == 7.0)
 
     def test_moments(self):
-        dist = ConstantDelay(3.0)
+        dist = DiscreteDelay([3.0], [1.0])
         assert dist.mean() == 3.0
         assert dist.variance() == 0.0
 
     def test_quantile(self):
-        dist = ConstantDelay(2.0)
+        dist = DiscreteDelay([2.0], [1.0])
         assert dist.quantile(0.3) == 2.0
         assert dist.quantile(0.0) == 2.0
 
     def test_rejects_negative(self):
         with pytest.raises(DistributionError):
-            ConstantDelay(-1.0)
+            DiscreteDelay([-1.0], [1.0])
+
+
+#: One builder per numeric constructor parameter of every kept law.
+NON_FINITE_BUILDERS = {
+    "lognormal-mu": lambda x: LogNormalDelay(mu=x, sigma=1.0),
+    "lognormal-sigma": lambda x: LogNormalDelay(mu=4.0, sigma=x),
+    "exponential-mean": lambda x: ExponentialDelay(mean=x),
+    "uniform-low": lambda x: UniformDelay(low=x, high=10.0),
+    "uniform-high": lambda x: UniformDelay(low=0.0, high=x),
+    "halfnormal-sigma": lambda x: HalfNormalDelay(sigma=x),
+    "gamma-shape": lambda x: GammaDelay(shape=x, scale=1.0),
+    "gamma-scale": lambda x: GammaDelay(shape=1.0, scale=x),
+    "pareto-alpha": lambda x: ParetoDelay(alpha=x, scale=1.0),
+    "pareto-scale": lambda x: ParetoDelay(alpha=2.0, scale=x),
+    "discrete-values": lambda x: DiscreteDelay([1.0, x], [1.0, 1.0]),
+    "discrete-weights": lambda x: DiscreteDelay([1.0, 2.0], [1.0, x]),
+    "mixture-weights": lambda x: MixtureDelay(
+        [ExponentialDelay(1.0), ExponentialDelay(2.0)], [1.0, x]
+    ),
+    "shifted-offset": lambda x: ShiftedDelay(ExponentialDelay(1.0), x),
+    "periodic-period": lambda x: periodic_batch_delay(x, 0.2),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build", list(NON_FINITE_BUILDERS.values()), ids=list(NON_FINITE_BUILDERS)
+)
+def test_non_finite_parameters_are_rejected(build, value):
+    with pytest.raises(DistributionError, match="must be finite"):
+        build(value)

@@ -9,39 +9,14 @@ from scipy import stats as scipy_stats
 
 from repro.errors import ReproError
 from repro.stats import (
-    Ecdf,
-    ExponentialAverage,
     SlidingWindowSample,
     autocorrelation,
     build_histogram,
     kolmogorov_sf,
     ks_two_sample,
     sliding_mean,
-    sliding_sum,
     summarize,
 )
-
-
-class TestEcdf:
-    def test_step_values(self):
-        ecdf = Ecdf(np.array([1.0, 2.0, 3.0]))
-        assert ecdf(0.0) == 0.0
-        assert ecdf(1.0) == pytest.approx(1 / 3)
-        assert ecdf(2.5) == pytest.approx(2 / 3)
-        assert ecdf(3.0) == 1.0
-
-    def test_vectorised(self):
-        ecdf = Ecdf(np.array([1.0, 2.0]))
-        assert np.allclose(ecdf(np.array([0.5, 1.5, 2.5])), [0.0, 0.5, 1.0])
-
-    def test_quantile_support(self):
-        ecdf = Ecdf(np.array([5.0, 1.0, 3.0]))
-        assert ecdf.support() == (1.0, 5.0)
-        assert ecdf.quantile(0.5) == 3.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ReproError):
-            Ecdf(np.array([]))
 
 
 class TestHistogram:
@@ -152,10 +127,6 @@ class TestSmoothing:
         out = sliding_mean(np.array([1.0, 2.0, 3.0, 4.0]), window=2)
         assert np.allclose(out, [1.0, 1.5, 2.5, 3.5])
 
-    def test_sliding_sum_known(self):
-        out = sliding_sum(np.array([1.0, 2.0, 3.0]), window=2)
-        assert np.allclose(out, [1.0, 3.0, 5.0])
-
     def test_window_longer_than_series(self):
         out = sliding_mean(np.array([2.0, 4.0]), window=10)
         assert np.allclose(out, [2.0, 3.0])
@@ -166,19 +137,6 @@ class TestSmoothing:
     def test_rejects_bad_window(self):
         with pytest.raises(ReproError):
             sliding_mean(np.array([1.0]), window=0)
-
-    def test_exponential_average_bias_corrected(self):
-        avg = ExponentialAverage(alpha=0.5)
-        assert avg.value == 0.0
-        assert not avg.initialized
-        avg.update(10.0)
-        assert avg.value == pytest.approx(10.0)
-        avg.update(20.0)
-        assert 10.0 < avg.value < 20.0
-
-    def test_exponential_average_rejects_bad_alpha(self):
-        with pytest.raises(ReproError):
-            ExponentialAverage(alpha=0.0)
 
 
 class TestSlidingWindowSample:

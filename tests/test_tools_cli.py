@@ -43,6 +43,13 @@ class TestDecide:
         assert payload["r_s_star"] < payload["r_c"]
         assert 1 <= payload["seq_capacity"] <= 127
 
+    def test_non_finite_law_parameter_is_an_error(self, capsys):
+        code = main(["decide", "--mu", "nan", "--sigma", "1", "--dt", "50"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: mu must be finite")
+        assert captured.out == ""
+
 
 class TestGenerateAndAnalyze:
     def test_round_trip(self, tmp_path, capsys):

@@ -4,7 +4,8 @@ edge cases."""
 import numpy as np
 import pytest
 
-from repro import ConstantDelay, EngineError, LsmConfig, SeparationEngine
+from repro import EngineError, LsmConfig, SeparationEngine
+from repro.distributions import DiscreteDelay
 from repro.errors import CheckpointCorruptError
 from repro.lsm.wa_tracker import CompactionEvent, WriteStats
 from repro.workloads import generate_synthetic
@@ -127,7 +128,9 @@ class TestWaTimelineEdgeCases:
     def test_flushes_but_zero_merges(self):
         # Fully in-order data through pi_s: C_seq flushes only, and the
         # timeline must still integrate to WA == 1.
-        dataset = generate_synthetic(4_096, dt=50, delay=ConstantDelay(0.0), seed=0)
+        dataset = generate_synthetic(
+            4_096, dt=50, delay=DiscreteDelay([0.0], [1.0]), seed=0
+        )
         engine = SeparationEngine(LsmConfig(256, 256, seq_capacity=128))
         engine.ingest(dataset.tg)
         engine.flush_all()
