@@ -96,12 +96,10 @@ from .errors import (
 )
 from .faults import FAULT_SITES, FaultInjector, FaultPlan
 from .obs import (
-    ConsoleSink,
     JsonlFileSink,
     MetricsRegistry,
     RingBufferSink,
     Telemetry,
-    build_telemetry,
     configure_telemetry,
     global_telemetry,
     load_trace,
@@ -250,8 +248,6 @@ __all__ = [
     "MetricsRegistry",
     "RingBufferSink",
     "JsonlFileSink",
-    "ConsoleSink",
-    "build_telemetry",
     "configure_telemetry",
     "global_telemetry",
     "reset_global_telemetry",

@@ -18,9 +18,7 @@ stream of your own, and operate the storage system around it::
     python -m repro checkpoint --dir state/
     python -m repro recover --dir state/
     python -m repro report fleet/
-    python -m repro federated-report --shards 4
     python -m repro engines
-    python -m repro cold-report --points 200000 --block-size 256
 
 Every command is a subparser of one :mod:`argparse` tree (a leading
 word that is no command is an experiment id); every handler takes the
@@ -41,7 +39,7 @@ import time
 from .config import DEFAULT_MEMORY_BUDGET, DEFAULT_SSTABLE_SIZE
 from .errors import ReproError
 from .experiments import experiment_ids, registry
-from .obs import configure_telemetry, load_trace, render_trace_report
+from .obs import JsonlFileSink, configure_telemetry, load_trace, render_trace_report
 from .tables import format_table
 
 
@@ -70,7 +68,7 @@ def _experiments(args: argparse.Namespace) -> int:
     """``<id>`` and ``all``: run each experiment in turn and print its
     result as soon as it finishes."""
     if args.trace is not None:
-        configure_telemetry(sink=f"jsonl:{args.trace}")
+        configure_telemetry(JsonlFileSink(args.trace))
     ids = experiment_ids() if args.command == "all" else [args.command]
     for experiment_id in ids:
         started = time.perf_counter()
@@ -204,139 +202,6 @@ def _engines(args: argparse.Namespace) -> int:
     )
     print(f"[{len(rows)} engine configurations registered]")
     return 0
-
-
-def _random_windows(lo_all: float, hi_all: float, count: int, seed: int):
-    """``count`` seeded query windows, each 40% of ``[lo_all, hi_all]``."""
-    import numpy as np
-
-    span = hi_all - lo_all
-    rng = np.random.default_rng(seed)
-    return [
-        (lo, lo + 0.4 * span)
-        for lo in rng.uniform(lo_all, hi_all - 0.4 * span, size=count)
-    ]
-
-
-def _cold_report(args: argparse.Namespace) -> int:
-    from .config import LsmConfig
-    from .lsm.conventional import ConventionalEngine
-    from .query.aggregation import execute_aggregate_query
-    from .distributions import LogNormalDelay
-    from .workloads import generate_synthetic
-
-    engine = ConventionalEngine(
-        LsmConfig(memory_budget=args.sstable_size, sstable_size=args.sstable_size)
-        .with_telemetry()
-    )
-    stream = generate_synthetic(
-        args.points, dt=50.0, delay=LogNormalDelay(5.0, 2.0), seed=args.seed
-    )
-    engine.ingest(stream.tg)
-    engine.flush_all()
-    snapshot = engine.snapshot()
-    windows = _random_windows(
-        float(stream.tg.min()), float(stream.tg.max()), args.windows, args.seed
-    )
-
-    def timed_pass():
-        start = time.perf_counter()
-        results = [
-            execute_aggregate_query(snapshot, lo, hi, telemetry=engine.telemetry)
-            for lo, hi in windows
-        ]
-        return results, time.perf_counter() - start
-
-    row_results, row_s = timed_pass()
-    converted = engine.convert_cold(block_size=args.block_size)
-    snapshot = engine.snapshot()
-    cold_results, cold_s = timed_pass()
-    identical = all(
-        r.count == c.count and r.total == c.total
-        and r.minimum == c.minimum and r.maximum == c.maximum
-        for r, c in zip(row_results, cold_results)
-    )
-    registry = engine.telemetry.registry
-    stat_blocks = registry.counter("query.blocks_stat_answered").value
-    print(f"tables: {len(snapshot.tables)}  "
-          f"converted to columnar: {converted}  "
-          f"resident stats bytes: {engine.cold_tier_bytes()}")
-    print(f"row-scan aggregation:   {row_s * 1e3:8.2f} ms "
-          f"({args.windows} windows)")
-    print(f"stat-answered (cold):   {cold_s * 1e3:8.2f} ms "
-          f"({args.windows} windows)")
-    speedup = row_s / cold_s if cold_s > 0 else float("inf")
-    print(f"speedup: {speedup:.1f}x  "
-          f"blocks stat-answered: {int(stat_blocks)}  "
-          f"bit-identical: {'yes' if identical else 'NO'}")
-    return 0 if identical else 1
-
-
-def _federated_report(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .distributions import ExponentialDelay
-    from .lsm.database import TimeSeriesDatabase
-    from .obs import render_federation_report
-    from .obs.telemetry import Telemetry
-    from .query.merge import aggregate_over_series, scan_over_series
-    from .serving import ShardedDatabase
-    from .workloads import generate_synthetic
-
-    fleet = ShardedDatabase(
-        n_shards=args.shards,
-        memory_budget_per_series=256,
-        sstable_size=256,
-        telemetry=Telemetry(sinks=[]),
-    )
-    reference = TimeSeriesDatabase(
-        memory_budget_per_series=256, sstable_size=256
-    )
-    names = [f"sensor-{i:03d}" for i in range(args.series)]
-    lo_all, hi_all = math.inf, -math.inf
-    for offset, name in enumerate(names):
-        stream = generate_synthetic(
-            args.points,
-            dt=50.0,
-            delay=ExponentialDelay(200.0),
-            seed=args.seed + offset,
-        )
-        fleet.write(name, stream.tg)
-        reference.write(name, stream.tg)
-        lo_all = min(lo_all, float(stream.tg.min()))
-        hi_all = max(hi_all, float(stream.tg.max()))
-    windows = _random_windows(lo_all, hi_all, args.windows, args.seed)
-
-    started = time.perf_counter()
-    federated = [
-        (
-            fleet.query_aggregate(lo=lo, hi=hi),
-            fleet.query_range(lo=lo, hi=hi, collect=True),
-        )
-        for lo, hi in windows
-    ]
-    federated_s = time.perf_counter() - started
-    started = time.perf_counter()
-    serial = [
-        (
-            aggregate_over_series(reference, lo=lo, hi=hi),
-            scan_over_series(reference, lo=lo, hi=hi, collect=True),
-        )
-        for lo, hi in windows
-    ]
-    serial_s = time.perf_counter() - started
-    identical = all(
-        fa == sa
-        and np.array_equal(fr.rows, sr.rows)
-        and np.array_equal(fr.row_ids, sr.row_ids)
-        for (fa, fr), (sa, sr) in zip(federated, serial)
-    )
-    print(render_federation_report(fleet, source=f"{args.series} series"))
-    print()
-    print(f"federated pass: {federated_s * 1e3:8.2f} ms ({args.windows} windows)")
-    print(f"unsharded pass: {serial_s * 1e3:8.2f} ms")
-    print(f"bit-identical to single database: {'yes' if identical else 'NO'}")
-    return 0 if identical else 1
 
 
 # -- durability: crash-test, checkpoint, recover -------------------------------------
@@ -537,70 +402,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
             "x flush x compaction); novel combinations are available via "
             "repro.lsm.policies.compose_engine"
         ),
-    )
-
-    cold = command(
-        "cold-report",
-        _cold_report,
-        "columnar cold tier: block statistics against the row scan",
-        description=(
-            "Demonstrate the columnar cold tier: ingest a synthetic "
-            "out-of-order stream, convert the settled tables to the "
-            "columnar block format, and compare aggregation served from "
-            "block statistics against the row-scan path (results are "
-            "verified bit-identical)"
-        ),
-    )
-    cold.add_argument(
-        "--points", type=int, default=120_000,
-        help="stream length (default 120000)",
-    )
-    cold.add_argument(
-        "--sstable-size", type=int, default=8192,
-        help="points per SSTable (default 8192)",
-    )
-    cold.add_argument(
-        "--block-size", type=int, default=256,
-        help="points per columnar statistics block (default 256)",
-    )
-    cold.add_argument(
-        "--windows", type=int, default=32,
-        help="aggregation windows per timing pass (default 32)",
-    )
-    cold.add_argument(
-        "--seed", type=int, default=0, help="workload RNG seed (default 0)"
-    )
-
-    federated = command(
-        "federated-report",
-        _federated_report,
-        "query federation: a fleet's answers against one database's",
-        description=(
-            "Demonstrate cross-shard query federation: ingest a "
-            "synthetic multi-series workload into a sharded fleet, run "
-            "fleet-wide aggregate and range queries through the "
-            "federated executor, verify every answer bitwise "
-            "against a single unsharded database, and print per-shard "
-            "latency/cache attribution"
-        ),
-    )
-    federated.add_argument(
-        "--shards", type=int, default=4, help="fleet width (default 4)"
-    )
-    federated.add_argument(
-        "--series", type=int, default=8,
-        help="series count (default 8)",
-    )
-    federated.add_argument(
-        "--points", type=int, default=4000,
-        help="points per series (default 4000)",
-    )
-    federated.add_argument(
-        "--windows", type=int, default=16,
-        help="query windows per pass (default 16)",
-    )
-    federated.add_argument(
-        "--seed", type=int, default=0, help="workload RNG seed (default 0)"
     )
 
     crash = command(

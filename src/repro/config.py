@@ -36,7 +36,8 @@ class LsmConfig:
     Every landing writes row tables; the columnar cold tier is a layout
     an operator applies afterwards through
     :meth:`~repro.lsm.policies.kernel.StorageKernel.convert_cold`, so it
-    has no knob here.
+    has no knob here.  Nor has telemetry: an engine publishes to the bus
+    passed as its ``telemetry=`` argument.
 
     Parameters
     ----------
@@ -51,15 +52,6 @@ class LsmConfig:
         Capacity of ``C_seq`` (``n_seq``).  Only meaningful for the
         separation policy.  ``None`` means "half of the budget", the
         original Apache IoTDB default the paper calls ``pi_s(n/2)``.
-    telemetry_enabled:
-        When True the engine publishes structured events (flush, merge,
-        query spans) and metrics through :mod:`repro.obs`.  Off by
-        default; disabled telemetry is a constant-time no-op.
-    telemetry_sink:
-        Sink spec for the engine's event bus: ``"memory[:capacity]"``
-        (ring buffer, the default), ``"console"`` (JSON lines to
-        stderr) or ``"jsonl:<path>"`` (append-mode trace file readable
-        by ``repro report``).
     wal_path:
         When set, the engine appends every ingested batch to a
         binary-framed, checksummed write-ahead log at this path *before*
@@ -119,8 +111,6 @@ class LsmConfig:
     memory_budget: int = DEFAULT_MEMORY_BUDGET
     sstable_size: int = DEFAULT_SSTABLE_SIZE
     seq_capacity: int | None = None
-    telemetry_enabled: bool = False
-    telemetry_sink: str = "memory"
     wal_path: str | None = None
     wal_group_records: int = 1
     wal_group_bytes: int = 1 << 20
@@ -148,12 +138,6 @@ class LsmConfig:
     }
 
     def __post_init__(self) -> None:
-        # Validate the sink spec eagerly so a typo fails at config time,
-        # not at the first flush.  Imported here to keep repro.obs free
-        # of import cycles with this module.
-        from .obs.sinks import parse_sink_spec
-
-        parse_sink_spec(self.telemetry_sink)
         if self.wal_path is not None and (
             not isinstance(self.wal_path, str) or not self.wal_path
         ):
@@ -249,10 +233,6 @@ class LsmConfig:
     def with_seq_capacity(self, seq_capacity: int) -> "LsmConfig":
         """Return a copy with a different ``C_seq`` capacity."""
         return replace(self, seq_capacity=seq_capacity)
-
-    def with_telemetry(self, sink: str = "memory") -> "LsmConfig":
-        """Return a copy with telemetry enabled and ``sink`` selected."""
-        return replace(self, telemetry_enabled=True, telemetry_sink=sink)
 
     #: Knobs :meth:`with_stability` may override.
     _STABILITY_FIELDS = frozenset(

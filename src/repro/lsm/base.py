@@ -55,7 +55,7 @@ from ..errors import (
     TransientIOFault,
 )
 from ..faults.injector import FaultInjector
-from ..obs.telemetry import Telemetry, build_telemetry
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .level import RunView
 from .memtable import EMPTY_IDS
 from .pruning import TableIndex
@@ -229,11 +229,9 @@ class LsmEngine:
     ) -> None:
         self.config = config
         self.stats = WriteStats()
-        #: Event bus for this engine; the no-op bus unless the config (or
-        #: an explicit ``telemetry=``) enables it.
-        self.telemetry = (
-            telemetry if telemetry is not None else build_telemetry(config)
-        )
+        #: Event bus for this engine: the one it was handed, else the
+        #: no-op bus.
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         if self.telemetry.enabled:
             self.stats.bind_telemetry(self.telemetry)
         #: Fault injector for this engine's write path; ``None`` (the

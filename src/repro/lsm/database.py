@@ -40,8 +40,15 @@ from .policies.compose import engine_class
 
 __all__ = [
     "SeriesState", "FleetReport", "TimeSeriesDatabase", "decide_series",
-    "manifest_filename", "load_manifest", "check_manifest",
+    "manifest_filename", "load_manifest", "check_manifest", "check_series_name",
 ]
+
+
+def check_series_name(name) -> None:
+    """A series name is a ``str``: anything else is an :class:`EngineError`."""
+    if not isinstance(name, str):
+        raise EngineError(f"series names are strings, got {name!r:.80}")
+
 
 def manifest_filename(namespace: str = "") -> str:
     """Manifest file name for one database under ``namespace``.
@@ -100,8 +107,6 @@ _SERIES_FIELDS = {
     "engine": str,
     "memory_budget": int,
     "seq_capacity": (int, type(None)),
-    "had_disorder": bool,
-    "last_tg": (int, float),
 }
 
 
@@ -133,7 +138,8 @@ class FleetReport:
     total_disk_writes: int
     #: Series currently running the separation policy.
     separated_series: int
-    #: Series whose stream contains any out-of-order point.
+    #: Series whose stream contains any out-of-order point
+    #: (:func:`arrived_out_of_order`).
     disordered_series: int
     #: Per-series (name, policy, WA) rows, sorted by WA descending.
     rows: list[tuple[str, str, float]]
@@ -151,6 +157,18 @@ class FleetReport:
         if self.series_count == 0:
             return 0.0
         return self.disordered_series / self.series_count
+
+
+def arrived_out_of_order(snapshot: Snapshot) -> bool:
+    """True when ``snapshot``'s points, placed by arrival id, descend
+    somewhere: some point arrived after a later-generated one."""
+    parts = [*snapshot.tables, *snapshot.memtables]
+    if not parts:
+        return False
+    tg = np.concatenate([part.tg for part in parts])
+    ids = np.concatenate([part.ids for part in parts])
+    arrived = tg[np.argsort(ids)]
+    return bool(np.any(arrived[1:] < arrived[:-1]))
 
 
 def decide_series(states: list[SeriesState]) -> list[RetuneOutcome]:
@@ -234,8 +252,6 @@ class TimeSeriesDatabase:
         if durability_dir:
             os.makedirs(durability_dir, exist_ok=True)
         self._series: dict[str, SeriesState] = {}
-        self._had_disorder: dict[str, bool] = {}
-        self._last_tg: dict[str, float] = {}
 
     # -- series management ---------------------------------------------------------
 
@@ -250,8 +266,10 @@ class TimeSeriesDatabase:
         ``memory_budget`` overrides the database default for this series
         (e.g. from :func:`repro.core.allocate_budgets`); with
         ``seq_capacity`` set, the series starts directly under
-        ``pi_s(seq_capacity)``.
+        ``pi_s(seq_capacity)``.  A ``name`` that is no ``str`` is an
+        :class:`EngineError` before anything is registered.
         """
+        check_series_name(name)
         if name in self._series:
             raise EngineError(f"series {name!r} already exists")
         config = LsmConfig(
@@ -272,8 +290,6 @@ class TimeSeriesDatabase:
             ),
         )
         self._series[name] = state
-        self._had_disorder[name] = False
-        self._last_tg[name] = -np.inf
         if self.telemetry.enabled:
             self.telemetry.emit(
                 {
@@ -319,9 +335,9 @@ class TimeSeriesDatabase:
         (:class:`EngineError`), a ``ta`` that is misaligned, non-finite
         or so far from ``tg`` that the delay overflows
         (:class:`ModelError`), a closed engine or a shed batch
-        (:class:`BackpressureError`) raise with the engine, its analyzer
-        and the disorder tracking exactly as they were, so the caller
-        can fix or retry the batch verbatim.
+        (:class:`BackpressureError`) raise with the engine and its
+        analyzer exactly as they were, so the caller can fix or retry
+        the batch verbatim.
         """
         tg = np.ascontiguousarray(tg, dtype=np.float64)
         state = self._series.get(name)
@@ -336,17 +352,6 @@ class TimeSeriesDatabase:
         state.engine.ingest(tg, ta)
         if tg.size == 0:
             return 0
-        last = self._last_tg[name]
-        if (
-            self._had_disorder[name]
-            or tg[0] < last
-            or np.count_nonzero(tg[1:] < tg[:-1])
-        ):
-            self._had_disorder[name] = True
-            self._last_tg[name] = max(last, float(tg.max()))
-        else:
-            # In order so far: the newest point is the running maximum.
-            self._last_tg[name] = float(tg[-1])
         if self.telemetry.enabled:
             self.telemetry.count("db.write.batches")
             self.telemetry.count("db.write.points", int(tg.size))
@@ -526,8 +531,6 @@ class TimeSeriesDatabase:
                 "checkpoint": os.path.basename(checkpoint),
                 "memory_budget": state.config.memory_budget,
                 "seq_capacity": state.config.seq_capacity,
-                "had_disorder": self._had_disorder[state.name],
-                "last_tg": self._last_tg[state.name],
             }
         write_atomically(
             self._manifest_path,
@@ -607,8 +610,6 @@ class TimeSeriesDatabase:
                 # A checkpoint written before analyzers were durable.
                 engine.analyzer = db._analyzer(engine.config)
             db._series[name] = SeriesState(name=name, engine=engine)
-            db._had_disorder[name] = bool(entry["had_disorder"])
-            db._last_tg[name] = float(entry["last_tg"])
         if db.telemetry.enabled:
             db.telemetry.count("db.recoveries")
         return db
@@ -632,7 +633,7 @@ class TimeSeriesDatabase:
             total_writes += stats.disk_writes
             if state.config.seq_capacity is not None:
                 separated += 1
-            if self._had_disorder[state.name]:
+            if arrived_out_of_order(state.engine.snapshot()):
                 disordered += 1
             rows.append(
                 (

@@ -6,18 +6,19 @@ simulator observable without changing its semantics:
 * :class:`MetricsRegistry` — named counters, gauges and fixed-bucket
   histograms (:mod:`repro.obs.metrics`);
 * :class:`Telemetry` — the event bus: ``emit`` structured events to
-  pluggable sinks (ring buffer, JSONL file, console) and time phases
-  with nested ``span()`` contexts (:mod:`repro.obs.telemetry`);
+  pluggable sinks (ring buffer, JSONL file) and time phases with nested
+  ``span()`` contexts (:mod:`repro.obs.telemetry`);
 * :func:`render_trace_report` — turn a captured JSONL trace back into
   aligned summary tables — span, compaction and query sections, then the
   robustness view: group-commit coalescing, backpressure transitions and
-  writer stalls — the backend of the ``repro report`` CLI subcommand,
-  beside the fleet dashboards (:mod:`repro.obs.report`).
+  writer stalls — and :func:`render_shard_report`, the fleet dashboard:
+  the two reports of the one ``repro report PATH`` command
+  (:mod:`repro.obs.report`).
 
 Telemetry is off by default and the disabled bus is a constant-time
-no-op; enable it per engine via
-``LsmConfig(telemetry_enabled=True, telemetry_sink="jsonl:trace.jsonl")``
-or process-wide via :func:`configure_telemetry`.
+no-op.  There is one way in: hand an engine, database or fleet the bus
+it should publish to (``telemetry=Telemetry(sinks=[JsonlFileSink(path)])``),
+or install a process-wide one with :func:`configure_telemetry`.
 """
 
 from .metrics import (
@@ -31,24 +32,19 @@ from .metrics import (
 from .report import (
     TraceSummary,
     load_trace,
-    render_federation_report,
     render_shard_report,
     render_trace_report,
     summarize_trace,
 )
 from .sinks import (
-    ConsoleSink,
     JsonlFileSink,
     RingBufferSink,
     TelemetrySink,
-    make_sink,
-    parse_sink_spec,
 )
 from .telemetry import (
     NULL_TELEMETRY,
     Span,
     Telemetry,
-    build_telemetry,
     configure_telemetry,
     global_telemetry,
     reset_global_telemetry,
@@ -62,16 +58,12 @@ __all__ = [
     "Telemetry",
     "Span",
     "NULL_TELEMETRY",
-    "build_telemetry",
     "configure_telemetry",
     "global_telemetry",
     "reset_global_telemetry",
     "TelemetrySink",
     "RingBufferSink",
     "JsonlFileSink",
-    "ConsoleSink",
-    "make_sink",
-    "parse_sink_spec",
     "TraceSummary",
     "load_trace",
     "summarize_trace",
@@ -79,5 +71,4 @@ __all__ = [
     "labelled_name",
     "split_labelled",
     "render_shard_report",
-    "render_federation_report",
 ]

@@ -1,4 +1,4 @@
-"""The reports behind ``repro report PATH`` and ``repro federated-report``.
+"""The reports behind ``repro report PATH``.
 
 A JSONL trace — the read side of the JSONL sink — is folded in one pass
 into one :class:`TraceSummary` and printed as two documents: the
@@ -7,8 +7,7 @@ query cost) and the operator's stability sections (how well the
 group-commit WAL coalesced, how often the admission controller changed
 state or stalled a writer, how much landing work the incremental
 scheduler committed).  A fleet prints its dashboard: one row per shard,
-fleet totals and the last memory-arbiter rebalance; a fleet with
-telemetry on also prints the federated read path's attribution.  Every
+fleet totals and the last memory-arbiter rebalance.  Every
 report is a :class:`repro.tables.Document`, like an experiment's result.
 """
 
@@ -23,7 +22,6 @@ from pathlib import Path
 
 from ..errors import TelemetryError
 from ..tables import Document, ResultTable, format_table, format_value
-from .metrics import labelled_name
 
 __all__ = [
     "TraceSummary",
@@ -31,7 +29,6 @@ __all__ = [
     "summarize_trace",
     "render_trace_report",
     "render_shard_report",
-    "render_federation_report",
 ]
 
 #: The volumes a compaction event carries; the report sums each by kind.
@@ -458,64 +455,4 @@ def render_shard_report(fleet, source: str = "") -> str:
         )
     else:
         doc.blocks.append(caption)
-    return doc.render()
-
-
-def render_federation_report(fleet, source: str = "") -> str:
-    """Federated read-path attribution for a fleet with telemetry on.
-
-    One row per shard out of the fleet bus registry: series owned,
-    ``query.*`` reads served, federation cache hits/misses, and the
-    ``federation.shard_latency_ms`` histogram summary (scatters, mean
-    and max milliseconds).  The header rolls up the fleet-level
-    counters — federated queries, single-shard fast-path hits and
-    shards pruned by routing.
-    """
-    registry = fleet.telemetry.registry
-    queries = registry.counter("federation.queries").value
-    single = registry.counter("federation.single_shard").value
-    pruned = registry.counter("federation.shards_pruned").value
-    hits = registry.shard_values("federation.cache_hits")
-    misses = registry.shard_values("federation.cache_misses")
-    reads = registry.shard_values("query.count")
-    rows = []
-    for index, db in enumerate(fleet.shards):
-        shard = db.namespace or f"shard-{index:02d}"
-        latency = registry.histogram(
-            labelled_name("federation.shard_latency_ms", shard)
-        )
-        rows.append(
-            [
-                shard,
-                len(db.series_names()),
-                int(reads.get(shard, 0)),
-                int(hits.get(shard, 0)),
-                int(misses.get(shard, 0)),
-                latency.count,
-                latency.mean,
-                latency.max if latency.count else float("nan"),
-            ]
-        )
-    doc = Document(
-        _titled("federation report", source),
-        f"{fleet.n_shards} shards ({fleet.router.mode} routing), "
-        f"{int(queries)} federated queries "
-        f"({int(single)} single-shard fast path), "
-        f"{int(pruned)} shard fan-outs pruned",
-    )
-    doc.blocks.append(
-        format_table(
-            [
-                "shard",
-                "series",
-                "reads",
-                "cache_hits",
-                "cache_misses",
-                "scatters",
-                "lat_mean_ms",
-                "lat_max_ms",
-            ],
-            rows,
-        )
-    )
     return doc.render()

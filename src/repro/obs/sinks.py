@@ -1,25 +1,23 @@
 """Pluggable destinations for telemetry events.
 
 Every sink consumes plain-dict events (already stamped with ``seq`` and
-``ts_ms`` by the bus).  Three built-ins cover the library's needs:
+``ts_ms`` by the bus).  Two built-ins cover the library's needs:
 
 * :class:`RingBufferSink` — bounded in-memory buffer, the default; tests
   and interactive sessions inspect ``sink.events``.
 * :class:`JsonlFileSink` — one JSON object per line, append mode, so
   several engines (or several runs) can share one trace file.  This is
   the format ``repro report`` consumes.
-* :class:`ConsoleSink` — JSON lines to a stream (stderr by default) for
-  live tailing.
 
-Sinks are selected by a spec string (``LsmConfig.telemetry_sink``):
-``"memory"``, ``"memory:8192"``, ``"console"``, ``"jsonl:trace.jsonl"``.
+A sink is an object handed to a :class:`~repro.obs.telemetry.Telemetry`
+bus (``Telemetry(sinks=[JsonlFileSink("trace.jsonl")])``); anything with
+``write(event)`` and ``close()`` will do.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import sys
 from collections import deque
 from typing import IO
 
@@ -29,9 +27,6 @@ __all__ = [
     "TelemetrySink",
     "RingBufferSink",
     "JsonlFileSink",
-    "ConsoleSink",
-    "parse_sink_spec",
-    "make_sink",
 ]
 
 #: Default capacity of the in-memory ring buffer.
@@ -150,62 +145,3 @@ class JsonlFileSink(TelemetrySink):
             except OSError:
                 pass
             self._handle = None
-
-
-class ConsoleSink(TelemetrySink):
-    """JSON lines to a text stream (stderr unless told otherwise)."""
-
-    def __init__(self, stream: IO[str] | None = None) -> None:
-        self._stream = stream
-
-    @property
-    def stream(self) -> IO[str]:
-        # Resolved lazily so pytest's stderr capture is honoured.
-        return self._stream if self._stream is not None else sys.stderr
-
-    def write(self, event: dict) -> None:
-        print(encode_event(event), file=self.stream)
-
-
-def parse_sink_spec(spec: str) -> tuple[str, str]:
-    """Split and validate a sink spec into ``(kind, argument)``.
-
-    Raises :class:`~repro.errors.ConfigError` on anything other than
-    ``memory[:capacity]``, ``console`` or ``jsonl:<path>``.
-    """
-    if not isinstance(spec, str) or not spec:
-        raise ConfigError(f"telemetry sink spec must be a non-empty string, got {spec!r}")
-    kind, _, arg = spec.partition(":")
-    if kind == "memory":
-        if arg:
-            try:
-                capacity = int(arg)
-            except ValueError:
-                raise ConfigError(
-                    f"memory sink capacity must be an integer, got {arg!r}"
-                ) from None
-            if capacity < 1:
-                raise ConfigError(f"memory sink capacity must be >= 1, got {capacity}")
-        return kind, arg
-    if kind == "console":
-        if arg:
-            raise ConfigError(f"console sink takes no argument, got {arg!r}")
-        return kind, ""
-    if kind == "jsonl":
-        if not arg:
-            raise ConfigError("jsonl sink needs a path: 'jsonl:<path>'")
-        return kind, arg
-    raise ConfigError(
-        f"unknown telemetry sink {spec!r}; expected 'memory[:capacity]', "
-        "'console' or 'jsonl:<path>'"
-    )
-
-
-def make_sink(spec: str) -> TelemetrySink:
-    """Build the sink described by ``spec`` (see :func:`parse_sink_spec`)."""
-    kind, arg = parse_sink_spec(spec)
-    if kind == "memory":
-        return RingBufferSink(int(arg)) if arg else RingBufferSink()
-    if kind == "console":
-        return ConsoleSink()
-    return JsonlFileSink(arg)

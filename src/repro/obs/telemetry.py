@@ -12,28 +12,23 @@ set of sinks.  Producers call three things:
   the ``span.<name>.ms`` histogram.
 * ``telemetry.count/gauge/observe`` — registry shortcuts.
 
-The disabled bus (:data:`NULL_TELEMETRY`, also what
-:func:`build_telemetry` returns for a config with telemetry off) keeps
-every call a constant-time no-op, so instrumented hot paths cost one
-attribute check when observability is not wanted.
+The disabled bus (:data:`NULL_TELEMETRY`, what an engine given no
+``telemetry=`` publishes to) keeps every call a constant-time no-op, so
+instrumented hot paths cost one attribute check when observability is
+not wanted.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
 
 from .metrics import MetricsRegistry
-from .sinks import TelemetrySink, make_sink
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..config import LsmConfig
+from .sinks import RingBufferSink, TelemetrySink
 
 __all__ = [
     "Telemetry",
     "Span",
     "NULL_TELEMETRY",
-    "build_telemetry",
     "configure_telemetry",
     "global_telemetry",
     "reset_global_telemetry",
@@ -235,17 +230,6 @@ class _ShardView(Telemetry):
 NULL_TELEMETRY = Telemetry(enabled=False)
 
 
-def build_telemetry(config: "LsmConfig") -> Telemetry:
-    """The bus an engine should use for ``config``.
-
-    Disabled configs (the default) share :data:`NULL_TELEMETRY`; enabled
-    configs get a fresh bus with the configured sink.
-    """
-    if not getattr(config, "telemetry_enabled", False):
-        return NULL_TELEMETRY
-    return Telemetry(sinks=[make_sink(config.telemetry_sink)])
-
-
 # -- process-wide bus ----------------------------------------------------------
 #
 # The experiment runner and registry report through a process-global bus
@@ -256,13 +240,16 @@ _GLOBAL: Telemetry = NULL_TELEMETRY
 
 
 def configure_telemetry(
-    sink: str = "memory", registry: MetricsRegistry | None = None
+    sink: TelemetrySink | None = None, registry: MetricsRegistry | None = None
 ) -> Telemetry:
-    """Install (and return) an enabled process-global bus."""
+    """Install (and return) an enabled process-global bus writing to
+    ``sink`` (a fresh :class:`RingBufferSink` when none is given)."""
     global _GLOBAL
     if _GLOBAL.enabled:
         _GLOBAL.close()
-    _GLOBAL = Telemetry(sinks=[make_sink(sink)], registry=registry)
+    _GLOBAL = Telemetry(
+        sinks=[sink if sink is not None else RingBufferSink()], registry=registry
+    )
     return _GLOBAL
 
 

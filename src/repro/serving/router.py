@@ -24,6 +24,7 @@ from bisect import bisect_right
 from zlib import crc32
 
 from ..errors import EngineError
+from ..lsm.database import check_series_name
 
 __all__ = ["ShardRouter", "shard_name"]
 
@@ -76,8 +77,7 @@ class ShardRouter:
 
     def shard_of(self, name: str) -> int:
         """The shard index owning series ``name``."""
-        if not isinstance(name, str):
-            raise EngineError(f"series names are strings, got {name!r:.80}")
+        check_series_name(name)
         if self.mode == "hash":
             return (crc32(name.encode("utf-8")) & 0xFFFFFFFF) % self.n_shards
         return bisect_right(self.boundaries, name)

@@ -37,13 +37,21 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "front_door_golden.json"
 def engine_trace(tmp: Path) -> None:
     """``trace.jsonl``: the traced separation run of ``tests/test_cli.py``,
     its clock readings replaced by figures that depend on ``seq`` alone."""
-    from repro import LogNormalDelay, LsmConfig, SeparationEngine, execute_range_query
+    from repro import (
+        JsonlFileSink,
+        LogNormalDelay,
+        LsmConfig,
+        SeparationEngine,
+        Telemetry,
+        execute_range_query,
+    )
     from repro.workloads import generate_synthetic
 
     raw = tmp / "raw.jsonl"
     dataset = generate_synthetic(10_000, dt=50, delay=LogNormalDelay(5.0, 2.0), seed=2)
     engine = SeparationEngine(
-        LsmConfig(128, 128, seq_capacity=64).with_telemetry(f"jsonl:{raw}")
+        LsmConfig(128, 128, seq_capacity=64),
+        telemetry=Telemetry(sinks=[JsonlFileSink(str(raw))]),
     )
     engine.ingest(dataset.tg)
     engine.flush_all()
@@ -154,16 +162,6 @@ CASES = {
     ),
     "crash-test-ci-fleet": (
         None, [["crash-test", "--fleet", "--shards", "4", "--seeds", "2"]]
-    ),
-    "federated-report": (
-        None,
-        [["federated-report", "--shards", "3", "--series", "4", "--points", "400",
-          "--windows", "3", "--seed", "5"]],
-    ),
-    "cold-report": (None, [["cold-report", "--points", "20000", "--windows", "4"]]),
-    "cold-report-block-size": (
-        None,
-        [["cold-report", "--points", "20000", "--windows", "4", "--block-size", "16"]],
     ),
     "decide-json": (
         None, [["decide", "--mu", "5", "--sigma", "2", "--dt", "50", "--json"]]

@@ -17,7 +17,7 @@ import pytest
 
 from repro import ConventionalEngine, InOrderCurve, LogNormalDelay, LsmConfig, ModelConfig
 from repro import SeparationEngine, UniformDelay, execute_aggregate_query, execute_range_query
-from repro import tune_separation_policy
+from repro import RingBufferSink, Telemetry, tune_separation_policy
 from repro.core import analyzer as analyzer_module
 from repro.core.allocation import MemoryArbiter
 from repro.core.subsequent import _BLOCK_ROWS
@@ -229,7 +229,9 @@ def cold_pair():
     block statistics eliminate."""
     cold_stream = generate_synthetic(2_000_000, dt=_DT, delay=_DELAY, seed=1)
     row_engine = ConventionalEngine(LsmConfig(32768, 32768))
-    cold_engine = ConventionalEngine(LsmConfig(32768, 32768).with_telemetry())
+    cold_engine = ConventionalEngine(
+        LsmConfig(32768, 32768), telemetry=Telemetry(sinks=[RingBufferSink()])
+    )
     for engine in (row_engine, cold_engine):
         engine.ingest(cold_stream.tg)
         engine.flush_all()

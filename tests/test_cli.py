@@ -5,9 +5,11 @@ import json
 import pytest
 
 from repro import (
+    JsonlFileSink,
     LogNormalDelay,
     LsmConfig,
     SeparationEngine,
+    Telemetry,
     execute_range_query,
     reset_global_telemetry,
 )
@@ -30,7 +32,8 @@ def trace_path(tmp_path):
         10_000, dt=50, delay=LogNormalDelay(5.0, 2.0), seed=2
     )
     engine = SeparationEngine(
-        LsmConfig(128, 128, seq_capacity=64).with_telemetry(f"jsonl:{path}")
+        LsmConfig(128, 128, seq_capacity=64),
+        telemetry=Telemetry(sinks=[JsonlFileSink(str(path))]),
     )
     engine.ingest(dataset.tg)
     engine.flush_all()
@@ -109,11 +112,6 @@ class TestExitCodes:
     def test_unknown_experiment_returns_1(self, capsys):
         assert main(["fig99"]) == 1
         assert "error" in capsys.readouterr().err
-
-    def test_cold_report_zero_block_size_returns_1(self, capsys):
-        argv = ["cold-report", "--points", "2000", "--windows", "1", "--block-size", "0"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: block_size must be")
 
     def test_bad_scale_value_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

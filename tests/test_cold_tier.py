@@ -63,7 +63,7 @@ from repro.lsm.checkpoint import (
 )
 from repro.lsm.policies.compose import compose_engine
 from repro.lsm.sstable import SSTable, build_sstables
-from repro.obs.telemetry import Telemetry
+from repro.obs import RingBufferSink, Telemetry
 from repro.workloads import TABLE_II
 
 #: Mirrors the conformance harness geometry (small tables, real
@@ -535,7 +535,9 @@ class TestColdCostModel:
 
     def test_telemetry_counters(self):
         dataset = _dataset("M1")
-        engine = ConventionalEngine(CONFIG_ROW.with_telemetry())
+        engine = ConventionalEngine(
+            CONFIG_ROW, telemetry=Telemetry(sinks=[RingBufferSink()])
+        )
         _ingest(engine, dataset, 0, N_POINTS)
         engine.flush_all()
         engine.convert_cold(block_size=BLOCK)
@@ -566,7 +568,8 @@ class TestColdCostModel:
         policy switch must not reset it under the bus counter's feet."""
         dataset = generate_synthetic(8000, 50.0, LogNormalDelay(5.0, 2.0), seed=1)
         engine = AdaptiveEngine(
-            LsmConfig(memory_budget=128, sstable_size=64).with_telemetry(),
+            LsmConfig(memory_budget=128, sstable_size=64),
+            telemetry=Telemetry(sinks=[RingBufferSink()]),
             check_interval=512,
         )
         engine.ingest(dataset.tg[:3000], dataset.ta[:3000])

@@ -20,7 +20,6 @@ import pytest
 from repro.distributions import ExponentialDelay, UniformDelay
 from repro.errors import EngineError, QueryError
 from repro.lsm.database import TimeSeriesDatabase
-from repro.obs import render_federation_report
 from repro.obs.telemetry import Telemetry
 from repro.query.aggregation import AggregateResult, execute_aggregate_query
 from repro.query.executor import execute_range_query
@@ -674,42 +673,6 @@ class TestMergeUnits:
         assert canonical_series_order(db, ["c", "a"]) == ["c", "a"]
         with pytest.raises(QueryError):
             canonical_series_order(db, [])
-
-
-class TestFederationReport:
-    def test_render_contains_attribution(self):
-        telemetry = Telemetry(sinks=[])
-        fleet = ShardedDatabase(n_shards=3, telemetry=telemetry, **_DB_KWARGS)
-        names = [f"s{i:02d}" for i in range(6)]
-        datasets = _datasets(names, n_points=200)
-        for name in names:
-            fleet.write(name, datasets[name].tg)
-        fleet.query_aggregate()
-        fleet.query_aggregate()
-        fleet.query_range(names[0])
-        text = render_federation_report(fleet, source="unit")
-        assert "== federation report: unit" in text
-        assert "3 federated queries (1 single-shard fast path)" in text
-        for index in range(3):
-            assert shard_name(index) in text
-        assert "cache_hits" in text and "lat_mean_ms" in text
-
-    def test_cli_subcommand_verifies_bitwise(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            [
-                "federated-report",
-                "--shards", "3",
-                "--series", "4",
-                "--points", "400",
-                "--windows", "3",
-                "--seed", "5",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "bit-identical to single database: yes" in out
 
 
 class _PinnedSet(frozenset):

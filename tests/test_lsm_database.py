@@ -31,6 +31,21 @@ class TestSeriesManagement:
         with pytest.raises(EngineError):
             TimeSeriesDatabase().series("ghost")
 
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    def test_a_name_that_is_no_string_registers_nothing(self, durable, tmp_path):
+        db = TimeSeriesDatabase(
+            memory_budget_per_series=16,
+            sstable_size=16,
+            durability_dir=str(tmp_path) if durable else None,
+        )
+        with pytest.raises(EngineError, match="series names are strings, got 5"):
+            db.write(5, np.arange(10, dtype=np.float64))
+        with pytest.raises(EngineError, match="series names are strings"):
+            db.create_series(b"s0")
+        assert db.series_names() == []
+        if durable:
+            assert os.listdir(tmp_path) == []
+
     def test_write_creates_on_demand(self):
         db = TimeSeriesDatabase(memory_budget_per_series=16, sstable_size=16)
         db.write("auto", np.arange(10, dtype=np.float64))
@@ -93,8 +108,7 @@ class TestRejectedBatchLeavesNoTrace:
         state = db.series("a")
         return (
             db.series_names(),
-            db._last_tg["a"],
-            db._had_disorder["a"],
+            db.report().disordered_series,
             state.engine.ingested_points,
             state.engine.analyzer.observed_points,
             state.engine.analyzer.window.sample().tolist(),
@@ -118,9 +132,9 @@ class TestRejectedBatchLeavesNoTrace:
         with pytest.raises(error):
             db.write("a", np.array(tg), np.array(ta))
         assert self._fingerprint(db) == before
-        # Disorder tracking and the delay profile still work afterwards.
+        # The disorder count and the delay profile still work afterwards.
         db.write("a", np.array([500.0]), np.array([2030.0]))
-        assert db._had_disorder["a"]
+        assert db.report().disordered_series == 1
         assert np.isfinite(db.series("a").engine.analyzer.profile().distribution.mean())
 
     def test_invalid_first_batch_registers_no_series(self):

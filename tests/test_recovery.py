@@ -905,6 +905,24 @@ class TestDatabaseDurability:
             recovered.stats.write_counts, live.stats.write_counts
         )
 
+    def test_disorder_in_the_wal_tail_survives_recovery(self, tmp_path):
+        """A stream in order at ``checkpoint_all()`` and out of order only
+        in its synced WAL tail is counted disordered live and recovered:
+        ``report()`` reads the points, not a flag the manifest froze."""
+        state_dir = str(tmp_path / "state")
+        db = TimeSeriesDatabase(
+            memory_budget_per_series=16, sstable_size=16, durability_dir=state_dir
+        )
+        tg = np.repeat(np.arange(50.0), 3)
+        for start in range(0, tg.size, 7):
+            db.write("s", tg[start : start + 7])
+        db.checkpoint_all()
+        assert db.report().disordered_series == 0
+        db.write("s", tg[:5])
+        db.sync()
+        assert db.report().disordered_series == 1
+        assert TimeSeriesDatabase.recover(state_dir).report().disordered_series == 1
+
     @pytest.mark.xfail(
         strict=True,
         reason="the manifest lists series as of the last checkpoint_all(): "
