@@ -56,9 +56,8 @@ from ..errors import (
 )
 from ..faults.injector import FaultInjector
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from .level import RunView
 from .memtable import EMPTY_IDS
-from .pruning import TableIndex
+from .pruning import PlanEntry, TableIndex
 from .sstable import SSTable
 from .wa_tracker import WriteStats
 from .wal import WalRecord, WriteAheadLog
@@ -120,15 +119,16 @@ class Snapshot:
             return self.index.overlapping(lo, hi)
         return [t for t in self.tables if t.overlaps(lo, hi)]
 
-    def read_plan(self, lo: float, hi: float) -> list[tuple[RunView, int, int, bool]]:
-        """:meth:`overlapping_tables` as the stretches of
+    def read_plan(self, lo: float, hi: float) -> list[PlanEntry]:
+        """:meth:`overlapping_tables` as the plan entries of
         :meth:`TableIndex.read_plan <repro.lsm.pruning.TableIndex.read_plan>`:
-        the index hands each sorted run's fully covered tables over as
-        one stretch (answered from the run's per-table columns, not
-        visited).  Without an index every table is judged on its own,
-        as it is now, and the hits are planned as one loose group built
-        for the call — stretches of one: the per-table reference the
-        covered stretches are pinned to."""
+        one ``(view, start, first, last, stop)`` per sorted run, whose
+        fully covered tables ``[first, last)`` are answered from the
+        run's per-table columns, not visited.  Without an index every
+        table is judged on its own, as it is now, and the hits are
+        planned as one loose group built for the call — entries of one
+        table: the per-table reference the covered spans are pinned
+        to."""
         index = self.index
         if index is None:
             index = TableIndex([("loose", self.overlapping_tables(lo, hi))])

@@ -63,12 +63,15 @@ def check_window(lo: float, hi: float) -> tuple[float, float]:
     wherever it is first compared or hashed.  Every entry point takes
     its bounds from here: one spelling per window (``1``, ``1.0`` and
     ``np.float32(1)`` are the same cache key and the same reported
-    bounds), and list searches compare plain floats — a numpy scalar
+    bounds; ``True`` and ``np.bool_`` are no bounds at all), and list
+    searches compare plain floats — a numpy scalar
     key makes each ``bisect`` step several times dearer.
     """
     if type(lo) is not float or type(hi) is not float:
         for bound in (lo, hi):
-            if not isinstance(bound, Real):
+            # ``bool`` is an ``int`` to Python, never a bound here — as
+            # it is never an integer setting (``repro.config.is_integer``).
+            if not isinstance(bound, Real) or isinstance(bound, bool):
                 raise QueryError(
                     f"query bounds must be real numbers, got {bound!r} "
                     f"({type(bound).__name__})"

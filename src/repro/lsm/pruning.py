@@ -24,13 +24,15 @@ to prune block spans inside a touched table.
 A sorted group also answers for the tables a window *fully covers*.
 Those are the overlap span less the end tables that straddle an edge
 (two comparisons), so :meth:`TableIndex.read_plan` hands the executors
-*stretches* — ``(view, start, stop, covered)``: tables ``[start, stop)``
-of one :class:`~repro.lsm.level.RunView`, every one of them fully inside
-the window or every one of them cut by it — and a covered stretch is
-answered from list slices of the view's per-table columns (point count,
-block count, extrema, per-table sums) instead of table by table.  Only
-the at most two tables straddling the window's edges are read, each
-through :func:`cut`.
+one *plan entry* per run — ``(view, start, first, last, stop)``: tables
+``[start, stop)`` of one :class:`~repro.lsm.level.RunView` overlap the
+window, tables ``[first, last)`` lie fully inside it — and a covered
+span is answered from list slices of the view's per-table columns
+(point count, block count, extrema, per-table sums) instead of table by
+table.  Only the at most two tables an edge cuts — ``start`` when
+``start < first``, ``stop - 1`` when ``last < stop``, one table when
+both edges cut it (``first > last``) — are read, each through
+:func:`edge_slice`.
 
 The group owns no copy of any of it.  It searches a
 :class:`~repro.lsm.level.RunView` — the lists the :class:`~repro.lsm.
@@ -56,40 +58,51 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from ..errors import QueryError
-from .blocks import ColumnarStorage, RowStorage
 from .intervals import check_window, zone_map_hits
 from .level import RunView, block_counts
 from .sstable import SSTable
 
-__all__ = ["TableIndex", "cut"]
+__all__ = ["PlanEntry", "TableIndex", "edge_slice"]
+
+#: ``(view, start, first, last, stop)``: one sorted run's share of a
+#: window (see :meth:`TableIndex.read_plan`).
+PlanEntry = tuple[RunView, int, int, int, int]
 
 
-def cut(
+def edge_slice(
     table: SSTable, lo: float, hi: float
-) -> tuple[RowStorage | ColumnarStorage, int, int, int, int]:
-    """``(storage, left, right, b0, b1)``: the rows ``[left, right)``
-    and columnar blocks ``[b0, b1)`` of ``table`` inside ``[lo, hi]``.
+) -> tuple[np.ndarray, int, int, int, int]:
+    """``(tg, left, right, read, skipped)`` of a table ``[lo, hi]``
+    cuts: the rows ``[left, right)`` of its ``tg`` column inside the
+    window, the points a scan of it reads from disk and the columnar
+    blocks the window lets it skip.
 
-    One binary search per column per edge of the window that cuts the
-    table; an edge at or beyond the table's own range needs none.  A
-    row table has no blocks (``b0 == b1 == 0``); an empty block overlap
-    comes back as ``b0 == b1``.
+    One binary search per edge of the window that cuts the table; an
+    edge at or beyond the table's own range needs none.  A row table is
+    read whole and has no blocks.  A columnar table is read over the
+    block span that overlaps the window, found by division on the fixed
+    grid :meth:`BlockStats.build <repro.lsm.blocks.BlockStats.build>`
+    lays — block ``k`` holds rows ``[k·bs, (k + 1)·bs)`` — so the rows
+    already found are all the search it needs: the first overlapping
+    block holds row ``left`` (none does when ``left == n``), the last
+    one row ``right - 1``.  The same span, point count and skip count
+    as :meth:`BlockStats.overlapping <repro.lsm.blocks.BlockStats.
+    overlapping>` and :meth:`~repro.lsm.blocks.BlockStats.points_in`.
     """
     storage = table.storage
     tg = storage.tg
-    stats = storage.stats
-    if lo <= table.min_tg:
-        left = b0 = 0
-    else:
-        left = int(tg.searchsorted(lo, side="left"))
-        b0 = 0 if stats is None else int(stats.maxs.searchsorted(lo, side="left"))
-    if table.max_tg <= hi:
-        right = tg.size
-        b1 = 0 if stats is None else stats.nblocks
-    else:
-        right = int(tg.searchsorted(hi, side="right"))
-        b1 = 0 if stats is None else int(stats.mins.searchsorted(hi, side="right"))
-    return storage, left, right, b0, max(b0, b1)
+    n = tg.size
+    left = 0 if lo <= table.min_tg else int(tg.searchsorted(lo, side="left"))
+    right = n if table.max_tg <= hi else int(tg.searchsorted(hi, side="right"))
+    if storage.stats is None:
+        return tg, left, right, n, 0
+    size = storage.block_size
+    nblocks = -(-n // size)
+    if left == n:
+        return tg, left, right, 0, nblocks
+    b0 = left // size
+    b1 = -(-right // size)
+    return tg, left, right, min(b1 * size, n) - b0 * size, nblocks - (b1 - b0)
 
 
 class _SortedGroup:
@@ -110,7 +123,7 @@ class _SortedGroup:
             return []
         return view.tables[start:stop]
 
-    def plan(self, lo: float, hi: float, out: list) -> None:
+    def plan(self, lo: float, hi: float, out: list[PlanEntry]) -> None:
         view = self.view
         start = bisect_left(view.maxs, lo)
         stop = bisect_right(view.mins, hi)
@@ -121,16 +134,13 @@ class _SortedGroup:
         # before ``stop - 1`` ends at or before its successor's start,
         # which is within ``hi``.  So only the two end tables can
         # straddle, and the covered span is the overlap span less those.
-        first = start + (view.mins[start] < lo)
-        last = stop - (hi < view.maxs[stop - 1])
-        if first < last:
-            if start < first:
-                out.append((view, start, first, False))
-            out.append((view, first, last, True))
-            if last < stop:
-                out.append((view, last, stop, False))
-        else:
-            out.append((view, start, stop, False))
+        out.append((
+            view,
+            start,
+            start + (view.mins[start] < lo),
+            stop - (hi < view.maxs[stop - 1]),
+            stop,
+        ))
 
 
 class _LooseGroup:
@@ -156,15 +166,18 @@ class _LooseGroup:
         tables = self.view.tables
         return [tables[i] for i in zone_map_hits(self._mins, self._maxs, lo, hi)]
 
-    def plan(self, lo: float, hi: float, out: list) -> None:
-        # No order to exploit: every hit is its own stretch of one.
+    def plan(self, lo: float, hi: float, out: list[PlanEntry]) -> None:
+        # No order to exploit: every hit is its own entry of one table,
+        # covered (``first < last``) or cut on the edges it straddles.
         view = self.view
+        mins, maxs = view.mins, view.maxs
         for i in zone_map_hits(self._mins, self._maxs, lo, hi).tolist():
-            covered = lo <= view.mins[i] and view.maxs[i] <= hi
-            if covered:
+            first = i + (mins[i] < lo)
+            last = i + 1 - (hi < maxs[i])
+            if first < last:
                 # Memoised on the storage; taken when first needed.
                 view.sums[i] = view.tables[i].storage.sum_tg
-            out.append((view, i, i + 1, covered))
+            out.append((view, i, first, last, i + 1))
 
 
 class TableIndex:
@@ -206,16 +219,18 @@ class TableIndex:
             out.extend(group.overlapping(lo, hi))
         return out
 
-    def read_plan(self, lo: float, hi: float) -> list[tuple[RunView, int, int, bool]]:
-        """:meth:`overlapping` as stretches ``(view, start, stop,
-        covered)`` in snapshot order: tables ``[start, stop)`` of
-        ``view``, all fully inside ``[lo, hi]`` (``covered`` — answer
-        them from slices of the view's columns) or all cut by it (read
-        each through :func:`cut`).  A sorted run yields at most one
-        covered stretch with at most one cut table on either side; a
-        loose group yields its hits one by one."""
+    def read_plan(self, lo: float, hi: float) -> list[PlanEntry]:
+        """:meth:`overlapping` as plan entries ``(view, start, first,
+        last, stop)`` in snapshot order, one per sorted run that meets
+        ``[lo, hi]``: its tables ``[start, stop)`` overlap the window and
+        ``[first, last)`` of them lie fully inside it (answer those from
+        slices of the view's columns).  The rest are cut by an edge —
+        ``start`` when ``start < first``, ``stop - 1`` when ``last <
+        stop``, the one table when ``first > last`` — and are read
+        through :func:`edge_slice`.  A loose group yields one entry per
+        hit."""
         lo, hi = check_window(lo, hi)
-        out: list[tuple[RunView, int, int, bool]] = []
+        out: list[PlanEntry] = []
         for group in self._groups:
             group.plan(lo, hi, out)
         return out

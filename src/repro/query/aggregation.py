@@ -9,31 +9,34 @@ and min/max bounds without reading its interior.
 
 A sorted run goes one step further than the table: the tables a window
 fully covers are one contiguous span of the run, so the pruning index
-hands them over as a single covered stretch (:meth:`TableIndex.read_plan
-<repro.lsm.pruning.TableIndex.read_plan>`) answered here from slices of
-the run's own per-table columns — count and block count from integer
-lists, extrema from the stretch's end entries, ``total`` from the
-memoised per-table sums.  The *work* per sorted run is therefore one
-binary search per window edge over the run, one more inside each table
-an edge cuts (at most two, the only ones read), and four list slices,
-whatever the window's width.  A MemTable whose own
+hands the run over as one plan entry (:meth:`TableIndex.read_plan
+<repro.lsm.pruning.TableIndex.read_plan>`) whose covered span is
+answered here from slices of the run's own per-table columns — count
+and block count from integer lists, extrema from the span's end
+entries, ``total`` from the memoised per-table sums.  The *work* per
+sorted run is therefore one binary search per window edge over the
+run, one more inside each table an edge cuts (at most two, the only
+ones read, through :func:`~repro.lsm.pruning.edge_slice`), and four
+list slices, whatever the window's width.  A MemTable whose own
 ``[min, max]`` misses the window is not looked at.  Loose groups and
 index-less snapshots have no such order to exploit and hand their
-tables over one by one, through the same two branches.
+tables over one entry each, through the same loop.
 
 Within a table the cold tier does the same.  A columnar table fully
 inside the window is answered **entirely from block statistics**: its
 count, min/max *and* sum come from metadata recorded at build time, so
 the point arrays are never touched (``blocks_stat_answered`` counts the
 blocks so answered).  A columnar table that straddles a boundary falls
-back to the row path's binary-searched slice — its per-block zone maps
-still report how many blocks the window excludes (``blocks_skipped``).
+back to the row path's binary-searched slice — the fixed block grid
+still reports how many blocks the window excludes (``blocks_skipped``),
+by division on the rows the slice already found.
 
 Bit-identity: a table's ``sum_tg`` is the float produced by one
 ``np.sum`` over the whole column — recorded at build time by columnar
 tables, memoised on first use by row tables — straddling tables share
-one slice routine (:func:`repro.lsm.pruning.cut`), and a covered stretch
-adds its tables' ``sum_tg`` to ``total`` one after another in run order,
+one slice routine (:func:`repro.lsm.pruning.edge_slice`), and a covered
+span adds its tables' ``sum_tg`` to ``total`` one after another in run
+order, between the slices of the tables cut by ``lo`` and by ``hi``,
 exactly as a walk over them would.  Same floats, same order of
 additions: every aggregate is bitwise equal whether its tables are row
 or columnar, indexed or not (numpy's pairwise summation forbids
@@ -56,7 +59,7 @@ import numpy as np
 
 from ..lsm.base import Snapshot
 from ..lsm.intervals import check_window
-from ..lsm.pruning import cut
+from ..lsm.pruning import edge_slice
 from ..obs.telemetry import Telemetry
 
 __all__ = ["AggregateResult", "execute_aggregate_query"]
@@ -129,37 +132,40 @@ def execute_aggregate_query(
     # Non-overlapping tables contribute nothing, so the indexed lookup
     # (when the engine attached one) changes only the cost of finding
     # the overlap set, never the aggregate values.
-    for view, start, stop, covered in snapshot.read_plan(lo, hi):
-        if covered:
-            # Fully covered: metadata suffices.  Extrema are the end
-            # entries (the stretch is sorted, or one table); ``total``
-            # takes each table's ``sum_tg`` one by one, the strict
-            # left-to-right fold a walk over them does — prefix-sum
-            # differences, pairwise ``np.sum`` and the compensated
-            # built-in ``sum()`` of Python >= 3.12 all round differently.
-            pruned += stop - start
-            count += sum(view.lens[start:stop])
-            # Comparisons, not ``min()`` / ``max()``: the same answer
-            # (the incumbent wins a tie) without a builtin call.
-            low = view.mins[start]
-            if low < minimum:
-                minimum = low
-            high = view.maxs[stop - 1]
-            if high > maximum:
-                maximum = high
-            total = reduce(operator.add, view.sums[start:stop], total)
-            blocks_stat_answered += sum(view.blocks[start:stop])
-            continue
-        scanned += stop - start
-        for i in range(start, stop):
-            # Per-block zone maps account for the blocks the window
+    for view, start, first, last, stop in snapshot.read_plan(lo, hi):
+        # In run order: the table cut by ``lo``, the covered span, the
+        # table cut by ``hi`` — the order a walk adds them to ``total``.
+        i = start
+        while i < stop:
+            if i == first < last:
+                # Fully covered: metadata suffices.  Extrema are the end
+                # entries (the span is sorted, or one table); ``total``
+                # takes each table's ``sum_tg`` one by one, the strict
+                # left-to-right fold a walk over them does — prefix-sum
+                # differences, pairwise ``np.sum`` and the compensated
+                # built-in ``sum()`` of Python >= 3.12 all round
+                # differently.
+                pruned += last - first
+                count += sum(view.lens[first:last])
+                # Comparisons, not ``min()`` / ``max()``: the same answer
+                # (the incumbent wins a tie) without a builtin call.
+                low = view.mins[first]
+                if low < minimum:
+                    minimum = low
+                high = view.maxs[last - 1]
+                if high > maximum:
+                    maximum = high
+                total = reduce(operator.add, view.sums[first:last], total)
+                blocks_stat_answered += sum(view.blocks[first:last])
+                i = last
+                continue
+            # The block grid accounts for the blocks the window
             # excludes; the contribution itself is the row slice, so
             # the result stays bitwise identical across formats.
-            storage, left, right, b0, b1 = cut(view.tables[i], lo, hi)
-            if storage.stats is not None:
-                blocks_skipped += storage.stats.nblocks - (b1 - b0)
+            tg, left, right, _, skipped = edge_slice(view.tables[i], lo, hi)
+            scanned += 1
+            blocks_skipped += skipped
             if right > left:
-                tg = storage.tg
                 count += right - left
                 low = tg.item(left)
                 if low < minimum:
@@ -170,6 +176,7 @@ def execute_aggregate_query(
                 # ``ndarray.sum`` is this reduction behind a Python
                 # wrapper: the same pairwise sum, the same bits.
                 total += float(_sum(tg[left:right]))
+            i += 1
     for memtable in snapshot.memtables:
         bottom, top = memtable.bounds
         if top < lo or hi < bottom:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..lsm.base import Snapshot
 from ..lsm.intervals import check_window
-from ..lsm.pruning import cut
+from ..lsm.pruning import edge_slice
 from ..obs.telemetry import Telemetry
 
 __all__ = ["QueryStats", "execute_range_query"]
@@ -94,7 +94,9 @@ def execute_range_query(
     without building a mask.  With
     ``collect=True`` the matching generation times are materialised,
     sorted, in :attr:`QueryStats.rows` (metrics are identical either
-    way; collection just costs the copy).
+    way; collection just costs the copy — and a stable sort, unless
+    the rows come from one sorted run and no MemTable, in which case
+    they are in order already).
 
     With a ``telemetry`` bus attached (e.g. ``engine.telemetry``) each
     query emits a ``{"type": "query"}`` event carrying its wall-clock
@@ -114,35 +116,37 @@ def execute_range_query(
     collected_tg: list[np.ndarray] = []
     collected_ids: list[np.ndarray] = []
     blocks_skipped = 0
-    for view, start, stop, covered in snapshot.read_plan(lo, hi):
+    plan = snapshot.read_plan(lo, hi)
+    for view, start, first, last, stop in plan:
         files += stop - start
-        if covered:
-            # Fully covered tables, counted from the per-table lengths:
-            # every file is read whole (every block of a columnar one
-            # overlaps the window) and every row matches.
-            points = sum(view.lens[start:stop])
-            disk_read += points
-            result += points
-            if collect:
-                tables = view.tables[start:stop]
-                collected_tg.extend(t.tg for t in tables)
-                collected_ids.extend(t.ids for t in tables)
-            continue
-        for i in range(start, stop):
-            storage, left, right, b0, b1 = cut(view.tables[i], lo, hi)
-            stats = storage.stats
-            if stats is None:
-                # Row table: the whole file is read sequentially.
-                disk_read += storage.tg.size
-            else:
-                # Columnar table: per-block zone maps bound the read to the
-                # contiguous block span overlapping the window.
-                disk_read += stats.points_in(b0, b1)
-                blocks_skipped += stats.nblocks - (b1 - b0)
+        # In run order: the table cut by ``lo``, the covered span, the
+        # table cut by ``hi`` — so collected rows stay in run order.
+        i = start
+        while i < stop:
+            if i == first < last:
+                # Fully covered tables, counted from the per-table
+                # lengths: every file is read whole (every block of a
+                # columnar one overlaps the window) and every row matches.
+                points = sum(view.lens[first:last])
+                disk_read += points
+                result += points
+                if collect:
+                    tables = view.tables[first:last]
+                    collected_tg.extend(t.tg for t in tables)
+                    collected_ids.extend(t.ids for t in tables)
+                i = last
+                continue
+            # A row table is read whole; a columnar one over the span
+            # of its block grid that overlaps the window.
+            tg, left, right, read, skipped = edge_slice(view.tables[i], lo, hi)
+            disk_read += read
+            blocks_skipped += skipped
             result += right - left
             if collect:
-                collected_tg.append(storage.tg[left:right])
-                collected_ids.append(storage.ids[left:right])
+                collected_tg.append(tg[left:right])
+                collected_ids.append(view.tables[i].ids[left:right])
+            i += 1
+    on_disk = result
     tables_total = len(snapshot.tables)
     consulted = files if snapshot.index is not None else tables_total
     mem_scanned = 0
@@ -166,7 +170,13 @@ def execute_range_query(
     rows = None
     row_ids = None
     if collect:
-        if collected_tg:
+        if len(plan) == 1 and result == on_disk:
+            # One run and nothing buffered in the window: the rows are
+            # its tables' slices in run order, non-decreasing already,
+            # so the stable sort below would be the identity.
+            rows = np.concatenate(collected_tg)
+            row_ids = np.concatenate(collected_ids)
+        elif collected_tg:
             tg_all = np.concatenate(collected_tg)
             ids_all = np.concatenate(collected_ids)
             order = np.argsort(tg_all, kind="stable")

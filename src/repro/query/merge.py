@@ -36,6 +36,7 @@ import numpy as np
 
 from ..errors import QueryError
 from ..lsm.base import Snapshot
+from ..lsm.intervals import check_window
 from ..obs.telemetry import Telemetry
 from .aggregation import AggregateResult, execute_aggregate_query
 from .executor import QueryStats, execute_range_query
@@ -237,8 +238,11 @@ def aggregate_over_series(
     """Serial multi-series aggregate: the unsharded reference answer.
 
     Folds :func:`execute_aggregate_query` partials in canonical order.
-    The federation layer is pinned bitwise against this function.
+    The federation layer is pinned bitwise against this function; like
+    it, the answer reports the bounds as
+    :func:`~repro.lsm.intervals.check_window` spells them.
     """
+    lo, hi = check_window(lo, hi)
     ordered = canonical_series_order(provider, names)
     partials = [
         execute_aggregate_query(provider.snapshot(name), lo, hi, telemetry=telemetry)
@@ -255,7 +259,9 @@ def scan_over_series(
     collect: bool = False,
     telemetry: Telemetry | None = None,
 ) -> QueryStats:
-    """Serial multi-series range scan: the unsharded reference answer."""
+    """Serial multi-series range scan: the unsharded reference answer
+    (bounds spelled as :func:`aggregate_over_series` spells them)."""
+    lo, hi = check_window(lo, hi)
     ordered = canonical_series_order(provider, names)
     partials = [
         execute_range_query(

@@ -481,6 +481,44 @@ def test_fleet_aggregates_are_threefold_cheaper_than_the_table_walk(record_prope
     assert walk_s >= 3 * fast_s
 
 
+def test_a_series_aggregate_costs_little_beyond_its_two_edges(record_property):
+    """One series' share of a ``q_fleet_agg`` window (a tenth of the
+    span, ~80 tables) against the work its answer cannot do without: a
+    binary search and an ``np.add.reduce`` slice in each of its two
+    boundary tables.  Everything else — the plan entry, the covered span
+    from the run's columns, the grid arithmetic of a columnar edge, the
+    result tuple — is fixed cost per series.  The median of 21 paired
+    rounds must stay within 4x: twenty runs read 3.1-3.6x, median 3.3x
+    (with a plan of stretches and a zone-map search per columnar edge,
+    twenty runs read 3.6-4.1x, median 3.75x)."""
+    fleet, names, windows, _ = _fleet_agg_fleet()
+    snapshots = [fleet.snapshot(name) for name in names]
+    edges = []
+    for lo, hi in windows:
+        for snapshot in snapshots:
+            tables = snapshot.overlapping_tables(lo, hi)
+            edges.append((tables[0].tg, tables[-1].tg, lo, hi))
+    clock = time.perf_counter
+
+    def aggregates():
+        began = clock()
+        for lo, hi in windows:
+            for snapshot in snapshots:
+                execute_aggregate_query(snapshot, lo, hi)
+        return clock() - began
+
+    def edges_only():
+        began = clock()
+        for first, last, lo, hi in edges:
+            np.add.reduce(first[first.searchsorted(lo, side="left") :])
+            np.add.reduce(last[: last.searchsorted(hi, side="right")])
+        return clock() - began
+
+    ratio = statistics.median(aggregates() / edges_only() for _ in range(21))
+    record_property("aggregate_over_edges", ratio)
+    assert ratio <= 4.0
+
+
 def test_a_landing_at_most_doubles_the_next_fleet_aggregates(record_property):
     """Before every round each series lands one MemTable (512 points: a
     flush, often an overlap merge near the tail), as on ``mixed_live``.

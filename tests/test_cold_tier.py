@@ -23,10 +23,12 @@ policy triples:
 
 import math
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     AdaptiveEngine,
@@ -47,6 +49,7 @@ from repro import (
 from repro.errors import EngineError
 from repro.faults import FaultInjector, FaultPlan
 from repro.lsm.backpressure import AdmissionController
+from repro.lsm.base import Snapshot
 from repro.lsm.blocks import (
     BLOCK_STAT_BYTES,
     POINT_BYTES,
@@ -62,6 +65,7 @@ from repro.lsm.checkpoint import (
     write_checkpoint,
 )
 from repro.lsm.policies.compose import compose_engine
+from repro.lsm.pruning import edge_slice
 from repro.lsm.sstable import SSTable, build_sstables
 from repro.obs import RingBufferSink, Telemetry
 from repro.workloads import TABLE_II
@@ -658,3 +662,93 @@ class TestBlockStats:
         tg = np.array([1.0, 2.0])
         with pytest.raises(EngineError):
             SSTable(tg, np.arange(2), storage=RowStorage(tg, np.arange(2)))
+
+
+# -- grid arithmetic ------------------------------------------------------------
+
+
+def _zone_map_costs(snapshot, lo, hi):
+    """``(blocks_stat_answered, blocks_skipped, disk_points_read)`` the
+    per-table walk gives, from :meth:`BlockStats.overlapping` and
+    :meth:`BlockStats.points_in` searches over each table's zone maps."""
+    answered = skipped = read = 0
+    for table in snapshot.tables:
+        stats = table.block_stats
+        if not table.overlaps(lo, hi):
+            continue
+        if lo <= table.min_tg and table.max_tg <= hi:
+            answered += stats.nblocks
+            read += len(table)
+            continue
+        b0, b1 = stats.overlapping(lo, hi)
+        skipped += stats.nblocks - (b1 - b0)
+        read += stats.points_in(b0, b1)
+    return answered, skipped, read
+
+
+@st.composite
+def _grid_cases(draw):
+    """A duplicate-heavy sorted stream cut into tables of ``size``
+    points on a block grid that (but for 1) does not divide them —
+    3, 100, or one block larger than a table — with a duplicate run
+    straddling a block boundary; and windows on block edges."""
+    size = draw(st.sampled_from((10, 25, 37)))
+    block = draw(st.sampled_from((1, 3, 100, size + 1)))
+    n = draw(st.integers(1, 4 * size))
+    tg = np.sort(draw(st.lists(st.integers(0, max(1, n // 3)), min_size=n, max_size=n)))
+    tg = tg.astype(np.float64)
+    if n > block:
+        edge = block * draw(st.integers(1, (n - 1) // block))
+        tg[edge] = tg[edge - 1]  # ties across the boundary (still sorted)
+    edges = sorted({float(v) for v in tg[::block]} | {float(v) for v in tg[block - 1 :: block]})
+    on_edge = st.tuples(st.sampled_from(edges), st.sampled_from((None, -math.inf, math.inf)))
+    bound = st.one_of(
+        on_edge.map(lambda e: e[0] if e[1] is None else float(np.nextafter(*e))),
+        st.sampled_from((-math.inf, math.inf, -1.0, float(n))),
+    )
+    windows = [tuple(sorted(draw(st.lists(bound, min_size=2, max_size=2)))) for _ in range(8)]
+    return size, block, tg, windows
+
+
+class TestGridArithmetic:
+    """The executors take a cut columnar table's block span and points
+    read by division on the grid :meth:`BlockStats.build` lays, not by
+    searching its zone maps; the counts must be the searches' counts,
+    on the live engine and on one restored from its checkpoint."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_grid_cases())
+    def test_grid_spans_equal_zone_map_searches(self, case):
+        size, block, tg, windows = case
+        engine = ConventionalEngine(LsmConfig(memory_budget=size, sstable_size=size))
+        engine.ingest(tg)
+        engine.flush_all()
+        assert engine.convert_cold(block_size=block) == len(engine.snapshot().tables)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = str(Path(scratch) / "cold.ckpt")
+            engine.save_checkpoint(path)
+            restored = ConventionalEngine.restore(path)
+        for snapshot in (engine.snapshot(), restored.snapshot()):
+            assert all(t.is_columnar for t in snapshot.tables)
+            walk = Snapshot(tables=snapshot.tables, memtables=snapshot.memtables)
+            for lo, hi in windows:
+                answered, skipped, read = _zone_map_costs(snapshot, lo, hi)
+                for snap in (snapshot, walk):
+                    aggregate = execute_aggregate_query(snap, lo, hi)
+                    stats = execute_range_query(snap, lo, hi)
+                    assert aggregate.blocks_stat_answered == answered
+                    assert aggregate.blocks_skipped == stats.blocks_skipped == skipped
+                    assert stats.disk_points_read == read
+                    inside = int(np.count_nonzero((tg >= lo) & (tg <= hi)))
+                    assert aggregate.count == stats.result_points == inside
+                # The helper on its own, any table against any window —
+                # one that misses the table too (``left == n``).
+                for table in snapshot.tables:
+                    column, blocks = table.tg, table.block_stats
+                    b0, b1 = blocks.overlapping(lo, hi)
+                    assert edge_slice(table, lo, hi)[1:] == (
+                        int(column.searchsorted(lo, side="left")),
+                        int(column.searchsorted(hi, side="right")),
+                        blocks.points_in(b0, b1),
+                        blocks.nblocks - (b1 - b0),
+                    )

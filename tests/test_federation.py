@@ -328,10 +328,14 @@ class TestFederationCache:
         fleet, telemetry, names, _ = self._loaded_fleet(n_shards=2)
         first = fleet.query_aggregate(None, 1, 50)
         slots = len(fleet.federation.cache)
-        for lo, hi in ((1.0, 50.0), (np.float32(1), np.int64(50)), (True, np.float64(50))):
+        for lo, hi in ((1.0, 50.0), (np.float32(1), np.int64(50)), (np.int8(1), np.float64(50))):
             again = fleet.query_aggregate(None, lo, hi)
             assert again == first
             assert type(again.lo) is float and type(again.hi) is float
+        # A truth value is no spelling of a number, Python's or NumPy's.
+        for bound in (True, np.bool_(True)):
+            with pytest.raises(QueryError, match="real numbers"):
+                fleet.query_aggregate(None, bound, 50)
         assert len(fleet.federation.cache) == slots
         hits = telemetry.registry.shard_values("federation.cache_hits")
         assert hits == {shard_name(i): 3 for i in range(fleet.n_shards)}

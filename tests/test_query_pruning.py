@@ -9,8 +9,8 @@ engine is quiescent and invalidate on any mutation or restore.
 
 The same holds one level up: a sorted run answers for the tables a
 window fully covers from slices of its own per-table columns (one
-covered stretch of :meth:`~repro.lsm.pruning.TableIndex.read_plan` over
-the :class:`~repro.lsm.level.RunView` the run hands out) instead of
+covered span of a :meth:`~repro.lsm.pruning.TableIndex.read_plan` entry
+over the :class:`~repro.lsm.level.RunView` the run hands out) instead of
 visiting them.  The property suite pins that path, field for field and bit for
 bit, to the per-table walk an index-less snapshot does; the work-bound
 test pins what it is for — a wide aggregate reads two tables, and a read
@@ -208,10 +208,10 @@ def _summary_state(engine_key, layout, stage):
         engine.convert_cold(max_tg=cutoff, block_size=BLOCK)
     snapshot = engine.snapshot()
     assert snapshot.index is not None and snapshot.tables
-    # Covered tables go out as stretches of several: the path under test.
+    # Covered tables go out as spans of several: the path under test.
     assert any(
-        covered and stop - start > 1
-        for _, start, stop, covered in snapshot.read_plan(-math.inf, math.inf)
+        last - first > 1
+        for _, _, first, last, _ in snapshot.read_plan(-math.inf, math.inf)
     )
     columnar = sum(t.is_columnar for t in snapshot.tables)
     assert {
@@ -335,16 +335,20 @@ def test_run_summaries_match_per_table_walk(engine_key, layout, data):
         _assert_same_fields(got, want)
         assert got.tables_consulted == got.files_touched
         assert want.tables_consulted == len(snapshot.tables)
-    # The plan is the overlap list, cut into covered and straddling
-    # stretches; the walk's is the same list, one table at a time.
+    # The plan is the overlap list, one entry per run with its covered
+    # span marked; the walk's is the same list, one table at a time.
     for plan, whole_runs in ((snapshot.read_plan(lo, hi), True), (walk.read_plan(lo, hi), False)):
         flat = []
-        for view, start, stop, covered in plan:
-            stretch = view.tables[start:stop]
-            assert stretch and (whole_runs or len(stretch) == 1)
-            assert all((lo <= t.min_tg and t.max_tg <= hi) == covered for t in stretch)
-            assert view.lens[start:stop] == [len(t) for t in stretch]
-            flat.extend(stretch)
+        for view, start, first, last, stop in plan:
+            entry = view.tables[start:stop]
+            assert entry and (whole_runs or len(entry) == 1)
+            assert start <= first <= start + 1 and stop - 1 <= last <= stop
+            assert all(
+                (lo <= t.min_tg and t.max_tg <= hi) == (first <= k < last)
+                for k, t in enumerate(entry, start)
+            )
+            assert view.lens[start:stop] == [len(t) for t in entry]
+            flat.extend(entry)
         assert flat == snapshot.overlapping_tables(lo, hi) == walk.overlapping_tables(lo, hi)
 
 
@@ -416,12 +420,12 @@ def test_wide_aggregate_reads_two_tables_and_a_flush_resums_only_new_ones():
     assert snapshot.tables == tables and not snapshot.memtables
     assert all(kind == "sum" and n == size for kind, _, n in reads)
     assert 0 < len(reads) < n_tables // 2
-    # One sorted run: one covered stretch, one cut table on either side.
+    # One sorted run: one entry, a covered span with one cut table on
+    # either side.
     plan = snapshot.read_plan(lo, hi)
-    assert [(stop - start, covered) for _, start, stop, covered in plan] == [
-        (1, False), (n_tables // 2 - 1, True), (1, False)
+    assert [(first - start, last - first, stop - last) for _, start, first, last, stop in plan] == [
+        (1, n_tables // 2 - 1, 1)
     ]
-    assert len({id(view) for view, _, _, _ in plan}) == 1
     del reads[:]
     assert execute_aggregate_query(snapshot, lo, hi) == want
     touched = {owner for _, owner, _ in reads}
@@ -452,7 +456,7 @@ def test_wide_aggregate_reads_two_tables_and_a_flush_resums_only_new_ones():
     assert sorted(reads) == sorted(("sum", owner, size) for owner in new)
     del reads[:]
     assert execute_aggregate_query(after, lo, hi) == want
-    assert [covered for _, _, _, covered in after.read_plan(lo, hi)] == [False, True, False]
+    assert [(first - start, stop - last) for _, start, first, last, stop in after.read_plan(lo, hi)] == [(1, 1)]
     assert {owner for _, owner, _ in reads} == touched
     assert execute_aggregate_query(after, -math.inf, math.inf).count == (n_tables + 8) * size
     assert all(n < size for kind, _, n in reads if kind == "sum")

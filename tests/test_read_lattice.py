@@ -521,6 +521,89 @@ def _less_access_path(answer):
     return answer
 
 
+# -- edge-case reads through every front door ------------------------------------
+
+
+def _edge_case_stores():
+    """A four-shard fleet, a one-shard fleet and an unsharded database
+    fed the same series: ``empty`` (no points), ``one`` (one point),
+    ``buffered`` (a few points, all in the MemTable) and ``mixed``
+    (disordered, duplicate-heavy, flushed tables half converted to
+    columnar on a grid of 3, and a buffered tail above every table).
+    Returns the stores and every point written, by series."""
+    rng = np.random.default_rng(5)
+    mixed = np.round(np.arange(200.0) + rng.exponential(3.0, 200))
+    points = {
+        "empty": np.empty(0),
+        "one": np.array([7.5]),
+        "buffered": np.array([100.0, 101.0, 101.0, 103.0, 99.0]),
+        "mixed": np.concatenate([mixed, [400.0, 401.0, 401.0]]),
+    }
+    sizes = dict(memory_budget_per_series=BUDGET, sstable_size=TABLE)
+    stores = (
+        ShardedDatabase(n_shards=4, **sizes),
+        ShardedDatabase(n_shards=1, **sizes),
+        TimeSeriesDatabase(**sizes),
+    )
+    for store in stores:
+        for name, tg in points.items():
+            store.write(name, tg[:200])
+        db = store if isinstance(store, TimeSeriesDatabase) else store.database_for("mixed")
+        db.series("mixed").engine.convert_cold(max_tg=100.0, block_size=3)
+        store.write("mixed", points["mixed"][200:])
+    return stores, points
+
+
+def test_edge_case_reads_agree_through_every_front_door():
+    """An empty and a one-point series, a window of one timestamp (a
+    table edge shared by duplicates, the one point, a buffered point),
+    windows over buffered points only and ``+-inf`` bounds: the fleet,
+    a one-shard fleet and the serial folds over either facade answer
+    every field with the same bits, and count what was written."""
+    (fleet, one_shard, db), points = _edge_case_stores()
+    snapshot = db.snapshot("mixed")
+    assert snapshot.tables and snapshot.memtables
+    assert any(t.is_columnar for t in snapshot.tables)
+    assert not db.snapshot("buffered").tables and not db.snapshot("empty").memtables
+    shared = next(a.max_tg for a, b in zip(snapshot.tables, snapshot.tables[1:]) if a.max_tg == b.min_tg)
+    top = max(t.max_tg for t in snapshot.tables)
+    inf = math.inf
+    windows = [
+        (shared, shared), (7.5, 7.5), (101.0, 101.0), (401.0, 401.0),
+        (float(np.nextafter(top, inf)), 401.0), (99.0, 103.0),
+        (-inf, inf), (-inf, shared), (shared, inf), (-inf, -inf), (inf, inf),
+        (-inf, 7.5), (450.0, inf),
+    ]
+    every = sorted(points)
+    for lo, hi in windows:
+        for names in (None, *every, ["mixed", "one", "empty"], set(every)):
+            want = (
+                aggregate_over_series(db, names, lo, hi),
+                scan_over_series(db, names, lo, hi),
+                scan_over_series(db, names, lo, hi, collect=True),
+            )
+            for door in (fleet, one_shard):
+                for got in (
+                    (
+                        door.query_aggregate(names, lo, hi),
+                        door.query_range(names, lo, hi),
+                        door.query_range(names, lo, hi, collect=True),
+                    ),
+                    (
+                        aggregate_over_series(door, names, lo, hi),
+                        scan_over_series(door, names, lo, hi),
+                        scan_over_series(door, names, lo, hi, collect=True),
+                    ),
+                ):
+                    for mine, theirs in zip(got, want):
+                        same_answer(mine, theirs)
+            folded = every if names is None else [names] if isinstance(names, str) else names
+            written = np.concatenate([points[name] for name in folded])
+            inside = np.sort(written[(written >= lo) & (written <= hi)])
+            assert want[0].count == want[1].result_points == inside.size
+            assert np.array_equal(want[2].rows, inside)
+
+
 # -- counter-examples the lattice shrank, kept as plain tests ---------------------
 
 

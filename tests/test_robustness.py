@@ -179,6 +179,59 @@ class TestNanQueryBoundsRejected:
             execute_range_query(snapshot, np.inf, -np.inf)
 
 
+class TestSerialFoldsSpellBoundsOnce:
+    """``check_window`` gives every window one spelling — plain floats —
+    and the serial folds ``aggregate_over_series`` / ``scan_over_series``
+    report it as the fleet does, whichever facade they fold over.  A
+    truth value is no bound: ``True`` is rejected as ``np.bool_`` is."""
+
+    @staticmethod
+    def _store(facade):
+        store = (
+            TimeSeriesDatabase(memory_budget_per_series=8, sstable_size=8)
+            if facade == "database"
+            else ShardedDatabase(n_shards=2, memory_budget_per_series=8, sstable_size=8)
+        )
+        for name in ("a", "b"):
+            store.write(name, np.arange(20, dtype=np.float64))
+        return store
+
+    @pytest.mark.parametrize("facade", ["database", "fleet"])
+    def test_bounds_come_back_as_floats(self, facade):
+        store = self._store(facade)
+        fleet = self._store("fleet")
+        for lo, hi in ((2, 6), (np.float32(1), 7), (np.int64(2), np.float16(6))):
+            for got in (
+                aggregate_over_series(store, ["a"], lo, hi),
+                scan_over_series(store, ["a", "b"], lo, hi),
+                scan_over_series(store, "b", lo, hi, collect=True),
+            ):
+                assert (type(got.lo), type(got.hi)) == (float, float)
+                assert (got.lo, got.hi) == (float(lo), float(hi))
+            assert aggregate_over_series(store, ["a"], lo, hi) == fleet.query_aggregate(
+                ["a"], lo, hi
+            )
+
+    @pytest.mark.parametrize("facade", ["database", "fleet"])
+    @pytest.mark.parametrize("bound", [True, False, np.bool_(True)], ids=repr)
+    def test_a_truth_value_is_no_bound(self, facade, bound):
+        store = self._store(facade)
+        snapshot = store.snapshot("a")
+        with pytest.raises(QueryError, match="real numbers"):
+            aggregate_over_series(store, ["a"], bound, 6)
+        with pytest.raises(QueryError, match="real numbers"):
+            scan_over_series(store, ["a", "b"], 0, bound, collect=True)
+        with pytest.raises(QueryError, match="real numbers"):
+            execute_aggregate_query(snapshot, bound, 6)
+        with pytest.raises(QueryError, match="real numbers"):
+            execute_range_query(snapshot, 0, bound)
+        if facade == "fleet":
+            with pytest.raises(QueryError, match="real numbers"):
+                store.query_aggregate(None, bound, 6)
+            with pytest.raises(QueryError, match="real numbers"):
+                store.query_range("a", 0, bound)
+
+
 class TestFleetFrontDoor:
     """Hostile input to ``ShardedDatabase.ingest_batch``: a typed error
     with nothing mutated, or a correct answer."""
