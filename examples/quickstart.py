@@ -61,13 +61,16 @@ recommended = "pi_s" if decision.policy == "separation" else "pi_c"
 print(f"measured winner: {winner}; recommended: {recommended}")
 assert winner == recommended, "the model should pick the measured winner here"
 
-# -- 4. Query it with the paper's SQL dialect ----------------------------------
-from repro.query import execute_sql
+# -- 4. Query it: the paper's SELECT COUNT(*) WHERE time > max_time - 5000 ----
+import math
+
+from repro.query import execute_aggregate_query
 
 snapshot = separated.snapshot()
 max_time = snapshot.max_tg
-recent = execute_sql(
-    snapshot, f"SELECT COUNT(*) FROM TS WHERE time > {max_time - 5000}"
-)
+# Bounds are closed; a strict ``time > a`` is ``time >= nextafter(a)``.
+recent = execute_aggregate_query(
+    snapshot, math.nextafter(max_time - 5000, math.inf), math.inf
+).count
 print(f"points in the last 5000 ms: {recent}")
 print("OK - the recommendation matches the simulator.")

@@ -55,7 +55,7 @@ from .database import FleetReport, SeriesState, TimeSeriesDatabase
 from .invariants import InvariantChecker
 from .level import Run
 from .memtable import MemTable
-from .points import PointBatch, sort_by_generation
+from .points import sort_by_generation
 from .policies import ComposedEngine, StorageKernel, compose_engine
 from .policies.compaction import merge_tables_with_batch
 from .policies.compose import IoTDBStyleEngine, MultiLevelEngine, TieredEngine
@@ -87,7 +87,6 @@ __all__ = [
     "MemTable",
     "SSTable",
     "build_sstables",
-    "PointBatch",
     "sort_by_generation",
     "merge_tables_with_batch",
     "CompactionEvent",

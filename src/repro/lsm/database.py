@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import LsmConfig
+from ..config import LsmConfig, is_integer
 from ..core.analyzer import DelayAnalyzer
 from ..core.tuning import map_concurrently
-from ..errors import EngineError, RecoveryError
+from ..errors import ConfigError, EngineError, RecoveryError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .base import Snapshot, validate_points
 from .checkpoint import namespaced_stem, write_atomically
@@ -48,6 +48,15 @@ def check_series_name(name) -> None:
     """A series name is a ``str``: anything else is an :class:`EngineError`."""
     if not isinstance(name, str):
         raise EngineError(f"series names are strings, got {name!r:.80}")
+
+
+def _check_budget(value, name: str) -> None:
+    """A MemTable budget is an integer (``ConfigError``, as ``LsmConfig``
+    words it) of at least 2 (``EngineError``)."""
+    if not is_integer(value):
+        raise ConfigError(f"memory_budget must be an integer, got {value!r:.80}")
+    if value < 2:
+        raise EngineError(f"{name} must be >= 2")
 
 
 def manifest_filename(namespace: str = "") -> str:
@@ -238,8 +247,7 @@ class TimeSeriesDatabase:
         namespace: str = "",
         fault_plan: object | None = None,
     ) -> None:
-        if memory_budget_per_series < 2:
-            raise EngineError("memory_budget_per_series must be >= 2")
+        _check_budget(memory_budget_per_series, "memory_budget_per_series")
         self.stability = dict(stability) if stability else {}
         self.config = LsmConfig(
             memory_budget=memory_budget_per_series, sstable_size=sstable_size
@@ -456,8 +464,7 @@ class TimeSeriesDatabase:
         (and touches nothing) when the budget and split are already in
         place.
         """
-        if memory_budget < 2:
-            raise EngineError("memory_budget must be >= 2")
+        _check_budget(memory_budget, "memory_budget")
         state = self.series(name)
         current = state.config
         if seq_capacity is None and current.seq_capacity is not None:

@@ -18,7 +18,6 @@ import numpy as np
 from ..errors import EngineError
 from .blocks import BlockStats, ColumnarStorage, RowStorage
 from .intervals import interval_overlaps
-from .points import PointBatch
 
 __all__ = ["SSTable", "build_sstables"]
 
@@ -140,10 +139,6 @@ class SSTable:
         tg = self.storage.tg
         left = int(tg.searchsorted(lo, side="left"))
         return max(int(tg.searchsorted(hi, side="right")) - left, 0)
-
-    def as_batch(self) -> PointBatch:
-        """View the table contents as a batch."""
-        return PointBatch(tg=self.storage.tg, ids=self.storage.ids)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

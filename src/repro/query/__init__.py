@@ -15,7 +15,6 @@ from .merge import (
     merge_range_stats,
     scan_over_series,
 )
-from .sql import ParsedQuery, execute_sql, parse_query
 from .workloads import (
     QueryWorkloadResult,
     historical_window_query,
@@ -34,9 +33,6 @@ __all__ = [
     "aggregate_over_series",
     "scan_over_series",
     "query_latency_ms",
-    "ParsedQuery",
-    "parse_query",
-    "execute_sql",
     "MEMTABLE_SCAN_MS_PER_POINT",
     "QueryWorkloadResult",
     "recent_window_query",

@@ -28,6 +28,7 @@ import os
 
 import numpy as np
 
+from ..config import is_integer
 from ..core.allocation import MemoryArbiter, RebalanceDecision, SeriesWorkload
 from ..core.tuning import SEPARATION
 from ..errors import EngineError, InjectedCrash, ModelError, RecoveryError
@@ -160,12 +161,9 @@ class ShardedDatabase:
 
     def shard(self, index: int) -> TimeSeriesDatabase:
         """The shard database at ``index``."""
-        try:
-            return self.shards[index]
-        except IndexError:
-            raise EngineError(
-                f"shard index {index} outside [0, {self.n_shards})"
-            ) from None
+        if not (is_integer(index) and 0 <= index < self.n_shards):
+            raise EngineError(f"shard index {index!r} outside [0, {self.n_shards})")
+        return self.shards[index]
 
     def database_for(self, name: str) -> TimeSeriesDatabase:
         """The shard database owning series ``name``."""
@@ -507,7 +505,3 @@ class ShardedDatabase:
         included — to one unsharded database over the same points.
         """
         return self.federation.query_aggregate(names, lo, hi, use_cache=use_cache)
-
-    def shard_reports(self):
-        """Per-shard :class:`~repro.lsm.database.FleetReport` list."""
-        return [db.report() for db in self.shards]

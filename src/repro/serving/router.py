@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from zlib import crc32
 
+from ..config import is_integer
 from ..errors import EngineError
 from ..lsm.database import check_series_name
 
@@ -49,8 +50,8 @@ class ShardRouter:
         mode: str = "hash",
         boundaries: tuple[str, ...] | None = None,
     ) -> None:
-        if n_shards < 1:
-            raise EngineError(f"n_shards must be >= 1, got {n_shards}")
+        if not is_integer(n_shards) or n_shards < 1:
+            raise EngineError(f"n_shards must be an integer >= 1, got {n_shards!r}")
         if mode not in ROUTER_MODES:
             raise EngineError(
                 f"unknown router mode {mode!r}; expected one of {ROUTER_MODES}"
@@ -72,7 +73,7 @@ class ShardRouter:
             if boundaries is not None:
                 raise EngineError("hash routing takes no boundaries")
             self.boundaries = ()
-        self.n_shards = n_shards
+        self.n_shards = int(n_shards)
         self.mode = mode
 
     def shard_of(self, name: str) -> int:

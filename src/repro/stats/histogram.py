@@ -31,11 +31,6 @@ class Histogram:
         return int(self.counts.sum())
 
     @property
-    def centers(self) -> np.ndarray:
-        """Bin midpoints."""
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    @property
     def widths(self) -> np.ndarray:
         """Bin widths."""
         return np.diff(self.edges)

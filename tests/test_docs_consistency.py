@@ -121,3 +121,29 @@ class TestExamplesAndDocs:
         assert sorted(name for row in named for name in row) == sorted(
             [*_build_parser()[1].choices, "<id>"]
         )
+
+    def test_api_tables_name_only_names_that_exist(self):
+        """In every docs/api.md section whose heading names a module
+        (``## Queries (`repro.query`)``), the identifier leading each
+        backticked span of a table row's first cell is an attribute of
+        that module or of ``repro``; dotted cells
+        (``snapshot.read_plan``) are skipped.  A deleted name cannot
+        stay documented."""
+        import importlib
+
+        import repro
+
+        text = (REPO / "docs" / "api.md").read_text()
+        sections = re.findall(
+            r"^## [^\n]*\(`(repro[\w.]*)`\)\n(.*?)(?=^## |\Z)", text, re.M | re.S
+        )
+        assert {module for module, _ in sections} >= {
+            "repro.lsm", "repro.query", "repro.workloads",
+        }
+        for module_name, body in sections:
+            module = importlib.import_module(module_name)
+            for row in re.findall(r"^\|(.*?) \|", body, re.M):
+                for name in re.findall(r"`([A-Za-z_]\w*)(?![\w.])", row):
+                    assert hasattr(module, name) or hasattr(repro, name), (
+                        f"docs/api.md ({module_name}) lists {name!r}"
+                    )

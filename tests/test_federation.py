@@ -8,7 +8,8 @@ points.  The matrix below pins it across three engine policy triples,
 both router modes, row and columnar tiers, and three ingest stages.
 On top of exactness: the single-series fast path (zero reads on other
 shards), the epoch-keyed federation cache (per-shard invalidation),
-per-shard telemetry attribution, and the multi-series SQL front-end.
+per-shard telemetry attribution, and multi-series reads written as the
+paper's SQL statements.
 """
 
 import math
@@ -30,7 +31,6 @@ from repro.query.merge import (
     merge_range_stats,
     scan_over_series,
 )
-from repro.query.sql import execute_sql, parse_query
 from repro.serving import FederationCache, ShardRouter, ShardedDatabase, shard_name
 from repro.workloads import generate_synthetic
 from tests.fleet_support import lockstep_rounds
@@ -527,27 +527,8 @@ class TestScatterPool:
 
 
 class TestSqlFederation:
-    def test_parse_multi_series_and_star(self):
-        parsed = parse_query("SELECT SUM(time) FROM a, b , c WHERE time >= 5")
-        assert parsed.select == "sum"
-        assert parsed.names == ("a", "b", "c")
-        assert parsed.series == "a"
-        star = parse_query("SELECT COUNT(*) FROM *")
-        assert star.series == "*"
-        assert star.names == ()
-        with pytest.raises(QueryError):
-            parse_query("SELECT * FROM a, a")
-
-    def test_snapshot_target_rejects_multi_series(self):
-        db = TimeSeriesDatabase(**_DB_KWARGS)
-        db.write("a", np.arange(10.0))
-        snapshot = db.snapshot("a")
-        assert execute_sql(snapshot, "SELECT COUNT(*) FROM a") == 10
-        with pytest.raises(QueryError):
-            execute_sql(snapshot, "SELECT COUNT(*) FROM a, b")
-        with pytest.raises(QueryError):
-            execute_sql(snapshot, "SELECT COUNT(*) FROM *")
-
+    # Named for the SQL front-end these reads once went through; kept so
+    # the tests keep their ids.  Each window is the statement beside it.
     def test_sharded_and_unsharded_sql_agree(self):
         names = [f"series-{i:02d}" for i in range(6)]
         datasets = _datasets(names, n_points=600)
@@ -556,18 +537,27 @@ class TestSqlFederation:
         for name in names:
             fleet.write(name, datasets[name].tg)
             reference.write(name, datasets[name].tg)
-        statements = [
-            "SELECT COUNT(*) FROM *",
-            "SELECT SUM(time) FROM * WHERE time > 100",
-            "SELECT AVG(time) FROM series-00, series-03 WHERE time <= 400",
-            "SELECT MIN(time) FROM series-05",
-            "SELECT MAX(time) FROM * WHERE time >= 50 AND time < 800",
+        windows = [
+            # SELECT COUNT(*) FROM *
+            (None, -math.inf, math.inf),
+            # SELECT SUM(time) FROM * WHERE time > 100
+            (None, math.nextafter(100.0, math.inf), math.inf),
+            # SELECT AVG(time) FROM series-00, series-03 WHERE time <= 400
+            (["series-00", "series-03"], -math.inf, 400.0),
+            # SELECT MIN(time) FROM series-05
+            (["series-05"], -math.inf, math.inf),
+            # SELECT MAX(time) FROM * WHERE time >= 50 AND time < 800
+            (None, 50.0, math.nextafter(800.0, -math.inf)),
         ]
-        for sql in statements:
-            assert execute_sql(fleet, sql) == execute_sql(reference, sql), sql
-        fed = execute_sql(fleet, "SELECT * FROM *", collect=True)
-        ref = execute_sql(reference, "SELECT * FROM *", collect=True)
-        _assert_range_equal(fed, ref)
+        for names, lo, hi in windows:
+            fed = fleet.query_aggregate(names, lo, hi)
+            assert fed == aggregate_over_series(reference, names, lo, hi), (lo, hi)
+            assert fed.count > 0
+        # SELECT * FROM *
+        _assert_range_equal(
+            fleet.query_range(None, collect=True),
+            scan_over_series(reference, None, collect=True),
+        )
 
     def test_sum_is_bitwise_float_sum(self):
         db = TimeSeriesDatabase(auto_tune=False, **_DB_KWARGS)
@@ -584,7 +574,7 @@ class TestSqlFederation:
                     db.snapshot(name), -math.inf, math.inf
                 ).total
             )
-        assert execute_sql(db, "SELECT SUM(time) FROM *") == expected
+        assert aggregate_over_series(db, None).total == expected
 
 
 class TestMergeUnits:
@@ -657,15 +647,12 @@ class TestMergeUnits:
             fleet.query_range(collect=True),
             revived.query_range(collect=True, use_cache=False),
             scan_over_series(reference, collect=True),
-            execute_sql(fleet, "SELECT * FROM *", collect=True),
-            execute_sql(reference, "SELECT * FROM *", collect=True),
         ]
         for stats in answers:
             assert stats.result_points == 0 and len(stats.rows) == 0
             assert stats.rows.dtype == np.float64
             assert stats.row_ids.dtype == np.int64 and len(stats.row_ids) == 0
-        for target in (fleet, reference):
-            metrics_only = execute_sql(target, "SELECT * FROM *")
+        for metrics_only in (fleet.query_range(), scan_over_series(reference)):
             assert metrics_only.rows is None and metrics_only.row_ids is None
 
     def test_canonical_order(self):
@@ -793,7 +780,7 @@ class TestNamesArgument:
             with pytest.raises(EngineError, match="unknown series 'stray'"):
                 fleet.query_aggregate(names)
         assert fleet.query_aggregate(["s0", "s1", "s2"]) == before
-        assert execute_sql(fleet, "SELECT COUNT(*) FROM s0, s2") == 80
+        assert fleet.query_aggregate(["s0", "s2"]).count == 80
 
 
 class _Spy:

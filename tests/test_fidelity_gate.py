@@ -150,7 +150,8 @@ def test_non_lognormal_laws_track_the_simulator(name):
     strict=True,
     reason=(
         "Eq. 1 takes the last flushed point's arrival as i*dt and ignores "
-        "its delay, so a constant delay reads as disorder (ROADMAP item 4)"
+        "its delay, so a constant delay reads as disorder (ROADMAP: the model "
+        "without fitted constants)"
     ),
 )
 def test_a_delay_that_keeps_order_costs_no_separation_wa():

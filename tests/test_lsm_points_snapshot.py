@@ -1,51 +1,28 @@
-"""Tests for point batches, merge primitives and snapshots."""
+"""Tests for the point sort helper, merge primitives and snapshots."""
 
 import numpy as np
-import pytest
 
 from repro import ConventionalEngine, LsmConfig
-from repro.errors import EngineError
 from repro.lsm import SSTable, merge_tables_with_batch
 from repro.lsm.base import MemTableView, Snapshot
-from repro.lsm.points import PointBatch, sort_by_generation
+from repro.lsm.points import sort_by_generation
 
 
 class TestPointBatch:
-    def test_len_and_empty(self):
-        batch = PointBatch(
-            tg=np.array([1.0, 2.0]), ids=np.array([0, 1], dtype=np.int64)
-        )
-        assert len(batch) == 2
-        assert not batch.empty
-        empty = PointBatch.concat([])
-        assert empty.empty
-
-    def test_misaligned_rejected(self):
-        with pytest.raises(EngineError):
-            PointBatch(tg=np.array([1.0]), ids=np.array([0, 1], dtype=np.int64))
-
-    def test_sorted_by_generation_stable(self):
-        batch = PointBatch(
-            tg=np.array([3.0, 1.0, 3.0, 2.0]),
-            ids=np.array([10, 11, 12, 13], dtype=np.int64),
-        )
-        out = batch.sorted_by_generation()
-        assert list(out.tg) == [1.0, 2.0, 3.0, 3.0]
-        # Stable: equal keys keep arrival order (10 before 12).
-        assert list(out.ids) == [11, 13, 10, 12]
-
-    def test_concat_preserves_order(self):
-        a = PointBatch(tg=np.array([5.0]), ids=np.array([0], dtype=np.int64))
-        b = PointBatch(tg=np.array([1.0]), ids=np.array([1], dtype=np.int64))
-        merged = PointBatch.concat([a, b])
-        assert list(merged.tg) == [5.0, 1.0]
-
+    # Named for the batch class that once lived beside the helper; kept
+    # so the test keeps its id.
     def test_sort_by_generation_helper(self):
         tg, ids = sort_by_generation(
             np.array([2.0, 1.0]), np.array([7, 8], dtype=np.int64)
         )
         assert list(tg) == [1.0, 2.0]
         assert list(ids) == [8, 7]
+        # Stable: equal keys keep arrival order (10 before 12).
+        tg, ids = sort_by_generation(
+            np.array([3.0, 1.0, 3.0, 2.0]), np.array([10, 11, 12, 13], dtype=np.int64)
+        )
+        assert list(tg) == [1.0, 2.0, 3.0, 3.0]
+        assert list(ids) == [11, 13, 10, 12]
 
 
 class TestMergePrimitive:

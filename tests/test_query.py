@@ -1,5 +1,7 @@
 """Tests for the query layer: executor, latency, workloads."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,15 @@ from repro import (
     query_latency_ms,
     run_query_workload,
 )
-from repro.query import historical_window_query, recent_window_query
+from repro.lsm.database import TimeSeriesDatabase
+from repro.query import (
+    aggregate_over_series,
+    execute_aggregate_query,
+    historical_window_query,
+    recent_window_query,
+    scan_over_series,
+)
+from repro.serving import ShardedDatabase
 from repro.workloads import generate_synthetic
 
 
@@ -99,6 +109,55 @@ class TestExecutor:
         assert plain.disk_points_read == collected.disk_points_read
         assert plain.files_touched == collected.files_touched
         assert plain.rows is None
+
+
+
+@pytest.mark.parametrize("base", [0.0, 1e8, 1.7e12])
+def test_a_strict_bound_is_the_closed_bound_at_the_next_float(base):
+    """Bounds are closed; the paper's ``time > a`` is ``lo =
+    nextafter(a, inf)``.  A fixed 1e-9 nudge vanished in rounding from
+    |t| ~ 1.7e7 on, so every front door must count exactly at real
+    timestamp magnitudes."""
+    tg = np.array([base, base + 1000.0, base + 2000.0])
+    engine = ConventionalEngine(LsmConfig(memory_budget=16, sstable_size=16))
+    engine.ingest(tg)
+    db = TimeSeriesDatabase(memory_budget_per_series=16, sstable_size=16)
+    db.write("s", tg)
+    fleet = ShardedDatabase(n_shards=2, memory_budget_per_series=16, sstable_size=16)
+    fleet.write("s", tg)
+    snapshot = engine.snapshot()
+    doors = [
+        (
+            lambda lo, hi: execute_aggregate_query(snapshot, lo, hi),
+            lambda lo, hi: execute_range_query(snapshot, lo, hi, collect=True),
+        ),
+        (
+            lambda lo, hi: aggregate_over_series(db, "s", lo, hi),
+            lambda lo, hi: scan_over_series(db, "s", lo, hi, collect=True),
+        ),
+        (
+            lambda lo, hi: fleet.query_aggregate("s", lo, hi),
+            lambda lo, hi: fleet.query_range("s", lo, hi, collect=True),
+        ),
+    ]
+    mid = base + 1000.0
+    above, below = math.nextafter(mid, math.inf), math.nextafter(mid, -math.inf)
+    windows = [
+        (above, math.inf, 1),  # time > mid
+        (-math.inf, below, 1),  # time < mid
+        (mid, math.inf, 2),  # time >= mid
+        (-math.inf, mid, 2),  # time <= mid
+        (-math.inf, math.inf, 3),  # no WHERE
+    ]
+    for aggregate, scan in doors:
+        for lo, hi, count in windows:
+            assert aggregate(lo, hi).count == count, (lo, hi)
+            assert scan(lo, hi).result_points == count, (lo, hi)
+        # time > base AND time < base + 2000
+        inner = aggregate(
+            math.nextafter(base, math.inf), math.nextafter(base + 2000.0, -math.inf)
+        )
+        assert inner.minimum == inner.maximum == mid
 
 
 class TestLatencyModel:

@@ -46,7 +46,7 @@ from repro.obs import load_trace, render_trace_report, summarize_trace
 from repro.query.aggregation import execute_aggregate_query
 from repro.query.executor import execute_range_query
 from repro.query.merge import aggregate_over_series, scan_over_series
-from repro.serving import ShardedDatabase
+from repro.serving import ShardedDatabase, ShardRouter
 from repro.workloads import generate_synthetic
 from tests.conformance_support import ENGINE_FACTORIES
 
@@ -812,13 +812,18 @@ def _durable_db(directory, budget=8, sstable_size=4, **kwargs):
     "field, build",
     [
         ("memory_budget", lambda d: _durable_db(d, budget=6.5)),
+        ("memory_budget", lambda d: _durable_db(d, budget="64")),
+        ("memory_budget", lambda d: _durable_db(d, budget=None)),
         ("sstable_size", lambda d: _durable_db(d, sstable_size=True)),
         ("sstable_size", lambda d: ShardedDatabase(2, None, 8, 2.5, durability_dir=d)),
         ("memory_budget", lambda d: _durable_db(d).create_series("s", 6.5)),
         ("seq_capacity", lambda d: _durable_db(d).create_series("s", 8, 3.5)),
         ("wal_group_records", lambda d: _durable_db(d, stability={"wal_group_records": 2.5})),
     ],
-    ids=["db", "db-bool", "fleet", "create", "create-split", "stability"],
+    ids=[
+        "db", "db-str", "db-none", "db-bool", "fleet", "create", "create-split",
+        "stability",
+    ],
 )
 def test_a_database_rejects_a_fractional_size_before_its_wal(tmp_path, field, build):
     """A size that is no integer is a ``ConfigError`` naming the field,
@@ -838,6 +843,45 @@ def test_a_fractional_resize_leaves_the_series_alone(tmp_path):
         db.resize_series("s", 6.5)
     assert engine.config.memory_budget == 8
     assert os.path.getsize(engine.config.wal_path) == wal_bytes
+
+
+@pytest.mark.parametrize("budget", ["64", None, True], ids=["str", "none", "bool"])
+def test_a_resize_to_no_integer_is_a_config_error(tmp_path, budget):
+    """Checked before the ``< 2`` comparison, which raised a raw
+    ``TypeError`` for a string or ``None``."""
+    db = _durable_db(str(tmp_path), budget=8)
+    db.write("s", np.arange(50.0))
+    engine = db.series("s").engine
+    wal_bytes = os.path.getsize(engine.config.wal_path)
+    with pytest.raises(ConfigError, match="^memory_budget must be an integer"):
+        db.resize_series("s", budget)
+    assert engine.config.memory_budget == 8
+    assert os.path.getsize(engine.config.wal_path) == wal_bytes
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ShardRouter(True),
+        lambda: ShardRouter(2.5),
+        lambda: ShardedDatabase(n_shards=2.5),
+        lambda: ShardedDatabase(n_shards="4"),
+    ],
+    ids=["router-bool", "router-float", "fleet-float", "fleet-str"],
+)
+def test_a_fleet_width_is_an_integer(build):
+    with pytest.raises(EngineError, match="^n_shards must be an integer"):
+        build()
+
+
+@pytest.mark.parametrize("index", [-1, 1.0, True], ids=["negative", "float", "bool"])
+def test_a_shard_index_is_an_integer_inside_the_fleet(index):
+    """``shards[-1]`` used to answer for the last shard, although the
+    error text promises ``[0, n)``."""
+    fleet = ShardedDatabase(n_shards=2)
+    for read in (fleet.shard, fleet.shard_backpressure_state):
+        with pytest.raises(EngineError, match=r"outside \[0, 2\)"):
+            read(index)
 
 
 class TestEventValidation:

@@ -1,0 +1,66 @@
+"""Tests for the reporting scripts under ``scripts/``."""
+
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_uncalled_lists_only_the_names_nothing_uses(tmp_path):
+    """One called and one uncalled name: only the uncalled one is a row,
+    an export or an import is no caller, and a test's use is reported."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        'from .api import Engine, called, uncalled\n\n'
+        '__all__ = ["Engine", "called", "uncalled"]\n'
+    )
+    (package / "api.py").write_text(
+        textwrap.dedent(
+            '''
+            def called():
+                """Not a use: uncalled."""
+
+
+            def uncalled():
+                return called()
+
+
+            class Engine:
+                def ingest(self):
+                    return "patched at Engine.flush"
+
+                def flush(self):
+                    pass
+
+                def _private(self):
+                    pass
+            '''
+        )
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro import Engine\n\nEngine().ingest()\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_api.py").write_text(
+        "from repro import uncalled\n\nuncalled()\n"
+    )
+    out = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "uncalled.py"), str(tmp_path)],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert [row.split() for row in out] == [
+        ["src/repro/api.py:6", "uncalled", "tests:", "yes"],
+        ["1", "uncalled"],
+    ]
+
+
+def test_uncalled_needs_a_package(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "uncalled.py"), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 2 and "no package at" in done.stderr
