@@ -173,6 +173,13 @@ class DelayAnalyzer:
                 "tg, ta and the delays ta - tg must be finite; got "
                 "NaN/inf (or an overflowing difference) in the batch"
             )
+        self._stage(tg, delays)
+
+    def _stage(self, tg: np.ndarray, delays: np.ndarray) -> None:
+        """Stage checked observations: ``delays`` is ``ta - tg``, finite,
+        a 1-d array the analyzer may clip in place.  :meth:`observe`
+        ends here, and so does an engine's ingest, whose own pair check
+        computed the delays."""
         if tg.size >= _STAGE_POINTS:
             # Too large to stage: recorded now, after what came before
             # it (``delays`` is a fresh array, clipped in place).

@@ -161,29 +161,48 @@ def validate_points(
     tg: np.ndarray, ta: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``(tg, ta)`` as engines ingest them: contiguous float64, ``tg``
-    through :func:`validate_generation_times`.  A ``ta`` that is
+    as :func:`validate_generation_times` wants it.  A ``ta`` that is
     misaligned, non-finite or so far from ``tg`` that the delay
     overflows is a :class:`ModelError`, checked first; a bad ``tg`` is
     an :class:`EngineError`.
 
-    ``tg`` is always a copy: MemTables buffer slices of it, so the
-    engine owns what it buffers and the caller may reuse its array as
-    soon as the call returns."""
-    tg = np.array(tg, dtype=np.float64, order="C")
-    if ta is not None:
-        ta = np.ascontiguousarray(ta, dtype=np.float64)
-        if ta.size != tg.size:
-            raise ModelError(f"tg and ta must align: {tg.size} vs {ta.size}")
-        if ta.shape != tg.shape or finite_delays(tg, ta) is None:
-            if not np.isfinite(ta).all():
-                raise ModelError("arrival times must be finite; got NaN/inf")
-            if tg.ndim == 1 and np.isfinite(tg).all():
-                raise ModelError(
-                    "ta must pair with tg point by point at a finite "
-                    f"delay: shapes {tg.shape} vs {ta.shape}, or "
-                    "ta - tg overflows"
-                )
-    return validate_generation_times(tg), ta
+    An array already in that form is returned as it is, not copied:
+    MemTables copy what they buffer into their own slabs, so the caller
+    may reuse its arrays as soon as an ingest returns."""
+    tg, ta, _ = _checked_points(tg, ta)
+    return tg, ta
+
+
+def _checked_points(
+    tg: np.ndarray, ta: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """:func:`validate_points`, also returning the delays ``ta - tg``
+    its check computed (``None`` without ``ta``): a fresh array.
+
+    With ``ta``, one :func:`finite_delays` pass covers ``ta``, the
+    overflow and ``tg`` — a finite difference has finite operands — so
+    ``tg``'s own finiteness is checked only without ``ta``, or to pick
+    the error when the pair fails."""
+    tg = np.ascontiguousarray(tg, dtype=np.float64)
+    if ta is None:
+        return validate_generation_times(tg), None, None
+    ta = np.ascontiguousarray(ta, dtype=np.float64)
+    if ta.size != tg.size:
+        raise ModelError(f"tg and ta must align: {tg.size} vs {ta.size}")
+    delays = finite_delays(tg, ta) if ta.shape == tg.shape else None
+    if delays is None:
+        if not np.isfinite(ta).all():
+            raise ModelError("arrival times must be finite; got NaN/inf")
+        if tg.ndim == 1 and np.isfinite(tg).all():
+            raise ModelError(
+                "ta must pair with tg point by point at a finite "
+                f"delay: shapes {tg.shape} vs {ta.shape}, or "
+                "ta - tg overflows"
+            )
+    if delays is None or tg.ndim != 1:
+        # What is left to fail is tg: its shape, or a NaN/inf in it.
+        validate_generation_times(tg)
+    return tg, ta, delays
 
 
 def validate_generation_times(tg: np.ndarray) -> np.ndarray:
@@ -278,7 +297,7 @@ class LsmEngine:
         them); any other ignores ``ta`` once it is checked.
         """
         self._ensure_open()
-        arr, ta = validate_points(tg, ta)
+        arr, ta, delays = _checked_points(tg, ta)
         if self.analyzer is None:
             ta = None
         elif ta is None and self.check_interval is not None:
@@ -288,15 +307,20 @@ class LsmEngine:
         self._admit_batch(arr.size)
         if self._wal is not None:
             self._wal.append(arr, start_id=self._next_id, ta=ta)
-        self._place(arr, ta)
+        self._place(arr, ta, delays)
 
-    def _place(self, arr: np.ndarray, ta: np.ndarray | None) -> None:
+    def _place(
+        self, arr: np.ndarray, ta: np.ndarray | None, delays: np.ndarray | None = None
+    ) -> None:
         """Place a validated batch, observing its pairs when the engine
-        has an analyzer — shared by ingest and WAL replay."""
+        has an analyzer — shared by ingest and WAL replay.  ``delays``
+        are the checked ``ta - arr`` when the caller computed them; a
+        replayed record comes without, and its pairs are checked as
+        they are observed."""
         if ta is None or self.analyzer is None:
             self._ingest_validated(arr)
         else:
-            self._ingest_pairs(arr, ta)
+            self._ingest_pairs(arr, ta, delays)
 
     def _ingest_validated(self, arr: np.ndarray) -> None:
         """Place a validated batch of generation times.

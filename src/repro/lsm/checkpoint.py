@@ -253,12 +253,21 @@ def pack_memtable(
 def unpack_memtable(
     arrays: dict[str, np.ndarray], prefix: str, capacity: int, name: str
 ) -> MemTable:
-    """Rebuild the MemTable stored by :func:`pack_memtable`."""
+    """Rebuild the MemTable stored by :func:`pack_memtable`.
+
+    Arrays the table cannot have held — not 1-d, not aligned, or more
+    points than its ``capacity`` — are :class:`CheckpointCorruptError`.
+    """
     try:
         tg = np.ascontiguousarray(arrays[f"{prefix}.tg"], dtype=np.float64)
         ids = np.ascontiguousarray(arrays[f"{prefix}.ids"], dtype=np.int64)
     except KeyError as exc:
         raise CheckpointCorruptError(f"checkpoint misses array {exc}") from None
+    if tg.ndim != 1 or ids.shape != tg.shape or tg.size > capacity:
+        raise CheckpointCorruptError(
+            f"{prefix}: {tg.shape} generation times and {ids.shape} ids "
+            f"cannot fill a {capacity}-point {name}"
+        )
     memtable = MemTable(capacity, name=name)
     if tg.size:
         memtable.extend(tg, ids)

@@ -175,20 +175,32 @@ class LeveledEngine(StorageKernel):
 
     # -- the tuning loop -------------------------------------------------------
 
-    def _ingest_pairs(self, tg: np.ndarray, ta: np.ndarray) -> None:
+    def _ingest_pairs(
+        self, tg: np.ndarray, ta: np.ndarray, delays: np.ndarray | None = None
+    ) -> None:
         """Observe and place validated pairs — shared by ingest and WAL
-        replay.  With a ``check_interval`` (every point then comes with
-        its arrival time, so the arrival index is the check cursor), the
-        engine retunes at each boundary where the delays have drifted."""
+        replay.  The analyzer stages ``delays`` when ingest computed
+        them, and checks a replayed record's pairs itself.  With a
+        ``check_interval`` (every point then comes with its arrival
+        time, so the arrival index is the check cursor), the engine
+        retunes at each boundary where the delays have drifted."""
+        analyzer = self.analyzer
+
+        def observe(start: int, stop: int) -> None:
+            if delays is None:
+                analyzer.observe(tg[start:stop], ta[start:stop])
+            else:
+                analyzer._stage(tg[start:stop], delays[start:stop])
+
         interval = self.check_interval
         if interval is None:
-            self.analyzer.observe(tg, ta)
+            observe(0, tg.size)
             self._ingest_validated(tg)
             return
         pos = 0
         while pos < tg.size:
             take = min(interval - self._next_id % interval, tg.size - pos)
-            self.analyzer.observe(tg[pos : pos + take], ta[pos : pos + take])
+            observe(pos, pos + take)
             self._ingest_validated(tg[pos : pos + take])
             pos += take
             if self._next_id % interval == 0 and self.analyzer.should_retune():

@@ -2,12 +2,15 @@
 
 Both policies buffer arrivals in MemTables before any disk write: one
 ``C0`` under the conventional policy, and a ``C_seq`` / ``C_nonseq`` pair
-under separation (Figure 1).  Batches are accumulated as array segments
-and only sorted when the table is drained for a flush or merge, keeping
-per-point ingest cost negligible.
+under separation (Figure 1).  A MemTable is a slab of its fixed
+capacity: a batch is copied into the free tail of two preallocated
+arrays, and points are only sorted when the table is drained for a
+flush or merge, keeping per-point ingest cost negligible.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,15 +32,21 @@ EMPTY_IDS = _frozen(np.empty(0, dtype=np.int64))
 
 
 class MemTable:
-    """A bounded buffer of points, drained in generation-time order."""
+    """A bounded buffer of points, drained in generation-time order.
+
+    The points live in the filled prefix of a slab allocated at full
+    capacity.  A slab is only ever written past its filled prefix, and
+    :meth:`clear` swaps in a fresh one, so every view handed out — a
+    peek, a snapshot, a checkpoint's arrays — keeps its contents.
+    """
 
     def __init__(self, capacity: int, name: str = "memtable") -> None:
         if capacity < 1:
             raise EngineError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.name = name
-        self._tg_segments: list[np.ndarray] = []
-        self._id_segments: list[np.ndarray] = []
+        self._tg = np.empty(capacity, dtype=np.float64)
+        self._ids = np.empty(capacity, dtype=np.int64)
         self._size = 0
         #: Monotone content version: bumped by every extend/clear so the
         #: peek cache (and the kernel's snapshot cache) can key on it.
@@ -64,56 +73,59 @@ class MemTable:
         """True when nothing is buffered."""
         return self._size == 0
 
+    @property
+    def max_tg(self) -> float:
+        """Largest buffered generation time (``-inf`` when empty)."""
+        size = self._size
+        return float(self._tg[:size].max()) if size else -math.inf
+
     def extend(self, tg: np.ndarray, ids: np.ndarray) -> None:
-        """Append a batch; the batch must fit in the remaining room."""
-        if tg.size != ids.size:
+        """Copy a batch into the slab; the batch must fit in the room."""
+        count = tg.size
+        if count != ids.size:
             raise EngineError(
-                f"{self.name}: tg and ids must align ({tg.size} vs {ids.size})"
+                f"{self.name}: tg and ids must align ({count} vs {ids.size})"
             )
-        if tg.size == 0:
+        if count == 0:
             return
-        if tg.size > self.room:
+        start = self._size
+        if count > self.capacity - start:
             raise EngineError(
-                f"{self.name}: batch of {tg.size} exceeds room {self.room}"
+                f"{self.name}: batch of {count} exceeds room {self.room}"
             )
-        self._tg_segments.append(np.asarray(tg, dtype=np.float64))
-        self._id_segments.append(np.asarray(ids, dtype=np.int64))
-        self._size += int(tg.size)
+        stop = start + count
+        self._tg[start:stop] = tg
+        self._ids[start:stop] = ids
+        self._size = stop
         self.version += 1
 
     def _refresh_peek(self) -> None:
-        """Rebuild the cached read-only peek arrays for this version.
+        """Rebuild the cached read-only peek views for this version.
 
         The cache makes repeated peeks (snapshots between mutations,
-        checkpoint packing after a snapshot) free, and returning frozen
-        arrays means snapshot views can share them safely: a later
-        extend/clear builds *new* arrays, it never touches these.
+        checkpoint packing after a snapshot) one object, and the views
+        are frozen, so snapshots can share them safely: the slab is
+        never written inside a prefix that was handed out.
         """
         if self._peek_version == self.version:
             return
-        if not self._tg_segments:
+        size = self._size
+        if size:
+            self._peek_tg = _frozen(self._tg[:size])
+            self._peek_ids = _frozen(self._ids[:size])
+        else:
             self._peek_tg = EMPTY_TG
             self._peek_ids = EMPTY_IDS
-        elif len(self._tg_segments) == 1:
-            # Nothing to join: freeze a view, the segment stays as it is.
-            self._peek_tg = _frozen(self._tg_segments[0].view())
-            self._peek_ids = _frozen(self._id_segments[0].view())
-        else:
-            self._peek_tg = _frozen(np.concatenate(self._tg_segments))
-            self._peek_ids = _frozen(np.concatenate(self._id_segments))
         self._peek_version = self.version
 
     def peek_tg(self) -> np.ndarray:
-        """Unsorted concatenated view of buffered generation times.
-
-        Read-only and cached per content version — callers share one
-        frozen array instead of each paying a concatenation copy.
-        """
+        """Unsorted view of the buffered generation times, in arrival
+        order (read-only, cached per content version)."""
         self._refresh_peek()
         return self._peek_tg
 
     def peek_ids(self) -> np.ndarray:
-        """Unsorted concatenated view of buffered ids (read-only, cached)."""
+        """Unsorted view of the buffered ids (read-only, cached)."""
         self._refresh_peek()
         return self._peek_ids
 
@@ -125,21 +137,18 @@ class MemTable:
         exception (or injected fault) between staging and commit leaves
         the engine state untouched.
         """
-        # Straight from the segments: the peek cache would freeze a
-        # join this landing reads once.
-        segments = self._tg_segments
-        if len(segments) == 1:
-            return sort_by_generation(segments[0], self._id_segments[0])
-        if not segments:
+        size = self._size
+        if not size:
             return EMPTY_TG, EMPTY_IDS
-        return sort_by_generation(
-            np.concatenate(segments), np.concatenate(self._id_segments)
-        )
+        return sort_by_generation(self._tg[:size], self._ids[:size])
 
     def clear(self) -> None:
-        """Drop every buffered point (the commit half of a compaction)."""
-        self._tg_segments.clear()
-        self._id_segments.clear()
+        """Drop every buffered point (the commit half of a compaction).
+
+        The table refills a fresh slab: views of the old one stay as
+        they were."""
+        self._tg = np.empty(self.capacity, dtype=np.float64)
+        self._ids = np.empty(self.capacity, dtype=np.int64)
         self._size = 0
         self.version += 1
 

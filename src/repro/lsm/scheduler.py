@@ -91,10 +91,9 @@ class LandingTask:
     def __init__(self, memtable: MemTable, steps: Iterator[int]) -> None:
         self.memtable = memtable
         self.points = len(memtable)
-        tg = memtable.peek_tg()
         #: Largest generation time buffered — this task's contribution
         #: to the kernel's effective watermark while it is pending.
-        self.max_tg = float(tg.max()) if tg.size else -math.inf
+        self.max_tg = memtable.max_tg
         self.done = False
         self._steps = steps
 

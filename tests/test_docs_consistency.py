@@ -147,3 +147,16 @@ class TestExamplesAndDocs:
                     assert hasattr(module, name) or hasattr(repro, name), (
                         f"docs/api.md ({module_name}) lists {name!r}"
                     )
+
+    def test_docs_cite_roadmap_items_by_title(self):
+        """ROADMAP.md renumbers its items at every re-anchor, so a doc
+        that cites ``ROADMAP item 6`` or ``ROADMAP 5(a)`` soon points at
+        another item; docs cite an item by its title instead."""
+        pattern = re.compile(r"ROADMAP(?: item)? \d+")
+        stale = [
+            f"{path.name}:{number}: {line.strip()}"
+            for path in sorted((REPO / "docs").glob("*.md"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert not stale, "numbered ROADMAP references:\n" + "\n".join(stale)

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from repro import ConventionalEngine, LsmConfig
 from repro.errors import EngineError
 from repro.lsm import MemTable, Run, SSTable, WriteStats, build_sstables
 from repro.lsm.wa_tracker import CompactionEvent
@@ -48,6 +50,79 @@ class TestMemTable:
         table = MemTable(capacity=5)
         with pytest.raises(EngineError):
             table.extend(np.array([1.0]), np.array([1, 2]))
+
+
+#: A MemTable's life as steps: an extend of that many points (clipped
+#: to the room), or ``None`` for a clear.
+_STEPS = st.lists(st.one_of(st.none(), st.integers(0, 12)), max_size=40)
+
+
+class TestMemTableSlab:
+    """The slab against the list of segments it replaced, and the views
+    it hands out against later writes."""
+
+    @given(steps=_STEPS, capacity=st.integers(1, 24))
+    def test_sorted_view_matches_a_list_of_segments(self, steps, capacity):
+        table, segments, next_id = MemTable(capacity), [], 0
+        for step in steps:
+            if step is None:
+                table.clear()
+                segments = []
+                continue
+            count = min(step, table.room)
+            # Few distinct times, so ties are common: a stable sort keeps
+            # them in arrival order.
+            tg = (np.arange(next_id, next_id + count) * 7 % 5).astype(np.float64)
+            ids = np.arange(next_id, next_id + count, dtype=np.int64)
+            next_id += count
+            table.extend(tg, ids)
+            segments.append((tg, ids))
+            joined_tg = np.concatenate([s[0] for s in segments])
+            joined_ids = np.concatenate([s[1] for s in segments])
+            order = np.argsort(joined_tg, kind="stable")
+            tg_view, ids_view = table.sorted_view()
+            np.testing.assert_array_equal(tg_view, joined_tg[order])
+            np.testing.assert_array_equal(ids_view, joined_ids[order])
+            np.testing.assert_array_equal(table.peek_tg(), joined_tg)
+            np.testing.assert_array_equal(table.peek_ids(), joined_ids)
+            assert len(table) == joined_tg.size
+
+    def test_a_view_survives_extends_a_clear_and_a_refill(self):
+        table = MemTable(capacity=6)
+        table.extend(np.array([3.0, 1.0]), np.array([0, 1]))
+        tg, ids = table.peek_tg(), table.peek_ids()
+        held = tg.tobytes(), ids.tobytes()
+        table.extend(np.array([9.0, 8.0]), np.array([2, 3]))
+        table.clear()
+        table.extend(np.full(6, -1.0), np.full(6, -1))
+        assert (tg.tobytes(), ids.tobytes()) == held
+        assert table.peek_tg().tolist() == [-1.0] * 6
+
+    def test_a_detached_table_keeps_its_points_until_its_landing_commits(self):
+        config = LsmConfig(memory_budget=64, sstable_size=32).with_stability(
+            compaction_scheduler=True,
+            compaction_work_unit=32,
+            compaction_tokens_per_point=0.01,
+            compaction_burst=1,
+            backpressure_throttle=10**9,
+            backpressure_shed=10**9,
+        )
+        engine = ConventionalEngine(config)
+        tg = np.random.default_rng(0).permutation(200).astype(np.float64)
+        # The second landing merges into a run, so it outlasts its unit.
+        engine.ingest(tg[:128])
+        detached = engine.scheduler.pending_memtables()[-1]
+        assert detached is not engine.placement.memtable
+        held = detached.peek_tg().copy(), detached.peek_ids().copy()
+        np.testing.assert_array_equal(held[0], tg[64:128])
+        engine.ingest(tg[128:138])  # into the fresh C0, not the detached slab
+        np.testing.assert_array_equal(detached.peek_tg(), held[0])
+        np.testing.assert_array_equal(detached.peek_ids(), held[1])
+        view = detached.peek_tg()
+        engine.scheduler.drain()
+        assert detached.empty
+        np.testing.assert_array_equal(view, held[0])
+        assert engine.snapshot().total_points == 138
 
 
 class TestSSTable:

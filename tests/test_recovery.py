@@ -611,6 +611,86 @@ class TestTailOnlyRecovery:
         )
 
 
+class TestImpossibleMemTables:
+    """A CRC-valid checkpoint whose MemTable arrays the table cannot have
+    held — ids one short, more points than its capacity, or 2-d arrays —
+    is corrupt: recovery replays the WAL, through the database's entry
+    and through ``recover_engine``, to the live engine's state."""
+
+    DAMAGE = {
+        "misaligned": lambda tg, ids, capacity: (tg, ids[:-1]),
+        "overfull": lambda tg, ids, capacity: (
+            np.resize(tg, capacity + 1), np.resize(ids, capacity + 1)
+        ),
+        "2d": lambda tg, ids, capacity: (tg.reshape(1, -1), ids.reshape(1, -1)),
+    }
+    #: The damaged table and its capacity, per policy (``pi_s`` splits
+    #: the 64-point budget 24 / 40).
+    TABLE = {"pi_c": ("mem.c0", 64), "pi_s": ("mem.nonseq", 40)}
+
+    @pytest.fixture
+    def live(self, tmp_path, request):
+        """A one-series database checkpointed half way through its
+        3000 points, then written on and synced: ``(database, its
+        directory)``."""
+        directory = str(tmp_path / "state")
+        db = TimeSeriesDatabase(
+            memory_budget_per_series=64, sstable_size=32, durability_dir=directory
+        )
+        db.create_series("s", seq_capacity=24 if request.param == "pi_s" else None)
+        dataset = _dataset(3000, seed=31)
+        for start in range(0, 3000, 100):
+            if start == 1500:
+                db.checkpoint_all()
+            db.write("s", dataset.tg[start : start + 100], dataset.ta[start : start + 100])
+        db.sync()
+        return db, directory
+
+    @staticmethod
+    def _profile(engine):
+        snapshot = engine.snapshot()
+        return (
+            engine.stats.write_counts.tolist(),
+            [(len(t), t.storage.block_size) for t in snapshot.tables],
+            [(view.name, view.tg.tolist(), view.ids.tolist()) for view in snapshot.memtables],
+        )
+
+    @pytest.mark.parametrize("live", ["pi_c", "pi_s"], indirect=True)
+    @pytest.mark.parametrize("entry", ["database", "recover_engine"])
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_an_impossible_memtable_is_discarded(self, live, entry, damage):
+        db, directory = live
+        engine = db.series("s").engine
+        manifest = json.loads(Path(directory, "manifest.json").read_text())
+        ckpt_path = os.path.join(directory, manifest["series"]["s"]["checkpoint"])
+        prefix, capacity = self.TABLE[engine.policy_name]
+        meta, arrays = read_checkpoint(ckpt_path)
+        assert 0 < arrays[f"{prefix}.tg"].size < capacity
+        arrays[f"{prefix}.tg"], arrays[f"{prefix}.ids"] = self.DAMAGE[damage](
+            arrays[f"{prefix}.tg"], arrays[f"{prefix}.ids"], capacity
+        )
+        write_checkpoint(ckpt_path, meta, arrays)
+
+        sink = RingBufferSink()
+        if entry == "database":
+            revived = TimeSeriesDatabase.recover(directory, telemetry=Telemetry(sinks=[sink]))
+            recovered = revived.series("s").engine
+        else:
+            report = recover_engine(
+                type(engine),
+                os.path.join(directory, manifest["series"]["s"]["wal"]),
+                checkpoint_path=ckpt_path,
+                config=replace(engine.config, wal_path=None),
+                telemetry=Telemetry(sinks=[sink]),
+            )
+            assert prefix in report.notes[0]
+            recovered = report.engine
+        (event,) = [e for e in sink.events if e["type"] == "recovery"]
+        assert event["checkpoint_corrupt"] and not event["checkpoint_used"]
+        assert event["replayed_points"] == 3000
+        assert self._profile(recovered) == self._profile(engine)
+
+
 def _decisions(engine):
     """What an engine's decision records say, arrays as lists."""
     return [

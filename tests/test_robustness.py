@@ -485,14 +485,120 @@ class TestTraceIsOutsideInput:
         assert summarize_trace(events).other_types == {"x": 1, "y": 1}
 
 
+_NOT_FINITE_TG = (EngineError, "generation times must be finite; got NaN/inf in the batch")
+_NOT_FINITE_TA = (ModelError, "arrival times must be finite; got NaN/inf")
+_NOT_1D = (EngineError, "ingest expects a 1-d array, got shape (2, 2)")
+
+
+def _unpaired(shapes):
+    return (
+        ModelError,
+        f"ta must pair with tg point by point at a finite delay: shapes {shapes}, "
+        "or ta - tg overflows",
+    )
+
+
+#: ``(tg, ta, (error, message))``: each batch against the one check on
+#: the write path, which covers ``ta``, the overflow and ``tg`` in one
+#: pass when a pair comes and ``tg`` alone otherwise.
+DAMAGED_BATCHES = {
+    "nan-tg": ([1.0, np.nan, 2.0, 3.0], [2.0, 3.0, 4.0, 5.0], _NOT_FINITE_TG),
+    "inf-tg": ([1.0, np.inf, 2.0, 3.0], [2.0, 3.0, 4.0, 5.0], _NOT_FINITE_TG),
+    "-inf-tg": ([1.0, -np.inf, 2.0, 3.0], [2.0, 3.0, 4.0, 5.0], _NOT_FINITE_TG),
+    "nan-tg-alone": ([1.0, np.nan, 2.0, 3.0], None, _NOT_FINITE_TG),
+    "inf-tg-alone": ([1.0, 2.0, np.inf, 3.0], None, _NOT_FINITE_TG),
+    "nan-ta": ([1.0, 2.0, 3.0, 4.0], [2.0, np.nan, 4.0, 5.0], _NOT_FINITE_TA),
+    "inf-ta": ([1.0, 2.0, 3.0, 4.0], [2.0, 3.0, np.inf, 5.0], _NOT_FINITE_TA),
+    "-inf-ta": ([1.0, 2.0, 3.0, 4.0], [-np.inf, 3.0, 4.0, 5.0], _NOT_FINITE_TA),
+    "nan-both": ([np.nan, 2.0, 3.0, 4.0], [2.0, np.nan, 4.0, 5.0], _NOT_FINITE_TA),
+    "inf-both": ([np.inf, 2.0, 3.0, 4.0], [np.inf, 3.0, 4.0, 5.0], _NOT_FINITE_TA),
+    "overflow": ([-1e308], [1e308], _unpaired("(1,) vs (1,)")),
+    "misaligned": ([1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0], (ModelError, "tg and ta must align: 4 vs 3")),
+    "2d": ([[1.0, 2.0], [3.0, 4.0]], [[2.0, 3.0], [4.0, 5.0]], _NOT_1D),
+    "2d-tg": ([[1.0, 2.0], [3.0, 4.0]], [2.0, 3.0, 4.0, 5.0], _NOT_1D),
+    "2d-ta": ([1.0, 2.0, 3.0, 4.0], [[2.0, 3.0], [4.0, 5.0]], _unpaired("(4,) vs (2, 2)")),
+    "2d-tg-alone": ([[1.0, 2.0], [3.0, 4.0]], None, _NOT_1D),
+}
+
+
+class TestDamagedBatchesMeetTheOneCheck:
+    """Every front door refuses a damaged batch with the same typed error
+    and message, before anything moves: the WAL's bytes, the MemTables
+    and the analyzer's window are as they were.  Each case fails if its
+    part of the check is taken out."""
+
+    GOOD = np.array([1000.0, 1010.0, 1020.0, 1030.0, 1040.0])
+
+    def _store(self, tmp_path, door, policy):
+        directory = str(tmp_path / "state")
+        if door == "fleet":
+            store = ShardedDatabase(
+                n_shards=2, memory_budget_per_series=8, sstable_size=8,
+                durability_dir=directory,
+            )
+            db = store.database_for("a")
+        else:
+            store = db = TimeSeriesDatabase(
+                memory_budget_per_series=8, sstable_size=8, durability_dir=directory
+            )
+        db.create_series("a", seq_capacity=4 if policy == "pi_s" else None)
+        # Out of order, then in order again: each of a split's MemTables
+        # holds points.
+        db.write("a", self.GOOD[::-1], self.GOOD[::-1] + 1.0)
+        db.write("a", np.array([1050.0]), np.array([1051.0]))
+        db.sync()
+        return store, db.series("a").engine
+
+    @staticmethod
+    def _fingerprint(engine):
+        analyzer = engine.analyzer
+        with open(engine.config.wal_path, "rb") as handle:
+            wal_bytes = handle.read()
+        return (
+            wal_bytes,
+            engine.wal.appended,
+            engine.ingested_points,
+            [
+                (m.name, m.version, m.peek_tg().tolist(), m.peek_ids().tolist())
+                for m in engine.placement.memtables()
+            ],
+            analyzer.observed_points,
+            analyzer.window.sample().tolist(),
+        )
+
+    @pytest.mark.parametrize("policy", ["pi_c", "pi_s"])
+    @pytest.mark.parametrize("door", ["engine", "database", "fleet"])
+    @pytest.mark.parametrize("case", sorted(DAMAGED_BATCHES))
+    def test_a_damaged_batch_is_refused_before_anything_moves(
+        self, tmp_path, door, policy, case
+    ):
+        tg, ta, (error, message) = DAMAGED_BATCHES[case]
+        tg = np.array(tg)
+        ta = None if ta is None else np.array(ta)
+        store, engine = self._store(tmp_path, door, policy)
+        before = self._fingerprint(engine)
+        with warnings.catch_warnings():
+            # numpy's own overflow warning is not the refusal under test.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                if door == "engine":
+                    engine.ingest(tg, ta)
+                elif door == "database":
+                    store.write("a", tg, ta)
+                else:
+                    store.ingest_batch([("a", tg) if ta is None else ("a", tg, ta)])
+        store.sync()
+        assert self._fingerprint(engine) == before
+
+
 def _held_arrays(engine):
-    """Every point array the engine holds: MemTable segments, and the
+    """Every point array the engine holds: MemTable slabs, and the
     snapshot's MemTable views and tables."""
     snapshot = engine.snapshot()
     arrays = [view.tg for view in snapshot.memtables]
     arrays += [array for table in snapshot.tables for array in (table.tg, table.ids)]
     for memtable in engine.placement.memtables():
-        arrays += memtable._tg_segments
+        arrays.append(memtable._tg)
     return arrays
 
 
