@@ -29,6 +29,19 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_fault_plan(plan) -> None:
+    """Raise :class:`ConfigError` unless ``plan`` is a
+    :class:`repro.faults.FaultPlan` or ``None``."""
+    if plan is not None:
+        from .faults.injector import FaultPlan
+
+        if not isinstance(plan, FaultPlan):
+            raise ConfigError(
+                "fault_plan must be a repro.faults.FaultPlan or None, "
+                f"got {type(plan).__name__}"
+            )
+
+
 @dataclass(frozen=True)
 class LsmConfig:
     """Static configuration of an LSM storage engine.
@@ -144,14 +157,7 @@ class LsmConfig:
             raise ConfigError(
                 f"wal_path must be a non-empty string or None, got {self.wal_path!r}"
             )
-        if self.fault_plan is not None:
-            from .faults.injector import FaultPlan
-
-            if not isinstance(self.fault_plan, FaultPlan):
-                raise ConfigError(
-                    "fault_plan must be a repro.faults.FaultPlan or None, "
-                    f"got {type(self.fault_plan).__name__}"
-                )
+        check_fault_plan(self.fault_plan)
         for name, nullable in self._INTEGER_FIELDS.items():
             value = getattr(self, name)
             if value is None and nullable:

@@ -109,8 +109,8 @@ class Snapshot:
     index: TableIndex | None = None
     #: The engine's ``read_version()`` this snapshot was taken (and is
     #: cached) under; ``None`` for hand-built snapshots.  Equal versions
-    #: of one engine mean identical visible state, so caches above the
-    #: engine key on it instead of asking the engine again.
+    #: of one engine mean identical visible state: the engine's snapshot
+    #: slot serves this snapshot again while the version holds.
     version: tuple[int, ...] | None = None
 
     def overlapping_tables(self, lo: float, hi: float) -> list[SSTable]:

@@ -7,7 +7,8 @@ verifies three families of invariants over a live engine:
 1. **Structure** — every ``"sorted"`` group of the compaction policy's
    :meth:`~repro.lsm.policies.compaction.CompactionPolicy.groups` (a
    leveled run) is internally sorted and non-overlapping (boundary ties
-   tolerated, matching :meth:`repro.lsm.level.Run.check_invariants`);
+   tolerated: duplicate generation times may chunk into adjacent tables
+   sharing a boundary value);
    the tables of a ``"loose"`` group (e.g. IoTDB-style L1 files, which
    may overlap each other) are at least internally sorted.
 2. **Conservation** — every ingested point is visible exactly once:

@@ -258,25 +258,6 @@ class Run:
         storage on the shared handles): re-read every block count."""
         self._touch(0)
 
-    # -- invariants -----------------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Raise :class:`EngineError` if ordering/non-overlap is violated.
-
-        Boundary *ties* are tolerated: duplicate generation times (which
-        Definition 1 forbids but clients may produce) chunk into adjacent
-        tables sharing a boundary value; overlap queries include both
-        sides, so correctness is preserved.
-
-        Intended for tests and debug assertions; engines rely on the
-        local checks performed at each mutation.
-        """
-        for left, right in zip(self._tables, self._tables[1:]):
-            if left.max_tg > right.min_tg:
-                raise EngineError(
-                    f"run overlap: {left!r} and {right!r} are not disjoint"
-                )
-
     def _check_local_order(self, start: int, stop: int) -> None:
         # From the spliced bound lists: no table attribute per pair.
         mins, maxs = self._mins, self._maxs

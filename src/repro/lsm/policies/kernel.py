@@ -299,8 +299,8 @@ class StorageKernel(LsmEngine):
         fresh scheduler whose counters restart, but it also bumps the
         epoch, which only ever grows on this one object — so a vector
         from before can never recur.  Equal vectors therefore guarantee
-        identical visible read state — the contract the snapshot cache
-        and the federation cache both key on.
+        identical visible read state — the contract the snapshot slot,
+        the one read cache, keys on.
         """
         scheduler = self.scheduler
         pending = scheduler.pending_memtables() if scheduler is not None else []

@@ -160,7 +160,8 @@ def merge_range_stats(
     and stably sorted on ``t_g``, so ties between series resolve by
     canonical order — a k-way merge whose output is independent of how
     series were grouped into shards.  Each partial's rows are sorted
-    already (the executors return them so); a single one is copied.
+    already (the executors return them so, in fresh arrays); a single
+    one is handed back as it is.
     ``collect`` says rows were asked for, which zero partials cannot:
     the answer over no series is then empty arrays, not ``None``.
     """
@@ -176,8 +177,8 @@ def merge_range_stats(
     if len(partials) == 1 and not collect:
         # Folding one metrics-only partial from zero rebuilds it field
         # for field; hand it back as it is (frozen).  Not across a zero
-        # bound: 0.0 == -0.0 — one window, one cache slot — but the
-        # answer reports the spelling it was asked with.
+        # bound: 0.0 == -0.0, but the answer reports the spelling it
+        # was asked with.
         part = partials[0]
         if part.rows is None and part.lo == lo != 0.0 and part.hi == hi != 0.0:
             return part
@@ -200,10 +201,9 @@ def merge_range_stats(
     if collecting:
         if len(collected_tg) == 1:
             # One partial is already in order (its executor sorted it
-            # stably); copies, so the caller's arrays are its own and
-            # not the cached partial's.
-            rows = collected_tg[0].copy()
-            row_ids = collected_ids[0].copy()
+            # stably).
+            rows = collected_tg[0]
+            row_ids = collected_ids[0]
         elif collected_tg:
             tg_all = np.concatenate(collected_tg)
             ids_all = np.concatenate(collected_ids)

@@ -12,7 +12,7 @@ with exact partial-aggregate merging
 """
 
 from .database import FLEET_MANIFEST, ShardedDatabase
-from .federation import FederatedExecutor, FederationCache
+from .federation import FederatedExecutor
 from .router import ShardRouter, shard_name
 
 __all__ = [
@@ -21,5 +21,4 @@ __all__ = [
     "shard_name",
     "FLEET_MANIFEST",
     "FederatedExecutor",
-    "FederationCache",
 ]

@@ -28,7 +28,7 @@ import os
 
 import numpy as np
 
-from ..config import is_integer
+from ..config import check_fault_plan, is_integer
 from ..core.allocation import MemoryArbiter, RebalanceDecision, SeriesWorkload
 from ..core.tuning import SEPARATION
 from ..errors import EngineError, InjectedCrash, ModelError, RecoveryError
@@ -120,12 +120,9 @@ class ShardedDatabase:
         #: persisted in the fleet manifest); ``None`` before the first.
         self.last_rebalance: dict | None = None
         plans = shard_fault_plans or {}
-        unknown = [i for i in plans if not 0 <= i < self.n_shards]
-        if unknown:
-            raise EngineError(
-                f"shard_fault_plans indexes {unknown} outside "
-                f"[0, {self.n_shards})"
-            )
+        for index, plan in plans.items():
+            self._check_index(index)
+            check_fault_plan(plan)
         if durability_dir:
             os.makedirs(durability_dir, exist_ok=True)
         self.shards: list[TimeSeriesDatabase] = []
@@ -161,9 +158,12 @@ class ShardedDatabase:
 
     def shard(self, index: int) -> TimeSeriesDatabase:
         """The shard database at ``index``."""
+        self._check_index(index)
+        return self.shards[index]
+
+    def _check_index(self, index) -> None:
         if not (is_integer(index) and 0 <= index < self.n_shards):
             raise EngineError(f"shard index {index!r} outside [0, {self.n_shards})")
-        return self.shards[index]
 
     def database_for(self, name: str) -> TimeSeriesDatabase:
         """The shard database owning series ``name``."""
@@ -463,8 +463,8 @@ class ShardedDatabase:
         """The fleet's :class:`~repro.serving.federation.FederatedExecutor`.
 
         Built lazily (and after :meth:`recover`, which bypasses
-        ``__init__``); holds the federation cache for every
-        :meth:`query_range`/:meth:`query_aggregate` call.
+        ``__init__``); holds the routing plan every
+        :meth:`query_range`/:meth:`query_aggregate` call reads.
         """
         executor = self.__dict__.get("_federation")
         if executor is None:
@@ -480,7 +480,6 @@ class ShardedDatabase:
         lo: float = -math.inf,
         hi: float = math.inf,
         collect: bool = False,
-        use_cache: bool = True,
     ):
         """Federated range scan over ``names`` (all series when None).
 
@@ -488,20 +487,17 @@ class ShardedDatabase:
         visit each involved shard in turn, in process.  Bitwise equal to
         the same scan on one unsharded database.
         """
-        return self.federation.query_range(
-            names, lo, hi, collect=collect, use_cache=use_cache
-        )
+        return self.federation.query_range(names, lo, hi, collect=collect)
 
     def query_aggregate(
         self,
         names=None,
         lo: float = -math.inf,
         hi: float = math.inf,
-        use_cache: bool = True,
     ):
         """Federated aggregate over ``names`` (all series when None).
 
         Fleet-wide COUNT/MIN/MAX/SUM/AVG, bitwise equal — float ``sum``
         included — to one unsharded database over the same points.
         """
-        return self.federation.query_aggregate(names, lo, hi, use_cache=use_cache)
+        return self.federation.query_aggregate(names, lo, hi)

@@ -9,8 +9,8 @@ one unsharded database run over the same points, float ``sum``
 included.
 
 The module is one pipeline: route plan → one snapshot per series →
-per-shard cache → in-process partials → canonical fold.  Three
-mechanisms carry the cost model:
+in-process partials → canonical fold.  Two mechanisms carry the cost
+model:
 
 * **A routing plan, not a routing step.**  Which shard owns a name,
   the canonical order of every name and the fleet-wide split are
@@ -21,13 +21,11 @@ mechanisms carry the cost model:
 * **Routing prunes shards.**  The plan proves which shards hold no
   requested series; those do zero work (``federation.shards_pruned``).
   A single-series query degenerates to one call on its owning shard.
-* **An epoch-keyed federation cache.**  Per-shard partials are cached
-  under each involved engine's read version.  A flush on shard *k*
-  changes only shard *k*'s versions, so only its entry goes stale —
-  the other shards' partials are reused (``federation.cache_hits``),
-  and the merge re-folds cached and fresh partials identically.  Once
-  full, the cache admits a window on its second miss, so one-off
-  windows do not evict the ones that are read again.
+
+There is no result cache here.  Each series' engine keeps its last
+snapshot, keyed on its ``read_version()``, and a partial is computed
+from it afresh: a window costs its two edge tables, less than keying,
+versioning and admitting per-shard partials cost every query.
 
 There is no worker pool here: a series costs ~30 µs to query and one
 empty round trip through a warm process pool costs five times that
@@ -42,7 +40,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -56,69 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..lsm.database import SeriesState
     from .database import ShardedDatabase
 
-__all__ = ["FederatedExecutor", "FederationCache"]
-
-
-class FederationCache:
-    """LRU cache of per-shard query partials, keyed by read version,
-    that admits a new key on its second miss once it is full.
-
-    One entry per ``(kind, shard, series tuple, window, collect)``
-    holds the per-series partials computed against a specific shard
-    read-version vector.  A lookup hits only when the vector is
-    unchanged — any write, flush, merge, restore or re-split on that
-    shard bumps a component, so stale partials can never be served.
-    Entries for *other* shards key on *their* vectors and survive.
-
-    While there is room every store is kept.  Once the cache is full, a
-    key that is not cached is stored only if it already missed among
-    the last ``4 * max_entries`` first sightings; otherwise only the
-    key is remembered.  So a window asked for once cannot evict one that
-    is asked for again.  A cached key is updated in place.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: OrderedDict[tuple, tuple[tuple, list]] = OrderedDict()
-        # Keys seen once while the cache was full, oldest first.  Four
-        # times the entries: a re-read window must still be here when it
-        # comes back after a long run of one-off windows.
-        self._seen: OrderedDict[tuple, None] = OrderedDict()
-
-    def lookup(self, key: tuple, version: tuple) -> list | None:
-        """The cached partials for ``key`` at ``version``, else ``None``."""
-        entry = self._entries.get(key)
-        if entry is None or entry[0] != version:
-            return None
-        self._entries.move_to_end(key)
-        return entry[1]
-
-    def store(self, key: tuple, version: tuple, partials: list) -> None:
-        """Record ``partials`` for ``key`` at ``version`` (LRU-evicting;
-        when full, a key not cached needs a second miss to enter)."""
-        entries = self._entries
-        if key not in entries and len(entries) >= self.max_entries:
-            seen = self._seen
-            if key not in seen:
-                # A first sighting: remember the key, keep the entries.
-                seen[key] = None
-                if len(seen) > 4 * self.max_entries:
-                    seen.popitem(last=False)
-                return
-            del seen[key]
-            entries.popitem(last=False)
-        entries[key] = (version, partials)
-        entries.move_to_end(key)
-
-    def clear(self) -> None:
-        """Drop every entry and every remembered key."""
-        self._entries.clear()
-        self._seen.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+__all__ = ["FederatedExecutor"]
 
 
 class FederatedExecutor:
@@ -131,7 +66,6 @@ class FederatedExecutor:
     def __init__(self, fleet: "ShardedDatabase") -> None:
         self.fleet = fleet
         self.telemetry = fleet.telemetry
-        self.cache = FederationCache()
         # The routing plan: what a query needs to know about the
         # fleet's shape, worked out when the shape changes instead of
         # per query.  Series are never removed or moved and keep one
@@ -151,7 +85,6 @@ class FederatedExecutor:
         names: str | Sequence[str] | None = None,
         lo: float = -math.inf,
         hi: float = math.inf,
-        use_cache: bool = True,
     ) -> AggregateResult:
         """COUNT/MIN/MAX/SUM/AVG over ``names`` (all series when None).
 
@@ -159,7 +92,7 @@ class FederatedExecutor:
         :func:`repro.query.merge.aggregate_over_series` on one unsharded
         database holding the same points.
         """
-        return self._execute("aggregate", names, lo, hi, False, use_cache)
+        return self._execute("aggregate", names, lo, hi, False)
 
     def query_range(
         self,
@@ -167,7 +100,6 @@ class FederatedExecutor:
         lo: float = -math.inf,
         hi: float = math.inf,
         collect: bool = False,
-        use_cache: bool = True,
     ) -> QueryStats:
         """Range scan over ``names`` (all series when None).
 
@@ -175,7 +107,7 @@ class FederatedExecutor:
         ``t_g`` with canonical-order tie-breaking — identical to
         :func:`repro.query.merge.scan_over_series` unsharded.
         """
-        return self._execute("range", names, lo, hi, collect, use_cache)
+        return self._execute("range", names, lo, hi, collect)
 
     # -- routing ---------------------------------------------------------------
 
@@ -223,8 +155,7 @@ class FederatedExecutor:
             names.append(name)
             states.append(state)
         return ordered, [
-            (index, tuple(names), states)
-            for index, (names, states) in sorted(parts.items())
+            (index, names, states) for index, (names, states) in sorted(parts.items())
         ]
 
     def _route(self, names: str | Sequence[str] | None) -> tuple:
@@ -251,15 +182,11 @@ class FederatedExecutor:
         lo: float,
         hi: float,
         collect: bool,
-        use_cache: bool,
     ):
         # Everything a caller can get wrong is rejected here, before
-        # anything is counted, looked up or run — so a bad argument
-        # fails the same way whether or not the window is cached.  A NaN
-        # bound equals nothing, itself included: each such call would
-        # take a fresh cache slot; the bounds come back as plain floats,
-        # so 1, 1.0 and np.float32(1) share one.  Unknown series raise
-        # in the routing.
+        # anything is counted or run: a NaN, inverted or non-real bound
+        # in check_window (the bounds come back as plain floats), a bad
+        # or unknown series in the routing.
         lo, hi = check_window(lo, hi)
         ordered, parts = self._route(names)
         traced = self.telemetry.enabled
@@ -273,18 +200,14 @@ class FederatedExecutor:
                 self.telemetry.count("federation.single_shard")
         if len(parts) == 1:
             # One shard holds every series asked for, in fold order.
-            merged = self._shard_partials(
-                parts[0], kind, lo, hi, collect, use_cache, traced
-            )
+            merged = self._shard_partials(parts[0], kind, lo, hi, collect, traced)
         else:
             by_series: dict[str, object] = {}
             for part in parts:
-                partials = self._shard_partials(
-                    part, kind, lo, hi, collect, use_cache, traced
-                )
+                partials = self._shard_partials(part, kind, lo, hi, collect, traced)
                 by_series.update(zip(part[1], partials))
             # The fold runs in canonical order regardless of which shard
-            # — or which cache generation — produced each partial.
+            # produced each partial.
             merged = [by_series[name] for name in ordered]
         if kind == "aggregate":
             return merge_aggregates(merged, lo, hi)
@@ -297,27 +220,15 @@ class FederatedExecutor:
         lo: float,
         hi: float,
         collect: bool,
-        use_cache: bool,
         traced: bool,
     ) -> list:
-        """One shard's slice of a query: its per-series partials, from
-        the cache when every series' read version is the cached one."""
-        index, names, states = part
-        # The one read of each series' state: its snapshot carries the
-        # read version it was taken under, which keys the cache here.
+        """One shard's slice of a query: its per-series partials."""
+        index, _, states = part
+        # The one read of each series' state: the engine's snapshot
+        # slot answers it unless the series changed since.
         snapshots = [state.engine.snapshot() for state in states]
         # The shard's own bus is the fleet's, labelled with the shard.
         telemetry = self.fleet.shards[index].telemetry
-        if use_cache:
-            version = tuple([snapshot.version for snapshot in snapshots])
-            key = (kind, index, names, lo, hi, collect)
-            partials = self.cache.lookup(key, version)
-            if partials is not None:
-                if traced:
-                    telemetry.count("federation.cache_hits")
-                return partials
-            if traced:
-                telemetry.count("federation.cache_misses")
         started = time.perf_counter() if traced else 0.0
         if kind == "aggregate":
             partials = [
@@ -336,6 +247,4 @@ class FederatedExecutor:
                 "federation.shard_latency_ms",
                 (time.perf_counter() - started) * 1_000.0,
             )
-        if use_cache:
-            self.cache.store(key, version, partials)
         return partials

@@ -420,7 +420,7 @@ def federated_fleet():
 
 
 def _federated_within_half_again(federated, reference, record_property):
-    """Routing, per-shard cache keys and the canonical fold may cost at
+    """Routing, per-shard grouping and the canonical fold may cost at
     most half again what the one-database fold costs; returns the
     federated answer."""
     federated()
@@ -431,11 +431,11 @@ def _federated_within_half_again(federated, reference, record_property):
 
 
 def test_federated_aggregate_is_the_fold_at_half_again_its_cost(federated_fleet, record_property):
-    """Fleet-wide, in process, cache off: the answer — float ``total``
+    """Fleet-wide, in process: the answer — float ``total``
     included — equals the serial one-database fold bit for bit."""
     fleet, reference = federated_fleet
     result = _federated_within_half_again(
-        lambda: fleet.query_aggregate(use_cache=False),
+        lambda: fleet.query_aggregate(),
         lambda: aggregate_over_series(reference),
         record_property,
     )
@@ -448,7 +448,7 @@ def test_federated_scan_is_the_fold_at_half_again_its_cost(federated_fleet, reco
     serial one-database scan."""
     fleet, reference = federated_fleet
     stats = _federated_within_half_again(
-        lambda: fleet.query_range(collect=True, use_cache=False),
+        lambda: fleet.query_range(collect=True),
         lambda: scan_over_series(reference, collect=True),
         record_property,
     )
@@ -493,7 +493,7 @@ def _walk_answers(fleet, names, windows):
 
 
 def _fleet_aggregates(fleet, windows):
-    return [fleet.query_aggregate(None, lo, hi, use_cache=False) for lo, hi in windows]
+    return [fleet.query_aggregate(None, lo, hi) for lo, hi in windows]
 
 
 def test_fleet_aggregates_are_threefold_cheaper_than_the_table_walk(record_property):
@@ -501,7 +501,7 @@ def test_fleet_aggregates_are_threefold_cheaper_than_the_table_walk(record_prope
     system benchmark's ``read_storm``.  A window covers ~80 tables per
     series; the indexed path answers for them from slices of each run's
     per-table columns, the ``index=None`` walk tests every table's range.
-    Through the ``FederatedExecutor`` (cache off) the fleet answers every
+    Through the ``FederatedExecutor`` the fleet answers every
     window bit for bit like the walk, at least 3x faster."""
     fleet, names, windows, _ = _fleet_agg_fleet()
     assert all(len(fleet.snapshot(name).tables) >= 800 for name in names)

@@ -7,9 +7,9 @@ included — as the same query over one unsharded
 points.  The matrix below pins it across three engine policy triples,
 both router modes, row and columnar tiers, and three ingest stages.
 On top of exactness: the single-series fast path (zero reads on other
-shards), the epoch-keyed federation cache (per-shard invalidation),
-per-shard telemetry attribution, and multi-series reads written as the
-paper's SQL statements.
+shards), fresh answers after every kind of change (the fleet keeps no
+result cache), per-shard telemetry attribution, and multi-series reads
+written as the paper's SQL statements.
 """
 
 import math
@@ -31,7 +31,7 @@ from repro.query.merge import (
     merge_range_stats,
     scan_over_series,
 )
-from repro.serving import FederationCache, ShardRouter, ShardedDatabase, shard_name
+from repro.serving import ShardRouter, ShardedDatabase, shard_name
 from repro.workloads import generate_synthetic
 from tests.fleet_support import lockstep_rounds
 
@@ -213,14 +213,20 @@ class TestSingleSeriesFastPath:
         )
 
 
-class TestFederationCache:
-    def _loaded_fleet(self, n_shards=4):
+class TestFreshAnswers:
+    """A fleet keeps no answers: after any change to a series, the next
+    query is bitwise what the serial folds answer on the same fleet."""
+
+    def _loaded_fleet(self, n_shards=4, durability_dir=None):
         telemetry = Telemetry(sinks=[])
         fleet = ShardedDatabase(
-            n_shards=n_shards, telemetry=telemetry, **_DB_KWARGS
+            n_shards=n_shards,
+            telemetry=telemetry,
+            durability_dir=durability_dir,
+            **_DB_KWARGS,
         )
         # Pick series names until every shard owns at least two, so no
-        # cache row is vacuous.
+        # shard's part of a fleet-wide answer is vacuous.
         names = []
         owned = {index: 0 for index in range(n_shards)}
         for i in range(200):
@@ -237,77 +243,65 @@ class TestFederationCache:
             fleet.write(name, datasets[name].tg)
         return fleet, telemetry, names, datasets
 
-    def test_flush_invalidates_only_that_shard(self):
-        fleet, telemetry, names, _ = self._loaded_fleet()
-        registry = telemetry.registry
-        first = fleet.query_aggregate()
-        second = fleet.query_aggregate()
-        assert second == first
-        hits = registry.shard_values("federation.cache_hits")
-        assert hits == {shard_name(i): 1 for i in range(fleet.n_shards)}
-        victim = 1
-        fleet.shards[victim].flush_all()
-        third = fleet.query_aggregate()
+    WINDOWS = ((-math.inf, math.inf), (40.0, 160.0), (250.0, 1400.0))
+
+    def _answers(self, fleet, names):
+        """Every window asked fleet-wide and of a cross-shard subset,
+        each answer checked against the serial folds on ``fleet``."""
+        subset = [names[-1], names[0], names[2]]
+        answers = []
+        for lo, hi in self.WINDOWS:
+            for form in (None, subset, names[1]):
+                got = fleet.query_aggregate(form, lo, hi)
+                assert got == aggregate_over_series(fleet, form, lo, hi)
+                assert got.total.hex() == aggregate_over_series(fleet, form, lo, hi).total.hex()
+                rows = fleet.query_range(form, lo, hi, collect=True)
+                _assert_range_equal(rows, scan_over_series(fleet, form, lo, hi, collect=True))
+                answers.append((got.count, got.minimum, got.maximum, got.total))
+        return answers
+
+    def test_a_flush_changes_no_answer(self):
+        fleet, _, names, _ = self._loaded_fleet()
+        first = self._answers(fleet, names)
+        assert self._answers(fleet, names) == first
+        fleet.shards[1].flush_all()
         # A flush changes scan metadata (tables pruned/scanned) but can
         # never change the answer itself.
-        assert (third.count, third.minimum, third.maximum, third.total) == (
-            first.count, first.minimum, first.maximum, first.total
-        )
-        hits = registry.shard_values("federation.cache_hits")
-        for index in range(fleet.n_shards):
-            expected = 1 if index == victim else 2
-            assert hits[shard_name(index)] == expected, shard_name(index)
-        misses = registry.shard_values("federation.cache_misses")
-        assert misses[shard_name(victim)] == 2
+        assert self._answers(fleet, names) == first
 
-    def test_write_invalidates_owner_entry(self):
-        fleet, telemetry, names, datasets = self._loaded_fleet()
-        fleet.query_aggregate()
+    def test_an_owner_write_shows_in_the_next_answer(self):
+        fleet, _, names, datasets = self._loaded_fleet()
+        before = fleet.query_aggregate()
+        self._answers(fleet, names)
         target = names[0]
-        owner = fleet.shard_of(target)
         fleet.write(target, datasets[target].tg[:50] + 1000.0)
-        fleet.query_aggregate()
-        hits = telemetry.registry.shard_values("federation.cache_hits")
-        assert hits.get(shard_name(owner), 0) == 0
-        assert all(
-            hits[shard_name(i)] == 1
-            for i in range(fleet.n_shards)
-            if i != owner
-        )
+        self._answers(fleet, names)
+        after = fleet.query_aggregate()
+        assert after.count == before.count + 50
+        assert after.maximum == max(before.maximum, datasets[target].tg[:50].max() + 1000.0)
 
-    def test_use_cache_false_bypasses(self):
-        fleet, telemetry, _, _ = self._loaded_fleet(n_shards=2)
-        baseline = fleet.query_aggregate(use_cache=False)
-        again = fleet.query_aggregate(use_cache=False)
-        assert again == baseline
-        assert telemetry.registry.shard_values("federation.cache_hits") == {}
-
-    def test_nan_bounds_rejected_before_the_cache(self):
-        # NaN != NaN: every NaN-bounded key used to be a fresh cache
-        # slot (evicting a live entry), holding a silently wrong answer.
+    def test_nan_bounds_are_rejected(self):
+        # NaN != NaN: a NaN bound selects nothing and compares with
+        # nothing, so it is refused before anything runs.
         fleet, _, names, _ = self._loaded_fleet(n_shards=2)
         nan = math.nan
         good = fleet.query_aggregate(None, 0.0, 100.0)
         fleet.query_range(names[0], 0.0, 100.0)
-        cached = len(fleet.federation.cache)
-        assert cached > 0
         for lo, hi in ((0.0, nan), (nan, 0.0), (nan, nan)):
             with pytest.raises(QueryError, match="NaN"):
                 fleet.query_aggregate(None, lo, hi)
             with pytest.raises(QueryError, match="NaN"):
-                fleet.query_aggregate(names[:3], lo, hi, use_cache=False)
+                fleet.query_aggregate(names[:3], lo, hi)
             for collect in (False, True):
                 with pytest.raises(QueryError, match="NaN"):
                     fleet.query_range(names[0], lo, hi, collect=collect)
-        assert len(fleet.federation.cache) == cached
         assert fleet.query_aggregate(None, 0.0, 100.0) == good
-        # Open-ended windows are still fine, and cached like any other.
+        # Open-ended windows are still fine.
         assert fleet.query_aggregate(None, -math.inf, math.inf).count == 300 * len(names)
-        assert len(fleet.federation.cache) > cached
 
     def test_non_real_bounds_are_query_errors(self):
         # They used to escape as raw TypeErrors from the first comparison
-        # ('<=' not supported) or from hashing the cache key (an array).
+        # ('<=' not supported) or from hashing an array.
         fleet, _, names, _ = self._loaded_fleet(n_shards=2)
         snapshot = fleet.snapshot(names[0])
         for bad in (None, "1", [1.0], np.asarray([1.0, 2.0]), np.asarray(1.0), 1j):
@@ -315,19 +309,17 @@ class TestFederationCache:
                 with pytest.raises(QueryError, match="real"):
                     fleet.query_aggregate(None, lo, hi)
                 with pytest.raises(QueryError, match="real"):
-                    fleet.query_range(names[0], lo, hi, collect=True, use_cache=False)
+                    fleet.query_range(names[0], lo, hi, collect=True)
                 with pytest.raises(QueryError, match="real"):
                     execute_aggregate_query(snapshot, lo, hi)
                 with pytest.raises(QueryError, match="real"):
                     execute_range_query(snapshot, lo, hi)
                 with pytest.raises(QueryError, match="real"):
                     snapshot.index.overlapping(lo, hi)
-        assert len(fleet.federation.cache) == 0
 
-    def test_every_spelling_of_a_window_shares_one_cache_slot(self):
+    def test_every_spelling_of_a_window_gets_one_answer(self):
         fleet, telemetry, names, _ = self._loaded_fleet(n_shards=2)
         first = fleet.query_aggregate(None, 1, 50)
-        slots = len(fleet.federation.cache)
         for lo, hi in ((1.0, 50.0), (np.float32(1), np.int64(50)), (np.int8(1), np.float64(50))):
             again = fleet.query_aggregate(None, lo, hi)
             assert again == first
@@ -336,12 +328,9 @@ class TestFederationCache:
         for bound in (True, np.bool_(True)):
             with pytest.raises(QueryError, match="real numbers"):
                 fleet.query_aggregate(None, bound, 50)
-        assert len(fleet.federation.cache) == slots
-        hits = telemetry.registry.shard_values("federation.cache_hits")
-        assert hits == {shard_name(i): 3 for i in range(fleet.n_shards)}
+        assert telemetry.registry.counter("federation.queries").value == 4
         zero = fleet.query_range(names[0], 0.0, 10.0)
         assert fleet.query_range(names[0], -0.0, 10).result_points == zero.result_points
-        assert len(fleet.federation.cache) == slots + 1
         assert type(fleet.query_range(names[0], 0, 10, collect=True).lo) is float
         # The executors normalise for their direct callers too: numpy
         # scalars (windows drawn from an array) search as plain floats.
@@ -352,128 +341,40 @@ class TestFederationCache:
         with pytest.raises(QueryError, match="float range"):
             execute_range_query(snapshot, 0, 10**400)
 
-    def test_cache_is_bounded_lru(self):
-        # While there is room every store is kept; once full, the least
-        # recently used entry makes way for a key on its second miss.
-        cache = FederationCache(max_entries=2)
-        cache.store(("k", 0), (0,), [0])
-        cache.store(("k", 1), (0,), [1])
-        assert len(cache) == 2
-        assert cache.lookup(("k", 0), (0,)) == [0]  # ("k", 1) is now the LRU
-        cache.store(("k", 2), (0,), [2])
-        assert len(cache) == 2 and cache.lookup(("k", 2), (0,)) is None
-        cache.store(("k", 2), (0,), [2])
-        assert len(cache) == 2
-        assert cache.lookup(("k", 2), (0,)) == [2]
-        assert cache.lookup(("k", 1), (0,)) is None
-        assert cache.lookup(("k", 0), (0,)) == [0]
-        assert cache.lookup(("k", 2), (1,)) is None  # stale version
-        with pytest.raises(ValueError):
-            FederationCache(max_entries=0)
-
-    @staticmethod
-    def _full_cache(max_entries=4):
-        cache = FederationCache(max_entries=max_entries)
-        for index in range(max_entries):
-            cache.store(("full", index), (0,), [index])
-        assert len(cache) == max_entries
-        return cache
-
-    def test_a_re_read_key_survives_one_off_keys(self):
-        cache = self._full_cache()
-        for index in range(4 * cache.max_entries + 4):
-            cache.store(("once", index), (0,), [index])
-            if index % 5 == 0:
-                assert cache.lookup(("full", 0), (0,)) == [0]
-        assert cache.lookup(("full", 0), (0,)) == [0]
-        assert len(cache) == cache.max_entries
-        assert all(cache.lookup(("once", index), (0,)) is None for index in range(20))
-
-    def test_a_key_first_seen_when_full_enters_on_its_second_miss(self):
-        cache = self._full_cache()
-        key = ("panel", 7)
-        cache.store(key, (0,), ["first"])
-        assert cache.lookup(key, (0,)) is None
-        for index in range(4 * cache.max_entries - 1):  # still remembered
-            cache.store(("once", index), (0,), [index])
-        cache.store(key, (0,), ["second"])
-        assert cache.lookup(key, (0,)) == ["second"]
-        assert cache.lookup(("full", 0), (0,)) is None  # the LRU made way
-        assert len(cache) == cache.max_entries
-
-    def test_a_stale_cached_key_is_replaced_when_full(self):
-        cache = self._full_cache()
-        cache.store(("full", 2), (1,), ["fresh"])
-        assert cache.lookup(("full", 2), (1,)) == ["fresh"]
-        assert cache.lookup(("full", 2), (0,)) is None
-        assert len(cache) == cache.max_entries
-        assert all(cache.lookup(("full", i), (0,)) == [i] for i in (0, 1, 3))
-
-    def test_remembered_keys_are_bounded(self):
-        cache = self._full_cache(max_entries=2)
-        bound = 4 * cache.max_entries
-        for index in range(5 * bound):
-            cache.store(("once", index), (0,), [index])
-            assert len(cache._seen) <= bound
-        assert len(cache._seen) == bound
-        # The oldest first sightings are forgotten: a second miss of one
-        # is a first sighting again; a recent one's enters.
-        cache.store(("once", 0), (0,), [0])
-        assert cache.lookup(("once", 0), (0,)) is None
-        cache.store(("once", 5 * bound - 1), (0,), ["again"])
-        assert cache.lookup(("once", 5 * bound - 1), (0,)) == ["again"]
-        cache.clear()
-        assert len(cache) == 0 and len(cache._seen) == 0
-
-    def test_use_cache_false_leaves_entries_and_remembered_keys_alone(self):
-        fleet, _, names, _ = self._loaded_fleet(n_shards=2)
-        fleet.federation.cache = cache = FederationCache(max_entries=2)
-        for lo in (0.0, 10.0, 20.0):
-            fleet.query_aggregate(None, lo, lo + 5.0)
-        entries, seen = list(cache._entries), list(cache._seen)
-        assert len(entries) == 2 and seen
-        for lo in (30.0, 30.0, 40.0, 0.0):
-            fleet.query_aggregate(None, lo, lo + 5.0, use_cache=False)
-            fleet.query_range(names[0], lo, lo + 5.0, use_cache=False)
-        assert (list(cache._entries), list(cache._seen)) == (entries, seen)
-
-    def test_a_re_read_window_hits_among_one_off_windows(self):
-        # The read_storm pattern in small: one panel asked for again and
-        # again among many windows asked for once, through a cache a
-        # fraction of their number.  An LRU keeps evicting the panel.
-        fleet, telemetry, names, _ = self._loaded_fleet(n_shards=2)
-        fleet.federation.cache = FederationCache(max_entries=4)
-        registry = telemetry.registry
-        panel = [names[0], names[1]]
-        for k in range(60):
-            fleet.query_aggregate(None, float(k), k + 0.5)
-            if k % 6 == 5:
-                fleet.query_aggregate(panel, 100.0, 200.0)
-        hits = sum(registry.shard_values("federation.cache_hits").values())
-        assert hits >= 8  # ten panel reads: all but the first two hit
-
-    def test_retune_resplit_invalidates(self):
+    def test_a_retune_resplit_changes_no_answer(self):
         # A retune re-splits the series' one engine: its fresh MemTables
         # start again at version zero, but ``rebind`` bumps the structure
-        # epoch, which never goes back on that object — so the entry
-        # cached before the retune cannot alias the state after it.
-        telemetry = Telemetry(sinks=[])
-        fleet = ShardedDatabase(
-            n_shards=2, auto_tune=True, telemetry=telemetry, **_DB_KWARGS
-        )
+        # epoch, which never goes back on that object — so the snapshot
+        # taken before the retune cannot answer for the state after it.
+        fleet = ShardedDatabase(n_shards=2, auto_tune=True, **_DB_KWARGS)
         names = [f"s{i:02d}" for i in range(4)]
         datasets = _datasets(names, n_points=600)
         for name in names:
             fleet.write(name, datasets[name].tg, datasets[name].ta)
-        before = fleet.query_aggregate()
+        before = self._answers(fleet, names)
         switched = fleet.retune(min_observations=256)
         assert switched  # the disordered series must actually switch
-        after = fleet.query_aggregate()
-        assert (after.count, after.minimum, after.maximum, after.total) == (
-            before.count, before.minimum, before.maximum, before.total
-        )
-        hits = telemetry.registry.shard_values("federation.cache_hits")
-        assert hits == {}  # every shard retuned => no entry survived
+        assert self._answers(fleet, names) == before
+
+    def test_convert_cold_changes_no_answer(self):
+        fleet, _, names, _ = self._loaded_fleet()
+        fleet.flush_all()
+        first = self._answers(fleet, names)
+        for name in names:
+            fleet.database_for(name).series(name).engine.convert_cold(block_size=8)
+        assert self._answers(fleet, names) == first
+        assert fleet.query_aggregate(None, 40.0, 160.0).blocks_stat_answered > 0
+
+    def test_a_recovered_fleet_answers_as_before(self, tmp_path):
+        fleet, _, names, datasets = self._loaded_fleet(durability_dir=str(tmp_path))
+        first = self._answers(fleet, names)
+        fleet.checkpoint_all()
+        revived = ShardedDatabase.recover(str(tmp_path))
+        assert self._answers(revived, names) == first
+        # ...and the recovered fleet's answers follow its next write.
+        revived.write(names[1], datasets[names[1]].tg[:20] + 2000.0)
+        assert revived.query_aggregate().count == fleet.query_aggregate().count + 20
+        self._answers(revived, names)
 
 
 class TestShardAttribution:
@@ -488,10 +389,10 @@ class TestShardAttribution:
             twin.write(name, dataset.tg)
         for lo, hi in [(-math.inf, math.inf), (100.0, 500.0)]:
             assert fleet.query_aggregate(
-                lo=lo, hi=hi, use_cache=False
+                lo=lo, hi=hi
             ) == aggregate_over_series(twin, lo=lo, hi=hi, telemetry=twin_bus)
             _assert_range_equal(
-                fleet.query_range(lo=lo, hi=hi, collect=True, use_cache=False),
+                fleet.query_range(lo=lo, hi=hi, collect=True),
                 scan_over_series(
                     twin, lo=lo, hi=hi, collect=True, telemetry=twin_bus
                 ),
@@ -502,7 +403,7 @@ class TestShardAttribution:
             by_shard = fleet_bus.registry.shard_values(counter)
             assert set(by_shard) == {shard_name(index) for index in range(4)}
             assert sum(by_shard.values()) == twin_bus.registry.counter(counter).value
-        # One latency observation per involved shard per uncached query.
+        # One latency observation per involved shard per query.
         for index in range(4):
             latency = fleet_bus.registry.histogram(
                 f'federation.shard_latency_ms{{shard="{shard_name(index)}"}}'
@@ -520,7 +421,7 @@ class TestScatterPool:
         datasets = _datasets(names, n_points=300)
         for name in names:
             fleet.write(name, datasets[name].tg)
-        expected = fleet.query_aggregate(use_cache=False)
+        expected = fleet.query_aggregate()
         fleet.checkpoint_all()
         revived = ShardedDatabase.recover(str(tmp_path))
         assert revived.query_aggregate() == expected
@@ -645,7 +546,7 @@ class TestMergeUnits:
         reference = TimeSeriesDatabase()
         answers = [
             fleet.query_range(collect=True),
-            revived.query_range(collect=True, use_cache=False),
+            revived.query_range(collect=True),
             scan_over_series(reference, collect=True),
         ]
         for stats in answers:
@@ -715,7 +616,6 @@ class TestNamesArgument:
             for names in (_PinnedSet(order), set(order), frozenset(order)):
                 for got in (
                     fleet.query_aggregate(names),
-                    fleet.query_aggregate(names, use_cache=False),
                     aggregate_over_series(twin, names),
                 ):
                     assert got == want and got.total.hex() == want.total.hex()
@@ -736,11 +636,10 @@ class TestNamesArgument:
             twin.write(name, np.arange(40.0))
         good = fleet.query_aggregate(["s0", "s1"])
         counters = dict(telemetry.registry.as_dict()["counters"])
-        cached = len(fleet.federation.cache)
         for bad in self.HOSTILE:
             calls = (
                 lambda: fleet.query_aggregate(bad),
-                lambda: fleet.query_aggregate(bad, 0.0, 5.0, use_cache=False),
+                lambda: fleet.query_aggregate(bad, 0.0, 5.0),
                 lambda: fleet.query_range(bad, collect=True),
                 lambda: fleet.federation.query_range(bad),
                 lambda: fleet.federation.query_aggregate(bad),
@@ -753,7 +652,6 @@ class TestNamesArgument:
                 with pytest.raises(QueryError, match="names"):
                     call()
         assert telemetry.registry.as_dict()["counters"] == counters
-        assert len(fleet.federation.cache) == cached
         assert fleet.query_aggregate(["s0", "s1"]) == good
         # Still legal: any iterable of names, in the order it yields them.
         assert fleet.query_aggregate(n for n in ("s0", "s1")) == good
@@ -824,7 +722,7 @@ class TestRoutedOncePerFleetShape:
         }
         for k in range(99):
             lo = 10.0 + k % 40
-            assert fleet.query_aggregate(None, lo, lo + 50.0, use_cache=k % 2 == 0).count
+            assert fleet.query_aggregate(None, lo, lo + 50.0).count
             assert fleet.query_range(names[k % 16], lo, lo + 5.0).result_points
             assert fleet.query_aggregate([names[3], names[k % 3]], lo, lo + 5.0).count
         assert {key: spy.calls for key, spy in spies.items()} == routed

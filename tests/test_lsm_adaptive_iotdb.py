@@ -169,7 +169,7 @@ class TestIoTDBStyleEngine:
         engine.ingest(np.arange(16, dtype=np.float64))
         assert len(engine.compaction.l1_files) == 0
         assert engine.compaction.l2.total_points == 16
-        engine.compaction.l2.check_invariants()
+        engine.verify()
 
     def test_l1_files_may_overlap_under_conventional(self):
         engine = IoTDBStyleEngine(

@@ -197,7 +197,9 @@ class TestRun:
         removed = run.replace(region, [_table([10.0, 15.0]), _table([16.0, 19.0])])
         assert len(removed) == 1
         assert len(run) == 4
-        run.check_invariants()
+        view = run.view()
+        assert view.mins == [0.0, 10.0, 16.0, 20.0]
+        assert all(high <= low for high, low in zip(view.maxs, view.mins[1:]))
 
     def test_replace_overlapping_result_rejected(self):
         run = Run()

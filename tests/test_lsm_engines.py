@@ -22,7 +22,7 @@ class TestConventionalEngine:
         engine.ingest(_ordered(160))
         engine.flush_all()
         assert engine.write_amplification == pytest.approx(1.0)
-        engine.run.check_invariants()
+        engine.verify()
 
     def test_every_point_persisted_exactly_once_in_snapshot(self):
         engine = ConventionalEngine(LsmConfig(memory_budget=8, sstable_size=8))
@@ -52,7 +52,7 @@ class TestConventionalEngine:
         rng = np.random.default_rng(2)
         engine.ingest(rng.permutation(200).astype(np.float64))
         engine.flush_all()
-        engine.run.check_invariants()
+        engine.verify()
         all_tg = np.concatenate([t.tg for t in engine.run.tables])
         assert np.all(np.diff(all_tg) > 0)
 
@@ -127,7 +127,7 @@ class TestSeparationEngine:
         merges = engine.stats.merge_events()
         assert len(merges) == 1
         assert merges[0].rewritten_points > 0
-        engine.run.check_invariants()
+        engine.verify()
 
     def test_no_data_loss(self):
         rng = np.random.default_rng(5)

@@ -35,8 +35,7 @@ class TestMultiLevelEngine:
         )
         engine.ingest(rng.permutation(300).astype(np.float64))
         engine.flush_all()
-        for level in engine.compaction.levels:
-            level.check_invariants()
+        engine.verify()
 
     def test_wa_greater_than_one_even_for_sorted_input(self):
         engine = MultiLevelEngine(

@@ -93,7 +93,7 @@ class DatabaseMachine(RuleBasedStateMachine):
     def runs_stay_ordered(self):
         for name in self.written:
             engine = self.db.series(name).engine
-            engine.run.check_invariants()
+            engine.verify()
 
 
 TestDatabaseStateMachine = DatabaseMachine.TestCase

@@ -62,7 +62,7 @@ def test_conventional_engine_invariants(tg, config):
     engine = ConventionalEngine(config)
     engine.ingest(np.asarray(tg, dtype=np.float64))
     engine.flush_all()
-    engine.run.check_invariants()
+    engine.verify()
     _check_common_invariants(engine, tg)
     # The run is one globally sorted sequence.
     all_tg = np.concatenate(
@@ -85,7 +85,7 @@ def test_separation_engine_invariants(tg, budget, seq_fraction):
     engine = SeparationEngine(config)
     engine.ingest(np.asarray(tg, dtype=np.float64))
     engine.flush_all()
-    engine.run.check_invariants()
+    engine.verify()
     _check_common_invariants(engine, tg)
 
 
@@ -95,8 +95,7 @@ def test_multilevel_engine_invariants(tg, config):
     engine = MultiLevelEngine(config, size_ratio=2, max_levels=4)
     engine.ingest(np.asarray(tg, dtype=np.float64))
     engine.flush_all()
-    for level in engine.compaction.levels:
-        level.check_invariants()
+    engine.verify()
     _check_common_invariants(engine, tg)
 
 
@@ -114,7 +113,7 @@ def test_iotdb_engine_invariants(tg, policy, limit):
     )
     engine.ingest(np.asarray(tg, dtype=np.float64))
     engine.flush_all()
-    engine.compaction.l2.check_invariants()
+    engine.verify()
     _check_common_invariants(engine, tg)
 
 

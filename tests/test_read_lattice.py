@@ -14,7 +14,7 @@ this file draws the configuration.  Two levels:
   have run / checkpoint + ``recover``.  After
   every step a single series, an explicit list (caller order), a set and
   the whole fleet are queried — ``query_aggregate``, ``query_range``
-  metrics-only and ``collect=True``, cache cold, warm and bypassed —
+  metrics-only and ``collect=True``, first and again —
   over windows that touch a table edge, fall between tables, hit only
   MemTables, are empty, and are ``(-inf, inf)``.  Counts, extrema, rows
   and ids must be the reference's; every field must be bitwise what
@@ -405,11 +405,11 @@ class ReadLattice(RuleBasedStateMachine):
                     scan_over_series(self.twin, asked, lo, hi),
                     scan_over_series(self.twin, asked, lo, hi, collect=True),
                 )
-                for use_cache in (True, True, False):  # cold, warm, bypassed
+                for _ in ("first", "again"):
                     got = (
-                        self.fleet.query_aggregate(form, lo, hi, use_cache=use_cache),
-                        self.fleet.query_range(form, lo, hi, use_cache=use_cache),
-                        self.fleet.query_range(form, lo, hi, collect=True, use_cache=use_cache),
+                        self.fleet.query_aggregate(form, lo, hi),
+                        self.fleet.query_range(form, lo, hi),
+                        self.fleet.query_range(form, lo, hi, collect=True),
                     )
                     for mine, twins in zip(got, want):
                         same_answer(mine, twins)

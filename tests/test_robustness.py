@@ -738,6 +738,37 @@ class TestRowParametersAreOutsideInput:
             assert name in str(excinfo.value)
 
 
+class TestShardFaultPlansAreOutsideInput:
+    """``ShardedDatabase(shard_fault_plans=...)`` checks every key as a
+    shard index and every value as a plan, at construction: a plan
+    keyed by no shard used to be dropped silently, a key that does not
+    compare with an int escaped as a ``TypeError`` and ``True`` armed
+    shard 1."""
+
+    PLAN = FaultPlan(crash_at_flush=1)
+
+    @pytest.mark.parametrize(
+        "key", [1.5, "0", None, True, np.bool_(False), 2, -1],
+        ids=["float", "str", "none", "true", "np-bool", "past-end", "negative"],
+    )
+    def test_a_key_that_names_no_shard_is_an_engine_error(self, tmp_path, key):
+        root = tmp_path / "fleet"
+        with pytest.raises(EngineError, match=r"shard index .* outside \[0, 2\)"):
+            ShardedDatabase(
+                n_shards=2, durability_dir=str(root), shard_fault_plans={key: self.PLAN}
+            )
+        assert not root.exists()
+
+    @pytest.mark.parametrize("value", ["crash", object(), {"crash_at_flush": 1}])
+    def test_a_value_that_is_no_plan_is_a_config_error(self, tmp_path, value):
+        root = tmp_path / "fleet"
+        with pytest.raises(ConfigError, match="fault_plan must be a repro.faults.FaultPlan"):
+            ShardedDatabase(
+                n_shards=2, durability_dir=str(root), shard_fault_plans={0: value}
+            )
+        assert not root.exists()
+
+
 class TestSeedRobustness:
     """The headline reproduction claims hold across seeds."""
 
