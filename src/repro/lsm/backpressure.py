@@ -31,7 +31,7 @@ import time
 from typing import TYPE_CHECKING
 
 from ..errors import BackpressureError
-from .blocks import POINT_BYTES
+from .sstable import POINT_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .policies.kernel import StorageKernel
@@ -109,10 +109,11 @@ class AdmissionController:
         """Current landing debt: live MemTable points + queued points
         + the point-equivalent of resident cold-tier block statistics.
 
-        Columnar tables pin their block statistics in memory, so that
-        footprint competes with MemTables for the same budget; it is
-        charged here at :data:`~repro.lsm.blocks.POINT_BYTES` per
-        point-equivalent.  No term walks the tables: the kernel keeps
+        Columnar tables are charged for the block statistics a real
+        cold tier would pin in memory (``BLOCK_STAT_BYTES`` per block, a
+        modelled charge), so that footprint competes with MemTables for
+        the same budget; it is charged here at
+        :data:`~repro.lsm.sstable.POINT_BYTES` per point-equivalent.  No term walks the tables: the kernel keeps
         the byte total as a running sum adjusted by each landing,
         conversion and restore, so admission costs the same however
         many tables the series holds.

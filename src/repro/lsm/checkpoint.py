@@ -31,7 +31,6 @@ from zlib import crc32
 import numpy as np
 
 from ..errors import CheckpointCorruptError, CheckpointError
-from .blocks import make_storage
 from .level import Run
 from .memtable import MemTable
 from .sstable import SSTable
@@ -172,10 +171,9 @@ def pack_tables(
 
     Table boundaries are preserved exactly (``sizes``), not re-derived
     from the configured SSTable size, so a restored run is split
-    identically to the live one.  ``blocks`` records each table's block
-    format — 0 for row, else the columnar statistics block size — so
-    cold-tier tables restore cold (statistics are recomputed from the
-    points, which is cheaper than serialising them and cannot drift).
+    identically to the live one.  ``blocks`` records each table's
+    ``block_size`` — 0 for row, else the columnar block size — so
+    cold-tier tables restore cold, laid out on the same grid.
     """
     if tables:
         arrays[f"{prefix}.tg"] = np.concatenate([t.tg for t in tables])
@@ -185,7 +183,7 @@ def pack_tables(
         arrays[f"{prefix}.ids"] = np.empty(0, dtype=np.int64)
     arrays[f"{prefix}.sizes"] = np.asarray([len(t) for t in tables], dtype=np.int64)
     arrays[f"{prefix}.blocks"] = np.asarray(
-        [t.storage.block_size for t in tables], dtype=np.int64
+        [t.block_size for t in tables], dtype=np.int64
     )
 
 
@@ -211,18 +209,14 @@ def unpack_tables(arrays: dict[str, np.ndarray], prefix: str) -> list[SSTable]:
         blocks = np.zeros(sizes.size, dtype=np.int64)
     elif blocks.size != sizes.size or np.any(blocks < 0):
         raise CheckpointCorruptError(
-            f"{prefix}: block-format array does not match the table count"
+            f"{prefix}: block-size array must hold one entry >= 0 per table"
         )
     tables = []
     start = 0
     for size, block_size in zip(sizes, blocks):
         stop = start + int(size)
         tables.append(
-            SSTable(
-                storage=make_storage(
-                    tg[start:stop], ids[start:stop], int(block_size)
-                )
-            )
+            SSTable(tg[start:stop], ids[start:stop], block_size=int(block_size))
         )
         start = stop
     return tables

@@ -21,7 +21,6 @@ name derived from it (``ConventionalEngine`` / ``SeparationEngine``).
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -417,11 +416,7 @@ class TimeSeriesDatabase:
 
     def _retune_candidates(self, min_observations: int) -> list[SeriesState]:
         """The series :meth:`retune` decides, in series order."""
-        if (
-            isinstance(min_observations, bool)
-            or not isinstance(min_observations, numbers.Integral)
-            or min_observations < 0
-        ):
+        if not is_integer(min_observations) or min_observations < 0:
             raise EngineError(
                 f"min_observations must be an integer >= 0, got {min_observations!r}"
             )

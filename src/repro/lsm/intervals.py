@@ -1,37 +1,25 @@
 """Shared interval / zone-map math for sorted and loose table sets.
 
 Every structure that prunes by generation-time range answers the same
-two questions about ``[lo, hi]``:
+questions about ``[lo, hi]``:
 
+* *window check* — are the bounds real numbers with ``lo <= hi``?
+  (:func:`check_window`, the one entry every read path takes)
 * *scalar overlap* — does one ``[min, max]`` interval intersect the
-  query window?  (``SSTable.overlaps``, loose zone-map filters)
-* *span overlap* — which entries of a **sorted, non-overlapping**
-  sequence of intervals intersect the window?  Because the sequence is
-  ordered, the answer is one contiguous ``[start, stop)`` span found by
-  two binary searches (``Run.overlap_slice``, the pruning index's
-  sorted groups, per-block zone maps).
+  query window?  (``SSTable.overlaps``)
+* *zone-map overlap* — which of a set of possibly mutually overlapping
+  intervals intersect it?  (:func:`zone_map_hits`, the pruning index's
+  loose groups)
 
-Before this module each call site re-derived the searchsorted
-incantation independently; now :class:`~repro.lsm.sstable.SSTable`,
-:class:`~repro.lsm.pruning.TableIndex` and
-:class:`~repro.lsm.blocks.BlockStats` all share one implementation, so
-the subtle ``side=`` conventions live in one place.
-(:class:`~repro.lsm.level.Run` keeps its bounds in plain lists, which it
-splices on every landing, and applies the same ``overlap_span``
-convention with ``bisect``; the index's sorted groups search those very
-lists through the run's view, and an :class:`~repro.lsm.sstable.SSTable`
-searches its own column only on the edge of a window that cuts it.)
-
-Conventions (all ranges are closed, ``lo <= t <= hi``):
-
-* ``overlap_span(mins, maxs, lo, hi)`` returns the raw
-  ``(start, stop)`` pair; an empty overlap yields ``start >= stop``
-  with ``start`` at the insertion position, which keeps ordering
-  correct for callers that splice at the result.
-* ``covered_span`` returns the sub-span of entries *fully inside* the
-  window (``lo <= min and max <= hi``) — contiguous for the same
-  ordering reason: ``{min >= lo}`` is a suffix and ``{max <= hi}`` a
-  prefix of the sequence.
+All ranges are closed, ``lo <= t <= hi``.  A **sorted,
+non-overlapping** interval sequence answers the third question with
+one contiguous ``[start, stop)`` span: the first entry whose max
+reaches ``lo`` up to the first whose min exceeds ``hi``.  Its holders
+keep their bounds in plain lists and search them with ``bisect``
+(``Run.overlap_slice``, the pruning index's sorted groups, which search
+those very lists through the run's view); a columnar table's blocks
+need no search at all — they sit on a fixed grid, so their span is
+arithmetic on row positions (``pruning.edge_slice``).
 """
 
 from __future__ import annotations
@@ -45,8 +33,6 @@ from ..errors import QueryError
 __all__ = [
     "check_window",
     "interval_overlaps",
-    "overlap_span",
-    "covered_span",
     "zone_map_hits",
 ]
 
@@ -90,39 +76,6 @@ def check_window(lo: float, hi: float) -> tuple[float, float]:
 def interval_overlaps(min_tg: float, max_tg: float, lo: float, hi: float) -> bool:
     """True when ``[min_tg, max_tg]`` intersects ``[lo, hi]``."""
     return min_tg <= hi and max_tg >= lo
-
-
-def overlap_span(
-    mins: np.ndarray, maxs: np.ndarray, lo: float, hi: float
-) -> tuple[int, int]:
-    """Contiguous ``[start, stop)`` of sorted intervals intersecting
-    ``[lo, hi]``.
-
-    ``mins``/``maxs`` describe an ordered, non-overlapping interval
-    sequence (boundary ties allowed).  ``start`` is the first entry
-    whose max reaches ``lo``; ``stop`` the first whose min exceeds
-    ``hi``.  Empty overlaps return ``start >= stop`` (``start`` is the
-    insertion position).
-    """
-    start = int(maxs.searchsorted(lo, side="left"))
-    stop = int(mins.searchsorted(hi, side="right"))
-    return start, stop
-
-
-def covered_span(
-    mins: np.ndarray, maxs: np.ndarray, lo: float, hi: float
-) -> tuple[int, int]:
-    """Contiguous ``[start, stop)`` of sorted intervals fully inside
-    ``[lo, hi]`` (``lo <= min`` and ``max <= hi``).
-
-    Entries with ``min >= lo`` form a suffix and entries with
-    ``max <= hi`` a prefix of the ordered sequence, so their
-    intersection is one span.  Returns ``start >= stop`` when nothing
-    is fully covered.
-    """
-    start = int(mins.searchsorted(lo, side="left"))
-    stop = int(maxs.searchsorted(hi, side="right"))
-    return start, stop
 
 
 def zone_map_hits(

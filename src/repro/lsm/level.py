@@ -30,10 +30,7 @@ __all__ = ["Run", "RunView"]
 
 def block_counts(tables: list[SSTable]) -> list[int]:
     """Columnar block count of each table (0 for a row table)."""
-    return [
-        0 if table.storage.stats is None else table.storage.stats.nblocks
-        for table in tables
-    ]
+    return [table.nblocks for table in tables]
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,7 +40,7 @@ class RunView:
     handed out.
 
     ``blocks`` holds columnar block counts (0 for a row table) and
-    ``sums`` each table's ``sum_tg`` — the float its storage memoises —
+    ``sums`` each table's ``sum_tg`` — the float the table keeps —
     so a reader answers for any contiguous stretch of tables from list
     slices without visiting one.
     """
@@ -66,7 +63,7 @@ class RunView:
             [table.max_tg for table in tables],
             [len(table) for table in tables],
             block_counts(tables),
-            [table.storage.sum_tg for table in tables],
+            [table.sum_tg for table in tables],
         )
 
     def __len__(self) -> int:
@@ -150,14 +147,14 @@ class Run:
 
         O(1) while the run is unchanged; after landings, O(tables from
         the earliest one touched to the tail) to re-read block counts
-        and sums there — a sum the table's storage already holds is not
+        and sums there — a sum the table already holds is not
         taken again.
         """
         view = self._view
         if view is None:
             fresh = self._tables[self._dirty :]
             self._blocks[self._dirty :] = block_counts(fresh)
-            self._sums[self._dirty :] = [table.storage.sum_tg for table in fresh]
+            self._sums[self._dirty :] = [table.sum_tg for table in fresh]
             self._dirty = len(self._tables)
             view = self._view = RunView(
                 self._tables, self._mins, self._maxs, self._lens,
@@ -177,8 +174,9 @@ class Run:
             raise EngineError(f"inverted range: [{lo}, {hi}]")
         if not self._tables:
             return slice(0, 0)
-        # Same convention as ``intervals.overlap_span``: first table
-        # whose max reaches ``lo`` up to the first whose min exceeds ``hi``.
+        # The sorted-span convention of ``repro.lsm.intervals``: first
+        # table whose max reaches ``lo`` up to the first whose min
+        # exceeds ``hi``.
         start = bisect_left(self._maxs, lo)
         stop = bisect_right(self._mins, hi)
         if start >= stop:
@@ -254,8 +252,8 @@ class Run:
         return removed
 
     def relayout(self) -> None:
-        """Tables changed block format in place (``convert_cold`` swaps
-        storage on the shared handles): re-read every block count."""
+        """Tables changed layout in place (``convert_cold`` sets the block
+        size on the shared handles): re-read every block count."""
         self._touch(0)
 
     def _check_local_order(self, start: int, stop: int) -> None:
@@ -293,7 +291,7 @@ class Run:
         for table in new_tables:
             mins.append(table.min_tg)
             maxs.append(table.max_tg)
-            lens.append(table.storage.tg.size)
+            lens.append(table.tg.size)
         self._points += sum(lens) - sum(self._lens[region])
         self._mins[region] = mins
         self._maxs[region] = maxs

@@ -211,7 +211,7 @@ class StorageKernel(LsmEngine):
 
     def retire_tables(self, tables: list[SSTable]) -> None:
         """``tables`` left the visible structure: release the block
-        statistics they pinned (compaction commits call this)."""
+        statistics bytes they were charged (compaction commits call this)."""
         self._set_cold_bytes(
             self._cold_bytes - sum(table.stats_nbytes for table in tables)
         )
@@ -223,12 +223,14 @@ class StorageKernel(LsmEngine):
                 self.telemetry.gauge("cold_tier.resident_bytes", float(total))
 
     def cold_tier_bytes(self) -> int:
-        """Resident bytes of columnar block statistics across all
-        visible tables.
+        """Modelled resident bytes of columnar block statistics across
+        all visible tables.
 
-        This is the cold tier's in-memory footprint: the point arrays
-        model disk, but block statistics are pinned in RAM for pruning,
-        so the backpressure debt model charges for them.  O(1): the
+        This is the cold tier's modelled in-memory footprint: the point
+        arrays model disk, and a real cold tier would pin its zone maps
+        in RAM, so the backpressure debt model charges
+        ``BLOCK_STAT_BYTES`` per block (a charge: no per-block object
+        exists, a columnar table is its block grid).  O(1): the
         total is adjusted by every commit, conversion and restore (and
         the ``cold_tier.resident_bytes`` gauge published) as it changes,
         and always equals the sum of ``stats_nbytes`` over
@@ -239,16 +241,16 @@ class StorageKernel(LsmEngine):
     def convert_cold(self, max_tg: float | None = None, block_size: int = 64) -> int:
         """Convert the visible row tables whose newest point is at or
         below ``max_tg`` (``None``: every one) to the columnar format
-        with ``block_size``-point statistics blocks, in place; returns
+        on a grid of ``block_size``-point blocks, in place; returns
         how many were converted.
 
         This is the only way a table turns columnar: every landing
         writes row tables.  The conversion is layout-only: contents,
-        write amplification and the event log are untouched; only block
-        statistics are added.  Both arguments are checked before any
-        table changes — ``max_tg`` is ``None`` or a real number that is
-        not NaN, ``block_size`` an integer ``>= 1`` — else
-        :class:`EngineError`.
+        write amplification and the event log are untouched; only the
+        block grid and its modelled statistics bytes are added.  Both
+        arguments are checked before any table changes — ``max_tg`` is
+        ``None`` or a real number that is not NaN, ``block_size`` an
+        integer ``>= 1`` — else :class:`EngineError`.
         """
         if max_tg is None:
             max_tg = math.inf

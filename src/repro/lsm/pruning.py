@@ -15,11 +15,11 @@ read-amplification instability Luo & Carey analyse for LSM read paths.
   ``min``/``max`` arrays — still one numpy comparison instead of a
   Python-level walk.
 
-Below table granularity the same zone-map idea continues into the
-tables themselves: cold-tier columnar tables carry per-block
-``min``/``max`` statistics (:class:`~repro.lsm.blocks.BlockStats`)
-which reuse the identical interval math (:mod:`repro.lsm.intervals`)
-to prune block spans inside a touched table.
+Below table granularity the same idea continues into the tables
+themselves: a cold-tier columnar table is a fixed block grid over its
+sorted column, so the blocks a window overlaps inside a touched table
+are one contiguous span, found by division on the rows the table's own
+binary searches already give (:func:`edge_slice`).
 
 A sorted group also answers for the tables a window *fully covers*.
 Those are the overlap span less the end tables that straddle an edge
@@ -79,25 +79,22 @@ def edge_slice(
 
     One binary search per edge of the window that cuts the table; an
     edge at or beyond the table's own range needs none.  A row table is
-    read whole and has no blocks.  A columnar table is read over the
-    block span that overlaps the window, found by division on the fixed
-    grid :meth:`BlockStats.build <repro.lsm.blocks.BlockStats.build>`
-    lays — block ``k`` holds rows ``[k·bs, (k + 1)·bs)`` — so the rows
-    already found are all the search it needs: the first overlapping
+    read whole and has no blocks.  A columnar table is its block grid —
+    block ``k`` holds rows ``[k·bs, (k + 1)·bs)`` — and is read over the
+    block span that overlaps the window, found by division: the rows
+    already found are all the search it needs.  The first overlapping
     block holds row ``left`` (none does when ``left == n``), the last
-    one row ``right - 1``.  The same span, point count and skip count
-    as :meth:`BlockStats.overlapping <repro.lsm.blocks.BlockStats.
-    overlapping>` and :meth:`~repro.lsm.blocks.BlockStats.points_in`.
+    one row ``right - 1``; the span holds its blocks' rows, the last
+    block clipped at ``n``.
     """
-    storage = table.storage
-    tg = storage.tg
+    tg = table.tg
     n = tg.size
     left = 0 if lo <= table.min_tg else int(tg.searchsorted(lo, side="left"))
     right = n if table.max_tg <= hi else int(tg.searchsorted(hi, side="right"))
-    if storage.stats is None:
+    size = table.block_size
+    if not size:
         return tg, left, right, n, 0
-    size = storage.block_size
-    nblocks = -(-n // size)
+    nblocks = table.nblocks
     if left == n:
         return tg, left, right, 0, nblocks
     b0 = left // size
@@ -114,8 +111,8 @@ class _SortedGroup:
         self.view = view
 
     def overlapping(self, lo: float, hi: float) -> list[SSTable]:
-        # One contiguous span — the convention of Run.overlap_slice and
-        # intervals.overlap_span, hence identical to a linear scan.
+        # One contiguous span — the convention of Run.overlap_slice,
+        # hence identical to a linear scan.
         view = self.view
         start = bisect_left(view.maxs, lo)
         stop = bisect_right(view.mins, hi)
@@ -175,8 +172,8 @@ class _LooseGroup:
             first = i + (mins[i] < lo)
             last = i + 1 - (hi < maxs[i])
             if first < last:
-                # Memoised on the storage; taken when first needed.
-                view.sums[i] = view.tables[i].storage.sum_tg
+                # Kept with the table; taken when first needed.
+                view.sums[i] = view.tables[i].sum_tg
             out.append((view, i, first, last, i + 1))
 
 

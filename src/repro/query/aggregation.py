@@ -23,8 +23,8 @@ index-less snapshots have no such order to exploit and hand their
 tables over one entry each, through the same loop.
 
 Within a table the cold tier does the same.  A columnar table fully
-inside the window is answered **entirely from block statistics**: its
-count, min/max *and* sum come from metadata recorded at build time, so
+inside the window is answered **entirely from metadata**: its count,
+min/max *and* the sum taken when it was laid out on its block grid, so
 the point arrays are never touched (``blocks_stat_answered`` counts the
 blocks so answered).  A columnar table that straddles a boundary falls
 back to the row path's binary-searched slice — the fixed block grid
@@ -32,8 +32,8 @@ still reports how many blocks the window excludes (``blocks_skipped``),
 by division on the rows the slice already found.
 
 Bit-identity: a table's ``sum_tg`` is the float produced by one
-``np.sum`` over the whole column — recorded at build time by columnar
-tables, memoised on first use by row tables — straddling tables share
+``np.sum`` over the whole column — taken when a columnar table is laid
+out, on first use by a row table — straddling tables share
 one slice routine (:func:`repro.lsm.pruning.edge_slice`), and a covered
 span adds its tables' ``sum_tg`` to ``total`` one after another in run
 order, between the slices of the tables cut by ``lo`` and by ``hi``,
@@ -41,7 +41,7 @@ exactly as a walk over them would.  Same floats, same order of
 additions: every aggregate is bitwise equal whether its tables are row
 or columnar, indexed or not (numpy's pairwise summation forbids
 recombining *partial* block sums, and float prefix-sum differences round
-differently too; see :mod:`repro.lsm.blocks`).
+differently too; see :attr:`~repro.lsm.sstable.SSTable.sum_tg`).
 
 Engines in this package do not materialise values (WA does not depend on
 them), so aggregates are computed over generation timestamps themselves;

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -94,7 +95,10 @@ class ShardedDatabase:
     shard_fault_plans:
         ``{shard_index: FaultPlan}`` arming fault injection on selected
         shards only — the fleet crash matrix kills one shard
-        mid-group-commit and checks the rest are untouched.
+        mid-group-commit and checks the rest are untouched.  Anything
+        but a mapping is an :class:`EngineError`, a key that names no
+        shard too, a value that is no plan a ``ConfigError`` — all
+        before any shard or directory is made.
     """
 
     def __init__(
@@ -108,7 +112,7 @@ class ShardedDatabase:
         durability_dir: str | None = None,
         stability: dict | None = None,
         arbiter: MemoryArbiter | None = None,
-        shard_fault_plans: dict[int, object] | None = None,
+        shard_fault_plans: Mapping[int, object] | None = None,
     ) -> None:
         self.router = router if router is not None else ShardRouter(n_shards)
         _check_arbiter(arbiter, auto_tune)
@@ -119,7 +123,12 @@ class ShardedDatabase:
         #: Last applied rebalance, as a JSON-serialisable record (also
         #: persisted in the fleet manifest); ``None`` before the first.
         self.last_rebalance: dict | None = None
-        plans = shard_fault_plans or {}
+        plans = {} if shard_fault_plans is None else shard_fault_plans
+        if not isinstance(plans, Mapping):
+            raise EngineError(
+                "shard_fault_plans must map shard indexes to FaultPlans, "
+                f"got {type(plans).__name__}"
+            )
         for index, plan in plans.items():
             self._check_index(index)
             check_fault_plan(plan)

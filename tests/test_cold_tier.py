@@ -1,11 +1,14 @@
-"""Cold-tier conformance: the columnar block format must be invisible.
+"""Cold-tier conformance: the columnar layout must be invisible.
 
-The contract of :mod:`repro.lsm.blocks` is that storage layout is a
-pure representation choice — switching a table (or a whole engine) to
-the columnar format may change *cost accounting* (blocks skipped, disk
-points read) but never *results* or *write accounting*.  This suite
-pins that contract across every first-class engine and the two composed
-policy triples:
+A columnar table is its block grid: the same sorted ``tg`` / ``ids``
+columns as a row table, with a ``block_size`` that lays block ``k`` over
+rows ``[k·bs, (k + 1)·bs)``, and a modelled ``BLOCK_STAT_BYTES`` charge
+per block (no per-block object exists).  Its contract is that the
+layout is a pure representation choice — switching a table (or a whole
+engine) to the columnar format may change *cost accounting* (blocks
+skipped, disk points read) but never *results* or *write accounting*.
+This suite pins that contract across every first-class engine and the
+two composed policy triples:
 
 * range queries and aggregates are bitwise identical between a row
   engine and a twin converted with ``convert_cold`` after every
@@ -18,7 +21,9 @@ policy triples:
   including checkpoints that still record the retired ``cold_*``
   config keys,
 * ``convert_cold`` checks its arguments before it touches a table,
-* cold statistics memory is visible to the backpressure debt model.
+* cold statistics memory is visible to the backpressure debt model,
+* the executors' block spans, found by division on the grid, equal
+  searches over zone maps this file reads off each table's column.
 """
 
 import math
@@ -46,18 +51,10 @@ from repro import (
     generate_synthetic,
     recover_engine,
 )
-from repro.errors import EngineError
+from repro.errors import CheckpointCorruptError, EngineError
 from repro.faults import FaultInjector, FaultPlan
 from repro.lsm.backpressure import AdmissionController
 from repro.lsm.base import Snapshot
-from repro.lsm.blocks import (
-    BLOCK_STAT_BYTES,
-    POINT_BYTES,
-    BlockStats,
-    ColumnarStorage,
-    RowStorage,
-    make_storage,
-)
 from repro.lsm.checkpoint import (
     pack_tables,
     read_checkpoint,
@@ -66,7 +63,7 @@ from repro.lsm.checkpoint import (
 )
 from repro.lsm.policies.compose import compose_engine
 from repro.lsm.pruning import edge_slice
-from repro.lsm.sstable import SSTable, build_sstables
+from repro.lsm.sstable import BLOCK_STAT_BYTES, POINT_BYTES, SSTable, build_sstables
 from repro.obs import RingBufferSink, Telemetry
 from repro.workloads import TABLE_II
 
@@ -244,7 +241,7 @@ class TestColdConversion:
         assert 0 < converted < len(tables)
         for table in engine.snapshot().tables:
             assert table.is_columnar == (table.max_tg <= cutoff)
-            assert table.storage.block_size == (64 if table.is_columnar else 0)
+            assert table.block_size == (64 if table.is_columnar else 0)
         # Converting again is a no-op on already-cold tables.
         assert engine.convert_cold(max_tg=cutoff) == 0
         assert engine.cold_tables_converted == converted
@@ -291,7 +288,7 @@ class TestColdConversion:
 
         def state():
             return (
-                [table.storage.block_size for table in engine.snapshot().tables],
+                [table.block_size for table in engine.snapshot().tables],
                 engine.cold_tier_bytes(),
                 engine.cold_tables_converted,
                 engine.read_version(),
@@ -317,8 +314,8 @@ class TestColdDurability:
         engine.save_checkpoint(ckpt)
         restored = ConventionalEngine.restore(ckpt)
         live, back = engine.snapshot(), restored.snapshot()
-        assert [t.storage.block_size for t in live.tables] == [
-            t.storage.block_size for t in back.tables
+        assert [t.block_size for t in live.tables] == [
+            t.block_size for t in back.tables
         ]
         assert all(t.is_columnar for t in back.tables)
         assert restored.cold_tier_bytes() == engine.cold_tier_bytes()
@@ -395,6 +392,38 @@ class TestColdDurability:
         assert report.engine.cold_tier_bytes() == engine.cold_tier_bytes()
         _assert_reads_identical(engine, report.engine, dataset)
 
+    @pytest.mark.parametrize("damage", ["short", "negative"])
+    def test_a_damaged_blocks_array_falls_back_to_wal_replay(self, tmp_path, damage):
+        """A checkpoint whose ``<prefix>.blocks`` array is one entry short
+        of its tables, or holds a negative block size, is corrupt: restore
+        refuses it and recovery replays the WAL instead."""
+        wal_path = str(tmp_path / "cold.wal")
+        ckpt_path = str(tmp_path / "cold.ckpt")
+        dataset = _dataset("M1")
+        engine = ConventionalEngine(LsmConfig(64, 32, wal_path=wal_path))
+        _ingest_cold(engine, dataset, 0, N_POINTS)
+        engine.save_checkpoint(ckpt_path)
+        engine.wal.close()
+        meta, arrays = read_checkpoint(ckpt_path)
+        name = next(name for name, _, group in engine.compaction.groups() if len(group))
+        blocks = arrays[f"{name}.blocks"].copy()
+        assert blocks.size > 1 and (blocks == BLOCK).all()
+        if damage == "short":
+            blocks = blocks[:-1]
+        else:
+            blocks[blocks.size // 2] = -1
+        arrays[f"{name}.blocks"] = blocks
+        write_checkpoint(ckpt_path, meta, arrays)
+        with pytest.raises(CheckpointCorruptError, match="block-size array must hold one entry"):
+            ConventionalEngine.restore(ckpt_path)
+        report = recover_engine(
+            ConventionalEngine, wal_path, checkpoint_path=ckpt_path, config=CONFIG_ROW
+        )
+        assert report.checkpoint_corrupt and not report.checkpoint_used
+        assert report.replayed_points == N_POINTS
+        assert report.verified
+        _assert_reads_identical(engine, report.engine, dataset)
+
 
 # -- checkpoints that still record the retired cold-tier config keys -----------
 
@@ -420,7 +449,7 @@ def _assert_formats_as_recorded(engine, path):
     _, arrays = read_checkpoint(str(path))
     for name, _, group in engine.compaction.groups():
         recorded = arrays[f"{name}.blocks"].tolist()
-        assert [table.storage.block_size for table in group] == recorded
+        assert [table.block_size for table in group] == recorded
     assert engine.cold_tier_bytes() == sum(
         table.stats_nbytes for table in engine.compaction.visible_tables()
     )
@@ -532,10 +561,35 @@ class TestColdCostModel:
     def test_cold_bytes_match_block_count(self):
         tg = np.sort(np.random.default_rng(1).uniform(0, 100, 200))
         table = SSTable(tg, np.arange(200))
-        assert table.stats_nbytes == 0
+        assert table.stats_nbytes == table.nblocks == 0
         assert table.convert_to_columnar(16)
-        assert table.block_stats.nblocks == 13  # ceil(200 / 16)
+        assert table.nblocks == len(_zone_maps(table, 16)[0]) == 13  # ceil(200 / 16)
         assert table.stats_nbytes == 13 * BLOCK_STAT_BYTES
+
+    def test_one_block_when_the_size_exceeds_the_points(self):
+        table = SSTable(np.array([1.0, 2.0, 3.0]), np.arange(3), block_size=64)
+        assert table.nblocks == 1
+        assert table.stats_nbytes == BLOCK_STAT_BYTES
+        # A window inside the one block reads all of it and skips none.
+        assert edge_slice(table, 2.0, 2.0)[1:] == (1, 2, 3, 0)
+
+    def test_a_columnar_table_keeps_the_row_sum(self):
+        """Laid out on a grid, built or restored, a table answers with the
+        exact float one ``np.sum`` over its whole column gives."""
+        tg = np.sort(np.random.default_rng(4).uniform(0, 10, 77))
+        ids = np.arange(77)
+        row = SSTable(tg, ids)
+        cold = SSTable(tg, ids, block_size=8)
+        assert (row.block_size, cold.block_size) == (0, 8)
+        assert cold.sum_tg == row.sum_tg == float(tg.sum())
+        arrays = {}
+        pack_tables(arrays, "lvl", [row, cold])
+        back = unpack_tables(arrays, "lvl")
+        assert [t.block_size for t in back] == [0, 8]
+        assert [t.sum_tg for t in back] == [row.sum_tg, cold.sum_tg]
+        # The last block of the grid is the column's tail.
+        starts, ends, _, _ = _zone_maps(back[1], 8)
+        assert (int(starts[-1]), int(ends[-1])) == (72, 77)
 
     def test_telemetry_counters(self):
         dataset = _dataset("M1")
@@ -605,84 +659,56 @@ class TestColdCostModel:
         cold = SSTable(tg.copy(), np.arange(512))
         assert cold.convert_to_columnar(32)
         lo, hi = float(tg[100]), float(tg[140])
-        b0, b1 = cold.block_stats.overlapping(lo, hi)
-        assert cold.block_stats.points_in(b0, b1) < len(row)
-        assert row.count_in_range(lo, hi) == cold.count_in_range(lo, hi)
-
-
-# -- block & storage primitives ------------------------------------------------
-
-
-class TestBlockStats:
-    def test_build_partitions_exactly(self):
-        tg = np.sort(np.random.default_rng(3).uniform(0, 50, 100))
-        stats = BlockStats.build(tg, np.arange(100), 8)
-        assert stats.nblocks == 13
-        assert int(stats.counts.sum()) == 100
-        np.testing.assert_array_equal(stats.mins, tg[stats.starts])
-        ends = np.append(stats.starts[1:], 100)
-        np.testing.assert_array_equal(stats.maxs, tg[ends - 1])
-        # Per-block sums cover the column (approximate: reduceat's
-        # partial sums legitimately differ from one pairwise np.sum).
-        assert np.isclose(float(stats.sums.sum()), float(tg.sum()))
-
-    def test_single_block_when_size_exceeds_points(self):
-        tg = np.array([1.0, 2.0, 3.0])
-        stats = BlockStats.build(tg, np.arange(3), 64)
-        assert stats.nblocks == 1
-        assert stats.mins[0] == 1.0 and stats.maxs[0] == 3.0
-
-    def test_overlapping_and_covered_spans(self):
-        tg = np.arange(100, dtype=np.float64)
-        stats = BlockStats.build(tg, np.arange(100), 10)
-        assert stats.overlapping(-5.0, -1.0) == (0, 0)
-        assert stats.overlapping(0.0, 99.0) == (0, 10)
-        b0, b1 = stats.overlapping(25.0, 44.0)
-        assert (b0, b1) == (2, 5)
-        assert stats.points_in(b0, b1) == 30
-        # Covered: only blocks entirely inside the window.
-        c0, c1 = stats.covered(25.0, 44.0)
-        assert (c0, c1) == (3, 4)
-
-    def test_storage_round_trip_and_sum_identity(self):
-        tg = np.sort(np.random.default_rng(4).uniform(0, 10, 77))
-        ids = np.arange(77)
-        row = make_storage(tg, ids, 0)
-        cold = make_storage(tg, ids, 8)
-        assert isinstance(row, RowStorage) and isinstance(
-            cold, ColumnarStorage
-        )
-        assert row.block_size == 0 and cold.block_size == 8
-        # The stored table-level sum is the exact row-path float.
-        assert cold.sum_tg == float(tg.sum())
-        np.testing.assert_array_equal(cold.block_tg(0), tg[:8])
-        np.testing.assert_array_equal(cold.block_ids(9), ids[72:])
-
-    def test_sstable_rejects_conflicting_constructor_args(self):
-        tg = np.array([1.0, 2.0])
-        with pytest.raises(EngineError):
-            SSTable(tg, np.arange(2), storage=RowStorage(tg, np.arange(2)))
+        read, skipped = _block_span(cold, 32, lo, hi)
+        assert read < len(row) and skipped > 0
+        for table, charged, left_out in ((row, len(row), 0), (cold, read, skipped)):
+            stats = execute_range_query(Snapshot(tables=[table], memtables=[]), lo, hi)
+            assert (stats.disk_points_read, stats.blocks_skipped) == (charged, left_out)
+            assert stats.result_points == row.count_in_range(lo, hi) == cold.count_in_range(lo, hi)
 
 
 # -- grid arithmetic ------------------------------------------------------------
 
 
-def _zone_map_costs(snapshot, lo, hi):
+def _zone_maps(table, block):
+    """``(starts, ends, mins, maxs)`` of ``table``'s blocks on a
+    ``block``-point grid, read off its ``tg`` column: block ``k`` holds
+    rows ``[k·block, (k + 1)·block)``, the last one clipped at the
+    table's end.  The column is sorted, so a block's extrema are its
+    boundary rows."""
+    column = table.tg
+    starts = np.arange(0, column.size, block)
+    ends = np.minimum(starts + block, column.size)
+    return starts, ends, column[starts], column[ends - 1]
+
+
+def _block_span(table, block, lo, hi):
+    """``(read, skipped)`` of a scan of ``table`` over ``[lo, hi]`` by
+    searches over its zone maps: the blocks whose ``[min, max]`` meets
+    the window form one span (the first whose max reaches ``lo`` up to
+    the first whose min exceeds ``hi``); it reads their points and
+    skips every other block."""
+    starts, ends, mins, maxs = _zone_maps(table, block)
+    b0 = int(maxs.searchsorted(lo, side="left"))
+    b1 = max(b0, int(mins.searchsorted(hi, side="right")))
+    return int((ends[b0:b1] - starts[b0:b1]).sum()), starts.size - (b1 - b0)
+
+
+def _zone_map_costs(snapshot, block, lo, hi):
     """``(blocks_stat_answered, blocks_skipped, disk_points_read)`` the
-    per-table walk gives, from :meth:`BlockStats.overlapping` and
-    :meth:`BlockStats.points_in` searches over each table's zone maps."""
+    per-table walk gives, from :func:`_block_span` searches over each
+    table's zone maps."""
     answered = skipped = read = 0
     for table in snapshot.tables:
-        stats = table.block_stats
         if not table.overlaps(lo, hi):
             continue
         if lo <= table.min_tg and table.max_tg <= hi:
-            answered += stats.nblocks
+            answered += len(_zone_maps(table, block)[0])
             read += len(table)
             continue
-        b0, b1 = stats.overlapping(lo, hi)
-        skipped += stats.nblocks - (b1 - b0)
-        read += stats.points_in(b0, b1)
+        points, left_out = _block_span(table, block, lo, hi)
+        skipped += left_out
+        read += points
     return answered, skipped, read
 
 
@@ -712,9 +738,23 @@ def _grid_cases(draw):
 
 class TestGridArithmetic:
     """The executors take a cut columnar table's block span and points
-    read by division on the grid :meth:`BlockStats.build` lays, not by
-    searching its zone maps; the counts must be the searches' counts,
-    on the live engine and on one restored from its checkpoint."""
+    read by division on its grid, not by searching zone maps; the counts
+    must be the searches' counts (:func:`_block_span`, over zone maps
+    this file reads off each table's column), on the live engine and on
+    one restored from its checkpoint."""
+
+    def test_a_window_reads_only_its_block_span(self):
+        tg = np.arange(100, dtype=np.float64)
+        table = SSTable(tg, np.arange(100), block_size=10)
+        assert table.nblocks == 10
+        for lo, hi, rows, read, skipped in (
+            (-5.0, -1.0, (0, 0), 0, 10),  # before the table: nothing read
+            (0.0, 99.0, (0, 100), 100, 0),
+            (25.0, 44.0, (25, 45), 30, 7),  # blocks 2..4, cut at both ends
+            (30.0, 39.0, (30, 40), 10, 9),  # exactly block 3
+        ):
+            assert edge_slice(table, lo, hi)[1:] == (*rows, read, skipped)
+            assert _block_span(table, 10, lo, hi) == (read, skipped)
 
     @settings(max_examples=60, deadline=None)
     @given(case=_grid_cases())
@@ -729,10 +769,10 @@ class TestGridArithmetic:
             engine.save_checkpoint(path)
             restored = ConventionalEngine.restore(path)
         for snapshot in (engine.snapshot(), restored.snapshot()):
-            assert all(t.is_columnar for t in snapshot.tables)
+            assert all(t.block_size == block for t in snapshot.tables)
             walk = Snapshot(tables=snapshot.tables, memtables=snapshot.memtables)
             for lo, hi in windows:
-                answered, skipped, read = _zone_map_costs(snapshot, lo, hi)
+                answered, skipped, read = _zone_map_costs(snapshot, block, lo, hi)
                 for snap in (snapshot, walk):
                     aggregate = execute_aggregate_query(snap, lo, hi)
                     stats = execute_range_query(snap, lo, hi)
@@ -744,11 +784,9 @@ class TestGridArithmetic:
                 # The helper on its own, any table against any window —
                 # one that misses the table too (``left == n``).
                 for table in snapshot.tables:
-                    column, blocks = table.tg, table.block_stats
-                    b0, b1 = blocks.overlapping(lo, hi)
+                    column = table.tg
                     assert edge_slice(table, lo, hi)[1:] == (
                         int(column.searchsorted(lo, side="left")),
                         int(column.searchsorted(hi, side="right")),
-                        blocks.points_in(b0, b1),
-                        blocks.nblocks - (b1 - b0),
+                        *_block_span(table, block, lo, hi),
                     )

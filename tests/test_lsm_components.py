@@ -1,5 +1,7 @@
 """Tests for LSM building blocks: MemTable, SSTable, Run, WriteStats."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -239,7 +241,7 @@ class TestRun:
             [t.min_tg for t in tables],
             [t.max_tg for t in tables],
             [len(t) for t in tables],
-            [t.block_stats.nblocks if t.is_columnar else 0 for t in tables],
+            [math.ceil(len(t) / t.block_size) if t.block_size else 0 for t in tables],
             [float(t.tg.sum()) for t in tables],
         )
 
@@ -285,7 +287,7 @@ class TestRun:
         run.append([_table([0.0, 1.0, 2.0]), _table([3.0, 4.0])])
         view = run.view()
         assert view.blocks == [0, 0]
-        run.tables[0].convert_to_columnar(2)  # storage swapped on the shared handle
+        run.tables[0].convert_to_columnar(2)  # laid out on the shared handle
         run.relayout()
         assert view.blocks == [0, 0]
         assert run.view().blocks == [2, 0] and run.view().sums == view.sums

@@ -388,10 +388,10 @@ class _SpyColumn(np.ndarray):
 
 def _spy_on(tables):
     for table in tables:
-        if not isinstance(table.storage.tg, _SpyColumn):
-            column = table.storage.tg.view(_SpyColumn)
+        if not isinstance(table.tg, _SpyColumn):
+            column = table.tg.view(_SpyColumn)
             column.owner = table.table_id
-            table.storage.tg = column
+            table.tg = column
 
 
 def test_wide_aggregate_reads_two_tables_and_a_flush_resums_only_new_ones():
@@ -467,7 +467,7 @@ def test_held_snapshot_answers_what_it_answered_when_taken():
     and a re-split all happen to the run's *own* lists; the ones a held
     snapshot searches are left as they were, so it goes on answering —
     every field of every query — exactly what it answered when taken.
-    ``convert_cold`` swaps storage on the table handles both share, so
+    ``convert_cold`` lays out the table handles both share in place, so
     across it the values hold (count, extrema, total, rows), not the
     block accounting."""
     size = 16

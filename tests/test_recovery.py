@@ -651,7 +651,7 @@ class TestImpossibleMemTables:
         snapshot = engine.snapshot()
         return (
             engine.stats.write_counts.tolist(),
-            [(len(t), t.storage.block_size) for t in snapshot.tables],
+            [(len(t), t.block_size) for t in snapshot.tables],
             [(view.name, view.tg.tolist(), view.ids.tolist()) for view in snapshot.memtables],
         )
 

@@ -742,8 +742,9 @@ class TestShardFaultPlansAreOutsideInput:
     """``ShardedDatabase(shard_fault_plans=...)`` checks every key as a
     shard index and every value as a plan, at construction: a plan
     keyed by no shard used to be dropped silently, a key that does not
-    compare with an int escaped as a ``TypeError`` and ``True`` armed
-    shard 1."""
+    compare with an int escaped as a ``TypeError``, ``True`` armed
+    shard 1, and plans given as no mapping (a list, a string) escaped
+    as an ``AttributeError``."""
 
     PLAN = FaultPlan(crash_at_flush=1)
 
@@ -766,6 +767,13 @@ class TestShardFaultPlansAreOutsideInput:
             ShardedDatabase(
                 n_shards=2, durability_dir=str(root), shard_fault_plans={0: value}
             )
+        assert not root.exists()
+
+    @pytest.mark.parametrize("plans", [[PLAN], "crash"], ids=["list", "str"])
+    def test_plans_that_are_no_mapping_are_an_engine_error(self, tmp_path, plans):
+        root = tmp_path / "fleet"
+        with pytest.raises(EngineError, match="shard_fault_plans must map shard indexes"):
+            ShardedDatabase(n_shards=2, durability_dir=str(root), shard_fault_plans=plans)
         assert not root.exists()
 
 

@@ -39,7 +39,7 @@ from repro.distributions import ExponentialDelay, LogNormalDelay
 from repro.errors import InjectedCrash
 from repro.faults import OVERLOAD_FAULT_KINDS, run_crash_case
 from repro.lsm import HEALTHY, SHEDDING, THROTTLED, LeveledEngine, LsmEngine, SSTable
-from repro.lsm.blocks import POINT_BYTES
+from repro.lsm.sstable import POINT_BYTES
 from repro.lsm.policies import (
     LeveledSingleRun,
     MergeFlush,
