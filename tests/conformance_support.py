@@ -34,6 +34,11 @@ what re-splitting one engine in place must reproduce.
 ``tests/data/legacy_checkpoints/database_retuned/`` is a durability
 directory written by that same code, with the profile it recovers to.
 
+``tests/data/tune_golden.json`` pins Algorithm 1 itself: every
+``PolicyDecision`` field, floats by ``float.hex``, for the empirical
+windows a fleet retune of the system benchmark's eight disordered series
+sees (``tune_profile``).
+
 ``tests/data/engine_checkpoint_golden.json`` pins what an engine writes
 down about *itself*: for every engine above and the two novel triples,
 mid-way through the ``M8`` stream (MemTables still hold points), the
@@ -43,7 +48,7 @@ and layout older directories were written under.
 
 Regenerate (only when behaviour is *meant* to change) with::
 
-    PYTHONPATH=src:. python tests/conformance_support.py [--scheduled|--database|--checkpoints]
+    PYTHONPATH=src:. python tests/conformance_support.py [--scheduled|--database|--checkpoints|--tunes]
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ import tempfile
 import numpy as np
 
 from repro.config import LsmConfig
-from repro.distributions import LogNormalDelay
+from repro.core.tuning import tune_separation_policy
+from repro.distributions import EmpiricalDelay, LogNormalDelay
 from repro.lsm.adaptive import AdaptiveEngine
 from repro.lsm.checkpoint import read_checkpoint
 from repro.lsm.database import TimeSeriesDatabase
@@ -65,6 +71,7 @@ from repro.lsm.policies.compose import ENGINES, compose_engine
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
 from repro.workloads import TABLE_II, DelaySegment, generate_dynamic
+from tests.fleet_support import BENCHMARK_CELLS
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "data", "conformance_golden.json")
 SCHEDULED_FIXTURE_PATH = os.path.join(
@@ -76,6 +83,7 @@ DATABASE_FIXTURE_PATH = os.path.join(
 CHECKPOINT_FIXTURE_PATH = os.path.join(
     os.path.dirname(__file__), "data", "engine_checkpoint_golden.json"
 )
+TUNE_FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "data", "tune_golden.json")
 LEGACY_DATABASE_DIR = os.path.join(
     os.path.dirname(__file__), "data", "legacy_checkpoints", "database_retuned"
 )
@@ -519,6 +527,51 @@ def build_checkpoint_fixture() -> dict:
     return {"n_points": N_POINTS, "chunk": CHUNK, "workload": "M8", "profiles": profiles}
 
 
+#: The interval and the sizes every fleet retune of the system
+#: benchmark decides at.
+TUNE_DT = 1000.0
+TUNE_BUDGET = 512
+TUNE_SSTABLE = 512
+#: Seeds of the 4096-delay windows drawn per cell.
+TUNE_WINDOW_SEEDS = (1, 2)
+
+
+def tune_windows() -> dict:
+    """``"seed/sigma/offset" -> EmpiricalDelay``: the delay profiles the
+    analyzer of each disordered series hands Algorithm 1."""
+    windows = {}
+    for seed in TUNE_WINDOW_SEEDS:
+        rng = np.random.default_rng(seed)
+        for sigma, offset, _ in BENCHMARK_CELLS:
+            delays = rng.lognormal(np.log(TUNE_DT) + offset, sigma, 4096)
+            windows[f"{seed}/{sigma}/{offset}"] = EmpiricalDelay(delays)
+    return windows
+
+
+def tune_profile(decision) -> dict:
+    """Every ``PolicyDecision`` field, floats as ``float.hex``."""
+    return {
+        "policy": decision.policy,
+        "seq_capacity": decision.seq_capacity,
+        "r_c": decision.r_c.hex(),
+        "r_s_star": decision.r_s_star.hex(),
+        "sweep_n_seq": [int(n) for n in decision.sweep_n_seq],
+        "sweep_r_s": [float(r).hex() for r in decision.sweep_r_s],
+        "rows_computed": decision.rows_computed,
+    }
+
+
+def build_tune_fixture() -> dict:
+    return {
+        key: tune_profile(
+            tune_separation_policy(
+                law, TUNE_DT, TUNE_BUDGET, sstable_size=TUNE_SSTABLE
+            )
+        )
+        for key, law in tune_windows().items()
+    }
+
+
 def _build(profile, engine_keys) -> dict:
     return {
         "n_points": N_POINTS,
@@ -558,6 +611,8 @@ def main() -> None:
         path, fixture = SCHEDULED_FIXTURE_PATH, build_scheduled_fixture()
     elif "--checkpoints" in sys.argv[1:]:
         path, fixture = CHECKPOINT_FIXTURE_PATH, build_checkpoint_fixture()
+    elif "--tunes" in sys.argv[1:]:
+        path, fixture = TUNE_FIXTURE_PATH, build_tune_fixture()
     else:
         path, fixture = FIXTURE_PATH, build_fixture()
     os.makedirs(os.path.dirname(path), exist_ok=True)
