@@ -28,7 +28,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from ..config import DEFAULT_MODEL_CONFIG, ModelConfig
+from ..config import DEFAULT_MODEL_CONFIG, ModelConfig, is_integer
 from ..distributions import DelayDistribution
 from ..errors import ModelError
 from .arrival_ratio import InOrderCurve
@@ -122,10 +122,13 @@ def tune_separation_policy(
     ):
         raise ModelError(f"memory_budget must be an integer >= 2, got {n!r}")
     n = int(n)
-    if coarse_points < 1:
-        raise ModelError(f"coarse_points must be >= 1, got {coarse_points}")
-    if refine_rounds < 0:
-        raise ModelError(f"refine_rounds must be >= 0, got {refine_rounds}")
+    for name, value, low in (
+        ("coarse_points", coarse_points, 1),
+        ("refine_rounds", refine_rounds, 0),
+        ("sstable_size", 1 if sstable_size is None else sstable_size, 1),
+    ):
+        if not is_integer(value) or value < low:
+            raise ModelError(f"{name} must be an integer >= {low}, got {value!r}")
     zeta_model = ZetaModel(dist, dt, config)
     curve = InOrderCurve(dist, dt)
 

@@ -18,7 +18,7 @@ uncorrected value.
 
 from __future__ import annotations
 
-from ..config import DEFAULT_MODEL_CONFIG, ModelConfig
+from ..config import DEFAULT_MODEL_CONFIG, ModelConfig, is_integer
 from ..distributions import DelayDistribution
 from ..errors import ModelError
 from .subsequent import ZetaModel
@@ -53,8 +53,8 @@ def predict_wa_conventional(
     """
     if memory_budget < 1:
         raise ModelError(f"memory_budget must be >= 1, got {memory_budget}")
-    if sstable_size is not None and sstable_size < 1:
-        raise ModelError(f"sstable_size must be >= 1, got {sstable_size}")
+    if sstable_size is not None and (not is_integer(sstable_size) or sstable_size < 1):
+        raise ModelError(f"sstable_size must be an integer >= 1, got {sstable_size!r}")
     model = zeta_model if zeta_model is not None else ZetaModel(dist, dt, config)
     expected_subsequent = model.zeta(memory_budget)
     wa = expected_subsequent / memory_budget + 1.0

@@ -30,7 +30,7 @@ from zlib import crc32
 
 import numpy as np
 
-from ..errors import CheckpointCorruptError, CheckpointError
+from ..errors import CheckpointCorruptError, CheckpointError, EngineError
 from .level import Run
 from .memtable import MemTable
 from .sstable import SSTable
@@ -215,9 +215,12 @@ def unpack_tables(arrays: dict[str, np.ndarray], prefix: str) -> list[SSTable]:
     start = 0
     for size, block_size in zip(sizes, blocks):
         stop = start + int(size)
-        tables.append(
-            SSTable(tg[start:stop], ids[start:stop], block_size=int(block_size))
-        )
+        try:
+            tables.append(
+                SSTable(tg[start:stop], ids[start:stop], block_size=int(block_size))
+            )
+        except EngineError as exc:  # empty or out of order
+            raise CheckpointCorruptError(f"{prefix}: {exc}") from None
         start = stop
     return tables
 
@@ -227,7 +230,10 @@ def unpack_run(arrays: dict[str, np.ndarray], prefix: str) -> Run:
     run = Run()
     tables = unpack_tables(arrays, prefix)
     if tables:
-        run.replace(slice(0, 0), tables)
+        try:
+            run.replace(slice(0, 0), tables)
+        except EngineError as exc:
+            raise CheckpointCorruptError(f"{prefix}: {exc}") from None
     return run
 
 
