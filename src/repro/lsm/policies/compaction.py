@@ -519,7 +519,7 @@ class SizeTiered(CompactionPolicy):
     def unpack(self, state: dict, arrays: dict) -> None:
         self.levels = [
             [
-                unpack_tables(arrays, f"level{li}.run{ri}")
+                unpack_run(arrays, f"level{li}.run{ri}").tables
                 for ri in range(run_count)
             ]
             for li, run_count in enumerate(state["runs_per_level"])
