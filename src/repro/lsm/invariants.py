@@ -72,6 +72,11 @@ class InvariantChecker:
         engine = self.engine
         snapshot = engine.snapshot()
         visible = snapshot.disk_points + snapshot.memory_points
+        if engine.ingested_points != engine.stats.user_points:
+            raise InvariantViolation(
+                f"{self._tag()}: id cursor {engine.ingested_points} is not "
+                f"the {engine.stats.user_points} points written"
+            )
         if engine.stats.user_points != visible:
             raise InvariantViolation(
                 f"{self._tag()}: point-count conservation broken: "
