@@ -13,8 +13,10 @@ not count: an export alone is not a caller.  The match is by name, so a
 method shares its uses with every other attribute of that name.
 
 One ``<path>:<line>  <name>  tests: yes|no`` row per uncalled name —
-``yes`` when ``ROOT/tests`` uses it — then the count.  Reported, not
-gated.  A ROOT without ``src/repro`` is a usage error (exit 2).
+``yes`` when ``ROOT/tests`` uses it — then the count.  A ``tests: yes``
+row is reported; a ``tests: no`` row is public code nothing calls, tests
+included, and makes the exit status 1 (0 otherwise).  A ROOT without
+``src/repro`` is a usage error (exit 2).
 """
 import argparse
 import ast
@@ -77,7 +79,7 @@ def public_names(package: pathlib.Path):
                         yield path, member.lineno, f"{node.name}.{member.name}", member.name
 
 
-def main(argv: list[str]) -> None:
+def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="List public API that nothing calls.")
     parser.add_argument("root", nargs="?", default=".", metavar="ROOT")
     root = pathlib.Path(parser.parse_args(argv).root)
@@ -103,12 +105,15 @@ def main(argv: list[str]) -> None:
         where = f"{path.relative_to(root)}:{line}"
         print(f"{where:48s}  {qualname:40s}  tests: {'yes' if tests[name] else 'no'}")
     print(f"{len(rows):6d}  uncalled")
+    return int(any(not tests[name] for *_, name in rows))
 
 
 if __name__ == "__main__":
+    status = 0
     try:
-        main(sys.argv[1:])
+        status = main(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader (``| head``) has what it wanted; keep the exit quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)

@@ -10,7 +10,8 @@ C_seq and C_nonseq." (Section I-D.)
 timestamp pairs as they stream in; it keeps a sliding window of recent
 delays, estimates the generation interval, profiles the window as its
 empirical distribution, runs Algorithm 1 on it on demand, and flags
-distribution drift so its engine (:class:`repro.lsm.LeveledEngine`,
+distribution drift so its engine (any
+:class:`~repro.lsm.policies.StorageKernel` built with ``analyzer=``,
 which feeds it every ingested pair and checkpoints it —
 :meth:`DelayAnalyzer.to_checkpoint`) knows when to re-tune.
 """

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ..config import DEFAULT_MEMORY_BUDGET, LsmConfig
 from ..distributions import LogNormalDelay
-from ..lsm.policies import compose_engine, describe_composition
+from ..lsm.policies import compose_engine
 from ..workloads import generate_synthetic
 from .report import ExperimentResult
 
@@ -61,7 +61,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         )
         engine.ingest(dataset.tg)
         engine.flush_all()
-        triple = describe_composition(engine)
+        triple = engine.describe_policies()
         merges = sum(1 for e in engine.stats.events if e.kind == "merge")
         rows.append(
             [

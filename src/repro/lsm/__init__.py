@@ -7,12 +7,9 @@ point", Section III).  Every engine is a placement × flush × compaction
 composition over the single :class:`~repro.lsm.policies.StorageKernel`
 (see :doc:`docs/architecture`), and every named one is a row of
 :data:`repro.lsm.policies.ENGINES` — the table checkpoint dispatch, the
-crash matrix and ``python -m repro engines`` read.  Engines:
+crash matrix and ``python -m repro engines`` read — built as a
+:class:`~repro.lsm.policies.ComposedEngine`.  Engines:
 
-* :class:`LeveledEngine` — the paper's system: one leveled run whose
-  ``n_seq : n_nonseq`` split is live state (``resplit``), optionally
-  with a delay analyzer it retunes from (``retune``); the next three
-  are it, constructed under a given policy.
 * :class:`ConventionalEngine` — ``pi_c``: one MemTable, leveled merges
   (``single + merge + leveled``).
 * :class:`SeparationEngine` — ``pi_s(n_seq)``: in-order/out-of-order
@@ -29,9 +26,11 @@ crash matrix and ``python -m repro engines`` read.  Engines:
 * :func:`~repro.lsm.policies.compose_engine` — any other triple, by
   name (:class:`~repro.lsm.policies.ComposedEngine`).
 
-The last three names are :class:`~repro.lsm.policies.ComposedEngine`
-subclasses generated from their rows; their structure and cost clocks
-are read through ``engine.compaction``.
+The first three are the paper's one storage system: a leveled run whose
+``n_seq : n_nonseq`` split is live state, kernel state like the delay
+analyzer it may retune from — ``engine.resplit`` / ``engine.retune``
+move a running engine between ``pi_c`` and ``pi_s``, so a
+``ConventionalEngine`` may come to record ``SeparationEngine``.
 
 Durability (see :doc:`docs/durability`): every engine can write a
 checksummed WAL before MemTable placement (:mod:`repro.lsm.wal`),
@@ -40,7 +39,6 @@ from a crash (:mod:`repro.lsm.recovery`), and verify crash-consistency
 invariants (:mod:`repro.lsm.invariants`).
 """
 
-from .adaptive import AdaptiveEngine
 from .backpressure import (
     BACKPRESSURE_STATES,
     HEALTHY,
@@ -50,7 +48,6 @@ from .backpressure import (
 )
 from .base import LsmEngine, MemTableView, Snapshot
 from .checkpoint import read_checkpoint, write_checkpoint
-from .conventional import ConventionalEngine, LeveledEngine
 from .database import FleetReport, SeriesState, TimeSeriesDatabase
 from .invariants import InvariantChecker
 from .level import Run
@@ -58,10 +55,16 @@ from .memtable import MemTable
 from .points import sort_by_generation
 from .policies import ComposedEngine, StorageKernel, compose_engine
 from .policies.compaction import merge_tables_with_batch
-from .policies.compose import IoTDBStyleEngine, MultiLevelEngine, TieredEngine
+from .policies.compose import (
+    AdaptiveEngine,
+    ConventionalEngine,
+    IoTDBStyleEngine,
+    MultiLevelEngine,
+    SeparationEngine,
+    TieredEngine,
+)
 from .recovery import RecoveryReport, recover_engine
 from .scheduler import CompactionScheduler, LandingTask, TokenBucket
-from .separation import SeparationEngine
 from .sstable import SSTable, build_sstables
 from .wa_tracker import CompactionEvent, WriteStats
 from .wal import WalReadResult, WalRecord, WriteAheadLog, read_wal
@@ -70,7 +73,6 @@ __all__ = [
     "LsmEngine",
     "Snapshot",
     "MemTableView",
-    "LeveledEngine",
     "ConventionalEngine",
     "SeparationEngine",
     "AdaptiveEngine",

@@ -10,12 +10,13 @@ own delay analyzer), a global memory budget is divided across active
 series, and fleet-wide statistics aggregate per-series WA and policy
 choices.
 
-A series has one :class:`~repro.lsm.conventional.LeveledEngine` from
-creation (or recovery) on.  Its policy is that engine's live split:
-:meth:`TimeSeriesDatabase.retune` and :meth:`~TimeSeriesDatabase.resize_series`
-re-split it in place (:meth:`~repro.lsm.conventional.LeveledEngine.resplit`),
-and the manifest records the split as ``seq_capacity`` plus the engine
-name derived from it (``ConventionalEngine`` / ``SeparationEngine``).
+A series has one leveled engine from creation (or recovery) on: the
+``ConventionalEngine`` or ``SeparationEngine`` row of its split.  Its
+policy is that engine's live split: :meth:`TimeSeriesDatabase.retune`
+and :meth:`~TimeSeriesDatabase.resize_series` re-split it in place
+(:meth:`~repro.lsm.policies.kernel.StorageKernel.resplit`), and the
+manifest records the split as ``seq_capacity`` plus the engine name
+derived from it.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from ..errors import ConfigError, EngineError, RecoveryError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .base import Snapshot, validate_points
 from .checkpoint import namespaced_stem, write_atomically
-from .conventional import LeveledEngine, RetuneOutcome, decide
-from .policies.compose import engine_class
+from .policies.compose import ComposedEngine, ConventionalEngine, SeparationEngine, engine_class
+from .policies.kernel import RetuneOutcome, decide
 
 __all__ = [
     "SeriesState", "FleetReport", "TimeSeriesDatabase", "decide_series",
@@ -124,7 +125,7 @@ class SeriesState:
     split are the engine's)."""
 
     name: str
-    engine: LeveledEngine
+    engine: ComposedEngine
 
     @property
     def config(self) -> LsmConfig:
@@ -292,7 +293,7 @@ class TimeSeriesDatabase:
         ).with_stability(**self.stability)
         state = SeriesState(
             name=name,
-            engine=LeveledEngine(
+            engine=(ConventionalEngine if seq_capacity is None else SeparationEngine)(
                 config, telemetry=self.telemetry, analyzer=self._analyzer(config)
             ),
         )
@@ -407,7 +408,7 @@ class TimeSeriesDatabase:
 
         The series are decided concurrently (:func:`decide_series`),
         then applied one by one in series order through each engine's
-        :meth:`~repro.lsm.conventional.LeveledEngine.retune`, so every
+        :meth:`~repro.lsm.policies.kernel.StorageKernel.retune`, so every
         decision and event equals a serial retune's; ``duration_ms`` is
         each decision's own time.
         """
@@ -449,7 +450,7 @@ class TimeSeriesDatabase:
         """Re-budget one series' MemTables at a flush boundary.
 
         The series' engine is re-split in place
-        (:meth:`~repro.lsm.conventional.LeveledEngine.resplit`): drained
+        (:meth:`~repro.lsm.policies.kernel.StorageKernel.resplit`): drained
         (``flush_all`` — the flush boundary) and given fresh MemTables
         of the new sizes, so WA accounting and ``verify()`` stay exact
         across the resize.  ``seq_capacity`` switches the series to

@@ -38,7 +38,6 @@ from .compose import (
     PLACEMENTS,
     ComposedEngine,
     compose_engine,
-    describe_composition,
     engine_class,
     engine_compositions,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "ComposedEngine",
     "compose_engine",
     "engine_compositions",
-    "describe_composition",
     "PLACEMENTS",
     "FLUSHES",
     "COMPACTIONS",

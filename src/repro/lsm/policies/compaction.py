@@ -355,6 +355,15 @@ class LeveledSingleRun(CompactionPolicy):
     def groups(self):
         return [("run", "sorted", self.run)]
 
+    def pack(self, arrays: dict) -> dict:
+        state = super().pack(arrays)
+        if self.kernel.placement.name == "split":
+            # The separation watermark LAST(R).t_g is implied by the
+            # restored run's maximum, but stored for the recovery
+            # report / debugging.
+            state["last_disk_tg"] = self.run.max_tg
+        return state
+
     def unpack(self, state: dict, arrays: dict) -> None:
         self.run = unpack_run(arrays, "run")
 

@@ -8,13 +8,39 @@ in.  Checkpoint dispatch (:func:`engine_class`), the crash matrix, the
 ``engines`` command (:func:`engine_compositions`) and the test factories
 all read it; adding an engine is adding a row.
 
-:class:`MultiLevelEngine`, :class:`TieredEngine` and
-:class:`IoTDBStyleEngine` are generated from their rows — a
-:class:`ComposedEngine` each, with the row's compaction parameters as
-constructor arguments and no façade: structure and clocks are read
-through ``engine.compaction``.  The ``pi_c`` / ``pi_s`` / adaptive rows
-are built by the leveled engine, whose split is live state
-(:mod:`repro.lsm.conventional`).
+Every named engine is a :class:`ComposedEngine` generated from its rows
+(:func:`_named_engine`), with the row's compaction parameters (and, for
+the leveled rows, the tuner's) as constructor arguments and no façade:
+structure and clocks are read through ``engine.compaction``.
+
+* ``ConventionalEngine(config)`` — ``pi_c``: one MemTable, leveled
+  merges.  "When writing, pi_c first buffers the data in C0.  When C0 is
+  full, pi_c merges the data in C0 and those in SSTables, which have
+  overlapping key ranges with C0, to form new SSTables so that the data
+  are sorted on the disk." (Section I-A.)  The merge rewrites every
+  SSTable the MemTable overlaps in full — the behaviour the analytical
+  model under-approximates by counting subsequent points (Section III,
+  error bound 1).
+* ``SeparationEngine(config)`` — ``pi_s(n_seq)``: Apache IoTDB "uses
+  in-order and out-of-order MemTables to separately buffer the in-order
+  and out-of-order data" (Section I).  A point is in-order iff its
+  generation time exceeds ``LAST(R).t_g`` (Definition 3); ``C_seq``
+  flushes by appending, and only a full ``C_nonseq`` triggers a leveled
+  merge, which closes a *phase* (Section IV).  Without an explicit
+  ``seq_capacity``: the IoTDB 1:1 split.
+* ``AdaptiveEngine(config, check_interval=8192)`` — ``pi_adaptive``,
+  the auto-tuning program of Section V-B: "We used pi_c to initialize
+  the system, which then continuously collected delays when writing.
+  If it finds that the distribution of delays changes, it would trigger
+  the Separation Policy Tuning Algorithm (Algorithm 1) to update the
+  policy."  Its checkpoints record its own name under either split; its
+  instance ``policy_name`` follows the split in force.
+
+These three are one storage system, a leveled run whose
+``C_seq`` / ``C_nonseq`` split is live state (``config.seq_capacity``):
+each takes an ``analyzer=`` and may :meth:`~StorageKernel.resplit` or
+:meth:`~StorageKernel.retune` while running, which makes a
+``ConventionalEngine`` the ``SeparationEngine`` row and back.
 
 * ``MultiLevelEngine(config, size_ratio=10, max_levels=6)`` — textbook
   leveling: level ``i`` holds up to ``n * T**(i+1)`` points and spills
@@ -53,7 +79,6 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-from importlib import import_module
 
 from ...config import DiskModel, LsmConfig
 from ...errors import EngineError
@@ -76,13 +101,16 @@ __all__ = [
     "ENGINES",
     "EngineRow",
     "engine_class",
+    "split_row",
     "ComposedEngine",
+    "ConventionalEngine",
+    "SeparationEngine",
+    "AdaptiveEngine",
     "MultiLevelEngine",
     "TieredEngine",
     "IoTDBStyleEngine",
     "compose_engine",
     "engine_compositions",
-    "describe_composition",
 ]
 
 #: Placement policies by name.
@@ -150,8 +178,12 @@ class EngineRow:
     #: The key ``crash-test --engines`` runs it under (``None``: not in
     #: the crash matrix).
     crash_key: str | None = None
-    #: Module under :mod:`repro.lsm` that defines the class.
-    home: str = "policies.compose"
+    #: The tuner's constructor arguments (``analyzer``, ``check_interval``),
+    #: keyword-only, with their defaults.  A row that has them is one
+    #: whose split is live state: its engine starts under the row's own
+    #: placement (``pi_c`` when the row names no one placement), taking
+    #: only ``n_seq`` from the config, and may re-split while running.
+    tuner: dict = dataclasses.field(default_factory=dict)
 
     def build(self, config: LsmConfig | None = None, **kernel_kwargs):
         """A fresh engine of this row in its small shape."""
@@ -162,12 +194,13 @@ class EngineRow:
 
 ENGINES = (
     EngineRow("conventional", "ConventionalEngine", "pi_c", "single", "merge", "leveled",
-              crash_key="pi_c", home="conventional"),
+              crash_key="pi_c", tuner={"analyzer": None}),
     EngineRow("separation", "SeparationEngine", "pi_s", "split", "separation", "leveled",
-              crash_key="pi_s", home="separation"),
+              crash_key="pi_s", tuner={"analyzer": None}),
     EngineRow("adaptive", "AdaptiveEngine", "pi_adaptive",
               "adaptive (re-split at runtime)", "merge <-> separation", "leveled",
-              small={"check_interval": 512}, crash_key="adaptive", home="adaptive"),
+              small={"check_interval": 512}, crash_key="adaptive",
+              tuner={"analyzer": None, "check_interval": 8192}),
     EngineRow("iotdb_conventional", "IoTDBStyleEngine", "pi_c", "single", "append", "iotdb",
               {"policy": "conventional"}, {"l1_file_limit": 4}, crash_key="iotdb"),
     EngineRow("iotdb_separation", "IoTDBStyleEngine", "pi_s", "split", "independent", "iotdb",
@@ -185,10 +218,7 @@ ENGINES = (
 def engine_class(name: str):
     """The class that builds and restores engines recorded as ``name``
     (``None`` when no row has that name)."""
-    for row in ENGINES:
-        if row.engine == name:
-            return getattr(import_module(f"repro.lsm.{row.home}"), name)
-    return None
+    return next((globals()[row.engine] for row in ENGINES if row.engine == name), None)
 
 
 def _parameters(compaction: str) -> dict:
@@ -244,14 +274,36 @@ def _resolve_flush(placement: str, flush: str | None, compaction: str) -> str:
     return flush
 
 
+def split_row(row: EngineRow, placement: str) -> tuple[EngineRow, str, str]:
+    """``(row, policy label, flush)`` of an engine of ``row`` — one whose
+    split is live state — with its write memory bound as ``placement``.
+
+    The flush is the natural one for the pair, and the label that of the
+    row of the new triple.  That row is also the one the engine is now,
+    so a ``pi_c`` engine re-split to ``pi_s`` records
+    ``SeparationEngine``; only a row that names no one placement
+    (``pi_adaptive``'s) is kept, under either split.
+    """
+    flush = _resolve_flush(placement, None, row.compaction)
+    triple = (placement, flush, row.compaction)
+    new = next(
+        other for other in ENGINES
+        if other.tuner and (other.placement, other.flush, other.compaction) == triple
+    )
+    return (row if row.placement not in PLACEMENTS else new), new.policy_name, flush
+
+
 class ComposedEngine(StorageKernel):
-    """An engine assembled from named policies at construction time.
+    """An engine assembled from named policies at construction time —
+    the one engine class; every named engine is a subclass generated
+    from its rows.
 
     Every instance knows its :class:`EngineRow` — a named subclass the
-    row of :data:`ENGINES` it was built from, a bare ``ComposedEngine``
-    a row of its own triple — and checkpoints store what rebuilds it
-    (the triple, or the row's selector, and the compaction parameters),
-    so it round-trips through ``LsmEngine.restore`` by name.
+    row of :data:`ENGINES` it was built from (or re-split to), a bare
+    ``ComposedEngine`` a row of its own triple — and checkpoints store
+    what rebuilds it (the triple, or the row's selector, and the
+    compaction parameters), so it round-trips through
+    ``LsmEngine.restore`` by name.
     """
 
     def __init__(
@@ -269,18 +321,26 @@ class ComposedEngine(StorageKernel):
         row = EngineRow(None, "ComposedEngine", label, placement, flush, compaction)
         self._assemble(row, compaction_kwargs or {}, config, telemetry, faults)
 
-    def _assemble(self, row: EngineRow, params: dict, config, telemetry, faults):
-        self.row = row
-        self.policy_name = row.policy_name
+    def _assemble(self, row: EngineRow, params: dict, config, telemetry, faults, **tuner):
+        config = config if config is not None else LsmConfig()
+        placement, flush, policy_name = row.placement, row.flush, row.policy_name
+        if row.tuner:
+            # The split is live state: the engine starts under its row's.
+            placement = "split" if placement == "split" else "single"
+            seq_capacity = config.effective_seq_capacity if placement == "split" else None
+            config = config.with_seq_capacity(seq_capacity)
+            row, policy_name, flush = split_row(row, placement)
+        self.row, self.policy_name = row, policy_name
         self._params = _check_parameters(row.compaction, params)
         StorageKernel.__init__(
             self,
             config,
-            placement=PLACEMENTS[row.placement](),
-            flush=FLUSHES[row.flush][0](),
+            placement=PLACEMENTS[placement](),
+            flush=FLUSHES[flush][0](),
             compaction=COMPACTIONS[row.compaction](**self._params),
             telemetry=telemetry,
             faults=faults,
+            **tuner,
         )
 
     def _checkpoint_kwargs(self) -> dict:
@@ -303,9 +363,12 @@ def _named_engine(name: str) -> type[ComposedEngine]:
     """The :class:`ComposedEngine` subclass recorded as ``name``.
 
     Its constructor is ``(config, <selector>, <compaction parameters>,
-    telemetry, faults)``: the selector (``IoTDBStyleEngine``'s
-    ``policy=``) picks among the rows of that name, the first row's by
-    default; the parameters default as the compaction policy's do.
+    telemetry, faults, *, <tuner>)``: the selector
+    (``IoTDBStyleEngine``'s ``policy=``) picks among the rows of that
+    name, the first row's by default; the parameters default as the
+    compaction policy's do, the tuner's as the row says.  Its
+    ``checkpoint_labels`` are the names its engines record, under either
+    split when the split is live state (:func:`split_row`).
     """
     rows = [row for row in ENGINES if row.engine == name]
     first = rows[0]
@@ -313,9 +376,12 @@ def _named_engine(name: str) -> type[ComposedEngine]:
         "config": None, **first.selector, **_parameters(first.compaction),
         "telemetry": None, "faults": None,
     }
-    kind = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    parameter = inspect.Parameter
     signature = inspect.Signature(
-        [inspect.Parameter(arg, kind, default=value) for arg, value in defaults.items()]
+        [parameter(arg, parameter.POSITIONAL_OR_KEYWORD, default=value)
+         for arg, value in defaults.items()]
+        + [parameter(arg, parameter.KEYWORD_ONLY, default=value)
+           for arg, value in first.tuner.items()]
     )
 
     def __init__(self, *args, **kwargs) -> None:
@@ -330,9 +396,15 @@ def _named_engine(name: str) -> type[ComposedEngine]:
                 f"{[row.selector for row in rows]}"
             )
         config, telemetry, faults = map(given.pop, ("config", "telemetry", "faults"))
-        self._assemble(row, given, config, telemetry, faults)
+        tuner = {key: given.pop(key) for key in first.tuner}
+        self._assemble(row, given, config, telemetry, faults, **tuner)
 
     triples = " / ".join(f"{row.placement} + {row.flush} + {row.compaction}" for row in rows)
+    labels = [row.engine for row in rows] + [
+        split_row(row, placement)[0].engine
+        for row in rows if row.tuner
+        for placement in PLACEMENTS
+    ]
     return type(
         name,
         (ComposedEngine,),
@@ -341,19 +413,21 @@ def _named_engine(name: str) -> type[ComposedEngine]:
             "__doc__": f"``{triples}``, generated from its rows of :data:`ENGINES`.",
             "__module__": __name__,
             "__signature__": signature,
-            "checkpoint_labels": (name,),
+            "policy_name": first.policy_name,
+            "checkpoint_labels": tuple(dict.fromkeys(labels)),
         },
     )
 
 
+ConventionalEngine = _named_engine("ConventionalEngine")
+SeparationEngine = _named_engine("SeparationEngine")
+AdaptiveEngine = _named_engine("AdaptiveEngine")
 MultiLevelEngine = _named_engine("MultiLevelEngine")
 TieredEngine = _named_engine("TieredEngine")
 IoTDBStyleEngine = _named_engine("IoTDBStyleEngine")
 
-#: A bare ``ComposedEngine`` restores whatever this module builds.
-ComposedEngine.checkpoint_labels = tuple(
-    row.engine for row in ENGINES if row.home == EngineRow.home
-)
+#: A bare ``ComposedEngine`` restores whatever a row records.
+ComposedEngine.checkpoint_labels = tuple(dict.fromkeys(row.engine for row in ENGINES))
 
 
 def compose_engine(
@@ -380,11 +454,6 @@ def compose_engine(
         compaction_kwargs=compaction_kwargs,
         **kernel_kwargs,
     )
-
-
-def describe_composition(engine: StorageKernel) -> dict[str, str]:
-    """Policy-triple labels for any engine instance."""
-    return engine.describe_policies()
 
 
 def engine_compositions() -> list[dict[str, str]]:

@@ -1,8 +1,8 @@
 """The storage kernel: one engine core driving three policies.
 
 :class:`StorageKernel` is the single concrete ingest/durability core
-behind every composed engine.  It inherits the cross-cutting machinery
-from :class:`~repro.lsm.base.LsmEngine` — WAL framing before MemTable
+behind every engine.  It inherits the cross-cutting machinery from
+:class:`~repro.lsm.base.LsmEngine` — WAL framing before MemTable
 placement, id assignment and write accounting, telemetry spans, fault
 boundaries, checkpoint metadata — and delegates the three policy axes:
 
@@ -14,12 +14,26 @@ boundaries, checkpoint metadata — and delegates the three policy axes:
 The compaction policy — the disk structure — is bound for the kernel's
 life.  The MemTable layout (placement + flush, and the scheduler and
 admission controller sized from the same config) is bound through
-:meth:`StorageKernel.rebind`: once by the constructor, and again when an
-engine re-splits its write memory while running
-(:meth:`~repro.lsm.conventional.LeveledEngine.resplit` — every retune
-and resize), on a drained kernel.
-Every registered engine class is a :class:`StorageKernel`; there is no
-other implementor of :class:`~repro.lsm.base.LsmEngine`.
+:meth:`StorageKernel.rebind`: once by the constructor, and again when
+the engine re-splits its write memory while running
+(:meth:`StorageKernel.resplit` — every retune and resize), on a drained
+kernel.  The split is live state, ``config.seq_capacity`` on the
+paper's leveled engine: a re-split binds the natural flush of the new
+placement and becomes the row of :data:`~repro.lsm.policies.compose.ENGINES`
+of the new triple, so a ``pi_c`` engine re-split to ``pi_s`` records
+``SeparationEngine``.
+
+The kernel is also where the one tuning loop of Sections I-D and V-B
+lives.  An engine may carry a :class:`~repro.core.analyzer.DelayAnalyzer`:
+it then ingests *(generation, arrival)* pairs, logs them and feeds them
+to the analyzer, and :meth:`StorageKernel.retune` is the one step from a
+delay window to a split — Algorithm 1 (:func:`decide`),
+:meth:`~StorageKernel.resplit`, one :class:`RetuneRecord`.  A database
+calls it for each auto-tuned series; with a ``check_interval`` (the
+``AdaptiveEngine`` row, ``pi_adaptive``) the engine calls it itself
+whenever the delays drift.  Every re-split is a control frame in the
+engine's WAL and the analyzer is part of its checkpoint (the ``tuner``
+block), so recovery rebuilds both.
 
 Checkpoint state is assembled component-wise: the compaction policy and
 the placement policy each pack their own arrays under their established
@@ -29,13 +43,19 @@ and byte-layout-compatible with the monolithic engines it replaced.
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
+import time
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from ...config import LsmConfig, is_integer
-from ...errors import EngineError
+from ...core.analyzer import DelayAnalyzer
+from ...core.tuning import SEPARATION, PolicyDecision
+from ...errors import CheckpointCorruptError, ConfigError, EngineError, ModelError
 from ...faults.injector import FaultInjector
 from ...obs.telemetry import Telemetry
 from ..backpressure import AdmissionController
@@ -48,7 +68,39 @@ from .compaction import LANDING_OPS, CompactionPolicy
 from .flush import FlushStrategy
 from .placement import PlacementPolicy
 
-__all__ = ["StorageKernel"]
+__all__ = ["StorageKernel", "RetuneRecord", "decide"]
+
+logger = logging.getLogger(__name__)
+
+#: A retune the ``check_interval`` trigger makes re-splits only when the
+#: policy changes or ``n_seq`` moves by more than this share of the
+#: budget; an explicit one re-splits whenever the split changes.
+TRIGGER_HYSTERESIS = 0.05
+
+#: What Algorithm 1 answered for one analyzer (or why it could not), and
+#: how long that took in milliseconds.
+RetuneOutcome = tuple[PolicyDecision | ModelError, float]
+
+
+def decide(analyzer: DelayAnalyzer) -> RetuneOutcome:
+    """The decide half of a retune: Algorithm 1 on ``analyzer``'s window,
+    timed, with a window that cannot be profiled as the outcome."""
+    started = time.perf_counter()
+    try:
+        outcome = analyzer.recommend()
+    except ModelError as error:
+        outcome = error
+    return outcome, (time.perf_counter() - started) * 1e3
+
+
+class RetuneRecord(NamedTuple):
+    """One decision an engine applied (:meth:`StorageKernel.retune`)."""
+
+    #: Arrival index it was applied at.
+    arrival_index: int
+    decision: PolicyDecision
+    #: The policy label the engine re-split to; ``None`` if it kept its split.
+    switched_to: str | None
 
 
 class StorageKernel(LsmEngine):
@@ -56,6 +108,12 @@ class StorageKernel(LsmEngine):
 
     #: ``None`` only until the constructor's first :meth:`rebind`.
     placement: PlacementPolicy | None = None
+    #: The row of :data:`~repro.lsm.policies.compose.ENGINES` the engine
+    #: is — the name its checkpoints record — set by
+    #: :class:`~repro.lsm.policies.compose.ComposedEngine` and moved by
+    #: a re-split; ``None`` for a kernel assembled by hand, which
+    #: records its class name.
+    row = None
 
     def __init__(
         self,
@@ -66,12 +124,26 @@ class StorageKernel(LsmEngine):
         compaction: CompactionPolicy,
         telemetry: Telemetry | None = None,
         faults: FaultInjector | None = None,
+        analyzer: DelayAnalyzer | None = None,
+        check_interval: int | None = None,
     ) -> None:
-        super().__init__(
-            config if config is not None else LsmConfig(),
-            telemetry=telemetry,
-            faults=faults,
-        )
+        config = config if config is not None else LsmConfig()
+        if check_interval is not None:
+            if not is_integer(check_interval) or check_interval < 1:
+                raise EngineError(
+                    f"check_interval must be an integer >= 1, got {check_interval!r}"
+                )
+            if analyzer is None:
+                analyzer = DelayAnalyzer(config.memory_budget, sstable_size=config.sstable_size)
+        #: The delay analyzer :meth:`ingest` feeds arrival times to
+        #: (``None``: the engine ignores them).
+        self.analyzer = analyzer
+        #: Points between the analyzer's retune checks (``None``: retuned
+        #: only on request, as a database series is).
+        self.check_interval = check_interval
+        #: Every decision :meth:`retune` applied, in order.
+        self.decisions: list[RetuneRecord] = []
+        super().__init__(config, telemetry=telemetry, faults=faults)
         self.compaction = compaction
         #: Structure epoch: bumped whenever the disk structure changes
         #: (flush/merge landing, checkpoint restore) or the MemTable
@@ -139,6 +211,174 @@ class StorageKernel(LsmEngine):
         )
         # The visible MemTables changed identity: every read cache misses.
         self.mark_structure_change()
+
+    def resplit(
+        self, seq_capacity: int | None, memory_budget: int | None = None
+    ) -> bool:
+        """Re-divide write memory on the running engine, at a flush boundary.
+
+        ``seq_capacity`` is the new ``n_seq`` (``None`` for one
+        MemTable, ``pi_c``), ``memory_budget`` the new total (unchanged
+        when omitted).  The new configuration is validated before
+        anything moves (:class:`~repro.errors.ConfigError`), and
+        ``False`` comes back with the engine untouched when it is the
+        one already in force.  Only an engine whose split is live state
+        (a row with a tuner: the leveled rows) re-splits; any other's
+        split is what it is, and asking is a ``ConfigError`` too.
+        Otherwise the re-split is logged (a control frame in the WAL, so
+        recovery re-applies it at the same arrival), the buffers drain
+        (``flush_all``) and the MemTable layout of the new split is
+        bound; the disk structure, write statistics, cursors, WAL and
+        fault injector are the engine's own and stay.
+        """
+        budget = memory_budget if memory_budget is not None else self.config.memory_budget
+        config = replace(self.config, seq_capacity=seq_capacity, memory_budget=budget)
+        if self.row is None or not self.row.tuner:
+            raise ConfigError(f"{self.policy_name} cannot re-split its write memory")
+        if config == self.config:
+            return False
+        self._ensure_open()
+        if self._wal is not None:
+            self._wal.append_split(self._next_id, seq_capacity, config.memory_budget)
+        self.flush_all()
+        self._bind_split(config)
+        return True
+
+    def _bind_split(self, config: LsmConfig) -> None:
+        """Bind the layout of ``config``'s split on a drained kernel: the
+        natural flush of the new placement, and the row of the new triple."""
+        from .compose import FLUSHES, PLACEMENTS, split_row
+
+        placement = "single" if config.seq_capacity is None else "split"
+        row, policy_name, flush = split_row(self.row, placement)
+        self.rebind(config, PLACEMENTS[placement](), FLUSHES[flush][0]())
+        self.row, self.policy_name = row, policy_name
+        if self.analyzer is not None:
+            self.analyzer.memory_budget = config.memory_budget
+
+    @property
+    def current_policy(self) -> str:
+        """Label of the split in force (``pi_c`` / ``pi_s(n_seq=...)``)."""
+        placement = self.placement
+        return "pi_c" if placement.name == "single" else f"pi_s(n_seq={placement.seq.capacity})"
+
+    @property
+    def checkpoint_label(self) -> str:
+        """The name checkpoints and manifests record for this engine —
+        its row's, which follows the split in force (either leveled
+        named constructor's engine may come to record the other's), or
+        the class of a kernel assembled by hand."""
+        return type(self).__name__ if self.row is None else self.row.engine
+
+    # -- the tuning loop -------------------------------------------------------
+
+    def _ingest_pairs(
+        self, tg: np.ndarray, ta: np.ndarray, delays: np.ndarray | None = None
+    ) -> None:
+        """Observe and place validated pairs — shared by ingest and WAL
+        replay.  The analyzer stages ``delays`` when ingest computed
+        them, and checks a replayed record's pairs itself.  With a
+        ``check_interval`` (every point then comes with its arrival
+        time, so the arrival index is the check cursor), the engine
+        retunes at each boundary where the delays have drifted."""
+        analyzer = self.analyzer
+
+        def observe(start: int, stop: int) -> None:
+            if delays is None:
+                analyzer.observe(tg[start:stop], ta[start:stop])
+            else:
+                analyzer._stage(tg[start:stop], delays[start:stop])
+
+        interval = self.check_interval
+        if interval is None:
+            observe(0, tg.size)
+            self._ingest_validated(tg)
+            return
+        pos = 0
+        while pos < tg.size:
+            take = min(interval - self._next_id % interval, tg.size - pos)
+            observe(pos, pos + take)
+            self._ingest_validated(tg[pos : pos + take])
+            pos += take
+            if self._next_id % interval == 0 and self.analyzer.should_retune():
+                self.retune(hysteresis=TRIGGER_HYSTERESIS)
+
+    def retune(
+        self,
+        outcome: RetuneOutcome | None = None,
+        hysteresis: float = 0.0,
+        series: str | None = None,
+    ) -> bool:
+        """Decide and apply one retune; True if the engine re-split.
+
+        ``outcome`` is what :func:`decide` answered for :attr:`analyzer`
+        (decided now when omitted).  A window that cannot be profiled
+        keeps the split, with a warning and a ``retune_skipped`` event.
+        Otherwise the engine re-splits to the decision unless it moves
+        ``n_seq`` by no more than ``hysteresis`` times the budget (a
+        policy change always re-splits), and appends a
+        :class:`RetuneRecord` to :attr:`decisions`.  Events are
+        ``db.*``, naming ``series``, for a series of a database and
+        ``adaptive.*``, at the arrival index, for an engine on its own.
+        """
+        decision, duration_ms = decide(self.analyzer) if outcome is None else outcome
+        alone = series is None
+        where = {"arrival_index": self.ingested_points} if alone else {"series": series}
+        telemetry = self.telemetry
+        if isinstance(decision, ModelError):
+            logger.warning(
+                "retune skipped %s, which keeps %s: %s",
+                f"at arrival {self.ingested_points}" if alone else f"series {series!r}",
+                self.current_policy,
+                decision,
+            )
+            kind = "adaptive.retune_skipped" if alone else "db.retune_skipped"
+            reason = str(decision)
+            telemetry.emit({"type": kind, **where, "policy": self.current_policy, "reason": reason})
+            return False
+        target = decision.seq_capacity if decision.policy == SEPARATION else None
+        current = self.config.seq_capacity
+        switching = (target is None) != (current is None) or (
+            target is not None
+            and abs(target - current) > hysteresis * self.config.memory_budget
+        )
+        if telemetry.enabled:
+            event = {"type": "adaptive.decision", **where, "policy": decision.policy}
+            event["seq_capacity"] = decision.seq_capacity
+            if alone:
+                event["switching"] = switching
+                telemetry.count("adaptive.decisions")
+            else:
+                analyzer = self.analyzer
+                event.update(
+                    type="db.retune_decision",
+                    observed_points=analyzer.observed_points,
+                    sample_count=len(analyzer.window),
+                    dt=analyzer.estimated_dt(),
+                    memory_budget=analyzer.memory_budget,
+                    sstable_size=analyzer.sstable_size,
+                    r_c=decision.r_c,
+                    r_s_star=decision.r_s_star,
+                    candidates=int(decision.sweep_n_seq.size),
+                    duration_ms=duration_ms,
+                    rows_computed=decision.rows_computed,
+                )
+            telemetry.emit(event)
+        switched = switching and self.resplit(target)
+        policy = self.current_policy
+        record = RetuneRecord(self.ingested_points, decision, policy if switched else None)
+        self.decisions.append(record)
+        if switched and telemetry.enabled:
+            kind = "adaptive.switch" if alone else "db.series_retuned"
+            telemetry.emit({"type": kind, **where, "policy": policy})
+            telemetry.count("adaptive.switches" if alone else "db.retunes")
+        return switched
+
+    @property
+    def switches(self) -> list[tuple[int, str]]:
+        """``(arrival_index, policy label)`` of every re-split
+        :meth:`retune` made, from :attr:`decisions`."""
+        return [(index, to) for index, _, to in self.decisions if to is not None]
 
     # -- hot path --------------------------------------------------------------
 
@@ -282,11 +522,6 @@ class StorageKernel(LsmEngine):
 
     # -- reading ---------------------------------------------------------------
 
-    @property
-    def structure_epoch(self) -> int:
-        """Monotone counter of disk-structure changes (flush/merge/restore)."""
-        return self._structure_epoch
-
     def mark_structure_change(self) -> None:
         """Invalidate read-path caches; called by landing-op commit points."""
         self._structure_epoch += 1
@@ -372,9 +607,35 @@ class StorageKernel(LsmEngine):
     def _checkpoint_state(self, arrays: dict[str, np.ndarray]) -> dict:
         state = self.compaction.pack(arrays)
         self.placement.pack(arrays)
+        if self.analyzer is not None:
+            state["tuner"] = {
+                "seq_capacity": self.config.seq_capacity,
+                "check_interval": self.check_interval,
+                "analyzer": self.analyzer.to_checkpoint(arrays),
+                "decisions": [
+                    [index, switched_to, decision_to_json(decision)]
+                    for index, decision, switched_to in self.decisions
+                ],
+            }
         return state
 
     def _restore_state(self, state: dict, arrays: dict[str, np.ndarray]) -> None:
+        inner = state.get("inner")
+        if inner is not None:
+            # Laid out so by pi_adaptive checkpoints taken before the
+            # analyzer was engine state: the kernel nested, the
+            # decisions beside it, no window.
+            self._bind_split(self.config.with_seq_capacity(inner["seq_capacity"]))
+            self._restore_state(inner["state"], arrays)
+            switches = dict(state["switch_log"])
+            self.decisions = [
+                RetuneRecord(index, decision_from_json(encoded), switches.get(index))
+                for index, encoded in state["decision_log"]
+            ]
+            return
+        tuner = state.get("tuner")
+        if tuner is not None:
+            self._restore_tuner(tuner, arrays)
         self.compaction.unpack(state, arrays)
         self.placement.unpack(arrays)
         # The whole structure was replaced: recount, this once, by a walk.
@@ -382,3 +643,49 @@ class StorageKernel(LsmEngine):
             sum(table.stats_nbytes for table in self.compaction.visible_tables())
         )
         self.mark_structure_change()
+
+    def _restore_tuner(self, tuner: dict, arrays) -> None:
+        """Re-bind the recorded split and revive the analyzer, its check
+        interval and its decisions — each checked, because what the
+        engine does next is decided from them: a block that cannot be
+        the engine's own is :class:`CheckpointCorruptError`, and
+        recovery replays the WAL instead."""
+        try:
+            interval, seq_capacity = tuner["check_interval"], tuner["seq_capacity"]
+            if interval is not None and not (is_integer(interval) and interval >= 1):
+                raise CheckpointCorruptError(f"tuner check_interval is {interval!r}")
+            if seq_capacity != self.config.seq_capacity:
+                if not self.row.tuner:
+                    raise CheckpointCorruptError(f"{self.policy_name} has a fixed split")
+                # A named constructor may have started under another split.
+                self._bind_split(replace(self.config, seq_capacity=seq_capacity))
+            analyzer = DelayAnalyzer.from_checkpoint(tuner["analyzer"], arrays)
+            if analyzer.memory_budget != self.config.memory_budget:
+                raise CheckpointCorruptError(
+                    f"analyzer budget {analyzer.memory_budget} is not the "
+                    f"engine's {self.config.memory_budget}"
+                )
+            decisions = [
+                RetuneRecord(index, decision_from_json(encoded), switched_to)
+                for index, switched_to, encoded in tuner["decisions"]
+            ]
+            for index, _, switched_to in decisions:
+                if not is_integer(index) or not isinstance(switched_to, (str, type(None))):
+                    raise CheckpointCorruptError(f"tuner decision at {index!r} to {switched_to!r}")
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise CheckpointCorruptError(f"tuner block: {exc!r}") from None
+        self.analyzer, self.check_interval, self.decisions = analyzer, interval, decisions
+        analyzer.last_decision = decisions[-1].decision if decisions else None
+
+
+def decision_to_json(decision: PolicyDecision) -> dict:
+    """JSON-able form of one Algorithm 1 output: its evidence, not its
+    bill (``rows_computed`` reads 0 once restored)."""
+    sweeps = {key: getattr(decision, key).tolist() for key in ("sweep_n_seq", "sweep_r_s")}
+    return dict(vars(decision), **sweeps, rows_computed=0)
+
+
+def decision_from_json(fields: dict) -> PolicyDecision:
+    """The decision :func:`decision_to_json` wrote."""
+    n_seq, r_s = np.asarray(fields["sweep_n_seq"], np.int64), np.asarray(fields["sweep_r_s"])
+    return PolicyDecision(**dict(fields, sweep_n_seq=n_seq, sweep_r_s=r_s))

@@ -155,8 +155,6 @@ def _replay_record(
         engine._replay(record)
     elif record.start_id == at:
         try:
-            if not hasattr(engine, "resplit"):
-                raise ConfigError(f"{engine.policy_name} cannot re-split its write memory")
             engine.resplit(*record.split)
         except ConfigError as exc:
             raise RecoveryError(

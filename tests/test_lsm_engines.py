@@ -53,7 +53,7 @@ class TestConventionalEngine:
         engine.ingest(rng.permutation(200).astype(np.float64))
         engine.flush_all()
         engine.verify()
-        all_tg = np.concatenate([t.tg for t in engine.run.tables])
+        all_tg = np.concatenate([t.tg for t in engine.compaction.run.tables])
         assert np.all(np.diff(all_tg) > 0)
 
     def test_incremental_ingest_equals_bulk(self):
@@ -101,7 +101,7 @@ class TestSeparationEngine:
         engine = SeparationEngine(LsmConfig(memory_budget=8, seq_capacity=4))
         # All in-order while disk is empty.
         engine.ingest(np.array([10.0, 20.0, 30.0, 40.0]))  # fills C_seq -> flush
-        assert engine.last_disk_tg == 40.0
+        assert engine.compaction.watermark() == 40.0
         # 35 < disk max -> out-of-order; 50 > -> in-order.
         engine.ingest(np.array([35.0, 50.0]))
         snapshot = engine.snapshot()
@@ -144,12 +144,12 @@ class TestSeparationEngine:
 
     def test_capacities_exposed(self):
         engine = SeparationEngine(LsmConfig(memory_budget=10, seq_capacity=3))
-        assert engine.seq_capacity == 3
-        assert engine.nonseq_capacity == 7
+        assert engine.placement.seq.capacity == 3
+        assert engine.placement.nonseq.capacity == 7
 
     def test_default_split_is_half(self):
         engine = SeparationEngine(LsmConfig(memory_budget=10))
-        assert engine.seq_capacity == 5
+        assert engine.placement.seq.capacity == 5
 
     def test_flush_all_handles_both_tables(self):
         engine = SeparationEngine(LsmConfig(memory_budget=8, seq_capacity=4))

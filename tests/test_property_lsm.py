@@ -66,7 +66,7 @@ def test_conventional_engine_invariants(tg, config):
     _check_common_invariants(engine, tg)
     # The run is one globally sorted sequence.
     all_tg = np.concatenate(
-        [t.tg for t in engine.run.tables] + [np.empty(0)]
+        [t.tg for t in engine.compaction.run.tables] + [np.empty(0)]
     )
     assert np.all(np.diff(all_tg) > 0)
 

@@ -35,7 +35,7 @@ from tests.conformance_support import (
 from repro.config import LsmConfig
 from repro.errors import QueryError
 from repro.lsm.base import Snapshot
-from repro.lsm.conventional import ConventionalEngine
+from repro.lsm import ConventionalEngine
 from repro.lsm.memtable import EMPTY_IDS, EMPTY_TG, MemTable
 from repro.lsm.pruning import TableIndex
 from repro.query.aggregation import execute_aggregate_query
@@ -127,9 +127,9 @@ def test_snapshot_cached_until_mutation():
     second = engine.snapshot()
     assert second is not first
     assert second.index is first.index         # disk unchanged: index reused
-    epoch = engine.structure_epoch
+    epoch = engine.read_version()[0]
     engine.flush_all()                         # structural change
-    assert engine.structure_epoch > epoch
+    assert engine.read_version()[0] > epoch
     third = engine.snapshot()
     assert third is not second
     assert third.index is not second.index
@@ -143,7 +143,7 @@ def test_restore_bumps_epoch_and_queries_match(tmp_path):
     restored = type(engine).restore(path)
     # _restore_state marks a structure change, so nothing stale (from a
     # subclass populating caches pre-restore) can survive it.
-    assert restored.structure_epoch > type(engine)().structure_epoch
+    assert restored.read_version()[0] > type(engine)().read_version()[0]
     stats = execute_range_query(
         restored.snapshot(), -np.inf, np.inf, collect=True
     )

@@ -29,7 +29,7 @@ this file draws the configuration.  Two levels:
   ``verify()`` must pass on all three and the visible points must be
   the reference's.
 * **The engine** (:func:`test_every_engine_answers_the_reference`): the
-  fleet builds ``LeveledEngine`` only, so the named rows of the engine
+  fleet builds the two leveled rows only, so the named rows of the engine
   table (and two composed triples) are drawn one level down — the same
   reference checks both executors on each ``PRUNING_ENGINE_FACTORIES``
   engine's snapshot, indexed and hand-built, row / columnar / half

@@ -39,7 +39,7 @@ from repro.errors import (
     TelemetryError,
 )
 from repro.faults.crashtest import run_crash_case
-from repro.lsm import CompactionEvent, LeveledEngine, WriteStats
+from repro.lsm import CompactionEvent, WriteStats
 from repro.lsm.base import Snapshot
 from repro.lsm.pruning import TableIndex
 from repro.obs import load_trace, render_trace_report, summarize_trace
@@ -843,7 +843,7 @@ class TestClosedEngine:
 
 
 class TestResplitValidatesBeforeDraining:
-    """The one re-split path — ``LeveledEngine.resplit``, reached through
+    """The one re-split path — ``StorageKernel.resplit``, reached through
     ``resize_series`` and ``create_series`` — checks the new split, the
     new budget and that the engine is open *before* it drains anything:
     a refused call leaves epoch, event log and buffered points alone."""
@@ -858,7 +858,7 @@ class TestResplitValidatesBeforeDraining:
     @staticmethod
     def _fingerprint(engine):
         return (
-            engine.structure_epoch,
+            engine.read_version()[0],
             len(engine.stats.events),
             engine.snapshot().memory_points,
             engine.current_policy,
@@ -917,7 +917,7 @@ class TestResplitValidatesBeforeDraining:
         buffered, the WAL recovers all of them — and the engine's one
         injector has counted the crash, so a retry goes through."""
         wal_path = str(tmp_path / "s.wal")
-        engine = LeveledEngine(
+        engine = ConventionalEngine(
             LsmConfig(
                 self.BUDGET,
                 32,

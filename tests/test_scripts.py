@@ -58,6 +58,23 @@ def test_uncalled_lists_only_the_names_nothing_uses(tmp_path):
     ]
 
 
+def test_uncalled_fails_on_a_name_nothing_calls(tmp_path):
+    """A public name no test uses either is a ``tests: no`` row, and the
+    script exits 1."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "api.py").write_text("def orphan():\n    pass\n")
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "uncalled.py"), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert [row.split() for row in done.stdout.splitlines()] == [
+        ["src/repro/api.py:1", "orphan", "tests:", "no"],
+        ["1", "uncalled"],
+    ]
+
+
 def test_uncalled_needs_a_package(tmp_path):
     done = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "uncalled.py"), str(tmp_path)],

@@ -38,7 +38,7 @@ from repro import (
 from repro.distributions import ExponentialDelay, LogNormalDelay
 from repro.errors import InjectedCrash
 from repro.faults import OVERLOAD_FAULT_KINDS, run_crash_case
-from repro.lsm import HEALTHY, SHEDDING, THROTTLED, LeveledEngine, LsmEngine, SSTable
+from repro.lsm import HEALTHY, SHEDDING, THROTTLED, LsmEngine, SSTable
 from repro.lsm.sstable import POINT_BYTES
 from repro.lsm.policies import (
     LeveledSingleRun,
@@ -594,7 +594,7 @@ def test_admission_debt_equals_its_definition_after_every_step(
             mark = engine.compaction.watermark()
             engine.convert_cold(max_tg=mark / 2 if mark > 0 else None, block_size=4)
         elif step == "resplit":
-            if not isinstance(engine, LeveledEngine):
+            if not isinstance(engine, (ConventionalEngine, SeparationEngine)):
                 continue
             n_seq = engine.config.seq_capacity
             engine.resplit(None if n_seq is not None else int(rng.integers(8, 56)))
@@ -632,7 +632,7 @@ def test_admission_reads_statistics_only_of_tables_a_landing_touched(
     engine.ingest(dataset.tg[:loaded])
     if _COLD_MODES[cold] is not None:
         _convert_aged(engine, _COLD_MODES[cold])
-    resident_before = {table.table_id for table in engine.run.tables}
+    resident_before = {table.table_id for table in engine.compaction.run.tables}
     assert len(resident_before) >= 500
     first_new_id = SSTable(np.zeros(1), np.zeros(1, dtype=np.int64)).table_id
 
@@ -649,7 +649,7 @@ def test_admission_reads_statistics_only_of_tables_a_landing_touched(
     monkeypatch.undo()
 
     assert engine.stats.user_points == admitted_before + 128_000
-    removed = resident_before - {table.table_id for table in engine.run.tables}
+    removed = resident_before - {table.table_id for table in engine.compaction.run.tables}
     assert removed, "the stream must rewrite some of the loaded tables"
     assert all(read in removed or read >= first_new_id for read in reads)
     # Each table is read at most once entering and once leaving.
