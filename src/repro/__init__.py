@@ -53,9 +53,7 @@ from .core import (
     PolicyDecision,
     SeparationWaBreakdown,
     ZetaModel,
-    g_out_of_order,
     predict_wa_conventional,
-    predict_wa_separation,
     separation_breakdown,
     tune_separation_policy,
     zeta,
@@ -143,8 +141,6 @@ from .workloads import (
     TABLE_II,
     generate_fleet,
     TimeSeriesDataset,
-    build_dataset,
-    dataset_names,
     generate_dynamic,
     generate_s9,
     generate_synthetic,
@@ -167,9 +163,7 @@ __all__ = [
     "ZetaModel",
     "zeta",
     "InOrderCurve",
-    "g_out_of_order",
     "predict_wa_conventional",
-    "predict_wa_separation",
     "separation_breakdown",
     "SeparationWaBreakdown",
     "tune_separation_policy",
@@ -229,8 +223,6 @@ __all__ = [
     "generate_s9",
     "generate_vehicle_h",
     "generate_fleet",
-    "build_dataset",
-    "dataset_names",
     "TABLE_II",
     # distributions
     "DelayDistribution",

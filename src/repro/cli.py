@@ -39,7 +39,13 @@ import time
 from .config import DEFAULT_MEMORY_BUDGET, DEFAULT_SSTABLE_SIZE
 from .errors import ReproError
 from .experiments import experiment_ids, registry
-from .obs import JsonlFileSink, configure_telemetry, load_trace, render_trace_report
+from .obs import (
+    JsonlFileSink,
+    configure_telemetry,
+    load_trace,
+    render_trace_report,
+    reset_global_telemetry,
+)
 from .tables import format_table
 
 
@@ -66,22 +72,29 @@ def _list(args: argparse.Namespace) -> int:
 
 def _experiments(args: argparse.Namespace) -> int:
     """``<id>`` and ``all``: run each experiment in turn and print its
-    result as soon as it finishes."""
-    if args.trace is not None:
+    result as soon as it finishes.  ``--trace`` holds the process-global
+    bus for this run only: it is closed and disabled when the run ends,
+    so a later command in the same process appends nothing to the file."""
+    traced = args.trace is not None
+    if traced:
         configure_telemetry(JsonlFileSink(args.trace))
     ids = experiment_ids() if args.command == "all" else [args.command]
-    for experiment_id in ids:
-        started = time.perf_counter()
-        result = registry.run_experiment(
-            experiment_id, scale=args.scale, seed=args.seed
-        )
-        duration_s = time.perf_counter() - started
-        print(result.render())
-        if args.csv_dir is not None:
-            for path in result.save_csv(args.csv_dir):
-                print(f"[wrote {path}]")
-        print(f"\n[{experiment_id} completed in {duration_s:.1f}s]\n", flush=True)
-    if args.trace is not None:
+    try:
+        for experiment_id in ids:
+            started = time.perf_counter()
+            result = registry.run_experiment(
+                experiment_id, scale=args.scale, seed=args.seed
+            )
+            duration_s = time.perf_counter() - started
+            print(result.render())
+            if args.csv_dir is not None:
+                for path in result.save_csv(args.csv_dir):
+                    print(f"[wrote {path}]")
+            print(f"\n[{experiment_id} completed in {duration_s:.1f}s]\n", flush=True)
+    finally:
+        if traced:
+            reset_global_telemetry()
+    if traced:
         print(f"[telemetry trace written to {args.trace}]")
     return 0
 

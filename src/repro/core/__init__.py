@@ -18,26 +18,19 @@ from .allocation import (
     fleet_objective,
 )
 from .analyzer import DelayAnalyzer, DelayProfile
-from .arrival_ratio import InOrderCurve, expected_in_order, g_out_of_order
+from .arrival_ratio import InOrderCurve
 from .drift import KsDriftDetector
 from .subsequent import ZetaModel, zeta
 from .tuning import CONVENTIONAL, SEPARATION, PolicyDecision, tune_separation_policy
 from .wa_conventional import predict_wa_conventional
-from .wa_separation import (
-    SeparationWaBreakdown,
-    predict_wa_separation,
-    separation_breakdown,
-)
+from .wa_separation import SeparationWaBreakdown, separation_breakdown
 
 __all__ = [
     "InOrderCurve",
-    "expected_in_order",
-    "g_out_of_order",
     "ZetaModel",
     "zeta",
     "predict_wa_conventional",
     "SeparationWaBreakdown",
-    "predict_wa_separation",
     "separation_breakdown",
     "PolicyDecision",
     "tune_separation_policy",

@@ -225,13 +225,6 @@ class RebalanceDecision:
     #: Budget the solver divided (points).
     total_budget: int
 
-    def budget_for(self, name: str) -> int | None:
-        """Allocated budget for ``name`` (None when not in this tick)."""
-        for allocation in self.allocations:
-            if allocation.name == name:
-                return allocation.budget
-        return None
-
 
 class MemoryArbiter:
     """Online controller over :func:`allocate_budgets`.

@@ -7,15 +7,13 @@ arrival after a flush is in-order with probability ``F(iota_i)``, where
 out-of-order.  With points generated (and, in steady state, arriving) at
 one per ``dt``, we use the paper's approximation ``iota_i ~= i * dt``.
 
-Two directions are provided:
-
-* :func:`expected_in_order` — given ``alpha`` arrivals, the expected
-  number of in-order points ``x = sum_{i=1..alpha} F(i * dt)``;
-* :func:`g_out_of_order` — the paper's ``g``: the expected number of
-  out-of-order arrivals accompanying ``n_seq`` in-order arrivals, i.e.
-  ``g(n_seq) = alpha - n_seq`` where ``alpha`` solves
-  ``expected_in_order(alpha) = n_seq`` (Eq. 1 inverted, since a phase is
-  driven by ``C_seq`` filling with exactly ``n_seq`` in-order points).
+:class:`InOrderCurve` holds the expected number of in-order points among
+``alpha`` arrivals, ``X(alpha) = sum_{i=1..alpha} F(i * dt)``, and
+inverts it: :meth:`~InOrderCurve.g` is the paper's ``g``, the expected
+number of out-of-order arrivals accompanying ``n_seq`` in-order
+arrivals, i.e. ``g(n_seq) = alpha - n_seq`` where ``alpha`` solves
+``X(alpha) = n_seq`` (Eq. 1 inverted, since a phase is driven by
+``C_seq`` filling with exactly ``n_seq`` in-order points).
 """
 
 from __future__ import annotations
@@ -27,19 +25,18 @@ import numpy as np
 from ..distributions import DelayDistribution
 from ..errors import ModelError
 
-__all__ = ["InOrderCurve", "expected_in_order", "g_out_of_order"]
+__all__ = ["InOrderCurve"]
 
 #: Hard cap on the number of arrivals explored while inverting Eq. 1;
 #: prevents runaway loops for distributions whose CDF never leaves 0.
 _MAX_ARRIVALS = 200_000_000
-_CHUNK = 65_536
 #: Entries an inversion starts the table with; it doubles from there.
 #: A 512-point budget is usually inverted inside the first few thousand
 #: arrivals, and every entry is a CDF evaluation.
 _FIRST = 4096
 #: Entries that are one running sum (see :meth:`InOrderCurve._grow`):
 #: the size the table's first step had when it was taken in one.
-_HEAD = 2 * _CHUNK
+_HEAD = 131_072
 
 
 class InOrderCurve:
@@ -85,17 +82,6 @@ class InOrderCurve:
         else:
             grown = self._cumulative[-1] + np.cumsum(probs)
         self._cumulative = np.concatenate((self._cumulative, grown))
-
-    def expected_in_order(self, alpha: int) -> float:
-        """``X(alpha)``: expected in-order points among ``alpha`` arrivals."""
-        if alpha < 0:
-            raise ModelError(f"alpha must be non-negative, got {alpha}")
-        if alpha == 0:
-            return 0.0
-        current = self._cumulative.size
-        if current < alpha:
-            self._grow(current + max(_CHUNK, alpha - current))
-        return float(self._cumulative[alpha - 1])
 
     def arrivals_for_in_order(self, n_seq: float) -> float:
         """Smallest (fractional) ``alpha`` with ``X(alpha) >= n_seq``.
@@ -151,13 +137,3 @@ class InOrderCurve:
         in-order arrivals (``alpha - n_seq``)."""
         alpha = self.arrivals_for_in_order(n_seq)
         return max(alpha - float(n_seq), 0.0)
-
-
-def expected_in_order(dist: DelayDistribution, dt: float, alpha: int) -> float:
-    """Convenience wrapper: ``X(alpha)`` without keeping a curve around."""
-    return InOrderCurve(dist, dt).expected_in_order(alpha)
-
-
-def g_out_of_order(dist: DelayDistribution, dt: float, n_seq: float) -> float:
-    """Convenience wrapper for ``g(n_seq)``."""
-    return InOrderCurve(dist, dt).g(n_seq)

@@ -185,12 +185,6 @@ class ZetaModel:
 
     # -- public API ---------------------------------------------------------------
 
-    @property
-    def rows_held(self) -> int:
-        """Cumulative stream rows in memory; at most
-        ``_HELD_BLOCKS * _BLOCK_ROWS``."""
-        return sum(block.filled for block in self._held.values())
-
     def zeta(self, n: float) -> float:
         """Expected subsequent points for a buffer of ``n`` points.
 

@@ -35,7 +35,7 @@ from ..errors import ModelError
 from .arrival_ratio import InOrderCurve
 from .subsequent import ZetaModel
 
-__all__ = ["SeparationWaBreakdown", "predict_wa_separation", "separation_breakdown"]
+__all__ = ["SeparationWaBreakdown", "separation_breakdown"]
 
 #: Below this expected out-of-order count per fill, ``C_nonseq`` would
 #: essentially never fill: phases are unbounded and WA tends to 1.
@@ -132,24 +132,3 @@ def separation_breakdown(
         wa_eq5=n_bef / n_arrive + 1.0 + (n_nonseq + n_seq_last) / n_arrive,
         wa=(n_cur + n_bef + n_arrive) / n_arrive,
     )
-
-
-def predict_wa_separation(
-    dist: DelayDistribution,
-    dt: float,
-    memory_budget: int,
-    n_seq: int,
-    config: ModelConfig = DEFAULT_MODEL_CONFIG,
-    zeta_model: ZetaModel | None = None,
-    in_order_curve: InOrderCurve | None = None,
-) -> float:
-    """Estimate ``r_s(n_seq)`` (Eq. 5)."""
-    return separation_breakdown(
-        dist,
-        dt,
-        memory_budget,
-        n_seq,
-        config=config,
-        zeta_model=zeta_model,
-        in_order_curve=in_order_curve,
-    ).wa

@@ -9,8 +9,8 @@ with PDF ``f`` and CDF ``F`` (Section II).  This package provides:
   Figure 17's dynamic workload, and a Pareto tail;
 * :class:`EmpiricalDelay` — the analyzer's data-driven profile;
 * :class:`MixtureDelay`, :class:`ShiftedDelay` and
-  :func:`periodic_batch_delay`, which with the exponential and Pareto
-  laws are the fidelity gate's non-lognormal rows
+  :class:`DiscreteDelay`, which with the exponential and Pareto laws
+  are the fidelity gate's non-lognormal rows
   (``tests/test_fidelity_gate.py``).
 
 Every constructor rejects a NaN or infinite parameter with
@@ -19,7 +19,7 @@ Every constructor rejects a NaN or infinite parameter with
 
 from .base import DelayDistribution
 from .composite import MixtureDelay, ShiftedDelay
-from .discrete import DiscreteDelay, periodic_batch_delay
+from .discrete import DiscreteDelay
 from .empirical import EmpiricalDelay
 from .parametric import (
     ExponentialDelay,
@@ -41,6 +41,5 @@ __all__ = [
     "EmpiricalDelay",
     "MixtureDelay",
     "DiscreteDelay",
-    "periodic_batch_delay",
     "ShiftedDelay",
 ]

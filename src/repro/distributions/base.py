@@ -106,21 +106,6 @@ class DelayDistribution(abc.ABC):
         """Upper end of the support; ``inf`` for unbounded distributions."""
         return math.inf
 
-    # -- grids for numerical integration --------------------------------------
-
-    def quadrature_grid(self, nodes: int, tail_mass: float) -> np.ndarray:
-        """A grid of delay values concentrated where the density lives.
-
-        Returns the quantiles of ``nodes`` equally spaced probability
-        levels in ``[tail_mass, 1 - tail_mass]``, plus 0.  The models
-        integrate ``f(x) * (...)`` over this grid with the trapezoid
-        rule, which adapts naturally to heavy tails.
-        """
-        levels = np.linspace(tail_mass, 1.0 - tail_mass, nodes)
-        grid = np.asarray(self.quantile(levels), dtype=float)
-        grid = np.unique(np.concatenate(([0.0], grid)))
-        return grid
-
     # -- helpers ---------------------------------------------------------------
 
     def _quantile_upper_bound(self) -> float:

@@ -1,9 +1,9 @@
 """Discrete delay distributions: a finite set of atoms.
 
-:func:`periodic_batch_delay` is a row of the fidelity gate
-(``tests/test_fidelity_gate.py``): most points ship at once and the rest
-wait for one of a few re-send ticks.  A one-atom :class:`DiscreteDelay`
-is the constant delay the model-identity tests use.  The WA models
+The fidelity gate's periodic-batch row (``tests/test_fidelity_gate.py``)
+is a :class:`DiscreteDelay`: most points ship at once and the rest wait
+for one of a few re-send ticks.  A one-atom :class:`DiscreteDelay` is
+the constant delay the model-identity tests use.  The WA models
 consume atoms like any other law, because their quadrature works on
 quantiles, never on densities.
 """
@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import DistributionError
 from .base import DelayDistribution, check_finite
 
-__all__ = ["DiscreteDelay", "periodic_batch_delay"]
+__all__ = ["DiscreteDelay"]
 
 
 class DiscreteDelay(DelayDistribution):
@@ -46,16 +46,6 @@ class DiscreteDelay(DelayDistribution):
         self._weights = wts[order] / wts.sum()
         self._cum = np.cumsum(self._weights)
         self.name = f"discrete({vals.size} atoms)"
-
-    @property
-    def atoms(self) -> np.ndarray:
-        """Sorted delay values (copy)."""
-        return self._values.copy()
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Normalised weights aligned with :attr:`atoms` (copy)."""
-        return self._weights.copy()
 
     def pdf(self, x):
         # Atomic distribution: densities are not meaningful; report 0.
@@ -96,36 +86,3 @@ class DiscreteDelay(DelayDistribution):
             f"weights={self._weights.tolist()!r})"
         )
 
-
-def periodic_batch_delay(
-    period: float,
-    batch_weight: float,
-    ticks: int = 4,
-    tick_decay: float = 0.5,
-) -> DiscreteDelay:
-    """Atoms at 0 and at re-send ticks ``period, 2*period, ...``.
-
-    Mass ``1 - batch_weight`` ships immediately; the rest waits for the
-    next tick, with geometrically decaying probability of needing
-    further ticks (``tick_decay`` per extra period).
-    """
-    check_finite(period=period)
-    if period <= 0:
-        raise DistributionError(f"period must be positive, got {period}")
-    if not 0 <= batch_weight < 1:
-        raise DistributionError(
-            f"batch_weight must be in [0, 1), got {batch_weight}"
-        )
-    if ticks < 1:
-        raise DistributionError(f"ticks must be >= 1, got {ticks}")
-    if not 0 < tick_decay < 1:
-        raise DistributionError(
-            f"tick_decay must be in (0, 1), got {tick_decay}"
-        )
-    values = [0.0] + [period * k for k in range(1, ticks + 1)]
-    tick_weights = np.asarray(
-        [tick_decay**k for k in range(ticks)], dtype=float
-    )
-    tick_weights = batch_weight * tick_weights / tick_weights.sum()
-    weights = [1.0 - batch_weight, *tick_weights.tolist()]
-    return DiscreteDelay(values, weights)

@@ -64,16 +64,6 @@ class EmpiricalDelay(DelayDistribution):
         self._hist_edges = edges
         self.name = f"empirical(n={self._n})"
 
-    @property
-    def sample_count(self) -> int:
-        """Number of observations backing this distribution."""
-        return self._n
-
-    @property
-    def observations(self) -> np.ndarray:
-        """Sorted copy of the backing sample."""
-        return self._sorted.copy()
-
     def pdf(self, x):
         arr = np.asarray(x, dtype=float)
         idx = np.searchsorted(self._hist_edges, arr, side="right") - 1

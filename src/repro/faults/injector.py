@@ -118,20 +118,6 @@ class FaultPlan:
             if value < 1:
                 raise FaultError(f"{name} must be >= 1, got {value}")
 
-    @property
-    def any_armed(self) -> bool:
-        """True when this plan can inject at least one fault."""
-        return (
-            self.crash_at_flush is not None
-            or self.crash_at_merge is not None
-            or self.torn_wal_append_at is not None
-            or self.corrupt_checkpoint
-            or self.transient_flush_faults > 0
-            or self.transient_merge_faults > 0
-            or self.fsync_delay_ms > 0
-            or self.merge_delay_ms > 0
-        )
-
     def delay_for(self, site: str) -> tuple[float, int]:
         """``(delay_ms, every)`` armed for a :data:`DELAY_SITES` entry."""
         if site == "wal.fsync":
@@ -272,14 +258,3 @@ class FaultInjector:
             byte = handle.read(1)
             handle.seek(offset)
             handle.write(bytes([byte[0] ^ 0xFF]))
-
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def injected_count(self) -> int:
-        """Total faults delivered so far."""
-        return len(self.injected)
-
-    def occurrences(self, site: str) -> int:
-        """How many times ``site`` has fired."""
-        return self.counts.get(site, 0)

@@ -86,10 +86,6 @@ class MemTableView:
             return math.inf, -math.inf
         return float(self.tg.min()), float(self.tg.max())
 
-    def count_in_range(self, lo: float, hi: float) -> int:
-        """Points with ``lo <= tg <= hi`` (linear scan; memtables are small)."""
-        return int(np.count_nonzero((self.tg >= lo) & (self.tg <= hi)))
-
     def __len__(self) -> int:
         return int(self.tg.size)
 

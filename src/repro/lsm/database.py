@@ -317,11 +317,14 @@ class TimeSeriesDatabase:
         return DelayAnalyzer(config.memory_budget, sstable_size=config.sstable_size)
 
     def series(self, name: str) -> SeriesState:
-        """Look up a registered series."""
+        """Look up a registered series; a ``name`` that is no ``str``
+        (an unhashable one included) is an :class:`EngineError`."""
         try:
             return self._series[name]
-        except KeyError:
-            raise EngineError(f"unknown series {name!r}") from None
+        except (KeyError, TypeError):
+            pass
+        check_series_name(name)
+        raise EngineError(f"unknown series {name!r}")
 
     def series_names(self) -> list[str]:
         """All registered series names."""
@@ -348,7 +351,11 @@ class TimeSeriesDatabase:
         the batch verbatim.
         """
         tg = np.ascontiguousarray(tg, dtype=np.float64)
-        state = self._series.get(name)
+        try:
+            state = self._series[name]
+        except (KeyError, TypeError):
+            # A TypeError is an unhashable name: create_series rejects it.
+            state = None
         if state is None:
             # The engine checks the batch below, but that is too late to
             # stop a rejected first batch from registering an empty series.

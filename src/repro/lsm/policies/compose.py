@@ -135,6 +135,13 @@ COMPACTIONS = {
     "iotdb": IoTDBTwoSpace,
 }
 
+#: ``{compaction: {parameter: default}}``: what each compaction policy
+#: takes, read off its signature once rather than per engine built.
+_PARAMETERS = {
+    name: {arg: param.default for arg, param in inspect.signature(cls).parameters.items()}
+    for name, cls in COMPACTIONS.items()
+}
+
 #: Natural flush strategy for a (placement, compaction) pair: leveled
 #: structures merge on full, append-friendly structures never do; split
 #: placements follow the separation protocol except on IoTDB's two-space
@@ -221,18 +228,12 @@ def engine_class(name: str):
     return next((globals()[row.engine] for row in ENGINES if row.engine == name), None)
 
 
-def _parameters(compaction: str) -> dict:
-    """The parameters ``compaction`` takes, with their defaults."""
-    signature = inspect.signature(COMPACTIONS[compaction])
-    return {name: param.default for name, param in signature.parameters.items()}
-
-
 def _check_parameters(compaction: str, params: dict) -> dict:
     """``params`` once every name is one ``compaction`` takes and every
     value is of its kind (an ``int`` is not a ``bool``; a ``DiskModel``
     may come as the ``dict`` a checkpoint stores it as): parameters are
     outside input — a checkpoint's, a caller's — wherever a row is built."""
-    takes = _parameters(compaction)
+    takes = _PARAMETERS[compaction]
     unknown = sorted(set(params) - set(takes))
     if unknown:
         raise EngineError(
@@ -373,7 +374,7 @@ def _named_engine(name: str) -> type[ComposedEngine]:
     rows = [row for row in ENGINES if row.engine == name]
     first = rows[0]
     defaults = {
-        "config": None, **first.selector, **_parameters(first.compaction),
+        "config": None, **first.selector, **_PARAMETERS[first.compaction],
         "telemetry": None, "faults": None,
     }
     parameter = inspect.Parameter

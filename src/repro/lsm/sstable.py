@@ -150,12 +150,6 @@ class SSTable:
         """True when the table's range intersects ``[lo, hi]``."""
         return interval_overlaps(self.min_tg, self.max_tg, lo, hi)
 
-    def count_in_range(self, lo: float, hi: float) -> int:
-        """Number of points with ``lo <= tg <= hi`` (binary search)."""
-        tg = self.tg
-        left = int(tg.searchsorted(lo, side="left"))
-        return max(int(tg.searchsorted(hi, side="right")) - left, 0)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SSTable(id={self.table_id}, n={len(self)}, "

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..config import is_integer
 from ..errors import CheckpointCorruptError, EngineError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -276,20 +277,20 @@ class WriteStats:
             return float("nan")
         return self.disk_writes / self.user_points
 
-    def merge_events(self) -> list[CompactionEvent]:
-        """Only the merge (compaction) events."""
-        return [e for e in self.events if e.kind == "merge"]
-
     def wa_timeline(self, window_points: int) -> tuple[np.ndarray, np.ndarray]:
         """WA measured per window of ``window_points`` user points.
 
         Mirrors Figure 10's methodology: "the total writing times of all
         data points were recorded for each 512 data points to write from
         the user's view".  Returns ``(arrival_index, wa)`` arrays where
-        entry ``k`` covers user points ``(k*w, (k+1)*w]``.
+        entry ``k`` covers user points ``(k*w, (k+1)*w]``.  A
+        ``window_points`` that is not an integer ``>= 1`` (``bool``
+        included) is an :class:`EngineError`.
         """
-        if window_points < 1:
-            raise EngineError("window_points must be >= 1")
+        if not is_integer(window_points) or window_points < 1:
+            raise EngineError(
+                f"window_points must be an integer >= 1, got {window_points!r:.80}"
+            )
         if not self.events or self.user_points == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=float)
         edges = np.arange(

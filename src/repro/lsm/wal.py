@@ -337,11 +337,6 @@ class WriteAheadLog:
             telemetry.count("wal.group_commits")
             telemetry.count("wal.group_records", records)
 
-    @property
-    def pending_records(self) -> int:
-        """Acknowledged records not yet committed to the file."""
-        return len(self._pending)
-
     def size_bytes(self) -> int:
         """Durable bytes on disk (0 before the first commit).
 

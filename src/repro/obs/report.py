@@ -159,11 +159,6 @@ class TraceSummary:
         return self.query_disk_points_read / self.query_result_points
 
     @property
-    def merge_rewritten_points(self) -> int:
-        """Points rewritten by merge compactions across the trace."""
-        return self.compactions.get("merge", Counter())["rewritten_points"]
-
-    @property
     def coalescing_ratio(self) -> float:
         """Mean WAL records per coalesced write (1.0 = per-record)."""
         if self.group_commits == 0:

@@ -51,10 +51,6 @@ class Span:
         """Attach result fields (counts, sizes) before the span closes."""
         self.fields.update(fields)
 
-    def rename(self, name: str) -> None:
-        """Re-label the span once its real kind is known (flush vs merge)."""
-        self.name = name
-
     def __enter__(self) -> "Span":
         telemetry = self._telemetry
         telemetry._depth += 1
@@ -90,9 +86,6 @@ class _NullSpan:
     fields: dict = {}
 
     def set(self, **fields) -> None:
-        pass
-
-    def rename(self, name: str) -> None:
         pass
 
     def __enter__(self) -> "_NullSpan":

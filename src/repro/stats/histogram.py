@@ -43,18 +43,6 @@ class Histogram:
         widths = np.where(self.widths > 0, self.widths, 1.0)
         return self.counts / (total * widths)
 
-    def proportions(self) -> np.ndarray:
-        """Per-bin probability mass."""
-        total = self.total
-        if total == 0:
-            return np.zeros_like(self.counts, dtype=float)
-        return self.counts / total
-
-    def mode_bin(self) -> tuple[float, float]:
-        """(left edge, right edge) of the most populated bin."""
-        idx = int(np.argmax(self.counts))
-        return float(self.edges[idx]), float(self.edges[idx + 1])
-
 
 def build_histogram(
     samples: np.ndarray,

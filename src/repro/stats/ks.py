@@ -28,10 +28,6 @@ class KsResult:
     n1: int
     n2: int
 
-    def rejects_same_distribution(self, alpha: float = 0.01) -> bool:
-        """True when the samples differ at significance level ``alpha``."""
-        return self.pvalue < alpha
-
 
 def kolmogorov_sf(t: float, terms: int = 100) -> float:
     """Survival function of the Kolmogorov distribution.

@@ -45,14 +45,6 @@ class SlidingWindowSample:
         """True once the window holds ``capacity`` observations."""
         return self._size == self.capacity
 
-    def offer(self, value: float) -> None:
-        """Observe one value (oldest drops out when full)."""
-        self._ring[self._head] = value
-        self._head = (self._head + 1) % self.capacity
-        if self._size < self.capacity:
-            self._size += 1
-        self._seen += 1
-
     def offer_many(self, values: np.ndarray) -> None:
         """Observe a batch of values."""
         values = np.asarray(values, dtype=float).ravel()
@@ -70,9 +62,3 @@ class SlidingWindowSample:
             # Not yet wrapped: slots fill from 0 in arrival order.
             return self._ring[: self._size].copy()
         return np.concatenate((self._ring[self._head :], self._ring[: self._head]))
-
-    def reset(self) -> None:
-        """Forget everything."""
-        self._head = 0
-        self._size = 0
-        self._seen = 0

@@ -9,20 +9,14 @@
   mobile-transmission dataset (Figures 8, 11, 18);
 * :mod:`repro.workloads.vehicle` — simulated stand-in for the real
   vehicle-industry dataset H (Section VI, Figures 16, 19, 20);
-* :mod:`repro.workloads.io` — CSV/NPZ persistence.
+* :mod:`repro.workloads.io` — CSV persistence.
 """
 
-from .catalog import (
-    PAPER_POINTS,
-    TABLE_II,
-    SyntheticSpec,
-    build_dataset,
-    dataset_names,
-)
+from .catalog import PAPER_POINTS, TABLE_II, SyntheticSpec
 from .dataset import TimeSeriesDataset
 from .dynamic import DelaySegment, figure10_segments, generate_dynamic
 from .fleet import generate_fleet
-from .io import load_csv, load_npz, save_csv, save_npz
+from .io import load_csv, save_csv
 from .s9 import S9_MEMORY_BUDGET, S9_POINTS, generate_s9
 from .synthetic import arrival_order, generate_synthetic
 from .vehicle import H_DT_MS, H_POINTS, H_RESEND_PERIOD_MS, generate_vehicle_h
@@ -34,8 +28,6 @@ __all__ = [
     "SyntheticSpec",
     "TABLE_II",
     "PAPER_POINTS",
-    "build_dataset",
-    "dataset_names",
     "DelaySegment",
     "generate_dynamic",
     "generate_fleet",
@@ -49,6 +41,4 @@ __all__ = [
     "H_RESEND_PERIOD_MS",
     "save_csv",
     "load_csv",
-    "save_npz",
-    "load_npz",
 ]

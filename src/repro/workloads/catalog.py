@@ -23,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..distributions import LogNormalDelay
-from ..errors import WorkloadError
 from .dataset import TimeSeriesDataset
 from .synthetic import generate_synthetic
 
-__all__ = ["SyntheticSpec", "TABLE_II", "dataset_names", "build_dataset"]
+__all__ = ["SyntheticSpec", "TABLE_II"]
 
 #: Points per dataset in the paper ("for each dataset, there are 10
 #: million tuples").  Experiments here default to a scaled-down count.
@@ -74,17 +73,3 @@ def _grid() -> dict[str, SyntheticSpec]:
 
 #: Name -> spec for M1..M12.
 TABLE_II: dict[str, SyntheticSpec] = _grid()
-
-
-def dataset_names() -> list[str]:
-    """``["M1", ..., "M12"]`` in catalog order."""
-    return list(TABLE_II)
-
-
-def build_dataset(name: str, n_points: int, seed: int = 0) -> TimeSeriesDataset:
-    """Materialise catalog dataset ``name`` with ``n_points`` tuples."""
-    if name not in TABLE_II:
-        raise WorkloadError(
-            f"unknown dataset {name!r}; catalog has {dataset_names()}"
-        )
-    return TABLE_II[name].build(n_points=n_points, seed=seed)

@@ -73,22 +73,6 @@ class TimeSeriesDataset:
             return 0.0
         return float(self.out_of_order_mask().mean())
 
-    def late_event_fraction(self) -> float:
-        """Fraction of *late events*: points generated before their
-        immediate predecessor in arrival order.
-
-        Section II distinguishes this stream-processing notion (compare
-        two *consecutive* arrivals) from out-of-order points (compare
-        against the latest generation time seen so far).  The two can
-        differ wildly — a single straggler makes one late event but can
-        make every point around it out-of-order — which is why the paper
-        rejects the late-event percentage as a disorder measure for LSM
-        buffering.
-        """
-        if self.tg.size < 2:
-            return 0.0
-        return float(np.mean(self.tg[1:] < self.tg[:-1]))
-
     def generation_intervals(self) -> np.ndarray:
         """Gaps between consecutive generation times (sorted by ``t_g``)."""
         if self.tg.size < 2:

@@ -1,9 +1,8 @@
-"""Dataset persistence: CSV (portable) and NPZ (fast) round-trips."""
+"""Dataset persistence: a CSV round-trip."""
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +10,7 @@ import numpy as np
 from ..errors import WorkloadError
 from .dataset import TimeSeriesDataset
 
-__all__ = ["save_csv", "load_csv", "save_npz", "load_npz"]
+__all__ = ["save_csv", "load_csv"]
 
 
 def save_csv(dataset: TimeSeriesDataset, path: str | Path) -> None:
@@ -55,28 +54,3 @@ def load_csv(path: str | Path, name: str | None = None) -> TimeSeriesDataset:
         dt=None,
         metadata={"source": str(path)},
     )
-
-
-def save_npz(dataset: TimeSeriesDataset, path: str | Path) -> None:
-    """Write the dataset as a compressed NPZ with JSON-encoded metadata."""
-    np.savez_compressed(
-        Path(path),
-        tg=dataset.tg,
-        ta=dataset.ta,
-        name=np.asarray(dataset.name),
-        dt=np.asarray(np.nan if dataset.dt is None else dataset.dt),
-        metadata=np.asarray(json.dumps(dataset.metadata, default=str)),
-    )
-
-
-def load_npz(path: str | Path) -> TimeSeriesDataset:
-    """Read a dataset written by :func:`save_npz`."""
-    with np.load(Path(path), allow_pickle=False) as archive:
-        dt = float(archive["dt"])
-        return TimeSeriesDataset(
-            name=str(archive["name"]),
-            tg=archive["tg"],
-            ta=archive["ta"],
-            dt=None if np.isnan(dt) else dt,
-            metadata=json.loads(str(archive["metadata"])),
-        )

@@ -11,6 +11,7 @@ from repro import (
     SeparationEngine,
     Telemetry,
     execute_range_query,
+    global_telemetry,
     reset_global_telemetry,
 )
 from repro.cli import main
@@ -153,3 +154,13 @@ class TestTraceOption:
         # And the captured trace feeds back into the report subcommand.
         assert main(["report", str(path)]) == 0
         assert "experiment" in capsys.readouterr().out
+
+    def test_a_traced_run_leaves_the_global_bus_disabled(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        assert main(["concepts", "--trace", str(path)]) == 0
+        traced = path.read_text()
+        assert traced.count("\n") == 1
+        assert not global_telemetry().enabled
+        # A later untraced run in the same process appends nothing.
+        assert main(["concepts"]) == 0
+        assert path.read_text() == traced

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from repro import ExponentialDelay, LogNormalDelay, UniformDelay
-from repro.core import InOrderCurve, expected_in_order, g_out_of_order
+from repro.core import InOrderCurve
 from repro.distributions import DiscreteDelay
 from repro.errors import ModelError
 
 
 class TestExpectedInOrder:
+    """Eq. 1, ``X(alpha) = sum F(i*dt)``, read through its inverse: the
+    curve answers how many arrivals bring ``x`` in-order points."""
+
     def test_zero_arrivals(self):
-        assert expected_in_order(ExponentialDelay(10.0), 50.0, 0) == 0.0
+        assert InOrderCurve(ExponentialDelay(10.0), 50.0).arrivals_for_in_order(0) == 0.0
 
     def test_matches_direct_sum(self):
         dist = LogNormalDelay(4.0, 1.5)
@@ -19,51 +22,51 @@ class TestExpectedInOrder:
         direct = float(
             np.sum(dist.cdf(dt * np.arange(1, 101, dtype=float)))
         )
-        assert expected_in_order(dist, dt, 100) == pytest.approx(direct)
+        assert InOrderCurve(dist, dt).arrivals_for_in_order(direct) == pytest.approx(100)
 
     def test_monotone_in_alpha(self):
         curve = InOrderCurve(ExponentialDelay(100.0), 10.0)
-        values = [curve.expected_in_order(a) for a in (1, 10, 100, 1000)]
+        values = [curve.arrivals_for_in_order(x) for x in (1, 10, 100, 1000)]
         assert values == sorted(values)
         assert values[-1] > values[0]
 
     def test_tiny_delays_make_everything_in_order(self):
         # Delays far below dt: every arrival is in order.
-        assert expected_in_order(
-            DiscreteDelay([0.0], [1.0]), 50.0, 100
-        ) == pytest.approx(100.0)
+        curve = InOrderCurve(DiscreteDelay([0.0], [1.0]), 50.0)
+        assert curve.arrivals_for_in_order(100) == pytest.approx(100.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ModelError):
             InOrderCurve(ExponentialDelay(1.0), 0.0)
         with pytest.raises(ModelError):
-            InOrderCurve(ExponentialDelay(1.0), 1.0).expected_in_order(-1)
+            InOrderCurve(ExponentialDelay(1.0), 1.0).arrivals_for_in_order(-1)
 
 
 class TestG:
     def test_zero_for_ordered_workload(self):
-        assert g_out_of_order(DiscreteDelay([0.0], [1.0]), 50.0, 100) == 0.0
+        assert InOrderCurve(DiscreteDelay([0.0], [1.0]), 50.0).g(100) == 0.0
 
     def test_positive_under_disorder(self):
-        g = g_out_of_order(LogNormalDelay(5.0, 2.0), 50.0, 256)
+        g = InOrderCurve(LogNormalDelay(5.0, 2.0), 50.0).g(256)
         assert g > 1.0
 
     def test_grows_with_delay_scale(self):
-        mild = g_out_of_order(LogNormalDelay(4.0, 1.5), 50.0, 256)
-        severe = g_out_of_order(LogNormalDelay(5.0, 2.0), 50.0, 256)
+        mild = InOrderCurve(LogNormalDelay(4.0, 1.5), 50.0).g(256)
+        severe = InOrderCurve(LogNormalDelay(5.0, 2.0), 50.0).g(256)
         assert severe > mild
 
     def test_shrinks_with_dt(self):
         dist = LogNormalDelay(5.0, 2.0)
-        dense = g_out_of_order(dist, 10.0, 256)
-        sparse = g_out_of_order(dist, 100.0, 256)
+        dense = InOrderCurve(dist, 10.0).g(256)
+        sparse = InOrderCurve(dist, 100.0).g(256)
         assert dense > sparse
 
     def test_inversion_consistency(self):
         # alpha arrivals should produce the in-order count that inverts
         # back to (approximately) alpha.
-        curve = InOrderCurve(LogNormalDelay(4.0, 1.5), 50.0)
-        in_order = curve.expected_in_order(500)
+        dist = LogNormalDelay(4.0, 1.5)
+        curve = InOrderCurve(dist, 50.0)
+        in_order = float(np.sum(dist.cdf(50.0 * np.arange(1, 501, dtype=float))))
         assert curve.arrivals_for_in_order(in_order) == pytest.approx(500, abs=1.01)
 
     def test_a_round_inverted_at_once_equals_one_at_a_time(self):
@@ -101,7 +104,7 @@ class TestG:
             expected = idx + float((target - table[idx - 1]) / (table[idx] - table[idx - 1]))
             assert curve.arrivals_for_in_order(target) == expected
         assert idx > 131_072
-        assert curve.expected_in_order(200_000) == table[199_999]
+        assert np.array_equal(curve._cumulative, table)
 
     def test_matches_monte_carlo(self):
         """g(n_seq) tracks a direct simulation of the defining process."""
@@ -123,16 +126,17 @@ class TestG:
                     out_of_order += 1
             trials.append(out_of_order)
         simulated = float(np.mean(trials))
-        model = g_out_of_order(dist, dt, n_seq)
+        model = InOrderCurve(dist, dt).g(n_seq)
         assert model == pytest.approx(simulated, rel=0.15)
 
     def test_constant_delay_threshold(self):
         # Constant delay of 3.5*dt: the first 3 arrivals after a flush
         # are out-of-order, the rest in order.
         curve = InOrderCurve(DiscreteDelay([175.0], [1.0]), 50.0)
-        assert curve.expected_in_order(3) == 0.0
-        assert curve.expected_in_order(10) == pytest.approx(7.0)
+        assert curve.arrivals_for_in_order(1) == 4.0
+        assert curve.arrivals_for_in_order(7) == pytest.approx(10.0)
+        assert curve.g(7) == pytest.approx(3.0)
 
     def test_bounded_uniform(self):
         # Uniform delays below dt never cause disorder.
-        assert g_out_of_order(UniformDelay(0.0, 40.0), 50.0, 128) == 0.0
+        assert InOrderCurve(UniformDelay(0.0, 40.0), 50.0).g(128) == 0.0

@@ -9,7 +9,6 @@ from repro import (
     UniformDelay,
     ZetaModel,
     predict_wa_conventional,
-    predict_wa_separation,
     separation_breakdown,
 )
 from repro.core import InOrderCurve
@@ -93,16 +92,16 @@ class TestSeparationModel:
     def test_wa_at_least_one(self):
         dist = LogNormalDelay(4.0, 1.75)
         for n_seq in (10, 100, 500):
-            assert predict_wa_separation(dist, 50.0, 512, n_seq) >= 1.0
+            assert separation_breakdown(dist, 50.0, 512, n_seq).wa >= 1.0
 
     def test_u_shape_in_n_seq(self):
         dist = LogNormalDelay(5.0, 2.0)
         model = ZetaModel(dist, 50.0)
         curve = InOrderCurve(dist, 50.0)
         values = [
-            predict_wa_separation(
+            separation_breakdown(
                 dist, 50.0, 512, n_seq, zeta_model=model, in_order_curve=curve
-            )
+            ).wa
             for n_seq in (16, 256, 500)
         ]
         assert values[1] < values[0]
@@ -111,15 +110,15 @@ class TestSeparationModel:
     @pytest.mark.parametrize("n_seq", [0, 512, 600])
     def test_rejects_out_of_range_n_seq(self, n_seq):
         with pytest.raises(ModelError):
-            predict_wa_separation(LogNormalDelay(4, 1.5), 50.0, 512, n_seq)
+            separation_breakdown(LogNormalDelay(4, 1.5), 50.0, 512, n_seq)
 
     def test_shared_models_give_identical_results(self):
         dist = LogNormalDelay(5.0, 2.0)
         shared_zeta = ZetaModel(dist, 50.0)
         shared_curve = InOrderCurve(dist, 50.0)
-        with_shared = predict_wa_separation(
+        with_shared = separation_breakdown(
             dist, 50.0, 512, 200,
             zeta_model=shared_zeta, in_order_curve=shared_curve,
-        )
-        without = predict_wa_separation(dist, 50.0, 512, 200)
+        ).wa
+        without = separation_breakdown(dist, 50.0, 512, 200).wa
         assert with_shared == pytest.approx(without)

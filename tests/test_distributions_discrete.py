@@ -5,7 +5,7 @@ import pytest
 
 from repro import DistributionError, zeta
 from repro.distributions import DiscreteDelay
-from repro.distributions.discrete import periodic_batch_delay
+from tests.delay_support import periodic_batch_delay
 
 
 class TestDiscreteDelay:
@@ -25,8 +25,7 @@ class TestDiscreteDelay:
 
     def test_values_sorted_and_normalised(self):
         dist = DiscreteDelay([20.0, 0.0], [2.0, 6.0])
-        assert list(dist.atoms) == [0.0, 20.0]
-        assert np.allclose(dist.probabilities, [0.75, 0.25])
+        assert repr(dist) == "DiscreteDelay(values=[0.0, 20.0], weights=[0.75, 0.25])"
 
     def test_moments(self):
         dist = DiscreteDelay([0.0, 10.0], [0.5, 0.5])
@@ -53,10 +52,13 @@ class TestDiscreteDelay:
 class TestPeriodicBatchDelay:
     def test_structure(self):
         dist = periodic_batch_delay(period=50_000.0, batch_weight=0.1, ticks=3)
-        assert list(dist.atoms) == [0.0, 50_000.0, 100_000.0, 150_000.0]
-        assert dist.probabilities[0] == pytest.approx(0.9)
+        atoms = [0.0, 50_000.0, 100_000.0, 150_000.0]
+        assert dist.name == "discrete(4 atoms)"
+        assert [dist.quantile(p) for p in (0.0, 0.95, 0.98, 1.0)] == atoms
+        masses = np.diff(dist.cdf(np.asarray([-1.0, *atoms])))
+        assert masses[0] == pytest.approx(0.9)
         # Tick probabilities decay geometrically.
-        assert dist.probabilities[1] > dist.probabilities[2] > dist.probabilities[3]
+        assert masses[1] > masses[2] > masses[3]
 
     def test_zeta_consumes_atoms(self):
         # The WA models must work on a purely atomic law: delays of

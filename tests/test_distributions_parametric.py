@@ -18,7 +18,8 @@ from repro import (
     ShiftedDelay,
     UniformDelay,
 )
-from repro.distributions import DiscreteDelay, periodic_batch_delay
+from repro.distributions import DiscreteDelay
+from tests.delay_support import periodic_batch_delay
 
 ALL_DISTRIBUTIONS = [
     LogNormalDelay(mu=4.0, sigma=1.5),

@@ -17,7 +17,7 @@ from repro.errors import (
     InjectedCrash,
     TransientIOFault,
 )
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import DELAY_SITES, FAULT_SITES, FaultInjector, FaultPlan
 from repro.faults.crashtest import (
     CRASH_TEST_ENGINES,
     CrashTestReport,
@@ -40,7 +40,12 @@ def _memory_telemetry():
 
 class TestFaultPlan:
     def test_defaults_arm_nothing(self):
-        assert not FaultPlan().any_armed
+        injector = FaultInjector(FaultPlan())
+        for site in FAULT_SITES * 3:
+            injector.fire(site)
+        assert injector.injected == []
+        assert [injector.plan.delay_for(site)[0] for site in DELAY_SITES] == [0.0, 0.0]
+        assert not injector.plan.corrupt_checkpoint
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -81,7 +86,7 @@ class TestFaultInjector:
             injector.fire("merge")
         # One-shot: the same occurrence does not re-fire.
         injector.fire("merge")
-        assert injector.occurrences("merge") == 4
+        assert injector.counts["merge"] == 4
         assert injector.injected == [("merge", "crash")]
 
     def test_transient_faults_lead_then_clear(self):
@@ -90,7 +95,7 @@ class TestFaultInjector:
             with pytest.raises(TransientIOFault):
                 injector.fire("flush")
         injector.fire("flush")
-        assert injector.injected_count == 2
+        assert len(injector.injected) == 2
 
     def test_torn_prefix_is_strict_prefix(self):
         injector = FaultInjector(FaultPlan(seed=3))

@@ -43,13 +43,14 @@ from repro import (
     UniformDelay,
     ZetaModel,
     predict_wa_conventional,
-    predict_wa_separation,
+    separation_breakdown,
     tune_separation_policy,
 )
 from repro.core import SEPARATION
-from repro.distributions import DiscreteDelay, periodic_batch_delay
+from repro.distributions import DiscreteDelay
 from repro.experiments.runner import measure_wa
 from repro.workloads import generate_synthetic
+from tests.delay_support import periodic_batch_delay
 
 DT = 50.0
 BUDGET = 512
@@ -122,9 +123,9 @@ def _check_cell(law, r_c_tolerance, r_s_tolerance):
         n_seq: _simulate(stream, "separation", n_seq) for n_seq in SPLITS
     }
     for n_seq in SPLITS:
-        r_s_model = predict_wa_separation(
+        r_s_model = separation_breakdown(
             law, DT, BUDGET, n_seq, zeta_model=zeta_model, in_order_curve=curve
-        )
+        ).wa
         assert abs(r_s_model - r_s_simulated[n_seq]) <= r_s_tolerance, n_seq
 
     decision = tune_separation_policy(law, DT, BUDGET, sstable_size=SSTABLE)
@@ -162,8 +163,8 @@ def test_a_delay_that_keeps_order_costs_no_separation_wa():
     stream = generate_synthetic(POINTS, dt=DT, delay=law, seed=SEED)
     curve, zeta_model = InOrderCurve(law, DT), ZetaModel(law, DT)
     for n_seq in (64, 256, 448):
-        r_s_model = predict_wa_separation(
+        r_s_model = separation_breakdown(
             law, DT, BUDGET, n_seq, zeta_model=zeta_model, in_order_curve=curve
-        )
+        ).wa
         r_s_simulated = _simulate(stream, "separation", n_seq)
         assert abs(r_s_model - r_s_simulated) <= 0.02, n_seq

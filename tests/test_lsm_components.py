@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import ConventionalEngine, LsmConfig
+from repro import ConventionalEngine, LsmConfig, execute_range_query
 from repro.errors import EngineError
 from repro.lsm import MemTable, Run, SSTable, WriteStats, build_sstables
+from repro.lsm.base import Snapshot
 from repro.lsm.wa_tracker import CompactionEvent
 
 
@@ -142,10 +143,9 @@ class TestSSTable:
         assert not table.overlaps(0.0, 9.0)
 
     def test_count_in_range(self):
-        table = _table([1.0, 2.0, 3.0, 4.0])
-        assert table.count_in_range(2.0, 3.0) == 2
-        assert table.count_in_range(0.0, 10.0) == 4
-        assert table.count_in_range(5.0, 6.0) == 0
+        snapshot = Snapshot(tables=[_table([1.0, 2.0, 3.0, 4.0])], memtables=[])
+        for lo, hi, count in ((2.0, 3.0, 2), (0.0, 10.0, 4), (5.0, 6.0, 0)):
+            assert execute_range_query(snapshot, lo, hi).result_points == count
 
     def test_rejects_empty_or_unsorted(self):
         with pytest.raises(EngineError):
@@ -324,8 +324,9 @@ class TestWriteStats:
         stats = WriteStats()
         stats.record_event(CompactionEvent("flush", 10, 10, 0, 0, 1))
         stats.record_event(CompactionEvent("merge", 20, 10, 30, 2, 3))
-        assert len(stats.merge_events()) == 1
-        assert stats.merge_events()[0].disk_writes == 40
+        merges = [event for event in stats.events if event.kind == "merge"]
+        assert len(merges) == 1
+        assert merges[0].disk_writes == 40
 
     def test_wa_timeline(self):
         stats = WriteStats()

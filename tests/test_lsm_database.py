@@ -46,6 +46,25 @@ class TestSeriesManagement:
         if durable:
             assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("name", [["a"], {"a": 1}], ids=["list", "dict"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda db, name: db.write(name, np.arange(4, dtype=np.float64)),
+            lambda db, name: db.snapshot(name),
+            lambda db, name: db.sync(name),
+            lambda db, name: db.backpressure_state(name),
+            lambda db, name: db.resize_series(name, 32),
+        ],
+        ids=["write", "snapshot", "sync", "backpressure_state", "resize_series"],
+    )
+    def test_an_unhashable_name_is_an_engine_error(self, call, name):
+        db = TimeSeriesDatabase(memory_budget_per_series=16, sstable_size=16)
+        db.create_series("a")
+        with pytest.raises(EngineError, match="^series names are strings, got "):
+            call(db, name)
+        assert db.series_names() == ["a"]
+
     def test_write_creates_on_demand(self):
         db = TimeSeriesDatabase(memory_budget_per_series=16, sstable_size=16)
         db.write("auto", np.arange(10, dtype=np.float64))

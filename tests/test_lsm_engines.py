@@ -44,7 +44,7 @@ class TestConventionalEngine:
         engine.ingest(tg)
         engine.flush_all()
         assert engine.write_amplification > 1.0
-        merges = engine.stats.merge_events()
+        merges = [event for event in engine.stats.events if event.kind == "merge"]
         assert any(event.rewritten_points > 0 for event in merges)
 
     def test_run_sorted_after_arbitrary_input(self):
@@ -115,7 +115,7 @@ class TestSeparationEngine:
         engine.ingest(_ordered(160))
         engine.flush_all()
         assert engine.write_amplification == pytest.approx(1.0)
-        assert not engine.stats.merge_events()
+        assert not [event for event in engine.stats.events if event.kind == "merge"]
 
     def test_nonseq_merge_closes_phase(self):
         engine = SeparationEngine(
@@ -124,7 +124,7 @@ class TestSeparationEngine:
         engine.ingest(np.array([10.0, 20.0, 30.0, 40.0]))  # flush, max=40
         # Four out-of-order points fill C_nonseq (capacity 4) -> merge.
         engine.ingest(np.array([5.0, 15.0, 25.0, 35.0]))
-        merges = engine.stats.merge_events()
+        merges = [event for event in engine.stats.events if event.kind == "merge"]
         assert len(merges) == 1
         assert merges[0].rewritten_points > 0
         engine.verify()

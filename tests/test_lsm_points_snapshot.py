@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro import ConventionalEngine, LsmConfig
+from repro import ConventionalEngine, LsmConfig, execute_range_query
 from repro.lsm import SSTable, merge_tables_with_batch
 from repro.lsm.base import MemTableView, Snapshot
 from repro.lsm.points import sort_by_generation
@@ -60,7 +60,8 @@ class TestSnapshot:
 
     def test_memtable_view_range_count(self):
         view = MemTableView(name="m", tg=np.array([1.0, 5.0, 9.0]))
-        assert view.count_in_range(2.0, 9.0) == 2
+        snapshot = Snapshot(tables=[], memtables=[view])
+        assert execute_range_query(snapshot, 2.0, 9.0).result_points == 2
         assert len(view) == 3
 
     def test_snapshot_is_frozen_view(self):
@@ -70,15 +71,3 @@ class TestSnapshot:
         engine.ingest(np.arange(4, 8, dtype=np.float64))
         # The earlier snapshot's table list must not grow.
         assert before.disk_points == 4
-
-
-class TestQuadratureGrid:
-    def test_grid_spans_distribution(self):
-        from repro import LogNormalDelay
-
-        dist = LogNormalDelay(4.0, 1.0)
-        grid = dist.quadrature_grid(nodes=64, tail_mass=1e-6)
-        assert grid[0] == 0.0
-        assert np.all(np.diff(grid) > 0)
-        # Covers essentially all mass.
-        assert float(dist.cdf(grid[-1])) > 1.0 - 1e-5

@@ -175,7 +175,6 @@ class TestTelemetryBus:
         NULL_TELEMETRY.count("nope")
         with NULL_TELEMETRY.span("nothing") as span:
             span.set(a=1)
-            span.rename("still-nothing")
         assert NULL_TELEMETRY.sinks == []
         assert NULL_TELEMETRY.registry.as_dict() == {
             "counters": {}, "gauges": {}, "histograms": {}
@@ -267,7 +266,7 @@ class TestEngineIntegration:
         assert "queries" in report
         summary = summarize_trace(events)
         assert summary.query_count == 1
-        assert summary.merge_rewritten_points > 0
+        assert summary.compactions["merge"]["rewritten_points"] > 0
 
     def test_metrics_counters_track_ingest_and_queries(self, disordered):
         engine = ConventionalEngine(

@@ -36,7 +36,7 @@ def engine_and_spec():
 class TestPhaseStructure:
     def test_phase_length_matches_n_arrive(self, engine_and_spec):
         engine, delay, dt, n_seq = engine_and_spec
-        merges = engine.stats.merge_events()
+        merges = [e for e in engine.stats.events if e.kind == "merge"]
         assert len(merges) >= 10
         arrivals = np.asarray([event.arrival_index for event in merges])
         # Skip the warm-up phase; measure steady-state phase lengths.
@@ -66,7 +66,7 @@ class TestPhaseStructure:
 
     def test_nonseq_merge_size_is_capacity(self, engine_and_spec):
         engine, _, _, n_seq = engine_and_spec
-        merges = engine.stats.merge_events()[:-1]  # last may be partial
+        merges = [e for e in engine.stats.events if e.kind == "merge"][:-1]  # last may be partial
         for event in merges:
             assert event.new_points == 512 - n_seq
 
@@ -75,7 +75,7 @@ class TestPhaseStructure:
         arrivals track g(n_seq)."""
         engine, delay, dt, n_seq = engine_and_spec
         flushes = [e for e in engine.stats.events if e.kind == "flush"]
-        merges = engine.stats.merge_events()
+        merges = [e for e in engine.stats.events if e.kind == "merge"]
         in_order_total = sum(e.new_points for e in flushes)
         out_of_order_total = sum(e.new_points for e in merges)
         measured_ratio = out_of_order_total / (in_order_total / n_seq)

@@ -8,7 +8,7 @@ from repro import (
     LogNormalDelay,
     UniformDelay,
     predict_wa_conventional,
-    predict_wa_separation,
+    separation_breakdown,
 )
 from repro.core import InOrderCurve, ZetaModel
 from repro.stats import ks_two_sample, sliding_mean
@@ -56,12 +56,12 @@ def test_zeta_monotone_in_buffer_size(mean, dt, n_lo, n_delta):
 @given(
     mean=st.floats(min_value=1.0, max_value=500.0),
     dt=st.floats(min_value=1.0, max_value=100.0),
-    alpha=st.integers(min_value=1, max_value=500),
+    in_order=st.floats(min_value=0.5, max_value=500.0),
 )
-def test_in_order_count_bounded_by_arrivals(mean, dt, alpha):
+def test_in_order_count_bounded_by_arrivals(mean, dt, in_order):
+    # X(alpha) <= alpha, read through Eq. 1's inverse.
     curve = InOrderCurve(ExponentialDelay(mean), dt)
-    value = curve.expected_in_order(alpha)
-    assert 0.0 <= value <= alpha
+    assert curve.arrivals_for_in_order(in_order) >= in_order
 
 
 @settings(max_examples=15, deadline=None)
@@ -74,7 +74,7 @@ def test_wa_models_at_least_one(mean, dt, budget):
     dist = ExponentialDelay(mean)
     assert predict_wa_conventional(dist, dt, budget) >= 1.0 - 1e-9
     n_seq = budget // 2
-    assert predict_wa_separation(dist, dt, budget, n_seq) >= 1.0 - 1e-9
+    assert separation_breakdown(dist, dt, budget, n_seq).wa >= 1.0 - 1e-9
 
 
 @settings(max_examples=15, deadline=None)
@@ -87,7 +87,7 @@ def test_bounded_subinterval_delays_are_free(high, dt, budget):
     """Delays bounded below dt can never create rewrites."""
     dist = UniformDelay(0.0, min(high, dt * 0.9))
     assert predict_wa_conventional(dist, dt, budget) == 1.0
-    assert predict_wa_separation(dist, dt, budget, budget // 2) == 1.0
+    assert separation_breakdown(dist, dt, budget, budget // 2).wa == 1.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,7 +10,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 def test_uncalled_lists_only_the_names_nothing_uses(tmp_path):
     """One called and one uncalled name: only the uncalled one is a row,
-    an export or an import is no caller, and a test's use is reported."""
+    an export or an import is no caller, and a test's use is reported
+    but is no caller either: the script exits 1."""
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text(
@@ -48,13 +49,35 @@ def test_uncalled_lists_only_the_names_nothing_uses(tmp_path):
     (tmp_path / "tests" / "test_api.py").write_text(
         "from repro import uncalled\n\nuncalled()\n"
     )
-    out = subprocess.run(
+    done = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "uncalled.py"), str(tmp_path)],
-        capture_output=True, text=True, check=True,
-    ).stdout.splitlines()
-    assert [row.split() for row in out] == [
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert [row.split() for row in done.stdout.splitlines()] == [
         ["src/repro/api.py:6", "uncalled", "tests:", "yes"],
         ["1", "uncalled"],
+    ]
+
+
+def test_uncalled_lets_the_serial_folds_stand(tmp_path):
+    """The serial folds are the fleet's reference answers: they are
+    listed without a caller and the script still exits 0."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "merge.py").write_text(
+        "def aggregate_over_series():\n    pass\n\n\n"
+        "def scan_over_series():\n    pass\n"
+    )
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "uncalled.py"), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0
+    assert [row.split() for row in done.stdout.splitlines()] == [
+        ["src/repro/merge.py:1", "aggregate_over_series", "tests:", "no"],
+        ["src/repro/merge.py:5", "scan_over_series", "tests:", "no"],
+        ["2", "uncalled"],
     ]
 
 

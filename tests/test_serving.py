@@ -436,7 +436,7 @@ class TestRejectedEntryBarrier:
         wal = fleet.shards[0].series("a").engine.wal
         # The entry before the rejected one: applied and on disk.
         assert fleet.snapshot("a").total_points == 10
-        assert (wal.pending_records, wal.records_committed) == (0, 1)
+        assert (wal.appended, wal.records_committed) == (1, 1)
         assert read_wal(wal.path).total_points == 10
         # The rejected one left no trace; the one after was not attempted.
         assert fleet.series_names() == ["a"]
@@ -449,7 +449,7 @@ class TestRejectedEntryBarrier:
                 [("a", good, good + 1.0), ("b", good, good[:3])], sync=False
             )
         wal = fleet.shards[0].series("a").engine.wal
-        assert (wal.pending_records, wal.records_committed) == (1, 0)
+        assert (wal.appended, wal.records_committed) == (1, 0)
 
     def test_later_shards_are_not_attempted(self, tmp_path):
         fleet = self._fleet(tmp_path, n_shards=4)
@@ -469,7 +469,7 @@ class TestRejectedEntryBarrier:
         assert fleet.series_names() == in_first[:-1]
         for name in fleet.series_names():
             wal = fleet.database_for(name).series(name).engine.wal
-            assert (wal.pending_records, wal.records_committed) == (0, 1)
+            assert (wal.appended, wal.records_committed) == (1, 1)
 
 
 class TestBarriersFsyncOnlyWhatWasWritten:

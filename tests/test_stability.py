@@ -158,11 +158,11 @@ def test_group_commit_durability_window_and_sync(tmp_path):
     # 7 appends, trigger at 3: two groups (6 records) are on disk, one
     # acknowledged record is still pending in memory.
     assert wal.appended == 7
-    assert wal.pending_records == 1
+    assert wal.appended - wal.records_committed == 1
     assert wal.groups_committed == 2
     assert len(read_wal(path).records) == 6
     wal.sync()
-    assert wal.pending_records == 0
+    assert wal.appended - wal.records_committed == 0
     result = read_wal(path)
     assert len(result.records) == 7
     assert not result.torn
@@ -178,7 +178,7 @@ def test_group_commit_bytes_trigger(tmp_path):
     wal = WriteAheadLog(path, group_records=1_000_000, group_bytes=64)
     tg, start = _sample_batches(n_batches=1)[0]
     wal.append(tg, start)  # one 16-point frame is > 64 bytes
-    assert wal.pending_records == 0
+    assert wal.appended - wal.records_committed == 0
     assert len(read_wal(path).records) == 1
     wal.close()
 
@@ -191,7 +191,7 @@ def test_fresh_wal_header_is_durable_before_first_group(tmp_path):
     wal.append(tg, start)
     # The frame is pending, but the header was flushed eagerly: the file
     # on disk must already read as a valid, empty WAL.
-    assert wal.pending_records == 1
+    assert wal.appended - wal.records_committed == 1
     assert os.path.getsize(path) > 0
     result = read_wal(path)
     assert result.records == []
@@ -477,7 +477,7 @@ def test_database_surfaces_backpressure_and_sync(tmp_path):
     engine = db.series("s1").engine
     # Group commit may hold acknowledged frames; sync is the barrier.
     db.sync("s1")
-    assert engine.wal.pending_records == 0
+    assert engine.wal.appended == engine.wal.records_committed
     scan = read_wal(engine.config.wal_path)
     assert scan.total_points == len(dataset)
 
@@ -511,7 +511,7 @@ def test_wal_handle_and_its_pending_group_survive_a_retune(tmp_path):
             wal.appended,
             wal.groups_committed,
             wal.coalescing_ratio,
-            wal.pending_records,
+            wal.appended - wal.records_committed,
         )
 
     before = counters()

@@ -25,17 +25,6 @@ class TestHistogram:
         mass = float(np.sum(hist.density() * hist.widths))
         assert mass == pytest.approx(1.0)
 
-    def test_proportions_sum_to_one(self, rng):
-        hist = build_histogram(rng.exponential(5, 1_000), bins=20)
-        assert float(hist.proportions().sum()) == pytest.approx(1.0)
-
-    def test_mode_bin(self):
-        hist = build_histogram(
-            np.array([1.0, 1.1, 1.2, 9.0]), bins=2, range_=(0.0, 10.0)
-        )
-        lo, hi = hist.mode_bin()
-        assert lo == 0.0 and hi == 5.0
-
     def test_total(self, rng):
         hist = build_histogram(rng.random(123), bins=5)
         assert hist.total == 123
@@ -100,12 +89,12 @@ class TestKs:
     def test_distinguishes_distributions(self, rng):
         a = rng.normal(0, 1, 2_000)
         b = rng.normal(1.0, 1, 2_000)
-        assert ks_two_sample(a, b).rejects_same_distribution()
+        assert ks_two_sample(a, b).pvalue < 0.01
 
     def test_accepts_same_distribution(self, rng):
         a = rng.normal(0, 1, 2_000)
         b = rng.normal(0, 1, 2_000)
-        assert not ks_two_sample(a, b).rejects_same_distribution(alpha=0.001)
+        assert not ks_two_sample(a, b).pvalue < 0.001
 
     def test_kolmogorov_sf_limits(self):
         assert kolmogorov_sf(0.0) == 1.0
@@ -149,7 +138,7 @@ class TestSlidingWindowSample:
 
     def test_not_full_initially(self):
         window = SlidingWindowSample(capacity=5)
-        window.offer(1.0)
+        window.offer_many([1.0])
         assert not window.full
         assert len(window) == 1
 
@@ -163,7 +152,6 @@ class TestSlidingWindowSample:
                 # below, equal, just above, and many times the capacity.
                 st.tuples(st.just("offer_many"), st.integers(0, 40)),
                 st.tuples(st.just("offer_2d"), st.integers(1, 6)),
-                st.tuples(st.just("reset"), st.none()),
             ),
             max_size=30,
         ),
@@ -177,13 +165,9 @@ class TestSlidingWindowSample:
         next_value = 0.0
         for op, arg in steps:
             if op == "offer":
-                window.offer(arg)
+                window.offer_many([arg])
                 reference.append(float(arg))
                 seen += 1
-            elif op == "reset":
-                window.reset()
-                reference.clear()
-                seen = 0
             else:
                 shape = (arg,) if op == "offer_many" else (arg, 3)
                 count = int(np.prod(shape))

@@ -134,7 +134,7 @@ class TestWaTimelineEdgeCases:
         engine = SeparationEngine(LsmConfig(256, 256, seq_capacity=128))
         engine.ingest(dataset.tg)
         engine.flush_all()
-        assert engine.stats.merge_events() == []
+        assert [event for event in engine.stats.events if event.kind == "merge"] == []
         edges, wa = engine.stats.wa_timeline(window_points=256)
         assert engine.write_amplification == pytest.approx(1.0)
         assert np.nanmax(wa) == pytest.approx(1.0)
@@ -169,3 +169,16 @@ class TestWaTimelineEdgeCases:
         stats = WriteStats()
         with pytest.raises(EngineError):
             stats.wa_timeline(window_points=0)
+
+    @pytest.mark.parametrize(
+        "window", [float("nan"), 1.5, True, np.float64(64.0)], ids=repr
+    )
+    def test_window_must_be_an_integer_count(self, window):
+        stats = WriteStats()
+        stats.record_ingest(100)
+        stats.record_written(np.arange(100, dtype=np.int64))
+        stats.record_event(_event("flush", 100, 100))
+        with pytest.raises(EngineError, match="^window_points must be an integer >= 1"):
+            stats.wa_timeline(window_points=window)
+        edges, _ = stats.wa_timeline(window_points=np.int64(50))
+        assert list(edges) == [50, 100]

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro import LogNormalDelay, WorkloadError
-from repro.workloads import (
-    generate_synthetic,
-    load_csv,
-    load_npz,
-    save_csv,
-    save_npz,
-)
+from repro.workloads import generate_synthetic, load_csv, save_csv
 
 
 @pytest.fixture()
@@ -53,22 +47,3 @@ class TestCsvRoundTrip:
         with pytest.raises(WorkloadError):
             load_csv(path)
 
-
-class TestNpzRoundTrip:
-    def test_lossless_with_metadata(self, dataset, tmp_path):
-        path = tmp_path / "data.npz"
-        save_npz(dataset, path)
-        loaded = load_npz(path)
-        assert np.array_equal(loaded.tg, dataset.tg)
-        assert np.array_equal(loaded.ta, dataset.ta)
-        assert loaded.name == dataset.name
-        assert loaded.dt == dataset.dt
-        assert loaded.metadata["seed"] == 2
-
-    def test_none_dt_survives(self, tmp_path):
-        from repro.workloads import generate_s9
-
-        dataset = generate_s9(n_points=200)
-        path = tmp_path / "s9.npz"
-        save_npz(dataset, path)
-        assert load_npz(path).dt is None
