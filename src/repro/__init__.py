@@ -71,7 +71,6 @@ from .distributions import (
     UniformDelay,
 )
 from .errors import (
-    BackpressureError,
     CheckpointCorruptError,
     CheckpointError,
     ConfigError,
@@ -88,7 +87,6 @@ from .errors import (
     RecoveryError,
     ReproError,
     TelemetryError,
-    TransientIOFault,
     WalError,
     WorkloadError,
 )
@@ -207,7 +205,6 @@ __all__ = [
     # tail-latency stability
     "CompactionScheduler",
     "AdmissionController",
-    "BackpressureError",
     # queries
     "QueryStats",
     "execute_range_query",
@@ -264,5 +261,4 @@ __all__ = [
     "FaultError",
     "InjectedFault",
     "InjectedCrash",
-    "TransientIOFault",
 ]

@@ -78,11 +78,10 @@ class LsmConfig:
         byte-identical to the pre-group-commit WAL.  Values ``> 1``
         trade a bounded durability window (at most ``wal_group_records
         - 1`` acknowledged-but-uncommitted batches) for coalesced
-        writes; ``WriteAheadLog.sync()`` is the fsync barrier.
-    wal_group_bytes:
-        Group-commit size trigger: a pending group also commits once its
-        encoded frames reach this many bytes, so huge batches never sit
-        in the buffer just because the record trigger is large.
+        writes; ``WriteAheadLog.sync()`` is the fsync barrier.  A
+        pending group also commits once its frames reach
+        :data:`~repro.lsm.wal.GROUP_BYTES`, so huge batches never sit in
+        the buffer just because the record trigger is large.
     compaction_scheduler:
         When True the kernel routes every landing operation (flush,
         merge, compaction) through an incremental scheduler
@@ -107,14 +106,9 @@ class LsmConfig:
         then also retires a slice of the backlog).  ``None`` derives
         ``4 * memory_budget``.
     backpressure_shed:
-        Landing debt at which the controller enters ``shedding``:
-        either a forced full drain (``backpressure_mode="wait"``) or a
-        :class:`~repro.errors.BackpressureError` rejection
-        (``"error"``).  ``None`` derives ``16 * memory_budget``.
-    backpressure_mode:
-        What ``shedding`` does to a write: ``"wait"`` (default) stalls
-        the caller while the backlog drains; ``"error"`` rejects the
-        batch before it reaches the WAL so the caller may retry.
+        Landing debt at which the controller enters ``shedding``: the
+        writer stalls while the whole backlog drains.  ``None`` derives
+        ``16 * memory_budget``.
     fault_plan:
         A :class:`repro.faults.FaultPlan` describing deterministic
         faults to inject at the write path's fault sites.  ``None`` (the
@@ -126,14 +120,12 @@ class LsmConfig:
     seq_capacity: int | None = None
     wal_path: str | None = None
     wal_group_records: int = 1
-    wal_group_bytes: int = 1 << 20
     compaction_scheduler: bool = False
     compaction_work_unit: int = 4096
     compaction_tokens_per_point: float = 4.0
     compaction_burst: int = 1 << 16
     backpressure_throttle: int | None = None
     backpressure_shed: int | None = None
-    backpressure_mode: str = "wait"
     fault_plan: object | None = None
 
     #: Sizes and counts, checked before any bound: an integer (NumPy's
@@ -143,7 +135,6 @@ class LsmConfig:
         "sstable_size": False,
         "seq_capacity": True,
         "wal_group_records": False,
-        "wal_group_bytes": False,
         "compaction_work_unit": False,
         "compaction_burst": False,
         "backpressure_throttle": True,
@@ -184,10 +175,6 @@ class LsmConfig:
                 "wal_group_records must be >= 1 (1 = per-record commit), "
                 f"got {self.wal_group_records}"
             )
-        if self.wal_group_bytes < 1:
-            raise ConfigError(
-                f"wal_group_bytes must be >= 1, got {self.wal_group_bytes}"
-            )
         if self.compaction_work_unit < 1:
             raise ConfigError(
                 "compaction_work_unit must be >= 1 point, "
@@ -218,11 +205,6 @@ class LsmConfig:
                 f"throttle={self.backpressure_throttle} > "
                 f"shed={self.backpressure_shed}"
             )
-        if self.backpressure_mode not in ("wait", "error"):
-            raise ConfigError(
-                "backpressure_mode must be 'wait' or 'error', "
-                f"got {self.backpressure_mode!r}"
-            )
 
     @property
     def effective_seq_capacity(self) -> int:
@@ -244,14 +226,12 @@ class LsmConfig:
     _STABILITY_FIELDS = frozenset(
         {
             "wal_group_records",
-            "wal_group_bytes",
             "compaction_scheduler",
             "compaction_work_unit",
             "compaction_tokens_per_point",
             "compaction_burst",
             "backpressure_throttle",
             "backpressure_shed",
-            "backpressure_mode",
         }
     )
 

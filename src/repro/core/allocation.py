@@ -27,7 +27,7 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass
 
-from ..config import DEFAULT_MODEL_CONFIG, ModelConfig
+from ..config import DEFAULT_MODEL_CONFIG, ModelConfig, is_integer
 from ..distributions import DelayDistribution
 from ..errors import ModelError
 from .tuning import map_concurrently, tune_separation_policy
@@ -268,14 +268,24 @@ class MemoryArbiter:
         decision_interval: int = 8192,
         min_observations: int = 512,
     ) -> None:
-        if total_budget < 2:
-            raise ModelError(f"total_budget must be >= 2, got {total_budget}")
-        if decision_interval < 1:
+        # Every argument is checked here, not at the first decision:
+        # a fleet consults the arbiter after a batch has landed.
+        for name, value, least in (
+            ("total_budget", total_budget, 2),
+            ("decision_interval", decision_interval, 1),
+            ("min_observations", min_observations, 0),
+            ("sstable_size", 1 if sstable_size is None else sstable_size, 1),
+        ):
+            if not is_integer(value) or value < least:
+                raise ModelError(f"{name} must be an integer >= {least}, got {value!r}")
+        candidates = tuple(sorted(set(candidate_budgets)))
+        if len(candidates) < 2 or not all(is_integer(c) and c >= 2 for c in candidates):
             raise ModelError(
-                f"decision_interval must be >= 1, got {decision_interval}"
+                "candidate_budgets must hold at least two distinct integers >= 2, "
+                f"got {candidate_budgets!r}"
             )
         self.total_budget = total_budget
-        self.candidate_budgets = tuple(sorted(set(candidate_budgets)))
+        self.candidate_budgets = candidates
         self.sstable_size = sstable_size
         self.config = config
         self.decision_interval = decision_interval

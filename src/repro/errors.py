@@ -60,15 +60,6 @@ class InvariantViolation(EngineError):
     """A crash-consistency invariant does not hold on the engine state."""
 
 
-class BackpressureError(EngineError):
-    """The engine is shedding load: the write was rejected, not lost.
-
-    Raised by the admission controller (``backpressure_mode="error"``)
-    *before* the batch reaches the WAL or a MemTable, so the caller may
-    safely retry the exact same batch once pressure clears.
-    """
-
-
 class FaultError(ReproError):
     """Base class for errors raised by the fault-injection subsystem."""
 
@@ -83,10 +74,6 @@ class InjectedCrash(InjectedFault):
     Escapes the engine on purpose: the "process" died at this boundary,
     and the harness recovers a fresh engine from the WAL + checkpoint.
     """
-
-
-class TransientIOFault(InjectedFault):
-    """A simulated transient I/O error (succeeds when retried)."""
 
 
 class TelemetryError(ReproError):

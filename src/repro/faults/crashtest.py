@@ -369,7 +369,7 @@ def run_crash_case(
         result.victim = counts.index(max(counts))
         result.victim_series = counts[result.victim]
         live = ShardedDatabase(
-            router=router,
+            n_shards,
             memory_budget_per_series=_CASE_CONFIG["memory_budget"],
             sstable_size=_CASE_CONFIG["sstable_size"],
             auto_tune=False,

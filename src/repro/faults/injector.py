@@ -6,8 +6,7 @@ crash-test run is exactly reproducible from its seed.  A
 :class:`FaultInjector` executes one plan: engines, the WAL and the
 checkpoint writer call :meth:`FaultInjector.fire` at their fault sites
 and the injector either returns (no fault armed for this occurrence) or
-raises :class:`~repro.errors.InjectedCrash` /
-:class:`~repro.errors.TransientIOFault`.
+raises :class:`~repro.errors.InjectedCrash`.
 
 Sites instrumented across the write path:
 
@@ -31,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import FaultError, InjectedCrash, TransientIOFault
+from ..errors import FaultError, InjectedCrash
 
 __all__ = ["FAULT_SITES", "DELAY_SITES", "FaultPlan", "FaultInjector"]
 
@@ -65,16 +64,6 @@ class FaultPlan:
         corrupted in place after the atomic rename (simulating a bad
         page), so recovery must detect the damage and fall back to a
         full WAL replay.
-    transient_flush_faults / transient_merge_faults:
-        Number of leading flush/merge attempts that raise
-        :class:`TransientIOFault` before succeeding.  Engines retry
-        these with bounded exponential backoff.
-    max_retries:
-        Retry budget engines are allowed per compaction before they give
-        up and re-raise the transient fault.
-    backoff_base_s:
-        Base of the exponential backoff (attempt ``k`` sleeps
-        ``backoff_base_s * 2**(k-1)``); kept tiny so tests stay fast.
     fsync_delay_ms / fsync_delay_every:
         Overload injection: every ``fsync_delay_every``-th WAL group
         commit stalls for ``fsync_delay_ms`` (an fsync latency spike on
@@ -90,10 +79,6 @@ class FaultPlan:
     crash_at_merge: int | None = None
     torn_wal_append_at: int | None = None
     corrupt_checkpoint: bool = False
-    transient_flush_faults: int = 0
-    transient_merge_faults: int = 0
-    max_retries: int = 5
-    backoff_base_s: float = 0.0005
     fsync_delay_ms: float = 0.0
     fsync_delay_every: int = 1
     merge_delay_ms: float = 0.0
@@ -104,12 +89,7 @@ class FaultPlan:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise FaultError(f"{name} must be >= 1, got {value}")
-        for name in ("transient_flush_faults", "transient_merge_faults"):
-            if getattr(self, name) < 0:
-                raise FaultError(f"{name} must be non-negative")
-        if self.max_retries < 0:
-            raise FaultError(f"max_retries must be non-negative, got {self.max_retries}")
-        for name in ("backoff_base_s", "fsync_delay_ms", "merge_delay_ms"):
+        for name in ("fsync_delay_ms", "merge_delay_ms"):
             value = getattr(self, name)
             if value < 0:
                 raise FaultError(f"{name} must be non-negative, got {value}")
@@ -144,21 +124,14 @@ class FaultInjector:
     counts: dict[str, int] = field(default_factory=dict)
     #: Faults actually delivered, as ``(site, kind)`` tuples.
     injected: list[tuple[str, str]] = field(default_factory=list)
-    #: Clock used for every injected stall (retry backoff, delay
-    #: spikes).  Tests inject a no-op recorder here so deterministic
+    #: Clock used for every injected stall (delay spikes).  Tests inject a no-op recorder here so deterministic
     #: fault runs consume zero wall-clock time.
     sleep: Callable[[float], None] = field(default=time.sleep)
     #: Total seconds this injector has asked :attr:`sleep` to stall.
     slept_s: float = 0.0
-    #: Remaining transient faults per site.
-    _transient_left: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.plan.seed)
-        self._transient_left = {
-            "flush": self.plan.transient_flush_faults,
-            "merge": self.plan.transient_merge_faults,
-        }
 
     # -- firing ----------------------------------------------------------------
 
@@ -169,13 +142,6 @@ class FaultInjector:
         count = self.counts.get(site, 0) + 1
         self.counts[site] = count
         if site == "flush" or site == "merge":
-            left = self._transient_left.get(site, 0)
-            if left > 0:
-                self._transient_left[site] = left - 1
-                self.injected.append((site, "transient"))
-                raise TransientIOFault(
-                    f"injected transient I/O error at {site} #{count}"
-                )
             armed = (
                 self.plan.crash_at_flush
                 if site == "flush"
@@ -205,7 +171,7 @@ class FaultInjector:
         """Apply an armed overload delay for ``site``; return its ms.
 
         Counts every occurrence under ``delay:<site>`` (separate from
-        :meth:`fire`'s crash/transient counters) and stalls through the
+        :meth:`fire`'s crash counters) and stalls through the
         injectable clock on each ``every``-th one.
         """
         delay_ms, every = self.plan.delay_for(site)

@@ -12,11 +12,8 @@ through three states:
 * ``throttled`` — debt in ``[throttle, shed)``: each admitted batch
   also retires a proportional slice of the backlog synchronously, so
   the writer pays for its own debt and the queue stops growing.
-* ``shedding`` — debt at or past ``backpressure_shed``: in ``"wait"``
-  mode the writer is stalled while the whole backlog drains; in
-  ``"error"`` mode the batch is rejected with
-  :class:`~repro.errors.BackpressureError` *before* it touches the WAL,
-  so the caller can retry it verbatim.
+* ``shedding`` — debt at or past ``backpressure_shed``: the writer is
+  stalled while the whole backlog drains (counted in ``shed_batches``).
 
 State is evaluated per batch at the admission hook (before WAL append),
 and every transition and stall is published on the telemetry bus:
@@ -30,7 +27,6 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
-from ..errors import BackpressureError
 from .sstable import POINT_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,7 +57,7 @@ def rollup_states(states: list[str]) -> str:
     """Fleet-level admission state: the worst of its members' states.
 
     A fleet is only as healthy as its most loaded shard — one shedding
-    shard means writes routed there are being rejected or stalled even
+    shard means writes routed there are being stalled even
     while the rest of the fleet is idle.  Unknown state strings escalate
     to :data:`SHEDDING` (fail loud in the rollup gauge rather than
     report a sick fleet healthy); an empty fleet is healthy.
@@ -94,13 +90,14 @@ class AdmissionController:
             if config.backpressure_shed is not None
             else 16 * budget
         )
-        self.mode = config.backpressure_mode
         self.state = HEALTHY
         #: ``(from_state, to_state, debt_points)`` per transition.
         self.transitions: list[tuple[str, str, int]] = []
         self.stall_count = 0
         self.total_stall_ms = 0.0
         self.max_stall_ms = 0.0
+        #: Batches admitted while ``shedding`` (each stalled for a full
+        #: drain).
         self.shed_batches = 0
 
     # -- state -----------------------------------------------------------------
@@ -155,12 +152,10 @@ class AdmissionController:
     # -- admission -------------------------------------------------------------
 
     def admit(self, count: int) -> None:
-        """Admit (or reject) one incoming batch of ``count`` points.
+        """Admit one incoming batch of ``count`` points.
 
-        Called before the batch reaches the WAL.  May stall (throttled /
-        shedding in ``"wait"`` mode) or raise
-        :class:`~repro.errors.BackpressureError` (shedding in
-        ``"error"`` mode); on normal return the batch is admitted.
+        Called before the batch reaches the WAL.  Stalls while throttled
+        or shedding; on return the batch is admitted.
         """
         debt = self.debt_points()
         state = self._classify(debt)
@@ -169,16 +164,8 @@ class AdmissionController:
         if state == HEALTHY:
             return
         scheduler = self.kernel.scheduler
-        if state == SHEDDING and self.mode == "error":
+        if state == SHEDDING:
             self.shed_batches += 1
-            telemetry = self.kernel.telemetry
-            if telemetry.enabled:
-                telemetry.count("backpressure.shed_batches")
-            raise BackpressureError(
-                f"{self.kernel.policy_name}: shedding load "
-                f"(landing debt {debt} >= {self.shed_points} points); "
-                f"rejected batch of {count} points — retry after backlog drains"
-            )
         start = time.perf_counter()
         if scheduler is None:
             # Backpressure without the scheduler: there is no backlog to

@@ -29,8 +29,7 @@ Durability (all opt-in, one branch on the hot path when off):
   :mod:`repro.lsm.recovery` combines both into crash recovery.
 * With ``LsmConfig.fault_plan`` set, flush/merge boundaries fire a
   :class:`~repro.faults.FaultInjector`: injected crashes escape before
-  any state mutates, and transient I/O faults are retried with bounded
-  exponential backoff.
+  any state mutates.
 * :meth:`LsmEngine.verify` runs the crash-consistency invariants
   (:mod:`repro.lsm.invariants`) over the live state.
 """
@@ -54,7 +53,6 @@ from ..errors import (
     InjectedCrash,
     ModelError,
     RecoveryError,
-    TransientIOFault,
 )
 from ..faults.injector import FaultInjector
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -261,7 +259,6 @@ class LsmEngine:
                 config.wal_path,
                 faults=self.faults,
                 group_records=config.wal_group_records,
-                group_bytes=config.wal_group_bytes,
                 telemetry=self.telemetry,
             )
             if config.wal_path
@@ -371,58 +368,34 @@ class LsmEngine:
     def _fault_boundary(self, site: str) -> None:
         """Fire the injector at ``site`` before any state mutates.
 
-        Injected crashes escape immediately (the simulated process
-        dies); transient I/O faults are retried with bounded exponential
-        backoff, counted on the telemetry bus, and re-raised only once
-        the retry budget is exhausted.
+        An injected crash escapes immediately (the simulated process
+        dies), counted on the telemetry bus first.
         """
         faults = self.faults
         if faults is None:
             return
         telemetry = self.telemetry
-        attempt = 0
-        while True:
-            try:
-                faults.fire(site)
-                if site == "merge":
-                    # Overload injection: an armed slow-merge plan
-                    # stalls here, after the boundary survived.
-                    delayed_ms = faults.maybe_delay("merge")
-                    if delayed_ms > 0 and telemetry.enabled:
-                        telemetry.count("fault.merge_delays")
-                        telemetry.observe("fault.merge_delay_ms", delayed_ms)
-                return
-            except InjectedCrash:
-                if telemetry.enabled:
-                    telemetry.count("fault.injected")
-                    telemetry.emit(
-                        {
-                            "type": "fault",
-                            "site": site,
-                            "kind": "crash",
-                            "engine": self.policy_name,
-                        }
-                    )
-                raise
-            except TransientIOFault:
-                attempt += 1
-                if telemetry.enabled:
-                    telemetry.count("fault.injected")
-                    telemetry.count("fault.transient_retries")
-                    telemetry.emit(
-                        {
-                            "type": "fault",
-                            "site": site,
-                            "kind": "transient",
-                            "attempt": attempt,
-                            "engine": self.policy_name,
-                        }
-                    )
-                if attempt > faults.plan.max_retries:
-                    raise
-                # Backoff runs on the injector's clock so tests can
-                # substitute a deterministic no-op recorder.
-                faults.do_sleep(faults.plan.backoff_base_s * 2 ** (attempt - 1))
+        try:
+            faults.fire(site)
+        except InjectedCrash:
+            if telemetry.enabled:
+                telemetry.count("fault.injected")
+                telemetry.emit(
+                    {
+                        "type": "fault",
+                        "site": site,
+                        "kind": "crash",
+                        "engine": self.policy_name,
+                    }
+                )
+            raise
+        if site == "merge":
+            # Overload injection: an armed slow-merge plan stalls here,
+            # after the boundary survived.
+            delayed_ms = faults.maybe_delay("merge")
+            if delayed_ms > 0 and telemetry.enabled:
+                telemetry.count("fault.merge_delays")
+                telemetry.observe("fault.merge_delay_ms", delayed_ms)
 
     # -- checkpointing -----------------------------------------------------------
 

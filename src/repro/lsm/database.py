@@ -41,6 +41,7 @@ from .policies.kernel import RetuneOutcome, decide
 __all__ = [
     "SeriesState", "FleetReport", "TimeSeriesDatabase", "decide_series",
     "manifest_filename", "load_manifest", "check_manifest", "check_series_name",
+    "recorded_stability",
 ]
 
 
@@ -90,19 +91,33 @@ def check_manifest(path: str, record, fields: dict, members: tuple = ()) -> None
     """Check one object of the manifest at ``path`` before it is used.
 
     ``fields`` maps each key to the type(s) its value must have (a
-    missing key reads ``None``).  ``members`` are keys naming a file or
-    directory beside the manifest: only a bare name passes, so a
-    manifest cannot point recovery outside its own directory.
+    missing key reads ``None``; JSON ``true`` is no ``int``).
+    ``members`` are keys naming a file or directory beside the
+    manifest: only a bare name passes, so a manifest cannot point
+    recovery outside its own directory.
     """
     if not isinstance(record, dict):
         raise RecoveryError(f"manifest {path}: {record!r:.80} is not an object")
     for key, kind in {**fields, **dict.fromkeys(members, str)}.items():
-        if not isinstance(record.get(key), kind):
-            raise RecoveryError(f"manifest {path}: {key!r} is {record.get(key)!r:.80}")
+        value = record.get(key)
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            raise RecoveryError(f"manifest {path}: {key!r} is {value!r:.80}")
     for key in members:
         name = record[key]
         if name in ("", ".", "..") or name != os.path.basename(name):
             raise RecoveryError(f"manifest {path}: {key!r} names a path: {name!r:.80}")
+
+
+#: Stability knobs a manifest may record that are options no more: the
+#: WAL byte trigger is :data:`~repro.lsm.wal.GROUP_BYTES` and shedding
+#: always stalls.  Recovery reads a manifest without them.
+_RETIRED_STABILITY = ("wal_group_bytes", "backpressure_mode")
+
+
+def recorded_stability(stability: dict | None) -> dict:
+    """The stability overrides a manifest records, retired knobs dropped."""
+    return {k: v for k, v in (stability or {}).items() if k not in _RETIRED_STABILITY}
 
 
 _DATABASE_FIELDS = {
@@ -215,15 +230,12 @@ class TimeSeriesDatabase:
         re-split is in the series' WAL.
     stability:
         Optional :meth:`LsmConfig.with_stability` overrides applied to
-        every series engine — group-commit WAL knobs
-        (``wal_group_records``/``wal_group_bytes``), the incremental
-        compaction scheduler (``compaction_scheduler`` and its pacing),
-        and backpressure thresholds/mode.  With
-        ``backpressure_mode="error"``, :meth:`write` raises
-        :class:`~repro.errors.BackpressureError` for a shed batch — the
-        batch left no durable trace and may be retried verbatim.  The
-        overrides are recorded in the manifest so :meth:`recover`
-        rebuilds every series under the same stability configuration.
+        every series engine — the group-commit record trigger
+        (``wal_group_records``), the incremental compaction scheduler
+        (``compaction_scheduler`` and its pacing), and the backpressure
+        thresholds.  The overrides are recorded in the manifest so
+        :meth:`recover` rebuilds every series under the same stability
+        configuration.
     namespace:
         Label prefixing every durable artefact (WALs, checkpoints, the
         manifest) this database writes, so multiple databases — the
@@ -345,10 +357,9 @@ class TimeSeriesDatabase:
         :func:`~repro.lsm.base.validate_points`): non-finite ``tg``
         (:class:`EngineError`), a ``ta`` that is misaligned, non-finite
         or so far from ``tg`` that the delay overflows
-        (:class:`ModelError`), a closed engine or a shed batch
-        (:class:`BackpressureError`) raise with the engine and its
-        analyzer exactly as they were, so the caller can fix or retry
-        the batch verbatim.
+        (:class:`ModelError`) or a closed engine raise with the engine
+        and its analyzer exactly as they were, so the caller can fix or
+        retry the batch verbatim.
         """
         tg = np.ascontiguousarray(tg, dtype=np.float64)
         try:
@@ -592,7 +603,7 @@ class TimeSeriesDatabase:
             auto_tune=manifest["auto_tune"],
             telemetry=telemetry,
             durability_dir=durability_dir,
-            stability=manifest.get("stability") or None,
+            stability=recorded_stability(manifest.get("stability")),
             namespace=namespace,
         )
         for name, entry in manifest["series"].items():

@@ -272,6 +272,13 @@ def _resolve_flush(placement: str, flush: str | None, compaction: str) -> str:
             f"flush strategy {flush!r} drives a {needs_placement!r} "
             f"placement, not {placement!r}"
         )
+    if compaction == "leveled" and flush in ("append", "independent"):
+        # The leveled run is one sorted run: an appended table that
+        # overlaps it (any out-of-order point) could never land.
+        raise EngineError(
+            f"({placement!r}, {flush!r}, {compaction!r}): an appending flush "
+            "cannot land on the one leveled run; use a merging flush"
+        )
     return flush
 
 

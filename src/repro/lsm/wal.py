@@ -56,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
     from ..obs.telemetry import Telemetry
 
-__all__ = ["WAL_MAGIC", "WalRecord", "WalReadResult", "WriteAheadLog", "read_wal"]
+__all__ = ["WAL_MAGIC", "GROUP_BYTES", "WalRecord", "WalReadResult", "WriteAheadLog", "read_wal"]
 
 #: File magic: identifies a repro WAL, version 1.
 WAL_MAGIC = b"RPWAL1\x00\n"
@@ -74,6 +74,11 @@ _SPLIT = struct.Struct("<qq")  # seq_capacity (0: pi_c), memory_budget
 #: Refuse to parse absurd frames (a corrupt length would otherwise make
 #: the reader try to allocate gigabytes).
 _MAX_PAYLOAD = 1 << 31
+
+#: Group-commit byte trigger: a pending group commits once its frames
+#: reach this many bytes, whatever its record trigger, which bounds the
+#: memory a group holds.
+GROUP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -193,7 +198,7 @@ class WriteAheadLog:
     With ``group_records > 1`` the log runs in group-commit mode:
     :meth:`append` buffers the encoded frame and a whole group lands
     with one write + flush once ``group_records`` records or
-    ``group_bytes`` bytes are pending.  Acknowledged but
+    :data:`GROUP_BYTES` bytes are pending.  Acknowledged but
     uncommitted records are lost on a crash — the bounded durability
     window callers opt into; :meth:`sync` is the explicit barrier.
     """
@@ -203,19 +208,15 @@ class WriteAheadLog:
         path: str,
         faults: "FaultInjector | None" = None,
         group_records: int = 1,
-        group_bytes: int = 1 << 20,
         telemetry: "Telemetry | None" = None,
     ) -> None:
         if not path:
             raise WalError("WAL needs a non-empty path")
         if group_records < 1:
             raise WalError(f"group_records must be >= 1, got {group_records}")
-        if group_bytes < 1:
-            raise WalError(f"group_bytes must be >= 1, got {group_bytes}")
         self.path = path
         self.faults = faults
         self.group_records = group_records
-        self.group_bytes = group_bytes
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._handle: BinaryIO | None = None
         self._pending: list[bytes] = []
@@ -302,7 +303,7 @@ class WriteAheadLog:
         self.appended += 1
         if (
             len(self._pending) >= self.group_records
-            or self._pending_bytes >= self.group_bytes
+            or self._pending_bytes >= GROUP_BYTES
         ):
             self._commit_group()
 

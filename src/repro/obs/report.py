@@ -406,7 +406,7 @@ def render_shard_report(fleet, source: str = "") -> str:
     fleet_wa = total_writes / total_points if total_points else float("nan")
     doc = Document(
         _titled("shard report", source),
-        f"{fleet.n_shards} shards ({fleet.router.mode} routing), "
+        f"{fleet.n_shards} shards (hash routing), "
         f"{sum(row[1] for row in rows)} series, "
         f"{total_points} points, fleet WA {format_value(fleet_wa)}, "
         f"admission {fleet.backpressure_state()}",

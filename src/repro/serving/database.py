@@ -40,6 +40,7 @@ from ..lsm.database import (
     check_manifest,
     decide_series,
     load_manifest,
+    recorded_stability,
 )
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .router import ShardRouter, shard_name
@@ -71,9 +72,8 @@ class ShardedDatabase:
     Parameters
     ----------
     n_shards:
-        Fleet width (ignored when ``router`` is given).
-    router:
-        Routing rule; defaults to hash routing over ``n_shards``.
+        Fleet width; series are hash-routed over it
+        (:class:`~repro.serving.router.ShardRouter`).
     memory_budget_per_series / sstable_size / auto_tune / stability:
         Forwarded to every shard database (see
         :class:`~repro.lsm.database.TimeSeriesDatabase`).
@@ -104,7 +104,6 @@ class ShardedDatabase:
     def __init__(
         self,
         n_shards: int = 4,
-        router: ShardRouter | None = None,
         memory_budget_per_series: int = 512,
         sstable_size: int = 512,
         auto_tune: bool = True,
@@ -114,7 +113,7 @@ class ShardedDatabase:
         arbiter: MemoryArbiter | None = None,
         shard_fault_plans: Mapping[int, object] | None = None,
     ) -> None:
-        self.router = router if router is not None else ShardRouter(n_shards)
+        self.router = ShardRouter(n_shards)
         _check_arbiter(arbiter, auto_tune)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.durability_dir = durability_dir
@@ -434,6 +433,11 @@ class ShardedDatabase:
         manifest = load_manifest(manifest_path)
         check_manifest(manifest_path, manifest, _FLEET_FIELDS)
         check_manifest(manifest_path, manifest["router"], {"n_shards": int})
+        mode = manifest["router"].get("mode", "hash")
+        if mode != "hash":
+            # Range routing was once an option: routing its names by
+            # hash would strand its series on the wrong shards.
+            raise RecoveryError(f"manifest {manifest_path}: router mode {mode!r} is not hash")
         for entry in manifest["shards"]:
             check_manifest(manifest_path, entry, {"namespace": str}, members=("dir",))
         router = ShardRouter.from_dict(manifest["router"])
@@ -443,7 +447,7 @@ class ShardedDatabase:
         fleet.router = router
         fleet.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         fleet.durability_dir = durability_dir
-        fleet.stability = manifest.get("stability") or {}
+        fleet.stability = recorded_stability(manifest.get("stability"))
         fleet.arbiter = arbiter
         fleet.last_rebalance = manifest.get("last_rebalance")
         fleet.shards = []

@@ -53,7 +53,7 @@ class TestLsmConfig:
         [
             ("memory_budget", 6.5), ("memory_budget", None), ("sstable_size", 2.5),
             ("sstable_size", True), ("seq_capacity", 3.5), ("seq_capacity", False),
-            ("wal_group_records", 2.5), ("wal_group_bytes", "4096"),
+            ("wal_group_records", 2.5),
             ("compaction_work_unit", 128.0), ("compaction_burst", True),
             ("backpressure_throttle", 2048.0), ("backpressure_shed", np.float64(8192)),
         ],

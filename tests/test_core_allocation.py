@@ -314,3 +314,26 @@ class TestMemoryArbiter:
             MemoryArbiter(total_budget=1)
         with pytest.raises(ModelError):
             MemoryArbiter(total_budget=256, decision_interval=0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("candidate_budgets", ()),
+            ("candidate_budgets", (64,)),
+            ("candidate_budgets", (64, 64)),
+            ("candidate_budgets", (0, 1.5)),
+            ("candidate_budgets", (1, 64)),
+            ("total_budget", float("nan")),
+            ("total_budget", 4096.0),
+            ("decision_interval", 1.5),
+            ("decision_interval", True),
+            ("min_observations", -5),
+            ("sstable_size", 0),
+        ],
+    )
+    def test_rejects_an_argument_that_would_fail_a_later_decision(self, name, value):
+        """Every argument is checked at construction: a fleet consults
+        its arbiter only after a batch has landed and synced."""
+        kwargs = {"total_budget": 4096, name: value}
+        with pytest.raises(ModelError, match=name):
+            MemoryArbiter(**kwargs)

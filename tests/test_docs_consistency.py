@@ -148,6 +148,56 @@ class TestExamplesAndDocs:
                         f"docs/api.md ({module_name}) lists {name!r}"
                     )
 
+    def test_python_examples_pass_only_options_that_exist(self):
+        """Every keyword a ```` ```python ```` block of docs/*.md or
+        README.md passes to ``LsmConfig(...)``, ``.with_stability(...)``,
+        ``FaultPlan(...)``, ``ShardRouter(...)`` or ``compose_engine(...)``
+        is a parameter of that callable (a block that does not parse is
+        skipped).  A removed option cannot stay documented."""
+        import ast
+        import inspect
+
+        from repro import FaultPlan, LsmConfig
+        from repro.lsm.policies import ComposedEngine, compose_engine
+        from repro.serving import ShardRouter
+
+        def takes(func):
+            return {
+                name for name, param in inspect.signature(func).parameters.items()
+                if param.kind is not param.VAR_KEYWORD
+            }
+
+        options = {
+            "LsmConfig": takes(LsmConfig),
+            "with_stability": set(LsmConfig._STABILITY_FIELDS),
+            "FaultPlan": takes(FaultPlan),
+            "ShardRouter": takes(ShardRouter),
+            # Its remaining keywords pass to the engine it builds.
+            "compose_engine": takes(compose_engine) | takes(ComposedEngine),
+        }
+        unknown, checked = [], 0
+        for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+            for block in re.findall(r"^```python\n(.*?)^```", path.read_text(), re.M | re.S):
+                try:
+                    tree = ast.parse(block)
+                except SyntaxError:
+                    continue
+                for node in ast.walk(tree):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name not in options:
+                        continue
+                    checked += 1
+                    unknown += [
+                        f"{path.name}: {name}({keyword.arg}=...)"
+                        for keyword in node.keywords
+                        if keyword.arg is not None and keyword.arg not in options[name]
+                    ]
+        assert checked > 0
+        assert not unknown, "documented options that do not exist:\n" + "\n".join(unknown)
+
     def test_docs_cite_roadmap_items_by_title(self):
         """ROADMAP.md renumbers its items at every re-anchor, so a doc
         that cites ``ROADMAP item 6`` or ``ROADMAP 5(a)`` soon points at

@@ -11,12 +11,7 @@ from repro import (
     Telemetry,
 )
 from repro.cli import main
-from repro.errors import (
-    ConfigError,
-    FaultError,
-    InjectedCrash,
-    TransientIOFault,
-)
+from repro.errors import ConfigError, FaultError, InjectedCrash
 from repro.faults import DELAY_SITES, FAULT_SITES, FaultInjector, FaultPlan
 from repro.faults.crashtest import (
     CRASH_TEST_ENGINES,
@@ -53,9 +48,9 @@ class TestFaultPlan:
             {"crash_at_flush": 0},
             {"crash_at_merge": -1},
             {"torn_wal_append_at": 0},
-            {"transient_flush_faults": -1},
-            {"max_retries": -1},
-            {"backoff_base_s": -0.1},
+            {"fsync_delay_ms": -0.1},
+            {"merge_delay_every": 0},
+            {"fsync_delay_every": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -88,14 +83,6 @@ class TestFaultInjector:
         injector.fire("merge")
         assert injector.counts["merge"] == 4
         assert injector.injected == [("merge", "crash")]
-
-    def test_transient_faults_lead_then_clear(self):
-        injector = FaultInjector(FaultPlan(transient_flush_faults=2))
-        for _ in range(2):
-            with pytest.raises(TransientIOFault):
-                injector.fire("flush")
-        injector.fire("flush")
-        assert len(injector.injected) == 2
 
     def test_torn_prefix_is_strict_prefix(self):
         injector = FaultInjector(FaultPlan(seed=3))
@@ -138,27 +125,6 @@ class TestEngineFaultBoundary:
         # process died mid-ingest — which is exactly what recovery from
         # the WAL repairs; see test_recovery.py.)
         assert engine.snapshot().disk_points == before_disk
-
-    def test_transient_faults_retried_and_counted(self):
-        plan = FaultPlan(transient_flush_faults=2, backoff_base_s=0.0)
-        telemetry, _ = _memory_telemetry()
-        engine = ConventionalEngine(
-            LsmConfig(64, 32, fault_plan=plan), telemetry=telemetry
-        )
-        engine.ingest(_dataset(500, seed=2).tg)
-        engine.flush_all()
-        engine.verify()
-        registry = telemetry.registry
-        assert registry.counter("fault.transient_retries").value == 2
-        assert registry.counter("fault.injected").value == 2
-
-    def test_transient_retry_budget_exhausts(self):
-        plan = FaultPlan(
-            transient_flush_faults=50, max_retries=2, backoff_base_s=0.0
-        )
-        engine = ConventionalEngine(LsmConfig(64, 32, fault_plan=plan))
-        with pytest.raises(TransientIOFault):
-            engine.ingest(_dataset(500, seed=3).tg)
 
     def test_crash_counted_on_telemetry(self):
         plan = FaultPlan(crash_at_flush=1)

@@ -50,11 +50,11 @@ def _datasets(names, n_points=900, disordered=True, base_seed=23):
     }
 
 
-def _build_pair(mode, router, names, datasets, telemetry=None):
+def _build_pair(mode, n_shards, names, datasets, telemetry=None):
     """A fleet and an unsharded reference fed identical sub-streams."""
     auto_tune = mode == "tuned"
     fleet = ShardedDatabase(
-        router=router, auto_tune=auto_tune, telemetry=telemetry, **_DB_KWARGS
+        n_shards, auto_tune=auto_tune, telemetry=telemetry, **_DB_KWARGS
     )
     reference = TimeSeriesDatabase(auto_tune=auto_tune, **_DB_KWARGS)
     if mode == "pi_s":
@@ -113,22 +113,15 @@ class TestFederatedEquality:
 
     MODES = ("pi_c", "pi_s", "tuned")
 
-    def _router(self, routing, n_shards=3):
-        if routing == "hash":
-            return ShardRouter(n_shards)
-        return ShardRouter(
-            n_shards, mode="range", boundaries=["series-02", "series-04"]
-        )
-
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("routing", ("hash", "range"))
+    # Two fleet widths: the equality holds over more than one partition.
+    @pytest.mark.parametrize("n_shards", (3, 2), ids=("hash", "hash-2"))
     @pytest.mark.parametrize("tier", ("row", "columnar"))
-    def test_matches_unsharded_database(self, mode, routing, tier):
+    def test_matches_unsharded_database(self, mode, n_shards, tier):
         names = [f"series-{i:02d}" for i in range(6)]
         datasets = _datasets(names)
         rounds = lockstep_rounds(datasets, 300, with_ta=(mode == "tuned"))
-        router = self._router(routing)
-        fleet, reference = _build_pair(mode, router, names, datasets)
+        fleet, reference = _build_pair(mode, n_shards, names, datasets)
         windows = _windows(datasets)
         subset = [names[4], names[0], names[3]]  # explicit caller order
         stages = []

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import BackpressureError, EngineError, TimeSeriesDatabase
+from repro import EngineError, TimeSeriesDatabase
 from repro.errors import EngineClosedError, ModelError
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
@@ -171,38 +171,6 @@ class TestRejectedBatchLeavesNoTrace:
         with pytest.raises(EngineClosedError):
             db.write("a", np.array([900.0]), np.array([2000.0]))
         assert self._fingerprint(db) == before
-
-    def test_shed_batch_can_be_retried_verbatim(self):
-        dataset = generate_synthetic(
-            768, dt=50, delay=LogNormalDelay(5.0, 2.0), seed=19
-        )
-        stability = dict(
-            compaction_scheduler=True,
-            compaction_work_unit=32,
-            compaction_tokens_per_point=0.01,
-            compaction_burst=1,
-            backpressure_throttle=128,
-            backpressure_shed=128,
-            backpressure_mode="error",
-        )
-        db = TimeSeriesDatabase(
-            memory_budget_per_series=64, sstable_size=32, stability=stability
-        )
-        twin = TimeSeriesDatabase(
-            memory_budget_per_series=64, sstable_size=32, stability=stability
-        )
-        for target in (db, twin):
-            target.write("a", dataset.tg[:256], dataset.ta[:256])
-        before = self._fingerprint(db)
-        with pytest.raises(BackpressureError):
-            db.write("a", dataset.tg[256:512], dataset.ta[256:512])
-        assert self._fingerprint(db) == before
-        # Once the backlog drains the same batch goes in, and the
-        # database ends where a twin that was never overloaded does.
-        for target in (db, twin):
-            target.flush_all()
-            target.write("a", dataset.tg[256:512], dataset.ta[256:512])
-        assert self._fingerprint(db) == self._fingerprint(twin)
 
 
 class TestRetune:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -40,7 +41,7 @@ import pytest
 from repro.config import LsmConfig
 from repro.core.tuning import SEPARATION
 from repro.distributions import LogNormalDelay
-from repro.errors import InjectedCrash
+from repro.errors import EngineError, InjectedCrash
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.crashtest import CRASH_TEST_ENGINES, run_crash_case
 from repro.lsm import AdaptiveEngine, ConventionalEngine, SeparationEngine
@@ -48,8 +49,9 @@ from repro.lsm.base import LsmEngine
 from repro.lsm.checkpoint import read_checkpoint
 from repro.lsm.database import TimeSeriesDatabase
 from repro.lsm.policies import ENGINES, ComposedEngine, compose_engine, engine_class
+from repro.lsm.policies.compose import COMPACTIONS, FLUSHES, PLACEMENTS
 from repro.lsm.recovery import recover_engine
-from repro.workloads import TABLE_II, DelaySegment, generate_dynamic
+from repro.workloads import TABLE_II, DelaySegment, generate_dynamic, generate_synthetic
 
 from tests.conformance_support import (
     CHECKPOINT_FIXTURE_PATH,
@@ -146,6 +148,38 @@ class TestRegistry:
                 "flush": row.flush,
                 "compaction": row.compaction,
             }
+
+
+#: Every (placement, flush, compaction) triple a flush can drive.
+TRIPLES = [
+    (placement, flush, compaction)
+    for placement in PLACEMENTS
+    for flush, (_, drives) in FLUSHES.items()
+    if drives == placement
+    for compaction in COMPACTIONS
+]
+#: An appending flush over the one leveled run: the first out-of-order
+#: landing would overlap the run, so construction refuses the triple.
+UNLANDABLE = {("single", "append", "leveled"), ("split", "independent", "leveled")}
+
+
+@pytest.mark.parametrize("triple", TRIPLES, ids="+".join)
+def test_every_triple_is_refused_or_ingests_a_disordered_stream(triple):
+    """A triple ``compose_engine`` accepts ingests a disordered stream,
+    drains and verifies; the two it refuses are an ``EngineError``
+    naming the triple at construction, before any point is taken."""
+    assert len(TRIPLES) == 16
+    config = LsmConfig(512, 512)
+    if triple in UNLANDABLE:
+        with pytest.raises(EngineError, match=re.escape(repr(triple))):
+            compose_engine(*triple, config=config)
+        return
+    engine = compose_engine(*triple, config=config)
+    dataset = generate_synthetic(20_000, 50.0, LogNormalDelay(5.0, 2.0), seed=7)
+    engine.ingest(dataset.tg, dataset.ta)
+    engine.flush_all()
+    engine.verify()
+    assert engine.snapshot().total_points == 20_000
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

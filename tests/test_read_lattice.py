@@ -5,7 +5,7 @@ Each feature's own test file pins that feature in one configuration;
 this file draws the configuration.  Two levels:
 
 * **The fleet** (:class:`ReadLattice`, hypothesis stateful): {1, 3, 4}
-  shards x hash / range routing x a per-series split (``pi_c``, or
+  hash-routed shards x a per-series split (``pi_c``, or
   ``pi_s`` at a drawn ``seq_capacity``) x scheduler on / off x WAL group
   commit on / off, driven by ingest (disordered, duplicate generation
   times, single-point and empty batches, several series in one call) /
@@ -74,8 +74,6 @@ from tests.reference_store import ReferenceStore, canonical_rows
 
 NAMES = tuple(f"s{i}" for i in range(6))
 BUDGET, TABLE = 16, 8
-#: Range routing: boundaries that spread NAMES over 1, 3 and 4 shards.
-BOUNDARIES = {1: (), 3: ("s2", "s4"), 4: ("s1", "s3", "s5")}
 DEEP = settings.get_current_profile_name() == "deep"
 
 
@@ -157,11 +155,10 @@ def close_wals(databases) -> None:
 class ReadLattice(RuleBasedStateMachine):
     @initialize(
         shards=st.sampled_from((1, 3, 4)),
-        routing=st.sampled_from(("hash", "range")),
         scheduler=st.booleans(),
         group_commit=st.booleans(),
     )
-    def build(self, shards, routing, scheduler, group_commit):
+    def build(self, shards, scheduler, group_commit):
         self.root = tempfile.mkdtemp(prefix="read-lattice-")
         stability = {}
         if scheduler:
@@ -171,17 +168,12 @@ class ReadLattice(RuleBasedStateMachine):
             )
         if group_commit:
             stability["wal_group_records"] = 4
-        router = (
-            ShardRouter(shards)
-            if routing == "hash"
-            else ShardRouter(shards, mode="range", boundaries=BOUNDARIES[shards])
-        )
         shared = dict(
             memory_budget_per_series=BUDGET, sstable_size=TABLE, auto_tune=True,
             stability=stability,
         )
         self.fleet = ShardedDatabase(
-            router=router, durability_dir=os.path.join(self.root, "fleet"), **shared
+            shards, durability_dir=os.path.join(self.root, "fleet"), **shared
         )
         self.twin = TimeSeriesDatabase(
             durability_dir=os.path.join(self.root, "twin"), **shared
@@ -348,7 +340,7 @@ class ReadLattice(RuleBasedStateMachine):
 
     @invariant()
     def every_write_is_counted_as_the_plainest_store_counts_it(self):
-        """Shards, routing, scheduler, group commit, a WAL and a recovery
+        """Shards, scheduler, group commit, a WAL and a recovery
         change where and when a point lands, never how often it is
         written: per series, the fleet, its twin and the plain database
         hold the same ``WriteStats`` — user points, disk writes and the
@@ -607,20 +599,19 @@ def test_edge_case_reads_agree_through_every_front_door():
 # -- counter-examples the lattice shrank, kept as plain tests ---------------------
 
 
-def test_a_one_shard_range_fleet_recovers(tmp_path):
-    """``build(shards=1, routing='range')`` then ``checkpoint_and_recover()``:
-    the manifest's empty boundary list came back as "no boundaries
-    given", which a range router refuses — the fleet could not be
-    revived ("needs exactly 0 boundaries, got 0")."""
-    router = ShardRouter(1, mode="range", boundaries=())
+def test_a_one_shard_fleet_recovers(tmp_path):
+    """``build(shards=1)`` then ``checkpoint_and_recover()``: a one-shard
+    fleet's router round-trips through its manifest (a one-shard range
+    router once could not be revived), and so does every other width."""
+    fleet = ShardedDatabase(1, durability_dir=str(tmp_path))
+    router = fleet.router
     assert ShardRouter.from_dict(router.as_dict()).as_dict() == router.as_dict()
-    fleet = ShardedDatabase(router=router, durability_dir=str(tmp_path))
     fleet.write("a", np.arange(5.0))
     fleet.checkpoint_all()
     revived = ShardedDatabase.recover(str(tmp_path))
     assert revived.router.as_dict() == router.as_dict()
     same_answer(revived.query_aggregate(), fleet.query_aggregate())
-    for other in (ShardRouter(3), ShardRouter(3, mode="range", boundaries=("b", "d"))):
+    for other in (ShardRouter(3), ShardRouter(4)):
         assert ShardRouter.from_dict(other.as_dict()).as_dict() == other.as_dict()
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from repro import (
     AdaptiveEngine,
-    BackpressureError,
     ConfigError,
     ConventionalEngine,
     EngineError,
@@ -87,9 +86,9 @@ class TestNonFiniteInputsRejected:
 class TestAdaptiveRejectsBeforeLogging:
     """A batch the adaptive engine refuses must leave no durable trace."""
 
-    def _engine(self, tmp_path, **stability):
+    def _engine(self, tmp_path):
         config = LsmConfig(64, 64, wal_path=str(tmp_path / "adaptive.wal"))
-        return AdaptiveEngine(config.with_stability(**stability), check_interval=64)
+        return AdaptiveEngine(config, check_interval=64)
 
     def test_nan_arrival_time_does_not_poison_the_wal(self, tmp_path):
         engine = self._engine(tmp_path)
@@ -115,28 +114,6 @@ class TestAdaptiveRejectsBeforeLogging:
         assert len(read_wal(engine.config.wal_path).records) == 2
         engine.flush_all()
         engine.verify()
-
-    def test_shed_batch_is_not_logged(self, tmp_path):
-        engine = self._engine(
-            tmp_path,
-            compaction_scheduler=True,
-            compaction_tokens_per_point=0.01,
-            compaction_burst=1,
-            backpressure_throttle=128,
-            backpressure_shed=128,
-            backpressure_mode="error",
-        )
-        tg = np.arange(512, dtype=np.float64)
-        engine.ingest(tg[:256], tg[:256])  # builds up far more debt than 128
-        with pytest.raises(BackpressureError):
-            engine.ingest(tg[256:], tg[256:])
-        assert engine.ingested_points == 256
-        engine.wal.sync()
-        assert len(read_wal(engine.config.wal_path).records) == 1
-        # After the backlog drains the same batch is admitted verbatim.
-        engine.flush_all()
-        engine.ingest(tg[256:], tg[256:])
-        assert engine.ingested_points == 512
 
 
 class TestNanQueryBoundsRejected:
@@ -367,10 +344,18 @@ class TestDamagedManifests:
         "not-utf8": lambda path: path.write_bytes(b"\xff\xfe{"),
         "no-router": _edit(lambda m: m.pop("router")),
         "n-shards-not-a-number": _edit(lambda m: m["router"].update(n_shards="x")),
+        # JSON ``true`` is no count: a one-shard fleet must not read it as 1.
+        "n-shards-true": _edit(lambda m: (m["router"].update(n_shards=True), m["shards"].pop())),
+        # Routing a range fleet's names by hash would strand its series.
+        "range-router": _edit(lambda m: m["router"].update(mode="range", boundaries=["s3"])),
         "shard-entry-missing": _edit(lambda m: m["shards"].pop()),
         "dir-outside": _edit(lambda m: m["shards"][0].update(dir="../elsewhere")),
         "no-budget": _edit(lambda m: m.pop("memory_budget_per_series")),
         "budget-not-a-number": _edit(lambda m: _last_series(m).update(memory_budget="x")),
+        "budget-true": _edit(lambda m: m.update(memory_budget_per_series=True)),
+        "sstable-size-true": _edit(lambda m: m.update(sstable_size=True)),
+        "series-budget-true": _edit(lambda m: _last_series(m).update(memory_budget=True)),
+        "seq-capacity-true": _edit(lambda m: _last_series(m).update(seq_capacity=True)),
         "series-without-wal": _edit(lambda m: _last_series(m).pop("wal")),
         "wal-outside": _edit(lambda m: _last_series(m).update(wal="../a.wal")),
         "checkpoint-absolute": _edit(
@@ -380,12 +365,14 @@ class TestDamagedManifests:
 
     FLEET = (
         "truncated", "not-an-object", "not-utf8", "no-router",
-        "n-shards-not-a-number", "shard-entry-missing", "dir-outside",
+        "n-shards-not-a-number", "n-shards-true", "range-router",
+        "shard-entry-missing", "dir-outside",
     )
     DATABASE = (
         "truncated", "not-an-object", "not-utf8", "no-budget",
-        "budget-not-a-number", "series-without-wal", "wal-outside",
-        "checkpoint-absolute",
+        "budget-not-a-number", "budget-true", "sstable-size-true",
+        "series-budget-true", "seq-capacity-true", "series-without-wal",
+        "wal-outside", "checkpoint-absolute",
     )
 
     @pytest.mark.parametrize(
@@ -960,7 +947,7 @@ def _durable_db(directory, budget=8, sstable_size=4, **kwargs):
         ("memory_budget", lambda d: _durable_db(d, budget="64")),
         ("memory_budget", lambda d: _durable_db(d, budget=None)),
         ("sstable_size", lambda d: _durable_db(d, sstable_size=True)),
-        ("sstable_size", lambda d: ShardedDatabase(2, None, 8, 2.5, durability_dir=d)),
+        ("sstable_size", lambda d: ShardedDatabase(2, 8, 2.5, durability_dir=d)),
         ("memory_budget", lambda d: _durable_db(d).create_series("s", 6.5)),
         ("seq_capacity", lambda d: _durable_db(d).create_series("s", 8, 3.5)),
         ("wal_group_records", lambda d: _durable_db(d, stability={"wal_group_records": 2.5})),

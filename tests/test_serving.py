@@ -64,12 +64,6 @@ class TestShardRouter:
         hit = {router.shard_of(f"series-{i:03d}") for i in range(64)}
         assert hit == {0, 1, 2, 3}
 
-    def test_range_routing_uses_boundaries(self):
-        router = ShardRouter(3, mode="range", boundaries=["g", "p"])
-        assert router.shard_of("alpha") == 0
-        assert router.shard_of("golf") == 1
-        assert router.shard_of("zulu") == 2
-
     def test_split_batch_preserves_per_shard_order(self):
         router = ShardRouter(2)
         batch = [(f"s{i}", np.arange(3.0) + i) for i in range(8)]
@@ -79,20 +73,15 @@ class TestShardRouter:
             assert [e[0] for e in entries] == [e[0] for e in expected]
 
     def test_round_trips_through_dict(self):
-        router = ShardRouter(3, mode="range", boundaries=["g", "p"])
+        router = ShardRouter(3)
         clone = ShardRouter.from_dict(router.as_dict())
         for name in ("alpha", "golf", "pike", "zulu"):
             assert clone.shard_of(name) == router.shard_of(name)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(EngineError):
-            ShardRouter(0)
-        with pytest.raises(EngineError):
-            ShardRouter(2, mode="nope")
-        with pytest.raises(EngineError):
-            ShardRouter(3, mode="range", boundaries=["x"])
-        with pytest.raises(EngineError):
-            ShardRouter(3, mode="range", boundaries=["p", "g"])
+        for n_shards in (0, 2.5, True):
+            with pytest.raises(EngineError):
+                ShardRouter(n_shards)
 
 
 class TestShardConformance:
@@ -111,15 +100,15 @@ class TestShardConformance:
         names = [f"series-{i:02d}" for i in range(5)]
         datasets = _datasets(names)
         rounds = lockstep_rounds(datasets, 400, with_ta=(mode == "tuned"))
-        router = ShardRouter(3)
         auto_tune = mode == "tuned"
 
         fleet = ShardedDatabase(
-            router=router,
+            3,
             auto_tune=auto_tune,
             durability_dir=str(tmp_path / "fleet"),
             **_DB_KWARGS,
         )
+        router = fleet.router
         solos = [
             TimeSeriesDatabase(
                 auto_tune=auto_tune,

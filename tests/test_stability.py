@@ -7,7 +7,7 @@ Covers the robustness machinery end to end:
 * crash mid-group-commit recovery for every registered engine class;
 * scheduler/stop-the-world equivalence and bounded per-append work;
 * crash mid-schedule recovery under overload faults;
-* backpressure state transitions in both ``wait`` and ``error`` modes;
+* backpressure state transitions, shedding included;
 * the injectable fault clock and the stability report renderer.
 """
 
@@ -19,7 +19,6 @@ import pytest
 
 from repro import (
     AdaptiveEngine,
-    BackpressureError,
     ComposedEngine,
     ConfigError,
     ConventionalEngine,
@@ -29,6 +28,7 @@ from repro import (
     LsmConfig,
     MultiLevelEngine,
     SeparationEngine,
+    ShardedDatabase,
     TieredEngine,
     TimeSeriesDatabase,
     WriteAheadLog,
@@ -48,6 +48,7 @@ from repro.lsm.policies import (
     SplitPlacement,
     StorageKernel,
 )
+from repro.lsm.wal import GROUP_BYTES
 from repro.obs import render_trace_report, summarize_trace
 from repro.workloads import generate_synthetic
 
@@ -96,7 +97,7 @@ def _stream(n=3000, seed=7):
     "overrides, fragment",
     [
         (dict(wal_group_records=0), "wal_group_records"),
-        (dict(wal_group_bytes=0), "wal_group_bytes"),
+        (dict(wal_group_records=-1), "wal_group_records"),
         (dict(compaction_work_unit=0), "compaction_work_unit"),
         (dict(compaction_tokens_per_point=0.0), "compaction_tokens_per_point"),
         (dict(compaction_burst=0), "compaction_burst"),
@@ -106,7 +107,6 @@ def _stream(n=3000, seed=7):
             dict(backpressure_throttle=500, backpressure_shed=100),
             "must not exceed",
         ),
-        (dict(backpressure_mode="panic"), "backpressure_mode"),
     ],
 )
 def test_stability_knob_validation(overrides, fragment):
@@ -173,13 +173,16 @@ def test_group_commit_durability_window_and_sync(tmp_path):
 
 
 def test_group_commit_bytes_trigger(tmp_path):
-    """A byte-sized group commits even when the record trigger is huge."""
+    """A group of GROUP_BYTES commits even when the record trigger is huge."""
     path = str(tmp_path / "bytes.wal")
-    wal = WriteAheadLog(path, group_records=1_000_000, group_bytes=64)
-    tg, start = _sample_batches(n_batches=1)[0]
-    wal.append(tg, start)  # one 16-point frame is > 64 bytes
+    wal = WriteAheadLog(path, group_records=1_000_000)
+    small, start = _sample_batches(n_batches=1)[0]
+    wal.append(small, start)
+    assert wal.appended - wal.records_committed == 1
+    big = np.arange(GROUP_BYTES // 8 + 1, dtype=np.float64)  # one frame > 1 MiB
+    wal.append(big, start + small.size)
     assert wal.appended - wal.records_committed == 0
-    assert len(read_wal(path).records) == 1
+    assert [record.tg.size for record in read_wal(path).records] == [small.size, big.size]
     wal.close()
 
 
@@ -389,7 +392,6 @@ def test_backpressure_wait_mode_throttles_then_recovers():
     config = _congested_config(
         backpressure_throttle=256,
         backpressure_shed=2048,
-        backpressure_mode="wait",
     )
     engine = ConventionalEngine(config)
     step = 64
@@ -414,7 +416,6 @@ def test_backpressure_shedding_wait_mode_drains():
     config = _congested_config(
         backpressure_throttle=192,
         backpressure_shed=192,  # throttle == shed: straight to shedding
-        backpressure_mode="wait",
     )
     engine = ConventionalEngine(config)
     step = 64
@@ -428,37 +429,8 @@ def test_backpressure_shedding_wait_mode_drains():
         source == SHEDDING and target == HEALTHY
         for source, target, _ in transitions
     )
-    engine.flush_all()
-    engine.verify()
-
-
-def test_backpressure_error_mode_rejects_before_wal(tmp_path):
-    wal_path = str(tmp_path / "shed.wal")
-    dataset = _stream(2000, seed=19)
-    config = LsmConfig(**_SMALL, wal_path=wal_path).with_stability(
-        compaction_scheduler=True,
-        compaction_work_unit=32,
-        compaction_tokens_per_point=0.01,
-        compaction_burst=1,
-        backpressure_throttle=128,
-        backpressure_shed=128,
-        backpressure_mode="error",
-    )
-    engine = ConventionalEngine(config)
-    step = 256
-    engine.ingest(dataset.tg[:step])  # builds up far more debt than 128
-    ingested_before = engine.ingested_points
-    appended_before = engine.wal.appended
-    with pytest.raises(BackpressureError, match="shedding load"):
-        engine.ingest(dataset.tg[step : 2 * step])
-    # The shed batch left no trace: nothing ingested, nothing logged.
-    assert engine.ingested_points == ingested_before
-    assert engine.wal.appended == appended_before
-    assert engine.admission.shed_batches == 1
-    # After the backlog drains the same batch is admitted verbatim.
-    engine.flush_all()
-    engine.ingest(dataset.tg[step : 2 * step])
-    assert engine.ingested_points == ingested_before + step
+    # Every batch admitted while shedding is counted, and each stalled.
+    assert 0 < engine.admission.shed_batches <= engine.admission.stall_count
     engine.flush_all()
     engine.verify()
 
@@ -490,6 +462,50 @@ def test_database_surfaces_backpressure_and_sync(tmp_path):
     assert series.config.wal_group_records == 4
     assert series.config.compaction_scheduler is True
     assert series.engine.ingested_points == len(dataset)
+
+
+def test_a_manifest_with_retired_knobs_recovers(tmp_path):
+    """A durability directory whose manifests record the retired
+    ``wal_group_bytes`` / ``backpressure_mode`` knobs (settable once)
+    recovers without them, write counters included; a fleet too."""
+    retired = {"wal_group_bytes": 4096, "backpressure_mode": "wait"}
+    dataset = _stream(600, seed=29)
+    db = TimeSeriesDatabase(
+        64, 32, auto_tune=False, durability_dir=str(tmp_path / "db"),
+        stability=dict(wal_group_records=4),
+    )
+    fleet = ShardedDatabase(
+        2, 64, 32, auto_tune=False, durability_dir=str(tmp_path / "fleet"),
+        stability=dict(wal_group_records=4),
+    )
+    for name in ("s1", "s2"):
+        db.write(name, dataset.tg[:400])
+        fleet.write(name, dataset.tg[:400])
+    manifests = [db.checkpoint_all(), fleet.checkpoint_all()]
+    manifests += [str(p) for p in (tmp_path / "fleet").rglob("*manifest*.json")]
+    for path in manifests:
+        with open(path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["stability"].update(retired)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+    for name in ("s1", "s2"):  # a WAL tail past the checkpoints
+        db.write(name, dataset.tg[400:])
+        fleet.write(name, dataset.tg[400:])
+    db.sync()
+    fleet.sync()
+    revived = TimeSeriesDatabase.recover(str(tmp_path / "db"))
+    revived_fleet = ShardedDatabase.recover(str(tmp_path / "fleet"))
+    assert revived.stability == revived_fleet.stability == {"wal_group_records": 4}
+    for name in ("s1", "s2"):
+        for live, back in (
+            (db, revived),
+            (fleet.database_for(name), revived_fleet.database_for(name)),
+        ):
+            want, got = live.series(name).engine.stats, back.series(name).engine.stats
+            assert got.user_points == want.user_points == 600
+            assert got.disk_writes == want.disk_writes
+            np.testing.assert_array_equal(got.write_counts[:600], want.write_counts[:600])
 
 
 def test_wal_handle_and_its_pending_group_survive_a_retune(tmp_path):
