@@ -17,8 +17,13 @@ BUDGETS = (128, 256, 512, 1024)
 SIGMAS = (1.0, 1.25, 1.5, 1.75, 2.0)
 MU = 5.0
 
+print(f"Delay laws lognormal(mu={MU}, sigma) in milliseconds:")
+for sigma in SIGMAS:
+    law = repro.LogNormalDelay(MU, sigma)
+    print(f"  sigma={sigma:<5g} mean {law.mean():9.0f}  sd {law.variance() ** 0.5:9.0f}")
+
 print(
-    f"Decision map for lognormal(mu={MU}, sigma) delays at dt={DT_MS:g} ms\n"
+    f"\nDecision map for lognormal(mu={MU}, sigma) delays at dt={DT_MS:g} ms\n"
     "cell: winner (predicted WA, recommended n_seq if pi_s)\n"
 )
 header = f"{'budget':>8} |" + "".join(f"  sigma={s:<12}" for s in SIGMAS)

@@ -8,8 +8,10 @@ of a top-level class, in ``ROOT/src/repro`` whose name is used nowhere
 in the ``.py`` files under ``ROOT/src``, ``ROOT/benchmarks`` or
 ``ROOT/examples``.  A use is a name, an attribute or a word of a string
 that is not a docstring (string-named patch points count).  The name's
-own ``def`` / ``class``, ``__all__`` entries and ``import`` lines do
-not count: an export alone is not a caller.  The match is by name, so a
+own ``def`` / ``class``, a string inside the class or function that
+defines it (its own ``__repr__`` or error messages), ``__all__``
+entries and ``import`` lines do not count: an export alone is not a
+caller.  The match is by name, so a
 method shares its uses with every other attribute of that name.
 
 One ``<path>:<line>  <name>  tests: yes|no`` row per uncalled name —
@@ -58,15 +60,22 @@ def uses(path: pathlib.Path) -> Counter:
         ):
             skipped.update(id(child) for child in ast.walk(node))
     found: Counter = Counter()
-    for node in ast.walk(tree):
+
+    def visit(node: ast.AST, enclosing: frozenset) -> None:
         if id(node) in skipped:
-            continue
+            return
         if isinstance(node, ast.Name):
             found[node.id] += 1
         elif isinstance(node, ast.Attribute):
             found[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.update(_WORD.findall(node.value))
+            found.update(w for w in _WORD.findall(node.value) if w not in enclosing)
+        if isinstance(node, _DEFS):
+            enclosing = enclosing | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
     return found
 
 

@@ -65,9 +65,6 @@ from .distributions import (
     GammaDelay,
     HalfNormalDelay,
     LogNormalDelay,
-    MixtureDelay,
-    ParetoDelay,
-    ShiftedDelay,
     UniformDelay,
 )
 from .errors import (
@@ -106,11 +103,9 @@ from .lsm import (
     AdaptiveEngine,
     AdmissionController,
     CompactionScheduler,
-    ComposedEngine,
     FleetReport,
     InvariantChecker,
     RecoveryReport,
-    StorageKernel,
     TieredEngine,
     TimeSeriesDatabase,
     compose_engine,
@@ -186,8 +181,6 @@ __all__ = [
     "IoTDBStyleEngine",
     "MultiLevelEngine",
     "TieredEngine",
-    "StorageKernel",
-    "ComposedEngine",
     "compose_engine",
     "TimeSeriesDatabase",
     "FleetReport",
@@ -228,10 +221,7 @@ __all__ = [
     "UniformDelay",
     "HalfNormalDelay",
     "GammaDelay",
-    "ParetoDelay",
     "EmpiricalDelay",
-    "MixtureDelay",
-    "ShiftedDelay",
     # observability
     "Telemetry",
     "MetricsRegistry",

@@ -10,6 +10,7 @@ by the throughput and query-latency experiments.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -27,6 +28,12 @@ def is_integer(value) -> bool:
     """True for an integer setting: any integral number (NumPy's
     included) but a ``bool``."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """True for a finite real setting (NumPy's included) that is not a
+    ``bool``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def check_fault_plan(plan) -> None:
@@ -149,6 +156,10 @@ class LsmConfig:
                 f"wal_path must be a non-empty string or None, got {self.wal_path!r}"
             )
         check_fault_plan(self.fault_plan)
+        if not isinstance(self.compaction_scheduler, bool):
+            raise ConfigError(
+                f"compaction_scheduler must be a bool, got {self.compaction_scheduler!r}"
+            )
         for name, nullable in self._INTEGER_FIELDS.items():
             value = getattr(self, name)
             if value is None and nullable:
@@ -179,6 +190,11 @@ class LsmConfig:
             raise ConfigError(
                 "compaction_work_unit must be >= 1 point, "
                 f"got {self.compaction_work_unit}"
+            )
+        if not is_finite_number(self.compaction_tokens_per_point):
+            raise ConfigError(
+                "compaction_tokens_per_point must be a finite number, "
+                f"got {self.compaction_tokens_per_point!r}"
             )
         if self.compaction_tokens_per_point <= 0:
             raise ConfigError(

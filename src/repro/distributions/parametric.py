@@ -4,7 +4,7 @@ The paper's synthetic datasets use lognormal delays ("we add a random
 variable, which obeys the lognormal distribution, to simulate real-world
 delays", Section III).  The others each have a caller: exponential,
 uniform, gamma and half-normal segments make Figure 17's dynamic
-workload, and exponential and Pareto laws are rows of the fidelity gate
+workload, and the exponential law is also a row of the fidelity gate
 (``tests/test_fidelity_gate.py``), which checks the models on shapes the
 lognormal grid does not cover.
 """
@@ -25,7 +25,6 @@ __all__ = [
     "UniformDelay",
     "HalfNormalDelay",
     "GammaDelay",
-    "ParetoDelay",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -284,58 +283,3 @@ class GammaDelay(DelayDistribution):
 
     def __repr__(self):
         return f"GammaDelay(shape={self.shape!r}, scale={self.scale!r})"
-
-
-class ParetoDelay(DelayDistribution):
-    """Lomax (Pareto-II) delays starting at 0: a genuinely heavy tail.
-
-    ``P(delay > x) = (1 + x/scale)^(-alpha)``.
-    """
-
-    def __init__(self, alpha: float, scale: float) -> None:
-        check_finite(alpha=alpha, scale=scale)
-        if alpha <= 0 or scale <= 0:
-            raise DistributionError(
-                f"alpha and scale must be positive, got {alpha}, {scale}"
-            )
-        self.alpha = float(alpha)
-        self.scale = float(scale)
-        self.name = f"pareto(alpha={alpha:g}, scale={scale:g})"
-
-    def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        z = 1.0 + np.maximum(arr, 0.0) / self.scale
-        out = np.where(arr >= 0, self.alpha / self.scale * z ** (-self.alpha - 1.0), 0.0)
-        return float(out) if np.isscalar(x) else out
-
-    def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        z = 1.0 + np.maximum(arr, 0.0) / self.scale
-        out = np.where(arr >= 0, 1.0 - z ** (-self.alpha), 0.0)
-        return float(out) if np.isscalar(x) else out
-
-    def quantile(self, q):
-        qs = np.asarray(q, dtype=float)
-        if np.any((qs < 0) | (qs > 1)):
-            raise DistributionError(f"quantile levels must be in [0, 1]: {q}")
-        with np.errstate(divide="ignore"):
-            out = self.scale * ((1.0 - qs) ** (-1.0 / self.alpha) - 1.0)
-        return float(out) if np.isscalar(q) else out
-
-    def sample(self, size, rng):
-        return self.scale * ((1.0 - rng.random(size)) ** (-1.0 / self.alpha) - 1.0)
-
-    def mean(self):
-        if self.alpha <= 1.0:
-            return math.inf
-        return self.scale / (self.alpha - 1.0)
-
-    def variance(self):
-        if self.alpha <= 2.0:
-            return math.inf
-        return (
-            self.scale**2 * self.alpha / ((self.alpha - 1.0) ** 2 * (self.alpha - 2.0))
-        )
-
-    def __repr__(self):
-        return f"ParetoDelay(alpha={self.alpha!r}, scale={self.scale!r})"

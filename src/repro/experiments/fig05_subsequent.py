@@ -19,12 +19,8 @@ import numpy as np
 from ..core import ZetaModel
 from ..distributions import LogNormalDelay
 from ..config import LsmConfig
-from ..lsm.policies import (
-    LeveledSingleRun,
-    MergeFlush,
-    SinglePlacement,
-    StorageKernel,
-)
+from ..lsm.base import LsmEngine
+from ..lsm.policies import LeveledSingleRun, MergeFlush, SinglePlacement
 from ..workloads import generate_synthetic
 from .asciiplot import line_plot
 from .report import ExperimentResult
@@ -59,37 +55,24 @@ class _CountingLeveled(LeveledSingleRun):
         yield from super().land(op, memtable, unit_points)
 
 
-class _InstrumentedConventional(StorageKernel):
-    """``pi_c`` composed with the counting compaction policy above."""
-
-    policy_name = "pi_c"
-
-    def __init__(self, config: LsmConfig) -> None:
-        super().__init__(
-            config,
-            placement=SinglePlacement(),
-            flush=MergeFlush(),
-            compaction=_CountingLeveled(),
-        )
-
-    @property
-    def subsequent_counts(self) -> list[int]:
-        return self.compaction.subsequent_counts
-
-
 def _measured_subsequent(buffer_size: int, sigma: float, n_points: int, seed: int) -> float:
     """Mean subsequent-point count over all compactions."""
     dataset = generate_synthetic(
         n_points, dt=_DT, delay=LogNormalDelay(4.0, sigma), seed=seed
     )
-    engine = _InstrumentedConventional(
-        LsmConfig(memory_budget=buffer_size, sstable_size=buffer_size)
+    # ``pi_c`` with the counting compaction policy above.
+    compaction = _CountingLeveled()
+    engine = LsmEngine(
+        LsmConfig(memory_budget=buffer_size, sstable_size=buffer_size),
+        placement=SinglePlacement(),
+        flush=MergeFlush(),
+        compaction=compaction,
     )
     engine.ingest(dataset.tg)
     engine.flush_all()
-    if not engine.subsequent_counts:
+    if not compaction.subsequent_counts:
         return 0.0
-    return float(np.mean(engine.subsequent_counts))
+    return float(np.mean(compaction.subsequent_counts))
 
 
 def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:

@@ -21,17 +21,17 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..config import LsmConfig
 from ..distributions import ExponentialDelay
 from ..errors import FaultError, InjectedCrash
-from ..lsm.policies.compose import ENGINES, engine_class
+from ..lsm.policies.compose import ENGINES, engine_constructor
 from ..lsm.recovery import recover_engine
 from ..workloads.synthetic import generate_synthetic
-from .injector import FaultInjector, FaultPlan
+from .injector import FaultPlan
 
 __all__ = [
     "CRASH_TEST_ENGINES",
@@ -388,7 +388,7 @@ def run_crash_case(
         config = LsmConfig(**_CASE_CONFIG, wal_path=wal_path).with_stability(
             **stability
         )
-        live = row.build(config, faults=FaultInjector(plan))
+        live = row.build(replace(config, fault_plan=plan))
 
     # -- 2. ingest until the armed fault kills the "process" -------------------
     checkpoint_after = len(batches) // 2
@@ -448,7 +448,7 @@ def run_crash_case(
             result.verified = True  # ``recover`` verifies every engine
         else:
             report = recover_engine(
-                engine_class(row.engine),
+                engine_constructor(row.engine),
                 wal_path,
                 checkpoint_path=(
                     checkpoint_path if os.path.exists(checkpoint_path) else None

@@ -17,8 +17,11 @@ Sites instrumented across the write path:
 * ``"checkpoint.write"`` — fired after a checkpoint lands on disk; the
   injector then corrupts bytes inside the file to simulate a torn page.
 
-Disabled injection is literally absent: engines hold ``faults=None`` and
-the hot path pays one ``is None`` branch.
+A plan arms an engine one way, as its ``LsmConfig.fault_plan`` (a
+database passes its ``fault_plan=`` / ``shard_fault_plans=`` on to the
+configs of the engines it builds).  Disabled injection is literally
+absent: an engine without a plan holds ``faults = None`` and the hot
+path pays one ``is None`` branch.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..config import is_finite_number, is_integer
 from ..errors import FaultError, InjectedCrash
 
 __all__ = ["FAULT_SITES", "DELAY_SITES", "FaultPlan", "FaultInjector"]
@@ -85,18 +89,22 @@ class FaultPlan:
     merge_delay_every: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("crash_at_flush", "crash_at_merge", "torn_wal_append_at"):
+        # A plan is outside input, and a value of the wrong kind would
+        # arm nothing (a trigger of 1.5 never equals a count): each
+        # field is checked for its kind as well as its range.
+        for name in (
+            "crash_at_flush", "crash_at_merge", "torn_wal_append_at",
+            "fsync_delay_every", "merge_delay_every",
+        ):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise FaultError(f"{name} must be >= 1, got {value}")
+            if value is None and not name.endswith("_every"):
+                continue
+            if not is_integer(value) or value < 1:
+                raise FaultError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("fsync_delay_ms", "merge_delay_ms"):
             value = getattr(self, name)
-            if value < 0:
-                raise FaultError(f"{name} must be non-negative, got {value}")
-        for name in ("fsync_delay_every", "merge_delay_every"):
-            value = getattr(self, name)
-            if value < 1:
-                raise FaultError(f"{name} must be >= 1, got {value}")
+            if not is_finite_number(value) or value < 0:
+                raise FaultError(f"{name} must be a finite number >= 0, got {value!r}")
 
     def delay_for(self, site: str) -> tuple[float, int]:
         """``(delay_ms, every)`` armed for a :data:`DELAY_SITES` entry."""

@@ -4,11 +4,11 @@ This is the substrate the paper's experiments ran on: a leveled LSM-tree
 for time-series points keyed by generation time, with per-point write
 counters ("a prototype system that records the writing times of each
 point", Section III).  Every engine is a placement × flush × compaction
-composition over the single :class:`~repro.lsm.policies.StorageKernel`
-(see :doc:`docs/architecture`), and every named one is a row of
+composition driven by the one engine class, :class:`LsmEngine` (see
+:doc:`docs/architecture`), and every named one is a row of
 :data:`repro.lsm.policies.ENGINES` — the table checkpoint dispatch, the
-crash matrix and ``python -m repro engines`` read — built as a
-:class:`~repro.lsm.policies.ComposedEngine`.  Engines:
+crash matrix and ``python -m repro engines`` read — built by a plain
+constructor that returns an :class:`LsmEngine`.  Engines:
 
 * :class:`ConventionalEngine` — ``pi_c``: one MemTable, leveled merges
   (``single + merge + leveled``).
@@ -24,7 +24,7 @@ crash matrix and ``python -m repro engines`` read — built as a
   general-WA baseline contrasted in Section VII-A.
 * :class:`TieredEngine` — size-tiered compaction, the low-WA baseline.
 * :func:`~repro.lsm.policies.compose_engine` — any other triple, by
-  name (:class:`~repro.lsm.policies.ComposedEngine`).
+  name (recorded as ``ComposedEngine``).
 
 The first three are the paper's one storage system: a leveled run whose
 ``n_seq : n_nonseq`` split is live state, kernel state like the delay
@@ -53,7 +53,7 @@ from .invariants import InvariantChecker
 from .level import Run
 from .memtable import MemTable
 from .points import sort_by_generation
-from .policies import ComposedEngine, StorageKernel, compose_engine
+from .policies import compose_engine
 from .policies.compaction import merge_tables_with_batch
 from .policies.compose import (
     AdaptiveEngine,
@@ -79,8 +79,6 @@ __all__ = [
     "IoTDBStyleEngine",
     "MultiLevelEngine",
     "TieredEngine",
-    "StorageKernel",
-    "ComposedEngine",
     "compose_engine",
     "TimeSeriesDatabase",
     "SeriesState",

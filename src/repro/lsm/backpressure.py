@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 from .sstable import POINT_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .policies.kernel import StorageKernel
+    from .base import LsmEngine
 
 __all__ = [
     "BACKPRESSURE_STATES",
@@ -76,7 +76,7 @@ def rollup_states(states: list[str]) -> str:
 class AdmissionController:
     """Per-kernel backpressure state machine (see module docstring)."""
 
-    def __init__(self, kernel: "StorageKernel") -> None:
+    def __init__(self, kernel: "LsmEngine") -> None:
         config = kernel.config
         self.kernel = kernel
         budget = config.memory_budget

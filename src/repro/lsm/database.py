@@ -14,7 +14,7 @@ A series has one leveled engine from creation (or recovery) on: the
 ``ConventionalEngine`` or ``SeparationEngine`` row of its split.  Its
 policy is that engine's live split: :meth:`TimeSeriesDatabase.retune`
 and :meth:`~TimeSeriesDatabase.resize_series` re-split it in place
-(:meth:`~repro.lsm.policies.kernel.StorageKernel.resplit`), and the
+(:meth:`~repro.lsm.base.LsmEngine.resplit`), and the
 manifest records the split as ``seq_capacity`` plus the engine name
 derived from it.
 """
@@ -33,10 +33,9 @@ from ..core.analyzer import DelayAnalyzer
 from ..core.tuning import map_concurrently
 from ..errors import ConfigError, EngineError, RecoveryError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from .base import Snapshot, validate_points
+from .base import LsmEngine, RetuneOutcome, Snapshot, decide, validate_points
 from .checkpoint import namespaced_stem, write_atomically
-from .policies.compose import ComposedEngine, ConventionalEngine, SeparationEngine, engine_class
-from .policies.kernel import RetuneOutcome, decide
+from .policies.compose import ConventionalEngine, SeparationEngine, engine_constructor
 
 __all__ = [
     "SeriesState", "FleetReport", "TimeSeriesDatabase", "decide_series",
@@ -115,9 +114,17 @@ def check_manifest(path: str, record, fields: dict, members: tuple = ()) -> None
 _RETIRED_STABILITY = ("wal_group_bytes", "backpressure_mode")
 
 
-def recorded_stability(stability: dict | None) -> dict:
-    """The stability overrides a manifest records, retired knobs dropped."""
-    return {k: v for k, v in (stability or {}).items() if k not in _RETIRED_STABILITY}
+def recorded_stability(path: str, stability: dict | None) -> dict:
+    """The stability overrides the manifest at ``path`` records, retired
+    knobs dropped.  The rest are checked as a config checks them, before
+    any engine is built: any other unknown knob, or a value of the wrong
+    kind or out of range, is a :class:`RecoveryError` naming the file."""
+    knobs = {k: v for k, v in (stability or {}).items() if k not in _RETIRED_STABILITY}
+    try:
+        LsmConfig().with_stability(**knobs)
+    except ConfigError as exc:
+        raise RecoveryError(f"manifest {path}: stability: {exc}") from None
+    return knobs
 
 
 _DATABASE_FIELDS = {
@@ -140,7 +147,7 @@ class SeriesState:
     split are the engine's)."""
 
     name: str
-    engine: ComposedEngine
+    engine: LsmEngine
 
     @property
     def config(self) -> LsmConfig:
@@ -426,7 +433,7 @@ class TimeSeriesDatabase:
 
         The series are decided concurrently (:func:`decide_series`),
         then applied one by one in series order through each engine's
-        :meth:`~repro.lsm.policies.kernel.StorageKernel.retune`, so every
+        :meth:`~repro.lsm.base.LsmEngine.retune`, so every
         decision and event equals a serial retune's; ``duration_ms`` is
         each decision's own time.
         """
@@ -468,7 +475,7 @@ class TimeSeriesDatabase:
         """Re-budget one series' MemTables at a flush boundary.
 
         The series' engine is re-split in place
-        (:meth:`~repro.lsm.policies.kernel.StorageKernel.resplit`): drained
+        (:meth:`~repro.lsm.base.LsmEngine.resplit`): drained
         (``flush_all`` — the flush boundary) and given fresh MemTables
         of the new sizes, so WA accounting and ``verify()`` stay exact
         across the resize.  ``seq_capacity`` switches the series to
@@ -603,12 +610,12 @@ class TimeSeriesDatabase:
             auto_tune=manifest["auto_tune"],
             telemetry=telemetry,
             durability_dir=durability_dir,
-            stability=recorded_stability(manifest.get("stability")),
+            stability=recorded_stability(manifest_path, manifest.get("stability")),
             namespace=namespace,
         )
         for name, entry in manifest["series"].items():
-            engine_cls = engine_class(entry["engine"])
-            if engine_cls is None:
+            constructor = engine_constructor(entry["engine"])
+            if constructor is None:
                 raise RecoveryError(
                     f"series {name!r}: unknown engine {entry['engine']!r}"
                 )
@@ -619,7 +626,7 @@ class TimeSeriesDatabase:
                 wal_path=os.path.join(durability_dir, entry["wal"]),
             ).with_stability(**db.stability)
             report = recover_engine(
-                engine_cls,
+                constructor,
                 wal_path=config.wal_path,
                 checkpoint_path=os.path.join(durability_dir, entry["checkpoint"]),
                 config=config,

@@ -130,4 +130,4 @@ class InvariantChecker:
             )
 
     def _tag(self) -> str:
-        return f"{type(self.engine).__name__}({self.engine.policy_name})"
+        return f"{self.engine.checkpoint_label}({self.engine.policy_name})"

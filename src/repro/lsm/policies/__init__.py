@@ -1,7 +1,7 @@
 """The composable policy kernel.
 
 An LSM engine in this codebase is a composition of three orthogonal
-policies driven by one :class:`~repro.lsm.policies.kernel.StorageKernel`:
+policies driven by the one engine class, :class:`~repro.lsm.base.LsmEngine`:
 
 * a :class:`~repro.lsm.policies.placement.PlacementPolicy` decides which
   MemTable buffers each arriving point (a single ``C0``, or the paper's
@@ -13,15 +13,15 @@ policies driven by one :class:`~repro.lsm.policies.kernel.StorageKernel`:
   on-disk structure and how a flushed batch lands in it (single leveled
   run, multilevel cascade, size-tiered runs, IoTDB's two-space layout).
 
-The kernel itself (via :class:`~repro.lsm.base.LsmEngine`) owns the
-cross-cutting machinery every composition shares: WAL framing, the hot
-ingest loop's id assignment and accounting, fault boundaries, telemetry
-spans, and component-wise checkpoint assembly.
+The engine owns the cross-cutting machinery every composition shares:
+WAL framing, the hot ingest loop's id assignment and accounting, fault
+boundaries, telemetry spans, and component-wise checkpoint assembly.
 
 :data:`~repro.lsm.policies.compose.ENGINES` is the table of named
 engines — one row per name a checkpoint may record, each a triple of the
-parts above; :func:`~repro.lsm.policies.compose.compose_engine` builds
-any other combination by name.
+parts above, built by its plain constructor;
+:func:`~repro.lsm.policies.compose.compose_engine` builds any other
+combination by name.
 """
 
 from .compaction import (
@@ -36,17 +36,14 @@ from .compose import (
     ENGINES,
     FLUSHES,
     PLACEMENTS,
-    ComposedEngine,
     compose_engine,
-    engine_class,
+    engine_constructor,
     engine_compositions,
 )
 from .flush import AppendFlush, FlushStrategy, IndependentFlush, MergeFlush, SeparationFlush
-from .kernel import StorageKernel
 from .placement import PlacementPolicy, SinglePlacement, SplitPlacement
 
 __all__ = [
-    "StorageKernel",
     "PlacementPolicy",
     "SinglePlacement",
     "SplitPlacement",
@@ -61,8 +58,7 @@ __all__ = [
     "SizeTiered",
     "IoTDBTwoSpace",
     "ENGINES",
-    "engine_class",
-    "ComposedEngine",
+    "engine_constructor",
     "compose_engine",
     "engine_compositions",
     "PLACEMENTS",

@@ -40,10 +40,9 @@ from ..sstable import SSTable, build_sstables
 from ..wa_tracker import CompactionEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .kernel import StorageKernel
+    from ..base import LsmEngine
 
 __all__ = [
-    "LANDING_OPS",
     "merge_tables_with_batch",
     "CompactionPolicy",
     "LeveledSingleRun",
@@ -51,9 +50,6 @@ __all__ = [
     "SizeTiered",
     "IoTDBTwoSpace",
 ]
-
-#: The landing operations a flush strategy may request.
-LANDING_OPS = ("compact", "flush", "merge")
 
 #: Fixed cost charged to the foreground for initiating one flush (fsync,
 #: file creation) — identical for both IoTDB policies.
@@ -129,7 +125,7 @@ class CompactionPolicy(abc.ABC):
     #: Short label used by ``repro engines`` and composition tables.
     name: str = "abstract"
 
-    def bind(self, kernel: "StorageKernel") -> None:
+    def bind(self, kernel: "LsmEngine") -> None:
         """Attach to the owning kernel (called once, from the kernel)."""
         self.kernel = kernel
 
@@ -147,7 +143,7 @@ class CompactionPolicy(abc.ABC):
     @abc.abstractmethod
     def land(self, op: str, memtable: MemTable, unit_points: float) -> Iterator[int]:
         """Generator landing ``memtable`` via ``op`` (one of
-        :data:`LANDING_OPS`) in work units of about ``unit_points``.
+        :data:`~repro.lsm.base.LANDING_OPS`) in work units of about ``unit_points``.
 
         Yields the cost (points processed) of each unit; the landing is
         committed — through :meth:`_commit`, MemTable cleared — by the

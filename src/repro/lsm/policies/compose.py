@@ -4,14 +4,16 @@ An engine is a row.  :data:`ENGINES` is the one place an engine name
 meets a placement x flush x compaction triple: every name a checkpoint
 or a manifest may record, the label it reports under, the policies it is
 made of, and the small shape the crash matrix and the fixtures run it
-in.  Checkpoint dispatch (:func:`engine_class`), the crash matrix, the
-``engines`` command (:func:`engine_compositions`) and the test factories
-all read it; adding an engine is adding a row.
+in.  Checkpoint dispatch (:func:`engine_constructor`), the crash matrix,
+the ``engines`` command (:func:`engine_compositions`) and the test
+factories all read it; adding an engine is adding a row.
 
-Every named engine is a :class:`ComposedEngine` generated from its rows
-(:func:`_named_engine`), with the row's compaction parameters (and, for
-the leveled rows, the tuner's) as constructor arguments and no façade:
-structure and clocks are read through ``engine.compaction``.
+Every engine is a :class:`~repro.lsm.base.LsmEngine`.  A named engine
+is a plain constructor that resolves its row to policy objects, with
+the row's compaction parameters (and, for the leveled rows, the
+tuner's) as arguments and no façade: structure and clocks are read
+through ``engine.compaction``, and ``engine.row`` says which engine an
+object is.
 
 * ``ConventionalEngine(config)`` — ``pi_c``: one MemTable, leveled
   merges.  "When writing, pi_c first buffers the data in C0.  When C0 is
@@ -38,8 +40,8 @@ structure and clocks are read through ``engine.compaction``.
 
 These three are one storage system, a leveled run whose
 ``C_seq`` / ``C_nonseq`` split is live state (``config.seq_capacity``):
-each takes an ``analyzer=`` and may :meth:`~StorageKernel.resplit` or
-:meth:`~StorageKernel.retune` while running, which makes a
+each takes an ``analyzer=`` and may :meth:`~repro.lsm.base.LsmEngine.resplit` or
+:meth:`~repro.lsm.base.LsmEngine.retune` while running, which makes a
 ``ConventionalEngine`` the ``SeparationEngine`` row and back.
 
 * ``MultiLevelEngine(config, size_ratio=10, max_levels=6)`` — textbook
@@ -80,10 +82,11 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
-from ...config import DiskModel, LsmConfig
+from ...config import DEFAULT_DISK_MODEL, DiskModel, LsmConfig
+from ...core.analyzer import DelayAnalyzer
 from ...errors import EngineError
-from ...faults.injector import FaultInjector
 from ...obs.telemetry import Telemetry
+from ..base import LsmEngine
 from .compaction import (
     IoTDBTwoSpace,
     LeveledSingleRun,
@@ -91,7 +94,6 @@ from .compaction import (
     SizeTiered,
 )
 from .flush import AppendFlush, IndependentFlush, MergeFlush, SeparationFlush
-from .kernel import StorageKernel
 from .placement import SinglePlacement, SplitPlacement
 
 __all__ = [
@@ -100,9 +102,9 @@ __all__ = [
     "COMPACTIONS",
     "ENGINES",
     "EngineRow",
-    "engine_class",
+    "engine_constructor",
+    "recordable_labels",
     "split_row",
-    "ComposedEngine",
     "ConventionalEngine",
     "SeparationEngine",
     "AdaptiveEngine",
@@ -165,8 +167,8 @@ class EngineRow:
     #: Short unique key (fixtures, the read/write lattice); ``None`` for
     #: the open row, which is no one configuration.
     key: str | None
-    #: The name checkpoints and manifests record — the class that
-    #: builds and restores it (:func:`engine_class`).
+    #: The name checkpoints and manifests record — the constructor
+    #: that builds and restores it (:func:`engine_constructor`).
     engine: str
     #: The label reports and telemetry spans carry.
     policy_name: str
@@ -174,10 +176,11 @@ class EngineRow:
     flush: str
     #: The compaction policy; the engine's constructor takes that
     #: policy's parameters, with its defaults (a default's type is the
-    #: parameter's kind).
+    #: parameter's kind, checked wherever a row is built).
     compaction: str
     #: Constructor arguments that pick this row among rows sharing
-    #: :attr:`engine` (recorded with the compaction parameters).
+    #: :attr:`engine` (recorded with the compaction parameters): an
+    #: open row's are its triple.
     selector: dict = dataclasses.field(default_factory=dict)
     #: Constructor arguments of the small shape — a few thousand points
     #: reach every level — the crash matrix and the fixtures run.
@@ -185,29 +188,28 @@ class EngineRow:
     #: The key ``crash-test --engines`` runs it under (``None``: not in
     #: the crash matrix).
     crash_key: str | None = None
-    #: The tuner's constructor arguments (``analyzer``, ``check_interval``),
-    #: keyword-only, with their defaults.  A row that has them is one
-    #: whose split is live state: its engine starts under the row's own
-    #: placement (``pi_c`` when the row names no one placement), taking
-    #: only ``n_seq`` from the config, and may re-split while running.
-    tuner: dict = dataclasses.field(default_factory=dict)
+    #: Whether the engine has a tuner (keyword-only ``analyzer=``, and
+    #: ``check_interval=`` on the adaptive row): its split is then live
+    #: state — it starts under the row's own placement (``pi_c`` when
+    #: the row names no one placement), taking only ``n_seq`` from the
+    #: config, and may re-split while running.
+    tuner: bool = False
 
-    def build(self, config: LsmConfig | None = None, **kernel_kwargs):
+    def build(self, config: LsmConfig | None = None, telemetry: Telemetry | None = None):
         """A fresh engine of this row in its small shape."""
-        return engine_class(self.engine)(
-            config, **self.selector, **self.small, **kernel_kwargs
+        return engine_constructor(self.engine)(
+            config, telemetry=telemetry, **self.selector, **self.small
         )
 
 
 ENGINES = (
     EngineRow("conventional", "ConventionalEngine", "pi_c", "single", "merge", "leveled",
-              crash_key="pi_c", tuner={"analyzer": None}),
+              crash_key="pi_c", tuner=True),
     EngineRow("separation", "SeparationEngine", "pi_s", "split", "separation", "leveled",
-              crash_key="pi_s", tuner={"analyzer": None}),
+              crash_key="pi_s", tuner=True),
     EngineRow("adaptive", "AdaptiveEngine", "pi_adaptive",
               "adaptive (re-split at runtime)", "merge <-> separation", "leveled",
-              small={"check_interval": 512}, crash_key="adaptive",
-              tuner={"analyzer": None, "check_interval": 8192}),
+              small={"check_interval": 512}, crash_key="adaptive", tuner=True),
     EngineRow("iotdb_conventional", "IoTDBStyleEngine", "pi_c", "single", "append", "iotdb",
               {"policy": "conventional"}, {"l1_file_limit": 4}, crash_key="iotdb"),
     EngineRow("iotdb_separation", "IoTDBStyleEngine", "pi_s", "split", "independent", "iotdb",
@@ -220,12 +222,6 @@ ENGINES = (
     EngineRow(None, "ComposedEngine", "compose_engine(...)",
               *("|".join(sorted(names)) for names in (PLACEMENTS, FLUSHES, COMPACTIONS))),
 )
-
-
-def engine_class(name: str):
-    """The class that builds and restores engines recorded as ``name``
-    (``None`` when no row has that name)."""
-    return next((globals()[row.engine] for row in ENGINES if row.engine == name), None)
 
 
 def _check_parameters(compaction: str, params: dict) -> dict:
@@ -301,141 +297,120 @@ def split_row(row: EngineRow, placement: str) -> tuple[EngineRow, str, str]:
     return (row if row.placement not in PLACEMENTS else new), new.policy_name, flush
 
 
-class ComposedEngine(StorageKernel):
-    """An engine assembled from named policies at construction time —
-    the one engine class; every named engine is a subclass generated
-    from its rows.
-
-    Every instance knows its :class:`EngineRow` — a named subclass the
-    row of :data:`ENGINES` it was built from (or re-split to), a bare
-    ``ComposedEngine`` a row of its own triple — and checkpoints store
-    what rebuilds it (the triple, or the row's selector, and the
-    compaction parameters), so it round-trips through
-    ``LsmEngine.restore`` by name.
-    """
-
-    def __init__(
-        self,
-        config: LsmConfig | None = None,
-        placement: str = "single",
-        flush: str | None = None,
-        compaction: str = "leveled",
-        compaction_kwargs: dict | None = None,
-        telemetry: Telemetry | None = None,
-        faults: FaultInjector | None = None,
-    ) -> None:
-        flush = _resolve_flush(placement, flush, compaction)
-        label = f"{placement}+{flush}+{compaction}"
-        row = EngineRow(None, "ComposedEngine", label, placement, flush, compaction)
-        self._assemble(row, compaction_kwargs or {}, config, telemetry, faults)
-
-    def _assemble(self, row: EngineRow, params: dict, config, telemetry, faults, **tuner):
-        config = config if config is not None else LsmConfig()
-        placement, flush, policy_name = row.placement, row.flush, row.policy_name
-        if row.tuner:
-            # The split is live state: the engine starts under its row's.
-            placement = "split" if placement == "split" else "single"
-            seq_capacity = config.effective_seq_capacity if placement == "split" else None
+def _build(
+    row: EngineRow, params: dict, config: LsmConfig | None, telemetry: Telemetry | None, **tuner
+) -> LsmEngine:
+    """The engine of ``row``: its policies built, its compaction with
+    ``params`` — checked, because they are outside input wherever a row
+    is built, a caller's or a checkpoint's — and the row, its label and
+    the checked parameters recorded on the engine."""
+    config = config if config is not None else LsmConfig()
+    placement, flush, policy_name = row.placement, row.flush, row.policy_name
+    if row.tuner:
+        # The split is live state: the engine starts under its row's.
+        placement = "split" if placement == "split" else "single"
+        seq_capacity = config.effective_seq_capacity if placement == "split" else None
+        if config.seq_capacity != seq_capacity:
             config = config.with_seq_capacity(seq_capacity)
-            row, policy_name, flush = split_row(row, placement)
-        self.row, self.policy_name = row, policy_name
-        self._params = _check_parameters(row.compaction, params)
-        StorageKernel.__init__(
-            self,
-            config,
-            placement=PLACEMENTS[placement](),
-            flush=FLUSHES[flush][0](),
-            compaction=COMPACTIONS[row.compaction](**self._params),
-            telemetry=telemetry,
-            faults=faults,
-            **tuner,
+        row, policy_name, flush = split_row(row, placement)
+    params = _check_parameters(row.compaction, params)
+    engine = LsmEngine(
+        config,
+        placement=PLACEMENTS[placement](),
+        flush=FLUSHES[flush][0](),
+        compaction=COMPACTIONS[row.compaction](**params),
+        telemetry=telemetry,
+        **tuner,
+    )
+    engine.row, engine.policy_name, engine.params = row, policy_name, params
+    return engine
+
+
+_ROWS = {row.key: row for row in ENGINES}
+
+
+def ConventionalEngine(
+    config: LsmConfig | None = None,
+    telemetry: Telemetry | None = None,
+    *,
+    analyzer: DelayAnalyzer | None = None,
+) -> LsmEngine:
+    """``single + merge + leveled``: the ``ConventionalEngine`` row of
+    :data:`ENGINES` (``pi_c``)."""
+    return _build(_ROWS["conventional"], {}, config, telemetry, analyzer=analyzer)
+
+
+def SeparationEngine(
+    config: LsmConfig | None = None,
+    telemetry: Telemetry | None = None,
+    *,
+    analyzer: DelayAnalyzer | None = None,
+) -> LsmEngine:
+    """``split + separation + leveled``: the ``SeparationEngine`` row of
+    :data:`ENGINES` (``pi_s``)."""
+    return _build(_ROWS["separation"], {}, config, telemetry, analyzer=analyzer)
+
+
+def AdaptiveEngine(
+    config: LsmConfig | None = None,
+    telemetry: Telemetry | None = None,
+    *,
+    analyzer: DelayAnalyzer | None = None,
+    check_interval: int = 8192,
+) -> LsmEngine:
+    """The leveled run under ``pi_c`` that retunes itself every
+    ``check_interval`` points: the ``AdaptiveEngine`` row of
+    :data:`ENGINES` (``pi_adaptive``)."""
+    return _build(
+        _ROWS["adaptive"], {}, config, telemetry,
+        analyzer=analyzer, check_interval=check_interval,
+    )
+
+
+def MultiLevelEngine(
+    config: LsmConfig | None = None,
+    size_ratio: int = 10,
+    max_levels: int = 6,
+    telemetry: Telemetry | None = None,
+) -> LsmEngine:
+    """``single + merge + multilevel``: the ``MultiLevelEngine`` row of
+    :data:`ENGINES` (``leveled_T``)."""
+    params = {"size_ratio": size_ratio, "max_levels": max_levels}
+    return _build(_ROWS["multilevel"], params, config, telemetry)
+
+
+def TieredEngine(
+    config: LsmConfig | None = None,
+    tier_fanout: int = 4,
+    max_levels: int = 8,
+    telemetry: Telemetry | None = None,
+) -> LsmEngine:
+    """``single + append + tiered``: the ``TieredEngine`` row of
+    :data:`ENGINES` (``tiered_T``)."""
+    params = {"tier_fanout": tier_fanout, "max_levels": max_levels}
+    return _build(_ROWS["tiered"], params, config, telemetry)
+
+
+def IoTDBStyleEngine(
+    config: LsmConfig | None = None,
+    policy: str = "conventional",
+    l1_file_limit: int = 10,
+    disk: DiskModel = DEFAULT_DISK_MODEL,
+    telemetry: Telemetry | None = None,
+) -> LsmEngine:
+    """``single + append + iotdb`` (``policy="conventional"``, ``pi_c``)
+    or ``split + independent + iotdb`` (``policy="separation"``,
+    ``pi_s``): the ``IoTDBStyleEngine`` rows of :data:`ENGINES`."""
+    chosen = {"policy": policy}
+    rows = [row for row in ENGINES if row.engine == "IoTDBStyleEngine"]
+    row = next((row for row in rows if row.selector == chosen), None)
+    if row is None:
+        raise EngineError(
+            f"IoTDBStyleEngine: no engine for {chosen}; choose from "
+            f"{[row.selector for row in rows]}"
         )
-
-    def _checkpoint_kwargs(self) -> dict:
-        row = self.row
-        params = {
-            name: dataclasses.asdict(value) if isinstance(value, DiskModel) else value
-            for name, value in self._params.items()
-        }
-        if row.key is not None:
-            return {**row.selector, **params}
-        return {
-            "placement": row.placement,
-            "flush": row.flush,
-            "compaction": row.compaction,
-            "compaction_kwargs": params,
-        }
-
-
-def _named_engine(name: str) -> type[ComposedEngine]:
-    """The :class:`ComposedEngine` subclass recorded as ``name``.
-
-    Its constructor is ``(config, <selector>, <compaction parameters>,
-    telemetry, faults, *, <tuner>)``: the selector
-    (``IoTDBStyleEngine``'s ``policy=``) picks among the rows of that
-    name, the first row's by default; the parameters default as the
-    compaction policy's do, the tuner's as the row says.  Its
-    ``checkpoint_labels`` are the names its engines record, under either
-    split when the split is live state (:func:`split_row`).
-    """
-    rows = [row for row in ENGINES if row.engine == name]
-    first = rows[0]
-    defaults = {
-        "config": None, **first.selector, **_PARAMETERS[first.compaction],
-        "telemetry": None, "faults": None,
-    }
-    parameter = inspect.Parameter
-    signature = inspect.Signature(
-        [parameter(arg, parameter.POSITIONAL_OR_KEYWORD, default=value)
-         for arg, value in defaults.items()]
-        + [parameter(arg, parameter.KEYWORD_ONLY, default=value)
-           for arg, value in first.tuner.items()]
-    )
-
-    def __init__(self, *args, **kwargs) -> None:
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        given = bound.arguments
-        chosen = {key: given.pop(key) for key in first.selector}
-        row = next((row for row in rows if row.selector == chosen), None)
-        if row is None:
-            raise EngineError(
-                f"{name}: no engine for {chosen}; choose from "
-                f"{[row.selector for row in rows]}"
-            )
-        config, telemetry, faults = map(given.pop, ("config", "telemetry", "faults"))
-        tuner = {key: given.pop(key) for key in first.tuner}
-        self._assemble(row, given, config, telemetry, faults, **tuner)
-
-    triples = " / ".join(f"{row.placement} + {row.flush} + {row.compaction}" for row in rows)
-    labels = [row.engine for row in rows] + [
-        split_row(row, placement)[0].engine
-        for row in rows if row.tuner
-        for placement in PLACEMENTS
-    ]
-    return type(
-        name,
-        (ComposedEngine,),
-        {
-            "__init__": __init__,
-            "__doc__": f"``{triples}``, generated from its rows of :data:`ENGINES`.",
-            "__module__": __name__,
-            "__signature__": signature,
-            "policy_name": first.policy_name,
-            "checkpoint_labels": tuple(dict.fromkeys(labels)),
-        },
-    )
-
-
-ConventionalEngine = _named_engine("ConventionalEngine")
-SeparationEngine = _named_engine("SeparationEngine")
-AdaptiveEngine = _named_engine("AdaptiveEngine")
-MultiLevelEngine = _named_engine("MultiLevelEngine")
-TieredEngine = _named_engine("TieredEngine")
-IoTDBStyleEngine = _named_engine("IoTDBStyleEngine")
-
-#: A bare ``ComposedEngine`` restores whatever a row records.
-ComposedEngine.checkpoint_labels = tuple(dict.fromkeys(row.engine for row in ENGINES))
+    params = {"l1_file_limit": l1_file_limit, "disk": disk}
+    return _build(row, params, config, telemetry)
 
 
 def compose_engine(
@@ -444,24 +419,53 @@ def compose_engine(
     compaction: str = "leveled",
     config: LsmConfig | None = None,
     compaction_kwargs: dict | None = None,
-    **kernel_kwargs,
-) -> ComposedEngine:
-    """Build an engine from named policies.
+    telemetry: Telemetry | None = None,
+) -> LsmEngine:
+    """Build an engine from named policies: a row of its own triple,
+    recorded as ``ComposedEngine``.
 
     ``flush`` defaults to the natural strategy for the pair (see
     ``_DEFAULT_FLUSH``); ``compaction_kwargs`` parameterise the
     compaction policy (``size_ratio``, ``tier_fanout``,
-    ``l1_file_limit``...).  Remaining ``kernel_kwargs`` (``telemetry``,
-    ``faults``) pass to the kernel.
+    ``l1_file_limit``...).
     """
-    return ComposedEngine(
-        config,
-        placement=placement,
-        flush=flush,
-        compaction=compaction,
-        compaction_kwargs=compaction_kwargs,
-        **kernel_kwargs,
+    flush = _resolve_flush(placement, flush, compaction)
+    triple = {"placement": placement, "flush": flush, "compaction": compaction}
+    label = "+".join(triple.values())
+    row = EngineRow(None, "ComposedEngine", label, *triple.values(), selector=triple)
+    return _build(row, compaction_kwargs or {}, config, telemetry)
+
+
+#: The constructor that builds and restores each name a row records.
+_CONSTRUCTORS = {
+    build.__name__: build
+    for build in (
+        ConventionalEngine, SeparationEngine, AdaptiveEngine,
+        MultiLevelEngine, TieredEngine, IoTDBStyleEngine,
     )
+}
+_CONSTRUCTORS["ComposedEngine"] = compose_engine
+
+
+def engine_constructor(name: str):
+    """The constructor that builds and restores engines recorded as
+    ``name`` (``None`` when no row has that name)."""
+    return next((_CONSTRUCTORS[row.engine] for row in ENGINES if row.engine == name), None)
+
+
+def recordable_labels(constructor) -> set[str]:
+    """Every name an engine ``constructor`` builds may come to record —
+    what recovery accepts from a checkpoint it expects such an engine
+    in.  A named constructor's are its rows' names, under either split
+    when the split is live state (:func:`split_row`); any other
+    constructor (``compose_engine``, whose open row is no one
+    configuration) may meet any row's."""
+    rows = [row for row in ENGINES if row.engine == getattr(constructor, "__name__", None)]
+    return {
+        split_row(row, placement)[0].engine if row.tuner else row.engine
+        for row in rows or ENGINES
+        for placement in PLACEMENTS
+    }
 
 
 def engine_compositions() -> list[dict[str, str]]:

@@ -25,7 +25,7 @@ import abc
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .kernel import StorageKernel
+    from ..base import LsmEngine
 
 __all__ = [
     "FlushStrategy",
@@ -42,7 +42,7 @@ class FlushStrategy(abc.ABC):
     #: Short label used by ``repro engines`` and composition tables.
     name: str = "abstract"
 
-    def bind(self, kernel: "StorageKernel") -> None:
+    def bind(self, kernel: "LsmEngine") -> None:
         """Attach to the owning kernel (called once, from the kernel)."""
         self.kernel = kernel
 

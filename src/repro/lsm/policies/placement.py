@@ -27,7 +27,7 @@ from ..checkpoint import pack_memtable, unpack_memtable
 from ..memtable import MemTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .kernel import StorageKernel
+    from ..base import LsmEngine
 
 __all__ = ["PlacementPolicy", "SinglePlacement", "SplitPlacement"]
 
@@ -38,7 +38,7 @@ class PlacementPolicy(abc.ABC):
     #: Short label used by ``repro engines`` and composition tables.
     name: str = "abstract"
 
-    def bind(self, kernel: "StorageKernel") -> None:
+    def bind(self, kernel: "LsmEngine") -> None:
         """Attach to the owning kernel (called once, from the kernel)."""
         self.kernel = kernel
 
@@ -74,7 +74,7 @@ class SinglePlacement(PlacementPolicy):
 
     name = "single"
 
-    def bind(self, kernel: "StorageKernel") -> None:
+    def bind(self, kernel: "LsmEngine") -> None:
         super().bind(kernel)
         self.memtable = MemTable(kernel.config.memory_budget, name="C0")
 
@@ -130,7 +130,7 @@ class SplitPlacement(PlacementPolicy):
 
     name = "split"
 
-    def bind(self, kernel: "StorageKernel") -> None:
+    def bind(self, kernel: "LsmEngine") -> None:
         super().bind(kernel)
         config = kernel.config
         self.seq = MemTable(config.effective_seq_capacity, name="C_seq")

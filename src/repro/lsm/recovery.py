@@ -26,7 +26,7 @@ The recovery protocol, in order:
 The result lands in a state bit-identical to a crash-free run over the
 durable prefix (modulo cosmetic SSTable sequence numbers).
 
-There is one loop, :func:`recover_engine`, for every engine class.
+There is one loop, :func:`recover_engine`, for every engine.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..errors import CheckpointCorruptError, ConfigError, RecoveryError
+from ..errors import CheckpointCorruptError, CheckpointError, ConfigError, RecoveryError
 from .base import LsmEngine
+from .policies.compose import recordable_labels
 from .wal import WalRecord, read_wal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import LsmConfig
-    from ..faults.injector import FaultInjector
     from ..obs.telemetry import Telemetry
 
 __all__ = ["RecoveryReport", "recover_engine"]
@@ -74,42 +74,46 @@ class RecoveryReport:
 
 
 def recover_engine(
-    engine_cls: type[LsmEngine],
+    constructor,
     wal_path: str,
     checkpoint_path: str | None = None,
     config: "LsmConfig | None" = None,
     engine_kwargs: dict | None = None,
     telemetry: "Telemetry | None" = None,
-    faults: "FaultInjector | None" = None,
     verify: bool = True,
 ) -> RecoveryReport:
     """Recover one :class:`LsmEngine` from its WAL (+ optional checkpoint).
 
-    ``config`` should carry the ``wal_path`` so the recovered engine keeps
-    appending to the same log; replayed records are fed around the WAL so
-    nothing is double-logged.  ``engine_kwargs`` are used only when no
-    usable checkpoint exists and the engine is rebuilt from scratch
-    (checkpoints remember their own constructor kwargs).
+    ``constructor`` is the constructor of the engine expected (a named
+    engine's, or ``compose_engine``).  A checkpoint it restores must
+    hold an engine that constructor can have built
+    (:func:`~repro.lsm.policies.compose.recordable_labels`), else
+    :class:`~repro.errors.CheckpointError`.  ``config`` should carry the
+    ``wal_path`` so the recovered engine keeps appending to the same
+    log, and arms the engine when it has a ``fault_plan``; replayed
+    records are fed around the WAL so nothing is double-logged.
+    ``engine_kwargs`` are used only when no usable checkpoint exists and
+    the engine is rebuilt from scratch (checkpoints remember their own
+    constructor kwargs).
     """
     report = RecoveryReport(engine=None)
     engine: LsmEngine | None = None
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         try:
-            engine = engine_cls.restore(
-                checkpoint_path,
-                config=config,
-                telemetry=telemetry,
-                faults=faults,
-            )
-            report.checkpoint_used = True
+            engine = LsmEngine.restore(checkpoint_path, config=config, telemetry=telemetry)
         except CheckpointCorruptError as exc:
             report.checkpoint_corrupt = True
             report.notes.append(f"checkpoint discarded: {exc}")
+        else:
+            label = engine.checkpoint_label
+            if label not in recordable_labels(constructor):
+                raise CheckpointError(
+                    f"{checkpoint_path}: checkpoint was taken by {label!r}, "
+                    f"not {constructor.__name__}"
+                )
+            report.checkpoint_used = True
     if engine is None:
-        engine = engine_cls(
-            config=config, telemetry=telemetry, faults=faults,
-            **(engine_kwargs or {}),
-        )
+        engine = constructor(config=config, telemetry=telemetry, **(engine_kwargs or {}))
     report.engine = engine
 
     wal = read_wal(wal_path, covered=engine.ingested_points)

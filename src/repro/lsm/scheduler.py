@@ -40,7 +40,7 @@ from ..errors import EngineError
 from .memtable import MemTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .policies.kernel import StorageKernel
+    from .base import LsmEngine
 
 __all__ = ["TokenBucket", "LandingTask", "CompactionScheduler"]
 
@@ -109,7 +109,7 @@ class LandingTask:
 class CompactionScheduler:
     """FIFO queue of landing tasks, paced by a token bucket."""
 
-    def __init__(self, kernel: "StorageKernel") -> None:
+    def __init__(self, kernel: "LsmEngine") -> None:
         config = kernel.config
         self.kernel = kernel
         self.unit_points = config.compaction_work_unit

@@ -447,7 +447,7 @@ class ShardedDatabase:
         fleet.router = router
         fleet.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         fleet.durability_dir = durability_dir
-        fleet.stability = recorded_stability(manifest.get("stability"))
+        fleet.stability = recorded_stability(manifest_path, manifest.get("stability"))
         fleet.arbiter = arbiter
         fleet.last_rebalance = manifest.get("last_rebalance")
         fleet.shards = []

@@ -65,7 +65,7 @@ import numpy as np
 from repro.config import LsmConfig
 from repro.core.tuning import tune_separation_policy
 from repro.distributions import EmpiricalDelay, LogNormalDelay
-from repro.lsm import AdaptiveEngine, ConventionalEngine, SeparationEngine
+from repro.lsm import ConventionalEngine, SeparationEngine
 from repro.lsm.checkpoint import read_checkpoint
 from repro.lsm.database import TimeSeriesDatabase
 from repro.lsm.policies.compose import ENGINES, compose_engine
@@ -279,7 +279,7 @@ def profile_engine(engine_key: str, workload: str) -> dict:
     if engine.compaction.name == "iotdb":
         profile["foreground_ms"] = round(engine.compaction.foreground_ms, 9)
         profile["background_ms"] = round(engine.compaction.background_ms, 9)
-    if isinstance(engine, AdaptiveEngine):
+    if engine.row.key == "adaptive":
         profile["switches"] = [[int(i), label] for i, label in engine.switches]
         profile["decisions"] = len(engine.decisions)
         profile["current_policy"] = engine.current_policy
@@ -292,7 +292,7 @@ def profile_scheduled(engine_key: str, workload: str) -> dict:
     engine = ENGINE_FACTORIES[engine_key](None, SCHEDULED_CONFIG)
     _drive(engine, workload)
     profile = accounting_profile(engine)
-    if isinstance(engine, AdaptiveEngine):
+    if engine.row.key == "adaptive":
         # A switch starts a fresh scheduler, so lifetime counters would
         # describe only the last policy; where it switched is pinned.
         profile["switches"] = [[int(i), label] for i, label in engine.switches]

@@ -116,7 +116,7 @@ def _ingest_cold(engine, dataset, lo, hi):
 
 
 def _ingest(engine, dataset, lo, hi):
-    adaptive = isinstance(engine, AdaptiveEngine)
+    adaptive = engine.row.key == "adaptive"
     for pos in range(lo, hi, CHUNK):
         stop = min(pos + CHUNK, hi)
         if adaptive:
@@ -312,7 +312,7 @@ class TestColdDurability:
         engine.convert_cold(block_size=BLOCK)
         ckpt = str(tmp_path / "cold.ckpt")
         engine.save_checkpoint(ckpt)
-        restored = ConventionalEngine.restore(ckpt)
+        restored = LsmEngine.restore(ckpt)
         live, back = engine.snapshot(), restored.snapshot()
         assert [t.block_size for t in live.tables] == [
             t.block_size for t in back.tables
@@ -328,7 +328,7 @@ class TestColdDurability:
         _ingest_cold(engine, dataset, 0, N_POINTS // 2)
         ckpt = str(tmp_path / "mid.ckpt")
         engine.save_checkpoint(ckpt)
-        restored = SeparationEngine.restore(ckpt)
+        restored = LsmEngine.restore(ckpt)
         assert _formats(restored) == _formats(engine)
         assert restored.cold_tier_bytes() == engine.cold_tier_bytes() > 0
         _ingest(engine, dataset, N_POINTS // 2, N_POINTS)
@@ -415,7 +415,7 @@ class TestColdDurability:
         arrays[f"{name}.blocks"] = blocks
         write_checkpoint(ckpt_path, meta, arrays)
         with pytest.raises(CheckpointCorruptError, match="block-size array must hold one entry"):
-            ConventionalEngine.restore(ckpt_path)
+            LsmEngine.restore(ckpt_path)
         report = recover_engine(
             ConventionalEngine, wal_path, checkpoint_path=ckpt_path, config=CONFIG_ROW
         )
@@ -768,7 +768,7 @@ class TestGridArithmetic:
         with tempfile.TemporaryDirectory() as scratch:
             path = str(Path(scratch) / "cold.ckpt")
             engine.save_checkpoint(path)
-            restored = ConventionalEngine.restore(path)
+            restored = LsmEngine.restore(path)
         for snapshot in (engine.snapshot(), restored.snapshot()):
             assert all(t.block_size == block for t in snapshot.tables)
             walk = Snapshot(tables=snapshot.tables, memtables=snapshot.memtables)

@@ -5,8 +5,8 @@ import pytest
 
 from repro import ExponentialDelay, LogNormalDelay, UniformDelay
 from repro.core import InOrderCurve
-from repro.distributions import DiscreteDelay
 from repro.errors import ModelError
+from tests.delay_support import DiscreteDelay
 
 
 class TestExpectedInOrder:

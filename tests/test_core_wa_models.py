@@ -13,8 +13,8 @@ from repro import (
 )
 from repro.core import InOrderCurve
 from repro.core.wa_conventional import GRANULARITY_KAPPA
-from repro.distributions import DiscreteDelay
 from repro.errors import ModelError
+from tests.delay_support import DiscreteDelay
 
 
 class TestConventionalModel:

@@ -15,8 +15,9 @@ from repro import (
     zeta,
 )
 from repro.core.subsequent import _BLOCK_ROWS, _HELD_BLOCKS
-from repro.distributions import DiscreteDelay, EmpiricalDelay
+from repro.distributions import EmpiricalDelay
 from repro.errors import ModelError
+from tests.delay_support import DiscreteDelay
 
 
 def _rows_held(model: ZetaModel) -> int:

@@ -6,11 +6,9 @@ import pytest
 from repro import (
     DistributionError,
     ExponentialDelay,
-    MixtureDelay,
-    ShiftedDelay,
     UniformDelay,
 )
-from repro.distributions import DiscreteDelay
+from tests.delay_support import DiscreteDelay, MixtureDelay, ShiftedDelay
 
 
 class TestMixtureDelay:

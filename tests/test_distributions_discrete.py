@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro import DistributionError, zeta
-from repro.distributions import DiscreteDelay
-from tests.delay_support import periodic_batch_delay
+from tests.delay_support import DiscreteDelay, periodic_batch_delay
 
 
 class TestDiscreteDelay:

@@ -13,13 +13,9 @@ from repro import (
     GammaDelay,
     HalfNormalDelay,
     LogNormalDelay,
-    MixtureDelay,
-    ParetoDelay,
-    ShiftedDelay,
     UniformDelay,
 )
-from repro.distributions import DiscreteDelay
-from tests.delay_support import periodic_batch_delay
+from tests.delay_support import DiscreteDelay, MixtureDelay, ParetoDelay, ShiftedDelay, periodic_batch_delay
 
 ALL_DISTRIBUTIONS = [
     LogNormalDelay(mu=4.0, sigma=1.5),

@@ -158,7 +158,7 @@ class TestExamplesAndDocs:
         import inspect
 
         from repro import FaultPlan, LsmConfig
-        from repro.lsm.policies import ComposedEngine, compose_engine
+        from repro.lsm.policies import compose_engine
         from repro.serving import ShardRouter
 
         def takes(func):
@@ -172,8 +172,7 @@ class TestExamplesAndDocs:
             "with_stability": set(LsmConfig._STABILITY_FIELDS),
             "FaultPlan": takes(FaultPlan),
             "ShardRouter": takes(ShardRouter),
-            # Its remaining keywords pass to the engine it builds.
-            "compose_engine": takes(compose_engine) | takes(ComposedEngine),
+            "compose_engine": takes(compose_engine),
         }
         unknown, checked = [], 0
         for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:

@@ -57,6 +57,25 @@ class TestFaultPlan:
         with pytest.raises(FaultError):
             FaultPlan(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("crash_at_flush", 1.5),
+            ("crash_at_merge", True),
+            ("torn_wal_append_at", 2.0),
+            ("fsync_delay_every", 2.5),
+            ("merge_delay_every", True),
+            ("fsync_delay_ms", float("nan")),
+            ("merge_delay_ms", float("inf")),
+        ],
+    )
+    def test_a_value_of_the_wrong_kind_is_rejected_by_name(self, field, value):
+        """A trigger or count that is no integer, or a delay that is not
+        finite, would arm nothing (or stall forever): it is refused,
+        naming the field, before any engine is armed with it."""
+        with pytest.raises(FaultError, match=f"^{field} must be"):
+            FaultPlan(**{field: value})
+
     def test_config_rejects_non_plan(self):
         with pytest.raises(ConfigError):
             LsmConfig(8, 8, fault_plan="crash please")

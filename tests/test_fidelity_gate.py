@@ -37,9 +37,6 @@ from repro import (
     ExponentialDelay,
     InOrderCurve,
     LogNormalDelay,
-    MixtureDelay,
-    ParetoDelay,
-    ShiftedDelay,
     UniformDelay,
     ZetaModel,
     predict_wa_conventional,
@@ -47,10 +44,9 @@ from repro import (
     tune_separation_policy,
 )
 from repro.core import SEPARATION
-from repro.distributions import DiscreteDelay
 from repro.experiments.runner import measure_wa
 from repro.workloads import generate_synthetic
-from tests.delay_support import periodic_batch_delay
+from tests.delay_support import DiscreteDelay, MixtureDelay, ParetoDelay, ShiftedDelay, periodic_batch_delay
 
 DT = 50.0
 BUDGET = 512

@@ -11,7 +11,8 @@ from repro import (
     LsmConfig,
     ModelError,
 )
-from repro.lsm.policies import SeparationFlush, SplitPlacement, StorageKernel
+from repro.lsm import LsmEngine
+from repro.lsm.policies import SeparationFlush, SplitPlacement
 from repro.workloads import generate_synthetic
 
 
@@ -90,9 +91,9 @@ class TestAdaptiveEngine:
         assert engine.config.seq_capacity == n_seq
         assert engine.current_policy == f"pi_s(n_seq={n_seq})"
         assert engine.policy_name == "pi_s"
-        assert AdaptiveEngine.policy_name == "pi_adaptive"
-        # It is a kernel like any other, so federation can version it.
-        assert isinstance(engine, StorageKernel)
+        assert engine.row.policy_name == "pi_adaptive"
+        # It is an engine like any other, so federation can version it.
+        assert isinstance(engine, LsmEngine)
         before = engine.read_version()
         engine.ingest(dataset.tg[:1] + 1e9, dataset.ta[:1] + 1e9)
         assert engine.read_version() != before

@@ -30,6 +30,7 @@ Five layers of guarantees:
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import re
@@ -42,14 +43,21 @@ from repro.config import LsmConfig
 from repro.core.tuning import SEPARATION
 from repro.distributions import LogNormalDelay
 from repro.errors import EngineError, InjectedCrash
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.faults.crashtest import CRASH_TEST_ENGINES, run_crash_case
 from repro.lsm import AdaptiveEngine, ConventionalEngine, SeparationEngine
 from repro.lsm.base import LsmEngine
 from repro.lsm.checkpoint import read_checkpoint
 from repro.lsm.database import TimeSeriesDatabase
-from repro.lsm.policies import ENGINES, ComposedEngine, compose_engine, engine_class
-from repro.lsm.policies.compose import COMPACTIONS, FLUSHES, PLACEMENTS
+from repro.lsm.policies import ENGINES, compose_engine, engine_constructor
+from repro.lsm.policies.compose import (
+    _PARAMETERS,
+    COMPACTIONS,
+    FLUSHES,
+    PLACEMENTS,
+    EngineRow,
+    recordable_labels,
+)
 from repro.lsm.recovery import recover_engine
 from repro.workloads import TABLE_II, DelaySegment, generate_dynamic, generate_synthetic
 
@@ -115,14 +123,28 @@ def _assert_same_state(left, right):
 
 class TestRegistry:
     def test_every_engine_class_is_registered(self):
-        """Every row's recorded name resolves to the class that builds
-        engines recording that name; nothing else does."""
+        """Every row's recorded name resolves to the constructor that
+        builds engines recording that name; nothing else does."""
         for row in ENGINES:
-            cls = engine_class(row.engine)
-            assert cls.__name__ == row.engine and issubclass(cls, LsmEngine)
-            assert row.engine in cls.checkpoint_labels
-        assert engine_class("ComposedEngine") is ComposedEngine
-        assert engine_class("LeveledEngine") is None
+            build = engine_constructor(row.engine)
+            if row.key is not None:
+                assert build.__name__ == row.engine
+                assert row.engine in recordable_labels(build)
+        assert engine_constructor("ComposedEngine") is compose_engine
+        assert engine_constructor("LeveledEngine") is None
+
+    def test_a_named_constructor_takes_its_compactions_defaults(self):
+        """A named constructor spells its compaction's parameters out,
+        with the policy's own defaults; none takes an injector (faults
+        arm an engine through ``config.fault_plan`` alone)."""
+        for row in ENGINES:
+            takes = inspect.signature(engine_constructor(row.engine)).parameters
+            assert "faults" not in takes
+            if row.key is not None:
+                for name, default in _PARAMETERS[row.compaction].items():
+                    assert takes[name].default == default, (row.engine, name)
+        for entry in (LsmEngine, LsmEngine.restore, recover_engine, EngineRow.build):
+            assert "faults" not in inspect.signature(entry).parameters
 
     def test_conformance_suite_covers_the_registry(self):
         """No registered engine can dodge the golden fixture."""
@@ -246,9 +268,12 @@ def test_a_resplit_engine_restores_as_the_engine_of_its_split(key, tmp_path):
     engine.save_checkpoint(path)
     recorded = "SeparationEngine" if seq_capacity is not None else "ConventionalEngine"
     assert read_checkpoint(path)[0]["engine"] == recorded
-    for restore in (LsmEngine.restore, ConventionalEngine.restore, SeparationEngine.restore):
-        restored = restore(path)
-        assert type(restored).__name__ == recorded
+    recovered = [
+        recover_engine(cls, str(tmp_path / "absent.wal"), checkpoint_path=path).engine
+        for cls in (ConventionalEngine, SeparationEngine)
+    ]
+    for restored in (LsmEngine.restore(path), *recovered):
+        assert restored.checkpoint_label == recorded
         assert restored.current_policy == engine.current_policy
         _assert_same_state(engine, restored)
         restored.verify()
@@ -273,8 +298,7 @@ class TestCheckpointRoundtrip:
         dataset = _dataset(3000, seed=9)
         config = LsmConfig(memory_budget=64, sstable_size=32)
         engine = ROUNDTRIP_FACTORIES[key](config)
-        restored_cls = type(engine)
-        adaptive = isinstance(engine, AdaptiveEngine)
+        adaptive = engine.row.key == "adaptive"
 
         def feed(target, lo, hi):
             for pos in range(lo, hi, 700):
@@ -289,7 +313,7 @@ class TestCheckpointRoundtrip:
         engine.save_checkpoint(ckpt)
         # By-name restore through the base class proves registry routing.
         restored = LsmEngine.restore(ckpt)
-        assert isinstance(restored, restored_cls)
+        assert restored.row == engine.row
         _assert_same_state(engine, restored)
         feed(engine, 2100, 3000)
         feed(restored, 2100, 3000)
@@ -320,10 +344,13 @@ class TestComposedCrashRecovery:
         spec = NOVEL_COMPOSITIONS[name]
         dataset = _dataset(3000, seed=4)
         wal_path = str(tmp_path / "composed.wal")
-        faults = FaultInjector(FaultPlan(seed=1, crash_at_flush=4))
         engine = compose_engine(
-            config=LsmConfig(memory_budget=64, sstable_size=32, wal_path=wal_path),
-            faults=faults,
+            config=LsmConfig(
+                memory_budget=64,
+                sstable_size=32,
+                wal_path=wal_path,
+                fault_plan=FaultPlan(seed=1, crash_at_flush=4),
+            ),
             **spec,
         )
         crashed = False
@@ -337,7 +364,7 @@ class TestComposedCrashRecovery:
         engine.wal.close()
 
         report = recover_engine(
-            ComposedEngine,
+            compose_engine,
             wal_path,
             config=LsmConfig(memory_budget=64, sstable_size=32),
             engine_kwargs=dict(spec),
@@ -358,7 +385,7 @@ class TestAdaptiveRestore:
     """The satellite bugfix: pi_adaptive is a first-class LsmEngine."""
 
     def test_registered_and_restorable_by_name(self, tmp_path):
-        assert engine_class("AdaptiveEngine") is AdaptiveEngine
+        assert engine_constructor("AdaptiveEngine") is AdaptiveEngine
         dataset = TABLE_II["M8"].build(n_points=6000, seed=3)
         engine = AdaptiveEngine(
             LsmConfig(memory_budget=64, sstable_size=32), check_interval=512
@@ -373,7 +400,7 @@ class TestAdaptiveRestore:
         ckpt = str(tmp_path / "adaptive.ckpt")
         engine.save_checkpoint(ckpt)
         restored = LsmEngine.restore(ckpt)
-        assert isinstance(restored, AdaptiveEngine)
+        assert restored.row.engine == "AdaptiveEngine"
         assert restored.current_policy == engine.current_policy
         assert restored.switches == engine.switches
         assert len(restored.decisions) == len(engine.decisions)
@@ -487,7 +514,7 @@ class TestLegacyCheckpoints:
     def test_legacy_checkpoint_restores(self, key, manifest):
         expected = manifest[key]
         engine = LsmEngine.restore(os.path.join(LEGACY_DIR, f"{key}.ckpt"))
-        assert type(engine).__name__ == expected["engine_class"]
+        assert engine.checkpoint_label == expected["engine_class"]
         assert engine.ingested_points == expected["ingested_points"]
         assert engine.stats.disk_writes == expected["disk_writes"]
         assert engine.stats.write_amplification == pytest.approx(

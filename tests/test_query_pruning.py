@@ -34,7 +34,7 @@ from tests.conformance_support import (
 )
 from repro.config import LsmConfig
 from repro.errors import QueryError
-from repro.lsm.base import Snapshot
+from repro.lsm.base import LsmEngine, Snapshot
 from repro.lsm import ConventionalEngine
 from repro.lsm.memtable import EMPTY_IDS, EMPTY_TG, MemTable
 from repro.lsm.pruning import TableIndex
@@ -140,10 +140,10 @@ def test_restore_bumps_epoch_and_queries_match(tmp_path):
     engine.flush_all()
     path = str(tmp_path / "ckpt.npz")
     engine.save_checkpoint(path)
-    restored = type(engine).restore(path)
+    restored = LsmEngine.restore(path)
     # _restore_state marks a structure change, so nothing stale (from a
     # subclass populating caches pre-restore) can survive it.
-    assert restored.read_version()[0] > type(engine)().read_version()[0]
+    assert restored.read_version()[0] > ConventionalEngine().read_version()[0]
     stats = execute_range_query(
         restored.snapshot(), -np.inf, np.inf, collect=True
     )

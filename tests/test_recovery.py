@@ -37,10 +37,10 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.crashtest import _prefix_mismatch
-from repro.lsm import ComposedEngine, LsmEngine
+from repro.lsm import LsmEngine, compose_engine
 from repro.lsm import wal as wal_module
 from repro.lsm.checkpoint import read_checkpoint, write_checkpoint
-from repro.lsm.policies.compose import ENGINES
+from repro.lsm.policies.compose import ENGINES, engine_constructor
 from repro.lsm.wal import WAL_MAGIC
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
@@ -215,8 +215,9 @@ class TestCheckpointRoundTrip:
 
 
 class TestAClassRestoresWhatItBuilds:
-    """``cls.restore`` takes every name ``cls``'s own engines record
-    (``cls.checkpoint_labels``), and no other."""
+    """Recovery through a named constructor takes a checkpoint of every
+    name that constructor's engines record (``recordable_labels``), and
+    no other; ``LsmEngine.restore`` takes any name a row records."""
 
     @pytest.fixture()
     def leveled(self, tmp_path):
@@ -232,13 +233,19 @@ class TestAClassRestoresWhatItBuilds:
             pairs.append((engine, path))
         return pairs
 
+    @staticmethod
+    def _recover(cls, path):
+        """``cls``'s engine from the checkpoint at ``path`` alone (its WAL
+        does not exist, so nothing is replayed)."""
+        return recover_engine(cls, f"{path}.absent.wal", checkpoint_path=path).engine
+
     def test_leveled_engine_restores_both_named_constructors(self, leveled):
         """Either leveled named constructor restores both: the split is
         live state, so each one's engines may record either name."""
         for cls in (ConventionalEngine, SeparationEngine):
             for engine, path in leveled:
-                restored = cls.restore(path)
-                assert type(restored).__name__ == engine.checkpoint_label
+                restored = self._recover(cls, path)
+                assert restored.checkpoint_label == engine.checkpoint_label
                 assert restored.current_policy == engine.current_policy
                 _assert_same_state(engine, restored)
                 restored.verify()
@@ -254,7 +261,7 @@ class TestAClassRestoresWhatItBuilds:
         path = str(tmp_path / "resplit.ckpt")
         engine.save_checkpoint(path)
         assert read_checkpoint(path)[0]["engine"] == "SeparationEngine"
-        restored = ConventionalEngine.restore(path)
+        restored = self._recover(ConventionalEngine, path)
         assert restored.current_policy == engine.current_policy == "pi_s(n_seq=24)"
         _assert_same_state(engine, restored)
         engine.ingest(dataset.tg[1600:])
@@ -273,14 +280,17 @@ class TestAClassRestoresWhatItBuilds:
             (TieredEngine, separation),
         ):
             with pytest.raises(CheckpointError, match=f"not {cls.__name__}"):
-                cls.restore(path)
-        assert isinstance(ComposedEngine.restore(tiered), TieredEngine)
+                self._recover(cls, path)
+        assert LsmEngine.restore(tiered).row.engine == "TieredEngine"
+        assert self._recover(compose_engine, tiered).row.engine == "TieredEngine"
         meta, arrays = read_checkpoint(tiered)
         meta["engine"] = "LeveledEngine"  # a name no row records
         write_checkpoint(tiered, meta, arrays)
-        for cls in (LsmEngine, ConventionalEngine, TieredEngine):
+        with pytest.raises(CheckpointError, match="unknown engine class"):
+            LsmEngine.restore(tiered)
+        for cls in (ConventionalEngine, TieredEngine):
             with pytest.raises(CheckpointError, match="unknown engine class"):
-                cls.restore(tiered)
+                self._recover(cls, tiered)
 
 
 class TestRecoverEngine:
@@ -695,7 +705,7 @@ class TestImpossibleTables:
         arrays["level0.run0.tg"] = tg
         write_checkpoint(ckpt_path, meta, arrays)
         report = recover_engine(
-            type(engine), wal_path, checkpoint_path=ckpt_path,
+            TieredEngine, wal_path, checkpoint_path=ckpt_path,
             config=replace(config, wal_path=None),
         )
         assert report.checkpoint_corrupt and not report.checkpoint_used
@@ -736,7 +746,7 @@ def _recovers_by_replay(db, directory, entry, prefix):
     else:
         manifest = json.loads(Path(directory, "manifest.json").read_text())
         report = recover_engine(
-            type(engine),
+            engine_constructor(engine.checkpoint_label),
             os.path.join(directory, manifest["series"]["s"]["wal"]),
             checkpoint_path=_checkpoint_path(directory),
             config=replace(engine.config, wal_path=None),

@@ -361,18 +361,33 @@ class TestDamagedManifests:
         "checkpoint-absolute": _edit(
             lambda m: _last_series(m).update(checkpoint="/tmp/a.ckpt")
         ),
+        # The stability knobs are checked as a config checks them: an
+        # unknown knob (not a retired one), a wrong kind, a bad range.
+        "stability-unknown-knob": _edit(lambda m: m.update(stability={"wal_group": 8})),
+        "stability-group-zero": _edit(lambda m: m.update(stability={"wal_group_records": 0})),
+        "stability-scheduler-yes": _edit(
+            lambda m: m.update(stability={"compaction_scheduler": "yes"})
+        ),
+        "stability-rate-text": _edit(
+            lambda m: m.update(stability={"compaction_tokens_per_point": "fast"})
+        ),
     }
+
+    STABILITY = (
+        "stability-unknown-knob", "stability-group-zero", "stability-scheduler-yes",
+        "stability-rate-text",
+    )
 
     FLEET = (
         "truncated", "not-an-object", "not-utf8", "no-router",
         "n-shards-not-a-number", "n-shards-true", "range-router",
-        "shard-entry-missing", "dir-outside",
+        "shard-entry-missing", "dir-outside", *STABILITY,
     )
     DATABASE = (
         "truncated", "not-an-object", "not-utf8", "no-budget",
         "budget-not-a-number", "budget-true", "sstable-size-true",
         "series-budget-true", "seq-capacity-true", "series-without-wal",
-        "wal-outside", "checkpoint-absolute",
+        "wal-outside", "checkpoint-absolute", *STABILITY,
     )
 
     @pytest.mark.parametrize(
@@ -382,7 +397,7 @@ class TestDamagedManifests:
             for target, cases in (
                 ("fleet", FLEET),
                 ("shard", DATABASE),
-                ("database", ("truncated", "series-without-wal")),
+                ("database", ("truncated", "series-without-wal", *STABILITY)),
             )
             for damage in cases
         ],

@@ -104,3 +104,40 @@ def test_uncalled_needs_a_package(tmp_path):
         capture_output=True, text=True,
     )
     assert done.returncode == 2 and "no package at" in done.stderr
+
+
+def test_uncalled_does_not_count_a_name_in_its_own_strings(tmp_path):
+    """A class named only in its own ``__repr__`` (and a function only
+    in its own error message) is listed: a string inside the definition
+    of a name is no use of it.  The same word elsewhere still is."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "laws.py").write_text(
+        textwrap.dedent(
+            '''
+            class Atoms:
+                def __repr__(self):
+                    return f"Atoms(values={self!r})"
+
+
+            def check():
+                raise ValueError("check failed")
+
+
+            class Named:
+                pass
+            '''
+        )
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text('print("built by Named")\n')
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "uncalled.py"), str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert [row.split() for row in done.stdout.splitlines()] == [
+        ["src/repro/laws.py:2", "Atoms", "tests:", "no"],
+        ["src/repro/laws.py:7", "check", "tests:", "no"],
+        ["2", "uncalled"],
+    ]

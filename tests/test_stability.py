@@ -13,13 +13,13 @@ Covers the robustness machinery end to end:
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import (
     AdaptiveEngine,
-    ComposedEngine,
     ConfigError,
     ConventionalEngine,
     FaultInjector,
@@ -46,7 +46,7 @@ from repro.lsm.policies import (
     SeparationFlush,
     SinglePlacement,
     SplitPlacement,
-    StorageKernel,
+    compose_engine,
 )
 from repro.lsm.wal import GROUP_BYTES
 from repro.obs import render_trace_report, summarize_trace
@@ -79,7 +79,7 @@ _ENGINE_CASES = {
     "multilevel": (MultiLevelEngine, {"size_ratio": 4, "max_levels": 4}, False),
     "tiered": (TieredEngine, {"tier_fanout": 3, "max_levels": 4}, False),
     "composed": (
-        ComposedEngine,
+        compose_engine,
         {"placement": "split", "compaction": "multilevel"},
         False,
     ),
@@ -107,6 +107,10 @@ def _stream(n=3000, seed=7):
             dict(backpressure_throttle=500, backpressure_shed=100),
             "must not exceed",
         ),
+        (dict(compaction_tokens_per_point=float("nan")), "compaction_tokens_per_point"),
+        (dict(compaction_tokens_per_point="2"), "compaction_tokens_per_point"),
+        (dict(compaction_scheduler="yes"), "compaction_scheduler"),
+        (dict(compaction_scheduler=1), "compaction_scheduler"),
     ],
 )
 def test_stability_knob_validation(overrides, fragment):
@@ -218,8 +222,8 @@ def test_torn_group_crash_recovers_last_complete_record(key, tmp_path):
     config = LsmConfig(**_SMALL, wal_path=wal_path).with_stability(
         wal_group_records=3
     )
-    faults = FaultInjector(FaultPlan(seed=1, torn_wal_append_at=11))
-    live = cls(config=config, faults=faults, **kwargs)
+    armed = replace(config, fault_plan=FaultPlan(seed=1, torn_wal_append_at=11))
+    live = cls(config=armed, **kwargs)
     dataset = _stream()
     step = 100
     with pytest.raises(InjectedCrash):
@@ -315,7 +319,7 @@ def test_landing_hook_sees_every_landing_in_both_modes(placement, flush):
         ("paced", LsmConfig(**_SMALL).with_stability(**_PACED)),
     ):
         compaction = _ObservingLeveled()
-        engine = StorageKernel(
+        engine = LsmEngine(
             config, placement=placement(), flush=flush(), compaction=compaction
         )
         for start in range(0, len(dataset), 137):
@@ -359,7 +363,7 @@ def test_checkpoint_drains_scheduler(tmp_path):
     path = str(tmp_path / "paced.ckpt")
     engine.save_checkpoint(path)
     assert len(engine.scheduler) == 0
-    restored = ConventionalEngine.restore(path)
+    restored = LsmEngine.restore(path)
     assert restored.ingested_points == engine.ingested_points
     assert np.array_equal(restored.stats.write_counts, engine.stats.write_counts)
     restored.verify()
@@ -610,7 +614,7 @@ def test_admission_debt_equals_its_definition_after_every_step(
             mark = engine.compaction.watermark()
             engine.convert_cold(max_tg=mark / 2 if mark > 0 else None, block_size=4)
         elif step == "resplit":
-            if not isinstance(engine, (ConventionalEngine, SeparationEngine)):
+            if engine.row.key not in ("conventional", "separation"):
                 continue
             n_seq = engine.config.seq_capacity
             engine.resplit(None if n_seq is not None else int(rng.integers(8, 56)))

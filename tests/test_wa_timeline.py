@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from repro import EngineError, LsmConfig, SeparationEngine
-from repro.distributions import DiscreteDelay
 from repro.errors import CheckpointCorruptError
 from repro.lsm.wa_tracker import CompactionEvent, WriteStats
 from repro.workloads import generate_synthetic
+from tests.delay_support import DiscreteDelay
 
 
 def _event(kind, arrival, new, rewritten=0):
