@@ -62,6 +62,9 @@ class EmpiricalDelay(DelayDistribution):
             density = counts / (self._n * np.where(widths > 0, widths, 1.0))
         self._hist_density = density
         self._hist_edges = edges
+        #: ``log(k / n)`` for ``k = 0 .. n``, built on the first
+        #: :meth:`log_cdf` call.
+        self._log_levels: np.ndarray | None = None
         self.name = f"empirical(n={self._n})"
 
     def pdf(self, x):
@@ -76,6 +79,16 @@ class EmpiricalDelay(DelayDistribution):
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
         out = np.searchsorted(self._sorted, arr, side="right") / self._n
+        return float(out) if np.isscalar(x) else out
+
+    def log_cdf(self, x):
+        """``log F(x)`` read from a table of ``log(k / n)``: the same bits
+        as ``log(cdf(x))``, without a division and a ``log`` per point."""
+        if self._log_levels is None:
+            with np.errstate(divide="ignore"):
+                self._log_levels = np.log(np.arange(self._n + 1) / self._n)
+        arr = np.asarray(x, dtype=float)
+        out = self._log_levels[np.searchsorted(self._sorted, arr, side="right")]
         return float(out) if np.isscalar(x) else out
 
     def quantile(self, q):

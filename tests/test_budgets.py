@@ -20,7 +20,7 @@ from repro import SeparationEngine, UniformDelay, execute_aggregate_query, execu
 from repro import RingBufferSink, Telemetry, tune_separation_policy
 from repro.core import analyzer as analyzer_module
 from repro.core.allocation import MemoryArbiter
-from repro.core.subsequent import _BLOCK_ROWS
+from repro.core.subsequent import _BLOCK_ROWS, ZetaModel
 from repro.lsm.base import Snapshot
 from repro.lsm.database import TimeSeriesDatabase
 from repro.lsm.pruning import TableIndex
@@ -30,7 +30,7 @@ from repro.query import aggregate_over_series, scan_over_series
 from repro.query.merge import merge_aggregates
 from repro.serving import ShardedDatabase
 from repro.workloads import generate_fleet, generate_synthetic
-from tests.fleet_support import benchmark_fleet, lockstep_rounds
+from tests.fleet_support import BENCHMARK_CELLS, benchmark_fleet, lockstep_rounds
 
 _DELAY = LogNormalDelay(5.0, 2.0)
 _DT = 50.0
@@ -364,25 +364,44 @@ def test_a_fleet_retune_keeps_its_regime_and_row_budget(monkeypatch):
     """``fleet.retune()`` over the system benchmark's sixteen series:
     five series separate, three disordered ones and the eight in-order
     ones do not, and one tune computes each log-CDF row at most once — no
-    more rows than the highest one a candidate reads, plus a block.
-    Decided concurrently, Algorithm 1 still runs once per series, and
-    the rows add up to what serial tunes of the same windows compute."""
+    more rows than the highest one a candidate reads, plus a block — and
+    builds one H table if it integrates a tail, none if not (the in-order
+    series, whose largest delay is under ``dt``, never do).  Decided
+    concurrently, Algorithm 1 still runs once per series, and the rows
+    add up to what serial tunes of the same windows compute."""
     budget = 512
     data, expected = benchmark_fleet(16_384, seed=51)
     fleet = ShardedDatabase(n_shards=4, memory_budget_per_series=budget, sstable_size=512)
     for batch in lockstep_rounds(data, 2048, with_ta=True):
         fleet.ingest_batch(batch, sync=False)
-    tunes = []
+    tunes, h_tables, tails = [], [], set()
+    ensure_h_table, tail_integral = ZetaModel._ensure_h_table, ZetaModel._tail_integral
 
     def counted(*args, **kwargs):
         tunes.append(args)
         return tune_separation_policy(*args, **kwargs)
 
+    def counted_ensure_h_table(self):
+        if self._h_grid is None:
+            h_tables.append(id(self.dist))
+        ensure_h_table(self)
+
+    def counted_tail_integral(self, *args):
+        tails.add(id(self.dist))
+        return tail_integral(self, *args)
+
     monkeypatch.setattr(analyzer_module, "tune_separation_policy", counted)
+    monkeypatch.setattr(ZetaModel, "_ensure_h_table", counted_ensure_h_table)
+    monkeypatch.setattr(ZetaModel, "_tail_integral", counted_tail_integral)
     fleet.retune()
     monkeypatch.undo()
 
     assert len(tunes) == len(expected)
+    dists = [id(args[0]) for args in tunes]  # each tune's window, held by `tunes`
+    assert tails and sorted(h_tables) == sorted(tails) and tails <= set(dists)
+    in_order = [id(dist) for dist, dt, *_ in tunes if dist.support_upper() < dt]
+    assert len(in_order) == len(expected) - len(BENCHMARK_CELLS)
+    assert tails.isdisjoint(in_order)
     rows, serial_rows = 0, 0
     for name, policy in expected.items():
         state = fleet.database_for(name).series(name)

@@ -29,6 +29,30 @@ class TestEmpiricalDelay:
             atol=0.03,
         )
 
+    def test_log_cdf_is_the_log_of_cdf_to_the_bit(self, lognormal_sample):
+        """The table of ``log(k / n)`` answers what ``log(cdf(x))`` does,
+        scalar or array: ``-inf`` below the smallest sample, ``0.0`` at
+        and above the largest, and the same bits in between."""
+        dist = EmpiricalDelay(lognormal_sample)
+        lo, hi = float(lognormal_sample.min()), float(lognormal_sample.max())
+        rows = np.linspace(-1.0, 1.2 * hi, 96 * 512).reshape(512, 96)
+        points = np.concatenate((np.sort(lognormal_sample), rows.ravel()))
+        for x in (points, rows, rows[:, ::5]):
+            with np.errstate(divide="ignore"):
+                expected = np.log(dist.cdf(x))
+            got = dist.log_cdf(x)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        for x in (0.0, lo, 0.5 * (lo + hi), float(np.median(lognormal_sample)), hi):
+            got = dist.log_cdf(x)
+            assert type(got) is float
+            with np.errstate(divide="ignore"):
+                assert got.hex() == float(np.log(dist.cdf(x))).hex()
+        assert dist.log_cdf(np.nextafter(lo, -np.inf)) == -np.inf
+        assert dist.log_cdf(-3.0) == -np.inf
+        assert np.all(dist.log_cdf(np.array([hi, 2.0 * hi, np.inf])) == 0.0)
+        assert dist.log_cdf(1e300) == 0.0
+
     def test_quantile_within_sample_range(self, lognormal_sample):
         dist = EmpiricalDelay(lognormal_sample)
         q = dist.quantile(np.array([0.0, 0.5, 1.0]))
