@@ -90,8 +90,15 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         # A plan is outside input, and a value of the wrong kind would
-        # arm nothing (a trigger of 1.5 never equals a count): each
-        # field is checked for its kind as well as its range.
+        # arm nothing (a trigger of 1.5 never equals a count) or the
+        # wrong thing (the string "no" is truthy): each field is checked
+        # for its kind as well as its range.
+        if not is_integer(self.seed) or self.seed < 0:
+            raise FaultError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not isinstance(self.corrupt_checkpoint, (bool, np.bool_)):
+            raise FaultError(
+                f"corrupt_checkpoint must be a bool, got {self.corrupt_checkpoint!r}"
+            )
         for name in (
             "crash_at_flush", "crash_at_merge", "torn_wal_append_at",
             "fsync_delay_every", "merge_delay_every",

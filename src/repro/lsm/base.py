@@ -1037,7 +1037,8 @@ class LsmEngine:
         # table keeps the block format its arrays record.  So is the
         # hysteresis pi_adaptive recorded before it became a constant.
         # The header decides where WAL replay starts, so a header the
-        # engine cannot have written is corrupt, and recovery replays.
+        # engine cannot have written is corrupt, and recovery replays;
+        # so is a recorded parameter the row's constructor refuses.
         try:
             core, state, kwargs = meta["config"], meta["state"], meta.get("kwargs", {})
             if not isinstance(kwargs, dict):
@@ -1056,7 +1057,9 @@ class LsmEngine:
                 seq_capacity=core["seq_capacity"],
             )
             engine = build(config=config, telemetry=telemetry, **kwargs)
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        except CheckpointCorruptError:
+            raise
+        except (KeyError, TypeError, ValueError, ConfigError, EngineError) as exc:
             raise CheckpointCorruptError(f"{path}: header: {exc!r}") from None
         engine.stats = stats
         if engine.telemetry.enabled:

@@ -1,5 +1,6 @@
 """Fault-injection tests: plans, the injector, engine fault boundaries."""
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -67,14 +68,31 @@ class TestFaultPlan:
             ("merge_delay_every", True),
             ("fsync_delay_ms", float("nan")),
             ("merge_delay_ms", float("inf")),
+            ("corrupt_checkpoint", "no"),
+            ("corrupt_checkpoint", 1),
+            ("corrupt_checkpoint", None),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("seed", True),
+            ("seed", "7"),
         ],
     )
     def test_a_value_of_the_wrong_kind_is_rejected_by_name(self, field, value):
         """A trigger or count that is no integer, or a delay that is not
-        finite, would arm nothing (or stall forever): it is refused,
-        naming the field, before any engine is armed with it."""
+        finite, would arm nothing (or stall forever); a switch that is no
+        bool would arm what it seems to refuse (``"no"`` is truthy), and
+        a seed that is no non-negative integer fails only when an engine
+        seeds its RNG: each is refused, naming the field, before any
+        engine is armed with it."""
         with pytest.raises(FaultError, match=f"^{field} must be"):
             FaultPlan(**{field: value})
+
+    def test_a_switch_and_a_seed_of_their_kind_are_accepted(self):
+        for plan in (
+            FaultPlan(corrupt_checkpoint=np.bool_(True), seed=np.int64(3)),
+            FaultPlan(corrupt_checkpoint=False, seed=0),
+        ):
+            assert FaultInjector(plan).plan is plan
 
     def test_config_rejects_non_plan(self):
         with pytest.raises(ConfigError):

@@ -945,6 +945,46 @@ class TestHeaderChecks:
             engine.verify()
 
 
+
+class TestRecordedParameterChecks:
+    """A CRC-valid checkpoint whose recorded compaction parameter is of
+    the wrong kind builds no engine: the row's constructor refuses it
+    with an ``EngineError``, which restore reports as a corrupt header,
+    so recovery replays the WAL instead of escaping with it."""
+
+    DAMAGE = {
+        "multilevel size_ratio a string": (MultiLevelEngine, "size_ratio", "4"),
+        "multilevel max_levels fractional": (MultiLevelEngine, "max_levels", 4.5),
+        "tiered tier_fanout a string": (TieredEngine, "tier_fanout", "3"),
+        "tiered max_levels a bool": (TieredEngine, "max_levels", True),
+        "iotdb l1_file_limit a string": (IoTDBStyleEngine, "l1_file_limit", "4"),
+        "iotdb disk a list": (IoTDBStyleEngine, "disk", [8.0]),
+        "iotdb policy no row has": (IoTDBStyleEngine, "policy", "tiered"),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_a_parameter_of_the_wrong_kind_is_replayed_from_the_wal(self, tmp_path, damage):
+        constructor, key, value = self.DAMAGE[damage]
+        wal_path, ckpt_path = str(tmp_path / "p.wal"), str(tmp_path / "p.ckpt")
+        dataset = _dataset(3000, seed=13)
+        engine = constructor(LsmConfig(64, 32, wal_path=wal_path))
+        engine.ingest(dataset.tg[:2000])
+        engine.save_checkpoint(ckpt_path)
+        engine.ingest(dataset.tg[2000:])
+        engine.wal.close()
+        meta, arrays = read_checkpoint(ckpt_path)
+        assert key in meta["kwargs"]
+        meta["kwargs"][key] = value
+        write_checkpoint(ckpt_path, meta, arrays)
+        with pytest.raises(CheckpointCorruptError, match=f"header: EngineError.*{key}"):
+            LsmEngine.restore(ckpt_path)
+        report = recover_engine(
+            constructor, wal_path, checkpoint_path=ckpt_path, config=LsmConfig(64, 32)
+        )
+        assert report.checkpoint_corrupt and not report.checkpoint_used
+        assert report.replayed_points == 3000
+        _assert_same_state(engine, report.engine)
+
 class TestByteDamage:
     """Seeded truncations and one-byte flips of a ``pi_c`` run's WAL, of
     its mid-run checkpoint and of the legacy checkpoints.
