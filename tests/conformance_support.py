@@ -50,14 +50,18 @@ and layout older directories were written under.
 Regenerate (only when behaviour is *meant* to change) with::
 
     PYTHONPATH=src:. python tests/conformance_support.py [--scheduled|--database|--checkpoints|--tunes]
+
+``--legacy-database`` rewrites the frozen
+``tests/data/legacy_checkpoints/database_retuned/`` instead; it exists
+so that directory is never rewritten by re-recording the database golden.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
-import sys
 import tempfile
 
 import numpy as np
@@ -622,16 +626,38 @@ def load_fixture(path: str = FIXTURE_PATH) -> dict:
         return json.load(handle)
 
 
-def main() -> None:
-    if "--database" in sys.argv[1:]:
-        path, fixture = DATABASE_FIXTURE_PATH, build_database_fixture()
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(
+        description="Re-record one golden fixture (the engine fixture by default)."
+    )
+    which = parser.add_mutually_exclusive_group()
+    for flag, what in (
+        ("--scheduled", SCHEDULED_FIXTURE_PATH),
+        ("--database", DATABASE_FIXTURE_PATH),
+        ("--checkpoints", CHECKPOINT_FIXTURE_PATH),
+        ("--tunes", TUNE_FIXTURE_PATH),
+    ):
+        which.add_argument(
+            flag, action="store_true", help=f"re-record {os.path.basename(what)}"
+        )
+    which.add_argument(
+        "--legacy-database",
+        action="store_true",
+        help="OVERWRITE every file of the frozen legacy fixture "
+        "legacy_checkpoints/database_retuned/ with what today's code writes",
+    )
+    args = parser.parse_args(argv)
+    if args.legacy_database:
         write_legacy_database()
         print(f"wrote {LEGACY_DATABASE_DIR}")
-    elif "--scheduled" in sys.argv[1:]:
+        return
+    if args.database:
+        path, fixture = DATABASE_FIXTURE_PATH, build_database_fixture()
+    elif args.scheduled:
         path, fixture = SCHEDULED_FIXTURE_PATH, build_scheduled_fixture()
-    elif "--checkpoints" in sys.argv[1:]:
+    elif args.checkpoints:
         path, fixture = CHECKPOINT_FIXTURE_PATH, build_checkpoint_fixture()
-    elif "--tunes" in sys.argv[1:]:
+    elif args.tunes:
         path, fixture = TUNE_FIXTURE_PATH, build_tune_fixture()
     else:
         path, fixture = FIXTURE_PATH, build_fixture()
