@@ -313,42 +313,40 @@ class DelayAnalyzer:
         """The analyzer :meth:`to_checkpoint` wrote (its last decision is
         the engine's to restore).
 
-        A block it cannot have written is :class:`CheckpointCorruptError`:
-        a setting missing or out of range, a window that is not the last
-        ``min(seen, window)`` delays, a non-finite or negative delay, a
-        ``dt`` span that is not two ordered finite times, or one of
+        A block it cannot have written raises, and the engine's restore
+        reports it as :class:`CheckpointCorruptError`: a setting missing
+        or out of range, a window that is not the last ``min(seen,
+        window)`` delays, a non-finite or negative delay, a ``dt`` span
+        that is not two ordered finite times, or one of
         :data:`_RETIRED_SETTINGS` held at another value.
         """
-        try:
-            for key, value in _RETIRED_SETTINGS.items():
-                if meta.get(key, value) != value:
-                    raise CheckpointCorruptError(
-                        f"analyzer.{key} is {meta[key]!r}; only {value!r} restores"
-                    )
-            analyzer = cls(
-                meta["memory_budget"],
-                meta["window"],
-                KsDriftDetector(*meta["drift"]),
-                meta["sstable_size"],
-            )
-            window, span = arrays["analyzer.window"], arrays["analyzer.tg_span"]
-            seen = meta["seen"]
-            if (
-                not is_integer(seen)
-                or window.shape != (min(seen, analyzer._window.capacity),)
-                or not (np.isfinite(window).all() and window.min(initial=0.0) >= 0)
-                or span.shape != (2,)
-                or seen and not (np.isfinite(span).all() and span[0] <= span[1])
-            ):
+        for key, value in _RETIRED_SETTINGS.items():
+            if meta.get(key, value) != value:
                 raise CheckpointCorruptError(
-                    f"analyzer window of {window.size} delays, dt span {span.tolist()} "
-                    f"and seen {seen!r} do not agree"
+                    f"analyzer.{key} is {meta[key]!r}; only {value!r} restores"
                 )
-            analyzer._window.offer_many(window)
-            analyzer._window._seen = seen  # what the ring dropped counts too
-            analyzer._min_tg, analyzer._max_tg = span.tolist()
-            if "analyzer.reference" in arrays:
-                analyzer.drift.set_reference(arrays["analyzer.reference"])
-        except (AttributeError, KeyError, TypeError, ValueError, ModelError) as exc:
-            raise CheckpointCorruptError(f"analyzer block: {exc!r}") from None
+        analyzer = cls(
+            meta["memory_budget"],
+            meta["window"],
+            KsDriftDetector(*meta["drift"]),
+            meta["sstable_size"],
+        )
+        window, span = arrays["analyzer.window"], arrays["analyzer.tg_span"]
+        seen = meta["seen"]
+        if (
+            not is_integer(seen)
+            or window.shape != (min(seen, analyzer._window.capacity),)
+            or not (np.isfinite(window).all() and window.min(initial=0.0) >= 0)
+            or span.shape != (2,)
+            or seen and not (np.isfinite(span).all() and span[0] <= span[1])
+        ):
+            raise CheckpointCorruptError(
+                f"analyzer window of {window.size} delays, dt span {span.tolist()} "
+                f"and seen {seen!r} do not agree"
+            )
+        analyzer._window.offer_many(window)
+        analyzer._window._seen = seen  # what the ring dropped counts too
+        analyzer._min_tg, analyzer._max_tg = span.tolist()
+        if "analyzer.reference" in arrays:
+            analyzer.drift.set_reference(arrays["analyzer.reference"])
         return analyzer

@@ -1036,9 +1036,11 @@ class LsmEngine:
         # still record ``cold_*`` keys here; they are ignored, and every
         # table keeps the block format its arrays record.  So is the
         # hysteresis pi_adaptive recorded before it became a constant.
-        # The header decides where WAL replay starts, so a header the
-        # engine cannot have written is corrupt, and recovery replays;
-        # so is a recorded parameter the row's constructor refuses.
+        # A CRC-valid file is still outside input, judged here once:
+        # whatever reading it raises — a header the engine cannot have
+        # written (it decides where WAL replay starts), a parameter the
+        # row's constructor refuses, a component's own check — is
+        # corrupt, naming the file, and recovery replays.
         try:
             core, state, kwargs = meta["config"], meta["state"], meta.get("kwargs", {})
             if not isinstance(kwargs, dict):
@@ -1057,16 +1059,14 @@ class LsmEngine:
                 seq_capacity=core["seq_capacity"],
             )
             engine = build(config=config, telemetry=telemetry, **kwargs)
-        except CheckpointCorruptError:
-            raise
-        except (KeyError, TypeError, ValueError, ConfigError, EngineError) as exc:
-            raise CheckpointCorruptError(f"{path}: header: {exc!r}") from None
-        engine.stats = stats
-        if engine.telemetry.enabled:
-            engine.stats.bind_telemetry(engine.telemetry)
-        engine._next_id = int(next_id)
-        engine._arrival_cursor = int(cursor)
-        engine._restore_state(state, arrays)
+            engine.stats = stats
+            if engine.telemetry.enabled:
+                engine.stats.bind_telemetry(engine.telemetry)
+            engine._next_id, engine._arrival_cursor = int(next_id), int(cursor)
+            engine._restore_state(state, arrays)
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+                ConfigError, EngineError, ModelError) as exc:  # CheckpointCorruptError too
+            raise CheckpointCorruptError(f"{path}: {exc!r}") from None
         return engine
 
     def _restore_state(self, state: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -1100,30 +1100,27 @@ class LsmEngine:
         engine does next is decided from them: a block that cannot be
         the engine's own is :class:`CheckpointCorruptError`, and
         recovery replays the WAL instead."""
-        try:
-            interval, seq_capacity = tuner["check_interval"], tuner["seq_capacity"]
-            if interval is not None and not (is_integer(interval) and interval >= 1):
-                raise CheckpointCorruptError(f"tuner check_interval is {interval!r}")
-            if seq_capacity != self.config.seq_capacity:
-                if self.row is None or not self.row.tuner:
-                    raise CheckpointCorruptError(f"{self.policy_name} has a fixed split")
-                # A named constructor may have started under another split.
-                self._bind_split(replace(self.config, seq_capacity=seq_capacity))
-            analyzer = DelayAnalyzer.from_checkpoint(tuner["analyzer"], arrays)
-            if analyzer.memory_budget != self.config.memory_budget:
-                raise CheckpointCorruptError(
-                    f"analyzer budget {analyzer.memory_budget} is not the "
-                    f"engine's {self.config.memory_budget}"
-                )
-            decisions = [
-                RetuneRecord(index, decision_from_json(encoded), switched_to)
-                for index, switched_to, encoded in tuner["decisions"]
-            ]
-            for index, _, switched_to in decisions:
-                if not is_integer(index) or not isinstance(switched_to, (str, type(None))):
-                    raise CheckpointCorruptError(f"tuner decision at {index!r} to {switched_to!r}")
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            raise CheckpointCorruptError(f"tuner block: {exc!r}") from None
+        interval, seq_capacity = tuner["check_interval"], tuner["seq_capacity"]
+        if interval is not None and not (is_integer(interval) and interval >= 1):
+            raise CheckpointCorruptError(f"tuner check_interval is {interval!r}")
+        if seq_capacity != self.config.seq_capacity:
+            if self.row is None or not self.row.tuner:
+                raise CheckpointCorruptError(f"{self.policy_name} has a fixed split")
+            # A named constructor may have started under another split.
+            self._bind_split(replace(self.config, seq_capacity=seq_capacity))
+        analyzer = DelayAnalyzer.from_checkpoint(tuner["analyzer"], arrays)
+        if analyzer.memory_budget != self.config.memory_budget:
+            raise CheckpointCorruptError(
+                f"analyzer budget {analyzer.memory_budget} is not the "
+                f"engine's {self.config.memory_budget}"
+            )
+        decisions = [
+            RetuneRecord(index, decision_from_json(encoded), switched_to)
+            for index, switched_to, encoded in tuner["decisions"]
+        ]
+        for index, _, switched_to in decisions:
+            if not is_integer(index) or not isinstance(switched_to, (str, type(None))):
+                raise CheckpointCorruptError(f"tuner decision at {index!r} to {switched_to!r}")
         self.analyzer, self.check_interval, self.decisions = analyzer, interval, decisions
         analyzer.last_decision = decisions[-1].decision if decisions else None
 

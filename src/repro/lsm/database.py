@@ -34,7 +34,7 @@ from ..core.tuning import map_concurrently
 from ..errors import ConfigError, EngineError, RecoveryError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .base import LsmEngine, RetuneOutcome, Snapshot, decide, validate_points
-from .checkpoint import namespaced_stem, write_atomically
+from .checkpoint import namespaced_stem, read_checkpoint, write_atomically
 from .policies.compose import ConventionalEngine, SeparationEngine, engine_constructor
 
 __all__ = [
@@ -584,6 +584,11 @@ class TimeSeriesDatabase:
         Every recovered engine is verified before the database is handed
         back.  ``namespace`` selects which database's manifest to read
         when several share the directory.
+
+        The manifest is outside input: a value its constructors refuse,
+        or a series whose WAL is missing while its checkpoint holds
+        points or cannot be read, is a :class:`RecoveryError` naming the
+        file, raised before any engine is built.
         """
         from .recovery import recover_engine
 
@@ -604,31 +609,47 @@ class TimeSeriesDatabase:
                 f"manifest at {manifest_path} belongs to namespace "
                 f"{stored_namespace!r}, not {namespace!r}"
             )
-        db = cls(
-            memory_budget_per_series=manifest["memory_budget_per_series"],
-            sstable_size=manifest["sstable_size"],
-            auto_tune=manifest["auto_tune"],
-            telemetry=telemetry,
-            durability_dir=durability_dir,
-            stability=recorded_stability(manifest_path, manifest.get("stability")),
-            namespace=namespace,
-        )
-        for name, entry in manifest["series"].items():
-            constructor = engine_constructor(entry["engine"])
-            if constructor is None:
-                raise RecoveryError(
-                    f"series {name!r}: unknown engine {entry['engine']!r}"
-                )
-            config = LsmConfig(
-                memory_budget=entry["memory_budget"],
+        # Every value the manifest hands a constructor, and the files it
+        # names, are checked before any engine is built.
+        stability = recorded_stability(manifest_path, manifest.get("stability"))
+        plans = {}
+        try:
+            db = cls(
+                memory_budget_per_series=manifest["memory_budget_per_series"],
                 sstable_size=manifest["sstable_size"],
-                seq_capacity=entry["seq_capacity"],
-                wal_path=os.path.join(durability_dir, entry["wal"]),
-            ).with_stability(**db.stability)
+                auto_tune=manifest["auto_tune"],
+                telemetry=telemetry,
+                durability_dir=durability_dir,
+                stability=stability,
+                namespace=namespace,
+            )
+            for name, entry in manifest["series"].items():
+                constructor = engine_constructor(entry["engine"])
+                if constructor is None:
+                    raise RecoveryError(f"series {name!r}: unknown engine {entry['engine']!r}")
+                config = LsmConfig(
+                    memory_budget=entry["memory_budget"],
+                    sstable_size=manifest["sstable_size"],
+                    seq_capacity=entry["seq_capacity"],
+                    wal_path=os.path.join(durability_dir, entry["wal"]),
+                ).with_stability(**stability)
+                # A WAL is created by its first write and never deleted:
+                # without it, the tail past a checkpoint holding points is
+                # gone, and the manifest names the wrong file.
+                checkpoint = os.path.join(durability_dir, entry["checkpoint"])
+                lost = not os.path.exists(config.wal_path)
+                if lost and read_checkpoint(checkpoint)[0].get("next_id"):
+                    raise RecoveryError(
+                        f"series {name!r} holds points, but its WAL {entry['wal']!r} is missing"
+                    )
+                plans[name] = constructor, config, checkpoint
+        except (ConfigError, EngineError) as exc:  # a RecoveryError is an EngineError
+            raise RecoveryError(f"manifest {manifest_path}: {exc}") from None
+        for name, (constructor, config, checkpoint) in plans.items():
             report = recover_engine(
                 constructor,
                 wal_path=config.wal_path,
-                checkpoint_path=os.path.join(durability_dir, entry["checkpoint"]),
+                checkpoint_path=checkpoint,
                 config=config,
                 engine_kwargs={"analyzer": db._analyzer(config)},
                 telemetry=db.telemetry if db.telemetry.enabled else None,

@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ...config import DEFAULT_DISK_MODEL, DiskModel
-from ...errors import EngineError
+from ...config import DEFAULT_DISK_MODEL, DiskModel, is_finite_number, is_integer
+from ...errors import CheckpointCorruptError, EngineError
 from ..checkpoint import pack_tables, unpack_run, unpack_tables
 from ..level import Run, RunView
 from ..memtable import MemTable
@@ -254,6 +254,12 @@ class CompactionPolicy(abc.ABC):
     def unpack(self, state: dict, arrays: dict) -> None:
         """Rebuild disk state packed by :meth:`pack`."""
 
+    def _disk_max_tg(self) -> float:
+        """The largest generation time on disk, from the tables
+        themselves: a policy that keeps the watermark as a field derives
+        it here on restore, so no checkpoint stores a second copy."""
+        return max((t.max_tg for t in self.visible_tables()), default=-math.inf)
+
 
 class LeveledSingleRun(CompactionPolicy):
     """One sorted, non-overlapping run — the paper's leveled L1.
@@ -350,15 +356,6 @@ class LeveledSingleRun(CompactionPolicy):
 
     def groups(self):
         return [("run", "sorted", self.run)]
-
-    def pack(self, arrays: dict) -> dict:
-        state = super().pack(arrays)
-        if self.kernel.placement.name == "split":
-            # The separation watermark LAST(R).t_g is implied by the
-            # restored run's maximum, but stored for the recovery
-            # report / debugging.
-            state["last_disk_tg"] = self.run.max_tg
-        return state
 
     def unpack(self, state: dict, arrays: dict) -> None:
         self.run = unpack_run(arrays, "run")
@@ -522,17 +519,14 @@ class SizeTiered(CompactionPolicy):
         return {"runs_per_level": [len(level) for level in self.levels]}
 
     def unpack(self, state: dict, arrays: dict) -> None:
+        counts = state["runs_per_level"]
+        if len(counts) != self.max_levels or not all(is_integer(n) and n >= 0 for n in counts):
+            raise CheckpointCorruptError(f"runs_per_level {counts!r}: not {self.max_levels} counts")
         self.levels = [
-            [
-                unpack_run(arrays, f"level{li}.run{ri}").tables
-                for ri in range(run_count)
-            ]
-            for li, run_count in enumerate(state["runs_per_level"])
+            [unpack_run(arrays, f"level{li}.run{ri}").tables for ri in range(count)]
+            for li, count in enumerate(counts)
         ]
-        self._max_disk_tg = max(
-            (run[-1].max_tg for level in self.levels for run in level if run),
-            default=-math.inf,
-        )
+        self._max_disk_tg = self._disk_max_tg()
 
 
 class IoTDBTwoSpace(CompactionPolicy):
@@ -635,15 +629,13 @@ class IoTDBTwoSpace(CompactionPolicy):
 
     def pack(self, arrays: dict) -> dict:
         super().pack(arrays)
-        return {
-            "max_disk_tg": self._max_disk_tg,
-            "foreground_ms": self.foreground_ms,
-            "background_ms": self.background_ms,
-        }
+        return {"foreground_ms": self.foreground_ms, "background_ms": self.background_ms}
 
     def unpack(self, state: dict, arrays: dict) -> None:
         self.l1_files = unpack_tables(arrays, "l1")
         self.l2 = unpack_run(arrays, "l2")
-        self._max_disk_tg = float(state["max_disk_tg"])
-        self.foreground_ms = float(state["foreground_ms"])
-        self.background_ms = float(state["background_ms"])
+        self._max_disk_tg = self._disk_max_tg()
+        clocks = state["foreground_ms"], state["background_ms"]
+        if not all(is_finite_number(ms) and ms >= 0 for ms in clocks):
+            raise CheckpointCorruptError(f"simulated clocks {clocks!r} are not times >= 0")
+        self.foreground_ms, self.background_ms = map(float, clocks)

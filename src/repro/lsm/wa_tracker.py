@@ -224,10 +224,10 @@ class WriteStats:
         """Rebuild the instance stored by :meth:`to_checkpoint`.
 
         A counter array that is not one integer per id up to ``max_id``
-        (what this method has always written), or holds a negative
-        counter, is :class:`CheckpointCorruptError` — recovery then
-        replays the WAL.  The counters restore as ``uint16`` when the
-        largest fits.
+        (what this method has always written), holds a negative counter
+        or does not sum to ``disk_writes`` is
+        :class:`CheckpointCorruptError` — recovery then replays the WAL.
+        The counters restore as ``uint16`` when the largest fits.
         """
         counts = np.asarray(arrays["stats.counts"])
         max_id = int(meta["max_id"])
@@ -245,9 +245,14 @@ class WriteStats:
                 stats._widen()
             stats._counts[: counts.size] = counts
             stats._ceiling = high
+        disk_writes = int(counts.sum())
+        if meta["disk_writes"] != disk_writes:
+            raise CheckpointCorruptError(
+                f"disk_writes {meta['disk_writes']!r} is not the counters' sum {disk_writes}"
+            )
         stats._max_id = max_id
         stats.user_points = int(meta["user_points"])
-        stats.disk_writes = int(meta["disk_writes"])
+        stats.disk_writes = disk_writes
         kinds = arrays["stats.ev_kind"]
         stats.events = [
             CompactionEvent(

@@ -440,7 +440,10 @@ class ShardedDatabase:
             raise RecoveryError(f"manifest {manifest_path}: router mode {mode!r} is not hash")
         for entry in manifest["shards"]:
             check_manifest(manifest_path, entry, {"namespace": str}, members=("dir",))
-        router = ShardRouter.from_dict(manifest["router"])
+        try:
+            router = ShardRouter.from_dict(manifest["router"])
+        except EngineError as exc:
+            raise RecoveryError(f"manifest {manifest_path}: router: {exc}") from None
         if len(manifest["shards"]) != router.n_shards:
             raise RecoveryError(f"manifest {manifest_path}: shards do not match router")
         fleet = cls.__new__(cls)

@@ -537,6 +537,20 @@ class TestLegacyCheckpoints:
         engine.flush_all()
         engine.verify()
 
+    @pytest.mark.parametrize(
+        "key, recorded",
+        [("iotdb_conventional", 29730.0), ("iotdb_separation", 29990.0), ("separation", 29990.0)],
+    )
+    def test_the_derived_watermark_is_the_one_recorded(self, key, recorded):
+        """These files still store the watermark ``LAST(R).t_g`` beside
+        the tables that define it (``max_disk_tg`` / ``last_disk_tg``);
+        restore ignores that copy and derives the same value from the
+        tables."""
+        path = os.path.join(LEGACY_DIR, f"{key}.ckpt")
+        state = read_checkpoint(path)[0]["state"]
+        assert state.get("max_disk_tg", state.get("last_disk_tg")) == recorded
+        assert LsmEngine.restore(path).compaction.watermark() == recorded
+
 
 def test_legacy_database_directory_recovers(tmp_path):
     """A durability directory written when a retune replaced the engine

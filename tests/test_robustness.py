@@ -361,6 +361,15 @@ class TestDamagedManifests:
         "checkpoint-absolute": _edit(
             lambda m: _last_series(m).update(checkpoint="/tmp/a.ckpt")
         ),
+        # Values of the right kind that a constructor refuses.
+        "n-shards-negative": _edit(lambda m: m["router"].update(n_shards=-1)),
+        "budget-negative": _edit(lambda m: m.update(memory_budget_per_series=-1)),
+        "sstable-size-negative": _edit(lambda m: m.update(sstable_size=-1)),
+        "series-budget-negative": _edit(lambda m: _last_series(m).update(memory_budget=-1)),
+        "seq-capacity-negative": _edit(lambda m: _last_series(m).update(seq_capacity=-1)),
+        "seq-capacity-past-budget": _edit(lambda m: _last_series(m).update(seq_capacity=10**6)),
+        # The series' checkpoint holds points, so its WAL tail would be lost.
+        "wal-renamed": _edit(lambda m: _last_series(m).update(wal="renamed.wal")),
         # The stability knobs are checked as a config checks them: an
         # unknown knob (not a retired one), a wrong kind, a bad range.
         "stability-unknown-knob": _edit(lambda m: m.update(stability={"wal_group": 8})),
@@ -373,6 +382,10 @@ class TestDamagedManifests:
         ),
     }
 
+    REFUSED = (
+        "budget-negative", "sstable-size-negative", "series-budget-negative",
+        "seq-capacity-negative", "seq-capacity-past-budget", "wal-renamed",
+    )
     STABILITY = (
         "stability-unknown-knob", "stability-group-zero", "stability-scheduler-yes",
         "stability-rate-text",
@@ -381,13 +394,13 @@ class TestDamagedManifests:
     FLEET = (
         "truncated", "not-an-object", "not-utf8", "no-router",
         "n-shards-not-a-number", "n-shards-true", "range-router",
-        "shard-entry-missing", "dir-outside", *STABILITY,
+        "shard-entry-missing", "dir-outside", "n-shards-negative", *STABILITY,
     )
     DATABASE = (
         "truncated", "not-an-object", "not-utf8", "no-budget",
         "budget-not-a-number", "budget-true", "sstable-size-true",
         "series-budget-true", "seq-capacity-true", "series-without-wal",
-        "wal-outside", "checkpoint-absolute", *STABILITY,
+        "wal-outside", "checkpoint-absolute", *REFUSED, *STABILITY,
     )
 
     @pytest.mark.parametrize(
@@ -397,7 +410,7 @@ class TestDamagedManifests:
             for target, cases in (
                 ("fleet", FLEET),
                 ("shard", DATABASE),
-                ("database", ("truncated", "series-without-wal", *STABILITY)),
+                ("database", ("truncated", "series-without-wal", *REFUSED, *STABILITY)),
             )
             for damage in cases
         ],
