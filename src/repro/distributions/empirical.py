@@ -22,13 +22,13 @@ class EmpiricalDelay(DelayDistribution):
     """Distribution defined by a sample of observed delays.
 
     The CDF is the right-continuous empirical CDF; the PDF is a histogram
-    density (``bins`` Freedman–Diaconis-ish by default); sampling is a
+    density (``sqrt(n)`` bins, clamped to [8, 256]); sampling is a
     bootstrap resample.  Negative observations are clipped to zero with a
     warning-free policy — clock skew can make raw delays slightly
     negative, and the models only consume non-negative delays.
     """
 
-    def __init__(self, samples: np.ndarray, bins: int | None = None) -> None:
+    def __init__(self, samples: np.ndarray) -> None:
         data = np.asarray(samples, dtype=float).ravel()
         data = data[np.isfinite(data)]
         if data.size < 2:
@@ -38,8 +38,7 @@ class EmpiricalDelay(DelayDistribution):
         data = np.clip(data, 0.0, None)
         self._sorted = np.sort(data)
         self._n = data.size
-        if bins is None:
-            bins = max(8, min(256, int(round(np.sqrt(self._n)))))
+        bins = max(8, min(256, int(round(np.sqrt(self._n)))))
         lo = float(self._sorted[0])
         hi = float(self._sorted[-1])
         span = hi - lo

@@ -62,13 +62,11 @@ def query_grid(
     mode: str,
     scale: float,
     seed: int,
-    datasets: tuple[str, ...] | None = None,
 ) -> tuple[GridCell, ...]:
     """Run the full query grid for ``mode`` ('recent' or 'historical')."""
     n_points = max(int(_BASE_POINTS * scale), 5_000)
-    names = datasets if datasets is not None else tuple(TABLE_II)
     cells: list[GridCell] = []
-    for name in names:
+    for name in TABLE_II:
         spec = TABLE_II[name]
         dataset = spec.build(n_points=n_points, seed=seed)
         n_seq = recommended_seq_capacity(name)

@@ -27,16 +27,16 @@ def _scale(values: np.ndarray, lo: float, hi: float, size: int) -> np.ndarray:
 def line_plot(
     x: Sequence[float],
     series: dict[str, Sequence[float]],
-    width: int = 72,
-    height: int = 16,
     x_label: str = "x",
     y_label: str = "y",
 ) -> str:
-    """Plot one or more named series over shared ``x``.
+    """Plot one or more named series over shared ``x``, 72 columns by
+    16 rows.
 
     Each series gets the marker of its first character; collisions show
     the most recently drawn series.
     """
+    width, height = 72, 16
     if not series:
         raise ExperimentError("line_plot needs at least one series")
     xs = np.asarray(x, dtype=float)
@@ -75,11 +75,11 @@ def line_plot(
 def histogram_plot(
     edges: np.ndarray,
     counts: np.ndarray,
-    width: int = 50,
-    max_rows: int = 20,
     value_format: str = "{:.3g}",
 ) -> str:
-    """Horizontal-bar histogram (one row per bin, subsampled if many)."""
+    """Horizontal-bar histogram, bars up to 50 characters: one row per
+    bin, re-binned into 20 when there are more."""
+    width, max_rows = 50, 20
     edges = np.asarray(edges, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if edges.size != counts.size + 1:
@@ -104,14 +104,14 @@ def histogram_plot(
 def sstable_ranges(
     ranges: list[tuple[float, float]],
     query: tuple[float, float] | None = None,
-    width: int = 72,
-    max_rows: int = 24,
 ) -> str:
     """Draw SSTable generation-time ranges as horizontal segments.
 
-    Reproduces the Figure 15 visualisation: one row per SSTable, with
-    the queried range marked by ``|`` columns.
+    Reproduces the Figure 15 visualisation: one 72-column row for each
+    of the last 24 SSTables, with the queried range marked by ``|``
+    columns.
     """
+    width, max_rows = 72, 24
     if not ranges:
         return "(no SSTables)"
     shown = ranges[-max_rows:]

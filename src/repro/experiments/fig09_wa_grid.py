@@ -34,11 +34,10 @@ _BASE_POINTS = 100_000
 def run(
     scale: float = 1.0,
     seed: int = 0,
-    datasets: list[str] | None = None,
 ) -> ExperimentResult:
-    """Regenerate Figure 9; ``datasets`` restricts to a subset of M1-M12."""
+    """Regenerate Figure 9."""
     n_points = max(int(_BASE_POINTS * scale), 10_000)
-    names = datasets if datasets is not None else list(TABLE_II)
+    names = list(TABLE_II)
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, paper_reference=PAPER_REF
     )

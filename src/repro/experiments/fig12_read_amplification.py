@@ -28,11 +28,10 @@ PAPER_REF = (
 def run(
     scale: float = 1.0,
     seed: int = 0,
-    datasets: tuple[str, ...] | None = None,
 ) -> ExperimentResult:
     """Regenerate Figure 12."""
-    names = datasets if datasets is not None else tuple(TABLE_II)
-    cells = query_grid("recent", scale, seed, names)
+    names = tuple(TABLE_II)
+    cells = query_grid("recent", scale, seed)
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, paper_reference=PAPER_REF
     )

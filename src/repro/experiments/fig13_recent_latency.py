@@ -25,11 +25,10 @@ PAPER_REF = (
 def run(
     scale: float = 1.0,
     seed: int = 0,
-    datasets: tuple[str, ...] | None = None,
 ) -> ExperimentResult:
     """Regenerate Figure 13 (reuses Figure 12's runs)."""
-    names = datasets if datasets is not None else tuple(TABLE_II)
-    cells = query_grid("recent", scale, seed, names)
+    names = tuple(TABLE_II)
+    cells = query_grid("recent", scale, seed)
     index = {
         (cell.dataset, cell.window, cell.policy): cell.result for cell in cells
     }

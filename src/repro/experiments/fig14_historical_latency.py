@@ -57,11 +57,10 @@ def _figure15_chart(seed: int) -> str:
 def run(
     scale: float = 1.0,
     seed: int = 0,
-    datasets: tuple[str, ...] | None = None,
 ) -> ExperimentResult:
     """Regenerate Figure 14 (and render Figure 15's overlap picture)."""
-    names = datasets if datasets is not None else tuple(TABLE_II)
-    cells = query_grid("historical", scale, seed, names)
+    names = tuple(TABLE_II)
+    cells = query_grid("historical", scale, seed)
     index = {
         (cell.dataset, cell.window, cell.policy): cell.result for cell in cells
     }

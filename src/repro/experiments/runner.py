@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import DEFAULT_MEMORY_BUDGET, DEFAULT_MODEL_CONFIG, LsmConfig, ModelConfig
+from ..config import DEFAULT_MEMORY_BUDGET, LsmConfig
 from ..core import InOrderCurve, ZetaModel, predict_wa_conventional, separation_breakdown
 from ..distributions import DelayDistribution, EmpiricalDelay
 from ..errors import ExperimentError
@@ -86,15 +86,11 @@ def measure_wa_adaptive(
     dataset: TimeSeriesDataset,
     memory_budget: int,
     sstable_size: int,
-    check_interval: int = 8192,
-    analyzer=None,
 ) -> AdaptiveEngine:
     """Run ``dataset`` through the adaptive engine (needs arrival times)."""
     telemetry = global_telemetry()
     engine = AdaptiveEngine(
         LsmConfig(memory_budget=memory_budget, sstable_size=sstable_size),
-        analyzer=analyzer,
-        check_interval=check_interval,
         telemetry=telemetry,
     )
     with telemetry.span(
@@ -154,10 +150,9 @@ def sweep_wa_vs_nseq(
     memory_budget: int,
     sstable_size: int,
     n_seq_values: list[int],
-    model_config: ModelConfig = DEFAULT_MODEL_CONFIG,
 ) -> WaSweep:
     """Measure and model WA at each ``n_seq`` plus the pi_c reference."""
-    zeta_model = ZetaModel(dist, dt, model_config)
+    zeta_model = ZetaModel(dist, dt)
     curve = InOrderCurve(dist, dt)
     measured = []
     modelled = []
@@ -172,7 +167,6 @@ def sweep_wa_vs_nseq(
                 dt,
                 memory_budget,
                 n_seq,
-                config=model_config,
                 zeta_model=zeta_model,
                 in_order_curve=curve,
             ).wa
@@ -182,7 +176,6 @@ def sweep_wa_vs_nseq(
         dist,
         dt,
         memory_budget,
-        config=model_config,
         zeta_model=zeta_model,
         sstable_size=sstable_size,
     )

@@ -498,7 +498,6 @@ def run_crash_test(
     seeds: int = 3,
     n_points: int = 6000,
     workdir: str | None = None,
-    telemetry=None,
     faults: list[str] | None = None,
     fleet_shards: int | None = None,
 ) -> CrashTestReport:
@@ -535,7 +534,7 @@ def run_crash_test(
         base = workdir if workdir is not None else tmp
         os.makedirs(base, exist_ok=True)
         results = [
-            run_crash_case(*cell, base, telemetry=telemetry, **size)
+            run_crash_case(*cell, base, **size)
             for cell in cells
         ]
     return CrashTestReport(results)

@@ -67,7 +67,6 @@ Durability (all opt-in, one branch on the hot path when off):
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import numbers
@@ -78,7 +77,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from ..config import DiskModel, LsmConfig, is_integer
+from ..config import LsmConfig, is_integer
 from ..core.analyzer import DelayAnalyzer, finite_delays
 from ..core.tuning import SEPARATION, PolicyDecision
 from ..errors import (
@@ -981,10 +980,7 @@ class LsmEngine:
                     for index, decision, switched_to in self.decisions
                 ],
             }
-        row, params = self.row, {
-            name: dataclasses.asdict(value) if isinstance(value, DiskModel) else value
-            for name, value in self.params.items()
-        }
+        row, params = self.row, dict(self.params)
         if row is not None:
             # What rebuilds the engine: a named row's selector and its
             # compaction parameters, or an open row's triple and its own.
@@ -992,7 +988,6 @@ class LsmEngine:
         meta = {
             "format": 1,
             "engine": self.checkpoint_label,
-            "policy": self.policy_name,
             "config": {
                 "memory_budget": self.config.memory_budget,
                 "sstable_size": self.config.sstable_size,
@@ -1025,7 +1020,7 @@ class LsmEngine:
         saved engine.
         """
         from .checkpoint import read_checkpoint
-        from .policies.compose import engine_constructor
+        from .policies.compose import engine_constructor, recorded_constants_dropped
 
         meta, arrays = read_checkpoint(path)
         name = meta.get("engine")
@@ -1035,7 +1030,10 @@ class LsmEngine:
         # Checkpoints written before the cold tier lost its config knobs
         # still record ``cold_*`` keys here; they are ignored, and every
         # table keeps the block format its arrays record.  So is the
-        # hysteresis pi_adaptive recorded before it became a constant.
+        # hysteresis pi_adaptive recorded before it became a constant,
+        # and the ``policy`` label: the engine derives it.  A recorded
+        # disk model or composed flush is dropped when it is the one
+        # the engine has now, and corrupt otherwise.
         # A CRC-valid file is still outside input, judged here once:
         # whatever reading it raises — a header the engine cannot have
         # written (it decides where WAL replay starts), a parameter the
@@ -1046,6 +1044,7 @@ class LsmEngine:
             if not isinstance(kwargs, dict):
                 raise TypeError(f"kwargs is {kwargs!r}")
             kwargs.pop("min_seq_change", None)
+            kwargs = recorded_constants_dropped(name, kwargs)
             stats = WriteStats.from_checkpoint(meta["stats"], arrays)
             next_id, cursor = meta["next_id"], meta["arrival_cursor"]
             if not is_integer(next_id) or next_id != stats.user_points:

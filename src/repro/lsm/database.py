@@ -395,15 +395,14 @@ class TimeSeriesDatabase:
         for state in self._series.values():
             state.engine.flush_all()
 
-    def sync(self, name: str | None = None) -> None:
+    def sync(self) -> None:
         """Durability barrier: commit + fsync pending group-commit frames.
 
         With ``wal_group_records > 1`` an acknowledged write may still
-        sit in its engine's in-memory group; this forces every pending
-        frame to disk for one series (or all of them).
+        sit in its engine's in-memory group; this forces every series'
+        pending frames to disk.
         """
-        states = [self.series(name)] if name is not None else self._series.values()
-        for state in states:
+        for state in self._series.values():
             if state.engine.wal is not None:
                 state.engine.wal.sync()
 

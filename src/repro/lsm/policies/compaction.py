@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ...config import DEFAULT_DISK_MODEL, DiskModel, is_finite_number, is_integer
+from ...config import DEFAULT_DISK_MODEL, is_finite_number, is_integer
 from ...errors import CheckpointCorruptError, EngineError
 from ..checkpoint import pack_tables, unpack_run, unpack_tables
 from ..level import Run, RunView
@@ -54,6 +54,10 @@ __all__ = [
 #: Fixed cost charged to the foreground for initiating one flush (fsync,
 #: file creation) — identical for both IoTDB policies.
 _FLUSH_SYNC_MS = 0.2
+
+#: The most levels a multilevel or tiered structure may have (see
+#: :func:`_check_max_levels`).
+MAX_LEVELS = 64
 
 
 # -- leveled-compaction merge primitives -----------------------------------------
@@ -254,11 +258,14 @@ class CompactionPolicy(abc.ABC):
     def unpack(self, state: dict, arrays: dict) -> None:
         """Rebuild disk state packed by :meth:`pack`."""
 
-    def _disk_max_tg(self) -> float:
-        """The largest generation time on disk, from the tables
-        themselves: a policy that keeps the watermark as a field derives
-        it here on restore, so no checkpoint stores a second copy."""
-        return max((t.max_tg for t in self.visible_tables()), default=-math.inf)
+
+def _check_max_levels(max_levels: int) -> None:
+    """Level ``i`` holds ``n * T**(i+1)`` points with ``T >= 2``, so no
+    stream fills a level past :data:`MAX_LEVELS`: a larger count only
+    allocates empty levels (a checkpoint's ``10**6`` would build a
+    million runs before restore could judge it)."""
+    if not 1 <= max_levels <= MAX_LEVELS:
+        raise EngineError(f"max_levels must be in [1, {MAX_LEVELS}], got {max_levels}")
 
 
 class LeveledSingleRun(CompactionPolicy):
@@ -369,8 +376,7 @@ class MultiLevelCascade(CompactionPolicy):
     def __init__(self, size_ratio: int = 10, max_levels: int = 6) -> None:
         if size_ratio < 2:
             raise EngineError(f"size_ratio must be >= 2, got {size_ratio}")
-        if max_levels < 1:
-            raise EngineError(f"max_levels must be >= 1, got {max_levels}")
+        _check_max_levels(max_levels)
         self.size_ratio = size_ratio
         self.max_levels = max_levels
         self.levels: list[Run] = [Run() for _ in range(max_levels)]
@@ -445,18 +451,20 @@ class SizeTiered(CompactionPolicy):
     def __init__(self, tier_fanout: int = 4, max_levels: int = 8) -> None:
         if tier_fanout < 2:
             raise EngineError(f"tier_fanout must be >= 2, got {tier_fanout}")
-        if max_levels < 1:
-            raise EngineError(f"max_levels must be >= 1, got {max_levels}")
+        _check_max_levels(max_levels)
         self.tier_fanout = tier_fanout
         self.max_levels = max_levels
         #: ``levels[i]`` is a list of *runs*; each run is a list of
         #: internally sorted, non-overlapping SSTables, but runs overlap
         #: each other freely.
         self.levels: list[list[list[SSTable]]] = [[] for _ in range(max_levels)]
-        self._max_disk_tg = -math.inf
 
     def watermark(self) -> float:
-        return self._max_disk_tg
+        # Every run is sorted: its last table holds its newest point.
+        return max(
+            (run[-1].max_tg for level in self.levels for run in level if run),
+            default=-math.inf,
+        )
 
     def land(self, op, memtable, unit_points):
         """Every op sorts the MemTable into a new level-0 run (never a
@@ -469,8 +477,6 @@ class SizeTiered(CompactionPolicy):
             run = build_sstables(tg, ids, self.kernel.config.sstable_size)
             self.levels[0].append(run)
             memtable.clear()
-            if run:
-                self._max_disk_tg = max(self._max_disk_tg, run[-1].max_tg)
             return len(run)
 
         self._commit("flush", ids, append_run, new_points=new)
@@ -526,7 +532,6 @@ class SizeTiered(CompactionPolicy):
             [unpack_run(arrays, f"level{li}.run{ri}").tables for ri in range(count)]
             for li, count in enumerate(counts)
         ]
-        self._max_disk_tg = self._disk_max_tg()
 
 
 class IoTDBTwoSpace(CompactionPolicy):
@@ -536,30 +541,24 @@ class IoTDBTwoSpace(CompactionPolicy):
     background thread merges level 1 into the sorted level-2 run once
     ``l1_file_limit`` files accumulate.  Wall-clock cost is tracked
     separately for the foreground (inserts + flush writes) and the
-    background (compaction writes) using a :class:`DiskModel`.
+    background (compaction writes) using :data:`DEFAULT_DISK_MODEL`.
     """
 
     name = "iotdb"
 
-    def __init__(
-        self,
-        l1_file_limit: int = 10,
-        disk: DiskModel = DEFAULT_DISK_MODEL,
-    ) -> None:
+    def __init__(self, l1_file_limit: int = 10) -> None:
         if l1_file_limit < 1:
             raise EngineError(f"l1_file_limit must be >= 1, got {l1_file_limit}")
         self.l1_file_limit = l1_file_limit
-        self.disk = disk
         self.l1_files: list[SSTable] = []
         self.l2 = Run()
-        self._max_disk_tg = -math.inf
         #: Simulated time the writing client spends (inserts + flush writes).
         self.foreground_ms = 0.0
         #: Simulated time the background compaction thread spends.
         self.background_ms = 0.0
 
     def before_ingest(self, count: int) -> None:
-        self.foreground_ms += count * self.disk.insert_point_ms
+        self.foreground_ms += count * DEFAULT_DISK_MODEL.insert_point_ms
 
     @property
     def throughput_points_per_ms(self) -> float:
@@ -574,7 +573,7 @@ class IoTDBTwoSpace(CompactionPolicy):
         return self.kernel.ingested_points / self.foreground_ms
 
     def watermark(self) -> float:
-        return self._max_disk_tg
+        return max([self.l2.max_tg, *(table.max_tg for table in self.l1_files)])
 
     def land(self, op, memtable, unit_points):
         """Every op writes the MemTable as one level-1 file (no merge,
@@ -587,8 +586,7 @@ class IoTDBTwoSpace(CompactionPolicy):
             table = SSTable(tg, ids)
             self.l1_files.append(table)
             memtable.clear()
-            self._max_disk_tg = max(self._max_disk_tg, table.max_tg)
-            self.foreground_ms += _FLUSH_SYNC_MS + self.disk.write_cost_ms(len(table))
+            self.foreground_ms += _FLUSH_SYNC_MS + DEFAULT_DISK_MODEL.write_cost_ms(len(table))
             return 1
 
         self._commit("flush", ids, apply, memtable=memtable.name, new_points=new)
@@ -608,9 +606,9 @@ class IoTDBTwoSpace(CompactionPolicy):
             tables = build_sstables(merged_tg, merged_ids, self.kernel.config.sstable_size)
             self.kernel.retire_tables(self.l2.replace(region, tables) + files)
             self.l1_files = []
-            self.background_ms += self.disk.write_cost_ms(
+            self.background_ms += DEFAULT_DISK_MODEL.write_cost_ms(
                 merged_ids.size
-            ) + self.disk.read_cost_ms(consumed, merged_ids.size)
+            ) + DEFAULT_DISK_MODEL.read_cost_ms(consumed, merged_ids.size)
             return len(tables)
 
         self._commit(
@@ -634,7 +632,6 @@ class IoTDBTwoSpace(CompactionPolicy):
     def unpack(self, state: dict, arrays: dict) -> None:
         self.l1_files = unpack_tables(arrays, "l1")
         self.l2 = unpack_run(arrays, "l2")
-        self._max_disk_tg = self._disk_max_tg()
         clocks = state["foreground_ms"], state["background_ms"]
         if not all(is_finite_number(ms) and ms >= 0 for ms in clocks):
             raise CheckpointCorruptError(f"simulated clocks {clocks!r} are not times >= 0")

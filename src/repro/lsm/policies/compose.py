@@ -57,8 +57,8 @@ each takes an ``analyzer=`` and may :meth:`~repro.lsm.base.LsmEngine.resplit` or
   flush — the low-WA / high-read-cost end of the spectrum
   (``engine.compaction.run_count`` is the read-cost driver: a lookup
   consults every run).
-* ``IoTDBStyleEngine(config, policy="conventional", l1_file_limit=10,
-  disk=DEFAULT_DISK_MODEL)`` — the deployed shape of Section V-C: "when
+* ``IoTDBStyleEngine(config, policy="conventional", l1_file_limit=10)``
+  — the deployed shape of Section V-C: "when
   a MemTable is full, the data will be flushed to a file on the disk on
   level 1.  A compaction thread consume[s] the SSTables on level 1, and
   organize[s] them to new SSTables on level 2 in the background.
@@ -67,12 +67,18 @@ each takes an ``analyzer=`` and may :meth:`~repro.lsm.base.LsmEngine.resplit` or
   writing will not be blocked to wait for compaction."  ``policy=``
   picks one MemTable or the seq/nonseq pair over the shared two-space
   compaction, which owns the L1/L2 layout and the foreground/background
-  :class:`~repro.config.DiskModel` clocks (Table III, Figures 12-15, 20).
+  clocks of :data:`~repro.config.DEFAULT_DISK_MODEL` (Table III,
+  Figures 12-15, 20).
+
+The flush is never chosen: the placement and the compaction fix it
+(:data:`_DEFAULT_FLUSH`), as the paper's buffering policy and layout
+fix how MemTables land — ``pi_s`` closes a phase (Section IV), IoTDB
+flushes each MemTable on its own (Section V-C).
 
 :func:`compose_engine` is the open end of the design space: any
-placement x flush x compaction combination that type-checks runs as a
-full engine — WAL, faults, telemetry, checkpoints included — without a
-row.  ``compose_engine("split", compaction="tiered")`` is the paper's
+placement x compaction pair runs as a full engine — WAL, faults,
+telemetry, checkpoints included — without a row.
+``compose_engine("split", compaction="tiered")`` is the paper's
 separation idea grafted onto tiering, a combination no named engine
 implements.
 """
@@ -82,7 +88,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
-from ...config import DEFAULT_DISK_MODEL, DiskModel, LsmConfig
+from ...config import DEFAULT_DISK_MODEL, LsmConfig
 from ...core.analyzer import DelayAnalyzer
 from ...errors import EngineError
 from ...obs.telemetry import Telemetry
@@ -144,10 +150,11 @@ _PARAMETERS = {
     for name, cls in COMPACTIONS.items()
 }
 
-#: Natural flush strategy for a (placement, compaction) pair: leveled
-#: structures merge on full, append-friendly structures never do; split
-#: placements follow the separation protocol except on IoTDB's two-space
-#: layout, where both MemTables flush independently to L1.
+#: The flush strategy of a (placement, compaction) pair — every engine's,
+#: rows and composed engines alike: leveled structures merge on full,
+#: append-friendly structures never do; split placements follow the
+#: separation protocol except on IoTDB's two-space layout, where both
+#: MemTables flush independently to L1.
 _DEFAULT_FLUSH = {
     ("single", "leveled"): "merge",
     ("single", "multilevel"): "merge",
@@ -173,6 +180,8 @@ class EngineRow:
     #: The label reports and telemetry spans carry.
     policy_name: str
     placement: str
+    #: A label: the flush an engine of this row runs is its pair's
+    #: (:data:`_DEFAULT_FLUSH`).
     flush: str
     #: The compaction policy; the engine's constructor takes that
     #: policy's parameters, with its defaults (a default's type is the
@@ -226,8 +235,7 @@ ENGINES = (
 
 def _check_parameters(compaction: str, params: dict) -> dict:
     """``params`` once every name is one ``compaction`` takes and every
-    value is of its kind (an ``int`` is not a ``bool``; a ``DiskModel``
-    may come as the ``dict`` a checkpoint stores it as): parameters are
+    value is of its kind (an ``int`` is not a ``bool``): parameters are
     outside input — a checkpoint's, a caller's — wherever a row is built."""
     takes = _PARAMETERS[compaction]
     unknown = sorted(set(params) - set(takes))
@@ -239,43 +247,31 @@ def _check_parameters(compaction: str, params: dict) -> dict:
     checked = {}
     for name, value in params.items():
         kind = type(takes[name])
-        if kind is DiskModel and isinstance(value, dict):
-            value = DiskModel(**value)
         if not isinstance(value, kind) or isinstance(value, bool):
             raise EngineError(f"{name} must be {kind.__name__}, got {value!r}")
         checked[name] = value
     return checked
 
 
-def _resolve_flush(placement: str, flush: str | None, compaction: str) -> str:
-    if placement not in PLACEMENTS:
-        raise EngineError(
-            f"unknown placement {placement!r}; choose from {sorted(PLACEMENTS)}"
-        )
-    if compaction not in COMPACTIONS:
-        raise EngineError(
-            f"unknown compaction {compaction!r}; choose from {sorted(COMPACTIONS)}"
-        )
-    if flush is None:
-        flush = _DEFAULT_FLUSH[(placement, compaction)]
-    if flush not in FLUSHES:
-        raise EngineError(
-            f"unknown flush {flush!r}; choose from {sorted(FLUSHES)}"
-        )
-    needs_placement = FLUSHES[flush][1]
-    if needs_placement != placement:
-        raise EngineError(
-            f"flush strategy {flush!r} drives a {needs_placement!r} "
-            f"placement, not {placement!r}"
-        )
-    if compaction == "leveled" and flush in ("append", "independent"):
-        # The leveled run is one sorted run: an appended table that
-        # overlaps it (any out-of-order point) could never land.
-        raise EngineError(
-            f"({placement!r}, {flush!r}, {compaction!r}): an appending flush "
-            "cannot land on the one leveled run; use a merging flush"
-        )
-    return flush
+def recorded_constants_dropped(name: str, kwargs: dict) -> dict:
+    """A checkpoint's recorded constructor arguments without what older
+    files recorded and no constructor takes any more: the disk model,
+    and a composed engine's flush.  Each must be what the engine now
+    has — :data:`~repro.config.DEFAULT_DISK_MODEL`, the pair's flush —
+    or the file describes an engine this code cannot build
+    (:class:`~repro.errors.EngineError`)."""
+    kwargs = dict(kwargs)
+    for params in (kwargs, kwargs.get("compaction_kwargs")):
+        if isinstance(params, dict) and "disk" in params:
+            disk = params.pop("disk")
+            if disk != dataclasses.asdict(DEFAULT_DISK_MODEL):
+                raise EngineError(f"recorded disk {disk!r} is not the disk model")
+    if name == "ComposedEngine" and "flush" in kwargs:
+        flush = kwargs.pop("flush")
+        pair = (kwargs.get("placement", "single"), kwargs.get("compaction", "leveled"))
+        if flush != _DEFAULT_FLUSH.get(pair):
+            raise EngineError(f"recorded flush {flush!r} is not the flush of {pair!r}")
+    return kwargs
 
 
 def split_row(row: EngineRow, placement: str) -> tuple[EngineRow, str, str]:
@@ -288,7 +284,7 @@ def split_row(row: EngineRow, placement: str) -> tuple[EngineRow, str, str]:
     ``SeparationEngine``; only a row that names no one placement
     (``pi_adaptive``'s) is kept, under either split.
     """
-    flush = _resolve_flush(placement, None, row.compaction)
+    flush = _DEFAULT_FLUSH[(placement, row.compaction)]
     triple = (placement, flush, row.compaction)
     new = next(
         other for other in ENGINES
@@ -305,14 +301,15 @@ def _build(
     is built, a caller's or a checkpoint's — and the row, its label and
     the checked parameters recorded on the engine."""
     config = config if config is not None else LsmConfig()
-    placement, flush, policy_name = row.placement, row.flush, row.policy_name
+    placement, policy_name = row.placement, row.policy_name
     if row.tuner:
         # The split is live state: the engine starts under its row's.
         placement = "split" if placement == "split" else "single"
         seq_capacity = config.effective_seq_capacity if placement == "split" else None
         if config.seq_capacity != seq_capacity:
             config = config.with_seq_capacity(seq_capacity)
-        row, policy_name, flush = split_row(row, placement)
+        row, policy_name, _ = split_row(row, placement)
+    flush = _DEFAULT_FLUSH[(placement, row.compaction)]
     params = _check_parameters(row.compaction, params)
     engine = LsmEngine(
         config,
@@ -395,7 +392,6 @@ def IoTDBStyleEngine(
     config: LsmConfig | None = None,
     policy: str = "conventional",
     l1_file_limit: int = 10,
-    disk: DiskModel = DEFAULT_DISK_MODEL,
     telemetry: Telemetry | None = None,
 ) -> LsmEngine:
     """``single + append + iotdb`` (``policy="conventional"``, ``pi_c``)
@@ -409,30 +405,35 @@ def IoTDBStyleEngine(
             f"IoTDBStyleEngine: no engine for {chosen}; choose from "
             f"{[row.selector for row in rows]}"
         )
-    params = {"l1_file_limit": l1_file_limit, "disk": disk}
+    params = {"l1_file_limit": l1_file_limit}
     return _build(row, params, config, telemetry)
 
 
 def compose_engine(
     placement: str = "single",
-    flush: str | None = None,
     compaction: str = "leveled",
     config: LsmConfig | None = None,
     compaction_kwargs: dict | None = None,
     telemetry: Telemetry | None = None,
 ) -> LsmEngine:
-    """Build an engine from named policies: a row of its own triple,
-    recorded as ``ComposedEngine``.
-
-    ``flush`` defaults to the natural strategy for the pair (see
-    ``_DEFAULT_FLUSH``); ``compaction_kwargs`` parameterise the
+    """Build an engine from named policies: a row of its own pair and the
+    pair's flush (:data:`_DEFAULT_FLUSH`), recorded as ``ComposedEngine``
+    and labelled by the triple.  ``compaction_kwargs`` parameterise the
     compaction policy (``size_ratio``, ``tier_fanout``,
     ``l1_file_limit``...).
     """
-    flush = _resolve_flush(placement, flush, compaction)
-    triple = {"placement": placement, "flush": flush, "compaction": compaction}
-    label = "+".join(triple.values())
-    row = EngineRow(None, "ComposedEngine", label, *triple.values(), selector=triple)
+    if placement not in PLACEMENTS:
+        raise EngineError(
+            f"unknown placement {placement!r}; choose from {sorted(PLACEMENTS)}"
+        )
+    if compaction not in COMPACTIONS:
+        raise EngineError(
+            f"unknown compaction {compaction!r}; choose from {sorted(COMPACTIONS)}"
+        )
+    flush = _DEFAULT_FLUSH[(placement, compaction)]
+    label = f"{placement}+{flush}+{compaction}"
+    selector = {"placement": placement, "compaction": compaction}
+    row = EngineRow(None, "ComposedEngine", label, placement, flush, compaction, selector=selector)
     return _build(row, compaction_kwargs or {}, config, telemetry)
 
 

@@ -80,7 +80,6 @@ def recover_engine(
     config: "LsmConfig | None" = None,
     engine_kwargs: dict | None = None,
     telemetry: "Telemetry | None" = None,
-    verify: bool = True,
 ) -> RecoveryReport:
     """Recover one :class:`LsmEngine` from its WAL (+ optional checkpoint).
 
@@ -133,9 +132,8 @@ def recover_engine(
     engine._wal = handle
     report.durable_points = engine.ingested_points
     _publish(engine.telemetry, engine.policy_name, report)
-    if verify:
-        engine.verify()
-        report.verified = True
+    engine.verify()
+    report.verified = True
     return report
 
 

@@ -54,12 +54,12 @@ class Span:
     def __enter__(self) -> "Span":
         telemetry = self._telemetry
         telemetry._depth += 1
-        self._start = telemetry._clock()
+        self._start = time.monotonic()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         telemetry = self._telemetry
-        self.duration_ms = (telemetry._clock() - self._start) * 1_000.0
+        self.duration_ms = (time.monotonic() - self._start) * 1_000.0
         telemetry._depth -= 1
         event = {
             "type": "span",
@@ -104,21 +104,17 @@ class Telemetry:
     def __init__(
         self,
         sinks: list[TelemetrySink] | None = None,
-        registry: MetricsRegistry | None = None,
         enabled: bool = True,
-        clock=time.monotonic,
-        shard: str = "",
     ) -> None:
         self.enabled = enabled
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.sinks: list[TelemetrySink] = list(sinks) if sinks else []
-        self._clock = clock
-        self._epoch = clock()
+        self._epoch = time.monotonic()
         self._seq = 0
         self._depth = 0
         #: Shard label stamped on every event and metric this bus
-        #: records (``""`` = unlabelled, the single-database default).
-        self.shard = shard
+        #: records (``""`` = unlabelled; a :meth:`for_shard` view's label).
+        self.shard = ""
 
     # -- events ---------------------------------------------------------------
 
@@ -128,7 +124,7 @@ class Telemetry:
             return
         stamped = {
             "seq": self._seq,
-            "ts_ms": (self._clock() - self._epoch) * 1_000.0,
+            "ts_ms": (time.monotonic() - self._epoch) * 1_000.0,
         }
         if self.shard and "shard" not in event:
             stamped["shard"] = self.shard
@@ -203,7 +199,6 @@ class _ShardView(Telemetry):
         self.enabled = parent.enabled
         self.registry = parent.registry
         self.sinks = parent.sinks
-        self._clock = parent._clock
         self._epoch = parent._epoch
         self._depth = 0
         self.shard = shard
@@ -232,17 +227,13 @@ NULL_TELEMETRY = Telemetry(enabled=False)
 _GLOBAL: Telemetry = NULL_TELEMETRY
 
 
-def configure_telemetry(
-    sink: TelemetrySink | None = None, registry: MetricsRegistry | None = None
-) -> Telemetry:
+def configure_telemetry(sink: TelemetrySink | None = None) -> Telemetry:
     """Install (and return) an enabled process-global bus writing to
     ``sink`` (a fresh :class:`RingBufferSink` when none is given)."""
     global _GLOBAL
     if _GLOBAL.enabled:
         _GLOBAL.close()
-    _GLOBAL = Telemetry(
-        sinks=[sink if sink is not None else RingBufferSink()], registry=registry
-    )
+    _GLOBAL = Telemetry(sinks=[sink if sink is not None else RingBufferSink()])
     return _GLOBAL
 
 

@@ -11,7 +11,7 @@ Section V-D defines:
   at the maximum generation time written.
 
 :func:`run_query_workload` drives an engine through a dataset, pausing
-every ``query_every`` ingested points to issue one query against the
+every :data:`QUERY_EVERY` ingested points to issue one query against the
 current snapshot, and aggregates read amplification and modelled latency.
 """
 
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import DEFAULT_DISK_MODEL, DiskModel
 from ..errors import QueryError
 from ..workloads.dataset import TimeSeriesDataset
 from .executor import execute_range_query
@@ -33,6 +32,9 @@ __all__ = [
     "historical_window_query",
     "run_query_workload",
 ]
+
+#: Ingested points between two queries.
+QUERY_EVERY = 2048
 
 
 @dataclass(frozen=True)
@@ -72,35 +74,29 @@ def run_query_workload(
     dataset: TimeSeriesDataset,
     window: float,
     mode: str = "recent",
-    query_every: int = 2048,
-    warmup_points: int | None = None,
-    disk: DiskModel = DEFAULT_DISK_MODEL,
     seed: int = 0,
 ) -> QueryWorkloadResult:
     """Ingest ``dataset`` into ``engine``, querying as data streams in.
 
-    ``mode`` is ``"recent"`` or ``"historical"``; ``query_every`` sets the
-    ingest cadence between queries (the paper's "every 100 ms" of written
-    data); queries start after ``warmup_points`` (default: one window's
-    worth of points, so recent windows are fully populated).
+    ``mode`` is ``"recent"`` or ``"historical"``; a query follows every
+    :data:`QUERY_EVERY` ingested points (the paper's "every 100 ms" of
+    written data), once two windows' worth of points and one cadence
+    have gone in, so recent windows are fully populated.
     """
     if mode not in ("recent", "historical"):
         raise QueryError(f"mode must be 'recent' or 'historical', got {mode!r}")
     if window <= 0:
         raise QueryError(f"window must be positive, got {window}")
-    if query_every < 1:
-        raise QueryError(f"query_every must be >= 1, got {query_every}")
     rng = np.random.default_rng(seed)
-    if warmup_points is None:
-        nominal_dt = dataset.dt if dataset.dt else 1.0
-        warmup_points = int(2 * window / nominal_dt) + query_every
+    nominal_dt = dataset.dt if dataset.dt else 1.0
+    warmup_points = int(2 * window / nominal_dt) + QUERY_EVERY
     read_amps: list[float] = []
     latencies: list[float] = []
     files: list[float] = []
     results: list[float] = []
     ingested = 0
     max_tg_written = -np.inf
-    for chunk in dataset.chunks(query_every):
+    for chunk in dataset.chunks(QUERY_EVERY):
         engine.ingest(chunk.tg)
         ingested += len(chunk)
         max_tg_written = max(max_tg_written, float(chunk.tg.max()))
@@ -111,7 +107,7 @@ def run_query_workload(
         else:
             lo, hi = historical_window_query(max_tg_written, window, rng)
         stats = execute_range_query(engine.snapshot(), lo, hi)
-        latencies.append(query_latency_ms(stats, disk))
+        latencies.append(query_latency_ms(stats))
         files.append(stats.files_touched)
         results.append(stats.result_points)
         if stats.result_points > 0:

@@ -42,9 +42,7 @@ class AcfResult:
         return self.significant_lags().size == 0
 
 
-def autocorrelation(
-    series: np.ndarray, max_lag: int = 20, confidence_z: float = _Z95
-) -> AcfResult:
+def autocorrelation(series: np.ndarray, max_lag: int = 20) -> AcfResult:
     """Compute the sample ACF of ``series`` for lags ``0..max_lag``.
 
     Uses the biased normalisation (divide by ``N`` at every lag), which is
@@ -69,5 +67,5 @@ def autocorrelation(
         acf = np.empty(max_lag + 1)
         for k in lags:
             acf[k] = float(np.dot(centered[: n - k], centered[k:])) / denominator
-    band = confidence_z / np.sqrt(n)
+    band = _Z95 / np.sqrt(n)
     return AcfResult(lags=lags, acf=acf, band=float(band))

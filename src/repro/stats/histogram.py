@@ -44,11 +44,7 @@ class Histogram:
         return self.counts / (total * widths)
 
 
-def build_histogram(
-    samples: np.ndarray,
-    bins: int = 50,
-    range_: tuple[float, float] | None = None,
-) -> Histogram:
+def build_histogram(samples: np.ndarray, bins: int = 50) -> Histogram:
     """Build a :class:`Histogram` over the finite entries of ``samples``."""
     data = np.asarray(samples, dtype=float).ravel()
     data = data[np.isfinite(data)]
@@ -56,5 +52,5 @@ def build_histogram(
         raise ReproError("cannot build a histogram from an empty sample")
     if bins < 1:
         raise ReproError(f"bins must be >= 1, got {bins}")
-    counts, edges = np.histogram(data, bins=bins, range=range_)
+    counts, edges = np.histogram(data, bins=bins)
     return Histogram(edges=edges, counts=counts)

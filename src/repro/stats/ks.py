@@ -29,15 +29,16 @@ class KsResult:
     n2: int
 
 
-def kolmogorov_sf(t: float, terms: int = 100) -> float:
+def kolmogorov_sf(t: float) -> float:
     """Survival function of the Kolmogorov distribution.
 
-    ``P(K > t) = 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 t^2)``.
+    ``P(K > t) = 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 t^2)``, summed to
+    ``k = 100`` or the first term below ``1e-16``.
     """
     if t <= 0:
         return 1.0
     total = 0.0
-    for k in range(1, terms + 1):
+    for k in range(1, 101):
         term = math.exp(-2.0 * k * k * t * t)
         if term < 1e-16:
             break

@@ -27,13 +27,13 @@ __all__ = ["generate_fleet"]
 def generate_fleet(
     n_series: int = 40,
     points_per_series: int = 20_000,
-    dt: float = 1000.0,
     disordered_fraction: float = 0.4,
     seed: int = 0,
     hot_fraction: float = 0.0,
     hot_rate_multiplier: int = 1,
 ) -> dict[str, TimeSeriesDataset]:
-    """Generate a heterogeneous multi-series workload.
+    """Generate a heterogeneous multi-series workload, one point a
+    second of generation time in every series.
 
     ``disordered_fraction`` of the series get lognormal delays severe
     enough to create out-of-order points (severity varies per series);
@@ -61,6 +61,7 @@ def generate_fleet(
         raise WorkloadError(
             f"hot_rate_multiplier must be >= 1, got {hot_rate_multiplier}"
         )
+    dt = 1000.0
     rng = np.random.default_rng(seed)
     fleet: dict[str, TimeSeriesDataset] = {}
     n_disordered = int(round(n_series * disordered_fraction))

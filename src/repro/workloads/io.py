@@ -23,9 +23,10 @@ def save_csv(dataset: TimeSeriesDataset, path: str | Path) -> None:
             writer.writerow([repr(float(tg)), repr(float(ta))])
 
 
-def load_csv(path: str | Path, name: str | None = None) -> TimeSeriesDataset:
+def load_csv(path: str | Path) -> TimeSeriesDataset:
     """Read a dataset written by :func:`save_csv` (or any two-column CSV
-    with generation/arrival columns); rows are re-sorted by arrival."""
+    with generation/arrival columns), named after the file's stem; rows
+    are re-sorted by arrival."""
     path = Path(path)
     tg_list: list[float] = []
     ta_list: list[float] = []
@@ -48,7 +49,7 @@ def load_csv(path: str | Path, name: str | None = None) -> TimeSeriesDataset:
     ta = np.asarray(ta_list, dtype=np.float64)
     order = np.lexsort((tg, ta))
     return TimeSeriesDataset(
-        name=name if name is not None else path.stem,
+        name=path.stem,
         tg=tg[order],
         ta=ta[order],
         dt=None,

@@ -44,28 +44,27 @@ H_DT_MS = 1000.0
 #: "a system triggers re-sending for about every 5x10^4 ms"
 H_RESEND_PERIOD_MS = 50_000.0
 
+#: Per-point probability of a multi-second delay spike while online.
+H_SPIKE_PROB = 0.00045
+
 
 def generate_vehicle_h(
     n_points: int = 200_000,
     seed: int = 6,
-    dt: float = H_DT_MS,
-    resend_period: float = H_RESEND_PERIOD_MS,
     outage_start_prob: float = 0.002,
     outage_mean_points: float = 25.0,
-    spike_prob: float = 0.00045,
 ) -> TimeSeriesDataset:
     """Generate the simulated vehicle dataset H.
 
     ``outage_start_prob`` is the per-point probability of a network
     outage beginning; ``outage_mean_points`` the mean outage length in
-    points (geometric); ``spike_prob`` the per-point probability of an
-    isolated multi-second delay spike while online (the out-of-order
-    source).  Defaults are calibrated to the published statistics.
+    points (geometric); :data:`H_SPIKE_PROB` is the per-point
+    probability of an isolated multi-second delay spike while online
+    (the out-of-order source).  Defaults are calibrated to the published
+    statistics.
     """
     if n_points < 2:
         raise WorkloadError(f"n_points must be >= 2, got {n_points}")
-    if dt <= 0 or resend_period <= 0:
-        raise WorkloadError("dt and resend_period must be positive")
     if not 0 <= outage_start_prob < 1:
         raise WorkloadError(
             f"outage_start_prob must be in [0, 1), got {outage_start_prob}"
@@ -74,6 +73,7 @@ def generate_vehicle_h(
         raise WorkloadError(
             f"outage_mean_points must be >= 1, got {outage_mean_points}"
         )
+    dt, resend_period = H_DT_MS, H_RESEND_PERIOD_MS
     rng = np.random.default_rng(seed)
     tg = dt * np.arange(n_points, dtype=np.float64)
     ta = np.empty(n_points, dtype=np.float64)
@@ -81,7 +81,7 @@ def generate_vehicle_h(
     # Online jitter: a few hundred milliseconds, always positive.
     jitter = np.abs(rng.normal(250.0, 120.0, n_points))
     # Rare multi-second spikes (the out-of-order source).
-    spikes = rng.random(n_points) < spike_prob
+    spikes = rng.random(n_points) < H_SPIKE_PROB
     jitter[spikes] += 1500.0 + rng.exponential(1200.0, int(spikes.sum()))
 
     outage_end_prob = 1.0 / outage_mean_points
@@ -116,7 +116,7 @@ def generate_vehicle_h(
             "resend_period_ms": resend_period,
             "outage_start_prob": outage_start_prob,
             "outage_mean_points": outage_mean_points,
-            "spike_prob": spike_prob,
+            "spike_prob": H_SPIKE_PROB,
             "substitution": (
                 "synthetic stand-in for the industrial-partner vehicle "
                 "dataset H; see module docstring"

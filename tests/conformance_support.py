@@ -503,7 +503,7 @@ def write_legacy_database(directory: str = LEGACY_DATABASE_DIR) -> None:
 
 # -- what an engine's checkpoint says about it ------------------------------------
 
-_CHECKPOINT_META = ("engine", "policy", "config", "kwargs", "state")
+_CHECKPOINT_META = ("engine", "config", "kwargs", "state")
 
 
 #: Key -> (named constructor, the split it re-splits to half-way through

@@ -188,21 +188,32 @@ def test_write_counters_cost_at_most_four_bytes_per_point(stream):
 def test_narrow_counters_record_as_fast_as_wide_ones(record_property):
     """``record_written`` on the two-byte counters against a twin forced
     to ``int64``, over the same landing-sized id arrays: at most 1.3x.
-    An untyped increment (numpy's casting path) reads about 6x."""
+    An untyped increment (numpy's casting path) reads about 6x.
+
+    The twins take turns every 20 landings, in ABBA order (whichever
+    goes first in a block finds the ids colder), and the ratio is the
+    median of 15 rounds' totals: load that comes and goes lands on both
+    alike.  Two narrow twins measured so read 0.97-1.02."""
     rng = np.random.default_rng(5)
-    landings = [np.sort(rng.choice(100_000, 400, replace=False)) for _ in range(500)]
+    landings = [np.sort(rng.choice(100_000, 400, replace=False)) for _ in range(1000)]
+    blocks = [landings[start : start + 20] for start in range(0, len(landings), 20)]
     narrow, wide = WriteStats(100_000), WriteStats(100_000)
     wide._widen()
-
-    def record(stats):
-        for ids in landings:
-            stats.record_written(ids)
-
-    narrow_s, wide_s = _alternating_best(7, lambda: record(narrow), lambda: record(wide))
-    record_property("narrow_over_wide", narrow_s / wide_s)
+    ratios = []
+    for _ in range(15):
+        took = {narrow: 0.0, wide: 0.0}
+        for index, block in enumerate(blocks):
+            for stats in (narrow, wide) if index % 2 == 0 else (wide, narrow):
+                began = time.perf_counter()
+                for ids in block:
+                    stats.record_written(ids)
+                took[stats] += time.perf_counter() - began
+        ratios.append(took[narrow] / took[wide])
+    ratio = float(np.median(ratios))
+    record_property("narrow_over_wide", ratio)
     assert narrow._counts.dtype == np.uint16 and wide._counts.dtype == np.int64
     assert np.array_equal(narrow.write_counts, wide.write_counts)
-    assert narrow_s <= 1.3 * wide_s
+    assert ratio <= 1.3
 
 
 def test_the_scheduler_cuts_the_worst_append_stall_fivefold(stream):

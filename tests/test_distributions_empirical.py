@@ -79,7 +79,7 @@ class TestEmpiricalDelay:
         assert dist.pdf(lognormal_sample.max() + 1.0) == 0.0
 
     def test_pdf_integrates_to_one(self, lognormal_sample):
-        dist = EmpiricalDelay(lognormal_sample, bins=64)
+        dist = EmpiricalDelay(lognormal_sample)
         grid = np.linspace(0.0, dist.support_upper(), 100_001)
         mass = float(np.trapezoid(np.asarray(dist.pdf(grid)), grid))
         assert mass == pytest.approx(1.0, abs=0.05)

@@ -102,8 +102,8 @@ class TestAsciiPlots:
     def test_histogram_rebins_when_many(self):
         edges = np.linspace(0, 1, 101)
         counts = np.ones(100)
-        text = histogram_plot(edges, counts, max_rows=10)
-        assert len(text.splitlines()) == 10
+        text = histogram_plot(edges, counts)
+        assert len(text.splitlines()) == 20
 
     def test_histogram_rejects_mismatch(self):
         with pytest.raises(ExperimentError):

@@ -52,11 +52,10 @@ class TestSeriesManagement:
         [
             lambda db, name: db.write(name, np.arange(4, dtype=np.float64)),
             lambda db, name: db.snapshot(name),
-            lambda db, name: db.sync(name),
             lambda db, name: db.backpressure_state(name),
             lambda db, name: db.resize_series(name, 32),
         ],
-        ids=["write", "snapshot", "sync", "backpressure_state", "resize_series"],
+        ids=["write", "snapshot", "backpressure_state", "resize_series"],
     )
     def test_an_unhashable_name_is_an_engine_error(self, call, name):
         db = TimeSeriesDatabase(memory_budget_per_series=16, sstable_size=16)

@@ -42,7 +42,7 @@ import pytest
 from repro.config import LsmConfig
 from repro.core.tuning import SEPARATION
 from repro.distributions import LogNormalDelay
-from repro.errors import EngineError, InjectedCrash
+from repro.errors import InjectedCrash
 from repro.faults import FaultPlan
 from repro.faults.crashtest import CRASH_TEST_ENGINES, run_crash_case
 from repro.lsm import AdaptiveEngine, ConventionalEngine, SeparationEngine
@@ -50,10 +50,13 @@ from repro.lsm.base import LsmEngine
 from repro.lsm.checkpoint import read_checkpoint
 from repro.lsm.database import TimeSeriesDatabase
 from repro.lsm.policies import ENGINES, compose_engine, engine_constructor
+from repro.lsm.policies.compaction import SizeTiered
+from repro.lsm.policies.flush import IndependentFlush
+from repro.lsm.policies.placement import SplitPlacement
 from repro.lsm.policies.compose import (
+    _DEFAULT_FLUSH,
     _PARAMETERS,
     COMPACTIONS,
-    FLUSHES,
     PLACEMENTS,
     EngineRow,
     recordable_labels,
@@ -172,31 +175,25 @@ class TestRegistry:
             }
 
 
-#: Every (placement, flush, compaction) triple a flush can drive.
+#: Every triple ``compose_engine`` builds: each placement x compaction
+#: pair, with the flush the pair fixes.
 TRIPLES = [
-    (placement, flush, compaction)
+    (placement, _DEFAULT_FLUSH[(placement, compaction)], compaction)
     for placement in PLACEMENTS
-    for flush, (_, drives) in FLUSHES.items()
-    if drives == placement
     for compaction in COMPACTIONS
 ]
-#: An appending flush over the one leveled run: the first out-of-order
-#: landing would overlap the run, so construction refuses the triple.
-UNLANDABLE = {("single", "append", "leveled"), ("split", "independent", "leveled")}
 
 
 @pytest.mark.parametrize("triple", TRIPLES, ids="+".join)
 def test_every_triple_is_refused_or_ingests_a_disordered_stream(triple):
-    """A triple ``compose_engine`` accepts ingests a disordered stream,
-    drains and verifies; the two it refuses are an ``EngineError``
-    naming the triple at construction, before any point is taken."""
-    assert len(TRIPLES) == 16
+    """Every triple ``compose_engine`` builds ingests a disordered
+    stream, drains and verifies: no pair fixes a flush its compaction
+    cannot land (an appending flush over the one leveled run)."""
+    assert len(TRIPLES) == 8
+    placement, flush, compaction = triple
     config = LsmConfig(512, 512)
-    if triple in UNLANDABLE:
-        with pytest.raises(EngineError, match=re.escape(repr(triple))):
-            compose_engine(*triple, config=config)
-        return
-    engine = compose_engine(*triple, config=config)
+    engine = compose_engine(placement, compaction, config=config)
+    assert engine.describe_policies() == dict(placement=placement, flush=flush, compaction=compaction)
     dataset = generate_synthetic(20_000, 50.0, LogNormalDelay(5.0, 2.0), seed=7)
     engine.ingest(dataset.tg, dataset.ta)
     engine.flush_all()
@@ -589,8 +586,13 @@ class TestSplitBatchingInvariance:
         "pi_s+scheduler": lambda: SeparationEngine(
             _SPLIT_CONFIG.with_stability(compaction_scheduler=True)
         ),
-        "split+independent+tiered": lambda: compose_engine(
-            "split", "independent", "tiered", config=_SPLIT_CONFIG
+        # No pair fixes this triple: a split placement over tiers lands
+        # by separation.  Built by hand, it still cuts its stream alike.
+        "split+independent+tiered": lambda: LsmEngine(
+            _SPLIT_CONFIG,
+            placement=SplitPlacement(),
+            flush=IndependentFlush(),
+            compaction=SizeTiered(),
         ),
     }
 

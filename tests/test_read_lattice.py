@@ -489,8 +489,7 @@ def test_a_row_writes_what_its_triple_writes(key):
     row = TRIPLE_ROWS[key]
     named = row.build(CONFIG)
     composed = compose_engine(
-        row.placement, row.flush, row.compaction,
-        config=named.config, compaction_kwargs=row.small,
+        row.placement, row.compaction, config=named.config, compaction_kwargs=row.small,
     )
     tg = _stream(seed=1)
     for engine in (named, composed):

@@ -26,7 +26,7 @@ from repro import (
     read_wal,
     recover_engine,
 )
-from repro.config import DEFAULT_MODEL_CONFIG
+from repro.config import DEFAULT_DISK_MODEL, DEFAULT_MODEL_CONFIG
 from repro.core.analyzer import DelayAnalyzer
 from repro.errors import (
     CheckpointCorruptError,
@@ -974,7 +974,8 @@ class TestRecordedParameterChecks:
         engine.ingest(dataset.tg[2000:])
         engine.wal.close()
         meta, arrays = read_checkpoint(ckpt_path)
-        assert key in meta["kwargs"]
+        # No checkpoint records the disk model any more; older ones did.
+        assert (key in meta["kwargs"]) == (key != "disk")
         meta["kwargs"][key] = value
         write_checkpoint(ckpt_path, meta, arrays)
         with pytest.raises(CheckpointCorruptError, match=re.escape(ckpt_path) + f": EngineError.*{key}"):
@@ -985,6 +986,59 @@ class TestRecordedParameterChecks:
         assert report.checkpoint_corrupt and not report.checkpoint_used
         assert report.replayed_points == 3000
         _assert_same_state(engine, report.engine)
+
+    # What older checkpoints recorded and no constructor takes now: kept
+    # when it is what the engine has, corrupt when it is not.
+    RECORDED = {
+        "iotdb disk": (
+            IoTDBStyleEngine, {"l1_file_limit": 4}, ("disk",),
+            asdict(DEFAULT_DISK_MODEL), {**asdict(DEFAULT_DISK_MODEL), "seek_ms": 10.0},
+        ),
+        "composed iotdb disk": (
+            compose_engine, {"placement": "split", "compaction": "iotdb"},
+            ("compaction_kwargs", "disk"),
+            asdict(DEFAULT_DISK_MODEL), {**asdict(DEFAULT_DISK_MODEL), "write_point_ms": 1.0},
+        ),
+        "composed flush": (
+            compose_engine, {"placement": "split", "compaction": "tiered"}, ("flush",),
+            "separation", "independent",
+        ),
+        "composed leveled flush": (
+            compose_engine, {}, ("flush",), "merge", "append",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RECORDED))
+    def test_a_recorded_constant_is_dropped_or_corrupt(self, tmp_path, case):
+        constructor, kwargs, path, kept, other = self.RECORDED[case]
+        wal_path, ckpt_path = str(tmp_path / "p.wal"), str(tmp_path / "p.ckpt")
+        dataset = _dataset(3000, seed=13)
+        engine = constructor(config=LsmConfig(64, 32, wal_path=wal_path), **kwargs)
+        engine.ingest(dataset.tg[:2000])
+        engine.save_checkpoint(ckpt_path)
+        engine.ingest(dataset.tg[2000:])
+        engine.wal.close()
+        meta, arrays = read_checkpoint(ckpt_path)
+        assert f'"{path[-1]}"' not in json.dumps(meta["kwargs"])
+        for value in (kept, other):
+            write_checkpoint(ckpt_path, _with_leaf(meta, ("kwargs", *path), value), arrays)
+            if value is kept:
+                restored = LsmEngine.restore(ckpt_path)
+                restored.verify()
+                assert restored.describe_policies() == engine.describe_policies()
+                assert restored.ingested_points == 2000
+                continue
+            with pytest.raises(
+                CheckpointCorruptError,
+                match=re.escape(ckpt_path) + f": EngineError.*recorded {path[-1]}",
+            ):
+                LsmEngine.restore(ckpt_path)
+            report = recover_engine(
+                constructor, wal_path, checkpoint_path=ckpt_path,
+                config=LsmConfig(64, 32), engine_kwargs=kwargs,
+            )
+            assert report.checkpoint_corrupt and report.replayed_points == 3000
+            _assert_same_state(engine, report.engine)
 
 
 def _leaves(node, path=()):

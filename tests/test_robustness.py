@@ -733,7 +733,10 @@ class TestRowParametersAreOutsideInput:
             (lambda: TieredEngine(tier_fanout=2.5), ["tier_fanout", "2.5"]),
             (lambda: TieredEngine(max_levels=True), ["max_levels", "True"]),
             (lambda: IoTDBStyleEngine(l1_file_limit=2.0), ["l1_file_limit", "2.0"]),
-            (lambda: IoTDBStyleEngine(disk=None), ["disk", "DiskModel"]),
+            # Past the cap no stream fills a level: refused before a
+            # million empty levels are built.
+            (lambda: MultiLevelEngine(max_levels=10**6), ["max_levels", "64", "1000000"]),
+            (lambda: TieredEngine(max_levels=65), ["max_levels", "64", "65"]),
             (
                 lambda: compose_engine(
                     compaction="tiered", compaction_kwargs={"tier_fanout": 2.5}
@@ -743,7 +746,8 @@ class TestRowParametersAreOutsideInput:
         ],
         ids=[
             "unknown", "unknown-names-the-ones-taken", "str", "float-ratio",
-            "float-fanout", "bool", "float-limit", "disk-none", "composed-float",
+            "float-fanout", "bool", "float-limit", "levels-past-cap",
+            "tiered-levels-past-cap", "composed-float",
         ],
     )
     def test_engine_error_at_construction(self, build, names):

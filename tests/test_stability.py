@@ -452,7 +452,7 @@ def test_database_surfaces_backpressure_and_sync(tmp_path):
     assert db.backpressure_state("s1") == HEALTHY
     engine = db.series("s1").engine
     # Group commit may hold acknowledged frames; sync is the barrier.
-    db.sync("s1")
+    db.sync()
     assert engine.wal.appended == engine.wal.records_committed
     scan = read_wal(engine.config.wal_path)
     assert scan.total_points == len(dataset)
