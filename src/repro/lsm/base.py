@@ -492,7 +492,7 @@ class LsmEngine:
 
         placement = "single" if config.seq_capacity is None else "split"
         row, policy_name, flush = split_row(self.row, placement)
-        self.rebind(config, PLACEMENTS[placement](), FLUSHES[flush][0]())
+        self.rebind(config, PLACEMENTS[placement](), FLUSHES[flush]())
         self.row, self.policy_name = row, policy_name
         if self.analyzer is not None:
             self.analyzer.memory_budget = config.memory_budget

@@ -127,12 +127,12 @@ PLACEMENTS = {
     "split": SplitPlacement,
 }
 
-#: Flush strategies by name, with the placements each one drives.
+#: Flush strategies by name.
 FLUSHES = {
-    "merge": (MergeFlush, "single"),
-    "append": (AppendFlush, "single"),
-    "separation": (SeparationFlush, "split"),
-    "independent": (IndependentFlush, "split"),
+    "merge": MergeFlush,
+    "append": AppendFlush,
+    "separation": SeparationFlush,
+    "independent": IndependentFlush,
 }
 
 #: Compaction policies by name.
@@ -314,7 +314,7 @@ def _build(
     engine = LsmEngine(
         config,
         placement=PLACEMENTS[placement](),
-        flush=FLUSHES[flush][0](),
+        flush=FLUSHES[flush](),
         compaction=COMPACTIONS[row.compaction](**params),
         telemetry=telemetry,
         **tuner,
