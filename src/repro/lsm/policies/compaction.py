@@ -260,10 +260,11 @@ class CompactionPolicy(abc.ABC):
 
 
 def _check_max_levels(max_levels: int) -> None:
-    """Level ``i`` holds ``n * T**(i+1)`` points with ``T >= 2``, so no
-    stream fills a level past :data:`MAX_LEVELS`: a larger count only
-    allocates empty levels (a checkpoint's ``10**6`` would build a
-    million runs before restore could judge it)."""
+    """Level ``i`` holds ``n * T**(i+1)`` points with ``T >= 2``, so
+    level 62 holds 2**63 points, more than an ``int64`` id can number:
+    no stream fills a level past 62, and more than :data:`MAX_LEVELS`
+    levels only allocate empty ones (a checkpoint's ``10**6`` would
+    build a million runs before restore could judge it)."""
     if not 1 <= max_levels <= MAX_LEVELS:
         raise EngineError(f"max_levels must be in [1, {MAX_LEVELS}], got {max_levels}")
 

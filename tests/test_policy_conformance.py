@@ -33,7 +33,6 @@ from __future__ import annotations
 import inspect
 import json
 import os
-import re
 import shutil
 
 import numpy as np
